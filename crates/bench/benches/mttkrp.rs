@@ -31,18 +31,27 @@ fn bench_mttkrp_nnz(c: &mut Criterion) {
     group.finish();
 }
 
+/// Rank axis: the naive COO kernel (`mttkrp/rank/<R>`) and the sorted-run
+/// plan kernel (`mttkrp/rank/plan/<R>`) on the same tensor and mode.  The
+/// paper default 10 and the ablation ranks {5, 20, 40} run the plan's
+/// rank-monomorphised body; 12 and 24 are not in its dispatch set and show
+/// what the dynamic fallback costs next to their neighbours.
 fn bench_mttkrp_rank(c: &mut Criterion) {
     let mut group = c.benchmark_group("mttkrp/rank");
     let shape = [300usize, 300, 100];
     let mut rng = ChaCha8Rng::seed_from_u64(2);
     let t = uniform_tensor(&shape, 50_000, &mut rng).expect("feasible");
-    for &rank in &[5usize, 10, 20, 40] {
+    let plan = MttkrpPlan::build(&t).expect("fits u32 layout");
+    for &rank in &[5usize, 10, 12, 20, 24, 40] {
         let factors: Vec<Matrix> = shape
             .iter()
             .map(|&s| Matrix::random(s, rank, &mut rng))
             .collect();
         group.bench_with_input(BenchmarkId::from_parameter(rank), &rank, |b, _| {
             b.iter(|| mttkrp(&t, &factors, 1).expect("runs"))
+        });
+        group.bench_with_input(BenchmarkId::new("plan", rank), &rank, |b, _| {
+            b.iter(|| plan.mttkrp(&factors, 1).expect("runs"))
         });
     }
     group.finish();

@@ -98,6 +98,10 @@ impl Payload {
 /// (a hot worker shipping most of the rows is a partitioning smell).
 #[derive(Debug, Default)]
 pub struct CommStats {
+    /// Bytes recorded without a sender ([`CommStats::record_message`]).
+    /// Every logical byte lands in exactly one of this, `bytes_by_sender`
+    /// and `unattributed_bytes`; a snapshot's `bytes` is their sum, so the
+    /// total and its breakdown cannot disagree, even mid-run.
     bytes: AtomicU64,
     messages: AtomicU64,
     collectives: AtomicU64,
@@ -109,8 +113,7 @@ pub struct CommStats {
     /// Spurious duplicates the receive path discarded.
     duplicates_suppressed: AtomicU64,
     /// Bytes whose sender rank fell outside the per-sender breakdown (a
-    /// caller bug — see [`CommStats::record_message_from`]).  Tallied so
-    /// `bytes == Σ bytes_by_sender + unattributed_bytes` always holds.
+    /// caller bug — see [`CommStats::record_message_from`]).
     unattributed_bytes: AtomicU64,
     /// Encoded (wire) size of compressed frames.  Logical counters above
     /// always record the flat-equivalent size, so compressed and flat runs
@@ -148,30 +151,26 @@ impl CommStats {
     /// Records one remote message attributed to a sender rank.
     ///
     /// With a per-sender breakdown installed ([`CommStats::with_world`]),
-    /// an out-of-range `sender` is a caller bug: it used to silently drop
-    /// the attribution, letting `Σ bytes_by_sender` drift from `bytes`.
-    /// Now it trips a debug assertion, and in release builds the bytes land
-    /// in `unattributed_bytes` so snapshots still reconcile exactly.
+    /// an out-of-range `sender` is a caller bug: it trips a debug
+    /// assertion, and in release builds the bytes land in
+    /// `unattributed_bytes` so snapshots still reconcile exactly.
     pub fn record_message_from(&self, sender: usize, bytes: u64) {
-        self.record_message(bytes);
         if self.bytes_by_sender.is_empty() {
             // Totals-only stats (`CommStats::new`): no breakdown to keep
             // consistent, any rank is acceptable.
+            self.record_message(bytes);
             return;
         }
-        match self.bytes_by_sender.get(sender) {
-            Some(counter) => {
-                counter.fetch_add(bytes, Ordering::Relaxed);
-            }
-            None => {
-                debug_assert!(
-                    false,
-                    "sender rank {sender} outside per-sender breakdown of {} workers",
-                    self.bytes_by_sender.len()
-                );
-                self.unattributed_bytes.fetch_add(bytes, Ordering::Relaxed);
-            }
-        }
+        let counter = self.bytes_by_sender.get(sender).unwrap_or_else(|| {
+            debug_assert!(
+                false,
+                "sender rank {sender} outside per-sender breakdown of {} workers",
+                self.bytes_by_sender.len()
+            );
+            &self.unattributed_bytes
+        });
+        counter.fetch_add(bytes, Ordering::Relaxed);
+        self.messages.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records the start of a collective operation (barrier, all-reduce, …).
@@ -203,31 +202,51 @@ impl CommStats {
             wire < logical,
             "compressed frame must beat the flat payload (wire {wire} >= logical {logical})"
         );
-        self.compressed_bytes.fetch_add(wire, Ordering::Relaxed);
-        self.compressed_logical_bytes
-            .fetch_add(logical, Ordering::Relaxed);
+        // Message (by the caller), then logical, then wire, each add
+        // releasing: `snapshot` acquires them in the reverse order, so a
+        // copy that counts a frame's wire bytes also counts its logical
+        // bytes, and one that counts its logical bytes also counts the
+        // message.
         self.downcast_rows
             .fetch_add(downcast_rows, Ordering::Relaxed);
+        self.compressed_logical_bytes
+            .fetch_add(logical, Ordering::Release);
+        self.compressed_bytes.fetch_add(wire, Ordering::Release);
     }
 
-    /// Consistent point-in-time copy of the counters.
+    /// Copy of the counters, safe to take while other ranks are recording.
+    ///
+    /// The counters are independent atomics, so a mid-run copy is not one
+    /// instant: each value is some recent one.  What a copy does
+    /// guarantee is [`CommStatsSnapshot::reconciles`]: `bytes` is
+    /// computed from the very breakdown it is checked against, and the
+    /// compression counters are acquired wire first, then logical, then
+    /// the message bytes — the reverse of the order
+    /// [`CommStats::record_compressed`] releases them in.  Once every
+    /// rank has stopped, the copy is exact.
     pub fn snapshot(&self) -> CommStatsSnapshot {
+        let compressed_bytes = self.compressed_bytes.load(Ordering::Acquire);
+        let compressed_logical_bytes = self.compressed_logical_bytes.load(Ordering::Acquire);
+        let bytes_by_sender: Vec<u64> = self
+            .bytes_by_sender
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect();
+        let unattributed_bytes = self.unattributed_bytes.load(Ordering::Relaxed);
         CommStatsSnapshot {
-            bytes: self.bytes.load(Ordering::Relaxed),
+            bytes: self.bytes.load(Ordering::Relaxed)
+                + bytes_by_sender.iter().sum::<u64>()
+                + unattributed_bytes,
             messages: self.messages.load(Ordering::Relaxed),
             collectives: self.collectives.load(Ordering::Relaxed),
             retransmits: self.retransmits.load(Ordering::Relaxed),
             retransmit_bytes: self.retransmit_bytes.load(Ordering::Relaxed),
             duplicates_suppressed: self.duplicates_suppressed.load(Ordering::Relaxed),
-            unattributed_bytes: self.unattributed_bytes.load(Ordering::Relaxed),
-            compressed_bytes: self.compressed_bytes.load(Ordering::Relaxed),
-            compressed_logical_bytes: self.compressed_logical_bytes.load(Ordering::Relaxed),
+            unattributed_bytes,
+            compressed_bytes,
+            compressed_logical_bytes,
             downcast_rows: self.downcast_rows.load(Ordering::Relaxed),
-            bytes_by_sender: self
-                .bytes_by_sender
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
+            bytes_by_sender,
         }
     }
 
@@ -829,6 +848,39 @@ mod per_sender_tests {
         assert_eq!(snap.bytes_by_sender, vec![0]);
         assert_eq!(snap.unattributed_bytes, 40);
         assert!(snap.reconciles());
+    }
+
+    #[test]
+    fn snapshots_reconcile_while_other_threads_record() {
+        // Each byte lives in exactly one counter and the total is derived
+        // from them, so no interleaving of recorders and a reader can show
+        // a total that disagrees with its breakdown, nor more compressed
+        // bytes than messages recorded.
+        let stats = CommStats::with_world(2);
+        std::thread::scope(|scope| {
+            for rank in 0..2usize {
+                let stats = &stats;
+                scope.spawn(move || {
+                    for i in 0..20_000u64 {
+                        stats.record_message_from(rank, 64 + i % 7);
+                        stats.record_compressed(16, 64 + i % 7, 1);
+                    }
+                });
+            }
+            // Read for as long as the recorders run.
+            loop {
+                let snap = stats.snapshot();
+                assert!(snap.reconciles(), "{snap:?}");
+                if snap.messages == 40_000 {
+                    break;
+                }
+            }
+        });
+        let end = stats.snapshot();
+        assert!(end.reconciles());
+        assert_eq!(end.messages, 40_000);
+        assert_eq!(end.bytes, end.bytes_by_sender.iter().sum::<u64>());
+        assert_eq!(end.compressed_logical_bytes, end.bytes);
     }
 
     #[test]

@@ -16,11 +16,12 @@
 
 use crate::config::DecompConfig;
 use crate::loss::{dtd_loss, GramState, LossParts};
-use dismastd_tensor::matrix::Matrix;
-use dismastd_tensor::mttkrp::{inner_from_mttkrp, mttkrp};
+use dismastd_tensor::matrix::{axpy, Matrix};
+use dismastd_tensor::mttkrp::{inner_from_mttkrp, mttkrp_into};
 use dismastd_tensor::ops::{grand_sum_hadamard, hadamard_skip};
 use dismastd_tensor::{
-    KruskalTensor, NumericsReport, Result, RobustSolver, SparseTensor, TensorError,
+    AdaptivePolicy, KruskalTensor, LayoutChoice, MttkrpPlan, NumericsReport, Result, RobustSolver,
+    SparseTensor, TensorError,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -87,6 +88,23 @@ pub fn init_factors(
     Ok(factors)
 }
 
+/// The complement's sorted-run plan for one [`dtd`] call when `layout`
+/// asks for one — built once, without copying the complement, then reused
+/// by every mode of every iteration; `None` leaves the call on the COO
+/// kernel over the caller's tensor.
+///
+/// Call-local rather than a `PlanCache` entry: every step's complement is
+/// new data, so a content-keyed entry could never hit.
+fn complement_plan(complement: &SparseTensor, layout: LayoutChoice) -> Result<Option<MttkrpPlan>> {
+    match layout {
+        LayoutChoice::NaiveCoo => Ok(None),
+        LayoutChoice::SortedRuns => {
+            let _s = dismastd_obs::span("phase/plan_build");
+            MttkrpPlan::build(complement).map(Some)
+        }
+    }
+}
+
 /// Runs DTD (Alg. 1) on the complement tensor.
 ///
 /// * `complement` — `X \ X̃` in the **new snapshot's coordinate space**
@@ -101,6 +119,25 @@ pub fn dtd(
     complement: &SparseTensor,
     old_factors: &[Matrix],
     cfg: &DecompConfig,
+) -> Result<DtdOutput> {
+    dtd_on(complement, old_factors, cfg, serial_layout(complement))
+}
+
+/// Layout of the serial solver's kernel: the distributed cells' policy at
+/// its defaults, applied to the whole complement.  Tiny and hyper-sparse
+/// tensors stay on COO, and so does anything the plan's `u32` tables
+/// cannot index, so `PlanOverflow` never surfaces from [`dtd`].
+fn serial_layout(complement: &SparseTensor) -> LayoutChoice {
+    AdaptivePolicy::default().choose(complement.shape(), complement.nnz())
+}
+
+/// [`dtd`] with the complement's kernel layout given rather than chosen —
+/// the layouts agree bit for bit, which the tests pin by forcing each.
+fn dtd_on(
+    complement: &SparseTensor,
+    old_factors: &[Matrix],
+    cfg: &DecompConfig,
+    layout: LayoutChoice,
 ) -> Result<DtdOutput> {
     cfg.validate().map_err(TensorError::InvalidArgument)?;
     let new_shape = complement.shape();
@@ -135,6 +172,13 @@ pub fn dtd(
     };
     let complement_norm_sq = complement.norm_sq();
 
+    let plan = complement_plan(complement, layout)?;
+    // One Â buffer per mode for the whole call, re-zeroed before each use.
+    let mut hats: Vec<Matrix> = new_shape
+        .iter()
+        .map(|&rows| Matrix::zeros(rows, cfg.rank))
+        .collect();
+
     let solver = RobustSolver::new(cfg.numerics.solver);
     let mut numerics = NumericsReport::default();
     let mut loss_trace = Vec::with_capacity(cfg.max_iters);
@@ -143,10 +187,16 @@ pub fn dtd(
         let mut final_inner = 0.0;
         for n in 0..n_modes {
             // MTTKRP over the complement — the bottleneck operator.
-            let hat = {
+            {
                 let _s = dismastd_obs::span("phase/mttkrp");
-                mttkrp(complement, &factors, n)?
-            };
+                hats[n].fill_zero();
+                // Both kernels produce the same bits.
+                match &plan {
+                    Some(plan) => plan.mttkrp_into(&factors, n, &mut hats[n])?,
+                    None => mttkrp_into(complement, &factors, n, &mut hats[n])?,
+                }
+            }
+            let hat = &hats[n];
 
             let old_n = old_rows[n];
             let (a0, a1) = {
@@ -162,25 +212,31 @@ pub fn dtd(
                     d1.sub(&g0_had.scale(1.0 - cfg.forgetting))?
                 };
 
-                let hat0 = hat.row_block(0, old_n)?;
-                let hat1 = hat.row_block(old_n, hat.rows())?;
-
                 // A_n^(0): μ Ã_n (⊛_{k≠n} G̃_k) + Â^(0), divided by D0.
+                // Â^(0) is the leading `old_n` rows of Â, added in place.
                 let a0 = if old_n > 0 {
                     let cross_had = hadamard_skip(&state.cross, n)?;
                     let mut num0 = old_factors[n].matmul(&cross_had)?;
                     num0.scale_assign(cfg.forgetting);
-                    num0.add_assign(&hat0)?;
+                    axpy(
+                        1.0,
+                        &hat.as_slice()[..old_n * cfg.rank],
+                        num0.as_mut_slice(),
+                    );
                     solver.solve_right(&num0, &d0, &mut numerics)?
                 } else {
                     Matrix::zeros(0, cfg.rank)
                 };
 
-                // A_n^(1): Â^(1) divided by D1.
-                let a1 = if hat1.rows() > 0 {
-                    solver.solve_right(&hat1, &d1, &mut numerics)?
-                } else {
+                // A_n^(1): Â^(1) divided by D1.  On a cold start Â^(1) is
+                // all of Â and is solved from the buffer itself.
+                let a1 = if old_n == hat.rows() {
                     Matrix::zeros(0, cfg.rank)
+                } else if old_n == 0 {
+                    solver.solve_right(hat, &d1, &mut numerics)?
+                } else {
+                    let hat1 = hat.row_block(old_n, hat.rows())?;
+                    solver.solve_right(&hat1, &d1, &mut numerics)?
                 };
                 (a0, a1)
             };
@@ -204,7 +260,7 @@ pub fn dtd(
                 // their final values for this iteration, and mode n was just
                 // updated from this very Â.
                 let _s = dismastd_obs::span("phase/loss");
-                final_inner = inner_from_mttkrp(&hat, &factors[n])?;
+                final_inner = inner_from_mttkrp(hat, &factors[n])?;
             }
         }
         iterations += 1;
@@ -477,6 +533,79 @@ mod tests {
             out.numerics.cholesky_solves + out.numerics.lu_solves + out.numerics.ridge_solves;
         assert_eq!(total, 2 * 2 * 3);
         assert!(!out.numerics.escalated());
+    }
+
+    /// Everything a caller can observe of a run, as bits.
+    fn observable(out: &DtdOutput) -> (Vec<Vec<u64>>, Vec<u64>, usize, NumericsReport) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (
+            out.kruskal
+                .factors()
+                .iter()
+                .map(|f| bits(f.as_slice()))
+                .collect(),
+            bits(&out.loss_trace),
+            out.iterations,
+            out.numerics,
+        )
+    }
+
+    #[test]
+    fn plan_and_coo_kernels_give_identical_runs() {
+        // (old shape, new shape, complement nnz): growth in every mode, a
+        // mode that does not grow, an empty complement, and a cold start.
+        let cases: [([usize; 3], [usize; 3], usize); 4] = [
+            ([4, 5, 3], [7, 8, 6], 150),
+            ([4, 5, 3], [7, 5, 6], 150),
+            ([4, 5, 3], [6, 6, 4], 0),
+            ([0, 0, 0], [8, 7, 6], 200),
+        ];
+        // Rank 5 runs the monomorphised kernel bodies, rank 3 the dynamic.
+        for rank in [3usize, 5] {
+            for (old_shape, new_shape, nnz) in cases {
+                let old = if old_shape == [0, 0, 0] {
+                    (0..3).map(|_| Matrix::zeros(0, rank)).collect()
+                } else {
+                    random_old_factors(&old_shape, rank, 21)
+                };
+                let x = random_complement(&old_shape, &new_shape, nnz, 22);
+                let cfg = cfg(rank).with_max_iters(6);
+                let plan = dtd_on(&x, &old, &cfg, LayoutChoice::SortedRuns).unwrap();
+                let coo = dtd_on(&x, &old, &cfg, LayoutChoice::NaiveCoo).unwrap();
+                let tag = format!("rank {rank} {old_shape:?} -> {new_shape:?}");
+                assert_eq!(observable(&plan), observable(&coo), "{tag}");
+                // The public entry points pick one of the two.
+                assert_eq!(
+                    observable(&dtd(&x, &old, &cfg).unwrap()),
+                    observable(&coo),
+                    "{tag}"
+                );
+                if old_shape == [0, 0, 0] {
+                    let als = crate::als::cp_als(&x, &cfg).unwrap();
+                    assert_eq!(observable(&als), observable(&coo), "{tag}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_dimension_falls_back_to_coo_instead_of_erroring() {
+        // Enough nonzeros to want a plan, in a mode the `u32` tables
+        // cannot index.
+        let huge = u32::MAX as usize + 1;
+        let mut b = SparseTensorBuilder::new(vec![huge, 2, 2]);
+        for i in 0..200 {
+            b.push(&[huge - 1 - i, i % 2, (i / 2) % 2], 1.0).unwrap();
+        }
+        let x = b.build().unwrap();
+        let choice = serial_layout(&x);
+        assert_eq!(choice, LayoutChoice::NaiveCoo);
+        assert!(matches!(complement_plan(&x, choice), Ok(None)));
+        // The build the policy steered around.
+        assert!(matches!(
+            complement_plan(&x, LayoutChoice::SortedRuns),
+            Err(TensorError::PlanOverflow { .. })
+        ));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use crate::coo::SparseTensor;
 use crate::dense::DenseTensor;
 use crate::error::{Result, TensorError};
+use crate::lanes::{for_fixed_lanes, lane_products};
 use crate::matrix::Matrix;
 use crate::ops::grand_sum_hadamard;
 use serde::{Deserialize, Serialize};
@@ -121,20 +122,13 @@ impl KruskalTensor {
                 });
             }
         }
-        let r = self.rank();
-        let mut prod = vec![0.0f64; r];
-        let mut total = 0.0;
-        for (idx, v) in x.iter() {
-            prod.iter_mut().for_each(|p| *p = v);
-            for (k, &i) in idx.iter().enumerate() {
-                let row = self.factors[k].row(i);
-                for (p, &a) in prod.iter_mut().zip(row) {
-                    *p *= a;
-                }
-            }
-            total += prod.iter().sum::<f64>();
-        }
-        Ok(total)
+        let fixed = for_fixed_lanes!(
+            self.rank(),
+            self.order(),
+            inner_sparse_fixed(&self.factors, x),
+            else None
+        );
+        Ok(fixed.unwrap_or_else(|| inner_sparse_dyn(&self.factors, x)))
     }
 
     /// Full-tensor squared residual `‖X − ⟦A⟧‖²` against a sparse tensor
@@ -226,6 +220,43 @@ impl KruskalTensor {
     }
 }
 
+/// Body of [`KruskalTensor::inner_sparse`] for any rank and order: per
+/// entry, the lanes `x · Π_k A_k[i_k, :]` multiplied in mode order, then
+/// summed in lane order.
+fn inner_sparse_dyn(factors: &[Matrix], x: &SparseTensor) -> f64 {
+    let r = factors.first().map_or(0, Matrix::cols);
+    let mut prod = vec![0.0f64; r];
+    let mut total = 0.0;
+    for (idx, v) in x.iter() {
+        prod.iter_mut().for_each(|p| *p = v);
+        for (f, &i) in factors.iter().zip(idx) {
+            for (p, &a) in prod.iter_mut().zip(f.row(i)) {
+                *p *= a;
+            }
+        }
+        total += prod.iter().sum::<f64>();
+    }
+    total
+}
+
+/// The same body for rank `R` and order `K` known at compile time: the
+/// same products and sums in the same order, on stack lanes.  `None`
+/// (nothing accumulated is kept) when the factors are not `K` matrices of
+/// `R` columns, so the caller recomputes with [`inner_sparse_dyn`].
+fn inner_sparse_fixed<const R: usize, const K: usize>(
+    factors: &[Matrix],
+    x: &SparseTensor,
+) -> Option<f64> {
+    let factors = <&[Matrix; K]>::try_from(factors).ok()?;
+    let mut total = 0.0;
+    for (idx, v) in x.iter() {
+        let idx = <&[usize; K]>::try_from(idx).ok()?;
+        let rows = std::array::from_fn(|k| factors[k].row(idx[k]));
+        total += lane_products::<R, K>(v, rows)?.iter().sum::<f64>();
+    }
+    Some(total)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,6 +323,37 @@ mod tests {
             direct += v * dk.get(idx);
         }
         assert!((k.inner_sparse(&x).unwrap() - direct).abs() < 1e-10);
+    }
+
+    #[test]
+    fn inner_sparse_fixed_lanes_match_the_dynamic_body_bitwise() {
+        // Every rank of the dispatch set, its neighbours, and plain small
+        // ranks, at orders 1–5 (order 5 has no fixed body either).
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        for order in 1..=5usize {
+            let shape: Vec<usize> = (0..order).map(|k| 3 + k).collect();
+            let mut b = SparseTensorBuilder::new(shape.clone());
+            for _ in 0..40 {
+                let idx: Vec<usize> = shape.iter().map(|&s| rng.gen_range(0..s)).collect();
+                b.push(&idx, rng.gen_range(-2.0..2.0)).unwrap();
+            }
+            let x = b.build().unwrap();
+            for rank in (1..=24).chain([32, 40]) {
+                // One extra row per factor: the grown-snapshot case.
+                let factors: Vec<Matrix> = shape
+                    .iter()
+                    .map(|&s| Matrix::random(s + 1, rank, &mut rng))
+                    .collect();
+                let dynamic = inner_sparse_dyn(&factors, &x);
+                let k = KruskalTensor::new(factors).unwrap();
+                assert_eq!(
+                    k.inner_sparse(&x).unwrap().to_bits(),
+                    dynamic.to_bits(),
+                    "order {order} rank {rank}"
+                );
+            }
+        }
     }
 
     #[test]

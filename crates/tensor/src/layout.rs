@@ -21,12 +21,15 @@
 //! snapshot (including grown factor matrices with extra rows). The
 //! distributed driver builds one plan per grid cell at partitioning time
 //! and reuses it across a whole stream step; [`fingerprint`] gives the
-//! content key used to carry plans across steps.
+//! content key used to carry plans across steps.  The serial solver builds
+//! one plan for the whole complement at the top of each call.
 
 use crate::coo::SparseTensor;
 use crate::error::{Result, TensorError};
+use crate::lanes::{for_fixed_lanes, lane_products};
 use crate::matrix::Matrix;
 use crate::pool::ThreadPool;
+use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
 /// Compressed execution layout for one mode: entries sorted by output row
@@ -309,23 +312,95 @@ fn check_plan_bounds(tensor: &SparseTensor) -> Result<()> {
 /// Runs the per-run accumulation loop over `runs`, handing each finished
 /// `R`-vector to `write` with its output row.
 ///
-/// This is the single arithmetic body shared by the serial and pooled
-/// kernels: per-entry work is fused into one pass over the R lanes and
-/// the factor product is formed left-to-right in ascending mode order, so
-/// every partial is bit-identical to the COO kernel's multi-pass version
-/// no matter which execution path (or chunk) drives the loop.
+/// This is the single entry shared by the serial, pooled and per-cell
+/// distributed call sites.  A rank and order in the dispatch set of
+/// [`for_fixed_lanes!`] take the register-resident
+/// [`accumulate_runs_fixed`] body, everything else the dynamic
+/// [`accumulate_runs_dyn`] loop.  Both form the factor product
+/// left-to-right in ascending mode order and add entries to their row's
+/// accumulator in stored (stable) order, so every partial is bit-identical
+/// to the COO kernel's multi-pass version no matter which body, execution
+/// path or chunk drives the loop.
 fn accumulate_runs(
     mp: &ModePlan,
     factors: &[Matrix],
     mode: usize,
     km: usize,
     r: usize,
-    runs: std::ops::Range<usize>,
+    runs: Range<usize>,
     mut write: impl FnMut(usize, &[f64]),
 ) {
-    // Off-mode factor `j` in ascending mode order, skipping `mode` —
-    // indexed directly so callers need not collect a filtered borrow list.
-    let off = |j: usize| &factors[j + usize::from(j >= mode)];
+    for_fixed_lanes!(
+        r,
+        km,
+        accumulate_runs_fixed(mp, factors, mode, runs, &mut write),
+        else accumulate_runs_dyn(mp, factors, mode, km, r, runs, &mut write)
+    );
+}
+
+/// Off-mode factor `j` in ascending mode order, skipping `mode` — indexed
+/// directly so callers need not collect a filtered borrow list.
+fn off_mode(factors: &[Matrix], mode: usize, j: usize) -> &Matrix {
+    &factors[j + usize::from(j >= mode)]
+}
+
+/// Monomorphised body for rank `R` and `K` off-mode factors: the run
+/// accumulator is a stack `[f64; R]` and every lane and row loop has a
+/// compile-time trip count, so a run's total stays in registers until it
+/// is written.
+fn accumulate_runs_fixed<const R: usize, const K: usize>(
+    mp: &ModePlan,
+    factors: &[Matrix],
+    mode: usize,
+    runs: Range<usize>,
+    write: &mut impl FnMut(usize, &[f64]),
+) {
+    let offs: [&Matrix; K] = std::array::from_fn(|j| off_mode(factors, mode, j));
+    for run in runs {
+        let entries = mp.run_ptr[run] as usize..mp.run_ptr[run + 1] as usize;
+        match run_total::<R, K>(mp, &offs, entries) {
+            Some(acc) => write(mp.rows[run] as usize, &acc),
+            // A factor row that is not `R` wide.  `check_factors` rules it
+            // out; the dynamic body handles any width, so hand it the run
+            // rather than carry a panic path.
+            None => accumulate_runs_dyn(mp, factors, mode, K, R, run..run + 1, write),
+        }
+    }
+}
+
+/// Sum over one run's entries of `v · ⊛_{k≠mode} A_k[i_k, :]`, entries in
+/// stored order; `None` when a factor row is not `R` wide.
+#[inline(always)]
+fn run_total<const R: usize, const K: usize>(
+    mp: &ModePlan,
+    offs: &[&Matrix; K],
+    entries: Range<usize>,
+) -> Option<[f64; R]> {
+    let vals = &mp.vals[entries.clone()];
+    let cols = &mp.cols[K * entries.start..K * entries.end];
+    let mut acc = [0.0f64; R];
+    for (&v, cols) in vals.iter().zip(cols.chunks_exact(K)) {
+        let rows = std::array::from_fn(|j| offs[j].row(cols[j] as usize));
+        let lanes = lane_products::<R, K>(v, rows)?;
+        for (s, &p) in acc.iter_mut().zip(&lanes) {
+            *s += p;
+        }
+    }
+    Some(acc)
+}
+
+/// Dynamic body: the fallback for every rank and order outside the
+/// dispatch set.
+fn accumulate_runs_dyn(
+    mp: &ModePlan,
+    factors: &[Matrix],
+    mode: usize,
+    km: usize,
+    r: usize,
+    runs: Range<usize>,
+    write: &mut impl FnMut(usize, &[f64]),
+) {
+    let off = |j: usize| off_mode(factors, mode, j);
     // Bounded per-call scratch (R lanes + N-1 row borrows), reused across
     // every run this call handles.
     // lint:allow(alloc_hygiene): one bounded scratch pair per kernel call, amortised over all runs
@@ -682,12 +757,12 @@ mod proptests {
     use rand_chacha::ChaCha8Rng;
     use std::ops::Range;
 
-    /// Random MTTKRP problem: shape of order 3–5, entries, per-mode extra
+    /// Random MTTKRP problem: shape of order 2–5, entries, per-mode extra
     /// factor rows (grown snapshot), a target mode, and a factor seed.
     type Problem = (Vec<usize>, Vec<(Vec<usize>, f64)>, Vec<usize>, usize, u64);
 
     fn problem_strategy() -> impl Strategy<Value = Problem> {
-        prop::collection::vec(1usize..5, 3..6).prop_flat_map(|shape| {
+        prop::collection::vec(1usize..5, 2..6).prop_flat_map(|shape| {
             let order = shape.len();
             let idx: Vec<Range<usize>> = shape.iter().map(|&s| 0..s).collect();
             (
@@ -725,7 +800,7 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The layout kernel is bitwise identical to the COO kernel for
-        /// random tensors of orders 3–5, any mode, and oversized factors.
+        /// random tensors of orders 2–5, any mode, and oversized factors.
         #[test]
         fn layout_matches_naive_exactly(
             (shape, entries, extra, mode, seed) in problem_strategy()
@@ -739,7 +814,7 @@ mod proptests {
 
         /// Pooled execution and the pooled build are bitwise identical to
         /// the serial kernel for every tested pool size, over random
-        /// order-3..5 tensors, any mode, and oversized factors.
+        /// order-2..5 tensors, any mode, and oversized factors.
         #[test]
         fn pooled_matches_serial_for_every_thread_count(
             (shape, entries, extra, mode, seed) in problem_strategy()
@@ -759,6 +834,45 @@ mod proptests {
                     "threads={}",
                     threads
                 );
+            }
+        }
+
+        /// The rank dispatch is invisible: for every rank of the dispatch
+        /// set, its neighbours on both sides and plain small ranks, the
+        /// kernel as dispatched, the dynamic body driven directly, the
+        /// pooled kernel at every tested pool size and the COO kernel
+        /// agree bit for bit (order 5 and most ranks have no fixed body,
+        /// so both sides of every dispatch edge are covered).
+        #[test]
+        fn rank_dispatch_matches_dynamic_body_and_naive_bitwise(
+            (shape, entries, extra, mode, seed) in problem_strategy()
+        ) {
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let pools = [1usize, 2, 3, 8].map(crate::pool::ThreadPool::new);
+            for rank in (1..=24).chain([32, 40]) {
+                let (t, factors) = build_problem(&shape, &entries, &extra, rank, seed);
+                let plan = MttkrpPlan::build(&t).unwrap();
+                let naive = bits(&mttkrp(&t, &factors, mode).unwrap());
+                prop_assert_eq!(&bits(&plan.mttkrp(&factors, mode).unwrap()), &naive, "rank={}", rank);
+
+                let mp = &plan.modes[mode];
+                let mut dynamic = Matrix::zeros(factors[mode].rows(), rank);
+                accumulate_runs_dyn(
+                    mp,
+                    &factors,
+                    mode,
+                    shape.len() - 1,
+                    rank,
+                    0..mp.rows.len(),
+                    &mut |row, acc| dynamic.row_mut(row).copy_from_slice(acc),
+                );
+                prop_assert_eq!(&bits(&dynamic), &naive, "dynamic body, rank={}", rank);
+
+                for pool in &pools {
+                    let mut out = Matrix::zeros(factors[mode].rows(), rank);
+                    plan.mttkrp_into_pooled(&factors, mode, &mut out, pool).unwrap();
+                    prop_assert_eq!(&bits(&out), &naive, "rank={} threads={}", rank, pool.threads());
+                }
             }
         }
 

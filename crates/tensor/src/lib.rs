@@ -26,6 +26,7 @@ pub mod coo;
 pub mod dense;
 pub mod error;
 pub mod kruskal;
+mod lanes;
 pub mod layout;
 pub mod linalg;
 pub mod matrix;

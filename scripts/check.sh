@@ -46,6 +46,13 @@ DISMASTD_SMOKE=1 cargo run -q --release -p dismastd-examples --bin quickstart > 
 echo "==> collectives smoke (allreduce algos + comm policies -> bench_results/collectives.json)"
 cargo run -q --release -p dismastd-bench --bin collectives_smoke > /dev/null
 
+echo "==> repo benchmark smoke (benchmark/ still compiles against the public API; correctness gate; metric names match BENCHMARK.json)"
+# benchmark/ is a package of its own, outside this workspace, so nothing
+# above compiles it: a public-API change that breaks it, or a result that
+# trips its bit-identity gate, would otherwise first show up in the
+# benchmark driver.  All three workloads at scale 0.2, R = 2, both modes.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke > /dev/null
+
 echo "==> invariant lints (dismastd-xtask: panic-path, determinism, span-taxonomy, error-hygiene, clock-hygiene)"
 # Replaces the old sed/grep panic audits, which hand-listed files and
 # stopped reading at the first inline test module.  The xtask lexes every
