@@ -11,12 +11,12 @@ fn bench_allreduce(c: &mut Criterion) {
         // 3 R x R gram matrices at R = 10, the per-mode payload.
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
             b.iter(|| {
-                Cluster::run(w, |ctx| {
+                Cluster::try_run(w, |ctx| {
                     let mut buf = vec![ctx.rank() as f64; 300];
                     for _ in 0..10 {
-                        ctx.allreduce_sum(&mut buf);
+                        ctx.try_allreduce_sum(&mut buf)?;
                     }
-                    buf[0]
+                    Ok(buf[0])
                 })
                 .unwrap()
             })
@@ -31,11 +31,11 @@ fn bench_exchange(c: &mut Criterion) {
     for &rows in &[100usize, 1000] {
         group.bench_with_input(BenchmarkId::from_parameter(rows), &rows, |b, &rows| {
             b.iter(|| {
-                Cluster::run(4, |ctx| {
+                Cluster::try_run(4, |ctx| {
                     let outgoing: Vec<Payload> =
                         (0..4).map(|_| Payload::F64(vec![1.0; rows * 10])).collect();
-                    let incoming = ctx.exchange(outgoing);
-                    incoming.len()
+                    let incoming = ctx.try_exchange(outgoing)?;
+                    Ok(incoming.len())
                 })
                 .unwrap()
             })
@@ -69,7 +69,7 @@ fn bench_pooled_payloads(c: &mut Criterion) {
         let label = if pooled { "pooled" } else { "fresh" };
         group.bench_with_input(BenchmarkId::new(label, rows), &pooled, |b, &pooled| {
             b.iter(|| {
-                Cluster::run(4, move |ctx| {
+                Cluster::try_run(4, move |ctx| {
                     let mut pool = BufferPool::new(pooled);
                     let mut total = 0usize;
                     // 20 rounds ≈ the exchanges of a few ALS iterations;
@@ -86,7 +86,7 @@ fn bench_pooled_payloads(c: &mut Criterion) {
                                 }
                             })
                             .collect();
-                        let incoming = ctx.exchange(outgoing);
+                        let incoming = ctx.try_exchange(outgoing)?;
                         for (d, payload) in incoming.into_iter().enumerate() {
                             if d == ctx.rank() {
                                 continue;
@@ -96,7 +96,7 @@ fn bench_pooled_payloads(c: &mut Criterion) {
                             pool.put(data);
                         }
                     }
-                    total
+                    Ok(total)
                 })
                 .unwrap()
             })

@@ -19,7 +19,7 @@
 //!
 //! The runtime is **fault-tolerant**: failures are typed ([`ClusterError`]),
 //! a crashed worker aborts its peers instead of deadlocking them, every
-//! primitive has a fallible `try_*` variant, and deterministic chaos can be
+//! primitive is fallible (`try_*`), and deterministic chaos can be
 //! injected via a seeded [`FaultPlan`] through [`ClusterOptions`].
 
 pub mod clock;
@@ -74,22 +74,22 @@ mod proptests {
                 .filter(|&(s, d, _, _)| s < world && d < world)
                 .collect();
             let plan_ref = &plan;
-            let results = Cluster::run(world, move |ctx| {
+            let results = Cluster::try_run(world, move |ctx| {
                 let me = ctx.rank();
                 // Phase 1: send everything this rank originates.
                 for &(s, d, t, v) in plan_ref {
                     if s == me {
-                        ctx.send(d, t, Payload::F64(vec![v]));
+                        ctx.try_send(d, t, Payload::F64(vec![v]))?;
                     }
                 }
                 // Phase 2: receive everything addressed here (any order).
                 let mut got = Vec::new();
                 for &(s, d, t, _) in plan_ref {
                     if d == me {
-                        got.push((s, t, ctx.recv(s, t).into_f64()[0]));
+                        got.push((s, t, ctx.try_recv(s, t)?.into_f64()[0]));
                     }
                 }
-                got
+                Ok(got)
             }).unwrap();
             for (me, got) in results.into_iter().enumerate() {
                 for (s, t, v) in got {
@@ -106,13 +106,13 @@ mod proptests {
         /// Chained collectives on random worlds stay consistent.
         #[test]
         fn collective_chains_are_consistent(world in 1usize..6, rounds in 1usize..5) {
-            let results = Cluster::run(world, |ctx| {
+            let results = Cluster::try_run(world, |ctx| {
                 let mut acc = 0.0;
                 for round in 0..rounds {
-                    acc += ctx.allreduce_sum_scalar((ctx.rank() + round) as f64);
-                    ctx.barrier();
+                    acc += ctx.try_allreduce_sum_scalar((ctx.rank() + round) as f64)?;
+                    ctx.try_barrier()?;
                 }
-                acc
+                Ok(acc)
             }).unwrap();
             let expected: f64 = (0..rounds)
                 .map(|round| {

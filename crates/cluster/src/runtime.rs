@@ -14,11 +14,10 @@
 //!
 //! ## Fault model
 //!
-//! The runtime is fault-tolerant: every communication primitive has a
-//! fallible `try_*` variant returning [`ClusterResult`], and the classic
-//! variants are thin wrappers that panic with the typed error.  When a
-//! worker fails — its closure panics, returns an error, or a fault plan
-//! crashes it — the runtime fans an **abort message** carrying the encoded
+//! The runtime is fault-tolerant: every communication primitive is
+//! fallible and returns [`ClusterResult`].  When a worker fails — its
+//! closure panics, returns an error, or a fault plan crashes it — the
+//! runtime fans an **abort message** carrying the encoded
 //! [`ClusterError`] out to every peer.  Peers blocked in any receive wake
 //! up with the originating error instead of deadlocking, and
 //! [`Cluster::run`] returns `Err` naming the failing rank and cause.
@@ -166,7 +165,8 @@ impl ClusterOptions {
 /// ```
 /// use dismastd_cluster::Cluster;
 /// // Every worker contributes its rank; the all-reduce sums them.
-/// let results = Cluster::run(4, |ctx| ctx.allreduce_sum_scalar(ctx.rank() as f64)).unwrap();
+/// let results =
+///     Cluster::try_run(4, |ctx| ctx.try_allreduce_sum_scalar(ctx.rank() as f64)).unwrap();
 /// assert_eq!(results, vec![6.0; 4]);
 /// ```
 pub struct Cluster;
@@ -189,20 +189,7 @@ impl Cluster {
         T: Send,
         F: Fn(&mut WorkerCtx) -> T + Sync,
     {
-        Self::run_with_stats(world, f).map(|(results, _)| results)
-    }
-
-    /// Like [`Cluster::run`], additionally returning the aggregate
-    /// communication statistics of the whole run.
-    ///
-    /// # Errors
-    /// As for [`Cluster::run`].
-    pub fn run_with_stats<T, F>(world: usize, f: F) -> ClusterResult<(Vec<T>, CommStatsSnapshot)>
-    where
-        T: Send,
-        F: Fn(&mut WorkerCtx) -> T + Sync,
-    {
-        Self::try_run_with_opts(world, &ClusterOptions::default(), |ctx| Ok(f(ctx)))
+        Self::try_run(world, |ctx| Ok(f(ctx)))
     }
 
     /// Fallible-closure variant: workers return [`ClusterResult`] and the
@@ -370,31 +357,16 @@ fn decode_abort(msg: &Msg) -> ClusterError {
     })
 }
 
-/// Turns a caught panic payload into a typed error, recovering a
-/// [`ClusterError`] thrown by an infallible wrapper via `panic_any`.
+/// Turns a caught panic payload into a typed error naming the rank.
 fn error_from_panic(rank: usize, panic: Box<dyn std::any::Any + Send>) -> ClusterError {
-    match panic.downcast::<ClusterError>() {
-        Ok(err) => *err,
-        Err(other) => {
-            let cause = if let Some(s) = other.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = other.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "worker panicked".to_string()
-            };
-            ClusterError::PeerCrashed { rank, cause }
-        }
-    }
-}
-
-/// Unwraps a comm result for the classic infallible API: typed errors are
-/// re-thrown via `panic_any` so the runtime can recover them intact.
-fn unwrap_comm<T>(result: ClusterResult<T>) -> T {
-    match result {
-        Ok(v) => v,
-        Err(e) => std::panic::panic_any(e),
-    }
+    let cause = if let Some(s) = panic.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = panic.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "worker panicked".to_string()
+    };
+    ClusterError::PeerCrashed { rank, cause }
 }
 
 /// A payload plus its accounting sidecar: `meta` is present iff the
@@ -500,15 +472,6 @@ impl WorkerCtx {
     ///
     /// Only remote sends (`dst != rank`) count as network traffic.
     ///
-    /// # Panics
-    /// Panics (with the typed [`ClusterError`]) when the cluster has
-    /// aborted; see [`WorkerCtx::try_send`].
-    pub fn send(&mut self, dst: usize, tag: u64, payload: Payload) {
-        unwrap_comm(self.try_send(dst, tag, payload));
-    }
-
-    /// Fallible [`WorkerCtx::send`].
-    ///
     /// # Errors
     /// Fails fast with the poisoning error after an abort, or with
     /// [`ClusterError::PeerCrashed`] when `dst`'s inbound channel is gone.
@@ -517,16 +480,8 @@ impl WorkerCtx {
     }
 
     /// Receives the payload sent by `src` under a user tag, blocking until
-    /// it arrives.  Messages with other tags are buffered, not lost.
-    ///
-    /// # Panics
-    /// Panics (with the typed [`ClusterError`]) on abort or timeout; see
-    /// [`WorkerCtx::try_recv`].
-    pub fn recv(&mut self, src: usize, tag: u64) -> Payload {
-        unwrap_comm(self.try_recv(src, tag))
-    }
-
-    /// Fallible [`WorkerCtx::recv`], bounded by the run's default timeout.
+    /// it arrives (bounded by the run's default timeout).  Messages with
+    /// other tags are buffered, not lost.
     ///
     /// # Errors
     /// Returns [`ClusterError::Timeout`] past the deadline, the peer's
@@ -910,18 +865,9 @@ impl WorkerCtx {
 
     // ---- collectives -----------------------------------------------------
 
-    /// Blocks until every worker reaches the barrier.
-    ///
-    /// # Panics
-    /// Panics (with the typed error) when the cluster aborts mid-barrier;
-    /// see [`WorkerCtx::try_barrier`].
-    pub fn barrier(&mut self) {
-        unwrap_comm(self.try_barrier());
-    }
-
-    /// Fallible [`WorkerCtx::barrier`].  Implemented over the message
-    /// channels (gather-to-0 of empty tokens, then release) rather than a
-    /// blocking `std::sync::Barrier`, so a crashed worker aborts the
+    /// Blocks until every worker reaches the barrier.  Implemented over the
+    /// message channels (gather-to-0 of empty tokens, then release) rather
+    /// than a blocking `std::sync::Barrier`, so a crashed worker aborts the
     /// barrier instead of deadlocking it.  Token traffic is control-plane:
     /// it appears in no byte or message counter.
     ///
@@ -955,16 +901,11 @@ impl WorkerCtx {
     /// return value holds, at position `s`, the payload worker `s` sent
     /// here.  Self-delivery is a local move (no traffic counted).
     ///
-    /// This is the primitive behind the factor-row shuffles of Sec. IV-B1/B2.
-    ///
-    /// # Panics
-    /// Panics unless `outgoing.len() == world`, or (with the typed error)
-    /// when the cluster aborts; see [`WorkerCtx::try_exchange`].
-    pub fn exchange(&mut self, outgoing: Vec<Payload>) -> Vec<Payload> {
-        unwrap_comm(self.try_exchange(outgoing))
-    }
-
-    /// Fallible [`WorkerCtx::exchange`].
+    /// This is the blocking convenience over [`WorkerCtx::post_exchange`] +
+    /// [`WorkerCtx::complete_exchange`], the primitive behind the
+    /// factor-row shuffles of Sec. IV-B1/B2; steady-state loops call the
+    /// two halves directly so they can reuse their buffers and overlap
+    /// compute with the in-flight messages.
     ///
     /// # Errors
     /// Returns the poisoning [`ClusterError`] when any peer fails or a
@@ -974,55 +915,29 @@ impl WorkerCtx {
     /// Panics unless `outgoing.len() == world` (a caller bug).
     pub fn try_exchange(&mut self, outgoing: Vec<Payload>) -> ClusterResult<Vec<Payload>> {
         let _span = dismastd_obs::span("comm/exchange");
-        let pending = self.post_exchange(outgoing)?;
-        self.complete_exchange(pending)
+        let mut frames: Vec<Framed> = outgoing.into_iter().map(Framed::plain).collect();
+        let pending = self.post_exchange(&mut frames)?;
+        let mut incoming = Vec::with_capacity(self.world);
+        self.complete_exchange(pending, &mut incoming)?;
+        Ok(incoming)
     }
 
     /// Posts the send half of an all-to-all exchange and returns without
     /// waiting for the peers' payloads — the receive half runs in
     /// [`WorkerCtx::complete_exchange`], letting callers overlap local
     /// compute with the in-flight messages.  Collective sequencing,
-    /// crash-point and stats bookkeeping all happen here, exactly as a
-    /// combined [`WorkerCtx::try_exchange`] would.
+    /// crash-point and stats bookkeeping all happen here.  The frames
+    /// (payload plus optional compression accounting, see [`Framed`]) are
+    /// drained out but `outgoing` keeps its capacity, so a caller refilling
+    /// the same `Vec` every iteration posts the whole exchange without
+    /// allocating.
     ///
     /// # Errors
     /// As for [`WorkerCtx::try_exchange`].
     ///
     /// # Panics
     /// Panics unless `outgoing.len() == world` (a caller bug).
-    pub fn post_exchange(&mut self, outgoing: Vec<Payload>) -> ClusterResult<PendingExchange> {
-        self.post_exchange_framed(outgoing.into_iter().map(Framed::plain).collect())
-    }
-
-    /// [`WorkerCtx::post_exchange`] for payloads carrying compression
-    /// accounting (see [`Framed`]).
-    ///
-    /// # Errors
-    /// As for [`WorkerCtx::try_exchange`].
-    ///
-    /// # Panics
-    /// Panics unless `outgoing.len() == world` (a caller bug).
-    pub fn post_exchange_framed(
-        &mut self,
-        mut outgoing: Vec<Framed>,
-    ) -> ClusterResult<PendingExchange> {
-        self.post_exchange_framed_drain(&mut outgoing)
-    }
-
-    /// [`WorkerCtx::post_exchange_framed`] over a reusable buffer: the
-    /// frames are drained out but `outgoing` keeps its capacity, so a
-    /// caller refilling the same `Vec` every iteration posts the whole
-    /// exchange without allocating.
-    ///
-    /// # Errors
-    /// As for [`WorkerCtx::try_exchange`].
-    ///
-    /// # Panics
-    /// Panics unless `outgoing.len() == world` (a caller bug).
-    pub fn post_exchange_framed_drain(
-        &mut self,
-        outgoing: &mut Vec<Framed>,
-    ) -> ClusterResult<PendingExchange> {
+    pub fn post_exchange(&mut self, outgoing: &mut Vec<Framed>) -> ClusterResult<PendingExchange> {
         assert_eq!(outgoing.len(), self.world, "one payload per destination");
         let _span = dismastd_obs::span("comm/exchange_post");
         self.maybe_crash()?;
@@ -1041,26 +956,15 @@ impl WorkerCtx {
         Ok(PendingExchange { tag, mine })
     }
 
-    /// Receive half of a posted exchange: blocks for every peer's payload
-    /// and returns them rank-ordered, the own payload at `rank` (same
-    /// contract as [`WorkerCtx::try_exchange`]).
+    /// Receive half of a posted exchange: blocks for every peer's payload.
+    /// `incoming` is cleared and refilled rank-ordered with the own payload
+    /// at `rank` (same contract as [`WorkerCtx::try_exchange`]), keeping its
+    /// capacity so the receive half of a steady-state exchange loop never
+    /// allocates.
     ///
     /// # Errors
     /// As for [`WorkerCtx::try_exchange`].
-    pub fn complete_exchange(&mut self, pending: PendingExchange) -> ClusterResult<Vec<Payload>> {
-        // lint:allow(alloc_hygiene): convenience wrapper — the steady-state path reuses a buffer via complete_exchange_into
-        let mut incoming = Vec::with_capacity(self.world);
-        self.complete_exchange_into(pending, &mut incoming)?;
-        Ok(incoming)
-    }
-
-    /// [`WorkerCtx::complete_exchange`] into a reusable buffer: `incoming`
-    /// is cleared and refilled rank-ordered, keeping its capacity so the
-    /// receive half of a steady-state exchange loop never allocates.
-    ///
-    /// # Errors
-    /// As for [`WorkerCtx::try_exchange`].
-    pub fn complete_exchange_into(
+    pub fn complete_exchange(
         &mut self,
         pending: PendingExchange,
         incoming: &mut Vec<Payload>,
@@ -1082,21 +986,13 @@ impl WorkerCtx {
     /// Broadcast from `root`: the root passes `Some(payload)`, everyone else
     /// passes `None`; all workers (including the root) return the payload.
     ///
-    /// # Panics
-    /// Panics if the root passes `None` or a non-root passes `Some`, or
-    /// (with the typed error) when the cluster aborts.
-    pub fn broadcast(&mut self, root: usize, payload: Option<Payload>) -> Payload {
-        unwrap_comm(self.try_broadcast(root, payload))
-    }
-
-    /// Fallible [`WorkerCtx::broadcast`].
-    ///
     /// # Errors
     /// Returns the poisoning [`ClusterError`] when any peer fails or the
     /// receive times out.
     ///
     /// # Panics
-    /// Panics on root/payload misuse (a caller bug).
+    /// Panics if the root passes `None` or a non-root passes `Some` (a
+    /// caller bug).
     pub fn try_broadcast(
         &mut self,
         root: usize,
@@ -1126,15 +1022,6 @@ impl WorkerCtx {
 
     /// Gather to `root`: returns `Some(payloads_by_rank)` on the root,
     /// `None` elsewhere.
-    ///
-    /// # Panics
-    /// Panics (with the typed error) when the cluster aborts; see
-    /// [`WorkerCtx::try_gather`].
-    pub fn gather(&mut self, root: usize, payload: Payload) -> Option<Vec<Payload>> {
-        unwrap_comm(self.try_gather(root, payload))
-    }
-
-    /// Fallible [`WorkerCtx::gather`].
     ///
     /// # Errors
     /// Returns the poisoning [`ClusterError`] when any peer fails or a
@@ -1173,15 +1060,6 @@ impl WorkerCtx {
     ///
     /// Implemented gather-to-0 + broadcast, the "All-to-All reduction …
     /// aggregate … and distribute among all partitions" of Sec. IV-B3.
-    ///
-    /// # Panics
-    /// Panics (with the typed error) on abort, type mismatch, or buffer
-    /// size mismatch; see [`WorkerCtx::try_allreduce_sum`].
-    pub fn allreduce_sum(&mut self, buf: &mut [f64]) {
-        unwrap_comm(self.try_allreduce_sum(buf));
-    }
-
-    /// Fallible [`WorkerCtx::allreduce_sum`].
     ///
     /// Buffer lengths are validated against the root's buffer; a mismatch
     /// aborts the run, so **every** rank observes the same
@@ -1507,14 +1385,6 @@ impl WorkerCtx {
 
     /// All-reduce of a single scalar.
     ///
-    /// # Panics
-    /// As for [`WorkerCtx::allreduce_sum`].
-    pub fn allreduce_sum_scalar(&mut self, x: f64) -> f64 {
-        unwrap_comm(self.try_allreduce_sum_scalar(x))
-    }
-
-    /// Fallible [`WorkerCtx::allreduce_sum_scalar`].
-    ///
     /// # Errors
     /// As for [`WorkerCtx::try_allreduce_sum`].
     pub fn try_allreduce_sum_scalar(&mut self, x: f64) -> ClusterResult<f64> {
@@ -1524,14 +1394,6 @@ impl WorkerCtx {
     }
 
     /// All-reduce (max) of a single scalar — used for convergence voting.
-    ///
-    /// # Panics
-    /// As for [`WorkerCtx::allreduce_sum`].
-    pub fn allreduce_max_scalar(&mut self, x: f64) -> f64 {
-        unwrap_comm(self.try_allreduce_max_scalar(x))
-    }
-
-    /// Fallible [`WorkerCtx::allreduce_max_scalar`].
     ///
     /// # Errors
     /// As for [`WorkerCtx::try_allreduce_sum`].
@@ -1570,6 +1432,14 @@ mod tests {
     use crate::sim::{PartitionWindow, SimProbe};
     use std::time::Instant;
 
+    /// A default-options run that also returns the traffic counters.
+    fn run_counted<T: Send>(
+        world: usize,
+        f: impl Fn(&mut WorkerCtx) -> ClusterResult<T> + Sync,
+    ) -> ClusterResult<(Vec<T>, CommStatsSnapshot)> {
+        Cluster::try_run_with_opts(world, &ClusterOptions::default(), f)
+    }
+
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
@@ -1578,10 +1448,10 @@ mod tests {
 
     #[test]
     fn single_worker_runs() {
-        let out = Cluster::run(1, |ctx| {
-            ctx.barrier();
-            let s = ctx.allreduce_sum_scalar(5.0);
-            (ctx.rank(), s)
+        let out = Cluster::try_run(1, |ctx| {
+            ctx.try_barrier()?;
+            let s = ctx.try_allreduce_sum_scalar(5.0)?;
+            Ok((ctx.rank(), s))
         })
         .unwrap();
         assert_eq!(out, vec![(0, 5.0)]);
@@ -1595,15 +1465,15 @@ mod tests {
 
     #[test]
     fn point_to_point_round_trip() {
-        let out = Cluster::run(2, |ctx| {
+        let out = Cluster::try_run(2, |ctx| {
             if ctx.rank() == 0 {
-                ctx.send(1, 7, Payload::F64(vec![1.0, 2.0]));
-                ctx.recv(1, 8).into_f64()
+                ctx.try_send(1, 7, Payload::F64(vec![1.0, 2.0]))?;
+                Ok(ctx.try_recv(1, 8)?.into_f64())
             } else {
-                let got = ctx.recv(0, 7).into_f64();
+                let got = ctx.try_recv(0, 7)?.into_f64();
                 let doubled: Vec<f64> = got.iter().map(|x| x * 2.0).collect();
-                ctx.send(0, 8, Payload::F64(doubled.clone()));
-                doubled
+                ctx.try_send(0, 8, Payload::F64(doubled.clone()))?;
+                Ok(doubled)
             }
         })
         .unwrap();
@@ -1614,15 +1484,15 @@ mod tests {
     #[test]
     fn tag_matching_buffers_out_of_order() {
         // Worker 0 sends two tags; worker 1 receives them in reverse order.
-        let out = Cluster::run(2, |ctx| {
+        let out = Cluster::try_run(2, |ctx| {
             if ctx.rank() == 0 {
-                ctx.send(1, 1, Payload::U64(vec![11]));
-                ctx.send(1, 2, Payload::U64(vec![22]));
-                vec![]
+                ctx.try_send(1, 1, Payload::U64(vec![11]))?;
+                ctx.try_send(1, 2, Payload::U64(vec![22]))?;
+                Ok(vec![])
             } else {
-                let second = ctx.recv(0, 2).into_u64();
-                let first = ctx.recv(0, 1).into_u64();
-                vec![first[0], second[0]]
+                let second = ctx.try_recv(0, 2)?.into_u64();
+                let first = ctx.try_recv(0, 1)?.into_u64();
+                Ok(vec![first[0], second[0]])
             }
         })
         .unwrap();
@@ -1631,10 +1501,10 @@ mod tests {
 
     #[test]
     fn allreduce_sums_across_workers() {
-        let out = Cluster::run(4, |ctx| {
+        let out = Cluster::try_run(4, |ctx| {
             let mut buf = vec![ctx.rank() as f64, 1.0];
-            ctx.allreduce_sum(&mut buf);
-            buf
+            ctx.try_allreduce_sum(&mut buf)?;
+            Ok(buf)
         })
         .unwrap();
         for r in out {
@@ -1644,22 +1514,25 @@ mod tests {
 
     #[test]
     fn allreduce_scalar_and_max() {
-        let sums =
-            Cluster::run(3, |ctx| ctx.allreduce_sum_scalar(ctx.rank() as f64 + 1.0)).unwrap();
+        let sums = Cluster::try_run(3, |ctx| {
+            ctx.try_allreduce_sum_scalar(ctx.rank() as f64 + 1.0)
+        })
+        .unwrap();
         assert!(sums.iter().all(|&s| s == 6.0));
-        let maxes = Cluster::run(3, |ctx| ctx.allreduce_max_scalar(-(ctx.rank() as f64))).unwrap();
+        let maxes =
+            Cluster::try_run(3, |ctx| ctx.try_allreduce_max_scalar(-(ctx.rank() as f64))).unwrap();
         assert!(maxes.iter().all(|&m| m == 0.0));
     }
 
     #[test]
     fn broadcast_delivers_to_everyone() {
-        let out = Cluster::run(3, |ctx| {
+        let out = Cluster::try_run(3, |ctx| {
             let payload = if ctx.rank() == 1 {
                 Some(Payload::F64(vec![3.5]))
             } else {
                 None
             };
-            ctx.broadcast(1, payload).into_f64()
+            Ok(ctx.try_broadcast(1, payload)?.into_f64())
         })
         .unwrap();
         assert!(out.iter().all(|v| v == &vec![3.5]));
@@ -1667,8 +1540,8 @@ mod tests {
 
     #[test]
     fn gather_collects_in_rank_order() {
-        let out = Cluster::run(3, |ctx| {
-            ctx.gather(2, Payload::U64(vec![ctx.rank() as u64 * 10]))
+        let out = Cluster::try_run(3, |ctx| {
+            ctx.try_gather(2, Payload::U64(vec![ctx.rank() as u64 * 10]))
         })
         .unwrap();
         assert!(out[0].is_none());
@@ -1686,16 +1559,16 @@ mod tests {
 
     #[test]
     fn exchange_routes_by_destination() {
-        let out = Cluster::run(3, |ctx| {
+        let out = Cluster::try_run(3, |ctx| {
             // Worker r sends value 100*r + d to destination d.
             let outgoing: Vec<Payload> = (0..3)
                 .map(|d| Payload::U64(vec![(100 * ctx.rank() + d) as u64]))
                 .collect();
-            let incoming = ctx.exchange(outgoing);
-            incoming
+            let incoming = ctx.try_exchange(outgoing)?;
+            Ok(incoming
                 .into_iter()
                 .map(|p| p.into_u64()[0])
-                .collect::<Vec<u64>>()
+                .collect::<Vec<u64>>())
         })
         .unwrap();
         // Worker d receives 100*s + d from each source s.
@@ -1706,9 +1579,10 @@ mod tests {
 
     #[test]
     fn self_messages_cost_nothing() {
-        let (_, stats) = Cluster::run_with_stats(1, |ctx| {
-            let incoming = ctx.exchange(vec![Payload::F64(vec![1.0; 100])]);
+        let (_, stats) = run_counted(1, |ctx| {
+            let incoming = ctx.try_exchange(vec![Payload::F64(vec![1.0; 100])])?;
             assert_eq!(incoming[0].size_bytes(), 800);
+            Ok(())
         })
         .unwrap();
         assert_eq!(stats.bytes, 0);
@@ -1717,12 +1591,13 @@ mod tests {
 
     #[test]
     fn remote_traffic_is_counted() {
-        let (_, stats) = Cluster::run_with_stats(2, |ctx| {
+        let (_, stats) = run_counted(2, |ctx| {
             if ctx.rank() == 0 {
-                ctx.send(1, 0, Payload::F64(vec![0.0; 10])); // 80 bytes
+                ctx.try_send(1, 0, Payload::F64(vec![0.0; 10]))?; // 80 bytes
             } else {
-                ctx.recv(0, 0);
+                ctx.try_recv(0, 0)?;
             }
+            Ok(())
         })
         .unwrap();
         assert_eq!(stats.bytes, 80);
@@ -1733,14 +1608,15 @@ mod tests {
     fn bytes_and_empty_payloads_account_their_wire_size() {
         // Opaque blobs count their length; Empty crosses as a zero-byte
         // message (still one logical message).
-        let (_, stats) = Cluster::run_with_stats(2, |ctx| {
+        let (_, stats) = run_counted(2, |ctx| {
             if ctx.rank() == 0 {
-                ctx.send(1, 0, Payload::Bytes(bytes::Bytes::from(vec![7u8; 123])));
-                ctx.send(1, 1, Payload::Empty);
+                ctx.try_send(1, 0, Payload::Bytes(bytes::Bytes::from(vec![7u8; 123])))?;
+                ctx.try_send(1, 1, Payload::Empty)?;
             } else {
-                assert_eq!(ctx.recv(0, 0).size_bytes(), 123);
-                assert_eq!(ctx.recv(0, 1), Payload::Empty);
+                assert_eq!(ctx.try_recv(0, 0)?.size_bytes(), 123);
+                assert_eq!(ctx.try_recv(0, 1)?, Payload::Empty);
             }
+            Ok(())
         })
         .unwrap();
         assert_eq!(stats.bytes, 123);
@@ -1751,13 +1627,13 @@ mod tests {
     #[test]
     fn collectives_sequence_without_crosstalk() {
         // Two back-to-back allreduces must not mix, even with skewed timing.
-        let out = Cluster::run(4, |ctx| {
+        let out = Cluster::try_run(4, |ctx| {
             if ctx.rank() == 3 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
-            let a = ctx.allreduce_sum_scalar(1.0);
-            let b = ctx.allreduce_sum_scalar(10.0);
-            (a, b)
+            let a = ctx.try_allreduce_sum_scalar(1.0)?;
+            let b = ctx.try_allreduce_sum_scalar(10.0)?;
+            Ok((a, b))
         })
         .unwrap();
         for (a, b) in out {
@@ -1770,11 +1646,12 @@ mod tests {
     fn barrier_synchronises() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let counter = AtomicUsize::new(0);
-        Cluster::run(4, |ctx| {
+        Cluster::try_run(4, |ctx| {
             counter.fetch_add(1, Ordering::SeqCst);
-            ctx.barrier();
+            ctx.try_barrier()?;
             // After the barrier everyone must observe all increments.
             assert_eq!(counter.load(Ordering::SeqCst), 4);
+            Ok(())
         })
         .unwrap();
     }
@@ -1783,9 +1660,9 @@ mod tests {
     fn barrier_is_control_plane_traffic() {
         // Barriers synchronise via channel tokens now, but must stay
         // invisible to the logical traffic counters (seed parity).
-        let (_, stats) = Cluster::run_with_stats(4, |ctx| {
-            ctx.barrier();
-            ctx.barrier();
+        let (_, stats) = run_counted(4, |ctx| {
+            ctx.try_barrier()?;
+            ctx.try_barrier()
         })
         .unwrap();
         assert_eq!(stats.bytes, 0);
@@ -1829,9 +1706,9 @@ mod tests {
     #[test]
     fn ring_moves_the_same_bytes_as_flat() {
         let run = |algo| {
-            let (_, stats) = Cluster::run_with_stats(4, move |ctx| {
+            let (_, stats) = run_counted(4, move |ctx| {
                 let mut buf = skewed(ctx.rank(), 100);
-                ctx.try_allreduce_sum_with(&mut buf, algo).unwrap();
+                ctx.try_allreduce_sum_with(&mut buf, algo)
             })
             .unwrap();
             stats
@@ -1901,10 +1778,10 @@ mod tests {
             (buf, small[0])
         })
         .unwrap();
-        let reference = Cluster::run(4, |ctx| {
+        let reference = Cluster::try_run(4, |ctx| {
             let mut buf = skewed(ctx.rank(), 2048);
-            ctx.allreduce_sum(&mut buf);
-            buf
+            ctx.try_allreduce_sum(&mut buf)?;
+            Ok(buf)
         })
         .unwrap();
         for ((buf, scalar), flat) in out.iter().zip(&reference) {
@@ -1933,13 +1810,14 @@ mod tests {
     #[test]
     fn posted_exchange_overlaps_and_matches_combined() {
         let out = Cluster::run(3, |ctx| {
-            let outgoing: Vec<Payload> = (0..3)
-                .map(|d| Payload::U64(vec![(100 * ctx.rank() + d) as u64]))
+            let mut outgoing: Vec<Framed> = (0..3)
+                .map(|d| Framed::plain(Payload::U64(vec![(100 * ctx.rank() + d) as u64])))
                 .collect();
-            let pending = ctx.post_exchange(outgoing).unwrap();
+            let pending = ctx.post_exchange(&mut outgoing).unwrap();
             // Local "compute" while the messages are in flight.
             let local: u64 = (0..100).sum();
-            let incoming = ctx.complete_exchange(pending).unwrap();
+            let mut incoming = Vec::new();
+            ctx.complete_exchange(pending, &mut incoming).unwrap();
             (
                 local,
                 incoming
@@ -1959,12 +1837,16 @@ mod tests {
         // Post two exchanges back-to-back, complete them out of order
         // relative to their posting — tags keep the payloads apart.
         let out = Cluster::run(2, |ctx| {
-            let first: Vec<Payload> = (0..2).map(|d| Payload::U64(vec![d as u64])).collect();
-            let second: Vec<Payload> = (0..2).map(|d| Payload::U64(vec![10 + d as u64])).collect();
-            let p1 = ctx.post_exchange(first).unwrap();
-            let p2 = ctx.post_exchange(second).unwrap();
-            let got2 = ctx.complete_exchange(p2).unwrap();
-            let got1 = ctx.complete_exchange(p1).unwrap();
+            let frames = |base: u64| -> Vec<Framed> {
+                (0..2)
+                    .map(|d| Framed::plain(Payload::U64(vec![base + d])))
+                    .collect()
+            };
+            let p1 = ctx.post_exchange(&mut frames(0)).unwrap();
+            let p2 = ctx.post_exchange(&mut frames(10)).unwrap();
+            let (mut got1, mut got2) = (Vec::new(), Vec::new());
+            ctx.complete_exchange(p2, &mut got2).unwrap();
+            ctx.complete_exchange(p1, &mut got1).unwrap();
             (
                 got1.into_iter()
                     .map(|p| p.into_u64()[0])
@@ -1986,11 +1868,11 @@ mod tests {
         use crate::wire::{decode_rows, maybe_compress, CommPolicy};
         let rows: Vec<u32> = (0..32).collect();
         let policy = CommPolicy::default().with_downcast_f32(true);
-        let (_, stats) = Cluster::run_with_stats(2, move |ctx| {
+        let (_, stats) = run_counted(2, move |ctx| {
             let values: Vec<f64> = (0..rows.len() * 4).map(|i| i as f64 * 0.5).collect();
             let (frame, meta) = maybe_compress(&rows, &values, &policy).expect("frame wins");
             let me = ctx.rank();
-            let outgoing: Vec<Framed> = (0..2)
+            let mut outgoing: Vec<Framed> = (0..2)
                 .map(|d| {
                     if d == me {
                         Framed::plain(Payload::Empty)
@@ -1999,8 +1881,9 @@ mod tests {
                     }
                 })
                 .collect();
-            let pending = ctx.post_exchange_framed(outgoing).unwrap();
-            let incoming = ctx.complete_exchange(pending).unwrap();
+            let pending = ctx.post_exchange(&mut outgoing)?;
+            let mut incoming = Vec::new();
+            ctx.complete_exchange(pending, &mut incoming)?;
             let mut pool = crate::comm::BufferPool::new(false);
             let got = decode_rows(
                 incoming.into_iter().nth(1 - me).unwrap(),
@@ -2013,6 +1896,7 @@ mod tests {
             for (g, w) in got.iter().zip(&values) {
                 assert_eq!(*g, *w as f32 as f64);
             }
+            Ok(())
         })
         .unwrap();
         // Logical bytes: two remote messages of 32 rows × rank 4 × 8 bytes.
@@ -2031,12 +1915,12 @@ mod tests {
     #[test]
     fn panicking_worker_returns_error_not_hang() {
         let started = Instant::now();
-        let err = Cluster::run(4, |ctx| {
+        let err = Cluster::try_run(4, |ctx| {
             if ctx.rank() == 2 {
                 panic!("boom at rank 2");
             }
             // Peers block on a collective the panicking worker never joins.
-            ctx.allreduce_sum_scalar(1.0)
+            ctx.try_allreduce_sum_scalar(1.0)
         })
         .unwrap_err();
         match err {

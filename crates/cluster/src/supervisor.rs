@@ -1,17 +1,16 @@
 //! The supervision layer: turns crash handling from caller-driven replay
 //! into an automatic heal loop.
 //!
-//! Earlier revisions made fault tolerance the *caller's* job: a cluster
-//! fault surfaced as a typed error and `ingest_with_recovery` replayed the
-//! step a fixed number of times, treating every failure the same.  The
-//! [`Supervisor`] instead executes a [`HealPolicy`] **ladder** per
+//! Without a supervisor fault tolerance is the *caller's* job: a cluster
+//! fault surfaces as a typed error and it is up to the caller to retry.
+//! The [`Supervisor`] instead executes a [`HealPolicy`] **ladder** per
 //! detected worker death (panic, `PeerCrashed`, or sim-injected crash
 //! fate, all delivered through the existing abort fan-out):
 //!
-//! 1. **Respawn-and-rejoin** — restart the rank from the last pre-step
-//!    checkpoint and readmit it at the step boundary (the identity case of
+//! 1. **Respawn-and-rejoin** — restart the rank from the pre-step
+//!    state and readmit it at the step boundary (the identity case of
 //!    the elastic-membership join: same world, ownership re-derived from
-//!    the checkpointed global factors).  Each rank has a bounded respawn
+//!    the global pre-step factors).  Each rank has a bounded respawn
 //!    budget, and every attempt is preceded by seeded exponential backoff
 //!    spent through the [`Clock`] trait so virtual time covers it.
 //! 2. **Degraded-world fallback** — once a rank's budget is exhausted,
@@ -23,8 +22,8 @@
 //!
 //! The supervisor itself is transport-agnostic: it decides *what* to do
 //! with a fault (`HealAction`) and spends the backoff; the session layer
-//! in `dismastd-core` owns the checkpoint/rollback and membership
-//! plumbing that carries the decision out.
+//! in `dismastd-core` owns the replay and membership plumbing that
+//! carries the decision out.
 
 use crate::clock::{Clock, RealClock, SharedClock};
 use std::collections::BTreeMap;

@@ -10,8 +10,7 @@
 //! `A_n ← Â_n (⊛_{k≠n} A_kᵀA_k)⁻¹`.
 
 use crate::config::DecompConfig;
-use crate::dtd::{dtd, DtdOutput};
-use dismastd_tensor::matrix::Matrix;
+use crate::dtd::{dtd, zero_history, DtdOutput};
 use dismastd_tensor::{Result, SparseTensor};
 
 /// Runs static CP-ALS on `x`.
@@ -22,8 +21,7 @@ use dismastd_tensor::{Result, SparseTensor};
 /// # Errors
 /// Propagates configuration and numerical errors from the DTD core.
 pub fn cp_als(x: &SparseTensor, cfg: &DecompConfig) -> Result<DtdOutput> {
-    let zero_old: Vec<Matrix> = (0..x.order()).map(|_| Matrix::zeros(0, cfg.rank)).collect();
-    dtd(x, &zero_old, cfg)
+    dtd(x, &zero_history(x.order(), cfg.rank), cfg)
 }
 
 #[cfg(test)]

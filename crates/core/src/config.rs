@@ -2,7 +2,6 @@
 
 use dismastd_tensor::{SolvePolicy, ThreadPolicy, ValidationMode};
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
 
 /// Hyper-parameters shared by every decomposition in this crate.
 ///
@@ -262,46 +261,6 @@ impl Default for WatchdogPolicy {
     }
 }
 
-/// How a streaming session reacts to a cluster fault during an ingest
-/// (see `StreamingSession::ingest_with_recovery`).
-///
-/// The session snapshots its state before each ingest; on a
-/// `TensorError::ClusterFault` it rolls back to that snapshot and replays
-/// the step, at most `max_retries` times.  With `checkpoint_path` set, the
-/// pre-step checkpoint is also persisted to disk, so a crashed *process*
-/// can resume via `StreamingSession::restore`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Replay attempts per ingest before the fault is propagated.
-    pub max_retries: usize,
-    /// Where to persist the pre-step checkpoint (`None` keeps it in memory
-    /// only).
-    pub checkpoint_path: Option<PathBuf>,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_retries: 2,
-            checkpoint_path: None,
-        }
-    }
-}
-
-impl RecoveryPolicy {
-    /// Policy with a different retry budget.
-    pub fn with_max_retries(mut self, retries: usize) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
-    /// Policy that persists the pre-step checkpoint to `path`.
-    pub fn with_checkpoint_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint_path = Some(path.into());
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,18 +370,5 @@ mod tests {
         let back: DecompConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back.threads, ThreadPolicy::Fixed(4));
         assert_eq!(back, cfg);
-    }
-
-    #[test]
-    fn recovery_policy_builders() {
-        let p = RecoveryPolicy::default();
-        assert_eq!(p.max_retries, 2);
-        assert!(p.checkpoint_path.is_none());
-        let p = p.with_max_retries(5).with_checkpoint_path("/tmp/ckpt.json");
-        assert_eq!(p.max_retries, 5);
-        assert_eq!(
-            p.checkpoint_path.as_deref(),
-            Some(std::path::Path::new("/tmp/ckpt.json"))
-        );
     }
 }

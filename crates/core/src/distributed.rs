@@ -26,7 +26,7 @@
 //!    all-reduce.
 
 use crate::config::DecompConfig;
-use crate::dtd::{converged, init_factors};
+use crate::dtd::{converged, init_factors, zero_history};
 use crate::loss::{dtd_loss, GramState, LossParts};
 use dismastd_cluster::{
     decode_rows, maybe_compress, BufferPool, Cluster, ClusterError, ClusterOptions, ClusterResult,
@@ -35,18 +35,15 @@ use dismastd_cluster::{
 use dismastd_obs::MetricsSnapshot;
 use dismastd_partition::CellStats;
 use dismastd_partition::{CellAssignment, GridPartition, Partitioner};
-use dismastd_tensor::layout::fingerprint;
 use dismastd_tensor::linalg::Factorized;
 use dismastd_tensor::matrix::{dot, Matrix};
 use dismastd_tensor::ops::{grand_sum_hadamard, hadamard_skip};
-use dismastd_tensor::{AdaptivePolicy, CellKernel, LayoutChoice, ThreadPool};
+use dismastd_tensor::{AdaptivePolicy, CellKernel, ThreadPool};
 use dismastd_tensor::{
     KruskalTensor, NumericsReport, Result, RobustSolver, SolveDecision, SparseTensor,
     SparseTensorBuilder, TensorError,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::Arc;
 // lint:allow(determinism): Instant feeds wall-clock fields of StepReport only, never factor math
 use std::time::{Duration, Instant};
 
@@ -193,44 +190,38 @@ impl DistOutput {
     }
 }
 
-/// Cache of per-cell MTTKRP kernels keyed by grid-cell content.
+/// Step-local memo of the distributed placement: the per-worker plans
+/// (grid cells compiled to MTTKRP kernels, row ownership, routing tables)
+/// of the step a [`crate::StreamingSession`] is currently ingesting, keyed
+/// by the world size they were built for.
 ///
-/// The driver compiles one [`CellKernel`] per non-empty grid cell at
-/// partitioning time — the adaptive layout selector picks the COO kernel
-/// or a sorted-run plan from the cell's `partition::stats::CellStats` —
-/// and the kernel is then reused by every iteration and mode of the
-/// decomposition.  Holding the cache across calls (see
-/// [`dismastd_with_cache`]) extends the reuse across *stream steps*: a
-/// cell whose nonzeros did not change between snapshots hashes to the same
-/// [`fingerprint`] and keeps its kernel (and its layout choice), so only
-/// cells touched by the update are re-selected and re-sorted.
+/// A step's cells repeat only *within* that step — when the divergence
+/// watchdog re-runs the decomposition with a damped `μ`, or when the heal
+/// ladder replays it in the same world — so that is all the memo covers:
+/// the session resets it at the top of every `ingest`, and a replay in a
+/// shrunk world rebuilds it.  Across steps nothing can be reused: every
+/// DTD step decomposes a *new* complement `X \ X̃`, so no cell of one
+/// step has the content of a cell of another.
 ///
-/// After every build the cache drops entries whose cells are no longer
-/// present, so its size is bounded by the live cell count.
+/// `hits()` / `misses()` count cells reused / built over the session's
+/// lifetime.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    entries: BTreeMap<u64, Arc<CellKernel>>,
+    step: Option<StepPlans>,
     hits: u64,
     misses: u64,
 }
 
+/// The memoised placement of the current step.
+#[derive(Debug)]
+struct StepPlans {
+    world: usize,
+    plans: Vec<WorkerPlan>,
+}
+
 impl PlanCache {
-    /// Empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cached plans currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no plans are cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Cells served from cache across the cache's lifetime.
+    /// Cells served from the memo (watchdog retries and same-world heal
+    /// replays) across the session's lifetime.
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -240,62 +231,72 @@ impl PlanCache {
         self.misses
     }
 
-    /// Cached cells per layout choice, `(coo, plan)` — stamped into bench
-    /// rows so recorded numbers say which kernels produced them.
-    pub fn layout_counts(&self) -> (usize, usize) {
-        let coo = self
-            .entries
-            .values()
-            .filter(|k| k.choice() == LayoutChoice::NaiveCoo)
-            .count();
-        (coo, self.entries.len() - coo)
+    /// Forgets the memoised step; the counters keep running.
+    pub(crate) fn reset(&mut self) {
+        self.step = None;
     }
 
-    /// Kernel for `cell`, selecting and building (and retaining) it on
-    /// first sight.  The layout decision feeds on the cell's
-    /// [`CellStats`]; plan builds run on `pool`.
-    fn get_or_build(
+    /// The per-worker plans for decomposing `tensor` on `cluster`: the
+    /// memoised ones when they were built for this world size, otherwise
+    /// partitioned and compiled now (Sec. IV-A) and memoised.
+    fn plans_for(
         &mut self,
-        cell: SparseTensor,
-        policy: &AdaptivePolicy,
-        pool: &ThreadPool,
-    ) -> Result<(u64, Arc<CellKernel>)> {
-        let key = fingerprint(&cell);
-        if let Some(kernel) = self.entries.get(&key) {
-            self.hits += 1;
-            return Ok((key, Arc::clone(kernel)));
-        }
-        self.misses += 1;
-        let stats = CellStats::measure(cell.shape(), cell.nnz());
-        let choice = policy.choose_measured(stats.nnz, stats.max_dim, stats.slice_density);
-        let kernel = Arc::new(CellKernel::build(cell, choice, pool)?);
-        self.entries.insert(key, Arc::clone(&kernel));
-        Ok((key, kernel))
-    }
-
-    /// Evicts every entry whose key is not in `live`.
-    fn retain_live(&mut self, live: &[u64]) {
-        let live: std::collections::BTreeSet<u64> = live.iter().copied().collect();
-        self.entries.retain(|k, _| live.contains(k));
-    }
-
-    /// Drops every cached plan, returning how many were evicted.  Called on
-    /// membership changes: the grid (and therefore every cell's contents)
-    /// is re-derived for the new world size, so no cached layout can be
-    /// trusted to match a cell of the new partitioning.
-    pub fn invalidate_all(&mut self) -> usize {
-        let evicted = self.entries.len();
-        self.entries.clear();
-        evicted
+        tensor: &SparseTensor,
+        cfg: &DecompConfig,
+        cluster: &ClusterConfig,
+    ) -> Result<&[WorkerPlan]> {
+        let world = cluster.workers;
+        let cell_count =
+            |plans: &[WorkerPlan]| plans.iter().map(|p| p.cells.len() as u64).sum::<u64>();
+        let step = match self.step.take().filter(|step| step.world == world) {
+            // A watchdog retry or a same-world heal replay.
+            Some(step) => {
+                let cells = cell_count(&step.plans);
+                self.hits += cells;
+                if cells > 0 {
+                    dismastd_obs::counter_add("plan/cache_hit", cells);
+                }
+                step
+            }
+            // The step's first attempt, or a replay in a degraded world.
+            None => {
+                let grid = {
+                    let _s = dismastd_obs::span("phase/partition");
+                    GridPartition::build_with(
+                        tensor,
+                        cluster.partitioner,
+                        &cluster.resolved_parts(tensor.order()),
+                        world,
+                        cluster.cell_assignment,
+                    )?
+                };
+                // Driver-side pool for the plan builds (full machine budget —
+                // the workers are not running yet); the selector policy rides
+                // defaults.
+                let pool = ThreadPool::new(cfg.threads.resolve());
+                let plans = {
+                    let _s = dismastd_obs::span("phase/plan_build");
+                    build_plans(tensor, &grid, world, &AdaptivePolicy::default(), &pool)?
+                };
+                let cells = cell_count(&plans);
+                self.misses += cells;
+                if cells > 0 {
+                    dismastd_obs::counter_add("plan/rebuild", cells);
+                }
+                StepPlans { world, plans }
+            }
+        };
+        Ok(&self.step.insert(step).plans)
     }
 }
 
 /// Per-worker placement plan, precomputed once per snapshot.
+#[derive(Debug)]
 struct WorkerPlan {
     /// Compiled MTTKRP kernels of this worker's grid cells (COO or
     /// sorted-run, per the adaptive selector); executing them back to back
     /// accumulates exactly this worker's local partials.
-    cells: Vec<Arc<CellKernel>>,
+    cells: Vec<CellKernel>,
     /// Nonzeros across this worker's cells.
     local_nnz: usize,
     /// Rows of each mode whose factor entries this worker owns and updates.
@@ -326,52 +327,8 @@ pub fn dismastd(
         cfg,
         cluster,
         &ClusterOptions::default(),
-        &mut PlanCache::new(),
+        &mut PlanCache::default(),
     )
-}
-
-/// [`dismastd`] with a caller-owned [`PlanCache`], so MTTKRP layouts for
-/// unchanged grid cells survive across stream steps.  The streaming
-/// session uses this entry point; one-shot callers can stay on
-/// [`dismastd`].
-///
-/// # Errors
-/// As for [`dismastd`].
-pub fn dismastd_with_cache(
-    complement: &SparseTensor,
-    old_factors: &[Matrix],
-    cfg: &DecompConfig,
-    cluster: &ClusterConfig,
-    cache: &mut PlanCache,
-) -> Result<DistOutput> {
-    run_distributed(
-        complement,
-        old_factors,
-        cfg,
-        cluster,
-        &ClusterOptions::default(),
-        cache,
-    )
-}
-
-/// [`dismastd_with_cache`] with explicit [`ClusterOptions`] — receive
-/// deadlines and (for chaos testing) a deterministic fault plan.  A worker
-/// crash or timeout surfaces as [`TensorError::ClusterFault`] rather than a
-/// hang, which is what the streaming session's restore-and-replay driver
-/// catches.
-///
-/// # Errors
-/// As for [`dismastd`], plus [`TensorError::ClusterFault`] when the
-/// cluster fails mid-decomposition.
-pub fn dismastd_with_opts(
-    complement: &SparseTensor,
-    old_factors: &[Matrix],
-    cfg: &DecompConfig,
-    cluster: &ClusterConfig,
-    opts: &ClusterOptions,
-    cache: &mut PlanCache,
-) -> Result<DistOutput> {
-    run_distributed(complement, old_factors, cfg, cluster, opts, cache)
 }
 
 /// Runs the DMS-MG baseline: distributed static CP-ALS over the full
@@ -384,40 +341,7 @@ pub fn dms_mg(
     cfg: &DecompConfig,
     cluster: &ClusterConfig,
 ) -> Result<DistOutput> {
-    dms_mg_with_cache(full, cfg, cluster, &mut PlanCache::new())
-}
-
-/// [`dms_mg`] with a caller-owned [`PlanCache`] (see
-/// [`dismastd_with_cache`]).
-///
-/// # Errors
-/// As for [`dms_mg`].
-pub fn dms_mg_with_cache(
-    full: &SparseTensor,
-    cfg: &DecompConfig,
-    cluster: &ClusterConfig,
-    cache: &mut PlanCache,
-) -> Result<DistOutput> {
-    dms_mg_with_opts(full, cfg, cluster, &ClusterOptions::default(), cache)
-}
-
-/// [`dms_mg_with_cache`] with explicit [`ClusterOptions`] (see
-/// [`dismastd_with_opts`]).
-///
-/// # Errors
-/// As for [`dms_mg`], plus [`TensorError::ClusterFault`] when the cluster
-/// fails mid-decomposition.
-pub fn dms_mg_with_opts(
-    full: &SparseTensor,
-    cfg: &DecompConfig,
-    cluster: &ClusterConfig,
-    opts: &ClusterOptions,
-    cache: &mut PlanCache,
-) -> Result<DistOutput> {
-    let zero_old: Vec<Matrix> = (0..full.order())
-        .map(|_| Matrix::zeros(0, cfg.rank))
-        .collect();
-    run_distributed(full, &zero_old, cfg, cluster, opts, cache)
+    dismastd(full, &zero_history(full.order(), cfg.rank), cfg, cluster)
 }
 
 /// Maps a [`ClusterError`] onto [`TensorError::ClusterFault`], attributing
@@ -438,13 +362,18 @@ fn cluster_fault(e: ClusterError) -> TensorError {
     }
 }
 
-fn run_distributed(
+/// The one distributed driver behind [`dismastd`], [`dms_mg`] and the
+/// streaming session: explicit [`ClusterOptions`] (receive deadlines and,
+/// for chaos testing, a deterministic fault plan) and the caller's
+/// step-local plan memo.  A worker crash or timeout surfaces as
+/// [`TensorError::ClusterFault`] rather than a hang.
+pub(crate) fn run_distributed(
     tensor: &SparseTensor,
     old_factors: &[Matrix],
     cfg: &DecompConfig,
     cluster: &ClusterConfig,
     opts: &ClusterOptions,
-    cache: &mut PlanCache,
+    memo: &mut PlanCache,
 ) -> Result<DistOutput> {
     cfg.validate().map_err(TensorError::InvalidArgument)?;
     if cluster.workers == 0 {
@@ -462,49 +391,14 @@ fn run_distributed(
     // lint:allow(determinism, clock_hygiene): elapsed-time reporting only
     let start = Instant::now();
     let order = tensor.order();
-    let world = cluster.workers;
     let rank = cfg.rank;
     let old_rows: Vec<usize> = old_factors.iter().map(Matrix::rows).collect();
 
     // ---- Data partitioning (Sec. IV-A) ----------------------------------
-    let parts = cluster.resolved_parts(order);
-    let grid = {
-        let _s = dismastd_obs::span("phase/partition");
-        GridPartition::build_with(
-            tensor,
-            cluster.partitioner,
-            &parts,
-            world,
-            cluster.cell_assignment,
-        )?
-    };
-    let (hits_before, misses_before) = (cache.hits(), cache.misses());
-    // Driver-side pool for the plan builds (full machine budget — the
-    // workers are not running yet); the selector policy rides defaults.
-    let build_pool = ThreadPool::new(cfg.threads.resolve());
-    let layout_policy = AdaptivePolicy::default();
-    let plans = {
-        let _s = dismastd_obs::span("phase/plan_build");
-        Arc::new(build_plans(
-            tensor,
-            &grid,
-            world,
-            cache,
-            &layout_policy,
-            &build_pool,
-        )?)
-    };
-    drop(build_pool);
-    if cache.hits() > hits_before {
-        dismastd_obs::counter_add("plan/cache_hit", cache.hits() - hits_before);
-    }
-    if cache.misses() > misses_before {
-        dismastd_obs::counter_add("plan/rebuild", cache.misses() - misses_before);
-    }
+    let plans = memo.plans_for(tensor, cfg, cluster)?;
 
     // Shared read-only inputs.
-    let init = Arc::new(init_factors(old_factors, tensor.shape(), rank, cfg.seed)?);
-    let old = Arc::new(old_factors.to_vec());
+    let init = init_factors(old_factors, tensor.shape(), rank, cfg.seed)?;
     let old_norm_sq = if old_rows.iter().all(|&r| r > 0) {
         let grams: Vec<Matrix> = old_factors.iter().map(Matrix::gram).collect();
         let refs: Vec<&Matrix> = grams.iter().collect();
@@ -512,34 +406,26 @@ fn run_distributed(
     } else {
         0.0
     };
-    let tensor_norm_sq = tensor.norm_sq();
-
-    let setup_bytes = setup_bytes(&plans, order, rank);
 
     // ---- Distributed tensor decomposition (Sec. IV-B) -------------------
-    let cfg = *cfg;
-    let pooling = cluster.pooling;
-    let comm_policy = cluster.comm;
-    let old_rows_arc = Arc::new(old_rows.clone());
-    // Worker threads have their own thread-local metric registries, so each
-    // rank decides up front — from the driver's state — whether to collect.
-    let collect = dismastd_obs::installed();
-    let (mut results, comm) = Cluster::try_run_with_opts(world, opts, |ctx| {
-        worker_body(
-            ctx,
-            &plans,
-            &init,
-            &old,
-            &old_rows_arc,
-            &cfg,
-            old_norm_sq,
-            tensor_norm_sq,
-            pooling,
-            comm_policy,
-            collect,
-        )
-    })
-    .map_err(cluster_fault)?;
+    let inputs = WorkerInputs {
+        plans,
+        init: &init,
+        old: old_factors,
+        old_rows: &old_rows,
+        cfg,
+        old_norm_sq,
+        tensor_norm_sq: tensor.norm_sq(),
+        pooling: cluster.pooling,
+        comm: cluster.comm,
+        // Worker threads have their own thread-local metric registries, so
+        // each rank decides up front — from the driver's state — whether to
+        // collect.
+        collect: dismastd_obs::installed(),
+    };
+    let (mut results, comm) =
+        Cluster::try_run_with_opts(cluster.workers, opts, |ctx| worker_body(ctx, &inputs))
+            .map_err(cluster_fault)?;
 
     // Harvest every rank's metrics (in rank order) before consuming rank 0;
     // a rank that failed simply contributes nothing.
@@ -575,13 +461,29 @@ fn run_distributed(
         iterations,
         loss_trace,
         comm,
-        setup_bytes,
+        setup_bytes: setup_bytes(plans, order, rank),
         elapsed: start.elapsed(),
         iter_elapsed,
         numerics,
         metrics,
         worker_metrics,
     })
+}
+
+/// Everything a rank reads but never writes: the step's placement, the
+/// initial and previous factors, and the run's configuration.  Borrowed
+/// from the driver's stack — the cluster runs on scoped threads.
+struct WorkerInputs<'a> {
+    plans: &'a [WorkerPlan],
+    init: &'a [Matrix],
+    old: &'a [Matrix],
+    old_rows: &'a [usize],
+    cfg: &'a DecompConfig,
+    old_norm_sq: f64,
+    tensor_norm_sq: f64,
+    pooling: bool,
+    comm: CommPolicy,
+    collect: bool,
 }
 
 struct WorkerResult {
@@ -690,20 +592,22 @@ struct PendingRefresh {
     pending: PendingExchange,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_body(
     ctx: &mut WorkerCtx,
-    plans: &Arc<Vec<WorkerPlan>>,
-    init: &Arc<Vec<Matrix>>,
-    old: &Arc<Vec<Matrix>>,
-    old_rows: &Arc<Vec<usize>>,
-    cfg: &DecompConfig,
-    old_norm_sq: f64,
-    tensor_norm_sq: f64,
-    pooling: bool,
-    comm: CommPolicy,
-    collect: bool,
+    inputs: &WorkerInputs<'_>,
 ) -> ClusterResult<std::result::Result<WorkerResult, TensorError>> {
+    let &WorkerInputs {
+        plans,
+        init,
+        old,
+        old_rows,
+        cfg,
+        old_norm_sq,
+        tensor_norm_sq,
+        pooling,
+        comm,
+        collect,
+    } = inputs;
     // Per-thread collector: on any early-return path (cluster fault or a
     // `try_num!` payload error) the guard's Drop discards the partial
     // registry, so a failed rank never reports half-measured phases.
@@ -718,15 +622,14 @@ fn worker_body(
     let mut numerics = NumericsReport::default();
 
     // Replicated factor copies; only owned ∪ referenced rows stay fresh.
-    let mut factors: Vec<Matrix> = init.as_ref().clone();
+    let mut factors: Vec<Matrix> = init.to_vec();
 
     // Reusable scratch: Gram partials + all-reduce staging, and the
     // message-payload pool for the two row exchanges.
     let mut ws = GramWorkspace::new(r);
     let mut pool = BufferPool::new(pooling);
-    // Persistent exchange tables: refilled in place every post/complete
-    // through the `_drain`/`_into` APIs, so the steady-state loop never
-    // reallocates them.
+    // Persistent exchange tables: refilled in place every post/complete,
+    // so the steady-state loop never reallocates them.
     let mut outgoing_frames: Vec<Framed> = Vec::with_capacity(world);
     let mut incoming_payloads: Vec<Payload> = Vec::with_capacity(world);
     // Intra-worker kernel pool: the machine budget split across the
@@ -812,7 +715,7 @@ fn worker_body(
                         encode_outgoing(&hat[n], &plan.partial_routes[n][d], &comm, &mut pool)
                     });
                 }
-                ctx.post_exchange_framed_drain(&mut outgoing_frames)?
+                ctx.post_exchange(&mut outgoing_frames)?
             };
 
             // -- 2. owners update their rows (Eq. 5, row-wise) -------------
@@ -881,7 +784,7 @@ fn worker_body(
             // -- land the peers' partials before the row solves ------------
             {
                 let _s = dismastd_obs::span("phase/exchange");
-                ctx.complete_exchange_into(pending_partials, &mut incoming_payloads)?;
+                ctx.complete_exchange(pending_partials, &mut incoming_payloads)?;
                 for (d, payload) in incoming_payloads.drain(..).enumerate() {
                     if d == me {
                         continue;
@@ -941,7 +844,7 @@ fn worker_body(
                 }
                 Some(PendingRefresh {
                     mode: n,
-                    pending: ctx.post_exchange_framed_drain(&mut outgoing_frames)?,
+                    pending: ctx.post_exchange(&mut outgoing_frames)?,
                 })
             };
 
@@ -1058,7 +961,7 @@ fn complete_refresh(
     let _s = dismastd_obs::span("phase/exchange");
     let me = ctx.rank();
     let n = pr.mode;
-    ctx.complete_exchange_into(pr.pending, incoming)?;
+    ctx.complete_exchange(pr.pending, incoming)?;
     for (d, payload) in incoming.drain(..).enumerate() {
         if d == me {
             continue;
@@ -1180,9 +1083,9 @@ fn allreduce_grams(
 /// factor matrices there.
 fn gather_factors(
     ctx: &mut WorkerCtx,
-    plans: &Arc<Vec<WorkerPlan>>,
+    plans: &[WorkerPlan],
     factors: &[Matrix],
-    init: &Arc<Vec<Matrix>>,
+    init: &[Matrix],
 ) -> ClusterResult<Option<Vec<Matrix>>> {
     let me = ctx.rank();
     let order = factors.len();
@@ -1214,21 +1117,21 @@ fn gather_factors(
     Ok(Some(out))
 }
 
-/// Splits the tensor over workers and grid cells, compiles (or fetches
-/// from `cache`) one MTTKRP layout per non-empty cell, and derives row
+/// Splits the tensor over workers and grid cells, selects and compiles one
+/// MTTKRP kernel per non-empty cell (the adaptive layout selector feeds on
+/// the cell's [`CellStats`]; plan builds run on `pool`), and derives row
 /// ownership and the partial/update routing tables.
 fn build_plans(
     tensor: &SparseTensor,
     grid: &GridPartition,
     world: usize,
-    cache: &mut PlanCache,
     policy: &AdaptivePolicy,
     pool: &ThreadPool,
 ) -> Result<Vec<WorkerPlan>> {
     let order = tensor.order();
-    // Per-cell nonzeros: the cell is the caching unit, so each non-empty
-    // cell becomes its own sub-tensor.  BTreeMap keeps cell iteration
-    // order deterministic.
+    // Per-cell nonzeros: the cell is the layout-selection unit, so each
+    // non-empty cell becomes its own sub-tensor.  BTreeMap keeps cell
+    // iteration order deterministic.
     let mut cell_builders: std::collections::BTreeMap<usize, SparseTensorBuilder> =
         std::collections::BTreeMap::new();
     // Per-worker, per-mode referenced-row sets.
@@ -1246,20 +1149,18 @@ fn build_plans(
         }
     }
 
-    // Select and compile (or reuse) the kernel of every populated cell.
-    let mut cells_by_worker: Vec<Vec<Arc<CellKernel>>> = vec![Vec::new(); world];
+    // Select and compile the kernel of every populated cell.
+    let mut cells_by_worker: Vec<Vec<CellKernel>> = (0..world).map(|_| Vec::new()).collect();
     let mut local_nnz = vec![0usize; world];
-    let mut live_keys = Vec::with_capacity(cell_builders.len());
     for (cell, builder) in cell_builders {
         let sub = builder.build()?;
         let w = grid.worker_of(sub.index(0));
         debug_assert_eq!(grid.cell_of(sub.index(0)), cell);
-        let (key, kernel) = cache.get_or_build(sub, policy, pool)?;
-        live_keys.push(key);
-        local_nnz[w] += kernel.nnz();
-        cells_by_worker[w].push(kernel);
+        let stats = CellStats::measure(sub.shape(), sub.nnz());
+        let choice = policy.choose_measured(stats.nnz, stats.max_dim, stats.slice_density);
+        local_nnz[w] += sub.nnz();
+        cells_by_worker[w].push(CellKernel::build(sub, choice, pool)?);
     }
-    cache.retain_live(&live_keys);
 
     // Row ownership: every row of every mode has exactly one owner.
     let mut owned_rows: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); order]; world];
@@ -1636,8 +1537,18 @@ mod tests {
         }
     }
 
+    /// `run_distributed` with default options and the given memo.
+    fn run_memo(
+        x: &SparseTensor,
+        old: &[Matrix],
+        cc: &ClusterConfig,
+        memo: &mut PlanCache,
+    ) -> DistOutput {
+        run_distributed(x, old, &cfg(), cc, &ClusterOptions::default(), memo).unwrap()
+    }
+
     #[test]
-    fn plan_cache_reuses_unchanged_cells_across_steps() {
+    fn memo_serves_a_repeat_of_the_same_step_and_never_changes_results() {
         let old_shape = [4usize, 4, 3];
         let old: Vec<Matrix> = {
             let mut rng = ChaCha8Rng::seed_from_u64(15);
@@ -1648,48 +1559,50 @@ mod tests {
         };
         let x = random_complement(&old_shape, &[7, 7, 5], 80, 16);
         let cc = ClusterConfig::new(2);
-        let mut cache = PlanCache::new();
+        let mut memo = PlanCache::default();
 
-        let first = dismastd_with_cache(&x, &old, &cfg(), &cc, &mut cache).unwrap();
-        let cells = cache.len();
+        let first = run_memo(&x, &old, &cc, &mut memo);
+        let cells = memo.misses();
         assert!(cells > 0);
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), cells as u64);
+        assert_eq!(memo.hits(), 0);
 
-        // Identical snapshot ⇒ every cell is served from cache, and the
-        // result is bitwise unchanged.
-        let second = dismastd_with_cache(&x, &old, &cfg(), &cc, &mut cache).unwrap();
-        assert_eq!(cache.hits(), cells as u64);
-        assert_eq!(cache.misses(), cells as u64);
+        // The same step again in the same world (what a watchdog retry or a
+        // heal replay does): every cell is reused, nothing is rebuilt, and
+        // the result is bitwise unchanged.
+        let second = run_memo(&x, &old, &cc, &mut memo);
+        assert_eq!(memo.hits(), cells);
+        assert_eq!(memo.misses(), cells);
         assert_eq!(first.loss_trace, second.loss_trace);
+        assert_eq!(first.setup_bytes, second.setup_bytes);
 
-        // Fresh-cache baseline agrees exactly, so caching never changes
-        // results.
+        // The memo-less public entry point agrees exactly.
         let fresh = dismastd(&x, &old, &cfg(), &cc).unwrap();
         assert_eq!(first.loss_trace, fresh.loss_trace);
     }
 
     #[test]
-    fn plan_cache_evicts_dead_cells() {
-        let cfg2 = DecompConfig::default().with_rank(2).with_max_iters(2);
-        let cc = ClusterConfig::new(2);
-        let mut cache = PlanCache::new();
-        let a = random_tensor(&[6, 6, 6], 70, 17);
-        dms_mg_with_cache(&a, &cfg2, &cc, &mut cache).unwrap();
-        let after_a = cache.len();
-        assert!(after_a > 0);
-        // A different tensor shares no cells: everything misses, and the
-        // old entries are evicted rather than accumulating — the cache
-        // holds exactly `b`'s cells afterwards.
-        let b = random_tensor(&[6, 6, 6], 70, 18);
-        dms_mg_with_cache(&b, &cfg2, &cc, &mut cache).unwrap();
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.len() as u64, cache.misses() - after_a as u64);
-        let live_b = cache.len();
-        // Re-running `b` hits every live cell.
-        dms_mg_with_cache(&b, &cfg2, &cc, &mut cache).unwrap();
-        assert_eq!(cache.hits(), live_b as u64);
-        assert_eq!(cache.len(), live_b);
+    fn memo_rebuilds_for_another_world_and_after_a_reset() {
+        let x = random_tensor(&[6, 6, 6], 70, 17);
+        let old = zero_history(3, cfg().rank);
+        let mut memo = PlanCache::default();
+        run_memo(&x, &old, &ClusterConfig::new(3), &mut memo);
+        let cells3 = memo.misses();
+
+        // A shrunk world (the degrade rung) re-partitions: nothing built
+        // for world 3 is served to world 2.
+        let degraded = run_memo(&x, &old, &ClusterConfig::new(2), &mut memo);
+        assert_eq!(memo.hits(), 0);
+        let cells2 = memo.misses() - cells3;
+        assert!(cells2 > 0);
+        let fresh = dms_mg(&x, &cfg(), &ClusterConfig::new(2)).unwrap();
+        assert_eq!(degraded.loss_trace, fresh.loss_trace);
+
+        // A reset (the top of the next ingest) forgets the step; the
+        // counters keep running.
+        memo.reset();
+        run_memo(&x, &old, &ClusterConfig::new(2), &mut memo);
+        assert_eq!(memo.hits(), 0);
+        assert_eq!(memo.misses(), cells3 + 2 * cells2);
     }
 
     #[test]

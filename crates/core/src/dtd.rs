@@ -39,6 +39,12 @@ pub struct DtdOutput {
     pub numerics: NumericsReport,
 }
 
+/// The zero-history "previous factors": with zero-row matrices every row of
+/// every mode is a new row, which turns DTD into static CP-ALS.
+pub(crate) fn zero_history(order: usize, rank: usize) -> Vec<Matrix> {
+    (0..order).map(|_| Matrix::zeros(0, rank)).collect()
+}
+
 /// Stacks the previous factors over seeded-random new rows — Alg. 1 lines
 /// 1-2 (`A^(0) ← Ã`, `A^(1) ← rand(d_n, R)`).
 ///
@@ -93,8 +99,8 @@ pub fn init_factors(
 /// by every mode of every iteration; `None` leaves the call on the COO
 /// kernel over the caller's tensor.
 ///
-/// Call-local rather than a `PlanCache` entry: every step's complement is
-/// new data, so a content-keyed entry could never hit.
+/// Call-local: every step's complement is new data, so there is nothing
+/// to carry to the next call.
 fn complement_plan(complement: &SparseTensor, layout: LayoutChoice) -> Result<Option<MttkrpPlan>> {
     match layout {
         LayoutChoice::NaiveCoo => Ok(None),

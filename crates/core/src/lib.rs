@@ -20,9 +20,9 @@
 //!
 //! Distributed execution is fault-tolerant: cluster failures surface as
 //! `TensorError::ClusterFault`, sessions checkpoint/restore their durable
-//! state ([`SessionCheckpoint`]), and
-//! [`StreamingSession::ingest_with_recovery`] replays a faulted step from
-//! the pre-step checkpoint under a [`RecoveryPolicy`].  Deterministic
+//! state ([`SessionCheckpoint`]), and with a [`HealPolicy`] installed
+//! [`StreamingSession::ingest`] replays a faulted step under the
+//! supervisor's respawn → degrade ladder.  Deterministic
 //! chaos testing plugs in through [`ClusterOptions`] / [`FaultPlan`],
 //! optionally inside the virtual-time simulator ([`SimOptions`]); the
 //! cluster grows and shrinks between steps via
@@ -39,7 +39,7 @@ pub mod rank;
 pub mod session;
 pub mod shadow;
 
-pub use config::{DecompConfig, NumericsPolicy, RecoveryPolicy, WatchdogPolicy};
+pub use config::{DecompConfig, NumericsPolicy, WatchdogPolicy};
 pub use dismastd_cluster::{
     ClusterError, ClusterOptions, CrashAndRejoin, FaultPlan, HealAction, HealPolicy,
     PartitionWindow, SimOptions, SimProbe, Supervisor, VirtualClock,
@@ -49,10 +49,7 @@ pub use dismastd_tensor::{
     AdaptivePolicy, LayoutChoice, NumericsReport, QuarantineCounts, SolvePolicy, SolveTier,
     ThreadPolicy, ValidationMode,
 };
-pub use distributed::{
-    dismastd, dismastd_with_cache, dismastd_with_opts, dms_mg, dms_mg_with_cache, dms_mg_with_opts,
-    ClusterConfig, DistOutput, PlanCache,
-};
+pub use distributed::{dismastd, dms_mg, ClusterConfig, DistOutput, PlanCache};
 pub use dtd::{dtd, DtdOutput};
 pub use onlinecp::OnlineCp;
 pub use rank::{select_rank, RankSearch};

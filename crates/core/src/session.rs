@@ -9,25 +9,23 @@
 //!
 //! Sessions are **fault-tolerant**: the entire durable state serialises to
 //! a [`SessionCheckpoint`] ([`StreamingSession::checkpoint`] /
-//! [`StreamingSession::restore`]), and
-//! [`StreamingSession::ingest_with_recovery`] wraps each ingest so a
-//! distributed-mode cluster fault rolls the session back to its pre-step
-//! state and replays the step within a bounded retry budget.  Because the
-//! decomposition is deterministic for a fixed seed, a replayed step
-//! reproduces the fault-free factors bit for bit.
+//! [`StreamingSession::restore`]), and a step commits its results only
+//! once it has succeeded, so a distributed-mode cluster fault leaves the
+//! session at its pre-step state.
 //!
-//! Sessions are also **self-healing**:
-//! [`StreamingSession::ingest_with_heal`] runs the same rollback/replay
-//! under a [`Supervisor`] executing a [`HealPolicy`] ladder — bounded
-//! per-rank respawns with seeded backoff, then a degraded-world fallback
-//! that shrinks the cluster through the elastic-leave path instead of
-//! failing — so a crashed worker never surfaces to the caller until the
-//! ladder is genuinely exhausted.
+//! Sessions are also **self-healing**: with a [`HealPolicy`] installed
+//! ([`StreamingSession::set_heal_policy`]), [`StreamingSession::ingest`]
+//! replays a faulted decomposition under a [`Supervisor`] walking the
+//! policy's ladder — bounded per-rank respawns with seeded backoff, then a
+//! degraded-world fallback that shrinks the cluster through the
+//! elastic-leave path instead of failing — so a crashed worker never
+//! surfaces to the caller until the ladder is genuinely exhausted.
+//! Because the decomposition is deterministic for a fixed seed, a replayed
+//! step reproduces the fault-free factors bit for bit.
 
-use crate::als::cp_als;
-use crate::config::{DecompConfig, RecoveryPolicy, WatchdogPolicy};
-use crate::distributed::{dismastd_with_opts, dms_mg_with_opts, ClusterConfig, PlanCache};
-use crate::dtd::dtd;
+use crate::config::{DecompConfig, WatchdogPolicy};
+use crate::distributed::{run_distributed, ClusterConfig, PlanCache};
+use crate::dtd::{dtd, zero_history};
 use dismastd_cluster::{ClusterOptions, CommStatsSnapshot, HealAction, HealPolicy, Supervisor};
 use dismastd_obs::MetricsSnapshot;
 use dismastd_tensor::matrix::Matrix;
@@ -70,7 +68,7 @@ pub enum MembershipChange {
 }
 
 /// A structural transition the heal ladder performed while completing a
-/// step (see [`StreamingSession::ingest_with_heal`]).
+/// step (see [`StreamingSession::ingest`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealTransition {
     /// A rank exhausted its respawn budget and the supervisor shrank the
@@ -83,10 +81,8 @@ pub enum HealTransition {
     },
 }
 
-/// What the recovery machinery did to complete a step: populated by
-/// [`StreamingSession::ingest_with_heal`] (full ladder) and
-/// [`StreamingSession::ingest_with_recovery`] (replay-only), `None` on the
-/// plain [`StreamingSession::ingest`] path.
+/// What the heal ladder did to complete a step; reported whenever a
+/// [`HealPolicy`] is installed (all-zero on a fault-free step).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HealReport {
     /// Respawn-and-replay attempts this step consumed.
@@ -127,9 +123,6 @@ pub struct StepReport {
     pub time_per_iter: Duration,
     /// Network traffic (distributed mode only).
     pub comm: Option<CommStatsSnapshot>,
-    /// Cluster-fault replays this step needed (0 on the fault-free path;
-    /// only [`StreamingSession::ingest_with_recovery`] can report more).
-    pub retries: usize,
     /// Snapshot entries dropped by
     /// [`ValidationMode::Quarantine`] ingest validation (always 0 under
     /// `Strict`, which errors instead, and under `Off`).
@@ -148,15 +141,15 @@ pub struct StepReport {
     /// every rank's worker metrics, so span totals sum concurrent per-rank
     /// time and can exceed [`StepReport::elapsed`].
     pub metrics: Option<MetricsSnapshot>,
-    /// What the heal ladder / replay machinery did this step; `None` on the
-    /// plain [`StreamingSession::ingest`] path.
+    /// What the heal ladder did this step; `None` when no [`HealPolicy`] is
+    /// installed.
     pub heal: Option<HealReport>,
 }
 
 /// The durable state of a [`StreamingSession`], as written by
 /// [`StreamingSession::checkpoint`]: configuration, execution mode, the
-/// latest decomposition, and the stream position.  Runtime-only state (the
-/// MTTKRP plan cache, cluster options) is rebuilt on restore.
+/// latest decomposition, and the stream position.  Runtime-only state
+/// (cluster options, heal policy) is not part of it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionCheckpoint {
     /// Decomposition hyper-parameters.
@@ -205,8 +198,8 @@ pub struct StreamingSession {
     factors: Option<KruskalTensor>,
     shape: Vec<usize>,
     step: usize,
-    /// Distributed-mode MTTKRP layout cache, carried across steps so grid
-    /// cells untouched by a snapshot update keep their compiled kernels.
+    /// Step-local memo of the distributed placement (reset at the top of
+    /// every ingest) plus its lifetime hit/miss counters.
     plan_cache: PlanCache,
     /// Runtime options (timeouts, fault injection) for distributed steps.
     /// Deliberately not checkpointed: a restored session should run with
@@ -220,11 +213,10 @@ pub struct StreamingSession {
     /// Elastic-membership transitions queued for the next ingest boundary.
     /// Runtime-only: a restored session starts with an empty queue.
     pending_membership: Vec<MembershipChange>,
-    /// The heal-ladder executor behind
-    /// [`StreamingSession::ingest_with_heal`]; installed by
-    /// [`StreamingSession::set_heal_policy`] (or lazily with defaults).
-    /// Runtime-only: per-rank budgets belong to this process's cluster,
-    /// not to a checkpoint.
+    /// The heal-ladder executor, installed by
+    /// [`StreamingSession::set_heal_policy`]; `None` lets a cluster fault
+    /// surface from [`StreamingSession::ingest`].  Runtime-only: per-rank
+    /// budgets belong to this process's cluster, not to a checkpoint.
     supervisor: Option<Supervisor>,
 }
 
@@ -237,7 +229,7 @@ impl StreamingSession {
             factors: None,
             shape: Vec::new(),
             step: 0,
-            plan_cache: PlanCache::new(),
+            plan_cache: PlanCache::default(),
             cluster_opts: ClusterOptions::default(),
             comm_totals: CommStatsSnapshot::default(),
             collect_metrics: false,
@@ -269,7 +261,7 @@ impl StreamingSession {
             factors: Some(factors),
             shape,
             step: 1,
-            plan_cache: PlanCache::new(),
+            plan_cache: PlanCache::default(),
             cluster_opts: ClusterOptions::default(),
             comm_totals: CommStatsSnapshot::default(),
             collect_metrics: false,
@@ -297,9 +289,9 @@ impl StreamingSession {
         self.collect_metrics
     }
 
-    /// Installs the heal ladder [`StreamingSession::ingest_with_heal`]
-    /// executes.  Replaces any previous supervisor, resetting its per-rank
-    /// respawn budgets.
+    /// Installs the heal ladder [`StreamingSession::ingest`] walks when a
+    /// distributed step hits a cluster fault.  Replaces any previous
+    /// supervisor, resetting its per-rank respawn budgets.
     pub fn set_heal_policy(&mut self, policy: HealPolicy) {
         self.supervisor = Some(Supervisor::new(policy));
     }
@@ -388,9 +380,9 @@ impl StreamingSession {
 
     /// Applies every queued membership transition: resolves the new world
     /// size, counts the factor rows whose owner moves between the old and
-    /// new placements, updates the cluster configuration, and invalidates
-    /// the plan cache (the grid, and therefore every cell, is re-derived
-    /// for the new world).  Called at each ingest boundary; a no-op when
+    /// new placements, and updates the cluster configuration (the grid, and
+    /// therefore every cell, is re-derived for the new world on the next
+    /// decomposition).  Called at each ingest boundary; a no-op when
     /// nothing is queued or the net world change is zero.
     ///
     /// # Errors
@@ -431,8 +423,6 @@ impl StreamingSession {
         if let ExecutionMode::Distributed(cc) = &mut self.mode {
             cc.workers = world;
         }
-        let evicted = self.plan_cache.invalidate_all();
-        dismastd_obs::counter_add("membership/plan_invalidations", evicted as u64);
         // Migrated-rows accounting: compare row ownership between the old
         // and new worlds' placement plans over the current shape.  The
         // factors themselves are a global Kruskal tensor, so "migration"
@@ -477,9 +467,8 @@ impl StreamingSession {
         }
     }
 
-    /// Rebuilds a session from a checkpoint.  The plan cache starts empty
-    /// (layouts are recompiled on the next ingest) and cluster options
-    /// revert to defaults.
+    /// Rebuilds a session from a checkpoint.  Cluster options revert to
+    /// defaults and no heal policy is installed.
     ///
     /// # Errors
     /// Returns [`TensorError::InvalidArgument`] when the checkpoint is
@@ -500,7 +489,7 @@ impl StreamingSession {
             factors: ckpt.factors,
             shape: ckpt.shape,
             step: ckpt.step,
-            plan_cache: PlanCache::new(),
+            plan_cache: PlanCache::default(),
             cluster_opts: ClusterOptions::default(),
             comm_totals: ckpt.comm_totals,
             collect_metrics: false,
@@ -586,193 +575,9 @@ impl StreamingSession {
         Self::from_checkpoint(ckpt)
     }
 
-    /// Rolls the durable state back to `ckpt`, keeping runtime-only state
-    /// (plan cache — content-addressed, so always safe to reuse — and
-    /// cluster options) intact.
-    fn restore_in_place(&mut self, ckpt: SessionCheckpoint) {
-        self.cfg = ckpt.cfg;
-        self.mode = ckpt.mode;
-        self.factors = ckpt.factors;
-        self.shape = ckpt.shape;
-        self.step = ckpt.step;
-        self.comm_totals = ckpt.comm_totals;
-    }
-
-    /// [`StreamingSession::ingest`] wrapped in checkpoint/rollback: on a
-    /// [`TensorError::ClusterFault`] the session state is restored to its
-    /// pre-step checkpoint and the step replayed, up to
-    /// `policy.max_retries` times.  The returned report's `retries` field
-    /// records how many replays were needed.  Deterministic decompositions
-    /// make a successful replay bit-identical to a fault-free run.
-    ///
-    /// With `policy.checkpoint_path` set, the pre-step state is also
-    /// persisted to disk before the step runs.
-    ///
-    /// # Errors
-    /// Propagates the final [`TensorError::ClusterFault`] once the retry
-    /// budget is exhausted; all other errors propagate immediately.
-    pub fn ingest_with_recovery(
-        &mut self,
-        snapshot: &SparseTensor,
-        policy: &RecoveryPolicy,
-    ) -> Result<StepReport> {
-        // Apply queued membership changes *before* capturing the rollback
-        // checkpoint: a fault-triggered replay must re-run in the already
-        // transitioned world, not silently revert to the old one (the
-        // queue is drained by the apply, so a rollback cannot replay it).
-        self.apply_membership()?;
-        let ckpt = self.to_checkpoint();
-        if let Some(path) = &policy.checkpoint_path {
-            self.checkpoint(path)?;
-        }
-        let mut retries = 0usize;
-        loop {
-            match self.ingest(snapshot) {
-                Ok(mut report) => {
-                    report.retries = retries;
-                    report.heal = Some(HealReport {
-                        respawns: retries,
-                        backoff_ns: 0,
-                        transitions: Vec::new(),
-                        degraded: false,
-                    });
-                    return Ok(report);
-                }
-                Err(TensorError::ClusterFault { rank, detail }) => {
-                    if retries >= policy.max_retries {
-                        return Err(TensorError::ClusterFault {
-                            rank,
-                            detail: format!(
-                                "{detail} (retry budget of {} exhausted)",
-                                policy.max_retries
-                            ),
-                        });
-                    }
-                    retries += 1;
-                    self.restore_in_place(ckpt.clone());
-                }
-                Err(other) => return Err(other),
-            }
-        }
-    }
-
-    /// [`StreamingSession::ingest`] under the supervision layer: a cluster
-    /// fault is healed automatically by walking the [`HealPolicy`] ladder
-    /// instead of surfacing to the caller.
-    ///
-    /// 1. **Respawn-and-rejoin** — the session rolls back to its pre-step
-    ///    checkpoint and replays the step, readmitting the crashed rank at
-    ///    the step boundary (same world, ownership re-derived from the
-    ///    global checkpointed factors — the identity case of an elastic
-    ///    rejoin).  Each rank has a bounded respawn budget and each replay
-    ///    is preceded by seeded exponential backoff spent through the
-    ///    policy's [`dismastd_cluster::Clock`].
-    /// 2. **Degraded-world fallback** — once a rank's budget is exhausted,
-    ///    the world is shrunk by one worker via the elastic-leave path and
-    ///    the step re-run there; the returned report records a typed
-    ///    [`HealTransition::Degraded`] instead of the session failing.
-    /// 3. Only when degradation is disallowed or the world has reached the
-    ///    policy's floor does the fault propagate, annotated with the heal
-    ///    history.
-    ///
-    /// Installs a default-policy [`Supervisor`] if
-    /// [`StreamingSession::set_heal_policy`] was never called.  Per-rank
-    /// budgets persist across steps: a rank that keeps dying walks down
-    /// the ladder rather than resetting it every snapshot.  Because the
-    /// decomposition is deterministic, a healed step is bit-identical to a
-    /// fault-free run at the same final world size.
-    ///
-    /// # Errors
-    /// Propagates [`TensorError::ClusterFault`] only when the ladder is
-    /// exhausted; all other errors propagate immediately.
-    pub fn ingest_with_heal(&mut self, snapshot: &SparseTensor) -> Result<StepReport> {
-        if self.supervisor.is_none() {
-            self.supervisor = Some(Supervisor::new(HealPolicy::default()));
-        }
-        // As in ingest_with_recovery: drain queued membership before the
-        // rollback checkpoint so replays re-run in the transitioned world.
-        self.apply_membership()?;
-        let mut ckpt = self.to_checkpoint();
-        let backoff_before = self.supervisor.as_ref().map_or(0, Supervisor::backoff_ns);
-        let mut respawns = 0usize;
-        let mut transitions: Vec<HealTransition> = Vec::new();
-        loop {
-            let replaying = respawns > 0 || !transitions.is_empty();
-            let result = if replaying {
-                let _replay = dismastd_obs::span("heal/replay");
-                self.ingest(snapshot)
-            } else {
-                self.ingest(snapshot)
-            };
-            match result {
-                Ok(mut report) => {
-                    report.retries = respawns;
-                    let spent = self.supervisor.as_ref().map_or(0, Supervisor::backoff_ns);
-                    report.heal = Some(HealReport {
-                        respawns,
-                        backoff_ns: spent.saturating_sub(backoff_before),
-                        degraded: !transitions.is_empty(),
-                        transitions,
-                    });
-                    return Ok(report);
-                }
-                Err(TensorError::ClusterFault { rank, detail }) => {
-                    let world = match &self.mode {
-                        ExecutionMode::Distributed(cc) => cc.workers,
-                        ExecutionMode::Serial => 1,
-                    };
-                    let action = match self.supervisor.as_mut() {
-                        Some(sup) => sup.on_fault(rank, world),
-                        // Unreachable (installed above); fail typed, not loud.
-                        None => HealAction::GiveUp { rank },
-                    };
-                    match action {
-                        HealAction::Respawn { backoff, .. } => {
-                            if let Some(sup) = self.supervisor.as_mut() {
-                                sup.back_off(backoff);
-                            }
-                            respawns += 1;
-                            self.restore_in_place(ckpt.clone());
-                        }
-                        HealAction::Degrade { .. } => {
-                            // Shrink through the ordinary elastic-leave
-                            // path so plan invalidation and the
-                            // membership/* accounting fire exactly as a
-                            // voluntary departure would.
-                            self.restore_in_place(ckpt.clone());
-                            self.request_leave(1)?;
-                            self.apply_membership()?;
-                            let to_world = match &self.mode {
-                                ExecutionMode::Distributed(cc) => cc.workers,
-                                ExecutionMode::Serial => 1,
-                            };
-                            transitions.push(HealTransition::Degraded {
-                                from_world: world,
-                                to_world,
-                            });
-                            // Later rollbacks must land in the shrunk
-                            // world, not resurrect the old one.
-                            ckpt = self.to_checkpoint();
-                        }
-                        HealAction::GiveUp { .. } => {
-                            return Err(TensorError::ClusterFault {
-                                rank,
-                                detail: format!(
-                                    "{detail} (heal ladder exhausted after {respawns} respawn(s) \
-                                     and {} degradation(s))",
-                                    transitions.len()
-                                ),
-                            });
-                        }
-                    }
-                }
-                Err(other) => return Err(other),
-            }
-        }
-    }
-
-    /// The distributed MTTKRP layout cache (empty in serial mode).  Exposed
-    /// for inspection: `hits()`/`misses()` quantify cross-step kernel reuse.
+    /// The distributed placement memo (untouched in serial mode).  Exposed
+    /// for inspection: `misses()` counts grid cells compiled, `hits()` cells
+    /// reused by watchdog retries and same-world heal replays.
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plan_cache
     }
@@ -845,16 +650,48 @@ impl StreamingSession {
     /// re-runs a diverging attempt with a damped forgetting factor up to
     /// `watchdog.max_restarts` times before giving up.
     ///
+    /// A distributed step that hits a cluster fault is healed under the
+    /// installed [`HealPolicy`] ([`StreamingSession::set_heal_policy`])
+    /// instead of surfacing the fault:
+    ///
+    /// 1. **Respawn-and-rejoin** — the decomposition is replayed from the
+    ///    pre-step factors, readmitting the crashed rank at the step
+    ///    boundary (same world, ownership re-derived from the global
+    ///    factors — the identity case of an elastic rejoin).  Each rank has
+    ///    a bounded respawn budget and each replay is preceded by seeded
+    ///    exponential backoff spent through the policy's
+    ///    [`dismastd_cluster::Clock`].
+    /// 2. **Degraded-world fallback** — once a rank's budget is exhausted,
+    ///    the world is shrunk by one worker via the elastic-leave path and
+    ///    the decomposition re-run there; the report records a typed
+    ///    [`HealTransition::Degraded`] instead of the session failing.
+    /// 3. Only when degradation is disallowed or the world has reached the
+    ///    policy's floor does the fault propagate, annotated with the heal
+    ///    history.
+    ///
+    /// Per-rank budgets persist across steps: a rank that keeps dying walks
+    /// down the ladder rather than resetting it every snapshot.  Because
+    /// the decomposition is deterministic, a healed step is bit-identical
+    /// to a fault-free run at the same final world size.  Nothing is
+    /// snapshotted for the replay — a step commits only on success — so a
+    /// caller who wants the pre-step state on disk calls
+    /// [`StreamingSession::checkpoint`] first.  With no policy installed a
+    /// cluster fault surfaces as [`TensorError::ClusterFault`].
+    ///
     /// # Errors
     /// Returns [`TensorError::InvalidArgument`] for non-monotone snapshots,
     /// [`TensorError::NonFiniteValue`] for invalid data under `Strict`
-    /// validation, and [`TensorError::Diverged`] when the watchdog's
-    /// restart budget is exhausted; propagates solver errors.  On error the
-    /// session state is untouched and stays usable.
+    /// validation, [`TensorError::Diverged`] when the watchdog's restart
+    /// budget is exhausted, and [`TensorError::ClusterFault`] when no heal
+    /// policy is installed or its ladder is exhausted; propagates solver
+    /// errors.  On error the decomposition is untouched and the session
+    /// stays usable (a degradation that already happened stays applied).
     pub fn ingest(&mut self, snapshot: &SparseTensor) -> Result<StepReport> {
         // Elastic membership: queued join/leave transitions take effect
         // here, before any of this step's placement work.
         self.apply_membership()?;
+        // The placement memo never outlives the step that built it.
+        self.plan_cache.reset();
         // lint:allow(determinism, clock_hygiene): elapsed-time reporting only
         let started = Instant::now();
         // Installing the registry here makes every span/counter below — and
@@ -909,8 +746,10 @@ impl StreamingSession {
         // Worker metrics of attempts the watchdog discarded: their compute
         // happened, so the step's accounting keeps them.
         let mut discarded_metrics = MetricsSnapshot::default();
+        let mut heal = HealReport::default();
+        let backoff_before = self.supervisor.as_ref().map_or(0, Supervisor::backoff_ns);
         let outcome = loop {
-            let attempt = match self.decompose_once(&work, &step_cfg, cold_start) {
+            let attempt = match self.decompose_healing(&work, &step_cfg, &mut heal) {
                 Ok(a) => a,
                 Err(e) if wd.enabled && is_numeric_failure(&e) => {
                     // The solver gave up (singular system, non-finite
@@ -993,13 +832,15 @@ impl StreamingSession {
                 outcome.iter_elapsed / outcome.iterations as u32
             },
             comm: outcome.comm,
-            retries: 0,
             quarantined,
             watchdog_restarts: restarts,
             effective_forgetting: step_cfg.forgetting,
             numerics,
             metrics,
-            heal: None,
+            heal: self.supervisor.as_ref().map(|sup| HealReport {
+                backoff_ns: sup.backoff_ns().saturating_sub(backoff_before),
+                ..heal
+            }),
         };
         if let Some(c) = &report.comm {
             self.comm_totals.merge(c);
@@ -1010,87 +851,117 @@ impl StreamingSession {
         Ok(report)
     }
 
+    /// [`Self::decompose_once`] under the heal ladder: with a supervisor
+    /// installed a cluster fault is answered by the ladder's next rung and
+    /// the attempt replayed, until it succeeds or the ladder gives up.
+    /// Nothing needs rolling back between replays — an attempt is pure with
+    /// respect to the durable state — and only a degradation changes the
+    /// session (its world), which is exactly what the rung means.
+    fn decompose_healing(
+        &mut self,
+        work: &SparseTensor,
+        cfg: &DecompConfig,
+        heal: &mut HealReport,
+    ) -> Result<AttemptOutcome> {
+        let mut result = self.decompose_once(work, cfg);
+        loop {
+            let world = self.world();
+            let (rank, detail, action) = match (result, self.supervisor.as_mut()) {
+                (Err(TensorError::ClusterFault { rank, detail }), Some(sup)) => {
+                    let action = sup.on_fault(rank, world);
+                    if let HealAction::Respawn { backoff, .. } = action {
+                        sup.back_off(backoff);
+                    }
+                    (rank, detail, action)
+                }
+                (other, _) => return other,
+            };
+            match action {
+                HealAction::Respawn { .. } => heal.respawns += 1,
+                HealAction::Degrade { .. } => {
+                    // Shrink through the ordinary elastic-leave path so the
+                    // membership/* accounting fires exactly as a voluntary
+                    // departure would; the placement memo is keyed by world
+                    // size, so the replay re-partitions.
+                    self.request_leave(1)?;
+                    self.apply_membership()?;
+                    heal.transitions.push(HealTransition::Degraded {
+                        from_world: world,
+                        to_world: self.world(),
+                    });
+                    heal.degraded = true;
+                }
+                HealAction::GiveUp { .. } => {
+                    return Err(TensorError::ClusterFault {
+                        rank,
+                        detail: format!(
+                            "{detail} (heal ladder exhausted after {} respawn(s) and {} \
+                             degradation(s))",
+                            heal.respawns,
+                            heal.transitions.len()
+                        ),
+                    });
+                }
+            }
+            let _replay = dismastd_obs::span("heal/replay");
+            result = self.decompose_once(work, cfg);
+        }
+    }
+
+    /// Workers the next decomposition runs on (1 in serial mode).
+    fn world(&self) -> usize {
+        match &self.mode {
+            ExecutionMode::Distributed(cc) => cc.workers,
+            ExecutionMode::Serial => 1,
+        }
+    }
+
     /// One decomposition attempt over `work` (the full snapshot on a cold
     /// start, the complement otherwise).  Pure with respect to the durable
-    /// session state — only the plan cache warms up — so the watchdog can
-    /// discard an attempt and retry.
+    /// session state — only the step's placement memo fills — so the
+    /// watchdog and the heal ladder can discard an attempt and retry.
     fn decompose_once(
         &mut self,
         work: &SparseTensor,
         cfg: &DecompConfig,
-        cold_start: bool,
     ) -> Result<AttemptOutcome> {
         // lint:allow(determinism, clock_hygiene): elapsed-time reporting only
         let attempt_start = Instant::now();
-        if cold_start {
-            match &self.mode {
-                ExecutionMode::Serial => {
-                    let out = cp_als(work, cfg)?;
-                    Ok(AttemptOutcome {
-                        kruskal: out.kruskal,
-                        iterations: out.iterations,
-                        loss_trace: out.loss_trace,
-                        comm: None,
-                        iter_elapsed: attempt_start.elapsed(),
-                        numerics: out.numerics,
-                        metrics: None,
-                    })
-                }
-                ExecutionMode::Distributed(cc) => {
-                    let out =
-                        dms_mg_with_opts(work, cfg, cc, &self.cluster_opts, &mut self.plan_cache)?;
-                    Ok(AttemptOutcome {
-                        kruskal: out.kruskal,
-                        iterations: out.iterations,
-                        loss_trace: out.loss_trace,
-                        comm: Some(out.comm),
-                        iter_elapsed: out.iter_elapsed,
-                        numerics: out.numerics,
-                        metrics: out.metrics,
-                    })
-                }
+        // A cold start is the zero-history case: every row is new, so DTD
+        // is static CP-ALS (serial) / the DMS-MG baseline (distributed).
+        let zero_old;
+        let old = match &self.factors {
+            Some(k) => k.factors(),
+            None => {
+                zero_old = zero_history(work.order(), cfg.rank);
+                &zero_old
             }
-        } else {
-            let old = match &self.factors {
-                Some(k) => k.factors(),
-                None => {
-                    return Err(TensorError::InvalidArgument(
-                        "warm step without previous factors".into(),
-                    ))
-                }
-            };
-            match &self.mode {
-                ExecutionMode::Serial => {
-                    let out = dtd(work, old, cfg)?;
-                    Ok(AttemptOutcome {
-                        kruskal: out.kruskal,
-                        iterations: out.iterations,
-                        loss_trace: out.loss_trace,
-                        comm: None,
-                        iter_elapsed: attempt_start.elapsed(),
-                        numerics: out.numerics,
-                        metrics: None,
-                    })
-                }
-                ExecutionMode::Distributed(cc) => {
-                    let out = dismastd_with_opts(
-                        work,
-                        old,
-                        cfg,
-                        cc,
-                        &self.cluster_opts,
-                        &mut self.plan_cache,
-                    )?;
-                    Ok(AttemptOutcome {
-                        kruskal: out.kruskal,
-                        iterations: out.iterations,
-                        loss_trace: out.loss_trace,
-                        comm: Some(out.comm),
-                        iter_elapsed: out.iter_elapsed,
-                        numerics: out.numerics,
-                        metrics: out.metrics,
-                    })
-                }
+        };
+        match &self.mode {
+            ExecutionMode::Serial => {
+                let out = dtd(work, old, cfg)?;
+                Ok(AttemptOutcome {
+                    kruskal: out.kruskal,
+                    iterations: out.iterations,
+                    loss_trace: out.loss_trace,
+                    comm: None,
+                    iter_elapsed: attempt_start.elapsed(),
+                    numerics: out.numerics,
+                    metrics: None,
+                })
+            }
+            ExecutionMode::Distributed(cc) => {
+                let out =
+                    run_distributed(work, old, cfg, cc, &self.cluster_opts, &mut self.plan_cache)?;
+                Ok(AttemptOutcome {
+                    kruskal: out.kruskal,
+                    iterations: out.iterations,
+                    loss_trace: out.loss_trace,
+                    comm: Some(out.comm),
+                    iter_elapsed: out.iter_elapsed,
+                    numerics: out.numerics,
+                    metrics: out.metrics,
+                })
             }
         }
     }
@@ -1250,18 +1121,22 @@ mod tests {
         assert!(r0.comm.is_some());
         let r1 = sess.ingest(&s1).unwrap();
         assert!(r1.comm.expect("distributed").bytes > 0);
-        // The session-held plan cache compiled kernels for both steps.
+        // Each step compiled its own cells; across steps nothing repeats.
         assert!(sess.plan_cache().misses() > 0);
+        assert_eq!(sess.plan_cache().hits(), 0);
     }
 
     #[test]
     fn serial_session_never_touches_plan_cache() {
         let (s0, s1) = snapshot_pair();
         let mut sess = StreamingSession::new(cfg(), ExecutionMode::Serial);
+        // An installed heal policy changes nothing for a serial session:
+        // there is no cluster to fault, so the ladder is never consulted.
+        sess.set_heal_policy(HealPolicy::default());
         sess.ingest(&s0).unwrap();
-        sess.ingest(&s1).unwrap();
-        assert!(sess.plan_cache().is_empty());
+        let r1 = sess.ingest(&s1).unwrap();
         assert_eq!(sess.plan_cache().hits() + sess.plan_cache().misses(), 0);
+        assert_eq!(r1.heal, Some(HealReport::default()));
     }
 
     #[test]
@@ -1428,35 +1303,38 @@ mod tests {
             sess.comm_totals().bytes,
             after_first.bytes + r1.comm.as_ref().unwrap().bytes
         );
-        assert_eq!(r0.retries, 0);
-        assert_eq!(r1.retries, 0);
+        assert!(
+            r0.heal.is_none() && r1.heal.is_none(),
+            "no policy installed"
+        );
     }
 
     #[test]
-    fn ingest_with_recovery_is_transparent_without_faults() {
+    fn heal_policy_is_transparent_without_faults() {
         let (s0, s1) = snapshot_pair();
-        let policy = RecoveryPolicy::default();
-        let mut plain = StreamingSession::new(cfg(), ExecutionMode::Serial);
+        let mode = ExecutionMode::Distributed(ClusterConfig::new(2));
+        let mut plain = StreamingSession::new(cfg(), mode.clone());
         plain.ingest(&s0).unwrap();
         let a = plain.ingest(&s1).unwrap();
-        let mut recovering = StreamingSession::new(cfg(), ExecutionMode::Serial);
-        recovering.ingest_with_recovery(&s0, &policy).unwrap();
-        let b = recovering.ingest_with_recovery(&s1, &policy).unwrap();
+        let mut healing = StreamingSession::new(cfg(), mode);
+        healing.set_heal_policy(HealPolicy::default());
+        healing.ingest(&s0).unwrap();
+        let b = healing.ingest(&s1).unwrap();
         assert_eq!(a.loss, b.loss);
-        assert_eq!(b.retries, 0);
+        assert_eq!(plain.factors(), healing.factors());
+        assert_eq!(b.heal, Some(HealReport::default()));
     }
 
     #[test]
-    fn recovery_propagates_non_cluster_errors_immediately() {
+    fn heal_policy_propagates_non_cluster_errors_immediately() {
         let (s0, s1) = snapshot_pair();
-        let mut sess = StreamingSession::new(cfg(), ExecutionMode::Serial);
-        sess.ingest_with_recovery(&s1, &RecoveryPolicy::default())
-            .unwrap();
+        let mut sess =
+            StreamingSession::new(cfg(), ExecutionMode::Distributed(ClusterConfig::new(2)));
+        sess.set_heal_policy(HealPolicy::default());
+        sess.ingest(&s1).unwrap();
         // Shrinking snapshot: an InvalidArgument, not a ClusterFault — must
         // not be retried, and the session must stay usable.
-        let err = sess
-            .ingest_with_recovery(&s0, &RecoveryPolicy::default())
-            .unwrap_err();
+        let err = sess.ingest(&s0).unwrap_err();
         assert!(!matches!(err, TensorError::ClusterFault { .. }));
         assert_eq!(sess.steps(), 1);
     }

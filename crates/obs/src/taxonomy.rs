@@ -85,8 +85,8 @@ pub const COUNTERS: &[&str] = &[
     "membership/join",
     "membership/leave",
     "membership/migrated_rows",
-    "membership/plan_invalidations",
-    // plan family: cache traffic and the adaptive per-cell layout
+    // plan family: the step-local placement memo's traffic (cells reused
+    // by a retry / cells compiled) and the adaptive per-cell layout
     // selector's choices (COO kernel vs sorted-run plan).
     "plan/adaptive_coo",
     "plan/adaptive_plan",

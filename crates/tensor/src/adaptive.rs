@@ -137,14 +137,6 @@ impl CellKernel {
         }
     }
 
-    /// The choice this kernel embodies.
-    pub fn choice(&self) -> LayoutChoice {
-        match self {
-            CellKernel::Coo(_) => LayoutChoice::NaiveCoo,
-            CellKernel::Plan(_) => LayoutChoice::SortedRuns,
-        }
-    }
-
     /// Shape of the underlying cell.
     pub fn shape(&self) -> &[usize] {
         match self {
@@ -244,8 +236,8 @@ mod tests {
         let pool = ThreadPool::new(2);
         let coo = CellKernel::build(t.clone(), LayoutChoice::NaiveCoo, &pool).unwrap();
         let plan = CellKernel::build(t, LayoutChoice::SortedRuns, &pool).unwrap();
-        assert_eq!(coo.choice(), LayoutChoice::NaiveCoo);
-        assert_eq!(plan.choice(), LayoutChoice::SortedRuns);
+        assert!(matches!(coo, CellKernel::Coo(_)));
+        assert!(matches!(plan, CellKernel::Plan(_)));
         assert_eq!(coo.nnz(), plan.nnz());
         assert_eq!(coo.layout_bytes(), 0);
         assert!(plan.layout_bytes() > 0);
@@ -266,8 +258,8 @@ mod tests {
         let big = random_tensor(&[10, 10, 10], 600, 4);
         let a = CellKernel::select(tiny, &AdaptivePolicy::default(), &pool).unwrap();
         let b = CellKernel::select(big, &AdaptivePolicy::default(), &pool).unwrap();
-        assert_eq!(a.choice(), LayoutChoice::NaiveCoo);
-        assert_eq!(b.choice(), LayoutChoice::SortedRuns);
+        assert!(matches!(a, CellKernel::Coo(_)));
+        assert!(matches!(b, CellKernel::Plan(_)));
         let snap = collector.finish();
         assert_eq!(snap.counter_value("plan/adaptive_coo"), 1);
         assert_eq!(snap.counter_value("plan/adaptive_plan"), 1);

@@ -20,8 +20,7 @@
 //! row counts — so one plan serves every iteration, mode, and factor
 //! snapshot (including grown factor matrices with extra rows). The
 //! distributed driver builds one plan per grid cell at partitioning time
-//! and reuses it across a whole stream step; [`fingerprint`] gives the
-//! content key used to carry plans across steps.  The serial solver builds
+//! and reuses it across a whole stream step.  The serial solver builds
 //! one plan for the whole complement at the top of each call.
 
 use crate::coo::SparseTensor;
@@ -540,32 +539,6 @@ fn build_mode(tensor: &SparseTensor, mode: usize) -> ModePlan {
     }
 }
 
-/// Content fingerprint of a sparse tensor (FNV-1a over shape, indices, and
-/// value bits).  Two tensors with equal fingerprints are treated as
-/// identical by the distributed plan cache, so an unchanged grid cell
-/// reuses its plan across stream steps.
-pub fn fingerprint(tensor: &SparseTensor) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| {
-        // FNV-1a over the 8 bytes of x.
-        for shift in (0..64).step_by(8) {
-            h ^= (x >> shift) & 0xff;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(tensor.order() as u64);
-    for &s in tensor.shape() {
-        mix(s as u64);
-    }
-    for &i in tensor.indices_flat() {
-        mix(i as u64);
-    }
-    for &v in tensor.values() {
-        mix(v.to_bits());
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -665,26 +638,6 @@ mod tests {
         assert!(plan.mttkrp(&good[..1], 0).is_err()); // wrong count
         let mut bad_out = Matrix::zeros(2, 2);
         assert!(plan.mttkrp_into(&good, 0, &mut bad_out).is_err());
-    }
-
-    #[test]
-    fn fingerprint_separates_contents() {
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let a = random_tensor(&[4, 4, 4], 20, &mut rng);
-        let b = random_tensor(&[4, 4, 4], 20, &mut rng);
-        assert_eq!(fingerprint(&a), fingerprint(&a));
-        assert_ne!(fingerprint(&a), fingerprint(&b));
-        // Same pattern, one value changed.
-        let mut builder = SparseTensorBuilder::new(a.shape().to_vec());
-        for (e, (idx, v)) in a.iter().enumerate() {
-            builder.push(idx, if e == 0 { v + 1.0 } else { v }).unwrap();
-        }
-        let c = builder.build().unwrap();
-        assert_ne!(fingerprint(&a), fingerprint(&c));
-        // Shape participates even with equal nonzeros.
-        let empty33 = SparseTensor::empty(vec![3, 3]).unwrap();
-        let empty34 = SparseTensor::empty(vec![3, 4]).unwrap();
-        assert_ne!(fingerprint(&empty33), fingerprint(&empty34));
     }
 
     #[test]

@@ -22,25 +22,15 @@ use std::path::{Path, PathBuf};
 /// site with one of these names is a collective site wherever it
 /// appears; a function containing one *performs* collectives.
 pub const COLLECTIVES: &[&str] = &[
-    "barrier",
     "try_barrier",
-    "exchange",
     "try_exchange",
     "post_exchange",
-    "post_exchange_framed",
-    "post_exchange_framed_drain",
     "complete_exchange",
-    "complete_exchange_into",
-    "broadcast",
     "try_broadcast",
-    "gather",
     "try_gather",
-    "allreduce_sum",
     "try_allreduce_sum",
     "try_allreduce_sum_with",
-    "allreduce_sum_scalar",
     "try_allreduce_sum_scalar",
-    "allreduce_max_scalar",
     "try_allreduce_max_scalar",
 ];
 
@@ -107,8 +97,8 @@ impl AnalyzeConfig {
                 "allreduce_grams",
                 "encode_outgoing",
                 "complete_refresh",
-                "post_exchange_framed_drain",
-                "complete_exchange_into",
+                "post_exchange",
+                "complete_exchange",
                 "try_allreduce_sum_with",
             ]),
             l8_skip_prefixes: own(&["crates/obs/src", "crates/cluster/src/sim.rs"]),
@@ -168,15 +158,22 @@ pub struct BudgetEntry {
     pub col: u32,
 }
 
-/// Result of one analysis pass: L6/L8 findings (allow-filtered) and the
+/// Result of one analysis pass: L6/L8 findings (allow-filtered), the
 /// freshly computed L7 surface, to be compared against the on-disk
-/// budget by [`compare_budget`].
+/// budget by [`compare_budget`], and the audit-table names that match no
+/// function ([`stale_table_entries`]).  Like the budget comparison, the
+/// stale findings are folded into `diags` only by the workspace driver:
+/// fixtures deliberately define a fraction of the tables' names.
 #[derive(Debug, Default)]
 pub struct Analysis {
     pub diags: Vec<Diagnostic>,
     pub budget: Vec<BudgetEntry>,
+    pub stale_tables: Vec<Diagnostic>,
     pub fn_count: usize,
 }
+
+/// Where the audit tables live, for anchoring stale-entry findings.
+const TABLES_PATH: &str = "crates/xtask/src/analyze.rs";
 
 /// Runs L6–L8 over the given `(workspace-relative path, source)` set.
 pub fn analyze_files(files: &[(PathBuf, String)], cfg: &AnalyzeConfig) -> Analysis {
@@ -203,8 +200,68 @@ pub fn analyze_files(files: &[(PathBuf, String)], cfg: &AnalyzeConfig) -> Analys
     Analysis {
         diags,
         budget: l7_panic_surface(&graph, cfg),
+        stale_tables: stale_table_entries(&graph, cfg),
         fn_count: graph.fns.len(),
     }
+}
+
+/// One finding per name in [`COLLECTIVES`], `l6_entries`, `l8_entries` or
+/// `l8_stop_fns` that matches no function in the index.  The audits look
+/// functions up by name, so a rename that leaves its table entry behind
+/// would otherwise switch the audit off without a word: an unknown entry
+/// point roots nothing, an unknown collective is never a collective site.
+fn stale_table_entries(graph: &CallGraph, cfg: &AnalyzeConfig) -> Vec<Diagnostic> {
+    // Each table is matched the way its audit matches it: collectives by
+    // bare method name, entry points through `find_entry`, stop functions
+    // through `matches_spec`.
+    let collectives: Vec<String> = COLLECTIVES.iter().map(|s| s.to_string()).collect();
+    let is_fn_name = |name: &str| graph.fns.iter().any(|f| f.name == name);
+    let is_entry = |spec: &str| !find_entry(graph, spec).is_empty();
+    let is_stop_fn = |spec: &str| graph.fns.iter().any(|f| matches_spec(f, spec));
+    type Known<'a> = &'a dyn Fn(&str) -> bool;
+    let tables: [(&str, LintId, &[String], Known); 4] = [
+        (
+            "COLLECTIVES",
+            LintId::CollectiveOrder,
+            &collectives,
+            &is_fn_name,
+        ),
+        (
+            "l6_entries",
+            LintId::CollectiveOrder,
+            &cfg.l6_entries,
+            &is_entry,
+        ),
+        (
+            "l8_entries",
+            LintId::AllocHygiene,
+            &cfg.l8_entries,
+            &is_entry,
+        ),
+        (
+            "l8_stop_fns",
+            LintId::AllocHygiene,
+            &cfg.l8_stop_fns,
+            &is_stop_fn,
+        ),
+    ];
+    let mut out = Vec::new();
+    for (table, lint, names, known) in tables {
+        for name in names.iter().filter(|n| !known(n)) {
+            out.push(Diagnostic {
+                file: PathBuf::from(TABLES_PATH),
+                line: 1,
+                col: 1,
+                lint,
+                message: format!(
+                    "stale table entry `{name}` in `{table}`: no function in the index has \
+                     that name, so the audit it configures is silently narrower; update the \
+                     table to the renamed function or drop the entry"
+                ),
+            });
+        }
+    }
+    out
 }
 
 fn file_name_in(def: &FnDef, names: &[String]) -> bool {

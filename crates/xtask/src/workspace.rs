@@ -167,13 +167,16 @@ pub fn analyzed_files(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
 }
 
 /// Runs the interprocedural audits (L6/L8 findings + the L7 surface
-/// checked against the on-disk budget).  Budget mismatches are appended
-/// to `Analysis::diags`; a missing budget file reads as empty, so every
+/// checked against the on-disk budget + the audit tables checked against
+/// the index).  Stale table entries and budget mismatches are appended to
+/// `Analysis::diags`; a missing budget file reads as empty, so every
 /// entry reports as unbudgeted until `--write-budget` creates it.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<(Analysis, usize)> {
     let files = analyzed_files(root)?;
     let count = files.len();
     let mut analysis = analyze_files(&files);
+    let mut stale = std::mem::take(&mut analysis.stale_tables);
+    analysis.diags.append(&mut stale);
     let on_disk = std::fs::read_to_string(root.join(BUDGET_PATH)).unwrap_or_default();
     let mut budget_diags =
         analyze::compare_budget(&analysis.budget, &on_disk, Path::new(BUDGET_PATH));

@@ -26,15 +26,16 @@ fn fixture_cfg() -> AnalyzeConfig {
 }
 
 fn analyze_fixture(name: &str) -> Analysis {
+    analyze_fixture_with(name, &fixture_cfg())
+}
+
+fn analyze_fixture_with(name: &str, cfg: &AnalyzeConfig) -> Analysis {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(name);
     let src = std::fs::read_to_string(&path).expect("fixture readable");
     // Workspace-relative style path, as the real driver passes them.
-    analyze_files(
-        &[(PathBuf::from("fixtures").join(name), src)],
-        &fixture_cfg(),
-    )
+    analyze_files(&[(PathBuf::from("fixtures").join(name), src)], cfg)
 }
 
 /// Asserts the findings are exactly `(lint, line, col)` in order.
@@ -175,6 +176,53 @@ fn clean_fixture_produces_no_findings_and_an_empty_budget() {
     assert_sites(&a, "analyze_clean.rs", &[]);
     assert!(a.budget.is_empty(), "{:#?}", a.budget);
     assert_eq!(a.fn_count, 3, "all three fns must enter the graph");
+}
+
+#[test]
+fn a_table_name_that_matches_no_function_is_a_stale_entry_finding() {
+    let cfg = AnalyzeConfig {
+        l8_stop_fns: vec!["Pool::run".into()],
+        ..fixture_cfg()
+    };
+    let clean = analyze_fixture_with("tables_clean.rs", &cfg);
+    assert_sites(&clean, "tables_clean.rs", &[]);
+    assert!(clean.stale_tables.is_empty(), "{:#?}", clean.stale_tables);
+
+    // The same program after four renames: each table names one function
+    // that no longer exists, and says which.
+    let stale = analyze_fixture_with("tables_stale.rs", &cfg);
+    assert_sites(&stale, "tables_stale.rs", &[]);
+    let found: Vec<(LintId, &str)> = stale
+        .stale_tables
+        .iter()
+        .map(|d| (d.lint, d.message.as_str()))
+        .collect();
+    let expected = [
+        (
+            LintId::CollectiveOrder,
+            "stale table entry `post_exchange` in `COLLECTIVES`",
+        ),
+        (
+            LintId::CollectiveOrder,
+            "stale table entry `worker_body` in `l6_entries`",
+        ),
+        (
+            LintId::AllocHygiene,
+            "stale table entry `hot` in `l8_entries`",
+        ),
+        (
+            LintId::AllocHygiene,
+            "stale table entry `Pool::run` in `l8_stop_fns`",
+        ),
+    ];
+    assert_eq!(found.len(), expected.len(), "{found:#?}");
+    for ((lint, message), (want_lint, want_prefix)) in found.iter().zip(expected) {
+        assert_eq!(*lint, want_lint, "{message}");
+        assert!(message.starts_with(want_prefix), "{message}");
+    }
+    for d in &stale.stale_tables {
+        assert_eq!(d.file, PathBuf::from("crates/xtask/src/analyze.rs"));
+    }
 }
 
 #[test]

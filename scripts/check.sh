@@ -43,15 +43,17 @@ DISMASTD_DST_SEEDS=16 cargo test -q -p dismastd-cluster --test sim_barrier_crash
 echo "==> example smoke run (miniature end-to-end pipeline)"
 DISMASTD_SMOKE=1 cargo run -q --release -p dismastd-examples --bin quickstart > /dev/null
 
-echo "==> collectives smoke (allreduce algos + comm policies -> bench_results/collectives.json)"
-cargo run -q --release -p dismastd-bench --bin collectives_smoke > /dev/null
-
 echo "==> repo benchmark smoke (benchmark/ still compiles against the public API; correctness gate; metric names match BENCHMARK.json)"
 # benchmark/ is a package of its own, outside this workspace, so nothing
 # above compiles it: a public-API change that breaks it, or a result that
 # trips its bit-identity gate, would otherwise first show up in the
 # benchmark driver.  All three workloads at scale 0.2, R = 2, both modes.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke > /dev/null
+# benchmark/Cargo.lock records the dependency set of every crate the
+# benchmark links.  A PR may not edit benchmark/, so a dependency change
+# in one of those crates must fail here — when cargo rewrites the lock —
+# rather than silently dirty the directory.
+git diff --exit-code -- benchmark/Cargo.lock
 
 echo "==> invariant lints (dismastd-xtask: panic-path, determinism, span-taxonomy, error-hygiene, clock-hygiene)"
 # Replaces the old sed/grep panic audits, which hand-listed files and

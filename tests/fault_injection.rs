@@ -11,7 +11,7 @@
 use dismastd_cluster::{
     AllreduceAlgo, Cluster, ClusterError, ClusterOptions, CommPolicy, FaultPlan, Payload,
 };
-use dismastd_core::{ClusterConfig, DecompConfig, ExecutionMode, RecoveryPolicy, StreamingSession};
+use dismastd_core::{ClusterConfig, DecompConfig, ExecutionMode, HealPolicy, StreamingSession};
 use dismastd_tensor::{SparseTensor, SparseTensorBuilder, TensorError};
 use rand::Rng;
 use rand::SeedableRng;
@@ -20,7 +20,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn snapshot_pair() -> (SparseTensor, SparseTensor) {
-    let mut rng = ChaCha8Rng::seed_from_u64(21);
+    snapshot_pair_seeded(21)
+}
+
+fn snapshot_pair_seeded(seed: u64) -> (SparseTensor, SparseTensor) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let full_shape = [9usize, 8, 7];
     let mut full = SparseTensorBuilder::new(full_shape.to_vec());
     for _ in 0..200 {
@@ -43,14 +47,14 @@ fn panicking_worker_aborts_the_run_promptly() {
     // Regression for the seed's deadlock-on-panic: peers used to block in
     // recv forever because every worker holds clones of all senders.
     let started = Instant::now();
-    let err = Cluster::run(4, |ctx| {
+    let err = Cluster::try_run(4, |ctx| {
         if ctx.rank() == 1 {
             panic!("chaos monkey");
         }
         // Everyone else enters a collective the dead worker never joins.
         let mut buf = vec![1.0f64; 64];
-        ctx.allreduce_sum(&mut buf);
-        buf[0]
+        ctx.try_allreduce_sum(&mut buf)?;
+        Ok(buf[0])
     })
     .unwrap_err();
     match err {
@@ -221,6 +225,15 @@ fn mid_step_crash(times: u32) -> Arc<FaultPlan> {
     Arc::new(FaultPlan::seeded(11).crash_worker_at_collective_times(1, 4, times))
 }
 
+/// Replay-only recovery: up to `replays` in-place replays per rank, no
+/// degraded-world fallback, no backoff wait.
+fn replay_only(replays: u32) -> HealPolicy {
+    HealPolicy::default()
+        .with_max_respawns(replays)
+        .with_degraded(false)
+        .with_backoff_base(Duration::ZERO)
+}
+
 #[test]
 fn chaos_recovery_reproduces_fault_free_factors_bit_identically() {
     let (s0, s1) = snapshot_pair();
@@ -236,11 +249,12 @@ fn chaos_recovery_reproduces_fault_free_factors_bit_identically() {
     let mut chaos = StreamingSession::new(cfg(), mode);
     chaos.ingest(&s0).unwrap();
     chaos.set_cluster_options(ClusterOptions::default().with_fault_plan(Arc::clone(&plan)));
-    let report = chaos
-        .ingest_with_recovery(&s1, &RecoveryPolicy::default())
-        .unwrap();
+    chaos.set_heal_policy(replay_only(2));
+    let report = chaos.ingest(&s1).unwrap();
 
-    assert_eq!(report.retries, 1, "exactly one replay after the crash");
+    let heal = report.heal.expect("a heal policy is installed");
+    assert_eq!(heal.respawns, 1, "exactly one replay after the crash");
+    assert!(!heal.degraded);
     assert_eq!(plan.remaining_crashes(), 0);
     let clean_factors = clean.factors().unwrap().factors();
     let chaos_factors = chaos.factors().unwrap().factors();
@@ -289,18 +303,86 @@ fn recovery_gives_up_once_the_retry_budget_is_exhausted() {
     // Crash fires on the first attempt AND both replays.
     sess.set_cluster_options(ClusterOptions::default().with_fault_plan(mid_step_crash(3)));
 
-    let policy = RecoveryPolicy::default().with_max_retries(2);
-    let err = sess.ingest_with_recovery(&s1, &policy).unwrap_err();
+    sess.set_heal_policy(replay_only(2));
+    let err = sess.ingest(&s1).unwrap_err();
     match err {
-        TensorError::ClusterFault { detail, .. } => {
-            assert!(detail.contains("retry budget"), "detail = {detail}")
+        TensorError::ClusterFault { rank, detail } => {
+            assert_eq!(rank, Some(1), "fault attributed to the crashed rank");
+            assert!(
+                detail.contains("heal ladder exhausted after 2 respawn(s)"),
+                "detail = {detail}"
+            )
         }
         other => panic!("expected ClusterFault, got {other:?}"),
     }
-    // A subsequent fault-free attempt still works on the rolled-back state.
+    // A subsequent fault-free attempt still works on the uncommitted state.
     sess.set_cluster_options(ClusterOptions::default());
     let report = sess.ingest(&s1).unwrap();
     assert!(!report.cold_start);
+}
+
+#[test]
+fn a_surfaced_fault_leaves_nothing_behind_for_the_next_ingest() {
+    // No heal policy: the crash surfaces, after the faulted step's grid
+    // cells were compiled.  Ingesting a *different* snapshot at the same
+    // step index must see none of that — bit-identical to a session
+    // restored from the pre-step checkpoint, and without a single reused
+    // cell.
+    let (s0, s1) = snapshot_pair();
+    let (_, other) = snapshot_pair_seeded(22);
+    assert_eq!(other.shape(), s1.shape());
+    let mode = ExecutionMode::Distributed(ClusterConfig::new(3));
+
+    let mut sess = StreamingSession::new(cfg(), mode);
+    sess.ingest(&s0).unwrap();
+    let pre_step = sess.to_checkpoint();
+    sess.set_cluster_options(ClusterOptions::default().with_fault_plan(mid_step_crash(1)));
+    let err = sess.ingest(&s1).unwrap_err();
+    assert!(matches!(err, TensorError::ClusterFault { .. }), "{err:?}");
+    sess.set_cluster_options(ClusterOptions::default());
+    let after_fault = sess.ingest(&other).unwrap();
+
+    let mut restored = StreamingSession::from_checkpoint(pre_step).unwrap();
+    let reference = restored.ingest(&other).unwrap();
+
+    assert_eq!(after_fault.step, reference.step);
+    assert_eq!(after_fault.loss.to_bits(), reference.loss.to_bits());
+    assert_eq!(sess.factors(), restored.factors());
+    assert_eq!(sess.plan_cache().hits(), 0);
+}
+
+#[test]
+fn a_healed_step_validates_and_complements_once_and_shows_the_replay() {
+    let (s0, s1) = snapshot_pair();
+    let mut sess = StreamingSession::new(cfg(), ExecutionMode::Distributed(ClusterConfig::new(3)));
+    sess.ingest(&s0).unwrap();
+    sess.set_collect_metrics(true);
+    sess.set_cluster_options(ClusterOptions::default().with_fault_plan(mid_step_crash(1)));
+    sess.set_heal_policy(replay_only(2));
+    let report = sess.ingest(&s1).unwrap();
+    assert_eq!(report.heal.as_ref().map(|h| h.respawns), Some(1));
+
+    let metrics = report.metrics.expect("collection is on");
+    let span_count = |name: &str| -> u64 {
+        metrics
+            .spans
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| s.count)
+            .sum()
+    };
+    // The replay re-runs the decomposition, not the snapshot scans...
+    assert_eq!(span_count("phase/validate"), 1);
+    assert_eq!(span_count("phase/complement"), 1);
+    assert_eq!(span_count("heal/replay"), 1);
+    // ...nor the placement: the cells compiled for the first attempt serve
+    // the same-world replay.
+    assert_eq!(span_count("phase/plan_build"), 1);
+    assert_eq!(
+        metrics.counter_value("plan/cache_hit"),
+        metrics.counter_value("plan/rebuild")
+    );
+    assert!(metrics.counter_value("plan/rebuild") > 0);
 }
 
 // ---- collective-layer chaos ----------------------------------------------
@@ -375,11 +457,11 @@ fn crash_recovery_under_ring_policy_stays_bit_identical() {
     let mut chaos = StreamingSession::new(cfg(), ring_mode);
     chaos.ingest(&s0).unwrap();
     chaos.set_cluster_options(ClusterOptions::default().with_fault_plan(Arc::clone(&plan)));
-    let report = chaos
-        .ingest_with_recovery(&s1, &RecoveryPolicy::default())
-        .unwrap();
+    chaos.set_heal_policy(replay_only(2));
+    let report = chaos.ingest(&s1).unwrap();
 
-    assert_eq!(report.retries, 1, "exactly one replay after the crash");
+    let heal = report.heal.expect("a heal policy is installed");
+    assert_eq!(heal.respawns, 1, "exactly one replay after the crash");
     assert_eq!(plan.remaining_crashes(), 0);
     for (a, b) in clean
         .factors()
@@ -492,7 +574,6 @@ fn frame_corruption_surfaces_as_a_typed_error_not_silent_damage() {
 fn on_disk_checkpoint_survives_a_simulated_process_death() {
     let (s0, s1) = snapshot_pair();
     let path = std::env::temp_dir().join("dismastd_chaos_ckpt.json");
-    let policy = RecoveryPolicy::default().with_checkpoint_path(&path);
     let mode = ExecutionMode::Distributed(ClusterConfig::new(2));
 
     // Fault-free reference.
@@ -501,13 +582,13 @@ fn on_disk_checkpoint_survives_a_simulated_process_death() {
     clean.ingest(&s1).unwrap();
 
     // The "dying" process: checkpoint before the step, then fail it with a
-    // crash schedule that outlives the in-process retry budget.
+    // crash schedule that outlives the in-process replay budget.
     let mut doomed = StreamingSession::new(cfg(), mode);
-    doomed.ingest_with_recovery(&s0, &policy).unwrap();
+    doomed.ingest(&s0).unwrap();
+    doomed.checkpoint(&path).unwrap();
     doomed.set_cluster_options(ClusterOptions::default().with_fault_plan(mid_step_crash(5)));
-    let err = doomed
-        .ingest_with_recovery(&s1, &policy.clone().with_max_retries(1))
-        .unwrap_err();
+    doomed.set_heal_policy(replay_only(1));
+    let err = doomed.ingest(&s1).unwrap_err();
     assert!(matches!(err, TensorError::ClusterFault { .. }));
     drop(doomed); // process death
 

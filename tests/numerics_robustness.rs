@@ -13,6 +13,7 @@
 //!    broadcasts it, so when regularization fires the factors match the
 //!    serial trajectory and repeated runs are bit-identical.
 
+use dismastd_cluster::CommPolicy;
 use dismastd_core::{
     dismastd, dtd, ClusterConfig, DecompConfig, ExecutionMode, NumericsPolicy, SolvePolicy,
     StreamingSession, ValidationMode, WatchdogPolicy,
@@ -265,6 +266,56 @@ fn watchdog_disabled_propagates_solver_errors_without_retrying() {
         "watchdog off must not wrap the error: {err:?}"
     );
     assert_eq!(sess.steps(), 0);
+}
+
+#[test]
+fn watchdog_retry_reuses_the_steps_plans_and_matches_the_damped_run() {
+    // The lossy f32 row downcast is allowed only under the watchdog because
+    // its rounding can nudge the loss upwards.  With a zero-tolerance,
+    // patience-1 watchdog that happens on this stream's warm step: the
+    // first attempt is discarded and the retry at μ/2 passes.
+    let strict = |mu: f64| {
+        DecompConfig::default()
+            .with_rank(3)
+            .with_max_iters(30)
+            .with_tolerance(0.0)
+            .with_forgetting(mu)
+            .with_numerics(NumericsPolicy::default().with_watchdog(WatchdogPolicy {
+                max_restarts: 4,
+                patience: 1,
+                increase_tolerance: 0.0,
+                ..WatchdogPolicy::default()
+            }))
+    };
+    let mode = ExecutionMode::Distributed(
+        ClusterConfig::new(2).with_comm(CommPolicy::default().with_downcast_f32(true)),
+    );
+    // A cold start on the leading block, then the full tensor.
+    let s1 = random_snapshot(&[10, 9, 8], 300, 9);
+    let s0 = s1.restrict(&[7, 7, 6]).unwrap();
+
+    let mut retried = StreamingSession::new(strict(0.8), mode.clone());
+    retried.ingest(&s0).unwrap();
+    let cold_cells = retried.plan_cache().misses();
+    let r = retried.ingest(&s1).unwrap();
+    assert_eq!(r.watchdog_restarts, 1, "the stream must force one restart");
+    assert_eq!(r.effective_forgetting, 0.4);
+
+    // A fresh session handed the damped μ up front needs no restart (the
+    // cold start does not depend on μ) and lands on the same bits.
+    let mut damped = StreamingSession::new(strict(0.4), mode);
+    damped.ingest(&s0).unwrap();
+    let d = damped.ingest(&s1).unwrap();
+    assert_eq!(d.watchdog_restarts, 0);
+    assert_eq!(retried.factors(), damped.factors());
+    assert_eq!(r.loss.to_bits(), d.loss.to_bits());
+
+    // The step's cells were compiled once and served to the retry.
+    let warm_cells = damped.plan_cache().misses() - cold_cells;
+    assert!(warm_cells > 0);
+    assert_eq!(retried.plan_cache().misses(), cold_cells + warm_cells);
+    assert_eq!(retried.plan_cache().hits(), warm_cells);
+    assert_eq!(damped.plan_cache().hits(), 0);
 }
 
 // ---- decision broadcast: serial/distributed consistency ------------------

@@ -68,8 +68,8 @@ fn round(
             outgoing.push(Framed::plain(Payload::F64(stage)));
         }
     }
-    let pending = ctx.post_exchange_framed_drain(outgoing)?;
-    ctx.complete_exchange_into(pending, incoming)?;
+    let pending = ctx.post_exchange(outgoing)?;
+    ctx.complete_exchange(pending, incoming)?;
 
     let mut checksum = gram_buf.iter().sum::<f64>();
     for (d, payload) in incoming.drain(..).enumerate() {
@@ -136,4 +136,47 @@ fn gram_allreduce_exchange_round_is_allocation_free_after_warmup() {
             "rank {rank}: {delta} allocation(s) in {MEASURED_ROUNDS} steady-state rounds"
         );
     }
+}
+
+/// A heal policy on a serial session is free: there is no cluster to
+/// fault, and a step commits only on success, so nothing — in particular
+/// no rollback snapshot of the factors — is taken on the policy's account.
+/// Two identical sessions, one with a policy installed, allocate exactly
+/// the same number of times on a warm step.
+#[test]
+fn heal_policy_on_a_serial_session_allocates_nothing_extra() {
+    use dismastd_core::{DecompConfig, ExecutionMode, HealPolicy, StreamingSession, ThreadPolicy};
+    use dismastd_tensor::SparseTensorBuilder;
+
+    let shape = [9usize, 8, 7];
+    let mut full = SparseTensorBuilder::new(shape.to_vec());
+    for e in 0..240usize {
+        let idx = [e % 9, (e / 3) % 8, (e / 5) % 7];
+        full.push(&idx, 1.0 + (e % 11) as f64 * 0.125).unwrap();
+    }
+    let full = full.build().unwrap();
+    let small = full.restrict(&[6, 6, 5]).unwrap();
+    // One lane: every allocation of the step happens on this thread.
+    let cfg = DecompConfig::default()
+        .with_rank(3)
+        .with_max_iters(4)
+        .with_threads(ThreadPolicy::Fixed(1));
+
+    let warm_step_allocations = |policy: Option<HealPolicy>| {
+        let mut sess = StreamingSession::new(cfg, ExecutionMode::Serial);
+        if let Some(policy) = policy {
+            sess.set_heal_policy(policy);
+        }
+        sess.ingest(&small).unwrap();
+        let before = allocation_count();
+        let report = sess.ingest(&full).unwrap();
+        let delta = allocation_count() - before;
+        assert_eq!(sess.plan_cache().hits() + sess.plan_cache().misses(), 0);
+        (delta, report.loss.to_bits())
+    };
+    let (plain, plain_loss) = warm_step_allocations(None);
+    let (healing, healing_loss) = warm_step_allocations(Some(HealPolicy::default()));
+    assert!(plain > 0, "the step itself allocates");
+    assert_eq!(healing, plain, "an unused heal policy must not allocate");
+    assert_eq!(healing_loss, plain_loss);
 }
