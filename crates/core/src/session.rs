@@ -472,15 +472,35 @@ impl StreamingSession {
     ///
     /// # Errors
     /// Returns [`TensorError::InvalidArgument`] when the checkpoint is
-    /// internally inconsistent (factor rank vs. configured rank).
+    /// internally inconsistent: factor rank vs. configured rank, `shape`
+    /// vs. the factors' row counts (the next ingest takes its complement
+    /// against the one and runs DTD against the other), or a stream
+    /// position with no factors to go with it.
     pub fn from_checkpoint(ckpt: SessionCheckpoint) -> Result<Self> {
-        if let Some(f) = &ckpt.factors {
-            if f.rank() != ckpt.cfg.rank {
-                return Err(TensorError::InvalidArgument(format!(
-                    "checkpoint factor rank {} does not match configured rank {}",
-                    f.rank(),
-                    ckpt.cfg.rank
-                )));
+        match &ckpt.factors {
+            Some(f) => {
+                if f.rank() != ckpt.cfg.rank {
+                    return Err(TensorError::InvalidArgument(format!(
+                        "checkpoint factor rank {} does not match configured rank {}",
+                        f.rank(),
+                        ckpt.cfg.rank
+                    )));
+                }
+                if f.shape() != ckpt.shape {
+                    return Err(TensorError::InvalidArgument(format!(
+                        "checkpoint shape {:?} does not match its factors' row counts {:?}",
+                        ckpt.shape,
+                        f.shape()
+                    )));
+                }
+            }
+            None => {
+                if !ckpt.shape.is_empty() || ckpt.step != 0 {
+                    return Err(TensorError::InvalidArgument(format!(
+                        "checkpoint at step {} with shape {:?} carries no factors",
+                        ckpt.step, ckpt.shape
+                    )));
+                }
             }
         }
         Ok(StreamingSession {
@@ -550,15 +570,39 @@ impl StreamingSession {
 
     /// Serialises the session's durable state to `path` as JSON.
     ///
+    /// The write is atomic with respect to a crash: the JSON goes to a
+    /// sibling `<file name>.tmp`, is synced, and is renamed over `path`, so
+    /// `path` always holds either the previous checkpoint or the new one in
+    /// full.  A failed write removes the temporary file and leaves `path`
+    /// as it was.
+    ///
     /// # Errors
     /// Returns [`TensorError::InvalidArgument`] wrapping the underlying
     /// serialisation or I/O failure.
     pub fn checkpoint(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
+        let path = path.as_ref();
         let json = serde_json::to_string(&self.to_checkpoint())
             .map_err(|e| TensorError::InvalidArgument(format!("checkpoint encode: {e}")))?;
-        std::fs::write(path.as_ref(), json)
-            .map_err(|e| TensorError::InvalidArgument(format!("checkpoint write: {e}")))?;
-        Ok(())
+        let mut tmp_name = path
+            .file_name()
+            .ok_or_else(|| {
+                TensorError::InvalidArgument(format!(
+                    "checkpoint write: {} names no file",
+                    path.display()
+                ))
+            })?
+            .to_os_string();
+        tmp_name.push(".tmp");
+        let tmp = path.with_file_name(tmp_name);
+        write_synced(&tmp, json.as_bytes())
+            .and_then(|()| std::fs::rename(&tmp, path))
+            .and_then(|()| sync_parent_dir(path))
+            .map_err(|e| {
+                // Best effort: after a failed rename the temporary file is
+                // garbage; after a successful one it is already gone.
+                let _ = std::fs::remove_file(&tmp);
+                TensorError::InvalidArgument(format!("checkpoint write: {e}"))
+            })
     }
 
     /// Rebuilds a session from a checkpoint file written by
@@ -643,6 +687,13 @@ impl StreamingSession {
     /// snapshot triggers a full decomposition, later ones run DTD over the
     /// complement only.
     ///
+    /// A warm step reads the resident snapshot three times, read-only, and
+    /// otherwise costs `O(nnz(X \ X̃))` in time and allocation: the value
+    /// buffer once (validation and `‖X‖²` together), the index buffer once
+    /// ([`SparseTensor::complement`]), and one `⟨X, Y⟩` pass after the solve
+    /// — the price of [`StepReport::fit`] being the exact fit against the
+    /// full snapshot, with the bits of [`KruskalTensor::fit`].
+    ///
     /// The step runs under the session's [`crate::NumericsPolicy`]: the
     /// snapshot passes ingest validation first (non-finite entries error
     /// under `Strict`, are dropped and counted under `Quarantine`), and the
@@ -679,7 +730,9 @@ impl StreamingSession {
     /// cluster fault surfaces as [`TensorError::ClusterFault`].
     ///
     /// # Errors
-    /// Returns [`TensorError::InvalidArgument`] for non-monotone snapshots,
+    /// Returns [`TensorError::InvalidArgument`] for non-monotone snapshots
+    /// and for a non-empty snapshot of zero norm (its fit is undefined;
+    /// refused before the solve),
     /// [`TensorError::NonFiniteValue`] for invalid data under `Strict`
     /// validation, [`TensorError::Diverged`] when the watchdog's restart
     /// budget is exhausted, and [`TensorError::ClusterFault`] when no heal
@@ -718,8 +771,8 @@ impl StreamingSession {
             }
         }
 
-        // ---- validated ingest -------------------------------------------
-        let (snapshot, quarantined) = {
+        // ---- validated ingest: the one pass over the value buffer --------
+        let (snapshot, quarantined, snapshot_norm_sq) = {
             let _s = dismastd_obs::span("phase/validate");
             validate_snapshot(snapshot, self.cfg.numerics.validation)?
         };
@@ -727,9 +780,16 @@ impl StreamingSession {
             dismastd_obs::counter_add("ingest/quarantined", quarantined);
         }
         let snapshot = snapshot.as_ref();
+        // The fit is relative to `‖X‖`; say so before the solve is paid for.
+        if !snapshot.is_empty() && snapshot_norm_sq == 0.0 {
+            return Err(TensorError::InvalidArgument(
+                "fit undefined for a zero tensor".into(),
+            ));
+        }
 
         // The tensor the solver actually sees: the full snapshot on a cold
-        // start, the relative complement `X \ X̃` afterwards.
+        // start, the relative complement `X \ X̃` afterwards — one pass over
+        // the index buffer that copies only what arrived.
         let work: Cow<'_, SparseTensor> = if cold_start {
             Cow::Borrowed(snapshot)
         } else {
@@ -799,10 +859,13 @@ impl StreamingSession {
         };
 
         let loss = outcome.loss_trace.last().copied().unwrap_or(0.0);
+        // The step's last read of the resident snapshot: `⟨X, Y⟩` needs
+        // every entry against the *new* factors, so it cannot be folded
+        // into the passes above.
         let fit = if snapshot.is_empty() {
             1.0
         } else {
-            outcome.kruskal.fit(snapshot)?
+            fit_given_norm(&outcome.kruskal, snapshot, snapshot_norm_sq)?
         };
         // Driver-side spans (validate, complement, serial solver) plus the
         // rank-0 worker's metrics in distributed mode.
@@ -967,6 +1030,32 @@ impl StreamingSession {
     }
 }
 
+/// Writes `bytes` to a new file at `path` and syncs it to stable storage.
+fn write_synced(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut file = std::fs::File::create(path)?;
+    file.write_all(bytes)?;
+    file.sync_all()
+}
+
+/// Syncs the directory entry of `path` after a rename, so the new name
+/// survives a crash as well as the data does.  Directories open as files
+/// on Unix only; elsewhere the rename is as durable as the platform makes
+/// it.
+fn sync_parent_dir(path: &std::path::Path) -> std::io::Result<()> {
+    #[cfg(unix)]
+    {
+        let parent = match path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => std::path::Path::new("."),
+        };
+        std::fs::File::open(parent)?.sync_all()?;
+    }
+    #[cfg(not(unix))]
+    let _ = path;
+    Ok(())
+}
+
 /// What one watchdog-supervised decomposition attempt produced.
 struct AttemptOutcome {
     kruskal: KruskalTensor,
@@ -981,45 +1070,56 @@ struct AttemptOutcome {
     metrics: Option<MetricsSnapshot>,
 }
 
-/// Applies the configured ingest validation, returning the tensor to
-/// decompose and the number of quarantined entries.
+/// Applies the configured ingest validation and measures the snapshot in
+/// the same pass over its value buffer: returns the tensor to decompose, the
+/// number of quarantined entries, and that tensor's `‖X‖²` — summed in
+/// stored order, so the bits of [`SparseTensor::norm_sq`].
 ///
 /// Built tensors cannot contain duplicates or out-of-bounds coordinates,
 /// so at this layer validation is about non-finite values: `Strict` errors
 /// on the first one (naming its coordinate), `Quarantine` rebuilds the
 /// tensor without them, `Off` passes everything through.  The common
-/// all-finite case borrows the input — no copy.
+/// all-finite case borrows the input — no copy, and no index is read.
 fn validate_snapshot(
     snapshot: &SparseTensor,
     mode: ValidationMode,
-) -> Result<(Cow<'_, SparseTensor>, u64)> {
-    match mode {
-        ValidationMode::Off => Ok((Cow::Borrowed(snapshot), 0)),
-        ValidationMode::Strict => {
-            for (idx, v) in snapshot.iter() {
-                if !v.is_finite() {
-                    return Err(TensorError::NonFiniteValue {
-                        index: idx.to_vec(),
-                        value: v,
-                    });
-                }
+) -> Result<(Cow<'_, SparseTensor>, u64, f64)> {
+    let mut norm_sq = 0.0;
+    for (idx, v) in snapshot.iter() {
+        if mode != ValidationMode::Off && !v.is_finite() {
+            if mode == ValidationMode::Strict {
+                return Err(TensorError::NonFiniteValue {
+                    index: idx.to_vec(),
+                    value: v,
+                });
             }
-            Ok((Cow::Borrowed(snapshot), 0))
+            return quarantine_snapshot(snapshot);
         }
-        ValidationMode::Quarantine => {
-            if snapshot.iter().all(|(_, v)| v.is_finite()) {
-                return Ok((Cow::Borrowed(snapshot), 0));
-            }
-            let mut b =
-                SparseTensorBuilder::with_capacity(snapshot.shape().to_vec(), snapshot.nnz())
-                    .with_validation(ValidationMode::Quarantine);
-            for (idx, v) in snapshot.iter() {
-                b.push(idx, v)?;
-            }
-            let (clean, counts) = b.build_with_report()?;
-            Ok((Cow::Owned(clean), counts.total()))
-        }
+        norm_sq += v * v;
     }
+    Ok((Cow::Borrowed(snapshot), 0, norm_sq))
+}
+
+/// The `Quarantine` slow path, taken once a non-finite value has been seen:
+/// rebuilds the snapshot without such entries and measures the clean copy.
+fn quarantine_snapshot(snapshot: &SparseTensor) -> Result<(Cow<'_, SparseTensor>, u64, f64)> {
+    let mut b = SparseTensorBuilder::with_capacity(snapshot.shape().to_vec(), snapshot.nnz())
+        .with_validation(ValidationMode::Quarantine);
+    for (idx, v) in snapshot.iter() {
+        b.push(idx, v)?;
+    }
+    let (clean, counts) = b.build_with_report()?;
+    let norm_sq = clean.norm_sq();
+    Ok((Cow::Owned(clean), counts.total(), norm_sq))
+}
+
+/// [`KruskalTensor::fit`] with `‖X‖²` already in hand: the same formula in
+/// the same operation order — so the same bits — without the two extra
+/// passes over the value buffer `fit` spends recomputing it.  The caller
+/// has already rejected `‖X‖ = 0`.
+fn fit_given_norm(k: &KruskalTensor, x: &SparseTensor, x_norm_sq: f64) -> Result<f64> {
+    let residual_sq = (x_norm_sq + k.norm_sq() - 2.0 * k.inner_sparse(x)?).max(0.0);
+    Ok(1.0 - residual_sq.sqrt() / x_norm_sq.sqrt())
 }
 
 /// True for errors that mean "the numbers went bad" — the class the
@@ -1290,6 +1390,235 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A fresh directory under the system temp dir, unique to one test of
+    /// this process, so parallel tests never share a file.
+    fn scratch_dir(test: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("dismastd_session_{}_{test}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn assert_inconsistent(r: Result<StreamingSession>, needle: &str) {
+        match r {
+            Err(TensorError::InvalidArgument(msg)) => {
+                assert!(msg.contains(needle), "message {msg:?} lacks {needle:?}")
+            }
+            other => panic!("expected InvalidArgument({needle}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn checkpoints_whose_shape_disagrees_with_their_factors_are_rejected() {
+        let (s0, _) = snapshot_pair(); // shape [7, 7, 6]
+        let mut sess =
+            StreamingSession::new(cfg(), ExecutionMode::Distributed(ClusterConfig::new(2)));
+        sess.ingest(&s0).unwrap();
+        let json = serde_json::to_string(&sess.to_checkpoint()).unwrap();
+        let good_shape = "\"shape\":[7,7,6]";
+        assert_eq!(json.matches(good_shape).count(), 1, "one shape field");
+        let dir = scratch_dir("corrupt_shape");
+
+        // from_checkpoint: the shape claims one row fewer than mode 2 holds.
+        // A warm ingest would take the complement against [7,7,5] and run
+        // DTD against 6 old rows.
+        let shrunk = json.replace(good_shape, "\"shape\":[7,7,5]");
+        let ckpt: SessionCheckpoint = serde_json::from_str(&shrunk).unwrap();
+        assert_inconsistent(StreamingSession::from_checkpoint(ckpt), "row counts");
+
+        // restore: the shape lost a mode altogether.
+        let path = dir.join("wrong_order.json");
+        std::fs::write(&path, json.replace(good_shape, "\"shape\":[7,7]")).unwrap();
+        assert_inconsistent(StreamingSession::restore(&path), "row counts");
+
+        // restore_with_world: a stream position but no factors behind it.
+        let path = dir.join("no_factors.json");
+        let factors_at = json.find("\"factors\":").unwrap() + "\"factors\":".len();
+        let shape_at = json.find(",\"shape\":").unwrap();
+        let headless = format!("{}null{}", &json[..factors_at], &json[shape_at..]);
+        std::fs::write(&path, &headless).unwrap();
+        assert_inconsistent(
+            StreamingSession::restore_with_world(&path, 3),
+            "carries no factors",
+        );
+        // … with either leftover alone being enough.
+        let ckpt: SessionCheckpoint = serde_json::from_str(&headless).unwrap();
+        for leftover in [
+            SessionCheckpoint {
+                step: 0,
+                ..ckpt.clone()
+            },
+            SessionCheckpoint {
+                shape: Vec::new(),
+                ..ckpt.clone()
+            },
+        ] {
+            assert_inconsistent(
+                StreamingSession::from_checkpoint(leftover),
+                "carries no factors",
+            );
+        }
+        // A never-ingested session's checkpoint is the consistent `None`.
+        let fresh = StreamingSession::new(cfg(), ExecutionMode::Serial).to_checkpoint();
+        assert!(StreamingSession::from_checkpoint(fresh).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoint_replaces_the_file_atomically_and_leaves_no_temp_behind() {
+        let (s0, s1) = snapshot_pair();
+        let dir = scratch_dir("atomic_ckpt");
+        let path = dir.join("ckpt.json");
+        let mut sess = StreamingSession::new(cfg(), ExecutionMode::Serial);
+        sess.ingest(&s0).unwrap();
+        sess.checkpoint(&path).unwrap();
+        let names = |dir: &std::path::Path| -> Vec<std::ffi::OsString> {
+            let mut v: Vec<_> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            v.sort();
+            v
+        };
+        assert_eq!(names(&dir), ["ckpt.json"], "no temp file after success");
+        let before = std::fs::read(&path).unwrap();
+
+        // Make the next write fail part-way: a directory squats on the
+        // sibling temp name, so the new JSON cannot even be created.
+        sess.ingest(&s1).unwrap();
+        let squatter = dir.join("ckpt.json.tmp");
+        std::fs::create_dir(&squatter).unwrap();
+        assert!(matches!(
+            sess.checkpoint(&path),
+            Err(TensorError::InvalidArgument(_))
+        ));
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            before,
+            "old checkpoint intact"
+        );
+        let restored = StreamingSession::restore(&path).unwrap();
+        assert_eq!(restored.steps(), 1);
+        assert_eq!(restored.shape(), s0.shape());
+
+        // With the obstacle gone the same call goes through and overwrites.
+        std::fs::remove_dir(&squatter).unwrap();
+        sess.checkpoint(&path).unwrap();
+        assert_eq!(names(&dir), ["ckpt.json"]);
+        assert_eq!(StreamingSession::restore(&path).unwrap().steps(), 2);
+
+        // A missing parent directory is a typed error that creates nothing.
+        let orphan = dir.join("no_such_dir").join("ckpt.json");
+        assert!(matches!(
+            sess.checkpoint(&orphan),
+            Err(TensorError::InvalidArgument(_))
+        ));
+        assert_eq!(names(&dir), ["ckpt.json"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reported_fit_has_the_bits_of_the_public_fit_in_every_validation_mode() {
+        let (s0, s1) = snapshot_pair();
+        // `s1` plus an Inf and, at a coordinate that sorts just before it, a
+        // NaN — pushed in the opposite order, so "first" means stored order.
+        let poisoned = {
+            let mut b = SparseTensorBuilder::new(s1.shape().to_vec());
+            for (idx, v) in s1.iter() {
+                b.push(idx, v).unwrap();
+            }
+            let free: Vec<Vec<usize>> = [[9usize, 8, 6], [9, 8, 7]]
+                .iter()
+                .map(|c| c.to_vec())
+                .filter(|c| s1.get(c).unwrap() == 0.0)
+                .collect();
+            assert_eq!(free.len(), 2, "pick coordinates the stream leaves empty");
+            b.push(&free[1], f64::INFINITY).unwrap();
+            b.push(&free[0], f64::NAN).unwrap();
+            b.build().unwrap()
+        };
+        assert_eq!(poisoned.nnz(), s1.nnz() + 2);
+
+        for mode in [
+            ExecutionMode::Serial,
+            ExecutionMode::Distributed(ClusterConfig::new(2)),
+        ] {
+            for validation in [
+                ValidationMode::Off,
+                ValidationMode::Strict,
+                ValidationMode::Quarantine,
+            ] {
+                let mut cfg = cfg();
+                cfg.numerics.validation = validation;
+                let mut sess = StreamingSession::new(cfg, mode.clone());
+                let cold = sess.ingest(&s0).unwrap();
+                assert_eq!(
+                    cold.fit.to_bits(),
+                    sess.factors().unwrap().fit(&s0).unwrap().to_bits(),
+                    "cold fit under {validation:?}"
+                );
+                let warm_input = match validation {
+                    ValidationMode::Quarantine => &poisoned,
+                    _ => &s1,
+                };
+                let warm = sess.ingest(warm_input).unwrap();
+                // Quarantine decomposed — and is scored against — `s1`.
+                assert_eq!(
+                    warm.fit.to_bits(),
+                    sess.factors().unwrap().fit(&s1).unwrap().to_bits(),
+                    "warm fit under {validation:?}"
+                );
+                assert_eq!(warm.snapshot_nnz, s1.nnz());
+                let dropped = if validation == ValidationMode::Quarantine {
+                    2
+                } else {
+                    0
+                };
+                assert_eq!(warm.quarantined, dropped);
+            }
+        }
+
+        // Strict names the first non-finite entry in stored order, and the
+        // refused step leaves the session where it was.
+        let mut strict = cfg();
+        strict.numerics.validation = ValidationMode::Strict;
+        let mut sess = StreamingSession::new(strict, ExecutionMode::Serial);
+        sess.ingest(&s0).unwrap();
+        match sess.ingest(&poisoned) {
+            Err(TensorError::NonFiniteValue { index, value }) => {
+                assert_eq!(index, vec![9, 8, 6]);
+                assert!(value.is_nan());
+            }
+            other => panic!("expected NonFiniteValue, got {other:?}"),
+        }
+        assert_eq!(sess.steps(), 1);
+    }
+
+    #[test]
+    fn a_zero_norm_snapshot_is_refused_before_any_decomposition_starts() {
+        // Stored values are never exactly zero, but their squares can be.
+        let mut b = SparseTensorBuilder::new(vec![4, 4, 4]);
+        b.push(&[0, 1, 2], 1e-200).unwrap();
+        b.push(&[3, 3, 3], -1e-200).unwrap();
+        let vanishing = b.build().unwrap();
+        assert_eq!(vanishing.nnz(), 2);
+        assert_eq!(vanishing.norm_sq(), 0.0);
+
+        let mut sess =
+            StreamingSession::new(cfg(), ExecutionMode::Distributed(ClusterConfig::new(2)));
+        match sess.ingest(&vanishing) {
+            Err(TensorError::InvalidArgument(msg)) => assert!(msg.contains("zero tensor")),
+            other => panic!("expected InvalidArgument, got {other:?}"),
+        }
+        // No grid cell was compiled: the step stopped ahead of the solve.
+        assert_eq!(sess.plan_cache().misses(), 0);
+        assert_eq!(sess.steps(), 0);
+        // An *empty* snapshot is still a legal step with a perfect fit.
+        let empty = SparseTensor::empty(vec![4, 4, 4]).unwrap();
+        assert_eq!(sess.ingest(&empty).unwrap().fit, 1.0);
+    }
+
     #[test]
     fn comm_totals_accumulate_across_steps() {
         let (s0, s1) = snapshot_pair();
@@ -1374,14 +1703,18 @@ mod tests {
             Err(TensorError::NonFiniteValue { index, .. }) => assert_eq!(index, vec![1, 2]),
             other => panic!("expected NonFiniteValue, got {other:?}"),
         }
-        // Quarantine drops and counts it.
-        let (clean, dropped) = validate_snapshot(&dirty, ValidationMode::Quarantine).unwrap();
+        // Quarantine drops and counts it, and measures what is left.
+        let (clean, dropped, norm_sq) =
+            validate_snapshot(&dirty, ValidationMode::Quarantine).unwrap();
         assert_eq!(dropped, 1);
         assert_eq!(clean.nnz(), 2);
+        assert_eq!(norm_sq.to_bits(), clean.norm_sq().to_bits());
+        assert_eq!(norm_sq, 5.0);
         // Off passes the NaN through, borrowing the input.
-        let (raw, dropped) = validate_snapshot(&dirty, ValidationMode::Off).unwrap();
+        let (raw, dropped, norm_sq) = validate_snapshot(&dirty, ValidationMode::Off).unwrap();
         assert_eq!(dropped, 0);
         assert!(matches!(raw, Cow::Borrowed(_)));
+        assert!(norm_sq.is_nan());
 
         // An already-clean tensor is borrowed in every mode.
         let mut b = SparseTensorBuilder::new(vec![2, 2]);
@@ -1392,9 +1725,10 @@ mod tests {
             ValidationMode::Quarantine,
             ValidationMode::Off,
         ] {
-            let (t, dropped) = validate_snapshot(&clean_in, mode).unwrap();
+            let (t, dropped, norm_sq) = validate_snapshot(&clean_in, mode).unwrap();
             assert_eq!(dropped, 0);
             assert!(matches!(t, Cow::Borrowed(_)));
+            assert_eq!(norm_sq.to_bits(), clean_in.norm_sq().to_bits());
         }
     }
 

@@ -18,6 +18,12 @@
 //! without cross-thread noise.  Only allocations count — `dealloc` is
 //! free, so dropping a warm buffer never trips the audit.
 //!
+//! Beside the call count runs a byte count ([`allocated_bytes`]): the
+//! sizes requested, a `realloc` counting its whole new size.  Where the
+//! call count pins "nothing allocates", the byte count pins "what
+//! allocates does not scale with X" — two runs that differ only in X must
+//! request the same bytes.
+//!
 //! [`exempt`] suspends counting for one closure on the current thread.
 //! It scopes out infrastructure the audit deliberately ignores — the
 //! channel-node allocation inside a transport send — while everything
@@ -35,6 +41,8 @@ use std::cell::Cell;
 thread_local! {
     /// Allocations observed on this thread while not [`exempt`].
     static COUNT: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
     /// Nesting depth of [`exempt`] scopes; counting is off above zero.
     static EXEMPT_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
@@ -43,10 +51,11 @@ thread_local! {
 pub struct CountingAlloc;
 
 #[inline]
-fn record() {
+fn record(bytes: usize) {
     EXEMPT_DEPTH.with(|d| {
         if d.get() == 0 {
             COUNT.with(|c| c.set(c.get() + 1));
+            BYTES.with(|b| b.set(b.get() + bytes as u64));
         }
     });
 }
@@ -56,17 +65,17 @@ fn record() {
 // allocate or unwind.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record();
+        record(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record();
+        record(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record();
+        record(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -81,9 +90,16 @@ pub fn allocation_count() -> u64 {
     COUNT.with(Cell::get)
 }
 
-/// Resets the current thread's allocation counter to zero.
+/// Bytes requested by the allocations [`allocation_count`] counted
+/// (monotone; a `realloc` adds its full new size).
+pub fn allocated_bytes() -> u64 {
+    BYTES.with(Cell::get)
+}
+
+/// Resets the current thread's allocation and byte counters to zero.
 pub fn reset_allocation_count() {
     COUNT.with(|c| c.set(0));
+    BYTES.with(|b| b.set(0));
 }
 
 /// Runs `f` with allocation counting suspended on this thread.  Nests;
@@ -110,22 +126,25 @@ mod tests {
 
     #[test]
     fn exempt_scopes_nest_and_restore() {
-        let base = allocation_count();
+        let base = (allocation_count(), allocated_bytes());
         exempt(|| {
-            record(); // suppressed
-            exempt(record); // suppressed, nested
-            record(); // still suppressed after inner scope
+            record(8); // suppressed
+            exempt(|| record(8)); // suppressed, nested
+            record(8); // still suppressed after inner scope
         });
-        assert_eq!(allocation_count(), base);
-        record();
-        assert_eq!(allocation_count(), base + 1);
+        assert_eq!((allocation_count(), allocated_bytes()), base);
+        record(24);
+        assert_eq!(
+            (allocation_count(), allocated_bytes()),
+            (base.0 + 1, base.1 + 24)
+        );
     }
 
     #[test]
     fn reset_zeroes_the_thread_counter() {
-        record();
-        assert!(allocation_count() > 0);
+        record(16);
+        assert!(allocation_count() > 0 && allocated_bytes() >= 16);
         reset_allocation_count();
-        assert_eq!(allocation_count(), 0);
+        assert_eq!((allocation_count(), allocated_bytes()), (0, 0));
     }
 }

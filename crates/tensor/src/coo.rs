@@ -157,16 +157,95 @@ impl SparseTensor {
     }
 
     /// Splits this tensor into `(inside, complement)` relative to an old
-    /// snapshot's shape: `inside = X^{0…0}` (all indices within `old_shape`)
-    /// and `complement = X \ X̃` (everything else).
+    /// snapshot's shape: `inside = X^{0…0}` (all indices within `old_shape`,
+    /// reshaped to it) and `complement = X \ X̃` (everything else, in this
+    /// tensor's shape).  The two-sided form of [`Self::restrict`] and
+    /// [`Self::complement`]: one pass that copies every entry to one side or
+    /// the other — `O(nnz)` reads and `O(nnz)` writes — keeping the stored
+    /// order within each half.  A caller that wants one half only should
+    /// ask for it by name and skip the writes of the other.
     ///
     /// # Errors
     /// Returns an error if `old_shape` has a different order or exceeds the
     /// current shape in any mode.
     pub fn split_at(&self, old_shape: &[usize]) -> Result<(SparseTensor, SparseTensor)> {
+        self.check_old_shape("split_at", old_shape)?;
+        let mut inside = SparseTensor::empty(old_shape.to_vec())?;
+        let mut outside = SparseTensor::empty(self.shape.clone())?;
+        for (tuple, v) in self.iter() {
+            let half = if in_old_box(tuple, old_shape) {
+                &mut inside
+            } else {
+                &mut outside
+            };
+            half.indices.extend_from_slice(tuple);
+            half.values.push(v);
+        }
+        Ok((inside, outside))
+    }
+
+    /// Returns the sub-tensor of entries whose every index is `< bounds[k]`,
+    /// reshaped to `bounds` — i.e. the old snapshot `X̃ = X^{0,…,0}`.
+    ///
+    /// One pass over the index buffer that writes only the entries it
+    /// returns, in stored order (no sortedness is assumed): `O(nnz)` index
+    /// reads, `O(nnz(X̃))` writes.  The result's buffers are sized to the
+    /// entries kept, so a long-lived restriction holds no spare capacity.
+    ///
+    /// # Errors
+    /// Same conditions as [`Self::split_at`].
+    pub fn restrict(&self, bounds: &[usize]) -> Result<SparseTensor> {
+        self.check_old_shape("restrict", bounds)?;
+        // Most callers keep nearly everything (a stream cut keeps 75–100 %):
+        // reserve for all of it once, then hand back what was not used.
+        let mut kept = SparseTensor::empty(bounds.to_vec())?;
+        kept.indices.reserve_exact(self.indices.len());
+        kept.values.reserve_exact(self.values.len());
+        self.copy_side(bounds, true, &mut kept);
+        kept.indices.shrink_to_fit();
+        kept.values.shrink_to_fit();
+        Ok(kept)
+    }
+
+    /// Relative complement `X \ X̃` for a previous snapshot shape: the
+    /// entries with at least one index `>= old_shape[k]`, in this tensor's
+    /// shape and stored order.
+    ///
+    /// One pass over the index buffer that writes only the entries it
+    /// returns (no sortedness is assumed): `O(nnz)` index reads, and
+    /// `O(nnz(X \ X̃))` value reads, writes and allocation — the old block
+    /// is never copied, so a streaming step's memory traffic beyond the one
+    /// index scan is proportional to what arrived.
+    ///
+    /// # Errors
+    /// Same conditions as [`Self::split_at`].
+    pub fn complement(&self, old_shape: &[usize]) -> Result<SparseTensor> {
+        self.check_old_shape("complement", old_shape)?;
+        let mut outside = SparseTensor::empty(self.shape.clone())?;
+        self.copy_side(old_shape, false, &mut outside);
+        Ok(outside)
+    }
+
+    /// Appends to `out` the entries that lie inside `old_shape`'s box
+    /// (`inside == true`) or outside it, in stored order.  Reads every
+    /// index tuple once and the values of the copied entries only.
+    fn copy_side(&self, old_shape: &[usize], inside: bool, out: &mut SparseTensor) {
+        let tuples = self.indices.chunks_exact(self.order());
+        for (tuple, v) in tuples.zip(&self.values) {
+            if in_old_box(tuple, old_shape) == inside {
+                out.indices.extend_from_slice(tuple);
+                out.values.push(*v);
+            }
+        }
+    }
+
+    /// The contract every split relative to an old snapshot shares:
+    /// `old_shape` has this tensor's order and fits inside its shape.
+    /// `op` names the public entry point in the error.
+    fn check_old_shape(&self, op: &'static str, old_shape: &[usize]) -> Result<()> {
         if old_shape.len() != self.order() {
             return Err(TensorError::ShapeMismatch {
-                op: "split_at",
+                op,
                 left: self.shape.clone(),
                 right: old_shape.to_vec(),
             });
@@ -177,31 +256,7 @@ impl SparseTensor {
                 self.shape
             )));
         }
-        let n = self.order();
-        let mut inside = SparseTensor::empty(old_shape.to_vec())?;
-        let mut outside = SparseTensor::empty(self.shape.clone())?;
-        for (tuple, v) in self.iter() {
-            if Self::block_of(tuple, old_shape) == 0 {
-                inside.indices.extend_from_slice(tuple);
-                inside.values.push(v);
-            } else {
-                outside.indices.extend_from_slice(tuple);
-                outside.values.push(v);
-            }
-        }
-        let _ = n;
-        Ok((inside, outside))
-    }
-
-    /// Returns the sub-tensor of entries whose every index is `< bounds[k]`,
-    /// reshaped to `bounds` — i.e. the old snapshot `X̃ = X^{0,…,0}`.
-    pub fn restrict(&self, bounds: &[usize]) -> Result<SparseTensor> {
-        Ok(self.split_at(bounds)?.0)
-    }
-
-    /// Relative complement `X \ X̃` for a previous snapshot shape.
-    pub fn complement(&self, old_shape: &[usize]) -> Result<SparseTensor> {
-        Ok(self.split_at(old_shape)?.1)
+        Ok(())
     }
 
     /// Decomposes the tensor into the `2^N` sub-tensors of the paper's
@@ -218,19 +273,7 @@ impl SparseTensor {
     /// Returns an error if `old_shape` has the wrong order, exceeds the
     /// current shape, or the order exceeds the bitmask width.
     pub fn split_blocks(&self, old_shape: &[usize]) -> Result<Vec<(usize, SparseTensor)>> {
-        if old_shape.len() != self.order() {
-            return Err(TensorError::ShapeMismatch {
-                op: "split_blocks",
-                left: self.shape.clone(),
-                right: old_shape.to_vec(),
-            });
-        }
-        if old_shape.iter().zip(&self.shape).any(|(o, s)| o > s) {
-            return Err(TensorError::InvalidArgument(format!(
-                "old shape {old_shape:?} exceeds current shape {:?}",
-                self.shape
-            )));
-        }
+        self.check_old_shape("split_blocks", old_shape)?;
         if self.order() >= usize::BITS as usize {
             return Err(TensorError::InvalidArgument(
                 "tensor order exceeds block-signature width".into(),
@@ -299,6 +342,13 @@ impl QuarantineCounts {
     pub fn total(&self) -> u64 {
         self.non_finite + self.out_of_bounds + self.duplicates
     }
+}
+
+/// `true` when every index of `tuple` lies inside `old_shape`'s box — block
+/// signature `0`, the old snapshot's side of every split.
+#[inline]
+fn in_old_box(tuple: &[usize], old_shape: &[usize]) -> bool {
+    tuple.iter().zip(old_shape).all(|(&i, &old)| i < old)
 }
 
 /// Binary search over flattened index tuples, comparing lexicographically.
@@ -655,6 +705,28 @@ mod tests {
         let t = small();
         assert!(t.split_at(&[1, 2]).is_err());
         assert!(t.split_at(&[3, 3, 4]).is_err());
+    }
+
+    #[test]
+    fn every_split_names_itself_in_a_shape_mismatch() {
+        let t = small();
+        let wrong_order = [1usize, 2];
+        let op_of = |e: TensorError| match e {
+            TensorError::ShapeMismatch { op, .. } => op,
+            other => panic!("expected ShapeMismatch, got {other:?}"),
+        };
+        assert_eq!(op_of(t.split_at(&wrong_order).unwrap_err()), "split_at");
+        assert_eq!(op_of(t.restrict(&wrong_order).unwrap_err()), "restrict");
+        assert_eq!(op_of(t.complement(&wrong_order).unwrap_err()), "complement");
+        assert_eq!(
+            op_of(t.split_blocks(&wrong_order).unwrap_err()),
+            "split_blocks"
+        );
+        // An old shape that outgrew the tensor is refused by all four alike.
+        let too_big = [3usize, 3, 4];
+        assert!(t.restrict(&too_big).is_err());
+        assert!(t.complement(&too_big).is_err());
+        assert!(t.split_blocks(&too_big).is_err());
     }
 
     #[test]

@@ -59,7 +59,9 @@ mod proptests {
         prop::collection::vec(1usize..5, 2..4)
     }
 
-    fn tensor_strategy() -> impl Strategy<Value = (Vec<usize>, Vec<(Vec<usize>, f64)>)> {
+    type Entries = Vec<(Vec<usize>, f64)>;
+
+    fn tensor_strategy() -> impl Strategy<Value = (Vec<usize>, Entries)> {
         shape_strategy().prop_flat_map(|shape| {
             let idx = shape.iter().map(|&s| 0usize..s).collect::<Vec<_>>();
             let entry = (idx, -2.0f64..2.0);
@@ -67,7 +69,115 @@ mod proptests {
         })
     }
 
+    /// A shape of order 1–5, entries inside it, and an old box drawn one of
+    /// four ways: anywhere within the shape, equal to it (empty complement),
+    /// with one zero-sized mode (empty restriction), or smaller in a single
+    /// mode only.
+    fn split_case_strategy() -> impl Strategy<Value = (Vec<usize>, Entries, Vec<usize>)> {
+        (prop::collection::vec(1usize..5, 1..6), 0usize..4, 0usize..5).prop_flat_map(
+            |(shape, kind, pick)| {
+                let pick = pick % shape.len();
+                let old = shape
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &s)| match kind {
+                        0 => 0..s + 1,
+                        1 => s..s + 1,
+                        2 if k == pick => 0..1,
+                        2 => 0..s + 1,
+                        _ if k == pick => 0..s,
+                        _ => s..s + 1,
+                    })
+                    .collect::<Vec<_>>();
+                let idx = shape.iter().map(|&s| 0usize..s).collect::<Vec<_>>();
+                let entries = prop::collection::vec((idx, -2.0f64..2.0), 0..30);
+                (Just(shape), entries, old)
+            },
+        )
+    }
+
+    /// `(index tuple, value bits)` of every entry, sorted: a tensor's
+    /// contents as a multiset.
+    fn sorted_entries<'a>(
+        tensors: impl IntoIterator<Item = &'a crate::SparseTensor>,
+    ) -> Vec<(Vec<usize>, u64)> {
+        let mut all: Vec<_> = tensors
+            .into_iter()
+            .flat_map(|t| t.iter().map(|(idx, v)| (idx.to_vec(), v.to_bits())))
+            .collect();
+        all.sort();
+        all
+    }
+
     proptest! {
+        #[test]
+        fn one_sided_splits_equal_the_two_sided_one(
+            (shape, entries, old) in split_case_strategy(),
+            deserialised in 0u8..2,
+        ) {
+            let t: crate::SparseTensor = if deserialised == 1 {
+                // Straight from JSON, in generation order: unsorted, with
+                // duplicates — nothing `build` would have normalised.
+                let indices: Vec<usize> =
+                    entries.iter().flat_map(|(idx, _)| idx.iter().copied()).collect();
+                let values: Vec<f64> = entries.iter().map(|(_, v)| *v).collect();
+                serde_json::from_str(&format!(
+                    "{{\"shape\":{shape:?},\"indices\":{indices:?},\"values\":{values:?}}}"
+                ))
+                .unwrap()
+            } else {
+                let mut b = SparseTensorBuilder::new(shape.clone());
+                for (idx, v) in &entries {
+                    b.push(idx, *v).unwrap();
+                }
+                b.build().unwrap()
+            };
+            let restricted = t.restrict(&old).unwrap();
+            let complement = t.complement(&old).unwrap();
+
+            // Oracle: filter the stored entries, keeping their order.
+            let filtered = |inside: bool| {
+                let mut indices = Vec::new();
+                let mut values = Vec::new();
+                for (idx, v) in t.iter() {
+                    if idx.iter().zip(&old).all(|(i, o)| i < o) == inside {
+                        indices.extend_from_slice(idx);
+                        values.push(v.to_bits());
+                    }
+                }
+                (indices, values)
+            };
+            let bits = |x: &crate::SparseTensor| -> Vec<u64> {
+                x.values().iter().map(|v| v.to_bits()).collect()
+            };
+            prop_assert_eq!(restricted.shape(), &old[..]);
+            prop_assert_eq!(complement.shape(), &shape[..]);
+            let (indices, values) = filtered(true);
+            prop_assert_eq!(restricted.indices_flat(), &indices[..]);
+            prop_assert_eq!(bits(&restricted), values);
+            let (indices, values) = filtered(false);
+            prop_assert_eq!(complement.indices_flat(), &indices[..]);
+            prop_assert_eq!(bits(&complement), values);
+            if old == shape {
+                prop_assert!(complement.is_empty());
+            }
+            if old.contains(&0) {
+                prop_assert!(restricted.is_empty());
+            }
+
+            // The two-sided form agrees half for half …
+            let (inside, outside) = t.split_at(&old).unwrap();
+            prop_assert_eq!(&restricted, &inside);
+            prop_assert_eq!(&complement, &outside);
+            // … and so does the 2^N-way one: block 0 is the restriction,
+            // the other signatures union to the complement.
+            let blocks = t.split_blocks(&old).unwrap();
+            let block0 = blocks.iter().filter(|(sig, _)| *sig == 0).map(|(_, b)| b);
+            let rest = blocks.iter().filter(|(sig, _)| *sig != 0).map(|(_, b)| b);
+            prop_assert_eq!(sorted_entries(block0), sorted_entries([&restricted]));
+            prop_assert_eq!(sorted_entries(rest), sorted_entries([&complement]));
+        }
+
         #[test]
         fn builder_never_stores_zeros_or_duplicates(
             (shape, entries) in tensor_strategy()

@@ -73,10 +73,13 @@ echo "==> interprocedural audits (dismastd-xtask: collective-order, panic-budget
 # exchange kernels (L8).
 cargo run -q -p dismastd-xtask -- analyze
 
-echo "==> steady-state allocation count (count-alloc feature: zero allocations after warm-up)"
+echo "==> allocation audits (count-alloc feature: zero allocations after warm-up; warm-ingest bytes independent of the resident block)"
 # The dynamic twin of L8: a counting global allocator measures a full
 # gram -> all-reduce -> row-exchange round on every rank after the pools
-# warm up; the budget is exactly zero.
+# warm up; the budget is exactly zero.  Its byte counter also holds the
+# streaming step to O(nnz(complement)): a warm serial ingest must request
+# exactly the same bytes with a 4x denser old block behind the same
+# arrivals.
 cargo test -q -p dismastd-integration-tests --features count-alloc --test steady_state_alloc
 
 echo "All checks passed."

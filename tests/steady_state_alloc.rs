@@ -7,6 +7,10 @@
 //! gram → all-reduce → row-exchange round performs **zero** allocations
 //! on every rank.
 //!
+//! The same allocator's byte counter pins the streaming step's
+//! O(nnz(complement)) memory property: a warm serial `ingest` requests
+//! the same bytes whether the resident old block is sparse or 4× denser.
+//!
 //! Runs only under `--features count-alloc`, which swaps in
 //! [`dismastd_obs::alloc::CountingAlloc`]; the ordinary suite stays on
 //! the system allocator.  Transport-internal channel nodes are exempted
@@ -15,7 +19,7 @@
 #![cfg(feature = "count-alloc")]
 
 use dismastd_cluster::{BufferPool, Cluster, ClusterError, Framed, Payload};
-use dismastd_obs::alloc::{allocation_count, CountingAlloc};
+use dismastd_obs::alloc::{allocated_bytes, allocation_count, CountingAlloc};
 use dismastd_tensor::Matrix;
 
 #[global_allocator]
@@ -179,4 +183,78 @@ fn heal_policy_on_a_serial_session_allocates_nothing_extra() {
     assert!(plain > 0, "the step itself allocates");
     assert_eq!(healing, plain, "an unused heal policy must not allocate");
     assert_eq!(healing_loss, plain_loss);
+}
+
+/// DTD's promise (Alg. 1, Theorem 2) by bytes: a warm step's memory is a
+/// function of what arrived, not of what is resident.  Two streams share
+/// shapes and the complement `X \ X̃` entry for entry; one's old block holds
+/// 4× the nonzeros of the other's.  The warm serial step must request
+/// exactly the same bytes from the allocator in both — copying, or even
+/// reserving for, the old block would show up as a difference.
+#[test]
+fn a_warm_serial_step_allocates_by_the_complement_not_by_the_resident_block() {
+    use dismastd_core::{DecompConfig, ExecutionMode, StreamingSession, ThreadPolicy};
+    use dismastd_tensor::{SparseTensor, SparseTensorBuilder};
+
+    let old_shape = [12usize, 10, 9];
+    let new_shape = [14usize, 12, 10];
+    // `(small snapshot, full snapshot)` with every `stride`-th cell of the
+    // old box filled; the entries outside the old box never change.
+    let stream = |stride: usize| -> (SparseTensor, SparseTensor) {
+        let mut full = SparseTensorBuilder::new(new_shape.to_vec());
+        let mut cell = 0usize;
+        for i in 0..new_shape[0] {
+            for j in 0..new_shape[1] {
+                for k in 0..new_shape[2] {
+                    cell += 1;
+                    let value = 0.5 + (cell % 13) as f64 * 0.125;
+                    let inside = i < old_shape[0] && j < old_shape[1] && k < old_shape[2];
+                    if cell.is_multiple_of(if inside { stride } else { 5 }) {
+                        full.push(&[i, j, k], value).unwrap();
+                    }
+                }
+            }
+        }
+        let full = full.build().unwrap();
+        (full.restrict(&old_shape).unwrap(), full)
+    };
+    let (sparse_old, sparse_full) = stream(8);
+    let (dense_old, dense_full) = stream(2);
+    assert_eq!(dense_old.nnz(), 4 * sparse_old.nnz());
+    assert_eq!(
+        sparse_full.complement(&old_shape).unwrap(),
+        dense_full.complement(&old_shape).unwrap(),
+        "the two streams receive the same arrivals"
+    );
+
+    // One lane: every allocation of the step happens on this thread.  A
+    // fixed iteration count: the two streams' numerics differ, their work
+    // per iteration must not.
+    let cfg = DecompConfig::default()
+        .with_rank(3)
+        .with_max_iters(4)
+        .with_tolerance(0.0)
+        .with_threads(ThreadPolicy::Fixed(1));
+    let warm_step = |old: &SparseTensor, full: &SparseTensor| {
+        let mut sess = StreamingSession::new(cfg, ExecutionMode::Serial);
+        sess.ingest(old).unwrap();
+        let before = (allocation_count(), allocated_bytes());
+        let report = sess.ingest(full).unwrap();
+        let after = (allocation_count(), allocated_bytes());
+        assert_eq!(report.iterations, 4);
+        assert!(!report.numerics.escalated(), "same solver tier in both");
+        (after.0 - before.0, after.1 - before.1, report.processed_nnz)
+    };
+    let (sparse_calls, sparse_bytes, sparse_nnz) = warm_step(&sparse_old, &sparse_full);
+    let (dense_calls, dense_bytes, dense_nnz) = warm_step(&dense_old, &dense_full);
+    assert_eq!(sparse_nnz, dense_nnz);
+    assert!(sparse_bytes > 0, "the step itself allocates");
+    assert_eq!(
+        dense_bytes,
+        sparse_bytes,
+        "a {}-nonzero old block cost {dense_bytes} B, a {}-nonzero one {sparse_bytes} B",
+        dense_old.nnz(),
+        sparse_old.nnz()
+    );
+    assert_eq!(dense_calls, sparse_calls);
 }
