@@ -26,8 +26,8 @@
 //!    all-reduce.
 
 use crate::config::DecompConfig;
-use crate::dtd::{converged, init_factors, zero_history};
-use crate::loss::{dtd_loss, GramState, LossParts};
+use crate::dtd::{converged, init_factors, old_norm_sq, zero_history};
+use crate::loss::{dtd_loss, mode_grams, GramState, LossParts};
 use dismastd_cluster::{
     decode_rows, maybe_compress, BufferPool, Cluster, ClusterError, ClusterOptions, ClusterResult,
     CommPolicy, CommStatsSnapshot, Framed, Payload, PendingExchange, WorkerCtx,
@@ -35,9 +35,8 @@ use dismastd_cluster::{
 use dismastd_obs::MetricsSnapshot;
 use dismastd_partition::CellStats;
 use dismastd_partition::{CellAssignment, GridPartition, Partitioner};
-use dismastd_tensor::linalg::Factorized;
-use dismastd_tensor::matrix::{dot, Matrix};
-use dismastd_tensor::ops::{grand_sum_hadamard, hadamard_skip};
+use dismastd_tensor::linalg::{Factorized, RowUpdate};
+use dismastd_tensor::matrix::{dot, Matrix, RowSet};
 use dismastd_tensor::{AdaptivePolicy, CellKernel, ThreadPool};
 use dismastd_tensor::{
     KruskalTensor, NumericsReport, Result, RobustSolver, SolveDecision, SparseTensor,
@@ -399,13 +398,7 @@ pub(crate) fn run_distributed(
 
     // Shared read-only inputs.
     let init = init_factors(old_factors, tensor.shape(), rank, cfg.seed)?;
-    let old_norm_sq = if old_rows.iter().all(|&r| r > 0) {
-        let grams: Vec<Matrix> = old_factors.iter().map(Matrix::gram).collect();
-        let refs: Vec<&Matrix> = grams.iter().collect();
-        grand_sum_hadamard(&refs)?
-    } else {
-        0.0
-    };
+    let old_norm_sq = old_norm_sq(old_factors)?;
 
     // ---- Distributed tensor decomposition (Sec. IV-B) -------------------
     let inputs = WorkerInputs {
@@ -563,7 +556,7 @@ fn decode_decisions(slots: &[f64]) -> Result<(Option<SolveDecision>, Option<Solv
 
 /// Per-worker scratch space for the Gram rebuild: the three `R×R`
 /// partial-product matrices plus the fused all-reduce staging buffer.
-/// Allocated once per worker and zeroed in place each mode, so the
+/// Allocated once per worker and overwritten each mode, so the
 /// steady-state Gram path performs no allocation at all.
 struct GramWorkspace {
     g0: Matrix,
@@ -580,6 +573,11 @@ impl GramWorkspace {
             cr: Matrix::zeros(r, r),
             buf: Vec::with_capacity(3 * r * r),
         }
+    }
+
+    /// The three partial-product targets, in [`mode_grams`]' order.
+    fn targets(&mut self) -> [&mut Matrix; 3] {
+        [&mut self.g0, &mut self.g1, &mut self.cr]
     }
 }
 
@@ -640,21 +638,22 @@ fn worker_body(
 
     // Replicated RxR state, rebuilt by all-reduce from owned-row partials so
     // every worker agrees bit-for-bit.
-    let mut state = GramState {
-        gram0: vec![Matrix::zeros(r, r); order],
-        gram1: vec![Matrix::zeros(r, r); order],
-        cross: vec![Matrix::zeros(r, r); order],
-    };
+    let mut state = GramState::zeros(order, r);
+    // The two Eq. 5 factorisations of a mode, rebuilt in place.
+    let mut facts = [Factorized::default(), Factorized::default()];
+    // Owned rows ascend, so a mode's old-row block (Eq. 5's A^(0) rule) is
+    // a prefix of its list and the new-row block (the A^(1) rule) the rest.
+    let owned: Vec<[RowSet<'_>; 2]> = (0..order)
+        .map(|n| {
+            let rows = &plan.owned_rows[n];
+            let split = rows.partition_point(|&i| (i as usize) < old_rows[n]);
+            [RowSet::List(&rows[..split]), RowSet::List(&rows[split..])]
+        })
+        .collect();
     {
         let _s = dismastd_obs::span("phase/setup");
         for n in 0..order {
-            local_gram_partials(
-                &mut ws,
-                &factors[n],
-                &old[n],
-                &plan.owned_rows[n],
-                old_rows[n],
-            );
+            try_num!(mode_grams(&factors[n], &old[n], &owned[n], ws.targets()));
             allreduce_grams(ctx, &mut ws, &mut state, n, comm)?;
         }
     }
@@ -720,15 +719,8 @@ fn worker_body(
 
             // -- 2. owners update their rows (Eq. 5, row-wise) -------------
             let solve_span = dismastd_obs::span("phase/solve");
-            let mut totals: Vec<Matrix> = Vec::with_capacity(order);
-            for k in 0..order {
-                totals.push(try_num!(state.total(k)));
-            }
-            let d1 = try_num!(hadamard_skip(&totals, n));
-            let d0 = {
-                let g0_had = try_num!(hadamard_skip(&state.gram0, n));
-                try_num!(d1.sub(&g0_had.scale(1.0 - mu)))
-            };
+            try_num!(state.prepare_mode(n, mu));
+            let (d0, d1) = (&state.d0, &state.d1);
             let old_n = old_rows[n];
 
             // Solver decisions are made once, on rank 0, and broadcast, so
@@ -739,7 +731,7 @@ fn worker_body(
             let has0 = old_n > 0;
             let has1 = factors[n].rows() > old_n;
             let payload = if me == 0 {
-                let slots = match encode_decisions(&solver, &d0, &d1, has0, has1) {
+                let slots = match encode_decisions(&solver, d0, d1, has0, has1) {
                     Ok(slots) => slots,
                     Err(err) => {
                         // Unblock the peers with an error flag, then surface
@@ -772,14 +764,12 @@ fn worker_body(
                     numerics.record(d);
                 }
             }
-            let f0: Option<Factorized> = match &dec0 {
-                Some(d) => Some(try_num!(solver.factorize(&d0, d))),
-                None => None,
-            };
-            let f1: Option<Factorized> = match &dec1 {
-                Some(d) => Some(try_num!(solver.factorize(&d1, d))),
-                None => None,
-            };
+            let [fact0, fact1] = &mut facts;
+            for (dec, d, fact) in [(&dec0, d0, &mut *fact0), (&dec1, d1, &mut *fact1)] {
+                if let Some(dec) = dec {
+                    try_num!(solver.factorize(d, dec, fact));
+                }
+            }
 
             // -- land the peers' partials before the row solves ------------
             {
@@ -795,34 +785,26 @@ fn worker_body(
                 }
             }
 
-            let cross_had = try_num!(hadamard_skip(&state.cross, n));
-            let mut row_buf = vec![0.0f64; r];
-            for &row in &plan.owned_rows[n] {
-                let row = row as usize;
-                let fact = if row < old_n {
-                    // μ Ã_n[i,:] (⊛ G̃) + Â[i,:], then ·D0⁻¹.
-                    let old_row = old[n].row(row);
-                    for (c, slot) in row_buf.iter_mut().enumerate() {
-                        let mut acc = 0.0;
-                        for (f, &ov) in old_row.iter().enumerate() {
-                            acc += ov * cross_had.get(f, c);
-                        }
-                        *slot = mu * acc + hat[n].get(row, c);
-                    }
-                    &f0
-                } else {
-                    row_buf.copy_from_slice(hat[n].row(row));
-                    &f1
-                };
-                match fact {
-                    Some(f) => try_num!(f.solve_in_place(&mut row_buf)),
-                    None => {
-                        return Ok(Err(TensorError::InvalidArgument(format!(
-                            "mode {n}: owned row {row} has no broadcast factorization"
-                        ))))
-                    }
+            // Old block: (μ Ã_n[i,:] (⊛ G̃) + Â[i,:]) ·D0⁻¹; new block: Â[i,:] ·D1⁻¹.
+            let history = Some((mu, &old[n], &state.cross_had));
+            for (dec, fact, rows, history) in [
+                (&dec0, &*fact0, &owned[n][0], history),
+                (&dec1, &*fact1, &owned[n][1], None),
+            ] {
+                if rows.is_empty() {
+                    continue;
                 }
-                factors[n].row_mut(row).copy_from_slice(&row_buf);
+                if dec.is_none() {
+                    return Ok(Err(TensorError::InvalidArgument(format!(
+                        "mode {n}: owned rows {rows:?} have no broadcast factorization"
+                    ))));
+                }
+                let job = RowUpdate {
+                    rhs: &hat[n],
+                    history,
+                    rows: rows.clone(),
+                };
+                try_num!(fact.solve_rows(&job, &mut factors[n]));
             }
             drop(solve_span);
 
@@ -851,7 +833,7 @@ fn worker_body(
             // -- 3. rebuild the RxR products by all-reduce ------------------
             {
                 let _s = dismastd_obs::span("phase/gram");
-                local_gram_partials(&mut ws, &factors[n], &old[n], &plan.owned_rows[n], old_n);
+                try_num!(mode_grams(&factors[n], &old[n], &owned[n], ws.targets()));
                 allreduce_grams(ctx, &mut ws, &mut state, n, comm)?;
             }
 
@@ -1007,47 +989,6 @@ fn write_rows(m: &mut Matrix, rows: &[u32], data: &[f64]) {
     }
 }
 
-/// Partial Grams over this worker's owned rows: `(G⁰, G¹, G̃)` contributions
-/// (the row-wise partial products of Sec. IV-B3), accumulated into the
-/// workspace matrices, which are zeroed in place first.
-fn local_gram_partials(
-    ws: &mut GramWorkspace,
-    factor: &Matrix,
-    old: &Matrix,
-    owned: &[u32],
-    old_n: usize,
-) {
-    ws.g0.fill_zero();
-    ws.g1.fill_zero();
-    ws.cr.fill_zero();
-    for &row in owned {
-        let row = row as usize;
-        let a = factor.row(row);
-        let target = if row < old_n { &mut ws.g0 } else { &mut ws.g1 };
-        for (p, &av) in a.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let out_row = target.row_mut(p);
-            for (o, &bv) in out_row.iter_mut().zip(a) {
-                *o += av * bv;
-            }
-        }
-        if row < old_n {
-            let o = old.row(row);
-            for (p, &ov) in o.iter().enumerate() {
-                if ov == 0.0 {
-                    continue;
-                }
-                let out_row = ws.cr.row_mut(p);
-                for (c, &av) in out_row.iter_mut().zip(a) {
-                    *c += ov * av;
-                }
-            }
-        }
-    }
-}
-
 /// All-reduces the workspace's three RxR partials in one fused staging
 /// buffer (one collective, `3R²` values — the `O(MNR²)` term of Theorem 4)
 /// and writes the reduced products straight into the mode-`n` slots of the
@@ -1076,6 +1017,7 @@ fn allreduce_grams(
     state.cross[n]
         .as_mut_slice()
         .copy_from_slice(&ws.buf[2 * rr..]);
+    state.retotal(n);
     Ok(())
 }
 

@@ -16,9 +16,10 @@
 
 use crate::config::DecompConfig;
 use crate::loss::{dtd_loss, GramState, LossParts};
-use dismastd_tensor::matrix::{axpy, Matrix};
+use dismastd_tensor::linalg::{Factorized, RowUpdate};
+use dismastd_tensor::matrix::{Matrix, RowSet};
 use dismastd_tensor::mttkrp::{inner_from_mttkrp, mttkrp_into};
-use dismastd_tensor::ops::{grand_sum_hadamard, hadamard_skip};
+use dismastd_tensor::ops::grand_sum_hadamard;
 use dismastd_tensor::{
     AdaptivePolicy, KruskalTensor, LayoutChoice, MttkrpPlan, NumericsReport, Result, RobustSolver,
     SparseTensor, TensorError,
@@ -101,7 +102,10 @@ pub fn init_factors(
 ///
 /// Call-local: every step's complement is new data, so there is nothing
 /// to carry to the next call.
-fn complement_plan(complement: &SparseTensor, layout: LayoutChoice) -> Result<Option<MttkrpPlan>> {
+pub(crate) fn complement_plan(
+    complement: &SparseTensor,
+    layout: LayoutChoice,
+) -> Result<Option<MttkrpPlan>> {
     match layout {
         LayoutChoice::NaiveCoo => Ok(None),
         LayoutChoice::SortedRuns => {
@@ -133,8 +137,33 @@ pub fn dtd(
 /// its defaults, applied to the whole complement.  Tiny and hyper-sparse
 /// tensors stay on COO, and so does anything the plan's `u32` tables
 /// cannot index, so `PlanOverflow` never surfaces from [`dtd`].
-fn serial_layout(complement: &SparseTensor) -> LayoutChoice {
+pub(crate) fn serial_layout(complement: &SparseTensor) -> LayoutChoice {
     AdaptivePolicy::default().choose(complement.shape(), complement.nnz())
+}
+
+/// `out += ` the mode-`mode` MTTKRP of `tensor`, through its
+/// [`complement_plan`] when it has one; both kernels produce the same bits.
+pub(crate) fn mttkrp_on(
+    plan: &Option<MttkrpPlan>,
+    tensor: &SparseTensor,
+    factors: &[Matrix],
+    mode: usize,
+    out: &mut Matrix,
+) -> Result<()> {
+    match plan {
+        Some(plan) => plan.mttkrp_into(factors, mode, out),
+        None => mttkrp_into(tensor, factors, mode, out),
+    }
+}
+
+/// `‖⟦Ã⟧‖²` — a constant of the snapshot (Sec. IV-B4 "pre-computed"
+/// terms); `0` when some mode has no old rows, i.e. there is no old box.
+pub(crate) fn old_norm_sq(old_factors: &[Matrix]) -> Result<f64> {
+    if old_factors.iter().any(|f| f.rows() == 0) {
+        return Ok(0.0);
+    }
+    let grams: Vec<Matrix> = old_factors.iter().map(Matrix::gram).collect();
+    grand_sum_hadamard(&grams)
 }
 
 /// [`dtd`] with the complement's kernel layout given rather than chosen —
@@ -162,20 +191,8 @@ fn dtd_on(
         .all(|(idx, _)| SparseTensor::block_of(idx, &old_rows) != 0));
 
     let mut factors = init_factors(old_factors, new_shape, cfg.rank, cfg.seed)?;
-    let mut state = GramState::compute(&factors, &old_rows)?;
-    for (k, of) in old_factors.iter().enumerate() {
-        let a0 = factors[k].row_block(0, old_rows[k])?;
-        state.cross[k] = of.cross_gram(&a0)?;
-    }
-
-    // Constants of the snapshot (Sec. IV-B4 "pre-computed" terms).
-    let old_norm_sq = if old_rows.iter().all(|&r| r > 0) {
-        let grams: Vec<Matrix> = old_factors.iter().map(Matrix::gram).collect();
-        let refs: Vec<&Matrix> = grams.iter().collect();
-        grand_sum_hadamard(&refs)?
-    } else {
-        0.0
-    };
+    let mut state = GramState::compute(&factors, old_factors)?;
+    let old_norm_sq = old_norm_sq(old_factors)?;
     let complement_norm_sq = complement.norm_sq();
 
     let plan = complement_plan(complement, layout)?;
@@ -186,6 +203,8 @@ fn dtd_on(
         .collect();
 
     let solver = RobustSolver::new(cfg.numerics.solver);
+    // Scratch of the solves: after the first iteration none allocates.
+    let mut fact = Factorized::default();
     let mut numerics = NumericsReport::default();
     let mut loss_trace = Vec::with_capacity(cfg.max_iters);
     let mut iterations = 0;
@@ -196,69 +215,39 @@ fn dtd_on(
             {
                 let _s = dismastd_obs::span("phase/mttkrp");
                 hats[n].fill_zero();
-                // Both kernels produce the same bits.
-                match &plan {
-                    Some(plan) => plan.mttkrp_into(&factors, n, &mut hats[n])?,
-                    None => mttkrp_into(complement, &factors, n, &mut hats[n])?,
-                }
+                mttkrp_on(&plan, complement, &factors, n, &mut hats[n])?;
             }
             let hat = &hats[n];
 
             let old_n = old_rows[n];
-            let (a0, a1) = {
+            {
                 let _s = dismastd_obs::span("phase/solve");
-
-                // Denominators (Eq. 5).
-                let totals: Vec<Matrix> = (0..n_modes)
-                    .map(|k| state.total(k))
-                    .collect::<Result<_>>()?;
-                let d1 = hadamard_skip(&totals, n)?;
-                let d0 = {
-                    let g0_had = hadamard_skip(&state.gram0, n)?;
-                    d1.sub(&g0_had.scale(1.0 - cfg.forgetting))?
-                };
-
-                // A_n^(0): μ Ã_n (⊛_{k≠n} G̃_k) + Â^(0), divided by D0.
-                // Â^(0) is the leading `old_n` rows of Â, added in place.
-                let a0 = if old_n > 0 {
-                    let cross_had = hadamard_skip(&state.cross, n)?;
-                    let mut num0 = old_factors[n].matmul(&cross_had)?;
-                    num0.scale_assign(cfg.forgetting);
-                    axpy(
-                        1.0,
-                        &hat.as_slice()[..old_n * cfg.rank],
-                        num0.as_mut_slice(),
-                    );
-                    solver.solve_right(&num0, &d0, &mut numerics)?
-                } else {
-                    Matrix::zeros(0, cfg.rank)
-                };
-
-                // A_n^(1): Â^(1) divided by D1.  On a cold start Â^(1) is
-                // all of Â and is solved from the buffer itself.
-                let a1 = if old_n == hat.rows() {
-                    Matrix::zeros(0, cfg.rank)
-                } else if old_n == 0 {
-                    solver.solve_right(hat, &d1, &mut numerics)?
-                } else {
-                    let hat1 = hat.row_block(old_n, hat.rows())?;
-                    solver.solve_right(&hat1, &d1, &mut numerics)?
-                };
-                (a0, a1)
-            };
-
-            factors[n] = a0.vstack(&a1)?;
+                // Denominators and ⊛G̃ (Eq. 5), then both row blocks solved
+                // straight from Â into the factor:
+                // A_n^(0) = (μ Ã_n (⊛_{k≠n} G̃_k) + Â^(0)) · D0⁻¹,
+                // A_n^(1) = Â^(1) · D1⁻¹.
+                state.prepare_mode(n, cfg.forgetting)?;
+                let history = Some((cfg.forgetting, &old_factors[n], &state.cross_had));
+                for (d, history, rows) in [
+                    (&state.d0, history, 0..old_n),
+                    (&state.d1, None, old_n..hat.rows()),
+                ] {
+                    if rows.is_empty() {
+                        continue;
+                    }
+                    let job = RowUpdate {
+                        rhs: hat,
+                        history,
+                        rows: RowSet::Range(rows),
+                    };
+                    solver.solve_rows(d, &job, &mut factors[n], &mut fact, &mut numerics)?;
+                }
+            }
 
             {
                 let _s = dismastd_obs::span("phase/gram");
                 // Refresh the cached products for mode n (Sec. IV-B3).
-                state.gram0[n] = a0.gram();
-                state.gram1[n] = a1.gram();
-                state.cross[n] = if old_n > 0 {
-                    old_factors[n].cross_gram(&a0)?
-                } else {
-                    Matrix::zeros(cfg.rank, cfg.rank)
-                };
+                state.refresh(n, &factors[n], &old_factors[n])?;
             }
 
             if n == n_modes - 1 {
@@ -539,6 +528,44 @@ mod tests {
             out.numerics.cholesky_solves + out.numerics.lu_solves + out.numerics.ridge_solves;
         assert_eq!(total, 2 * 2 * 3);
         assert!(!out.numerics.escalated());
+    }
+
+    #[test]
+    fn post_solve_escalation_resolves_from_the_untouched_mttkrp() {
+        // Mode 1 does not grow and its old factor is ~1e-120, so mode 0's
+        // new-row denominator D1 = G¹ is ~1e-240: perfectly conditioned,
+        // accepted by Cholesky — and Â/D1 ~ 1e190·1e-120/1e-240 overflows.
+        // The solve must notice, keep Â, and redo the block under a ridge.
+        let rank = 2;
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let mut tiny = Matrix::random(4, rank, &mut rng);
+        tiny.scale_assign(1e-120);
+        let old = vec![Matrix::random(3, rank, &mut rng), tiny];
+        let mut b = SparseTensorBuilder::new(vec![6, 4]);
+        for i in 3..6 {
+            for j in 0..4 {
+                b.push(&[i, j], 1e190 * rng.gen_range(0.5..1.5)).unwrap();
+            }
+        }
+        let x = b.build().unwrap();
+        let cfg = cfg(rank).with_max_iters(1);
+        let out = dtd(&x, &old, &cfg).unwrap();
+        assert_eq!(out.numerics.post_escalations, 1, "{:?}", out.numerics);
+        assert_eq!(out.numerics.max_lambda, 1e-10);
+
+        // What the ridge re-solve must have seen: the first iteration's Â.
+        let init = init_factors(&old, &[6, 4], rank, cfg.seed).unwrap();
+        let hat = dismastd_tensor::mttkrp::mttkrp(&x, &init, 0).unwrap();
+        let mut shifted = old[1].gram();
+        for c in 0..rank {
+            shifted.set(c, c, shifted.get(c, c) + 1e-10);
+        }
+        let expected =
+            dismastd_tensor::linalg::solve_right(&hat.row_block(3, 6).unwrap(), &shifted).unwrap();
+        let got = out.kruskal.factor(0).row_block(3, 6).unwrap();
+        for (g, e) in got.as_slice().iter().zip(expected.as_slice()) {
+            assert!(g.is_finite() && (g / e - 1.0).abs() < 1e-12, "{g} vs {e}");
+        }
     }
 
     /// Everything a caller can observe of a run, as bits.

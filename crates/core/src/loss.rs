@@ -12,11 +12,13 @@
 //! Hadamard product (`⟨⟦A⟧,⟦B⟧⟩ = 1ᵀ(⊛_k A_kᵀB_k)1`, Kolda & Bader 2009);
 //! we implement the correct identity, which the oracle tests confirm.
 
-use dismastd_tensor::matrix::Matrix;
+use dismastd_tensor::matrix::{Matrix, RowSet};
 use dismastd_tensor::ops::grand_sum_hadamard;
-use dismastd_tensor::{DenseTensor, KruskalTensor, Result, SparseTensor};
+use dismastd_tensor::{DenseTensor, KruskalTensor, Result, SparseTensor, TensorError};
 
-/// The `R x R` intermediates maintained per mode during a DTD sweep.
+/// The `R x R` intermediates maintained per mode during a DTD sweep, and
+/// the Eq. 5 operands derived from them.  Everything is allocated once per
+/// run and refreshed in place.
 #[derive(Debug, Clone)]
 pub struct GramState {
     /// `G_n^0 = A_n^(0)ᵀ A_n^(0)` (old-row blocks).
@@ -25,33 +27,109 @@ pub struct GramState {
     pub gram1: Vec<Matrix>,
     /// `G̃_n = Ã_nᵀ A_n^(0)` (previous snapshot × current old block).
     pub cross: Vec<Matrix>,
+    /// `G_n^0 + G_n^1`, kept in step by [`GramState::retotal`].
+    total: Vec<Matrix>,
+    /// Eq. 5 old-row denominator of the mode last passed to
+    /// [`GramState::prepare_mode`].
+    pub(crate) d0: Matrix,
+    /// Eq. 5 new-row denominator `⊛_{k≠n}(G_k^0 + G_k^1)`.
+    pub(crate) d1: Matrix,
+    /// `⊛_{k≠n} G̃_k` of the Eq. 5 old-row numerator.
+    pub(crate) cross_had: Matrix,
 }
 
 impl GramState {
-    /// Initialises the state from the stacked factors and old row counts.
-    pub fn compute(factors: &[Matrix], old_rows: &[usize]) -> Result<Self> {
-        let mut gram0 = Vec::with_capacity(factors.len());
-        let mut gram1 = Vec::with_capacity(factors.len());
-        for (f, &old) in factors.iter().zip(old_rows) {
-            let a0 = f.row_block(0, old)?;
-            let a1 = f.row_block(old, f.rows())?;
-            gram0.push(a0.gram());
-            gram1.push(a1.gram());
+    /// All-zero state for `order` modes of rank `rank`: what a worker
+    /// all-reduces its partials into.
+    pub(crate) fn zeros(order: usize, rank: usize) -> Self {
+        let square = Matrix::zeros(rank, rank);
+        GramState {
+            gram0: vec![square.clone(); order],
+            gram1: vec![square.clone(); order],
+            cross: vec![square.clone(); order],
+            total: vec![square.clone(); order],
+            d0: square.clone(),
+            d1: square.clone(),
+            cross_had: square,
         }
-        // At construction the old block equals the previous factors, so the
-        // caller usually replaces `cross`; default to gram0 (Ã == A^(0)).
-        let cross = gram0.clone();
-        Ok(GramState {
-            gram0,
-            gram1,
-            cross,
-        })
     }
 
-    /// Sum `G_n^0 + G_n^1` for one mode.
-    pub fn total(&self, mode: usize) -> Result<Matrix> {
-        self.gram0[mode].add(&self.gram1[mode])
+    /// Initialises the state from the stacked factors and the previous
+    /// snapshot's factors, whose row counts split each mode into its
+    /// old-row and new-row blocks.
+    pub fn compute(factors: &[Matrix], old_factors: &[Matrix]) -> Result<Self> {
+        let rank = factors.first().map_or(0, Matrix::cols);
+        let mut state = GramState::zeros(factors.len(), rank);
+        for (n, (f, old)) in factors.iter().zip(old_factors).enumerate() {
+            state.refresh(n, f, old)?;
+        }
+        Ok(state)
     }
+
+    /// Rebuilds mode `n`'s products from its just-updated factor
+    /// (Sec. IV-B3): [`mode_grams`] over the old-row and new-row blocks.
+    pub(crate) fn refresh(&mut self, n: usize, factor: &Matrix, old: &Matrix) -> Result<()> {
+        let blocks = [
+            RowSet::Range(0..old.rows()),
+            RowSet::Range(old.rows()..factor.rows()),
+        ];
+        let targets = [&mut self.gram0[n], &mut self.gram1[n], &mut self.cross[n]];
+        mode_grams(factor, old, &blocks, targets)?;
+        self.retotal(n);
+        Ok(())
+    }
+
+    /// Re-sums `G_n^0 + G_n^1` after either changed.
+    pub(crate) fn retotal(&mut self, n: usize) {
+        let (g0, g1) = (self.gram0[n].as_slice(), self.gram1[n].as_slice());
+        for (t, (a, b)) in self.total[n]
+            .as_mut_slice()
+            .iter_mut()
+            .zip(g0.iter().zip(g1))
+        {
+            *t = a + b;
+        }
+    }
+
+    /// Fills the Eq. 5 operands of mode `n`: `d1 = ⊛_{k≠n}(G_k^0 + G_k^1)`,
+    /// `d0 = d1 − (1 − μ)·⊛_{k≠n} G_k^0` and `cross_had = ⊛_{k≠n} G̃_k`.
+    pub(crate) fn prepare_mode(&mut self, n: usize, mu: f64) -> Result<()> {
+        hadamard_skip_into(&mut self.d1, &self.total, n)?;
+        hadamard_skip_into(&mut self.d0, &self.gram0, n)?;
+        for (d0, d1) in self.d0.as_mut_slice().iter_mut().zip(self.d1.as_slice()) {
+            *d0 = d1 - *d0 * (1.0 - mu);
+        }
+        hadamard_skip_into(&mut self.cross_had, &self.cross, n)
+    }
+}
+
+/// One mode's `(G⁰, G¹, G̃)` summed over its old-row and new-row `blocks`
+/// — all of them in the serial solver, a worker's owned share before the
+/// all-reduce — each product in its own pass over the rows it covers.
+pub(crate) fn mode_grams(
+    factor: &Matrix,
+    old: &Matrix,
+    blocks: &[RowSet<'_>; 2],
+    [gram0, gram1, cross]: [&mut Matrix; 3],
+) -> Result<()> {
+    factor.gram_rows(None, &blocks[0], gram0)?;
+    factor.gram_rows(None, &blocks[1], gram1)?;
+    if old.rows() == 0 {
+        // A zero-row `Ã_n` may come without columns (a 0 x 0 matrix).
+        cross.fill_zero();
+        return Ok(());
+    }
+    old.gram_rows(Some(factor), &blocks[0], cross)
+}
+
+/// `hadamard_skip` into a kept matrix: the same products in the same order.
+fn hadamard_skip_into(out: &mut Matrix, mats: &[Matrix], skip: usize) -> Result<()> {
+    let mut others = mats.iter().enumerate().filter(|(k, _)| *k != skip);
+    let (_, first) = others
+        .next()
+        .ok_or_else(|| TensorError::InvalidArgument("hadamard_all of empty sequence".into()))?;
+    out.as_mut_slice().copy_from_slice(first.as_slice());
+    others.try_for_each(|(_, m)| out.hadamard_assign(m))
 }
 
 /// Inputs for one loss evaluation, all `O(R²)` or scalars.
@@ -77,17 +155,9 @@ pub struct LossParts {
 /// # Errors
 /// Propagates shape mismatches from the Gram products.
 pub fn dtd_loss(state: &GramState, parts: &LossParts) -> Result<f64> {
-    let n = state.gram0.len();
-    // 1ᵀ(⊛ G⁰)1
-    let g0_refs: Vec<&Matrix> = state.gram0.iter().collect();
-    let sum_g0 = grand_sum_hadamard(&g0_refs)?;
-    // 1ᵀ(⊛ G̃)1
-    let cross_refs: Vec<&Matrix> = state.cross.iter().collect();
-    let sum_cross = grand_sum_hadamard(&cross_refs)?;
-    // 1ᵀ(⊛ (G⁰+G¹))1
-    let totals: Vec<Matrix> = (0..n).map(|k| state.total(k)).collect::<Result<_>>()?;
-    let total_refs: Vec<&Matrix> = totals.iter().collect();
-    let sum_total = grand_sum_hadamard(&total_refs)?;
+    let sum_g0 = grand_sum_hadamard(&state.gram0)?; // 1ᵀ(⊛ G⁰)1
+    let sum_cross = grand_sum_hadamard(&state.cross)?; // 1ᵀ(⊛ G̃)1
+    let sum_total = grand_sum_hadamard(&state.total)?; // 1ᵀ(⊛ (G⁰+G¹))1
 
     let l_old = parts.mu * (parts.old_norm_sq + sum_g0 - 2.0 * sum_cross);
     let y_norm_outside = sum_total - sum_g0;
@@ -178,11 +248,11 @@ mod tests {
         old_rows: &[usize],
         mu: f64,
     ) -> (GramState, LossParts) {
-        let mut state = GramState::compute(factors, old_rows).unwrap();
+        let state = GramState::compute(factors, old_factors).unwrap();
         // True cross Grams Ã ᵀ A^(0).
         for (k, of) in old_factors.iter().enumerate() {
             let a0 = factors[k].row_block(0, old_rows[k]).unwrap();
-            state.cross[k] = of.cross_gram(&a0).unwrap();
+            assert_eq!(state.cross[k], of.cross_gram(&a0).unwrap());
         }
         let old_k = KruskalTensor::new(old_factors.to_vec()).unwrap();
         let last = factors.len() - 1;
@@ -250,10 +320,10 @@ mod tests {
 
     #[test]
     fn gram_state_totals() {
-        let (_, _, factors, old_rows) = setup(11);
-        let state = GramState::compute(&factors, &old_rows).unwrap();
+        let (_, old_factors, factors, _) = setup(11);
+        let state = GramState::compute(&factors, &old_factors).unwrap();
         for k in 0..3 {
-            let t = state.total(k).unwrap();
+            let t = &state.total[k];
             let full = factors[k].gram();
             assert!(t.max_abs_diff(&full).unwrap() < 1e-12, "G0+G1 == full gram");
         }

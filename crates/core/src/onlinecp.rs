@@ -29,6 +29,7 @@
 //! current at the time), which is the approximation OnlineCP accepts.
 
 use crate::config::DecompConfig;
+use crate::dtd::{complement_plan, mttkrp_on, serial_layout};
 use dismastd_tensor::linalg::solve_right;
 use dismastd_tensor::matrix::Matrix;
 use dismastd_tensor::mttkrp::mttkrp;
@@ -149,11 +150,20 @@ impl OnlineCp {
             }
             acc
         };
+        // One kernel layout per update, shared by all `N` MTTKRPs over ΔX
+        // (the serial DTD solver's choice, so the baseline is not the one
+        // left on the slow kernel).
+        let plan = complement_plan(delta, serial_layout(delta))?;
+        let mttkrp_delta = |factors: &[Matrix], mode: usize| -> Result<Matrix> {
+            let mut hat = Matrix::zeros(factors[mode].rows(), self.rank);
+            mttkrp_on(&plan, delta, factors, mode, &mut hat)?;
+            Ok(hat)
+        };
         // Factor list with a placeholder for the temporal mode (its values
         // are never read by mttkrp of the temporal mode itself).
         let mut with_placeholder: Vec<Matrix> = self.factors.clone();
         with_placeholder.push(Matrix::zeros(d, self.rank));
-        let hat_temporal = mttkrp(delta, &with_placeholder, n_modes - 1)?;
+        let hat_temporal = mttkrp_delta(&with_placeholder, n_modes - 1)?;
         let c_new = solve_right(&hat_temporal, &h)?;
 
         // 2. Fold ΔX into the accumulators using C_new (all hats computed
@@ -163,7 +173,7 @@ impl OnlineCp {
         let c_gram = c_new.gram();
         let mut hats = Vec::with_capacity(self.factors.len());
         for n in 0..self.factors.len() {
-            hats.push(mttkrp(delta, &with_c, n)?);
+            hats.push(mttkrp_delta(&with_c, n)?);
         }
         // 3. Refresh non-temporal factors.
         for n in 0..self.factors.len() {

@@ -74,9 +74,8 @@ impl KruskalTensor {
     /// `‖⟦A⟧‖² = 1ᵀ(⊛_k A_kᵀA_k)1`.
     pub fn norm_sq(&self) -> f64 {
         let grams: Vec<Matrix> = self.factors.iter().map(Matrix::gram).collect();
-        let refs: Vec<&Matrix> = grams.iter().collect();
         // lint:allow(panic_path): invariant — every gram is R×R by construction
-        grand_sum_hadamard(&refs).expect("grams share the RxR shape")
+        grand_sum_hadamard(&grams).expect("grams share the RxR shape")
     }
 
     /// Inner product with another Kruskal tensor of the same shape:
@@ -96,8 +95,7 @@ impl KruskalTensor {
         for (a, b) in self.factors.iter().zip(&other.factors) {
             cross.push(a.cross_gram(b)?);
         }
-        let refs: Vec<&Matrix> = cross.iter().collect();
-        grand_sum_hadamard(&refs)
+        grand_sum_hadamard(&cross)
     }
 
     /// Inner product with a sparse tensor:
@@ -138,7 +136,12 @@ impl KruskalTensor {
     /// # Errors
     /// Propagates shape errors from [`Self::inner_sparse`].
     pub fn residual_norm_sq(&self, x: &SparseTensor) -> Result<f64> {
-        let val = x.norm_sq() + self.norm_sq() - 2.0 * self.inner_sparse(x)?;
+        self.residual_given_norm(x, x.norm_sq())
+    }
+
+    /// [`Self::residual_norm_sq`] with `‖X‖²` already summed.
+    fn residual_given_norm(&self, x: &SparseTensor, x_norm_sq: f64) -> Result<f64> {
+        let val = x_norm_sq + self.norm_sq() - 2.0 * self.inner_sparse(x)?;
         // Guard against tiny negative values from floating-point cancellation.
         Ok(val.max(0.0))
     }
@@ -148,13 +151,15 @@ impl KruskalTensor {
     /// # Errors
     /// Propagates shape errors; returns `InvalidArgument` for a zero tensor.
     pub fn fit(&self, x: &SparseTensor) -> Result<f64> {
-        let xnorm = x.norm_sq().sqrt();
+        // One pass over the values: the residual reuses the sum.
+        let x_norm_sq = x.norm_sq();
+        let xnorm = x_norm_sq.sqrt();
         if xnorm == 0.0 {
             return Err(TensorError::InvalidArgument(
                 "fit undefined for a zero tensor".into(),
             ));
         }
-        Ok(1.0 - self.residual_norm_sq(x)?.sqrt() / xnorm)
+        Ok(1.0 - self.residual_given_norm(x, x_norm_sq)?.sqrt() / xnorm)
     }
 
     /// Normalises every factor column to unit Euclidean norm, returning the

@@ -1,4 +1,4 @@
-//! Rank-monomorphised lane arithmetic shared by the nonzero kernels.
+//! Rank-monomorphised lane arithmetic shared by the hot kernels.
 //!
 //! Every per-nonzero kernel in this crate does the same thing to an
 //! `R`-vector: start every lane at the entry's value and multiply one
@@ -8,7 +8,10 @@
 //! step written once over const-generic `R` (lanes) and `K` (rows) —
 //! stack `[f64; R]` lanes, `&[f64; R]` row views — and
 //! [`for_fixed_lanes!`] is the one place that decides which `(R, K)` get
-//! such a body.
+//! such a body.  The per-row kernels dispatch through it too: the Eq. 5
+//! row update (`linalg::solve_rows_fixed`, `K` = rows substituted side by
+//! side, a compile-time constant) and the Gram partials
+//! (`matrix::gram_fixed`, `K` = operands: 1 Gram, 2 cross-Gram).
 //!
 //! The dispatch set is the paper default `R = 10` plus the rank-ablation
 //! points {5, 8, 20, 40}, each at `K = 1..=4` rows (MTTKRP of an order
@@ -18,11 +21,13 @@
 //! body per conceivable rank would multiply code size for ranks no
 //! experiment runs at.
 //!
-//! Both kinds of body multiply a lane left to right in row order, so they
-//! agree bit for bit and the dispatch is invisible in the results.
+//! Both kinds of body perform each lane's operations in the same order,
+//! so they agree bit for bit and the dispatch is invisible in the results.
 
 /// Expands to `f::<R, K>(args…)` when rank `r` and row count `k` are in
-/// the dispatch set, to the fallback expression otherwise.
+/// the dispatch set, to the fallback expression otherwise.  Written
+/// `const k`, the second parameter is a compile-time constant of the
+/// caller's and only the rank is matched.
 macro_rules! for_fixed_lanes {
     (@rows $R:literal, $k:expr, $f:ident($($arg:expr),*), $fallback:expr) => {
         match $k {
@@ -30,6 +35,17 @@ macro_rules! for_fixed_lanes {
             2 => $f::<$R, 2>($($arg),*),
             3 => $f::<$R, 3>($($arg),*),
             4 => $f::<$R, 4>($($arg),*),
+            _ => $fallback,
+        }
+    };
+    // A second parameter fixed at compile time: only the rank is matched.
+    ($r:expr, const $k:expr, $f:ident($($arg:expr),* $(,)?), else $fallback:expr) => {
+        match $r {
+            5 => $f::<5, { $k }>($($arg),*),
+            8 => $f::<8, { $k }>($($arg),*),
+            10 => $f::<10, { $k }>($($arg),*),
+            20 => $f::<20, { $k }>($($arg),*),
+            40 => $f::<40, { $k }>($($arg),*),
             _ => $fallback,
         }
     };
@@ -84,6 +100,15 @@ mod tests {
                     "rank {r} rows {k}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_const_second_parameter_dispatches_on_the_rank_alone() {
+        for r in 0..64usize {
+            let got = for_fixed_lanes!(r, const 8, dims(), else (0, 0));
+            let fixed = [5, 8, 10, 20, 40].contains(&r);
+            assert_eq!(got, if fixed { (r, 8) } else { (0, 0) }, "rank {r}");
         }
     }
 

@@ -8,13 +8,15 @@
 //! loops.
 
 use crate::error::{Result, TensorError};
+use crate::lanes::for_fixed_lanes;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Dense row-major matrix of `f64`.
 ///
 /// The workhorse type for CP factor matrices and all `R x R` intermediates
 /// (Gram matrices, Hadamard products, normal-equation systems).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -219,7 +221,7 @@ impl Matrix {
     /// row-wise distributed form of Sec. IV-B3.
     pub fn gram(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.cols);
-        accumulate_gram(&mut out, self);
+        gram_kernel(&mut out, self, None, &RowSet::Range(0..self.rows));
         out
     }
 
@@ -238,20 +240,42 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.cols, other.cols);
-        for i in 0..self.rows {
-            let a = self.row(i);
-            let b = other.row(i);
-            for (p, &av) in a.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[p * other.cols..(p + 1) * other.cols];
-                for (o, &bv) in out_row.iter_mut().zip(b) {
-                    *o += av * bv;
-                }
-            }
-        }
+        gram_kernel(&mut out, self, Some(other), &RowSet::Range(0..self.rows));
         Ok(out)
+    }
+
+    /// The row-wise partial product of Sec. IV-B3 over a subset of rows:
+    /// `out ← Σ_{i ∈ rows} self[i,:]ᵀ · other[i,:]`, the Gram partial when
+    /// `other` is `None` (= `self`) and the cross-Gram partial otherwise.
+    /// `out` is overwritten, never allocated: the serial solver passes its
+    /// old / new row blocks, a worker its owned rows, and both keep their
+    /// `R x R` targets for the whole run.
+    ///
+    /// Rows are summed in `rows` order, so partials over the same rows in
+    /// the same order agree bit for bit with [`Matrix::gram`] /
+    /// [`Matrix::cross_gram`].
+    ///
+    /// # Errors
+    /// [`TensorError::ShapeMismatch`] when `out` is not
+    /// `self.cols() x other.cols()`, [`TensorError::IndexOutOfBounds`] when
+    /// a listed row lies outside either operand.
+    pub fn gram_rows(
+        &self,
+        other: Option<&Matrix>,
+        rows: &RowSet<'_>,
+        out: &mut Matrix,
+    ) -> Result<()> {
+        let b = other.unwrap_or(self);
+        if out.shape() != (self.cols, b.cols) {
+            return Err(TensorError::shape_mismatch(
+                "gram_rows output",
+                &[self.cols, b.cols],
+                &[out.rows, out.cols],
+            ));
+        }
+        rows.check_within(self.rows.min(b.rows), self.cols)?;
+        gram_kernel(out, self, other, rows);
+        Ok(())
     }
 
     /// Element-wise (Hadamard) product `self * other`.
@@ -294,28 +318,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Element-wise sum `self + other`.
-    pub fn add(&self, other: &Matrix) -> Result<Matrix> {
-        if self.shape() != other.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "add",
-                left: vec![self.rows, self.cols],
-                right: vec![other.rows, other.cols],
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
     /// In-place element-wise sum `self += other`.
     pub fn add_assign(&mut self, other: &Matrix) -> Result<()> {
         if self.shape() != other.shape() {
@@ -329,38 +331,6 @@ impl Matrix {
             *a += b;
         }
         Ok(())
-    }
-
-    /// Element-wise difference `self - other`.
-    pub fn sub(&self, other: &Matrix) -> Result<Matrix> {
-        if self.shape() != other.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "sub",
-                left: vec![self.rows, self.cols],
-                right: vec![other.rows, other.cols],
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Returns `self * s` for a scalar `s`.
-    pub fn scale(&self, s: f64) -> Matrix {
-        let data = self.data.iter().map(|a| a * s).collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
     }
 
     /// In-place scalar multiplication.
@@ -443,26 +413,149 @@ impl Matrix {
     }
 }
 
-/// Accumulates `m += a' * a` into an existing `cols x cols` matrix.
+/// The rows of a factor matrix a batched kernel visits, in visiting order.
+#[derive(Debug, Clone)]
+pub enum RowSet<'a> {
+    /// A contiguous block — the serial solver's old-row / new-row blocks.
+    Range(Range<usize>),
+    /// An explicit list — the rows a distributed worker owns.
+    List(&'a [u32]),
+}
+
+impl RowSet<'_> {
+    /// Number of rows visited.
+    pub fn len(&self) -> usize {
+        match self {
+            RowSet::Range(r) => r.len(),
+            RowSet::List(l) => l.len(),
+        }
+    }
+
+    /// True when no row is visited.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `j`-th row visited (`j < len()`).
+    #[inline(always)]
+    pub(crate) fn at(&self, j: usize) -> usize {
+        match self {
+            RowSet::Range(r) => r.start + j,
+            RowSet::List(l) => l[j] as usize,
+        }
+    }
+
+    /// The batch's one bounds check: every row below `rows`.
+    pub(crate) fn check_within(&self, rows: usize, cols: usize) -> Result<()> {
+        let end = match self {
+            RowSet::Range(r) if r.is_empty() => 0,
+            RowSet::Range(r) => r.end,
+            RowSet::List(l) => l.iter().map(|&i| i as usize + 1).max().unwrap_or(0),
+        };
+        if end > rows {
+            return Err(TensorError::IndexOutOfBounds {
+                index: vec![end - 1], // lint:allow(alloc_hygiene): rejected input only, not steady state
+                shape: vec![rows, cols], // lint:allow(alloc_hygiene): rejected input only, not steady state
+            });
+        }
+        Ok(())
+    }
+}
+
+/// The one Gram kernel: `out ← Σ_{i ∈ rows} a[i,:]ᵀ · b[i,:]` with `b = a`
+/// when `other` is `None`; callers have checked shapes and row bounds.
+/// Ranks in the [`for_fixed_lanes!`] set run [`gram_fixed`], the rest
+/// [`gram_dyn`]; both sum an entry's products in row order from `+0.0`, so
+/// they agree bit for bit.
 ///
-/// Workers call this on their local row blocks and then all-reduce the
-/// partial Grams (Sec. IV-B3: `AᵀB = Σ_p A_{P_p}ᵀ B_{P_p}`).
-pub fn accumulate_gram(m: &mut Matrix, a: &Matrix) {
-    debug_assert_eq!(m.rows, a.cols);
-    debug_assert_eq!(m.cols, a.cols);
-    let c = a.cols;
-    for i in 0..a.rows {
-        let row = a.row(i);
-        for (p, &av) in row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let out_row = &mut m.data[p * c..(p + 1) * c];
-            for (o, &bv) in out_row.iter_mut().zip(row) {
-                *o += av * bv;
+/// Neither skips zero entries the way the loops they replace did.  On
+/// finite data the skip could not be seen: a skipped product is `±0.0`,
+/// and a sum that starts at `+0.0` is never `-0.0`, so adding it changes
+/// nothing.  A row holding both an exact zero and `±Inf`/`NaN` now makes
+/// entry `(p, q)` *and* its mirror `(q, p)` `NaN`, where the skipping loop
+/// left the zero's own row of `out` clean — either way
+/// `RobustSolver::decide` refuses that Gram as `NonFiniteValue`.
+fn gram_kernel(out: &mut Matrix, a: &Matrix, other: Option<&Matrix>, rows: &RowSet<'_>) {
+    let (b, operands) = match other {
+        None => (a, 1),
+        Some(b) if b.cols == a.cols => (b, 2),
+        Some(b) => (b, 0),
+    };
+    let fixed = for_fixed_lanes!(a.cols, operands, gram_fixed(out, a, b, rows), else None);
+    if fixed.is_none() {
+        gram_dyn(out, a, b, rows);
+    }
+}
+
+/// [`gram_kernel`] for any widths: one rank-one update per row.
+fn gram_dyn(out: &mut Matrix, a: &Matrix, b: &Matrix, rows: &RowSet<'_>) {
+    out.fill_zero();
+    for j in 0..rows.len() {
+        let (x, y) = (a.row(rows.at(j)), b.row(rows.at(j)));
+        for (lane, &xv) in out.data.chunks_exact_mut(b.cols.max(1)).zip(x) {
+            for (o, &yv) in lane.iter_mut().zip(y) {
+                *o += xv * yv;
             }
         }
     }
+}
+
+/// [`gram_kernel`] for `R` columns on both sides, the `R x R` sums on the
+/// stack for the whole batch.  `K` counts the operands: with one (`b` is
+/// `a`) only the upper triangle is summed and then mirrored — `(q, p)`
+/// would sum the commuted products of `(p, q)` in the same order, so the
+/// copy has its bits.  `None` — `out` untouched — when a row is not `R`
+/// wide, so the caller runs [`gram_dyn`].
+fn gram_fixed<const R: usize, const K: usize>(
+    out: &mut Matrix,
+    a: &Matrix,
+    b: &Matrix,
+    rows: &RowSet<'_>,
+) -> Option<()> {
+    let mut acc = [[0.0f64; R]; R];
+    let mut rank_one = |x: &[f64], y: &[f64]| {
+        let x = <&[f64; R]>::try_from(x).ok()?;
+        if K == 1 {
+            // One operand read through one name: the form LLVM packs.
+            for p in 0..R {
+                for q in p..R {
+                    acc[p][q] += x[p] * x[q];
+                }
+            }
+        } else {
+            let y = <&[f64; R]>::try_from(y).ok()?;
+            for p in 0..R {
+                for q in 0..R {
+                    acc[p][q] += x[p] * y[q];
+                }
+            }
+        }
+        Some(())
+    };
+    match rows {
+        // A block is walked as one slice: nothing per row but the update.
+        RowSet::Range(r) => {
+            let (lo, hi) = (r.start * R, r.end.max(r.start) * R);
+            let xs = a.data.get(lo..hi)?.chunks_exact(R);
+            for (x, y) in xs.zip(b.data.get(lo..hi)?.chunks_exact(R)) {
+                rank_one(x, y)?;
+            }
+        }
+        RowSet::List(list) => {
+            for &i in list.iter() {
+                rank_one(a.row(i as usize), b.row(i as usize))?;
+            }
+        }
+    }
+    for (p, lane) in acc.iter().enumerate() {
+        for (q, &sum) in lane.iter().enumerate().skip(if K == 1 { p } else { 0 }) {
+            out.data[p * R + q] = sum;
+            if K == 1 {
+                out.data[q * R + p] = sum;
+            }
+        }
+    }
+    Some(())
 }
 
 /// Dot product of two equal-length slices.
@@ -484,8 +577,31 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// `accumulate_gram` / `cross_gram` / the worker's `local_gram_partials`
+    /// as they stood before [`gram_kernel`] — one loop, with its zero skip —
+    /// kept verbatim as the kernel's oracle: `m += Σ_rows a[i,:]ᵀ · b[i,:]`.
+    fn skipping_oracle(m: &mut Matrix, a: &Matrix, b: &Matrix, rows: &RowSet<'_>) {
+        for j in 0..rows.len() {
+            let (x, y) = (a.row(rows.at(j)), b.row(rows.at(j)));
+            for (p, &av) in x.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                let out_row = &mut m.data[p * b.cols..(p + 1) * b.cols];
+                for (o, &bv) in out_row.iter_mut().zip(y) {
+                    *o += av * bv;
+                }
+            }
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
 
     fn sample() -> Matrix {
         Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]])
@@ -589,17 +705,15 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_scale() {
+    fn add_assign_and_scale_assign() {
         let a = Matrix::from_rows(&[&[1.0, 2.0]]);
         let b = Matrix::from_rows(&[&[3.0, 5.0]]);
-        assert_eq!(a.add(&b).unwrap(), Matrix::from_rows(&[&[4.0, 7.0]]));
-        assert_eq!(b.sub(&a).unwrap(), Matrix::from_rows(&[&[2.0, 3.0]]));
-        assert_eq!(a.scale(2.0), Matrix::from_rows(&[&[2.0, 4.0]]));
         let mut c = a.clone();
         c.add_assign(&b).unwrap();
         assert_eq!(c, Matrix::from_rows(&[&[4.0, 7.0]]));
         c.scale_assign(0.5);
         assert_eq!(c, Matrix::from_rows(&[&[2.0, 3.5]]));
+        assert!(c.add_assign(&Matrix::zeros(2, 2)).is_err());
     }
 
     #[test]
@@ -641,12 +755,13 @@ mod tests {
         // Distributed identity of Sec. IV-B3: sum of block Grams equals the
         // Gram of the stacked matrix.
         let m = sample();
-        let top = m.row_block(0, 1).unwrap();
-        let bottom = m.row_block(1, 3).unwrap();
-        let mut acc = Matrix::zeros(2, 2);
-        accumulate_gram(&mut acc, &top);
-        accumulate_gram(&mut acc, &bottom);
-        assert_eq!(acc, m.gram());
+        let mut top = Matrix::zeros(2, 2);
+        let mut bottom = Matrix::zeros(2, 2);
+        m.gram_rows(None, &RowSet::Range(0..1), &mut top).unwrap();
+        m.gram_rows(None, &RowSet::List(&[1, 2]), &mut bottom)
+            .unwrap();
+        top.add_assign(&bottom).unwrap();
+        assert_eq!(top, m.gram());
     }
 
     #[test]
@@ -680,5 +795,103 @@ mod tests {
         let rows: Vec<&[f64]> = m.iter_rows().collect();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0], &[1.0, 2.0]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Gram and cross-Gram partials over a range or a shuffled list:
+        /// the dispatched kernel (fixed bodies at the dispatch ranks) ≡ the
+        /// dynamic body ≡ the skipping loops it replaced, bit for bit, on
+        /// rows that hold exact `0.0` and `-0.0`.
+        #[test]
+        fn gram_kernel_is_the_skipping_loop_bit_for_bit(
+            seed in 0u64..u64::MAX,
+            n_rows in 0usize..10,
+            listed in 0u8..2,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut draw = |rows: usize, cols: usize| {
+                Matrix::from_fn(rows, cols, |_, _| match rng.gen_range(0..6) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-2.0..2.0),
+                })
+            };
+            for r in (1..=24).chain([32, 40]) {
+                let total = n_rows + 2;
+                let (a, b, wide) = (draw(total, r), draw(total, r), draw(total, r + 1));
+                let mut list: Vec<u32> = (0..total as u32).rev().collect();
+                list.truncate(n_rows);
+                let rows = if listed == 1 {
+                    RowSet::List(&list)
+                } else {
+                    RowSet::Range(1..1 + n_rows)
+                };
+                // (other operand, symmetric): Gram, cross-Gram, and a
+                // cross-Gram of unequal widths (always the dynamic body).
+                for (other, symmetric) in [(&a, true), (&b, false), (&wide, false)] {
+                    let mut expected = Matrix::zeros(r, other.cols);
+                    skipping_oracle(&mut expected, &a, other, &rows);
+                    let mut got = Matrix::from_fn(r, other.cols, |_, _| f64::NAN);
+                    a.gram_rows((!symmetric).then_some(other), &rows, &mut got).unwrap();
+                    prop_assert_eq!(bits(&got), bits(&expected), "rank {}", r);
+                    let mut dynamic = Matrix::from_fn(r, other.cols, |_, _| f64::NAN);
+                    gram_dyn(&mut dynamic, &a, other, &rows);
+                    prop_assert_eq!(bits(&dynamic), bits(&expected), "rank {}", r);
+                }
+                // The whole-matrix adapters are the same kernel.
+                let all = RowSet::Range(0..total);
+                let mut expected = Matrix::zeros(r, r);
+                skipping_oracle(&mut expected, &a, &a, &all);
+                prop_assert_eq!(bits(&a.gram()), bits(&expected));
+                let mut expected = Matrix::zeros(r, r);
+                skipping_oracle(&mut expected, &a, &b, &all);
+                prop_assert_eq!(bits(&a.cross_gram(&b).unwrap()), bits(&expected));
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_beside_an_infinity_poisons_both_mirrored_entries() {
+        // The one place dropping the zero skip shows: 0 · Inf.  The old
+        // loop skipped row 0 of the Gram (a[0] == 0) and left (0, 1)
+        // finite while (1, 0) went NaN; the kernel mirrors, so both are.
+        for r in [3usize, 5] {
+            let mut a = Matrix::from_fn(2, r, |i, j| (i + j + 1) as f64);
+            a.set(1, 0, 0.0);
+            a.set(1, 1, f64::INFINITY);
+            let g = a.gram();
+            assert!(g.get(0, 1).is_nan() && g.get(1, 0).is_nan(), "rank {r}");
+            let mut old = Matrix::zeros(r, r);
+            skipping_oracle(&mut old, &a, &a, &RowSet::Range(0..2));
+            assert!(old.get(0, 1).is_finite() && old.get(1, 0).is_nan());
+            // Entries the bad row's zero and infinity do not meet in agree.
+            assert_eq!(g.get(0, 2).to_bits(), old.get(0, 2).to_bits());
+            assert!(g.get(1, 2).is_infinite() && old.get(1, 2).is_infinite());
+        }
+    }
+
+    #[test]
+    fn gram_rows_validates_target_and_rows() {
+        let (a, short) = (sample(), Matrix::zeros(2, 2));
+        let mut out = Matrix::zeros(2, 2);
+        assert!(matches!(
+            a.gram_rows(None, &RowSet::Range(0..3), &mut Matrix::zeros(2, 3)),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+        for (other, rows) in [
+            (None, RowSet::Range(1..4)),
+            (None, RowSet::List(&[0, 3])),
+            (Some(&short), RowSet::Range(0..3)),
+        ] {
+            assert!(matches!(
+                a.gram_rows(other, &rows, &mut out),
+                Err(TensorError::IndexOutOfBounds { .. })
+            ));
+        }
+        // An empty range is in bounds wherever it starts.
+        a.gram_rows(None, &RowSet::Range(9..9), &mut out).unwrap();
+        assert_eq!(out, Matrix::zeros(2, 2));
     }
 }

@@ -7,6 +7,7 @@
 
 use crate::error::{Result, TensorError};
 use crate::matrix::Matrix;
+use std::borrow::Borrow;
 
 /// Khatri-Rao (column-wise Kronecker) product `a ⊙ b`.
 ///
@@ -104,12 +105,13 @@ pub fn hadamard_skip(mats: &[Matrix], skip: usize) -> Result<Matrix> {
 ///
 /// This is the scalar kernel behind every norm/inner-product identity in
 /// Sec. IV-B4 — it never materialises the product.
-pub fn grand_sum_hadamard(mats: &[&Matrix]) -> Result<f64> {
+pub fn grand_sum_hadamard<M: Borrow<Matrix>>(mats: &[M]) -> Result<f64> {
     let first = mats
         .first()
         .ok_or_else(|| TensorError::InvalidArgument("grand_sum_hadamard of empty list".into()))?;
-    let (rows, cols) = first.shape();
+    let (rows, cols) = first.borrow().shape();
     for m in mats {
+        let m = m.borrow();
         if m.shape() != (rows, cols) {
             return Err(TensorError::ShapeMismatch {
                 op: "grand_sum_hadamard",
@@ -123,7 +125,7 @@ pub fn grand_sum_hadamard(mats: &[&Matrix]) -> Result<f64> {
     for idx in 0..n {
         let mut prod = 1.0;
         for m in mats {
-            prod *= m.as_slice()[idx];
+            prod *= m.borrow().as_slice()[idx];
         }
         total += prod;
     }

@@ -25,8 +25,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{Result, TensorError};
 use crate::linalg::{
-    cholesky, cholesky_condition_estimate, lu_condition_estimate, lu_decompose, require_square,
-    Factorized,
+    all_rows, cholesky_condition_estimate, cholesky_into, lu_condition_estimate, lu_into,
+    require_square, Factorized, RowUpdate,
 };
 use crate::matrix::Matrix;
 
@@ -50,15 +50,13 @@ impl SolveTier {
         }
     }
 
+    /// Only the three exact codes decode: the slot arrives in a broadcast,
+    /// and a cast would turn NaN, `0.9` or `-0.3` into `Cholesky`.
     fn from_f64(v: f64) -> Result<SolveTier> {
-        match v as i64 {
-            0 => Ok(SolveTier::Cholesky),
-            1 => Ok(SolveTier::Lu),
-            2 => Ok(SolveTier::Ridge),
-            _ => Err(TensorError::InvalidArgument(format!(
-                "unknown solve tier code {v}"
-            ))),
-        }
+        [SolveTier::Cholesky, SolveTier::Lu, SolveTier::Ridge]
+            .into_iter()
+            .find(|tier| tier.as_f64() == v)
+            .ok_or_else(|| TensorError::InvalidArgument(format!("unknown solve tier code {v}")))
     }
 }
 
@@ -201,21 +199,30 @@ impl RobustSolver {
     /// contains NaN/Inf, and [`TensorError::Singular`] when even the
     /// largest permitted ridge fails to factorise.
     pub fn decide(&self, m: &Matrix) -> Result<SolveDecision> {
+        self.decide_into(m, &mut Factorized::default())
+    }
+
+    /// [`RobustSolver::decide`], leaving the factorisation it accepted —
+    /// the one [`RobustSolver::factorize`] would rebuild from the decision
+    /// — in `fact`, whose buffers it reuses.
+    fn decide_into(&self, m: &Matrix, fact: &mut Factorized) -> Result<SolveDecision> {
         let n = require_square(m)?;
         for i in 0..n {
             for j in 0..n {
                 let v = m.get(i, j);
                 if !v.is_finite() {
                     return Err(TensorError::NonFiniteValue {
-                        index: vec![i, j],
+                        index: vec![i, j], // lint:allow(alloc_hygiene): rejected input only, not steady state
                         value: v,
                     });
                 }
             }
         }
-        if let Ok(l) = cholesky(m) {
-            let cond = cholesky_condition_estimate(&l);
+        let (mut buf, mut perm) = take_buffers(fact);
+        if cholesky_into(m, 0.0, &mut buf).is_ok() {
+            let cond = cholesky_condition_estimate(&buf);
             if cond <= self.policy.condition_limit {
+                *fact = Factorized::Cholesky(buf);
                 return Ok(SolveDecision {
                     tier: SolveTier::Cholesky,
                     lambda: 0.0,
@@ -223,9 +230,10 @@ impl RobustSolver {
                 });
             }
         }
-        if let Ok((lu, _)) = lu_decompose(m) {
-            let cond = lu_condition_estimate(&lu);
+        if lu_into(m, &mut buf, &mut perm).is_ok() {
+            let cond = lu_condition_estimate(&buf);
             if cond <= self.policy.condition_limit {
+                *fact = Factorized::Lu(buf, perm);
                 return Ok(SolveDecision {
                     tier: SolveTier::Lu,
                     lambda: 0.0,
@@ -237,15 +245,13 @@ impl RobustSolver {
         // acceptable condition estimate.  Scale the floor by the trace so
         // the shift is meaningful relative to the matrix's magnitude; the
         // max(…, 1) keeps the all-zero matrix (empty-slice snapshot) viable.
-        let trace: f64 = (0..n).map(|i| m.get(i, i)).sum();
-        let scale = (trace.abs() / n.max(1) as f64).max(1.0);
-        let mut lambda = self.policy.ridge_initial * scale;
+        let mut lambda = self.policy.ridge_initial * trace_scale(m);
         let mut last_cond = f64::INFINITY;
         for _ in 0..self.policy.max_ridge_steps {
-            let shifted = add_ridge(m, lambda);
-            if let Ok(l) = cholesky(&shifted) {
-                let cond = cholesky_condition_estimate(&l);
+            if cholesky_into(m, lambda, &mut buf).is_ok() {
+                let cond = cholesky_condition_estimate(&buf);
                 if cond <= self.policy.condition_limit {
+                    *fact = Factorized::Cholesky(buf);
                     return Ok(SolveDecision {
                         tier: SolveTier::Ridge,
                         lambda,
@@ -258,20 +264,20 @@ impl RobustSolver {
         }
         // One final relaxation: if the last shift factorised at all, use it
         // even above the condition limit — a damped solve beats no solve.
-        let shifted = add_ridge(m, lambda);
-        if let Ok(l) = cholesky(&shifted) {
-            return Ok(SolveDecision {
-                tier: SolveTier::Ridge,
-                lambda,
-                cond_est: cholesky_condition_estimate(&l).min(last_cond),
-            });
-        }
-        Err(TensorError::Singular {
+        cholesky_into(m, lambda, &mut buf).map_err(|_| TensorError::Singular {
             solver: "robust-ridge",
+        })?;
+        let cond_est = cholesky_condition_estimate(&buf).min(last_cond);
+        *fact = Factorized::Cholesky(buf);
+        Ok(SolveDecision {
+            tier: SolveTier::Ridge,
+            lambda,
+            cond_est,
         })
     }
 
-    /// Re-factorises `m` exactly as a decision mandates.
+    /// Re-factorises `m` into `fact` (reusing its buffers) exactly as a
+    /// decision mandates.
     ///
     /// Deterministic: ranks applying the same broadcast decision to the
     /// same replicated matrix produce bit-identical factors.
@@ -279,20 +285,30 @@ impl RobustSolver {
     /// # Errors
     /// Propagates factorisation failure — possible only when the decision
     /// was made for a different matrix.
-    pub fn factorize(&self, m: &Matrix, decision: &SolveDecision) -> Result<Factorized> {
-        match decision.tier {
-            SolveTier::Cholesky => cholesky(m).map(Factorized::Cholesky),
-            SolveTier::Lu => lu_decompose(m).map(|(lu, perm)| Factorized::Lu(lu, perm)),
-            SolveTier::Ridge => cholesky(&add_ridge(m, decision.lambda)).map(Factorized::Cholesky),
-        }
+    pub fn factorize(
+        &self,
+        m: &Matrix,
+        decision: &SolveDecision,
+        fact: &mut Factorized,
+    ) -> Result<()> {
+        let (mut buf, mut perm) = take_buffers(fact);
+        *fact = match decision.tier {
+            SolveTier::Lu => {
+                lu_into(m, &mut buf, &mut perm)?;
+                Factorized::Lu(buf, perm)
+            }
+            // `lambda` is 0 off the ridge tier.
+            SolveTier::Cholesky | SolveTier::Ridge => {
+                cholesky_into(m, decision.lambda, &mut buf)?;
+                Factorized::Cholesky(buf)
+            }
+        };
+        Ok(())
     }
 
     /// Solves `X · M = B` row-wise through the escalation ladder, recording
-    /// the fired tier in `report`.
-    ///
-    /// If the chosen tier produces any non-finite output entry, the solve is
-    /// re-run once with a forced ridge escalation (recorded as a
-    /// `post_escalation`).
+    /// the fired tier in `report`: [`RobustSolver::solve_rows`] over all of
+    /// `b` into a fresh matrix.
     ///
     /// # Errors
     /// Shape mismatch between `B` and `M`, a non-finite entry inside `M`,
@@ -303,39 +319,56 @@ impl RobustSolver {
         m: &Matrix,
         report: &mut NumericsReport,
     ) -> Result<Matrix> {
-        let decision = self.decide(m)?;
-        let out = self.apply(b, m, &decision)?;
+        let mut out = Matrix::zeros(b.rows(), b.cols());
+        let mut fact = Factorized::default();
+        self.solve_rows(m, &all_rows(b), &mut out, &mut fact, report)?;
+        Ok(out)
+    }
+
+    /// Runs one batch of row updates against `m` (see [`RowUpdate`])
+    /// through the escalation ladder into `out`, recording the fired tier
+    /// in `report`.  `fact` is scratch: the factorisations are built in its
+    /// buffers, so a caller that keeps it allocates nothing here.
+    ///
+    /// If the chosen tier writes any non-finite value, the batch is solved
+    /// again — from `job.rhs`, which no solve modifies — with a forced
+    /// ridge escalation (recorded as a `post_escalation`).
+    ///
+    /// # Errors
+    /// Those of [`Factorized::solve_rows`], a non-finite entry inside `m`,
+    /// or total factorisation failure.
+    pub fn solve_rows(
+        &self,
+        m: &Matrix,
+        job: &RowUpdate<'_>,
+        out: &mut Matrix,
+        fact: &mut Factorized,
+        report: &mut NumericsReport,
+    ) -> Result<()> {
+        let decision = self.decide_into(m, fact)?;
+        let finite = fact.solve_rows(job, out)?;
         report.record(&decision);
-        if matrix_is_finite(&out) {
-            return Ok(out);
+        if finite {
+            return Ok(());
         }
         // Post-solve escalation: the accepted tier still produced NaN/Inf
         // (catastrophic cancellation past what the estimate saw).  Force the
         // ridge ladder from one step above the failed λ.
         report.post_escalations += 1;
-        let forced = RobustSolver::new(SolvePolicy {
-            condition_limit: f64::INFINITY,
-            ridge_initial: self
-                .policy
-                .ridge_initial
-                .max(decision.lambda * self.policy.ridge_growth),
-            ..self.policy
-        });
-        let n = require_square(m)?;
-        let trace: f64 = (0..n).map(|i| m.get(i, i)).sum();
-        let scale = (trace.abs() / n.max(1) as f64).max(1.0);
-        let mut lambda = forced.policy.ridge_initial * scale;
+        let ridge_initial = self
+            .policy
+            .ridge_initial
+            .max(decision.lambda * self.policy.ridge_growth);
+        let mut lambda = ridge_initial * trace_scale(m);
         for _ in 0..=self.policy.max_ridge_steps {
             let decision = SolveDecision {
                 tier: SolveTier::Ridge,
                 lambda,
                 cond_est: f64::INFINITY,
             };
-            if let Ok(out) = self.apply(b, m, &decision) {
-                if matrix_is_finite(&out) {
-                    report.record(&decision);
-                    return Ok(out);
-                }
+            if self.factorize(m, &decision, fact).is_ok() && fact.solve_rows(job, out)? {
+                report.record(&decision);
+                return Ok(());
             }
             lambda *= self.policy.ridge_growth;
         }
@@ -343,40 +376,22 @@ impl RobustSolver {
             solver: "robust-post-escalation",
         })
     }
-
-    /// Applies a (possibly broadcast) decision: factorise per the mandated
-    /// tier and solve `X · M = B` row-wise.
-    ///
-    /// # Errors
-    /// Shape mismatch, or factorisation failure under the mandated tier.
-    pub fn apply(&self, b: &Matrix, m: &Matrix, decision: &SolveDecision) -> Result<Matrix> {
-        if b.cols() != m.rows() {
-            return Err(TensorError::ShapeMismatch {
-                op: "robust_solve_right",
-                left: vec![b.rows(), b.cols()],
-                right: vec![m.rows(), m.cols()],
-            });
-        }
-        let fact = self.factorize(m, decision)?;
-        let mut out = b.clone();
-        for i in 0..out.rows() {
-            fact.solve_in_place(out.row_mut(i))?;
-        }
-        Ok(out)
-    }
 }
 
-fn add_ridge(m: &Matrix, lambda: f64) -> Matrix {
-    let mut shifted = m.clone();
-    let n = shifted.rows().min(shifted.cols());
-    for i in 0..n {
-        shifted.set(i, i, shifted.get(i, i) + lambda);
-    }
-    shifted
+/// `max(|tr(m)|/n, 1)`: what a ridge shift is measured against.
+fn trace_scale(m: &Matrix) -> f64 {
+    let n = m.rows().min(m.cols());
+    let trace: f64 = (0..n).map(|i| m.get(i, i)).sum();
+    (trace.abs() / n.max(1) as f64).max(1.0)
 }
 
-fn matrix_is_finite(m: &Matrix) -> bool {
-    m.as_slice().iter().all(|v| v.is_finite())
+/// Takes a factorisation's buffers for reuse, leaving an empty one behind.
+fn take_buffers(fact: &mut Factorized) -> (Matrix, Vec<usize>) {
+    match std::mem::take(fact) {
+        // lint:allow(alloc_hygiene): an empty Vec owns no heap block
+        Factorized::Cholesky(l) => (l, Vec::new()),
+        Factorized::Lu(lu, perm) => (lu, perm),
+    }
 }
 
 #[cfg(test)]
@@ -479,15 +494,114 @@ mod tests {
     }
 
     #[test]
+    fn only_the_exact_tier_codes_decode() {
+        // The code arrives in a broadcast payload: anything that is not
+        // exactly 0, 1 or 2 is refused, where an `as i64` cast read NaN,
+        // 0.9 and -0.3 as Cholesky and 1.5 as LU.
+        for code in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.9,
+            -0.3,
+            1.5,
+            2.000_000_1,
+            -1.0,
+            3.0,
+        ] {
+            assert!(
+                matches!(
+                    SolveDecision::decode(&[code, 0.0, 1.0]),
+                    Err(TensorError::InvalidArgument(_))
+                ),
+                "tier code {code} decoded"
+            );
+        }
+        assert_eq!(
+            SolveDecision::decode(&[-0.0, 0.0, 1.0]).unwrap().tier,
+            SolveTier::Cholesky
+        );
+    }
+
+    #[test]
     fn factorize_is_deterministic_across_calls() {
         let m = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0 + 1e-13]]);
         let s = solver();
         let decision = s.decide(&m).unwrap();
         let b = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let x1 = s.apply(&b, &m, &decision).unwrap();
-        let x2 = s.apply(&b, &m, &decision).unwrap();
+        let apply = || {
+            let mut fact = Factorized::default();
+            s.factorize(&m, &decision, &mut fact).unwrap();
+            let mut x = Matrix::zeros(1, 2);
+            fact.solve_rows(&all_rows(&b), &mut x).unwrap();
+            x
+        };
         // Bit-identical: same decision + same matrix => same factors.
-        assert_eq!(x1.as_slice(), x2.as_slice());
+        assert_eq!(apply().as_slice(), apply().as_slice());
+    }
+
+    #[test]
+    fn deciding_leaves_the_factorisation_the_decision_rebuilds() {
+        // Cholesky, LU and ridge systems through one scratch, so every
+        // variant's buffers get reused by the next.
+        let s = solver();
+        let mut kept = Factorized::default();
+        for m in [
+            spd3(),
+            Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]),
+            Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]),
+            spd3(),
+        ] {
+            let decision = s.decide_into(&m, &mut kept).unwrap();
+            assert_eq!(decision, s.decide(&m).unwrap());
+            let mut rebuilt = Factorized::Lu(Matrix::default(), Vec::new());
+            s.factorize(&m, &decision, &mut rebuilt).unwrap();
+            match (&kept, &rebuilt) {
+                (Factorized::Cholesky(a), Factorized::Cholesky(b)) => assert_eq!(a, b),
+                (Factorized::Lu(a, p), Factorized::Lu(b, q)) => assert_eq!((a, p), (b, q)),
+                _ => panic!("tiers differ for {decision:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn post_solve_escalation_resolves_from_the_untouched_rhs() {
+        // 1e-200 passes every conditioning test (cond = 1) yet overflows
+        // the row `1e200 / 1e-200`: the accepted tier writes Inf, and the
+        // batch — all of it, from `rhs` — is solved again under a ridge.
+        let m = Matrix::from_rows(&[&[1e-200, 0.0], &[0.0, 1e-200]]);
+        let rhs = Matrix::from_rows(&[&[1.0, 2.0], &[1e200, 1.0], &[3.0, 4.0]]);
+        let before = rhs.clone();
+        let job = RowUpdate {
+            rhs: &rhs,
+            history: None,
+            rows: crate::matrix::RowSet::List(&[2, 1]),
+        };
+        let mut out = Matrix::from_fn(3, 2, |_, _| 7.0);
+        let mut fact = Factorized::default();
+        let mut report = NumericsReport::default();
+        solver()
+            .solve_rows(&m, &job, &mut out, &mut fact, &mut report)
+            .unwrap();
+        assert_eq!(rhs, before);
+        assert_eq!(
+            (
+                report.cholesky_solves,
+                report.ridge_solves,
+                report.post_escalations
+            ),
+            (1, 1, 1)
+        );
+        // λ = ridge_initial · max(tr/n, 1) = 1e-10 swamps 1e-200.
+        assert_eq!(report.max_lambda, 1e-10);
+        assert_eq!(out.row(0), &[7.0, 7.0], "row 0 is not in the batch");
+        for (i, b) in [(1usize, [1e200, 1.0]), (2, [3.0, 4.0])] {
+            for c in 0..2 {
+                let got = out.get(i, c);
+                assert!(got.is_finite());
+                assert!((got * 1e-10 / b[c] - 1.0).abs() < 1e-12, "row {i}: {got}");
+            }
+        }
     }
 
     #[test]

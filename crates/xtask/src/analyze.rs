@@ -93,7 +93,8 @@ impl AnalyzeConfig {
             l7_pub_prefixes: own(&["crates/tensor/src", "crates/core/src", "crates/cluster/src"]),
             l8_entries: own(&[
                 "mttkrp_into",
-                "local_gram_partials",
+                "solve_rows",
+                "gram_rows",
                 "allreduce_grams",
                 "encode_outgoing",
                 "complete_refresh",
@@ -118,9 +119,6 @@ impl AnalyzeConfig {
                 // `slice::get` on plan metadata also resolves to the
                 // random-access COO probe (test/debug surface).
                 "SparseTensor::get",
-                // Raw-pointer `.add(…)` arithmetic in the unsafe kernels
-                // also resolves to elementwise `Matrix::add`.
-                "Matrix::add",
             ]),
             crate_deps: vec![
                 ("obs".to_string(), vec![]),

@@ -69,17 +69,18 @@ echo "==> interprocedural audits (dismastd-xtask: collective-order, panic-budget
 # from worker_body under a rank-conditioned branch (L6), the transitive
 # panic surface of public APIs pinned against crates/xtask/panic_budget.txt
 # (L7 — growth fails; refresh with `analyze --write-budget` after review),
-# and no allocating call reachable from the steady-state MTTKRP / gram /
-# exchange kernels (L8).
+# and no allocating call reachable from the steady-state MTTKRP / row-solve /
+# gram / exchange kernels (L8).
 cargo run -q -p dismastd-xtask -- analyze
 
-echo "==> allocation audits (count-alloc feature: zero allocations after warm-up; warm-ingest bytes independent of the resident block)"
+echo "==> allocation audits (count-alloc feature: zero allocations after warm-up; warm-ingest bytes independent of the resident block; serial dtd iterations allocation-free)"
 # The dynamic twin of L8: a counting global allocator measures a full
 # gram -> all-reduce -> row-exchange round on every rank after the pools
 # warm up; the budget is exactly zero.  Its byte counter also holds the
 # streaming step to O(nnz(complement)): a warm serial ingest must request
 # exactly the same bytes with a 4x denser old block behind the same
-# arrivals.
+# arrivals, and a serial dtd of six iterations makes the allocator calls
+# of one of two (solve + Gram work in kept buffers).
 cargo test -q -p dismastd-integration-tests --features count-alloc --test steady_state_alloc
 
 echo "All checks passed."
