@@ -19,19 +19,15 @@ use std::time::Duration;
 ///   other rank moves only `2·bytes`.
 /// * **Ring** pipelines chunks around a chain; every rank sends and receives
 ///   the full buffer once per wave, `2·bytes` regardless of `world`.
-/// * **Halving** (recursive halving/doubling) exchanges geometrically
-///   shrinking halves: `2·bytes·(world-1)/world` per rank.
 pub fn allreduce_bytes_per_rank(world: usize, bytes: u64, algo: AllreduceAlgo) -> u64 {
     if world <= 1 {
         return 0;
     }
     let w = world as u64;
     match algo.resolve(world, bytes) {
-        AllreduceAlgo::Flat => 2 * (w - 1) * bytes,
-        AllreduceAlgo::Ring => 2 * bytes,
-        AllreduceAlgo::Halving => 2 * bytes * (w - 1) / w,
         // resolve() never returns Auto.
-        AllreduceAlgo::Auto => 2 * (w - 1) * bytes,
+        AllreduceAlgo::Flat | AllreduceAlgo::Auto => 2 * (w - 1) * bytes,
+        AllreduceAlgo::Ring => 2 * bytes,
     }
 }
 
@@ -97,9 +93,9 @@ impl CostModel {
     /// latency per sequential hop on the critical path plus the transfer
     /// time of the busiest rank's traffic.  Flat pays 2 hops (gather +
     /// broadcast) but moves `2(world-1)·bytes` through the root; ring pays
-    /// `2(world-1)` pipelined hops moving only `2·bytes` per rank; halving
-    /// pays `2·log₂(world)` hops.  This is the latency/bandwidth trade the
-    /// [`AllreduceAlgo::resolve`] heuristic encodes.
+    /// `2(world-1)` pipelined hops moving only `2·bytes` per rank.  This is
+    /// the latency/bandwidth trade the [`AllreduceAlgo::resolve`] heuristic
+    /// encodes.
     pub fn allreduce_time(&self, bytes: u64, world: usize, algo: AllreduceAlgo) -> Duration {
         if world <= 1 {
             return Duration::ZERO;
@@ -107,7 +103,6 @@ impl CostModel {
         let hops = match algo.resolve(world, bytes) {
             AllreduceAlgo::Flat | AllreduceAlgo::Auto => 2,
             AllreduceAlgo::Ring => 2 * (world as u32 - 1),
-            AllreduceAlgo::Halving => 2 * (usize::BITS - world.leading_zeros() - 1),
         };
         self.collective_latency * hops
             + self.transfer_time(allreduce_bytes_per_rank(world, bytes, algo))
@@ -178,9 +173,6 @@ mod tests {
         let flat = m.allreduce_time(bytes, world, AllreduceAlgo::Flat);
         let ring = m.allreduce_time(bytes, world, AllreduceAlgo::Ring);
         assert!(ring < flat, "ring {ring:?} vs flat {flat:?}");
-        // Halving moves slightly less than ring and pays fewer hops.
-        let halving = m.allreduce_time(bytes, world, AllreduceAlgo::Halving);
-        assert!(halving <= ring);
     }
 
     #[test]
@@ -201,15 +193,7 @@ mod tests {
         assert_eq!(allreduce_bytes_per_rank(1, 1000, AllreduceAlgo::Flat), 0);
         assert_eq!(allreduce_bytes_per_rank(4, 1000, AllreduceAlgo::Flat), 6000);
         assert_eq!(allreduce_bytes_per_rank(4, 1000, AllreduceAlgo::Ring), 2000);
-        assert_eq!(
-            allreduce_bytes_per_rank(4, 1000, AllreduceAlgo::Halving),
-            1500
-        );
-        // Odd world: Halving resolves to Ring.
-        assert_eq!(
-            allreduce_bytes_per_rank(3, 1000, AllreduceAlgo::Halving),
-            2000
-        );
+        assert_eq!(allreduce_bytes_per_rank(3, 1000, AllreduceAlgo::Ring), 2000);
     }
 
     #[test]

@@ -1078,8 +1078,7 @@ impl WorkerCtx {
     /// `Auto` resolves per call from payload size × worker count (see
     /// [`AllreduceAlgo::resolve`]).  `Ring` reproduces the flat path's
     /// per-element summation order exactly — rank-ordered chain reduction —
-    /// so the two are bit-identical; `Halving` reassociates the sum and
-    /// agrees only within floating-point rounding.
+    /// so the two are bit-identical.
     ///
     /// # Errors
     /// As for [`WorkerCtx::try_allreduce_sum`].
@@ -1099,7 +1098,6 @@ impl WorkerCtx {
         let bytes = std::mem::size_of_val(buf) as u64;
         match algo.resolve(self.world, bytes) {
             AllreduceAlgo::Ring => self.allreduce_ring(buf),
-            AllreduceAlgo::Halving => self.allreduce_halving(buf),
             _ => self.allreduce_flat(buf),
         }
     }
@@ -1300,89 +1298,6 @@ impl WorkerCtx {
         Ok(())
     }
 
-    /// Recursive-halving reduce-scatter + recursive-doubling allgather.
-    /// `log₂(w)` rounds each way with `≈2·b·(w−1)/w` bytes per rank.
-    /// Requires a power-of-two world ([`AllreduceAlgo::resolve`] falls
-    /// back to the ring otherwise) and reassociates the sum, so results
-    /// match the flat path only within floating-point rounding.
-    fn allreduce_halving(&mut self, buf: &mut [f64]) -> ClusterResult<()> {
-        let _span = dismastd_obs::span("comm/allreduce_halving");
-        self.maybe_crash()?;
-        let tag = self.next_seq();
-        if self.rank == 0 {
-            self.stats.record_collective();
-        }
-        let w = self.world;
-        let me = self.rank;
-        debug_assert!(w.is_power_of_two(), "resolve() guarantees a power of two");
-        let mut lo = 0usize;
-        let mut hi = buf.len();
-        // Reduce-scatter: each round pairs ranks `dist` apart, halves the
-        // active span, and reduces the kept half.  Both partners share the
-        // enclosing span, so they compute the same midpoint.
-        // lint:allow(alloc_hygiene): log₂(world) round records per call, independent of payload size
-        let mut rounds: Vec<(usize, usize, usize)> = Vec::new(); // (partner, lo, hi)
-        let mut dist = w / 2;
-        while dist >= 1 {
-            let partner = me ^ dist;
-            let mid = lo + (hi - lo) / 2;
-            let keep_low = me & dist == 0;
-            let (keep, give) = if keep_low {
-                ((lo, mid), (mid, hi))
-            } else {
-                ((mid, hi), (lo, mid))
-            };
-            let give_copy = self.pooled_copy(&buf[give.0..give.1]);
-            self.try_send_raw(partner, tag, Payload::F64(give_copy))?;
-            let part = self
-                .try_recv_raw(partner, tag, self.default_timeout)?
-                .try_into_f64()?;
-            if part.len() != keep.1 - keep.0 {
-                let e = ClusterError::SizeMismatch {
-                    rank: partner,
-                    expected: keep.1 - keep.0,
-                    found: part.len(),
-                };
-                // lint:allow(alloc_hygiene): mismatch fan-out — abort path, the run is over
-                self.abort_peers(e.clone());
-                return Err(e);
-            }
-            for (b, x) in buf[keep.0..keep.1].iter_mut().zip(&part) {
-                *b += *x;
-            }
-            self.pool.put(part);
-            rounds.push((partner, lo, hi));
-            lo = keep.0;
-            hi = keep.1;
-            dist /= 2;
-        }
-        // Allgather: undo the rounds in reverse, exchanging reduced spans
-        // with the same partners until everyone holds the full buffer.
-        for &(partner, plo, phi) in rounds.iter().rev() {
-            let have_copy = self.pooled_copy(&buf[lo..hi]);
-            self.try_send_raw(partner, tag, Payload::F64(have_copy))?;
-            let (glo, ghi) = if lo == plo { (hi, phi) } else { (plo, lo) };
-            let part = self
-                .try_recv_raw(partner, tag, self.default_timeout)?
-                .try_into_f64()?;
-            if part.len() != ghi - glo {
-                let e = ClusterError::SizeMismatch {
-                    rank: partner,
-                    expected: ghi - glo,
-                    found: part.len(),
-                };
-                // lint:allow(alloc_hygiene): mismatch fan-out — abort path, the run is over
-                self.abort_peers(e.clone());
-                return Err(e);
-            }
-            buf[glo..ghi].copy_from_slice(&part);
-            self.pool.put(part);
-            lo = plo;
-            hi = phi;
-        }
-        Ok(())
-    }
-
     /// All-reduce of a single scalar.
     ///
     /// # Errors
@@ -1391,38 +1306,6 @@ impl WorkerCtx {
         let mut buf = [x];
         self.try_allreduce_sum(&mut buf)?;
         Ok(buf[0])
-    }
-
-    /// All-reduce (max) of a single scalar — used for convergence voting.
-    ///
-    /// # Errors
-    /// As for [`WorkerCtx::try_allreduce_sum`].
-    pub fn try_allreduce_max_scalar(&mut self, x: f64) -> ClusterResult<f64> {
-        if self.world == 1 {
-            self.maybe_crash()?;
-            return Ok(x);
-        }
-        let gathered = self.try_gather(0, Payload::F64(vec![x]))?;
-        if self.rank == 0 {
-            let mut m = f64::NEG_INFINITY;
-            // lint:allow(panic_path): invariant — try_gather returns Some on the root
-            for p in gathered.expect("root gathers") {
-                let v = match p.try_into_f64() {
-                    Ok(v) => v,
-                    Err(e) => {
-                        // lint:allow(alloc_hygiene): mismatch fan-out — abort path, the run is over
-                        self.abort_peers(e.clone());
-                        return Err(e);
-                    }
-                };
-                m = m.max(v.first().copied().unwrap_or(f64::NEG_INFINITY));
-            }
-            self.try_broadcast(0, Some(Payload::F64(vec![m])))?;
-            Ok(m)
-        } else {
-            let v = self.try_broadcast(0, None)?.try_into_f64()?;
-            Ok(v.first().copied().unwrap_or(f64::NEG_INFINITY))
-        }
     }
 }
 
@@ -1512,6 +1395,8 @@ mod tests {
         }
     }
 
+    // Scalar sums only since `try_allreduce_max_scalar` went; the test keeps
+    // the name the tier-1 floor list knows it by.
     #[test]
     fn allreduce_scalar_and_max() {
         let sums = Cluster::try_run(3, |ctx| {
@@ -1519,9 +1404,6 @@ mod tests {
         })
         .unwrap();
         assert!(sums.iter().all(|&s| s == 6.0));
-        let maxes =
-            Cluster::try_run(3, |ctx| ctx.try_allreduce_max_scalar(-(ctx.rank() as f64))).unwrap();
-        assert!(maxes.iter().all(|&m| m == 0.0));
     }
 
     #[test]
@@ -1723,49 +1605,6 @@ mod tests {
     }
 
     #[test]
-    fn halving_allreduce_sums_within_rounding() {
-        for world in [2usize, 4, 8] {
-            for len in [1usize, 5, 64] {
-                let out = Cluster::run(world, |ctx| {
-                    let mut buf = skewed(ctx.rank(), len);
-                    ctx.try_allreduce_sum_with(&mut buf, AllreduceAlgo::Halving)
-                        .unwrap();
-                    buf
-                })
-                .unwrap();
-                let mut expect = vec![0.0f64; len];
-                for r in 0..world {
-                    for (e, x) in expect.iter_mut().zip(skewed(r, len)) {
-                        *e += x;
-                    }
-                }
-                for buf in out {
-                    for (got, want) in buf.iter().zip(&expect) {
-                        assert!(
-                            (got - want).abs() <= 1e-9 * want.abs().max(1.0),
-                            "world {world}, len {len}: {got} vs {want}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn halving_on_non_power_of_two_falls_back_to_ring() {
-        let out = Cluster::run(3, |ctx| {
-            let mut buf = vec![ctx.rank() as f64 + 1.0; 4];
-            ctx.try_allreduce_sum_with(&mut buf, AllreduceAlgo::Halving)
-                .unwrap();
-            buf
-        })
-        .unwrap();
-        for buf in out {
-            assert_eq!(buf, vec![6.0; 4]);
-        }
-    }
-
-    #[test]
     fn auto_allreduce_matches_flat_results() {
         let out = Cluster::run(4, |ctx| {
             // Big enough that Auto resolves to Ring at 4 workers.
@@ -1790,21 +1629,21 @@ mod tests {
         }
     }
 
+    // The ring is the only chunked allreduce left; the test keeps the name
+    // the tier-1 floor list knows it by.
     #[test]
     fn allreduce_length_disagreement_aborts_ring_and_halving() {
-        for algo in [AllreduceAlgo::Ring, AllreduceAlgo::Halving] {
-            let err = Cluster::try_run(4, move |ctx| {
-                let len = if ctx.rank() == 2 { 8 } else { 10 };
-                let mut buf = vec![1.0; len];
-                ctx.try_allreduce_sum_with(&mut buf, algo)?;
-                Ok(())
-            })
-            .unwrap_err();
-            assert!(
-                matches!(err, ClusterError::SizeMismatch { .. }),
-                "{algo:?} must surface a typed mismatch, got {err:?}"
-            );
-        }
+        let err = Cluster::try_run(4, |ctx| {
+            let len = if ctx.rank() == 2 { 8 } else { 10 };
+            let mut buf = vec![1.0; len];
+            ctx.try_allreduce_sum_with(&mut buf, AllreduceAlgo::Ring)?;
+            Ok(())
+        })
+        .unwrap_err();
+        assert!(
+            matches!(err, ClusterError::SizeMismatch { .. }),
+            "the ring must surface a typed mismatch, got {err:?}"
+        );
     }
 
     #[test]

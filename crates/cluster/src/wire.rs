@@ -16,7 +16,7 @@
 //!   ratio is strictly above 1.0 (debug-asserted at the accounting site).
 //!
 //! [`CommPolicy`] bundles the knobs the distributed driver plumbs down:
-//! frame compression, the f32 downcast, and the allreduce algorithm.
+//! the f32 downcast and the allreduce algorithm.
 
 use crate::comm::{BufferPool, Payload};
 use crate::error::{ClusterError, ClusterResult};
@@ -38,8 +38,7 @@ pub const AUTO_RING_MIN_TOTAL_BYTES: u64 = 4096;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AllreduceAlgo {
     /// Pick per call from payload size × worker count (flat for small
-    /// reductions, ring otherwise).  Never selects halving: halving
-    /// reassociates the sum and is opt-in only.
+    /// reductions, ring otherwise).
     #[default]
     Auto,
     /// Gather-to-root + broadcast.  Root pays `2(w−1)·b` bytes.
@@ -48,16 +47,11 @@ pub enum AllreduceAlgo {
     /// pays ≈`2·b` bytes, and the per-element summation order matches the
     /// flat path exactly, so results are bit-identical to `Flat`.
     Ring,
-    /// Recursive-halving reduce-scatter + recursive-doubling allgather.
-    /// Power-of-two worker counts only (falls back to `Ring` otherwise).
-    /// Reassociates the floating-point sum: results agree with `Flat` only
-    /// within rounding, which is why `Auto` never chooses it.
-    Halving,
 }
 
 impl AllreduceAlgo {
-    /// Resolves `Auto`/infeasible choices to the algorithm actually run for
-    /// a `payload_bytes`-sized buffer across `world` ranks.  Never returns
+    /// Resolves `Auto` to the algorithm actually run for a
+    /// `payload_bytes`-sized buffer across `world` ranks.  Never returns
     /// `Auto`.
     pub fn resolve(self, world: usize, payload_bytes: u64) -> AllreduceAlgo {
         match self {
@@ -70,22 +64,20 @@ impl AllreduceAlgo {
                     AllreduceAlgo::Flat
                 }
             }
-            AllreduceAlgo::Halving if !world.is_power_of_two() => AllreduceAlgo::Ring,
             other => other,
         }
     }
 }
 
 /// Communication policy plumbed from the cluster configuration into the
-/// worker bodies.  The default is safe-by-construction: compression is
-/// armed but lossless (so it never actually fires — see the module docs),
-/// and `Auto` keeps small-test traffic on the flat allreduce.
+/// worker bodies.  The default is safe-by-construction: the downcast is
+/// off, so no frame ever flows (see the module docs), and `Auto` keeps
+/// small-test traffic on the flat allreduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CommPolicy {
-    /// Allow the adaptive encoder to emit compressed row frames.
-    pub compress: bool,
-    /// Downcast exchanged factor rows to `f32` on the wire (bounded error;
-    /// the distributed driver gates this on the divergence watchdog).
+    /// Downcast exchanged factor rows to `f32` on the wire, as compressed
+    /// row frames (bounded error; the distributed driver gates this on the
+    /// divergence watchdog).
     pub downcast_f32: bool,
     /// Allreduce algorithm for Gram/loss reductions.
     pub allreduce: AllreduceAlgo,
@@ -94,7 +86,6 @@ pub struct CommPolicy {
 impl Default for CommPolicy {
     fn default() -> Self {
         CommPolicy {
-            compress: true,
             downcast_f32: false,
             allreduce: AllreduceAlgo::Auto,
         }
@@ -105,16 +96,9 @@ impl CommPolicy {
     /// The seed-era baseline: no frames, flat allreduce everywhere.
     pub fn flat() -> Self {
         CommPolicy {
-            compress: false,
             downcast_f32: false,
             allreduce: AllreduceAlgo::Flat,
         }
-    }
-
-    /// Sets whether compressed frames may be emitted.
-    pub fn with_compression(mut self, on: bool) -> Self {
-        self.compress = on;
-        self
     }
 
     /// Sets the lossy f32 downcast of exchanged rows.
@@ -225,19 +209,16 @@ pub fn encode_frame(rows: &[u32], values: &[f64], downcast_f32: bool) -> Vec<u8>
 }
 
 /// Adaptive frame encoder: returns a compressed frame for the row block
-/// **iff** the policy allows it and the frame is strictly smaller than the
+/// **iff** the policy downcasts and the frame is strictly smaller than the
 /// flat `Payload::F64` it replaces; `None` means "send flat".
 pub fn maybe_compress(
     rows: &[u32],
     values: &[f64],
     policy: &CommPolicy,
 ) -> Option<(bytes::Bytes, WireMeta)> {
-    if !policy.compress || rows.is_empty() {
-        return None;
-    }
-    if !policy.downcast_f32 {
-        // A lossless frame carries the same f64 block plus header and index
-        // bytes, so it can never beat the flat payload; skip the encode.
+    // A lossless frame carries the same f64 block plus header and index
+    // bytes, so it can never beat the flat payload; skip the encode.
+    if !policy.downcast_f32 || rows.is_empty() {
         return None;
     }
     let logical = std::mem::size_of_val(values) as u64;
@@ -436,10 +417,9 @@ mod tests {
         let rows: Vec<u32> = (0..64).collect();
         let values = vec![1.0f64; 64 * 8];
         let lossless = CommPolicy::default();
-        assert!(lossless.compress && !lossless.downcast_f32);
+        assert!(!lossless.downcast_f32);
         assert!(maybe_compress(&rows, &values, &lossless).is_none());
-        let off = CommPolicy::flat();
-        assert!(maybe_compress(&rows, &values, &off).is_none());
+        assert!(maybe_compress(&rows, &values, &CommPolicy::flat()).is_none());
     }
 
     #[test]
@@ -524,25 +504,25 @@ mod tests {
         assert_eq!(Auto.resolve(4, 8), Flat);
         assert_eq!(Auto.resolve(4, AUTO_RING_MIN_TOTAL_BYTES / 4), Ring);
         assert_eq!(Auto.resolve(8, 4096), Ring);
-        // Explicit choices pass through; halving needs a power of two.
+        // Explicit choices pass through.
         assert_eq!(Flat.resolve(8, 1 << 20), Flat);
         assert_eq!(Ring.resolve(2, 8), Ring);
-        assert_eq!(Halving.resolve(4, 8), Halving);
-        assert_eq!(Halving.resolve(6, 8), Ring);
     }
 
     #[test]
     fn comm_policy_default_is_safe_and_serializes() {
         let p = CommPolicy::default();
-        assert!(p.compress);
         assert!(!p.downcast_f32);
         assert_eq!(p.allreduce, AllreduceAlgo::Auto);
         let tuned = CommPolicy::flat()
-            .with_compression(true)
             .with_downcast_f32(true)
             .with_allreduce(AllreduceAlgo::Ring);
         let json = serde_json::to_string(&tuned).unwrap();
         let back: CommPolicy = serde_json::from_str(&json).unwrap();
         assert_eq!(back, tuned);
+        // Session checkpoints written while the policy still had its
+        // `compress` flag carry the extra key; it is ignored.
+        let legacy = json.replacen('{', "{\"compress\":true,", 1);
+        assert_eq!(serde_json::from_str::<CommPolicy>(&legacy).unwrap(), tuned);
     }
 }

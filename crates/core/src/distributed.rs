@@ -14,9 +14,10 @@
 //!    MTTKRP rows from its grid cells, then routes the partials of rows it
 //!    does not own to the row owners (one all-to-all exchange).
 //! 2. **Distributed factor update** (Sec. IV-B2): row owners apply the
-//!    Eq. 5 row-wise rules using the cached `R x R` products, then ship the
-//!    refreshed rows back to every worker whose nonzeros reference them
-//!    (second exchange).
+//!    Eq. 5 row-wise rules using the cached `R x R` products — which every
+//!    worker conditions and factorises for itself, the products being
+//!    replicated bit for bit — then ship the refreshed rows back to every
+//!    worker whose nonzeros reference them (second exchange).
 //! 3. **Distributed matrix-product update** (Sec. IV-B3): owners compute
 //!    partial Grams over their rows and an all-reduce rebuilds
 //!    `G_n^0, G_n^1, G̃_n` on every worker.
@@ -64,10 +65,10 @@ pub struct ClusterConfig {
     /// are bit-identical either way; the flag exists as a baseline for
     /// benchmarks and the accounting-invariance test.
     pub pooling: bool,
-    /// Collective-layer policy: frame compression, the opt-in f32 row
-    /// downcast (gated on the divergence watchdog), and the allreduce
-    /// algorithm for the Gram reductions.  The default is seed-safe: with
-    /// `downcast_f32` off the factors are bit-identical to the flat path.
+    /// Collective-layer policy: the opt-in f32 row downcast (gated on the
+    /// divergence watchdog) and the allreduce algorithm for the Gram
+    /// reductions.  The default is seed-safe: with `downcast_f32` off the
+    /// factors are bit-identical to the flat path.
     pub comm: CommPolicy,
 }
 
@@ -111,8 +112,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Selects the collective-layer policy (compression, downcast,
-    /// allreduce algorithm).
+    /// Selects the collective-layer policy (downcast, allreduce
+    /// algorithm).
     pub fn with_comm(mut self, comm: CommPolicy) -> Self {
         self.comm = comm;
         self
@@ -161,9 +162,9 @@ pub struct DistOutput {
     pub elapsed: Duration,
     /// Wall-clock of the ALS iteration loop alone.
     pub iter_elapsed: Duration,
-    /// Solver-tier escalations of the normal-equation solves.  Decisions
-    /// are made once (rank 0) and broadcast, so this is also what every
-    /// other rank applied.
+    /// Solver-tier escalations of the normal-equation solves.  Every rank
+    /// takes each decision itself from the replicated Gram state; the run
+    /// fails with a `ClusterFault` unless all of them ended with this tally.
     pub numerics: NumericsReport,
     /// Every rank's per-phase metrics merged into one snapshot, present
     /// when the *driver* thread had a metrics collection installed (see
@@ -442,9 +443,17 @@ pub(crate) fn run_distributed(
         iterations,
         factors,
         iter_elapsed,
-        numerics,
+        decisions,
         metrics: _,
-    } = results.swap_remove(0)?;
+    } = results.remove(0)?;
+    // Every rank decided for itself; a rank that decided differently has
+    // applied a different regularisation, so the run cannot be trusted.
+    if let Some(rank) = first_dissenter(&decisions, &results) {
+        return Err(TensorError::ClusterFault {
+            rank: Some(rank),
+            detail: format!("rank {rank} disagrees with rank 0 on the run's solver decisions"),
+        });
+    }
     let factors = factors.ok_or_else(|| {
         TensorError::InvalidArgument("rank 0 did not assemble the final factors".into())
     })?;
@@ -457,7 +466,7 @@ pub(crate) fn run_distributed(
         setup_bytes: setup_bytes(plans, order, rank),
         elapsed: start.elapsed(),
         iter_elapsed,
-        numerics,
+        numerics: decisions.numerics,
         metrics,
         worker_metrics,
     })
@@ -485,8 +494,8 @@ struct WorkerResult {
     /// `Some` on rank 0 only: the gathered final factors.
     factors: Option<Vec<Matrix>>,
     iter_elapsed: Duration,
-    /// Rank 0's record of the broadcast solver decisions (zeroed elsewhere).
-    numerics: NumericsReport,
+    /// The solver decisions this rank took.
+    decisions: DecisionRecord,
     /// This rank's per-phase metrics, when collection was requested.
     metrics: Option<MetricsSnapshot>,
 }
@@ -503,55 +512,38 @@ macro_rules! try_num {
     };
 }
 
-/// Slot layout of the per-mode solver-decision broadcast:
-/// `[err, has0, tier0, λ0, cond0, has1, tier1, λ1, cond1]`.
-const DECISION_SLOTS: usize = 1 + 2 * (1 + SolveDecision::ENCODED_LEN);
-
-/// Rank 0 assesses both Eq. 5 denominators and packs its decisions.
-fn encode_decisions(
-    solver: &RobustSolver,
-    d0: &Matrix,
-    d1: &Matrix,
-    has0: bool,
-    has1: bool,
-) -> Result<Vec<f64>> {
-    let mut slots = vec![0.0f64; DECISION_SLOTS];
-    if has0 {
-        let dec = solver.decide(d0)?;
-        slots[1] = 1.0;
-        dec.encode(&mut slots[2..2 + SolveDecision::ENCODED_LEN]);
-    }
-    if has1 {
-        let dec = solver.decide(d1)?;
-        slots[5] = 1.0;
-        dec.encode(&mut slots[6..6 + SolveDecision::ENCODED_LEN]);
-    }
-    Ok(slots)
+/// What a rank concluded about the run's solver decisions: its tally of
+/// them and a digest of their exact bits.  Decisions are pure functions of
+/// the replicated Gram state, so every rank must end with the same value;
+/// the driver checks that after the run (see [`first_dissenter`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct DecisionRecord {
+    numerics: NumericsReport,
+    /// FNV-1a fold of every decision's tier, `λ` bits and condition-estimate
+    /// bits, in decision order.
+    digest: u64,
 }
 
-/// Unpacks the broadcast decisions on every rank.
-fn decode_decisions(slots: &[f64]) -> Result<(Option<SolveDecision>, Option<SolveDecision>)> {
-    if slots.len() != DECISION_SLOTS {
-        return Err(TensorError::InvalidArgument(format!(
-            "decision broadcast carried {} slots, expected {DECISION_SLOTS}",
-            slots.len()
-        )));
+impl DecisionRecord {
+    fn record(&mut self, decision: &SolveDecision) {
+        self.numerics.record(decision);
+        for word in [
+            decision.tier as u64,
+            decision.lambda.to_bits(),
+            decision.cond_est.to_bits(),
+        ] {
+            self.digest = (self.digest ^ word).wrapping_mul(0x0000_0100_0000_01B3);
+        }
     }
-    let dec0 = if slots[1] != 0.0 {
-        Some(SolveDecision::decode(
-            &slots[2..2 + SolveDecision::ENCODED_LEN],
-        )?)
-    } else {
-        None
-    };
-    let dec1 = if slots[5] != 0.0 {
-        Some(SolveDecision::decode(
-            &slots[6..6 + SolveDecision::ENCODED_LEN],
-        )?)
-    } else {
-        None
-    };
-    Ok((dec0, dec1))
+}
+
+/// The first rank that did not finish with rank 0's [`DecisionRecord`] —
+/// its record differs, or it failed where rank 0 did not.
+fn first_dissenter(lead: &DecisionRecord, peers: &[Result<WorkerResult>]) -> Option<usize> {
+    peers
+        .iter()
+        .position(|peer| !matches!(peer, Ok(wr) if wr.decisions == *lead))
+        .map(|at| at + 1)
 }
 
 /// Per-worker scratch space for the Gram rebuild: the three `R×R`
@@ -617,7 +609,7 @@ fn worker_body(
     let r = cfg.rank;
     let mu = cfg.forgetting;
     let solver = RobustSolver::new(cfg.numerics.solver);
-    let mut numerics = NumericsReport::default();
+    let mut decisions = DecisionRecord::default();
 
     // Replicated factor copies; only owned ∪ referenced rows stay fresh.
     let mut factors: Vec<Matrix> = init.to_vec();
@@ -690,6 +682,31 @@ fn worker_body(
                 )?;
             }
 
+            // -- decide: both Eq. 5 factorisations, on every rank -----------
+            // `prepare_mode` reads only the Gram products of modes `k ≠ n`,
+            // final since the fence and bit-identical on every rank, and the
+            // decision is a pure function of them: all ranks accept the same
+            // tier and shift with nothing exchanged.  A block is decided iff
+            // it has rows *globally* — `d0` when the mode has old rows, `d1`
+            // when it has new ones, as the serial solver does — not iff this
+            // rank owns some, so every rank walks the same ladder and a
+            // numeric failure stops all of them here, where no rank has a
+            // send in flight to a peer that has already returned.
+            {
+                let _s = dismastd_obs::span("phase/solve");
+                try_num!(state.prepare_mode(n, mu));
+                let old_n = old_rows[n];
+                let blocks = [
+                    (&state.d0, old_n > 0),
+                    (&state.d1, factors[n].rows() > old_n),
+                ];
+                for ((d, has_rows), fact) in blocks.into_iter().zip(&mut facts) {
+                    if has_rows {
+                        decisions.record(&try_num!(solver.decide(d, fact)));
+                    }
+                }
+            }
+
             // -- 1. local MTTKRP partials over this worker's nonzeros -----
             // Cached cell layouts: each plan accumulates its run totals
             // into `hat[n]`, touching every output row once per cell.
@@ -702,9 +719,7 @@ fn worker_body(
             }
 
             // -- route partials to row owners ------------------------------
-            // Post only: the sends overlap the decision broadcast and the
-            // factorizations below, which depend on the Gram state alone.
-            let pending_partials = {
+            {
                 let _s = dismastd_obs::span("phase/exchange");
                 outgoing_frames.clear();
                 for d in 0..world {
@@ -714,66 +729,7 @@ fn worker_body(
                         encode_outgoing(&hat[n], &plan.partial_routes[n][d], &comm, &mut pool)
                     });
                 }
-                ctx.post_exchange(&mut outgoing_frames)?
-            };
-
-            // -- 2. owners update their rows (Eq. 5, row-wise) -------------
-            let solve_span = dismastd_obs::span("phase/solve");
-            try_num!(state.prepare_mode(n, mu));
-            let (d0, d1) = (&state.d0, &state.d1);
-            let old_n = old_rows[n];
-
-            // Solver decisions are made once, on rank 0, and broadcast, so
-            // every rank applies the identical tier and ridge shift and the
-            // replicated factors stay bit-for-bit in sync.  `d0` is only
-            // solved against when the mode has old rows, `d1` only when it
-            // has new rows — mirroring the serial block updates.
-            let has0 = old_n > 0;
-            let has1 = factors[n].rows() > old_n;
-            let payload = if me == 0 {
-                let slots = match encode_decisions(&solver, d0, d1, has0, has1) {
-                    Ok(slots) => slots,
-                    Err(err) => {
-                        // Unblock the peers with an error flag, then surface
-                        // the typed numeric failure from rank 0.
-                        let mut slots = vec![0.0f64; DECISION_SLOTS];
-                        slots[0] = 1.0;
-                        // lint:allow(collective_order): rank-0-decides — every rank reaches exactly one broadcast at this seq; rank 0 flags the failure in-band before surfacing it
-                        ctx.try_broadcast(0, Some(Payload::F64(slots)))?;
-                        return Ok(Err(err));
-                    }
-                };
-                // lint:allow(collective_order): rank-0-decides — root half of the one broadcast every rank reaches at this seq
-                ctx.try_broadcast(0, Some(Payload::F64(slots)))?
-            } else {
-                // lint:allow(collective_order): rank-0-decides — receive half of the one broadcast every rank reaches at this seq
-                ctx.try_broadcast(0, None)?
-            };
-            let slots = payload.try_into_f64()?;
-            if slots.first().copied().unwrap_or(1.0) != 0.0 {
-                return Ok(Err(TensorError::Singular {
-                    solver: "distributed-decision-broadcast",
-                }));
-            }
-            let (dec0, dec1) = try_num!(decode_decisions(&slots));
-            if me == 0 {
-                if let Some(d) = &dec0 {
-                    numerics.record(d);
-                }
-                if let Some(d) = &dec1 {
-                    numerics.record(d);
-                }
-            }
-            let [fact0, fact1] = &mut facts;
-            for (dec, d, fact) in [(&dec0, d0, &mut *fact0), (&dec1, d1, &mut *fact1)] {
-                if let Some(dec) = dec {
-                    try_num!(solver.factorize(d, dec, fact));
-                }
-            }
-
-            // -- land the peers' partials before the row solves ------------
-            {
-                let _s = dismastd_obs::span("phase/exchange");
+                let pending_partials = ctx.post_exchange(&mut outgoing_frames)?;
                 ctx.complete_exchange(pending_partials, &mut incoming_payloads)?;
                 for (d, payload) in incoming_payloads.drain(..).enumerate() {
                     if d == me {
@@ -785,28 +741,27 @@ fn worker_body(
                 }
             }
 
+            // -- 2. owners update their rows (Eq. 5, row-wise) -------------
             // Old block: (μ Ã_n[i,:] (⊛ G̃) + Â[i,:]) ·D0⁻¹; new block: Â[i,:] ·D1⁻¹.
-            let history = Some((mu, &old[n], &state.cross_had));
-            for (dec, fact, rows, history) in [
-                (&dec0, &*fact0, &owned[n][0], history),
-                (&dec1, &*fact1, &owned[n][1], None),
-            ] {
-                if rows.is_empty() {
-                    continue;
+            // Owned rows of a block imply the block was decided above.
+            {
+                let _s = dismastd_obs::span("phase/solve");
+                let history = Some((mu, &old[n], &state.cross_had));
+                for (fact, rows, history) in [
+                    (&facts[0], &owned[n][0], history),
+                    (&facts[1], &owned[n][1], None),
+                ] {
+                    if rows.is_empty() {
+                        continue;
+                    }
+                    let job = RowUpdate {
+                        rhs: &hat[n],
+                        history,
+                        rows: rows.clone(),
+                    };
+                    try_num!(fact.solve_rows(&job, &mut factors[n]));
                 }
-                if dec.is_none() {
-                    return Ok(Err(TensorError::InvalidArgument(format!(
-                        "mode {n}: owned rows {rows:?} have no broadcast factorization"
-                    ))));
-                }
-                let job = RowUpdate {
-                    rhs: &hat[n],
-                    history,
-                    rows: rows.clone(),
-                };
-                try_num!(fact.solve_rows(&job, &mut factors[n]));
             }
-            drop(solve_span);
 
             // -- ship refreshed rows back to referencing workers ------------
             // Post only: the Gram rebuild and (on the final mode) the loss
@@ -883,10 +838,11 @@ fn worker_body(
     }
     let iter_elapsed = iter_start.elapsed();
 
-    // Solve tiers mirror the broadcast decisions every rank applied, so
-    // only rank 0 tallies them — the merged snapshot then matches the
-    // serial counter surface (label 0/1/2 = cholesky/lu/ridge).
+    // Every rank took the same decisions, so only rank 0 emits the tier
+    // counters — the merged snapshot then matches the serial counter
+    // surface (label 0/1/2 = cholesky/lu/ridge).
     if me == 0 {
+        let numerics = &decisions.numerics;
         if numerics.cholesky_solves > 0 {
             dismastd_obs::counter_add_with("solve/tier", 0, numerics.cholesky_solves);
         }
@@ -909,7 +865,7 @@ fn worker_body(
         iterations,
         factors: factors_out,
         iter_elapsed,
-        numerics,
+        decisions,
         metrics: collector.map(dismastd_obs::Collector::finish),
     }))
 }
@@ -1545,6 +1501,50 @@ mod tests {
         run_memo(&x, &old, &ClusterConfig::new(2), &mut memo);
         assert_eq!(memo.hits(), 0);
         assert_eq!(memo.misses(), cells3 + 2 * cells2);
+    }
+
+    #[test]
+    fn a_forged_decision_digest_names_the_first_dissenting_rank() {
+        use dismastd_tensor::SolveTier;
+        let cholesky = |cond_est| SolveDecision {
+            tier: SolveTier::Cholesky,
+            lambda: 0.0,
+            cond_est,
+        };
+        let mut lead = DecisionRecord::default();
+        lead.record(&cholesky(2.0));
+        lead.record(&cholesky(3.0));
+        // The same two decisions the other way round leave the same tally;
+        // only the digest tells the two runs apart.
+        let mut swapped = DecisionRecord::default();
+        swapped.record(&cholesky(3.0));
+        swapped.record(&cholesky(2.0));
+        assert_eq!(swapped.numerics, lead.numerics);
+        assert_ne!(swapped.digest, lead.digest);
+
+        let peer = |decisions| {
+            Ok(WorkerResult {
+                loss_trace: Vec::new(),
+                iterations: 0,
+                factors: None,
+                iter_elapsed: Duration::ZERO,
+                decisions,
+                metrics: None,
+            })
+        };
+        assert_eq!(first_dissenter(&lead, &[]), None);
+        assert_eq!(first_dissenter(&lead, &[peer(lead), peer(lead)]), None);
+        let forged = DecisionRecord {
+            digest: lead.digest ^ 1,
+            ..lead
+        };
+        assert_eq!(
+            first_dissenter(&lead, &[peer(lead), peer(forged), peer(swapped)]),
+            Some(2)
+        );
+        // A rank that failed where rank 0 did not dissents too.
+        let failed = Err(TensorError::Singular { solver: "test" });
+        assert_eq!(first_dissenter(&lead, &[failed, peer(lead)]), Some(1));
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub const SPANS: &[&str] = &[
     // algorithm spans and the exchange post/wait halves nest inside their
     // parent primitive's span.
     "comm/allreduce",
-    "comm/allreduce_halving",
     "comm/allreduce_ring",
     "comm/barrier",
     "comm/broadcast",

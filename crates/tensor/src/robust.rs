@@ -15,11 +15,11 @@
 //!    Hadamard products of Gram matrices (positive semidefinite), a large
 //!    enough λ always succeeds.
 //!
-//! The *decision* (tier + λ) is separated from the *application* so that a
-//! distributed driver can decide once on rank 0, broadcast the
-//! [`SolveDecision`], and have every rank apply the identical
-//! regularisation — keeping factors bit-identical across ranks and equal to
-//! the serial path.
+//! The *decision* (tier + λ) is a pure function of the matrix and the
+//! policy, so every rank of a distributed run that decides over the same
+//! replicated `R x R` matrix walks the same ladder and applies the identical
+//! regularisation — factors stay bit-identical across ranks and equal to the
+//! serial path with nothing shipped between them.
 
 use serde::{Deserialize, Serialize};
 
@@ -41,27 +41,8 @@ pub enum SolveTier {
     Ridge,
 }
 
-impl SolveTier {
-    fn as_f64(self) -> f64 {
-        match self {
-            SolveTier::Cholesky => 0.0,
-            SolveTier::Lu => 1.0,
-            SolveTier::Ridge => 2.0,
-        }
-    }
-
-    /// Only the three exact codes decode: the slot arrives in a broadcast,
-    /// and a cast would turn NaN, `0.9` or `-0.3` into `Cholesky`.
-    fn from_f64(v: f64) -> Result<SolveTier> {
-        [SolveTier::Cholesky, SolveTier::Lu, SolveTier::Ridge]
-            .into_iter()
-            .find(|tier| tier.as_f64() == v)
-            .ok_or_else(|| TensorError::InvalidArgument(format!("unknown solve tier code {v}")))
-    }
-}
-
-/// The outcome of a conditioning assessment: which tier to use and, for the
-/// ridge tier, the exact λ every participant must apply.
+/// The outcome of a conditioning assessment: which tier was accepted and,
+/// for the ridge tier, the λ it was accepted at.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SolveDecision {
     /// Selected solver tier.
@@ -70,30 +51,6 @@ pub struct SolveDecision {
     pub lambda: f64,
     /// Diagonal-ratio condition estimate of the accepted factorisation.
     pub cond_est: f64,
-}
-
-impl SolveDecision {
-    /// Number of f64 slots used by [`SolveDecision::encode`].
-    pub const ENCODED_LEN: usize = 3;
-
-    /// Packs the decision into f64 slots for a numeric broadcast payload.
-    pub fn encode(&self, out: &mut [f64]) {
-        out[0] = self.tier.as_f64();
-        out[1] = self.lambda;
-        out[2] = self.cond_est;
-    }
-
-    /// Inverse of [`SolveDecision::encode`].
-    ///
-    /// # Errors
-    /// Returns [`TensorError::InvalidArgument`] on an unknown tier code.
-    pub fn decode(slots: &[f64]) -> Result<SolveDecision> {
-        Ok(SolveDecision {
-            tier: SolveTier::from_f64(slots[0])?,
-            lambda: slots[1],
-            cond_est: slots[2],
-        })
-    }
 }
 
 /// Tunables for the escalation ladder.
@@ -188,24 +145,19 @@ impl RobustSolver {
         &self.policy
     }
 
-    /// Assesses conditioning of `m` and picks the cheapest acceptable tier.
+    /// Assesses conditioning of `m`, picks the cheapest acceptable tier and
+    /// leaves the factorisation it accepted in `fact`, whose buffers it
+    /// reuses.
     ///
     /// Pure function of `m` and the policy — every rank deciding over a
-    /// replicated matrix reaches the same answer, and a broadcast decision
-    /// reproduces the decider's factorisation exactly.
+    /// replicated matrix reaches the same answer and holds the same
+    /// factorisation, bit for bit.
     ///
     /// # Errors
     /// Returns [`TensorError::NonFiniteValue`] (naming the entry) when `m`
     /// contains NaN/Inf, and [`TensorError::Singular`] when even the
     /// largest permitted ridge fails to factorise.
-    pub fn decide(&self, m: &Matrix) -> Result<SolveDecision> {
-        self.decide_into(m, &mut Factorized::default())
-    }
-
-    /// [`RobustSolver::decide`], leaving the factorisation it accepted —
-    /// the one [`RobustSolver::factorize`] would rebuild from the decision
-    /// — in `fact`, whose buffers it reuses.
-    fn decide_into(&self, m: &Matrix, fact: &mut Factorized) -> Result<SolveDecision> {
+    pub fn decide(&self, m: &Matrix, fact: &mut Factorized) -> Result<SolveDecision> {
         let n = require_square(m)?;
         for i in 0..n {
             for j in 0..n {
@@ -277,20 +229,8 @@ impl RobustSolver {
     }
 
     /// Re-factorises `m` into `fact` (reusing its buffers) exactly as a
-    /// decision mandates.
-    ///
-    /// Deterministic: ranks applying the same broadcast decision to the
-    /// same replicated matrix produce bit-identical factors.
-    ///
-    /// # Errors
-    /// Propagates factorisation failure — possible only when the decision
-    /// was made for a different matrix.
-    pub fn factorize(
-        &self,
-        m: &Matrix,
-        decision: &SolveDecision,
-        fact: &mut Factorized,
-    ) -> Result<()> {
+    /// decision mandates — the post-solve ridge ladder's step.
+    fn factorize(&self, m: &Matrix, decision: &SolveDecision, fact: &mut Factorized) -> Result<()> {
         let (mut buf, mut perm) = take_buffers(fact);
         *fact = match decision.tier {
             SolveTier::Lu => {
@@ -345,7 +285,7 @@ impl RobustSolver {
         fact: &mut Factorized,
         report: &mut NumericsReport,
     ) -> Result<()> {
-        let decision = self.decide_into(m, fact)?;
+        let decision = self.decide(m, fact)?;
         let finite = fact.solve_rows(job, out)?;
         report.record(&decision);
         if finite {
@@ -422,7 +362,7 @@ mod tests {
     #[test]
     fn indefinite_escalates_to_lu() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
-        let decision = solver().decide(&m).unwrap();
+        let decision = solver().decide(&m, &mut Factorized::default()).unwrap();
         assert_eq!(decision.tier, SolveTier::Lu);
         assert_eq!(decision.lambda, 0.0);
     }
@@ -433,7 +373,7 @@ mod tests {
         let m = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
         let b = Matrix::from_rows(&[&[2.0, 2.0]]);
         let mut report = NumericsReport::default();
-        let decision = solver().decide(&m).unwrap();
+        let decision = solver().decide(&m, &mut Factorized::default()).unwrap();
         assert_eq!(decision.tier, SolveTier::Ridge);
         assert!(decision.lambda > 0.0);
         let x = solver().solve_right(&b, &m, &mut report).unwrap();
@@ -457,7 +397,7 @@ mod tests {
     fn non_finite_matrix_entry_is_named() {
         let mut m = spd3();
         m.set(1, 2, f64::NAN);
-        let err = solver().decide(&m).unwrap_err();
+        let err = solver().decide(&m, &mut Factorized::default()).unwrap_err();
         match err {
             TensorError::NonFiniteValue { index, value } => {
                 assert_eq!(index, vec![1, 2]);
@@ -468,66 +408,10 @@ mod tests {
     }
 
     #[test]
-    fn decision_roundtrips_through_encode() {
-        for decision in [
-            SolveDecision {
-                tier: SolveTier::Cholesky,
-                lambda: 0.0,
-                cond_est: 12.5,
-            },
-            SolveDecision {
-                tier: SolveTier::Lu,
-                lambda: 0.0,
-                cond_est: 1e9,
-            },
-            SolveDecision {
-                tier: SolveTier::Ridge,
-                lambda: 3.7e-6,
-                cond_est: 4.2e11,
-            },
-        ] {
-            let mut slots = [0.0; SolveDecision::ENCODED_LEN];
-            decision.encode(&mut slots);
-            assert_eq!(SolveDecision::decode(&slots).unwrap(), decision);
-        }
-        assert!(SolveDecision::decode(&[9.0, 0.0, 0.0]).is_err());
-    }
-
-    #[test]
-    fn only_the_exact_tier_codes_decode() {
-        // The code arrives in a broadcast payload: anything that is not
-        // exactly 0, 1 or 2 is refused, where an `as i64` cast read NaN,
-        // 0.9 and -0.3 as Cholesky and 1.5 as LU.
-        for code in [
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            0.9,
-            -0.3,
-            1.5,
-            2.000_000_1,
-            -1.0,
-            3.0,
-        ] {
-            assert!(
-                matches!(
-                    SolveDecision::decode(&[code, 0.0, 1.0]),
-                    Err(TensorError::InvalidArgument(_))
-                ),
-                "tier code {code} decoded"
-            );
-        }
-        assert_eq!(
-            SolveDecision::decode(&[-0.0, 0.0, 1.0]).unwrap().tier,
-            SolveTier::Cholesky
-        );
-    }
-
-    #[test]
     fn factorize_is_deterministic_across_calls() {
         let m = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0 + 1e-13]]);
         let s = solver();
-        let decision = s.decide(&m).unwrap();
+        let decision = s.decide(&m, &mut Factorized::default()).unwrap();
         let b = Matrix::from_rows(&[&[1.0, 2.0]]);
         let apply = || {
             let mut fact = Factorized::default();
@@ -552,8 +436,12 @@ mod tests {
             Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]),
             spd3(),
         ] {
-            let decision = s.decide_into(&m, &mut kept).unwrap();
-            assert_eq!(decision, s.decide(&m).unwrap());
+            let decision = s.decide(&m, &mut kept).unwrap();
+            assert_eq!(
+                decision,
+                s.decide(&m, &mut Factorized::default()).unwrap(),
+                "the scratch's previous contents must not change the decision"
+            );
             let mut rebuilt = Factorized::Lu(Matrix::default(), Vec::new());
             s.factorize(&m, &decision, &mut rebuilt).unwrap();
             match (&kept, &rebuilt) {

@@ -31,7 +31,6 @@ pub const COLLECTIVES: &[&str] = &[
     "try_allreduce_sum",
     "try_allreduce_sum_with",
     "try_allreduce_sum_scalar",
-    "try_allreduce_max_scalar",
 ];
 
 /// Allocating methods (`.name(` receiver syntax) denied on the
@@ -156,8 +155,8 @@ pub struct BudgetEntry {
     pub col: u32,
 }
 
-/// Result of one analysis pass: L6/L8 findings (allow-filtered), the
-/// freshly computed L7 surface, to be compared against the on-disk
+/// Result of one analysis pass: L6 findings, L8 findings (allow-filtered),
+/// the freshly computed L7 surface, to be compared against the on-disk
 /// budget by [`compare_budget`], and the audit-table names that match no
 /// function ([`stale_table_entries`]).  Like the budget comparison, the
 /// stale findings are folded into `diags` only by the workspace driver:
@@ -192,7 +191,7 @@ pub fn analyze_files(files: &[(PathBuf, String)], cfg: &AnalyzeConfig) -> Analys
     };
 
     let mut diags = Vec::new();
-    l6_collective_order(&graph, cfg, &allowed, &mut diags);
+    l6_collective_order(&graph, cfg, &mut diags);
     l8_alloc_hygiene(&graph, cfg, &allowed, &mut diags);
     diags.sort_by(|a, b| (&a.file, a.line, a.col, a.lint).cmp(&(&b.file, b.line, b.col, b.lint)));
     Analysis {
@@ -276,12 +275,9 @@ fn path_has_prefix(def: &FnDef, prefixes: &[String]) -> bool {
 
 // ---- L6: collective order ------------------------------------------------
 
-fn l6_collective_order(
-    graph: &CallGraph,
-    cfg: &AnalyzeConfig,
-    allowed: &impl Fn(LintId, &Path, u32) -> bool,
-    out: &mut Vec<Diagnostic>,
-) {
+/// Unlike L8, L6 honours no `lint:allow`: no rank takes a decision on
+/// behalf of the others, so a rank-conditioned collective is always a bug.
+fn l6_collective_order(graph: &CallGraph, cfg: &AnalyzeConfig, out: &mut Vec<Diagnostic>) {
     // Fixpoint: a function performs collectives when it contains a
     // collective-named call site or calls something that does.
     let n = graph.fns.len();
@@ -333,9 +329,6 @@ fn l6_collective_order(
             } else {
                 continue;
             };
-            if allowed(LintId::CollectiveOrder, &def.file, call.line) {
-                continue;
-            }
             out.push(Diagnostic {
                 file: def.file.clone(),
                 line: call.line,
@@ -343,8 +336,8 @@ fn l6_collective_order(
                 lint: LintId::CollectiveOrder,
                 message: format!(
                     "`{}` {} under a rank-conditioned branch (`{}` at line {}); every rank \
-                     must reach the same collective sequence — hoist the call or broadcast \
-                     the decision [chain: {}]",
+                     must reach the same collective sequence — hoist the call out of the \
+                     branch [chain: {}]",
                     call.name,
                     verb,
                     branch.excerpt,

@@ -1,6 +1,6 @@
 //! L6 fixture: collectives reached under rank-conditioned branches.
 //! `worker_body` roots the audit; `decide` is guilty transitively; the
-//! final broadcast carries the sanctioned rank-0-decides allow.
+//! final broadcast carries a `lint:allow`, which L6 does not honour.
 
 fn worker_body(ctx: &mut Ctx, me: usize) {
     ctx.try_allreduce_sum(buf);

@@ -12,7 +12,6 @@ impl Ctx {
     fn try_allreduce_sum(&mut self) {}
     fn try_allreduce_sum_with(&mut self) {}
     fn try_allreduce_sum_scalar(&mut self) {}
-    fn try_allreduce_max_scalar(&mut self) {}
 }
 
 impl Pool {

@@ -66,7 +66,9 @@ cargo run -q -p dismastd-xtask -- lint
 
 echo "==> interprocedural audits (dismastd-xtask: collective-order, panic-budget, alloc-hygiene)"
 # Whole-workspace call graph on the same lexer: no collective reachable
-# from worker_body under a rank-conditioned branch (L6), the transitive
+# from worker_body under a rank-conditioned branch (L6 — no lint:allow
+# form: every rank takes the solver decisions itself, so nothing is
+# sanctioned to branch on the rank around a collective), the transitive
 # panic surface of public APIs pinned against crates/xtask/panic_budget.txt
 # (L7 — growth fails; refresh with `analyze --write-budget` after review),
 # and no allocating call reachable from the steady-state MTTKRP / row-solve /

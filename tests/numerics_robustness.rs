@@ -9,9 +9,11 @@
 //! 2. invalid data (NaN nonzeros) is rejected with a typed error naming the
 //!    coordinate under `Strict` validation and dropped-and-counted under
 //!    `Quarantine`, where the stream still converges;
-//! 3. the distributed engine makes every solver decision once (rank 0) and
-//!    broadcasts it, so when regularization fires the factors match the
-//!    serial trajectory and repeated runs are bit-identical.
+//! 3. every rank of the distributed engine takes each solver decision itself
+//!    from the replicated Gram state — a pure function of identical bits —
+//!    so when regularization fires the factors match the serial trajectory,
+//!    repeated runs are bit-identical, and a numeric failure is the same
+//!    typed error on every rank rather than a cluster fault.
 
 use dismastd_cluster::CommPolicy;
 use dismastd_core::{
@@ -318,7 +320,57 @@ fn watchdog_retry_reuses_the_steps_plans_and_matches_the_damped_run() {
     assert_eq!(damped.plan_cache().hits(), 0);
 }
 
-// ---- decision broadcast: serial/distributed consistency ------------------
+#[test]
+fn a_nan_on_a_distributed_step_is_a_numeric_failure_not_a_cluster_fault() {
+    // Validation off lets the NaN reach the solver.  It poisons mode 0's
+    // Gram, and every rank refuses the next mode's denominators at the same
+    // point — after the fence, before anything new is posted — so no rank
+    // is left sending to a peer that already returned, and the typed
+    // numeric error surfaces every time instead of racing a crashed-peer
+    // report.
+    let mut b = SparseTensorBuilder::new(vec![4, 4, 4]);
+    b.push(&[0, 0, 0], 1.0).unwrap();
+    b.push(&[1, 1, 1], f64::NAN).unwrap();
+    b.push(&[2, 2, 2], 2.0).unwrap();
+    let dirty = b.build().unwrap();
+    let clean = random_snapshot(&[4, 4, 4], 25, 7);
+
+    for world in [2usize, 3, 4] {
+        for watchdog in [true, false] {
+            let wd = WatchdogPolicy {
+                enabled: watchdog,
+                ..WatchdogPolicy::default()
+            };
+            let numerics = NumericsPolicy::default()
+                .with_validation(ValidationMode::Off)
+                .with_watchdog(wd);
+            for repeat in 0..20 {
+                let mut sess = StreamingSession::new(
+                    cfg().with_numerics(numerics),
+                    ExecutionMode::Distributed(ClusterConfig::new(world)),
+                );
+                match (watchdog, sess.ingest(&dirty)) {
+                    (true, Err(TensorError::Diverged { restarts, .. })) => {
+                        assert_eq!(restarts, wd.max_restarts)
+                    }
+                    (false, Err(TensorError::NonFiniteValue { value, .. })) => {
+                        assert!(value.is_nan())
+                    }
+                    (_, other) => panic!(
+                        "world {world}, watchdog {watchdog}, repeat {repeat}: \
+                         expected a numeric failure, got {other:?}"
+                    ),
+                }
+                // Durable state untouched; a clean snapshot then ingests.
+                assert_eq!(sess.steps(), 0);
+                assert!(sess.factors().is_none());
+                assert!(sess.ingest(&clean).unwrap().loss.is_finite());
+            }
+        }
+    }
+}
+
+// ---- replicated decisions: serial/distributed consistency ----------------
 
 /// Policy whose condition ceiling rejects everything, forcing the ridge
 /// tier on every solve.
@@ -348,7 +400,7 @@ fn forced_ridge_single_worker_matches_serial_bitwise() {
     assert_eq!(serial.numerics.lu_solves, 0);
 
     let dist = dismastd(&x, &old, &cfg, &ClusterConfig::new(1)).unwrap();
-    // Rank 0's broadcast decisions mirror the serial solver's exactly.
+    // The rank's own decisions mirror the serial solver's exactly.
     assert_eq!(dist.numerics, serial.numerics);
     assert_eq!(dist.loss_trace, serial.loss_trace);
     for (a, b) in serial.kruskal.factors().iter().zip(dist.kruskal.factors()) {
@@ -375,7 +427,7 @@ fn forced_ridge_multi_worker_applies_identical_decisions() {
     for workers in [2usize, 3, 4] {
         let dist = dismastd(&x, &old, &cfg, &ClusterConfig::new(workers)).unwrap();
         // Identical decision stream: same solves, same tiers, same λ/cond
-        // extremes — the broadcast made regularization deterministic.
+        // extremes on every rank — regularization is deterministic.
         assert_eq!(dist.numerics, serial.numerics, "workers={workers}");
         for (a, b) in serial.kruskal.factors().iter().zip(dist.kruskal.factors()) {
             assert!(

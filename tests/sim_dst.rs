@@ -23,12 +23,14 @@
 
 use dismastd_cluster::{ClusterOptions, FaultPlan, PartitionWindow, SimOptions, SimProbe};
 use dismastd_core::{
-    ClusterConfig, DecompConfig, ExecutionMode, HealPolicy, HealTransition, ShadowOracle,
-    StepReport, StreamingSession, ThreadPolicy, VirtualClock,
+    dtd, ClusterConfig, DecompConfig, ExecutionMode, HealPolicy, HealTransition, NumericsPolicy,
+    ShadowOracle, SolvePolicy, StepReport, StreamingSession, ThreadPolicy, VirtualClock,
 };
 use dismastd_data::StreamSequence;
-use dismastd_integration_tests::random_tensor;
-use dismastd_tensor::TensorError;
+use dismastd_integration_tests::{random_complement, random_factors, random_tensor};
+use dismastd_tensor::{
+    KruskalTensor, Matrix, NumericsReport, SparseTensor, SparseTensorBuilder, TensorError,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -204,6 +206,124 @@ fn partition_during_rebalance_survives_the_seed_sweep() {
     }
 }
 
+// ---- replicated solver decisions under chaos -----------------------------
+
+/// One warm step from `old` over `arrivals` (entries outside the old box,
+/// so the step's complement is `arrivals` itself) at `world` ranks, under
+/// the seed's simulator and message chaos when a seed is given.
+fn escalating_step(
+    cfg: DecompConfig,
+    old: &[Matrix],
+    arrivals: &SparseTensor,
+    world: usize,
+    seed: Option<u64>,
+) -> (StepReport, Vec<Vec<u64>>) {
+    let mut sess = StreamingSession::resume(
+        cfg,
+        ExecutionMode::Distributed(ClusterConfig::new(world)),
+        KruskalTensor::new(old.to_vec()).expect("old factors"),
+    )
+    .expect("resume");
+    if let Some(seed) = seed {
+        let plan = FaultPlan::seeded(seed ^ 0x5EED)
+            .with_message_drops(100)
+            .with_duplicates(100)
+            .with_delays(100, Duration::from_millis(2));
+        sess.set_cluster_options(
+            ClusterOptions::default()
+                .with_fault_plan(Arc::new(plan))
+                .with_sim(SimOptions::from_seed(seed).with_seeded_partitions(1, 200_000)),
+        );
+    }
+    let report = sess
+        .ingest(arrivals)
+        .unwrap_or_else(|e| panic!("seed {seed:?}, world {world}: escalating step failed: {e}"));
+    (report, final_bits(&sess))
+}
+
+/// Every rank takes the solver decisions itself; nothing ships them.  When
+/// the ladder actually escalates, chaos must still leave the run with the
+/// fault-free run's decisions and factors — `run_distributed` fails the
+/// step if any two ranks' decision digests differ — and one rank must
+/// reproduce the serial solver bit for bit.
+#[test]
+fn escalating_decisions_agree_on_every_rank_under_the_seed_sweep() {
+    // Fixture 1: a condition ceiling nothing passes — ridge on every solve.
+    let forced_ridge = NumericsPolicy::default().with_solver(SolvePolicy {
+        condition_limit: 1.0 + 1e-9,
+        ..SolvePolicy::default()
+    });
+    let ridge_old = random_factors(&[4, 5, 3], 3, 10);
+    let ridge_arrivals = random_complement(&[4, 5, 3], &[8, 8, 6], 110, 11);
+    // Fixture 2: a non-growing mode whose old rows are collinear, so mode
+    // 0's denominators are singular under the *default* policy.
+    let collinear = Matrix::from_fn(3, 3, |i, _| 1.0 + 0.25 * i as f64);
+    let collinear_old = vec![random_factors(&[4], 3, 2).remove(0), collinear];
+    let mut b = SparseTensorBuilder::new(vec![6, 3]);
+    for i0 in 4..6 {
+        for i1 in 0..3 {
+            b.push(&[i0, i1], 0.3 * (i0 + 2 * i1) as f64 - 1.0)
+                .expect("in bounds");
+        }
+    }
+    let collinear_arrivals = b.build().expect("valid shape");
+
+    let base = dst_cfg().with_max_iters(5);
+    let seeds = sweep_seeds().len().max(32) as u64;
+    for (name, cfg, old, arrivals) in [
+        (
+            "forced ridge",
+            base.with_numerics(forced_ridge),
+            &ridge_old,
+            &ridge_arrivals,
+        ),
+        ("collinear", base, &collinear_old, &collinear_arrivals),
+    ] {
+        let serial = dtd(arrivals, old, &cfg).expect("serial dtd");
+        assert!(serial.numerics.escalated(), "{name}: {:?}", serial.numerics);
+        let serial_bits = factor_bits(&serial.kruskal);
+        let (one, one_bits) = escalating_step(cfg, old, arrivals, 1, None);
+        assert_eq!(one.numerics, serial.numerics, "{name}: world 1");
+        assert_eq!(
+            one_bits, serial_bits,
+            "{name}: world 1 ≡ serial, bit for bit"
+        );
+
+        // Summation order follows the world size, and an escalating system
+        // is ill-conditioned by construction, so across worlds the λ and
+        // condition extremes may drift; which tier served each solve may
+        // not, and within a world nothing may move at all.
+        let tiers = |n: &NumericsReport| {
+            (
+                n.cholesky_solves,
+                n.lu_solves,
+                n.ridge_solves,
+                n.post_escalations,
+            )
+        };
+        for world in 2..=4 {
+            let (clean, clean_bits) = escalating_step(cfg, old, arrivals, world, None);
+            assert_eq!(
+                tiers(&clean.numerics),
+                tiers(&serial.numerics),
+                "{name}: world {world}: tier stream drifted from serial"
+            );
+            for seed in 0..seeds {
+                let (report, bits) = escalating_step(cfg, old, arrivals, world, Some(seed));
+                assert!(report.numerics.escalated(), "{name}: seed {seed}");
+                assert_eq!(
+                    report.numerics, clean.numerics,
+                    "{name}: seed {seed}, world {world}: chaos changed the decisions"
+                );
+                assert_eq!(
+                    bits, clean_bits,
+                    "{name}: seed {seed}, world {world}: chaos changed the factors"
+                );
+            }
+        }
+    }
+}
+
 // ---- checkpoint/restore across membership changes ------------------------
 
 #[test]
@@ -278,13 +398,15 @@ fn heal_policy(seed: u64) -> HealPolicy {
         .with_clock(Arc::new(VirtualClock::new()))
 }
 
-fn final_bits(s: &StreamingSession) -> Vec<Vec<u64>> {
-    s.factors()
-        .expect("factors after the stream")
-        .factors()
+fn factor_bits(k: &KruskalTensor) -> Vec<Vec<u64>> {
+    k.factors()
         .iter()
         .map(|m| m.as_slice().iter().map(|v| v.to_bits()).collect())
         .collect()
+}
+
+fn final_bits(s: &StreamingSession) -> Vec<Vec<u64>> {
+    factor_bits(s.factors().expect("factors after the stream"))
 }
 
 /// Runs the 3-step stream under an installed heal policy, arming `chaos` (layered
