@@ -79,11 +79,11 @@ fn baseline_onlinecp(
             s
         });
         for (idx, v) in full.iter() {
-            let t = idx[order - 1];
+            let t = idx[order - 1] as usize;
             if t < lo || t >= hi {
                 continue;
             }
-            let mut local = idx.to_vec();
+            let mut local: Vec<usize> = idx.iter().map(|&i| i as usize).collect();
             local[order - 1] = t - lo;
             b.push(&local, v)?;
         }

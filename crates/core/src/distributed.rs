@@ -40,8 +40,7 @@ use dismastd_tensor::linalg::{Factorized, RowUpdate};
 use dismastd_tensor::matrix::{dot, Matrix, RowSet};
 use dismastd_tensor::{AdaptivePolicy, CellKernel, ThreadPool};
 use dismastd_tensor::{
-    KruskalTensor, NumericsReport, Result, RobustSolver, SolveDecision, SparseTensor,
-    SparseTensorBuilder, TensorError,
+    KruskalTensor, NumericsReport, Result, RobustSolver, SolveDecision, SparseTensor, TensorError,
 };
 use serde::{Deserialize, Serialize};
 // lint:allow(determinism): Instant feeds wall-clock fields of StepReport only, never factor math
@@ -185,7 +184,7 @@ impl DistOutput {
         if self.iterations == 0 {
             Duration::ZERO
         } else {
-            self.iter_elapsed / self.iterations as u32
+            self.iter_elapsed / u32::try_from(self.iterations).unwrap_or(u32::MAX)
         }
     }
 }
@@ -387,6 +386,14 @@ pub(crate) fn run_distributed(
              (numerics.watchdog.enabled) so a destabilised step can be rolled back"
                 .into(),
         ));
+    }
+    // Row ids travel as `u32` in the ownership and routing tables; refuse a
+    // mode they cannot number before anything is sized by it.
+    if let Some(&dim) = tensor.shape().iter().find(|&&s| u32::try_from(s).is_err()) {
+        return Err(TensorError::PlanOverflow {
+            what: "shape dimension",
+            value: dim as u64,
+        });
     }
     // lint:allow(determinism, clock_hygiene): elapsed-time reporting only
     let start = Instant::now();
@@ -1027,33 +1034,25 @@ fn build_plans(
     pool: &ThreadPool,
 ) -> Result<Vec<WorkerPlan>> {
     let order = tensor.order();
-    // Per-cell nonzeros: the cell is the layout-selection unit, so each
-    // non-empty cell becomes its own sub-tensor.  BTreeMap keeps cell
-    // iteration order deterministic.
-    let mut cell_builders: std::collections::BTreeMap<usize, SparseTensorBuilder> =
-        std::collections::BTreeMap::new();
     // Per-worker, per-mode referenced-row sets.
     let mut needed: Vec<Vec<Vec<bool>>> = (0..world)
         .map(|_| tensor.shape().iter().map(|&s| vec![false; s]).collect())
         .collect();
-    for (idx, v) in tensor.iter() {
-        let w = grid.worker_of(idx);
-        cell_builders
-            .entry(grid.cell_of(idx))
-            .or_insert_with(|| SparseTensorBuilder::new(tensor.shape().to_vec()))
-            .push(idx, v)?;
-        for (n, &i) in idx.iter().enumerate() {
-            needed[w][n][i] = true;
+    // Per-cell nonzeros: the cell is the layout-selection unit, so each
+    // non-empty cell becomes its own sub-tensor, in ascending cell order.
+    // The row marking rides the routing pass.
+    let cells = tensor.partition_by(|idx| {
+        for (marks, &i) in needed[grid.worker_of(idx)].iter_mut().zip(idx) {
+            marks[i as usize] = true;
         }
-    }
+        grid.cell_of(idx)
+    });
 
     // Select and compile the kernel of every populated cell.
     let mut cells_by_worker: Vec<Vec<CellKernel>> = (0..world).map(|_| Vec::new()).collect();
     let mut local_nnz = vec![0usize; world];
-    for (cell, builder) in cell_builders {
-        let sub = builder.build()?;
+    for (_, sub) in cells {
         let w = grid.worker_of(sub.index(0));
-        debug_assert_eq!(grid.cell_of(sub.index(0)), cell);
         let stats = CellStats::measure(sub.shape(), sub.nnz());
         let choice = policy.choose_measured(stats.nnz, stats.max_dim, stats.slice_density);
         local_nnz[w] += sub.nnz();
@@ -1067,7 +1066,9 @@ fn build_plans(
         let mut owners = Vec::with_capacity(tensor.shape()[n]);
         for row in 0..tensor.shape()[n] {
             let w = grid.row_owner(n, row);
+            // lint:allow(narrowing_cast): a worker id — `w < world`, one OS thread each
             owners.push(w as u32);
+            // lint:allow(narrowing_cast): `row < shape[n]`, which `run_distributed` bounded by u32
             owned_rows[w][n].push(row as u32);
         }
         owner_of.push(owners);
@@ -1085,6 +1086,7 @@ fn build_plans(
                 }
                 let owner = owner_of[n][row] as usize;
                 if owner != w {
+                    // lint:allow(narrowing_cast): `row < shape[n]`, which `run_distributed` bounded by u32
                     partial_routes_all[w][n][owner].push(row as u32);
                 }
             }
@@ -1123,8 +1125,8 @@ fn build_plans(
 fn setup_bytes(plans: &[WorkerPlan], order: usize, rank: usize) -> u64 {
     let mut total = 0u64;
     for plan in plans {
-        // Coordinate format: N indices + 1 value per nonzero.
-        total += plan.local_nnz as u64 * (order as u64 + 1) * 8;
+        // Coordinate format: N 4-byte indices + one 8-byte value per nonzero.
+        total += plan.local_nnz as u64 * (4 * order as u64 + 8);
         for n in 0..order {
             let mut rows = plan.owned_rows[n].len() as u64;
             for d in 0..plans.len() {
@@ -1142,6 +1144,7 @@ mod tests {
     use crate::als::cp_als;
     use crate::dtd::dtd;
     use dismastd_cluster::AllreduceAlgo;
+    use dismastd_tensor::SparseTensorBuilder;
     use rand::Rng;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -1167,7 +1170,7 @@ mod tests {
         let mut placed = 0;
         while placed < nnz {
             let idx: Vec<usize> = new_shape.iter().map(|&s| rng.gen_range(0..s)).collect();
-            if SparseTensor::block_of(&idx, old_shape) == 0 {
+            if idx.iter().zip(old_shape).all(|(i, old)| i < old) {
                 continue;
             }
             b.push(&idx, rng.gen_range(-1.0..1.0)).unwrap();
@@ -1258,6 +1261,32 @@ mod tests {
         assert!(four.comm.bytes > 0);
         assert!(four.comm.collectives > 0);
         assert!(four.setup_bytes >= one.setup_bytes);
+        // One worker owns every row and routes none, so Theorem 4's staging
+        // term is the coordinate-format tensor (N 4-byte indices + an 8-byte
+        // value per nonzero) plus one R-wide f64 row per factor row.
+        let rows = 8 + 8 + 8;
+        assert_eq!(
+            one.setup_bytes,
+            x.nnz() as u64 * (4 * 3 + 8) + rows * cfg().rank as u64 * 8
+        );
+    }
+
+    #[test]
+    fn a_mode_the_u32_row_tables_cannot_number_is_refused_up_front() {
+        // Shape-only: nothing may be sized by the dimension before the
+        // guard (`build_plans` alone would want 4 Gi row marks per worker).
+        let huge = u32::MAX as usize + 1;
+        let t = SparseTensor::empty(vec![2, huge, 2]).unwrap();
+        match dms_mg(&t, &cfg(), &ClusterConfig::new(2)) {
+            Err(TensorError::PlanOverflow { what, value }) => {
+                assert_eq!(what, "shape dimension");
+                assert_eq!(value, huge as u64);
+            }
+            other => panic!(
+                "expected PlanOverflow, got {:?}",
+                other.map(|o| o.iterations)
+            ),
+        }
     }
 
     #[test]

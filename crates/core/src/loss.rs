@@ -199,7 +199,7 @@ pub fn naive_dtd_loss(
     let x = DenseTensor::from_sparse(complement)?;
     let mut l0 = 0.0;
     for (idx, yv) in y.iter_all() {
-        if SparseTensor::block_of(&idx, &old_rows) == 0 {
+        if idx.iter().zip(&old_rows).all(|(i, old)| i < old) {
             continue; // inside the old box: covered by the surrogate term
         }
         let d = x.get(&idx) - yv;

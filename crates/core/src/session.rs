@@ -892,7 +892,7 @@ impl StreamingSession {
             time_per_iter: if outcome.iterations == 0 {
                 Duration::ZERO
             } else {
-                outcome.iter_elapsed / outcome.iterations as u32
+                outcome.iter_elapsed / u32::try_from(outcome.iterations).unwrap_or(u32::MAX)
             },
             comm: outcome.comm,
             quarantined,
@@ -1089,7 +1089,7 @@ fn validate_snapshot(
         if mode != ValidationMode::Off && !v.is_finite() {
             if mode == ValidationMode::Strict {
                 return Err(TensorError::NonFiniteValue {
-                    index: idx.to_vec(),
+                    index: idx.iter().map(|&i| i as usize).collect(),
                     value: v,
                 });
             }
@@ -1105,8 +1105,12 @@ fn validate_snapshot(
 fn quarantine_snapshot(snapshot: &SparseTensor) -> Result<(Cow<'_, SparseTensor>, u64, f64)> {
     let mut b = SparseTensorBuilder::with_capacity(snapshot.shape().to_vec(), snapshot.nnz())
         .with_validation(ValidationMode::Quarantine);
+    let mut wide = vec![0usize; snapshot.order()];
     for (idx, v) in snapshot.iter() {
-        b.push(idx, v)?;
+        for (w, &i) in wide.iter_mut().zip(idx) {
+            *w = i as usize;
+        }
+        b.push(&wide, v)?;
     }
     let (clean, counts) = b.build_with_report()?;
     let norm_sq = clean.norm_sq();
@@ -1526,7 +1530,8 @@ mod tests {
         let poisoned = {
             let mut b = SparseTensorBuilder::new(s1.shape().to_vec());
             for (idx, v) in s1.iter() {
-                b.push(idx, v).unwrap();
+                let idx: Vec<usize> = idx.iter().map(|&i| i as usize).collect();
+                b.push(&idx, v).unwrap();
             }
             let free: Vec<Vec<usize>> = [[9usize, 8, 6], [9, 8, 7]]
                 .iter()

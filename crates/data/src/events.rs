@@ -243,7 +243,8 @@ mod tests {
             }
             // …and every earlier entry persists (Def. 4).
             for (idx, v) in w[0].iter() {
-                assert_eq!(w[1].get(idx).unwrap(), v);
+                let idx: Vec<usize> = idx.iter().map(|&i| i as usize).collect();
+                assert_eq!(w[1].get(&idx).unwrap(), v);
             }
         }
     }

@@ -111,12 +111,18 @@ pub fn to_json(tensor: &SparseTensor) -> Result<String> {
     serde_json::to_string(tensor).map_err(|e| TensorError::InvalidArgument(format!("json: {e}")))
 }
 
-/// Deserialises a tensor from [`to_json`] output.
+/// Deserialises a tensor from [`to_json`] output — checked, not trusted
+/// (entries may be unsorted or repeated; they are kept as written).
 ///
 /// # Errors
-/// Returns [`TensorError::InvalidArgument`] on parse failure.
+/// Returns [`TensorError::InvalidArgument`] for malformed JSON or a missing
+/// field, and `SparseTensor::try_from`'s typed refusals for a document that
+/// is not a tensor (empty shape, buffers that disagree, an index out of
+/// bounds, a coordinate `≥ 2³²`).
 pub fn from_json(s: &str) -> Result<SparseTensor> {
-    serde_json::from_str(s).map_err(|e| TensorError::InvalidArgument(format!("json: {e}")))
+    let doc: serde::Value =
+        serde_json::from_str(s).map_err(|e| TensorError::InvalidArgument(format!("json: {e}")))?;
+    SparseTensor::try_from(&doc)
 }
 
 #[cfg(test)]
@@ -163,6 +169,11 @@ mod tests {
     #[test]
     fn read_rejects_malformed() {
         assert!(read_coo_text("1 1 1.0\n".as_bytes()).is_err()); // no header
+        assert!(matches!(
+            // in bounds for its mode, but no storable coordinate
+            read_coo_text("%shape 8589934592 2\n4294967297 1 1.0\n".as_bytes()),
+            Err(TensorError::PlanOverflow { what: "index", .. })
+        ));
         assert!(read_coo_text("%shape\n".as_bytes()).is_err()); // empty shape
         assert!(read_coo_text("%shape 2 2\n1 1\n".as_bytes()).is_err()); // missing value
         assert!(read_coo_text("%shape 2 2\n0 1 2.0\n".as_bytes()).is_err()); // 0-based
@@ -233,13 +244,41 @@ mod tests {
     fn json_round_trip() {
         let t = sample();
         let s = to_json(&t).unwrap();
+        // The bytes the `Vec<usize>` representation wrote (PR 19): the
+        // narrower in-memory index does not show in the document.
+        assert_eq!(
+            s,
+            r#"{"shape":[3,4,2],"indices":[0,0,0,1,2,0,2,3,1],"values":[1.5,42.0,-0.25]}"#
+        );
         let back = from_json(&s).unwrap();
         assert_eq!(back, t);
     }
 
     #[test]
     fn json_rejects_garbage() {
-        assert!(from_json("{not json").is_err());
+        assert!(matches!(
+            from_json("{not json"),
+            Err(TensorError::InvalidArgument(_))
+        ));
+        // Well-formed JSON that is not a tensor: each refusal keeps its type
+        // (both documents were accepted before, the first one to panic in
+        // `inner_sparse`, the second as an `nnz() == 2` tensor with no entries).
+        assert!(matches!(
+            from_json(r#"{"shape":[2,2],"indices":[9,0],"values":[1.0]}"#),
+            Err(TensorError::IndexOutOfBounds { .. })
+        ));
+        assert!(matches!(
+            from_json(r#"{"shape":[2,2],"indices":[0],"values":[1.0,2.0]}"#),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            from_json(r#"{"shape":[],"indices":[],"values":[]}"#),
+            Err(TensorError::EmptyShape)
+        ));
+        assert!(matches!(
+            from_json(r#"{"shape":[8589934592],"indices":[4294967296],"values":[1.0]}"#),
+            Err(TensorError::PlanOverflow { what: "index", .. })
+        ));
     }
 
     #[test]

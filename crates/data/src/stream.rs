@@ -133,7 +133,8 @@ mod tests {
             // Every previous entry exists unchanged in the current snapshot
             // (Def. 4: X^(T-1) ⊆ X^(T)).
             for (idx, v) in prev.iter() {
-                assert_eq!(cur.get(idx).unwrap(), v);
+                let idx: Vec<usize> = idx.iter().map(|&i| i as usize).collect();
+                assert_eq!(cur.get(&idx).unwrap(), v);
             }
         }
     }

@@ -39,8 +39,11 @@ pub fn uniform_tensor(shape: &[usize], nnz: usize, rng: &mut impl Rng) -> Result
         }
         let missing = nnz - tensor.nnz();
         let mut b = SparseTensorBuilder::with_capacity(shape.to_vec(), tensor.nnz() + missing);
-        for (i, v) in tensor.iter() {
-            b.push(i, v)?;
+        for (stored, v) in tensor.iter() {
+            for (i, &s) in idx.iter_mut().zip(stored) {
+                *i = s as usize;
+            }
+            b.push(&idx, v)?;
         }
         for _ in 0..missing {
             for (i, &s) in idx.iter_mut().zip(shape) {
@@ -146,8 +149,11 @@ pub fn zipf_tensor(
         let before = tensor.nnz();
         let missing = nnz - before;
         let mut b = SparseTensorBuilder::with_capacity(shape.to_vec(), before + missing);
-        for (i, v) in tensor.iter() {
-            b.push(i, v)?;
+        for (stored, v) in tensor.iter() {
+            for (i, &s) in idx.iter_mut().zip(stored) {
+                *i = s as usize;
+            }
+            b.push(&idx, v)?;
         }
         for _ in 0..missing {
             for (i, s) in idx.iter_mut().zip(&samplers) {

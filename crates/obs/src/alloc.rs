@@ -24,6 +24,15 @@
 //! allocates does not scale with X" — two runs that differ only in X must
 //! request the same bytes.
 //!
+//! A third reading is process-wide: [`live_bytes`], the bytes allocated
+//! and not yet freed on any thread, and [`peak_live_bytes`], its
+//! high-water mark since [`reset_peak_live_bytes`].  Where the two
+//! counters above say what a phase *asked for*, the gauge says what it
+//! *holds* — the number that explains a resident-set size.  It follows
+//! `dealloc` and both directions of `realloc`, ignores [`exempt`] (an
+//! exempted block is still memory), and is shared by all threads, so a
+//! test that reads it must be the only thing allocating while it does.
+//!
 //! [`exempt`] suspends counting for one closure on the current thread.
 //! It scopes out infrastructure the audit deliberately ignores — the
 //! channel-node allocation inside a transport send — while everything
@@ -37,6 +46,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Bytes currently allocated through [`CountingAlloc`], all threads.
+/// `Relaxed` throughout: the gauges are statistics and publish no data.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// High-water mark of [`LIVE`] since the last [`reset_peak_live_bytes`].
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Allocations observed on this thread while not [`exempt`].
@@ -60,27 +76,52 @@ fn record(bytes: usize) {
     });
 }
 
+/// Moves the live gauge from a block of `old` bytes to one of `new`
+/// (`0` for "no block"), raising the high-water mark when it grows.
+#[inline]
+fn resize_live(old: usize, new: usize) {
+    if new >= old {
+        let live = LIVE.fetch_add(new - old, Ordering::Relaxed) + (new - old);
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    } else {
+        LIVE.fetch_sub(old - new, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: defers every operation to `System`; the bookkeeping around it
-// touches only const-initialised thread-local `Cell`s, which never
-// allocate or unwind.
+// touches only const-initialised thread-local `Cell`s and two atomics,
+// which never allocate or unwind.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         record(layout.size());
-        System.alloc(layout)
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            resize_live(0, layout.size());
+        }
+        ptr
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         record(layout.size());
-        System.alloc_zeroed(layout)
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            resize_live(0, layout.size());
+        }
+        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         record(new_size);
-        System.realloc(ptr, layout, new_size)
+        let moved = System.realloc(ptr, layout, new_size);
+        if !moved.is_null() {
+            resize_live(layout.size(), new_size);
+        }
+        moved
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        System.dealloc(ptr, layout);
+        resize_live(layout.size(), 0);
     }
 }
 
@@ -100,6 +141,24 @@ pub fn allocated_bytes() -> u64 {
 pub fn reset_allocation_count() {
     COUNT.with(|c| c.set(0));
     BYTES.with(|b| b.set(0));
+}
+
+/// Bytes allocated and not yet freed, across all threads (exempt scopes
+/// included).
+pub fn live_bytes() -> usize {
+    LIVE.load(Ordering::Relaxed)
+}
+
+/// The highest [`live_bytes`] has stood since the process started or
+/// [`reset_peak_live_bytes`] was last called.
+pub fn peak_live_bytes() -> usize {
+    PEAK.load(Ordering::Relaxed)
+}
+
+/// Lowers the high-water mark to the current [`live_bytes`], so the next
+/// [`peak_live_bytes`] reads the peak of what follows.
+pub fn reset_peak_live_bytes() {
+    PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
 /// Runs `f` with allocation counting suspended on this thread.  Nests;
@@ -138,6 +197,22 @@ mod tests {
             (allocation_count(), allocated_bytes()),
             (base.0 + 1, base.1 + 24)
         );
+    }
+
+    #[test]
+    fn live_gauge_follows_frees_and_keeps_its_high_water_mark() {
+        // The only test here that moves the process-wide gauge.
+        let base = live_bytes();
+        resize_live(0, 100); // alloc
+        resize_live(100, 400); // growing realloc
+        assert_eq!(live_bytes(), base + 400);
+        resize_live(400, 50); // shrinking realloc
+        assert_eq!(live_bytes(), base + 50);
+        assert_eq!(peak_live_bytes(), base + 400);
+        reset_peak_live_bytes();
+        assert_eq!(peak_live_bytes(), base + 50);
+        resize_live(50, 0); // dealloc
+        assert_eq!((live_bytes(), peak_live_bytes()), (base, base + 50));
     }
 
     #[test]

@@ -182,11 +182,10 @@ impl GridPartition {
                                 acc
                             }
                         });
-                    if best == 0 {
-                        (p % num_workers) as u32 // empty partition: round-robin
-                    } else {
-                        best_w as u32
-                    }
+                    // An empty partition goes round-robin.
+                    let owner = if best == 0 { p % num_workers } else { best_w };
+                    // lint:allow(narrowing_cast): a worker id — below `num_workers`, one OS thread each
+                    owner as u32
                 })
                 .collect();
             row_owners.push(owners);
@@ -218,7 +217,7 @@ impl GridPartition {
 
     /// Worker that owns the nonzero at `idx`.
     #[inline]
-    pub fn worker_of(&self, idx: &[usize]) -> usize {
+    pub fn worker_of(&self, idx: &[u32]) -> usize {
         self.cell_workers[self.cell_of(idx)] as usize
     }
 
@@ -227,7 +226,7 @@ impl GridPartition {
     /// caching in the distributed driver: a cell whose nonzeros are
     /// unchanged between stream steps keeps its compiled kernel layout.
     #[inline]
-    pub fn cell_of(&self, idx: &[usize]) -> usize {
+    pub fn cell_of(&self, idx: &[u32]) -> usize {
         cell_id(idx, &self.mode_partitions, &self.strides)
     }
 
@@ -298,11 +297,11 @@ impl GridPartition {
 }
 
 #[inline]
-fn cell_id(idx: &[usize], mode_partitions: &[ModePartition], strides: &[usize]) -> usize {
+fn cell_id(idx: &[u32], mode_partitions: &[ModePartition], strides: &[usize]) -> usize {
     idx.iter()
         .zip(mode_partitions)
         .zip(strides)
-        .map(|((&i, mp), &s)| mp.part_of(i) * s)
+        .map(|((&i, mp), &s)| mp.part_of(i as usize) * s)
         .sum()
 }
 
@@ -372,6 +371,7 @@ fn assign_block_grid(
                 let w_n = (c_n * dims[n]) / p_n;
                 worker += w_n * wstrides[n];
             }
+            // lint:allow(narrowing_cast): a worker id — below `Π dims ≤ workers`, one OS thread each
             worker as u32
         })
         .collect()
@@ -382,11 +382,13 @@ fn assign_block_grid(
 fn assign_scatter(cell_nnz: &[u64], workers: usize) -> Vec<u32> {
     let mut cell_order: Vec<usize> = (0..cell_nnz.len()).collect();
     cell_order.sort_unstable_by_key(|&c| (Reverse(cell_nnz[c]), c));
-    let mut heap: BinaryHeap<Reverse<(u64, u32)>> =
-        (0..workers as u32).map(|w| Reverse((0u64, w))).collect();
+    // lint:allow(narrowing_cast): the worker count — one OS thread each
+    let ids = 0..workers as u32;
+    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = ids.map(|w| Reverse((0u64, w))).collect();
     let mut cell_workers = vec![0u32; cell_nnz.len()];
     for (i, &cell) in cell_order.iter().enumerate() {
         if cell_nnz[cell] == 0 {
+            // lint:allow(narrowing_cast): a worker id — below `workers`, one OS thread each
             cell_workers[cell] = (i % workers) as u32;
             continue;
         }
@@ -512,7 +514,7 @@ mod tests {
         for part_range in [0..2usize, 2..4usize] {
             let mut seen = std::collections::BTreeSet::new();
             for (idx, _) in t.iter() {
-                let part = g.mode_partition(0).part_of(idx[0]);
+                let part = g.mode_partition(0).part_of(idx[0] as usize);
                 if part_range.contains(&part) {
                     seen.insert(g.worker_of(idx));
                 }

@@ -45,6 +45,7 @@ pub fn gtp(slice_nnz: &[u64], num_parts: usize) -> ModePartition {
         // *slice counts* with an even contiguous split (every partition
         // non-empty since p <= n_slices) instead of degenerating into
         // singleton partitions via the overshoot branch.
+        // lint:allow(narrowing_cast): a part id — below `p <= slice_nnz.len()`; modes past u32 are refused upstream (`run_distributed`)
         let assignment = (0..n_slices).map(|i| ((i * p) / n_slices) as u32).collect();
         return ModePartition::from_assignment(p, assignment);
     }
@@ -52,6 +53,7 @@ pub fn gtp(slice_nnz: &[u64], num_parts: usize) -> ModePartition {
     let target = total as f64 / p as f64;
 
     let mut assignment = vec![0u32; n_slices];
+    // Part ids are `count < p <= slice_nnz.len()`; modes past u32 are refused upstream (`run_distributed`).
     let mut count: usize = 0; // sealed partitions so far
     let mut sum: u64 = 0; // running nnz of the open partition (line 5)
 
@@ -60,14 +62,14 @@ pub fn gtp(slice_nnz: &[u64], num_parts: usize) -> ModePartition {
         if count == p - 1 {
             // Lines 16-17: only the last partition remains — take the rest.
             for a in assignment.iter_mut().take(n_slices).skip(i) {
-                *a = count as u32;
+                *a = count as u32; // lint:allow(narrowing_cast): part id, see `count`
             }
             break;
         }
         sum += slice_nnz[i];
         if (sum as f64) < target {
             // Line 9: slice joins the open partition.
-            assignment[i] = count as u32;
+            assignment[i] = count as u32; // lint:allow(narrowing_cast): part id, see `count`
             i += 1;
             continue;
         }
@@ -78,12 +80,12 @@ pub fn gtp(slice_nnz: &[u64], num_parts: usize) -> ModePartition {
             // Better without slice i (and the partition is non-empty):
             // seal it, slice i opens the next partition.
             count += 1;
-            assignment[i] = count as u32;
+            assignment[i] = count as u32; // lint:allow(narrowing_cast): part id, see `count`
             sum = slice_nnz[i];
             i += 1;
         } else {
             // Better with slice i: include it and seal.
-            assignment[i] = count as u32;
+            assignment[i] = count as u32; // lint:allow(narrowing_cast): part id, see `count`
             count += 1;
             sum = 0;
             i += 1;

@@ -39,8 +39,9 @@ pub fn mtp(slice_nnz: &[u64], num_parts: usize) -> ModePartition {
     order.sort_unstable_by_key(|&i| (Reverse(slice_nnz[i]), i));
 
     // Min-heap over (load, partition id): pop = currently lightest partition.
-    let mut heap: BinaryHeap<Reverse<(u64, u32)>> =
-        (0..p as u32).map(|id| Reverse((0u64, id))).collect();
+    // lint:allow(narrowing_cast): the part count — `p <= slice_nnz.len()`; modes past u32 are refused upstream (`run_distributed`)
+    let ids = 0..p as u32;
+    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = ids.map(|id| Reverse((0u64, id))).collect();
 
     let mut assignment = vec![0u32; n_slices];
     for slice in order {

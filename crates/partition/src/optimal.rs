@@ -54,7 +54,7 @@ pub fn optimal_contiguous(slice_nnz: &[u64], num_parts: usize) -> ModePartition 
     while k > 0 {
         let j = cut[k][i];
         for a in assignment.iter_mut().take(i).skip(j) {
-            *a = (k - 1) as u32;
+            *a = (k - 1) as u32; // lint:allow(narrowing_cast): a part id below `p`; this DP is O(p·n²) and only runs on toy sizes
         }
         i = j;
         k -= 1;
@@ -132,6 +132,7 @@ pub fn optimal_arbitrary(slice_nnz: &[u64], num_parts: usize) -> ModePartition {
                 continue; // prune: cannot beat the incumbent
             }
             loads[part] += w;
+            // lint:allow(narrowing_cast): a part id below `p`; the search is exponential and only runs on toy sizes
             assignment[slice] = part as u32;
             search(
                 depth + 1,

@@ -27,8 +27,8 @@ use crate::pool::ThreadPool;
 /// Which MTTKRP kernel a cell was assigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayoutChoice {
-    /// The naive COO kernel: no preprocessing, `usize` indexing, one
-    /// scattered output write per entry.
+    /// The naive COO kernel: no preprocessing, no entry or row tables to
+    /// overflow, one scattered output write per entry.
     NaiveCoo,
     /// The sorted-run plan: one counting sort per mode up front, then
     /// streaming run-accumulated execution (pooled when a pool is given).

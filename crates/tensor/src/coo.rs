@@ -2,12 +2,16 @@
 //!
 //! DisMASTD stores `X \ X̃` as "all the non-zero elements with the coordinate
 //! format" (Theorem 3's proof); this module is that representation.  Indices
-//! are kept in one flat `Vec<usize>` with stride `order`, so iterating the
-//! nonzeros touches two contiguous arrays — the access pattern MTTKRP needs.
+//! are kept in one flat `Vec<u32>` with stride `order`, so iterating the
+//! nonzeros touches two contiguous arrays — the access pattern MTTKRP needs —
+//! at `4·order + 8` bytes per nonzero.  Shapes, bounds and caller-supplied
+//! coordinates are `usize`; a coordinate `≥ 2³²` is refused where it enters
+//! ([`SparseTensorBuilder::push`], `Deserialize`) with `PlanOverflow`.
 
 use crate::error::{Result, TensorError};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
 /// An `N`-th order sparse tensor in coordinate format.
 ///
@@ -16,12 +20,75 @@ use std::cmp::Ordering;
 /// * entries are sorted lexicographically by index tuple;
 /// * index tuples are unique (duplicates are summed at build time);
 /// * no stored value is exactly `0.0`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A deserialised tensor keeps the first invariant only (it is checked);
+/// its entries stay in the order and multiplicity the document gave them.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SparseTensor {
     shape: Vec<usize>,
     /// Flattened index tuples, `nnz * order` long.
-    indices: Vec<usize>,
+    indices: Vec<u32>,
     values: Vec<f64>,
+}
+
+/// Narrows a caller-supplied coordinate to the stored index width.
+fn narrow_index(i: u64) -> Result<u32> {
+    u32::try_from(i).map_err(|_| TensorError::PlanOverflow {
+        what: "index",
+        value: i,
+    })
+}
+
+/// The checked way in for bytes from outside the program: refuses an empty
+/// shape, an index buffer that is not `order` numbers per value, a number
+/// `≥ 2³²` and an index outside its dimension.  Unsorted or repeated
+/// coordinates are legal.
+impl TryFrom<&serde::Value> for SparseTensor {
+    type Error = TensorError;
+
+    fn try_from(v: &serde::Value) -> Result<Self> {
+        let bad = |e: serde::DeError| TensorError::InvalidArgument(format!("SparseTensor: {e}"));
+        let obj = v
+            .as_object()
+            .ok_or_else(|| bad(serde::DeError::new("expected object")))?;
+        let field = |name| serde::field(obj, name).map_err(bad);
+        let shape = Vec::<usize>::from_value(field("shape")?).map_err(bad)?;
+        let raw = Vec::<u64>::from_value(field("indices")?).map_err(bad)?;
+        let values = Vec::<f64>::from_value(field("values")?).map_err(bad)?;
+        if shape.is_empty() {
+            return Err(TensorError::EmptyShape);
+        }
+        if raw.len() != values.len() * shape.len() {
+            return Err(TensorError::shape_mismatch(
+                "SparseTensor indices vs values × order",
+                &[raw.len()],
+                &[values.len(), shape.len()],
+            ));
+        }
+        let indices = raw
+            .iter()
+            .map(|&i| narrow_index(i))
+            .collect::<Result<Vec<u32>>>()?;
+        for tuple in indices.chunks_exact(shape.len()) {
+            if tuple.iter().zip(&shape).any(|(&i, &s)| i as usize >= s) {
+                return Err(TensorError::IndexOutOfBounds {
+                    index: tuple.iter().map(|&i| i as usize).collect(),
+                    shape,
+                });
+            }
+        }
+        Ok(SparseTensor {
+            shape,
+            indices,
+            values,
+        })
+    }
+}
+
+impl Deserialize for SparseTensor {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
+        SparseTensor::try_from(v).map_err(|e| serde::DeError::new(e.to_string()))
+    }
 }
 
 impl SparseTensor {
@@ -67,7 +134,7 @@ impl SparseTensor {
     /// The index tuple of the `e`-th stored entry.
     #[allow(clippy::should_implement_trait)] // COO entry lookup, not ops::Index
     #[inline]
-    pub fn index(&self, e: usize) -> &[usize] {
+    pub fn index(&self, e: usize) -> &[u32] {
         let n = self.order();
         &self.indices[e * n..(e + 1) * n]
     }
@@ -79,7 +146,7 @@ impl SparseTensor {
     }
 
     /// Iterates `(index_tuple, value)` pairs in sorted order.
-    pub fn iter(&self) -> impl Iterator<Item = (&[usize], f64)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (&[u32], f64)> + '_ {
         let n = self.order();
         self.indices
             .chunks_exact(n)
@@ -88,7 +155,7 @@ impl SparseTensor {
 
     /// Raw flattened index buffer (stride = `order`).
     #[inline]
-    pub fn indices_flat(&self) -> &[usize] {
+    pub fn indices_flat(&self) -> &[u32] {
         &self.indices
     }
 
@@ -132,7 +199,7 @@ impl SparseTensor {
         let mut hist = vec![0u64; self.shape[mode]];
         let n = self.order();
         for tuple in self.indices.chunks_exact(n) {
-            hist[tuple[mode]] += 1;
+            hist[tuple[mode] as usize] += 1;
         }
         Ok(hist)
     }
@@ -140,20 +207,17 @@ impl SparseTensor {
     /// Block signature of an index tuple relative to an old bounding box:
     /// bit `k` is set iff `idx[k] >= old_shape[k]` (the `(s_1,…,s_N)` tuple of
     /// the paper's sub-tensor division, packed as a bitmask).
-    pub fn block_of(idx: &[usize], old_shape: &[usize]) -> usize {
+    pub fn block_of(idx: &[u32], old_shape: &[usize]) -> usize {
         idx.iter()
             .zip(old_shape)
             .enumerate()
-            .fold(
-                0usize,
-                |acc, (k, (&i, &old))| {
-                    if i >= old {
-                        acc | (1 << k)
-                    } else {
-                        acc
-                    }
-                },
-            )
+            .fold(0usize, |acc, (k, (&i, &old))| {
+                if i as usize >= old {
+                    acc | (1 << k)
+                } else {
+                    acc
+                }
+            })
     }
 
     /// Splits this tensor into `(inside, complement)` relative to an old
@@ -172,15 +236,11 @@ impl SparseTensor {
         self.check_old_shape("split_at", old_shape)?;
         let mut inside = SparseTensor::empty(old_shape.to_vec())?;
         let mut outside = SparseTensor::empty(self.shape.clone())?;
-        for (tuple, v) in self.iter() {
-            let half = if in_old_box(tuple, old_shape) {
-                &mut inside
-            } else {
-                &mut outside
-            };
+        self.scan_box(old_shape, |in_box, tuple, v| {
+            let half = if in_box { &mut inside } else { &mut outside };
             half.indices.extend_from_slice(tuple);
-            half.values.push(v);
-        }
+            half.values.push(*v);
+        });
         Ok((inside, outside))
     }
 
@@ -201,7 +261,7 @@ impl SparseTensor {
         let mut kept = SparseTensor::empty(bounds.to_vec())?;
         kept.indices.reserve_exact(self.indices.len());
         kept.values.reserve_exact(self.values.len());
-        self.copy_side(bounds, true, &mut kept);
+        self.copy_side::<true>(bounds, &mut kept);
         kept.indices.shrink_to_fit();
         kept.values.shrink_to_fit();
         Ok(kept)
@@ -222,20 +282,68 @@ impl SparseTensor {
     pub fn complement(&self, old_shape: &[usize]) -> Result<SparseTensor> {
         self.check_old_shape("complement", old_shape)?;
         let mut outside = SparseTensor::empty(self.shape.clone())?;
-        self.copy_side(old_shape, false, &mut outside);
+        self.copy_side::<false>(old_shape, &mut outside);
         Ok(outside)
     }
 
-    /// Appends to `out` the entries that lie inside `old_shape`'s box
-    /// (`inside == true`) or outside it, in stored order.  Reads every
-    /// index tuple once and the values of the copied entries only.
-    fn copy_side(&self, old_shape: &[usize], inside: bool, out: &mut SparseTensor) {
-        let tuples = self.indices.chunks_exact(self.order());
-        for (tuple, v) in tuples.zip(&self.values) {
-            if in_old_box(tuple, old_shape) == inside {
+    /// Appends to `out` the entries inside `old_shape`'s box (`INSIDE`) or
+    /// outside it, in stored order: every index tuple is read once, values
+    /// of copied entries only.  Each side gets its own compiled scan.
+    fn copy_side<const INSIDE: bool>(&self, old_shape: &[usize], out: &mut SparseTensor) {
+        self.scan_box(old_shape, |in_box, tuple, v| {
+            if in_box == INSIDE {
                 out.indices.extend_from_slice(tuple);
                 out.values.push(*v);
             }
+        });
+    }
+
+    /// The predicate every split shares: `visit(in_box, tuple, &value)` per
+    /// entry in stored order, `in_box` iff every index lies inside
+    /// `old_shape`'s box.  Orders 1–4 take the compile-time body.
+    pub(crate) fn scan_box(&self, old_shape: &[usize], visit: impl FnMut(bool, &[u32], &f64)) {
+        match self.order() {
+            1 => self.scan_box_fixed::<1>(old_shape, visit),
+            2 => self.scan_box_fixed::<2>(old_shape, visit),
+            3 => self.scan_box_fixed::<3>(old_shape, visit),
+            4 => self.scan_box_fixed::<4>(old_shape, visit),
+            _ => self.scan_box_dyn(old_shape, visit),
+        }
+    }
+
+    /// [`Self::scan_box`] for any order, short-circuiting per tuple.
+    pub(crate) fn scan_box_dyn(
+        &self,
+        old_shape: &[usize],
+        mut visit: impl FnMut(bool, &[u32], &f64),
+    ) {
+        let tuples = self.indices.chunks_exact(self.order());
+        for (tuple, v) in tuples.zip(&self.values) {
+            let in_box = tuple
+                .iter()
+                .zip(old_shape)
+                .all(|(&i, &old)| (i as usize) < old);
+            visit(in_box, tuple, v);
+        }
+    }
+
+    /// [`Self::scan_box`] for order `K` known at compile time: a 4·`K`-byte
+    /// tuple is cheaper to compare whole than to branch out of, so the `K`
+    /// comparisons are and-ed without short-circuit.
+    fn scan_box_fixed<const K: usize>(
+        &self,
+        old_shape: &[usize],
+        mut visit: impl FnMut(bool, &[u32], &f64),
+    ) {
+        let Ok(old) = <&[usize; K]>::try_from(old_shape) else {
+            return self.scan_box_dyn(old_shape, visit);
+        };
+        for (tuple, v) in self.indices.chunks_exact(K).zip(&self.values) {
+            let mut in_box = true;
+            for (&i, &old) in tuple.iter().zip(old) {
+                in_box &= (i as usize) < old;
+            }
+            visit(in_box, tuple, v);
         }
     }
 
@@ -279,19 +387,28 @@ impl SparseTensor {
                 "tensor order exceeds block-signature width".into(),
             ));
         }
-        let mut blocks: std::collections::BTreeMap<usize, SparseTensor> =
-            std::collections::BTreeMap::new();
+        Ok(self.partition_by(|tuple| Self::block_of(tuple, old_shape)))
+    }
+
+    /// Routes every entry to the part `key(tuple)` names, in one pass: one
+    /// `(key, part)` pair per **non-empty** part in ascending key order,
+    /// each in this tensor's shape and global coordinates, entries in
+    /// stored order.  Nothing is sorted or merged: the parts of a built
+    /// tensor (sorted, unique) are sorted and unique, those of an unsorted
+    /// deserialised one keep its order and duplicates.  Allocates per part
+    /// (push growth), not per entry.
+    pub fn partition_by(&self, mut key: impl FnMut(&[u32]) -> usize) -> Vec<(usize, SparseTensor)> {
+        let mut parts: BTreeMap<usize, SparseTensor> = BTreeMap::new();
         for (tuple, v) in self.iter() {
-            let sig = Self::block_of(tuple, old_shape);
-            let entry = blocks.entry(sig).or_insert_with(|| SparseTensor {
+            let part = parts.entry(key(tuple)).or_insert_with(|| SparseTensor {
                 shape: self.shape.clone(),
                 indices: Vec::new(),
                 values: Vec::new(),
             });
-            entry.indices.extend_from_slice(tuple);
-            entry.values.push(v);
+            part.indices.extend_from_slice(tuple);
+            part.values.push(v);
         }
-        Ok(blocks.into_iter().collect())
+        parts.into_iter().collect()
     }
 
     /// Sum of all values (useful for sanity checks and tests).
@@ -344,16 +461,9 @@ impl QuarantineCounts {
     }
 }
 
-/// `true` when every index of `tuple` lies inside `old_shape`'s box — block
-/// signature `0`, the old snapshot's side of every split.
-#[inline]
-fn in_old_box(tuple: &[usize], old_shape: &[usize]) -> bool {
-    tuple.iter().zip(old_shape).all(|(&i, &old)| i < old)
-}
-
 /// Binary search over flattened index tuples, comparing lexicographically.
 fn binary_search_tuples(
-    flat: &[usize],
+    flat: &[u32],
     stride: usize,
     needle: &[usize],
 ) -> std::result::Result<usize, usize> {
@@ -363,7 +473,11 @@ fn binary_search_tuples(
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         let tuple = &flat[mid * stride..(mid + 1) * stride];
-        match tuple.cmp(needle) {
+        match tuple
+            .iter()
+            .map(|&i| i as usize)
+            .cmp(needle.iter().copied())
+        {
             Ordering::Less => lo = mid + 1,
             Ordering::Greater => hi = mid,
             Ordering::Equal => return Ok(mid),
@@ -463,6 +577,10 @@ impl SparseTensorBuilder {
                 ValidationMode::Off => {}
             }
         }
+        // In bounds, but of a mode too long for the stored index width.
+        for &i in idx {
+            narrow_index(i as u64)?;
+        }
         self.entries.push((idx.to_vec(), value));
         Ok(self)
     }
@@ -522,7 +640,8 @@ impl SparseTensorBuilder {
                     }
                 }
             } else {
-                indices.extend_from_slice(idx);
+                // lint:allow(narrowing_cast): `push` refused every coordinate >= 2^32
+                indices.extend(idx.iter().map(|&i| i as u32));
                 values.push(*v);
                 last = Some(idx.as_slice());
             }
@@ -791,10 +910,115 @@ mod tests {
         assert!(e.split_blocks(&[1, 1]).unwrap().is_empty());
     }
 
+    /// `SparseTensor::try_from` on a JSON document.
+    fn parse(json: &str) -> Result<SparseTensor> {
+        let v: serde::Value = serde_json::from_str(json).unwrap();
+        SparseTensor::try_from(&v)
+    }
+
+    #[test]
+    fn serialised_form_is_unchanged_by_the_index_width() {
+        // Written by the `Vec<usize>` representation (PR 19).
+        let old = r#"{"shape":[3,4,2],"indices":[0,0,0,1,2,0,2,3,1],"values":[1.5,42.0,-0.25]}"#;
+        let t: SparseTensor = serde_json::from_str(old).unwrap();
+        assert_eq!(t.index(1), &[1, 2, 0]);
+        assert_eq!(serde_json::to_string(&t).unwrap(), old);
+    }
+
+    #[test]
+    fn deserialize_refuses_what_the_kernels_would_trip_on() {
+        // An index outside its dimension (`inner_sparse` used to panic).
+        match parse(r#"{"shape":[2,2],"indices":[9,0],"values":[1.0]}"#) {
+            Err(TensorError::IndexOutOfBounds { index, shape }) => {
+                assert_eq!((index, shape), (vec![9, 0], vec![2, 2]));
+            }
+            other => panic!("expected IndexOutOfBounds, got {other:?}"),
+        }
+        // Index and value buffers that disagree about nnz.
+        assert!(matches!(
+            parse(r#"{"shape":[2,2],"indices":[0],"values":[1.0,2.0]}"#),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            parse(r#"{"shape":[],"indices":[],"values":[]}"#),
+            Err(TensorError::EmptyShape)
+        ));
+        // In bounds for its (giant) mode, but not a storable coordinate.
+        assert_eq!(
+            parse(r#"{"shape":[5000000000,2],"indices":[4294967296,0],"values":[1.0]}"#),
+            Err(TensorError::PlanOverflow {
+                what: "index",
+                value: 1 << 32
+            })
+        );
+        assert!(matches!(
+            parse(r#"{"shape":[2,2],"values":[]}"#),
+            Err(TensorError::InvalidArgument(_))
+        ));
+        // Through `Deserialize` the same refusals arrive rendered.
+        let err = serde_json::from_str::<SparseTensor>(
+            r#"{"shape":[2,2],"indices":[9,0],"values":[1.0]}"#,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("out of bounds"), "{err}");
+        // Unsorted and repeated coordinates are legal and kept as written.
+        let t = parse(r#"{"shape":[2,2],"indices":[1,1,0,0,1,1],"values":[1.0,2.0,3.0]}"#).unwrap();
+        assert_eq!(t.nnz(), 3);
+        assert_eq!(t.indices_flat(), &[1, 1, 0, 0, 1, 1]);
+    }
+
+    #[test]
+    fn push_refuses_a_coordinate_the_index_width_cannot_hold() {
+        let mut b = SparseTensorBuilder::new(vec![1 << 33, 2]);
+        assert_eq!(
+            b.push(&[1 << 32, 0], 1.0).unwrap_err(),
+            TensorError::PlanOverflow {
+                what: "index",
+                value: 1 << 32
+            }
+        );
+        // Quarantine drops bad *data*; an unrepresentable coordinate is refused.
+        let mut q =
+            SparseTensorBuilder::new(vec![1 << 33, 2]).with_validation(ValidationMode::Quarantine);
+        assert!(q.push(&[1 << 32, 0], 1.0).is_err());
+        // The last representable coordinate of the same mode is fine.
+        b.push(&[u32::MAX as usize, 1], 2.0).unwrap();
+        let t = b.build().unwrap();
+        assert_eq!(t.index(0), &[u32::MAX, 1]);
+        assert_eq!(t.get(&[u32::MAX as usize, 1]).unwrap(), 2.0);
+    }
+
+    #[test]
+    fn partition_by_routes_in_stored_order_without_sorting() {
+        // Unsorted, with a repeated coordinate: nothing `build` normalised.
+        let t = parse(
+            r#"{"shape":[4,2],"indices":[3,1,0,0,2,1,3,1,1,0],"values":[1.0,2.0,3.0,4.0,5.0]}"#,
+        )
+        .unwrap();
+        let parts = t.partition_by(|idx| (idx[0] % 2) as usize);
+        let keys: Vec<usize> = parts.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, [0, 1]);
+        assert_eq!(parts[0].1.indices_flat(), &[0, 0, 2, 1]);
+        assert_eq!(parts[0].1.values(), &[2.0, 3.0]);
+        assert_eq!(parts[1].1.indices_flat(), &[3, 1, 3, 1, 1, 0]);
+        assert_eq!(parts[1].1.values(), &[1.0, 4.0, 5.0]);
+        assert!(parts.iter().all(|(_, p)| p.shape() == t.shape()));
+        // A built tensor's parts are what a builder per part would build.
+        let built = small();
+        for (key, part) in built.partition_by(|idx| idx[2] as usize / 2) {
+            let mut b = SparseTensorBuilder::new(built.shape().to_vec());
+            for (idx, v) in built.iter().filter(|(idx, _)| idx[2] as usize / 2 == key) {
+                let idx: Vec<usize> = idx.iter().map(|&i| i as usize).collect();
+                b.push(&idx, v).unwrap();
+            }
+            assert_eq!(part, b.build().unwrap());
+        }
+    }
+
     #[test]
     fn iter_matches_accessors() {
         let t = small();
-        let collected: Vec<(Vec<usize>, f64)> = t.iter().map(|(i, v)| (i.to_vec(), v)).collect();
+        let collected: Vec<(Vec<u32>, f64)> = t.iter().map(|(i, v)| (i.to_vec(), v)).collect();
         assert_eq!(collected.len(), t.nnz());
         for (e, (idx, v)) in collected.iter().enumerate() {
             assert_eq!(idx.as_slice(), t.index(e));
@@ -816,7 +1040,7 @@ mod tests {
     fn binary_search_is_correct_on_sorted_tuples() {
         let t = small();
         for e in 0..t.nnz() {
-            let idx = t.index(e).to_vec();
+            let idx: Vec<usize> = t.index(e).iter().map(|&i| i as usize).collect();
             assert_eq!(t.get(&idx).unwrap(), t.value(e));
         }
     }

@@ -38,7 +38,11 @@ impl DenseTensor {
     pub fn from_sparse(t: &SparseTensor) -> Result<Self> {
         let mut out = DenseTensor::zeros(t.shape().to_vec())?;
         for (idx, v) in t.iter() {
-            let off = out.offset(idx);
+            let off: usize = idx
+                .iter()
+                .zip(&out.strides)
+                .map(|(&i, s)| i as usize * s)
+                .sum();
             out.data[off] += v;
         }
         Ok(out)

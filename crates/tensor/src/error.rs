@@ -79,13 +79,13 @@ pub enum TensorError {
     /// A tensor was constructed with an empty shape or a zero-length mode
     /// where that is not permitted.
     EmptyShape,
-    /// A quantity exceeded the `u32` index space of the compressed MTTKRP
-    /// layout (`MttkrpPlan` stores entry positions and factor-row indices
-    /// as `u32`).  Building a plan for such a tensor would silently
-    /// truncate coordinates, so the build refuses instead; callers fall
-    /// back to the COO kernel, which indexes with `usize`.
+    /// A quantity exceeded the `u32` index space: a coordinate `≥ 2³²`
+    /// where it enters a `SparseTensor` (`"index"`), or a tensor whose
+    /// entries or factor rows `MttkrpPlan` and the distributed routing
+    /// tables cannot number (`"nnz"`, `"shape dimension"`).  Refused instead
+    /// of truncated; serial callers fall back to the table-free COO kernel.
     PlanOverflow {
-        /// Which quantity overflowed (`"nnz"` or `"shape dimension"`).
+        /// Which quantity overflowed.
         what: &'static str,
         /// The offending value.
         value: u64,

@@ -235,7 +235,7 @@ fn inner_sparse_dyn(factors: &[Matrix], x: &SparseTensor) -> f64 {
     for (idx, v) in x.iter() {
         prod.iter_mut().for_each(|p| *p = v);
         for (f, &i) in factors.iter().zip(idx) {
-            for (p, &a) in prod.iter_mut().zip(f.row(i)) {
+            for (p, &a) in prod.iter_mut().zip(f.row(i as usize)) {
                 *p *= a;
             }
         }
@@ -255,8 +255,8 @@ fn inner_sparse_fixed<const R: usize, const K: usize>(
     let factors = <&[Matrix; K]>::try_from(factors).ok()?;
     let mut total = 0.0;
     for (idx, v) in x.iter() {
-        let idx = <&[usize; K]>::try_from(idx).ok()?;
-        let rows = std::array::from_fn(|k| factors[k].row(idx[k]));
+        let idx = <&[u32; K]>::try_from(idx).ok()?;
+        let rows = std::array::from_fn(|k| factors[k].row(idx[k] as usize));
         total += lane_products::<R, K>(v, rows)?.iter().sum::<f64>();
     }
     Some(total)
@@ -325,7 +325,8 @@ mod tests {
         let dk = k.to_dense().unwrap();
         let mut direct = 0.0;
         for (idx, v) in x.iter() {
-            direct += v * dk.get(idx);
+            let idx: Vec<usize> = idx.iter().map(|&i| i as usize).collect();
+            direct += v * dk.get(&idx);
         }
         assert!((k.inner_sparse(&x).unwrap() - direct).abs() < 1e-10);
     }

@@ -59,9 +59,9 @@ impl MttkrpPlan {
     ///
     /// # Errors
     /// Returns [`TensorError::PlanOverflow`] when the tensor's nnz or any
-    /// shape dimension exceeds the layout's `u32` index space — building
-    /// would silently truncate coordinates through the `as u32` casts.
-    /// Callers fall back to the COO kernel, which indexes with `usize`.
+    /// shape dimension exceeds the layout's `u32` index space — entry
+    /// positions and row ids would silently truncate.  Callers fall back
+    /// to the COO kernel, which keeps neither table.
     pub fn build(tensor: &SparseTensor) -> Result<Self> {
         check_plan_bounds(tensor)?;
         let _span = dismastd_obs::span("kernel/plan_build");
@@ -476,6 +476,7 @@ fn chunk_runs(mp: &ModePlan, n_chunks: usize) -> Vec<usize> {
     let mut bounds = Vec::with_capacity(n_chunks + 1);
     bounds.push(0usize);
     for c in 1..n_chunks {
+        // lint:allow(narrowing_cast): `c < n_chunks`, so the quotient is below `total`, itself a u32
         let target = (total * c as u64 / n_chunks as u64) as u32;
         let pos = mp.run_ptr[1..=n_runs].partition_point(|&p| p <= target);
         let prev = bounds[c - 1];
@@ -495,7 +496,7 @@ fn build_mode(tensor: &SparseTensor, mode: usize) -> ModePlan {
 
     let mut counts = vec![0u32; n_rows];
     for e in 0..nnz {
-        counts[tensor.index(e)[mode]] += 1;
+        counts[tensor.index(e)[mode] as usize] += 1;
     }
     // Exclusive prefix sum → scatter offsets.
     let mut offsets = vec![0u32; n_rows + 1];
@@ -507,15 +508,16 @@ fn build_mode(tensor: &SparseTensor, mode: usize) -> ModePlan {
     let mut cols = vec![0u32; nnz * km];
     for e in 0..nnz {
         let idx = tensor.index(e);
-        let pos = cursor[idx[mode]] as usize;
-        cursor[idx[mode]] += 1;
+        let row = idx[mode] as usize;
+        let pos = cursor[row] as usize;
+        cursor[row] += 1;
         vals[pos] = tensor.value(e);
         let mut c = pos * km;
         for (k, &i) in idx.iter().enumerate() {
             if k == mode {
                 continue;
             }
-            cols[c] = i as u32;
+            cols[c] = i;
             c += 1;
         }
     }
@@ -528,6 +530,7 @@ fn build_mode(tensor: &SparseTensor, mode: usize) -> ModePlan {
         if c == 0 {
             continue;
         }
+        // lint:allow(narrowing_cast): `row < shape[mode]`, which `check_plan_bounds` bounded by u32
         rows.push(row as u32);
         run_ptr.push(offsets[row + 1]);
     }

@@ -69,12 +69,13 @@ mod proptests {
         })
     }
 
-    /// A shape of order 1–5, entries inside it, and an old box drawn one of
-    /// four ways: anywhere within the shape, equal to it (empty complement),
-    /// with one zero-sized mode (empty restriction), or smaller in a single
-    /// mode only.
+    /// A shape of order 1–6 (the split predicate has a compile-time body
+    /// for orders 1–4 and a dynamic one above), entries inside it, and an
+    /// old box drawn one of four ways: anywhere within the shape, equal to
+    /// it (empty complement), with one zero-sized mode (empty restriction),
+    /// or smaller in a single mode only.
     fn split_case_strategy() -> impl Strategy<Value = (Vec<usize>, Entries, Vec<usize>)> {
-        (prop::collection::vec(1usize..5, 1..6), 0usize..4, 0usize..5).prop_flat_map(
+        (prop::collection::vec(1usize..5, 1..7), 0usize..4, 0usize..6).prop_flat_map(
             |(shape, kind, pick)| {
                 let pick = pick % shape.len();
                 let old = shape
@@ -100,7 +101,7 @@ mod proptests {
     /// contents as a multiset.
     fn sorted_entries<'a>(
         tensors: impl IntoIterator<Item = &'a crate::SparseTensor>,
-    ) -> Vec<(Vec<usize>, u64)> {
+    ) -> Vec<(Vec<u32>, u64)> {
         let mut all: Vec<_> = tensors
             .into_iter()
             .flat_map(|t| t.iter().map(|(idx, v)| (idx.to_vec(), v.to_bits())))
@@ -140,7 +141,7 @@ mod proptests {
                 let mut indices = Vec::new();
                 let mut values = Vec::new();
                 for (idx, v) in t.iter() {
-                    if idx.iter().zip(&old).all(|(i, o)| i < o) == inside {
+                    if idx.iter().zip(&old).all(|(&i, &o)| (i as usize) < o) == inside {
                         indices.extend_from_slice(idx);
                         values.push(v.to_bits());
                     }
@@ -158,6 +159,21 @@ mod proptests {
             let (indices, values) = filtered(false);
             prop_assert_eq!(complement.indices_flat(), &indices[..]);
             prop_assert_eq!(bits(&complement), values);
+            // Both bodies of the predicate classify every entry as the
+            // oracle does, whichever one the order dispatches to.
+            let oracle: Vec<(bool, Vec<u32>, u64)> = t
+                .iter()
+                .map(|(idx, v)| {
+                    let in_box = idx.iter().zip(&old).all(|(&i, &o)| (i as usize) < o);
+                    (in_box, idx.to_vec(), v.to_bits())
+                })
+                .collect();
+            let mut dispatched = Vec::new();
+            t.scan_box(&old, |in_box, idx, v| dispatched.push((in_box, idx.to_vec(), v.to_bits())));
+            let mut dynamic = Vec::new();
+            t.scan_box_dyn(&old, |in_box, idx, v| dynamic.push((in_box, idx.to_vec(), v.to_bits())));
+            prop_assert_eq!(&dispatched, &oracle);
+            prop_assert_eq!(&dynamic, &oracle);
             if old == shape {
                 prop_assert!(complement.is_empty());
             }

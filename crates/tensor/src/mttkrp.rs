@@ -107,12 +107,12 @@ pub fn mttkrp_into(
             if k == mode {
                 continue;
             }
-            let row = factors[k].row(idx[k]);
+            let row = factors[k].row(idx[k] as usize);
             for (p, &a) in prod.iter_mut().zip(row) {
                 *p *= a;
             }
         }
-        axpy(1.0, &prod, out.row_mut(idx[mode]));
+        axpy(1.0, &prod, out.row_mut(idx[mode] as usize));
     }
     Ok(())
 }
@@ -247,10 +247,11 @@ mod tests {
         let mut b1 = SparseTensorBuilder::new(shape.to_vec());
         let mut b2 = SparseTensorBuilder::new(shape.to_vec());
         for (e, (idx, v)) in t.iter().enumerate() {
+            let idx: Vec<usize> = idx.iter().map(|&i| i as usize).collect();
             if e % 2 == 0 {
-                b1.push(idx, v).unwrap();
+                b1.push(&idx, v).unwrap();
             } else {
-                b2.push(idx, v).unwrap();
+                b2.push(&idx, v).unwrap();
             }
         }
         let t1 = b1.build().unwrap();
@@ -289,7 +290,7 @@ mod tests {
             for f in 0..3 {
                 let mut p = v;
                 for (k, &i) in idx.iter().enumerate() {
-                    p *= factors[k].get(i, f);
+                    p *= factors[k].get(i as usize, f);
                 }
                 direct += p;
             }

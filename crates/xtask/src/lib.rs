@@ -3,7 +3,7 @@
 //! The workspace's static-analysis and audit driver:
 //!
 //! ```text
-//! cargo run -p dismastd-xtask -- lint     # L1–L5 per-file invariant lints
+//! cargo run -p dismastd-xtask -- lint     # L1–L5, L9 per-file invariant lints
 //! cargo run -p dismastd-xtask -- analyze  # L6–L8 interprocedural audits
 //! cargo run -p dismastd-xtask -- audit    # loom barrier model + TSan chaos run
 //! ```
@@ -21,8 +21,9 @@
 //! | L6   | `collective_order`  | no collective reachable from `worker_body` under a rank-conditioned branch |
 //! | L7   | `panic_reachability`| transitive panic surface of public APIs matches the checked-in budget |
 //! | L8   | `alloc_hygiene`     | the steady-state MTTKRP/exchange/gram graph is allocation-free |
+//! | L9   | `narrowing_cast`    | no unchecked `as u32` where coordinates and row ids are stored as `u32` |
 //!
-//! L1–L5 are per-file token scans ([`lints`]); L6–L8 run over a
+//! L1–L5 and L9 are per-file token scans ([`lints`]); L6–L8 run over a
 //! workspace-wide call graph ([`graph`], [`analyze`]) and attach a full
 //! `file:line:col` call chain to every finding.
 //!

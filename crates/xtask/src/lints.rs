@@ -1,4 +1,5 @@
-//! The project lints, L1–L5, over the token stream of [`crate::lexer`].
+//! The per-file project lints, L1–L5 and L9, over the token stream of
+//! [`crate::lexer`].
 //!
 //! Each lint walks a [`LexedFile`], skips tokens inside test regions,
 //! and emits [`Diagnostic`]s with exact `file:line:col` positions.  A
@@ -53,6 +54,10 @@ pub enum LintId {
     /// entry points calls an allocating constructor or method
     /// (interprocedural).
     AllocHygiene,
+    /// L9: no unchecked `as u32` in the crates that store coordinates and
+    /// row ids as `u32` — a narrowing either sits behind a named range
+    /// check (and says which) or goes through `try_from`.
+    NarrowingCast,
 }
 
 impl LintId {
@@ -66,6 +71,7 @@ impl LintId {
             LintId::CollectiveOrder => "L6",
             LintId::PanicReachability => "L7",
             LintId::AllocHygiene => "L8",
+            LintId::NarrowingCast => "L9",
         }
     }
 
@@ -79,6 +85,7 @@ impl LintId {
             LintId::CollectiveOrder => "collective_order",
             LintId::PanicReachability => "panic_reachability",
             LintId::AllocHygiene => "alloc_hygiene",
+            LintId::NarrowingCast => "narrowing_cast",
         }
     }
 
@@ -92,6 +99,7 @@ impl LintId {
             "collective_order" => Some(LintId::CollectiveOrder),
             "panic_reachability" => Some(LintId::PanicReachability),
             "alloc_hygiene" => Some(LintId::AllocHygiene),
+            "narrowing_cast" => Some(LintId::NarrowingCast),
             _ => None,
         }
     }
@@ -183,6 +191,7 @@ pub struct LintScope {
     pub span_taxonomy: bool,
     pub error_hygiene: bool,
     pub clock_hygiene: bool,
+    pub narrowing_cast: bool,
 }
 
 impl LintScope {
@@ -192,6 +201,7 @@ impl LintScope {
         span_taxonomy: true,
         error_hygiene: true,
         clock_hygiene: true,
+        narrowing_cast: true,
     };
 }
 
@@ -215,6 +225,9 @@ pub fn lint_source(path: &Path, src: &str, scope: LintScope) -> Vec<Diagnostic> 
     }
     if scope.clock_hygiene {
         l5_clock_hygiene(path, &file, &mut diags);
+    }
+    if scope.narrowing_cast {
+        l9_narrowing_cast(path, &file, &mut diags);
     }
     diags.retain(|d| !is_allowed(&allows, d.lint, d.line));
     diags.sort_by_key(|d| (d.line, d.col, d.lint));
@@ -636,6 +649,34 @@ fn l5_clock_hygiene(path: &Path, file: &LexedFile, out: &mut Vec<Diagnostic>) {
                 ));
             }
         }
+    }
+}
+
+// ---- L9: narrowing cast --------------------------------------------------
+
+/// `<expr> as u32` truncates silently.  `u32` is the index type of the
+/// COO buffers, the MTTKRP plan and the routing tables, so in the crates
+/// that fill them a narrowing must either be a literal, go through
+/// `try_from`, or name — in its allow directive — the check that keeps it
+/// in range.
+fn l9_narrowing_cast(path: &Path, file: &LexedFile, out: &mut Vec<Diagnostic>) {
+    let toks = &file.tokens;
+    for i in 1..toks.len() {
+        let t = &toks[i];
+        if !(is_ident(toks, i, "as") && is_ident(toks, i + 1, "u32")) || file.in_test_code(t) {
+            continue;
+        }
+        if toks[i - 1].kind == TokenKind::Literal {
+            continue;
+        }
+        out.push(diag(
+            path,
+            t,
+            LintId::NarrowingCast,
+            "`as u32` truncates silently; use `u32::try_from`, or name the range check \
+             that guards it in a `lint:allow(narrowing_cast)`"
+                .to_string(),
+        ));
     }
 }
 

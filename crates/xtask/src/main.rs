@@ -13,7 +13,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!("usage: dismastd-xtask <lint|analyze|audit> [options]");
             eprintln!(
-                "  lint    [--files <f.rs>…] [--json|--github]   L1-L5 invariant lints (workspace by default)"
+                "  lint    [--files <f.rs>…] [--json|--github]   L1-L5, L9 invariant lints (workspace by default)"
             );
             eprintln!(
                 "  analyze [--write-budget] [--json|--github]    L6-L8 interprocedural audits (call graph)"
@@ -108,7 +108,7 @@ fn lint(args: &[String]) -> ExitCode {
     }
     if diags.is_empty() {
         if out == Output::Human {
-            println!("xtask lint: {files} files clean (L1 panic-path, L2 determinism, L3 span-taxonomy, L4 error-hygiene, L5 clock-hygiene)");
+            println!("xtask lint: {files} files clean (L1 panic-path, L2 determinism, L3 span-taxonomy, L4 error-hygiene, L5 clock-hygiene, L9 narrowing-cast)");
         }
         ExitCode::SUCCESS
     } else {

@@ -19,6 +19,8 @@
 //!   `thread::sleep` calls must route through the `Clock` abstraction
 //!   so the deterministic simulator can virtualise time;
 //!   `cluster/src/clock.rs` is the one sanctioned home.
+//! - **L9 narrowing-cast** covers the crates that fill `u32` index
+//!   buffers and row tables: `tensor`, `partition`, `core`, `data`.
 //!
 //! The integration-test crate (`tests/`) and `vendor/` are deliberately
 //! out of scope: the former is all test code, the latter is third-party
@@ -47,19 +49,26 @@ pub fn scoped_dirs() -> Vec<ScopedDir> {
         span_taxonomy: true,
         ..Default::default()
     };
-    let full = LintScope::ALL;
+    let full = LintScope {
+        narrowing_cast: false,
+        ..LintScope::ALL
+    };
+    let indexed = |scope| LintScope {
+        narrowing_cast: true,
+        ..scope
+    };
     vec![
         ScopedDir {
             dir: "crates/tensor/src",
-            scope: full,
+            scope: indexed(full),
         },
         ScopedDir {
             dir: "crates/partition/src",
-            scope: det,
+            scope: indexed(det),
         },
         ScopedDir {
             dir: "crates/core/src",
-            scope: full,
+            scope: indexed(full),
         },
         ScopedDir {
             dir: "crates/cluster/src",
@@ -67,7 +76,7 @@ pub fn scoped_dirs() -> Vec<ScopedDir> {
         },
         ScopedDir {
             dir: "crates/data/src",
-            scope: l1,
+            scope: indexed(l1),
         },
         ScopedDir {
             dir: "crates/obs/src",

@@ -155,6 +155,21 @@ fn l5_flags_raw_clock_calls_but_honours_allow_and_tests() {
 }
 
 #[test]
+fn l9_flags_unchecked_u32_narrowing_but_not_literals_try_from_or_tests() {
+    assert_exact(
+        "l9_narrowing_guilty.rs",
+        &[(LintId::NarrowingCast, 4), (LintId::NarrowingCast, 8)],
+    );
+}
+
+#[test]
+fn l9_honours_an_allow_that_names_the_guard() {
+    // Lines 6 (standalone allow above) and 10 (trailing) are excused; the
+    // unguarded control on line 14 still fires.
+    assert_exact("l9_narrowing_allowed.rs", &[(LintId::NarrowingCast, 14)]);
+}
+
+#[test]
 fn allow_placements_trailing_and_standalone_both_bind_per_lint() {
     // Lines 7 (trailing) and 12 (under a standalone allow) are excused;
     // the unprotected control on line 16 still fires, and line 21's

@@ -55,7 +55,7 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --
 # rather than silently dirty the directory.
 git diff --exit-code -- benchmark/Cargo.lock
 
-echo "==> invariant lints (dismastd-xtask: panic-path, determinism, span-taxonomy, error-hygiene, clock-hygiene)"
+echo "==> invariant lints (dismastd-xtask: panic-path, determinism, span-taxonomy, error-hygiene, clock-hygiene, narrowing-cast)"
 # Replaces the old sed/grep panic audits, which hand-listed files and
 # stopped reading at the first inline test module.  The xtask lexes every
 # crate in its scope table, exempts test regions structurally, and also
@@ -75,14 +75,17 @@ echo "==> interprocedural audits (dismastd-xtask: collective-order, panic-budget
 # gram / exchange kernels (L8).
 cargo run -q -p dismastd-xtask -- analyze
 
-echo "==> allocation audits (count-alloc feature: zero allocations after warm-up; warm-ingest bytes independent of the resident block; serial dtd iterations allocation-free)"
+echo "==> allocation audits (count-alloc feature: zero allocations after warm-up; warm-ingest bytes independent of the resident block; serial dtd iterations allocation-free; resident bytes per nonzero)"
 # The dynamic twin of L8: a counting global allocator measures a full
 # gram -> all-reduce -> row-exchange round on every rank after the pools
 # warm up; the budget is exactly zero.  Its byte counter also holds the
 # streaming step to O(nnz(complement)): a warm serial ingest must request
 # exactly the same bytes with a 4x denser old block behind the same
 # arrivals, and a serial dtd of six iterations makes the allocator calls
-# of one of two (solve + Gram work in kept buffers).
+# of one of two (solve + Gram work in kept buffers).  Its process-wide
+# live-bytes gauge pins the memory model: a stream cut holds 20 B per
+# order-3 nonzero and nothing else that scales, and a warm ingest peaks at
+# complement + plan + O(rows x R) above its inputs.
 cargo test -q -p dismastd-integration-tests --features count-alloc --test steady_state_alloc
 
 echo "All checks passed."

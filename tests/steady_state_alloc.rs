@@ -11,6 +11,10 @@
 //! O(nnz(complement)) memory property: a warm serial `ingest` requests
 //! the same bytes whether the resident old block is sparse or 4× denser.
 //!
+//! Its process-wide live-bytes gauge pins the memory model itself — what a
+//! stream's snapshots, a complement and a warm step *hold*, in bytes per
+//! nonzero — so a resident-set size can be explained rather than observed.
+//!
 //! Runs only under `--features count-alloc`, which swaps in
 //! [`dismastd_obs::alloc::CountingAlloc`]; the ordinary suite stays on
 //! the system allocator.  Transport-internal channel nodes are exempted
@@ -19,11 +23,20 @@
 #![cfg(feature = "count-alloc")]
 
 use dismastd_cluster::{BufferPool, Cluster, ClusterError, Framed, Payload};
-use dismastd_obs::alloc::{allocated_bytes, allocation_count, CountingAlloc};
+use dismastd_obs::alloc::{
+    allocated_bytes, allocation_count, live_bytes, peak_live_bytes, reset_peak_live_bytes,
+    CountingAlloc,
+};
 use dismastd_tensor::Matrix;
+use std::sync::{PoisonError, RwLock};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The live-bytes gauge is process-wide and the harness runs tests on
+/// parallel threads: the test that reads it takes this lock exclusively,
+/// every other test shares it.
+static GAUGE: RwLock<()> = RwLock::new(());
 
 const WORLD: usize = 2;
 const ROWS: usize = 12;
@@ -89,6 +102,7 @@ fn round(
 
 #[test]
 fn gram_allreduce_exchange_round_is_allocation_free_after_warmup() {
+    let _shared = GAUGE.read().unwrap_or_else(PoisonError::into_inner);
     let results = Cluster::try_run(WORLD, |ctx| {
         let me = ctx.rank();
         let factor = Matrix::from_fn(ROWS, RANK, |i, j| {
@@ -149,6 +163,7 @@ fn gram_allreduce_exchange_round_is_allocation_free_after_warmup() {
 /// the same number of times on a warm step.
 #[test]
 fn heal_policy_on_a_serial_session_allocates_nothing_extra() {
+    let _shared = GAUGE.read().unwrap_or_else(PoisonError::into_inner);
     use dismastd_core::{DecompConfig, ExecutionMode, HealPolicy, StreamingSession, ThreadPolicy};
     use dismastd_tensor::SparseTensorBuilder;
 
@@ -193,6 +208,7 @@ fn heal_policy_on_a_serial_session_allocates_nothing_extra() {
 /// reserving for, the old block would show up as a difference.
 #[test]
 fn a_warm_serial_step_allocates_by_the_complement_not_by_the_resident_block() {
+    let _shared = GAUGE.read().unwrap_or_else(PoisonError::into_inner);
     use dismastd_core::{DecompConfig, ExecutionMode, StreamingSession, ThreadPolicy};
     use dismastd_tensor::{SparseTensor, SparseTensorBuilder};
 
@@ -268,6 +284,7 @@ fn a_warm_serial_step_allocates_by_the_complement_not_by_the_resident_block() {
 /// returns, reserved up front.
 #[test]
 fn serial_dtd_iterations_after_the_first_allocate_nothing() {
+    let _shared = GAUGE.read().unwrap_or_else(PoisonError::into_inner);
     use dismastd_core::dtd::dtd;
     use dismastd_core::DecompConfig;
     use dismastd_tensor::{SparseTensor, SparseTensorBuilder};
@@ -328,4 +345,113 @@ fn serial_dtd_iterations_after_the_first_allocate_nothing() {
             assert_eq!(long_bytes, short_bytes + trace_bytes, "rank {rank}");
         }
     }
+}
+
+/// The memory model, in bytes held (order 3: `3·4 + 8 = 20` B per nonzero):
+///
+/// * a [`StreamSequence::cut`] holds its snapshots' nonzeros and nothing
+///   that scales with them — `restrict` hands back the capacity it did not
+///   use;
+/// * `complement` grows its output by push, so it holds between one and
+///   two times the entries it kept;
+/// * a warm serial `ingest` peaks at the complement, its MTTKRP plan and
+///   `O(rows · R)` of factor-shaped state above its inputs — whatever the
+///   resident block weighs.
+#[test]
+fn resident_bytes_follow_the_memory_model() {
+    use dismastd_core::{DecompConfig, ExecutionMode, StreamingSession, ThreadPolicy};
+    use dismastd_data::stream::StreamSequence;
+    use dismastd_tensor::{MttkrpPlan, SparseTensor, SparseTensorBuilder};
+
+    let _alone = GAUGE.write().unwrap_or_else(PoisonError::into_inner);
+    const NNZ_BYTES: usize = 3 * 4 + 8;
+    // Per tensor, not per nonzero: a shape vector, a container slot.
+    const TENSOR_SLACK: usize = 256;
+
+    let old_shape = [54usize, 45, 36];
+    let new_shape = [60usize, 50, 40];
+    // `stride`-th cells of the old box, every 5th cell outside it.
+    let stream = |stride: usize| -> SparseTensor {
+        let mut full = SparseTensorBuilder::new(new_shape.to_vec());
+        let mut cell = 0usize;
+        for i in 0..new_shape[0] {
+            for j in 0..new_shape[1] {
+                for k in 0..new_shape[2] {
+                    cell += 1;
+                    let inside = i < old_shape[0] && j < old_shape[1] && k < old_shape[2];
+                    if cell.is_multiple_of(if inside { stride } else { 5 }) {
+                        full.push(&[i, j, k], 0.5 + (cell % 13) as f64 * 0.125)
+                            .unwrap();
+                    }
+                }
+            }
+        }
+        full.build().unwrap()
+    };
+    let sparse_full = stream(8);
+    let dense_full = stream(2);
+
+    // A cut holds its payload.
+    let fractions = [0.5, 0.75, 0.9, 1.0];
+    let before = live_bytes();
+    let seq = StreamSequence::cut(&dense_full, &fractions).unwrap();
+    let held = live_bytes() - before;
+    let payload: usize = seq.iter().map(|s| s.nnz() * NNZ_BYTES).sum();
+    assert!(
+        payload > 1_000_000,
+        "large enough that slack cannot hide a leak"
+    );
+    assert!(
+        (payload..=payload + fractions.len() * TENSOR_SLACK).contains(&held),
+        "cut holds {held} B for {payload} B of nonzeros"
+    );
+    drop(seq);
+
+    // A complement holds one to two times what it kept.
+    reset_peak_live_bytes();
+    let before = live_bytes();
+    let complement = dense_full.complement(&old_shape).unwrap();
+    let peak = peak_live_bytes() - before;
+    let kept = complement.nnz() * NNZ_BYTES;
+    assert!(complement.nnz() > 5_000);
+    assert!(
+        (kept..=2 * kept + TENSOR_SLACK).contains(&peak),
+        "complement peaked at {peak} B for {kept} B kept"
+    );
+    assert_eq!(complement, sparse_full.complement(&old_shape).unwrap());
+
+    // A warm step's peak above its inputs: complement + plan + O(rows · R).
+    let rank = 3;
+    let cfg = DecompConfig::default()
+        .with_rank(rank)
+        .with_max_iters(4)
+        .with_tolerance(0.0)
+        .with_threads(ThreadPolicy::Fixed(1));
+    let plan_bytes = MttkrpPlan::build(&complement).unwrap().layout_bytes();
+    let factor_bytes = new_shape.iter().sum::<usize>() * rank * 8;
+    let warm_peak = |full: &SparseTensor| {
+        let old = full.restrict(&old_shape).unwrap();
+        let mut sess = StreamingSession::new(cfg, ExecutionMode::Serial);
+        sess.ingest(&old).unwrap();
+        reset_peak_live_bytes();
+        let before = live_bytes();
+        sess.ingest(full).unwrap();
+        (peak_live_bytes() - before, old.nnz())
+    };
+    let (sparse_peak, sparse_resident) = warm_peak(&sparse_full);
+    let (dense_peak, dense_resident) = warm_peak(&dense_full);
+    assert!(dense_resident >= 4 * sparse_resident);
+    assert!(
+        dense_peak.abs_diff(sparse_peak) <= 4096,
+        "resident {dense_resident} nnz peaked at {dense_peak} B, {sparse_resident} nnz at {sparse_peak} B"
+    );
+    let bound = 2 * kept + plan_bytes + 16 * factor_bytes;
+    assert!(
+        dense_peak <= bound,
+        "warm step peaked at {dense_peak} B; complement {kept} B, plan {plan_bytes} B, factors {factor_bytes} B"
+    );
+    assert!(
+        bound < dense_resident * NNZ_BYTES,
+        "the bound must be able to tell a copy of the resident block"
+    );
 }
