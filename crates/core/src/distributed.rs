@@ -27,20 +27,19 @@
 //!    all-reduce.
 
 use crate::config::DecompConfig;
-use crate::dtd::{converged, init_factors, old_norm_sq, zero_history};
+use crate::dtd::{check_row_ids, converged, init_factors, old_norm_sq, zero_history};
 use crate::loss::{dtd_loss, mode_grams, GramState, LossParts};
 use dismastd_cluster::{
     decode_rows, maybe_compress, BufferPool, Cluster, ClusterError, ClusterOptions, ClusterResult,
     CommPolicy, CommStatsSnapshot, Framed, Payload, PendingExchange, WorkerCtx,
 };
 use dismastd_obs::MetricsSnapshot;
-use dismastd_partition::CellStats;
 use dismastd_partition::{CellAssignment, GridPartition, Partitioner};
 use dismastd_tensor::linalg::{Factorized, RowUpdate};
 use dismastd_tensor::matrix::{dot, Matrix, RowSet};
-use dismastd_tensor::{AdaptivePolicy, CellKernel, ThreadPool};
 use dismastd_tensor::{
-    KruskalTensor, NumericsReport, Result, RobustSolver, SolveDecision, SparseTensor, TensorError,
+    KruskalTensor, MttkrpPlan, NumericsReport, Result, RobustSolver, SolveDecision, SparseTensor,
+    TensorError, ThreadPool,
 };
 use serde::{Deserialize, Serialize};
 // lint:allow(determinism): Instant feeds wall-clock fields of StepReport only, never factor math
@@ -59,11 +58,6 @@ pub struct ClusterConfig {
     /// Cell→worker placement strategy (medium-grain block grid by default;
     /// `Scatter` trades locality for balance — an ablation knob).
     pub cell_assignment: CellAssignment,
-    /// Recycle per-worker message buffers across iterations (on by
-    /// default).  Pooling only reuses `Vec` capacity, so traffic counters
-    /// are bit-identical either way; the flag exists as a baseline for
-    /// benchmarks and the accounting-invariance test.
-    pub pooling: bool,
     /// Collective-layer policy: the opt-in f32 row downcast (gated on the
     /// divergence watchdog) and the allreduce algorithm for the Gram
     /// reductions.  The default is seed-safe: with `downcast_f32` off the
@@ -71,8 +65,9 @@ pub struct ClusterConfig {
     pub comm: CommPolicy,
 }
 
-// Hand-written so checkpoints from before the collective-layer rework —
-// which lack the `comm` field — still restore (the field defaults).
+// Hand-written so older checkpoints still restore: ones from before the
+// collective-layer rework lack the `comm` field (it defaults), and ones up
+// to PR 20 carry a `pooling` flag that no longer exists (it is not read).
 impl Deserialize for ClusterConfig {
     fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
         let obj = v
@@ -83,7 +78,6 @@ impl Deserialize for ClusterConfig {
             partitioner: Deserialize::from_value(serde::field(obj, "partitioner")?)?,
             parts_per_mode: Deserialize::from_value(serde::field(obj, "parts_per_mode")?)?,
             cell_assignment: Deserialize::from_value(serde::field(obj, "cell_assignment")?)?,
-            pooling: Deserialize::from_value(serde::field(obj, "pooling")?)?,
             comm: match serde::field(obj, "comm") {
                 Ok(nested) => Deserialize::from_value(nested)?,
                 Err(_) => CommPolicy::default(),
@@ -100,7 +94,6 @@ impl ClusterConfig {
             partitioner: Partitioner::Mtp,
             parts_per_mode: None,
             cell_assignment: CellAssignment::BlockGrid,
-            pooling: true,
             comm: CommPolicy::default(),
         }
     }
@@ -115,12 +108,6 @@ impl ClusterConfig {
     /// algorithm).
     pub fn with_comm(mut self, comm: CommPolicy) -> Self {
         self.comm = comm;
-        self
-    }
-
-    /// Enables or disables message-buffer pooling.
-    pub fn with_pooling(mut self, pooling: bool) -> Self {
-        self.pooling = pooling;
         self
     }
 
@@ -190,7 +177,7 @@ impl DistOutput {
 }
 
 /// Step-local memo of the distributed placement: the per-worker plans
-/// (grid cells compiled to MTTKRP kernels, row ownership, routing tables)
+/// (one [`MttkrpPlan`] per grid cell, row ownership, routing tables)
 /// of the step a [`crate::StreamingSession`] is currently ingesting, keyed
 /// by the world size they were built for.
 ///
@@ -241,7 +228,6 @@ impl PlanCache {
     fn plans_for(
         &mut self,
         tensor: &SparseTensor,
-        cfg: &DecompConfig,
         cluster: &ClusterConfig,
     ) -> Result<&[WorkerPlan]> {
         let world = cluster.workers;
@@ -269,13 +255,9 @@ impl PlanCache {
                         cluster.cell_assignment,
                     )?
                 };
-                // Driver-side pool for the plan builds (full machine budget —
-                // the workers are not running yet); the selector policy rides
-                // defaults.
-                let pool = ThreadPool::new(cfg.threads.resolve());
                 let plans = {
                     let _s = dismastd_obs::span("phase/plan_build");
-                    build_plans(tensor, &grid, world, &AdaptivePolicy::default(), &pool)?
+                    build_plans(tensor, &grid, world)?
                 };
                 let cells = cell_count(&plans);
                 self.misses += cells;
@@ -292,10 +274,9 @@ impl PlanCache {
 /// Per-worker placement plan, precomputed once per snapshot.
 #[derive(Debug)]
 struct WorkerPlan {
-    /// Compiled MTTKRP kernels of this worker's grid cells (COO or
-    /// sorted-run, per the adaptive selector); executing them back to back
-    /// accumulates exactly this worker's local partials.
-    cells: Vec<CellKernel>,
+    /// The sorted-run plans of this worker's non-empty grid cells, in
+    /// ascending cell order — the order [`local_partials`] adds them in.
+    cells: Vec<MttkrpPlan>,
     /// Nonzeros across this worker's cells.
     local_nnz: usize,
     /// Rows of each mode whose factor entries this worker owns and updates.
@@ -387,14 +368,7 @@ pub(crate) fn run_distributed(
                 .into(),
         ));
     }
-    // Row ids travel as `u32` in the ownership and routing tables; refuse a
-    // mode they cannot number before anything is sized by it.
-    if let Some(&dim) = tensor.shape().iter().find(|&&s| u32::try_from(s).is_err()) {
-        return Err(TensorError::PlanOverflow {
-            what: "shape dimension",
-            value: dim as u64,
-        });
-    }
+    check_row_ids(tensor.shape())?;
     // lint:allow(determinism, clock_hygiene): elapsed-time reporting only
     let start = Instant::now();
     let order = tensor.order();
@@ -402,7 +376,7 @@ pub(crate) fn run_distributed(
     let old_rows: Vec<usize> = old_factors.iter().map(Matrix::rows).collect();
 
     // ---- Data partitioning (Sec. IV-A) ----------------------------------
-    let plans = memo.plans_for(tensor, cfg, cluster)?;
+    let plans = memo.plans_for(tensor, cluster)?;
 
     // Shared read-only inputs.
     let init = init_factors(old_factors, tensor.shape(), rank, cfg.seed)?;
@@ -417,7 +391,6 @@ pub(crate) fn run_distributed(
         cfg,
         old_norm_sq,
         tensor_norm_sq: tensor.norm_sq(),
-        pooling: cluster.pooling,
         comm: cluster.comm,
         // Worker threads have their own thread-local metric registries, so
         // each rank decides up front — from the driver's state — whether to
@@ -490,7 +463,6 @@ struct WorkerInputs<'a> {
     cfg: &'a DecompConfig,
     old_norm_sq: f64,
     tensor_norm_sq: f64,
-    pooling: bool,
     comm: CommPolicy,
     collect: bool,
 }
@@ -601,7 +573,6 @@ fn worker_body(
         cfg,
         old_norm_sq,
         tensor_norm_sq,
-        pooling,
         comm,
         collect,
     } = inputs;
@@ -624,7 +595,7 @@ fn worker_body(
     // Reusable scratch: Gram partials + all-reduce staging, and the
     // message-payload pool for the two row exchanges.
     let mut ws = GramWorkspace::new(r);
-    let mut pool = BufferPool::new(pooling);
+    let mut pool = BufferPool::new(true);
     // Persistent exchange tables: refilled in place every post/complete,
     // so the steady-state loop never reallocates them.
     let mut outgoing_frames: Vec<Framed> = Vec::with_capacity(world);
@@ -715,14 +686,15 @@ fn worker_body(
             }
 
             // -- 1. local MTTKRP partials over this worker's nonzeros -----
-            // Cached cell layouts: each plan accumulates its run totals
-            // into `hat[n]`, touching every output row once per cell.
             {
                 let _s = dismastd_obs::span("phase/mttkrp");
-                hat[n].fill_zero();
-                for cell in &plan.cells {
-                    try_num!(cell.mttkrp_into(&factors, n, &mut hat[n], &kernel_pool));
-                }
+                try_num!(local_partials(
+                    &plan.cells,
+                    &factors,
+                    n,
+                    &mut hat[n],
+                    &kernel_pool
+                ));
             }
 
             // -- route partials to row owners ------------------------------
@@ -877,6 +849,25 @@ fn worker_body(
     }))
 }
 
+/// A worker's mode-`n` MTTKRP partials (Sec. IV-B1): `hat` is zeroed, then
+/// every cell adds one run total per row it touches, cells in ascending
+/// cell order and a cell's entries in stored order within the total —
+/// `hat[i] = ((0 + T₁) + T₂) + …`.  That order is part of the numerics: it
+/// is what "bit-identical per (grid, world)" holds a run to.
+fn local_partials(
+    cells: &[MttkrpPlan],
+    factors: &[Matrix],
+    n: usize,
+    hat: &mut Matrix,
+    pool: &ThreadPool,
+) -> Result<()> {
+    hat.fill_zero();
+    for cell in cells {
+        cell.mttkrp_into_pooled(factors, n, hat, pool)?;
+    }
+    Ok(())
+}
+
 /// Packs the listed rows of `m` into an exchange payload, compressing the
 /// frame when the policy's encoder beats the flat `f64` representation
 /// (see `dismastd_cluster::maybe_compress`).  The compressed path returns
@@ -919,7 +910,7 @@ fn complete_refresh(
 }
 
 /// Packs the listed rows of `m` into one contiguous buffer drawn from the
-/// worker's pool (an empty `Vec` when pooling is off or the pool is dry).
+/// worker's pool (an empty `Vec` when the pool is dry).
 fn pack_rows(m: &Matrix, rows: &[u32], pool: &mut BufferPool) -> Vec<f64> {
     let r = m.cols();
     let mut out = pool.take();
@@ -1022,25 +1013,21 @@ fn gather_factors(
     Ok(Some(out))
 }
 
-/// Splits the tensor over workers and grid cells, selects and compiles one
-/// MTTKRP kernel per non-empty cell (the adaptive layout selector feeds on
-/// the cell's [`CellStats`]; plan builds run on `pool`), and derives row
-/// ownership and the partial/update routing tables.
+/// Splits the tensor over workers and grid cells, builds one
+/// [`MttkrpPlan`] per non-empty cell, and derives row ownership and the
+/// partial/update routing tables.
 fn build_plans(
     tensor: &SparseTensor,
     grid: &GridPartition,
     world: usize,
-    policy: &AdaptivePolicy,
-    pool: &ThreadPool,
 ) -> Result<Vec<WorkerPlan>> {
     let order = tensor.order();
     // Per-worker, per-mode referenced-row sets.
     let mut needed: Vec<Vec<Vec<bool>>> = (0..world)
         .map(|_| tensor.shape().iter().map(|&s| vec![false; s]).collect())
         .collect();
-    // Per-cell nonzeros: the cell is the layout-selection unit, so each
-    // non-empty cell becomes its own sub-tensor, in ascending cell order.
-    // The row marking rides the routing pass.
+    // Per-cell nonzeros: each non-empty cell becomes its own sub-tensor,
+    // in ascending cell order.  The row marking rides the routing pass.
     let cells = tensor.partition_by(|idx| {
         for (marks, &i) in needed[grid.worker_of(idx)].iter_mut().zip(idx) {
             marks[i as usize] = true;
@@ -1048,15 +1035,15 @@ fn build_plans(
         grid.cell_of(idx)
     });
 
-    // Select and compile the kernel of every populated cell.
-    let mut cells_by_worker: Vec<Vec<CellKernel>> = (0..world).map(|_| Vec::new()).collect();
+    // Lay out every populated cell, on this thread: a fine grid's cells
+    // are far too small to pay for a pool dispatch each (`fig6`, 38³
+    // cells: 35 s with one, 26 s without).
+    let mut cells_by_worker: Vec<Vec<MttkrpPlan>> = (0..world).map(|_| Vec::new()).collect();
     let mut local_nnz = vec![0usize; world];
     for (_, sub) in cells {
         let w = grid.worker_of(sub.index(0));
-        let stats = CellStats::measure(sub.shape(), sub.nnz());
-        let choice = policy.choose_measured(stats.nnz, stats.max_dim, stats.slice_density);
         local_nnz[w] += sub.nnz();
-        cells_by_worker[w].push(CellKernel::build(sub, choice, pool)?);
+        cells_by_worker[w].push(MttkrpPlan::build(&sub)?);
     }
 
     // Row ownership: every row of every mode has exactly one owner.
@@ -1340,7 +1327,6 @@ mod tests {
                 partitioner: Partitioner::Mtp,
                 parts_per_mode: None,
                 cell_assignment: CellAssignment::BlockGrid,
-                pooling: true,
                 comm: CommPolicy::default(),
             }
         )
@@ -1443,24 +1429,72 @@ mod tests {
         // And the current format round-trips unchanged.
         let rt: ClusterConfig = serde_json::from_str(&full).unwrap();
         assert_eq!(rt, reference);
+        // Written by PR 20, when the buffer pool had an off switch.
+        let pr20 = r#"{"workers":3,"partitioner":"Mtp","parts_per_mode":null,"cell_assignment":"BlockGrid","pooling":true,"comm":{"downcast_f32":false,"allreduce":"Auto"}}"#;
+        let back: ClusterConfig = serde_json::from_str(pr20).unwrap();
+        assert_eq!(back, reference);
     }
 
     #[test]
-    fn buffer_pool_is_invisible_to_comm_accounting() {
-        // Pooling recycles capacity only; for a fixed seed the traffic
-        // counters and the numerical trajectory must be bit-identical with
-        // pooling on and off.
-        let x = random_tensor(&[8, 7, 6], 110, 14);
-        let on = dms_mg(&x, &cfg(), &ClusterConfig::new(3)).unwrap();
-        let off = dms_mg(&x, &cfg(), &ClusterConfig::new(3).with_pooling(false)).unwrap();
-        assert!(
-            on.comm.bytes > 0,
-            "test needs real traffic to be meaningful"
-        );
-        assert_eq!(on.comm, off.comm);
-        assert_eq!(on.loss_trace, off.loss_trace);
-        for (a, b) in on.kruskal.factors().iter().zip(off.kruskal.factors()) {
-            assert_eq!(a.max_abs_diff(b).unwrap(), 0.0);
+    fn a_workers_partial_is_its_cells_totals_in_ascending_cell_order() {
+        use dismastd_tensor::mttkrp::mttkrp;
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let x = random_tensor(&[12, 10, 8], 400, 41);
+        let pool = ThreadPool::new(2);
+        let mut rng = ChaCha8Rng::seed_from_u64(43);
+        // Rank 3 runs the plan's dynamic body, rank 10 the fixed one.
+        for rank in [3usize, 10] {
+            let factors = init_factors(&zero_history(3, rank), x.shape(), rank, 42).unwrap();
+            for world in [2usize, 3, 4] {
+                let cluster = ClusterConfig::new(world);
+                let grid = GridPartition::build_with(
+                    &x,
+                    cluster.partitioner,
+                    &cluster.resolved_parts(3),
+                    world,
+                    cluster.cell_assignment,
+                )
+                .unwrap();
+                let plans = build_plans(&x, &grid, world).unwrap();
+                // The oracle's cells: the same routing, none of the layout.
+                let cells = x.partition_by(|idx| grid.cell_of(idx));
+                let mut shared_rows = 0;
+                for (w, plan) in plans.iter().enumerate() {
+                    let mine: Vec<&SparseTensor> = cells
+                        .iter()
+                        .map(|(_, cell)| cell)
+                        .filter(|cell| grid.worker_of(cell.index(0)) == w)
+                        .collect();
+                    assert_eq!(mine.len(), plan.cells.len());
+                    for n in 0..3 {
+                        // Rows where the association shows: two cells
+                        // each bring a total of several entries.
+                        let hists: Vec<Vec<u64>> =
+                            mine.iter().map(|cell| cell.slice_nnz(n).unwrap()).collect();
+                        shared_rows += (0..x.shape()[n])
+                            .filter(|&row| hists.iter().filter(|h| h[row] > 1).count() > 1)
+                            .count();
+                        let mut expected = Matrix::zeros(x.shape()[n], rank);
+                        for cell in &mine {
+                            // COO kernel, into a fresh zeroed matrix.
+                            let total = mttkrp(cell, &factors, n).unwrap();
+                            expected.add_assign(&total).unwrap();
+                        }
+                        // Whatever `hat` held is gone before the first cell.
+                        let mut hat = Matrix::random(x.shape()[n], rank, &mut rng);
+                        local_partials(&plan.cells, &factors, n, &mut hat, &pool).unwrap();
+                        assert_eq!(
+                            bits(&hat),
+                            bits(&expected),
+                            "rank {rank} world {world} worker {w} mode {n}"
+                        );
+                    }
+                }
+                assert!(
+                    shared_rows > 0,
+                    "rank {rank} world {world}: fixture too sparse"
+                );
+            }
         }
     }
 

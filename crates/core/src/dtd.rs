@@ -18,11 +18,10 @@ use crate::config::DecompConfig;
 use crate::loss::{dtd_loss, GramState, LossParts};
 use dismastd_tensor::linalg::{Factorized, RowUpdate};
 use dismastd_tensor::matrix::{Matrix, RowSet};
-use dismastd_tensor::mttkrp::{inner_from_mttkrp, mttkrp_into};
+use dismastd_tensor::mttkrp::inner_from_mttkrp;
 use dismastd_tensor::ops::grand_sum_hadamard;
 use dismastd_tensor::{
-    AdaptivePolicy, KruskalTensor, LayoutChoice, MttkrpPlan, NumericsReport, Result, RobustSolver,
-    SparseTensor, TensorError,
+    KruskalTensor, MttkrpPlan, NumericsReport, Result, RobustSolver, SparseTensor, TensorError,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -95,64 +94,16 @@ pub fn init_factors(
     Ok(factors)
 }
 
-/// The complement's sorted-run plan for one [`dtd`] call when `layout`
-/// asks for one — built once, without copying the complement, then reused
-/// by every mode of every iteration; `None` leaves the call on the COO
-/// kernel over the caller's tensor.
-///
-/// Call-local: every step's complement is new data, so there is nothing
-/// to carry to the next call.
-pub(crate) fn complement_plan(
-    complement: &SparseTensor,
-    layout: LayoutChoice,
-) -> Result<Option<MttkrpPlan>> {
-    match layout {
-        LayoutChoice::NaiveCoo => Ok(None),
-        LayoutChoice::SortedRuns => {
-            let _s = dismastd_obs::span("phase/plan_build");
-            MttkrpPlan::build(complement).map(Some)
-        }
-    }
-}
-
-/// Runs DTD (Alg. 1) on the complement tensor.
-///
-/// * `complement` — `X \ X̃` in the **new snapshot's coordinate space**
-///   (shape = new shape; no entry fully inside the old box);
-/// * `old_factors` — `{Ã_n}`, the CP factors of the previous snapshot
-///   (zero-row matrices for a cold start);
-/// * the tensor shape doubles as the new snapshot shape.
-///
-/// # Errors
-/// Validates configuration and shapes; propagates solver errors.
-pub fn dtd(
-    complement: &SparseTensor,
-    old_factors: &[Matrix],
-    cfg: &DecompConfig,
-) -> Result<DtdOutput> {
-    dtd_on(complement, old_factors, cfg, serial_layout(complement))
-}
-
-/// Layout of the serial solver's kernel: the distributed cells' policy at
-/// its defaults, applied to the whole complement.  Tiny and hyper-sparse
-/// tensors stay on COO, and so does anything the plan's `u32` tables
-/// cannot index, so `PlanOverflow` never surfaces from [`dtd`].
-pub(crate) fn serial_layout(complement: &SparseTensor) -> LayoutChoice {
-    AdaptivePolicy::default().choose(complement.shape(), complement.nnz())
-}
-
-/// `out += ` the mode-`mode` MTTKRP of `tensor`, through its
-/// [`complement_plan`] when it has one; both kernels produce the same bits.
-pub(crate) fn mttkrp_on(
-    plan: &Option<MttkrpPlan>,
-    tensor: &SparseTensor,
-    factors: &[Matrix],
-    mode: usize,
-    out: &mut Matrix,
-) -> Result<()> {
-    match plan {
-        Some(plan) => plan.mttkrp_into(factors, mode, out),
-        None => mttkrp_into(tensor, factors, mode, out),
+/// Row ids are `u32` in the MTTKRP plan's tables and in the distributed
+/// ownership and routing tables: refuses a mode they cannot number.  Both
+/// solvers call it before anything is sized by the shape.
+pub(crate) fn check_row_ids(shape: &[usize]) -> Result<()> {
+    match shape.iter().find(|&&s| u32::try_from(s).is_err()) {
+        Some(&dim) => Err(TensorError::PlanOverflow {
+            what: "shape dimension",
+            value: dim as u64,
+        }),
+        None => Ok(()),
     }
 }
 
@@ -166,16 +117,26 @@ pub(crate) fn old_norm_sq(old_factors: &[Matrix]) -> Result<f64> {
     grand_sum_hadamard(&grams)
 }
 
-/// [`dtd`] with the complement's kernel layout given rather than chosen —
-/// the layouts agree bit for bit, which the tests pin by forcing each.
-fn dtd_on(
+/// Runs DTD (Alg. 1) on the complement tensor.
+///
+/// * `complement` — `X \ X̃` in the **new snapshot's coordinate space**
+///   (shape = new shape; no entry fully inside the old box);
+/// * `old_factors` — `{Ã_n}`, the CP factors of the previous snapshot
+///   (zero-row matrices for a cold start);
+/// * the tensor shape doubles as the new snapshot shape.
+///
+/// # Errors
+/// Validates configuration and shapes — a mode longer than `u32::MAX` is
+/// refused with [`TensorError::PlanOverflow`] before anything is sized by
+/// it; propagates solver errors.
+pub fn dtd(
     complement: &SparseTensor,
     old_factors: &[Matrix],
     cfg: &DecompConfig,
-    layout: LayoutChoice,
 ) -> Result<DtdOutput> {
     cfg.validate().map_err(TensorError::InvalidArgument)?;
     let new_shape = complement.shape();
+    check_row_ids(new_shape)?;
     let n_modes = complement.order();
     if old_factors.len() != n_modes {
         return Err(TensorError::ShapeMismatch {
@@ -195,7 +156,13 @@ fn dtd_on(
     let old_norm_sq = old_norm_sq(old_factors)?;
     let complement_norm_sq = complement.norm_sq();
 
-    let plan = complement_plan(complement, layout)?;
+    // The complement's sorted-run plan: built once, without copying the
+    // complement, then reused by every mode of every iteration.  Call-local
+    // — every step's complement is new data.
+    let plan = {
+        let _s = dismastd_obs::span("phase/plan_build");
+        MttkrpPlan::build(complement)?
+    };
     // One Â buffer per mode for the whole call, re-zeroed before each use.
     let mut hats: Vec<Matrix> = new_shape
         .iter()
@@ -215,7 +182,7 @@ fn dtd_on(
             {
                 let _s = dismastd_obs::span("phase/mttkrp");
                 hats[n].fill_zero();
-                mttkrp_on(&plan, complement, &factors, n, &mut hats[n])?;
+                plan.mttkrp_into(&factors, n, &mut hats[n])?;
             }
             let hat = &hats[n];
 
@@ -583,6 +550,65 @@ mod tests {
         )
     }
 
+    /// Alg. 1 as [`dtd`] runs it, with the one difference under test: every
+    /// `Â` is the COO kernel's, accumulated into a fresh zeroed matrix.
+    fn dtd_over_coo(x: &SparseTensor, old: &[Matrix], cfg: &DecompConfig) -> DtdOutput {
+        use dismastd_tensor::mttkrp::mttkrp;
+        let mu = cfg.forgetting;
+        let mut factors = init_factors(old, x.shape(), cfg.rank, cfg.seed).unwrap();
+        let mut state = GramState::compute(&factors, old).unwrap();
+        let solver = RobustSolver::new(cfg.numerics.solver);
+        let mut fact = Factorized::default();
+        let mut numerics = NumericsReport::default();
+        let old_norm_sq = old_norm_sq(old).unwrap();
+        let mut loss_trace = Vec::new();
+        for _ in 0..cfg.max_iters {
+            let mut inner = 0.0;
+            for n in 0..x.order() {
+                let hat = mttkrp(x, &factors, n).unwrap();
+                state.prepare_mode(n, mu).unwrap();
+                let old_n = old[n].rows();
+                let history = Some((mu, &old[n], &state.cross_had));
+                for (d, history, rows) in [
+                    (&state.d0, history, 0..old_n),
+                    (&state.d1, None, old_n..hat.rows()),
+                ] {
+                    if rows.is_empty() {
+                        continue;
+                    }
+                    let job = RowUpdate {
+                        rhs: &hat,
+                        history,
+                        rows: RowSet::Range(rows),
+                    };
+                    solver
+                        .solve_rows(d, &job, &mut factors[n], &mut fact, &mut numerics)
+                        .unwrap();
+                }
+                state.refresh(n, &factors[n], &old[n]).unwrap();
+                if n == x.order() - 1 {
+                    inner = inner_from_mttkrp(&hat, &factors[n]).unwrap();
+                }
+            }
+            let parts = LossParts {
+                mu,
+                old_norm_sq,
+                complement_norm_sq: x.norm_sq(),
+                inner,
+            };
+            loss_trace.push(dtd_loss(&state, &parts).unwrap());
+            if converged(&loss_trace, cfg.tolerance) {
+                break;
+            }
+        }
+        DtdOutput {
+            kruskal: KruskalTensor::new(factors).unwrap(),
+            iterations: loss_trace.len(),
+            loss_trace,
+            numerics,
+        }
+    }
+
     #[test]
     fn plan_and_coo_kernels_give_identical_runs() {
         // (old shape, new shape, complement nnz): growth in every mode, a
@@ -597,17 +623,14 @@ mod tests {
         for rank in [3usize, 5] {
             for (old_shape, new_shape, nnz) in cases {
                 let old = if old_shape == [0, 0, 0] {
-                    (0..3).map(|_| Matrix::zeros(0, rank)).collect()
+                    zero_history(3, rank)
                 } else {
                     random_old_factors(&old_shape, rank, 21)
                 };
                 let x = random_complement(&old_shape, &new_shape, nnz, 22);
                 let cfg = cfg(rank).with_max_iters(6);
-                let plan = dtd_on(&x, &old, &cfg, LayoutChoice::SortedRuns).unwrap();
-                let coo = dtd_on(&x, &old, &cfg, LayoutChoice::NaiveCoo).unwrap();
+                let coo = dtd_over_coo(&x, &old, &cfg);
                 let tag = format!("rank {rank} {old_shape:?} -> {new_shape:?}");
-                assert_eq!(observable(&plan), observable(&coo), "{tag}");
-                // The public entry points pick one of the two.
                 assert_eq!(
                     observable(&dtd(&x, &old, &cfg).unwrap()),
                     observable(&coo),
@@ -622,24 +645,25 @@ mod tests {
     }
 
     #[test]
-    fn oversized_dimension_falls_back_to_coo_instead_of_erroring() {
-        // Enough nonzeros to want a plan, in a mode the `u32` tables
-        // cannot index (the entries sit at its low end, where coordinates
-        // are representable).
+    fn an_oversized_dimension_is_refused_before_anything_is_sized_by_it() {
+        // Shape-only: `init_factors` alone would want `huge × R` doubles.
         let huge = u32::MAX as usize + 1;
-        let mut b = SparseTensorBuilder::new(vec![huge, 2, 2]);
-        for i in 0..200 {
-            b.push(&[i, i % 2, (i / 2) % 2], 1.0).unwrap();
-        }
-        let x = b.build().unwrap();
-        let choice = serial_layout(&x);
-        assert_eq!(choice, LayoutChoice::NaiveCoo);
-        assert!(matches!(complement_plan(&x, choice), Ok(None)));
-        // The build the policy steered around.
-        assert!(matches!(
-            complement_plan(&x, LayoutChoice::SortedRuns),
-            Err(TensorError::PlanOverflow { .. })
-        ));
+        let x = SparseTensor::empty(vec![2, huge, 2]).unwrap();
+        let refused = |got: Result<usize>, who: &str| match got {
+            Err(TensorError::PlanOverflow { what, value }) => {
+                assert_eq!((what, value), ("shape dimension", huge as u64), "{who}");
+            }
+            other => panic!("{who}: expected PlanOverflow, got {other:?}"),
+        };
+        let cfg = cfg(2);
+        let old = zero_history(3, 2);
+        refused(dtd(&x, &old, &cfg).map(|o| o.iterations), "dtd");
+        refused(crate::als::cp_als(&x, &cfg).map(|o| o.iterations), "cp_als");
+        let cluster = crate::distributed::ClusterConfig::new(2);
+        refused(
+            crate::distributed::dismastd(&x, &old, &cfg, &cluster).map(|o| o.iterations),
+            "dismastd",
+        );
     }
 
     #[test]

@@ -46,8 +46,7 @@ pub use dismastd_cluster::{
 };
 pub use dismastd_obs::MetricsSnapshot;
 pub use dismastd_tensor::{
-    AdaptivePolicy, LayoutChoice, NumericsReport, QuarantineCounts, SolvePolicy, SolveTier,
-    ThreadPolicy, ValidationMode,
+    NumericsReport, QuarantineCounts, SolvePolicy, SolveTier, ThreadPolicy, ValidationMode,
 };
 pub use distributed::{dismastd, dms_mg, ClusterConfig, DistOutput, PlanCache};
 pub use dtd::{dtd, DtdOutput};

@@ -29,12 +29,11 @@
 //! current at the time), which is the approximation OnlineCP accepts.
 
 use crate::config::DecompConfig;
-use crate::dtd::{complement_plan, mttkrp_on, serial_layout};
 use dismastd_tensor::linalg::solve_right;
 use dismastd_tensor::matrix::Matrix;
 use dismastd_tensor::mttkrp::mttkrp;
 use dismastd_tensor::ops::hadamard_skip;
-use dismastd_tensor::{KruskalTensor, Result, SparseTensor, TensorError};
+use dismastd_tensor::{KruskalTensor, MttkrpPlan, Result, SparseTensor, TensorError};
 
 /// Incremental one-mode streaming CP state.
 #[derive(Debug, Clone)]
@@ -116,7 +115,9 @@ impl OnlineCp {
     /// and temporal indices local to the batch (`0..d`).
     ///
     /// # Errors
-    /// Returns a shape error when the non-temporal dimensions disagree.
+    /// Returns a shape error when the non-temporal dimensions disagree, and
+    /// `PlanOverflow` for a batch the MTTKRP plan's `u32` tables cannot
+    /// index.
     pub fn ingest_slices(&mut self, delta: &SparseTensor) -> Result<()> {
         let n_modes = self.factors.len() + 1;
         if delta.order() != n_modes {
@@ -151,19 +152,17 @@ impl OnlineCp {
             acc
         };
         // One kernel layout per update, shared by all `N` MTTKRPs over ΔX
-        // (the serial DTD solver's choice, so the baseline is not the one
+        // (the serial DTD solver's kernel, so the baseline is not the one
         // left on the slow kernel).
-        let plan = complement_plan(delta, serial_layout(delta))?;
-        let mttkrp_delta = |factors: &[Matrix], mode: usize| -> Result<Matrix> {
-            let mut hat = Matrix::zeros(factors[mode].rows(), self.rank);
-            mttkrp_on(&plan, delta, factors, mode, &mut hat)?;
-            Ok(hat)
+        let plan = {
+            let _s = dismastd_obs::span("phase/plan_build");
+            MttkrpPlan::build(delta)?
         };
         // Factor list with a placeholder for the temporal mode (its values
         // are never read by mttkrp of the temporal mode itself).
         let mut with_placeholder: Vec<Matrix> = self.factors.clone();
         with_placeholder.push(Matrix::zeros(d, self.rank));
-        let hat_temporal = mttkrp_delta(&with_placeholder, n_modes - 1)?;
+        let hat_temporal = plan.mttkrp(&with_placeholder, n_modes - 1)?;
         let c_new = solve_right(&hat_temporal, &h)?;
 
         // 2. Fold ΔX into the accumulators using C_new (all hats computed
@@ -173,7 +172,7 @@ impl OnlineCp {
         let c_gram = c_new.gram();
         let mut hats = Vec::with_capacity(self.factors.len());
         for n in 0..self.factors.len() {
-            hats.push(mttkrp_delta(&with_c, n)?);
+            hats.push(plan.mttkrp(&with_c, n)?);
         }
         // 3. Refresh non-temporal factors.
         for n in 0..self.factors.len() {

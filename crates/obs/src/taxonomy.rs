@@ -19,9 +19,8 @@
 //! - `comm/*`   — collective-communication spans and wire-size
 //!   histograms.
 //! - `plan/*`, `watchdog/*`, `ingest/*`, `solve/*` — event counters for
-//!   plan caching (including the adaptive layout selector's choices),
-//!   divergence restarts, quarantined ingest, and the solve-tier
-//!   escalation ladder.
+//!   plan caching, divergence restarts, quarantined ingest, and the
+//!   solve-tier escalation ladder.
 //! - `pool/*` — intra-worker thread-pool events (chunks executed).
 //! - `sim/*` — deterministic-simulation scheduler events (messages on the
 //!   virtual wire, partition holds, time advances, deadlock wakes).
@@ -85,10 +84,7 @@ pub const COUNTERS: &[&str] = &[
     "membership/leave",
     "membership/migrated_rows",
     // plan family: the step-local placement memo's traffic (cells reused
-    // by a retry / cells compiled) and the adaptive per-cell layout
-    // selector's choices (COO kernel vs sorted-run plan).
-    "plan/adaptive_coo",
-    "plan/adaptive_plan",
+    // by a retry / cells compiled).
     "plan/cache_hit",
     "plan/rebuild",
     // pool family: intra-worker thread-pool work items.

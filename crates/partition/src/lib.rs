@@ -26,7 +26,7 @@ pub use grid::{CellAssignment, GridPartition};
 pub use gtp::gtp;
 pub use mtp::mtp;
 pub use optimal::{optimal_arbitrary, optimal_contiguous};
-pub use stats::{BalanceStats, CellStats};
+pub use stats::BalanceStats;
 
 use serde::{Deserialize, Serialize};
 

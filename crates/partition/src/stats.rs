@@ -68,52 +68,9 @@ impl BalanceStats {
     }
 }
 
-/// Per-cell sparsity statistics — the inputs of the adaptive MTTKRP
-/// layout selector (`dismastd-tensor::adaptive`).
-///
-/// The selector needs exactly two numbers per grid cell: how many
-/// nonzeros it holds and how densely they populate the longest mode
-/// (`slice_density` — the mean entries per slice, i.e. the expected run
-/// length of the sorted-run layout).  Cells below the selector's density
-/// threshold degenerate to one-entry runs, where the plan's counting sort
-/// is pure overhead over the COO kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CellStats {
-    /// Nonzeros in the cell.
-    pub nnz: usize,
-    /// Longest mode of the cell's shape (at least 1).
-    pub max_dim: usize,
-    /// `nnz / max_dim`: mean entries per slice of the longest mode.
-    pub slice_density: f64,
-}
-
-impl CellStats {
-    /// Measures a cell from its shape and nonzero count.
-    pub fn measure(shape: &[usize], nnz: usize) -> Self {
-        let max_dim = shape.iter().copied().max().unwrap_or(1).max(1);
-        CellStats {
-            nnz,
-            max_dim,
-            slice_density: nnz as f64 / max_dim as f64,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cell_stats_measure_density_over_the_longest_mode() {
-        let s = CellStats::measure(&[10, 40, 5], 200);
-        assert_eq!(s.nnz, 200);
-        assert_eq!(s.max_dim, 40);
-        assert_eq!(s.slice_density, 5.0);
-        // Degenerate shapes never divide by zero.
-        let z = CellStats::measure(&[], 0);
-        assert_eq!(z.max_dim, 1);
-        assert_eq!(z.slice_density, 0.0);
-    }
 
     #[test]
     fn perfectly_balanced() {

@@ -83,7 +83,7 @@ pub enum TensorError {
     /// where it enters a `SparseTensor` (`"index"`), or a tensor whose
     /// entries or factor rows `MttkrpPlan` and the distributed routing
     /// tables cannot number (`"nnz"`, `"shape dimension"`).  Refused instead
-    /// of truncated; serial callers fall back to the table-free COO kernel.
+    /// of truncated.
     PlanOverflow {
         /// Which quantity overflowed.
         what: &'static str,
@@ -164,7 +164,7 @@ impl fmt::Display for TensorError {
                 write!(
                     f,
                     "MTTKRP plan overflow: {what} = {value} exceeds the u32 layout \
-                     index space; use the COO kernel for this tensor"
+                     index space"
                 )
             }
             TensorError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),

@@ -7,8 +7,9 @@
 //! compressed per-mode layout:
 //!
 //! * entries are permuted into **output-row order** for every mode
-//!   (stable counting sort, so same-row entries keep their lexicographic
-//!   order — accumulation order per row is unchanged);
+//!   (stably, so same-row entries keep their stored order — accumulation
+//!   order per row is unchanged; a counting sort, or a comparison sort
+//!   when the mode has far more rows than the tensor has entries);
 //! * consecutive entries sharing an output row form a **run**; the kernel
 //!   accumulates a register-resident `R`-vector across the run and writes
 //!   each output row exactly once;
@@ -33,7 +34,7 @@ use std::sync::{Mutex, PoisonError};
 
 /// Compressed execution layout for one mode: entries sorted by output row
 /// with run boundaries.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct ModePlan {
     /// Output row of each run (strictly increasing).
     rows: Vec<u32>,
@@ -55,13 +56,12 @@ pub struct MttkrpPlan {
 }
 
 impl MttkrpPlan {
-    /// Builds the per-mode layouts with one stable counting sort per mode.
+    /// Builds the per-mode layouts with one stable sort per mode.
     ///
     /// # Errors
     /// Returns [`TensorError::PlanOverflow`] when the tensor's nnz or any
     /// shape dimension exceeds the layout's `u32` index space — entry
-    /// positions and row ids would silently truncate.  Callers fall back
-    /// to the COO kernel, which keeps neither table.
+    /// positions and row ids would silently truncate.
     pub fn build(tensor: &SparseTensor) -> Result<Self> {
         check_plan_bounds(tensor)?;
         let _span = dismastd_obs::span("kernel/plan_build");
@@ -74,7 +74,7 @@ impl MttkrpPlan {
         })
     }
 
-    /// Like [`build`](MttkrpPlan::build), with the per-mode counting sorts
+    /// Like [`build`](MttkrpPlan::build), with the per-mode sorts
     /// executed on `pool` (one chunk per mode).  Each mode's layout is a
     /// pure function of the tensor and lands in its own slot, so the
     /// result is identical to the serial build for every pool size.
@@ -149,7 +149,9 @@ impl MttkrpPlan {
     /// On a zeroed `out` the result is bitwise identical to
     /// [`crate::mttkrp::mttkrp_into`]: the stable permutation preserves the
     /// per-row accumulation order and the factor product is formed in the
-    /// same ascending mode order.
+    /// same ascending mode order.  Onto a non-zero `out` a row becomes
+    /// `out[row] + total`, the total summed from zero in stored order —
+    /// not the COO kernel's `((out[row] + e₁) + e₂) + …`.
     ///
     /// # Errors
     /// Returns a shape error if `factors` or `out` disagree with the plan.
@@ -486,9 +488,26 @@ fn chunk_runs(mp: &ModePlan, n_chunks: usize) -> Vec<usize> {
     bounds
 }
 
-/// Stable counting sort of the entries by their mode-`mode` coordinate,
-/// flattened into the run/column tables.
+/// Rows per entry above which a mode is ordered by comparison sort: the
+/// counting sort's tables are `shape[mode]` long whatever the tensor holds,
+/// so a grid of many thin cells over long modes would pay
+/// O(cells × Σ shape) for them (`fig6`'s 38³ cells).
+const SPARSE_ROWS_PER_ENTRY: usize = 2;
+
+/// One mode's layout: the entries in stable output-row order, flattened
+/// into the run/column tables.  Both orderings produce the same
+/// [`ModePlan`]; which one runs is a cost decision read off the input.
 fn build_mode(tensor: &SparseTensor, mode: usize) -> ModePlan {
+    if tensor.shape()[mode] > SPARSE_ROWS_PER_ENTRY.saturating_mul(tensor.nnz()) {
+        build_mode_sorting(tensor, mode)
+    } else {
+        build_mode_counting(tensor, mode)
+    }
+}
+
+/// [`build_mode`] by stable counting sort over all `shape[mode]` rows:
+/// O(nnz + shape[mode]) time and scratch.
+fn build_mode_counting(tensor: &SparseTensor, mode: usize) -> ModePlan {
     let order = tensor.order();
     let km = order - 1;
     let nnz = tensor.nnz();
@@ -540,6 +559,37 @@ fn build_mode(tensor: &SparseTensor, mode: usize) -> ModePlan {
         vals,
         cols,
     }
+}
+
+/// [`build_mode`] by sorting `(coordinate, position)` pairs: O(nnz log nnz)
+/// time and O(nnz) scratch, whatever `shape[mode]` is.  Positions are
+/// unique, so the unstable sort yields the stable order.
+fn build_mode_sorting(tensor: &SparseTensor, mode: usize) -> ModePlan {
+    let nnz = tensor.nnz();
+    let mut by_row: Vec<(u32, u32)> = (0..nnz)
+        // lint:allow(narrowing_cast): `e < nnz`, which `check_plan_bounds` bounded by u32
+        .map(|e| (tensor.index(e)[mode], e as u32))
+        .collect();
+    by_row.sort_unstable();
+    let mut mp = ModePlan {
+        vals: Vec::with_capacity(nnz),
+        cols: Vec::with_capacity(nnz * (tensor.order() - 1)),
+        ..ModePlan::default()
+    };
+    for (pos, &(row, e)) in by_row.iter().enumerate() {
+        if mp.rows.last() != Some(&row) {
+            mp.rows.push(row);
+            // lint:allow(narrowing_cast): `pos < nnz`, which `check_plan_bounds` bounded by u32
+            mp.run_ptr.push(pos as u32);
+        }
+        mp.vals.push(tensor.value(e as usize));
+        let others = tensor.index(e as usize).iter().enumerate();
+        mp.cols
+            .extend(others.filter(|&(k, _)| k != mode).map(|(_, &i)| i));
+    }
+    // lint:allow(narrowing_cast): `check_plan_bounds` bounded nnz by u32
+    mp.run_ptr.push(nnz as u32);
+    mp
 }
 
 #[cfg(test)]
@@ -711,45 +761,88 @@ mod proptests {
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use serde::Serialize;
     use std::ops::Range;
 
-    /// Random MTTKRP problem: shape of order 2–5, entries, per-mode extra
-    /// factor rows (grown snapshot), a target mode, and a factor seed.
-    type Problem = (Vec<usize>, Vec<(Vec<usize>, f64)>, Vec<usize>, usize, u64);
-
-    fn problem_strategy() -> impl Strategy<Value = Problem> {
-        prop::collection::vec(1usize..5, 2..6).prop_flat_map(|shape| {
-            let order = shape.len();
-            let idx: Vec<Range<usize>> = shape.iter().map(|&s| 0..s).collect();
-            (
-                Just(shape),
-                prop::collection::vec((idx, -2.0f64..2.0), 0..30),
-                prop::collection::vec(0usize..3, order..order + 1),
-                0usize..order,
-                0u64..10_000,
-            )
-        })
+    /// Random MTTKRP problem.
+    #[derive(Debug, Clone)]
+    struct Problem {
+        /// Order 2–5.
+        shape: Vec<usize>,
+        entries: Vec<(Vec<usize>, f64)>,
+        /// Per-mode extra factor rows (grown snapshot).
+        extra: Vec<usize>,
+        mode: usize,
+        /// Factor seed.
+        seed: u64,
+        /// Entries stored as drawn — unsorted, coordinates repeated —
+        /// instead of through the builder.
+        stored: bool,
     }
 
-    fn build_problem(
-        shape: &[usize],
-        entries: &[(Vec<usize>, f64)],
-        extra: &[usize],
-        rank: usize,
-        seed: u64,
-    ) -> (SparseTensor, Vec<Matrix>) {
-        let mut b = SparseTensorBuilder::new(shape.to_vec());
-        for (idx, v) in entries {
-            b.push(idx, *v).unwrap();
-        }
-        let t = b.build().unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let factors: Vec<Matrix> = shape
+    /// One mode in three is 40–160 rows long against at most 29 entries
+    /// (`shape[mode] ≫ nnz`, runs of one entry), and no entries at all is
+    /// a drawn case: both orderings of `build_mode` run, each also on
+    /// inputs the size test would have sent to the other.
+    fn problem_strategy() -> impl Strategy<Value = Problem> {
+        let dim = (1usize..5, 0usize..3).prop_map(|(d, kind)| if kind == 0 { 40 * d } else { d });
+        prop::collection::vec(dim, 2..6)
+            .prop_flat_map(|shape| {
+                let order = shape.len();
+                let idx: Vec<Range<usize>> = shape.iter().map(|&s| 0..s).collect();
+                (
+                    Just(shape),
+                    prop::collection::vec((idx, -2.0f64..2.0), 0..30),
+                    prop::collection::vec(0usize..3, order..order + 1),
+                    0usize..order,
+                    (0u64..10_000, 0usize..2),
+                )
+            })
+            .prop_map(|(shape, entries, extra, mode, (seed, stored))| Problem {
+                shape,
+                entries,
+                extra,
+                mode,
+                seed,
+                stored: stored == 1,
+            })
+    }
+
+    /// A tensor holding `entries` exactly as given, through the one door
+    /// that neither sorts nor merges.
+    fn stored_as_given(shape: &[usize], entries: &[(Vec<usize>, f64)]) -> SparseTensor {
+        let flat: Vec<usize> = entries.iter().flat_map(|(idx, _)| idx.clone()).collect();
+        let values: Vec<f64> = entries.iter().map(|&(_, v)| v).collect();
+        let doc = serde::Value::Object(vec![
+            ("shape".to_string(), shape.to_vec().to_value()),
+            ("indices".to_string(), flat.to_value()),
+            ("values".to_string(), values.to_value()),
+        ]);
+        SparseTensor::try_from(&doc).unwrap()
+    }
+
+    fn build_problem(p: &Problem, rank: usize) -> (SparseTensor, Vec<Matrix>) {
+        let t = if p.stored {
+            stored_as_given(&p.shape, &p.entries)
+        } else {
+            let mut b = SparseTensorBuilder::new(p.shape.clone());
+            for (idx, v) in &p.entries {
+                b.push(idx, *v).unwrap();
+            }
+            b.build().unwrap()
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(p.seed);
+        let factors: Vec<Matrix> = p
+            .shape
             .iter()
-            .zip(extra)
+            .zip(&p.extra)
             .map(|(&s, &e)| Matrix::random(s + e, rank, &mut rng))
             .collect();
         (t, factors)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
     proptest! {
@@ -758,24 +851,45 @@ mod proptests {
         /// The layout kernel is bitwise identical to the COO kernel for
         /// random tensors of orders 2–5, any mode, and oversized factors.
         #[test]
-        fn layout_matches_naive_exactly(
-            (shape, entries, extra, mode, seed) in problem_strategy()
-        ) {
-            let (t, factors) = build_problem(&shape, &entries, &extra, 2, seed);
+        fn layout_matches_naive_exactly(p in problem_strategy()) {
+            let (t, factors) = build_problem(&p, 2);
             let plan = MttkrpPlan::build(&t).unwrap();
-            let naive = mttkrp(&t, &factors, mode).unwrap();
-            let fast = plan.mttkrp(&factors, mode).unwrap();
-            prop_assert_eq!(fast.max_abs_diff(&naive).unwrap(), 0.0);
+            let naive = mttkrp(&t, &factors, p.mode).unwrap();
+            let fast = plan.mttkrp(&factors, p.mode).unwrap();
+            prop_assert_eq!(bits(&fast), bits(&naive));
+        }
+
+        /// The two orderings of `build_mode` produce the same tables
+        /// whichever side of the size test the input falls on, and
+        /// `mttkrp_into` adds to each touched row of a non-zero `out` the
+        /// total it writes to a zeroed one — the association the
+        /// distributed cell loop is defined by.
+        #[test]
+        fn build_orders_agree_and_runs_are_added_as_totals(p in problem_strategy()) {
+            let (t, factors) = build_problem(&p, 2);
+            for m in 0..t.order() {
+                prop_assert_eq!(build_mode_counting(&t, m), build_mode_sorting(&t, m), "mode {}", m);
+            }
+            let fresh = mttkrp(&t, &factors, p.mode).unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(p.seed ^ 0xacc);
+            let mut out = Matrix::random(fresh.rows(), 2, &mut rng);
+            let expected: Vec<u64> = out
+                .as_slice()
+                .iter()
+                .zip(fresh.as_slice())
+                .map(|(o, f)| (o + f).to_bits())
+                .collect();
+            MttkrpPlan::build(&t).unwrap().mttkrp_into(&factors, p.mode, &mut out).unwrap();
+            prop_assert_eq!(bits(&out), expected);
         }
 
         /// Pooled execution and the pooled build are bitwise identical to
         /// the serial kernel for every tested pool size, over random
         /// order-2..5 tensors, any mode, and oversized factors.
         #[test]
-        fn pooled_matches_serial_for_every_thread_count(
-            (shape, entries, extra, mode, seed) in problem_strategy()
-        ) {
-            let (t, factors) = build_problem(&shape, &entries, &extra, 2, seed);
+        fn pooled_matches_serial_for_every_thread_count(p in problem_strategy()) {
+            let (t, factors) = build_problem(&p, 2);
+            let mode = p.mode;
             let plan = MttkrpPlan::build(&t).unwrap();
             let mut serial = Matrix::zeros(factors[mode].rows(), 2);
             plan.mttkrp_into(&factors, mode, &mut serial).unwrap();
@@ -784,12 +898,7 @@ mod proptests {
                 let par = MttkrpPlan::build_with(&t, &pool).unwrap();
                 let mut out = Matrix::zeros(factors[mode].rows(), 2);
                 par.mttkrp_into_pooled(&factors, mode, &mut out, &pool).unwrap();
-                prop_assert_eq!(
-                    out.max_abs_diff(&serial).unwrap(),
-                    0.0,
-                    "threads={}",
-                    threads
-                );
+                prop_assert_eq!(bits(&out), bits(&serial), "threads={}", threads);
             }
         }
 
@@ -800,13 +909,11 @@ mod proptests {
         /// agree bit for bit (order 5 and most ranks have no fixed body,
         /// so both sides of every dispatch edge are covered).
         #[test]
-        fn rank_dispatch_matches_dynamic_body_and_naive_bitwise(
-            (shape, entries, extra, mode, seed) in problem_strategy()
-        ) {
-            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        fn rank_dispatch_matches_dynamic_body_and_naive_bitwise(p in problem_strategy()) {
+            let mode = p.mode;
             let pools = [1usize, 2, 3, 8].map(crate::pool::ThreadPool::new);
             for rank in (1..=24).chain([32, 40]) {
-                let (t, factors) = build_problem(&shape, &entries, &extra, rank, seed);
+                let (t, factors) = build_problem(&p, rank);
                 let plan = MttkrpPlan::build(&t).unwrap();
                 let naive = bits(&mttkrp(&t, &factors, mode).unwrap());
                 prop_assert_eq!(&bits(&plan.mttkrp(&factors, mode).unwrap()), &naive, "rank={}", rank);
@@ -817,7 +924,7 @@ mod proptests {
                     mp,
                     &factors,
                     mode,
-                    shape.len() - 1,
+                    p.shape.len() - 1,
                     rank,
                     0..mp.rows.len(),
                     &mut |row, acc| dynamic.row_mut(row).copy_from_slice(acc),
@@ -835,27 +942,23 @@ mod proptests {
         /// A plan built before a snapshot grow stays exact when reused with
         /// the grown factor matrices (more global rows, same nonzeros).
         #[test]
-        fn plan_reuse_after_grow_stays_exact(
-            (shape, entries, extra, mode, seed) in problem_strategy()
-        ) {
-            let (t, factors) = build_problem(&shape, &entries, &extra, 3, seed);
+        fn plan_reuse_after_grow_stays_exact(p in problem_strategy()) {
+            let (t, factors) = build_problem(&p, 3);
+            let mode = p.mode;
             let plan = MttkrpPlan::build(&t).unwrap();
             // First use, pre-grow.
             let before = plan.mttkrp(&factors, mode).unwrap();
-            prop_assert_eq!(
-                before.max_abs_diff(&mttkrp(&t, &factors, mode).unwrap()).unwrap(),
-                0.0
-            );
+            prop_assert_eq!(bits(&before), bits(&mttkrp(&t, &factors, mode).unwrap()));
             // Snapshot grows: every factor gains rows; the cell (and its
             // plan) is unchanged.
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xdead_beef);
+            let mut rng = ChaCha8Rng::seed_from_u64(p.seed ^ 0xdead_beef);
             let grown: Vec<Matrix> = factors
                 .iter()
                 .map(|f| f.vstack(&Matrix::random(2, f.cols(), &mut rng)).unwrap())
                 .collect();
             let naive = mttkrp(&t, &grown, mode).unwrap();
             let fast = plan.mttkrp(&grown, mode).unwrap();
-            prop_assert_eq!(fast.max_abs_diff(&naive).unwrap(), 0.0);
+            prop_assert_eq!(bits(&fast), bits(&naive));
             prop_assert_eq!(fast.rows(), factors[mode].rows() + 2);
         }
     }

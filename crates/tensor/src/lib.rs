@@ -21,7 +21,6 @@
 //!   inner products (the reused intermediates of Sec. IV-B4);
 //! * [`DenseTensor`] — a brute-force oracle for testing.
 
-pub mod adaptive;
 pub mod coo;
 pub mod dense;
 pub mod error;
@@ -35,7 +34,6 @@ pub mod ops;
 pub mod pool;
 pub mod robust;
 
-pub use adaptive::{AdaptivePolicy, CellKernel, LayoutChoice};
 pub use coo::{QuarantineCounts, SparseTensor, SparseTensorBuilder, ValidationMode};
 pub use dense::DenseTensor;
 pub use error::{Result, TensorError};

@@ -98,7 +98,6 @@ pub fn mttkrp_into(
     }
     let _span = dismastd_obs::span_with("kernel/mttkrp_naive", mode as u64);
     let order = tensor.order();
-    // lint:allow(alloc_hygiene): one bounded R-lane scratch per kernel call, amortised over all nonzeros
     let mut prod = vec![0.0f64; r];
     for (idx, v) in tensor.iter() {
         // prod = v * ⊛_{k≠mode} A_k[i_k, :]

@@ -91,7 +91,8 @@ impl AnalyzeConfig {
             l6_exempt_files: own(&["runtime.rs"]),
             l7_pub_prefixes: own(&["crates/tensor/src", "crates/core/src", "crates/cluster/src"]),
             l8_entries: own(&[
-                "mttkrp_into",
+                "MttkrpPlan::mttkrp_into",
+                "mttkrp_into_pooled",
                 "solve_rows",
                 "gram_rows",
                 "allreduce_grams",

@@ -75,7 +75,7 @@ echo "==> interprocedural audits (dismastd-xtask: collective-order, panic-budget
 # gram / exchange kernels (L8).
 cargo run -q -p dismastd-xtask -- analyze
 
-echo "==> allocation audits (count-alloc feature: zero allocations after warm-up; warm-ingest bytes independent of the resident block; serial dtd iterations allocation-free; resident bytes per nonzero)"
+echo "==> allocation audits (count-alloc feature: zero allocations after warm-up; warm-ingest bytes independent of the resident block; serial dtd iterations allocation-free; resident bytes per nonzero; a plan over long modes built from its entries)"
 # The dynamic twin of L8: a counting global allocator measures a full
 # gram -> all-reduce -> row-exchange round on every rank after the pools
 # warm up; the budget is exactly zero.  Its byte counter also holds the
@@ -85,7 +85,9 @@ echo "==> allocation audits (count-alloc feature: zero allocations after warm-up
 # of one of two (solve + Gram work in kept buffers).  Its process-wide
 # live-bytes gauge pins the memory model: a stream cut holds 20 B per
 # order-3 nonzero and nothing else that scales, and a warm ingest peaks at
-# complement + plan + O(rows x R) above its inputs.
+# complement + plan + O(rows x R) above its inputs.  And a plan's build is
+# sized by its entries, not by its modes' lengths, so one plan per grid
+# cell does not cost cells x sum(shape).
 cargo test -q -p dismastd-integration-tests --features count-alloc --test steady_state_alloc
 
 echo "All checks passed."

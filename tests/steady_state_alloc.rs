@@ -306,11 +306,9 @@ fn serial_dtd_iterations_after_the_first_allocate_nothing() {
         }
     }
     let complement: SparseTensor = b.build().unwrap();
-    // Enough nonzeros for the sorted-run plan (the COO kernel takes one
-    // R-lane scratch per call).  Rank 5 runs the fixed-width kernel
-    // bodies; rank 3 the dynamic ones, where the MTTKRP — and only the
-    // MTTKRP — takes two bounded scratch vectors per call.
-    assert!(complement.nnz() > 128);
+    // Rank 5 runs the plan's fixed-width kernel bodies; rank 3 the dynamic
+    // ones, where the MTTKRP — and only the MTTKRP — takes two bounded
+    // scratch vectors per call.
     for (rank, mttkrp_scratch) in [(5usize, 0u64), (3, 2)] {
         let old: Vec<Matrix> = old_shape
             .iter()
@@ -345,6 +343,28 @@ fn serial_dtd_iterations_after_the_first_allocate_nothing() {
             assert_eq!(long_bytes, short_bytes + trace_bytes, "rank {rank}");
         }
     }
+}
+
+/// A plan is built from what the tensor holds, not from how long its modes
+/// are: a grid of many thin cells over long modes (one plan per cell) must
+/// not pay cells × Σ shape.  The counting sort alone would ask for
+/// `3 modes × 3 tables × 100 000 rows × 4 B` = 3.6 MB here.
+#[test]
+fn a_plan_over_long_modes_is_built_from_its_entries() {
+    let _shared = GAUGE.read().unwrap_or_else(PoisonError::into_inner);
+    use dismastd_tensor::{MttkrpPlan, SparseTensorBuilder};
+
+    let mut b = SparseTensorBuilder::new(vec![100_000; 3]);
+    for e in 0..50usize {
+        b.push(&[e * 1_999, 99_999 - e * 1_000, e * e], 1.0 + e as f64)
+            .unwrap();
+    }
+    let sparse = b.build().unwrap();
+    let before = allocated_bytes();
+    let plan = MttkrpPlan::build(&sparse).unwrap();
+    let bytes = allocated_bytes() - before;
+    assert_eq!(plan.nnz(), 50);
+    assert!(bytes < 64 * 1024, "50 entries cost {bytes} B to lay out");
 }
 
 /// The memory model, in bytes held (order 3: `3·4 + 8 = 20` B per nonzero):
