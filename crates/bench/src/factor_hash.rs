@@ -1,0 +1,347 @@
+//! The factor-hash harness: the identity evidence a PR shows for "which
+//! bits moved" (ROADMAP ground rules), and the routing audit that ties the
+//! bytes a distributed step ships to its row ownership.
+//!
+//! **Identity** ([`identity_lines`]): one line per (dataset, rank, mode)
+//! over a four-snapshot stream, mode ∈ {serial, worlds 1–4}, each an FNV-1a
+//! fold of every step's factor bits and of every step's `loss_trace` bits.
+//! The stream is driven the way `StreamingSession::ingest` drives it — cold
+//! start over the first snapshot with zero-row history, then DTD over each
+//! complement with the previous step's factors — through the public
+//! solvers, so the loss of every iteration is visible, not only a step's
+//! last.  Thread policy stays `Auto`, so `DISMASTD_THREADS` applies: the
+//! output must not depend on it, nor on which run produced it.  Serial and
+//! world-1 lines are pinned as goldens by this module's test.
+//!
+//! **Routing** ([`routing_lines`]): for each benchmark workload at worlds 2
+//! and 4, per step, the rows one mode-iteration routes under the grid's
+//! ownership, the lower bound `Σ_rows (referencing workers − 1)` any
+//! ownership of that placement admits, and the largest per-rank share of
+//! owned rows — all three from `SparseTensor::iter`, `GridPartition::
+//! worker_of` and `GridPartition::row_owner` alone — followed by the bytes
+//! those counts predict for the step against the bytes `CommStats` counted.
+
+use dismastd_core::{dismastd, dtd, ClusterConfig, DecompConfig};
+use dismastd_data::{DatasetSpec, StreamSequence};
+use dismastd_partition::GridPartition;
+use dismastd_tensor::{Matrix, Result, SparseTensor};
+
+/// Dataset scale of the identity stream: small enough for a debug-build
+/// test, large enough that every world has populated cells in every mode.
+const IDENTITY_SCALE: f64 = 0.12;
+/// The last four of the paper's six snapshot fractions.
+const IDENTITY_FRACTIONS: [f64; 4] = [0.85, 0.90, 0.95, 1.00];
+const RANKS: [usize; 3] = [3, 5, 10];
+const MAX_WORLD: usize = 4;
+
+/// FNV-1a over 64-bit words.
+#[derive(Clone, Copy)]
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+
+    fn floats(&mut self, values: &[f64]) {
+        values.iter().for_each(|v| self.word(v.to_bits()));
+    }
+}
+
+/// What one step of the hand-driven stream returns.
+struct Step {
+    factors: Vec<Matrix>,
+    loss_trace: Vec<f64>,
+}
+
+/// Runs `stream` through `solve`, feeding each step the previous factors
+/// and the complement against the previous shape, and calls `seen` with
+/// every step's complement and result.
+fn drive(
+    stream: &StreamSequence,
+    rank: usize,
+    mut solve: impl FnMut(&SparseTensor, &[Matrix]) -> Result<Step>,
+    mut seen: impl FnMut(usize, &SparseTensor, &Step),
+) -> Result<()> {
+    let order = stream.snapshot(0).order();
+    let mut old: Vec<Matrix> = (0..order).map(|_| Matrix::zeros(0, rank)).collect();
+    let mut old_shape = vec![0usize; order];
+    for (t, snapshot) in stream.iter().enumerate() {
+        let work = snapshot.complement(&old_shape)?;
+        let step = solve(&work, &old)?;
+        seen(t, &work, &step);
+        old = step.factors;
+        old_shape = snapshot.shape().to_vec();
+    }
+    Ok(())
+}
+
+/// `None` is the serial solver, `Some(world)` the distributed one.
+fn solver(
+    cfg: DecompConfig,
+    world: Option<usize>,
+) -> impl FnMut(&SparseTensor, &[Matrix]) -> Result<Step> {
+    move |work, old| match world {
+        None => dtd(work, old, &cfg).map(|out| Step {
+            factors: out.kruskal.factors().to_vec(),
+            loss_trace: out.loss_trace,
+        }),
+        Some(world) => dismastd(work, old, &cfg, &ClusterConfig::new(world)).map(|out| Step {
+            factors: out.kruskal.factors().to_vec(),
+            loss_trace: out.loss_trace,
+        }),
+    }
+}
+
+fn mode_name(world: Option<usize>) -> String {
+    world.map_or("serial".into(), |w| format!("world{w}"))
+}
+
+/// The identity lines for `worlds` (`None` = serial), all datasets and
+/// ranks, in a fixed order.
+///
+/// # Errors
+/// Propagates generator and solver errors.
+pub fn identity_lines(worlds: &[Option<usize>]) -> Result<Vec<String>> {
+    let mut lines = Vec::new();
+    for spec in [
+        DatasetSpec::clothing(IDENTITY_SCALE),
+        DatasetSpec::netflix(IDENTITY_SCALE),
+        DatasetSpec::synthetic(IDENTITY_SCALE),
+    ] {
+        let stream = StreamSequence::cut(&spec.generate()?, &IDENTITY_FRACTIONS)?;
+        for rank in RANKS {
+            let cfg = DecompConfig::default().with_rank(rank);
+            for &world in worlds {
+                let (mut factors, mut losses) = (Fnv::new(), Fnv::new());
+                drive(&stream, rank, solver(cfg, world), |_, _, step| {
+                    step.factors
+                        .iter()
+                        .for_each(|f| factors.floats(f.as_slice()));
+                    losses.floats(&step.loss_trace);
+                })?;
+                lines.push(format!(
+                    "{:<9} R={rank:<2} {:<6} factors={:016x} loss_trace={:016x}",
+                    spec.name,
+                    mode_name(world),
+                    factors.0,
+                    losses.0
+                ));
+            }
+        }
+    }
+    Ok(lines)
+}
+
+/// Serial and worlds 1–4: the full identity matrix.
+pub fn all_modes() -> Vec<Option<usize>> {
+    std::iter::once(None)
+        .chain((1..=MAX_WORLD).map(Some))
+        .collect()
+}
+
+/// Row routing of one placement, counted from the nonzeros.
+struct Routing {
+    /// Σ over modes and rows of the referencing workers other than the
+    /// row's owner: the rows one mode-iteration's partials exchange carries
+    /// (and its refresh exchange carries back).
+    routed: u64,
+    /// Σ over modes and referenced rows of (referencing workers − 1).
+    bound: u64,
+    /// Rows of all modes owned by each rank.
+    owned: Vec<u64>,
+}
+
+fn routing(work: &SparseTensor, grid: &GridPartition) -> Routing {
+    let world = grid.num_workers();
+    // refs[mode][row * world + w]: does worker w hold a nonzero of the row?
+    let mut refs: Vec<Vec<bool>> = work
+        .shape()
+        .iter()
+        .map(|&rows| vec![false; rows * world])
+        .collect();
+    for (idx, _) in work.iter() {
+        let w = grid.worker_of(idx);
+        for (marks, &i) in refs.iter_mut().zip(idx) {
+            marks[i as usize * world + w] = true;
+        }
+    }
+    let mut out = Routing {
+        routed: 0,
+        bound: 0,
+        owned: vec![0; world],
+    };
+    for (mode, marks) in refs.iter().enumerate() {
+        for (row, by_worker) in marks.chunks(world).enumerate() {
+            let owner = grid.row_owner(mode, row);
+            out.owned[owner] += 1;
+            let referencing = by_worker.iter().filter(|&&r| r).count() as u64;
+            out.routed += referencing - u64::from(by_worker[owner]);
+            out.bound += referencing.saturating_sub(1);
+        }
+    }
+    out
+}
+
+/// Bytes a fault-free step ships given its routing: two row exchanges per
+/// mode-iteration, the Gram all-reduces (one `9R²` at set-up, `3R²` per
+/// mode-iteration plus the loss slot on the last mode; flat and ring both
+/// move `2(w − 1)` copies of the buffer), and the gather of every row rank
+/// 0 does not own.
+fn predicted_bytes(routing: &Routing, order: usize, rank: usize, iters: usize) -> u64 {
+    let world = routing.owned.len() as u64;
+    let (order, rank, iters) = (order as u64, rank as u64, iters as u64);
+    let exchange = 2 * iters * routing.routed * rank * 8;
+    let gram_values = 3 * rank * rank * (3 + iters * order) + iters;
+    let allreduce = 2 * (world - 1) * gram_values * 8;
+    let gather = routing.owned[1..].iter().sum::<u64>() * rank * 8;
+    exchange + allreduce + gather
+}
+
+/// The benchmark's workloads (`benchmark/src/workload.rs`): dataset, scale
+/// and snapshot fractions.
+fn benchmark_workloads() -> [(&'static str, DatasetSpec, Vec<f64>); 3] {
+    [
+        (
+            "clothing_rows",
+            DatasetSpec::clothing(1.0),
+            StreamSequence::paper_fractions(),
+        ),
+        (
+            "netflix_nnz",
+            DatasetSpec::netflix(0.7),
+            StreamSequence::paper_fractions(),
+        ),
+        (
+            "synthetic_fine",
+            DatasetSpec::synthetic(0.8),
+            (85..=100).map(|p| f64::from(p) / 100.0).collect(),
+        ),
+    ]
+}
+
+/// The routing audit over the benchmark workloads generated from `seed`.
+///
+/// # Errors
+/// Propagates generator, partitioner and solver errors.
+pub fn routing_lines(seed: u64) -> Result<Vec<String>> {
+    let cfg = DecompConfig::default();
+    let mut lines = Vec::new();
+    for (name, mut spec, fractions) in benchmark_workloads() {
+        spec.seed = seed;
+        let stream = StreamSequence::cut(&spec.generate()?, &fractions)?;
+        for world in [2usize, 4] {
+            let cluster = ClusterConfig::new(world);
+            let mut per_step: Vec<(Routing, u64)> = Vec::new();
+            let mut wire = Vec::new();
+            let solve = |work: &SparseTensor, old: &[Matrix]| {
+                let out = dismastd(work, old, &cfg, &cluster)?;
+                wire.push((out.comm.wire_bytes(), out.iterations));
+                Ok(Step {
+                    factors: out.kruskal.factors().to_vec(),
+                    loss_trace: out.loss_trace,
+                })
+            };
+            let mut failed = None;
+            drive(&stream, cfg.rank, solve, |_, work, _| {
+                let order = work.order();
+                match GridPartition::build_with(
+                    work,
+                    cluster.partitioner,
+                    &vec![world; order],
+                    world,
+                    cluster.cell_assignment,
+                ) {
+                    Ok(grid) => per_step.push((routing(work, &grid), work.nnz() as u64)),
+                    Err(e) => failed = Some(e),
+                }
+            })?;
+            if let Some(e) = failed {
+                return Err(e);
+            }
+            let order = stream.snapshot(0).order();
+            for (t, ((routing, nnz), (measured, iters))) in per_step.iter().zip(&wire).enumerate() {
+                let rows: u64 = routing.owned.iter().sum();
+                let largest = routing.owned.iter().copied().max().unwrap_or(0);
+                let predicted = predicted_bytes(routing, order, cfg.rank, *iters);
+                lines.push(format!(
+                    "{name} seed={seed} world={world} step={t} nnz={nnz} routed_rows={} bound={} \
+                     largest_owned_share={:.3} owned={:?} wire_bytes={measured} predicted={predicted}",
+                    routing.routed,
+                    routing.bound,
+                    largest as f64 / rows as f64,
+                    routing.owned,
+                ));
+            }
+        }
+    }
+    Ok(lines)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Serial and world-1 bits are this repository's fixed point: a PR that
+    /// changes what the distributed path sums in which order (placement,
+    /// ownership, collectives) moves worlds ≥ 2 and must leave these alone.
+    /// Regenerate with `cargo run --release -p dismastd-bench --bin
+    /// factor_hash` only for a change that says it moves serial bits.
+    #[test]
+    fn serial_and_world1_lines_match_the_goldens() {
+        let lines = identity_lines(&[None, Some(1)]).unwrap();
+        assert_eq!(lines, GOLDEN, "\n{}", lines.join("\n"));
+    }
+
+    const GOLDEN: [&str; 18] = [
+        "Clothing  R=3  serial factors=b33cbe8c38314a10 loss_trace=d7836648c5e4290a",
+        "Clothing  R=3  world1 factors=b33cbe8c38314a10 loss_trace=552f7b1dbb0813da",
+        "Clothing  R=5  serial factors=ba815655bcff744d loss_trace=7f654365f2d9f9a3",
+        "Clothing  R=5  world1 factors=ba815655bcff744d loss_trace=853497e63877a9f4",
+        "Clothing  R=10 serial factors=dc86ba463aac85ee loss_trace=681a8a6bf73afaaa",
+        "Clothing  R=10 world1 factors=dc86ba463aac85ee loss_trace=2776a38a16669ffd",
+        "Netflix   R=3  serial factors=68ca5fa4f29b12c8 loss_trace=808f1c925ea89753",
+        "Netflix   R=3  world1 factors=68ca5fa4f29b12c8 loss_trace=e3dae1f522af3ca5",
+        "Netflix   R=5  serial factors=403e7d0ae8743399 loss_trace=cc2a2c19644a7153",
+        "Netflix   R=5  world1 factors=403e7d0ae8743399 loss_trace=dedd399d8454a807",
+        "Netflix   R=10 serial factors=ae1f857a2174a2f2 loss_trace=04a77914827e06b5",
+        "Netflix   R=10 world1 factors=ae1f857a2174a2f2 loss_trace=8c2d3a383bbb4ae2",
+        "Synthetic R=3  serial factors=2cf0c8ec54fbb977 loss_trace=fe0a4331acb5a023",
+        "Synthetic R=3  world1 factors=2cf0c8ec54fbb977 loss_trace=fe0a4331acb5a023",
+        "Synthetic R=5  serial factors=71b70bbe4adf3036 loss_trace=2e7053611f48654c",
+        "Synthetic R=5  world1 factors=71b70bbe4adf3036 loss_trace=2e7053611f48654c",
+        "Synthetic R=10 serial factors=4fba9388d1e10bf1 loss_trace=be3bbd6fb2758d63",
+        "Synthetic R=10 world1 factors=4fba9388d1e10bf1 loss_trace=be3bbd6fb2758d63",
+    ];
+
+    #[test]
+    fn routing_counts_a_hand_placed_tensor() {
+        use dismastd_partition::{CellAssignment, ModePartition};
+        use dismastd_tensor::SparseTensorBuilder;
+        // 4 x 2, two workers split on mode 0: rows {0, 1} | {2, 3}.  Column 0
+        // is referenced by both workers, column 1 by worker 1 only.
+        let mut b = SparseTensorBuilder::new(vec![4, 2]);
+        for idx in [[0, 0], [1, 0], [2, 0], [3, 1]] {
+            b.push(&idx, 1.0).unwrap();
+        }
+        let t = b.build().unwrap();
+        let grid = GridPartition::from_mode_partitions(
+            &t,
+            vec![
+                ModePartition::from_assignment(2, vec![0, 0, 1, 1]),
+                ModePartition::trivial(2),
+            ],
+            2,
+            CellAssignment::BlockGrid,
+        )
+        .unwrap();
+        let r = routing(&t, &grid);
+        assert_eq!(r.bound, 1);
+        assert_eq!(r.owned.iter().sum::<u64>(), 6);
+        assert!(r.routed >= r.bound);
+    }
+}

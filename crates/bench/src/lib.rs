@@ -26,6 +26,8 @@
 //! observation) and why partition counts above the node count hurt
 //! (Fig. 6), and the third grows with `M` exactly as Theorem 4 predicts.
 
+pub mod factor_hash;
+
 use dismastd_cluster::CostModel;
 use dismastd_core::distributed::DistOutput;
 use dismastd_core::{DecompConfig, DtdOutput};

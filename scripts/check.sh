@@ -31,6 +31,17 @@ echo "==> pooled kernels at DISMASTD_THREADS=4 (factor bits must not move)"
 DISMASTD_THREADS=4 cargo test -q -p dismastd-tensor
 DISMASTD_THREADS=4 cargo test -q -p dismastd-integration-tests --test observability
 
+echo "==> factor-hash harness (factor and loss_trace bits equal at DISMASTD_THREADS 1 and 4)"
+# One line per dataset x rank x {serial, worlds 1-4} over a 4-step stream.
+# Diff the output of a parent build against a change's to see which
+# configurations a PR moves; the serial and world-1 lines are also pinned
+# as goldens by the dismastd-bench unit tests.
+hash_dir=$(mktemp -d)
+DISMASTD_THREADS=1 cargo run -q --release -p dismastd-bench --bin factor_hash > "$hash_dir/threads1"
+DISMASTD_THREADS=4 cargo run -q --release -p dismastd-bench --bin factor_hash > "$hash_dir/threads4"
+diff "$hash_dir/threads1" "$hash_dir/threads4"
+rm -r "$hash_dir"
+
 echo "==> deterministic-simulation smoke sweep (16 seeds; CI runs 64)"
 # One u64 seed drives scheduler interleaving, link latency, partitions,
 # and fault fates; a failing seed is printed in the panic and replays
