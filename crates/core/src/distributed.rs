@@ -23,8 +23,12 @@
 //!    `G_n^0, G_n^1, G̃_n` on every worker.
 //! 4. **Distributed loss** (Sec. IV-B4): the `R x R` terms are evaluated
 //!    locally from the replicated products; the data-dependent inner product
-//!    reuses the final mode's MTTKRP partial rows and needs only a scalar
-//!    all-reduce.
+//!    reuses the final mode's MTTKRP partial rows, and its per-rank partial
+//!    rides as one extra slot of that mode's Gram all-reduce.
+//!
+//! That is three collectives per mode-iteration (partials exchange, refresh
+//! exchange, Gram all-reduce), none per iteration, and one at set-up (every
+//! mode's initial Gram partials in a single all-reduce).
 
 use crate::config::DecompConfig;
 use crate::dtd::{check_row_ids, converged, init_factors, old_norm_sq, zero_history};
@@ -537,18 +541,27 @@ struct GramWorkspace {
 }
 
 impl GramWorkspace {
-    fn new(r: usize) -> Self {
+    /// Sized for the largest buffer a run stages: every mode's partials at
+    /// set-up, or one mode's plus the loss slot.
+    fn new(order: usize, r: usize) -> Self {
         GramWorkspace {
             g0: Matrix::zeros(r, r),
             g1: Matrix::zeros(r, r),
             cr: Matrix::zeros(r, r),
-            buf: Vec::with_capacity(3 * r * r),
+            buf: Vec::with_capacity(3 * r * r * order + 1),
         }
     }
 
     /// The three partial-product targets, in [`mode_grams`]' order.
     fn targets(&mut self) -> [&mut Matrix; 3] {
         [&mut self.g0, &mut self.g1, &mut self.cr]
+    }
+
+    /// Appends the three partials (`3R²` values) to the staging buffer.
+    fn stage(&mut self) {
+        for m in [&self.g0, &self.g1, &self.cr] {
+            self.buf.extend_from_slice(m.as_slice());
+        }
     }
 }
 
@@ -594,7 +607,7 @@ fn worker_body(
 
     // Reusable scratch: Gram partials + all-reduce staging, and the
     // message-payload pool for the two row exchanges.
-    let mut ws = GramWorkspace::new(r);
+    let mut ws = GramWorkspace::new(order, r);
     let mut pool = BufferPool::new(true);
     // Persistent exchange tables: refilled in place every post/complete,
     // so the steady-state loop never reallocates them.
@@ -622,10 +635,12 @@ fn worker_body(
         .collect();
     {
         let _s = dismastd_obs::span("phase/setup");
+        ws.buf.clear();
         for n in 0..order {
             try_num!(mode_grams(&factors[n], &old[n], &owned[n], ws.targets()));
-            allreduce_grams(ctx, &mut ws, &mut state, n, comm)?;
+            ws.stage();
         }
+        allreduce_grams(ctx, &mut ws, &mut state, 0, comm)?;
     }
 
     let mut loss_trace: Vec<f64> = Vec::with_capacity(cfg.max_iters);
@@ -643,7 +658,7 @@ fn worker_body(
     let mut pending_refresh: Option<PendingRefresh> = None;
 
     for _iter in 0..cfg.max_iters {
-        let mut inner_partial = 0.0;
+        let mut inner = 0.0;
         for n in 0..order {
             // -- fence: land the previous mode's refreshed rows ------------
             // MTTKRP below reads every factor, so the in-flight rows of the
@@ -765,28 +780,38 @@ fn worker_body(
             };
 
             // -- 3. rebuild the RxR products by all-reduce ------------------
+            // On the final mode this rank's share of `⟨X \ X̃, Y⟩` — its
+            // owned rows of the mode's MTTKRP against their fresh factor
+            // rows (Eq. 7's reuse) — rides as one slot after the `3R²`.
+            ws.buf.clear();
             {
                 let _s = dismastd_obs::span("phase/gram");
                 try_num!(mode_grams(&factors[n], &old[n], &owned[n], ws.targets()));
-                allreduce_grams(ctx, &mut ws, &mut state, n, comm)?;
+                ws.stage();
             }
-
-            // -- 4. loss reuse: data inner product from the final mode -----
-            if n == order - 1 {
+            let last = n == order - 1;
+            if last {
                 let _s = dismastd_obs::span("phase/loss");
-                inner_partial = plan.owned_rows[n]
+                let inner_partial: f64 = plan.owned_rows[n]
                     .iter()
                     .map(|&row| {
                         let row = row as usize;
                         dot(hat[n].row(row), factors[n].row(row))
                     })
                     .sum();
+                ws.buf.push(inner_partial);
+            }
+            {
+                let _s = dismastd_obs::span("phase/gram");
+                allreduce_grams(ctx, &mut ws, &mut state, n, comm)?;
+            }
+            if last {
+                inner = ws.buf[ws.buf.len() - 1];
             }
         }
         iterations += 1;
         let loss = {
             let _s = dismastd_obs::span("phase/loss");
-            let inner = ctx.try_allreduce_sum_scalar(inner_partial)?;
             try_num!(dtd_loss(
                 &state,
                 &LossParts {
@@ -943,35 +968,40 @@ fn write_rows(m: &mut Matrix, rows: &[u32], data: &[f64]) {
     }
 }
 
-/// All-reduces the workspace's three RxR partials in one fused staging
-/// buffer (one collective, `3R²` values — the `O(MNR²)` term of Theorem 4)
-/// and writes the reduced products straight into the mode-`n` slots of the
-/// replicated Gram state.  The staging buffer's capacity is reused across
-/// calls.
+/// All-reduces the staging buffer in one collective — the staged partials
+/// of modes `first..` (`3R²` values each, the `O(MNR²)` term of Theorem 4)
+/// and whatever scalar slots follow them — and writes the reduced products
+/// straight into those modes' slots of the replicated Gram state; trailing
+/// slots are left reduced in `ws.buf` for the caller.  The flat and the
+/// ring all-reduce both fold every element in ascending rank order, so a
+/// value's bits do not depend on which buffer it rode in, on its position
+/// there, or on which of the two `Auto` resolved to: batching the set-up
+/// Grams and carrying the loss partial here moves no factor and no
+/// `loss_trace` bit.  The staging buffer's capacity is reused across calls.
 fn allreduce_grams(
     ctx: &mut WorkerCtx,
     ws: &mut GramWorkspace,
     state: &mut GramState,
-    n: usize,
+    first: usize,
     comm: CommPolicy,
 ) -> ClusterResult<()> {
     let r = ws.g0.rows();
     let rr = r * r;
-    ws.buf.clear();
-    ws.buf.extend_from_slice(ws.g0.as_slice());
-    ws.buf.extend_from_slice(ws.g1.as_slice());
-    ws.buf.extend_from_slice(ws.cr.as_slice());
     ctx.try_allreduce_sum_with(&mut ws.buf, comm.allreduce)?;
-    state.gram0[n]
-        .as_mut_slice()
-        .copy_from_slice(&ws.buf[0..rr]);
-    state.gram1[n]
-        .as_mut_slice()
-        .copy_from_slice(&ws.buf[rr..2 * rr]);
-    state.cross[n]
-        .as_mut_slice()
-        .copy_from_slice(&ws.buf[2 * rr..]);
-    state.retotal(n);
+    // `R ≥ 1` (`DecompConfig::validate`), so the chunk width is not zero.
+    for (k, reduced) in ws.buf.chunks_exact(3 * rr).enumerate() {
+        let n = first + k;
+        state.gram0[n]
+            .as_mut_slice()
+            .copy_from_slice(&reduced[0..rr]);
+        state.gram1[n]
+            .as_mut_slice()
+            .copy_from_slice(&reduced[rr..2 * rr]);
+        state.cross[n]
+            .as_mut_slice()
+            .copy_from_slice(&reduced[2 * rr..]);
+        state.retotal(n);
+    }
     Ok(())
 }
 
@@ -1363,6 +1393,35 @@ mod tests {
         assert_eq!(flat.comm.compressed_bytes, 0);
         assert_eq!(ring.comm.compressed_bytes, 0);
         assert!(flat.comm.reconciles() && ring.comm.reconciles());
+    }
+
+    #[test]
+    fn collectives_per_run_match_the_closed_form() {
+        // set-up + iterations · order · per mode-iteration + gather, where
+        // a mode-iteration is two exchanges and one all-reduce, set-up is
+        // one all-reduce, and an all-reduce is two collectives flat
+        // (gather + broadcast), one as a ring and none in a world of one.
+        // A collective added to `worker_body` shows up here, not first in a
+        // benchmark count.
+        for shape in [&[7usize, 6, 5][..], &[5, 4, 4, 3]] {
+            let x = random_tensor(shape, 90, 31);
+            let order = shape.len() as u64;
+            for (world, algo, per_allreduce) in [
+                (1usize, AllreduceAlgo::Auto, 0u64),
+                (2, AllreduceAlgo::Flat, 2),
+                (4, AllreduceAlgo::Ring, 1),
+            ] {
+                let cluster =
+                    ClusterConfig::new(world).with_comm(CommPolicy::default().with_allreduce(algo));
+                let out = dms_mg(&x, &cfg(), &cluster).unwrap();
+                let iters = out.iterations as u64;
+                assert_eq!(
+                    out.comm.collectives,
+                    per_allreduce + iters * order * (2 + per_allreduce) + 1,
+                    "order {order} world {world} {algo:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -218,9 +218,10 @@ fn fault_schedule_is_reproducible() {
 
 // ---- session-level recovery ----------------------------------------------
 
-/// A fault plan that kills worker 1 early in a distributed step.  The
-/// collective index lands in the initial Gram rebuild, so the crash hits
-/// mid-decomposition, after real work has started.
+/// A fault plan that kills worker 1 early in a distributed step.  Flat,
+/// the set-up all-reduce takes sequence numbers 0 and 1 and mode 0's two
+/// row exchanges 2 and 3, so index 4 is the first mode's Gram all-reduce:
+/// the crash hits mid-decomposition, after real work has started.
 fn mid_step_crash(times: u32) -> Arc<FaultPlan> {
     Arc::new(FaultPlan::seeded(11).crash_worker_at_collective_times(1, 4, times))
 }
@@ -450,9 +451,10 @@ fn crash_recovery_under_ring_policy_stays_bit_identical() {
     clean.ingest(&s1).unwrap();
 
     // The ring collapses each allreduce to one sequence number (flat takes
-    // two), so the crash index differs from `mid_step_crash`: seq 5 lands
-    // inside the first iteration's solve/exchange window, after the mode-0
-    // partial exchange has been posted.
+    // two), so the crash index differs from `mid_step_crash`: set-up is
+    // seq 0 and a mode-iteration three more, so seq 5 is the first
+    // iteration's mode-1 refresh exchange — mode 0 is fully updated and
+    // mode 1's solved rows are about to be posted.
     let plan = Arc::new(FaultPlan::seeded(11).crash_worker_at_collective_times(1, 5, 1));
     let mut chaos = StreamingSession::new(cfg(), ring_mode);
     chaos.ingest(&s0).unwrap();
