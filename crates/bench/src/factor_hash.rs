@@ -52,57 +52,27 @@ impl Fnv {
     }
 }
 
-/// What one step of the hand-driven stream returns.
-struct Step {
-    factors: Vec<Matrix>,
-    loss_trace: Vec<f64>,
-}
-
-/// Runs `stream` through `solve`, feeding each step the previous factors
-/// and the complement against the previous shape, and calls `seen` with
-/// every step's complement and result.
+/// Runs `stream` through `step`, handing it each snapshot's complement
+/// against the previous shape and the previous factors (zero-row history on
+/// the cold start); `step` returns the snapshot's factors.
 fn drive(
     stream: &StreamSequence,
     rank: usize,
-    mut solve: impl FnMut(&SparseTensor, &[Matrix]) -> Result<Step>,
-    mut seen: impl FnMut(usize, &SparseTensor, &Step),
+    mut step: impl FnMut(&SparseTensor, &[Matrix]) -> Result<Vec<Matrix>>,
 ) -> Result<()> {
     let order = stream.snapshot(0).order();
     let mut old: Vec<Matrix> = (0..order).map(|_| Matrix::zeros(0, rank)).collect();
     let mut old_shape = vec![0usize; order];
-    for (t, snapshot) in stream.iter().enumerate() {
+    for snapshot in stream.iter() {
         let work = snapshot.complement(&old_shape)?;
-        let step = solve(&work, &old)?;
-        seen(t, &work, &step);
-        old = step.factors;
+        old = step(&work, &old)?;
         old_shape = snapshot.shape().to_vec();
     }
     Ok(())
 }
 
-/// `None` is the serial solver, `Some(world)` the distributed one.
-fn solver(
-    cfg: DecompConfig,
-    world: Option<usize>,
-) -> impl FnMut(&SparseTensor, &[Matrix]) -> Result<Step> {
-    move |work, old| match world {
-        None => dtd(work, old, &cfg).map(|out| Step {
-            factors: out.kruskal.factors().to_vec(),
-            loss_trace: out.loss_trace,
-        }),
-        Some(world) => dismastd(work, old, &cfg, &ClusterConfig::new(world)).map(|out| Step {
-            factors: out.kruskal.factors().to_vec(),
-            loss_trace: out.loss_trace,
-        }),
-    }
-}
-
-fn mode_name(world: Option<usize>) -> String {
-    world.map_or("serial".into(), |w| format!("world{w}"))
-}
-
-/// The identity lines for `worlds` (`None` = serial), all datasets and
-/// ranks, in a fixed order.
+/// The identity lines for `worlds` (`None` = the serial solver), all
+/// datasets and ranks, in a fixed order.
 ///
 /// # Errors
 /// Propagates generator and solver errors.
@@ -118,16 +88,28 @@ pub fn identity_lines(worlds: &[Option<usize>]) -> Result<Vec<String>> {
             let cfg = DecompConfig::default().with_rank(rank);
             for &world in worlds {
                 let (mut factors, mut losses) = (Fnv::new(), Fnv::new());
-                drive(&stream, rank, solver(cfg, world), |_, _, step| {
-                    step.factors
+                drive(&stream, rank, |work, old| {
+                    let (kruskal, loss_trace) = match world {
+                        None => {
+                            let out = dtd(work, old, &cfg)?;
+                            (out.kruskal, out.loss_trace)
+                        }
+                        Some(world) => {
+                            let out = dismastd(work, old, &cfg, &ClusterConfig::new(world))?;
+                            (out.kruskal, out.loss_trace)
+                        }
+                    };
+                    kruskal
+                        .factors()
                         .iter()
                         .for_each(|f| factors.floats(f.as_slice()));
-                    losses.floats(&step.loss_trace);
+                    losses.floats(&loss_trace);
+                    Ok(kruskal.factors().to_vec())
                 })?;
                 lines.push(format!(
                     "{:<9} R={rank:<2} {:<6} factors={:016x} loss_trace={:016x}",
                     spec.name,
-                    mode_name(world),
+                    world.map_or("serial".into(), |w| format!("world{w}")),
                     factors.0,
                     losses.0
                 ));
@@ -188,15 +170,15 @@ fn routing(work: &SparseTensor, grid: &GridPartition) -> Routing {
 }
 
 /// Bytes a fault-free step ships given its routing: two row exchanges per
-/// mode-iteration, the Gram all-reduces (one `9R²` at set-up, `3R²` per
-/// mode-iteration plus the loss slot on the last mode; flat and ring both
-/// move `2(w − 1)` copies of the buffer), and the gather of every row rank
-/// 0 does not own.
+/// mode-iteration, the Gram all-reduces (`3R²` per mode at set-up and per
+/// mode-iteration, plus the loss slot on an iteration's last mode; flat and
+/// ring both move `2(w − 1)` copies of the buffer), and the gather of every
+/// row rank 0 does not own.
 fn predicted_bytes(routing: &Routing, order: usize, rank: usize, iters: usize) -> u64 {
     let world = routing.owned.len() as u64;
     let (order, rank, iters) = (order as u64, rank as u64, iters as u64);
     let exchange = 2 * iters * routing.routed * rank * 8;
-    let gram_values = 3 * rank * rank * (3 + iters * order) + iters;
+    let gram_values = 3 * rank * rank * order * (1 + iters) + iters;
     let allreduce = 2 * (world - 1) * gram_values * 8;
     let gather = routing.owned[1..].iter().sum::<u64>() * rank * 8;
     exchange + allreduce + gather
@@ -234,49 +216,36 @@ pub fn routing_lines(seed: u64) -> Result<Vec<String>> {
     for (name, mut spec, fractions) in benchmark_workloads() {
         spec.seed = seed;
         let stream = StreamSequence::cut(&spec.generate()?, &fractions)?;
+        let order = stream.snapshot(0).order();
         for world in [2usize, 4] {
             let cluster = ClusterConfig::new(world);
-            let mut per_step: Vec<(Routing, u64)> = Vec::new();
-            let mut wire = Vec::new();
-            let solve = |work: &SparseTensor, old: &[Matrix]| {
-                let out = dismastd(work, old, &cfg, &cluster)?;
-                wire.push((out.comm.wire_bytes(), out.iterations));
-                Ok(Step {
-                    factors: out.kruskal.factors().to_vec(),
-                    loss_trace: out.loss_trace,
-                })
-            };
-            let mut failed = None;
-            drive(&stream, cfg.rank, solve, |_, work, _| {
-                let order = work.order();
-                match GridPartition::build_with(
+            let mut t = 0;
+            drive(&stream, cfg.rank, |work, old| {
+                let grid = GridPartition::build_with(
                     work,
                     cluster.partitioner,
                     &vec![world; order],
                     world,
                     cluster.cell_assignment,
-                ) {
-                    Ok(grid) => per_step.push((routing(work, &grid), work.nnz() as u64)),
-                    Err(e) => failed = Some(e),
-                }
-            })?;
-            if let Some(e) = failed {
-                return Err(e);
-            }
-            let order = stream.snapshot(0).order();
-            for (t, ((routing, nnz), (measured, iters))) in per_step.iter().zip(&wire).enumerate() {
+                )?;
+                let routing = routing(work, &grid);
+                let out = dismastd(work, old, &cfg, &cluster)?;
                 let rows: u64 = routing.owned.iter().sum();
                 let largest = routing.owned.iter().copied().max().unwrap_or(0);
-                let predicted = predicted_bytes(routing, order, cfg.rank, *iters);
                 lines.push(format!(
-                    "{name} seed={seed} world={world} step={t} nnz={nnz} routed_rows={} bound={} \
-                     largest_owned_share={:.3} owned={:?} wire_bytes={measured} predicted={predicted}",
+                    "{name} seed={seed} world={world} step={t} nnz={} routed_rows={} bound={} \
+                     largest_owned_share={:.3} owned={:?} wire_bytes={} predicted={}",
+                    work.nnz(),
                     routing.routed,
                     routing.bound,
                     largest as f64 / rows as f64,
                     routing.owned,
+                    out.comm.wire_bytes(),
+                    predicted_bytes(&routing, order, cfg.rank, out.iterations),
                 ));
-            }
+                t += 1;
+                Ok(out.kruskal.factors().to_vec())
+            })?;
         }
     }
     Ok(lines)
@@ -339,9 +308,9 @@ mod tests {
             CellAssignment::BlockGrid,
         )
         .unwrap();
+        // Column 1 lives on its only reader, so column 0 is all that moves.
         let r = routing(&t, &grid);
-        assert_eq!(r.bound, 1);
-        assert_eq!(r.owned.iter().sum::<u64>(), 6);
-        assert!(r.routed >= r.bound);
+        assert_eq!((r.routed, r.bound), (1, 1));
+        assert_eq!(r.owned, vec![3, 3]);
     }
 }

@@ -779,34 +779,31 @@ fn worker_body(
                 })
             };
 
-            // -- 3. rebuild the RxR products by all-reduce ------------------
-            // On the final mode this rank's share of `⟨X \ X̃, Y⟩` — its
-            // owned rows of the mode's MTTKRP against their fresh factor
-            // rows (Eq. 7's reuse) — rides as one slot after the `3R²`.
-            ws.buf.clear();
-            {
-                let _s = dismastd_obs::span("phase/gram");
-                try_num!(mode_grams(&factors[n], &old[n], &owned[n], ws.targets()));
-                ws.stage();
-            }
-            let last = n == order - 1;
-            if last {
+            // -- loss reuse: data inner product from the final mode --------
+            // This rank's share of `⟨X \ X̃, Y⟩`: its owned rows of the
+            // mode's MTTKRP against their fresh factor rows (Eq. 7).
+            let inner_partial: Option<f64> = (n == order - 1).then(|| {
                 let _s = dismastd_obs::span("phase/loss");
-                let inner_partial: f64 = plan.owned_rows[n]
+                plan.owned_rows[n]
                     .iter()
                     .map(|&row| {
                         let row = row as usize;
                         dot(hat[n].row(row), factors[n].row(row))
                     })
-                    .sum();
-                ws.buf.push(inner_partial);
-            }
+                    .sum()
+            });
+
+            // -- 3. rebuild the RxR products by all-reduce ------------------
+            // The loss share rides as one slot after the mode's `3R²`.
             {
                 let _s = dismastd_obs::span("phase/gram");
-                allreduce_grams(ctx, &mut ws, &mut state, n, comm)?;
-            }
-            if last {
-                inner = ws.buf[ws.buf.len() - 1];
+                try_num!(mode_grams(&factors[n], &old[n], &owned[n], ws.targets()));
+                ws.buf.clear();
+                ws.stage();
+                ws.buf.extend(inner_partial);
+                if let [total] = allreduce_grams(ctx, &mut ws, &mut state, n, comm)? {
+                    inner = *total;
+                }
             }
         }
         iterations += 1;
@@ -878,7 +875,10 @@ fn worker_body(
 /// every cell adds one run total per row it touches, cells in ascending
 /// cell order and a cell's entries in stored order within the total —
 /// `hat[i] = ((0 + T₁) + T₂) + …`.  That order is part of the numerics: it
-/// is what "bit-identical per (grid, world)" holds a run to.
+/// is what "bit-identical per (grid, world)" holds a run to.  So is the
+/// grid's row ownership: a row's owner starts from its own partial and adds
+/// its peers' in ascending rank order, and a Gram partial covers the rows a
+/// rank owns.
 fn local_partials(
     cells: &[MttkrpPlan],
     factors: &[Matrix],
@@ -971,25 +971,27 @@ fn write_rows(m: &mut Matrix, rows: &[u32], data: &[f64]) {
 /// All-reduces the staging buffer in one collective — the staged partials
 /// of modes `first..` (`3R²` values each, the `O(MNR²)` term of Theorem 4)
 /// and whatever scalar slots follow them — and writes the reduced products
-/// straight into those modes' slots of the replicated Gram state; trailing
-/// slots are left reduced in `ws.buf` for the caller.  The flat and the
+/// straight into those modes' slots of the replicated Gram state; the
+/// reduced trailing slots are returned.  The flat and the
 /// ring all-reduce both fold every element in ascending rank order, so a
 /// value's bits do not depend on which buffer it rode in, on its position
 /// there, or on which of the two `Auto` resolved to: batching the set-up
 /// Grams and carrying the loss partial here moves no factor and no
 /// `loss_trace` bit.  The staging buffer's capacity is reused across calls.
-fn allreduce_grams(
+fn allreduce_grams<'ws>(
     ctx: &mut WorkerCtx,
-    ws: &mut GramWorkspace,
+    ws: &'ws mut GramWorkspace,
     state: &mut GramState,
     first: usize,
     comm: CommPolicy,
-) -> ClusterResult<()> {
+) -> ClusterResult<&'ws [f64]> {
     let r = ws.g0.rows();
     let rr = r * r;
     ctx.try_allreduce_sum_with(&mut ws.buf, comm.allreduce)?;
     // `R ≥ 1` (`DecompConfig::validate`), so the chunk width is not zero.
-    for (k, reduced) in ws.buf.chunks_exact(3 * rr).enumerate() {
+    let modes = ws.buf.chunks_exact(3 * rr);
+    let tail = modes.remainder();
+    for (k, reduced) in modes.enumerate() {
         let n = first + k;
         state.gram0[n]
             .as_mut_slice()
@@ -1002,7 +1004,7 @@ fn allreduce_grams(
             .copy_from_slice(&reduced[2 * rr..]);
         state.retotal(n);
     }
-    Ok(())
+    Ok(tail)
 }
 
 /// Gathers every worker's owned rows to rank 0 and assembles the final
@@ -1555,6 +1557,96 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn routes_carry_each_referenced_row_to_its_owner_and_nothing_else() {
+        // The oracle reads the nonzeros and the grid's two maps only.
+        for (shape, nnz) in [(&[12usize, 10, 8][..], 400), (&[9, 6, 5, 4], 300)] {
+            let x = random_tensor(shape, nnz, 47);
+            for world in [1usize, 2, 3, 4, 5] {
+                for assignment in [CellAssignment::BlockGrid, CellAssignment::Scatter] {
+                    let cluster = ClusterConfig::new(world).with_cell_assignment(assignment);
+                    let grid = GridPartition::build_with(
+                        &x,
+                        cluster.partitioner,
+                        &cluster.resolved_parts(x.order()),
+                        world,
+                        assignment,
+                    )
+                    .unwrap();
+                    let plans = build_plans(&x, &grid, world).unwrap();
+                    // references[(mode, row)] = the workers holding a nonzero of it.
+                    let mut references = std::collections::BTreeMap::new();
+                    for (idx, _) in x.iter() {
+                        for (mode, &row) in idx.iter().enumerate() {
+                            references
+                                .entry((mode, row))
+                                .or_insert_with(std::collections::BTreeSet::new)
+                                .insert(grid.worker_of(idx));
+                        }
+                    }
+                    let tag = format!("{shape:?} world {world} {assignment:?}");
+                    // Every referenced row is owned by a worker that reads
+                    // it, so a mode-iteration routes Σ_rows (refs − 1) rows.
+                    let bound: usize = references.values().map(|refs| refs.len() - 1).sum();
+                    let routed: usize = plans
+                        .iter()
+                        .flat_map(|p| p.partial_routes.iter().flatten())
+                        .map(Vec::len)
+                        .sum();
+                    assert_eq!(routed, bound, "{tag}");
+                    for (w, plan) in plans.iter().enumerate() {
+                        for n in 0..x.order() {
+                            for d in 0..world {
+                                // Exactly the rows `w` reads and `d` owns.
+                                let expected: Vec<u32> = references
+                                    .iter()
+                                    .filter(|((mode, row), refs)| {
+                                        *mode == n
+                                            && d != w
+                                            && refs.contains(&w)
+                                            && grid.row_owner(n, *row as usize) == d
+                                    })
+                                    .map(|((_, row), _)| *row)
+                                    .collect();
+                                assert_eq!(plan.partial_routes[n][d], expected, "{tag} {w}->{d}");
+                                assert_eq!(plans[d].serve_routes[n][w], expected, "{tag} {d}<-{w}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_long_tailed_complement_ships_fewer_bytes_than_group_ownership_did() {
+        // A Clothing-shaped warm step: Zipf rows, most of them touched by
+        // one worker only.  With ownership per slice *group* the tail rows
+        // went to whichever rank held most of the group.
+        let full = dismastd_data::DatasetSpec::clothing(0.1)
+            .generate()
+            .unwrap();
+        let stream = dismastd_data::StreamSequence::cut(&full, &[0.9, 1.0]).unwrap();
+        let old_shape = stream.snapshot(0).shape().to_vec();
+        let old: Vec<Matrix> = {
+            let mut rng = ChaCha8Rng::seed_from_u64(51);
+            old_shape
+                .iter()
+                .map(|&s| Matrix::random(s, 3, &mut rng))
+                .collect()
+        };
+        let x = stream.snapshot(1).complement(&old_shape).unwrap();
+        let out = dismastd(&x, &old, &cfg(), &ClusterConfig::new(4)).unwrap();
+        assert!(out.comm.reconciles());
+        // Measured at the parent commit (per-group ownership), same fixture.
+        const GROUP_OWNERSHIP_WIRE_BYTES: u64 = 252_120;
+        assert!(
+            out.comm.wire_bytes() < GROUP_OWNERSHIP_WIRE_BYTES,
+            "{} bytes",
+            out.comm.wire_bytes()
+        );
     }
 
     /// `run_distributed` with default options and the given memo.

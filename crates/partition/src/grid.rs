@@ -14,9 +14,13 @@
 //!   nnz, ignoring locality.  Best-possible load balance, worst-case
 //!   communication; kept as an ablation of the locality/balance trade-off.
 //!
-//! Factor-matrix rows follow the tensor rows: each mode-`n` slice group is
-//! owned by the worker holding the most nonzeros referencing it
-//! (Sec. IV-A3's row-wise factor assignment).
+//! Factor-matrix rows follow the tensor rows (Sec. IV-A3's row-wise factor
+//! assignment, at the grain of a row): a row is owned by the worker holding
+//! the most nonzeros *of that row*, ties to the lower rank, and a row no
+//! nonzero references goes round-robin (`row % M`).  Every referenced row
+//! therefore lives on a worker that reads it, so the rows one mode-iteration
+//! routes are `Σ_rows (referencing workers − 1)` — the fewest the cell→worker
+//! map admits — and unreferenced rows spread evenly.
 
 use crate::{ModePartition, Partitioner};
 use dismastd_tensor::{Result, SparseTensor, TensorError};
@@ -35,15 +39,94 @@ pub enum CellAssignment {
 
 /// A complete data-placement plan: per-mode partitions, the cell→worker map,
 /// and per-mode factor-row ownership.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Deserialisation is checked (`TryFrom<&serde::Value>`, which
+/// `Deserialize` goes through): the tables are indexed without further
+/// checks afterwards.
+#[derive(Debug, Clone, Serialize)]
 pub struct GridPartition {
     mode_partitions: Vec<ModePartition>,
     num_workers: usize,
     /// Dense cell→worker map; cell id = Σ_k coord_k · stride_k.
     cell_workers: Vec<u32>,
     strides: Vec<usize>,
-    /// `row_owners[mode][partition] = worker` owning those factor rows.
+    /// `row_owners[mode][row] = worker` owning that factor row.
     row_owners: Vec<Vec<u32>>,
+}
+
+/// [`GridPartition`] as it arrives from outside the program; the strides
+/// are recomputed, not read.
+#[derive(Deserialize)]
+struct UncheckedGrid {
+    mode_partitions: Vec<ModePartition>,
+    num_workers: usize,
+    cell_workers: Vec<u32>,
+    row_owners: Vec<Vec<u32>>,
+}
+
+/// The checked way in for bytes from outside the program: refuses a plan
+/// without workers, a partition id outside its mode's partition count, a
+/// cell table that is not one worker per grid cell, an ownership table that
+/// is not one owner per slice of every mode, and a worker id
+/// `≥ num_workers` in either.
+impl TryFrom<&serde::Value> for GridPartition {
+    type Error = TensorError;
+
+    fn try_from(v: &serde::Value) -> Result<Self> {
+        let bad = |what: String| TensorError::InvalidArgument(format!("GridPartition: {what}"));
+        let UncheckedGrid {
+            mode_partitions,
+            num_workers,
+            cell_workers,
+            row_owners,
+        } = UncheckedGrid::from_value(v).map_err(|e| bad(e.to_string()))?;
+        if num_workers == 0 {
+            return Err(bad("num_workers must be >= 1".into()));
+        }
+        for (mode, mp) in mode_partitions.iter().enumerate() {
+            let parts = mp.num_parts();
+            if mp.assignment().iter().any(|&p| p as usize >= parts) {
+                return Err(bad(format!("mode {mode}: partition id out of range")));
+            }
+        }
+        let (strides, num_cells) = cell_strides(&mode_partitions)?;
+        if cell_workers.len() != num_cells {
+            return Err(TensorError::shape_mismatch(
+                "GridPartition cell_workers vs grid cells",
+                &[cell_workers.len()],
+                &[num_cells],
+            ));
+        }
+        let slices: Vec<usize> = mode_partitions
+            .iter()
+            .map(ModePartition::num_slices)
+            .collect();
+        let owners: Vec<usize> = row_owners.iter().map(Vec::len).collect();
+        if owners != slices {
+            return Err(TensorError::shape_mismatch(
+                "GridPartition row_owners vs slices per mode",
+                &owners,
+                &slices,
+            ));
+        }
+        let workers = cell_workers.iter().chain(row_owners.iter().flatten());
+        if workers.into_iter().any(|&w| w as usize >= num_workers) {
+            return Err(bad(format!("worker id outside 0..{num_workers}")));
+        }
+        Ok(GridPartition {
+            mode_partitions,
+            num_workers,
+            cell_workers,
+            strides,
+            row_owners,
+        })
+    }
+}
+
+impl Deserialize for GridPartition {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
+        GridPartition::try_from(v).map_err(|e| serde::DeError::new(e.to_string()))
+    }
 }
 
 impl GridPartition {
@@ -90,12 +173,6 @@ impl GridPartition {
                 tensor.order()
             )));
         }
-        if num_workers == 0 {
-            return Err(TensorError::InvalidArgument(
-                "num_workers must be >= 1".into(),
-            ));
-        }
-
         // Per-mode slice partitions (Algorithms 2-3 applied mode by mode).
         let mut mode_partitions = Vec::with_capacity(tensor.order());
         for (mode, &p) in parts_per_mode.iter().enumerate() {
@@ -109,13 +186,19 @@ impl GridPartition {
     /// by the streaming driver, which re-partitions only the complement).
     ///
     /// # Errors
-    /// Returns an error if the partitions do not cover the tensor's shape.
+    /// Returns an error if the partitions do not cover the tensor's shape
+    /// or `num_workers == 0`.
     pub fn from_mode_partitions(
         tensor: &SparseTensor,
         mode_partitions: Vec<ModePartition>,
         num_workers: usize,
         assignment: CellAssignment,
     ) -> Result<Self> {
+        if num_workers == 0 {
+            return Err(TensorError::InvalidArgument(
+                "num_workers must be >= 1".into(),
+            ));
+        }
         if mode_partitions.len() != tensor.order() {
             return Err(TensorError::InvalidArgument(
                 "one ModePartition per mode required".into(),
@@ -130,66 +213,62 @@ impl GridPartition {
                 )));
             }
         }
-
-        // Cell id strides (row-major over partition counts).
-        let order = tensor.order();
-        let mut strides = vec![1usize; order];
-        for k in (0..order.saturating_sub(1)).rev() {
-            strides[k] = strides[k + 1] * mode_partitions[k + 1].num_parts();
-        }
-        let num_cells = mode_partitions
-            .iter()
-            .map(ModePartition::num_parts)
-            .product::<usize>()
-            .max(1);
-
-        // Count nnz per cell.
-        let mut cell_nnz = vec![0u64; num_cells];
-        for (idx, _) in tensor.iter() {
-            let cell = cell_id(idx, &mode_partitions, &strides);
-            cell_nnz[cell] += 1;
-        }
+        let (strides, num_cells) = cell_strides(&mode_partitions)?;
 
         let cell_workers = match assignment {
             CellAssignment::BlockGrid => {
                 assign_block_grid(&mode_partitions, &strides, num_cells, num_workers)
             }
-            CellAssignment::Scatter => assign_scatter(&cell_nnz, num_workers),
+            // The one strategy that places by cell weight pays a scan of
+            // its own for it.
+            CellAssignment::Scatter => {
+                let mut cell_nnz = vec![0u64; num_cells];
+                for (idx, _) in tensor.iter() {
+                    cell_nnz[cell_id(idx, &mode_partitions, &strides)] += 1;
+                }
+                assign_scatter(&cell_nnz, num_workers)
+            }
         };
 
-        // Factor-row ownership: for each (mode, partition) pick the worker
-        // holding the most nonzeros whose mode-coordinate lands there.
-        let mut row_owners = Vec::with_capacity(order);
-        for mode in 0..order {
-            let parts = mode_partitions[mode].num_parts();
-            let mut weight = vec![0u64; parts * num_workers];
-            for (cell, &nnz) in cell_nnz.iter().enumerate() {
-                if nnz == 0 {
-                    continue;
-                }
-                let coord = (cell / strides[mode]) % mode_partitions[mode].num_parts();
-                let w = cell_workers[cell] as usize;
-                weight[coord * num_workers + w] += nnz;
+        // Factor-row ownership, from one scan of the nonzeros:
+        // `held[mode][row · M + w]` counts the row's nonzeros on worker `w`.
+        let mut held: Vec<Vec<u64>> = tensor
+            .shape()
+            .iter()
+            .map(|&rows| vec![0u64; rows * num_workers])
+            .collect();
+        for (idx, _) in tensor.iter() {
+            let w = cell_workers[cell_id(idx, &mode_partitions, &strides)] as usize;
+            for (counts, &i) in held.iter_mut().zip(idx) {
+                counts[i as usize * num_workers + w] += 1;
             }
-            let owners: Vec<u32> = (0..parts)
-                .map(|p| {
-                    let row = &weight[p * num_workers..(p + 1) * num_workers];
-                    let (best_w, best) =
-                        row.iter().enumerate().fold((0usize, 0u64), |acc, (w, &v)| {
-                            if v > acc.1 {
-                                (w, v)
-                            } else {
-                                acc
-                            }
-                        });
-                    // An empty partition goes round-robin.
-                    let owner = if best == 0 { p % num_workers } else { best_w };
-                    // lint:allow(narrowing_cast): a worker id — below `num_workers`, one OS thread each
-                    owner as u32
-                })
-                .collect();
-            row_owners.push(owners);
         }
+        let row_owners = held
+            .iter()
+            .map(|counts| {
+                counts
+                    .chunks(num_workers)
+                    .enumerate()
+                    .map(|(row, by_worker)| {
+                        // The first maximum: ties go to the lower rank.
+                        let mut best = 0usize;
+                        for (w, &nnz) in by_worker.iter().enumerate() {
+                            if nnz > by_worker[best] {
+                                best = w;
+                            }
+                        }
+                        // An unreferenced row goes round-robin.
+                        let owner = if by_worker[best] == 0 {
+                            row % num_workers
+                        } else {
+                            best
+                        };
+                        // lint:allow(narrowing_cast): a worker id — below `num_workers`, one OS thread each
+                        owner as u32
+                    })
+                    .collect()
+            })
+            .collect();
 
         Ok(GridPartition {
             mode_partitions,
@@ -235,16 +314,14 @@ impl GridPartition {
         self.cell_workers.len()
     }
 
-    /// Worker that owns the factor rows of the given mode partition.
-    #[inline]
-    pub fn part_owner(&self, mode: usize, part: usize) -> usize {
-        self.row_owners[mode][part] as usize
-    }
-
-    /// Worker that owns factor row `slice` of `mode`.
+    /// Worker that owns factor row `slice` of `mode`: the one holding the
+    /// most of the row's nonzeros (ties to the lower rank), `slice % M` for
+    /// a row nothing references.  The single definition of ownership — the
+    /// distributed driver's routing, the gather and the elastic
+    /// migrated-rows count all read it.
     #[inline]
     pub fn row_owner(&self, mode: usize, slice: usize) -> usize {
-        self.part_owner(mode, self.mode_partitions[mode].part_of(slice))
+        self.row_owners[mode][slice] as usize
     }
 
     /// Per-worker nonzero loads for a tensor placed with this plan.
@@ -294,6 +371,22 @@ impl GridPartition {
         }
         Ok(delta)
     }
+}
+
+/// Cell-id strides (row-major over the partition counts) and the number of
+/// grid cells.
+fn cell_strides(mode_partitions: &[ModePartition]) -> Result<(Vec<usize>, usize)> {
+    let mut strides = vec![1usize; mode_partitions.len()];
+    let mut num_cells = 1usize;
+    for (k, mp) in mode_partitions.iter().enumerate().rev() {
+        strides[k] = num_cells;
+        num_cells = num_cells
+            .checked_mul(mp.num_parts().max(1))
+            .ok_or_else(|| {
+                TensorError::InvalidArgument("grid cell count overflows usize".into())
+            })?;
+    }
+    Ok((strides, num_cells))
 }
 
 #[inline]
@@ -570,16 +663,62 @@ mod tests {
     }
 
     #[test]
-    fn row_owner_consistent_with_part_owner() {
+    fn a_plan_from_outside_is_checked_before_it_is_indexed() {
         let t = test_tensor();
-        let g = GridPartition::build(&t, Partitioner::Gtp, &[2, 2, 2], 2).unwrap();
+        let g = GridPartition::build(&t, Partitioner::Mtp, &[2, 2, 2], 2).unwrap();
+        // Strides are derived from the partition counts, never read.
+        let mut written = g.clone();
+        written.strides = vec![8, 4, 2];
+        let back = GridPartition::try_from(&written.to_value()).unwrap();
+        assert_eq!(back.strides, g.strides);
         for mode in 0..3 {
             for slice in 0..4 {
-                let part = g.mode_partition(mode).part_of(slice);
-                assert_eq!(g.row_owner(mode, slice), g.part_owner(mode, part));
-                assert!(g.row_owner(mode, slice) < g.num_workers());
+                assert_eq!(back.row_owner(mode, slice), g.row_owner(mode, slice));
             }
         }
+        // What each would do unchecked: index past the ownership table in
+        // `row_owner`, past the cell table in `worker_of`, or hand the
+        // driver a rank that does not exist.
+        let mut short_owners = g.clone();
+        short_owners.row_owners[1].pop();
+        let mut missing_mode = g.clone();
+        missing_mode.row_owners.pop();
+        let mut foreign_owner = g.clone();
+        foreign_owner.row_owners[2][3] = 2;
+        let mut short_cells = g.clone();
+        short_cells.cell_workers.pop();
+        let mut foreign_cell = g.clone();
+        foreign_cell.cell_workers[0] = 9;
+        let mut no_workers = g.clone();
+        no_workers.num_workers = 0;
+        // A partition id past its mode's count sends `cell_of` past the
+        // cell table (`from_assignment` would have panicked on it).
+        let mut foreign_part = g.clone();
+        foreign_part.mode_partitions[0] = ModePartition {
+            num_parts: 2,
+            assignment: vec![0, 1, 2, 0],
+        };
+        for (what, hostile) in [
+            ("short ownership table", &short_owners),
+            ("missing mode", &missing_mode),
+            ("owner out of range", &foreign_owner),
+            ("short cell table", &short_cells),
+            ("cell worker out of range", &foreign_cell),
+            ("no workers", &no_workers),
+            ("partition id out of range", &foreign_part),
+        ] {
+            let err = GridPartition::try_from(&hostile.to_value()).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    TensorError::InvalidArgument(_) | TensorError::ShapeMismatch { .. }
+                ),
+                "{what}: {err:?}"
+            );
+        }
+        // Through `Deserialize` the same refusals arrive rendered.
+        let err = GridPartition::from_value(&short_owners.to_value()).unwrap_err();
+        assert!(err.to_string().contains("row_owners"), "{err}");
     }
 
     #[test]
@@ -617,6 +756,125 @@ mod tests {
         let b = GridPartition::build(&t, Partitioner::Mtp, &[2, 2, 2], 2).unwrap();
         for (idx, _) in t.iter() {
             assert_eq!(a.worker_of(idx), b.worker_of(idx));
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use dismastd_tensor::SparseTensorBuilder;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Orders 2–4 with modes of 1–6 rows and 0–39 nonzeros: empty tensors,
+    /// rows nothing references and one-row modes all occur.
+    fn tensor_strategy() -> impl Strategy<Value = SparseTensor> {
+        (
+            prop::collection::vec(1usize..7, 2..5),
+            prop::collection::vec(prop::collection::vec(0usize..6, 4), 0..40),
+        )
+            .prop_map(|(shape, seeds)| {
+                let mut b = SparseTensorBuilder::new(shape.clone());
+                for (k, seed) in seeds.iter().enumerate() {
+                    let idx: Vec<usize> = shape.iter().zip(seed).map(|(&s, &i)| i % s).collect();
+                    b.push(&idx, 1.0 + k as f64).unwrap();
+                }
+                b.build().unwrap()
+            })
+    }
+
+    fn build(
+        t: &SparseTensor,
+        world: usize,
+        parts: usize,
+        scatter: bool,
+        gtp: bool,
+    ) -> GridPartition {
+        GridPartition::build_with(
+            t,
+            if gtp {
+                Partitioner::Gtp
+            } else {
+                Partitioner::Mtp
+            },
+            &vec![parts; t.order()],
+            world,
+            if scatter {
+                CellAssignment::Scatter
+            } else {
+                CellAssignment::BlockGrid
+            },
+        )
+        .unwrap()
+    }
+
+    /// `(mode, row) → nonzeros of the row per worker`, from the nonzeros
+    /// and `worker_of` alone.
+    fn held_by_worker(t: &SparseTensor, g: &GridPartition) -> BTreeMap<(usize, usize), Vec<u64>> {
+        let mut held = BTreeMap::new();
+        for (idx, _) in t.iter() {
+            let w = g.worker_of(idx);
+            for (mode, &i) in idx.iter().enumerate() {
+                held.entry((mode, i as usize))
+                    .or_insert_with(|| vec![0u64; g.num_workers()])[w] += 1;
+            }
+        }
+        held
+    }
+
+    proptest! {
+        #[test]
+        fn every_row_has_one_owner_that_holds_the_most_of_it(
+            t in tensor_strategy(),
+            world in 1usize..6,
+            parts in 1usize..5,
+            scatter in 0usize..2,
+            gtp in 0usize..2,
+        ) {
+            let g = build(&t, world, parts, scatter == 1, gtp == 1);
+            let again = build(&t, world, parts, scatter == 1, gtp == 1);
+            let held = held_by_worker(&t, &g);
+            for (mode, &rows) in t.shape().iter().enumerate() {
+                for row in 0..rows {
+                    let owner = g.row_owner(mode, row);
+                    prop_assert!(owner < world);
+                    prop_assert_eq!(owner, again.row_owner(mode, row));
+                    match held.get(&(mode, row)) {
+                        // Nothing references the row: round-robin.
+                        None => prop_assert_eq!(owner, row % world),
+                        // The owner reads the row, nobody holds more of it,
+                        // and nobody of a lower rank holds as much.
+                        Some(by_worker) => {
+                            prop_assert!(by_worker[owner] > 0);
+                            prop_assert!(by_worker.iter().all(|&n| n <= by_worker[owner]));
+                            prop_assert!(by_worker[..owner].iter().all(|&n| n < by_worker[owner]));
+                        }
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn ownership_delta_counts_the_rows_whose_owner_differs(
+            t in tensor_strategy(),
+            worlds in (1usize..6, 1usize..6),
+            parts in 1usize..5,
+            scatter in 0usize..2,
+        ) {
+            let a = build(&t, worlds.0, parts, scatter == 1, false);
+            let b = build(&t, worlds.1, parts, scatter == 1, false);
+            let expected: Vec<u64> = t
+                .shape()
+                .iter()
+                .enumerate()
+                .map(|(mode, &rows)| {
+                    (0..rows)
+                        .filter(|&row| a.row_owner(mode, row) != b.row_owner(mode, row))
+                        .count() as u64
+                })
+                .collect();
+            prop_assert_eq!(a.ownership_delta(&b).unwrap(), expected);
         }
     }
 }

@@ -137,3 +137,32 @@ fn mode_partition_grid_worker_consistency() {
         assert_eq!(grid.worker_of(idx), w);
     }
 }
+
+#[test]
+fn a_placement_plan_read_from_json_is_checked_against_its_own_tables() {
+    // The plan is `Deserialize`, and `row_owner` / `worker_of` index its
+    // tables unchecked afterwards: hostile JSON must stop at the parser.
+    let t = random_tensor(&[9, 7, 5], 120, 3);
+    let grid = GridPartition::build(&t, Partitioner::Mtp, &[3, 3, 3], 3).expect("builds");
+    let json = serde_json::to_string(&grid).expect("serializes");
+    let back: GridPartition = serde_json::from_str(&json).expect("round-trips");
+    for (mode, &rows) in t.shape().iter().enumerate() {
+        for row in 0..rows {
+            assert_eq!(back.row_owner(mode, row), grid.row_owner(mode, row));
+        }
+    }
+    // Two workers instead of three: every `2` in the tables names a rank
+    // that is not there.
+    let fewer = json.replacen("\"num_workers\":3", "\"num_workers\":2", 1);
+    assert_ne!(fewer, json, "fixture drifted");
+    let err = serde_json::from_str::<GridPartition>(&fewer).expect_err("owner out of range");
+    assert!(err.to_string().contains("worker id outside"), "{err}");
+    // An ownership table one row short of its mode.
+    let (head, tail) = json
+        .rsplit_once("]]")
+        .expect("row_owners is the last field");
+    let cut = head.rfind(',').expect("more than one owner");
+    let short = format!("{}]]{tail}", &head[..cut]);
+    let err = serde_json::from_str::<GridPartition>(&short).expect_err("short table");
+    assert!(err.to_string().contains("row_owners"), "{err}");
+}
