@@ -6,10 +6,13 @@
 //!
 //! * [`CellAssignment::BlockGrid`] (default) — the medium-grain layout of
 //!   the paper (and of SPLATT's DMS-MG): the `M` workers form an
-//!   `m_1 × … × m_N` grid with `Π m_n = M`, and cell `(c_1, …, c_N)` goes to
+//!   `m_1 × … × m_N` grid with `Π m_n = M` (or the largest divisor of `M`
+//!   the partition counts admit), and cell `(c_1, …, c_N)` goes to
 //!   worker `(⌊c_1 m_1 / p_1⌋, …)`.  Each worker's cells then reference only
 //!   `I_n / m_n` factor rows per mode, which is what keeps the row-exchange
-//!   volume sub-linear in `M`.
+//!   volume sub-linear in `M`.  The grid's shape follows the tensor's: the
+//!   `m_n` minimise the rows a dense tensor would route (see
+//!   `worker_grid_dims`), so a long mode is split rather than replicated.
 //! * [`CellAssignment::Scatter`] — max-min fit of cells onto workers by
 //!   nnz, ignoring locality.  Best-possible load balance, worst-case
 //!   communication; kept as an ablation of the locality/balance trade-off.
@@ -398,42 +401,53 @@ fn cell_id(idx: &[u32], mode_partitions: &[ModePartition], strides: &[usize]) ->
         .sum()
 }
 
-/// Factors `workers` into per-mode grid dimensions `m_n` with `Π m_n ≤ M`
-/// as close to `M` as possible, never exceeding the partition count of a
-/// mode.  Prime factors are assigned largest-first to the mode whose grid
-/// dimension is currently smallest relative to its partition count.
-fn worker_grid_dims(parts_per_mode: &[usize], workers: usize) -> Vec<usize> {
-    let order = parts_per_mode.len();
-    let mut dims = vec![1usize; order];
-    for f in prime_factors_desc(workers) {
-        // Pick the growable mode with the smallest current dimension,
-        // preferring modes with more partitions on ties.
-        let candidate = (0..order)
-            .filter(|&n| dims[n] * f <= parts_per_mode[n].max(1))
-            .min_by_key(|&n| (dims[n], Reverse(parts_per_mode[n])));
-        match candidate {
-            Some(n) => dims[n] *= f,
-            None => break, // no mode can absorb this factor; leave idle workers
+/// The worker grid `m_1 × … × m_N` for modes of `rows[n]` slices cut into
+/// `parts[n]` partitions, on `workers` workers.  Among the tuples with
+/// `m_n ≤ p_n` whose product divides `M`:
+///
+/// 1. the largest product — workers sit idle only when no tuple reaches `M`;
+/// 2. the fewest rows routed if every row were dense,
+///    `Σ_n I_n · (Π_{k≠n} m_k − 1)`: a mode split `m_n` ways is read by the
+///    `Π_{k≠n} m_k` workers of its block, and all but one receive each row;
+/// 3. the lexicographically largest tuple.
+///
+/// So the long mode is the one split, and modes of equal length are split
+/// as evenly as `M` allows, earlier modes first.  The grid is a function of
+/// `(shape, p, M)` alone, never of the nonzeros.  An exhaustive walk of the
+/// divisor tuples: a few hundred for `M ≤ 64`, `N ≤ 4`.
+fn worker_grid_dims(rows: &[usize], parts: &[usize], workers: usize) -> Vec<usize> {
+    let mut best: Option<(usize, Reverse<u128>, Vec<usize>)> = None;
+    let mut dims = Vec::with_capacity(parts.len());
+    visit_grids(&mut dims, parts, workers, &mut |dims| {
+        let product: usize = dims.iter().product();
+        let cost = rows
+            .iter()
+            .zip(dims)
+            .map(|(&i, &m)| i as u128 * (product / m - 1) as u128)
+            .sum();
+        let candidate = (product, Reverse(cost), dims);
+        if best
+            .as_ref()
+            .is_none_or(|(p, c, d)| candidate > (*p, *c, &d[..]))
+        {
+            best = Some((product, Reverse(cost), dims.to_vec()));
         }
-    }
-    dims
+    });
+    best.map_or_else(|| vec![1; parts.len()], |(.., dims)| dims)
 }
 
-fn prime_factors_desc(mut n: usize) -> Vec<usize> {
-    let mut factors = Vec::new();
-    let mut d = 2usize;
-    while d * d <= n {
-        while n.is_multiple_of(d) {
-            factors.push(d);
-            n /= d;
-        }
-        d += 1;
+/// Calls `f` with every tuple extending `dims` by one `m_n ≤ parts[n]` per
+/// remaining mode whose product divides `left`.
+fn visit_grids(dims: &mut Vec<usize>, parts: &[usize], left: usize, f: &mut impl FnMut(&[usize])) {
+    let Some(&p) = parts.get(dims.len()) else {
+        f(dims);
+        return;
+    };
+    for m in (1..=p.max(1).min(left)).filter(|&m| left.is_multiple_of(m)) {
+        dims.push(m);
+        visit_grids(dims, parts, left / m, f);
+        dims.pop();
     }
-    if n > 1 {
-        factors.push(n);
-    }
-    factors.sort_unstable_by_key(|&f| Reverse(f));
-    factors
 }
 
 /// Medium-grain block assignment: worker grid `m_1 × … × m_N`, cell
@@ -448,7 +462,11 @@ fn assign_block_grid(
         .iter()
         .map(ModePartition::num_parts)
         .collect();
-    let dims = worker_grid_dims(&parts, workers);
+    let rows: Vec<usize> = mode_partitions
+        .iter()
+        .map(ModePartition::num_slices)
+        .collect();
+    let dims = worker_grid_dims(&rows, &parts, workers);
     // Mixed-radix strides for worker coordinates.
     let order = dims.len();
     let mut wstrides = vec![1usize; order];
@@ -568,26 +586,36 @@ mod tests {
 
     #[test]
     fn grid_dims_factor_workers() {
-        assert_eq!(worker_grid_dims(&[15, 15, 15], 15), vec![5, 3, 1]);
-        assert_eq!(worker_grid_dims(&[8, 8, 8], 8), vec![2, 2, 2]);
-        assert_eq!(worker_grid_dims(&[12, 12, 12], 12), vec![3, 2, 2]);
-        assert_eq!(worker_grid_dims(&[9, 9], 6), vec![3, 2]);
-        assert_eq!(worker_grid_dims(&[4, 4, 4], 1), vec![1, 1, 1]);
+        // Modes of equal length: the grids the index-order greedy built.
+        let cube =
+            |parts: &[usize], workers| worker_grid_dims(&vec![100; parts.len()], parts, workers);
+        assert_eq!(cube(&[4, 4, 4], 4), vec![2, 2, 1]);
+        assert_eq!(cube(&[15, 15, 15], 15), vec![5, 3, 1]);
+        assert_eq!(cube(&[8, 8, 8], 8), vec![2, 2, 2]);
+        assert_eq!(cube(&[12, 12, 12], 12), vec![3, 2, 2]);
+        assert_eq!(cube(&[9, 9], 6), vec![3, 2]);
+        assert_eq!(cube(&[4, 4, 4], 1), vec![1, 1, 1]);
         // A mode with few partitions cannot absorb more splits than it has
         // partitions; the 2s spread across all three modes.
-        assert_eq!(worker_grid_dims(&[2, 16, 2], 8), vec![2, 2, 2]);
+        assert_eq!(cube(&[2, 16, 2], 8), vec![2, 2, 2]);
         // Once the small modes are saturated, the rest lands on the big one.
-        assert_eq!(worker_grid_dims(&[2, 64, 2], 32), vec![2, 8, 2]);
-        // Totally unabsorbable factors leave idle workers rather than panic.
-        assert_eq!(worker_grid_dims(&[2, 2], 64), vec![2, 2]);
-    }
-
-    #[test]
-    fn prime_factorisation() {
-        assert_eq!(prime_factors_desc(1), Vec::<usize>::new());
-        assert_eq!(prime_factors_desc(12), vec![3, 2, 2]);
-        assert_eq!(prime_factors_desc(15), vec![5, 3]);
-        assert_eq!(prime_factors_desc(7), vec![7]);
+        assert_eq!(cube(&[2, 64, 2], 32), vec![2, 8, 2]);
+        // Unabsorbable workers sit idle rather than panic.
+        assert_eq!(cube(&[2, 2], 64), vec![2, 2]);
+        // ... but only those: the greedy stopped at the first prime factor
+        // no mode could take (12 = 3·2·2) and put every cell on rank 0.
+        assert_eq!(cube(&[2, 2], 12), vec![2, 2]);
+        assert_eq!(cube(&[2, 2, 2], 12), vec![2, 2, 1]);
+        // A long mode is split instead of replicated (Netflix-shaped).
+        let netflix = [5040, 378, 231];
+        assert_eq!(worker_grid_dims(&netflix, &[4; 3], 4), vec![4, 1, 1]);
+        assert_eq!(worker_grid_dims(&netflix, &[2; 3], 2), vec![2, 1, 1]);
+        assert_eq!(worker_grid_dims(&netflix, &[3; 3], 3), vec![3, 1, 1]);
+        // The long mode need not come first.
+        assert_eq!(
+            worker_grid_dims(&[231, 5040, 378], &[4; 3], 4),
+            vec![1, 4, 1]
+        );
     }
 
     #[test]
@@ -823,7 +851,69 @@ mod proptests {
         held
     }
 
+    /// Every tuple of `[1, p_1] × … × [1, p_N]`, by odometer.
+    fn all_tuples(parts: &[usize]) -> Vec<Vec<usize>> {
+        let mut out = Vec::new();
+        let mut t = vec![1usize; parts.len()];
+        loop {
+            out.push(t.clone());
+            let Some(k) = (0..t.len()).rev().find(|&k| t[k] < parts[k]) else {
+                return out;
+            };
+            t[k] += 1;
+            t[k + 1..].fill(1);
+        }
+    }
+
+    /// Rows a worker grid routes per mode-iteration if every row is dense:
+    /// mode `n` is read by `Π_{k≠n} m_k` workers, of which one owns a row.
+    fn dense_bound(rows: &[usize], t: &[usize]) -> u128 {
+        (0..t.len())
+            .map(|n| {
+                let readers: usize = (0..t.len()).filter(|&k| k != n).map(|k| t[k]).product();
+                rows[n] as u128 * (readers as u128 - 1)
+            })
+            .sum()
+    }
+
     proptest! {
+        #[test]
+        fn the_worker_grid_is_the_brute_force_optimum(
+            // Lengths from a handful of values half the time, so that ties
+            // on the bound (the lexicographic rule's cases) are common.
+            dims in prop::collection::vec(
+                (1usize..1_000_000, 0usize..2, 1usize..8)
+                    .prop_map(|(rows, few, p)| (if few == 1 { rows % 3 + 1 } else { rows }, p)),
+                2..5,
+            ),
+            workers in 1usize..17,
+        ) {
+            let (rows, parts): (Vec<usize>, Vec<usize>) = dims.into_iter().unzip();
+            let chosen = worker_grid_dims(&rows, &parts, workers);
+            let product = |t: &[usize]| t.iter().product::<usize>();
+            let feasible: Vec<Vec<usize>> = all_tuples(&parts)
+                .into_iter()
+                .filter(|t| workers % product(t) == 0)
+                .collect();
+            // The constraints.
+            prop_assert_eq!(chosen.len(), parts.len());
+            prop_assert!(chosen.iter().zip(&parts).all(|(&m, &p)| 1 <= m && m <= p));
+            prop_assert_eq!(workers % product(&chosen), 0);
+            // The largest achievable product ...
+            let most = feasible.iter().map(|t| product(t)).max().unwrap();
+            prop_assert_eq!(product(&chosen), most);
+            // ... the least dense-row bound among those tuples ...
+            let largest: Vec<&Vec<usize>> =
+                feasible.iter().filter(|t| product(t) == most).collect();
+            let least = largest.iter().map(|t| dense_bound(&rows, t)).min().unwrap();
+            prop_assert_eq!(dense_bound(&rows, &chosen), least);
+            // ... and, of the tuples that tie on both, the last in
+            // lexicographic order.
+            for t in largest.into_iter().filter(|t| dense_bound(&rows, t) == least) {
+                prop_assert!(*t <= chosen, "{:?} beats {:?}", t, chosen);
+            }
+        }
+
         #[test]
         fn every_row_has_one_owner_that_holds_the_most_of_it(
             t in tensor_strategy(),

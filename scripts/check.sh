@@ -42,6 +42,13 @@ DISMASTD_THREADS=4 cargo run -q --release -p dismastd-bench --bin factor_hash > 
 diff "$hash_dir/threads1" "$hash_dir/threads4"
 rm -r "$hash_dir"
 
+echo "==> routing audit (benchmark workloads at worlds 2 and 4: bytes counted = bytes the row routing predicts)"
+# Also prints, per step, the routed rows of every candidate worker grid and
+# where the chosen one ranks; exits non-zero on any step whose wire bytes
+# the routing does not predict, or whose placement no candidate grid
+# reproduces.
+cargo run -q --release -p dismastd-bench --bin factor_hash -- --routes 1 > /dev/null
+
 echo "==> deterministic-simulation smoke sweep (16 seeds; CI runs 64)"
 # One u64 seed drives scheduler interleaving, link latency, partitions,
 # and fault fates; a failing seed is printed in the panic and replays
