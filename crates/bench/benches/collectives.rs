@@ -91,7 +91,7 @@ fn bench_pooled_payloads(c: &mut Criterion) {
                             if d == ctx.rank() {
                                 continue;
                             }
-                            let data = payload.into_f64();
+                            let data = payload.try_into_f64()?;
                             total += data.len();
                             pool.put(data);
                         }

@@ -282,7 +282,6 @@ struct Schedule {
     /// The run reached its scheduled end, so its last refresh — which
     /// nothing reads — is not sent.
     unread: bool,
-    algo: AllreduceAlgo,
 }
 
 impl Schedule {
@@ -295,11 +294,12 @@ impl Schedule {
     /// Collectives and per-rank bytes of an all-reduce of `values` values:
     /// flat is a gather to rank 0 (`b` from every other rank) and a
     /// broadcast (`(w − 1)·b` from rank 0); the ring is a rank-order chain
-    /// (`b` from each end, `2b` from each rank between).
+    /// (`b` from each end, `2b` from each rank between).  Which of the two
+    /// runs is `Auto`'s choice for the buffer.
     fn allreduce(&self, values: u64) -> (u64, Vec<u64>) {
         let w = self.world;
         let b = values * 8;
-        match self.algo.resolve(w, b) {
+        match AllreduceAlgo::Auto.resolve(w, b) {
             _ if w == 1 => (0, vec![0]),
             AllreduceAlgo::Ring => (
                 1,
@@ -327,7 +327,7 @@ impl Schedule {
         if w == 1 {
             return vec![0];
         }
-        let slices: Vec<u64> = match self.algo.resolve(w, len * 8) {
+        let slices: Vec<u64> = match AllreduceAlgo::Auto.resolve(w, len * 8) {
             AllreduceAlgo::Ring => {
                 let owners = (w - 2).max(1) as u64;
                 (0..w as u64)
@@ -438,7 +438,6 @@ pub fn routing_lines(seed: u64) -> Result<(Vec<String>, usize)> {
                     rank: cfg.rank as u64,
                     iters: out.iterations as u64,
                     unread: out.iterations == cfg.max_iters,
-                    algo: cluster.comm.allreduce,
                 };
                 let predicted_sender = schedule.bytes_by_sender(&routing);
                 let predicted: u64 = predicted_sender.iter().sum();

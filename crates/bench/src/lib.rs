@@ -162,8 +162,6 @@ pub fn profile_from_run(
     PhaseProfile {
         nnz: tensor.nnz() as u64,
         max_worker_load,
-        // Wire bytes, not logical: a compressed run should project the
-        // transfer term from what actually crosses the network.
         bytes_per_iter: out.comm.wire_bytes() / iters,
         collectives_per_iter: out.comm.collectives / iters,
         workers,

@@ -71,23 +71,6 @@ impl Payload {
             }),
         }
     }
-
-    /// Unwraps an `F64` payload.
-    ///
-    /// # Panics
-    /// Panics when the payload has a different type — a protocol bug, not a
-    /// runtime condition.  Fault-tolerant code paths use
-    /// [`Payload::try_into_f64`] instead.
-    pub fn into_f64(self) -> Vec<f64> {
-        // lint:allow(panic_path): documented contract — protocol-bug panic; fallible callers use try_into_f64
-        self.try_into_f64().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Unwraps a `U64` payload (panics on type mismatch, as above).
-    pub fn into_u64(self) -> Vec<u64> {
-        // lint:allow(panic_path): documented contract — protocol-bug panic; fallible callers use try_into_u64
-        self.try_into_u64().unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
 /// Shared, thread-safe tallies of simulated network traffic.
@@ -115,15 +98,6 @@ pub struct CommStats {
     /// Bytes whose sender rank fell outside the per-sender breakdown (a
     /// caller bug — see [`CommStats::record_message_from`]).
     unattributed_bytes: AtomicU64,
-    /// Encoded (wire) size of compressed frames.  Logical counters above
-    /// always record the flat-equivalent size, so compressed and flat runs
-    /// stay byte-for-byte comparable; these counters expose what actually
-    /// crossed the wire.
-    compressed_bytes: AtomicU64,
-    /// Flat-equivalent size of those same frames (`≤ bytes`).
-    compressed_logical_bytes: AtomicU64,
-    /// Factor rows downcast to f32 on the wire.
-    downcast_rows: AtomicU64,
     /// Bytes sent per worker rank (empty when built via `new`).
     bytes_by_sender: Vec<AtomicU64>,
 }
@@ -191,42 +165,14 @@ impl CommStats {
         self.duplicates_suppressed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one compressed frame: `wire` encoded bytes standing in for
-    /// `logical` flat bytes, `downcast_rows` rows downcast to f32.  The
-    /// caller records the *logical* size through
-    /// [`CommStats::record_message_from`] as usual; this only tallies the
-    /// wire-vs-logical delta.  The adaptive encoder only emits frames that
-    /// beat the flat payload, so a ratio ≤ 1.0 is a codec bug.
-    pub fn record_compressed(&self, wire: u64, logical: u64, downcast_rows: u64) {
-        debug_assert!(
-            wire < logical,
-            "compressed frame must beat the flat payload (wire {wire} >= logical {logical})"
-        );
-        // Message (by the caller), then logical, then wire, each add
-        // releasing: `snapshot` acquires them in the reverse order, so a
-        // copy that counts a frame's wire bytes also counts its logical
-        // bytes, and one that counts its logical bytes also counts the
-        // message.
-        self.downcast_rows
-            .fetch_add(downcast_rows, Ordering::Relaxed);
-        self.compressed_logical_bytes
-            .fetch_add(logical, Ordering::Release);
-        self.compressed_bytes.fetch_add(wire, Ordering::Release);
-    }
-
     /// Copy of the counters, safe to take while other ranks are recording.
     ///
     /// The counters are independent atomics, so a mid-run copy is not one
     /// instant: each value is some recent one.  What a copy does
     /// guarantee is [`CommStatsSnapshot::reconciles`]: `bytes` is
-    /// computed from the very breakdown it is checked against, and the
-    /// compression counters are acquired wire first, then logical, then
-    /// the message bytes — the reverse of the order
-    /// [`CommStats::record_compressed`] releases them in.  Once every
+    /// computed from the very breakdown it is checked against.  Once every
     /// rank has stopped, the copy is exact.
     pub fn snapshot(&self) -> CommStatsSnapshot {
-        let compressed_bytes = self.compressed_bytes.load(Ordering::Acquire);
-        let compressed_logical_bytes = self.compressed_logical_bytes.load(Ordering::Acquire);
         let bytes_by_sender: Vec<u64> = self
             .bytes_by_sender
             .iter()
@@ -243,9 +189,6 @@ impl CommStats {
             retransmit_bytes: self.retransmit_bytes.load(Ordering::Relaxed),
             duplicates_suppressed: self.duplicates_suppressed.load(Ordering::Relaxed),
             unattributed_bytes,
-            compressed_bytes,
-            compressed_logical_bytes,
-            downcast_rows: self.downcast_rows.load(Ordering::Relaxed),
             bytes_by_sender,
         }
     }
@@ -259,9 +202,6 @@ impl CommStats {
         self.retransmit_bytes.store(0, Ordering::Relaxed);
         self.duplicates_suppressed.store(0, Ordering::Relaxed);
         self.unattributed_bytes.store(0, Ordering::Relaxed);
-        self.compressed_bytes.store(0, Ordering::Relaxed);
-        self.compressed_logical_bytes.store(0, Ordering::Relaxed);
-        self.downcast_rows.store(0, Ordering::Relaxed);
         for c in &self.bytes_by_sender {
             c.store(0, Ordering::Relaxed);
         }
@@ -372,24 +312,16 @@ pub struct CommStatsSnapshot {
     /// kept so `bytes == Σ bytes_by_sender + unattributed_bytes` is an
     /// invariant rather than a hope.
     pub unattributed_bytes: u64,
-    /// Encoded size of compressed frames (what actually crossed the wire
-    /// for them).  Zero when compression never fired.
-    pub compressed_bytes: u64,
-    /// Flat-equivalent size of those same frames.  `bytes` counts them at
-    /// this size, so `wire_bytes() = bytes − compressed_logical_bytes +
-    /// compressed_bytes`.
-    pub compressed_logical_bytes: u64,
-    /// Factor rows shipped as f32 instead of f64.
-    pub downcast_rows: u64,
     /// Bytes sent per worker rank (empty unless the stats were created
     /// with [`CommStats::with_world`]).
     pub bytes_by_sender: Vec<u64>,
 }
 
-// Hand-written so `unattributed_bytes` and the compression counters are
-// optional on decode: session checkpoints serialized before those fields
-// existed read back as zero instead of failing with a missing-field error
-// (the vendored derive requires every field).
+// Hand-written so `unattributed_bytes` is optional on decode: session
+// checkpoints serialized before it existed read back as zero instead of
+// failing with a missing-field error (the vendored derive requires every
+// field).  Fields this struct no longer has (the frame counters of older
+// checkpoints) are ignored.
 impl Deserialize for CommStatsSnapshot {
     fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
         let obj = v
@@ -409,57 +341,25 @@ impl Deserialize for CommStatsSnapshot {
                 Ok(nested) => Deserialize::from_value(nested)?,
                 Err(_) => 0,
             },
-            compressed_bytes: match serde::field(obj, "compressed_bytes") {
-                Ok(nested) => Deserialize::from_value(nested)?,
-                Err(_) => 0,
-            },
-            compressed_logical_bytes: match serde::field(obj, "compressed_logical_bytes") {
-                Ok(nested) => Deserialize::from_value(nested)?,
-                Err(_) => 0,
-            },
-            downcast_rows: match serde::field(obj, "downcast_rows") {
-                Ok(nested) => Deserialize::from_value(nested)?,
-                Err(_) => 0,
-            },
             bytes_by_sender: Deserialize::from_value(serde::field(obj, "bytes_by_sender")?)?,
         })
     }
 }
 
 impl CommStatsSnapshot {
-    /// Whether the counters are mutually consistent:
-    ///
-    /// - `bytes == Σ bytes_by_sender + unattributed_bytes` (trivially true
-    ///   for totals-only snapshots with no breakdown recorded);
-    /// - `compressed_logical_bytes ≤ bytes` — every compressed frame was
-    ///   also counted at its logical size;
-    /// - `compressed_bytes ≤ compressed_logical_bytes` — the adaptive
-    ///   encoder only emits frames that beat the flat payload, so wire
-    ///   never exceeds logical.
+    /// Whether the counters are mutually consistent: `bytes == Σ
+    /// bytes_by_sender + unattributed_bytes` (trivially true for
+    /// totals-only snapshots with no breakdown recorded).
     pub fn reconciles(&self) -> bool {
-        let per_sender = self.bytes_by_sender.is_empty()
-            || self.bytes == self.bytes_by_sender.iter().sum::<u64>() + self.unattributed_bytes;
-        per_sender
-            && self.compressed_logical_bytes <= self.bytes
-            && self.compressed_bytes <= self.compressed_logical_bytes
+        self.bytes_by_sender.is_empty()
+            || self.bytes == self.bytes_by_sender.iter().sum::<u64>() + self.unattributed_bytes
     }
 
-    /// Bytes that actually crossed the wire, with compressed frames at
-    /// their encoded size (injected retransmit copies not included — see
-    /// `retransmit_bytes`).  Equals `bytes` when compression never fired.
+    /// Bytes that crossed the wire: every payload ships at its logical
+    /// size, so this is `bytes` (injected retransmit copies not included —
+    /// see `retransmit_bytes`).
     pub fn wire_bytes(&self) -> u64 {
-        self.bytes - self.compressed_logical_bytes + self.compressed_bytes
-    }
-
-    /// Overall logical-to-wire compression ratio (`≥ 1.0`; exactly 1.0
-    /// when nothing was compressed or nothing was sent).
-    pub fn compression_ratio(&self) -> f64 {
-        let wire = self.wire_bytes();
-        if wire == 0 {
-            1.0
-        } else {
-            self.bytes as f64 / wire as f64
-        }
+        self.bytes
     }
 
     /// Difference of two snapshots (for per-phase accounting).
@@ -472,10 +372,6 @@ impl CommStatsSnapshot {
             retransmit_bytes: self.retransmit_bytes - earlier.retransmit_bytes,
             duplicates_suppressed: self.duplicates_suppressed - earlier.duplicates_suppressed,
             unattributed_bytes: self.unattributed_bytes - earlier.unattributed_bytes,
-            compressed_bytes: self.compressed_bytes - earlier.compressed_bytes,
-            compressed_logical_bytes: self.compressed_logical_bytes
-                - earlier.compressed_logical_bytes,
-            downcast_rows: self.downcast_rows - earlier.downcast_rows,
             bytes_by_sender: self
                 .bytes_by_sender
                 .iter()
@@ -495,9 +391,6 @@ impl CommStatsSnapshot {
         self.retransmit_bytes += other.retransmit_bytes;
         self.duplicates_suppressed += other.duplicates_suppressed;
         self.unattributed_bytes += other.unattributed_bytes;
-        self.compressed_bytes += other.compressed_bytes;
-        self.compressed_logical_bytes += other.compressed_logical_bytes;
-        self.downcast_rows += other.downcast_rows;
         if self.bytes_by_sender.len() < other.bytes_by_sender.len() {
             self.bytes_by_sender.resize(other.bytes_by_sender.len(), 0);
         }
@@ -535,18 +428,6 @@ mod tests {
             4
         );
         assert_eq!(Payload::Empty.size_bytes(), 0);
-    }
-
-    #[test]
-    fn payload_unwrap_helpers() {
-        assert_eq!(Payload::F64(vec![2.0]).into_f64(), vec![2.0]);
-        assert_eq!(Payload::U64(vec![3]).into_u64(), vec![3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected F64")]
-    fn payload_unwrap_wrong_type_panics() {
-        Payload::Empty.into_f64();
     }
 
     #[test]
@@ -649,75 +530,6 @@ mod tests {
         assert_eq!(snap.duplicates_suppressed, 1);
         s.reset();
         assert_eq!(s.snapshot(), CommStatsSnapshot::default());
-    }
-
-    #[test]
-    fn compressed_counters_reconcile_and_survive_reset() {
-        let s = CommStats::with_world(2);
-        // A 400-byte logical block shipped as a 210-byte frame.
-        s.record_message_from(0, 400);
-        s.record_compressed(210, 400, 50);
-        // A flat message alongside it.
-        s.record_message_from(1, 100);
-        let snap = s.snapshot();
-        assert_eq!(snap.bytes, 500);
-        assert_eq!(snap.compressed_bytes, 210);
-        assert_eq!(snap.compressed_logical_bytes, 400);
-        assert_eq!(snap.downcast_rows, 50);
-        assert_eq!(snap.wire_bytes(), 310);
-        assert!(snap.reconciles());
-        assert!((snap.compression_ratio() - 500.0 / 310.0).abs() < 1e-12);
-        s.reset();
-        let zeroed = s.snapshot();
-        assert_eq!(zeroed.compressed_bytes, 0);
-        assert_eq!(zeroed.compressed_logical_bytes, 0);
-        assert_eq!(zeroed.downcast_rows, 0);
-        assert_eq!(zeroed.wire_bytes(), 0);
-        assert_eq!(zeroed.compression_ratio(), 1.0);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "must beat the flat payload")]
-    fn compressed_frame_losing_to_flat_is_a_codec_bug() {
-        CommStats::new().record_compressed(400, 400, 1);
-    }
-
-    #[test]
-    fn reconciles_rejects_inconsistent_compression_counters() {
-        // Compressed frames counted beyond the logical total.
-        let drifted = CommStatsSnapshot {
-            bytes: 100,
-            compressed_logical_bytes: 150,
-            compressed_bytes: 80,
-            ..CommStatsSnapshot::default()
-        };
-        assert!(!drifted.reconciles());
-        // Wire larger than logical: the adaptive encoder never does this.
-        let inflated = CommStatsSnapshot {
-            bytes: 200,
-            compressed_logical_bytes: 100,
-            compressed_bytes: 120,
-            ..CommStatsSnapshot::default()
-        };
-        assert!(!inflated.reconciles());
-    }
-
-    #[test]
-    fn compressed_counters_merge_and_delta() {
-        let s = CommStats::new();
-        s.record_message(400);
-        s.record_compressed(200, 400, 10);
-        let first = s.snapshot();
-        s.record_message(80);
-        s.record_compressed(40, 80, 2);
-        let d = s.snapshot().delta_since(&first);
-        assert_eq!(d.compressed_bytes, 40);
-        assert_eq!(d.compressed_logical_bytes, 80);
-        assert_eq!(d.downcast_rows, 2);
-        let mut total = first.clone();
-        total.merge(&d);
-        assert_eq!(total, s.snapshot());
     }
 
     #[test]
@@ -854,8 +666,7 @@ mod per_sender_tests {
     fn snapshots_reconcile_while_other_threads_record() {
         // Each byte lives in exactly one counter and the total is derived
         // from them, so no interleaving of recorders and a reader can show
-        // a total that disagrees with its breakdown, nor more compressed
-        // bytes than messages recorded.
+        // a total that disagrees with its breakdown.
         let stats = CommStats::with_world(2);
         std::thread::scope(|scope| {
             for rank in 0..2usize {
@@ -863,7 +674,6 @@ mod per_sender_tests {
                 scope.spawn(move || {
                     for i in 0..20_000u64 {
                         stats.record_message_from(rank, 64 + i % 7);
-                        stats.record_compressed(16, 64 + i % 7, 1);
                     }
                 });
             }
@@ -880,7 +690,6 @@ mod per_sender_tests {
         assert!(end.reconciles());
         assert_eq!(end.messages, 40_000);
         assert_eq!(end.bytes, end.bytes_by_sender.iter().sum::<u64>());
-        assert_eq!(end.compressed_logical_bytes, end.bytes);
     }
 
     #[test]
@@ -912,9 +721,6 @@ mod per_sender_tests {
         let snap: CommStatsSnapshot = serde_json::from_str(legacy).unwrap();
         assert_eq!(snap.bytes, 10);
         assert_eq!(snap.unattributed_bytes, 0);
-        assert_eq!(snap.compressed_bytes, 0);
-        assert_eq!(snap.compressed_logical_bytes, 0);
-        assert_eq!(snap.downcast_rows, 0);
         assert_eq!(snap.wire_bytes(), 10);
         assert_eq!(snap.bytes_by_sender, vec![10, 0]);
         assert!(snap.reconciles());

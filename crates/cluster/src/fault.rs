@@ -29,10 +29,6 @@ pub(crate) enum MessageFate {
     /// Deliver twice (spurious retransmit); the receiver must suppress
     /// the second copy.
     Duplicate,
-    /// Flip a byte in flight.  Only opaque byte frames are tamperable on
-    /// the typed transport (other payloads deliver unchanged); the frame
-    /// decoder's validation turns the corruption into a typed error.
-    Corrupt,
 }
 
 /// An armed crash: worker `rank` fails on entry to its collective number
@@ -67,7 +63,6 @@ pub struct FaultPlan {
     drop_permille: u32,
     duplicate_permille: u32,
     delay_permille: u32,
-    corrupt_permille: u32,
     delay: Duration,
     retransmit_delay: Duration,
     crashes: Vec<CrashPoint>,
@@ -81,7 +76,6 @@ impl PartialEq for FaultPlan {
             && self.drop_permille == other.drop_permille
             && self.duplicate_permille == other.duplicate_permille
             && self.delay_permille == other.delay_permille
-            && self.corrupt_permille == other.corrupt_permille
             && self.delay == other.delay
             && self.retransmit_delay == other.retransmit_delay
             && self.crashes.len() == other.crashes.len()
@@ -130,13 +124,6 @@ impl FaultPlan {
         self
     }
 
-    /// Corrupts (byte-flips) roughly `permille`/1000 of all remote opaque
-    /// byte frames in flight; typed payloads pass through unchanged.
-    pub fn with_corruption(mut self, permille: u32) -> Self {
-        self.corrupt_permille = permille.min(1000);
-        self
-    }
-
     /// Simulated retransmission timeout for dropped messages.
     pub fn with_retransmit_delay(mut self, delay: Duration) -> Self {
         self.retransmit_delay = delay;
@@ -176,7 +163,6 @@ impl FaultPlan {
         self.drop_permille == 0
             && self.duplicate_permille == 0
             && self.delay_permille == 0
-            && self.corrupt_permille == 0
             && self.crashes.is_empty()
     }
 
@@ -197,11 +183,7 @@ impl FaultPlan {
     /// The fate of message `id` from `src` to `dst` — a pure function of
     /// the plan's seed and the message coordinates.
     pub(crate) fn fate(&self, src: usize, dst: usize, id: u64) -> MessageFate {
-        if self.drop_permille == 0
-            && self.duplicate_permille == 0
-            && self.delay_permille == 0
-            && self.corrupt_permille == 0
-        {
+        if self.drop_permille == 0 && self.duplicate_permille == 0 && self.delay_permille == 0 {
             return MessageFate::Deliver;
         }
         let h =
@@ -213,13 +195,6 @@ impl FaultPlan {
             MessageFate::Duplicate
         } else if roll < self.drop_permille + self.duplicate_permille + self.delay_permille {
             MessageFate::Delay(self.delay)
-        } else if roll
-            < self.drop_permille
-                + self.duplicate_permille
-                + self.delay_permille
-                + self.corrupt_permille
-        {
-            MessageFate::Corrupt
         } else {
             MessageFate::Deliver
         }
@@ -298,33 +273,9 @@ mod tests {
     fn inert_plan_detection() {
         assert!(FaultPlan::seeded(9).is_inert());
         assert!(!FaultPlan::seeded(9).with_message_drops(1).is_inert());
-        assert!(!FaultPlan::seeded(9).with_corruption(1).is_inert());
         assert!(!FaultPlan::seeded(9)
             .crash_worker_at_collective(0, 0)
             .is_inert());
-    }
-
-    #[test]
-    fn corruption_rolls_deterministically_and_separately() {
-        let plan = FaultPlan::seeded(5)
-            .with_message_drops(100)
-            .with_corruption(200);
-        let corrupt = (0..4000u64)
-            .filter(|&id| plan.fate(0, 1, id) == MessageFate::Corrupt)
-            .count();
-        assert!((400..1200).contains(&corrupt), "corrupt = {corrupt}");
-        let replay = FaultPlan::seeded(5)
-            .with_message_drops(100)
-            .with_corruption(200);
-        for id in 0..500u64 {
-            assert_eq!(plan.fate(0, 1, id), replay.fate(0, 1, id));
-        }
-        // Corruption-only plans never drop or duplicate.
-        let only = FaultPlan::seeded(5).with_corruption(1000);
-        for id in 0..200u64 {
-            assert_eq!(only.fate(0, 1, id), MessageFate::Corrupt);
-        }
-        assert_ne!(plan, FaultPlan::seeded(5).with_message_drops(100));
     }
 
     #[test]

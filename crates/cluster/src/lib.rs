@@ -37,12 +37,10 @@ pub use comm::{BufferPool, CommStats, CommStatsSnapshot, Payload};
 pub use cost::CostModel;
 pub use error::{ClusterError, ClusterResult};
 pub use fault::FaultPlan;
-pub use runtime::{Cluster, ClusterOptions, Framed, PendingExchange, WorkerCtx};
+pub use runtime::{Cluster, ClusterOptions, PendingExchange, WorkerCtx};
 pub use sim::{CrashAndRejoin, PartitionWindow, SimOptions, SimProbe};
 pub use supervisor::{HealAction, HealPolicy, Supervisor};
-pub use wire::{
-    decode_rows, decode_rows_and_tail, maybe_compress, AllreduceAlgo, CommPolicy, WireMeta,
-};
+pub use wire::{decode_rows, decode_rows_and_tail, AllreduceAlgo};
 
 #[cfg(test)]
 mod proptests {
@@ -88,7 +86,7 @@ mod proptests {
                 let mut got = Vec::new();
                 for &(s, d, t, _) in plan_ref {
                     if d == me {
-                        got.push((s, t, ctx.try_recv(s, t)?.into_f64()[0]));
+                        got.push((s, t, ctx.try_recv(s, t)?.try_into_f64()?[0]));
                     }
                 }
                 Ok(got)
@@ -111,7 +109,9 @@ mod proptests {
             let results = Cluster::try_run(world, |ctx| {
                 let mut acc = 0.0;
                 for round in 0..rounds {
-                    acc += ctx.try_allreduce_sum_scalar((ctx.rank() + round) as f64)?;
+                    let mut sum = [(ctx.rank() + round) as f64];
+                    ctx.try_allreduce_sum(&mut sum)?;
+                    acc += sum[0];
                     ctx.try_barrier()?;
                 }
                 Ok(acc)

@@ -37,7 +37,7 @@ use crate::comm::{BufferPool, CommStats, CommStatsSnapshot, Payload};
 use crate::error::{ClusterError, ClusterResult};
 use crate::fault::{FaultPlan, MessageFate};
 use crate::sim::{SimNet, SimOptions, WaitOutcome};
-use crate::wire::{AllreduceAlgo, WireMeta};
+use crate::wire::AllreduceAlgo;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -165,8 +165,12 @@ impl ClusterOptions {
 /// ```
 /// use dismastd_cluster::Cluster;
 /// // Every worker contributes its rank; the all-reduce sums them.
-/// let results =
-///     Cluster::try_run(4, |ctx| ctx.try_allreduce_sum_scalar(ctx.rank() as f64)).unwrap();
+/// let results = Cluster::try_run(4, |ctx| {
+///     let mut sum = [ctx.rank() as f64];
+///     ctx.try_allreduce_sum(&mut sum)?;
+///     Ok(sum[0])
+/// })
+/// .unwrap();
 /// assert_eq!(results, vec![6.0; 4]);
 /// ```
 pub struct Cluster;
@@ -369,36 +373,6 @@ fn error_from_panic(rank: usize, panic: Box<dyn std::any::Any + Send>) -> Cluste
     ClusterError::PeerCrashed { rank, cause }
 }
 
-/// A payload plus its accounting sidecar: `meta` is present iff the
-/// payload is a compressed frame standing in for a larger flat payload,
-/// in which case the logical counters record `meta.logical_bytes` and the
-/// wire counters record the frame's encoded size.
-#[derive(Debug, Clone)]
-pub struct Framed {
-    /// What goes on the wire.
-    pub payload: Payload,
-    /// Compression accounting; `None` for ordinary payloads.
-    pub meta: Option<WireMeta>,
-}
-
-impl Framed {
-    /// An uncompressed payload (wire size == logical size).
-    pub fn plain(payload: Payload) -> Self {
-        Framed {
-            payload,
-            meta: None,
-        }
-    }
-
-    /// A compressed frame with its flat-equivalent accounting.
-    pub fn compressed(payload: Payload, meta: WireMeta) -> Self {
-        Framed {
-            payload,
-            meta: Some(meta),
-        }
-    }
-}
-
 /// Handle to an all-to-all exchange whose sends have been posted but whose
 /// receives have not yet run — the overlap window.  Must be completed with
 /// [`WorkerCtx::complete_exchange`] before the next collective that needs
@@ -521,43 +495,15 @@ impl WorkerCtx {
     /// Sends on the data plane: counted in [`CommStats`] and subject to
     /// fault injection (remote messages only).
     fn try_send_raw(&mut self, dst: usize, tag: u64, payload: Payload) -> ClusterResult<()> {
-        self.try_send_raw_with(dst, tag, payload, None)
-    }
-
-    /// [`WorkerCtx::try_send_raw`] with optional compression accounting:
-    /// with `meta`, the logical counters record the flat-equivalent size
-    /// (keeping compressed and flat runs byte-for-byte comparable) and the
-    /// wire counters record what the frame actually cost.
-    fn try_send_raw_with(
-        &mut self,
-        dst: usize,
-        tag: u64,
-        payload: Payload,
-        meta: Option<WireMeta>,
-    ) -> ClusterResult<()> {
         if let Some(err) = &self.abort {
             // lint:allow(alloc_hygiene): poisoned-context fail-fast — the run is already over
             return Err(err.clone());
         }
         let remote = dst != self.rank;
         if remote {
-            match &meta {
-                Some(m) => {
-                    let wire = payload.size_bytes();
-                    self.stats.record_message_from(self.rank, m.logical_bytes);
-                    self.stats
-                        .record_compressed(wire, m.logical_bytes, m.downcast_rows);
-                    dismastd_obs::histogram_record("comm/msg_bytes", m.logical_bytes);
-                    dismastd_obs::histogram_record("comm/wire_bytes", wire);
-                    dismastd_obs::counter_add("comm/compressed_bytes", wire);
-                    dismastd_obs::counter_add("comm/downcast_rows", m.downcast_rows);
-                }
-                None => {
-                    self.stats
-                        .record_message_from(self.rank, payload.size_bytes());
-                    dismastd_obs::histogram_record("comm/msg_bytes", payload.size_bytes());
-                }
-            }
+            self.stats
+                .record_message_from(self.rank, payload.size_bytes());
+            dismastd_obs::histogram_record("comm/msg_bytes", payload.size_bytes());
         }
         let id = self.fresh_msg_id();
         let fate = match (&self.plan, remote) {
@@ -566,26 +512,6 @@ impl WorkerCtx {
         };
         let sent = match fate {
             MessageFate::Deliver => self.deliver(dst, tag, id, payload),
-            MessageFate::Corrupt => {
-                // Silent in-flight corruption.  Only opaque byte frames are
-                // tamperable on this typed transport; the frame decoder's
-                // index-block validation is the detection layer.  The byte
-                // flipped sits in the header/count region, so decoding
-                // always surfaces a typed error rather than wrong values.
-                let tampered = match payload {
-                    Payload::Bytes(b) => {
-                        // lint:allow(alloc_hygiene): fault-injection corruption path, test-plan only
-                        let mut v = b.to_vec();
-                        let pos = usize::from(v.len() > 1);
-                        if let Some(byte) = v.get_mut(pos) {
-                            *byte ^= 0x55;
-                        }
-                        Payload::Bytes(bytes::Bytes::from(v))
-                    }
-                    other => other,
-                };
-                self.deliver(dst, tag, id, tampered)
-            }
             MessageFate::Delay(d) => {
                 // The simulated network holds the message; the synchronous
                 // sender models that by sleeping before handing it over.
@@ -913,10 +839,9 @@ impl WorkerCtx {
     ///
     /// # Panics
     /// Panics unless `outgoing.len() == world` (a caller bug).
-    pub fn try_exchange(&mut self, outgoing: Vec<Payload>) -> ClusterResult<Vec<Payload>> {
+    pub fn try_exchange(&mut self, mut outgoing: Vec<Payload>) -> ClusterResult<Vec<Payload>> {
         let _span = dismastd_obs::span("comm/exchange");
-        let mut frames: Vec<Framed> = outgoing.into_iter().map(Framed::plain).collect();
-        let pending = self.post_exchange(&mut frames)?;
+        let pending = self.post_exchange(&mut outgoing)?;
         let mut incoming = Vec::with_capacity(self.world);
         self.complete_exchange(pending, &mut incoming)?;
         Ok(incoming)
@@ -926,8 +851,7 @@ impl WorkerCtx {
     /// waiting for the peers' payloads — the receive half runs in
     /// [`WorkerCtx::complete_exchange`], letting callers overlap local
     /// compute with the in-flight messages.  Collective sequencing,
-    /// crash-point and stats bookkeeping all happen here.  The frames
-    /// (payload plus optional compression accounting, see [`Framed`]) are
+    /// crash-point and stats bookkeeping all happen here.  The payloads are
     /// drained out but `outgoing` keeps its capacity, so a caller refilling
     /// the same `Vec` every iteration posts the whole exchange without
     /// allocating.
@@ -937,7 +861,7 @@ impl WorkerCtx {
     ///
     /// # Panics
     /// Panics unless `outgoing.len() == world` (a caller bug).
-    pub fn post_exchange(&mut self, outgoing: &mut Vec<Framed>) -> ClusterResult<PendingExchange> {
+    pub fn post_exchange(&mut self, outgoing: &mut Vec<Payload>) -> ClusterResult<PendingExchange> {
         assert_eq!(outgoing.len(), self.world, "one payload per destination");
         let _span = dismastd_obs::span("comm/exchange_post");
         self.maybe_crash()?;
@@ -946,12 +870,12 @@ impl WorkerCtx {
             self.stats.record_collective();
         }
         // Keep the self-payload aside, send the rest.
-        let mine = std::mem::replace(&mut outgoing[self.rank].payload, Payload::Empty);
-        for (dst, framed) in outgoing.drain(..).enumerate() {
+        let mine = std::mem::replace(&mut outgoing[self.rank], Payload::Empty);
+        for (dst, payload) in outgoing.drain(..).enumerate() {
             if dst == self.rank {
                 continue;
             }
-            self.try_send_raw_with(dst, tag, framed.payload, framed.meta)?;
+            self.try_send_raw(dst, tag, payload)?;
         }
         Ok(PendingExchange { tag, mine })
     }
@@ -1297,16 +1221,6 @@ impl WorkerCtx {
         }
         Ok(())
     }
-
-    /// All-reduce of a single scalar.
-    ///
-    /// # Errors
-    /// As for [`WorkerCtx::try_allreduce_sum`].
-    pub fn try_allreduce_sum_scalar(&mut self, x: f64) -> ClusterResult<f64> {
-        let mut buf = [x];
-        self.try_allreduce_sum(&mut buf)?;
-        Ok(buf[0])
-    }
 }
 
 #[cfg(test)]
@@ -1316,6 +1230,12 @@ mod tests {
     use std::time::Instant;
 
     /// A default-options run that also returns the traffic counters.
+    fn allreduce_scalar(ctx: &mut WorkerCtx, x: f64) -> ClusterResult<f64> {
+        let mut sum = [x];
+        ctx.try_allreduce_sum(&mut sum)?;
+        Ok(sum[0])
+    }
+
     fn run_counted<T: Send>(
         world: usize,
         f: impl Fn(&mut WorkerCtx) -> ClusterResult<T> + Sync,
@@ -1333,7 +1253,7 @@ mod tests {
     fn single_worker_runs() {
         let out = Cluster::try_run(1, |ctx| {
             ctx.try_barrier()?;
-            let s = ctx.try_allreduce_sum_scalar(5.0)?;
+            let s = allreduce_scalar(ctx, 5.0)?;
             Ok((ctx.rank(), s))
         })
         .unwrap();
@@ -1351,9 +1271,9 @@ mod tests {
         let out = Cluster::try_run(2, |ctx| {
             if ctx.rank() == 0 {
                 ctx.try_send(1, 7, Payload::F64(vec![1.0, 2.0]))?;
-                Ok(ctx.try_recv(1, 8)?.into_f64())
+                ctx.try_recv(1, 8)?.try_into_f64()
             } else {
-                let got = ctx.try_recv(0, 7)?.into_f64();
+                let got = ctx.try_recv(0, 7)?.try_into_f64()?;
                 let doubled: Vec<f64> = got.iter().map(|x| x * 2.0).collect();
                 ctx.try_send(0, 8, Payload::F64(doubled.clone()))?;
                 Ok(doubled)
@@ -1373,8 +1293,8 @@ mod tests {
                 ctx.try_send(1, 2, Payload::U64(vec![22]))?;
                 Ok(vec![])
             } else {
-                let second = ctx.try_recv(0, 2)?.into_u64();
-                let first = ctx.try_recv(0, 1)?.into_u64();
+                let second = ctx.try_recv(0, 2)?.try_into_u64()?;
+                let first = ctx.try_recv(0, 1)?.try_into_u64()?;
                 Ok(vec![first[0], second[0]])
             }
         })
@@ -1395,14 +1315,13 @@ mod tests {
         }
     }
 
-    // Scalar sums only since `try_allreduce_max_scalar` went; the test keeps
-    // the name the tier-1 floor list knows it by.
+    // A one-value all-reduce, the scalar case; max went with
+    // `try_allreduce_max_scalar`.  The test keeps the name the tier-1 floor
+    // list knows it by.
     #[test]
     fn allreduce_scalar_and_max() {
-        let sums = Cluster::try_run(3, |ctx| {
-            ctx.try_allreduce_sum_scalar(ctx.rank() as f64 + 1.0)
-        })
-        .unwrap();
+        let sums =
+            Cluster::try_run(3, |ctx| allreduce_scalar(ctx, ctx.rank() as f64 + 1.0)).unwrap();
         assert!(sums.iter().all(|&s| s == 6.0));
     }
 
@@ -1414,7 +1333,7 @@ mod tests {
             } else {
                 None
             };
-            Ok(ctx.try_broadcast(1, payload)?.into_f64())
+            ctx.try_broadcast(1, payload)?.try_into_f64()
         })
         .unwrap();
         assert!(out.iter().all(|v| v == &vec![3.5]));
@@ -1449,7 +1368,7 @@ mod tests {
             let incoming = ctx.try_exchange(outgoing)?;
             Ok(incoming
                 .into_iter()
-                .map(|p| p.into_u64()[0])
+                .map(|p| p.try_into_u64().unwrap()[0])
                 .collect::<Vec<u64>>())
         })
         .unwrap();
@@ -1513,8 +1432,8 @@ mod tests {
             if ctx.rank() == 3 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
-            let a = ctx.try_allreduce_sum_scalar(1.0)?;
-            let b = ctx.try_allreduce_sum_scalar(10.0)?;
+            let a = allreduce_scalar(ctx, 1.0)?;
+            let b = allreduce_scalar(ctx, 10.0)?;
             Ok((a, b))
         })
         .unwrap();
@@ -1649,8 +1568,8 @@ mod tests {
     #[test]
     fn posted_exchange_overlaps_and_matches_combined() {
         let out = Cluster::run(3, |ctx| {
-            let mut outgoing: Vec<Framed> = (0..3)
-                .map(|d| Framed::plain(Payload::U64(vec![(100 * ctx.rank() + d) as u64])))
+            let mut outgoing: Vec<Payload> = (0..3)
+                .map(|d| Payload::U64(vec![(100 * ctx.rank() + d) as u64]))
                 .collect();
             let pending = ctx.post_exchange(&mut outgoing).unwrap();
             // Local "compute" while the messages are in flight.
@@ -1661,7 +1580,7 @@ mod tests {
                 local,
                 incoming
                     .into_iter()
-                    .map(|p| p.into_u64()[0])
+                    .map(|p| p.try_into_u64().unwrap()[0])
                     .collect::<Vec<u64>>(),
             )
         })
@@ -1676,10 +1595,8 @@ mod tests {
         // Post two exchanges back-to-back, complete them out of order
         // relative to their posting — tags keep the payloads apart.
         let out = Cluster::run(2, |ctx| {
-            let frames = |base: u64| -> Vec<Framed> {
-                (0..2)
-                    .map(|d| Framed::plain(Payload::U64(vec![base + d])))
-                    .collect()
+            let frames = |base: u64| -> Vec<Payload> {
+                (0..2).map(|d| Payload::U64(vec![base + d])).collect()
             };
             let p1 = ctx.post_exchange(&mut frames(0)).unwrap();
             let p2 = ctx.post_exchange(&mut frames(10)).unwrap();
@@ -1688,10 +1605,10 @@ mod tests {
             ctx.complete_exchange(p1, &mut got1).unwrap();
             (
                 got1.into_iter()
-                    .map(|p| p.into_u64()[0])
+                    .map(|p| p.try_into_u64().unwrap()[0])
                     .collect::<Vec<_>>(),
                 got2.into_iter()
-                    .map(|p| p.into_u64()[0])
+                    .map(|p| p.try_into_u64().unwrap()[0])
                     .collect::<Vec<_>>(),
             )
         })
@@ -1700,53 +1617,6 @@ mod tests {
             assert_eq!(g1, vec![r as u64, r as u64]);
             assert_eq!(g2, vec![10 + r as u64, 10 + r as u64]);
         }
-    }
-
-    #[test]
-    fn framed_exchange_accounts_logical_and_wire_bytes() {
-        use crate::wire::{decode_rows, maybe_compress, CommPolicy};
-        let rows: Vec<u32> = (0..32).collect();
-        let policy = CommPolicy::default().with_downcast_f32(true);
-        let (_, stats) = run_counted(2, move |ctx| {
-            let values: Vec<f64> = (0..rows.len() * 4).map(|i| i as f64 * 0.5).collect();
-            let (frame, meta) = maybe_compress(&rows, &values, &[], &policy).expect("frame wins");
-            let me = ctx.rank();
-            let mut outgoing: Vec<Framed> = (0..2)
-                .map(|d| {
-                    if d == me {
-                        Framed::plain(Payload::Empty)
-                    } else {
-                        Framed::compressed(Payload::Bytes(frame.clone()), meta)
-                    }
-                })
-                .collect();
-            let pending = ctx.post_exchange(&mut outgoing)?;
-            let mut incoming = Vec::new();
-            ctx.complete_exchange(pending, &mut incoming)?;
-            let mut pool = crate::comm::BufferPool::new(false);
-            let got = decode_rows(
-                incoming.into_iter().nth(1 - me).unwrap(),
-                1 - me,
-                &rows,
-                4,
-                &mut pool,
-            )
-            .unwrap();
-            for (g, w) in got.iter().zip(&values) {
-                assert_eq!(*g, *w as f32 as f64);
-            }
-            Ok(())
-        })
-        .unwrap();
-        // Logical bytes: two remote messages of 32 rows × rank 4 × 8 bytes.
-        assert_eq!(stats.bytes, 2 * 32 * 4 * 8);
-        assert_eq!(stats.messages, 2);
-        assert_eq!(stats.compressed_logical_bytes, stats.bytes);
-        assert!(stats.compressed_bytes < stats.compressed_logical_bytes);
-        assert_eq!(stats.downcast_rows, 2 * 32);
-        assert!(stats.wire_bytes() < stats.bytes);
-        assert!(stats.compression_ratio() > 1.5);
-        assert!(stats.reconciles());
     }
 
     // ---- fault-path tests ------------------------------------------------
@@ -1759,7 +1629,7 @@ mod tests {
                 panic!("boom at rank 2");
             }
             // Peers block on a collective the panicking worker never joins.
-            ctx.try_allreduce_sum_scalar(1.0)
+            allreduce_scalar(ctx, 1.0)
         })
         .unwrap_err();
         match err {
@@ -1784,7 +1654,7 @@ mod tests {
                     cause: "synthetic failure".into(),
                 });
             }
-            ctx.try_allreduce_sum_scalar(1.0)
+            allreduce_scalar(ctx, 1.0)
         })
         .unwrap_err();
         assert_eq!(
@@ -1851,10 +1721,10 @@ mod tests {
     fn sim_workload(ctx: &mut WorkerCtx) -> ClusterResult<Vec<f64>> {
         let me = ctx.rank() as f64;
         let world = ctx.world();
-        let sum = ctx.try_allreduce_sum_scalar(me + 1.0)?;
+        let sum = allreduce_scalar(ctx, me + 1.0)?;
         ctx.try_barrier()?;
         let bcast = (ctx.rank() == 0).then(|| Payload::F64(vec![sum * 2.0]));
-        let root = ctx.try_broadcast(0, bcast)?.into_f64();
+        let root = ctx.try_broadcast(0, bcast)?.try_into_f64()?;
         let mut buf = vec![me; 8];
         ctx.try_allreduce_sum(&mut buf)?;
         let parts: Vec<Payload> = (0..world)
@@ -1863,7 +1733,7 @@ mod tests {
         let swapped = ctx.try_exchange(parts)?;
         let mut out = vec![sum, root[0], buf[0]];
         for p in swapped {
-            out.extend(p.into_f64());
+            out.extend(p.try_into_f64()?);
         }
         Ok(out)
     }
@@ -1988,7 +1858,7 @@ mod tests {
                 ctx.try_send(1, 1, Payload::F64(vec![4.25]))?;
                 Ok(0.0)
             } else {
-                Ok(ctx.try_recv(0, 1)?.into_f64()[0])
+                Ok(ctx.try_recv(0, 1)?.try_into_f64()?[0])
             }
         })
         .unwrap();

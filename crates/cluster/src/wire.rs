@@ -1,27 +1,16 @@
 //! Wire formats and collective-algorithm selection.
 //!
-//! The exchange hot path ships factor-row blocks whose row sets are known
-//! to both ends from the (plan-cached) route tables.  A flat `Payload::F64`
-//! is already index-free, so a compressed frame can only win by shrinking
-//! the *values*: the frame format pairs a delta+varint index block (cheap,
-//! and an integrity check under fault injection) with an opt-in f32
-//! downcast of the row payload.  The encoder is adaptive — it emits a
-//! frame **only when the frame is strictly smaller** than the flat
-//! payload, which makes two properties hold by construction:
+//! The distributed step ships every row exchange as one flat
+//! `Payload::F64`: the routed rows, then a tail of raw `f64` values that
+//! are not rows (the driver's Gram slices), checked against the lengths
+//! the receiver's own route table expects ([`decode_rows_and_tail`]).
+//! Both ends know the row sets, so the flat payload is already
+//! index-free and exact.
 //!
-//! - with the downcast off, no frame ever flows (header + index bytes can
-//!   only add to the flat f64 block), so the compressed path is
-//!   bit-identical to the flat path;
-//! - whenever a frame does flow, `wire < logical`, i.e. the compression
-//!   ratio is strictly above 1.0 (debug-asserted at the accounting site).
-//!
-//! A row block may carry a tail of raw `f64` values that are not rows (the
-//! distributed driver's Gram slices): after the rows in a flat payload,
-//! after the value block in a frame, never downcast, and checked against
-//! the length the receiver expects ([`decode_rows_and_tail`]).
-//!
-//! [`CommPolicy`] bundles the knobs the distributed driver plumbs down:
-//! the f32 downcast and the allreduce algorithm.
+//! The self-describing row frame ([`encode_frame`] / [`decode_rows`]) is
+//! not on the step: a delta+varint index block (verified against the
+//! receiver's route table) followed by the row values, optionally
+//! rounded to `f32`.  It stays as a codec under test and measurement.
 
 use crate::comm::{BufferPool, Payload};
 use crate::error::{ClusterError, ClusterResult};
@@ -74,63 +63,6 @@ impl AllreduceAlgo {
     }
 }
 
-/// Communication policy plumbed from the cluster configuration into the
-/// worker bodies.  The default is safe-by-construction: the downcast is
-/// off, so no frame ever flows (see the module docs), and `Auto` keeps
-/// small-test traffic on the flat allreduce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CommPolicy {
-    /// Downcast exchanged factor rows to `f32` on the wire, as compressed
-    /// row frames (bounded error; the distributed driver gates this on the
-    /// divergence watchdog).
-    pub downcast_f32: bool,
-    /// Allreduce algorithm for Gram/loss reductions.
-    pub allreduce: AllreduceAlgo,
-}
-
-impl Default for CommPolicy {
-    fn default() -> Self {
-        CommPolicy {
-            downcast_f32: false,
-            allreduce: AllreduceAlgo::Auto,
-        }
-    }
-}
-
-impl CommPolicy {
-    /// The seed-era baseline: no frames, flat allreduce everywhere.
-    pub fn flat() -> Self {
-        CommPolicy {
-            downcast_f32: false,
-            allreduce: AllreduceAlgo::Flat,
-        }
-    }
-
-    /// Sets the lossy f32 downcast of exchanged rows.
-    pub fn with_downcast_f32(mut self, on: bool) -> Self {
-        self.downcast_f32 = on;
-        self
-    }
-
-    /// Sets the allreduce algorithm.
-    pub fn with_allreduce(mut self, algo: AllreduceAlgo) -> Self {
-        self.allreduce = algo;
-        self
-    }
-}
-
-/// Accounting sidecar for a compressed frame: what the message *would*
-/// have cost flat, and how many rows were downcast.  Logical byte counters
-/// record `logical_bytes`; the wire counters record the frame's actual
-/// size, keeping compressed and flat runs comparable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireMeta {
-    /// Flat-equivalent payload size (`(rows × rank + tail) × 8`).
-    pub logical_bytes: u64,
-    /// Rows whose values were downcast to f32 in this frame.
-    pub downcast_rows: u64,
-}
-
 /// Appends `x` as an LEB128 varint.
 fn push_varint(buf: &mut Vec<u8>, mut x: u64) {
     loop {
@@ -170,32 +102,22 @@ fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
 /// Encodes a factor-row block as a self-describing frame:
 ///
 /// ```text
-/// [flags u8][varint n][varint rows[0]][varint Δrows[1..n]][values LE][tail f64 LE]
+/// [flags u8][varint n][varint rows[0]][varint Δrows[1..n]][values LE]
 /// ```
 ///
 /// `rows` must be strictly ascending (route tables are built that way), so
 /// every delta is ≥ 1.  The index block is always written: it costs ~1
 /// byte/row and lets the decoder verify the frame against its own route
-/// table — an end-to-end integrity check under fault injection.  This
-/// form writes no tail; [`maybe_compress`] frames carry the exchange's
-/// `f64` tail.
-pub fn encode_frame(rows: &[u32], values: &[f64], downcast_f32: bool) -> Vec<u8> {
-    write_frame(rows, values, &[], downcast_f32)
-}
-
-/// [`encode_frame`] followed by `tail` as raw `f64` bits: values that ride
-/// a row exchange without being rows (a Gram slice) are never downcast —
-/// every rank must hold the same bits of them.
-fn write_frame(rows: &[u32], values: &[f64], tail: &[f64], downcast_f32: bool) -> Vec<u8> {
+/// table.  With `to_f32` the values are rounded to `f32`.
+pub fn encode_frame(rows: &[u32], values: &[f64], to_f32: bool) -> Vec<u8> {
     debug_assert!(
         rows.windows(2).all(|w| w[0] < w[1]),
         "row routes must be strictly ascending"
     );
-    let width = if downcast_f32 { 4 } else { 8 };
-    // lint:allow(alloc_hygiene): byte frame for the optional compression path — the f64 pool cannot hold it, and the zero-alloc gram/exchange baseline runs with compression off
-    let mut frame = Vec::with_capacity(2 + 2 * rows.len() + values.len() * width + tail.len() * 8);
+    let width = if to_f32 { 4 } else { 8 };
+    let mut frame = Vec::with_capacity(2 + 2 * rows.len() + values.len() * width);
     let mut flags = FLAG_INDICES;
-    if downcast_f32 {
+    if to_f32 {
         flags |= FLAG_F32;
     }
     frame.push(flags);
@@ -210,7 +132,7 @@ fn write_frame(rows: &[u32], values: &[f64], tail: &[f64], downcast_f32: bool) -
         }
         prev = row;
     }
-    if downcast_f32 {
+    if to_f32 {
         for &v in values {
             frame.extend_from_slice(&(v as f32).to_le_bytes());
         }
@@ -219,40 +141,7 @@ fn write_frame(rows: &[u32], values: &[f64], tail: &[f64], downcast_f32: bool) -
             frame.extend_from_slice(&v.to_le_bytes());
         }
     }
-    for &v in tail {
-        frame.extend_from_slice(&v.to_le_bytes());
-    }
     frame
-}
-
-/// Adaptive frame encoder: returns a compressed frame for the row block
-/// and its `f64` tail **iff** the policy downcasts and the frame is
-/// strictly smaller than the flat `Payload::F64` (rows, then tail) it
-/// replaces; `None` means "send flat".
-pub fn maybe_compress(
-    rows: &[u32],
-    values: &[f64],
-    tail: &[f64],
-    policy: &CommPolicy,
-) -> Option<(bytes::Bytes, WireMeta)> {
-    // A lossless frame carries the same f64 block plus header and index
-    // bytes, so it can never beat the flat payload; skip the encode.
-    if !policy.downcast_f32 || rows.is_empty() {
-        return None;
-    }
-    let logical = (std::mem::size_of_val(values) + std::mem::size_of_val(tail)) as u64;
-    let frame = write_frame(rows, values, tail, true);
-    if (frame.len() as u64) < logical {
-        Some((
-            bytes::Bytes::from(frame),
-            WireMeta {
-                logical_bytes: logical,
-                downcast_rows: rows.len() as u64,
-            },
-        ))
-    } else {
-        None
-    }
 }
 
 fn malformed(detail: &str) -> ClusterError {
@@ -262,13 +151,14 @@ fn malformed(detail: &str) -> ClusterError {
     }
 }
 
-/// Decodes one exchanged row block from `src` into a pool-drawn `Vec<f64>`
-/// of `expected_rows.len() × rank` values.
+/// Decodes one row block from `src` into `expected_rows.len() × rank`
+/// values.
 ///
-/// Accepts either the flat `Payload::F64` (validated by length and handed
-/// back as-is) or a compressed `Payload::Bytes` frame, whose row count and
-/// index block are verified against the receiver's own route table —
-/// tampered or truncated frames surface as typed errors, never panics.
+/// Accepts either a flat `Payload::F64` (validated by length and handed
+/// back as-is) or a `Payload::Bytes` frame from [`encode_frame`], decoded
+/// into a pool-drawn buffer after its row count and index block are
+/// verified against the receiver's own route table — tampered or
+/// truncated frames surface as typed errors, never panics.
 ///
 /// # Errors
 /// [`ClusterError::SizeMismatch`] when the row count disagrees with the
@@ -281,26 +171,28 @@ pub fn decode_rows(
     rank: usize,
     pool: &mut BufferPool,
 ) -> ClusterResult<Vec<f64>> {
-    decode_rows_and_tail(payload, src, expected_rows, rank, 0, pool)
+    match payload {
+        Payload::Bytes(frame) => decode_frame(&frame, src, expected_rows, rank, pool),
+        flat => decode_rows_and_tail(flat, src, expected_rows, rank, 0),
+    }
 }
 
-/// [`decode_rows`] for a block that carries `tail` raw `f64` values after
-/// its rows (see [`maybe_compress`]): the returned buffer holds the
-/// `expected_rows.len() × rank` row values, then the tail.  The tail
-/// length is the receiver's expectation too, so a sender that appended a
-/// different number of values is caught.
+/// Checks one flat exchange payload from `src`: the
+/// `expected_rows.len() × rank` row values, then `tail` raw `f64` values
+/// that ride along without being rows (a Gram slice).  Both lengths are
+/// the receiver's own expectation, so a sender that packed a different
+/// number of rows or appended a different tail is caught.
 ///
 /// # Errors
-/// As for [`decode_rows`]; a tail of the wrong length is a
-/// [`ClusterError::SizeMismatch`] — of the whole payload's values for a
-/// flat one, of the tail's for a frame.
+/// [`ClusterError::SizeMismatch`] when the payload's length is not
+/// `expected_rows.len() × rank + tail`, [`ClusterError::TypeMismatch`]
+/// for a payload that is not `F64` (or an `Empty` standing for nothing).
 pub fn decode_rows_and_tail(
     payload: Payload,
     src: usize,
     expected_rows: &[u32],
     rank: usize,
     tail: usize,
-    pool: &mut BufferPool,
 ) -> ClusterResult<Vec<f64>> {
     let expected_len = expected_rows.len() * rank + tail;
     match payload {
@@ -314,7 +206,6 @@ pub fn decode_rows_and_tail(
             }
             Ok(v)
         }
-        Payload::Bytes(frame) => decode_frame(&frame, src, expected_rows, rank, tail, pool),
         // lint:allow(alloc_hygiene): Vec::new of length 0 never touches the heap
         Payload::Empty if expected_len == 0 => Ok(Vec::new()),
         Payload::Empty => Err(ClusterError::SizeMismatch {
@@ -323,7 +214,7 @@ pub fn decode_rows_and_tail(
             found: 0,
         }),
         other => Err(ClusterError::TypeMismatch {
-            expected: "F64 or Bytes".into(),
+            expected: "F64".into(),
             found: other.kind().into(),
         }),
     }
@@ -334,7 +225,6 @@ fn decode_frame(
     src: usize,
     expected_rows: &[u32],
     rank: usize,
-    tail: usize,
     pool: &mut BufferPool,
 ) -> ClusterResult<Vec<f64>> {
     let mut pos = 0usize;
@@ -370,25 +260,14 @@ fn decode_frame(
     }
     let downcast = flags & FLAG_F32 != 0;
     let width = if downcast { 4 } else { 8 };
-    let need = n * rank * width;
     // The row count is the route table's, so the value block's length is
-    // fixed: whatever follows it is the tail.
-    let Some(tail_bytes) = frame.len().checked_sub(pos + need) else {
+    // fixed and ends the frame.
+    if frame.len() - pos != n * rank * width {
         return Err(malformed("value block length mismatch"));
-    };
-    if tail_bytes % 8 != 0 {
-        return Err(malformed("tail length mismatch"));
     }
-    if tail_bytes / 8 != tail {
-        return Err(ClusterError::SizeMismatch {
-            rank: src,
-            expected: tail,
-            found: tail_bytes / 8,
-        });
-    }
-    let (body, tail_block) = (&frame[pos..pos + need], &frame[pos + need..]);
+    let body = &frame[pos..];
     let mut out = pool.take();
-    out.reserve(n * rank + tail);
+    out.reserve(n * rank);
     if downcast {
         for chunk in body.chunks_exact(4) {
             // 4-byte chunks_exact: the conversion cannot fail.
@@ -398,22 +277,14 @@ fn decode_frame(
             out.push(f32::from_le_bytes(raw) as f64);
         }
     } else {
-        push_f64s(&mut out, body)?;
+        for chunk in body.chunks_exact(8) {
+            let Ok(raw) = <[u8; 8]>::try_from(chunk) else {
+                return Err(malformed("value block alignment"));
+            };
+            out.push(f64::from_le_bytes(raw));
+        }
     }
-    push_f64s(&mut out, tail_block)?;
     Ok(out)
-}
-
-/// Appends the little-endian `f64`s of a block whose length is a multiple
-/// of 8.
-fn push_f64s(out: &mut Vec<f64>, block: &[u8]) -> ClusterResult<()> {
-    for chunk in block.chunks_exact(8) {
-        let Ok(raw) = <[u8; 8]>::try_from(chunk) else {
-            return Err(malformed("value block alignment"));
-        };
-        out.push(f64::from_le_bytes(raw));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -447,7 +318,7 @@ mod tests {
         let values: Vec<f64> = (0..rows.len() * 3).map(|i| i as f64 * 0.37 - 5.0).collect();
         let frame = encode_frame(&rows, &values, false);
         let mut pool = BufferPool::new(false);
-        let out = decode_frame(&frame, 1, &rows, 3, 0, &mut pool).unwrap();
+        let out = decode_frame(&frame, 1, &rows, 3, &mut pool).unwrap();
         assert_eq!(out, values);
     }
 
@@ -457,7 +328,7 @@ mod tests {
         let values = vec![1.0, -2.5, std::f64::consts::PI, 1e-8, 1e8, -0.125];
         let frame = encode_frame(&rows, &values, true);
         let mut pool = BufferPool::new(true);
-        let out = decode_frame(&frame, 0, &rows, 2, 0, &mut pool).unwrap();
+        let out = decode_frame(&frame, 0, &rows, 2, &mut pool).unwrap();
         assert_eq!(out.len(), values.len());
         for (got, want) in out.iter().zip(&values) {
             assert_eq!(*got, *want as f32 as f64, "widening must be exact");
@@ -469,40 +340,25 @@ mod tests {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let rows = vec![1u32, 4, 9];
         let values: Vec<f64> = (0..6).map(|i| i as f64 * 0.1 + 1.0 / 3.0).collect();
-        // Values an f32 would lose or normalise: never downcast.
+        // Values an f32 would lose or normalise: they arrive bit for bit.
         let tail = [-0.0, f64::MIN_POSITIVE / 4.0, 1.0 / 3.0];
         let mut pool = BufferPool::new(false);
 
-        let policy = CommPolicy::default().with_downcast_f32(true);
-        let (frame, meta) = maybe_compress(&rows, &values, &tail, &policy).expect("frame wins");
-        assert_eq!(meta.logical_bytes, 8 * 9);
-        assert!((frame.len() as u64) < meta.logical_bytes);
-        let framed = || Payload::Bytes(frame.clone());
-        let out = decode_rows_and_tail(framed(), 1, &rows, 2, 3, &mut pool).unwrap();
-        let rounded: Vec<f64> = values.iter().map(|&v| v as f32 as f64).collect();
-        assert_eq!(bits(&out[..6]), bits(&rounded));
-        assert_eq!(bits(&out[6..]), bits(&tail));
+        // Rows, then the tail, one `F64` payload.
+        let mut flat = values.clone();
+        flat.extend_from_slice(&tail);
+        let out = decode_rows_and_tail(Payload::F64(flat.clone()), 1, &rows, 2, 3);
+        assert_eq!(bits(&out.unwrap()), bits(&flat));
         for expected in [0, 2, 4] {
-            match decode_rows_and_tail(framed(), 1, &rows, 2, expected, &mut pool) {
+            match decode_rows_and_tail(Payload::F64(flat.clone()), 1, &rows, 2, expected) {
                 Err(ClusterError::SizeMismatch {
                     rank: 1,
                     expected: e,
-                    found: 3,
-                }) => {
-                    assert_eq!(e, expected)
-                }
+                    found: 9,
+                }) => assert_eq!(e, 6 + expected),
                 other => panic!("tail {expected}: {other:?}"),
             }
         }
-        let mut cut = frame.to_vec();
-        cut.truncate(cut.len() - 4);
-        assert!(decode_frame(&cut, 1, &rows, 2, 3, &mut pool).is_err());
-
-        // Flat: rows, then the tail, one `F64` payload.
-        let mut flat = values.clone();
-        flat.extend_from_slice(&tail);
-        let out = decode_rows_and_tail(Payload::F64(flat.clone()), 1, &rows, 2, 3, &mut pool);
-        assert_eq!(bits(&out.unwrap()), bits(&flat));
         match decode_rows(Payload::F64(flat), 1, &rows, 2, &mut pool) {
             Err(ClusterError::SizeMismatch {
                 expected: 6,
@@ -511,10 +367,15 @@ mod tests {
             }) => {}
             other => panic!("an unexpected tail: {other:?}"),
         }
-        // No rows, only a tail: flat, never a frame.
-        assert!(maybe_compress(&[], &[], &tail, &policy).is_none());
-        let only = decode_rows_and_tail(Payload::F64(tail.to_vec()), 0, &[], 2, 3, &mut pool);
+        // No rows, only a tail.
+        let only = decode_rows_and_tail(Payload::F64(tail.to_vec()), 0, &[], 2, 3);
         assert_eq!(bits(&only.unwrap()), bits(&tail));
+        // A frame never carries a tail: the exchange path refuses one.
+        let frame = Payload::Bytes(encode_frame(&rows, &values, false).into());
+        assert!(matches!(
+            decode_rows_and_tail(frame, 1, &rows, 2, 3),
+            Err(ClusterError::TypeMismatch { .. })
+        ));
     }
 
     #[test]
@@ -524,43 +385,6 @@ mod tests {
         let frame = encode_frame(&rows, &values, true);
         // flags + count(2) + first index(2) + 999 unit deltas + 4000 value bytes
         assert!(frame.len() <= 1 + 2 + 2 + 999 + 4000);
-    }
-
-    #[test]
-    fn maybe_compress_never_fires_without_downcast() {
-        let rows: Vec<u32> = (0..64).collect();
-        let values = vec![1.0f64; 64 * 8];
-        let lossless = CommPolicy::default();
-        assert!(!lossless.downcast_f32);
-        assert!(maybe_compress(&rows, &values, &[], &lossless).is_none());
-        assert!(maybe_compress(&rows, &values, &[], &CommPolicy::flat()).is_none());
-    }
-
-    #[test]
-    fn maybe_compress_wins_with_downcast_and_meta_reconciles() {
-        let rows: Vec<u32> = (0..64).collect();
-        let values = vec![0.5f64; 64 * 8];
-        let policy = CommPolicy::default().with_downcast_f32(true);
-        let (frame, meta) = maybe_compress(&rows, &values, &[], &policy).expect("frame must win");
-        assert_eq!(meta.logical_bytes, (values.len() * 8) as u64);
-        assert_eq!(meta.downcast_rows, 64);
-        assert!(
-            (frame.len() as u64) < meta.logical_bytes,
-            "ratio must exceed 1.0"
-        );
-        // Roughly 2x: 4-byte values plus ~1 byte/row of index overhead.
-        let ratio = meta.logical_bytes as f64 / frame.len() as f64;
-        assert!(ratio > 1.8, "ratio {ratio}");
-    }
-
-    #[test]
-    fn maybe_compress_declines_degenerate_blocks() {
-        let policy = CommPolicy::default().with_downcast_f32(true);
-        assert!(maybe_compress(&[], &[], &[], &policy).is_none());
-        // One row of rank 1: 8 logical bytes vs 1+1+1+4 frame bytes — the
-        // frame still wins here, but rank-0-wide rows cannot.
-        let (frame, meta) = maybe_compress(&[5], &[1.0], &[], &policy).expect("frame");
-        assert!((frame.len() as u64) < meta.logical_bytes);
     }
 
     #[test]
@@ -585,7 +409,7 @@ mod tests {
         let values: Vec<f64> = (0..9).map(|i| i as f64).collect();
         let mut pool = BufferPool::new(false);
         let clean = encode_frame(&rows, &values, true);
-        assert!(decode_frame(&clean, 0, &rows, 3, 0, &mut pool).is_ok());
+        assert!(decode_frame(&clean, 0, &rows, 3, &mut pool).is_ok());
         // Flip every byte position in turn: decode must never panic, and
         // must never silently accept a frame with a corrupted index block
         // or length field (a corrupted value byte is the one undetectable
@@ -593,21 +417,21 @@ mod tests {
         for i in 0..clean.len() {
             let mut bad = clean.clone();
             bad[i] ^= 0x55;
-            let _ = decode_frame(&bad, 0, &rows, 3, 0, &mut pool);
+            let _ = decode_frame(&bad, 0, &rows, 3, &mut pool);
         }
         let mut truncated = clean.clone();
         truncated.pop();
-        assert!(decode_frame(&truncated, 0, &rows, 3, 0, &mut pool).is_err());
+        assert!(decode_frame(&truncated, 0, &rows, 3, &mut pool).is_err());
         let mut wrong_flags = clean.clone();
         wrong_flags[0] = 0b100;
-        assert!(decode_frame(&wrong_flags, 0, &rows, 3, 0, &mut pool).is_err());
+        assert!(decode_frame(&wrong_flags, 0, &rows, 3, &mut pool).is_err());
         let mut no_indices = clean;
         no_indices[0] = FLAG_F32;
-        assert!(decode_frame(&no_indices, 0, &rows, 3, 0, &mut pool).is_err());
+        assert!(decode_frame(&no_indices, 0, &rows, 3, &mut pool).is_err());
         // Wrong route table on the receiver: indices diverge.
         let other_rows = vec![0u32, 5, 7];
         let clean = encode_frame(&rows, &values, true);
-        assert!(decode_frame(&clean, 0, &other_rows, 3, 0, &mut pool).is_err());
+        assert!(decode_frame(&clean, 0, &other_rows, 3, &mut pool).is_err());
     }
 
     #[test]
@@ -621,22 +445,5 @@ mod tests {
         // Explicit choices pass through.
         assert_eq!(Flat.resolve(8, 1 << 20), Flat);
         assert_eq!(Ring.resolve(2, 8), Ring);
-    }
-
-    #[test]
-    fn comm_policy_default_is_safe_and_serializes() {
-        let p = CommPolicy::default();
-        assert!(!p.downcast_f32);
-        assert_eq!(p.allreduce, AllreduceAlgo::Auto);
-        let tuned = CommPolicy::flat()
-            .with_downcast_f32(true)
-            .with_allreduce(AllreduceAlgo::Ring);
-        let json = serde_json::to_string(&tuned).unwrap();
-        let back: CommPolicy = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, tuned);
-        // Session checkpoints written while the policy still had its
-        // `compress` flag carry the extra key; it is ignored.
-        let legacy = json.replacen('{', "{\"compress\":true,", 1);
-        assert_eq!(serde_json::from_str::<CommPolicy>(&legacy).unwrap(), tuned);
     }
 }

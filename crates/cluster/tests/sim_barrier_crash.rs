@@ -136,7 +136,9 @@ fn crash_wakes_a_blocked_point_to_point_receive_on_every_seed() {
 fn body(ctx: &mut dismastd_cluster::WorkerCtx) -> dismastd_cluster::ClusterResult<f64> {
     let mut acc = 0.0;
     for round in 0..BARRIERS {
-        acc += ctx.try_allreduce_sum_scalar((ctx.rank() as u64 + round) as f64)?;
+        let mut sum = [(ctx.rank() as u64 + round) as f64];
+        ctx.try_allreduce_sum(&mut sum)?;
+        acc += sum[0];
         ctx.try_barrier()?;
     }
     Ok(acc)

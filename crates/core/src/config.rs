@@ -189,15 +189,6 @@ impl NumericsPolicy {
         self
     }
 
-    /// True when the policy tolerates lossy communication (the f32
-    /// factor-row downcast of `CommPolicy::downcast_f32`).  Gated on the
-    /// divergence watchdog: downcasting perturbs the ALS trajectory, so it
-    /// is only safe when a monitor can roll back a step the perturbation
-    /// destabilises.
-    pub fn allows_lossy_comm(&self) -> bool {
-        self.watchdog.enabled
-    }
-
     /// Validates the parameter ranges.
     ///
     /// # Errors

@@ -43,9 +43,8 @@ use crate::config::DecompConfig;
 use crate::dtd::{check_row_ids, converged, init_factors, old_norm_sq, zero_history};
 use crate::loss::{dtd_loss, mode_grams, GramState, LossParts};
 use dismastd_cluster::{
-    decode_rows_and_tail, maybe_compress, AllreduceAlgo, BufferPool, Cluster, ClusterError,
-    ClusterOptions, ClusterResult, CommPolicy, CommStatsSnapshot, Framed, Payload, PendingExchange,
-    WorkerCtx,
+    decode_rows_and_tail, AllreduceAlgo, BufferPool, Cluster, ClusterError, ClusterOptions,
+    ClusterResult, CommStatsSnapshot, Payload, PendingExchange, WorkerCtx,
 };
 use dismastd_obs::MetricsSnapshot;
 use dismastd_partition::{CellAssignment, GridPartition, Partitioner};
@@ -61,7 +60,13 @@ use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Cluster-side configuration: worker count and partitioning strategy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+///
+/// Nothing here selects how the step communicates: every row exchange is
+/// one flat `f64` payload, and each Gram all-reduce runs the algorithm
+/// `AllreduceAlgo::Auto` resolves from the world and the buffer's size.
+/// Checkpoints written with fields this struct no longer has (`comm`,
+/// `pooling`) still restore — unknown fields are ignored.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ClusterConfig {
     /// Number of simulated worker nodes `M`.
     pub workers: usize,
@@ -73,32 +78,6 @@ pub struct ClusterConfig {
     /// Cell→worker placement strategy (medium-grain block grid by default;
     /// `Scatter` trades locality for balance — an ablation knob).
     pub cell_assignment: CellAssignment,
-    /// Collective-layer policy: the opt-in f32 row downcast (gated on the
-    /// divergence watchdog) and the allreduce algorithm for the Gram
-    /// reductions.  The default is seed-safe: with `downcast_f32` off the
-    /// factors are bit-identical to the flat path.
-    pub comm: CommPolicy,
-}
-
-// Hand-written so older checkpoints still restore: ones from before the
-// collective-layer rework lack the `comm` field (it defaults), and ones up
-// to PR 20 carry a `pooling` flag that no longer exists (it is not read).
-impl Deserialize for ClusterConfig {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::new("expected object for `ClusterConfig`"))?;
-        Ok(ClusterConfig {
-            workers: Deserialize::from_value(serde::field(obj, "workers")?)?,
-            partitioner: Deserialize::from_value(serde::field(obj, "partitioner")?)?,
-            parts_per_mode: Deserialize::from_value(serde::field(obj, "parts_per_mode")?)?,
-            cell_assignment: Deserialize::from_value(serde::field(obj, "cell_assignment")?)?,
-            comm: match serde::field(obj, "comm") {
-                Ok(nested) => Deserialize::from_value(nested)?,
-                Err(_) => CommPolicy::default(),
-            },
-        })
-    }
 }
 
 impl ClusterConfig {
@@ -109,20 +88,12 @@ impl ClusterConfig {
             partitioner: Partitioner::Mtp,
             parts_per_mode: None,
             cell_assignment: CellAssignment::BlockGrid,
-            comm: CommPolicy::default(),
         }
     }
 
     /// Selects the cell→worker placement strategy.
     pub fn with_cell_assignment(mut self, a: CellAssignment) -> Self {
         self.cell_assignment = a;
-        self
-    }
-
-    /// Selects the collective-layer policy (downcast, allreduce
-    /// algorithm).
-    pub fn with_comm(mut self, comm: CommPolicy) -> Self {
-        self.comm = comm;
         self
     }
 
@@ -376,13 +347,6 @@ pub(crate) fn run_distributed(
             "cluster needs at least one worker".into(),
         ));
     }
-    if cluster.comm.downcast_f32 && !cfg.numerics.allows_lossy_comm() {
-        return Err(TensorError::InvalidArgument(
-            "comm.downcast_f32 is lossy and requires the divergence watchdog \
-             (numerics.watchdog.enabled) so a destabilised step can be rolled back"
-                .into(),
-        ));
-    }
     check_row_ids(tensor.shape())?;
     // lint:allow(determinism, clock_hygiene): elapsed-time reporting only
     let start = Instant::now();
@@ -406,7 +370,6 @@ pub(crate) fn run_distributed(
         cfg,
         old_norm_sq,
         tensor_norm_sq: tensor.norm_sq(),
-        comm: cluster.comm,
         // Worker threads have their own thread-local metric registries, so
         // each rank decides up front — from the driver's state — whether to
         // collect.
@@ -478,7 +441,6 @@ struct WorkerInputs<'a> {
     cfg: &'a DecompConfig,
     old_norm_sq: f64,
     tensor_norm_sq: f64,
-    comm: CommPolicy,
     collect: bool,
 }
 
@@ -565,15 +527,15 @@ fn packed_len(r: usize) -> usize {
 impl GramWorkspace {
     /// Sized for the largest buffer a run stages: every mode's partials at
     /// set-up, or one mode's plus the loss slot.  `owners` maps the fused
-    /// reductions of `world` ranks under the policy's algorithm.
-    fn new(order: usize, r: usize, world: usize, algo: AllreduceAlgo) -> Self {
+    /// reductions of `world` ranks.
+    fn new(order: usize, r: usize, world: usize) -> Self {
         GramWorkspace {
             g0: Matrix::zeros(r, r),
             g1: Matrix::zeros(r, r),
             cr: Matrix::zeros(r, r),
             buf: Vec::with_capacity(packed_len(r) * order + 1),
             reduced: vec![0.0; packed_len(r)],
-            owners: GramOwners::new(world, packed_len(r), algo),
+            owners: GramOwners::new(world, packed_len(r)),
         }
     }
 
@@ -621,14 +583,14 @@ fn unpack_grams(packed: &[f64], state: &mut GramState, n: usize) {
 
 /// The owner map of a Gram reduction that rides the two row exchanges
 /// around it instead of running as an all-reduce.  Every rank appends to
-/// its refresh frame to an owner the slice of its packed partials that
+/// its refresh payload to an owner the slice of its packed partials that
 /// owner reduces (the reduce half); at the next mode's fence the owner
 /// folds the slices in ascending rank order; every owner then appends its
-/// reduced slice to its partials frame to every rank (the gather half).
+/// reduced slice to its partials payload to every rank (the gather half).
 ///
-/// The map is the one the all-reduce `comm.allreduce` resolves to for the
-/// same buffer would use, so each rank sends the bytes that algorithm has
-/// it send and every value is the same sum of the same operands:
+/// The map is the one the all-reduce `AllreduceAlgo::Auto` resolves to for
+/// the same buffer would use, so each rank sends the bytes that algorithm
+/// has it send and every value is the same sum of the same operands:
 ///
 /// * **flat** — rank 0 owns the whole buffer and sums from `+0.0`, as the
 ///   gather root does (`(w − 1)·b` bytes from rank 0, `b` from the rest);
@@ -651,9 +613,9 @@ struct GramOwners {
 }
 
 impl GramOwners {
-    fn new(world: usize, len: usize, algo: AllreduceAlgo) -> Self {
+    fn new(world: usize, len: usize) -> Self {
         let bytes = std::mem::size_of::<f64>() * len;
-        let (first, owners, from_zero) = match algo.resolve(world, bytes as u64) {
+        let (first, owners, from_zero) = match AllreduceAlgo::Auto.resolve(world, bytes as u64) {
             _ if world == 1 => (0, 1, false),
             AllreduceAlgo::Ring => (1, world.saturating_sub(2).max(1), false),
             _ => (0, 1, true),
@@ -696,7 +658,7 @@ impl GramOwners {
 /// rows are in flight while the next mode's MTTKRP runs.  The fence at the
 /// top of the next mode (or the post-loop drain) completes it and writes
 /// the rows before anything reads `factors[mode]` remotely-owned entries.
-/// With `gram`, the frames also carry the reduce half of the mode's Gram
+/// With `gram`, the payloads also carry the reduce half of the mode's Gram
 /// reduction (see [`GramOwners`]).
 struct PendingRefresh {
     mode: usize,
@@ -716,7 +678,6 @@ fn worker_body(
         cfg,
         old_norm_sq,
         tensor_norm_sq,
-        comm,
         collect,
     } = inputs;
     // Per-thread collector: on any early-return path (cluster fault or a
@@ -737,11 +698,11 @@ fn worker_body(
 
     // Reusable scratch: Gram partials + all-reduce staging, and the
     // message-payload pool for the two row exchanges.
-    let mut ws = GramWorkspace::new(order, r, world, comm.allreduce);
+    let mut ws = GramWorkspace::new(order, r, world);
     let mut pool = BufferPool::new(true);
     // Persistent exchange tables: refilled in place every post/complete,
     // so the steady-state loop never reallocates them.
-    let mut outgoing_frames: Vec<Framed> = Vec::with_capacity(world);
+    let mut outgoing: Vec<Payload> = Vec::with_capacity(world);
     let mut incoming_payloads: Vec<Payload> = Vec::with_capacity(world);
     // Intra-worker kernel pool: the machine budget split across the
     // co-resident ranks.  Thread count never changes factor bits (the
@@ -770,7 +731,7 @@ fn worker_body(
             try_num!(mode_grams(&factors[n], &old[n], &owned[n], ws.targets()));
             ws.stage();
         }
-        allreduce_grams(ctx, &mut ws, &mut state, 0, comm)?;
+        allreduce_grams(ctx, &mut ws, &mut state, 0)?;
     }
 
     let mut loss_trace: Vec<f64> = Vec::with_capacity(cfg.max_iters);
@@ -834,28 +795,27 @@ fn worker_body(
                     Some(_) => ws.owners.slice(rank),
                     None => 0..0,
                 };
-                outgoing_frames.clear();
+                outgoing.clear();
                 for d in 0..world {
-                    outgoing_frames.push(if d == me {
-                        Framed::plain(Payload::Empty)
+                    outgoing.push(if d == me {
+                        Payload::Empty
                     } else {
-                        encode_outgoing(
+                        pack_rows(
                             &hat[n],
                             &plan.partial_routes[n][d],
                             &ws.reduced[riding(me)],
-                            &comm,
                             &mut pool,
                         )
                     });
                 }
-                let pending_partials = ctx.post_exchange(&mut outgoing_frames)?;
+                let pending_partials = ctx.post_exchange(&mut outgoing)?;
                 ctx.complete_exchange(pending_partials, &mut incoming_payloads)?;
                 for (d, payload) in incoming_payloads.drain(..).enumerate() {
                     if d == me {
                         continue;
                     }
                     let (routes, slice) = (&plan.serve_routes[n][d], riding(d));
-                    let data = decode_rows_and_tail(payload, d, routes, r, slice.len(), &mut pool)?;
+                    let data = decode_rows_and_tail(payload, d, routes, r, slice.len())?;
                     let rows = routes.len() * r;
                     add_rows(&mut hat[n], routes, &data[..rows]);
                     ws.reduced[slice].copy_from_slice(&data[rows..]);
@@ -941,17 +901,16 @@ fn worker_body(
                 None
             } else {
                 let _s = dismastd_obs::span("phase/exchange");
-                outgoing_frames.clear();
+                outgoing.clear();
                 for d in 0..world {
                     let slice = if last { 0..0 } else { ws.owners.slice(d) };
-                    outgoing_frames.push(if d == me {
-                        Framed::plain(Payload::Empty)
+                    outgoing.push(if d == me {
+                        Payload::Empty
                     } else {
-                        encode_outgoing(
+                        pack_rows(
                             &factors[n],
                             &plan.serve_routes[n][d],
                             &ws.buf[slice],
-                            &comm,
                             &mut pool,
                         )
                     });
@@ -959,7 +918,7 @@ fn worker_body(
                 Some(PendingRefresh {
                     mode: n,
                     gram: !last,
-                    pending: ctx.post_exchange(&mut outgoing_frames)?,
+                    pending: ctx.post_exchange(&mut outgoing)?,
                 })
             };
 
@@ -982,7 +941,7 @@ fn worker_body(
                 };
                 let _s = dismastd_obs::span("phase/gram");
                 ws.buf.push(inner_partial);
-                if let [total] = allreduce_grams(ctx, &mut ws, &mut state, n, comm)? {
+                if let [total] = allreduce_grams(ctx, &mut ws, &mut state, n)? {
                     inner = *total;
                 }
             }
@@ -1075,31 +1034,6 @@ fn local_partials(
     Ok(())
 }
 
-/// Packs the listed rows of `m`, then `tail`, into an exchange payload,
-/// compressing the frame when the policy's encoder beats the flat `f64`
-/// representation (see `dismastd_cluster::maybe_compress`; the tail is
-/// never downcast).  The compressed path returns the staging buffer to the
-/// pool immediately; the flat path ships it.
-fn encode_outgoing(
-    m: &Matrix,
-    rows: &[u32],
-    tail: &[f64],
-    policy: &CommPolicy,
-    pool: &mut BufferPool,
-) -> Framed {
-    let mut values = pack_rows(m, rows, tail.len(), pool);
-    match maybe_compress(rows, &values, tail, policy) {
-        Some((frame, meta)) => {
-            pool.put(values);
-            Framed::compressed(Payload::Bytes(frame), meta)
-        }
-        None => {
-            values.extend_from_slice(tail);
-            Framed::plain(Payload::F64(values))
-        }
-    }
-}
-
 /// Completes a posted refresh exchange: receives every peer's refreshed
 /// mode-`pr.mode` rows and writes them into the replicated factor copy.
 /// When the exchange carried the reduce half of the mode's Gram reduction,
@@ -1128,7 +1062,7 @@ fn complete_refresh(
             continue;
         }
         let routes = &plan.partial_routes[n][d];
-        let data = decode_rows_and_tail(payload, d, routes, r, hi - lo, pool)?;
+        let data = decode_rows_and_tail(payload, d, routes, r, hi - lo)?;
         let rows = routes.len() * r;
         write_rows(&mut factors[n], routes, &data[..rows]);
         ws.owners.fold(sum, d, &data[rows..]);
@@ -1137,17 +1071,18 @@ fn complete_refresh(
     Ok(())
 }
 
-/// Packs the listed rows of `m` into one contiguous buffer drawn from the
-/// worker's pool (an empty `Vec` when the pool is dry), with room for
-/// `extra` more values.
-fn pack_rows(m: &Matrix, rows: &[u32], extra: usize, pool: &mut BufferPool) -> Vec<f64> {
+/// Packs the listed rows of `m`, then `tail`, into one flat exchange
+/// payload drawn from the worker's pool (an empty `Vec` when the pool is
+/// dry).
+fn pack_rows(m: &Matrix, rows: &[u32], tail: &[f64], pool: &mut BufferPool) -> Payload {
     let r = m.cols();
     let mut out = pool.take();
-    out.reserve(rows.len() * r + extra);
+    out.reserve(rows.len() * r + tail.len());
     for &row in rows {
         out.extend_from_slice(m.row(row as usize));
     }
-    out
+    out.extend_from_slice(tail);
+    Payload::F64(out)
 }
 
 /// Adds packed rows into `m` at the listed positions.
@@ -1179,7 +1114,7 @@ fn write_rows(m: &mut Matrix, rows: &[u32], data: &[f64]) {
 /// Gram state; the reduced trailing slots are returned.  The flat and the
 /// ring all-reduce both fold every element in ascending rank order, so a
 /// value's bits do not depend on which buffer it rode in, on its position
-/// there, or on which of the two `Auto` resolved to: batching the set-up
+/// there, or on which of the two `Auto` resolves to: batching the set-up
 /// Grams and carrying the loss partial here moves no factor and no
 /// `loss_trace` bit.  The staging buffer's capacity is reused across calls.
 fn allreduce_grams<'ws>(
@@ -1187,9 +1122,8 @@ fn allreduce_grams<'ws>(
     ws: &'ws mut GramWorkspace,
     state: &mut GramState,
     first: usize,
-    comm: CommPolicy,
 ) -> ClusterResult<&'ws [f64]> {
-    ctx.try_allreduce_sum_with(&mut ws.buf, comm.allreduce)?;
+    ctx.try_allreduce_sum_with(&mut ws.buf, AllreduceAlgo::Auto)?;
     // `R ≥ 1` (`DecompConfig::validate`), so the chunk width is not zero.
     let modes = ws.buf.chunks_exact(packed_len(ws.g0.rows()));
     let tail = modes.remainder();
@@ -1550,42 +1484,9 @@ mod tests {
                 partitioner: Partitioner::Mtp,
                 parts_per_mode: None,
                 cell_assignment: CellAssignment::BlockGrid,
-                comm: CommPolicy::default(),
             }
         )
         .is_err());
-    }
-
-    #[test]
-    fn ring_allreduce_policy_is_bit_identical_to_flat() {
-        // The ring rebuilds the Gram sums in the same per-element order as
-        // the flat gather+broadcast, so switching the algorithm must not
-        // move a single bit of the trajectory.  Logical traffic is also
-        // identical — only message/collective counts differ.
-        let x = random_tensor(&[8, 8, 6], 120, 21);
-        let flat = dms_mg(
-            &x,
-            &cfg(),
-            &ClusterConfig::new(4).with_comm(CommPolicy::flat()),
-        )
-        .unwrap();
-        let ring = dms_mg(
-            &x,
-            &cfg(),
-            &ClusterConfig::new(4)
-                .with_comm(CommPolicy::default().with_allreduce(AllreduceAlgo::Ring)),
-        )
-        .unwrap();
-        assert_eq!(flat.loss_trace, ring.loss_trace);
-        for (a, b) in flat.kruskal.factors().iter().zip(ring.kruskal.factors()) {
-            assert_eq!(a.max_abs_diff(b).unwrap(), 0.0);
-        }
-        assert_eq!(flat.comm.bytes, ring.comm.bytes);
-        // Downcast is off, so no frame can beat flat f64: the wire is the
-        // logical traffic on both sides.
-        assert_eq!(flat.comm.compressed_bytes, 0);
-        assert_eq!(ring.comm.compressed_bytes, 0);
-        assert!(flat.comm.reconciles() && ring.comm.reconciles());
     }
 
     #[test]
@@ -1595,29 +1496,29 @@ mod tests {
         // mode's Gram reduction rides its refresh and the next mode's
         // partials exchange.  Set-up is one all-reduce, and an all-reduce
         // is two collectives flat (gather + broadcast), one as a ring and
-        // none in a world of one.  A collective added to `worker_body`
-        // shows up here, not first in a benchmark count.  A run the
-        // tolerance stops early still sends (and drains) its last refresh.
+        // none in a world of one; `Auto` picks flat for every buffer at
+        // R = 3 and the ring for every buffer at R = 10 from world 3 on.  A
+        // collective added to `worker_body` shows up here, not first in a
+        // benchmark count.  A run the tolerance stops early still sends
+        // (and drains) its last refresh.
         for shape in [&[7usize, 6, 5][..], &[5, 4, 4, 3]] {
             let x = random_tensor(shape, 90, 31);
             let order = shape.len() as u64;
-            for (world, algo, per_allreduce) in [
-                (1usize, AllreduceAlgo::Auto, 0u64),
-                (2, AllreduceAlgo::Flat, 2),
-                (4, AllreduceAlgo::Ring, 1),
-            ] {
-                let cluster =
-                    ClusterConfig::new(world).with_comm(CommPolicy::default().with_allreduce(algo));
+            for (world, rank, per_allreduce) in
+                [(1usize, 3usize, 0u64), (2, 3, 2), (4, 3, 2), (4, 10, 1)]
+            {
+                let cluster = ClusterConfig::new(world);
                 // Tolerance 0 runs to its scheduled end; tolerance 1 stops
                 // after the second iteration's loss.
-                for (cfg, unread) in [(cfg(), 1u64), (cfg().with_tolerance(1.0), 0)] {
+                let cfg = cfg().with_rank(rank);
+                for (cfg, unread) in [(cfg, 1u64), (cfg.with_tolerance(1.0), 0)] {
                     let out = dms_mg(&x, &cfg, &cluster).unwrap();
                     assert_eq!(out.iterations == cfg.max_iters, unread == 1);
                     let iters = out.iterations as u64;
                     assert_eq!(
                         out.comm.collectives,
                         per_allreduce + iters * (2 * order + per_allreduce) - unread + 1,
-                        "order {order} world {world} {algo:?} {} iterations",
+                        "order {order} world {world} R {rank} {} iterations",
                         out.iterations
                     );
                 }
@@ -1630,75 +1531,74 @@ mod tests {
         // The oracle is the all-reduce the fused path replaces: random
         // partials, with signed zeros (a column of `−0.0` on every rank is
         // where flat, which sums from `+0.0`, and the chain part ways) and
-        // subnormals, reduced both ways must agree bit for bit.
+        // subnormals, reduced both ways must agree bit for bit.  `Auto`
+        // resolves the short buffers to flat and, from world 3 on, the long
+        // ones to the ring.
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for world in 2usize..=5 {
-            for algo in [AllreduceAlgo::Flat, AllreduceAlgo::Ring] {
-                for len in [1usize, 7, 21, 211] {
-                    let owners = GramOwners::new(world, len, algo);
-                    let partial = |rank: usize| -> Vec<f64> {
-                        let mut rng = ChaCha8Rng::seed_from_u64((world * 1000 + len + rank) as u64);
-                        (0..len)
-                            .map(|i| match (i % 5, rng.gen_range(0..4)) {
-                                (0, _) => -0.0,
-                                (1, 0) => 0.0,
-                                (1, _) => -0.0,
-                                (2, _) => f64::from_bits(rng.gen_range(1..1u64 << 52)),
-                                (3, k) => {
-                                    f64::from_bits(k + 1) * if k % 2 == 0 { 1.0 } else { -1.0 }
-                                }
-                                _ => rng.gen_range(-1e3..1e3),
-                            })
-                            .collect()
-                    };
-                    let runs = Cluster::try_run(world, |ctx| {
-                        let me = ctx.rank();
-                        let mine = partial(me);
-                        let mut expected = mine.clone();
-                        ctx.try_allreduce_sum_with(&mut expected, algo)?;
-                        // Reduce half: each owner's slice of this rank's
-                        // partials to that owner, folded in rank order.
-                        let outgoing = (0..world)
-                            .map(|d| Payload::F64(mine[owners.slice(d)].to_vec()))
-                            .collect();
-                        let incoming = ctx.try_exchange(outgoing)?;
-                        let slice = owners.slice(me);
-                        let mut sum = vec![f64::NAN; slice.len()];
-                        for (src, payload) in incoming.into_iter().enumerate() {
-                            let part = if src == me {
-                                mine[slice.clone()].to_vec()
-                            } else {
-                                payload.try_into_f64()?
-                            };
-                            owners.fold(&mut sum, src, &part);
-                        }
-                        // Gather half: every owner's sum to every rank.
-                        let outgoing = (0..world).map(|_| Payload::F64(sum.clone())).collect();
-                        let incoming = ctx.try_exchange(outgoing)?;
-                        let mut reduced = vec![f64::NAN; len];
-                        for (src, payload) in incoming.into_iter().enumerate() {
-                            let got = if src == me {
-                                sum.clone()
-                            } else {
-                                payload.try_into_f64()?
-                            };
-                            reduced[owners.slice(src)].copy_from_slice(&got);
-                        }
-                        Ok((expected, reduced))
-                    })
-                    .unwrap();
-                    for (rank, (expected, reduced)) in runs.iter().enumerate() {
-                        assert_eq!(
-                            bits(reduced),
-                            bits(expected),
-                            "world {world} {algo:?} len {len} rank {rank}"
-                        );
+            for len in [1usize, 7, 21, 211, 600] {
+                let algo = AllreduceAlgo::Auto.resolve(world, 8 * len as u64);
+                let owners = GramOwners::new(world, len);
+                let partial = |rank: usize| -> Vec<f64> {
+                    let mut rng = ChaCha8Rng::seed_from_u64((world * 1000 + len + rank) as u64);
+                    (0..len)
+                        .map(|i| match (i % 5, rng.gen_range(0..4)) {
+                            (0, _) => -0.0,
+                            (1, 0) => 0.0,
+                            (1, _) => -0.0,
+                            (2, _) => f64::from_bits(rng.gen_range(1..1u64 << 52)),
+                            (3, k) => f64::from_bits(k + 1) * if k % 2 == 0 { 1.0 } else { -1.0 },
+                            _ => rng.gen_range(-1e3..1e3),
+                        })
+                        .collect()
+                };
+                let runs = Cluster::try_run(world, |ctx| {
+                    let me = ctx.rank();
+                    let mine = partial(me);
+                    let mut expected = mine.clone();
+                    ctx.try_allreduce_sum_with(&mut expected, AllreduceAlgo::Auto)?;
+                    // Reduce half: each owner's slice of this rank's
+                    // partials to that owner, folded in rank order.
+                    let outgoing = (0..world)
+                        .map(|d| Payload::F64(mine[owners.slice(d)].to_vec()))
+                        .collect();
+                    let incoming = ctx.try_exchange(outgoing)?;
+                    let slice = owners.slice(me);
+                    let mut sum = vec![f64::NAN; slice.len()];
+                    for (src, payload) in incoming.into_iter().enumerate() {
+                        let part = if src == me {
+                            mine[slice.clone()].to_vec()
+                        } else {
+                            payload.try_into_f64()?
+                        };
+                        owners.fold(&mut sum, src, &part);
                     }
-                    // The all-`−0.0` column really tells the two apart.
-                    let zero = runs[0].0[0].to_bits();
-                    let chain = matches!(algo, AllreduceAlgo::Ring);
-                    assert_eq!(zero, if chain { (-0.0f64).to_bits() } else { 0 });
+                    // Gather half: every owner's sum to every rank.
+                    let outgoing = (0..world).map(|_| Payload::F64(sum.clone())).collect();
+                    let incoming = ctx.try_exchange(outgoing)?;
+                    let mut reduced = vec![f64::NAN; len];
+                    for (src, payload) in incoming.into_iter().enumerate() {
+                        let got = if src == me {
+                            sum.clone()
+                        } else {
+                            payload.try_into_f64()?
+                        };
+                        reduced[owners.slice(src)].copy_from_slice(&got);
+                    }
+                    Ok((expected, reduced))
+                })
+                .unwrap();
+                for (rank, (expected, reduced)) in runs.iter().enumerate() {
+                    assert_eq!(
+                        bits(reduced),
+                        bits(expected),
+                        "world {world} {algo:?} len {len} rank {rank}"
+                    );
                 }
+                // The all-`−0.0` column really tells the two apart.
+                let zero = runs[0].0[0].to_bits();
+                let chain = matches!(algo, AllreduceAlgo::Ring);
+                assert_eq!(zero, if chain { (-0.0f64).to_bits() } else { 0 });
             }
         }
     }
@@ -1710,13 +1610,12 @@ mod tests {
         // flat `(w − 1)·b` at rank 0 and `b` elsewhere, ring `b` at ranks 0
         // and `w − 1` and `2b` between — whether the reduction is an
         // all-reduce (set-up, an iteration's last mode) or rides the row
-        // exchanges.  R = 6 packs `b = 78` values per mode, which every
-        // owner count `w − 2` here divides.
-        let r = 6u64;
-        let cfg = cfg().with_rank(6).with_tolerance(0.0);
+        // exchanges.  `Auto` picks flat for every buffer at R = 3 and the
+        // ring for every buffer at R = 10 from world 3 on; R = 10 packs
+        // `b = 210` values per mode, which every owner count `w − 2` here
+        // divides.
         let x = random_tensor(&[12, 10, 8], 400, 71);
         let order = 3u64;
-        let packed = 2 * r * r + r;
         for world in 2usize..=5 {
             let w = world as u64;
             let cluster = ClusterConfig::new(world);
@@ -1729,9 +1628,11 @@ mod tests {
             )
             .unwrap();
             let plans = build_plans(&x, &grid, world).unwrap();
-            for algo in [AllreduceAlgo::Flat, AllreduceAlgo::Ring] {
-                let comm = CommPolicy::default().with_allreduce(algo);
-                let out = dms_mg(&x, &cfg, &cluster.clone().with_comm(comm)).unwrap();
+            for r in [3u64, 10] {
+                let cfg = cfg().with_rank(r as usize).with_tolerance(0.0);
+                let packed = 2 * r * r + r;
+                let algo = AllreduceAlgo::Auto.resolve(world, 8 * packed);
+                let out = dms_mg(&x, &cfg, &cluster).unwrap();
                 let iters = out.iterations as u64;
                 assert_eq!(iters, cfg.max_iters as u64);
                 let ledger = |k: u64, b: u64| match algo {
@@ -1761,78 +1662,26 @@ mod tests {
                         (rows * r + grams) * 8
                     })
                     .collect();
-                assert_eq!(out.comm.bytes_by_sender, expected, "world {world} {algo:?}");
+                assert_eq!(
+                    out.comm.bytes_by_sender, expected,
+                    "world {world} R {r} {algo:?}"
+                );
             }
         }
     }
 
     #[test]
-    fn downcast_compresses_the_exchanges() {
-        let x = random_tensor(&[8, 8, 6], 120, 21);
-        let flat = dms_mg(
-            &x,
-            &cfg(),
-            &ClusterConfig::new(4).with_comm(CommPolicy::flat()),
-        )
-        .unwrap();
-        let lossy = dms_mg(
-            &x,
-            &cfg(),
-            &ClusterConfig::new(4).with_comm(CommPolicy::default().with_downcast_f32(true)),
-        )
-        .unwrap();
-        // Accounting stays in logical (flat-equivalent) bytes, so the two
-        // runs agree there; the savings land in the wire counters.
-        assert_eq!(flat.comm.bytes, lossy.comm.bytes);
-        assert!(lossy.comm.compressed_bytes > 0);
-        assert!(lossy.comm.downcast_rows > 0);
-        assert!(lossy.comm.wire_bytes() < lossy.comm.bytes);
-        assert!(lossy.comm.compression_ratio() > 1.0);
-        assert!(lossy.comm.reconciles());
-        // f32 mantissas perturb the trajectory but not the fixed point the
-        // solver is homing in on.
-        let (a, b) = (
-            flat.loss_trace.last().unwrap(),
-            lossy.loss_trace.last().unwrap(),
-        );
-        assert!((a - b).abs() < 1e-3 * (1.0 + a.abs()), "{a} vs {b}");
-    }
-
-    #[test]
-    fn downcast_requires_the_watchdog() {
-        use crate::config::WatchdogPolicy;
-        let x = random_tensor(&[6, 6], 30, 22);
-        let no_watchdog = cfg().with_numerics(
-            crate::config::NumericsPolicy::default().with_watchdog(WatchdogPolicy {
-                enabled: false,
-                ..WatchdogPolicy::default()
-            }),
-        );
-        let err = dms_mg(
-            &x,
-            &no_watchdog,
-            &ClusterConfig::new(2).with_comm(CommPolicy::default().with_downcast_f32(true)),
-        )
-        .unwrap_err();
-        assert!(matches!(err, TensorError::InvalidArgument(_)), "{err:?}");
-    }
-
-    #[test]
     fn legacy_cluster_config_json_decodes_without_comm_field() {
-        // Checkpoints from before the collective-layer rework serialized no
-        // `comm` field; they must restore with the default policy.
+        // The current format has no `comm` field and round-trips.
         let reference = ClusterConfig::new(3);
         let full = serde_json::to_string(&reference).unwrap();
-        let cut = full.find(",\"comm\"").expect("comm is serialized");
-        let legacy = format!("{}}}", &full[..cut]);
-        let back: ClusterConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back, reference);
-        // And the current format round-trips unchanged.
+        assert!(!full.contains("\"comm\""), "{full}");
         let rt: ClusterConfig = serde_json::from_str(&full).unwrap();
         assert_eq!(rt, reference);
-        // Written by PR 20, when the buffer pool had an off switch.
-        let pr20 = r#"{"workers":3,"partitioner":"Mtp","parts_per_mode":null,"cell_assignment":"BlockGrid","pooling":true,"comm":{"downcast_f32":false,"allreduce":"Auto"}}"#;
-        let back: ClusterConfig = serde_json::from_str(pr20).unwrap();
+        // Written when the buffer pool had an off switch and the cluster
+        // carried a communication policy: both fields are ignored.
+        let old = include_str!("../testdata/cluster_config_with_pooling_and_comm.json");
+        let back: ClusterConfig = serde_json::from_str(old).unwrap();
         assert_eq!(back, reference);
     }
 

@@ -1349,29 +1349,24 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_without_comm_policy_still_restores() {
-        // A distributed checkpoint serialized before the collective-layer
-        // rework carries a ClusterConfig with no `comm` field; restoring it
-        // must succeed with the default policy rather than fail.
-        let (s0, _) = snapshot_pair();
+    fn a_parent_format_checkpoint_restores_the_same_factors_and_bytes() {
+        // Written by the previous release after this two-step distributed
+        // stream, with the `pooling` flag older checkpoints carried added:
+        // its cluster config has a `comm` policy and `pooling`, and its
+        // traffic totals the frame counters, none of which exist any more.
+        let (s0, s1) = snapshot_pair();
         let mut sess =
-            StreamingSession::new(cfg(), ExecutionMode::Distributed(ClusterConfig::new(2)));
+            StreamingSession::new(cfg(), ExecutionMode::Distributed(ClusterConfig::new(3)));
         sess.ingest(&s0).unwrap();
-        let json = serde_json::to_string(&sess.to_checkpoint()).unwrap();
-        let comm_field = format!(
-            ",\"comm\":{}",
-            serde_json::to_string(&dismastd_cluster::CommPolicy::default()).unwrap()
-        );
-        assert!(json.contains(&comm_field), "comm policy serialized");
-        let legacy = json.replace(&comm_field, "");
-        let ckpt: SessionCheckpoint = serde_json::from_str(&legacy).unwrap();
+        sess.ingest(&s1).unwrap();
+
+        let json = include_str!("../testdata/parent_checkpoint.json");
+        let ckpt: SessionCheckpoint = serde_json::from_str(json).unwrap();
         let restored = StreamingSession::from_checkpoint(ckpt).unwrap();
-        match restored.mode() {
-            ExecutionMode::Distributed(cc) => {
-                assert_eq!(cc.comm, dismastd_cluster::CommPolicy::default());
-            }
-            other => panic!("expected distributed mode, got {other:?}"),
-        }
+        assert_eq!(restored.mode(), sess.mode());
+        assert_eq!(restored.steps(), sess.steps());
+        assert_eq!(restored.factors(), sess.factors());
+        assert_eq!(restored.comm_totals(), sess.comm_totals());
     }
 
     #[test]

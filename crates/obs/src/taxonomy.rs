@@ -69,10 +69,6 @@ pub const SPANS: &[&str] = &[
 
 /// Registered counter names (monotone event tallies).
 pub const COUNTERS: &[&str] = &[
-    // comm family: wire size of compressed frames and rows downcast to
-    // f32 (logical sizes stay in the comm/msg_bytes histogram).
-    "comm/compressed_bytes",
-    "comm/downcast_rows",
     // heal family: supervision-ladder decisions and the backoff they cost.
     "heal/backoff_ns",
     "heal/degraded",
@@ -105,11 +101,9 @@ pub const COUNTERS: &[&str] = &[
 pub const GAUGES: &[&str] = &[];
 
 /// Registered histogram names (log₂-bucketed distributions).
-/// `comm/msg_bytes` records every remote message at its *logical*
-/// (flat-equivalent) size, so it reconciles exactly with
-/// `CommStats::bytes` whether or not compression fired;
-/// `comm/wire_bytes` records compressed frames at their encoded size.
-pub const HISTOGRAMS: &[&str] = &["comm/msg_bytes", "comm/wire_bytes"];
+/// `comm/msg_bytes` records every remote message at its size, so it
+/// reconciles exactly with `CommStats::bytes`.
+pub const HISTOGRAMS: &[&str] = &["comm/msg_bytes"];
 
 /// Instrument kind, used to select the table a name must resolve in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

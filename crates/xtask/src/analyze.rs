@@ -30,7 +30,6 @@ pub const COLLECTIVES: &[&str] = &[
     "try_gather",
     "try_allreduce_sum",
     "try_allreduce_sum_with",
-    "try_allreduce_sum_scalar",
 ];
 
 /// Allocating methods (`.name(` receiver syntax) denied on the
@@ -96,7 +95,7 @@ impl AnalyzeConfig {
                 "solve_rows",
                 "gram_rows",
                 "allreduce_grams",
-                "encode_outgoing",
+                "pack_rows",
                 "complete_refresh",
                 "post_exchange",
                 "complete_exchange",
@@ -415,10 +414,10 @@ fn is_panic_site(call: &CallSite) -> bool {
 pub fn render_budget(entries: &[BudgetEntry]) -> String {
     let mut out = String::from(
         "# L7 panic-reachability budget: one line per public API whose transitive\n\
-         # call graph reaches a panic site (`unwrap`/`expect`/panic macros/panicking\n\
-         # converters — the L1 token set, `lint:allow`ed sites included).  A PR that\n\
-         # grows a count, or adds an unbudgeted public API that reaches a panic,\n\
-         # fails `xtask analyze`.  After review, refresh with:\n\
+         # call graph reaches a panic site (`unwrap`/`expect`/panic macros — the L1\n\
+         # token set, `lint:allow`ed sites included).  A PR that grows a count, or\n\
+         # adds an unbudgeted public API that reaches a panic, fails `xtask\n\
+         # analyze`.  After review, refresh with:\n\
          #   cargo run -p dismastd-xtask -- analyze --write-budget\n\
          # format: <count> <file> <Qual::fn>\n",
     );

@@ -13,7 +13,7 @@
 //!
 //! | lint | name                | invariant |
 //! |------|---------------------|-----------|
-//! | L1   | `panic_path`        | no `unwrap`/`expect`/panic-macros/panicking payload converters in production code |
+//! | L1   | `panic_path`        | no `unwrap`/`expect`/panic-macros in production code |
 //! | L2   | `determinism`       | no hash containers, wall clocks, or OS-seeded RNG in the bit-identical crates |
 //! | L3   | `span_taxonomy`     | every obs label resolves in `dismastd_obs::taxonomy` |
 //! | L4   | `error_hygiene`     | public fallible APIs return typed errors, not `Box<dyn Error>` |

@@ -27,8 +27,7 @@ use std::path::{Path, PathBuf};
 /// Identifies one lint; the `name` doubles as the allow-directive key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LintId {
-    /// L1: no `unwrap`/`expect`/panic-macros/panicking payload
-    /// converters in production code.
+    /// L1: no `unwrap`/`expect`/panic-macros in production code.
     PanicPath,
     /// L2: no nondeterministic containers, clocks, or RNG in the crates
     /// feeding the bit-identical distributed path.
@@ -314,14 +313,6 @@ pub(crate) const L1_METHODS: &[(&str, &str)] = &[
     (
         "unwrap_unchecked",
         "unchecked unwrap hides the panic as UB; use a typed error",
-    ),
-    (
-        "into_f64",
-        "panicking payload converter; use `try_into_f64` and propagate the ClusterError",
-    ),
-    (
-        "into_u64",
-        "panicking payload converter; use `try_into_u64` and propagate the ClusterError",
     ),
 ];
 

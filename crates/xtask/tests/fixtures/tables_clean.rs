@@ -11,7 +11,6 @@ impl Ctx {
     fn try_gather(&mut self) {}
     fn try_allreduce_sum(&mut self) {}
     fn try_allreduce_sum_with(&mut self) {}
-    fn try_allreduce_sum_scalar(&mut self) {}
 }
 
 impl Pool {

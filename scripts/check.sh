@@ -6,6 +6,18 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> retired communication-policy names stay gone"
+# The distributed step has one exact exchange payload and resolves every
+# all-reduce with AllreduceAlgo::Auto; these names belonged to the lossy
+# f32 row path, its second byte ledger, the allreduce override and the
+# frame-corruption fate, all deleted.  Test fixtures that must spell an
+# old checkpoint's fields live in .json files, outside this search.
+if grep -rnwE 'CommPolicy|downcast_f32|maybe_compress|WireMeta|Framed|compressed_bytes|with_corruption' \
+  crates tests examples --include='*.rs'; then
+  echo "a retired communication-policy name reappeared (above)" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

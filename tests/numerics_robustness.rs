@@ -15,7 +15,6 @@
 //!    repeated runs are bit-identical, and a numeric failure is the same
 //!    typed error on every rank rather than a cluster fault.
 
-use dismastd_cluster::CommPolicy;
 use dismastd_core::{
     dismastd, dtd, ClusterConfig, DecompConfig, ExecutionMode, NumericsPolicy, SolvePolicy,
     StreamingSession, ValidationMode, WatchdogPolicy,
@@ -274,10 +273,10 @@ fn watchdog_disabled_propagates_solver_errors_without_retrying() {
 
 #[test]
 fn watchdog_retry_reuses_the_steps_plans_and_matches_the_damped_run() {
-    // The lossy f32 row downcast is allowed only under the watchdog because
-    // its rounding can nudge the loss upwards.  With a zero-tolerance,
-    // patience-1 watchdog that happens on this stream's warm step: the
-    // first attempt is discarded and the retry at μ/2 passes.
+    // Near its fixed point an exact ALS trace can still rise by rounding.
+    // With a zero-tolerance, patience-1 watchdog that happens on this
+    // stream's warm step (seed 53, found by search): the first attempt is
+    // discarded and the retry at μ/2 passes.
     let strict = |mu: f64| {
         DecompConfig::default()
             .with_rank(3)
@@ -291,11 +290,9 @@ fn watchdog_retry_reuses_the_steps_plans_and_matches_the_damped_run() {
                 ..WatchdogPolicy::default()
             }))
     };
-    let mode = ExecutionMode::Distributed(
-        ClusterConfig::new(2).with_comm(CommPolicy::default().with_downcast_f32(true)),
-    );
+    let mode = ExecutionMode::Distributed(ClusterConfig::new(2));
     // A cold start on the leading block, then the full tensor.
-    let s1 = random_snapshot(&[10, 9, 8], 300, 9);
+    let s1 = random_snapshot(&[10, 9, 8], 300, 53);
     let s0 = s1.restrict(&[7, 7, 6]).unwrap();
 
     let mut retried = StreamingSession::new(strict(0.8), mode.clone());

@@ -24,7 +24,7 @@
 //! payload path, not the wire's bookkeeping.
 #![cfg(feature = "count-alloc")]
 
-use dismastd_cluster::{decode_rows_and_tail, BufferPool, Cluster, ClusterError, Framed, Payload};
+use dismastd_cluster::{decode_rows_and_tail, BufferPool, Cluster, ClusterError, Payload};
 use dismastd_obs::alloc::{
     allocated_bytes, allocation_count, live_bytes, peak_live_bytes, reset_peak_live_bytes,
     CountingAlloc,
@@ -47,13 +47,13 @@ const WARMUP_ROUNDS: usize = 4;
 const MEASURED_ROUNDS: usize = 8;
 
 /// One steady-state round: local gram into `gram_buf`, flat all-reduce,
-/// then a framed all-to-all row exchange with pooled payload staging.
+/// then an all-to-all row exchange with pooled payload staging.
 fn round(
     ctx: &mut dismastd_cluster::WorkerCtx,
     factor: &Matrix,
     gram_buf: &mut [f64],
     pool: &mut BufferPool,
-    outgoing: &mut Vec<Framed>,
+    outgoing: &mut Vec<Payload>,
     incoming: &mut Vec<Payload>,
 ) -> Result<f64, ClusterError> {
     let me = ctx.rank();
@@ -78,13 +78,13 @@ fn round(
     outgoing.clear();
     for d in 0..world {
         if d == me {
-            outgoing.push(Framed::plain(Payload::Empty));
+            outgoing.push(Payload::Empty);
         } else {
             let mut stage = pool.take();
             for row in 0..ROWS {
                 stage.extend_from_slice(factor.row(row));
             }
-            outgoing.push(Framed::plain(Payload::F64(stage)));
+            outgoing.push(Payload::F64(stage));
         }
     }
     let pending = ctx.post_exchange(outgoing)?;
@@ -112,7 +112,7 @@ fn gram_allreduce_exchange_round_is_allocation_free_after_warmup() {
         });
         let mut gram_buf = vec![0.0f64; RANK * RANK];
         let mut pool = BufferPool::new(true);
-        let mut outgoing: Vec<Framed> = Vec::with_capacity(WORLD);
+        let mut outgoing: Vec<Payload> = Vec::with_capacity(WORLD);
         let mut incoming: Vec<Payload> = Vec::with_capacity(WORLD);
 
         // Warm-up: fills this rank's payload pool, the collectives'
@@ -173,19 +173,19 @@ fn post_rows_and_tail<'t>(
     factor: &Matrix,
     tail: impl Fn(usize) -> &'t [f64],
     pool: &mut BufferPool,
-    outgoing: &mut Vec<Framed>,
+    outgoing: &mut Vec<Payload>,
 ) -> Result<dismastd_cluster::PendingExchange, ClusterError> {
     outgoing.clear();
     for d in 0..ctx.world() {
         if d == ctx.rank() {
-            outgoing.push(Framed::plain(Payload::Empty));
+            outgoing.push(Payload::Empty);
         } else {
             let mut stage = pool.take();
             for row in 0..ROWS {
                 stage.extend_from_slice(factor.row(row));
             }
             stage.extend_from_slice(tail(d));
-            outgoing.push(Framed::plain(Payload::F64(stage)));
+            outgoing.push(Payload::F64(stage));
         }
     }
     ctx.post_exchange(outgoing)
@@ -202,7 +202,7 @@ fn fused_round(
     partial: &[f64],
     reduced: &mut [f64],
     pool: &mut BufferPool,
-    outgoing: &mut Vec<Framed>,
+    outgoing: &mut Vec<Payload>,
     incoming: &mut Vec<Payload>,
 ) -> Result<f64, ClusterError> {
     let me = ctx.rank();
@@ -222,14 +222,7 @@ fn fused_round(
     for (d, payload) in incoming.drain(..).enumerate() {
         let data = match d == me {
             true => None,
-            false => Some(decode_rows_and_tail(
-                payload,
-                d,
-                ALL_ROWS,
-                RANK,
-                hi - lo,
-                pool,
-            )?),
+            false => Some(decode_rows_and_tail(payload, d, ALL_ROWS, RANK, hi - lo)?),
         };
         let part = data
             .as_ref()
@@ -250,7 +243,7 @@ fn fused_round(
             continue;
         }
         let slice = owned_slice(d, len);
-        let data = decode_rows_and_tail(payload, d, ALL_ROWS, RANK, slice.len(), pool)?;
+        let data = decode_rows_and_tail(payload, d, ALL_ROWS, RANK, slice.len())?;
         checksum += data[..ROWS * RANK].iter().sum::<f64>();
         reduced[slice].copy_from_slice(&data[ROWS * RANK..]);
         pool.put(data);
@@ -276,7 +269,7 @@ fn fused_gram_round_is_allocation_free_after_warmup() {
             .collect();
         let mut reduced = vec![0.0f64; partial.len()];
         let mut pool = BufferPool::new(true);
-        let mut outgoing: Vec<Framed> = Vec::with_capacity(WORLD);
+        let mut outgoing: Vec<Payload> = Vec::with_capacity(WORLD);
         let mut incoming: Vec<Payload> = Vec::with_capacity(WORLD);
         let mut run = |rounds: usize| -> Result<f64, ClusterError> {
             let mut checksum = 0.0;
