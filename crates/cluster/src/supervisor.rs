@@ -8,22 +8,23 @@
 //! fate, all delivered through the existing abort fan-out):
 //!
 //! 1. **Respawn-and-rejoin** — restart the rank from the pre-step
-//!    state and readmit it at the step boundary (the identity case of
-//!    the elastic-membership join: same world, ownership re-derived from
-//!    the global pre-step factors).  Each rank has a bounded respawn
-//!    budget, and every attempt is preceded by seeded exponential backoff
-//!    spent through the [`Clock`] trait so virtual time covers it.
+//!    state and readmit it at the step boundary (same world, ownership
+//!    re-derived from the global pre-step factors, as every step derives
+//!    it).  Each rank has a bounded respawn budget, and every attempt is
+//!    preceded by seeded exponential backoff spent through the [`Clock`]
+//!    trait so virtual time covers it.
 //! 2. **Degraded-world fallback** — once a rank's budget is exhausted,
-//!    shrink the world through the `request_leave` path and continue the
-//!    stream at reduced parallelism, recording a typed `Degraded`
-//!    transition instead of failing the run.
+//!    shrink the world by one through the session's one world-size setter
+//!    (`StreamingSession::set_workers`) and continue the stream at reduced
+//!    parallelism, recording a typed `Degraded` transition instead of
+//!    failing the run.
 //! 3. **Give up** — only when degradation is disallowed or the world is
 //!    already at its configured floor does the fault become terminal.
 //!
 //! The supervisor itself is transport-agnostic: it decides *what* to do
 //! with a fault (`HealAction`) and spends the backoff; the session layer
-//! in `dismastd-core` owns the replay and membership plumbing that
-//! carries the decision out.
+//! in `dismastd-core` owns the replay and the world change that carry the
+//! decision out.
 
 use crate::clock::{Clock, RealClock, SharedClock};
 use std::collections::BTreeMap;
@@ -158,8 +159,6 @@ pub struct Supervisor {
     /// Respawn attempts per rank in the *current* world (BTreeMap: the
     /// determinism lint forbids hash-ordered containers).
     attempts: BTreeMap<usize, u32>,
-    respawns: u64,
-    degrades: u64,
     backoff_ns: u64,
 }
 
@@ -169,25 +168,8 @@ impl Supervisor {
         Supervisor {
             policy,
             attempts: BTreeMap::new(),
-            respawns: 0,
-            degrades: 0,
             backoff_ns: 0,
         }
-    }
-
-    /// The policy being executed.
-    pub fn policy(&self) -> &HealPolicy {
-        &self.policy
-    }
-
-    /// Total respawn decisions taken.
-    pub fn respawns(&self) -> u64 {
-        self.respawns
-    }
-
-    /// Total degrade decisions taken.
-    pub fn degrades(&self) -> u64 {
-        self.degrades
     }
 
     /// Virtual/wall nanoseconds spent backing off so far.
@@ -197,7 +179,7 @@ impl Supervisor {
 
     /// Decides the next rung for a fault attributed to `rank` while the
     /// cluster had `world` workers.  Pure decision — the caller performs
-    /// the restore/leave and spends the backoff via
+    /// the replay or the shrink and spends the backoff via
     /// [`Supervisor::back_off`].
     pub fn on_fault(&mut self, rank: Option<usize>, world: usize) -> HealAction {
         let key = rank.unwrap_or(UNATTRIBUTED);
@@ -205,7 +187,6 @@ impl Supervisor {
         if *attempt < self.policy.max_respawns_per_rank {
             *attempt += 1;
             let n = *attempt;
-            self.respawns += 1;
             dismastd_obs::counter_add("heal/respawn", 1);
             return HealAction::Respawn {
                 rank,
@@ -217,7 +198,6 @@ impl Supervisor {
             // The smaller world is a new regime: the culprit's budget (and
             // everyone else's — the rank numbering shifts) starts over.
             self.attempts.clear();
-            self.degrades += 1;
             dismastd_obs::counter_add("heal/degraded", 1);
             return HealAction::Degrade { rank };
         }
@@ -274,6 +254,7 @@ mod tests {
 
     #[test]
     fn ladder_respawns_then_degrades_then_gives_up() {
+        let collector = dismastd_obs::begin();
         let mut sup = Supervisor::new(HealPolicy::default().with_max_respawns(2));
         // Two respawns for rank 1...
         assert!(matches!(
@@ -307,8 +288,11 @@ mod tests {
             sup.on_fault(Some(1), 1),
             HealAction::GiveUp { rank: Some(1) }
         );
-        assert_eq!(sup.respawns(), 4);
-        assert_eq!(sup.degrades(), 1);
+        // The tallies live in the heal counters.
+        let m = collector.finish();
+        assert_eq!(m.counter_value("heal/respawn"), 4);
+        assert_eq!(m.counter_value("heal/degraded"), 1);
+        assert_eq!(m.counter_value("heal/giveup"), 1);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! chaos testing plugs in through [`ClusterOptions`] / [`FaultPlan`],
 //! optionally inside the virtual-time simulator ([`SimOptions`]); the
 //! cluster grows and shrinks between steps via
-//! [`StreamingSession::request_join`] / `request_leave`, and
-//! [`shadow::ShadowOracle`] cross-checks simulated runs step by step.
+//! [`StreamingSession::set_workers`], and [`shadow::ShadowOracle`]
+//! cross-checks simulated runs step by step.
 
 pub mod als;
 pub mod config;
@@ -53,8 +53,7 @@ pub use dtd::{dtd, DtdOutput};
 pub use onlinecp::OnlineCp;
 pub use rank::{select_rank, RankSearch};
 pub use session::{
-    ExecutionMode, HealReport, HealTransition, MembershipChange, SessionCheckpoint, StepReport,
-    StreamingSession,
+    ExecutionMode, HealReport, HealTransition, SessionCheckpoint, StepReport, StreamingSession,
 };
 pub use shadow::ShadowOracle;
 

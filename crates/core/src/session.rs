@@ -17,9 +17,10 @@
 //! ([`StreamingSession::set_heal_policy`]), [`StreamingSession::ingest`]
 //! replays a faulted decomposition under a [`Supervisor`] walking the
 //! policy's ladder — bounded per-rank respawns with seeded backoff, then a
-//! degraded-world fallback that shrinks the cluster through the
-//! elastic-leave path instead of failing — so a crashed worker never
-//! surfaces to the caller until the ladder is genuinely exhausted.
+//! degraded-world fallback that shrinks the cluster through
+//! [`StreamingSession::set_workers`] instead of failing — so a crashed
+//! worker never surfaces to the caller until the ladder is genuinely
+//! exhausted.
 //! Because the decomposition is deterministic for a fixed seed, a replayed
 //! step reproduces the fault-free factors bit for bit.
 
@@ -47,32 +48,13 @@ pub enum ExecutionMode {
     Distributed(ClusterConfig),
 }
 
-/// A queued elastic-membership transition.  Changes are requested at any
-/// time ([`StreamingSession::request_join`] /
-/// [`StreamingSession::request_leave`]) but applied only at the next
-/// ingest boundary — between steps the factors are a consistent global
-/// snapshot, so re-deriving ownership for the new world there can never
-/// split a step across two placements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MembershipChange {
-    /// `count` workers join the cluster.
-    Join {
-        /// How many workers join.
-        count: usize,
-    },
-    /// `count` workers leave the cluster.
-    Leave {
-        /// How many workers leave.
-        count: usize,
-    },
-}
-
 /// A structural transition the heal ladder performed while completing a
 /// step (see [`StreamingSession::ingest`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealTransition {
     /// A rank exhausted its respawn budget and the supervisor shrank the
-    /// world through the elastic-leave path instead of failing the step.
+    /// world through [`StreamingSession::set_workers`] instead of failing
+    /// the step, which therefore completed at reduced parallelism.
     Degraded {
         /// World size before the shrink.
         from_world: usize,
@@ -90,11 +72,9 @@ pub struct HealReport {
     /// Nanoseconds of backoff spent before replays (virtual when the
     /// [`HealPolicy`] carries a virtual clock, wall otherwise).
     pub backoff_ns: u64,
-    /// Structural transitions, in the order the ladder took them.
+    /// Structural transitions, in the order the ladder took them; empty
+    /// unless the step degraded.
     pub transitions: Vec<HealTransition>,
-    /// `true` when any [`HealTransition::Degraded`] fired — the step
-    /// completed, but at reduced parallelism.
-    pub degraded: bool,
 }
 
 /// What happened while ingesting one snapshot.
@@ -210,9 +190,6 @@ pub struct StreamingSession {
     /// When `true`, every ingest collects per-phase metrics into
     /// [`StepReport::metrics`].  Runtime-only, never checkpointed.
     collect_metrics: bool,
-    /// Elastic-membership transitions queued for the next ingest boundary.
-    /// Runtime-only: a restored session starts with an empty queue.
-    pending_membership: Vec<MembershipChange>,
     /// The heal-ladder executor, installed by
     /// [`StreamingSession::set_heal_policy`]; `None` lets a cluster fault
     /// surface from [`StreamingSession::ingest`].  Runtime-only: per-rank
@@ -233,7 +210,6 @@ impl StreamingSession {
             cluster_opts: ClusterOptions::default(),
             comm_totals: CommStatsSnapshot::default(),
             collect_metrics: false,
-            pending_membership: Vec::new(),
             supervisor: None,
         }
     }
@@ -265,7 +241,6 @@ impl StreamingSession {
             cluster_opts: ClusterOptions::default(),
             comm_totals: CommStatsSnapshot::default(),
             collect_metrics: false,
-            pending_membership: Vec::new(),
             supervisor: None,
         })
     }
@@ -296,160 +271,31 @@ impl StreamingSession {
         self.supervisor = Some(Supervisor::new(policy));
     }
 
-    /// The heal policy in effect, if a supervisor is installed.
-    pub fn heal_policy(&self) -> Option<&HealPolicy> {
-        self.supervisor.as_ref().map(Supervisor::policy)
-    }
-
-    /// The cluster runtime options in effect.
-    pub fn cluster_options(&self) -> &ClusterOptions {
-        &self.cluster_opts
-    }
-
     /// Network traffic accumulated over every distributed step so far.
     pub fn comm_totals(&self) -> &CommStatsSnapshot {
         &self.comm_totals
     }
 
-    // ---- elastic membership ----------------------------------------------
-
-    /// Queues `count` workers to join the cluster; applied at the next
-    /// ingest boundary (see [`MembershipChange`]).
+    /// Sets the number of workers every later distributed step runs on —
+    /// the one way to grow or shrink the cluster.  It takes effect at once,
+    /// which is the same as at the next ingest boundary: [`Self::ingest`]
+    /// borrows the session mutably, so no step is in flight while this
+    /// runs, and every step derives its placement afresh.  The world is
+    /// part of [`Self::mode`], so [`Self::checkpoint`] carries it; to
+    /// resume on another world, restore and then call this.
     ///
     /// # Errors
-    /// Returns [`TensorError::InvalidArgument`] in serial mode or for
-    /// `count == 0`.
-    pub fn request_join(&mut self, count: usize) -> Result<()> {
-        self.queue_membership(MembershipChange::Join { count })
-    }
-
-    /// Queues `count` workers to leave the cluster; applied at the next
-    /// ingest boundary (see [`MembershipChange`]).
-    ///
-    /// # Errors
-    /// Returns [`TensorError::InvalidArgument`] in serial mode, for
-    /// `count == 0`, or when the queue (including this change) would drop
-    /// the cluster below one worker.
-    pub fn request_leave(&mut self, count: usize) -> Result<()> {
-        self.queue_membership(MembershipChange::Leave { count })
-    }
-
-    /// Membership transitions queued but not yet applied.
-    pub fn pending_membership(&self) -> &[MembershipChange] {
-        &self.pending_membership
-    }
-
-    fn queue_membership(&mut self, change: MembershipChange) -> Result<()> {
-        let ExecutionMode::Distributed(cc) = &self.mode else {
+    /// Returns [`TensorError::InvalidArgument`] for a serial session (it
+    /// has no cluster to resize) and for `workers == 0`, leaving the
+    /// session as it was.
+    pub fn set_workers(&mut self, workers: usize) -> Result<()> {
+        let ExecutionMode::Distributed(cc) = &mut self.mode else {
             return Err(TensorError::InvalidArgument(
-                "membership changes require distributed mode".into(),
+                "a serial session has no workers to set".into(),
             ));
         };
-        let count = match change {
-            MembershipChange::Join { count } | MembershipChange::Leave { count } => count,
-        };
-        if count == 0 {
-            return Err(TensorError::InvalidArgument(
-                "membership change of zero workers".into(),
-            ));
-        }
-        // Validate the whole queue (with this change appended) at request
-        // time, so apply never has to reject mid-drain.
-        let mut world = cc.workers;
-        for c in self
-            .pending_membership
-            .iter()
-            .chain(std::iter::once(&change))
-        {
-            world = match *c {
-                MembershipChange::Join { count } => world.saturating_add(count),
-                MembershipChange::Leave { count } => {
-                    if count >= world {
-                        return Err(TensorError::InvalidArgument(format!(
-                            "leaving {count} worker(s) would drop the cluster below one \
-                             (world would be {world} at that point in the queue)"
-                        )));
-                    }
-                    world - count
-                }
-            };
-        }
-        self.pending_membership.push(change);
-        Ok(())
-    }
-
-    /// Applies every queued membership transition: resolves the new world
-    /// size, counts the factor rows whose owner moves between the old and
-    /// new placements, and updates the cluster configuration (the grid, and
-    /// therefore every cell, is re-derived for the new world on the next
-    /// decomposition).  Called at each ingest boundary; a no-op when
-    /// nothing is queued or the net world change is zero.
-    ///
-    /// # Errors
-    /// Propagates placement-plan construction failures (the session's
-    /// membership state is still advanced — the new world size is applied
-    /// first, so a metrics failure cannot leave the queue half-drained).
-    fn apply_membership(&mut self) -> Result<()> {
-        if self.pending_membership.is_empty() {
-            return Ok(());
-        }
-        let changes: Vec<MembershipChange> = self.pending_membership.drain(..).collect();
-        let ExecutionMode::Distributed(cc) = &self.mode else {
-            // Unreachable: queueing rejects serial mode.
-            return Ok(());
-        };
-        let old_cc = cc.clone();
-        let mut world = old_cc.workers;
-        let mut joins = 0u64;
-        let mut leaves = 0u64;
-        for c in changes {
-            match c {
-                MembershipChange::Join { count } => {
-                    world = world.saturating_add(count);
-                    joins += count as u64;
-                }
-                MembershipChange::Leave { count } => {
-                    // Validated at request time; clamp defensively anyway.
-                    world = world.saturating_sub(count).max(1);
-                    leaves += count as u64;
-                }
-            }
-        }
-        dismastd_obs::counter_add("membership/join", joins);
-        dismastd_obs::counter_add("membership/leave", leaves);
-        if world == old_cc.workers {
-            return Ok(()); // net-zero change: same grid, nothing moves
-        }
-        if let ExecutionMode::Distributed(cc) = &mut self.mode {
-            cc.workers = world;
-        }
-        // Migrated-rows accounting: compare row ownership between the old
-        // and new worlds' placement plans over the current shape.  The
-        // factors themselves are a global Kruskal tensor, so "migration"
-        // is an ownership re-derivation, not a data copy — the metric
-        // reports how many rows changed hands.
-        if !self.shape.is_empty() {
-            let probe = SparseTensor::empty(self.shape.clone())?;
-            let order = probe.order();
-            let old_grid = dismastd_partition::GridPartition::build_with(
-                &probe,
-                old_cc.partitioner,
-                &old_cc.resolved_parts(order),
-                old_cc.workers,
-                old_cc.cell_assignment,
-            )?;
-            let mut new_cc = old_cc;
-            new_cc.workers = world;
-            let new_grid = dismastd_partition::GridPartition::build_with(
-                &probe,
-                new_cc.partitioner,
-                &new_cc.resolved_parts(order),
-                new_cc.workers,
-                new_cc.cell_assignment,
-            )?;
-            let moved: u64 = old_grid.ownership_delta(&new_grid)?.iter().sum();
-            dismastd_obs::counter_add("membership/migrated_rows", moved);
-        }
+        check_workers(workers)?;
+        cc.workers = workers;
         Ok(())
     }
 
@@ -474,9 +320,13 @@ impl StreamingSession {
     /// Returns [`TensorError::InvalidArgument`] when the checkpoint is
     /// internally inconsistent: factor rank vs. configured rank, `shape`
     /// vs. the factors' row counts (the next ingest takes its complement
-    /// against the one and runs DTD against the other), or a stream
-    /// position with no factors to go with it.
+    /// against the one and runs DTD against the other), a stream position
+    /// with no factors to go with it, or a distributed mode with zero
+    /// workers (the error [`StreamingSession::set_workers`] gives for 0).
     pub fn from_checkpoint(ckpt: SessionCheckpoint) -> Result<Self> {
+        if let ExecutionMode::Distributed(cc) = &ckpt.mode {
+            check_workers(cc.workers)?;
+        }
         match &ckpt.factors {
             Some(f) => {
                 if f.rank() != ckpt.cfg.rank {
@@ -513,59 +363,8 @@ impl StreamingSession {
             cluster_opts: ClusterOptions::default(),
             comm_totals: ckpt.comm_totals,
             collect_metrics: false,
-            pending_membership: Vec::new(),
             supervisor: None,
         })
-    }
-
-    /// [`StreamingSession::from_checkpoint`] with an explicit worker count
-    /// for the restored cluster — restoring into a *different* world size
-    /// than the checkpoint's is the supported path for recovering onto a
-    /// grown or shrunk cluster.  Safe because the checkpointed factors are
-    /// a global [`KruskalTensor`]: row ownership is re-derived from the new
-    /// world's placement plan on the next ingest, so rows are migrated by
-    /// construction, never silently mis-assigned.
-    ///
-    /// # Errors
-    /// Returns [`TensorError::InvalidArgument`] when `workers == 0`, when
-    /// the checkpoint is serial-mode and `workers != 1` (a serial
-    /// checkpoint has no cluster to resize), or when the checkpoint is
-    /// internally inconsistent.
-    pub fn from_checkpoint_with_world(ckpt: SessionCheckpoint, workers: usize) -> Result<Self> {
-        if workers == 0 {
-            return Err(TensorError::InvalidArgument(
-                "restore_with_world: workers must be >= 1".into(),
-            ));
-        }
-        let mut ckpt = ckpt;
-        match &mut ckpt.mode {
-            ExecutionMode::Serial => {
-                if workers != 1 {
-                    return Err(TensorError::InvalidArgument(format!(
-                        "cannot restore a serial checkpoint into a {workers}-worker cluster; \
-                         resume distributed execution explicitly instead"
-                    )));
-                }
-            }
-            ExecutionMode::Distributed(cc) => {
-                cc.workers = workers;
-            }
-        }
-        Self::from_checkpoint(ckpt)
-    }
-
-    /// [`StreamingSession::restore`] with an explicit worker count; see
-    /// [`StreamingSession::from_checkpoint_with_world`].
-    ///
-    /// # Errors
-    /// As for [`StreamingSession::restore`] and
-    /// [`StreamingSession::from_checkpoint_with_world`].
-    pub fn restore_with_world(path: impl AsRef<std::path::Path>, workers: usize) -> Result<Self> {
-        let json = std::fs::read_to_string(path.as_ref())
-            .map_err(|e| TensorError::InvalidArgument(format!("checkpoint read: {e}")))?;
-        let ckpt: SessionCheckpoint = serde_json::from_str(&json)
-            .map_err(|e| TensorError::InvalidArgument(format!("checkpoint decode: {e}")))?;
-        Self::from_checkpoint_with_world(ckpt, workers)
     }
 
     /// Serialises the session's durable state to `path` as JSON.
@@ -708,12 +507,13 @@ impl StreamingSession {
     /// 1. **Respawn-and-rejoin** — the decomposition is replayed from the
     ///    pre-step factors, readmitting the crashed rank at the step
     ///    boundary (same world, ownership re-derived from the global
-    ///    factors — the identity case of an elastic rejoin).  Each rank has
+    ///    factors, as every step derives it).  Each rank has
     ///    a bounded respawn budget and each replay is preceded by seeded
     ///    exponential backoff spent through the policy's
     ///    [`dismastd_cluster::Clock`].
     /// 2. **Degraded-world fallback** — once a rank's budget is exhausted,
-    ///    the world is shrunk by one worker via the elastic-leave path and
+    ///    the world is shrunk by one worker via
+    ///    [`StreamingSession::set_workers`] and
     ///    the decomposition re-run there; the report records a typed
     ///    [`HealTransition::Degraded`] instead of the session failing.
     /// 3. Only when degradation is disallowed or the world has reached the
@@ -740,9 +540,6 @@ impl StreamingSession {
     /// errors.  On error the decomposition is untouched and the session
     /// stays usable (a degradation that already happened stays applied).
     pub fn ingest(&mut self, snapshot: &SparseTensor) -> Result<StepReport> {
-        // Elastic membership: queued join/leave transitions take effect
-        // here, before any of this step's placement work.
-        self.apply_membership()?;
         // The placement memo never outlives the step that built it.
         self.plan_cache.reset();
         // lint:allow(determinism, clock_hygiene): elapsed-time reporting only
@@ -942,17 +739,14 @@ impl StreamingSession {
             match action {
                 HealAction::Respawn { .. } => heal.respawns += 1,
                 HealAction::Degrade { .. } => {
-                    // Shrink through the ordinary elastic-leave path so the
-                    // membership/* accounting fires exactly as a voluntary
-                    // departure would; the placement memo is keyed by world
-                    // size, so the replay re-partitions.
-                    self.request_leave(1)?;
-                    self.apply_membership()?;
+                    // The same call a caller shrinking the cluster makes;
+                    // the placement memo is keyed by world size, so the
+                    // replay re-partitions.
+                    self.set_workers(world - 1)?;
                     heal.transitions.push(HealTransition::Degraded {
                         from_world: world,
-                        to_world: self.world(),
+                        to_world: world - 1,
                     });
-                    heal.degraded = true;
                 }
                 HealAction::GiveUp { .. } => {
                     return Err(TensorError::ClusterFault {
@@ -1028,6 +822,17 @@ impl StreamingSession {
             }
         }
     }
+}
+
+/// The one check on a world size, shared by
+/// [`StreamingSession::set_workers`] and the checkpoint trust boundary.
+fn check_workers(workers: usize) -> Result<()> {
+    if workers == 0 {
+        return Err(TensorError::InvalidArgument(
+            "a cluster needs at least one worker, not workers = 0".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Writes `bytes` to a new file at `path` and syncs it to stable storage.
@@ -1431,16 +1236,13 @@ mod tests {
         std::fs::write(&path, json.replace(good_shape, "\"shape\":[7,7]")).unwrap();
         assert_inconsistent(StreamingSession::restore(&path), "row counts");
 
-        // restore_with_world: a stream position but no factors behind it.
+        // restore: a stream position but no factors behind it.
         let path = dir.join("no_factors.json");
         let factors_at = json.find("\"factors\":").unwrap() + "\"factors\":".len();
         let shape_at = json.find(",\"shape\":").unwrap();
         let headless = format!("{}null{}", &json[..factors_at], &json[shape_at..]);
         std::fs::write(&path, &headless).unwrap();
-        assert_inconsistent(
-            StreamingSession::restore_with_world(&path, 3),
-            "carries no factors",
-        );
+        assert_inconsistent(StreamingSession::restore(&path), "carries no factors");
         // … with either leftover alone being enough.
         let ckpt: SessionCheckpoint = serde_json::from_str(&headless).unwrap();
         for leftover in [
@@ -1462,6 +1264,55 @@ mod tests {
         let fresh = StreamingSession::new(cfg(), ExecutionMode::Serial).to_checkpoint();
         assert!(StreamingSession::from_checkpoint(fresh).is_ok());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_checkpoint_with_zero_workers_is_refused_at_restore() {
+        let (s0, _) = snapshot_pair();
+        let mut sess =
+            StreamingSession::new(cfg(), ExecutionMode::Distributed(ClusterConfig::new(2)));
+        sess.ingest(&s0).unwrap();
+        let json = serde_json::to_string(&sess.to_checkpoint()).unwrap();
+        assert_eq!(
+            json.matches("\"workers\":2").count(),
+            1,
+            "one workers field"
+        );
+        let dir = scratch_dir("zero_workers");
+        let path = dir.join("ckpt.json");
+        std::fs::write(&path, json.replace("\"workers\":2", "\"workers\":0")).unwrap();
+        // Refused at the trust boundary, with the error the setter gives,
+        // rather than at the first ingest.
+        let refused = StreamingSession::restore(&path).unwrap_err();
+        assert_eq!(Some(refused), sess.set_workers(0).err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_world_change_between_steps_rides_the_checkpoint() {
+        let (s0, s1) = snapshot_pair();
+        let mut live =
+            StreamingSession::new(cfg(), ExecutionMode::Distributed(ClusterConfig::new(2)));
+        live.ingest(&s0).unwrap();
+        live.set_workers(3).unwrap();
+        let dir = scratch_dir("world_in_ckpt");
+        let path = dir.join("ckpt.json");
+        live.checkpoint(&path).unwrap();
+        let mut restored = StreamingSession::restore(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(restored.mode(), live.mode());
+
+        let a = live.ingest(&s1).unwrap();
+        let b = restored.ingest(&s1).unwrap();
+        assert_eq!(a.loss.to_bits(), b.loss.to_bits());
+        assert_eq!(live.factors(), restored.factors());
+        // The step is world-sensitive, so a restore that dropped the change
+        // would have been caught: world 2 lands on other bits.
+        let mut stayed =
+            StreamingSession::new(cfg(), ExecutionMode::Distributed(ClusterConfig::new(2)));
+        stayed.ingest(&s0).unwrap();
+        stayed.ingest(&s1).unwrap();
+        assert_ne!(stayed.factors(), live.factors());
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! executions and cross-checks the observed session after each step:
 //!
 //! 1. **A fault-free distributed replica** with the same configuration and
-//!    the same (mirrored) membership history.  The distributed
+//!    the same (mirrored) world-size history.  The distributed
 //!    decomposition is deterministic for a fixed configuration, so the
 //!    observed factors — however much chaos, virtual latency, or partition
 //!    scheduling the simulator injected — must match the replica's
 //!    **bit for bit**.  Any divergence means the runtime corrupted state
 //!    (a dropped message that should have been retransmitted, a stale
-//!    plan-cache entry surviving a membership change, …).
+//!    plan-cache entry surviving a world-size change, …).
 //! 2. **The serial oracle.**  Serial and distributed execution sum partial
 //!    MTTKRP contributions in different orders, so their factors agree to
 //!    floating-point *tolerance*, not bitwise (the repo-wide contract,
@@ -77,22 +77,11 @@ impl ShadowOracle {
         snapshot: &SparseTensor,
         observed: &StreamingSession,
     ) -> Result<()> {
-        // Mirror membership: the observed session has already applied its
-        // queued transitions for this step, so its mode carries the
-        // effective world size.  The replica follows via the same elastic
-        // path (request + apply at its own ingest boundary), exercising
-        // the production transition code rather than poking fields.
+        // Mirror the world: the observed session's mode carries the world
+        // its step ran on (a heal degradation included), and the replica
+        // follows through the same setter a caller uses.
         if let ExecutionMode::Distributed(cc) = observed.mode() {
-            let observed_world = cc.workers;
-            let replica_world = match self.replica.mode() {
-                ExecutionMode::Distributed(rcc) => rcc.workers,
-                ExecutionMode::Serial => 1,
-            };
-            if observed_world > replica_world {
-                self.replica.request_join(observed_world - replica_world)?;
-            } else if observed_world < replica_world {
-                self.replica.request_leave(replica_world - observed_world)?;
-            }
+            self.replica.set_workers(cc.workers)?;
         }
         self.replica.ingest(snapshot)?;
         self.serial.ingest(snapshot)?;

@@ -24,8 +24,6 @@
 //! - `pool/*` — intra-worker thread-pool events (chunks executed).
 //! - `sim/*` — deterministic-simulation scheduler events (messages on the
 //!   virtual wire, partition holds, time advances, deadlock wakes).
-//! - `membership/*` — elastic worker join/leave events and the ownership
-//!   migration / plan-invalidation work they trigger.
 //! - `heal/*` — the supervision layer's crash-heal ladder: respawn
 //!   replays, backoff spent, degraded-world transitions, and terminal
 //!   give-ups.
@@ -75,10 +73,6 @@ pub const COUNTERS: &[&str] = &[
     "heal/giveup",
     "heal/respawn",
     "ingest/quarantined",
-    // membership family: elastic join/leave and the migration work.
-    "membership/join",
-    "membership/leave",
-    "membership/migrated_rows",
     // plan family: the step-local placement memo's traffic (cells reused
     // by a retry / cells compiled).
     "plan/cache_hit",
@@ -157,7 +151,6 @@ mod tests {
             "ingest/",
             "solve/",
             "sim/",
-            "membership/",
             "heal/",
         ];
         for table in [SPANS, COUNTERS, GAUGES, HISTOGRAMS] {

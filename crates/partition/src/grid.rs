@@ -320,8 +320,7 @@ impl GridPartition {
     /// Worker that owns factor row `slice` of `mode`: the one holding the
     /// most of the row's nonzeros (ties to the lower rank), `slice % M` for
     /// a row nothing references.  The single definition of ownership — the
-    /// distributed driver's routing, the gather and the elastic
-    /// migrated-rows count all read it.
+    /// distributed driver's routing and the gather both read it.
     #[inline]
     pub fn row_owner(&self, mode: usize, slice: usize) -> usize {
         self.row_owners[mode][slice] as usize
@@ -334,45 +333,6 @@ impl GridPartition {
             loads[self.worker_of(idx)] += 1;
         }
         loads
-    }
-
-    /// Per-mode count of factor rows whose owner differs between this plan
-    /// and `other` — the rows an elastic membership change must migrate
-    /// when the cluster rebalances from one placement to the other.
-    ///
-    /// Both plans must describe the same tensor shape (same order, same
-    /// per-mode slice counts); the worker counts may differ — that is the
-    /// point.
-    ///
-    /// # Errors
-    /// Returns [`TensorError::InvalidArgument`] when the plans' orders or
-    /// per-mode slice counts disagree.
-    pub fn ownership_delta(&self, other: &GridPartition) -> Result<Vec<u64>> {
-        if self.order() != other.order() {
-            return Err(TensorError::InvalidArgument(format!(
-                "ownership_delta: order mismatch ({} vs {})",
-                self.order(),
-                other.order()
-            )));
-        }
-        let mut delta = Vec::with_capacity(self.order());
-        for mode in 0..self.order() {
-            let n = self.mode_partitions[mode].num_slices();
-            let m = other.mode_partitions[mode].num_slices();
-            if n != m {
-                return Err(TensorError::InvalidArgument(format!(
-                    "ownership_delta: mode {mode} has {n} slices vs {m}"
-                )));
-            }
-            let mut moved = 0u64;
-            for slice in 0..n {
-                if self.row_owner(mode, slice) != other.row_owner(mode, slice) {
-                    moved += 1;
-                }
-            }
-            delta.push(moved);
-        }
-        Ok(delta)
     }
 }
 
@@ -560,28 +520,6 @@ mod tests {
         for (idx, _) in t.iter() {
             assert_eq!(g.worker_of(idx), 0);
         }
-    }
-
-    #[test]
-    fn ownership_delta_counts_moved_rows() {
-        let t = test_tensor();
-        let g2 = GridPartition::build(&t, Partitioner::Mtp, &[2, 2, 2], 2).unwrap();
-        // Same plan: nothing moves.
-        assert_eq!(g2.ownership_delta(&g2).unwrap(), vec![0, 0, 0]);
-        // Shrinking to one worker: every slice not already owned by worker
-        // 0 must migrate, and the count is exact per mode.
-        let g1 = GridPartition::build(&t, Partitioner::Mtp, &[2, 2, 2], 1).unwrap();
-        let delta = g2.ownership_delta(&g1).unwrap();
-        for (mode, moved) in delta.iter().enumerate() {
-            let expected = (0..4).filter(|&s| g2.row_owner(mode, s) != 0).count() as u64;
-            assert_eq!(*moved, expected, "mode {mode}");
-        }
-        // Mismatched shapes are a typed error, not a wrong count.
-        let mut b = SparseTensorBuilder::new(vec![6, 6, 6]);
-        b.push(&[5, 5, 5], 1.0).unwrap();
-        let bigger = b.build().unwrap();
-        let gb = GridPartition::build(&bigger, Partitioner::Mtp, &[2, 2, 2], 2).unwrap();
-        assert!(g2.ownership_delta(&gb).is_err());
     }
 
     #[test]
@@ -943,28 +881,6 @@ mod proptests {
                     }
                 }
             }
-        }
-
-        #[test]
-        fn ownership_delta_counts_the_rows_whose_owner_differs(
-            t in tensor_strategy(),
-            worlds in (1usize..6, 1usize..6),
-            parts in 1usize..5,
-            scatter in 0usize..2,
-        ) {
-            let a = build(&t, worlds.0, parts, scatter == 1, false);
-            let b = build(&t, worlds.1, parts, scatter == 1, false);
-            let expected: Vec<u64> = t
-                .shape()
-                .iter()
-                .enumerate()
-                .map(|(mode, &rows)| {
-                    (0..rows)
-                        .filter(|&row| a.row_owner(mode, row) != b.row_owner(mode, row))
-                        .count() as u64
-                })
-                .collect();
-            prop_assert_eq!(a.ownership_delta(&b).unwrap(), expected);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Deterministic-simulation (DST) suite: streaming sessions under
-//! one-seed chaos with elastic membership, checked against the shadow
-//! oracle after every step.
+//! one-seed chaos with world-size changes between steps, checked against
+//! the shadow oracle after every step.
 //!
 //! Every scenario runs the observed session inside the virtual-time
 //! simulator (`SimOptions`) with a seeded `FaultPlan` layered on top, so
@@ -11,10 +11,10 @@
 //! 1. same seed ⇒ identical event trace and bit-identical factors;
 //! 2. *different* seeds still converge to bit-identical factors — chaos
 //!    may reorder the schedule but must never change the math;
-//! 3. join-during-exchange, leave-during-solve, and
-//!    partition-during-rebalance all pass a seed sweep with the shadow
-//!    checker (bitwise vs a fault-free replica, tolerance vs the serial
-//!    oracle) green after every step.
+//! 3. a world grown or shrunk with `StreamingSession::set_workers` before
+//!    a step (the `join_`, `leave_` and `partition_` sweeps) passes a seed
+//!    sweep with the shadow checker (bitwise vs a fault-free replica,
+//!    tolerance vs the serial oracle) green after every step.
 //!
 //! Sweep width comes from `DISMASTD_DST_SEEDS` (default 8 locally; CI
 //! runs 64).  On failure the panic message carries the seed, so any red
@@ -48,8 +48,7 @@ fn sweep_seeds() -> Vec<u64> {
 
 /// Runs one 3-step streaming scenario under simulated chaos.
 ///
-/// * `delta` — membership change requested before step `change_at`
-///   (+n join, -n leave);
+/// * `world` — the world `set_workers` moves to before step `change_at`;
 /// * `windows` — explicit partition windows, on top of one seeded one;
 /// * `check` — replay every step through the [`ShadowOracle`].
 ///
@@ -57,7 +56,7 @@ fn sweep_seeds() -> Vec<u64> {
 fn run_scenario(
     seed: u64,
     start_world: usize,
-    delta: isize,
+    world: usize,
     change_at: usize,
     windows: &[PartitionWindow],
     check: bool,
@@ -91,15 +90,9 @@ fn run_scenario(
     let mut trace = Vec::new();
     for (t, snap) in seq.iter().enumerate() {
         if t == change_at {
-            if delta > 0 {
-                observed
-                    .request_join(delta as usize)
-                    .unwrap_or_else(|e| panic!("seed {seed}: join request failed: {e}"));
-            } else if delta < 0 {
-                observed
-                    .request_leave(delta.unsigned_abs())
-                    .unwrap_or_else(|e| panic!("seed {seed}: leave request failed: {e}"));
-            }
+            observed
+                .set_workers(world)
+                .unwrap_or_else(|e| panic!("seed {seed}: set_workers({world}) failed: {e}"));
         }
         observed
             .ingest(snap)
@@ -123,14 +116,14 @@ fn run_scenario(
 
 #[test]
 fn same_seed_gives_identical_trace_and_factors() {
-    let (trace_a, bits_a) = run_scenario(7, 2, 1, 1, &[], false);
-    let (trace_b, bits_b) = run_scenario(7, 2, 1, 1, &[], false);
+    let (trace_a, bits_a) = run_scenario(7, 2, 3, 1, &[], false);
+    let (trace_b, bits_b) = run_scenario(7, 2, 3, 1, &[], false);
     assert_eq!(trace_a, trace_b, "same seed must replay the same schedule");
     assert_eq!(bits_a, bits_b, "same seed must replay identical factors");
 
     // A different seed reorders the schedule (different trace) but the
     // decomposition itself must be chaos-invariant: identical bits.
-    let (trace_c, bits_c) = run_scenario(8, 2, 1, 1, &[], false);
+    let (trace_c, bits_c) = run_scenario(8, 2, 3, 1, &[], false);
     assert_ne!(trace_a, trace_c, "seed must drive the schedule trace");
     assert_eq!(bits_a, bits_c, "chaos must never change the math");
 }
@@ -177,24 +170,26 @@ fn thread_pool_size_never_changes_the_factor_bits() {
     assert_eq!(serial, pooled, "thread count must never change factor bits");
 }
 
+// Historical `join_` / `leave_` names: `set_workers` moves 2 -> 3 / 3 -> 2.
 #[test]
 fn join_during_exchange_survives_the_seed_sweep() {
     for seed in sweep_seeds() {
-        run_scenario(seed, 2, 1, 1, &[], true);
+        run_scenario(seed, 2, 3, 1, &[], true);
     }
 }
 
 #[test]
 fn leave_during_solve_survives_the_seed_sweep() {
     for seed in sweep_seeds() {
-        run_scenario(seed, 3, -1, 1, &[], true);
+        run_scenario(seed, 3, 2, 1, &[], true);
     }
 }
 
 #[test]
 fn partition_during_rebalance_survives_the_seed_sweep() {
-    // Isolate worker 0 across the opening of the membership step — the
-    // exchange that redistributes rows must ride out the outage.
+    // Isolate worker 0 across the opening of the step that first runs on
+    // the grown world — the exchange that redistributes rows must ride out
+    // the outage.
     let outage = PartitionWindow {
         a: 0,
         b: usize::MAX,
@@ -202,7 +197,7 @@ fn partition_during_rebalance_survives_the_seed_sweep() {
         end_ns: 150_000,
     };
     for seed in sweep_seeds() {
-        run_scenario(seed, 2, 1, 1, &[outage], true);
+        run_scenario(seed, 2, 3, 1, &[outage], true);
     }
 }
 
@@ -324,8 +319,9 @@ fn escalating_decisions_agree_on_every_rank_under_the_seed_sweep() {
     }
 }
 
-// ---- checkpoint/restore across membership changes ------------------------
+// ---- checkpoint/restore across world-size changes ------------------------
 
+/// Historical name: both paths reach world 3 through `set_workers`.
 #[test]
 fn restore_into_a_larger_world_matches_the_elastic_join() {
     let cfg = dst_cfg();
@@ -337,14 +333,14 @@ fn restore_into_a_larger_world_matches_the_elastic_join() {
     elastic.ingest(snaps[0]).expect("step 0");
     let ckpt = elastic.to_checkpoint();
 
-    // Path A: stay resident, grow elastically before step 1.
-    elastic.request_join(1).expect("join");
+    // Path A: stay resident, grow to 3 workers before step 1.
+    elastic.set_workers(3).expect("grow");
     elastic.ingest(snaps[1]).expect("elastic step 1");
 
-    // Path B: restore the step-0 checkpoint straight into the 3-worker
-    // world and take the same step.
-    let mut restored =
-        StreamingSession::from_checkpoint_with_world(ckpt, 3).expect("restore into world 3");
+    // Path B: restore the step-0 checkpoint, move it to the 3-worker world
+    // and take the same step.
+    let mut restored = StreamingSession::from_checkpoint(ckpt).expect("restore");
+    restored.set_workers(3).expect("restore into world 3");
     restored.ingest(snaps[1]).expect("restored step 1");
 
     let a = elastic.factors().expect("factors");
@@ -354,11 +350,12 @@ fn restore_into_a_larger_world_matches_the_elastic_join() {
         let bits_b: Vec<u64> = fb.as_slice().iter().map(|v| v.to_bits()).collect();
         assert_eq!(
             bits_a, bits_b,
-            "mode {mode}: restore-with-world must migrate to the same state the elastic join reaches"
+            "mode {mode}: a restored session moved to world 3 must reach the live session's state"
         );
     }
 }
 
+/// Historical name: a restored session is resized with `set_workers`.
 #[test]
 fn restore_with_world_rejects_zero_and_serial_mismatch() {
     let cfg = dst_cfg();
@@ -369,22 +366,31 @@ fn restore_with_world_rejects_zero_and_serial_mismatch() {
     serial
         .ingest(seq.iter().next().expect("one snapshot"))
         .expect("ingest");
-    let ckpt = serial.to_checkpoint();
-
-    match StreamingSession::from_checkpoint_with_world(ckpt.clone(), 0) {
-        Err(TensorError::InvalidArgument(msg)) => {
-            assert!(msg.contains("workers"), "unexpected message: {msg}")
-        }
-        other => panic!("workers=0 must fail typed, got {other:?}"),
-    }
-    match StreamingSession::from_checkpoint_with_world(ckpt.clone(), 3) {
+    let mut restored =
+        StreamingSession::from_checkpoint(serial.to_checkpoint()).expect("serial restore");
+    match restored.set_workers(3) {
         Err(TensorError::InvalidArgument(msg)) => {
             assert!(msg.contains("serial"), "unexpected message: {msg}")
         }
         other => panic!("serial checkpoint into a 3-worker cluster must fail typed, got {other:?}"),
     }
-    // world 1 is the identity restore for a serial checkpoint.
-    StreamingSession::from_checkpoint_with_world(ckpt, 1).expect("serial -> world 1 is fine");
+    assert_eq!(restored.mode(), &ExecutionMode::Serial);
+
+    let mut dist = StreamingSession::new(cfg, ExecutionMode::Distributed(ClusterConfig::new(2)));
+    dist.ingest(seq.iter().next().expect("one snapshot"))
+        .expect("ingest");
+    let mut restored = StreamingSession::from_checkpoint(dist.to_checkpoint()).expect("restore");
+    match restored.set_workers(0) {
+        Err(TensorError::InvalidArgument(msg)) => {
+            assert!(msg.contains("workers"), "unexpected message: {msg}")
+        }
+        other => panic!("workers=0 must fail typed, got {other:?}"),
+    }
+    assert_eq!(
+        restored.mode(),
+        dist.mode(),
+        "a refused change moves nothing"
+    );
 }
 
 // ---- supervised crash-and-rejoin (the `heal_` sweep; CI runs it as its
@@ -410,10 +416,10 @@ fn final_bits(s: &StreamingSession) -> Vec<Vec<u64>> {
 }
 
 /// Runs the 3-step stream under an installed heal policy, arming `chaos` (layered
-/// on the seed's simulator) before step `crash_step`.  With `join_at`, one
-/// worker joins right before the crash step, so the heal replays race an
-/// in-flight membership change.  Panics (with the seed) if any step fails
-/// to heal or the shadow oracle disagrees.
+/// on the seed's simulator) before step `crash_step`.  With `join_at`, the
+/// world grows by one worker right before the crash step, so the heal
+/// replays run on a world the previous step never used.  Panics (with the
+/// seed) if any step fails to heal or the shadow oracle disagrees.
 fn run_heal_scenario(
     seed: u64,
     start_world: usize,
@@ -438,8 +444,8 @@ fn run_heal_scenario(
         if t == crash_step {
             if join_at {
                 observed
-                    .request_join(1)
-                    .unwrap_or_else(|e| panic!("seed {seed}: join request failed: {e}"));
+                    .set_workers(start_world + 1)
+                    .unwrap_or_else(|e| panic!("seed {seed}: growing the world failed: {e}"));
             }
             observed.set_cluster_options(chaos(SimOptions::from_seed(seed)));
         }
@@ -454,9 +460,9 @@ fn run_heal_scenario(
     (reports, final_bits(&observed))
 }
 
-/// A fault-free reference run of the same stream: `start_world` workers,
-/// optionally shrunk/grown by `delta` before step `change_at`.
-fn clean_reference(start_world: usize, delta: isize, change_at: usize) -> Vec<Vec<u64>> {
+/// A fault-free reference run of the same stream: `start_world` workers
+/// for step 0, `world` from step 1 on.
+fn clean_reference(start_world: usize, world: usize) -> Vec<Vec<u64>> {
     let cfg = dst_cfg();
     let full = random_tensor(&[12, 10, 8], 400, 17);
     let seq = StreamSequence::cut(&full, &[0.6, 0.8, 1.0]).expect("cuts");
@@ -465,12 +471,8 @@ fn clean_reference(start_world: usize, delta: isize, change_at: usize) -> Vec<Ve
         ExecutionMode::Distributed(ClusterConfig::new(start_world)),
     );
     for (t, snap) in seq.iter().enumerate() {
-        if t == change_at {
-            if delta > 0 {
-                s.request_join(delta as usize).expect("join");
-            } else if delta < 0 {
-                s.request_leave(delta.unsigned_abs()).expect("leave");
-            }
+        if t == 1 {
+            s.set_workers(world).expect("world change");
         }
         s.ingest(snap).expect("clean reference step");
     }
@@ -483,7 +485,7 @@ fn clean_reference(start_world: usize, delta: isize, change_at: usize) -> Vec<Ve
 /// caller ever seeing an error.
 #[test]
 fn heal_crash_during_exchange_survives_the_seed_sweep() {
-    let clean = clean_reference(3, 0, usize::MAX);
+    let clean = clean_reference(3, 3);
     for seed in sweep_seeds() {
         let (reports, bits) = run_heal_scenario(seed, 3, 1, false, |sim| {
             ClusterOptions::default().with_sim(sim.with_crash_and_rejoin(1, 2, 0))
@@ -491,7 +493,10 @@ fn heal_crash_during_exchange_survives_the_seed_sweep() {
         let heal = reports[1].heal.as_ref().expect("heal report on step 1");
         assert_eq!(heal.respawns, 1, "seed {seed}: one respawn heals the crash");
         assert!(heal.backoff_ns > 0, "seed {seed}: backoff must be spent");
-        assert!(!heal.degraded, "seed {seed}: no degradation needed");
+        assert!(
+            heal.transitions.is_empty(),
+            "seed {seed}: no degradation needed"
+        );
         assert_eq!(
             bits, clean,
             "seed {seed}: healed factors must be bit-identical to a fault-free run"
@@ -506,7 +511,7 @@ fn heal_crash_during_exchange_survives_the_seed_sweep() {
 /// same contract.
 #[test]
 fn heal_crash_during_solve_survives_the_seed_sweep() {
-    let clean = clean_reference(3, 0, usize::MAX);
+    let clean = clean_reference(3, 3);
     for seed in sweep_seeds() {
         let (reports, bits) = run_heal_scenario(seed, 3, 1, false, |sim| {
             ClusterOptions::default().with_sim(sim.with_crash_and_rejoin(2, 9, 0))
@@ -524,7 +529,7 @@ fn heal_crash_during_solve_survives_the_seed_sweep() {
 /// default budget of two respawns absorbs both.
 #[test]
 fn heal_double_crash_of_the_same_rank_survives_the_seed_sweep() {
-    let clean = clean_reference(3, 0, usize::MAX);
+    let clean = clean_reference(3, 3);
     for seed in sweep_seeds() {
         let (reports, bits) = run_heal_scenario(seed, 3, 1, false, |sim| {
             ClusterOptions::default()
@@ -538,18 +543,17 @@ fn heal_double_crash_of_the_same_rank_survives_the_seed_sweep() {
             heal.respawns, 2,
             "seed {seed}: both crashes must be respawned through"
         );
-        assert!(!heal.degraded, "seed {seed}");
+        assert!(heal.transitions.is_empty(), "seed {seed}");
         assert_eq!(bits, clean, "seed {seed}: bit-identical after double heal");
     }
 }
 
-/// The crash races an **in-flight membership change**: a join is queued
-/// for the same step the crash fires in.  The join is applied at the step
-/// boundary before the first attempt, so every replay re-runs in the
-/// already-grown world and the result matches a fault-free elastic join.
+/// The crash lands in the first step on a grown world (historical name).
+/// The world grew before the first attempt, so every replay re-runs in it
+/// and the result matches a fault-free run grown at the same step.
 #[test]
 fn heal_crash_during_membership_change_survives_the_seed_sweep() {
-    let clean = clean_reference(2, 1, 1);
+    let clean = clean_reference(2, 3);
     for seed in sweep_seeds() {
         let (reports, bits) = run_heal_scenario(seed, 2, 1, true, |sim| {
             ClusterOptions::default().with_sim(sim.with_crash_and_rejoin(1, 2, 0))
@@ -558,7 +562,7 @@ fn heal_crash_during_membership_change_survives_the_seed_sweep() {
         assert!(heal.respawns >= 1, "seed {seed}");
         assert_eq!(
             bits, clean,
-            "seed {seed}: heal must preserve the in-flight join's outcome"
+            "seed {seed}: heal must preserve the grown world's outcome"
         );
     }
 }
@@ -571,7 +575,7 @@ fn heal_crash_during_membership_change_survives_the_seed_sweep() {
 fn heal_budget_exhaustion_degrades_instead_of_failing() {
     // The departing rank is the highest (world 3 -> 2 drops rank 2), so
     // after the shrink the armed crash has no rank to fire on.
-    let clean = clean_reference(3, -1, 1);
+    let clean = clean_reference(3, 2);
     for seed in sweep_seeds() {
         let cfg = dst_cfg();
         let full = random_tensor(&[12, 10, 8], 400, 17);
@@ -610,7 +614,6 @@ fn heal_budget_exhaustion_degrades_instead_of_failing() {
         }
 
         let heal = reports[1].heal.as_ref().expect("heal report on step 1");
-        assert!(heal.degraded, "seed {seed}: the step must degrade");
         assert_eq!(
             heal.transitions,
             vec![HealTransition::Degraded {
@@ -632,7 +635,7 @@ fn heal_budget_exhaustion_degrades_instead_of_failing() {
         assert_eq!(
             final_bits(&observed),
             clean,
-            "seed {seed}: the degraded stream must match a voluntary leave at the same step"
+            "seed {seed}: the degraded stream must match a voluntary shrink at the same step"
         );
     }
 }
@@ -672,8 +675,9 @@ fn heal_ladder_exhaustion_is_a_typed_error() {
     sess.ingest(snaps[1]).expect("post-give-up step");
 }
 
-// ---- restore_with_world / from_checkpoint_with_world error paths ---------
+// ---- restore-then-resize error paths -------------------------------------
 
+/// Historical name: a file restore is `restore`, then `set_workers`.
 #[test]
 fn restore_with_world_file_error_paths_are_typed() {
     let dir = std::env::temp_dir();
@@ -681,7 +685,7 @@ fn restore_with_world_file_error_paths_are_typed() {
     // Missing file.
     let missing = dir.join("dismastd_dst_no_such_ckpt.json");
     let _ = std::fs::remove_file(&missing);
-    match StreamingSession::restore_with_world(&missing, 2) {
+    match StreamingSession::restore(&missing) {
         Err(TensorError::InvalidArgument(msg)) => {
             assert!(msg.contains("checkpoint read"), "unexpected message: {msg}")
         }
@@ -691,7 +695,7 @@ fn restore_with_world_file_error_paths_are_typed() {
     // Corrupt JSON.
     let corrupt = dir.join("dismastd_dst_corrupt_ckpt.json");
     std::fs::write(&corrupt, b"{\"cfg\": not json").expect("write corrupt file");
-    match StreamingSession::restore_with_world(&corrupt, 2) {
+    match StreamingSession::restore(&corrupt) {
         Err(TensorError::InvalidArgument(msg)) => {
             assert!(
                 msg.contains("checkpoint decode"),
@@ -702,7 +706,8 @@ fn restore_with_world_file_error_paths_are_typed() {
     }
     let _ = std::fs::remove_file(&corrupt);
 
-    // A real checkpoint file, restored with invalid world sizes.
+    // A real checkpoint file: the restore succeeds, and resizing the
+    // restored serial session is refused.
     let cfg = dst_cfg();
     let full = random_tensor(&[10, 9, 8], 200, 3);
     let seq = StreamSequence::cut(&full, &[1.0]).expect("cuts");
@@ -713,44 +718,41 @@ fn restore_with_world_file_error_paths_are_typed() {
     let valid = dir.join("dismastd_dst_serial_ckpt.json");
     serial.checkpoint(&valid).expect("write checkpoint");
 
-    match StreamingSession::restore_with_world(&valid, 0) {
-        Err(TensorError::InvalidArgument(msg)) => {
-            assert!(msg.contains("workers"), "unexpected message: {msg}")
-        }
-        other => panic!("workers=0 from file must fail typed, got {other:?}"),
-    }
-    match StreamingSession::restore_with_world(&valid, 3) {
-        Err(TensorError::InvalidArgument(msg)) => {
-            assert!(msg.contains("serial"), "unexpected message: {msg}")
-        }
-        other => panic!("serial->3 from file must fail typed, got {other:?}"),
-    }
-    // The identity restore from the same file stays fine.
-    StreamingSession::restore_with_world(&valid, 1).expect("serial -> world 1");
+    let mut restored = StreamingSession::restore(&valid).expect("serial restore");
     let _ = std::fs::remove_file(&valid);
+    for workers in [0, 1, 3] {
+        match restored.set_workers(workers) {
+            Err(TensorError::InvalidArgument(msg)) => {
+                assert!(msg.contains("serial"), "unexpected message: {msg}")
+            }
+            other => panic!("serial -> {workers} from file must fail typed, got {other:?}"),
+        }
+    }
 }
 
+/// Historical name: `set_workers` validates when called and applies at once.
 #[test]
 fn membership_requests_validate_eagerly() {
     let cfg = dst_cfg();
 
     let mut serial = StreamingSession::new(cfg, ExecutionMode::Serial);
     assert!(
-        matches!(serial.request_join(1), Err(TensorError::InvalidArgument(_))),
+        matches!(serial.set_workers(2), Err(TensorError::InvalidArgument(_))),
         "serial sessions have no cluster to grow"
     );
 
     let mut dist = StreamingSession::new(cfg, ExecutionMode::Distributed(ClusterConfig::new(2)));
     assert!(
-        matches!(dist.request_join(0), Err(TensorError::InvalidArgument(_))),
-        "zero-count changes are meaningless"
-    );
-    assert!(
-        matches!(dist.request_leave(2), Err(TensorError::InvalidArgument(_))),
+        matches!(dist.set_workers(0), Err(TensorError::InvalidArgument(_))),
         "the cluster can never drop below one worker"
     );
-    // A valid queue is visible until the next ingest applies it.
-    dist.request_join(2).expect("join 2");
-    dist.request_leave(1).expect("leave 1 of the queued 4");
-    assert_eq!(dist.pending_membership().len(), 2);
+    let world = |s: &StreamingSession| match s.mode() {
+        ExecutionMode::Distributed(cc) => cc.workers,
+        ExecutionMode::Serial => 1,
+    };
+    assert_eq!(world(&dist), 2, "a refused change moves nothing");
+    dist.set_workers(4).expect("grow to 4");
+    assert_eq!(world(&dist), 4, "the change is visible before any ingest");
+    dist.set_workers(1).expect("shrink to 1");
+    assert_eq!(world(&dist), 1);
 }
