@@ -273,15 +273,15 @@ fn candidates(work: &SparseTensor, grid: &GridPartition) -> Vec<Candidate> {
 
 /// What a fault-free step of `iters` iterations ships, rank by rank, and
 /// how many collectives it takes, written down from the schedule rather
-/// than read off the code that runs it.
+/// than read off the code that runs it.  The audit runs the paper's
+/// defaults (tolerance 0), so every step reaches its scheduled end: its
+/// last refresh — which nothing reads — is not sent, and its last mode's
+/// partials and loss slot ride the gather instead.
 struct Schedule {
     world: usize,
     order: u64,
     rank: u64,
     iters: u64,
-    /// The run reached its scheduled end, so its last refresh — which
-    /// nothing reads — is not sent.
-    unread: bool,
 }
 
 impl Schedule {
@@ -316,14 +316,14 @@ impl Schedule {
         }
     }
 
-    /// Per-rank bytes of a mode's Gram reduction riding the refresh and the
-    /// next partials exchange: its owners are the algorithm's reducers —
-    /// rank 0 flat, ranks `1..=w−2` (rank 1 at world 2) in near-equal
+    /// Per-rank bytes of a reduction of `len` values riding the refresh and
+    /// the next partials exchange: its owners are the algorithm's reducers
+    /// — rank 0 flat, ranks `1..=w−2` (rank 1 at world 2) in near-equal
     /// contiguous slices, larger ones first, on the ring.  A rank sends
     /// every peer-owned value of its partials once and its own slice to
     /// `w − 1` ranks: `b + (w − 2)·slice`.
-    fn fused(&self) -> Vec<u64> {
-        let (w, len) = (self.world, self.packed());
+    fn fused(&self, len: u64) -> Vec<u64> {
+        let w = self.world;
         if w == 1 {
             return vec![0];
         }
@@ -345,32 +345,37 @@ impl Schedule {
             .collect()
     }
 
-    /// Set-up is one all-reduce of every mode's partials; an iteration is
-    /// two row exchanges per mode, every mode's Gram reduction but the
-    /// last riding them, and the last mode's all-reduce with the loss
-    /// slot; the gather closes the run.
+    /// Set-up is one all-reduce of every mode's partials and an iteration
+    /// two row exchanges per mode, every mode's Gram reduction riding
+    /// them; the gather that closes the run takes the place of the unread
+    /// final refresh.
     fn collectives(&self) -> u64 {
         let (setup, _) = self.allreduce(self.order * self.packed());
-        let (last, _) = self.allreduce(self.packed() + 1);
-        setup + self.iters * (2 * self.order + last) - u64::from(self.unread) + 1
+        setup + 2 * self.order * self.iters
     }
 
     /// Per-rank bytes: its partials and refreshed rows every
     /// mode-iteration (less the last mode's unread refresh), its share of
-    /// every Gram reduction, and (rank 0 aside) its owned rows gathered.
+    /// every Gram reduction riding them (the last mode's with the loss
+    /// slot, the final one's reduce half aside), and (rank 0 aside) its
+    /// owned rows gathered with that final reduction's partials and loss
+    /// slot.
     fn bytes_by_sender(&self, routing: &Routing) -> Vec<u64> {
         let (row_bytes, iters) = (self.rank * 8, self.iters);
         let (_, setup) = self.allreduce(self.order * self.packed());
-        let (_, last) = self.allreduce(self.packed() + 1);
-        let fused = self.fused();
+        let (mid, last) = (self.fused(self.packed()), self.fused(self.packed() + 1));
         (0..self.world)
             .map(|w| {
-                let unread = u64::from(self.unread) * routing.last_refresh[w];
-                let rows = iters * routing.sent[w] - unread;
-                let gather = if w == 0 { 0 } else { routing.owned[w] };
-                (rows + gather) * row_bytes
+                let rows = iters * routing.sent[w] - routing.last_refresh[w];
+                let gather = match w {
+                    0 => 0,
+                    _ => routing.owned[w] * row_bytes + (self.packed() + 1) * 8,
+                };
+                rows * row_bytes
                     + setup[w]
-                    + iters * (last[w] + (self.order - 1) * fused[w])
+                    + iters * (self.order - 1) * mid[w]
+                    + (iters - 1) * last[w]
+                    + gather
             })
             .collect()
     }
@@ -437,7 +442,6 @@ pub fn routing_lines(seed: u64) -> Result<(Vec<String>, usize)> {
                     order: order as u64,
                     rank: cfg.rank as u64,
                     iters: out.iterations as u64,
-                    unread: out.iterations == cfg.max_iters,
                 };
                 let predicted_sender = schedule.bytes_by_sender(&routing);
                 let predicted: u64 = predicted_sender.iter().sum();

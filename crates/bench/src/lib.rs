@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! T_iter = T_serial_iter · (max_worker_load / nnz)     // compute, balance-aware
-//!        + stage_startup · ceil(p / M) · (2N + 1)      // Spark task waves
+//!        + stage_startup · ceil(p / M) · 2N            // Spark task waves
 //!        + bytes_per_iter / bandwidth                  // Gigabit Ethernet
 //!        + collectives_per_iter · latency
 //! ```
@@ -38,10 +38,11 @@ use std::time::Duration;
 
 /// Distributed stages per ALS iteration of an order-`order` tensor, as the
 /// worker schedules them: two per mode (MTTKRP + partial routing, row
-/// update + row shipping — every mode's Gram reduction but the last rides
-/// these two) and the last mode's Gram + loss all-reduce.
+/// update + row shipping).  Every mode's Gram reduction rides these two —
+/// the last mode's with the loss slot, evaluated one mode late — so no
+/// stage is a reduction of its own.
 pub fn stages_per_iter(order: usize) -> u64 {
-    2 * order as u64 + 1
+    2 * order as u64
 }
 
 /// Experiment-wide knobs, read once from the environment.
@@ -292,9 +293,9 @@ mod tests {
             order: 3,
         };
         let t = modeled_iter_time(Duration::from_micros(10), &profile, &cost);
-        // (2 × 3 modes + 1) stages × 1 wave × 50ms = 350ms.
-        assert!(t >= Duration::from_millis(350));
-        assert!(t < Duration::from_millis(400));
+        // 2 × 3 modes stages × 1 wave × 50ms = 300ms.
+        assert!(t >= Duration::from_millis(300));
+        assert!(t < Duration::from_millis(350));
     }
 
     #[test]

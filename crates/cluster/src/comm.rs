@@ -410,8 +410,7 @@ impl CommStatsSnapshot {
         if mean == 0.0 {
             return 0.0;
         }
-        // lint:allow(panic_path): invariant — emptiness was handled above
-        *self.bytes_by_sender.iter().max().expect("non-empty") as f64 / mean
+        self.bytes_by_sender.iter().max().copied().unwrap_or(0) as f64 / mean
     }
 }
 

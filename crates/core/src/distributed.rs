@@ -29,15 +29,20 @@
 //! 4. **Distributed loss** (Sec. IV-B4): the `R x R` terms are evaluated
 //!    locally from the replicated products; the data-dependent inner product
 //!    reuses the final mode's MTTKRP partial rows.  Its per-rank partial
-//!    rides as one extra slot of the final mode's Gram reduction, which is
-//!    therefore an all-reduce of its own: the loss decides whether another
-//!    iteration runs, so it cannot wait for the next mode's exchanges.
+//!    rides as one extra slot of the final mode's Gram reduction, which
+//!    rides the exchanges like every other mode's: the loss of iteration
+//!    `t` is evaluated one mode late, right after iteration `t + 1`'s mode-0
+//!    partials exchange brings the reduced slot back, and a tolerance stop
+//!    breaks there, before mode 0 decides.  The last scheduled iteration
+//!    sends no final refresh, so its last-mode partials and loss slot ride
+//!    the gather instead and rank 0 evaluates the final loss.
 //!
 //! That is two collectives per mode-iteration (partials exchange, refresh
-//! exchange) plus the final mode's Gram all-reduce per iteration, and one
-//! at set-up (every mode's initial Gram partials in a single all-reduce) —
-//! less the last mode's refresh of the last scheduled iteration, which
-//! nothing would read.
+//! exchange), one at set-up (every mode's initial Gram partials in a single
+//! all-reduce) and the gather — less the last mode's refresh of the last
+//! scheduled iteration, which nothing would read.  A tolerance stop after
+//! `k` iterations sends that refresh and one mode-0 partials exchange more,
+//! whose MTTKRP it then discards.
 
 use crate::config::DecompConfig;
 use crate::dtd::{check_row_ids, converged, init_factors, old_norm_sq, zero_history};
@@ -445,6 +450,8 @@ struct WorkerInputs<'a> {
 }
 
 struct WorkerResult {
+    /// Complete on rank 0 only: a run that reaches its scheduled end
+    /// evaluates the final loss there, after the gather.
     loss_trace: Vec<f64>,
     iterations: usize,
     /// `Some` on rank 0 only: the gathered final factors.
@@ -504,17 +511,22 @@ fn first_dissenter(lead: &DecisionRecord, peers: &[Result<WorkerResult>]) -> Opt
 
 /// Per-worker scratch space for the Gram rebuild: the three `R×R`
 /// partial-product matrices, the staging buffer of this rank's packed
-/// partials (what an all-reduce reduces in place, or what the reduce half
-/// of a fused reduction slices), and the one mode's reduced products a
-/// fused reduction assembles.  Allocated once per worker and overwritten
-/// each mode, so the steady-state Gram path performs no allocation at all.
+/// partials (what set-up's all-reduce reduces in place, or what the reduce
+/// half of a fused reduction slices), and the one mode's reduced products
+/// (and loss slot) a fused reduction assembles.  Allocated once per worker
+/// and overwritten each mode, so the steady-state Gram path performs no
+/// allocation at all.
 struct GramWorkspace {
     g0: Matrix,
     g1: Matrix,
     cr: Matrix,
     buf: Vec<f64>,
     reduced: Vec<f64>,
+    /// The owner map of every mode's reduction but an iteration's last.
     owners: GramOwners,
+    /// The last mode's: its buffer carries the loss slot, and `Auto` may
+    /// resolve that length to the other algorithm.
+    last_owners: GramOwners,
 }
 
 /// Values one mode's Gram partials pack into: the upper triangles of the
@@ -526,16 +538,17 @@ fn packed_len(r: usize) -> usize {
 
 impl GramWorkspace {
     /// Sized for the largest buffer a run stages: every mode's partials at
-    /// set-up, or one mode's plus the loss slot.  `owners` maps the fused
-    /// reductions of `world` ranks.
+    /// set-up, or one mode's plus the loss slot.  The owner maps are those
+    /// of the fused reductions of `world` ranks.
     fn new(order: usize, r: usize, world: usize) -> Self {
         GramWorkspace {
             g0: Matrix::zeros(r, r),
             g1: Matrix::zeros(r, r),
             cr: Matrix::zeros(r, r),
             buf: Vec::with_capacity(packed_len(r) * order + 1),
-            reduced: vec![0.0; packed_len(r)],
+            reduced: vec![0.0; packed_len(r) + 1],
             owners: GramOwners::new(world, packed_len(r)),
+            last_owners: GramOwners::new(world, packed_len(r) + 1),
         }
     }
 
@@ -641,7 +654,8 @@ impl GramOwners {
     /// Folds rank `src`'s share of an owner's slice into its running sum;
     /// called for `src = 0, 1, …, w − 1` in turn.  Operands keep the
     /// all-reduce's order too — the chain adds a rank's own value on the
-    /// left — so not even a `NaN` payload can tell the two apart.
+    /// left — so not even a `NaN` payload can tell the two apart.  The fold
+    /// is element-wise, so rank 0 folds whole gathered buffers with it too.
     #[allow(clippy::assign_op_pattern)] // `*s += p` would swap the operands
     fn fold(&self, sum: &mut [f64], src: usize, part: &[f64]) {
         let pairs = sum.iter_mut().zip(part);
@@ -658,11 +672,11 @@ impl GramOwners {
 /// rows are in flight while the next mode's MTTKRP runs.  The fence at the
 /// top of the next mode (or the post-loop drain) completes it and writes
 /// the rows before anything reads `factors[mode]` remotely-owned entries.
-/// With `gram`, the payloads also carry the reduce half of the mode's Gram
-/// reduction (see [`GramOwners`]).
+/// The payloads also carry the reduce half of the mode's Gram reduction,
+/// sliced by `owners` (see [`GramOwners`]).
 struct PendingRefresh {
     mode: usize,
-    gram: bool,
+    owners: GramOwners,
     pending: PendingExchange,
 }
 
@@ -696,7 +710,7 @@ fn worker_body(
     // Replicated factor copies; only owned ∪ referenced rows stay fresh.
     let mut factors: Vec<Matrix> = init.to_vec();
 
-    // Reusable scratch: Gram partials + all-reduce staging, and the
+    // Reusable scratch: Gram partials + reduction staging, and the
     // message-payload pool for the two row exchanges.
     let mut ws = GramWorkspace::new(order, r, world);
     let mut pool = BufferPool::new(true);
@@ -710,8 +724,9 @@ fn worker_body(
     // state stays in sync whatever each rank resolves to.
     let kernel_pool = ThreadPool::new(cfg.threads.resolve_for_world(world));
 
-    // Replicated RxR state, rebuilt by all-reduce from owned-row partials so
-    // every worker agrees bit-for-bit.
+    // Replicated RxR state, rebuilt from owned-row partials (by set-up's
+    // all-reduce, then by the reductions riding the row exchanges) so every
+    // worker agrees bit-for-bit.
     let mut state = GramState::zeros(order, r);
     // The two Eq. 5 factorisations of a mode, rebuilt in place.
     let mut facts = [Factorized::default(), Factorized::default()];
@@ -731,8 +746,19 @@ fn worker_body(
             try_num!(mode_grams(&factors[n], &old[n], &owned[n], ws.targets()));
             ws.stage();
         }
-        allreduce_grams(ctx, &mut ws, &mut state, 0)?;
     }
+    {
+        let _s = dismastd_obs::span("phase/exchange");
+        allreduce_grams(ctx, &mut ws, &mut state)?;
+    }
+    // Eq. 4's constant terms; each iteration's loss adds its inner product.
+    let loss_parts = LossParts {
+        mu,
+        old_norm_sq,
+        complement_norm_sq: tensor_norm_sq,
+        inner: 0.0,
+    };
+    let packed = packed_len(r);
 
     let mut loss_trace: Vec<f64> = Vec::with_capacity(cfg.max_iters);
     let mut iterations = 0;
@@ -747,21 +773,20 @@ fn worker_body(
     // the top of the next mode (mode-pipelined overlap: the send is on the
     // wire while this mode's MTTKRP runs).
     let mut pending_refresh: Option<PendingRefresh> = None;
-    // Every mode but an iteration's last reduces its Gram partials over the
-    // two row exchanges around it (`ws.owners`).  This is the mode whose
-    // slices were folded at the fence and ride this mode's partials
-    // exchange to every rank.
-    let mut gram_in_flight: Option<usize> = None;
+    // Every mode reduces its Gram partials over the two row exchanges
+    // around it.  This is the mode whose slices were folded at the fence
+    // and ride this mode's partials exchange to every rank, with the owner
+    // map they were sliced by.
+    let mut gram_in_flight: Option<(usize, GramOwners)> = None;
 
-    for iter in 0..cfg.max_iters {
-        let mut inner = 0.0;
+    'iterations: for iter in 0..cfg.max_iters {
         for n in 0..order {
             // -- fence: land the previous mode's refreshed rows ------------
             // MTTKRP below reads every factor, so the in-flight rows of the
             // previously updated mode must be written before the kernels run.
             // Owners fold the Gram slices that rode them.
             if let Some(pr) = pending_refresh.take() {
-                gram_in_flight = pr.gram.then_some(pr.mode);
+                gram_in_flight = Some((pr.mode, pr.owners));
                 complete_refresh(
                     ctx,
                     pr,
@@ -791,10 +816,8 @@ fn worker_body(
             // slice still goes.
             {
                 let _s = dismastd_obs::span("phase/exchange");
-                let riding = |rank: usize| match gram_in_flight {
-                    Some(_) => ws.owners.slice(rank),
-                    None => 0..0,
-                };
+                let riding =
+                    |rank: usize| gram_in_flight.map_or(0..0, |(_, owners)| owners.slice(rank));
                 outgoing.clear();
                 for d in 0..world {
                     outgoing.push(if d == me {
@@ -822,9 +845,33 @@ fn worker_body(
                     pool.put(data);
                 }
             }
-            if let Some(m) = gram_in_flight.take() {
-                let _s = dismastd_obs::span("phase/gram");
-                unpack_grams(&ws.reduced, &mut state, m);
+            if let Some((m, _)) = gram_in_flight.take() {
+                {
+                    let _s = dismastd_obs::span("phase/gram");
+                    unpack_grams(&ws.reduced[..packed], &mut state, m);
+                }
+                // -- the previous iteration's loss, one mode late ----------
+                // Every product it reads is final, and nothing of this
+                // iteration has been written yet: it is the loss evaluated
+                // right after the last mode, bit for bit.  A stop breaks
+                // before this mode decides, with no exchange in flight.
+                if m == order - 1 {
+                    let loss = {
+                        let _s = dismastd_obs::span("phase/loss");
+                        let inner = ws.reduced[packed];
+                        try_num!(dtd_loss(
+                            &state,
+                            &LossParts {
+                                inner,
+                                ..loss_parts
+                            }
+                        ))
+                    };
+                    loss_trace.push(loss);
+                    if converged(&loss_trace, cfg.tolerance) {
+                        break 'iterations;
+                    }
+                }
             }
 
             // -- decide: both Eq. 5 factorisations, on every rank -----------
@@ -884,100 +931,61 @@ fn worker_body(
                 ws.buf.clear();
                 ws.stage();
             }
+            // On the last mode, this rank's share of `⟨X \ X̃, Y⟩` — its
+            // owned rows of the mode's MTTKRP against their fresh factor
+            // rows (Eq. 7) — rides as one slot after the packed partials.
+            if last {
+                let _s = dismastd_obs::span("phase/loss");
+                let inner_partial: f64 = plan.owned_rows[n]
+                    .iter()
+                    .map(|&row| {
+                        let row = row as usize;
+                        dot(hat[n].row(row), factors[n].row(row))
+                    })
+                    .sum();
+                ws.buf.push(inner_partial);
+            }
 
             // -- ship refreshed rows back to referencing workers ------------
-            // Every mode but the last also hands each owner its slice of
-            // this rank's Gram partials (the reduce half).  Post only: the
-            // Gram partials and (on the final mode) the loss inner product
-            // read exclusively owned rows, so the exchange stays in flight
-            // until the next mode's fence.  The last mode of the last
-            // *scheduled* iteration has no next mode: the gather packs owned
-            // rows only, so nothing would read those rows and nothing is
-            // sent.  A run that stops early on the tolerance learns so only
-            // after this post, so it still posts and drains below.
+            // Each payload also hands its owner that owner's slice of this
+            // rank's Gram partials (the reduce half).  Post only: the Gram
+            // partials and the loss inner product read exclusively owned
+            // rows, so the exchange stays in flight until the next mode's
+            // fence.  The last mode of the last *scheduled* iteration has no
+            // next mode: nothing would read its rows, so nothing is sent,
+            // and its partials and loss slot ride the gather instead.
             debug_assert!(pending_refresh.is_none());
-            let unread = iter + 1 == cfg.max_iters && last;
+            let unread = last && iter + 1 == cfg.max_iters;
             pending_refresh = if unread {
                 None
             } else {
                 let _s = dismastd_obs::span("phase/exchange");
+                let owners = if last { ws.last_owners } else { ws.owners };
                 outgoing.clear();
                 for d in 0..world {
-                    let slice = if last { 0..0 } else { ws.owners.slice(d) };
                     outgoing.push(if d == me {
                         Payload::Empty
                     } else {
                         pack_rows(
                             &factors[n],
                             &plan.serve_routes[n][d],
-                            &ws.buf[slice],
+                            &ws.buf[owners.slice(d)],
                             &mut pool,
                         )
                     });
                 }
                 Some(PendingRefresh {
                     mode: n,
-                    gram: !last,
+                    owners,
                     pending: ctx.post_exchange(&mut outgoing)?,
                 })
             };
-
-            // -- the last mode: Gram and loss all-reduce ---------------------
-            // This rank's share of `⟨X \ X̃, Y⟩` — its owned rows of the
-            // mode's MTTKRP against their fresh factor rows (Eq. 7) — rides
-            // as one slot after the mode's packed partials.  The loss decides
-            // whether another iteration runs, so this reduction cannot wait
-            // for the next mode's exchanges.
-            if last {
-                let inner_partial: f64 = {
-                    let _s = dismastd_obs::span("phase/loss");
-                    plan.owned_rows[n]
-                        .iter()
-                        .map(|&row| {
-                            let row = row as usize;
-                            dot(hat[n].row(row), factors[n].row(row))
-                        })
-                        .sum()
-                };
-                let _s = dismastd_obs::span("phase/gram");
-                ws.buf.push(inner_partial);
-                if let [total] = allreduce_grams(ctx, &mut ws, &mut state, n)? {
-                    inner = *total;
-                }
-            }
         }
         iterations += 1;
-        let loss = {
-            let _s = dismastd_obs::span("phase/loss");
-            try_num!(dtd_loss(
-                &state,
-                &LossParts {
-                    mu,
-                    old_norm_sq,
-                    complement_norm_sq: tensor_norm_sq,
-                    inner,
-                },
-            ))
-        };
-        loss_trace.push(loss);
-        if converged(&loss_trace, cfg.tolerance) {
-            break;
-        }
     }
-    // Drain the refresh an early convergence break leaves posted (the
-    // scheduled end posts none) so every sent row is received before the
-    // gather.
-    if let Some(pr) = pending_refresh.take() {
-        complete_refresh(
-            ctx,
-            pr,
-            plan,
-            &mut factors,
-            &mut ws,
-            &mut pool,
-            &mut incoming_payloads,
-        )?;
-    }
+    // A stop breaks after its fence and partials exchange, and the
+    // scheduled end posts no final refresh: nothing is in flight.
+    debug_assert!(pending_refresh.is_none());
     let iter_elapsed = iter_start.elapsed();
 
     // Every rank took the same decisions, so only rank 0 emits the tier
@@ -997,9 +1005,32 @@ fn worker_body(
     }
 
     // ---- gather the owned rows of every factor to rank 0 ----------------
-    let factors_out = {
+    // At the scheduled end the staging buffer still holds the last mode's
+    // partials and loss slot, which no refresh carried: they ride here.
+    let tail: &[f64] = if iterations == cfg.max_iters {
+        &ws.buf
+    } else {
+        &[]
+    };
+    let gathered = {
         let _s = dismastd_obs::span("phase/gather");
-        gather_factors(ctx, plans, &factors, init)?
+        gather_factors(ctx, plans, &factors, init, tail, &ws.last_owners)?
+    };
+    let factors_out = match gathered {
+        Some((out, reduced)) if !reduced.is_empty() => {
+            let _s = dismastd_obs::span("phase/loss");
+            unpack_grams(&reduced[..packed], &mut state, order - 1);
+            let inner = reduced[packed];
+            loss_trace.push(try_num!(dtd_loss(
+                &state,
+                &LossParts {
+                    inner,
+                    ..loss_parts
+                }
+            )));
+            Some(out)
+        }
+        gathered => gathered.map(|(out, _)| out),
     };
 
     Ok(Ok(WorkerResult {
@@ -1036,7 +1067,7 @@ fn local_partials(
 
 /// Completes a posted refresh exchange: receives every peer's refreshed
 /// mode-`pr.mode` rows and writes them into the replicated factor copy.
-/// When the exchange carried the reduce half of the mode's Gram reduction,
+/// The exchange carried the reduce half of the mode's Gram reduction:
 /// this rank's slice is folded over ranks `0..w` in order — its own
 /// partial at its own turn — into `ws.reduced`.
 fn complete_refresh(
@@ -1052,20 +1083,21 @@ fn complete_refresh(
     let me = ctx.rank();
     let n = pr.mode;
     let r = factors[n].cols();
-    let mine = if pr.gram { ws.owners.slice(me) } else { 0..0 };
+    let owners = pr.owners;
+    let mine = owners.slice(me);
     let (lo, hi) = (mine.start, mine.end);
     ctx.complete_exchange(pr.pending, incoming)?;
     for (d, payload) in incoming.drain(..).enumerate() {
         let sum = &mut ws.reduced[lo..hi];
         if d == me {
-            ws.owners.fold(sum, d, &ws.buf[lo..hi]);
+            owners.fold(sum, d, &ws.buf[lo..hi]);
             continue;
         }
         let routes = &plan.partial_routes[n][d];
         let data = decode_rows_and_tail(payload, d, routes, r, hi - lo)?;
         let rows = routes.len() * r;
         write_rows(&mut factors[n], routes, &data[..rows]);
-        ws.owners.fold(sum, d, &data[rows..]);
+        owners.fold(sum, d, &data[rows..]);
         pool.put(data);
     }
     Ok(())
@@ -1107,68 +1139,98 @@ fn write_rows(m: &mut Matrix, rows: &[u32], data: &[f64]) {
     }
 }
 
-/// All-reduces the staging buffer in one collective — the packed partials
-/// of modes `first..` (`2R² + R` values each, the `O(MNR²)` term of
-/// Theorem 4) and whatever scalar slots follow them — and writes the
-/// reduced products straight into those modes' slots of the replicated
-/// Gram state; the reduced trailing slots are returned.  The flat and the
-/// ring all-reduce both fold every element in ascending rank order, so a
-/// value's bits do not depend on which buffer it rode in, on its position
-/// there, or on which of the two `Auto` resolves to: batching the set-up
-/// Grams and carrying the loss partial here moves no factor and no
-/// `loss_trace` bit.  The staging buffer's capacity is reused across calls.
-fn allreduce_grams<'ws>(
+/// Set-up's one collective: all-reduces every mode's packed partials
+/// (`2R² + R` values each, the `O(MNR²)` term of Theorem 4) in the staging
+/// buffer and writes the reduced products straight into the replicated
+/// Gram state.  The flat and the ring all-reduce both fold every element in
+/// ascending rank order, as the fused reductions do, so a value's bits do
+/// not depend on which buffer it rode in, on its position there, or on
+/// which of the two `Auto` resolves to.
+fn allreduce_grams(
     ctx: &mut WorkerCtx,
-    ws: &'ws mut GramWorkspace,
+    ws: &mut GramWorkspace,
     state: &mut GramState,
-    first: usize,
-) -> ClusterResult<&'ws [f64]> {
+) -> ClusterResult<()> {
     ctx.try_allreduce_sum_with(&mut ws.buf, AllreduceAlgo::Auto)?;
     // `R ≥ 1` (`DecompConfig::validate`), so the chunk width is not zero.
-    let modes = ws.buf.chunks_exact(packed_len(ws.g0.rows()));
-    let tail = modes.remainder();
-    for (k, reduced) in modes.enumerate() {
-        unpack_grams(reduced, state, first + k);
+    for (n, reduced) in ws.buf.chunks_exact(packed_len(ws.g0.rows())).enumerate() {
+        unpack_grams(reduced, state, n);
     }
-    Ok(tail)
+    Ok(())
 }
 
 /// Gathers every worker's owned rows to rank 0 and assembles the final
-/// factor matrices there.
+/// factor matrices there.  Every payload ends with `tail` — the last
+/// scheduled iteration's last-mode partials and loss slot, or nothing
+/// after a tolerance stop — and rank 0 folds the tails over ranks `0..w`
+/// as `owners` does, returning the factors and that sum.
 fn gather_factors(
     ctx: &mut WorkerCtx,
     plans: &[WorkerPlan],
     factors: &[Matrix],
     init: &[Matrix],
-) -> ClusterResult<Option<Vec<Matrix>>> {
+    tail: &[f64],
+    owners: &GramOwners,
+) -> ClusterResult<Option<(Vec<Matrix>, Vec<f64>)>> {
     let me = ctx.rank();
-    let order = factors.len();
-    // One payload: all owned rows of all modes, concatenated.  One-shot
-    // per decomposition, so no pooling here.
+    // One payload: all owned rows of all modes, concatenated, then the
+    // tail.  One-shot per decomposition, so no pooling here.
     let mut packed = Vec::new();
     for (n, f) in factors.iter().enumerate() {
         for &row in &plans[me].owned_rows[n] {
             packed.extend_from_slice(f.row(row as usize));
         }
     }
+    packed.extend_from_slice(tail);
     let gathered = match ctx.try_gather(0, Payload::F64(packed))? {
         Some(g) => g,
         None => return Ok(None), // non-root ranks
     };
-    let mut out: Vec<Matrix> = (0..order)
-        .map(|n| Matrix::zeros(init[n].rows(), init[n].cols()))
+    let mut out: Vec<Matrix> = init
+        .iter()
+        .map(|f| Matrix::zeros(f.rows(), f.cols()))
         .collect();
+    let mut sum = vec![0.0; tail.len()];
     for (src, payload) in gathered.into_iter().enumerate() {
         let data = payload.try_into_f64()?;
-        let mut offset = 0usize;
-        for (n, f) in out.iter_mut().enumerate() {
-            let rows = &plans[src].owned_rows[n];
-            let len = rows.len() * f.cols();
-            write_rows(f, rows, &data[offset..offset + len]);
-            offset += len;
-        }
+        let part = unpack_gathered(&mut out, &plans[src].owned_rows, src, &data, tail.len())?;
+        owners.fold(&mut sum, src, part);
     }
-    Ok(Some(out))
+    Ok(Some((out, sum)))
+}
+
+/// Writes sender `src`'s gathered payload — its owned rows of every mode,
+/// then `tail` more values — into `out` and returns those values.
+///
+/// # Errors
+/// [`ClusterError::SizeMismatch`] naming `src` when the payload is not
+/// exactly that long.
+fn unpack_gathered<'d>(
+    out: &mut [Matrix],
+    owned_rows: &[Vec<u32>],
+    src: usize,
+    data: &'d [f64],
+    tail: usize,
+) -> ClusterResult<&'d [f64]> {
+    let rows: usize = out
+        .iter()
+        .zip(owned_rows)
+        .map(|(f, rows)| rows.len() * f.cols())
+        .sum();
+    if data.len() != rows + tail {
+        return Err(ClusterError::SizeMismatch {
+            rank: src,
+            expected: rows + tail,
+            found: data.len(),
+        });
+    }
+    let mut rest = data;
+    for (f, rows) in out.iter_mut().zip(owned_rows) {
+        let (mode, next) = rest.split_at(rows.len() * f.cols());
+        write_rows(f, rows, mode);
+        rest = next;
+    }
+    Ok(rest)
 }
 
 /// Splits the tensor over workers and grid cells, builds one
@@ -1491,36 +1553,46 @@ mod tests {
 
     #[test]
     fn collectives_per_run_match_the_closed_form() {
-        // set-up + iterations · (two exchanges per mode + the last mode's
-        // all-reduce) − the unread final refresh + gather: every other
-        // mode's Gram reduction rides its refresh and the next mode's
-        // partials exchange.  Set-up is one all-reduce, and an all-reduce
-        // is two collectives flat (gather + broadcast), one as a ring and
-        // none in a world of one; `Auto` picks flat for every buffer at
-        // R = 3 and the ring for every buffer at R = 10 from world 3 on.  A
-        // collective added to `worker_body` shows up here, not first in a
-        // benchmark count.  A run the tolerance stops early still sends
-        // (and drains) its last refresh.
+        // set-up + iterations · two exchanges per mode − the unread final
+        // refresh + gather: every mode's Gram reduction rides its refresh
+        // and the next mode's partials exchange, the last mode's with the
+        // loss slot.  Set-up is one all-reduce, and an all-reduce is two
+        // collectives flat (gather + broadcast), one as a ring and none in
+        // a world of one; `Auto` picks flat for every buffer at R = 3 and
+        // at world 2, and the ring for every buffer at R = 10 from world 3
+        // on.  A collective added to `worker_body` shows up here, not first
+        // in a benchmark count.
         for shape in [&[7usize, 6, 5][..], &[5, 4, 4, 3]] {
             let x = random_tensor(shape, 90, 31);
             let order = shape.len() as u64;
-            for (world, rank, per_allreduce) in
-                [(1usize, 3usize, 0u64), (2, 3, 2), (4, 3, 2), (4, 10, 1)]
-            {
+            for (world, rank, a) in [
+                (1usize, 3usize, 0u64),
+                (1, 10, 0),
+                (2, 3, 2),
+                (2, 10, 2),
+                (4, 3, 2),
+                (4, 10, 1),
+            ] {
                 let cluster = ClusterConfig::new(world);
-                // Tolerance 0 runs to its scheduled end; tolerance 1 stops
-                // after the second iteration's loss.
+                let tag = format!("order {order} world {world} R {rank}");
                 let cfg = cfg().with_rank(rank);
-                for (cfg, unread) in [(cfg, 1u64), (cfg.with_tolerance(1.0), 0)] {
-                    let out = dms_mg(&x, &cfg, &cluster).unwrap();
-                    assert_eq!(out.iterations == cfg.max_iters, unread == 1);
-                    let iters = out.iterations as u64;
-                    assert_eq!(
-                        out.comm.collectives,
-                        per_allreduce + iters * (2 * order + per_allreduce) - unread + 1,
-                        "order {order} world {world} R {rank} {} iterations",
-                        out.iterations
-                    );
+                // Tolerance 0 runs to its scheduled end.
+                let out = dms_mg(&x, &cfg, &cluster).unwrap();
+                assert_eq!(out.iterations, cfg.max_iters);
+                let iters = out.iterations as u64;
+                assert_eq!(out.comm.collectives, a + 2 * order * iters - 1 + 1, "{tag}");
+                // Tolerance 1 stops after the second iteration's loss,
+                // which the third iteration's mode-0 partials exchange
+                // brings: that refresh is sent, that exchange too, and the
+                // gather carries no tail.
+                let out = dms_mg(&x, &cfg.with_tolerance(1.0), &cluster).unwrap();
+                let k = out.iterations as u64;
+                assert_eq!(k, 2, "{tag}");
+                assert_eq!(out.comm.collectives, a + 2 * order * k + 2, "{tag}");
+                // Against the schedule whose last mode all-reduced, the
+                // stop's extra exchange costs nothing at world ≥ 2.
+                if world >= 2 {
+                    assert!(out.comm.collectives <= a + k * (2 * order + a) + 1, "{tag}");
                 }
             }
         }
@@ -1531,12 +1603,19 @@ mod tests {
         // The oracle is the all-reduce the fused path replaces: random
         // partials, with signed zeros (a column of `−0.0` on every rank is
         // where flat, which sums from `+0.0`, and the chain part ways) and
-        // subnormals, reduced both ways must agree bit for bit.  `Auto`
-        // resolves the short buffers to flat and, from world 3 on, the long
-        // ones to the ring.
+        // subnormals, reduced both ways must agree bit for bit — and so
+        // must rank 0's fold of the gathered buffers, the path of the last
+        // scheduled iteration's last mode.  `Auto` resolves the short
+        // buffers to flat and, from world 3 on, the long ones to the ring.
+        // 36 and 37 values are a mode's packed `R = 4` partials without
+        // and with the loss slot: at world 14 the slot flips `Auto` from
+        // flat to the ring, which is why the last mode has its own map.
+        assert_eq!(packed_len(4), 36);
+        assert_eq!(AllreduceAlgo::Auto.resolve(14, 8 * 36), AllreduceAlgo::Flat);
+        assert_eq!(AllreduceAlgo::Auto.resolve(14, 8 * 37), AllreduceAlgo::Ring);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for world in 2usize..=5 {
-            for len in [1usize, 7, 21, 211, 600] {
+        for world in [2usize, 3, 4, 5, 14] {
+            for len in [1usize, 7, 21, 36, 37, 211, 600] {
                 let algo = AllreduceAlgo::Auto.resolve(world, 8 * len as u64);
                 let owners = GramOwners::new(world, len);
                 let partial = |rank: usize| -> Vec<f64> {
@@ -1585,15 +1664,24 @@ mod tests {
                         };
                         reduced[owners.slice(src)].copy_from_slice(&got);
                     }
-                    Ok((expected, reduced))
+                    // Gathered whole to rank 0, folded rank by rank.
+                    let folded = ctx.try_gather(0, Payload::F64(mine))?.map(|all| {
+                        let mut sum = vec![f64::NAN; len];
+                        for (src, payload) in all.into_iter().enumerate() {
+                            owners.fold(&mut sum, src, &payload.try_into_f64().unwrap());
+                        }
+                        sum
+                    });
+                    Ok((expected, reduced, folded))
                 })
                 .unwrap();
-                for (rank, (expected, reduced)) in runs.iter().enumerate() {
-                    assert_eq!(
-                        bits(reduced),
-                        bits(expected),
-                        "world {world} {algo:?} len {len} rank {rank}"
-                    );
+                for (rank, (expected, reduced, folded)) in runs.iter().enumerate() {
+                    let tag = format!("world {world} {algo:?} len {len} rank {rank}");
+                    assert_eq!(bits(reduced), bits(expected), "{tag}");
+                    assert_eq!(folded.is_some(), rank == 0, "{tag}");
+                    if let Some(folded) = folded {
+                        assert_eq!(bits(folded), bits(expected), "{tag} gather fold");
+                    }
                 }
                 // The all-`−0.0` column really tells the two apart.
                 let zero = runs[0].0[0].to_bits();
@@ -1606,14 +1694,17 @@ mod tests {
     #[test]
     fn each_rank_sends_its_rows_and_its_owner_share_of_every_gram() {
         // Per sender: the rows its routing tables send plus, per Gram
-        // reduction of `b` values, what the algorithm's ledger charges it —
-        // flat `(w − 1)·b` at rank 0 and `b` elsewhere, ring `b` at ranks 0
-        // and `w − 1` and `2b` between — whether the reduction is an
-        // all-reduce (set-up, an iteration's last mode) or rides the row
-        // exchanges.  `Auto` picks flat for every buffer at R = 3 and the
-        // ring for every buffer at R = 10 from world 3 on; R = 10 packs
-        // `b = 210` values per mode, which every owner count `w − 2` here
-        // divides.
+        // reduction of `b` values, what the algorithm's ledger charges it.
+        // Set-up's all-reduce: flat `(w − 1)·b` at rank 0 and `b`
+        // elsewhere, ring `b` at ranks 0 and `w − 1` and `2b` between.  A
+        // reduction riding the row exchanges: `b + (w − 2)·slice`, the
+        // slice being the whole buffer at the flat root, near-equal shares
+        // at the ring's inner ranks, nothing elsewhere.  The last scheduled
+        // iteration's last mode sends no reduce half: its `b` values ride
+        // the gather from every rank but 0.  `Auto` picks flat for every
+        // buffer at R = 3 and the ring for every buffer at R = 10 from
+        // world 3 on; R = 10 packs `b = 210` values per mode, 211 with the
+        // loss slot, which owner counts 2 and 3 do not divide.
         let x = random_tensor(&[12, 10, 8], 400, 71);
         let order = 3u64;
         for world in 2usize..=5 {
@@ -1640,6 +1731,19 @@ mod tests {
                     AllreduceAlgo::Ring if k != 0 && k != w - 1 => 2 * b,
                     _ => b,
                 };
+                let fused = |k: u64, b: u64| {
+                    let slice = match AllreduceAlgo::Auto.resolve(world, 8 * b) {
+                        AllreduceAlgo::Flat => u64::from(k == 0) * b,
+                        _ => {
+                            let owners = (w - 2).max(1);
+                            match k.checked_sub(1).filter(|&i| i < owners) {
+                                Some(i) => b / owners + u64::from(i < b % owners),
+                                None => 0,
+                            }
+                        }
+                    };
+                    b + (w - 2) * slice
+                };
                 let expected: Vec<u64> = plans
                     .iter()
                     .enumerate()
@@ -1657,8 +1761,11 @@ mod tests {
                         };
                         let rows = iters * per_iter as u64 - unread + gathered as u64;
                         let k = k as u64;
+                        let tail = if k == 0 { 0 } else { packed + 1 };
                         let grams = ledger(k, order * packed)
-                            + iters * ((order - 1) * ledger(k, packed) + ledger(k, packed + 1));
+                            + iters * (order - 1) * fused(k, packed)
+                            + (iters - 1) * fused(k, packed + 1)
+                            + tail;
                         (rows * r + grams) * 8
                     })
                     .collect();
@@ -1668,6 +1775,38 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_gathered_payload_of_the_wrong_length_is_a_typed_error() {
+        // Sender 2 owns rows {0, 2} of a 3 × 2 mode and row {1} of a 4 × 2
+        // one, and appends a 3-value tail: 2·2 + 1·2 + 3 = 9 values.
+        let owned = vec![vec![0u32, 2], vec![1]];
+        let fresh = || vec![Matrix::zeros(3, 2), Matrix::zeros(4, 2)];
+        let data: Vec<f64> = (1..=9).map(f64::from).collect();
+        let mut out = fresh();
+        let tail = unpack_gathered(&mut out, &owned, 2, &data, 3).unwrap();
+        assert_eq!(tail, [7.0, 8.0, 9.0]);
+        assert_eq!(out[0].row(2), [3.0, 4.0]);
+        assert_eq!(out[1].row(1), [5.0, 6.0]);
+        // Truncated (a missing tail value, or a missing row) and over-long
+        // payloads name their sender instead of panicking or truncating.
+        for len in [8, 4, 10] {
+            match unpack_gathered(&mut fresh(), &owned, 2, &vec![1.0; len], 3) {
+                Err(ClusterError::SizeMismatch {
+                    rank: 2,
+                    expected: 9,
+                    found,
+                }) => assert_eq!(found, len),
+                other => panic!("length {len}: {other:?}"),
+            }
+        }
+        // And the driver charges the fault to that rank.
+        let err = unpack_gathered(&mut fresh(), &owned, 2, &data[..8], 3).unwrap_err();
+        assert!(matches!(
+            cluster_fault(err),
+            TensorError::ClusterFault { rank: Some(2), .. }
+        ));
     }
 
     #[test]
@@ -1874,10 +2013,13 @@ mod tests {
         // Measured at the commit before the grid became shape-aware (which
         // already skips the unread final refresh), less what reducing only
         // the upper triangles of `G⁰` and `G¹` saves: R(R − 1) = 6 values
-        // per mode in each of 7 × 3 reductions, 8 B each, 2(w − 1) copies.
+        // per mode in each of 7 × 3 reductions, 8 B each, 2(w − 1) copies;
+        // and less what the final last-mode reduction riding the gather
+        // saves: its 2R² + R + 1 = 22 values once from each of w − 1 ranks
+        // instead of a flat all-reduce's 2(w − 1) copies.
         assert_eq!(
             (out.comm.wire_bytes(), factor_bits(&out)),
-            (44_472 - 6 * 21 * 8 * 6, 0xa4b2_660d_4647_515d),
+            (44_472 - 6 * 21 * 8 * 6 - 3 * 22 * 8, 0xa4b2_660d_4647_515d),
             "{} bytes, bits {:016x}",
             out.comm.wire_bytes(),
             factor_bits(&out)

@@ -1171,7 +1171,20 @@ mod tests {
         assert_eq!(restored.mode(), sess.mode());
         assert_eq!(restored.steps(), sess.steps());
         assert_eq!(restored.factors(), sess.factors());
-        assert_eq!(restored.comm_totals(), sess.comm_totals());
+        // The checkpoint's traffic is what that release shipped: it
+        // all-reduced every iteration's last-mode Grams and loss slot (flat
+        // here: a gather and a broadcast, two messages each), where the
+        // reduction now rides the row exchanges and, on a step's final
+        // iteration, the gather — no message of its own, and the
+        // broadcast's `(w − 1)·(2R² + R + 1)` values from rank 0 gone.
+        let (steps, iters, w) = (2, cfg().max_iters as u64, 3);
+        let broadcast = (w - 1) * (2 * 3 * 3 + 3 + 1) * 8;
+        let mut parent = sess.comm_totals().clone();
+        parent.collectives += steps * iters * 2;
+        parent.messages += steps * iters * 2 * (w - 1);
+        parent.bytes += steps * broadcast;
+        parent.bytes_by_sender[0] += steps * broadcast;
+        assert_eq!(restored.comm_totals(), &parent);
     }
 
     #[test]

@@ -479,7 +479,8 @@ fn clean_reference(start_world: usize, world: usize) -> Vec<Vec<u64>> {
     final_bits(&s)
 }
 
-/// A worker crashes early in the step (first exchange); the supervisor
+/// A worker crashes early in the step (collective 2, the first iteration's
+/// mode-0 partials exchange, right after set-up's flat all-reduce); the supervisor
 /// respawns it from the pre-step checkpoint and the healed stream is
 /// bit-identical to a fault-free run at the same world — without the
 /// caller ever seeing an error.
@@ -504,17 +505,18 @@ fn heal_crash_during_exchange_survives_the_seed_sweep() {
     }
 }
 
-/// The crash lands late in the step (inside the ALS solve iterations:
-/// collective 9 is the broadcast half of the first iteration's last-mode
-/// Gram and loss all-reduce, after set-up's two and three modes' two
-/// exchanges each);
-/// same contract.
+/// The crash lands late in the step, inside the ALS solve iterations: at
+/// world 3 and R = 3 (flat) set-up's all-reduce is collectives 0 and 1 and
+/// the first iteration's three modes take two exchanges each (2–7), so
+/// collective 8 is the second iteration's mode-0 partials exchange, the one
+/// that carries the first iteration's reduced last-mode Gram and loss slot
+/// to every rank; same contract.
 #[test]
 fn heal_crash_during_solve_survives_the_seed_sweep() {
     let clean = clean_reference(3, 3);
     for seed in sweep_seeds() {
         let (reports, bits) = run_heal_scenario(seed, 3, 1, false, |sim| {
-            ClusterOptions::default().with_sim(sim.with_crash_and_rejoin(2, 9, 0))
+            ClusterOptions::default().with_sim(sim.with_crash_and_rejoin(2, 8, 0))
         });
         let heal = reports[1].heal.as_ref().expect("heal report on step 1");
         assert_eq!(heal.respawns, 1, "seed {seed}");
@@ -525,7 +527,8 @@ fn heal_crash_during_solve_survives_the_seed_sweep() {
     }
 }
 
-/// The same rank dies twice (the crash survives the first replay); the
+/// The same rank dies twice (the crash survives the first replay) at
+/// collective 3, the first iteration's mode-0 refresh exchange; the
 /// default budget of two respawns absorbs both.
 #[test]
 fn heal_double_crash_of_the_same_rank_survives_the_seed_sweep() {
@@ -591,7 +594,8 @@ fn heal_budget_exhaustion_degrades_instead_of_failing() {
         let mut reports = Vec::new();
         for (t, snap) in seq.iter().enumerate() {
             if t == 1 {
-                // Rank 2 dies at its 3rd collective on every attempt.
+                // Rank 2 dies at collective 3 (mode 0's first refresh
+                // exchange) on every attempt.
                 observed.set_cluster_options(
                     ClusterOptions::default()
                         .with_sim(SimOptions::from_seed(seed))

@@ -7,7 +7,8 @@
 //! gram → all-reduce → row-exchange round performs **zero** allocations
 //! on every rank, and so does the round a Gram reduction riding the row
 //! exchanges takes (refresh carrying reduce slices → fence → partials
-//! carrying reduced slices).
+//! carrying reduced slices), an iteration's last mode with its loss slot
+//! included.
 //!
 //! The same allocator's byte counter pins the streaming step's
 //! O(nnz(complement)) memory property: a warm serial `ingest` requests
@@ -263,10 +264,10 @@ fn fused_gram_round_is_allocation_free_after_warmup() {
         let factor = Matrix::from_fn(ROWS, RANK, |i, j| {
             (me as f64 + 1.0) * (i as f64 + 0.25 * j as f64 + 1.0)
         });
-        // A packed `R = 5` buffer: 2R² + R values.
-        let partial: Vec<f64> = (0..2 * RANK * RANK + RANK)
-            .map(|i| (me * 7 + i) as f64 * 0.125)
-            .collect();
+        // A packed `R = 5` buffer: 2R² + R values, then the loss slot an
+        // iteration's last mode appends.
+        let packed = 2 * RANK * RANK + RANK;
+        let partial: Vec<f64> = (0..=packed).map(|i| (me * 7 + i) as f64 * 0.125).collect();
         let mut reduced = vec![0.0f64; partial.len()];
         let mut pool = BufferPool::new(true);
         let mut outgoing: Vec<Payload> = Vec::with_capacity(WORLD);
@@ -274,15 +275,19 @@ fn fused_gram_round_is_allocation_free_after_warmup() {
         let mut run = |rounds: usize| -> Result<f64, ClusterError> {
             let mut checksum = 0.0;
             for _ in 0..rounds {
-                checksum = fused_round(
-                    ctx,
-                    &factor,
-                    &partial,
-                    &mut reduced,
-                    &mut pool,
-                    &mut outgoing,
-                    &mut incoming,
-                )?;
+                // A mode's round, then a last mode's with the loss slot.
+                checksum = 0.0;
+                for len in [packed, packed + 1] {
+                    checksum += fused_round(
+                        ctx,
+                        &factor,
+                        &partial[..len],
+                        &mut reduced[..len],
+                        &mut pool,
+                        &mut outgoing,
+                        &mut incoming,
+                    )?;
+                }
             }
             Ok(checksum)
         };
