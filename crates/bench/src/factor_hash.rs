@@ -291,31 +291,6 @@ impl Schedule {
         2 * self.rank * self.rank + self.rank
     }
 
-    /// Collectives and per-rank bytes of an all-reduce of `values` values:
-    /// flat is a gather to rank 0 (`b` from every other rank) and a
-    /// broadcast (`(w − 1)·b` from rank 0); the ring is a rank-order chain
-    /// (`b` from each end, `2b` from each rank between).  Which of the two
-    /// runs is `Auto`'s choice for the buffer.
-    fn allreduce(&self, values: u64) -> (u64, Vec<u64>) {
-        let w = self.world;
-        let b = values * 8;
-        match AllreduceAlgo::Auto.resolve(w, b) {
-            _ if w == 1 => (0, vec![0]),
-            AllreduceAlgo::Ring => (
-                1,
-                (0..w)
-                    .map(|k| if k == 0 || k == w - 1 { b } else { 2 * b })
-                    .collect(),
-            ),
-            _ => (
-                2,
-                (0..w)
-                    .map(|k| if k == 0 { (w as u64 - 1) * b } else { b })
-                    .collect(),
-            ),
-        }
-    }
-
     /// Per-rank bytes of a reduction of `len` values riding the refresh and
     /// the next partials exchange: its owners are the algorithm's reducers
     /// — rank 0 flat, ranks `1..=w−2` (rank 1 at world 2) in near-equal
@@ -345,13 +320,12 @@ impl Schedule {
             .collect()
     }
 
-    /// Set-up is one all-reduce of every mode's partials and an iteration
-    /// two row exchanges per mode, every mode's Gram reduction riding
-    /// them; the gather that closes the run takes the place of the unread
-    /// final refresh.
+    /// An iteration is two row exchanges per mode, every mode's Gram
+    /// reduction riding them; the gather that closes the run takes the
+    /// place of the unread final refresh.  Set-up's Gram state is built by
+    /// the driver and takes none.
     fn collectives(&self) -> u64 {
-        let (setup, _) = self.allreduce(self.order * self.packed());
-        setup + 2 * self.order * self.iters
+        2 * self.order * self.iters
     }
 
     /// Per-rank bytes: its partials and refreshed rows every
@@ -362,7 +336,6 @@ impl Schedule {
     /// slot.
     fn bytes_by_sender(&self, routing: &Routing) -> Vec<u64> {
         let (row_bytes, iters) = (self.rank * 8, self.iters);
-        let (_, setup) = self.allreduce(self.order * self.packed());
         let (mid, last) = (self.fused(self.packed()), self.fused(self.packed() + 1));
         (0..self.world)
             .map(|w| {
@@ -372,7 +345,6 @@ impl Schedule {
                     _ => routing.owned[w] * row_bytes + (self.packed() + 1) * 8,
                 };
                 rows * row_bytes
-                    + setup[w]
                     + iters * (self.order - 1) * mid[w]
                     + (iters - 1) * last[w]
                     + gather

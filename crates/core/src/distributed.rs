@@ -38,11 +38,13 @@
 //!    the gather instead and rank 0 evaluates the final loss.
 //!
 //! That is two collectives per mode-iteration (partials exchange, refresh
-//! exchange), one at set-up (every mode's initial Gram partials in a single
-//! all-reduce) and the gather — less the last mode's refresh of the last
+//! exchange) and the gather — less the last mode's refresh of the last
 //! scheduled iteration, which nothing would read.  A tolerance stop after
 //! `k` iterations sends that refresh and one mode-0 partials exchange more,
-//! whose MTTKRP it then discards.
+//! whose MTTKRP it then discards.  Set-up takes none: its products depend
+//! only on the initial and previous factors and each rank's owned rows,
+//! all of which every rank is handed, so the driver builds them once (see
+//! [`setup_grams`]) and no all-reduce is left on the step path.
 
 use crate::config::DecompConfig;
 use crate::dtd::{check_row_ids, converged, init_factors, old_norm_sq, zero_history};
@@ -67,8 +69,9 @@ use std::time::{Duration, Instant};
 /// Cluster-side configuration: worker count and partitioning strategy.
 ///
 /// Nothing here selects how the step communicates: every row exchange is
-/// one flat `f64` payload, and each Gram all-reduce runs the algorithm
-/// `AllreduceAlgo::Auto` resolves from the world and the buffer's size.
+/// one flat `f64` payload, and each Gram reduction takes the owner map of
+/// the algorithm `AllreduceAlgo::Auto` resolves from the world and the
+/// buffer's size.
 /// Checkpoints written with fields this struct no longer has (`comm`,
 /// `pooling`) still restore — unknown fields are ignored.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -148,8 +151,8 @@ pub struct DistOutput {
     /// `dismastd_obs::begin`) when the call started.  Span totals therefore
     /// sum concurrent per-rank time and can exceed wall-clock; the
     /// `comm/msg_bytes` histogram reconciles exactly with [`Self::comm`].
-    /// Driver-side preparation spans (partitioning, plan builds) land in
-    /// the caller's own registry instead.
+    /// Driver-side preparation spans (partitioning, plan builds, set-up's
+    /// Gram state) land in the caller's own registry instead.
     pub metrics: Option<MetricsSnapshot>,
     /// Every rank's per-phase metrics, indexed by rank (empty when
     /// collection was off).
@@ -365,6 +368,10 @@ pub(crate) fn run_distributed(
     // Shared read-only inputs.
     let init = init_factors(old_factors, tensor.shape(), rank, cfg.seed)?;
     let old_norm_sq = old_norm_sq(old_factors)?;
+    let setup = {
+        let _s = dismastd_obs::span("phase/setup");
+        setup_grams(plans, &init, old_factors, &old_rows, rank)?
+    };
 
     // ---- Distributed tensor decomposition (Sec. IV-B) -------------------
     let inputs = WorkerInputs {
@@ -372,6 +379,7 @@ pub(crate) fn run_distributed(
         init: &init,
         old: old_factors,
         old_rows: &old_rows,
+        setup: &setup,
         cfg,
         old_norm_sq,
         tensor_norm_sq: tensor.norm_sq(),
@@ -436,13 +444,15 @@ pub(crate) fn run_distributed(
 }
 
 /// Everything a rank reads but never writes: the step's placement, the
-/// initial and previous factors, and the run's configuration.  Borrowed
-/// from the driver's stack — the cluster runs on scoped threads.
+/// initial and previous factors, set-up's Gram state, and the run's
+/// configuration.  Borrowed from the driver's stack — the cluster runs on
+/// scoped threads.
 struct WorkerInputs<'a> {
     plans: &'a [WorkerPlan],
     init: &'a [Matrix],
     old: &'a [Matrix],
     old_rows: &'a [usize],
+    setup: &'a GramState,
     cfg: &'a DecompConfig,
     old_norm_sq: f64,
     tensor_norm_sq: f64,
@@ -510,11 +520,11 @@ fn first_dissenter(lead: &DecisionRecord, peers: &[Result<WorkerResult>]) -> Opt
 }
 
 /// Per-worker scratch space for the Gram rebuild: the three `R×R`
-/// partial-product matrices, the staging buffer of this rank's packed
-/// partials (what set-up's all-reduce reduces in place, or what the reduce
-/// half of a fused reduction slices), and the one mode's reduced products
-/// (and loss slot) a fused reduction assembles.  Allocated once per worker
-/// and overwritten each mode, so the steady-state Gram path performs no
+/// partial-product matrices, the staging buffer of a rank's packed partials
+/// (one mode's, which the reduce half of a fused reduction slices; every
+/// mode's when the driver stages a rank's set-up partials), and the one
+/// mode's reduced products (and loss slot) a fused reduction assembles.  Allocated once per worker and
+/// overwritten each mode, so the steady-state Gram path performs no
 /// allocation at all.
 struct GramWorkspace {
     g0: Matrix,
@@ -537,15 +547,15 @@ fn packed_len(r: usize) -> usize {
 }
 
 impl GramWorkspace {
-    /// Sized for the largest buffer a run stages: every mode's partials at
-    /// set-up, or one mode's plus the loss slot.  The owner maps are those
-    /// of the fused reductions of `world` ranks.
-    fn new(order: usize, r: usize, world: usize) -> Self {
+    /// Sized for the largest buffer a worker stages: one mode's partials
+    /// plus the loss slot.  The owner maps are those of the fused reductions of
+    /// `world` ranks.
+    fn new(r: usize, world: usize) -> Self {
         GramWorkspace {
             g0: Matrix::zeros(r, r),
             g1: Matrix::zeros(r, r),
             cr: Matrix::zeros(r, r),
-            buf: Vec::with_capacity(packed_len(r) * order + 1),
+            buf: Vec::with_capacity(packed_len(r) + 1),
             reduced: vec![0.0; packed_len(r) + 1],
             owners: GramOwners::new(world, packed_len(r)),
             last_owners: GramOwners::new(world, packed_len(r) + 1),
@@ -689,6 +699,7 @@ fn worker_body(
         init,
         old,
         old_rows,
+        setup,
         cfg,
         old_norm_sq,
         tensor_norm_sq,
@@ -712,7 +723,7 @@ fn worker_body(
 
     // Reusable scratch: Gram partials + reduction staging, and the
     // message-payload pool for the two row exchanges.
-    let mut ws = GramWorkspace::new(order, r, world);
+    let mut ws = GramWorkspace::new(r, world);
     let mut pool = BufferPool::new(true);
     // Persistent exchange tables: refilled in place every post/complete,
     // so the steady-state loop never reallocates them.
@@ -724,33 +735,13 @@ fn worker_body(
     // state stays in sync whatever each rank resolves to.
     let kernel_pool = ThreadPool::new(cfg.threads.resolve_for_world(world));
 
-    // Replicated RxR state, rebuilt from owned-row partials (by set-up's
-    // all-reduce, then by the reductions riding the row exchanges) so every
-    // worker agrees bit-for-bit.
-    let mut state = GramState::zeros(order, r);
+    // Replicated RxR state: set-up's, built by the driver, then rebuilt
+    // from owned-row partials by the reductions riding the row exchanges,
+    // so every worker agrees bit-for-bit.
+    let mut state = setup.clone();
     // The two Eq. 5 factorisations of a mode, rebuilt in place.
     let mut facts = [Factorized::default(), Factorized::default()];
-    // Owned rows ascend, so a mode's old-row block (Eq. 5's A^(0) rule) is
-    // a prefix of its list and the new-row block (the A^(1) rule) the rest.
-    let owned: Vec<[RowSet<'_>; 2]> = (0..order)
-        .map(|n| {
-            let rows = &plan.owned_rows[n];
-            let split = rows.partition_point(|&i| (i as usize) < old_rows[n]);
-            [RowSet::List(&rows[..split]), RowSet::List(&rows[split..])]
-        })
-        .collect();
-    {
-        let _s = dismastd_obs::span("phase/setup");
-        ws.buf.clear();
-        for n in 0..order {
-            try_num!(mode_grams(&factors[n], &old[n], &owned[n], ws.targets()));
-            ws.stage();
-        }
-    }
-    {
-        let _s = dismastd_obs::span("phase/exchange");
-        allreduce_grams(ctx, &mut ws, &mut state)?;
-    }
+    let owned = owned_blocks(plan, old_rows);
     // Eq. 4's constant terms; each iteration's loss adds its inner product.
     let loss_parts = LossParts {
         mu,
@@ -1139,24 +1130,64 @@ fn write_rows(m: &mut Matrix, rows: &[u32], data: &[f64]) {
     }
 }
 
-/// Set-up's one collective: all-reduces every mode's packed partials
-/// (`2R² + R` values each, the `O(MNR²)` term of Theorem 4) in the staging
-/// buffer and writes the reduced products straight into the replicated
-/// Gram state.  The flat and the ring all-reduce both fold every element in
-/// ascending rank order, as the fused reductions do, so a value's bits do
-/// not depend on which buffer it rode in, on its position there, or on
-/// which of the two `Auto` resolves to.
-fn allreduce_grams(
-    ctx: &mut WorkerCtx,
-    ws: &mut GramWorkspace,
-    state: &mut GramState,
-) -> ClusterResult<()> {
-    ctx.try_allreduce_sum_with(&mut ws.buf, AllreduceAlgo::Auto)?;
-    // `R ≥ 1` (`DecompConfig::validate`), so the chunk width is not zero.
-    for (n, reduced) in ws.buf.chunks_exact(packed_len(ws.g0.rows())).enumerate() {
-        unpack_grams(reduced, state, n);
+/// A rank's owned rows of every mode as Eq. 5's two blocks.  Owned rows
+/// ascend, so a mode's old-row block (the `A^(0)` rule) is a prefix of its
+/// list and the new-row block (the `A^(1)` rule) the rest.
+fn owned_blocks<'p>(plan: &'p WorkerPlan, old_rows: &[usize]) -> Vec<[RowSet<'p>; 2]> {
+    plan.owned_rows
+        .iter()
+        .zip(old_rows)
+        .map(|(rows, &old)| {
+            let split = rows.partition_point(|&i| (i as usize) < old);
+            [RowSet::List(&rows[..split]), RowSet::List(&rows[split..])]
+        })
+        .collect()
+}
+
+/// Set-up's replicated Gram state, built on the driver from inputs every
+/// rank is handed anyway: each rank's packed partials over its owned rows
+/// of every mode (`2R² + R` values a mode, the `O(MNR²)` term of
+/// Theorem 4), staged as the rank stages them, then folded (see
+/// [`fold_setup`]).
+fn setup_grams(
+    plans: &[WorkerPlan],
+    init: &[Matrix],
+    old: &[Matrix],
+    old_rows: &[usize],
+    r: usize,
+) -> Result<GramState> {
+    let mut ws = GramWorkspace::new(r, plans.len());
+    let mut partials = Vec::with_capacity(plans.len());
+    for plan in plans {
+        let owned = owned_blocks(plan, old_rows);
+        ws.buf.clear();
+        for n in 0..init.len() {
+            mode_grams(&init[n], &old[n], &owned[n], ws.targets())?;
+            ws.stage();
+        }
+        partials.push(ws.buf.clone());
     }
-    Ok(())
+    Ok(fold_setup(&partials, init.len(), r))
+}
+
+/// Folds every rank's `N` modes of packed partials, one buffer per rank,
+/// over ranks `0..w` with the owner map `Auto` resolves for that buffer and
+/// unpacks the sums.  Every value is therefore the same sum of the same
+/// operands, in the same order, as an all-reduce of the buffers would give
+/// — flat and ring alike — with no collective.
+fn fold_setup(partials: &[Vec<f64>], order: usize, r: usize) -> GramState {
+    let len = packed_len(r) * order;
+    let owners = GramOwners::new(partials.len(), len);
+    let mut sum = vec![0.0; len];
+    for (k, part) in partials.iter().enumerate() {
+        owners.fold(&mut sum, k, part);
+    }
+    let mut state = GramState::zeros(order, r);
+    // `R ≥ 1` (`DecompConfig::validate`), so the chunk width is not zero.
+    for (n, reduced) in sum.chunks_exact(packed_len(r)).enumerate() {
+        unpack_grams(reduced, &mut state, n);
+    }
+    state
 }
 
 /// Gathers every worker's owned rows to rank 0 and assembles the final
@@ -1553,46 +1584,35 @@ mod tests {
 
     #[test]
     fn collectives_per_run_match_the_closed_form() {
-        // set-up + iterations · two exchanges per mode − the unread final
-        // refresh + gather: every mode's Gram reduction rides its refresh
-        // and the next mode's partials exchange, the last mode's with the
-        // loss slot.  Set-up is one all-reduce, and an all-reduce is two
-        // collectives flat (gather + broadcast), one as a ring and none in
-        // a world of one; `Auto` picks flat for every buffer at R = 3 and
-        // at world 2, and the ring for every buffer at R = 10 from world 3
-        // on.  A collective added to `worker_body` shows up here, not first
-        // in a benchmark count.
+        // Iterations · two exchanges per mode − the unread final refresh +
+        // gather: every mode's Gram reduction rides its refresh and the
+        // next mode's partials exchange, the last mode's with the loss
+        // slot, and set-up's Gram state comes from the driver, so no world
+        // and no rank adds an all-reduce (`Auto` would pick flat at R = 3
+        // and at world 2, the ring at R = 10 from world 3 on).  A
+        // collective added to `worker_body` shows up here, not first in a
+        // benchmark count.
         for shape in [&[7usize, 6, 5][..], &[5, 4, 4, 3]] {
             let x = random_tensor(shape, 90, 31);
             let order = shape.len() as u64;
-            for (world, rank, a) in [
-                (1usize, 3usize, 0u64),
-                (1, 10, 0),
-                (2, 3, 2),
-                (2, 10, 2),
-                (4, 3, 2),
-                (4, 10, 1),
-            ] {
-                let cluster = ClusterConfig::new(world);
-                let tag = format!("order {order} world {world} R {rank}");
-                let cfg = cfg().with_rank(rank);
-                // Tolerance 0 runs to its scheduled end.
-                let out = dms_mg(&x, &cfg, &cluster).unwrap();
-                assert_eq!(out.iterations, cfg.max_iters);
-                let iters = out.iterations as u64;
-                assert_eq!(out.comm.collectives, a + 2 * order * iters - 1 + 1, "{tag}");
-                // Tolerance 1 stops after the second iteration's loss,
-                // which the third iteration's mode-0 partials exchange
-                // brings: that refresh is sent, that exchange too, and the
-                // gather carries no tail.
-                let out = dms_mg(&x, &cfg.with_tolerance(1.0), &cluster).unwrap();
-                let k = out.iterations as u64;
-                assert_eq!(k, 2, "{tag}");
-                assert_eq!(out.comm.collectives, a + 2 * order * k + 2, "{tag}");
-                // Against the schedule whose last mode all-reduced, the
-                // stop's extra exchange costs nothing at world ≥ 2.
-                if world >= 2 {
-                    assert!(out.comm.collectives <= a + k * (2 * order + a) + 1, "{tag}");
+            for world in [1usize, 2, 4] {
+                for rank in [3usize, 10] {
+                    let cluster = ClusterConfig::new(world);
+                    let tag = format!("order {order} world {world} R {rank}");
+                    let cfg = cfg().with_rank(rank);
+                    // Tolerance 0 runs to its scheduled end.
+                    let out = dms_mg(&x, &cfg, &cluster).unwrap();
+                    assert_eq!(out.iterations, cfg.max_iters);
+                    let iters = out.iterations as u64;
+                    assert_eq!(out.comm.collectives, 2 * order * iters - 1 + 1, "{tag}");
+                    // Tolerance 1 stops after the second iteration's loss,
+                    // which the third iteration's mode-0 partials exchange
+                    // brings: that refresh is sent, that exchange too, and
+                    // the gather carries no tail.
+                    let out = dms_mg(&x, &cfg.with_tolerance(1.0), &cluster).unwrap();
+                    let k = out.iterations as u64;
+                    assert_eq!(k, 2, "{tag}");
+                    assert_eq!(out.comm.collectives, 2 * order * k + 2, "{tag}");
                 }
             }
         }
@@ -1614,23 +1634,24 @@ mod tests {
         assert_eq!(AllreduceAlgo::Auto.resolve(14, 8 * 36), AllreduceAlgo::Flat);
         assert_eq!(AllreduceAlgo::Auto.resolve(14, 8 * 37), AllreduceAlgo::Ring);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let operands = |seed: usize, len: usize| -> Vec<f64> {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed as u64);
+            (0..len)
+                .map(|i| match (i % 5, rng.gen_range(0..4)) {
+                    (0, _) => -0.0,
+                    (1, 0) => 0.0,
+                    (1, _) => -0.0,
+                    (2, _) => f64::from_bits(rng.gen_range(1..1u64 << 52)),
+                    (3, k) => f64::from_bits(k + 1) * if k % 2 == 0 { 1.0 } else { -1.0 },
+                    _ => rng.gen_range(-1e3..1e3),
+                })
+                .collect()
+        };
         for world in [2usize, 3, 4, 5, 14] {
             for len in [1usize, 7, 21, 36, 37, 211, 600] {
                 let algo = AllreduceAlgo::Auto.resolve(world, 8 * len as u64);
                 let owners = GramOwners::new(world, len);
-                let partial = |rank: usize| -> Vec<f64> {
-                    let mut rng = ChaCha8Rng::seed_from_u64((world * 1000 + len + rank) as u64);
-                    (0..len)
-                        .map(|i| match (i % 5, rng.gen_range(0..4)) {
-                            (0, _) => -0.0,
-                            (1, 0) => 0.0,
-                            (1, _) => -0.0,
-                            (2, _) => f64::from_bits(rng.gen_range(1..1u64 << 52)),
-                            (3, k) => f64::from_bits(k + 1) * if k % 2 == 0 { 1.0 } else { -1.0 },
-                            _ => rng.gen_range(-1e3..1e3),
-                        })
-                        .collect()
-                };
+                let partial = |rank: usize| operands(world * 1000 + len + rank, len);
                 let runs = Cluster::try_run(world, |ctx| {
                     let me = ctx.rank();
                     let mine = partial(me);
@@ -1689,15 +1710,59 @@ mod tests {
                 assert_eq!(zero, if chain { (-0.0f64).to_bits() } else { 0 });
             }
         }
+        // The driver's set-up fold: every rank's `N` modes of packed
+        // partials in one buffer, folded with no collective, against the
+        // all-reduce of those buffers — from world 1, where neither sums,
+        // to world 5.  `N = 3` modes at R = 3 are 504 B (flat at every
+        // world), at R = 10 5 040 B (the ring from world 3 on).
+        let order = 3;
+        for world in 1usize..=5 {
+            for r in [3usize, 10] {
+                let len = packed_len(r) * order;
+                let algo = AllreduceAlgo::Auto.resolve(world, 8 * len as u64);
+                let partials: Vec<Vec<f64>> = (0..world)
+                    .map(|rank| operands(world * 100 + r * 10 + rank, len))
+                    .collect();
+                let runs = Cluster::try_run(world, |ctx| {
+                    let mut buf = partials[ctx.rank()].clone();
+                    ctx.try_allreduce_sum_with(&mut buf, AllreduceAlgo::Auto)?;
+                    Ok(buf)
+                })
+                .unwrap();
+                let state = fold_setup(&partials, order, r);
+                let folded = |n: usize| {
+                    [&state.gram0[n], &state.gram1[n], &state.cross[n]].map(|m| bits(m.as_slice()))
+                };
+                for (rank, expected) in runs.iter().enumerate() {
+                    let mut oracle = GramState::zeros(order, r);
+                    for (n, chunk) in expected.chunks_exact(packed_len(r)).enumerate() {
+                        unpack_grams(chunk, &mut oracle, n);
+                    }
+                    for n in 0..order {
+                        let want = [&oracle.gram0[n], &oracle.gram1[n], &oracle.cross[n]]
+                            .map(|m| bits(m.as_slice()));
+                        assert_eq!(
+                            folded(n),
+                            want,
+                            "set-up world {world} {algo:?} R {r} rank {rank} mode {n}"
+                        );
+                    }
+                }
+                // Position 0 is `−0.0` on every rank: the chain and world
+                // 1's lone partial keep it, flat's `+0.0` start clears it.
+                let zero = state.gram0[0].as_slice()[0].to_bits();
+                let chain = world == 1 || matches!(algo, AllreduceAlgo::Ring);
+                assert_eq!(zero, if chain { (-0.0f64).to_bits() } else { 0 });
+            }
+        }
     }
 
     #[test]
     fn each_rank_sends_its_rows_and_its_owner_share_of_every_gram() {
         // Per sender: the rows its routing tables send plus, per Gram
-        // reduction of `b` values, what the algorithm's ledger charges it.
-        // Set-up's all-reduce: flat `(w − 1)·b` at rank 0 and `b`
-        // elsewhere, ring `b` at ranks 0 and `w − 1` and `2b` between.  A
-        // reduction riding the row exchanges: `b + (w − 2)·slice`, the
+        // reduction of `b` values, what the algorithm's owner map charges
+        // it; set-up's Gram state comes from the driver and ships nothing.
+        // A reduction riding the row exchanges: `b + (w − 2)·slice`, the
         // slice being the whole buffer at the flat root, near-equal shares
         // at the ring's inner ranks, nothing elsewhere.  The last scheduled
         // iteration's last mode sends no reduce half: its `b` values ride
@@ -1726,11 +1791,6 @@ mod tests {
                 let out = dms_mg(&x, &cfg, &cluster).unwrap();
                 let iters = out.iterations as u64;
                 assert_eq!(iters, cfg.max_iters as u64);
-                let ledger = |k: u64, b: u64| match algo {
-                    AllreduceAlgo::Flat if k == 0 => (w - 1) * b,
-                    AllreduceAlgo::Ring if k != 0 && k != w - 1 => 2 * b,
-                    _ => b,
-                };
                 let fused = |k: u64, b: u64| {
                     let slice = match AllreduceAlgo::Auto.resolve(world, 8 * b) {
                         AllreduceAlgo::Flat => u64::from(k == 0) * b,
@@ -1762,8 +1822,7 @@ mod tests {
                         let rows = iters * per_iter as u64 - unread + gathered as u64;
                         let k = k as u64;
                         let tail = if k == 0 { 0 } else { packed + 1 };
-                        let grams = ledger(k, order * packed)
-                            + iters * (order - 1) * fused(k, packed)
+                        let grams = iters * (order - 1) * fused(k, packed)
                             + (iters - 1) * fused(k, packed + 1)
                             + tail;
                         (rows * r + grams) * 8
@@ -2016,10 +2075,15 @@ mod tests {
         // per mode in each of 7 × 3 reductions, 8 B each, 2(w − 1) copies;
         // and less what the final last-mode reduction riding the gather
         // saves: its 2R² + R + 1 = 22 values once from each of w − 1 ranks
-        // instead of a flat all-reduce's 2(w − 1) copies.
+        // instead of a flat all-reduce's 2(w − 1) copies; and less set-up's
+        // flat all-reduce, which the driver's Gram state replaced: every
+        // mode's 2R² + R = 21 packed values, 63 in all, in 2(w − 1) copies.
         assert_eq!(
             (out.comm.wire_bytes(), factor_bits(&out)),
-            (44_472 - 6 * 21 * 8 * 6 - 3 * 22 * 8, 0xa4b2_660d_4647_515d),
+            (
+                44_472 - 6 * 21 * 8 * 6 - 3 * 22 * 8 - 6 * 63 * 8,
+                0xa4b2_660d_4647_515d
+            ),
             "{} bytes, bits {:016x}",
             out.comm.wire_bytes(),
             factor_bits(&out)

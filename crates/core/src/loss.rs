@@ -39,8 +39,9 @@ pub struct GramState {
 }
 
 impl GramState {
-    /// All-zero state for `order` modes of rank `rank`: what a worker
-    /// all-reduces its partials into.
+    /// All-zero state for `order` modes of rank `rank`: what reduced
+    /// partials are unpacked into — by [`GramState::compute`], and by the
+    /// distributed driver's set-up fold.
     pub(crate) fn zeros(order: usize, rank: usize) -> Self {
         let square = Matrix::zeros(rank, rank);
         GramState {
@@ -104,8 +105,8 @@ impl GramState {
 }
 
 /// One mode's `(G⁰, G¹, G̃)` summed over its old-row and new-row `blocks`
-/// — all of them in the serial solver, a worker's owned share before the
-/// all-reduce — each product in its own pass over the rows it covers.
+/// — all of them in the serial solver, a rank's owned share before its
+/// reduction — each product in its own pass over the rows it covers.
 pub(crate) fn mode_grams(
     factor: &Matrix,
     old: &Matrix,

@@ -1176,14 +1176,21 @@ mod tests {
         // here: a gather and a broadcast, two messages each), where the
         // reduction now rides the row exchanges and, on a step's final
         // iteration, the gather — no message of its own, and the
-        // broadcast's `(w − 1)·(2R² + R + 1)` values from rank 0 gone.
+        // broadcast's `(w − 1)·(2R² + R + 1)` values from rank 0 gone.  It
+        // also all-reduced every step's set-up Grams (flat too: `b` =
+        // 3 modes × `2R² + R` values from each of ranks 1 and 2 to rank 0,
+        // then `b` from rank 0 to each), where the driver now builds them.
         let (steps, iters, w) = (2, cfg().max_iters as u64, 3);
         let broadcast = (w - 1) * (2 * 3 * 3 + 3 + 1) * 8;
+        let setup = 3 * (2 * 3 * 3 + 3) * 8;
         let mut parent = sess.comm_totals().clone();
-        parent.collectives += steps * iters * 2;
-        parent.messages += steps * iters * 2 * (w - 1);
-        parent.bytes += steps * broadcast;
-        parent.bytes_by_sender[0] += steps * broadcast;
+        parent.collectives += steps * (iters + 1) * 2;
+        parent.messages += steps * (iters + 1) * 2 * (w - 1);
+        parent.bytes += steps * (broadcast + 2 * (w - 1) * setup);
+        parent.bytes_by_sender[0] += steps * (broadcast + (w - 1) * setup);
+        for sender in &mut parent.bytes_by_sender[1..] {
+            *sender += steps * setup;
+        }
         assert_eq!(restored.comm_totals(), &parent);
     }
 

@@ -94,7 +94,6 @@ impl AnalyzeConfig {
                 "mttkrp_into_pooled",
                 "solve_rows",
                 "gram_rows",
-                "allreduce_grams",
                 "pack_rows",
                 "complete_refresh",
                 "post_exchange",

@@ -39,8 +39,8 @@ fn cfg() -> DecompConfig {
 }
 
 /// `cfg()` at R = 10: a mode's Gram partials pack 210 values, so at world 3
-/// `AllreduceAlgo::Auto` runs every Gram reduction on the ring (at R = 3
-/// every one is flat).
+/// `AllreduceAlgo::Auto` gives every Gram reduction the ring's owner map
+/// (at R = 3 every one is flat's).
 fn ring_cfg() -> DecompConfig {
     cfg().with_rank(10)
 }
@@ -225,15 +225,15 @@ fn fault_schedule_is_reproducible() {
 
 // ---- session-level recovery ----------------------------------------------
 
-/// A fault plan that kills worker 1 early in a distributed step.  Flat,
-/// the set-up all-reduce takes sequence numbers 0 and 1 and mode 0's two
-/// row exchanges 2 and 3 (the refresh carrying the reduce half of mode 0's
-/// Gram reduction), so index 4 is mode 1's partials exchange, which
-/// carries the reduced Gram back to every rank: the crash hits
-/// mid-decomposition, inside the first mode's Gram reduction, after real
-/// work has started.
+/// A fault plan that kills worker 1 early in a distributed step.  Set-up
+/// takes no collective (the driver builds its Gram state), so mode 0's
+/// two row exchanges are sequence numbers 0 and 1 (the refresh carrying
+/// the reduce half of mode 0's Gram reduction) and index 2 is mode 1's
+/// partials exchange, which carries the reduced Gram back to every rank:
+/// the crash hits mid-decomposition, inside the first mode's Gram
+/// reduction, after real work has started.
 fn mid_step_crash(times: u32) -> Arc<FaultPlan> {
-    Arc::new(FaultPlan::seeded(11).crash_worker_at_collective_times(1, 4, times))
+    Arc::new(FaultPlan::seeded(11).crash_worker_at_collective_times(1, 2, times))
 }
 
 /// Replay-only recovery: up to `replays` in-place replays per rank, no
@@ -400,7 +400,7 @@ fn a_healed_step_validates_and_complements_once_and_shows_the_replay() {
 
 #[test]
 fn masked_chaos_on_the_ring_allreduce_matches_a_clean_run() {
-    // Masked faults (drops/dups/delays) under the ring all-reduce must
+    // Masked faults (drops/dups/delays) under the ring's owner map must
     // leave the trajectory and the logical traffic bit-identical to a
     // clean run.
     let (s0, s1) = snapshot_pair();
@@ -448,7 +448,7 @@ fn masked_chaos_on_the_ring_allreduce_matches_a_clean_run() {
 fn crash_recovery_under_ring_policy_stays_bit_identical() {
     // A worker crash while a posted (overlapped) exchange is still in
     // flight: the abort must fan out, recovery must replay, and the result
-    // must match the clean run with the same all-reduce bit for bit.
+    // must match the clean run with the same owner map bit for bit.
     let (s0, s1) = snapshot_pair();
     let mode = ExecutionMode::Distributed(ClusterConfig::new(3));
 
@@ -456,12 +456,12 @@ fn crash_recovery_under_ring_policy_stays_bit_identical() {
     clean.ingest(&s0).unwrap();
     clean.ingest(&s1).unwrap();
 
-    // The ring collapses each allreduce to one sequence number (flat takes
-    // two), so the crash index differs from `mid_step_crash`: set-up is
-    // seq 0 and a mode-iteration two more (its Gram reduction rides them),
-    // so seq 4 is the first iteration's mode-1 refresh exchange — mode 0
-    // is fully updated and mode 1's solved rows are about to be posted.
-    let plan = Arc::new(FaultPlan::seeded(11).crash_worker_at_collective_times(1, 4, 1));
+    // The ring's owner map only changes who sums each Gram slice, not the
+    // sequence: a mode-iteration is two exchanges (its Gram reduction
+    // rides them) and set-up none, so seq 3 is the first iteration's
+    // mode-1 refresh exchange — mode 0 is fully updated and mode 1's
+    // solved rows are about to be posted.
+    let plan = Arc::new(FaultPlan::seeded(11).crash_worker_at_collective_times(1, 3, 1));
     let mut chaos = StreamingSession::new(ring_cfg(), mode);
     chaos.ingest(&s0).unwrap();
     chaos.set_cluster_options(ClusterOptions::default().with_fault_plan(Arc::clone(&plan)));

@@ -99,8 +99,8 @@ fn communication_scales_with_workers_not_iterations_blowup() {
         last_bytes = out.comm.bytes;
         // Collectives per iteration: per mode 2 exchanges, every mode's
         // Gram reduction (the last one's with the loss slot) riding them;
-        // set-up's all-reduce and the gather add a few per run (the exact
-        // count is pinned in `distributed.rs`) — just sanity-bound it.
+        // the gather adds one per run and set-up none (the exact count is
+        // pinned in `distributed.rs`) — just sanity-bound it.
         let per_iter = out.comm.collectives / out.iterations as u64;
         assert!(per_iter >= 3, "suspiciously few collectives: {per_iter}");
         assert!(per_iter <= 40, "collective storm: {per_iter}");

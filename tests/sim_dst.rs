@@ -479,17 +479,17 @@ fn clean_reference(start_world: usize, world: usize) -> Vec<Vec<u64>> {
     final_bits(&s)
 }
 
-/// A worker crashes early in the step (collective 2, the first iteration's
-/// mode-0 partials exchange, right after set-up's flat all-reduce); the supervisor
-/// respawns it from the pre-step checkpoint and the healed stream is
-/// bit-identical to a fault-free run at the same world — without the
-/// caller ever seeing an error.
+/// A worker crashes early in the step (collective 0, the first iteration's
+/// mode-0 partials exchange — set-up takes no collective, the driver builds
+/// its Gram state); the supervisor respawns it from the pre-step checkpoint
+/// and the healed stream is bit-identical to a fault-free run at the same
+/// world — without the caller ever seeing an error.
 #[test]
 fn heal_crash_during_exchange_survives_the_seed_sweep() {
     let clean = clean_reference(3, 3);
     for seed in sweep_seeds() {
         let (reports, bits) = run_heal_scenario(seed, 3, 1, false, |sim| {
-            ClusterOptions::default().with_sim(sim.with_crash_and_rejoin(1, 2, 0))
+            ClusterOptions::default().with_sim(sim.with_crash_and_rejoin(1, 0, 0))
         });
         let heal = reports[1].heal.as_ref().expect("heal report on step 1");
         assert_eq!(heal.respawns, 1, "seed {seed}: one respawn heals the crash");
@@ -505,18 +505,17 @@ fn heal_crash_during_exchange_survives_the_seed_sweep() {
     }
 }
 
-/// The crash lands late in the step, inside the ALS solve iterations: at
-/// world 3 and R = 3 (flat) set-up's all-reduce is collectives 0 and 1 and
-/// the first iteration's three modes take two exchanges each (2–7), so
-/// collective 8 is the second iteration's mode-0 partials exchange, the one
-/// that carries the first iteration's reduced last-mode Gram and loss slot
-/// to every rank; same contract.
+/// The crash lands late in the step, inside the ALS solve iterations: set-up
+/// takes no collective and the first iteration's three modes take two
+/// exchanges each (0–5), so collective 6 is the second iteration's mode-0
+/// partials exchange, the one that carries the first iteration's reduced
+/// last-mode Gram and loss slot to every rank; same contract.
 #[test]
 fn heal_crash_during_solve_survives_the_seed_sweep() {
     let clean = clean_reference(3, 3);
     for seed in sweep_seeds() {
         let (reports, bits) = run_heal_scenario(seed, 3, 1, false, |sim| {
-            ClusterOptions::default().with_sim(sim.with_crash_and_rejoin(2, 8, 0))
+            ClusterOptions::default().with_sim(sim.with_crash_and_rejoin(2, 6, 0))
         });
         let heal = reports[1].heal.as_ref().expect("heal report on step 1");
         assert_eq!(heal.respawns, 1, "seed {seed}");
@@ -528,7 +527,7 @@ fn heal_crash_during_solve_survives_the_seed_sweep() {
 }
 
 /// The same rank dies twice (the crash survives the first replay) at
-/// collective 3, the first iteration's mode-0 refresh exchange; the
+/// collective 1, the first iteration's mode-0 refresh exchange; the
 /// default budget of two respawns absorbs both.
 #[test]
 fn heal_double_crash_of_the_same_rank_survives_the_seed_sweep() {
@@ -538,7 +537,7 @@ fn heal_double_crash_of_the_same_rank_survives_the_seed_sweep() {
             ClusterOptions::default()
                 .with_sim(sim)
                 .with_fault_plan(Arc::new(
-                    FaultPlan::seeded(seed ^ 0xDEAD).crash_worker_at_collective_times(1, 3, 2),
+                    FaultPlan::seeded(seed ^ 0xDEAD).crash_worker_at_collective_times(1, 1, 2),
                 ))
         });
         let heal = reports[1].heal.as_ref().expect("heal report on step 1");
@@ -594,7 +593,7 @@ fn heal_budget_exhaustion_degrades_instead_of_failing() {
         let mut reports = Vec::new();
         for (t, snap) in seq.iter().enumerate() {
             if t == 1 {
-                // Rank 2 dies at collective 3 (mode 0's first refresh
+                // Rank 2 dies at collective 1 (mode 0's first refresh
                 // exchange) on every attempt.
                 observed.set_cluster_options(
                     ClusterOptions::default()
@@ -602,7 +601,7 @@ fn heal_budget_exhaustion_degrades_instead_of_failing() {
                         .with_fault_plan(Arc::new(
                             FaultPlan::seeded(seed ^ 0xFA11).crash_worker_at_collective_times(
                                 2,
-                                3,
+                                1,
                                 u32::MAX,
                             ),
                         )),
@@ -657,6 +656,8 @@ fn heal_ladder_exhaustion_is_a_typed_error() {
     let mut sess = StreamingSession::new(cfg, ExecutionMode::Distributed(ClusterConfig::new(2)));
     sess.ingest(snaps[0]).expect("clean step 0");
     sess.set_heal_policy(heal_policy(5).with_max_respawns(1).with_degraded(false));
+    // Rank 1 dies at collective 2, the first iteration's mode-1 partials
+    // exchange (which carries mode 0's reduced Gram), on every attempt.
     sess.set_cluster_options(
         ClusterOptions::default()
             .with_sim(SimOptions::from_seed(5))
