@@ -26,7 +26,6 @@
 //! counted.  A per-(workload, world) line totals each candidate's routed
 //! rows over the stream.
 
-use dismastd_cluster::AllreduceAlgo;
 use dismastd_core::{dismastd, dtd, ClusterConfig, DecompConfig};
 use dismastd_data::{DatasetSpec, StreamSequence};
 use dismastd_partition::GridPartition;
@@ -292,31 +291,18 @@ impl Schedule {
     }
 
     /// Per-rank bytes of a reduction of `len` values riding the refresh and
-    /// the next partials exchange: its owners are the algorithm's reducers
-    /// — rank 0 flat, ranks `1..=w−2` (rank 1 at world 2) in near-equal
-    /// contiguous slices, larger ones first, on the ring.  A rank sends
-    /// every peer-owned value of its partials once and its own slice to
-    /// `w − 1` ranks: `b + (w − 2)·slice`.
+    /// the next partials exchange: rank `k` of `w` reduces the `k`-th of `w`
+    /// near-equal contiguous slices, larger ones first, sends every
+    /// peer-owned value of its partials once and its own slice `s_k` to
+    /// `w − 1` ranks: `len + (w − 2)·s_k`, written so that world 1 (rank 0
+    /// owns everything and sends nothing) needs no case of its own.
     fn fused(&self, len: u64) -> Vec<u64> {
-        let w = self.world;
-        if w == 1 {
-            return vec![0];
-        }
-        let slices: Vec<u64> = match AllreduceAlgo::Auto.resolve(w, len * 8) {
-            AllreduceAlgo::Ring => {
-                let owners = (w - 2).max(1) as u64;
-                (0..w as u64)
-                    .map(|k| match k.checked_sub(1).filter(|&i| i < owners) {
-                        Some(i) => len / owners + u64::from(i < len % owners),
-                        None => 0,
-                    })
-                    .collect()
-            }
-            _ => (0..w).map(|k| if k == 0 { len } else { 0 }).collect(),
-        };
-        slices
-            .iter()
-            .map(|slice| (len + (w as u64 - 2) * slice) * 8)
+        let w = self.world as u64;
+        (0..w)
+            .map(|k| {
+                let s_k = len / w + u64::from(k < len % w);
+                (len - s_k + (w - 1) * s_k) * 8
+            })
             .collect()
     }
 

@@ -435,11 +435,6 @@ impl WorkerCtx {
         self.stats.snapshot()
     }
 
-    /// The poisoning error, if this context has observed a failure.
-    pub fn abort_cause(&self) -> Option<&ClusterError> {
-        self.abort.as_ref()
-    }
-
     // ---- point-to-point --------------------------------------------------
 
     /// Sends `payload` to worker `dst` under a user tag.
@@ -999,10 +994,9 @@ impl WorkerCtx {
 
     /// [`WorkerCtx::try_allreduce_sum`] with an explicit algorithm choice.
     ///
-    /// `Auto` resolves per call from payload size × worker count (see
-    /// [`AllreduceAlgo::resolve`]).  `Ring` reproduces the flat path's
-    /// per-element summation order exactly — rank-ordered chain reduction —
-    /// so the two are bit-identical.
+    /// `Ring` reproduces the flat path's per-element summation order and
+    /// operands exactly — rank-ordered chain reduction, each rank's value
+    /// added on the left — so the two are bit-identical.
     ///
     /// # Errors
     /// As for [`WorkerCtx::try_allreduce_sum`].
@@ -1019,10 +1013,9 @@ impl WorkerCtx {
             self.maybe_crash()?;
             return Ok(());
         }
-        let bytes = std::mem::size_of_val(buf) as u64;
-        match algo.resolve(self.world, bytes) {
+        match algo {
+            AllreduceAlgo::Flat => self.allreduce_flat(buf),
             AllreduceAlgo::Ring => self.allreduce_ring(buf),
-            _ => self.allreduce_flat(buf),
         }
     }
 
@@ -1033,9 +1026,11 @@ impl WorkerCtx {
     /// points, and sequence numbers as `try_gather` + `try_broadcast`) so
     /// contributions fold straight into `buf` as they arrive and every
     /// staging vector cycles through the worker's [`BufferPool`] — the
-    /// steady-state gram reduction allocates nothing.  The fold runs in
-    /// ascending rank order, bit-identical to the old gathered-table
-    /// reduction.
+    /// steady-state reduction allocates nothing.  The root's sum starts
+    /// from its own value and adds each peer's on the left, in ascending
+    /// rank order: the chain's order and operands (see
+    /// [`WorkerCtx::allreduce_ring`]).
+    #[allow(clippy::assign_op_pattern)] // `*b += *x` would swap the operands
     fn allreduce_flat(&mut self, buf: &mut [f64]) -> ClusterResult<()> {
         let root = 0usize;
         // Gather half.
@@ -1048,14 +1043,7 @@ impl WorkerCtx {
             }
             if self.rank == root {
                 // Own contribution first (rank 0 == root), then peers in
-                // ascending rank order — exactly the gathered table's
-                // iteration order, so the FP sum is unchanged.
-                let own = self.pooled_copy(buf);
-                buf.iter_mut().for_each(|x| *x = 0.0);
-                for (b, x) in buf.iter_mut().zip(&own) {
-                    *b += *x;
-                }
-                self.pool.put(own);
+                // ascending rank order.
                 for src in 1..self.world {
                     let p = self.try_recv_raw(src, tag, self.default_timeout)?;
                     let v = match p.try_into_f64() {
@@ -1077,7 +1065,7 @@ impl WorkerCtx {
                         return Err(e);
                     }
                     for (b, x) in buf.iter_mut().zip(&v) {
-                        *b += *x;
+                        *b = *x + *b;
                     }
                     self.pool.put(v);
                 }
@@ -1479,26 +1467,39 @@ mod tests {
 
     #[test]
     fn ring_allreduce_is_bit_identical_to_flat() {
+        // `skewed` values, then a column that is `−0.0` on every rank (its
+        // sum is `−0.0`, which a sum started from `+0.0` would lose) and a
+        // column of subnormals of either sign.
+        let operands = |rank: usize, len: usize| {
+            let mut buf = skewed(rank, len);
+            let sign = [1.0, -1.0][rank % 2];
+            for (i, x) in buf.iter_mut().enumerate() {
+                match i % 8 {
+                    0 => *x = -0.0,
+                    1 => *x = sign * f64::from_bits(rank as u64 + 1),
+                    _ => {}
+                }
+            }
+            buf
+        };
         for world in [2usize, 3, 4, 5] {
             for len in [0usize, 1, 7, 64, 257] {
-                let flat = Cluster::run(world, |ctx| {
-                    let mut buf = skewed(ctx.rank(), len);
-                    ctx.try_allreduce_sum_with(&mut buf, AllreduceAlgo::Flat)
-                        .unwrap();
-                    buf
-                })
-                .unwrap();
-                let ring = Cluster::run(world, |ctx| {
-                    let mut buf = skewed(ctx.rank(), len);
-                    ctx.try_allreduce_sum_with(&mut buf, AllreduceAlgo::Ring)
-                        .unwrap();
-                    buf
-                })
-                .unwrap();
+                let run = |algo| {
+                    Cluster::run(world, move |ctx| {
+                        let mut buf = operands(ctx.rank(), len);
+                        ctx.try_allreduce_sum_with(&mut buf, algo).unwrap();
+                        buf
+                    })
+                    .unwrap()
+                };
+                let (flat, ring) = (run(AllreduceAlgo::Flat), run(AllreduceAlgo::Ring));
                 for (f, r) in flat.iter().zip(&ring) {
                     let fb: Vec<u64> = f.iter().map(|x| x.to_bits()).collect();
                     let rb: Vec<u64> = r.iter().map(|x| x.to_bits()).collect();
                     assert_eq!(fb, rb, "world {world}, len {len}");
+                    if let Some(zero) = fb.first() {
+                        assert_eq!(*zero, (-0.0f64).to_bits(), "world {world}, len {len}");
+                    }
                 }
             }
         }
@@ -1523,27 +1524,32 @@ mod tests {
         assert!(ring.reconciles() && flat.reconciles());
     }
 
+    // Historical name: the size-picking `Auto` algorithm is gone; the test
+    // now holds the default `try_allreduce_sum` to the ring, bit for bit.
     #[test]
     fn auto_allreduce_matches_flat_results() {
-        let out = Cluster::run(4, |ctx| {
-            // Big enough that Auto resolves to Ring at 4 workers.
-            let mut buf = skewed(ctx.rank(), 2048);
-            ctx.try_allreduce_sum_with(&mut buf, AllreduceAlgo::Auto)
-                .unwrap();
-            let mut small = vec![ctx.rank() as f64];
-            ctx.try_allreduce_sum_with(&mut small, AllreduceAlgo::Auto)
-                .unwrap();
-            (buf, small[0])
-        })
-        .unwrap();
-        let reference = Cluster::try_run(4, |ctx| {
-            let mut buf = skewed(ctx.rank(), 2048);
-            ctx.try_allreduce_sum(&mut buf)?;
-            Ok(buf)
-        })
-        .unwrap();
-        for ((buf, scalar), flat) in out.iter().zip(&reference) {
-            assert_eq!(buf, flat);
+        let run = |algo| {
+            Cluster::try_run(4, move |ctx| {
+                let mut buf = skewed(ctx.rank(), 2048);
+                let mut small = [ctx.rank() as f64];
+                match algo {
+                    Some(algo) => {
+                        ctx.try_allreduce_sum_with(&mut buf, algo)?;
+                        ctx.try_allreduce_sum_with(&mut small, algo)?;
+                    }
+                    None => {
+                        ctx.try_allreduce_sum(&mut buf)?;
+                        ctx.try_allreduce_sum(&mut small)?;
+                    }
+                }
+                let bits: Vec<u64> = buf.iter().map(|x| x.to_bits()).collect();
+                Ok((bits, small[0]))
+            })
+            .unwrap()
+        };
+        let (ring, default) = (run(Some(AllreduceAlgo::Ring)), run(None));
+        assert_eq!(ring, default);
+        for (_, scalar) in &default {
             assert_eq!(*scalar, 6.0);
         }
     }

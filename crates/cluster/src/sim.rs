@@ -217,12 +217,6 @@ impl SimOptions {
         }
     }
 
-    /// Sets the latency ceiling (virtual ns).
-    pub fn with_max_latency_ns(mut self, ns: u64) -> Self {
-        self.max_latency_ns = ns;
-        self
-    }
-
     /// Adds an explicit partition window.
     pub fn with_partition(mut self, w: PartitionWindow) -> Self {
         self.partitions.push(w);

@@ -1,4 +1,4 @@
-//! Wire formats and collective-algorithm selection.
+//! Wire formats and the all-reduce algorithms.
 //!
 //! The distributed step ships every row exchange as one flat
 //! `Payload::F64`: the routed rows, then a tail of raw `f64` values that
@@ -22,45 +22,17 @@ pub const FLAG_F32: u8 = 0b01;
 pub const FLAG_INDICES: u8 = 0b10;
 const KNOWN_FLAGS: u8 = FLAG_F32 | FLAG_INDICES;
 
-/// Below this total payload volume (`payload_bytes × world`), the flat
-/// gather+broadcast allreduce stays cheaper than setting up a ring: the
-/// chain latency of `2(w−1)` hops dominates tiny reductions (scalars,
-/// small Gram stacks on few workers).
-pub const AUTO_RING_MIN_TOTAL_BYTES: u64 = 4096;
-
-/// Allreduce algorithm for `try_allreduce_sum_with`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Allreduce algorithm for `try_allreduce_sum_with`.  Both sum every
+/// element over ranks `0..w` in the same order with the same operands —
+/// rank 0's value first, each later rank's added on the left — so their
+/// results are bit-identical, signed zeros included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AllreduceAlgo {
-    /// Pick per call from payload size × worker count (flat for small
-    /// reductions, ring otherwise).
-    #[default]
-    Auto,
     /// Gather-to-root + broadcast.  Root pays `2(w−1)·b` bytes.
     Flat,
     /// Pipelined chain reduce + chain broadcast in rank order.  Every rank
-    /// pays ≈`2·b` bytes, and the per-element summation order matches the
-    /// flat path exactly, so results are bit-identical to `Flat`.
+    /// pays ≈`2·b` bytes.
     Ring,
-}
-
-impl AllreduceAlgo {
-    /// Resolves `Auto` to the algorithm actually run for a
-    /// `payload_bytes`-sized buffer across `world` ranks.  Never returns
-    /// `Auto`.
-    pub fn resolve(self, world: usize, payload_bytes: u64) -> AllreduceAlgo {
-        match self {
-            AllreduceAlgo::Auto => {
-                if world >= 3
-                    && payload_bytes.saturating_mul(world as u64) >= AUTO_RING_MIN_TOTAL_BYTES
-                {
-                    AllreduceAlgo::Ring
-                } else {
-                    AllreduceAlgo::Flat
-                }
-            }
-            other => other,
-        }
-    }
 }
 
 /// Appends `x` as an LEB128 varint.
@@ -432,18 +404,5 @@ mod tests {
         let other_rows = vec![0u32, 5, 7];
         let clean = encode_frame(&rows, &values, true);
         assert!(decode_frame(&clean, 0, &other_rows, 3, &mut pool).is_err());
-    }
-
-    #[test]
-    fn auto_resolution_prefers_flat_for_small_reductions() {
-        use AllreduceAlgo::*;
-        // Small payloads and tiny worlds stay flat.
-        assert_eq!(Auto.resolve(2, 1 << 20), Flat);
-        assert_eq!(Auto.resolve(4, 8), Flat);
-        assert_eq!(Auto.resolve(4, AUTO_RING_MIN_TOTAL_BYTES / 4), Ring);
-        assert_eq!(Auto.resolve(8, 4096), Ring);
-        // Explicit choices pass through.
-        assert_eq!(Flat.resolve(8, 1 << 20), Flat);
-        assert_eq!(Ring.resolve(2, 8), Ring);
     }
 }

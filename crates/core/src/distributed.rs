@@ -25,7 +25,7 @@
 //!    exchanges already due before then: each rank's partials travel to
 //!    their slice owners with the refreshed rows (the reduce half), and the
 //!    owners' sums travel back with mode `n + 1`'s partials (the gather
-//!    half) — see [`GramOwners`].
+//!    half) — see [`gram_slice`].
 //! 4. **Distributed loss** (Sec. IV-B4): the `R x R` terms are evaluated
 //!    locally from the replicated products; the data-dependent inner product
 //!    reuses the final mode's MTTKRP partial rows.  Its per-rank partial
@@ -50,8 +50,8 @@ use crate::config::DecompConfig;
 use crate::dtd::{check_row_ids, converged, init_factors, old_norm_sq, zero_history};
 use crate::loss::{dtd_loss, mode_grams, GramState, LossParts};
 use dismastd_cluster::{
-    decode_rows_and_tail, AllreduceAlgo, BufferPool, Cluster, ClusterError, ClusterOptions,
-    ClusterResult, CommStatsSnapshot, Payload, PendingExchange, WorkerCtx,
+    decode_rows_and_tail, BufferPool, Cluster, ClusterError, ClusterOptions, ClusterResult,
+    CommStatsSnapshot, Payload, PendingExchange, WorkerCtx,
 };
 use dismastd_obs::MetricsSnapshot;
 use dismastd_partition::{CellAssignment, GridPartition, Partitioner};
@@ -69,9 +69,8 @@ use std::time::{Duration, Instant};
 /// Cluster-side configuration: worker count and partitioning strategy.
 ///
 /// Nothing here selects how the step communicates: every row exchange is
-/// one flat `f64` payload, and each Gram reduction takes the owner map of
-/// the algorithm `AllreduceAlgo::Auto` resolves from the world and the
-/// buffer's size.
+/// one flat `f64` payload, and every Gram reduction splits its buffer into
+/// one near-equal slice per rank (see [`gram_slice`]).
 /// Checkpoints written with fields this struct no longer has (`comm`,
 /// `pooling`) still restore — unknown fields are ignored.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -530,13 +529,10 @@ struct GramWorkspace {
     g0: Matrix,
     g1: Matrix,
     cr: Matrix,
+    /// Stays staged until the next mode stages, so its length is that of
+    /// the reduction in flight.
     buf: Vec<f64>,
     reduced: Vec<f64>,
-    /// The owner map of every mode's reduction but an iteration's last.
-    owners: GramOwners,
-    /// The last mode's: its buffer carries the loss slot, and `Auto` may
-    /// resolve that length to the other algorithm.
-    last_owners: GramOwners,
 }
 
 /// Values one mode's Gram partials pack into: the upper triangles of the
@@ -548,17 +544,14 @@ fn packed_len(r: usize) -> usize {
 
 impl GramWorkspace {
     /// Sized for the largest buffer a worker stages: one mode's partials
-    /// plus the loss slot.  The owner maps are those of the fused reductions of
-    /// `world` ranks.
-    fn new(r: usize, world: usize) -> Self {
+    /// plus the loss slot.
+    fn new(r: usize) -> Self {
         GramWorkspace {
             g0: Matrix::zeros(r, r),
             g1: Matrix::zeros(r, r),
             cr: Matrix::zeros(r, r),
             buf: Vec::with_capacity(packed_len(r) + 1),
             reduced: vec![0.0; packed_len(r) + 1],
-            owners: GramOwners::new(world, packed_len(r)),
-            last_owners: GramOwners::new(world, packed_len(r) + 1),
         }
     }
 
@@ -604,77 +597,37 @@ fn unpack_grams(packed: &[f64], state: &mut GramState, n: usize) {
     state.retotal(n);
 }
 
-/// The owner map of a Gram reduction that rides the two row exchanges
-/// around it instead of running as an all-reduce.  Every rank appends to
-/// its refresh payload to an owner the slice of its packed partials that
-/// owner reduces (the reduce half); at the next mode's fence the owner
-/// folds the slices in ascending rank order; every owner then appends its
-/// reduced slice to its partials payload to every rank (the gather half).
-///
-/// The map is the one the all-reduce `AllreduceAlgo::Auto` resolves to for
-/// the same buffer would use, so each rank sends the bytes that algorithm
-/// has it send and every value is the same sum of the same operands:
-///
-/// * **flat** — rank 0 owns the whole buffer and sums from `+0.0`, as the
-///   gather root does (`(w − 1)·b` bytes from rank 0, `b` from the rest);
-/// * **ring** — ranks `1..=w−2` (rank 1 at world 2) own near-equal
-///   contiguous slices, larger ones first, and sum from rank 0's partial,
-///   adding each later one on the left as the chain does (`b` from ranks 0
-///   and `w − 1`, `b + (w − 2)·|slice|` from an owner: `2b` when `w − 2`
-///   divides `b`);
-/// * **world 1** — rank 0 owns everything and its partial is the sum.
-#[derive(Debug, Clone, Copy)]
-struct GramOwners {
-    /// The first owning rank; the owners are consecutive.
-    first: usize,
-    /// How many ranks own a slice.
-    owners: usize,
-    /// Values in one mode's packed buffer.
-    len: usize,
-    /// The flat root's sum starts at `+0.0`; the chain's at rank 0's value.
-    from_zero: bool,
+/// The values `rank` owns of a Gram reduction of `len` values across
+/// `world` ranks: the `rank`-th of `world` near-equal contiguous slices,
+/// larger ones first — the reduce-scatter's equal blocks.  The reduction
+/// rides the two row exchanges around it instead of running as an
+/// all-reduce: every rank appends to its refresh payload to an owner the
+/// owner's slice of its packed partials (the reduce half); at the next
+/// mode's fence the owner folds the slices over ranks `0..w` (see
+/// [`gram_fold`]); every owner then appends its reduced slice to its
+/// partials payload to every rank (the gather half).  A rank sends
+/// `len + (w − 2)·|slice|` values per reduction; the slices sum to `len`,
+/// so all ranks together send `(2w − 2)·len` whatever the split.
+fn gram_slice(rank: usize, world: usize, len: usize) -> Range<usize> {
+    let (base, extra) = (len / world, len % world);
+    let start = rank * base + rank.min(extra);
+    start..start + base + usize::from(rank < extra)
 }
 
-impl GramOwners {
-    fn new(world: usize, len: usize) -> Self {
-        let bytes = std::mem::size_of::<f64>() * len;
-        let (first, owners, from_zero) = match AllreduceAlgo::Auto.resolve(world, bytes as u64) {
-            _ if world == 1 => (0, 1, false),
-            AllreduceAlgo::Ring => (1, world.saturating_sub(2).max(1), false),
-            _ => (0, 1, true),
-        };
-        GramOwners {
-            first,
-            owners,
-            len,
-            from_zero,
-        }
-    }
-
-    /// The values `rank` reduces and hands out: empty unless it owns some.
-    fn slice(&self, rank: usize) -> Range<usize> {
-        let Some(i) = rank.checked_sub(self.first).filter(|&i| i < self.owners) else {
-            return 0..0;
-        };
-        let (base, extra) = (self.len / self.owners, self.len % self.owners);
-        let start = i * base + i.min(extra);
-        start..start + base + usize::from(i < extra)
-    }
-
-    /// Folds rank `src`'s share of an owner's slice into its running sum;
-    /// called for `src = 0, 1, …, w − 1` in turn.  Operands keep the
-    /// all-reduce's order too — the chain adds a rank's own value on the
-    /// left — so not even a `NaN` payload can tell the two apart.  The fold
-    /// is element-wise, so rank 0 folds whole gathered buffers with it too.
-    #[allow(clippy::assign_op_pattern)] // `*s += p` would swap the operands
-    fn fold(&self, sum: &mut [f64], src: usize, part: &[f64]) {
-        let pairs = sum.iter_mut().zip(part);
-        match (src, self.from_zero) {
-            (0, false) => pairs.for_each(|(s, &p)| *s = p),
-            (0, true) => pairs.for_each(|(s, &p)| *s = 0.0 + p),
-            (_, true) => pairs.for_each(|(s, &p)| *s += p),
-            (_, false) => pairs.for_each(|(s, &p)| *s = p + *s),
-        }
+/// Folds rank `src`'s share of an owner's slice into its running sum;
+/// called for `src = 0, 1, …, w − 1` in turn.  The sum starts from rank
+/// 0's partial and adds each later rank's on the left — the order and the
+/// operands of the all-reduce's chain, so not even a signed zero or a
+/// `NaN` payload can tell the two apart.  The fold is element-wise, so
+/// rank 0 folds whole gathered buffers with it too, and so does the
+/// driver's set-up fold.
+#[allow(clippy::assign_op_pattern)] // `*s += p` would swap the operands
+fn gram_fold(sum: &mut [f64], src: usize, part: &[f64]) {
+    let pairs = sum.iter_mut().zip(part);
+    if src == 0 {
+        pairs.for_each(|(s, &p)| *s = p);
+    } else {
+        pairs.for_each(|(s, &p)| *s = p + *s);
     }
 }
 
@@ -682,11 +635,10 @@ impl GramOwners {
 /// rows are in flight while the next mode's MTTKRP runs.  The fence at the
 /// top of the next mode (or the post-loop drain) completes it and writes
 /// the rows before anything reads `factors[mode]` remotely-owned entries.
-/// The payloads also carry the reduce half of the mode's Gram reduction,
-/// sliced by `owners` (see [`GramOwners`]).
+/// The payloads also carry the reduce half of the mode's Gram reduction
+/// (see [`gram_slice`]).
 struct PendingRefresh {
     mode: usize,
-    owners: GramOwners,
     pending: PendingExchange,
 }
 
@@ -723,7 +675,7 @@ fn worker_body(
 
     // Reusable scratch: Gram partials + reduction staging, and the
     // message-payload pool for the two row exchanges.
-    let mut ws = GramWorkspace::new(r, world);
+    let mut ws = GramWorkspace::new(r);
     let mut pool = BufferPool::new(true);
     // Persistent exchange tables: refilled in place every post/complete,
     // so the steady-state loop never reallocates them.
@@ -766,9 +718,8 @@ fn worker_body(
     let mut pending_refresh: Option<PendingRefresh> = None;
     // Every mode reduces its Gram partials over the two row exchanges
     // around it.  This is the mode whose slices were folded at the fence
-    // and ride this mode's partials exchange to every rank, with the owner
-    // map they were sliced by.
-    let mut gram_in_flight: Option<(usize, GramOwners)> = None;
+    // and ride this mode's partials exchange to every rank.
+    let mut gram_in_flight: Option<usize> = None;
 
     'iterations: for iter in 0..cfg.max_iters {
         for n in 0..order {
@@ -777,7 +728,7 @@ fn worker_body(
             // previously updated mode must be written before the kernels run.
             // Owners fold the Gram slices that rode them.
             if let Some(pr) = pending_refresh.take() {
-                gram_in_flight = Some((pr.mode, pr.owners));
+                gram_in_flight = Some(pr.mode);
                 complete_refresh(
                     ctx,
                     pr,
@@ -807,8 +758,8 @@ fn worker_body(
             // slice still goes.
             {
                 let _s = dismastd_obs::span("phase/exchange");
-                let riding =
-                    |rank: usize| gram_in_flight.map_or(0..0, |(_, owners)| owners.slice(rank));
+                let len = ws.buf.len();
+                let riding = |rank| gram_in_flight.map_or(0..0, |_| gram_slice(rank, world, len));
                 outgoing.clear();
                 for d in 0..world {
                     outgoing.push(if d == me {
@@ -836,7 +787,7 @@ fn worker_body(
                     pool.put(data);
                 }
             }
-            if let Some((m, _)) = gram_in_flight.take() {
+            if let Some(m) = gram_in_flight.take() {
                 {
                     let _s = dismastd_obs::span("phase/gram");
                     unpack_grams(&ws.reduced[..packed], &mut state, m);
@@ -951,7 +902,6 @@ fn worker_body(
                 None
             } else {
                 let _s = dismastd_obs::span("phase/exchange");
-                let owners = if last { ws.last_owners } else { ws.owners };
                 outgoing.clear();
                 for d in 0..world {
                     outgoing.push(if d == me {
@@ -960,14 +910,13 @@ fn worker_body(
                         pack_rows(
                             &factors[n],
                             &plan.serve_routes[n][d],
-                            &ws.buf[owners.slice(d)],
+                            &ws.buf[gram_slice(d, world, ws.buf.len())],
                             &mut pool,
                         )
                     });
                 }
                 Some(PendingRefresh {
                     mode: n,
-                    owners,
                     pending: ctx.post_exchange(&mut outgoing)?,
                 })
             };
@@ -1005,7 +954,7 @@ fn worker_body(
     };
     let gathered = {
         let _s = dismastd_obs::span("phase/gather");
-        gather_factors(ctx, plans, &factors, init, tail, &ws.last_owners)?
+        gather_factors(ctx, plans, &factors, init, tail)?
     };
     let factors_out = match gathered {
         Some((out, reduced)) if !reduced.is_empty() => {
@@ -1058,9 +1007,9 @@ fn local_partials(
 
 /// Completes a posted refresh exchange: receives every peer's refreshed
 /// mode-`pr.mode` rows and writes them into the replicated factor copy.
-/// The exchange carried the reduce half of the mode's Gram reduction:
-/// this rank's slice is folded over ranks `0..w` in order — its own
-/// partial at its own turn — into `ws.reduced`.
+/// The exchange carried the reduce half of the mode's Gram reduction of
+/// the still-staged `ws.buf`: this rank's slice is folded over ranks
+/// `0..w` in order — its own partial at its own turn — into `ws.reduced`.
 fn complete_refresh(
     ctx: &mut WorkerCtx,
     pr: PendingRefresh,
@@ -1074,21 +1023,20 @@ fn complete_refresh(
     let me = ctx.rank();
     let n = pr.mode;
     let r = factors[n].cols();
-    let owners = pr.owners;
-    let mine = owners.slice(me);
+    let mine = gram_slice(me, ctx.world(), ws.buf.len());
     let (lo, hi) = (mine.start, mine.end);
     ctx.complete_exchange(pr.pending, incoming)?;
     for (d, payload) in incoming.drain(..).enumerate() {
         let sum = &mut ws.reduced[lo..hi];
         if d == me {
-            owners.fold(sum, d, &ws.buf[lo..hi]);
+            gram_fold(sum, d, &ws.buf[lo..hi]);
             continue;
         }
         let routes = &plan.partial_routes[n][d];
         let data = decode_rows_and_tail(payload, d, routes, r, hi - lo)?;
         let rows = routes.len() * r;
         write_rows(&mut factors[n], routes, &data[..rows]);
-        owners.fold(sum, d, &data[rows..]);
+        gram_fold(sum, d, &data[rows..]);
         pool.put(data);
     }
     Ok(())
@@ -1156,7 +1104,7 @@ fn setup_grams(
     old_rows: &[usize],
     r: usize,
 ) -> Result<GramState> {
-    let mut ws = GramWorkspace::new(r, plans.len());
+    let mut ws = GramWorkspace::new(r);
     let mut partials = Vec::with_capacity(plans.len());
     for plan in plans {
         let owned = owned_blocks(plan, old_rows);
@@ -1171,16 +1119,13 @@ fn setup_grams(
 }
 
 /// Folds every rank's `N` modes of packed partials, one buffer per rank,
-/// over ranks `0..w` with the owner map `Auto` resolves for that buffer and
-/// unpacks the sums.  Every value is therefore the same sum of the same
-/// operands, in the same order, as an all-reduce of the buffers would give
-/// — flat and ring alike — with no collective.
+/// over ranks `0..w` (see [`gram_fold`]) and unpacks the sums.  Every
+/// value is therefore the same sum of the same operands, in the same
+/// order, as an all-reduce of the buffers would give, with no collective.
 fn fold_setup(partials: &[Vec<f64>], order: usize, r: usize) -> GramState {
-    let len = packed_len(r) * order;
-    let owners = GramOwners::new(partials.len(), len);
-    let mut sum = vec![0.0; len];
+    let mut sum = vec![0.0; packed_len(r) * order];
     for (k, part) in partials.iter().enumerate() {
-        owners.fold(&mut sum, k, part);
+        gram_fold(&mut sum, k, part);
     }
     let mut state = GramState::zeros(order, r);
     // `R ≥ 1` (`DecompConfig::validate`), so the chunk width is not zero.
@@ -1194,14 +1139,13 @@ fn fold_setup(partials: &[Vec<f64>], order: usize, r: usize) -> GramState {
 /// factor matrices there.  Every payload ends with `tail` — the last
 /// scheduled iteration's last-mode partials and loss slot, or nothing
 /// after a tolerance stop — and rank 0 folds the tails over ranks `0..w`
-/// as `owners` does, returning the factors and that sum.
+/// (see [`gram_fold`]), returning the factors and that sum.
 fn gather_factors(
     ctx: &mut WorkerCtx,
     plans: &[WorkerPlan],
     factors: &[Matrix],
     init: &[Matrix],
     tail: &[f64],
-    owners: &GramOwners,
 ) -> ClusterResult<Option<(Vec<Matrix>, Vec<f64>)>> {
     let me = ctx.rank();
     // One payload: all owned rows of all modes, concatenated, then the
@@ -1225,7 +1169,7 @@ fn gather_factors(
     for (src, payload) in gathered.into_iter().enumerate() {
         let data = payload.try_into_f64()?;
         let part = unpack_gathered(&mut out, &plans[src].owned_rows, src, &data, tail.len())?;
-        owners.fold(&mut sum, src, part);
+        gram_fold(&mut sum, src, part);
     }
     Ok(Some((out, sum)))
 }
@@ -1381,6 +1325,7 @@ mod tests {
     use super::*;
     use crate::als::cp_als;
     use crate::dtd::dtd;
+    use dismastd_cluster::AllreduceAlgo;
     use dismastd_tensor::SparseTensorBuilder;
     use rand::Rng;
     use rand::SeedableRng;
@@ -1587,9 +1532,8 @@ mod tests {
         // Iterations · two exchanges per mode − the unread final refresh +
         // gather: every mode's Gram reduction rides its refresh and the
         // next mode's partials exchange, the last mode's with the loss
-        // slot, and set-up's Gram state comes from the driver, so no world
-        // and no rank adds an all-reduce (`Auto` would pick flat at R = 3
-        // and at world 2, the ring at R = 10 from world 3 on).  A
+        // slot, and set-up's Gram state comes from the driver, so no world,
+        // no rank and no Gram buffer length adds an all-reduce.  A
         // collective added to `worker_body` shows up here, not first in a
         // benchmark count.
         for shape in [&[7usize, 6, 5][..], &[5, 4, 4, 3]] {
@@ -1620,19 +1564,15 @@ mod tests {
 
     #[test]
     fn fused_slices_reduce_to_the_allreduce_bit_for_bit() {
-        // The oracle is the all-reduce the fused path replaces: random
-        // partials, with signed zeros (a column of `−0.0` on every rank is
-        // where flat, which sums from `+0.0`, and the chain part ways) and
-        // subnormals, reduced both ways must agree bit for bit — and so
-        // must rank 0's fold of the gathered buffers, the path of the last
-        // scheduled iteration's last mode.  `Auto` resolves the short
-        // buffers to flat and, from world 3 on, the long ones to the ring.
-        // 36 and 37 values are a mode's packed `R = 4` partials without
-        // and with the loss slot: at world 14 the slot flips `Auto` from
-        // flat to the ring, which is why the last mode has its own map.
+        // The oracle is the all-reduce the fused path replaces, flat and
+        // ring alike: random partials, with signed zeros (a column of
+        // `−0.0` on every rank, whose sum is `−0.0`) and subnormals,
+        // reduced every way must agree bit for bit — and so must rank 0's
+        // fold of the gathered buffers, the path of the last scheduled
+        // iteration's last mode.  36 and 37 values are a mode's packed
+        // `R = 4` partials without and with the loss slot; at world 14
+        // most ranks own one value of them, or none of the shortest.
         assert_eq!(packed_len(4), 36);
-        assert_eq!(AllreduceAlgo::Auto.resolve(14, 8 * 36), AllreduceAlgo::Flat);
-        assert_eq!(AllreduceAlgo::Auto.resolve(14, 8 * 37), AllreduceAlgo::Ring);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let operands = |seed: usize, len: usize| -> Vec<f64> {
             let mut rng = ChaCha8Rng::seed_from_u64(seed as u64);
@@ -1647,23 +1587,23 @@ mod tests {
                 })
                 .collect()
         };
-        for world in [2usize, 3, 4, 5, 14] {
+        for world in [1usize, 2, 3, 4, 5, 14] {
             for len in [1usize, 7, 21, 36, 37, 211, 600] {
-                let algo = AllreduceAlgo::Auto.resolve(world, 8 * len as u64);
-                let owners = GramOwners::new(world, len);
                 let partial = |rank: usize| operands(world * 1000 + len + rank, len);
                 let runs = Cluster::try_run(world, |ctx| {
                     let me = ctx.rank();
                     let mine = partial(me);
-                    let mut expected = mine.clone();
-                    ctx.try_allreduce_sum_with(&mut expected, AllreduceAlgo::Auto)?;
+                    let mut flat = mine.clone();
+                    ctx.try_allreduce_sum(&mut flat)?;
+                    let mut ring = mine.clone();
+                    ctx.try_allreduce_sum_with(&mut ring, AllreduceAlgo::Ring)?;
                     // Reduce half: each owner's slice of this rank's
                     // partials to that owner, folded in rank order.
                     let outgoing = (0..world)
-                        .map(|d| Payload::F64(mine[owners.slice(d)].to_vec()))
+                        .map(|d| Payload::F64(mine[gram_slice(d, world, len)].to_vec()))
                         .collect();
                     let incoming = ctx.try_exchange(outgoing)?;
-                    let slice = owners.slice(me);
+                    let slice = gram_slice(me, world, len);
                     let mut sum = vec![f64::NAN; slice.len()];
                     for (src, payload) in incoming.into_iter().enumerate() {
                         let part = if src == me {
@@ -1671,7 +1611,7 @@ mod tests {
                         } else {
                             payload.try_into_f64()?
                         };
-                        owners.fold(&mut sum, src, &part);
+                        gram_fold(&mut sum, src, &part);
                     }
                     // Gather half: every owner's sum to every rank.
                     let outgoing = (0..world).map(|_| Payload::F64(sum.clone())).collect();
@@ -1683,76 +1623,74 @@ mod tests {
                         } else {
                             payload.try_into_f64()?
                         };
-                        reduced[owners.slice(src)].copy_from_slice(&got);
+                        reduced[gram_slice(src, world, len)].copy_from_slice(&got);
                     }
                     // Gathered whole to rank 0, folded rank by rank.
                     let folded = ctx.try_gather(0, Payload::F64(mine))?.map(|all| {
                         let mut sum = vec![f64::NAN; len];
                         for (src, payload) in all.into_iter().enumerate() {
-                            owners.fold(&mut sum, src, &payload.try_into_f64().unwrap());
+                            gram_fold(&mut sum, src, &payload.try_into_f64().unwrap());
                         }
                         sum
                     });
-                    Ok((expected, reduced, folded))
+                    Ok((flat, ring, reduced, folded))
                 })
                 .unwrap();
-                for (rank, (expected, reduced, folded)) in runs.iter().enumerate() {
-                    let tag = format!("world {world} {algo:?} len {len} rank {rank}");
-                    assert_eq!(bits(reduced), bits(expected), "{tag}");
+                for (rank, (flat, ring, reduced, folded)) in runs.iter().enumerate() {
+                    let tag = format!("world {world} len {len} rank {rank}");
+                    assert_eq!(bits(ring), bits(flat), "{tag} ring");
+                    assert_eq!(bits(reduced), bits(flat), "{tag}");
                     assert_eq!(folded.is_some(), rank == 0, "{tag}");
                     if let Some(folded) = folded {
-                        assert_eq!(bits(folded), bits(expected), "{tag} gather fold");
+                        assert_eq!(bits(folded), bits(flat), "{tag} gather fold");
                     }
+                    assert_eq!(reduced[0].to_bits(), (-0.0f64).to_bits(), "{tag}");
                 }
-                // The all-`−0.0` column really tells the two apart.
-                let zero = runs[0].0[0].to_bits();
-                let chain = matches!(algo, AllreduceAlgo::Ring);
-                assert_eq!(zero, if chain { (-0.0f64).to_bits() } else { 0 });
             }
         }
         // The driver's set-up fold: every rank's `N` modes of packed
         // partials in one buffer, folded with no collective, against the
-        // all-reduce of those buffers — from world 1, where neither sums,
-        // to world 5.  `N = 3` modes at R = 3 are 504 B (flat at every
-        // world), at R = 10 5 040 B (the ring from world 3 on).
+        // all-reduces of those buffers — from world 1, where nothing sums,
+        // to world 5.
         let order = 3;
         for world in 1usize..=5 {
             for r in [3usize, 10] {
                 let len = packed_len(r) * order;
-                let algo = AllreduceAlgo::Auto.resolve(world, 8 * len as u64);
                 let partials: Vec<Vec<f64>> = (0..world)
                     .map(|rank| operands(world * 100 + r * 10 + rank, len))
                     .collect();
                 let runs = Cluster::try_run(world, |ctx| {
-                    let mut buf = partials[ctx.rank()].clone();
-                    ctx.try_allreduce_sum_with(&mut buf, AllreduceAlgo::Auto)?;
-                    Ok(buf)
+                    let mut flat = partials[ctx.rank()].clone();
+                    ctx.try_allreduce_sum(&mut flat)?;
+                    let mut ring = partials[ctx.rank()].clone();
+                    ctx.try_allreduce_sum_with(&mut ring, AllreduceAlgo::Ring)?;
+                    Ok([flat, ring])
                 })
                 .unwrap();
                 let state = fold_setup(&partials, order, r);
                 let folded = |n: usize| {
                     [&state.gram0[n], &state.gram1[n], &state.cross[n]].map(|m| bits(m.as_slice()))
                 };
-                for (rank, expected) in runs.iter().enumerate() {
-                    let mut oracle = GramState::zeros(order, r);
-                    for (n, chunk) in expected.chunks_exact(packed_len(r)).enumerate() {
-                        unpack_grams(chunk, &mut oracle, n);
-                    }
-                    for n in 0..order {
-                        let want = [&oracle.gram0[n], &oracle.gram1[n], &oracle.cross[n]]
-                            .map(|m| bits(m.as_slice()));
-                        assert_eq!(
-                            folded(n),
-                            want,
-                            "set-up world {world} {algo:?} R {r} rank {rank} mode {n}"
-                        );
+                for (rank, oracles) in runs.iter().enumerate() {
+                    for (expected, algo) in oracles.iter().zip(["flat", "ring"]) {
+                        let mut oracle = GramState::zeros(order, r);
+                        for (n, chunk) in expected.chunks_exact(packed_len(r)).enumerate() {
+                            unpack_grams(chunk, &mut oracle, n);
+                        }
+                        for n in 0..order {
+                            let want = [&oracle.gram0[n], &oracle.gram1[n], &oracle.cross[n]]
+                                .map(|m| bits(m.as_slice()));
+                            assert_eq!(
+                                folded(n),
+                                want,
+                                "set-up world {world} {algo} R {r} rank {rank} mode {n}"
+                            );
+                        }
                     }
                 }
-                // Position 0 is `−0.0` on every rank: the chain and world
-                // 1's lone partial keep it, flat's `+0.0` start clears it.
+                // Position 0 is `−0.0` on every rank, and so is its sum.
                 let zero = state.gram0[0].as_slice()[0].to_bits();
-                let chain = world == 1 || matches!(algo, AllreduceAlgo::Ring);
-                assert_eq!(zero, if chain { (-0.0f64).to_bits() } else { 0 });
+                assert_eq!(zero, (-0.0f64).to_bits(), "set-up world {world} R {r}");
             }
         }
     }
@@ -1760,16 +1698,14 @@ mod tests {
     #[test]
     fn each_rank_sends_its_rows_and_its_owner_share_of_every_gram() {
         // Per sender: the rows its routing tables send plus, per Gram
-        // reduction of `b` values, what the algorithm's owner map charges
-        // it; set-up's Gram state comes from the driver and ships nothing.
-        // A reduction riding the row exchanges: `b + (w − 2)·slice`, the
-        // slice being the whole buffer at the flat root, near-equal shares
-        // at the ring's inner ranks, nothing elsewhere.  The last scheduled
+        // reduction of `b` values, `b + (w − 2)·slice` — every peer's
+        // slice once, its own slice to `w − 1` peers, the slices being
+        // near-equal shares of `b`, larger ones first; set-up's Gram state
+        // comes from the driver and ships nothing.  The last scheduled
         // iteration's last mode sends no reduce half: its `b` values ride
-        // the gather from every rank but 0.  `Auto` picks flat for every
-        // buffer at R = 3 and the ring for every buffer at R = 10 from
-        // world 3 on; R = 10 packs `b = 210` values per mode, 211 with the
-        // loss slot, which owner counts 2 and 3 do not divide.
+        // the gather from every rank but 0.  R = 3 packs `b = 21` values
+        // per mode, R = 10 `b = 210`, 22 and 211 with the loss slot, which
+        // world 4 and 5 do not divide.
         let x = random_tensor(&[12, 10, 8], 400, 71);
         let order = 3u64;
         for world in 2usize..=5 {
@@ -1787,21 +1723,11 @@ mod tests {
             for r in [3u64, 10] {
                 let cfg = cfg().with_rank(r as usize).with_tolerance(0.0);
                 let packed = 2 * r * r + r;
-                let algo = AllreduceAlgo::Auto.resolve(world, 8 * packed);
                 let out = dms_mg(&x, &cfg, &cluster).unwrap();
                 let iters = out.iterations as u64;
                 assert_eq!(iters, cfg.max_iters as u64);
                 let fused = |k: u64, b: u64| {
-                    let slice = match AllreduceAlgo::Auto.resolve(world, 8 * b) {
-                        AllreduceAlgo::Flat => u64::from(k == 0) * b,
-                        _ => {
-                            let owners = (w - 2).max(1);
-                            match k.checked_sub(1).filter(|&i| i < owners) {
-                                Some(i) => b / owners + u64::from(i < b % owners),
-                                None => 0,
-                            }
-                        }
-                    };
+                    let slice = gram_slice(k as usize, world, b as usize).len() as u64;
                     b + (w - 2) * slice
                 };
                 let expected: Vec<u64> = plans
@@ -1828,10 +1754,7 @@ mod tests {
                         (rows * r + grams) * 8
                     })
                     .collect();
-                assert_eq!(
-                    out.comm.bytes_by_sender, expected,
-                    "world {world} R {r} {algo:?}"
-                );
+                assert_eq!(out.comm.bytes_by_sender, expected, "world {world} R {r}");
             }
         }
     }

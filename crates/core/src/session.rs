@@ -1181,8 +1181,9 @@ mod tests {
         // 3 modes × `2R² + R` values from each of ranks 1 and 2 to rank 0,
         // then `b` from rank 0 to each), where the driver now builds them.
         let (steps, iters, w) = (2, cfg().max_iters as u64, 3);
-        let broadcast = (w - 1) * (2 * 3 * 3 + 3 + 1) * 8;
-        let setup = 3 * (2 * 3 * 3 + 3) * 8;
+        let (packed, order) = (2 * 3 * 3 + 3, 3);
+        let broadcast = (w - 1) * (packed + 1) * 8;
+        let setup = order * packed * 8;
         let mut parent = sess.comm_totals().clone();
         parent.collectives += steps * (iters + 1) * 2;
         parent.messages += steps * (iters + 1) * 2 * (w - 1);
@@ -1191,6 +1192,28 @@ mod tests {
         for sender in &mut parent.bytes_by_sender[1..] {
             *sender += steps * setup;
         }
+        // The lines above count every reduction that rides the row
+        // exchanges with rank 0 owning the whole buffer: flat's map, which
+        // every Gram reduction took at R = 3, world 3, before rank `k` came
+        // to own the `k`-th of `w` near-equal slices.  A sender ships
+        // `b + (w − 2)·slice` values per reduction of `b`: every mode's but
+        // the last each iteration (`b = 2R² + R`) and, on every iteration
+        // but a step's final one, the last mode's (`b + 1` with the loss
+        // slot).  So each sender's share moves back from the uniform map to
+        // flat's; the slices sum to `b` either way, so the total does not.
+        let total: u64 = parent.bytes_by_sender.iter().sum();
+        for (b, reductions) in [
+            (packed, steps * iters * (order - 1)),
+            (packed + 1, steps * (iters - 1)),
+        ] {
+            let fused = |slice: u64| reductions * (b + (w - 2) * slice) * 8;
+            for (k, sender) in parent.bytes_by_sender.iter_mut().enumerate() {
+                let uniform = b / w + u64::from((k as u64) < b % w);
+                let flat = if k == 0 { b } else { 0 };
+                *sender = *sender - fused(uniform) + fused(flat);
+            }
+        }
+        assert_eq!(parent.bytes_by_sender.iter().sum::<u64>(), total);
         assert_eq!(restored.comm_totals(), &parent);
     }
 

@@ -91,11 +91,6 @@ impl StreamSequence {
     pub fn iter(&self) -> impl Iterator<Item = &SparseTensor> {
         self.snapshots.iter()
     }
-
-    /// Consumes the sequence, yielding the snapshots.
-    pub fn into_snapshots(self) -> Vec<SparseTensor> {
-        self.snapshots
-    }
 }
 
 #[cfg(test)]

@@ -173,11 +173,6 @@ impl ThreadPool {
         }
     }
 
-    /// Creates a pool sized by the policy (see [`ThreadPolicy::resolve`]).
-    pub fn from_policy(policy: ThreadPolicy) -> Self {
-        ThreadPool::new(policy.resolve())
-    }
-
     /// Total execution lanes, including the submitting thread.
     pub fn threads(&self) -> usize {
         self.threads

@@ -7,17 +7,19 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 echo "==> retired communication-policy and membership names stay gone"
-# The distributed step has one exact exchange payload and resolves its Gram
-# owner maps with AllreduceAlgo::Auto; the first group of names belonged to
-# the lossy f32 row path, its second byte ledger, the allreduce override
-# and the frame-corruption fate, all deleted.  The second group belonged to
-# the queued join/leave path, the restore-into-a-world variants and the
-# migrated-rows probe: StreamingSession::set_workers is the one way to
-# change the world size.  The third is set-up's Gram all-reduce: the driver
-# builds set-up's Gram state, so the ingest path runs no all-reduce.  Test
-# fixtures that must spell an old checkpoint's fields live in .json files,
-# outside this search.
-if grep -rnE '\b(CommPolicy|downcast_f32|maybe_compress|WireMeta|Framed|compressed_bytes|with_corruption|allreduce_grams)\b|MembershipChange|request_join|request_leave|pending_membership|_with_world\b|ownership_delta|membership/' \
+# The distributed step has one exact exchange payload, and every Gram
+# reduction riding it splits its buffer into one near-equal slice per rank;
+# the first group of names belonged to the lossy f32 row path, its second
+# byte ledger, the allreduce override and the frame-corruption fate, all
+# deleted.  The second group belonged to the queued join/leave path, the
+# restore-into-a-world variants and the migrated-rows probe:
+# StreamingSession::set_workers is the one way to change the world size.
+# The third is set-up's Gram all-reduce: the driver builds set-up's Gram
+# state, so the ingest path runs no all-reduce.  The fourth is the
+# size-picking allreduce algorithm whose owner maps the Gram reductions
+# once imitated, one per buffer length.  Test fixtures that must spell an
+# old checkpoint's fields live in .json files, outside this search.
+if grep -rnE '\b(CommPolicy|downcast_f32|maybe_compress|WireMeta|Framed|compressed_bytes|with_corruption|allreduce_grams)\b|MembershipChange|request_join|request_leave|pending_membership|_with_world\b|ownership_delta|membership/|AllreduceAlgo::Auto\b|AUTO_RING_MIN_TOTAL_BYTES|last_owners' \
   crates tests examples --include='*.rs'; then
   echo "a retired name reappeared (above)" >&2
   exit 1

@@ -38,10 +38,10 @@ fn cfg() -> DecompConfig {
     DecompConfig::default().with_rank(3).with_max_iters(5)
 }
 
-/// `cfg()` at R = 10: a mode's Gram partials pack 210 values, so at world 3
-/// `AllreduceAlgo::Auto` gives every Gram reduction the ring's owner map
-/// (at R = 3 every one is flat's).
-fn ring_cfg() -> DecompConfig {
+/// `cfg()` at R = 10: a mode's Gram partials pack 210 values, ten times
+/// R = 3's 21, so every rank's share of every Gram reduction is a larger
+/// slice of the row payloads.
+fn r10_cfg() -> DecompConfig {
     cfg().with_rank(10)
 }
 
@@ -398,15 +398,17 @@ fn a_healed_step_validates_and_complements_once_and_shows_the_replay() {
 
 // ---- collective-layer chaos ----------------------------------------------
 
+// Historical name: no all-reduce runs on the step any more; the Gram
+// reductions ride the row exchanges this test perturbs.
 #[test]
 fn masked_chaos_on_the_ring_allreduce_matches_a_clean_run() {
-    // Masked faults (drops/dups/delays) under the ring's owner map must
-    // leave the trajectory and the logical traffic bit-identical to a
-    // clean run.
+    // Masked faults (drops/dups/delays) on the row exchanges and the Gram
+    // slices riding them must leave the trajectory and the logical traffic
+    // bit-identical to a clean run.
     let (s0, s1) = snapshot_pair();
     let mode = ExecutionMode::Distributed(ClusterConfig::new(3));
 
-    let mut clean = StreamingSession::new(ring_cfg(), mode.clone());
+    let mut clean = StreamingSession::new(r10_cfg(), mode.clone());
     clean.ingest(&s0).unwrap();
     let clean_report = clean.ingest(&s1).unwrap();
 
@@ -417,7 +419,7 @@ fn masked_chaos_on_the_ring_allreduce_matches_a_clean_run() {
             .with_delays(100, Duration::from_micros(200))
             .with_retransmit_delay(Duration::from_micros(100)),
     );
-    let mut chaos = StreamingSession::new(ring_cfg(), mode);
+    let mut chaos = StreamingSession::new(r10_cfg(), mode);
     chaos.set_cluster_options(ClusterOptions::default().with_fault_plan(plan));
     chaos.ingest(&s0).unwrap();
     let report = chaos.ingest(&s1).unwrap();
@@ -432,7 +434,7 @@ fn masked_chaos_on_the_ring_allreduce_matches_a_clean_run() {
         assert_eq!(
             a.max_abs_diff(b).unwrap(),
             0.0,
-            "ring + masked chaos must not move a bit"
+            "masked chaos must not move a bit"
         );
     }
     let comm = report.comm.expect("distributed step reports comm");
@@ -444,25 +446,26 @@ fn masked_chaos_on_the_ring_allreduce_matches_a_clean_run() {
     assert_eq!(comm.wire_bytes(), comm.bytes);
 }
 
+// Historical name: there is no ring policy any more, only the larger R = 10
+// Gram buffer it once selected the ring for.
 #[test]
 fn crash_recovery_under_ring_policy_stays_bit_identical() {
     // A worker crash while a posted (overlapped) exchange is still in
     // flight: the abort must fan out, recovery must replay, and the result
-    // must match the clean run with the same owner map bit for bit.
+    // must match the clean run bit for bit.
     let (s0, s1) = snapshot_pair();
     let mode = ExecutionMode::Distributed(ClusterConfig::new(3));
 
-    let mut clean = StreamingSession::new(ring_cfg(), mode.clone());
+    let mut clean = StreamingSession::new(r10_cfg(), mode.clone());
     clean.ingest(&s0).unwrap();
     clean.ingest(&s1).unwrap();
 
-    // The ring's owner map only changes who sums each Gram slice, not the
-    // sequence: a mode-iteration is two exchanges (its Gram reduction
-    // rides them) and set-up none, so seq 3 is the first iteration's
+    // A mode-iteration is two exchanges (its Gram reduction rides them)
+    // and set-up none, so seq 3 is the first iteration's
     // mode-1 refresh exchange — mode 0 is fully updated and mode 1's
     // solved rows are about to be posted.
     let plan = Arc::new(FaultPlan::seeded(11).crash_worker_at_collective_times(1, 3, 1));
-    let mut chaos = StreamingSession::new(ring_cfg(), mode);
+    let mut chaos = StreamingSession::new(r10_cfg(), mode);
     chaos.ingest(&s0).unwrap();
     chaos.set_cluster_options(ClusterOptions::default().with_fault_plan(Arc::clone(&plan)));
     chaos.set_heal_policy(replay_only(2));
