@@ -6,15 +6,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A typed message body.
 ///
-/// The decomposition only ever ships factor rows (`f64`), row indices
-/// (`u64`) and opaque blobs, so a small closed enum beats generic
-/// serialisation and keeps byte accounting exact.
+/// The decomposition only ever ships factor rows (`f64`) and opaque
+/// blobs, so a small closed enum beats generic serialisation and keeps
+/// byte accounting exact.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     /// Dense floating-point data (factor rows, Gram matrices, scalars).
     F64(Vec<f64>),
-    /// Index data (row ids, slice ids).
-    U64(Vec<u64>),
     /// Raw bytes (serialised control structures).
     Bytes(bytes::Bytes),
     /// A message that carries no data (pure synchronisation).
@@ -27,7 +25,6 @@ impl Payload {
     pub fn size_bytes(&self) -> u64 {
         match self {
             Payload::F64(v) => (v.len() * std::mem::size_of::<f64>()) as u64,
-            Payload::U64(v) => (v.len() * std::mem::size_of::<u64>()) as u64,
             Payload::Bytes(b) => b.len() as u64,
             Payload::Empty => 0,
         }
@@ -37,7 +34,6 @@ impl Payload {
     pub fn kind(&self) -> &'static str {
         match self {
             Payload::F64(_) => "F64",
-            Payload::U64(_) => "U64",
             Payload::Bytes(_) => "Bytes",
             Payload::Empty => "Empty",
         }
@@ -53,20 +49,6 @@ impl Payload {
             Payload::F64(v) => Ok(v),
             other => Err(ClusterError::TypeMismatch {
                 expected: "F64".into(),
-                found: other.kind().into(),
-            }),
-        }
-    }
-
-    /// Unwraps a `U64` payload (typed error on mismatch, as above).
-    ///
-    /// # Errors
-    /// Returns `TypeMismatch` when the payload has a different variant.
-    pub fn try_into_u64(self) -> ClusterResult<Vec<u64>> {
-        match self {
-            Payload::U64(v) => Ok(v),
-            other => Err(ClusterError::TypeMismatch {
-                expected: "U64".into(),
                 found: other.kind().into(),
             }),
         }
@@ -283,11 +265,6 @@ impl BufferPool {
     pub fn idle(&self) -> usize {
         self.free.len()
     }
-
-    /// Whether `take` may recycle at all.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
 }
 
 /// Plain-data copy of [`CommStats`] counters.
@@ -362,25 +339,6 @@ impl CommStatsSnapshot {
         self.bytes
     }
 
-    /// Difference of two snapshots (for per-phase accounting).
-    pub fn delta_since(&self, earlier: &CommStatsSnapshot) -> CommStatsSnapshot {
-        CommStatsSnapshot {
-            bytes: self.bytes - earlier.bytes,
-            messages: self.messages - earlier.messages,
-            collectives: self.collectives - earlier.collectives,
-            retransmits: self.retransmits - earlier.retransmits,
-            retransmit_bytes: self.retransmit_bytes - earlier.retransmit_bytes,
-            duplicates_suppressed: self.duplicates_suppressed - earlier.duplicates_suppressed,
-            unattributed_bytes: self.unattributed_bytes - earlier.unattributed_bytes,
-            bytes_by_sender: self
-                .bytes_by_sender
-                .iter()
-                .zip(earlier.bytes_by_sender.iter().chain(std::iter::repeat(&0)))
-                .map(|(a, b)| a - b)
-                .collect(),
-        }
-    }
-
     /// Accumulates another snapshot into this one (the streaming session
     /// uses this to keep lifetime totals across steps for checkpoints).
     pub fn merge(&mut self, other: &CommStatsSnapshot) {
@@ -421,7 +379,6 @@ mod tests {
     #[test]
     fn payload_sizes() {
         assert_eq!(Payload::F64(vec![1.0; 10]).size_bytes(), 80);
-        assert_eq!(Payload::U64(vec![1; 3]).size_bytes(), 24);
         assert_eq!(
             Payload::Bytes(bytes::Bytes::from_static(b"abcd")).size_bytes(),
             4
@@ -441,16 +398,15 @@ mod tests {
         assert_eq!(snap.collectives, 1);
     }
 
+    // Historical name: snapshots no longer subtract; this pins `reset`.
     #[test]
     fn stats_reset_and_delta() {
         let s = CommStats::new();
         s.record_message(10);
-        let first = s.snapshot();
         s.record_message(30);
-        let second = s.snapshot();
-        let d = second.delta_since(&first);
-        assert_eq!(d.bytes, 30);
-        assert_eq!(d.messages, 1);
+        let snap = s.snapshot();
+        assert_eq!(snap.bytes, 40);
+        assert_eq!(snap.messages, 2);
         s.reset();
         assert_eq!(s.snapshot(), CommStatsSnapshot::default());
     }
@@ -476,26 +432,17 @@ mod tests {
     #[test]
     fn payload_kind_and_try_unwrap() {
         assert_eq!(Payload::F64(vec![1.0]).kind(), "F64");
-        assert_eq!(Payload::U64(vec![1]).kind(), "U64");
         assert_eq!(
             Payload::Bytes(bytes::Bytes::from_static(b"x")).kind(),
             "Bytes"
         );
         assert_eq!(Payload::Empty.kind(), "Empty");
         assert_eq!(Payload::F64(vec![2.0]).try_into_f64().unwrap(), vec![2.0]);
-        assert_eq!(Payload::U64(vec![3]).try_into_u64().unwrap(), vec![3]);
         assert_eq!(
             Payload::Empty.try_into_f64(),
             Err(ClusterError::TypeMismatch {
                 expected: "F64".into(),
                 found: "Empty".into(),
-            })
-        );
-        assert_eq!(
-            Payload::F64(vec![1.0]).try_into_u64(),
-            Err(ClusterError::TypeMismatch {
-                expected: "U64".into(),
-                found: "F64".into(),
             })
         );
     }
@@ -581,7 +528,6 @@ mod pool_tests {
         assert_eq!(pool.idle(), 0);
         assert_eq!(pool.take().capacity(), 0);
         assert_eq!(pool.stats(), (0, 2));
-        assert!(!pool.is_enabled());
     }
 
     #[test]
@@ -635,14 +581,17 @@ mod per_sender_tests {
         assert_eq!(CommStats::new().snapshot().sender_imbalance(), 0.0);
     }
 
+    // Historical name: snapshots no longer subtract; this pins how
+    // `merge` folds per-sender vectors of different worlds.
     #[test]
     fn delta_handles_sender_vectors() {
         let s = CommStats::with_world(2);
-        s.record_message_from(0, 10);
-        let a = s.snapshot();
         s.record_message_from(1, 20);
-        let d = s.snapshot().delta_since(&a);
-        assert_eq!(d.bytes_by_sender, vec![0, 20]);
+        let mut total = CommStats::with_world(1).snapshot();
+        total.merge(&s.snapshot());
+        total.merge(&s.snapshot());
+        assert_eq!(total.bytes_by_sender, vec![0, 40]);
+        assert!(total.reconciles());
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! The seed runtime treated every fault as a panic: a crashed worker
 //! poisoned `join()` while its peers blocked forever in `recv`.  This
 //! module gives faults a type so they can propagate — a failing worker
-//! fans an encoded [`ClusterError`] out to every peer (the abort
-//! protocol in `runtime`), and [`Cluster::run`](crate::Cluster::run)
-//! surfaces the originating rank and cause instead of deadlocking.
+//! fans its [`ClusterError`] out to every peer (the abort protocol in
+//! `runtime`), and [`Cluster::run`](crate::Cluster::run) surfaces the
+//! originating rank and cause instead of deadlocking.
 //!
-//! Errors cross worker boundaries as messages, so they carry owned data
-//! and ship in a dependency-free binary encoding (`encode`/`decode`).
+//! Errors cross worker boundaries as messages, so they carry owned data;
+//! workers are threads of one process, so an abort notice carries the
+//! value itself, with no byte encoding.
 
 use std::fmt;
 
@@ -43,7 +44,7 @@ pub enum ClusterError {
     /// A payload arrived with the wrong variant — a protocol bug that the
     /// seed runtime turned into a receive-path panic.
     TypeMismatch {
-        /// The variant the receiver asked for (`"F64"`, `"U64"`, …).
+        /// The variant the receiver asked for (`"F64"`, …).
         expected: String,
         /// The variant that actually arrived.
         found: String,
@@ -95,107 +96,6 @@ impl std::error::Error for ClusterError {}
 /// Convenience alias for fallible cluster operations.
 pub type ClusterResult<T> = std::result::Result<T, ClusterError>;
 
-// ---- wire encoding ------------------------------------------------------
-//
-// Abort messages carry the originating error across worker channels.  The
-// vendored serde_derive cannot handle struct enum variants, so the format
-// is hand-rolled: one discriminant byte, then little-endian u64 fields,
-// then length-prefixed UTF-8 strings.
-
-fn push_u64(buf: &mut Vec<u8>, x: u64) {
-    buf.extend_from_slice(&x.to_le_bytes());
-}
-
-fn push_str(buf: &mut Vec<u8>, s: &str) {
-    push_u64(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn read_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let bytes = buf.get(*pos..*pos + 8)?;
-    *pos += 8;
-    Some(u64::from_le_bytes(bytes.try_into().ok()?))
-}
-
-fn read_str(buf: &[u8], pos: &mut usize) -> Option<String> {
-    let len = read_u64(buf, pos)? as usize;
-    let bytes = buf.get(*pos..*pos + len)?;
-    *pos += len;
-    // lint:allow(alloc_hygiene): abort-message decoding — teardown path, the run is over
-    String::from_utf8(bytes.to_vec()).ok()
-}
-
-impl ClusterError {
-    /// Serialises the error for the abort fan-out message.
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        // lint:allow(alloc_hygiene): abort-message encoding — teardown path, the run is over
-        let mut buf = Vec::new();
-        match self {
-            ClusterError::PeerCrashed { rank, cause } => {
-                buf.push(0);
-                push_u64(&mut buf, *rank as u64);
-                push_str(&mut buf, cause);
-            }
-            ClusterError::Timeout {
-                rank,
-                src,
-                tag,
-                waited_ms,
-            } => {
-                buf.push(1);
-                push_u64(&mut buf, *rank as u64);
-                push_u64(&mut buf, *src as u64);
-                push_u64(&mut buf, *tag);
-                push_u64(&mut buf, *waited_ms);
-            }
-            ClusterError::TypeMismatch { expected, found } => {
-                buf.push(2);
-                push_str(&mut buf, expected);
-                push_str(&mut buf, found);
-            }
-            ClusterError::SizeMismatch {
-                rank,
-                expected,
-                found,
-            } => {
-                buf.push(3);
-                push_u64(&mut buf, *rank as u64);
-                push_u64(&mut buf, *expected as u64);
-                push_u64(&mut buf, *found as u64);
-            }
-        }
-        buf
-    }
-
-    /// Inverse of [`ClusterError::encode`]; `None` on malformed input.
-    pub(crate) fn decode(buf: &[u8]) -> Option<Self> {
-        let kind = *buf.first()?;
-        let mut pos = 1usize;
-        match kind {
-            0 => Some(ClusterError::PeerCrashed {
-                rank: read_u64(buf, &mut pos)? as usize,
-                cause: read_str(buf, &mut pos)?,
-            }),
-            1 => Some(ClusterError::Timeout {
-                rank: read_u64(buf, &mut pos)? as usize,
-                src: read_u64(buf, &mut pos)? as usize,
-                tag: read_u64(buf, &mut pos)?,
-                waited_ms: read_u64(buf, &mut pos)?,
-            }),
-            2 => Some(ClusterError::TypeMismatch {
-                expected: read_str(buf, &mut pos)?,
-                found: read_str(buf, &mut pos)?,
-            }),
-            3 => Some(ClusterError::SizeMismatch {
-                rank: read_u64(buf, &mut pos)? as usize,
-                expected: read_u64(buf, &mut pos)? as usize,
-                found: read_u64(buf, &mut pos)? as usize,
-            }),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,21 +129,6 @@ mod tests {
         for v in variants() {
             assert!(!v.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn encode_decode_round_trips() {
-        for v in variants() {
-            assert_eq!(ClusterError::decode(&v.encode()), Some(v));
-        }
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert_eq!(ClusterError::decode(&[]), None);
-        assert_eq!(ClusterError::decode(&[200, 1, 2]), None);
-        // Truncated PeerCrashed payload.
-        assert_eq!(ClusterError::decode(&[0, 1, 2, 3]), None);
     }
 
     #[test]

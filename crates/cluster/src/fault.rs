@@ -7,6 +7,12 @@
 //! counters keyed on the collective sequence number, and fire a bounded
 //! number of times, so a retried step does not re-crash forever.
 //!
+//! This is the only place a fault is armed.  A crash point may also carry
+//! a *rejoin delay* ([`FaultPlan::crash_and_rejoin`]): on the run after
+//! the crash fires, the respawned rank starts late by that much time on
+//! the run's [`Clock`](crate::Clock) — virtual under the simulator, a real
+//! sleep on threads — so one plan drives both transports.
+//!
 //! Injected message faults are *masked* faults: a dropped first copy is
 //! retransmitted by the sender after a short timeout, and a spurious
 //! duplicate is suppressed by the receiver's per-sender sequence check.
@@ -33,11 +39,16 @@ pub(crate) enum MessageFate {
 
 /// An armed crash: worker `rank` fails on entry to its collective number
 /// `at_collective`, at most `remaining` times across the plan's lifetime.
+/// A crash-and-rejoin point also owes one rejoin delay of `rejoin_ns`
+/// (`rejoins` is 1 until the run after the crash spends it; 0 for a plain
+/// crash).
 #[derive(Debug)]
 struct CrashPoint {
     rank: usize,
     at_collective: u64,
     remaining: AtomicU32,
+    rejoin_ns: u64,
+    rejoins: AtomicU32,
 }
 
 /// A seeded, reproducible schedule of injected faults.
@@ -54,8 +65,9 @@ struct CrashPoint {
 ///     .with_message_drops(100)            // 10% of messages lose a copy
 ///     .with_duplicates(50)                // 5% arrive twice
 ///     .with_delays(100, Duration::from_micros(200))
-///     .crash_worker_at_collective(1, 3);  // worker 1 dies once, at its 4th collective
-/// assert_eq!(plan.remaining_crashes(), 1);
+///     .crash_worker_at_collective(1, 3)   // worker 1 dies once, at its 4th collective
+///     .crash_and_rejoin(2, 5, 0);         // worker 2 dies at its 6th, then rejoins late
+/// assert_eq!(plan.remaining_crashes(), 2);
 /// ```
 #[derive(Debug, Default)]
 pub struct FaultPlan {
@@ -79,11 +91,9 @@ impl PartialEq for FaultPlan {
             && self.delay == other.delay
             && self.retransmit_delay == other.retransmit_delay
             && self.crashes.len() == other.crashes.len()
-            && self
-                .crashes
-                .iter()
-                .zip(&other.crashes)
-                .all(|(a, b)| a.rank == b.rank && a.at_collective == b.at_collective)
+            && self.crashes.iter().zip(&other.crashes).all(|(a, b)| {
+                (a.rank, a.at_collective, a.rejoin_ns) == (b.rank, b.at_collective, b.rejoin_ns)
+            })
     }
 }
 
@@ -145,6 +155,30 @@ impl FaultPlan {
             rank,
             at_collective: k,
             remaining: AtomicU32::new(times),
+            rejoin_ns: 0,
+            rejoins: AtomicU32::new(0),
+        });
+        self
+    }
+
+    /// Arms a one-shot crash-and-rejoin: worker `rank` crashes on entry to
+    /// collective `k`, and on the next run sharing this plan (the replay
+    /// the supervision layer drives) it rejoins `recover_delay_ns` late —
+    /// its peers already wait in the first collective.  A delay of `0`
+    /// draws one from the plan's seed.
+    pub fn crash_and_rejoin(mut self, rank: usize, k: u64, recover_delay_ns: u64) -> Self {
+        let rejoin_ns = if recover_delay_ns > 0 {
+            recover_delay_ns
+        } else {
+            // Seeded draw, pure in (seed, rank, k): replays reproduce it.
+            1 + splitmix64(self.seed ^ (rank as u64).rotate_left(24) ^ k) % 100_000
+        };
+        self.crashes.push(CrashPoint {
+            rank,
+            at_collective: k,
+            remaining: AtomicU32::new(1),
+            rejoin_ns,
+            rejoins: AtomicU32::new(1),
         });
         self
     }
@@ -157,27 +191,33 @@ impl FaultPlan {
             .sum()
     }
 
-    /// True when the plan can never inject anything (the fast-path check
-    /// the runtime uses to skip per-message bookkeeping).
-    pub fn is_inert(&self) -> bool {
-        self.drop_permille == 0
-            && self.duplicate_permille == 0
-            && self.delay_permille == 0
-            && self.crashes.is_empty()
-    }
-
-    /// Consumes one armed firing of a crash point matching `(rank, seq)`.
-    /// Returns `true` exactly `times` times per matching point, then
-    /// permanently `false` — deterministic across identical call orders.
-    pub(crate) fn take_crash(&self, rank: usize, seq: u64) -> bool {
+    /// Consumes one armed firing of a crash point matching `(rank, seq)`
+    /// and names its kind (`"crash"` or `"crash-and-rejoin"`, for the
+    /// error's cause).  Fires exactly `times` times per matching point,
+    /// then permanently `None` — deterministic across identical call
+    /// orders.
+    pub(crate) fn take_crash(&self, rank: usize, seq: u64) -> Option<&'static str> {
         self.crashes
             .iter()
             .filter(|c| c.rank == rank && c.at_collective == seq)
-            .any(|c| {
-                c.remaining
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                    .is_ok()
+            .find(|c| take_one(&c.remaining))
+            .map(|c| {
+                if c.rejoin_ns > 0 {
+                    "crash-and-rejoin"
+                } else {
+                    "crash"
+                }
             })
+    }
+
+    /// The rejoin delay `rank` owes at the start of this run: `Some` once,
+    /// on the first run after its crash-and-rejoin point fired.
+    pub(crate) fn take_rejoin(&self, rank: usize) -> Option<Duration> {
+        self.crashes
+            .iter()
+            .filter(|c| c.rank == rank && c.remaining.load(Ordering::SeqCst) == 0)
+            .find(|c| take_one(&c.rejoins))
+            .map(|c| Duration::from_nanos(c.rejoin_ns))
     }
 
     /// The fate of message `id` from `src` to `dst` — a pure function of
@@ -206,9 +246,17 @@ impl FaultPlan {
     }
 }
 
+/// Decrements an armed counter; `false` once it is spent.
+fn take_one(armed: &AtomicU32) -> bool {
+    armed
+        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+        .is_ok()
+}
+
 /// SplitMix64 finaliser — a well-mixed 64-bit hash, enough to make fate
-/// decisions look random while staying a pure function of the inputs.
-fn splitmix64(x: u64) -> u64 {
+/// decisions and the simulator's schedule look random while staying a
+/// pure function of the inputs.
+pub(crate) fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -253,29 +301,69 @@ mod tests {
     #[test]
     fn crash_points_are_consumed() {
         let plan = FaultPlan::seeded(0).crash_worker_at_collective(2, 5);
-        assert!(!plan.take_crash(1, 5), "wrong rank must not fire");
-        assert!(!plan.take_crash(2, 4), "wrong collective must not fire");
-        assert!(plan.take_crash(2, 5), "armed crash fires once");
-        assert!(!plan.take_crash(2, 5), "one-shot crash must not re-fire");
+        assert!(plan.take_crash(1, 5).is_none(), "wrong rank must not fire");
+        assert!(
+            plan.take_crash(2, 4).is_none(),
+            "wrong collective must not fire"
+        );
+        assert_eq!(
+            plan.take_crash(2, 5),
+            Some("crash"),
+            "armed crash fires once"
+        );
+        assert!(
+            plan.take_crash(2, 5).is_none(),
+            "one-shot crash must not re-fire"
+        );
         assert_eq!(plan.remaining_crashes(), 0);
+        assert_eq!(plan.take_rejoin(2), None, "a plain crash owes no rejoin");
     }
 
     #[test]
     fn multi_shot_crashes_fire_n_times() {
         let plan = FaultPlan::seeded(0).crash_worker_at_collective_times(0, 1, 3);
         for _ in 0..3 {
-            assert!(plan.take_crash(0, 1));
+            assert!(plan.take_crash(0, 1).is_some());
         }
-        assert!(!plan.take_crash(0, 1));
+        assert_eq!(plan.take_crash(0, 1), None);
+    }
+
+    // Historical name: the plan's `is_inert` probe is gone; this pins the
+    // fate fast path a fault-free plan takes instead.
+    #[test]
+    fn inert_plan_detection() {
+        let plan = FaultPlan::seeded(9);
+        assert!((0..200u64).all(|id| plan.fate(0, 1, id) == MessageFate::Deliver));
+        assert_eq!(plan.remaining_crashes(), 0);
+        let drops = FaultPlan::seeded(9).with_message_drops(1000);
+        assert_eq!(drops.fate(0, 1, 0), MessageFate::DropThenRetransmit);
     }
 
     #[test]
-    fn inert_plan_detection() {
-        assert!(FaultPlan::seeded(9).is_inert());
-        assert!(!FaultPlan::seeded(9).with_message_drops(1).is_inert());
-        assert!(!FaultPlan::seeded(9)
-            .crash_worker_at_collective(0, 0)
-            .is_inert());
+    fn crash_and_rejoin_owes_one_delay_after_it_fires() {
+        let plan = FaultPlan::seeded(5).crash_and_rejoin(1, 2, 40_000);
+        assert_eq!(plan.take_rejoin(1), None, "no rejoin before the crash");
+        assert_eq!(plan.take_crash(1, 2), Some("crash-and-rejoin"));
+        assert_eq!(plan.take_rejoin(0), None, "wrong rank owes nothing");
+        assert_eq!(plan.take_rejoin(1), Some(Duration::from_nanos(40_000)));
+        assert_eq!(plan.take_rejoin(1), None, "the delay is spent once");
+        assert_eq!(plan.take_crash(1, 2), None);
+    }
+
+    #[test]
+    fn a_zero_rejoin_delay_is_drawn_from_the_seed() {
+        let delay = |seed| {
+            let plan = FaultPlan::seeded(seed).crash_and_rejoin(1, 0, 0);
+            plan.take_crash(1, 0);
+            plan.take_rejoin(1).unwrap()
+        };
+        assert_eq!(delay(3), delay(3));
+        assert!(delay(3) > Duration::ZERO && delay(3) <= Duration::from_nanos(100_000));
+        assert_ne!(
+            FaultPlan::seeded(3).crash_and_rejoin(1, 0, 0),
+            FaultPlan::seeded(3).crash_and_rejoin(1, 0, 7),
+            "the rejoin delay is part of the configuration"
+        );
     }
 
     #[test]
@@ -283,7 +371,7 @@ mod tests {
         let a = FaultPlan::seeded(3).crash_worker_at_collective(1, 2);
         let b = FaultPlan::seeded(3).crash_worker_at_collective(1, 2);
         assert_eq!(a, b);
-        a.take_crash(1, 2);
+        let _ = a.take_crash(1, 2);
         assert_eq!(a, b, "armed state is ignored by equality");
         assert_ne!(a, FaultPlan::seeded(4).crash_worker_at_collective(1, 2));
     }

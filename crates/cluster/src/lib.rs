@@ -18,9 +18,11 @@
 //! paper's Fig. 7 observation that startup costs dominate small datasets).
 //!
 //! The runtime is **fault-tolerant**: failures are typed ([`ClusterError`]),
-//! a crashed worker aborts its peers instead of deadlocking them, every
-//! primitive is fallible (`try_*`), and deterministic chaos can be
-//! injected via a seeded [`FaultPlan`] through [`ClusterOptions`].
+//! a crashed worker aborts its peers — the notice carries its error value —
+//! instead of deadlocking them, and every primitive is fallible (`try_*`).
+//! Deterministic chaos is injected only via a seeded [`FaultPlan`] through
+//! [`ClusterOptions`] — message fates, crashes and crash-and-rejoin — on
+//! real threads and under the [`SimOptions`] scheduler alike.
 
 pub mod clock;
 pub mod comm;
@@ -38,7 +40,7 @@ pub use cost::CostModel;
 pub use error::{ClusterError, ClusterResult};
 pub use fault::FaultPlan;
 pub use runtime::{Cluster, ClusterOptions, PendingExchange, WorkerCtx};
-pub use sim::{CrashAndRejoin, PartitionWindow, SimOptions, SimProbe};
+pub use sim::{PartitionWindow, SimOptions, SimProbe};
 pub use supervisor::{HealAction, HealPolicy, Supervisor};
 pub use wire::{decode_rows, decode_rows_and_tail, AllreduceAlgo};
 

@@ -17,8 +17,8 @@
 //! The runtime is fault-tolerant: every communication primitive is
 //! fallible and returns [`ClusterResult`].  When a worker fails — its
 //! closure panics, returns an error, or a fault plan crashes it — the
-//! runtime fans an **abort message** carrying the encoded
-//! [`ClusterError`] out to every peer.  Peers blocked in any receive wake
+//! runtime fans an **abort message** carrying the [`ClusterError`] value
+//! itself out to every peer.  Peers blocked in any receive wake
 //! up with the originating error instead of deadlocking, and
 //! [`Cluster::run`] returns `Err` naming the failing rank and cause.
 //! A context that has observed an abort is poisoned: all further
@@ -27,10 +27,13 @@
 //! Deterministic chaos is injected via [`FaultPlan`] (see
 //! [`ClusterOptions`]): seeded per-message delays, drops with
 //! retransmission, duplicate deliveries (suppressed by a per-sender
-//! sequence check), and crash-at-collective-k worker failures.  Control
-//! traffic — barrier tokens and abort fan-outs — bypasses both fault
-//! injection and [`CommStats`], so logical traffic totals under chaos stay
-//! bit-identical to a fault-free run.
+//! sequence check), crash-at-collective-k worker failures, and
+//! crash-and-rejoin points whose respawned rank starts the next run late
+//! by a delay spent on the run's [`Clock`].  `FaultPlan` is the only place
+//! a fault is armed; the simulator ([`SimOptions`]) only schedules.
+//! Control traffic — barrier tokens and abort fan-outs — bypasses both
+//! fault injection and [`CommStats`], so logical traffic totals under
+//! chaos stay bit-identical to a fault-free run.
 
 use crate::clock::{Clock, RealClock};
 use crate::comm::{BufferPool, CommStats, CommStatsSnapshot, Payload};
@@ -47,10 +50,6 @@ use std::time::Duration;
 /// Tags below this are reserved for internally sequenced collectives;
 /// user point-to-point tags are offset into the upper half.
 const USER_TAG_BASE: u64 = 1 << 63;
-
-/// Reserved control tag carrying an encoded [`ClusterError`] from a
-/// failing worker to its peers.
-const ABORT_TAG: u64 = u64::MAX;
 
 /// Perturbation point ids for [`loom_pause`], one per coordination edge
 /// whose ordering the barrier-abort protocol must tolerate.
@@ -83,7 +82,9 @@ pub(crate) struct Msg {
     /// Per-sender sequence number (1-based, monotone per channel); lets
     /// receivers suppress duplicate deliveries under fault injection.
     id: u64,
-    payload: Payload,
+    /// The data, or — for an abort notice — the failing worker's error
+    /// itself (workers share a process, so it needs no wire format).
+    body: Result<Payload, ClusterError>,
 }
 
 /// Runtime knobs for a cluster run: the receive-deadline backstop and an
@@ -257,6 +258,13 @@ impl Cluster {
                 let senders = senders.clone();
                 let stats = Arc::clone(&stats);
                 let plan = opts.fault_plan.clone();
+                // A rank respawned after a crash-and-rejoin owes its delay
+                // on this run only; counted here, on the calling thread, so
+                // the caller's metrics see it.
+                let rejoin = plan.as_ref().and_then(|p| p.take_rejoin(rank));
+                if rejoin.is_some() {
+                    dismastd_obs::counter_add("sim/rejoin_delays", 1);
+                }
                 let default_timeout = opts.default_timeout;
                 let sim = sim.clone();
                 let clock = Arc::clone(&clock);
@@ -283,6 +291,11 @@ impl Cluster {
                     // scheduler hands this task the run token.
                     if let Some(sim) = ctx.sim.clone() {
                         sim.worker_start(rank);
+                    }
+                    // The respawned rank starts late while its peers already
+                    // wait in the first collective (virtual time under sim).
+                    if let Some(delay) = rejoin {
+                        ctx.clock.sleep(rank, delay);
                     }
                     // Catch panics so one worker's death cannot poison the
                     // join; surviving peers are woken via the abort fan-out.
@@ -346,19 +359,6 @@ impl Cluster {
             None => Ok((values, snapshot)),
         }
     }
-}
-
-/// Decodes the [`ClusterError`] carried by an abort notice, falling back
-/// to a generic crash report naming the aborting sender.
-fn decode_abort(msg: &Msg) -> ClusterError {
-    match &msg.payload {
-        Payload::Bytes(b) => ClusterError::decode(b),
-        _ => None,
-    }
-    .unwrap_or(ClusterError::PeerCrashed {
-        rank: msg.src,
-        cause: "peer aborted".into(),
-    })
 }
 
 /// Turns a caught panic payload into a typed error naming the rank.
@@ -554,14 +554,19 @@ impl WorkerCtx {
     /// symptom (which names the wrong rank).
     fn root_cause_for_send_failure(&mut self, err: ClusterError) -> ClusterError {
         while let Ok(msg) = self.receiver.try_recv() {
-            if msg.tag == ABORT_TAG {
-                let root = decode_abort(&msg);
-                // lint:allow(alloc_hygiene): abort teardown — the run is already over
-                self.abort = Some(root.clone());
-                return root;
+            match msg.body {
+                Err(root) => return self.poisoned_by(root),
+                Ok(_) => self.pending.push_back(msg),
             }
-            self.pending.push_back(msg);
         }
+        err
+    }
+
+    /// Poisons this context with the error an abort notice carried and
+    /// hands it back for the caller to return.
+    fn poisoned_by(&mut self, err: ClusterError) -> ClusterError {
+        // lint:allow(alloc_hygiene): abort teardown — the run is already over
+        self.abort = Some(err.clone());
         err
     }
 
@@ -570,7 +575,7 @@ impl WorkerCtx {
             src: self.rank,
             tag,
             id,
-            payload,
+            body: Ok(payload),
         };
         if let Some(sim) = &self.sim {
             // The virtual wire: delivery happens at a seeded future
@@ -601,7 +606,7 @@ impl WorkerCtx {
             src: self.rank,
             tag,
             id,
-            payload: Payload::Empty,
+            body: Ok(Payload::Empty),
         };
         if let Some(sim) = &self.sim {
             dismastd_obs::alloc_exempt(|| sim.post(self.rank, dst, msg));
@@ -621,9 +626,11 @@ impl WorkerCtx {
             let id = self.fresh_msg_id();
             let msg = Msg {
                 src: self.rank,
-                tag: ABORT_TAG,
+                // Unmatched: receivers recognise the notice by its `Err` body.
+                tag: 0,
                 id,
-                payload: Payload::Bytes(bytes::Bytes::from(err.encode())),
+                // lint:allow(alloc_hygiene): abort fan-out — teardown path, the run is over
+                body: Err(err.clone()),
             };
             if let Some(sim) = &self.sim {
                 sim.post(self.rank, dst, msg);
@@ -715,20 +722,17 @@ impl WorkerCtx {
             .position(|m| m.src == src && m.tag == tag)
         {
             if let Some(msg) = self.pending.remove(pos) {
-                return Ok(msg.payload);
+                return msg.body;
             }
         }
         let started_ns = self.clock.now_ns();
         let deadline_ns = timeout
             .map(|t| started_ns.saturating_add(u64::try_from(t.as_nanos()).unwrap_or(u64::MAX)));
         loop {
-            let msg = self.recv_next(src, tag, started_ns, deadline_ns)?;
-            if msg.tag == ABORT_TAG {
-                let err = decode_abort(&msg);
-                // lint:allow(alloc_hygiene): abort teardown — the run is already over
-                self.abort = Some(err.clone());
-                return Err(err);
-            }
+            let msg = match self.recv_next(src, tag, started_ns, deadline_ns)? {
+                Msg { body: Err(err), .. } => return Err(self.poisoned_by(err)),
+                msg => msg,
+            };
             // Duplicate suppression: per-sender ids are monotone and each
             // channel is FIFO, so a non-increasing id is a replayed copy.
             if msg.id <= self.last_seen_id[msg.src] {
@@ -737,7 +741,7 @@ impl WorkerCtx {
             }
             self.last_seen_id[msg.src] = msg.id;
             if msg.src == src && msg.tag == tag {
-                return Ok(msg.payload);
+                return msg.body;
             }
             self.pending.push_back(msg);
         }
@@ -751,35 +755,23 @@ impl WorkerCtx {
 
     /// Injected-crash checkpoint at every collective entry: if the fault
     /// plan has an armed crash for `(rank, seq)`, this worker fails here.
+    /// (A crash-and-rejoin point's delay is spent at the next run's start.)
     fn maybe_crash(&mut self) -> ClusterResult<()> {
         if let Some(err) = &self.abort {
             // lint:allow(alloc_hygiene): poisoned-context fail-fast — the run is already over
             return Err(err.clone());
         }
-        if let Some(plan) = &self.plan {
-            if plan.take_crash(self.rank, self.seq) {
-                loom_pause(pause_point::CRASH);
-                return Err(ClusterError::PeerCrashed {
-                    rank: self.rank,
-                    // lint:allow(alloc_hygiene): injected-crash teardown, test-plan only
-                    cause: format!("fault injection: crash at collective {}", self.seq),
-                });
-            }
-        }
-        // The simulator's crash-and-rejoin fates fire here too; the rejoin
-        // half happens in `SimNet::worker_start` on the retry run.
-        if let Some(sim) = &self.sim {
-            if sim.take_crash(self.rank, self.seq) {
-                loom_pause(pause_point::CRASH);
-                return Err(ClusterError::PeerCrashed {
-                    rank: self.rank,
-                    // lint:allow(alloc_hygiene): injected-crash teardown, test-plan only
-                    cause: format!(
-                        "fault injection: crash-and-rejoin at collective {}",
-                        self.seq
-                    ),
-                });
-            }
+        if let Some(kind) = self
+            .plan
+            .as_ref()
+            .and_then(|p| p.take_crash(self.rank, self.seq))
+        {
+            loom_pause(pause_point::CRASH);
+            return Err(ClusterError::PeerCrashed {
+                rank: self.rank,
+                // lint:allow(alloc_hygiene): injected-crash teardown, test-plan only
+                cause: format!("fault injection: {kind} at collective {}", self.seq),
+            });
         }
         Ok(())
     }
@@ -1277,17 +1269,17 @@ mod tests {
         // Worker 0 sends two tags; worker 1 receives them in reverse order.
         let out = Cluster::try_run(2, |ctx| {
             if ctx.rank() == 0 {
-                ctx.try_send(1, 1, Payload::U64(vec![11]))?;
-                ctx.try_send(1, 2, Payload::U64(vec![22]))?;
+                ctx.try_send(1, 1, Payload::F64(vec![11.0]))?;
+                ctx.try_send(1, 2, Payload::F64(vec![22.0]))?;
                 Ok(vec![])
             } else {
-                let second = ctx.try_recv(0, 2)?.try_into_u64()?;
-                let first = ctx.try_recv(0, 1)?.try_into_u64()?;
+                let second = ctx.try_recv(0, 2)?.try_into_f64()?;
+                let first = ctx.try_recv(0, 1)?.try_into_f64()?;
                 Ok(vec![first[0], second[0]])
             }
         })
         .unwrap();
-        assert_eq!(out[1], vec![11, 22]);
+        assert_eq!(out[1], vec![11.0, 22.0]);
     }
 
     #[test]
@@ -1330,20 +1322,20 @@ mod tests {
     #[test]
     fn gather_collects_in_rank_order() {
         let out = Cluster::try_run(3, |ctx| {
-            ctx.try_gather(2, Payload::U64(vec![ctx.rank() as u64 * 10]))
+            ctx.try_gather(2, Payload::F64(vec![ctx.rank() as f64 * 10.0]))
         })
         .unwrap();
         assert!(out[0].is_none());
         assert!(out[1].is_none());
         let gathered = out[2].as_ref().unwrap();
-        let vals: Vec<u64> = gathered
+        let vals: Vec<f64> = gathered
             .iter()
             .map(|p| match p {
-                Payload::U64(v) => v[0],
+                Payload::F64(v) => v[0],
                 _ => panic!("wrong payload"),
             })
             .collect();
-        assert_eq!(vals, vec![0, 10, 20]);
+        assert_eq!(vals, vec![0.0, 10.0, 20.0]);
     }
 
     #[test]
@@ -1351,19 +1343,19 @@ mod tests {
         let out = Cluster::try_run(3, |ctx| {
             // Worker r sends value 100*r + d to destination d.
             let outgoing: Vec<Payload> = (0..3)
-                .map(|d| Payload::U64(vec![(100 * ctx.rank() + d) as u64]))
+                .map(|d| Payload::F64(vec![(100 * ctx.rank() + d) as f64]))
                 .collect();
             let incoming = ctx.try_exchange(outgoing)?;
             Ok(incoming
                 .into_iter()
-                .map(|p| p.try_into_u64().unwrap()[0])
-                .collect::<Vec<u64>>())
+                .map(|p| p.try_into_f64().unwrap()[0])
+                .collect::<Vec<f64>>())
         })
         .unwrap();
         // Worker d receives 100*s + d from each source s.
-        assert_eq!(out[0], vec![0, 100, 200]);
-        assert_eq!(out[1], vec![1, 101, 201]);
-        assert_eq!(out[2], vec![2, 102, 202]);
+        assert_eq!(out[0], vec![0.0, 100.0, 200.0]);
+        assert_eq!(out[1], vec![1.0, 101.0, 201.0]);
+        assert_eq!(out[2], vec![2.0, 102.0, 202.0]);
     }
 
     #[test]
@@ -1575,7 +1567,7 @@ mod tests {
     fn posted_exchange_overlaps_and_matches_combined() {
         let out = Cluster::run(3, |ctx| {
             let mut outgoing: Vec<Payload> = (0..3)
-                .map(|d| Payload::U64(vec![(100 * ctx.rank() + d) as u64]))
+                .map(|d| Payload::F64(vec![(100 * ctx.rank() + d) as f64]))
                 .collect();
             let pending = ctx.post_exchange(&mut outgoing).unwrap();
             // Local "compute" while the messages are in flight.
@@ -1586,14 +1578,14 @@ mod tests {
                 local,
                 incoming
                     .into_iter()
-                    .map(|p| p.try_into_u64().unwrap()[0])
-                    .collect::<Vec<u64>>(),
+                    .map(|p| p.try_into_f64().unwrap()[0])
+                    .collect::<Vec<f64>>(),
             )
         })
         .unwrap();
-        assert_eq!(out[0].1, vec![0, 100, 200]);
-        assert_eq!(out[1].1, vec![1, 101, 201]);
-        assert_eq!(out[2].1, vec![2, 102, 202]);
+        assert_eq!(out[0].1, vec![0.0, 100.0, 200.0]);
+        assert_eq!(out[1].1, vec![1.0, 101.0, 201.0]);
+        assert_eq!(out[2].1, vec![2.0, 102.0, 202.0]);
     }
 
     #[test]
@@ -1601,27 +1593,29 @@ mod tests {
         // Post two exchanges back-to-back, complete them out of order
         // relative to their posting — tags keep the payloads apart.
         let out = Cluster::run(2, |ctx| {
-            let frames = |base: u64| -> Vec<Payload> {
-                (0..2).map(|d| Payload::U64(vec![base + d])).collect()
+            let frames = |base: f64| -> Vec<Payload> {
+                (0..2)
+                    .map(|d| Payload::F64(vec![base + d as f64]))
+                    .collect()
             };
-            let p1 = ctx.post_exchange(&mut frames(0)).unwrap();
-            let p2 = ctx.post_exchange(&mut frames(10)).unwrap();
+            let p1 = ctx.post_exchange(&mut frames(0.0)).unwrap();
+            let p2 = ctx.post_exchange(&mut frames(10.0)).unwrap();
             let (mut got1, mut got2) = (Vec::new(), Vec::new());
             ctx.complete_exchange(p2, &mut got2).unwrap();
             ctx.complete_exchange(p1, &mut got1).unwrap();
             (
                 got1.into_iter()
-                    .map(|p| p.try_into_u64().unwrap()[0])
+                    .map(|p| p.try_into_f64().unwrap()[0])
                     .collect::<Vec<_>>(),
                 got2.into_iter()
-                    .map(|p| p.try_into_u64().unwrap()[0])
+                    .map(|p| p.try_into_f64().unwrap()[0])
                     .collect::<Vec<_>>(),
             )
         })
         .unwrap();
         for (r, (g1, g2)) in out.into_iter().enumerate() {
-            assert_eq!(g1, vec![r as u64, r as u64]);
-            assert_eq!(g2, vec![10 + r as u64, 10 + r as u64]);
+            assert_eq!(g1, vec![r as f64, r as f64]);
+            assert_eq!(g2, vec![10.0 + r as f64, 10.0 + r as f64]);
         }
     }
 
@@ -1670,6 +1664,108 @@ mod tests {
                 cause: "synthetic failure".into(),
             }
         );
+    }
+
+    /// The abort notice carries the error value itself: every peer, blocked
+    /// in a receive when the origin fails, returns exactly the origin's
+    /// error — each variant, field for field, on threads and under sim.
+    #[test]
+    fn every_peer_observes_the_originating_error_value() {
+        let variants = [
+            ClusterError::PeerCrashed {
+                rank: 0,
+                cause: "réplica perdue — 節点 ✗".into(),
+            },
+            ClusterError::Timeout {
+                rank: 0,
+                src: 2,
+                tag: u64::MAX - 1,
+                waited_ms: 12_345,
+            },
+            ClusterError::TypeMismatch {
+                expected: "F64".into(),
+                found: "Bytes".into(),
+            },
+            ClusterError::SizeMismatch {
+                rank: 2,
+                expected: usize::MAX,
+                found: 7,
+            },
+        ];
+        for sim in [None, Some(SimOptions::from_seed(5))] {
+            for origin in &variants {
+                let opts = ClusterOptions {
+                    sim: sim.clone(),
+                    ..ClusterOptions::default()
+                };
+                let seen = std::sync::Mutex::new(Vec::new());
+                let err = Cluster::try_run_with_opts(3, &opts, |ctx| {
+                    if ctx.rank() == 0 {
+                        return Err(origin.clone());
+                    }
+                    let err = ctx.try_recv(0, 1).expect_err("rank 0 never sends");
+                    seen.lock().unwrap().push((ctx.rank(), err.clone()));
+                    Err::<(), _>(err)
+                })
+                .expect_err("the origin fails the run");
+                assert_eq!(&err, origin);
+                let mut seen = seen.into_inner().unwrap();
+                seen.sort_by_key(|(rank, _)| *rank);
+                assert_eq!(
+                    seen,
+                    vec![(1, origin.clone()), (2, origin.clone())],
+                    "sim = {}",
+                    sim.is_some()
+                );
+            }
+        }
+    }
+
+    /// One `crash_and_rejoin` point on real threads, no simulator: the
+    /// first run crashes, the next pays the rejoin delay once (a real
+    /// sleep) and matches a clean run bit for bit, and later runs pay
+    /// nothing.
+    #[test]
+    fn crash_and_rejoin_heals_on_real_threads() {
+        const DELAY: Duration = Duration::from_millis(20);
+        let body = |ctx: &mut WorkerCtx| {
+            let mut acc = 0.0;
+            for round in 0..3u32 {
+                acc += allreduce_scalar(ctx, f64::from(round) + ctx.rank() as f64 / 3.0)?;
+            }
+            Ok(acc)
+        };
+        let plan = Arc::new(FaultPlan::seeded(1).crash_and_rejoin(2, 1, DELAY.as_nanos() as u64));
+        let opts = ClusterOptions::default().with_fault_plan(Arc::clone(&plan));
+        let run = || {
+            let collector = dismastd_obs::begin();
+            let started = Instant::now();
+            let out = Cluster::try_run_with_opts(3, &opts, body).map(|(r, _)| r);
+            let delays = collector.finish().counter_value("sim/rejoin_delays");
+            (out, delays, started.elapsed())
+        };
+
+        let (crashed, delays, _) = run();
+        match crashed {
+            Err(ClusterError::PeerCrashed { rank, cause }) => {
+                assert_eq!(rank, 2);
+                assert!(cause.contains("crash-and-rejoin"), "{cause}");
+            }
+            other => panic!("expected the injected crash, got {other:?}"),
+        }
+        assert_eq!(delays, 0, "no delay is owed before the crash fires");
+
+        let clean = Cluster::try_run(3, body).unwrap();
+        let (healed, delays, elapsed) = run();
+        let healed = healed.expect("the respawned run completes");
+        assert_eq!(delays, 1, "the respawn pays the delay once");
+        assert!(elapsed >= DELAY, "the delay is a real sleep: {elapsed:?}");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&healed), bits(&clean));
+
+        let (later, delays, _) = run();
+        assert_eq!(bits(&later.unwrap()), bits(&clean));
+        assert_eq!(delays, 0, "later runs pay no delay");
     }
 
     #[test]

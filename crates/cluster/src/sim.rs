@@ -19,9 +19,11 @@
 //!   relies on per-sender id monotonicity *per channel*);
 //! * **partitions and heals** — seeded link-down windows hold traffic
 //!   until the heal instant (explicit windows can be given too);
-//! * **fault fates** — the existing [`crate::fault::FaultPlan`] draws from
-//!   its own seed as before, but its delays and retransmission timeouts
-//!   now consume virtual time through the [`Clock`] trait.
+//! * **fault fates** — not this module's: every injected fault is armed
+//!   in [`crate::fault::FaultPlan`] and drawn from the plan's own seed;
+//!   its message delays, retransmission timeouts and respawn delays
+//!   consume virtual time through the [`Clock`] trait.  The simulator is
+//!   only a scheduler and a virtual network.
 //!
 //! A genuine deadlock — every task blocked with nothing in flight — wakes
 //! all blocked receivers with a typed timeout instead of hanging.
@@ -31,9 +33,9 @@
 //! single-threaded in effect, which is what makes the trace reproducible.
 
 use crate::clock::Clock;
+use crate::fault::splitmix64;
 use crate::runtime::Msg;
 use crossbeam::channel::Sender;
-use std::sync::atomic::AtomicU32;
 // The vendored parking_lot shim's guard is a std MutexGuard, so the std
 // Condvar composes with it; waits re-assign the guard (consume-and-return
 // style) and strip poisoning, matching the shim's non-poisoning contract.
@@ -73,77 +75,6 @@ impl PartitionWindow {
         } else {
             (self.a == src && self.b == dst) || (self.a == dst && self.b == src)
         }
-    }
-}
-
-/// A crash-and-rejoin fate: worker `rank` crashes on entry to its
-/// collective number `at_collective` (once), and when the run is replayed
-/// — the supervision layer restores the pre-step checkpoint and retries —
-/// that rank *rejoins late*: its task starts parked in a virtual sleep of
-/// `recover_delay_ns`, modelling the restarted process catching up while
-/// its peers already sit in the first barrier.
-///
-/// The armed state lives behind `Arc`s, so cloning [`SimOptions`] across
-/// retry attempts (each cluster run builds a fresh `SimNet` from the same
-/// options) keeps one shared crash counter: the fate fires exactly once
-/// across the whole heal loop, and the rejoin delay is applied exactly
-/// once, on the first run after the crash.
-#[derive(Debug, Clone)]
-pub struct CrashAndRejoin {
-    /// The rank that crashes, then rejoins.
-    pub rank: usize,
-    /// Collective sequence number the crash fires at.
-    pub at_collective: u64,
-    /// Virtual delay before the respawned rank reaches its first
-    /// collective on the retry run; `0` draws a seeded delay.
-    pub recover_delay_ns: u64,
-    /// Armed crash firings (shared across `SimOptions` clones).
-    remaining: Arc<AtomicU32>,
-    /// Armed rejoin delays (consumed by the first post-crash run).
-    rejoins: Arc<AtomicU32>,
-}
-
-impl CrashAndRejoin {
-    fn new(rank: usize, at_collective: u64, recover_delay_ns: u64) -> Self {
-        CrashAndRejoin {
-            rank,
-            at_collective,
-            recover_delay_ns,
-            remaining: Arc::new(AtomicU32::new(1)),
-            rejoins: Arc::new(AtomicU32::new(1)),
-        }
-    }
-
-    /// Consumes one armed firing for `(rank, seq)`.
-    fn take_crash(&self, rank: usize, seq: u64) -> bool {
-        self.rank == rank
-            && self.at_collective == seq
-            && self
-                .remaining
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok()
-    }
-
-    /// The rejoin delay to apply to `rank` this run, if the crash already
-    /// fired and the delay is still armed.
-    fn take_rejoin(&self, rank: usize, seed: u64) -> Option<u64> {
-        if self.rank != rank || self.remaining.load(Ordering::SeqCst) != 0 {
-            return None;
-        }
-        self.rejoins
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .ok()?;
-        Some(if self.recover_delay_ns > 0 {
-            self.recover_delay_ns
-        } else {
-            // Seeded draw, pure in (seed, rank, k): replays reproduce it.
-            1 + splitmix64(seed ^ (rank as u64).rotate_left(24) ^ self.at_collective) % 100_000
-        })
-    }
-
-    /// Whether the crash is still armed (not yet fired).
-    pub fn is_armed(&self) -> bool {
-        self.remaining.load(Ordering::SeqCst) > 0
     }
 }
 
@@ -199,8 +130,6 @@ pub struct SimOptions {
     pub partition_horizon_ns: u64,
     /// Optional probe receiving the trace fingerprint when the run ends.
     pub probe: Option<Arc<SimProbe>>,
-    /// Crash-and-rejoin fates (armed state shared across clones).
-    pub crash_rejoins: Vec<CrashAndRejoin>,
 }
 
 impl SimOptions {
@@ -213,7 +142,6 @@ impl SimOptions {
             seeded_partitions: 0,
             partition_horizon_ns: 1_000_000,
             probe: None,
-            crash_rejoins: Vec::new(),
         }
     }
 
@@ -234,17 +162,6 @@ impl SimOptions {
     /// Installs a probe for the run's trace fingerprint.
     pub fn with_probe(mut self, probe: Arc<SimProbe>) -> Self {
         self.probe = Some(probe);
-        self
-    }
-
-    /// Arms a crash-and-rejoin fate: worker `rank` crashes once at
-    /// collective `k`, and on the retry run rejoins after
-    /// `recover_delay_ns` of virtual time (`0` draws a seeded delay).
-    /// Clone these options across retries — the armed state is shared —
-    /// so the heal loop sees exactly one crash and one delayed rejoin.
-    pub fn with_crash_and_rejoin(mut self, rank: usize, k: u64, recover_delay_ns: u64) -> Self {
-        self.crash_rejoins
-            .push(CrashAndRejoin::new(rank, k, recover_delay_ns));
         self
     }
 }
@@ -363,11 +280,6 @@ pub(crate) struct SimNet {
     state: Mutex<SimState>,
     cv: Condvar,
     probe: Option<Arc<SimProbe>>,
-    /// The options seed, for seeded rejoin-delay draws.
-    seed: u64,
-    /// Crash-and-rejoin fates; armed state shared with the caller's
-    /// [`SimOptions`] so it survives this run.
-    crash_rejoins: Vec<CrashAndRejoin>,
 }
 
 impl SimNet {
@@ -414,40 +326,14 @@ impl SimNet {
             state: Mutex::new(state),
             cv: Condvar::new(),
             probe: opts.probe.clone(),
-            seed: opts.seed,
-            crash_rejoins: opts.crash_rejoins.clone(),
         }
-    }
-
-    /// Consumes one armed crash-and-rejoin firing for `(rank, seq)`; the
-    /// runtime checks this at every collective entry, next to the fault
-    /// plan's crash points.
-    pub(crate) fn take_crash(&self, rank: usize, seq: u64) -> bool {
-        self.crash_rejoins.iter().any(|c| c.take_crash(rank, seq))
     }
 
     /// Blocks until every worker has registered and the scheduler hands
     /// this task the run token.  Must be the first sim call of a worker.
-    ///
-    /// A rank whose [`CrashAndRejoin`] fate fired on an earlier run starts
-    /// parked in a virtual sleep instead of Ready: the respawned worker
-    /// rejoins the step late, after its seeded recovery delay, while its
-    /// peers are already blocked in the first collective — the schedule the
-    /// heal loop must ride out.
     pub(crate) fn worker_start(&self, rank: usize) {
-        let rejoin_delay = self
-            .crash_rejoins
-            .iter()
-            .find_map(|c| c.take_rejoin(rank, self.seed));
         let mut st = self.state.lock();
-        st.tasks[rank].state = match rejoin_delay {
-            Some(delay) => {
-                let wake_at = st.now_ns.saturating_add(delay.max(1));
-                dismastd_obs::counter_add("sim/rejoin_delays", 1);
-                TaskState::Sleep { wake_at }
-            }
-            None => TaskState::Ready,
-        };
+        st.tasks[rank].state = TaskState::Ready;
         st.live += 1;
         if st.live == self.world {
             self.schedule(&mut st);
@@ -686,13 +572,6 @@ impl Clock for SimNet {
         }
         st.tasks[rank].wake = None;
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -367,7 +367,8 @@ mod tests {
         assert_eq!(ok.len(), 4);
         let err = decode_rows(Payload::F64(vec![0.0; 3]), 1, &rows, 2, &mut pool).unwrap_err();
         assert!(matches!(err, ClusterError::SizeMismatch { rank: 1, .. }));
-        let err = decode_rows(Payload::U64(vec![1]), 0, &rows, 2, &mut pool).unwrap_err();
+        let blob = Payload::Bytes(bytes::Bytes::from_static(b"x"));
+        let err = decode_rows(blob, 0, &rows, 2, &mut pool).unwrap_err();
         assert!(matches!(err, ClusterError::TypeMismatch { .. }));
         let empty = decode_rows(Payload::Empty, 0, &[], 2, &mut pool).unwrap();
         assert!(empty.is_empty());

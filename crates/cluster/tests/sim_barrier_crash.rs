@@ -10,10 +10,10 @@
 //! strand a peer until the timeout backstop**; every survivor wakes with
 //! the originating `PeerCrashed` error.
 //!
-//! The suite also covers the [`CrashAndRejoin`] sim fate the supervision
-//! layer heals from: the crash fires exactly once, the retry run re-admits
-//! the crashed rank after a virtual recovery delay, and the healed run is
-//! bit-identical to a fault-free one.
+//! The suite also covers the [`FaultPlan::crash_and_rejoin`] point the
+//! supervision layer heals from, under the simulator: the crash fires
+//! exactly once, the retry run re-admits the crashed rank after a virtual
+//! recovery delay, and the healed run is bit-identical to a fault-free one.
 
 use dismastd_cluster::{Cluster, ClusterError, ClusterOptions, FaultPlan, SimOptions, SimProbe};
 use std::sync::Arc;
@@ -129,7 +129,7 @@ fn crash_wakes_a_blocked_point_to_point_receive_on_every_seed() {
     }
 }
 
-// ---- the CrashAndRejoin fate ---------------------------------------------
+// ---- crash-and-rejoin ------------------------------------------------------
 
 /// The SPMD body healed runs are compared over: a few barriers and an
 /// all-reduce whose result is exact in f64, so bit-identity is checkable.
@@ -144,17 +144,22 @@ fn body(ctx: &mut dismastd_cluster::WorkerCtx) -> dismastd_cluster::ClusterResul
     Ok(acc)
 }
 
-/// The fate fires exactly once: the first run crashes rank 1 at its
-/// `k`-th collective; a retry with the *same* `SimOptions` re-admits the
-/// rank after a virtual recovery delay and completes with clean results.
+/// The point fires exactly once: the first run crashes rank 1 at its
+/// `k`-th collective; a retry with the *same* plan re-admits the rank
+/// after a virtual recovery delay and completes with clean results.
 #[test]
 fn crash_and_rejoin_fires_once_then_heals_on_every_seed() {
     for seed in seeds() {
-        let fate = SimOptions::from_seed(seed).with_crash_and_rejoin(1, 2, 50_000);
-        assert!(fate.crash_rejoins[0].is_armed());
+        let plan = Arc::new(FaultPlan::seeded(seed).crash_and_rejoin(1, 2, 50_000));
+        let sim_opts = |sim: SimOptions| {
+            ClusterOptions::default()
+                .with_sim(sim)
+                .with_fault_plan(Arc::clone(&plan))
+        };
+        assert_eq!(plan.remaining_crashes(), 1);
 
         // Run 1: the crash fires at rank 1's collective #2.
-        let opts = ClusterOptions::default().with_sim(fate.clone());
+        let opts = sim_opts(SimOptions::from_seed(seed));
         let err = Cluster::try_run_with_opts(3, &opts, body)
             .expect_err("the armed fate must fail the first run");
         match &err {
@@ -164,14 +169,13 @@ fn crash_and_rejoin_fires_once_then_heals_on_every_seed() {
             }
             other => panic!("seed {seed}: expected PeerCrashed, got {other:?}"),
         }
-        assert!(!fate.crash_rejoins[0].is_armed());
+        assert_eq!(plan.remaining_crashes(), 0);
 
         // Run 2 (the respawn): the crash is consumed; rank 1 rejoins late
-        // — parked in virtual sleep for the recovery delay — and the run
-        // completes with the same results as a fault-free cluster.
+        // — a virtual sleep of the recovery delay — and the run completes
+        // with the same results as a fault-free cluster.
         let probe = SimProbe::new();
-        let retry = fate.clone().with_probe(Arc::clone(&probe));
-        let opts = ClusterOptions::default().with_sim(retry);
+        let opts = sim_opts(SimOptions::from_seed(seed).with_probe(Arc::clone(&probe)));
         let (healed, _) = Cluster::try_run_with_opts(3, &opts, body)
             .expect("retry after the consumed crash must succeed");
         assert!(
@@ -194,23 +198,27 @@ fn crash_and_rejoin_fires_once_then_heals_on_every_seed() {
 }
 
 /// The rejoin delay is consumed by exactly one run: a third run with the
-/// same `SimOptions` starts rank 1 immediately.
+/// same plan starts rank 0 immediately.
 #[test]
 fn rejoin_delay_is_consumed_once() {
-    let fate = SimOptions::from_seed(7).with_crash_and_rejoin(0, 0, 250_000);
-    let opts = ClusterOptions::default().with_sim(fate.clone());
+    let plan = Arc::new(FaultPlan::seeded(7).crash_and_rejoin(0, 0, 250_000));
+    let sim_opts = |probe: &Arc<SimProbe>| {
+        ClusterOptions::default()
+            .with_sim(SimOptions::from_seed(7).with_probe(Arc::clone(probe)))
+            .with_fault_plan(Arc::clone(&plan))
+    };
+    let opts = sim_opts(&SimProbe::new());
     Cluster::try_run_with_opts(2, &opts, body).expect_err("armed crash");
 
     let probe2 = SimProbe::new();
-    let opts = ClusterOptions::default().with_sim(fate.clone().with_probe(Arc::clone(&probe2)));
-    Cluster::try_run_with_opts(2, &opts, body).expect("first retry heals");
+    Cluster::try_run_with_opts(2, &sim_opts(&probe2), body).expect("first retry heals");
     assert!(
         probe2.virtual_ns() >= 250_000,
         "retry pays the rejoin delay"
     );
 
     let probe3 = SimProbe::new();
-    let opts = ClusterOptions::default().with_sim(fate.clone().with_probe(Arc::clone(&probe3)));
+    let opts = sim_opts(&probe3);
     Cluster::try_run_with_opts(2, &opts, body).expect("later runs stay healthy");
     assert!(
         probe3.virtual_ns() < 250_000,

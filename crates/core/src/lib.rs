@@ -41,8 +41,8 @@ pub mod shadow;
 
 pub use config::{DecompConfig, NumericsPolicy, WatchdogPolicy};
 pub use dismastd_cluster::{
-    ClusterError, ClusterOptions, CrashAndRejoin, FaultPlan, HealAction, HealPolicy,
-    PartitionWindow, SimOptions, SimProbe, Supervisor, VirtualClock,
+    ClusterError, ClusterOptions, FaultPlan, HealAction, HealPolicy, PartitionWindow, SimOptions,
+    SimProbe, Supervisor, VirtualClock,
 };
 pub use dismastd_obs::MetricsSnapshot;
 pub use dismastd_tensor::{

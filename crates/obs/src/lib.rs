@@ -1,7 +1,7 @@
 //! # dismastd-obs
 //!
 //! Lightweight observability for the DisMASTD crates: scoped span timers,
-//! counters, gauges, and fixed log-scale histograms, collected into a
+//! counters, and fixed log-scale histograms, collected into a
 //! plain-data [`MetricsSnapshot`].
 //!
 //! ## Model
@@ -137,7 +137,6 @@ impl Default for HistAgg {
 struct Inner {
     spans: BTreeMap<(&'static str, u64), SpanAgg>,
     counters: BTreeMap<(&'static str, u64), u64>,
-    gauges: BTreeMap<(&'static str, u64), f64>,
     histograms: BTreeMap<&'static str, HistAgg>,
     /// Snapshots handed back by helper threads via [`absorb`], merged
     /// into the final snapshot at collection time.
@@ -168,15 +167,6 @@ impl Inner {
                 .counters
                 .iter()
                 .map(|(&(name, label), &value)| CounterStat {
-                    name: name.to_string(),
-                    label,
-                    value,
-                })
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(&(name, label), &value)| GaugeStat {
                     name: name.to_string(),
                     label,
                     value,
@@ -356,20 +346,6 @@ pub fn counter_add_with(name: &'static str, label: u64, delta: u64) {
     with_inner(|inner| *inner.counters.entry((name, label)).or_insert(0) += delta);
 }
 
-/// Sets an unlabelled gauge to `value` (last write wins within a thread).
-#[inline]
-pub fn gauge_set(name: &'static str, value: f64) {
-    gauge_set_with(name, NO_LABEL, value);
-}
-
-/// Sets a labelled gauge.
-#[inline]
-pub fn gauge_set_with(name: &'static str, label: u64, value: f64) {
-    with_inner(|inner| {
-        inner.gauges.insert((name, label), value);
-    });
-}
-
 /// Records one observation into a fixed log-scale histogram (bucket = bit
 /// length of `value`; see [`HISTOGRAM_BUCKETS`]).
 #[inline]
@@ -412,15 +388,6 @@ pub struct CounterStat {
     pub value: u64,
 }
 
-/// One `(name, label)` gauge value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GaugeStat {
-    pub name: String,
-    /// [`NO_LABEL`] when the gauge was unlabelled.
-    pub label: u64,
-    pub value: f64,
-}
-
 /// One histogram: observation count, sum, and log-scale bucket counts
 /// (bucket `0` = zero values, bucket `i` = values in `[2^(i-1), 2^i)`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -439,7 +406,6 @@ pub struct HistogramStat {
 pub struct MetricsSnapshot {
     pub spans: Vec<SpanStat>,
     pub counters: Vec<CounterStat>,
-    pub gauges: Vec<GaugeStat>,
     pub histograms: Vec<HistogramStat>,
     /// Process-wide recordings observed to hit a registry-less thread
     /// during this snapshot's collection window (see [`dropped_metrics`]).
@@ -454,10 +420,7 @@ impl MetricsSnapshot {
     /// [`dropped_metrics`](Self::dropped_metrics): the field describes
     /// process-wide losses, not this registry's contents.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-            && self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
+        self.spans.is_empty() && self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// Total nanoseconds across every label of the named span.
@@ -489,21 +452,13 @@ impl MetricsSnapshot {
             .sum()
     }
 
-    /// The named gauge's value for a given label, if recorded.
-    pub fn gauge_value(&self, name: &str, label: u64) -> Option<f64> {
-        self.gauges
-            .iter()
-            .find(|g| g.name == name && g.label == label)
-            .map(|g| g.value)
-    }
-
     /// The named histogram, if recorded.
     pub fn histogram(&self, name: &str) -> Option<&HistogramStat> {
         self.histograms.iter().find(|h| h.name == name)
     }
 
     /// Folds `other` into `self`: span counts/totals add (max of maxes),
-    /// counters add, gauges keep the larger value, histograms add
+    /// counters add, histograms add
     /// bucket-wise.  Used to combine per-rank worker snapshots.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for s in &other.spans {
@@ -530,16 +485,6 @@ impl MetricsSnapshot {
                 None => self.counters.push(c.clone()),
             }
         }
-        for g in &other.gauges {
-            match self
-                .gauges
-                .iter_mut()
-                .find(|m| m.name == g.name && m.label == g.label)
-            {
-                Some(m) => m.value = m.value.max(g.value),
-                None => self.gauges.push(g.clone()),
-            }
-        }
         for h in &other.histograms {
             match self.histograms.iter_mut().find(|m| m.name == h.name) {
                 Some(m) => {
@@ -562,8 +507,6 @@ impl MetricsSnapshot {
         self.spans
             .sort_by(|a, b| (&a.name, a.label).cmp(&(&b.name, b.label)));
         self.counters
-            .sort_by(|a, b| (&a.name, a.label).cmp(&(&b.name, b.label)));
-        self.gauges
             .sort_by(|a, b| (&a.name, a.label).cmp(&(&b.name, b.label)));
         self.histograms.sort_by(|a, b| a.name.cmp(&b.name));
     }
@@ -594,12 +537,6 @@ impl MetricsSnapshot {
             out.push_str("counters:\n");
             for c in &self.counters {
                 out.push_str(&format!("  {:<28} {}\n", key(&c.name, c.label), c.value));
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for g in &self.gauges {
-                out.push_str(&format!("  {:<28} {}\n", key(&g.name, g.label), g.value));
             }
         }
         if !self.histograms.is_empty() {
@@ -655,6 +592,7 @@ mod tests {
         assert!(snap.is_empty());
     }
 
+    // Historical name: the gauge instrument kind is gone.
     #[test]
     fn spans_counters_gauges_histograms_round_trip() {
         let c = begin();
@@ -665,7 +603,6 @@ mod tests {
         }
         counter_add("plan/rebuild", 2);
         counter_add_with("solve/tier", 1, 3);
-        gauge_set("mem/bytes", 123.0);
         histogram_record("comm/msg_bytes", 0);
         histogram_record("comm/msg_bytes", 1);
         histogram_record("comm/msg_bytes", 800);
@@ -676,7 +613,6 @@ mod tests {
         assert!(snap.span_total_ns("kernel/beta") >= 1_000_000);
         assert_eq!(snap.counter_value("plan/rebuild"), 2);
         assert_eq!(snap.counter_value("solve/tier"), 3);
-        assert_eq!(snap.gauge_value("mem/bytes", NO_LABEL), Some(123.0));
         let h = snap.histogram("comm/msg_bytes").expect("recorded");
         assert_eq!(h.count, 3);
         assert_eq!(h.total, 801);
@@ -785,7 +721,6 @@ mod tests {
             let _s = span!("phase/io", 3);
         }
         counter_add("events", 9);
-        gauge_set("ratio", 0.5);
         histogram_record("sizes", 100);
         let snap = c.finish();
         let json = snap.to_json().expect("serializable");

@@ -1,6 +1,6 @@
 //! The registered metric taxonomy.
 //!
-//! Every span, counter, gauge, and histogram name used by the DisMASTD
+//! Every span, counter, and histogram name used by the DisMASTD
 //! crates must be listed here.  The registry serves two purposes:
 //!
 //! 1. **Static analysis** — `dismastd-xtask`'s L3 lint resolves every
@@ -89,11 +89,6 @@ pub const COUNTERS: &[&str] = &[
     "watchdog/restart",
 ];
 
-/// Registered gauge names (point-in-time values).  None are currently
-/// emitted by the production crates; the table exists so the L3 lint has
-/// a resolution target the moment one is added.
-pub const GAUGES: &[&str] = &[];
-
 /// Registered histogram names (log₂-bucketed distributions).
 /// `comm/msg_bytes` records every remote message at its size, so it
 /// reconciles exactly with `CommStats::bytes`.
@@ -104,7 +99,6 @@ pub const HISTOGRAMS: &[&str] = &["comm/msg_bytes"];
 pub enum InstrumentKind {
     Span,
     Counter,
-    Gauge,
     Histogram,
 }
 
@@ -114,7 +108,6 @@ impl InstrumentKind {
         match self {
             InstrumentKind::Span => SPANS,
             InstrumentKind::Counter => COUNTERS,
-            InstrumentKind::Gauge => GAUGES,
             InstrumentKind::Histogram => HISTOGRAMS,
         }
     }
@@ -131,7 +124,7 @@ mod tests {
 
     #[test]
     fn tables_are_sorted_within_family_and_duplicate_free() {
-        for table in [SPANS, COUNTERS, GAUGES, HISTOGRAMS] {
+        for table in [SPANS, COUNTERS, HISTOGRAMS] {
             let mut seen = std::collections::BTreeSet::new();
             for name in table {
                 assert!(seen.insert(*name), "duplicate taxonomy entry {name}");
@@ -153,7 +146,7 @@ mod tests {
             "sim/",
             "heal/",
         ];
-        for table in [SPANS, COUNTERS, GAUGES, HISTOGRAMS] {
+        for table in [SPANS, COUNTERS, HISTOGRAMS] {
             for name in table {
                 assert!(
                     FAMILIES.iter().any(|f| name.starts_with(f)),

@@ -343,11 +343,6 @@ impl Matrix {
         self.data.iter().map(|a| a * a).sum()
     }
 
-    /// Frobenius norm `‖self‖_F`.
-    pub fn frob_norm(&self) -> f64 {
-        self.frob_norm_sq().sqrt()
-    }
-
     /// Sum of all entries (the "grand sum" used by the Kruskal inner-product
     /// identity `⟨⟦A⟧,⟦B⟧⟩ = 1ᵀ(⊛ A_kᵀB_k)1`).
     pub fn grand_sum(&self) -> f64 {
@@ -720,7 +715,6 @@ mod tests {
     fn norms_and_grand_sum() {
         let m = Matrix::from_rows(&[&[3.0, 4.0]]);
         assert_eq!(m.frob_norm_sq(), 25.0);
-        assert_eq!(m.frob_norm(), 5.0);
         assert_eq!(m.grand_sum(), 7.0);
     }
 

@@ -32,7 +32,7 @@ pub enum LintId {
     /// L2: no nondeterministic containers, clocks, or RNG in the crates
     /// feeding the bit-identical distributed path.
     Determinism,
-    /// L3: every obs span/counter/gauge/histogram label resolves in the
+    /// L3: every obs span/counter/histogram label resolves in the
     /// registered taxonomy.
     SpanTaxonomy,
     /// L4: public fallible APIs return the typed project errors, not
@@ -468,8 +468,6 @@ const L3_CALLS: &[(&str, InstrumentKind)] = &[
     ("span_with", InstrumentKind::Span),
     ("counter_add", InstrumentKind::Counter),
     ("counter_add_with", InstrumentKind::Counter),
-    ("gauge_set", InstrumentKind::Gauge),
-    ("gauge_set_with", InstrumentKind::Gauge),
     ("histogram_record", InstrumentKind::Histogram),
 ];
 

@@ -6,7 +6,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> retired communication-policy and membership names stay gone"
+echo "==> retired communication-policy, membership and fault names stay gone"
 # The distributed step has one exact exchange payload, and every Gram
 # reduction riding it splits its buffer into one near-equal slice per rank;
 # the first group of names belonged to the lossy f32 row path, its second
@@ -17,9 +17,11 @@ echo "==> retired communication-policy and membership names stay gone"
 # The third is set-up's Gram all-reduce: the driver builds set-up's Gram
 # state, so the ingest path runs no all-reduce.  The fourth is the
 # size-picking allreduce algorithm whose owner maps the Gram reductions
-# once imitated, one per buffer length.  Test fixtures that must spell an
-# old checkpoint's fields live in .json files, outside this search.
-if grep -rnE '\b(CommPolicy|downcast_f32|maybe_compress|WireMeta|Framed|compressed_bytes|with_corruption|allreduce_grams)\b|MembershipChange|request_join|request_leave|pending_membership|_with_world\b|ownership_delta|membership/|AllreduceAlgo::Auto\b|AUTO_RING_MIN_TOTAL_BYTES|last_owners' \
+# once imitated, one per buffer length.  The fifth: crashes are armed only
+# in FaultPlan; aborts carry the error value (and the unused gauge
+# instrument and index payload went with them).  Test fixtures that must
+# spell an old checkpoint's fields live in .json files, outside this search.
+if grep -rnE '\b(CommPolicy|downcast_f32|maybe_compress|WireMeta|Framed|compressed_bytes|with_corruption|allreduce_grams)\b|MembershipChange|request_join|request_leave|pending_membership|_with_world\b|ownership_delta|membership/|AllreduceAlgo::Auto\b|AUTO_RING_MIN_TOTAL_BYTES|last_owners|CrashAndRejoin|with_crash_and_rejoin|crash_rejoins|ABORT_TAG|decode_abort|gauge_set|Payload::U64' \
   crates tests examples --include='*.rs'; then
   echo "a retired name reappeared (above)" >&2
   exit 1

@@ -489,7 +489,9 @@ fn heal_crash_during_exchange_survives_the_seed_sweep() {
     let clean = clean_reference(3, 3);
     for seed in sweep_seeds() {
         let (reports, bits) = run_heal_scenario(seed, 3, 1, false, |sim| {
-            ClusterOptions::default().with_sim(sim.with_crash_and_rejoin(1, 0, 0))
+            ClusterOptions::default()
+                .with_sim(sim)
+                .with_fault_plan(Arc::new(FaultPlan::seeded(seed).crash_and_rejoin(1, 0, 0)))
         });
         let heal = reports[1].heal.as_ref().expect("heal report on step 1");
         assert_eq!(heal.respawns, 1, "seed {seed}: one respawn heals the crash");
@@ -515,7 +517,9 @@ fn heal_crash_during_solve_survives_the_seed_sweep() {
     let clean = clean_reference(3, 3);
     for seed in sweep_seeds() {
         let (reports, bits) = run_heal_scenario(seed, 3, 1, false, |sim| {
-            ClusterOptions::default().with_sim(sim.with_crash_and_rejoin(2, 6, 0))
+            ClusterOptions::default()
+                .with_sim(sim)
+                .with_fault_plan(Arc::new(FaultPlan::seeded(seed).crash_and_rejoin(2, 6, 0)))
         });
         let heal = reports[1].heal.as_ref().expect("heal report on step 1");
         assert_eq!(heal.respawns, 1, "seed {seed}");
@@ -558,7 +562,9 @@ fn heal_crash_during_membership_change_survives_the_seed_sweep() {
     let clean = clean_reference(2, 3);
     for seed in sweep_seeds() {
         let (reports, bits) = run_heal_scenario(seed, 2, 1, true, |sim| {
-            ClusterOptions::default().with_sim(sim.with_crash_and_rejoin(1, 2, 0))
+            ClusterOptions::default()
+                .with_sim(sim)
+                .with_fault_plan(Arc::new(FaultPlan::seeded(seed).crash_and_rejoin(1, 2, 0)))
         });
         let heal = reports[1].heal.as_ref().expect("heal report on step 1");
         assert!(heal.respawns >= 1, "seed {seed}");
