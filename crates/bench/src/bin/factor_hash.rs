@@ -8,18 +8,24 @@
 //!
 //! Identity lines must be equal between `DISMASTD_THREADS=1` and `=4` and
 //! between two runs (`scripts/check.sh` diffs them); diff parent against
-//! change to see which configurations a PR moves.  The routing audit runs
+//! change to see which configurations a PR moves.  One more line per
+//! dataset totals the stream's untouched old rows (`scripts/check.sh`
+//! fails when Clothing's is 0).  The routing audit runs
 //! the three benchmark workloads at full size at worlds 2 and 4, prints the
 //! routed rows of every candidate worker grid beside the chosen one, and
 //! exits non-zero when a step's `wire_bytes` differ from its `predicted`
 //! bytes (`scripts/check.sh` runs it).
 
-use dismastd_bench::factor_hash::{all_modes, identity_lines, routing_lines};
+use dismastd_bench::factor_hash::{all_modes, identity_lines, routing_lines, untouched_lines};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (lines, failed) = match args.as_slice() {
-        [] => (identity_lines(&all_modes())?, 0),
+        [] => {
+            let mut lines = identity_lines(&all_modes())?;
+            lines.extend(untouched_lines()?);
+            (lines, 0)
+        }
         [flag, seed] if flag == "--routes" => routing_lines(seed.parse()?)?,
         _ => return Err("usage: factor_hash [--routes <seed>]".into()),
     };

@@ -83,12 +83,7 @@ fn drive(
 /// Propagates generator and solver errors.
 pub fn identity_lines(worlds: &[Option<usize>]) -> Result<Vec<String>> {
     let mut lines = Vec::new();
-    for spec in [
-        DatasetSpec::clothing(IDENTITY_SCALE),
-        DatasetSpec::netflix(IDENTITY_SCALE),
-        DatasetSpec::synthetic(IDENTITY_SCALE),
-    ] {
-        let stream = StreamSequence::cut(&spec.generate()?, &IDENTITY_FRACTIONS)?;
+    for (spec, stream) in identity_streams()? {
         for rank in RANKS {
             let cfg = DecompConfig::default().with_rank(rank);
             for &world in worlds {
@@ -120,6 +115,53 @@ pub fn identity_lines(worlds: &[Option<usize>]) -> Result<Vec<String>> {
                 ));
             }
         }
+    }
+    Ok(lines)
+}
+
+/// The identity datasets, each cut into its four-snapshot stream.
+fn identity_streams() -> Result<Vec<(DatasetSpec, StreamSequence)>> {
+    [
+        DatasetSpec::clothing(IDENTITY_SCALE),
+        DatasetSpec::netflix(IDENTITY_SCALE),
+        DatasetSpec::synthetic(IDENTITY_SCALE),
+    ]
+    .into_iter()
+    .map(|spec| {
+        let stream = StreamSequence::cut(&spec.generate()?, &IDENTITY_FRACTIONS)?;
+        Ok((spec, stream))
+    })
+    .collect()
+}
+
+/// One line per identity dataset: the old rows, summed over the stream's
+/// steps and modes, that no complement nonzero references — the rows the
+/// solvers write from a per-mode map instead of solving them each
+/// iteration.  Counted from the nonzeros alone, not by the solvers: a
+/// zero Clothing total means the identity lines no longer exercise that
+/// path (`scripts/check.sh` refuses it).
+///
+/// # Errors
+/// Propagates generator errors.
+pub fn untouched_lines() -> Result<Vec<String>> {
+    let mut lines = Vec::new();
+    for (spec, stream) in identity_streams()? {
+        let mut old_shape = vec![0usize; stream.snapshot(0).order()];
+        let mut total = 0;
+        for snapshot in stream.iter() {
+            let work = snapshot.complement(&old_shape)?;
+            for (n, &old) in old_shape.iter().enumerate() {
+                let mut referenced = vec![false; old];
+                for (idx, _) in work.iter() {
+                    if let Some(hit) = referenced.get_mut(idx[n] as usize) {
+                        *hit = true;
+                    }
+                }
+                total += referenced.iter().filter(|&&hit| !hit).count();
+            }
+            old_shape = snapshot.shape().to_vec();
+        }
+        lines.push(format!("{:<9} untouched_rows={total}", spec.name));
     }
     Ok(lines)
 }
@@ -476,18 +518,18 @@ mod tests {
     }
 
     const GOLDEN: [&str; 18] = [
-        "Clothing  R=3  serial factors=b33cbe8c38314a10 loss_trace=d7836648c5e4290a",
-        "Clothing  R=3  world1 factors=b33cbe8c38314a10 loss_trace=552f7b1dbb0813da",
-        "Clothing  R=5  serial factors=ba815655bcff744d loss_trace=7f654365f2d9f9a3",
-        "Clothing  R=5  world1 factors=ba815655bcff744d loss_trace=853497e63877a9f4",
-        "Clothing  R=10 serial factors=dc86ba463aac85ee loss_trace=681a8a6bf73afaaa",
-        "Clothing  R=10 world1 factors=dc86ba463aac85ee loss_trace=2776a38a16669ffd",
-        "Netflix   R=3  serial factors=68ca5fa4f29b12c8 loss_trace=808f1c925ea89753",
-        "Netflix   R=3  world1 factors=68ca5fa4f29b12c8 loss_trace=e3dae1f522af3ca5",
-        "Netflix   R=5  serial factors=403e7d0ae8743399 loss_trace=cc2a2c19644a7153",
-        "Netflix   R=5  world1 factors=403e7d0ae8743399 loss_trace=dedd399d8454a807",
-        "Netflix   R=10 serial factors=ae1f857a2174a2f2 loss_trace=04a77914827e06b5",
-        "Netflix   R=10 world1 factors=ae1f857a2174a2f2 loss_trace=8c2d3a383bbb4ae2",
+        "Clothing  R=3  serial factors=7028d76b9a62b8ee loss_trace=a8f6ae34583ee29c",
+        "Clothing  R=3  world1 factors=7028d76b9a62b8ee loss_trace=088c0168192f112c",
+        "Clothing  R=5  serial factors=3c08873c84f2e0fc loss_trace=845809cd3296237f",
+        "Clothing  R=5  world1 factors=3c08873c84f2e0fc loss_trace=3d579e749d697abb",
+        "Clothing  R=10 serial factors=070c35895c2bd263 loss_trace=a10b1ed7d6f57681",
+        "Clothing  R=10 world1 factors=070c35895c2bd263 loss_trace=850c2f9ca359b015",
+        "Netflix   R=3  serial factors=0e5cf7f0cb265339 loss_trace=81a32507975434f1",
+        "Netflix   R=3  world1 factors=0e5cf7f0cb265339 loss_trace=83ded683ec9b938e",
+        "Netflix   R=5  serial factors=f5053b1afb1146b1 loss_trace=6c6f28c1f3fdbdac",
+        "Netflix   R=5  world1 factors=f5053b1afb1146b1 loss_trace=d47548cb1d7a59bb",
+        "Netflix   R=10 serial factors=ddbf5afd5972c0d6 loss_trace=e7394ff0dd8db55c",
+        "Netflix   R=10 world1 factors=ddbf5afd5972c0d6 loss_trace=fc0145aca24b00f7",
         "Synthetic R=3  serial factors=2cf0c8ec54fbb977 loss_trace=fe0a4331acb5a023",
         "Synthetic R=3  world1 factors=2cf0c8ec54fbb977 loss_trace=fe0a4331acb5a023",
         "Synthetic R=5  serial factors=71b70bbe4adf3036 loss_trace=2e7053611f48654c",

@@ -48,7 +48,7 @@
 
 use crate::config::DecompConfig;
 use crate::dtd::{check_row_ids, converged, init_factors, old_norm_sq, zero_history};
-use crate::loss::{dtd_loss, mode_grams, GramState, LossParts};
+use crate::loss::{dtd_loss, mode_grams, GramState, LossParts, UntouchedRows};
 use dismastd_cluster::{
     decode_rows_and_tail, BufferPool, Cluster, ClusterError, ClusterOptions, ClusterResult,
     CommStatsSnapshot, Payload, PendingExchange, WorkerCtx,
@@ -274,6 +274,12 @@ struct WorkerPlan {
     local_nnz: usize,
     /// Rows of each mode whose factor entries this worker owns and updates.
     owned_rows: Vec<Vec<u32>>,
+    /// The owned rows of each mode that some nonzero — on any worker —
+    /// references, and the ones none does: the loop solves the old rows of
+    /// the first list and writes those of the second once, from the
+    /// mode's map (see [`UntouchedRows`]).
+    touched_rows: Vec<Vec<u32>>,
+    untouched_rows: Vec<Vec<u32>>,
     /// `partial_routes[n][d]`: mode-`n` rows this worker's nonzeros
     /// reference that worker `d` owns (partials flow here → `d`, updates
     /// flow back `d` → here).
@@ -367,9 +373,12 @@ pub(crate) fn run_distributed(
     // Shared read-only inputs.
     let init = init_factors(old_factors, tensor.shape(), rank, cfg.seed)?;
     let old_norm_sq = old_norm_sq(old_factors)?;
-    let setup = {
+    let (setup, untouched) = {
         let _s = dismastd_obs::span("phase/setup");
-        setup_grams(plans, &init, old_factors, &old_rows, rank)?
+        (
+            setup_grams(plans, &init, old_factors, &old_rows, rank)?,
+            UntouchedRows::new(old_factors, &untouched_old(plans, &old_rows), rank)?,
+        )
     };
 
     // ---- Distributed tensor decomposition (Sec. IV-B) -------------------
@@ -379,6 +388,7 @@ pub(crate) fn run_distributed(
         old: old_factors,
         old_rows: &old_rows,
         setup: &setup,
+        untouched: &untouched,
         cfg,
         old_norm_sq,
         tensor_norm_sq: tensor.norm_sq(),
@@ -443,15 +453,16 @@ pub(crate) fn run_distributed(
 }
 
 /// Everything a rank reads but never writes: the step's placement, the
-/// initial and previous factors, set-up's Gram state, and the run's
-/// configuration.  Borrowed from the driver's stack — the cluster runs on
-/// scoped threads.
+/// initial and previous factors, set-up's Gram state, the untouched old
+/// rows' `P_n`, and the run's configuration.  Borrowed from the driver's
+/// stack — the cluster runs on scoped threads.
 struct WorkerInputs<'a> {
     plans: &'a [WorkerPlan],
     init: &'a [Matrix],
     old: &'a [Matrix],
     old_rows: &'a [usize],
     setup: &'a GramState,
+    untouched: &'a UntouchedRows,
     cfg: &'a DecompConfig,
     old_norm_sq: f64,
     tensor_norm_sq: f64,
@@ -652,6 +663,7 @@ fn worker_body(
         old,
         old_rows,
         setup,
+        untouched,
         cfg,
         old_norm_sq,
         tensor_norm_sq,
@@ -691,6 +703,9 @@ fn worker_body(
     // from owned-row partials by the reductions riding the row exchanges,
     // so every worker agrees bit-for-bit.
     let mut state = setup.clone();
+    // Every rank forms the untouched old rows' maps from its replicated
+    // decisions; rank 0 alone adds their Gram terms to its partials.
+    let mut maps = untouched.clone();
     // The two Eq. 5 factorisations of a mode, rebuilt in place.
     let mut facts = [Factorized::default(), Factorized::default()];
     let owned = owned_blocks(plan, old_rows);
@@ -843,14 +858,17 @@ fn worker_body(
             }
 
             // -- 2. owners update their rows (Eq. 5, row-wise) -------------
-            // Old block: (μ Ã_n[i,:] (⊛ G̃) + Â[i,:]) ·D0⁻¹; new block: Â[i,:] ·D1⁻¹.
-            // Owned rows of a block imply the block was decided above.
+            // Old block: (μ Ã_n[i,:] (⊛ G̃) + Â[i,:]) ·D0⁻¹ over the touched
+            // old rows; new block: Â[i,:] ·D1⁻¹.  Owned rows of a block imply
+            // the block was decided above.  Every rank forms the map of the
+            // untouched old rows, μ (⊛ G̃) ·D0⁻¹, whenever D0 was decided.
             {
                 let _s = dismastd_obs::span("phase/solve");
                 let history = Some((mu, &old[n], &state.cross_had));
+                let (solved, _) = &owned[n];
                 for (fact, rows, history) in [
-                    (&facts[0], &owned[n][0], history),
-                    (&facts[1], &owned[n][1], None),
+                    (&facts[0], &solved[0], history),
+                    (&facts[1], &solved[1], None),
                 ] {
                     if rows.is_empty() {
                         continue;
@@ -862,6 +880,10 @@ fn worker_body(
                     };
                     try_num!(fact.solve_rows(&job, &mut factors[n]));
                 }
+                if old_rows[n] > 0 {
+                    let (map, m) = maps.map_job(n, mu, &state.cross_had);
+                    try_num!(facts[0].solve_rows(&map, m));
+                }
             }
 
             // -- 3. this rank's Gram partials over its owned rows -----------
@@ -869,7 +891,10 @@ fn worker_body(
             let last = n == order - 1;
             {
                 let _s = dismastd_obs::span("phase/gram");
-                try_num!(mode_grams(&factors[n], &old[n], &owned[n], ws.targets()));
+                try_num!(mode_grams(&factors[n], &old[n], &owned[n].0, ws.targets()));
+                if me == 0 {
+                    maps.add_grams(n, ws.targets());
+                }
                 ws.buf.clear();
                 ws.stage();
             }
@@ -942,6 +967,21 @@ fn worker_body(
         if numerics.ridge_solves > 0 {
             dismastd_obs::counter_add_with("solve/tier", 2, numerics.ridge_solves);
         }
+        for n in 0..order {
+            if maps.count(n) > 0 {
+                dismastd_obs::counter_add_with(
+                    "solve/untouched_rows",
+                    n as u64,
+                    maps.count(n) as u64,
+                );
+            }
+        }
+    }
+
+    // Owners write their untouched old rows, once, from each mode's last
+    // map: the gather ships every owned row.
+    for (n, (_, rows)) in owned.iter().enumerate() {
+        maps.write_rows(n, &mut factors[n], &old[n], rows);
     }
 
     // ---- gather the owned rows of every factor to rank 0 ----------------
@@ -1078,16 +1118,43 @@ fn write_rows(m: &mut Matrix, rows: &[u32], data: &[f64]) {
     }
 }
 
-/// A rank's owned rows of every mode as Eq. 5's two blocks.  Owned rows
-/// ascend, so a mode's old-row block (the `A^(0)` rule) is a prefix of its
-/// list and the new-row block (the `A^(1)` rule) the rest.
-fn owned_blocks<'p>(plan: &'p WorkerPlan, old_rows: &[usize]) -> Vec<[RowSet<'p>; 2]> {
-    plan.owned_rows
+/// A rank's owned rows of every mode as the loop visits them: Eq. 5's two
+/// blocks — the touched old rows (the `A^(0)` rule), then every new row
+/// (the `A^(1)` rule) — and the untouched old rows, which leave the loop.
+/// Each list ascends, so a mode's old rows are a prefix of it.
+fn owned_blocks<'p>(plan: &'p WorkerPlan, old_rows: &[usize]) -> Vec<([RowSet<'p>; 2], &'p [u32])> {
+    (0..old_rows.len())
+        .map(|n| {
+            let old =
+                |rows: &'p [u32]| &rows[..rows.partition_point(|&i| (i as usize) < old_rows[n])];
+            let owned = &plan.owned_rows[n];
+            let new = &owned[old(owned).len()..];
+            (
+                [RowSet::List(old(&plan.touched_rows[n])), RowSet::List(new)],
+                old(&plan.untouched_rows[n]),
+            )
+        })
+        .collect()
+}
+
+/// Every mode's untouched old rows (`U_n`), ascending: the union of the
+/// ranks' owned shares.
+fn untouched_old(plans: &[WorkerPlan], old_rows: &[usize]) -> Vec<Vec<u32>> {
+    old_rows
         .iter()
-        .zip(old_rows)
-        .map(|(rows, &old)| {
-            let split = rows.partition_point(|&i| (i as usize) < old);
-            [RowSet::List(&rows[..split]), RowSet::List(&rows[split..])]
+        .enumerate()
+        .map(|(n, &old)| {
+            let mut rows: Vec<u32> = plans
+                .iter()
+                .flat_map(|plan| {
+                    plan.untouched_rows[n]
+                        .iter()
+                        .take_while(|&&i| (i as usize) < old)
+                })
+                .copied()
+                .collect();
+            rows.sort_unstable();
+            rows
         })
         .collect()
 }
@@ -1107,10 +1174,14 @@ fn setup_grams(
     let mut ws = GramWorkspace::new(r);
     let mut partials = Vec::with_capacity(plans.len());
     for plan in plans {
-        let owned = owned_blocks(plan, old_rows);
         ws.buf.clear();
         for n in 0..init.len() {
-            mode_grams(&init[n], &old[n], &owned[n], ws.targets())?;
+            // Every owned old row, untouched ones included: at set-up they
+            // still hold `Ã_n`.
+            let rows = &plan.owned_rows[n];
+            let split = rows.partition_point(|&i| (i as usize) < old_rows[n]);
+            let blocks = [RowSet::List(&rows[..split]), RowSet::List(&rows[split..])];
+            mode_grams(&init[n], &old[n], &blocks, ws.targets())?;
             ws.stage();
         }
         partials.push(ws.buf.clone());
@@ -1241,8 +1312,11 @@ fn build_plans(
         cells_by_worker[w].push(MttkrpPlan::build(&sub)?);
     }
 
-    // Row ownership: every row of every mode has exactly one owner.
+    // Row ownership: every row of every mode has exactly one owner.  An
+    // owned row is touched when some worker's nonzeros reference it.
     let mut owned_rows: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); order]; world];
+    let mut touched_rows = owned_rows.clone();
+    let mut untouched_rows = owned_rows.clone();
     let mut owner_of: Vec<Vec<u32>> = Vec::with_capacity(order);
     for n in 0..order {
         let mut owners = Vec::with_capacity(tensor.shape()[n]);
@@ -1251,7 +1325,15 @@ fn build_plans(
             // lint:allow(narrowing_cast): a worker id — `w < world`, one OS thread each
             owners.push(w as u32);
             // lint:allow(narrowing_cast): `row < shape[n]`, which `run_distributed` bounded by u32
-            owned_rows[w][n].push(row as u32);
+            let row_id = row as u32;
+            owned_rows[w][n].push(row_id);
+            let touched = needed.iter().any(|marks| marks[n][row]);
+            let split = if touched {
+                &mut touched_rows
+            } else {
+                &mut untouched_rows
+            };
+            split[w][n].push(row_id);
         }
         owner_of.push(owners);
     }
@@ -1294,6 +1376,8 @@ fn build_plans(
             cells,
             local_nnz: local_nnz[w],
             owned_rows: std::mem::take(&mut owned_rows[w]),
+            touched_rows: std::mem::take(&mut touched_rows[w]),
+            untouched_rows: std::mem::take(&mut untouched_rows[w]),
             partial_routes: std::mem::take(&mut partial_routes_all[w]),
             serve_routes,
         });

@@ -15,7 +15,7 @@
 //! `‖X − ⟦A⟧‖²`.  [`crate::als`] wraps exactly that.
 
 use crate::config::DecompConfig;
-use crate::loss::{dtd_loss, GramState, LossParts};
+use crate::loss::{dtd_loss, mode_grams, GramState, LossParts, UntouchedRows};
 use dismastd_tensor::linalg::{Factorized, RowUpdate};
 use dismastd_tensor::matrix::{Matrix, RowSet};
 use dismastd_tensor::mttkrp::inner_from_mttkrp;
@@ -163,12 +163,30 @@ pub fn dtd(
         let _s = dismastd_obs::span("phase/plan_build");
         MttkrpPlan::build(complement)?
     };
-    // One Â buffer per mode for the whole call, re-zeroed before each use.
+    // Per mode, the old rows some complement nonzero references — the
+    // prefix of the plan's touched rows below `Ĩ_n` — which the loop
+    // solves, and the ones none does (`U_n`), which leave the loop: their
+    // rows follow from one `R x R` map per mode (see [`UntouchedRows`]).
+    let touched_old: Vec<&[u32]> = (0..n_modes)
+        .map(|n| {
+            let rows = plan.touched_rows(n);
+            &rows[..rows.partition_point(|&i| (i as usize) < old_rows[n])]
+        })
+        .collect();
+    let untouched: Vec<Vec<u32>> = touched_old
+        .iter()
+        .zip(&old_rows)
+        .map(|(touched, &old)| rows_missing_from(touched, old))
+        .collect();
+    let mut maps = UntouchedRows::new(old_factors, &untouched, cfg.rank)?;
+    // One Â buffer per mode for the whole call.  The kernel writes only
+    // the touched rows, so only they are re-zeroed before each use.
     let mut hats: Vec<Matrix> = new_shape
         .iter()
         .map(|&rows| Matrix::zeros(rows, cfg.rank))
         .collect();
 
+    let mu = cfg.forgetting;
     let solver = RobustSolver::new(cfg.numerics.solver);
     // Scratch of the solves: after the first iteration none allocates.
     let mut fact = Factorized::default();
@@ -181,7 +199,9 @@ pub fn dtd(
             // MTTKRP over the complement — the bottleneck operator.
             {
                 let _s = dismastd_obs::span("phase/mttkrp");
-                hats[n].fill_zero();
+                for &row in plan.touched_rows(n) {
+                    hats[n].row_mut(row as usize).fill(0.0);
+                }
                 plan.mttkrp_into(&factors, n, &mut hats[n])?;
             }
             let hat = &hats[n];
@@ -191,30 +211,44 @@ pub fn dtd(
                 let _s = dismastd_obs::span("phase/solve");
                 // Denominators and ⊛G̃ (Eq. 5), then both row blocks solved
                 // straight from Â into the factor:
-                // A_n^(0) = (μ Ã_n (⊛_{k≠n} G̃_k) + Â^(0)) · D0⁻¹,
+                // A_n^(0) = (μ Ã_n (⊛_{k≠n} G̃_k) + Â^(0)) · D0⁻¹ over the
+                // touched old rows, and M_n = μ (⊛_{k≠n} G̃_k) · D0⁻¹ for the
+                // untouched ones under the same decision;
                 // A_n^(1) = Â^(1) · D1⁻¹.
-                state.prepare_mode(n, cfg.forgetting)?;
-                let history = Some((cfg.forgetting, &old_factors[n], &state.cross_had));
-                for (d, history, rows) in [
-                    (&state.d0, history, 0..old_n),
-                    (&state.d1, None, old_n..hat.rows()),
-                ] {
-                    if rows.is_empty() {
-                        continue;
-                    }
+                state.prepare_mode(n, mu)?;
+                if old_n > 0 {
                     let job = RowUpdate {
                         rhs: hat,
-                        history,
-                        rows: RowSet::Range(rows),
+                        history: Some((mu, &old_factors[n], &state.cross_had)),
+                        rows: RowSet::List(touched_old[n]),
                     };
-                    solver.solve_rows(d, &job, &mut factors[n], &mut fact, &mut numerics)?;
+                    let (map, m) = maps.map_job(n, mu, &state.cross_had);
+                    let jobs = &mut [(job, &mut factors[n]), (map, m)];
+                    solver.solve_rows(&state.d0, jobs, &mut fact, &mut numerics)?;
+                }
+                if hat.rows() > old_n {
+                    let job = RowUpdate {
+                        rhs: hat,
+                        history: None,
+                        rows: RowSet::Range(old_n..hat.rows()),
+                    };
+                    let jobs = &mut [(job, &mut factors[n])];
+                    solver.solve_rows(&state.d1, jobs, &mut fact, &mut numerics)?;
                 }
             }
 
             {
                 let _s = dismastd_obs::span("phase/gram");
-                // Refresh the cached products for mode n (Sec. IV-B3).
-                state.refresh(n, &factors[n], &old_factors[n])?;
+                // Refresh the cached products for mode n (Sec. IV-B3): the
+                // touched old rows and the new rows summed, the untouched
+                // rows' share added in closed form.
+                let blocks = [
+                    RowSet::List(touched_old[n]),
+                    RowSet::Range(old_n..factors[n].rows()),
+                ];
+                mode_grams(&factors[n], &old_factors[n], &blocks, state.targets(n))?;
+                maps.add_grams(n, state.targets(n));
+                state.retotal(n);
             }
 
             if n == n_modes - 1 {
@@ -231,7 +265,7 @@ pub fn dtd(
             dtd_loss(
                 &state,
                 &LossParts {
-                    mu: cfg.forgetting,
+                    mu,
                     old_norm_sq,
                     complement_norm_sq,
                     inner: final_inner,
@@ -241,6 +275,14 @@ pub fn dtd(
         loss_trace.push(loss);
         if converged(&loss_trace, cfg.tolerance) {
             break;
+        }
+    }
+
+    // The untouched rows, once, from each mode's last map; label = mode.
+    for (n, rows) in untouched.iter().enumerate() {
+        maps.write_rows(n, &mut factors[n], &old_factors[n], rows);
+        if !rows.is_empty() {
+            dismastd_obs::counter_add_with("solve/untouched_rows", n as u64, rows.len() as u64);
         }
     }
 
@@ -262,6 +304,16 @@ pub fn dtd(
         loss_trace,
         numerics,
     })
+}
+
+/// The rows of `0..end` missing from the strictly increasing `present`.
+fn rows_missing_from(present: &[u32], end: usize) -> Vec<u32> {
+    let mut present = present.iter().peekable();
+    (0..end)
+        // lint:allow(narrowing_cast): `end` is a mode length, which `check_row_ids` bounded by u32
+        .map(|i| i as u32)
+        .filter(|i| present.next_if_eq(&i).is_none())
+        .collect()
 }
 
 /// "Fit ceases to improve" test (Alg. 1 line 7): relative improvement of the
@@ -551,8 +603,93 @@ mod tests {
     }
 
     /// Alg. 1 as [`dtd`] runs it, with the one difference under test: every
-    /// `Â` is the COO kernel's, accumulated into a fresh zeroed matrix.
+    /// `Â` is the COO kernel's, accumulated into a fresh zeroed matrix, and
+    /// the touched rows are read off the COO entries.
     fn dtd_over_coo(x: &SparseTensor, old: &[Matrix], cfg: &DecompConfig) -> DtdOutput {
+        use dismastd_tensor::mttkrp::mttkrp;
+        let mu = cfg.forgetting;
+        let mut factors = init_factors(old, x.shape(), cfg.rank, cfg.seed).unwrap();
+        let mut state = GramState::compute(&factors, old).unwrap();
+        let (touched, untouched): (Vec<Vec<u32>>, Vec<Vec<u32>>) = (0..x.order())
+            .map(|n| {
+                let hit: std::collections::BTreeSet<u32> =
+                    x.iter().map(|(idx, _)| idx[n]).collect();
+                (0..old[n].rows() as u32).partition(|i| hit.contains(i))
+            })
+            .unzip();
+        let mut maps = UntouchedRows::new(old, &untouched, cfg.rank).unwrap();
+        let solver = RobustSolver::new(cfg.numerics.solver);
+        let mut fact = Factorized::default();
+        let mut numerics = NumericsReport::default();
+        let old_norm_sq = old_norm_sq(old).unwrap();
+        let mut loss_trace = Vec::new();
+        for _ in 0..cfg.max_iters {
+            let mut inner = 0.0;
+            for n in 0..x.order() {
+                let hat = mttkrp(x, &factors, n).unwrap();
+                state.prepare_mode(n, mu).unwrap();
+                let old_n = old[n].rows();
+                if old_n > 0 {
+                    let job = RowUpdate {
+                        rhs: &hat,
+                        history: Some((mu, &old[n], &state.cross_had)),
+                        rows: RowSet::List(&touched[n]),
+                    };
+                    let (map, m) = maps.map_job(n, mu, &state.cross_had);
+                    let jobs = &mut [(job, &mut factors[n]), (map, m)];
+                    solver
+                        .solve_rows(&state.d0, jobs, &mut fact, &mut numerics)
+                        .unwrap();
+                }
+                if hat.rows() > old_n {
+                    let job = RowUpdate {
+                        rhs: &hat,
+                        history: None,
+                        rows: RowSet::Range(old_n..hat.rows()),
+                    };
+                    solver
+                        .solve_rows(
+                            &state.d1,
+                            &mut [(job, &mut factors[n])],
+                            &mut fact,
+                            &mut numerics,
+                        )
+                        .unwrap();
+                }
+                let blocks = [RowSet::List(&touched[n]), RowSet::Range(old_n..hat.rows())];
+                mode_grams(&factors[n], &old[n], &blocks, state.targets(n)).unwrap();
+                maps.add_grams(n, state.targets(n));
+                state.retotal(n);
+                if n == x.order() - 1 {
+                    inner = inner_from_mttkrp(&hat, &factors[n]).unwrap();
+                }
+            }
+            let parts = LossParts {
+                mu,
+                old_norm_sq,
+                complement_norm_sq: x.norm_sq(),
+                inner,
+            };
+            loss_trace.push(dtd_loss(&state, &parts).unwrap());
+            if converged(&loss_trace, cfg.tolerance) {
+                break;
+            }
+        }
+        for (n, rows) in untouched.iter().enumerate() {
+            maps.write_rows(n, &mut factors[n], &old[n], rows);
+        }
+        DtdOutput {
+            kruskal: KruskalTensor::new(factors).unwrap(),
+            iterations: loss_trace.len(),
+            loss_trace,
+            numerics,
+        }
+    }
+
+    /// The textbook reference for the untouched-row split: Eq. 5 over
+    /// every row of every mode each iteration, every Gram summed over every
+    /// row (set-up's [`GramState::refresh`]), the COO kernel's `Â`.
+    fn dtd_all_rows(x: &SparseTensor, old: &[Matrix], cfg: &DecompConfig) -> DtdOutput {
         use dismastd_tensor::mttkrp::mttkrp;
         let mu = cfg.forgetting;
         let mut factors = init_factors(old, x.shape(), cfg.rank, cfg.seed).unwrap();
@@ -582,7 +719,7 @@ mod tests {
                         rows: RowSet::Range(rows),
                     };
                     solver
-                        .solve_rows(d, &job, &mut factors[n], &mut fact, &mut numerics)
+                        .solve_rows(d, &mut [(job, &mut factors[n])], &mut fact, &mut numerics)
                         .unwrap();
                 }
                 state.refresh(n, &factors[n], &old[n]).unwrap();
@@ -606,6 +743,200 @@ mod tests {
             iterations: loss_trace.len(),
             loss_trace,
             numerics,
+        }
+    }
+
+    /// How a generated complement covers one mode's old rows.
+    #[derive(Debug, Clone, Copy)]
+    enum Coverage {
+        /// Every old row referenced (`U_n = ∅`) where another mode grows,
+        /// so that an entry on the row can lie outside the old box.
+        All,
+        /// Even old rows only: the odd ones stay untouched.
+        Some,
+        /// No entry in the old range: `U_n` is every old row.
+        None,
+    }
+
+    /// A complement over `old + growth` whose mode-`n` entries follow
+    /// `coverage[n]`: `nnz` random entries plus one per old row of an `All`
+    /// mode; empty when no mode grows.
+    fn covered_complement(
+        old: &[usize],
+        growth: &[usize],
+        coverage: &[Coverage],
+        nnz: usize,
+        seed: u64,
+    ) -> SparseTensor {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let new: Vec<usize> = old.iter().zip(growth).map(|(o, g)| o + g).collect();
+        let mut b = SparseTensorBuilder::new(new.clone());
+        let grows: Vec<usize> = (0..old.len()).filter(|&n| growth[n] > 0).collect();
+        if grows.is_empty() {
+            return b.build().unwrap();
+        }
+        // `Some` references even old rows only; an entry inside the old box
+        // moves into the new range of a growing mode other than `keep`.
+        let pick = |rng: &mut ChaCha8Rng, n: usize| match coverage[n] {
+            Coverage::None => rng.gen_range(old[n]..new[n]),
+            Coverage::Some if growth[n] == 0 || rng.gen_bool(0.5) => {
+                2 * rng.gen_range(0..old[n].div_ceil(2))
+            }
+            Coverage::Some => rng.gen_range(old[n]..new[n]),
+            Coverage::All => rng.gen_range(0..new[n]),
+        };
+        let mut push = |rng: &mut ChaCha8Rng, mut idx: Vec<usize>, keep: Option<usize>| {
+            if idx.iter().zip(old).all(|(i, o)| i < o) {
+                let free: Vec<usize> = grows.iter().copied().filter(|&m| Some(m) != keep).collect();
+                if free.is_empty() {
+                    return;
+                }
+                let m = free[rng.gen_range(0..free.len())];
+                idx[m] = rng.gen_range(old[m]..new[m]);
+            }
+            b.push(&idx, rng.gen_range(-1.0..1.0)).unwrap();
+        };
+        for _ in 0..nnz {
+            let idx = (0..old.len()).map(|n| pick(&mut rng, n)).collect();
+            push(&mut rng, idx, None);
+        }
+        for n in 0..old.len() {
+            if matches!(coverage[n], Coverage::All) {
+                for i in 0..old[n] {
+                    let mut idx: Vec<usize> = (0..old.len()).map(|m| pick(&mut rng, m)).collect();
+                    idx[n] = i;
+                    push(&mut rng, idx, Some(n));
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// `|U_n|` per mode, counted from the entries.
+    fn untouched_counts(x: &SparseTensor, old: &[usize]) -> Vec<usize> {
+        (0..old.len())
+            .map(|n| {
+                let hit: std::collections::BTreeSet<u32> =
+                    x.iter().map(|(idx, _)| idx[n]).collect();
+                (0..old[n] as u32).filter(|i| !hit.contains(i)).count()
+            })
+            .collect()
+    }
+
+    /// [`dtd`] against [`dtd_all_rows`] on one problem: bit for bit when
+    /// no mode has an untouched old row, otherwise to rounding.
+    fn assert_matches_all_rows(x: &SparseTensor, prev: &[Matrix], cfg: &DecompConfig) {
+        let got = dtd(x, prev, cfg).unwrap();
+        let want = dtd_all_rows(x, prev, cfg);
+        let old: Vec<usize> = prev.iter().map(Matrix::rows).collect();
+        assert_eq!(got.iterations, want.iterations);
+        if untouched_counts(x, &old).iter().all(|&u| u == 0) {
+            assert_eq!(observable(&got), observable(&want));
+        } else if got.numerics.escalated() || want.numerics.escalated() {
+            // The ladder regularised a (near-)singular system — rank above
+            // a mode's length — where rounding alone can pick the rung or
+            // the ridge, and the two trajectories part.  Both must still
+            // end finite.
+            for f in got.kruskal.factors().iter().chain(want.kruskal.factors()) {
+                assert!(f.as_slice().iter().all(|v| v.is_finite()));
+            }
+        } else {
+            // Cholesky throughout: the two differ by rounding, which a solve
+            // passes on amplified by up to its condition number κ — 1e-10
+            // relative, widened to κ·1e-12 past κ = 1e2.  Eq. 4 assembles a
+            // small loss from cancelling sums, so a loss is measured against
+            // the magnitude of its terms.
+            let tol = 1e-10f64.max(1e-12 * got.numerics.max_cond_est);
+            let terms = cfg.forgetting * old_norm_sq(prev).unwrap()
+                + x.norm_sq()
+                + want.kruskal.norm_sq().max(got.kruskal.norm_sq());
+            for (g, w) in got.loss_trace.iter().zip(&want.loss_trace) {
+                assert!((g - w).abs() <= tol * (1.0 + terms), "loss {g} vs {w}");
+            }
+            for (g, w) in got.kruskal.factors().iter().zip(want.kruskal.factors()) {
+                let scale = w.as_slice().iter().fold(1.0f64, |m, v| m.max(v.abs()));
+                let diff = g.max_abs_diff(w).unwrap();
+                assert!(diff <= tol * scale, "factor diff {diff} at scale {scale}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Orders 3 and 4, ranks up to 6 over modes of 1–5 old rows, μ in
+        /// {0.5, 0.8, 1}, each mode's old rows all, some or none referenced.
+        #[test]
+        fn the_untouched_split_matches_the_all_rows_reference(
+            order in 3usize..5,
+            old in proptest::prop::collection::vec(1usize..6, 4),
+            growth in proptest::prop::collection::vec(0usize..4, 4),
+            coverage in proptest::prop::collection::vec(0usize..3, 4),
+            nnz in 0usize..40,
+            mu in 0usize..3,
+            rank in 1usize..7,
+            seed in 0u64..1_000,
+        ) {
+            let (old, growth) = (&old[..order], &growth[..order]);
+            // A mode without growth has no rows outside the old box.
+            let coverage: Vec<Coverage> = (0..order)
+                .map(|n| match coverage[n] {
+                    0 => Coverage::All,
+                    2 if growth[n] > 0 => Coverage::None,
+                    _ => Coverage::Some,
+                })
+                .collect();
+            let x = covered_complement(old, growth, &coverage, nnz, seed);
+            let prev = random_old_factors(old, rank, seed + 1);
+            let mu = [0.5, 0.8, 1.0][mu];
+            assert_matches_all_rows(&x, &prev, &cfg(rank).with_max_iters(6).with_forgetting(mu));
+        }
+    }
+
+    #[test]
+    fn the_oracle_family_reaches_every_untouched_pattern() {
+        // The proptest's shapes, pinned: untouched rows in no mode, in one,
+        // in all (an empty complement among them), and a mode whose old
+        // range receives no entry, at order 3 and 4 and at a rank above
+        // every mode's length.
+        use Coverage::{All, None as Empty, Some as Part};
+        // (old shape, growth, coverage, nnz, which modes leave rows untouched)
+        type Case = (
+            &'static [usize],
+            &'static [usize],
+            &'static [Coverage],
+            usize,
+            [bool; 4],
+        );
+        let cases: [Case; 5] = [
+            (&[3, 4, 2], &[2, 1, 1], &[All, All, All], 20, [false; 4]),
+            (
+                &[3, 4, 2],
+                &[2, 1, 1],
+                &[All, Empty, All],
+                20,
+                [false, true, false, false],
+            ),
+            (
+                &[3, 4, 2, 2],
+                &[1, 1, 1, 2],
+                &[Part, Part, Empty, Part],
+                30,
+                [true; 4],
+            ),
+            (&[3, 4, 2], &[2, 0, 1], &[Part, Part, Part], 0, [true; 4]),
+            (&[3, 4, 2], &[0, 0, 0], &[All, All, All], 10, [true; 4]),
+        ];
+        for (old, growth, coverage, nnz, untouched) in cases {
+            let tag = format!("{old:?} + {growth:?} {coverage:?}");
+            let x = covered_complement(old, growth, coverage, nnz, 3);
+            let got: Vec<bool> = untouched_counts(&x, old).iter().map(|&u| u > 0).collect();
+            assert_eq!(got, untouched[..old.len()], "{tag}");
+            for (rank, mu) in [(2, 0.5), (3, 0.8), (6, 1.0)] {
+                let prev = random_old_factors(old, rank, 4);
+                let cfg = cfg(rank).with_max_iters(6).with_forgetting(mu);
+                assert_matches_all_rows(&x, &prev, &cfg);
+            }
         }
     }
 

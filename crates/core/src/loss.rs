@@ -12,6 +12,7 @@
 //! Hadamard product (`⟨⟦A⟧,⟦B⟧⟩ = 1ᵀ(⊛_k A_kᵀB_k)1`, Kolda & Bader 2009);
 //! we implement the correct identity, which the oracle tests confirm.
 
+use dismastd_tensor::linalg::RowUpdate;
 use dismastd_tensor::matrix::{Matrix, RowSet};
 use dismastd_tensor::ops::grand_sum_hadamard;
 use dismastd_tensor::{DenseTensor, KruskalTensor, Result, SparseTensor, TensorError};
@@ -74,10 +75,14 @@ impl GramState {
             RowSet::Range(0..old.rows()),
             RowSet::Range(old.rows()..factor.rows()),
         ];
-        let targets = [&mut self.gram0[n], &mut self.gram1[n], &mut self.cross[n]];
-        mode_grams(factor, old, &blocks, targets)?;
+        mode_grams(factor, old, &blocks, self.targets(n))?;
         self.retotal(n);
         Ok(())
+    }
+
+    /// Mode `n`'s `(G⁰, G¹, G̃)`, in [`mode_grams`]' order.
+    pub(crate) fn targets(&mut self, n: usize) -> [&mut Matrix; 3] {
+        [&mut self.gram0[n], &mut self.gram1[n], &mut self.cross[n]]
     }
 
     /// Re-sums `G_n^0 + G_n^1` after either changed.
@@ -121,6 +126,132 @@ pub(crate) fn mode_grams(
         return Ok(());
     }
     old.gram_rows(Some(factor), &blocks[0], cross)
+}
+
+/// The old rows of every mode that no complement nonzero references (`U_n`)
+/// and Eq. 5's closed form for them.  Their `Â_n` rows are zero in every
+/// iteration, so the old-row rule collapses to `A_n^(0)[i,:] = Ã_n[i,:]·M_n`
+/// with one `R x R` map `M_n = μ·(⊛_{k≠n} G̃_k)·D₀⁻¹`, and no MTTKRP reads
+/// them.  Their share of the Grams is then a closed form in
+/// `P_n = Σ_{i∈U_n} Ã_n[i,:]ᵀÃ_n[i,:]`, fixed for the whole step:
+/// `Mᵀ P M` of `G⁰_n` and `P M` of `G̃_n`.  An iteration pays `O(R³)` for
+/// them instead of `O(|U_n|·R²)`; the rows themselves are written once,
+/// after the loop, from each mode's last map.
+///
+/// Shared by the serial solver and every distributed rank: the driver
+/// builds it once per step, each rank forms the maps from its replicated
+/// decision, and only rank 0 adds the terms to its Gram partials.
+#[derive(Debug, Clone)]
+pub(crate) struct UntouchedRows {
+    /// `|U_n|` per mode.
+    counts: Vec<usize>,
+    /// `P_n` per mode (zero where `U_n` is empty).
+    p: Vec<Matrix>,
+    /// `M_n` per mode, as last formed by a solve of [`Self::map_job`].
+    maps: Vec<Matrix>,
+    /// The history operand of a map's job: row `f` of `M_n` is the Eq. 5
+    /// update of `e_f` against a zero right-hand side.
+    identity: Matrix,
+    zeros: Matrix,
+    /// `P_n M_n` scratch.
+    pm: Matrix,
+}
+
+impl UntouchedRows {
+    /// `P_n` over each mode's untouched rows `untouched[n]` (ascending, all
+    /// below `old[n].rows()`), summed in list order.
+    pub(crate) fn new(old: &[Matrix], untouched: &[Vec<u32>], rank: usize) -> Result<Self> {
+        let square = Matrix::zeros(rank, rank);
+        let mut p = vec![square.clone(); old.len()];
+        for ((p, old), rows) in p.iter_mut().zip(old).zip(untouched) {
+            if !rows.is_empty() {
+                old.gram_rows(None, &RowSet::List(rows), p)?;
+            }
+        }
+        Ok(UntouchedRows {
+            counts: untouched.iter().map(Vec::len).collect(),
+            p,
+            maps: vec![square.clone(); old.len()],
+            identity: Matrix::identity(rank),
+            zeros: square.clone(),
+            pm: square,
+        })
+    }
+
+    /// `|U_n|`.
+    pub(crate) fn count(&self, n: usize) -> usize {
+        self.counts[n]
+    }
+
+    /// Mode `n`'s map as an Eq. 5 row update under the old-row denominator
+    /// (`history = (μ, I_R, cross_had)`, zero right-hand sides) and the
+    /// matrix it writes.  No rows when `U_n` is empty: the old block then
+    /// solves exactly what it solved before the split.
+    pub(crate) fn map_job<'a>(
+        &'a mut self,
+        n: usize,
+        mu: f64,
+        cross_had: &'a Matrix,
+    ) -> (RowUpdate<'a>, &'a mut Matrix) {
+        let rows = if self.counts[n] == 0 {
+            0..0
+        } else {
+            0..self.identity.rows()
+        };
+        let job = RowUpdate {
+            rhs: &self.zeros,
+            history: Some((mu, &self.identity, cross_had)),
+            rows: RowSet::Range(rows),
+        };
+        (job, &mut self.maps[n])
+    }
+
+    /// Adds the untouched rows' share to mode `n`'s `(G⁰, G¹, G̃)` sums
+    /// over the touched rows: `Mᵀ P M` to `G⁰`, upper triangle summed and
+    /// mirrored so `G⁰` stays symmetric bit for bit, and `P M` to `G̃`.
+    /// Nothing when `U_n` is empty.
+    pub(crate) fn add_grams(&mut self, n: usize, [gram0, _, cross]: [&mut Matrix; 3]) {
+        if self.counts[n] == 0 {
+            return;
+        }
+        let (p, m) = (&self.p[n], &self.maps[n]);
+        let r = m.rows();
+        let pm = self.pm.as_mut_slice();
+        for (row, out) in pm.chunks_exact_mut(r).enumerate() {
+            out.fill(0.0);
+            for (&pv, m_row) in p.row(row).iter().zip(m.iter_rows()) {
+                for (o, &mv) in out.iter_mut().zip(m_row) {
+                    *o += pv * mv;
+                }
+            }
+        }
+        for (c, &v) in cross.as_mut_slice().iter_mut().zip(&*pm) {
+            *c += v;
+        }
+        let g = gram0.as_mut_slice();
+        for a in 0..r {
+            for b in a..r {
+                let term: f64 = (0..r).map(|k| m.get(k, a) * pm[k * r + b]).sum();
+                g[a * r + b] += term;
+                g[b * r + a] = g[a * r + b];
+            }
+        }
+    }
+
+    /// Writes `Ã_n[i,:]·M_n` into `factor` for every listed row — the
+    /// untouched rows of mode `n` (or a rank's owned share of them).
+    pub(crate) fn write_rows(&self, n: usize, factor: &mut Matrix, old: &Matrix, rows: &[u32]) {
+        let m = &self.maps[n];
+        for &i in rows {
+            let (src, dst) = (old.row(i as usize), factor.row_mut(i as usize));
+            dst.fill(0.0);
+            for (&a, m_row) in src.iter().zip(m.iter_rows()) {
+                for (d, &mv) in dst.iter_mut().zip(m_row) {
+                    *d += a * mv;
+                }
+            }
+        }
+    }
 }
 
 /// `hadamard_skip` into a kept matrix: the same products in the same order.

@@ -491,7 +491,12 @@ impl StreamingSession {
     /// buffer once (validation and `‖X‖²` together), the index buffer once
     /// ([`SparseTensor::complement`]), and one `⟨X, Y⟩` pass after the solve
     /// — the price of [`StepReport::fit`] being the exact fit against the
-    /// full snapshot, with the bits of [`KruskalTensor::fit`].
+    /// full snapshot, with the bits of [`KruskalTensor::fit`].  Inside the
+    /// solve, an ALS iteration pays `O(T_n·R² + R³)` per mode for the row
+    /// updates and Grams, `T_n` the rows the loop solves — every new row
+    /// and each old row some complement nonzero references.  An old row
+    /// none references follows from one `R x R` map per mode, so it costs
+    /// its share of one `P_n` before the loop and one `R²` write after it.
     ///
     /// The step runs under the session's [`crate::NumericsPolicy`]: the
     /// snapshot passes ingest validation first (non-finite entries error

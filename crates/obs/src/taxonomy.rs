@@ -85,7 +85,11 @@ pub const COUNTERS: &[&str] = &[
     "sim/messages",
     "sim/rejoin_delays",
     "sim/time_advances",
+    // solve family: the tier each normal-equation solve escalated through
+    // (label 0/1/2 = cholesky/lu/ridge), and the old rows per mode (label =
+    // mode) that no complement nonzero references, which leave the loop.
     "solve/tier",
+    "solve/untouched_rows",
     "watchdog/restart",
 ];
 

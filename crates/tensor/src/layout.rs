@@ -118,6 +118,15 @@ impl MttkrpPlan {
         self.shape.len()
     }
 
+    /// The mode-`mode` rows some nonzero references, strictly increasing:
+    /// the only rows [`mttkrp_into`](Self::mttkrp_into) writes.
+    ///
+    /// # Panics
+    /// When `mode` is not below the plan's order.
+    pub fn touched_rows(&self, mode: usize) -> &[u32] {
+        &self.modes[mode].rows
+    }
+
     /// Heap bytes held by the layout tables (capacity accounting).
     pub fn layout_bytes(&self) -> usize {
         self.modes

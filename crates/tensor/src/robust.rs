@@ -261,18 +261,19 @@ impl RobustSolver {
     ) -> Result<Matrix> {
         let mut out = Matrix::zeros(b.rows(), b.cols());
         let mut fact = Factorized::default();
-        self.solve_rows(m, &all_rows(b), &mut out, &mut fact, report)?;
+        self.solve_rows(m, &mut [(all_rows(b), &mut out)], &mut fact, report)?;
         Ok(out)
     }
 
-    /// Runs one batch of row updates against `m` (see [`RowUpdate`])
-    /// through the escalation ladder into `out`, recording the fired tier
-    /// in `report`.  `fact` is scratch: the factorisations are built in its
-    /// buffers, so a caller that keeps it allocates nothing here.
+    /// Runs batches of row updates against `m` (see [`RowUpdate`]), each
+    /// into its own output, through the escalation ladder under one
+    /// decision, recording the fired tier in `report` once.  `fact` is
+    /// scratch: the factorisations are built in its buffers, so a caller
+    /// that keeps it allocates nothing here.
     ///
-    /// If the chosen tier writes any non-finite value, the batch is solved
-    /// again — from `job.rhs`, which no solve modifies — with a forced
-    /// ridge escalation (recorded as a `post_escalation`).
+    /// If the chosen tier writes any non-finite value in any batch, every
+    /// batch is solved again — from its `rhs`, which no solve modifies —
+    /// with a forced ridge escalation (recorded as a `post_escalation`).
     ///
     /// # Errors
     /// Those of [`Factorized::solve_rows`], a non-finite entry inside `m`,
@@ -280,13 +281,12 @@ impl RobustSolver {
     pub fn solve_rows(
         &self,
         m: &Matrix,
-        job: &RowUpdate<'_>,
-        out: &mut Matrix,
+        jobs: &mut [(RowUpdate<'_>, &mut Matrix)],
         fact: &mut Factorized,
         report: &mut NumericsReport,
     ) -> Result<()> {
         let decision = self.decide(m, fact)?;
-        let finite = fact.solve_rows(job, out)?;
+        let finite = solve_all(fact, jobs)?;
         report.record(&decision);
         if finite {
             return Ok(());
@@ -306,7 +306,7 @@ impl RobustSolver {
                 lambda,
                 cond_est: f64::INFINITY,
             };
-            if self.factorize(m, &decision, fact).is_ok() && fact.solve_rows(job, out)? {
+            if self.factorize(m, &decision, fact).is_ok() && solve_all(fact, jobs)? {
                 report.record(&decision);
                 return Ok(());
             }
@@ -316,6 +316,16 @@ impl RobustSolver {
             solver: "robust-post-escalation",
         })
     }
+}
+
+/// Every batch of `jobs` under `fact`, each into its own output: whether
+/// all of them wrote finite values only.
+fn solve_all(fact: &Factorized, jobs: &mut [(RowUpdate<'_>, &mut Matrix)]) -> Result<bool> {
+    let mut finite = true;
+    for (job, out) in jobs.iter_mut() {
+        finite &= fact.solve_rows(job, out)?;
+    }
+    Ok(finite)
 }
 
 /// `max(|tr(m)|/n, 1)`: what a ridge shift is measured against.
@@ -469,7 +479,7 @@ mod tests {
         let mut fact = Factorized::default();
         let mut report = NumericsReport::default();
         solver()
-            .solve_rows(&m, &job, &mut out, &mut fact, &mut report)
+            .solve_rows(&m, &mut [(job, &mut out)], &mut fact, &mut report)
             .unwrap();
         assert_eq!(rhs, before);
         assert_eq!(
@@ -488,6 +498,38 @@ mod tests {
                 let got = out.get(i, c);
                 assert!(got.is_finite());
                 assert!((got * 1e-10 / b[c] - 1.0).abs() < 1e-12, "row {i}: {got}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_non_finite_batch_escalates_every_batch_of_the_call() {
+        // The first batch is finite under the accepted tier, the second
+        // overflows: both end solved under the same ridge, one decision.
+        let m = Matrix::from_rows(&[&[1e-200, 0.0], &[0.0, 1e-200]]);
+        let (calm, wild) = (
+            Matrix::from_rows(&[&[1e-300, 2e-300]]),
+            Matrix::from_rows(&[&[1e200, 1.0]]),
+        );
+        let (mut a, mut b) = (Matrix::zeros(1, 2), Matrix::zeros(1, 2));
+        let mut report = NumericsReport::default();
+        solver()
+            .solve_rows(
+                &m,
+                &mut [(all_rows(&calm), &mut a), (all_rows(&wild), &mut b)],
+                &mut Factorized::default(),
+                &mut report,
+            )
+            .unwrap();
+        assert_eq!(
+            (report.ridge_solves, report.post_escalations),
+            (1, 1),
+            "{report:?}"
+        );
+        for (out, rhs) in [(&a, &calm), (&b, &wild)] {
+            for c in 0..2 {
+                let got = out.get(0, c);
+                assert!((got * 1e-10 / rhs.get(0, c) - 1.0).abs() < 1e-12, "{got}");
             }
         }
     }

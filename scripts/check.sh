@@ -61,6 +61,13 @@ hash_dir=$(mktemp -d)
 DISMASTD_THREADS=1 cargo run -q --release -p dismastd-bench --bin factor_hash > "$hash_dir/threads1"
 DISMASTD_THREADS=4 cargo run -q --release -p dismastd-bench --bin factor_hash > "$hash_dir/threads4"
 diff "$hash_dir/threads1" "$hash_dir/threads4"
+# The untouched-row path (old rows no complement nonzero references, which
+# leave the ALS loop) must stay exercised: its line counts those rows from
+# the nonzeros, and Clothing's total must not be 0.
+if ! grep -qE '^Clothing +untouched_rows=[1-9]' "$hash_dir/threads1"; then
+  echo "the Clothing identity stream leaves no old row untouched" >&2
+  exit 1
+fi
 rm -r "$hash_dir"
 
 echo "==> routing audit (benchmark workloads at worlds 2 and 4: bytes counted = bytes the row routing predicts)"

@@ -46,3 +46,21 @@ pub fn random_factors(shape: &[usize], rank: usize, seed: u64) -> Vec<dismastd_t
         .map(|&s| dismastd_tensor::Matrix::random(s, rank, &mut rng))
         .collect()
 }
+
+/// Old rows — those below `old_shape` — that no nonzero of `complement`
+/// references, summed over modes and counted from the nonzeros alone.
+pub fn untouched_old_rows(complement: &SparseTensor, old_shape: &[usize]) -> usize {
+    old_shape
+        .iter()
+        .enumerate()
+        .map(|(n, &old)| {
+            let mut referenced = vec![false; old];
+            for (idx, _) in complement.iter() {
+                if let Some(hit) = referenced.get_mut(idx[n] as usize) {
+                    *hit = true;
+                }
+            }
+            referenced.iter().filter(|&&hit| !hit).count()
+        })
+        .sum()
+}

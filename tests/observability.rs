@@ -19,6 +19,8 @@ use dismastd_core::{
     ClusterConfig, DecompConfig, ExecutionMode, MetricsSnapshot, StepReport, StreamingSession,
     ThreadPolicy,
 };
+use dismastd_data::{DatasetSpec, StreamSequence};
+use dismastd_integration_tests::untouched_old_rows;
 use dismastd_tensor::{SparseTensor, SparseTensorBuilder};
 use rand::Rng;
 use rand::SeedableRng;
@@ -107,6 +109,51 @@ fn serial_phase_spans_sum_within_step_elapsed() {
     let solves =
         report.numerics.cholesky_solves + report.numerics.lu_solves + report.numerics.ridge_solves;
     assert_eq!(m.counter_value("solve/tier"), solves);
+}
+
+#[test]
+fn untouched_old_rows_are_counted_where_a_step_has_them() {
+    let _serial = serial();
+    let untouched = |prev: &SparseTensor, next: &SparseTensor| {
+        let complement = next.complement(prev.shape()).unwrap();
+        untouched_old_rows(&complement, prev.shape()) as u64
+    };
+    let step = |prev: &SparseTensor, next: &SparseTensor, mode: ExecutionMode| {
+        let mut sess = StreamingSession::new(cfg(), mode);
+        sess.set_collect_metrics(true);
+        sess.ingest(prev).unwrap();
+        let report = sess.ingest(next).unwrap();
+        let m = report.metrics.expect("metrics were collected");
+        m.counter_value("solve/untouched_rows")
+    };
+    let modes = || {
+        [
+            ExecutionMode::Serial,
+            ExecutionMode::Distributed(ClusterConfig::new(3)),
+        ]
+    };
+
+    // A Clothing-like Zipf step: its long, skewed first mode leaves old
+    // rows no new nonzero references.  Rank 0 alone counts them in a
+    // distributed step, so both report the step's total once.
+    let full = DatasetSpec::clothing(0.05).generate().unwrap();
+    let stream = StreamSequence::cut(&full, &[0.9, 1.0]).unwrap();
+    let (prev, next) = (stream.snapshot(0), stream.snapshot(1));
+    let expected = untouched(prev, next);
+    assert!(
+        expected > 0,
+        "the Clothing-like step leaves old rows untouched"
+    );
+    for mode in modes() {
+        assert_eq!(step(prev, next, mode), expected);
+    }
+
+    // Every old row referenced: the counter is absent.
+    let (prev, next) = snapshot_pair();
+    assert_eq!(untouched(&prev, &next), 0);
+    for mode in modes() {
+        assert_eq!(step(&prev, &next, mode), 0);
+    }
 }
 
 #[test]

@@ -4,9 +4,13 @@
 //! floating-point summation order).
 
 use dismastd_core::distributed::{dismastd, dms_mg};
-use dismastd_core::{dtd, ClusterConfig, DecompConfig};
-use dismastd_integration_tests::{random_complement, random_factors, random_tensor};
+use dismastd_core::{dtd, ClusterConfig, DecompConfig, ThreadPolicy};
+use dismastd_data::{DatasetSpec, StreamSequence};
+use dismastd_integration_tests::{
+    random_complement, random_factors, random_tensor, untouched_old_rows,
+};
 use dismastd_partition::Partitioner;
+use dismastd_tensor::Matrix;
 
 fn assert_traces_close(serial: &[f64], dist: &[f64], tol: f64, what: &str) {
     assert_eq!(serial.len(), dist.len(), "{what}: iteration counts differ");
@@ -49,6 +53,70 @@ fn dismastd_equivalence_across_worker_counts() {
                     "workers={workers} {p:?}: factors diverged"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn identities_hold_where_old_rows_leave_the_loop() {
+    // A Clothing-like Zipf step: the long, skewed first mode leaves old
+    // rows that no complement nonzero references, so every solver writes
+    // them from the mode's map instead of solving them.
+    let full = DatasetSpec::clothing(0.05).generate().expect("generates");
+    let stream = StreamSequence::cut(&full, &[0.9, 1.0]).expect("cuts");
+    let (prev, next) = (stream.snapshot(0), stream.snapshot(1));
+    let x = next.complement(prev.shape()).expect("complement");
+    assert!(
+        untouched_old_rows(&x, prev.shape()) > 0,
+        "the step must leave old rows untouched"
+    );
+
+    let old = random_factors(prev.shape(), 4, 11);
+    let cfg = |threads| {
+        DecompConfig::default()
+            .with_rank(4)
+            .with_max_iters(5)
+            .with_threads(ThreadPolicy::Fixed(threads))
+    };
+    let bits = |factors: &[Matrix]| -> Vec<u64> {
+        factors
+            .iter()
+            .flat_map(|f| f.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    };
+    let serial = dtd(&x, &old, &cfg(1)).expect("serial runs");
+    let serial4 = dtd(&x, &old, &cfg(4)).expect("serial runs");
+    assert_eq!(
+        bits(serial.kruskal.factors()),
+        bits(serial4.kruskal.factors())
+    );
+    assert_eq!(serial.loss_trace, serial4.loss_trace);
+    for workers in 1usize..=4 {
+        let run = |threads| {
+            dismastd(&x, &old, &cfg(threads), &ClusterConfig::new(workers))
+                .expect("distributed runs")
+        };
+        let (one, four) = (run(1), run(4));
+        let what = format!("workers={workers}");
+        assert_eq!(
+            bits(one.kruskal.factors()),
+            bits(four.kruskal.factors()),
+            "{what}: threads 1 vs 4"
+        );
+        assert_eq!(one.loss_trace, four.loss_trace, "{what}: threads 1 vs 4");
+        if workers == 1 {
+            assert_eq!(
+                bits(one.kruskal.factors()),
+                bits(serial.kruskal.factors()),
+                "serial vs world 1"
+            );
+        }
+        assert_traces_close(&serial.loss_trace, &one.loss_trace, 1e-6, &what);
+        for (fs, fd) in serial.kruskal.factors().iter().zip(one.kruskal.factors()) {
+            assert!(
+                fs.max_abs_diff(fd).expect("same shape") < 1e-5,
+                "{what}: factors diverged"
+            );
         }
     }
 }

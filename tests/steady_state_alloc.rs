@@ -428,12 +428,14 @@ fn a_warm_serial_step_allocates_by_the_complement_not_by_the_resident_block() {
 }
 
 /// The serial solver's iteration body is allocation-free: the `Â` buffers,
-/// the `R x R` Gram state with its Eq. 5 operands, and the factorisation
-/// scratch are all set up before — or, for the factorisation, during — the
-/// first iteration, and every later one works in place.  So a run of six
-/// iterations asks the allocator for exactly what a run of two asks for;
-/// the one thing sized by the iteration count is the loss trace the call
-/// returns, reserved up front.
+/// the `R x R` Gram state with its Eq. 5 operands, the untouched old rows'
+/// maps and `P_n`, and the factorisation scratch are all set up before —
+/// or, for the factorisation, during — the first iteration, and every
+/// later one works in place.  So a run of six iterations asks the
+/// allocator for exactly what a run of two asks for; the one thing sized
+/// by the iteration count is the loss trace the call returns, reserved up
+/// front.  Checked on a complement that references every old row and on
+/// one that leaves every third old row of mode 0 untouched.
 #[test]
 fn serial_dtd_iterations_after_the_first_allocate_nothing() {
     let _shared = GAUGE.read().unwrap_or_else(PoisonError::into_inner);
@@ -443,56 +445,62 @@ fn serial_dtd_iterations_after_the_first_allocate_nothing() {
 
     let old_shape = [10usize, 9, 8];
     let new_shape = [13usize, 12, 10];
-    let mut b = SparseTensorBuilder::new(new_shape.to_vec());
-    let mut cell = 0usize;
-    for i in 0..new_shape[0] {
-        for j in 0..new_shape[1] {
-            for k in 0..new_shape[2] {
-                cell += 1;
-                let inside = i < old_shape[0] && j < old_shape[1] && k < old_shape[2];
-                if !inside && cell.is_multiple_of(2) {
-                    let value = 0.5 + (cell % 13) as f64 * 0.125;
-                    b.push(&[i, j, k], value).unwrap();
+    let complement = |untouched: &dyn Fn(usize) -> bool| -> SparseTensor {
+        let mut b = SparseTensorBuilder::new(new_shape.to_vec());
+        let mut cell = 0usize;
+        for i in 0..new_shape[0] {
+            for j in 0..new_shape[1] {
+                for k in 0..new_shape[2] {
+                    cell += 1;
+                    let inside = i < old_shape[0] && j < old_shape[1] && k < old_shape[2];
+                    if !inside && cell.is_multiple_of(2) && !untouched(i) {
+                        let value = 0.5 + (cell % 13) as f64 * 0.125;
+                        b.push(&[i, j, k], value).unwrap();
+                    }
                 }
             }
         }
-    }
-    let complement: SparseTensor = b.build().unwrap();
-    // Rank 5 runs the plan's fixed-width kernel bodies; rank 3 the dynamic
-    // ones, where the MTTKRP — and only the MTTKRP — takes two bounded
-    // scratch vectors per call.
-    for (rank, mttkrp_scratch) in [(5usize, 0u64), (3, 2)] {
-        let old: Vec<Matrix> = old_shape
-            .iter()
-            .map(|&rows| {
-                Matrix::from_fn(rows, rank, |i, j| {
-                    0.1 + ((i * 7 + j * 3) % 11) as f64 * 0.05
+        b.build().unwrap()
+    };
+    let every_row = complement(&|_| false);
+    let some_left = complement(&|i| i < old_shape[0] && i % 3 == 1);
+    for complement in [&every_row, &some_left] {
+        // Rank 5 runs the plan's fixed-width kernel bodies; rank 3 the
+        // dynamic ones, where the MTTKRP — and only the MTTKRP — takes two
+        // bounded scratch vectors per call.
+        for (rank, mttkrp_scratch) in [(5usize, 0u64), (3, 2)] {
+            let old: Vec<Matrix> = old_shape
+                .iter()
+                .map(|&rows| {
+                    Matrix::from_fn(rows, rank, |i, j| {
+                        0.1 + ((i * 7 + j * 3) % 11) as f64 * 0.05
+                    })
                 })
-            })
-            .collect();
-        let run = |max_iters: usize| {
-            let cfg = DecompConfig::default()
-                .with_rank(rank)
-                .with_max_iters(max_iters)
-                .with_tolerance(0.0);
-            let before = (allocation_count(), allocated_bytes());
-            let out = dtd(&complement, &old, &cfg).unwrap();
-            let after = (allocation_count(), allocated_bytes());
-            assert_eq!(out.iterations, max_iters);
-            assert!(!out.numerics.escalated(), "one solver tier throughout");
-            (after.0 - before.0, after.1 - before.1)
-        };
-        let (short_calls, short_bytes) = run(2);
-        let (long_calls, long_bytes) = run(6);
-        let mttkrp_calls = 4 * new_shape.len() as u64;
-        assert_eq!(
-            long_calls,
-            short_calls + mttkrp_calls * mttkrp_scratch,
-            "rank {rank}"
-        );
-        if mttkrp_scratch == 0 {
-            let trace_bytes = (4 * std::mem::size_of::<f64>()) as u64;
-            assert_eq!(long_bytes, short_bytes + trace_bytes, "rank {rank}");
+                .collect();
+            let run = |max_iters: usize| {
+                let cfg = DecompConfig::default()
+                    .with_rank(rank)
+                    .with_max_iters(max_iters)
+                    .with_tolerance(0.0);
+                let before = (allocation_count(), allocated_bytes());
+                let out = dtd(complement, &old, &cfg).unwrap();
+                let after = (allocation_count(), allocated_bytes());
+                assert_eq!(out.iterations, max_iters);
+                assert!(!out.numerics.escalated(), "one solver tier throughout");
+                (after.0 - before.0, after.1 - before.1)
+            };
+            let (short_calls, short_bytes) = run(2);
+            let (long_calls, long_bytes) = run(6);
+            let mttkrp_calls = 4 * new_shape.len() as u64;
+            assert_eq!(
+                long_calls,
+                short_calls + mttkrp_calls * mttkrp_scratch,
+                "rank {rank}"
+            );
+            if mttkrp_scratch == 0 {
+                let trace_bytes = (4 * std::mem::size_of::<f64>()) as u64;
+                assert_eq!(long_bytes, short_bytes + trace_bytes, "rank {rank}");
+            }
         }
     }
 }
