@@ -12,9 +12,11 @@
 //! dataset totals the stream's untouched old rows (`scripts/check.sh`
 //! fails when Clothing's is 0).  The routing audit runs
 //! the three benchmark workloads at full size at worlds 2 and 4, prints the
-//! routed rows of every candidate worker grid beside the chosen one, and
-//! exits non-zero when a step's `wire_bytes` differ from its `predicted`
-//! bytes (`scripts/check.sh` runs it).
+//! routed rows of every candidate worker grid beside the chosen one and
+//! the rows the gather ships and skips (`gather_rows=` / `gather_skipped=`;
+//! `scripts/check.sh` fails when Clothing's stream skips none), and exits
+//! non-zero when a step's `wire_bytes` differ from its `predicted` bytes
+//! (`scripts/check.sh` runs it).
 
 use dismastd_bench::factor_hash::{all_modes, identity_lines, routing_lines, untouched_lines};
 

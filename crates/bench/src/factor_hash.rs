@@ -23,8 +23,11 @@
 //! own block map, which of them the placement is and where it ranks, and
 //! last what those counts and the schedule predict for the step — bytes in
 //! all, bytes per sending rank, and collectives — against what `CommStats`
-//! counted.  A per-(workload, world) line totals each candidate's routed
-//! rows over the stream.
+//! counted.  The step line also counts the rows ranks 1… gather to rank 0
+//! and the owned rows they skip because rank 0 forms them (old rows no
+//! nonzero references) or holds them (rows it reads, in a mode below the
+//! last).  A per-(workload, world) line totals each candidate's routed
+//! rows and the skipped rows over the stream.
 
 use dismastd_core::{dismastd, dtd, ClusterConfig, DecompConfig};
 use dismastd_data::{DatasetSpec, StreamSequence};
@@ -183,6 +186,11 @@ struct Routing {
     bound: u64,
     /// Rows of all modes owned by each rank.
     owned: Vec<u64>,
+    /// Owned rows each rank ships in the gather: none from rank 0; from
+    /// the others every owned row but the old ones no nonzero references
+    /// (rank 0 forms them from the maps) and, in modes below the last, the
+    /// ones rank 0 references (it holds their last refreshes).
+    gathered: Vec<u64>,
     /// Rows each rank sends per iteration, over all modes: the rows it
     /// references but does not own (its partials) plus, per row it owns,
     /// the other ranks referencing it (their refreshed copies).
@@ -212,12 +220,14 @@ fn references(
     marks
 }
 
-fn routing(work: &SparseTensor, grid: &GridPartition) -> Routing {
+/// `old_rows[n]`: mode `n`'s rows in the step's history.
+fn routing(work: &SparseTensor, grid: &GridPartition, old_rows: &[usize]) -> Routing {
     let world = grid.num_workers();
     let mut out = Routing {
         routed: vec![0; work.order()],
         bound: 0,
         owned: vec![0; world],
+        gathered: vec![0; world],
         sent: vec![0; world],
         last_refresh: vec![0; world],
     };
@@ -227,6 +237,11 @@ fn routing(work: &SparseTensor, grid: &GridPartition) -> Routing {
             let owner = grid.row_owner(mode, row);
             out.owned[owner] += 1;
             let referencing = by_worker.iter().filter(|&&r| r).count() as u64;
+            let formed = referencing == 0 && row < old_rows[mode];
+            let held = mode + 1 < work.order() && by_worker[0];
+            if owner != 0 && !formed && !held {
+                out.gathered[owner] += 1;
+            }
             let foreign = referencing - u64::from(by_worker[owner]);
             out.routed[mode] += foreign;
             out.bound += referencing.saturating_sub(1);
@@ -359,9 +374,9 @@ impl Schedule {
     /// Per-rank bytes: its partials and refreshed rows every
     /// mode-iteration (less the last mode's unread refresh), its share of
     /// every Gram reduction riding them (the last mode's with the loss
-    /// slot, the final one's reduce half aside), and (rank 0 aside) its
-    /// owned rows gathered with that final reduction's partials and loss
-    /// slot.
+    /// slot, the final one's reduce half aside), and (rank 0 aside) the
+    /// owned rows rank 0 can neither form nor holds, gathered with that
+    /// final reduction's partials and loss slot.
     fn bytes_by_sender(&self, routing: &Routing) -> Vec<u64> {
         let (row_bytes, iters) = (self.rank * 8, self.iters);
         let (mid, last) = (self.fused(self.packed()), self.fused(self.packed() + 1));
@@ -370,7 +385,7 @@ impl Schedule {
                 let rows = iters * routing.sent[w] - routing.last_refresh[w];
                 let gather = match w {
                     0 => 0,
-                    _ => routing.owned[w] * row_bytes + (self.packed() + 1) * 8,
+                    _ => routing.gathered[w] * row_bytes + (self.packed() + 1) * 8,
                 };
                 rows * row_bytes
                     + iters * (self.order - 1) * mid[w]
@@ -424,6 +439,7 @@ pub fn routing_lines(seed: u64) -> Result<(Vec<String>, usize)> {
             let cluster = ClusterConfig::new(world);
             let mut t = 0;
             let mut totals: Vec<(String, u64)> = Vec::new();
+            let mut skipped_total = 0;
             drive(&stream, cfg.rank, |work, old| {
                 let grid = GridPartition::build_with(
                     work,
@@ -432,11 +448,16 @@ pub fn routing_lines(seed: u64) -> Result<(Vec<String>, usize)> {
                     world,
                     cluster.cell_assignment,
                 )?;
-                let routing = routing(work, &grid);
+                let old_rows: Vec<usize> = old.iter().map(Matrix::rows).collect();
+                let routing = routing(work, &grid, &old_rows);
                 let grids = candidates(work, &grid);
                 let out = dismastd(work, old, &cfg, &cluster)?;
                 let rows: u64 = routing.owned.iter().sum();
                 let largest = routing.owned.iter().copied().max().unwrap_or(0);
+                // Ranks 1…: rank 0 gathers nothing from itself.
+                let gather_rows: u64 = routing.gathered[1..].iter().sum();
+                let gather_skipped = routing.owned[1..].iter().sum::<u64>() - gather_rows;
+                skipped_total += gather_skipped;
                 let schedule = Schedule {
                     world,
                     order: order as u64,
@@ -461,7 +482,8 @@ pub fn routing_lines(seed: u64) -> Result<(Vec<String>, usize)> {
                 }
                 lines.push(format!(
                     "{name} seed={seed} world={world} step={t} nnz={} routed_rows={} bound={} \
-                     largest_owned_share={:.3} owned={:?} grids=[{}] chosen={} place={place} \
+                     largest_owned_share={:.3} owned={:?} gather_rows={gather_rows} \
+                     gather_skipped={gather_skipped} grids=[{}] chosen={} place={place} \
                      wire_bytes={} predicted={predicted} bytes_by_sender={:?} \
                      predicted_by_sender={predicted_sender:?} collectives={} \
                      predicted_collectives={predicted_collectives}",
@@ -486,7 +508,8 @@ pub fn routing_lines(seed: u64) -> Result<(Vec<String>, usize)> {
                 Ok(out.kruskal.factors().to_vec())
             })?;
             lines.push(format!(
-                "{name} seed={seed} world={world} stream routed_rows grids=[{}]",
+                "{name} seed={seed} world={world} stream routed_rows grids=[{}] \
+                 gather_skipped={skipped_total}",
                 grid_list(totals.into_iter())
             ));
         }
@@ -560,9 +583,12 @@ mod tests {
         )
         .unwrap();
         // Column 1 lives on its only reader, so column 0 is all that moves.
-        let r = routing(&t, &grid);
+        let r = routing(&t, &grid, &[0, 0]);
         assert_eq!((r.routed, r.bound), (vec![0, 1], 1));
         assert_eq!(r.owned, vec![3, 3]);
+        // Worker 1 gathers rows 2 and 3 of mode 0 — rank 0 reads neither —
+        // and column 1, which it owns in the last mode.
+        assert_eq!(r.gathered, vec![0, 3]);
         // Mode 1 cannot be split, so 2x1 is the only grid of two workers.
         let only = candidates(&t, &grid);
         assert_eq!(only.len(), 1);

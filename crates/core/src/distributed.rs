@@ -37,6 +37,11 @@
 //!    sends no final refresh, so its last-mode partials and loss slot ride
 //!    the gather instead and rank 0 evaluates the final loss.
 //!
+//! The gather ships to rank 0 only the owned rows it cannot already form:
+//! rank 0 writes every untouched old row from its mode's last map itself,
+//! and keeps its own refreshed copy of every row it reads in a mode below
+//! the last (see `WorkerPlan::gather_rows`).
+//!
 //! That is two collectives per mode-iteration (partials exchange, refresh
 //! exchange) and the gather — less the last mode's refresh of the last
 //! scheduled iteration, which nothing would read.  A tolerance stop after
@@ -222,6 +227,7 @@ impl PlanCache {
         &mut self,
         tensor: &SparseTensor,
         cluster: &ClusterConfig,
+        old_rows: &[usize],
     ) -> Result<&[WorkerPlan]> {
         let world = cluster.workers;
         let cell_count =
@@ -250,7 +256,7 @@ impl PlanCache {
                 };
                 let plans = {
                     let _s = dismastd_obs::span("phase/plan_build");
-                    build_plans(tensor, &grid, world)?
+                    build_plans(tensor, &grid, world, old_rows)?
                 };
                 let cells = cell_count(&plans);
                 self.misses += cells;
@@ -287,6 +293,13 @@ struct WorkerPlan {
     /// `serve_routes[n][d]`: mode-`n` rows worker `d` references that this
     /// worker owns (mirror of `d`'s `partial_routes[n][me]`).
     serve_routes: Vec<Vec<Vec<u32>>>,
+    /// The owned rows of each mode this worker ships in the gather: none
+    /// on rank 0, which holds its own; elsewhere every owned row rank 0
+    /// cannot form itself — not an untouched old row (rank 0 writes those
+    /// from the maps) and not a row rank 0 reads in a mode below the last
+    /// (the last iteration's refreshes delivered those).  Both ends read
+    /// this list, so the payload carries no indices.
+    gather_rows: Vec<Vec<u32>>,
 }
 
 /// Runs distributed DisMASTD: DTD over the complement tensor given the
@@ -367,11 +380,13 @@ pub(crate) fn run_distributed(
     let rank = cfg.rank;
     let old_rows: Vec<usize> = old_factors.iter().map(Matrix::rows).collect();
 
-    // ---- Data partitioning (Sec. IV-A) ----------------------------------
-    let plans = memo.plans_for(tensor, cluster)?;
-
-    // Shared read-only inputs.
+    // Shared read-only inputs; `init_factors` also checks the history's
+    // order and row counts, which the placement's gather lists read.
     let init = init_factors(old_factors, tensor.shape(), rank, cfg.seed)?;
+
+    // ---- Data partitioning (Sec. IV-A) ----------------------------------
+    let plans = memo.plans_for(tensor, cluster, &old_rows)?;
+
     let old_norm_sq = old_norm_sq(old_factors)?;
     let (setup, untouched) = {
         let _s = dismastd_obs::span("phase/setup");
@@ -758,13 +773,7 @@ fn worker_body(
             // -- 1. local MTTKRP partials over this worker's nonzeros -----
             {
                 let _s = dismastd_obs::span("phase/mttkrp");
-                try_num!(local_partials(
-                    &plan.cells,
-                    &factors,
-                    n,
-                    &mut hat[n],
-                    &kernel_pool
-                ));
+                try_num!(local_partials(plan, &factors, n, &mut hat[n], &kernel_pool));
             }
 
             // -- route partials to row owners ------------------------------
@@ -865,18 +874,16 @@ fn worker_body(
             {
                 let _s = dismastd_obs::span("phase/solve");
                 let history = Some((mu, &old[n], &state.cross_had));
-                let (solved, _) = &owned[n];
-                for (fact, rows, history) in [
-                    (&facts[0], &solved[0], history),
-                    (&facts[1], &solved[1], None),
-                ] {
+                let [touched, new, _] = owned[n];
+                for (fact, rows, history) in [(&facts[0], touched, history), (&facts[1], new, None)]
+                {
                     if rows.is_empty() {
                         continue;
                     }
                     let job = RowUpdate {
                         rhs: &hat[n],
                         history,
-                        rows: rows.clone(),
+                        rows: RowSet::List(rows),
                     };
                     try_num!(fact.solve_rows(&job, &mut factors[n]));
                 }
@@ -891,7 +898,9 @@ fn worker_body(
             let last = n == order - 1;
             {
                 let _s = dismastd_obs::span("phase/gram");
-                try_num!(mode_grams(&factors[n], &old[n], &owned[n].0, ws.targets()));
+                let [touched, new, _] = owned[n];
+                let blocks = [RowSet::List(touched), RowSet::List(new)];
+                try_num!(mode_grams(&factors[n], &old[n], &blocks, ws.targets()));
                 if me == 0 {
                     maps.add_grams(n, ws.targets());
                 }
@@ -901,10 +910,14 @@ fn worker_body(
             // On the last mode, this rank's share of `⟨X \ X̃, Y⟩` — its
             // owned rows of the mode's MTTKRP against their fresh factor
             // rows (Eq. 7) — rides as one slot after the packed partials.
+            // An untouched row's MTTKRP row is zero, so only the solved
+            // rows are summed, in ascending order.
             if last {
                 let _s = dismastd_obs::span("phase/loss");
-                let inner_partial: f64 = plan.owned_rows[n]
+                let [touched, new, _] = owned[n];
+                let inner_partial: f64 = touched
                     .iter()
+                    .chain(new)
                     .map(|&row| {
                         let row = row as usize;
                         dot(hat[n].row(row), factors[n].row(row))
@@ -978,13 +991,21 @@ fn worker_body(
         }
     }
 
-    // Owners write their untouched old rows, once, from each mode's last
-    // map: the gather ships every owned row.
-    for (n, (_, rows)) in owned.iter().enumerate() {
-        maps.write_rows(n, &mut factors[n], &old[n], rows);
+    // What a rank ships must hold its final bytes, so an owner writes the
+    // untouched old rows its gather list names, once, from each mode's
+    // last map.  `build_plans` names none: rank 0 writes every untouched
+    // row itself, from the same map and the same `Ã_n` (the tests'
+    // every-owned-row reference gather names them all).
+    for (n, [_, _, untouched]) in owned.iter().enumerate() {
+        let shipped: Vec<u32> = untouched
+            .iter()
+            .copied()
+            .filter(|row| plan.gather_rows[n].binary_search(row).is_ok())
+            .collect();
+        maps.write_rows(n, &mut factors[n], &old[n], &shipped);
     }
 
-    // ---- gather the owned rows of every factor to rank 0 ----------------
+    // ---- gather to rank 0 the rows it cannot form itself ----------------
     // At the scheduled end the staging buffer still holds the last mode's
     // partials and loss slot, which no refresh carried: they ride here.
     let tail: &[f64] = if iterations == cfg.max_iters {
@@ -994,7 +1015,7 @@ fn worker_body(
     };
     let gathered = {
         let _s = dismastd_obs::span("phase/gather");
-        gather_factors(ctx, plans, &factors, init, tail)?
+        gather_factors(ctx, plans, factors, &maps, old, old_rows, tail)?
     };
     let factors_out = match gathered {
         Some((out, reduced)) if !reduced.is_empty() => {
@@ -1023,23 +1044,33 @@ fn worker_body(
     }))
 }
 
-/// A worker's mode-`n` MTTKRP partials (Sec. IV-B1): `hat` is zeroed, then
-/// every cell adds one run total per row it touches, cells in ascending
-/// cell order and a cell's entries in stored order within the total —
-/// `hat[i] = ((0 + T₁) + T₂) + …`.  That order is part of the numerics: it
-/// is what "bit-identical per (grid, world)" holds a run to.  So is the
-/// grid's row ownership: a row's owner starts from its own partial and adds
-/// its peers' in ascending rank order, and a Gram partial covers the rows a
-/// rank owns.
+/// A worker's mode-`n` MTTKRP partials (Sec. IV-B1): the rows of `hat` a
+/// mode-iteration writes are zeroed, then every cell adds one run total
+/// per row it touches, cells in ascending cell order and a cell's entries
+/// in stored order within the total — `hat[i] = ((0 + T₁) + T₂) + …`.
+/// That order is part of the numerics: it is what "bit-identical per
+/// (grid, world)" holds a run to.  So is the grid's row ownership: a row's
+/// owner starts from its own partial and adds its peers' in ascending rank
+/// order, and a Gram partial covers the rows a rank owns.
+///
+/// Those rows are the owned rows some nonzero references (the cells' and
+/// the peers' partials land there) and the rows routed to their owners,
+/// each once: the lists are disjoint.  Every other row of `hat` is never
+/// written, so it still holds the zero it was allocated with.
 fn local_partials(
-    cells: &[MttkrpPlan],
+    plan: &WorkerPlan,
     factors: &[Matrix],
     n: usize,
     hat: &mut Matrix,
     pool: &ThreadPool,
 ) -> Result<()> {
-    hat.fill_zero();
-    for cell in cells {
+    let routed = plan.partial_routes[n].iter().map(Vec::as_slice);
+    for rows in std::iter::once(plan.touched_rows[n].as_slice()).chain(routed) {
+        for &row in rows {
+            hat.row_mut(row as usize).fill(0.0);
+        }
+    }
+    for cell in &plan.cells {
         cell.mttkrp_into_pooled(factors, n, hat, pool)?;
     }
     Ok(())
@@ -1121,20 +1152,25 @@ fn write_rows(m: &mut Matrix, rows: &[u32], data: &[f64]) {
 /// A rank's owned rows of every mode as the loop visits them: Eq. 5's two
 /// blocks — the touched old rows (the `A^(0)` rule), then every new row
 /// (the `A^(1)` rule) — and the untouched old rows, which leave the loop.
-/// Each list ascends, so a mode's old rows are a prefix of it.
-fn owned_blocks<'p>(plan: &'p WorkerPlan, old_rows: &[usize]) -> Vec<([RowSet<'p>; 2], &'p [u32])> {
-    (0..old_rows.len())
-        .map(|n| {
-            let old =
-                |rows: &'p [u32]| &rows[..rows.partition_point(|&i| (i as usize) < old_rows[n])];
+/// Each list ascends.
+fn owned_blocks<'p>(plan: &'p WorkerPlan, old_rows: &[usize]) -> Vec<[&'p [u32]; 3]> {
+    old_rows
+        .iter()
+        .enumerate()
+        .map(|(n, &old)| {
             let owned = &plan.owned_rows[n];
-            let new = &owned[old(owned).len()..];
-            (
-                [RowSet::List(old(&plan.touched_rows[n])), RowSet::List(new)],
-                old(&plan.untouched_rows[n]),
-            )
+            [
+                below(&plan.touched_rows[n], old),
+                &owned[below(owned, old).len()..],
+                below(&plan.untouched_rows[n], old),
+            ]
         })
         .collect()
+}
+
+/// The prefix of the ascending `rows` below `end`: a mode's old rows.
+fn below(rows: &[u32], end: usize) -> &[u32] {
+    &rows[..rows.partition_point(|&i| (i as usize) < end)]
 }
 
 /// Every mode's untouched old rows (`U_n`), ascending: the union of the
@@ -1146,11 +1182,7 @@ fn untouched_old(plans: &[WorkerPlan], old_rows: &[usize]) -> Vec<Vec<u32>> {
         .map(|(n, &old)| {
             let mut rows: Vec<u32> = plans
                 .iter()
-                .flat_map(|plan| {
-                    plan.untouched_rows[n]
-                        .iter()
-                        .take_while(|&&i| (i as usize) < old)
-                })
+                .flat_map(|plan| below(&plan.untouched_rows[n], old))
                 .copied()
                 .collect();
             rows.sort_unstable();
@@ -1179,7 +1211,7 @@ fn setup_grams(
             // Every owned old row, untouched ones included: at set-up they
             // still hold `Ã_n`.
             let rows = &plan.owned_rows[n];
-            let split = rows.partition_point(|&i| (i as usize) < old_rows[n]);
+            let split = below(rows, old_rows[n]).len();
             let blocks = [RowSet::List(&rows[..split]), RowSet::List(&rows[split..])];
             mode_grams(&init[n], &old[n], &blocks, ws.targets())?;
             ws.stage();
@@ -1206,24 +1238,31 @@ fn fold_setup(partials: &[Vec<f64>], order: usize, r: usize) -> GramState {
     state
 }
 
-/// Gathers every worker's owned rows to rank 0 and assembles the final
-/// factor matrices there.  Every payload ends with `tail` — the last
-/// scheduled iteration's last-mode partials and loss slot, or nothing
-/// after a tolerance stop — and rank 0 folds the tails over ranks `0..w`
-/// (see [`gram_fold`]), returning the factors and that sum.
+/// Gathers to rank 0 the rows it cannot form itself and assembles the
+/// final factor matrices there.  Each rank ships its gather list (see
+/// [`WorkerPlan::gather_rows`]) from its copy `factors`; rank 0 starts
+/// from its own copy — its owned rows, and in modes below the last every
+/// row it reads, final since the last iteration's refreshes — writes every
+/// rank's untouched old rows from each mode's last map, then the shipped
+/// rows.  Every payload ends with `tail` — the last scheduled iteration's
+/// last-mode partials and loss slot, or nothing after a tolerance stop —
+/// and rank 0 folds the tails over ranks `0..w` (see [`gram_fold`]),
+/// returning the factors and that sum.
 fn gather_factors(
     ctx: &mut WorkerCtx,
     plans: &[WorkerPlan],
-    factors: &[Matrix],
-    init: &[Matrix],
+    factors: Vec<Matrix>,
+    maps: &UntouchedRows,
+    old: &[Matrix],
+    old_rows: &[usize],
     tail: &[f64],
 ) -> ClusterResult<Option<(Vec<Matrix>, Vec<f64>)>> {
     let me = ctx.rank();
-    // One payload: all owned rows of all modes, concatenated, then the
+    // One payload: the listed rows of all modes, concatenated, then the
     // tail.  One-shot per decomposition, so no pooling here.
     let mut packed = Vec::new();
-    for (n, f) in factors.iter().enumerate() {
-        for &row in &plans[me].owned_rows[n] {
+    for (f, rows) in factors.iter().zip(&plans[me].gather_rows) {
+        for &row in rows {
             packed.extend_from_slice(f.row(row as usize));
         }
     }
@@ -1232,35 +1271,38 @@ fn gather_factors(
         Some(g) => g,
         None => return Ok(None), // non-root ranks
     };
-    let mut out: Vec<Matrix> = init
-        .iter()
-        .map(|f| Matrix::zeros(f.rows(), f.cols()))
-        .collect();
+    let mut out = factors;
+    for plan in plans {
+        for (n, rows) in plan.untouched_rows.iter().enumerate() {
+            maps.write_rows(n, &mut out[n], &old[n], below(rows, old_rows[n]));
+        }
+    }
     let mut sum = vec![0.0; tail.len()];
     for (src, payload) in gathered.into_iter().enumerate() {
         let data = payload.try_into_f64()?;
-        let part = unpack_gathered(&mut out, &plans[src].owned_rows, src, &data, tail.len())?;
+        let part = unpack_gathered(&mut out, &plans[src].gather_rows, src, &data, tail.len())?;
         gram_fold(&mut sum, src, part);
     }
     Ok(Some((out, sum)))
 }
 
-/// Writes sender `src`'s gathered payload — its owned rows of every mode,
-/// then `tail` more values — into `out` and returns those values.
+/// Writes sender `src`'s gathered payload — its gather list's rows of
+/// every mode (`gather_rows`), then `tail` more values — into `out` and
+/// returns those values.
 ///
 /// # Errors
 /// [`ClusterError::SizeMismatch`] naming `src` when the payload is not
 /// exactly that long.
 fn unpack_gathered<'d>(
     out: &mut [Matrix],
-    owned_rows: &[Vec<u32>],
+    gather_rows: &[Vec<u32>],
     src: usize,
     data: &'d [f64],
     tail: usize,
 ) -> ClusterResult<&'d [f64]> {
     let rows: usize = out
         .iter()
-        .zip(owned_rows)
+        .zip(gather_rows)
         .map(|(f, rows)| rows.len() * f.cols())
         .sum();
     if data.len() != rows + tail {
@@ -1271,7 +1313,7 @@ fn unpack_gathered<'d>(
         });
     }
     let mut rest = data;
-    for (f, rows) in out.iter_mut().zip(owned_rows) {
+    for (f, rows) in out.iter_mut().zip(gather_rows) {
         let (mode, next) = rest.split_at(rows.len() * f.cols());
         write_rows(f, rows, mode);
         rest = next;
@@ -1280,12 +1322,14 @@ fn unpack_gathered<'d>(
 }
 
 /// Splits the tensor over workers and grid cells, builds one
-/// [`MttkrpPlan`] per non-empty cell, and derives row ownership and the
-/// partial/update routing tables.
+/// [`MttkrpPlan`] per non-empty cell, and derives row ownership, the
+/// partial/update routing tables and the gather lists.  `old_rows[n]` is
+/// mode `n`'s row count in the history (`Ĩ_n`).
 fn build_plans(
     tensor: &SparseTensor,
     grid: &GridPartition,
     world: usize,
+    old_rows: &[usize],
 ) -> Result<Vec<WorkerPlan>> {
     let order = tensor.order();
     // Per-worker, per-mode referenced-row sets.
@@ -1313,10 +1357,13 @@ fn build_plans(
     }
 
     // Row ownership: every row of every mode has exactly one owner.  An
-    // owned row is touched when some worker's nonzeros reference it.
+    // owned row is touched when some worker's nonzeros reference it.  Rank
+    // 0 forms every untouched old row and, in modes below the last, holds
+    // every row it reads, final: only the other rows are gathered.
     let mut owned_rows: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); order]; world];
     let mut touched_rows = owned_rows.clone();
     let mut untouched_rows = owned_rows.clone();
+    let mut gather_rows = owned_rows.clone();
     let mut owner_of: Vec<Vec<u32>> = Vec::with_capacity(order);
     for n in 0..order {
         let mut owners = Vec::with_capacity(tensor.shape()[n]);
@@ -1334,6 +1381,11 @@ fn build_plans(
                 &mut untouched_rows
             };
             split[w][n].push(row_id);
+            let formed = !touched && row < old_rows[n];
+            let held = n + 1 < order && needed[0][n][row];
+            if w != 0 && !formed && !held {
+                gather_rows[w][n].push(row_id);
+            }
         }
         owner_of.push(owners);
     }
@@ -1380,9 +1432,28 @@ fn build_plans(
             untouched_rows: std::mem::take(&mut untouched_rows[w]),
             partial_routes: std::mem::take(&mut partial_routes_all[w]),
             serve_routes,
+            gather_rows: std::mem::take(&mut gather_rows[w]),
         });
     }
     Ok(plans)
+}
+
+/// Per sender, the owned rows the gather does not ship for a step over
+/// `tensor` with `old_rows` rows of history: those rank 0 forms or holds
+/// (see [`WorkerPlan::gather_rows`]).  Rank 0's are all of its own.
+#[cfg(test)]
+pub(crate) fn gather_skipped_rows(
+    tensor: &SparseTensor,
+    old_rows: &[usize],
+    cluster: &ClusterConfig,
+) -> Vec<u64> {
+    let mut memo = PlanCache::default();
+    let plans = memo.plans_for(tensor, cluster, old_rows).unwrap();
+    let count = |rows: &[Vec<u32>]| rows.iter().map(Vec::len).sum::<usize>() as u64;
+    plans
+        .iter()
+        .map(|plan| count(&plan.owned_rows) - count(&plan.gather_rows))
+        .collect()
 }
 
 /// Bytes needed to stage the computation (Theorem 4's data-distribution
@@ -1781,8 +1852,10 @@ mod tests {
 
     #[test]
     fn each_rank_sends_its_rows_and_its_owner_share_of_every_gram() {
-        // Per sender: the rows its routing tables send plus, per Gram
-        // reduction of `b` values, `b + (w − 2)·slice` — every peer's
+        // Per sender: the rows its routing tables send, the rows it
+        // gathers to rank 0 (every owned row rank 0 can neither form nor
+        // holds), plus, per Gram reduction of `b` values,
+        // `b + (w − 2)·slice` — every peer's
         // slice once, its own slice to `w − 1` peers, the slices being
         // near-equal shares of `b`, larger ones first; set-up's Gram state
         // comes from the driver and ships nothing.  The last scheduled
@@ -1803,7 +1876,7 @@ mod tests {
                 cluster.cell_assignment,
             )
             .unwrap();
-            let plans = build_plans(&x, &grid, world).unwrap();
+            let plans = build_plans(&x, &grid, world, &[0; 3]).unwrap();
             for r in [3u64, 10] {
                 let cfg = cfg().with_rank(r as usize).with_tolerance(0.0);
                 let packed = 2 * r * r + r;
@@ -1824,10 +1897,17 @@ mod tests {
                             .map(|n| count(&plan.partial_routes[n]) + count(&plan.serve_routes[n]))
                             .sum();
                         let unread = count(&plan.serve_routes[2]) as u64;
+                        // Every owned row but those rank 0 forms or holds:
+                        // with no history no row is an untouched old one,
+                        // and rank 0 holds the rows it reads of modes 0
+                        // and 1 from their last refreshes.
                         let gathered: usize = if k == 0 {
                             0
                         } else {
-                            plan.owned_rows.iter().map(Vec::len).sum()
+                            count(&plan.owned_rows)
+                                - (0..2)
+                                    .map(|n| plans[0].partial_routes[n][k].len())
+                                    .sum::<usize>()
                         };
                         let rows = iters * per_iter as u64 - unread + gathered as u64;
                         let k = k as u64;
@@ -1840,6 +1920,108 @@ mod tests {
                     .collect();
                 assert_eq!(out.comm.bytes_by_sender, expected, "world {world} R {r}");
             }
+        }
+    }
+
+    /// A memo holding `x`'s placement for `cluster` under the gather this
+    /// one replaced: every rank ships every owned row, so whatever rank 0
+    /// forms or holds is overwritten by what the owner sent.  The
+    /// test-only reference for the gather lists.
+    fn every_owned_row_gather(
+        x: &SparseTensor,
+        old_rows: &[usize],
+        cluster: &ClusterConfig,
+    ) -> PlanCache {
+        let mut memo = PlanCache::default();
+        memo.plans_for(x, cluster, old_rows).unwrap();
+        for plan in &mut memo.step.as_mut().unwrap().plans {
+            plan.gather_rows = plan.owned_rows.clone();
+        }
+        memo
+    }
+
+    #[test]
+    fn the_gather_assembles_what_every_owned_row_assembled_bit_for_bit() {
+        // A cold step (no history: no row is an untouched old one) and a
+        // warm one whose sparse complement leaves old rows untouched, each
+        // run to its scheduled end and stopped early by tolerance (which
+        // sends the last mode's refresh), at worlds 2–5.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let r = cfg().rank;
+        let old_shape = [10usize, 9, 8];
+        let mut rng = ChaCha8Rng::seed_from_u64(81);
+        let old: Vec<Matrix> = old_shape
+            .iter()
+            .map(|&s| Matrix::random(s, r, &mut rng))
+            .collect();
+        let fixtures = [
+            (
+                "cold",
+                random_tensor(&[12, 10, 8], 300, 82),
+                zero_history(3, r),
+            ),
+            (
+                "warm",
+                random_complement(&old_shape, &[12, 11, 9], 60, 83),
+                old,
+            ),
+        ];
+        for (name, x, old) in &fixtures {
+            let old_rows: Vec<usize> = old.iter().map(Matrix::rows).collect();
+            let (mut untouched_total, mut held_total) = (0, 0);
+            for world in 2usize..=5 {
+                let cluster = ClusterConfig::new(world);
+                for tolerance in [0.0, 1.0] {
+                    let tag = format!("{name} world {world} tolerance {tolerance}");
+                    let cfg = cfg().with_tolerance(tolerance);
+                    let run = |memo: &mut PlanCache| {
+                        let opts = ClusterOptions::default();
+                        run_distributed(x, old, &cfg, &cluster, &opts, memo).unwrap()
+                    };
+                    let mut memo = PlanCache::default();
+                    let out = run(&mut memo);
+                    let reference = run(&mut every_owned_row_gather(x, &old_rows, &cluster));
+                    assert_eq!(
+                        out.iterations < cfg.max_iters,
+                        tolerance > 0.0,
+                        "{tag}: the fixture must stop where the tolerance says"
+                    );
+                    assert_eq!(out.iterations, reference.iterations, "{tag}");
+                    assert_eq!(bits(&out.loss_trace), bits(&reference.loss_trace), "{tag}");
+                    for (n, (a, b)) in out
+                        .kruskal
+                        .factors()
+                        .iter()
+                        .zip(reference.kruskal.factors())
+                        .enumerate()
+                    {
+                        assert_eq!(bits(a.as_slice()), bits(b.as_slice()), "{tag} mode {n}");
+                    }
+                    // Per sender, the reference shipped every owned row;
+                    // the gather skips the untouched old ones and those
+                    // rank 0 reads in modes 0 and 1, R values each.
+                    let plans = &memo.step.as_ref().unwrap().plans;
+                    assert_eq!(
+                        out.comm.bytes_by_sender[0], reference.comm.bytes_by_sender[0],
+                        "{tag}"
+                    );
+                    for k in 1..world {
+                        let untouched: usize = (0..3)
+                            .map(|n| below(&plans[k].untouched_rows[n], old_rows[n]).len())
+                            .sum();
+                        let held: usize = (0..2).map(|n| plans[0].partial_routes[n][k].len()).sum();
+                        untouched_total += untouched;
+                        held_total += held;
+                        assert_eq!(
+                            reference.comm.bytes_by_sender[k] - out.comm.bytes_by_sender[k],
+                            ((untouched + held) * r * 8) as u64,
+                            "{tag} sender {k}"
+                        );
+                    }
+                }
+            }
+            assert!(held_total > 0, "{name}: rank 0 reads no peer's row");
+            assert_eq!(untouched_total > 0, *name == "warm", "{name}");
         }
     }
 
@@ -1910,7 +2092,7 @@ mod tests {
                     cluster.cell_assignment,
                 )
                 .unwrap();
-                let plans = build_plans(&x, &grid, world).unwrap();
+                let plans = build_plans(&x, &grid, world, &[0; 3]).unwrap();
                 // The oracle's cells: the same routing, none of the layout.
                 let cells = x.partition_by(|idx| grid.cell_of(idx));
                 let mut shared_rows = 0;
@@ -1935,9 +2117,24 @@ mod tests {
                             let total = mttkrp(cell, &factors, n).unwrap();
                             expected.add_assign(&total).unwrap();
                         }
-                        // Whatever `hat` held is gone before the first cell.
+                        // The rows a mode-iteration writes: those this
+                        // worker's nonzeros reference, and the owned rows
+                        // any nonzero references (its peers' partials add
+                        // into them).
+                        let referenced = x.slice_nnz(n).unwrap();
+                        let written = |row: usize| {
+                            hists.iter().any(|h| h[row] > 0)
+                                || (referenced[row] > 0 && grid.row_owner(n, row) == w)
+                        };
+                        // Whatever `hat` held in those rows is gone before
+                        // the first cell; every other row is left alone —
+                        // the loop never writes it, so it stays zero there.
                         let mut hat = Matrix::random(x.shape()[n], rank, &mut rng);
-                        local_partials(&plan.cells, &factors, n, &mut hat, &pool).unwrap();
+                        for row in (0..x.shape()[n]).filter(|&row| !written(row)) {
+                            assert!(expected.row(row).iter().all(|&v| v == 0.0));
+                            expected.row_mut(row).copy_from_slice(hat.row(row));
+                        }
+                        local_partials(plan, &factors, n, &mut hat, &pool).unwrap();
                         assert_eq!(
                             bits(&hat),
                             bits(&expected),
@@ -1969,7 +2166,10 @@ mod tests {
                         assignment,
                     )
                     .unwrap();
-                    let plans = build_plans(&x, &grid, world).unwrap();
+                    // A history of half of every mode, so some old rows go
+                    // unreferenced.
+                    let old_rows: Vec<usize> = shape.iter().map(|&s| s / 2).collect();
+                    let plans = build_plans(&x, &grid, world, &old_rows).unwrap();
                     // references[(mode, row)] = the workers holding a nonzero of it.
                     let mut references = std::collections::BTreeMap::new();
                     for (idx, _) in x.iter() {
@@ -2007,6 +2207,22 @@ mod tests {
                                 assert_eq!(plan.partial_routes[n][d], expected, "{tag} {w}->{d}");
                                 assert_eq!(plans[d].serve_routes[n][w], expected, "{tag} {d}<-{w}");
                             }
+                            // The gather ships the owned rows rank 0 can
+                            // neither form (old rows no nonzero references)
+                            // nor holds (rows it reads, in a mode below the
+                            // last); rank 0 ships none.
+                            let gathered: Vec<u32> = (0..shape[n])
+                                .filter(|&row| {
+                                    let refs = references.get(&(n, row as u32));
+                                    w != 0
+                                        && grid.row_owner(n, row) == w
+                                        && !(refs.is_none() && row < old_rows[n])
+                                        && !(n + 1 < x.order()
+                                            && refs.is_some_and(|r| r.contains(&0)))
+                                })
+                                .map(|row| row as u32)
+                                .collect();
+                            assert_eq!(plan.gather_rows[n], gathered, "{tag} {w} gathers");
                         }
                     }
                 }
@@ -2085,10 +2301,17 @@ mod tests {
         // instead of a flat all-reduce's 2(w − 1) copies; and less set-up's
         // flat all-reduce, which the driver's Gram state replaced: every
         // mode's 2R² + R = 21 packed values, 63 in all, in 2(w − 1) copies.
+        // And less the rows the gather no longer ships, R = 3 values each:
+        // rank 0 holds, from their last refreshes, the rows of modes 0 and
+        // 1 it reads and ranks 1–3 own.  With no history no row is an
+        // untouched old one.
+        let skipped = gather_skipped_rows(&x, &[0; 3], &ClusterConfig::new(4));
+        let held: u64 = skipped[1..].iter().sum();
+        assert_eq!(held, 4);
         assert_eq!(
             (out.comm.wire_bytes(), factor_bits(&out)),
             (
-                44_472 - 6 * 21 * 8 * 6 - 3 * 22 * 8 - 6 * 63 * 8,
+                44_472 - 6 * 21 * 8 * 6 - 3 * 22 * 8 - 6 * 63 * 8 - held * 3 * 8,
                 0xa4b2_660d_4647_515d
             ),
             "{} bytes, bits {:016x}",

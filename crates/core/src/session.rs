@@ -664,10 +664,13 @@ impl StreamingSession {
         // The step's last read of the resident snapshot: `⟨X, Y⟩` needs
         // every entry against the *new* factors, so it cannot be folded
         // into the passes above.
-        let fit = if snapshot.is_empty() {
-            1.0
-        } else {
-            fit_given_norm(&outcome.kruskal, snapshot, snapshot_norm_sq)?
+        let fit = {
+            let _s = dismastd_obs::span("phase/fit");
+            if snapshot.is_empty() {
+                1.0
+            } else {
+                fit_given_norm(&outcome.kruskal, snapshot, snapshot_norm_sq)?
+            }
         };
         // Driver-side spans (validate, complement, serial solver) plus the
         // rank-0 worker's metrics in distributed mode.
@@ -981,6 +984,7 @@ fn divergence_verdict(trace: &[f64], factors: &[Matrix], wd: &WatchdogPolicy) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::gather_skipped_rows;
     use dismastd_tensor::SparseTensorBuilder;
     use rand::Rng;
     use rand::SeedableRng;
@@ -1219,6 +1223,18 @@ mod tests {
             }
         }
         assert_eq!(parent.bytes_by_sender.iter().sum::<u64>(), total);
+        // That release's gather shipped every owned row; it now skips the
+        // rows rank 0 forms or holds, R = 3 values each: on the cold step
+        // (no history) and on the warm one (the first snapshot's rows of
+        // history).
+        let world = ClusterConfig::new(3);
+        let cold = gather_skipped_rows(&s0, &[0; 3], &world);
+        let warm = gather_skipped_rows(&s1.complement(s0.shape()).unwrap(), s0.shape(), &world);
+        for k in 1..3 {
+            let bytes = (cold[k] + warm[k]) * 3 * 8;
+            parent.bytes_by_sender[k] += bytes;
+            parent.bytes += bytes;
+        }
         assert_eq!(restored.comm_totals(), &parent);
     }
 

@@ -52,6 +52,7 @@ pub const SPANS: &[&str] = &[
     // phase family: DTD / distributed ALS / session phases.
     "phase/complement",
     "phase/exchange",
+    "phase/fit",
     "phase/gather",
     "phase/gram",
     "phase/loss",

@@ -72,10 +72,16 @@ impl KruskalTensor {
 
     /// Squared Frobenius norm via the Gram identity:
     /// `‖⟦A⟧‖² = 1ᵀ(⊛_k A_kᵀA_k)1`.
+    ///
+    /// [`grand_sum_hadamard`]'s loop, over Grams that are `R×R` by
+    /// construction: the same products in the same order, so the same
+    /// bits, with no shape check to fail.
     pub fn norm_sq(&self) -> f64 {
         let grams: Vec<Matrix> = self.factors.iter().map(Matrix::gram).collect();
-        // lint:allow(panic_path): invariant — every gram is R×R by construction
-        grand_sum_hadamard(&grams).expect("grams share the RxR shape")
+        let r = self.rank();
+        (0..r * r)
+            .map(|idx| grams.iter().fold(1.0, |prod, g| prod * g.as_slice()[idx]))
+            .fold(0.0, |total, prod| total + prod)
     }
 
     /// Inner product with another Kruskal tensor of the same shape:
@@ -295,6 +301,16 @@ mod tests {
         let k = small_kruskal(2);
         let dense = k.to_dense().unwrap();
         assert!((k.norm_sq() - dense.norm_sq()).abs() < 1e-10);
+    }
+
+    #[test]
+    fn norm_is_the_grand_sum_of_the_grams_bit_for_bit() {
+        for seed in 0..8 {
+            let k = small_kruskal(seed);
+            let grams: Vec<Matrix> = k.factors().iter().map(Matrix::gram).collect();
+            let sum = grand_sum_hadamard(&grams).unwrap();
+            assert_eq!(k.norm_sq().to_bits(), sum.to_bits(), "seed {seed}");
+        }
     }
 
     #[test]

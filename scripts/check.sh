@@ -74,8 +74,15 @@ echo "==> routing audit (benchmark workloads at worlds 2 and 4: bytes counted = 
 # Also prints, per step, the routed rows of every candidate worker grid and
 # where the chosen one ranks; exits non-zero on any step whose wire bytes
 # the routing does not predict, or whose placement no candidate grid
-# reproduces.
-cargo run -q --release -p dismastd-bench --bin factor_hash -- --routes 1 > /dev/null
+# reproduces.  The gather skips the owned rows rank 0 forms or holds: the
+# Clothing stream must keep skipping some, or that path goes unexercised.
+routes=$(mktemp)
+cargo run -q --release -p dismastd-bench --bin factor_hash -- --routes 1 > "$routes"
+if ! grep -qE '^clothing_rows .* stream .* gather_skipped=[1-9]' "$routes"; then
+  echo "the Clothing routing audit gathers every owned row" >&2
+  exit 1
+fi
+rm "$routes"
 
 echo "==> deterministic-simulation smoke sweep (16 seeds; CI runs 64)"
 # One u64 seed drives scheduler interleaving, link latency, partitions,

@@ -67,6 +67,15 @@ fn collected_step(mode: ExecutionMode) -> StepReport {
     sess.ingest(&s1).unwrap()
 }
 
+/// How many times the spans named `name` closed, over every label.
+fn span_count(m: &MetricsSnapshot, name: &str) -> u64 {
+    m.spans
+        .iter()
+        .filter(|s| s.name == name)
+        .map(|s| s.count)
+        .sum()
+}
+
 #[test]
 fn metrics_are_opt_in() {
     let _serial = serial();
@@ -104,6 +113,8 @@ fn serial_phase_spans_sum_within_step_elapsed() {
             m.to_text()
         );
     }
+    // The session's fit over the snapshot closes the step, once.
+    assert_eq!(span_count(m, "phase/fit"), 1, "{}", m.to_text());
 
     // Every normal-equation solve escalated through a tier the counter saw.
     let solves =
@@ -188,6 +199,7 @@ fn distributed_metrics_cover_the_wall_clock() {
         "phase/gram",
         "phase/loss",
         "phase/gather",
+        "phase/fit",
     ] {
         assert!(
             m.span_total_ns(phase) > 0,
@@ -195,6 +207,8 @@ fn distributed_metrics_cover_the_wall_clock() {
             m.to_text()
         );
     }
+    // The fit runs on the driver, once per step, whatever the world.
+    assert_eq!(span_count(m, "phase/fit"), 1, "{}", m.to_text());
     // The overlapped collective layer splits each exchange into a post and
     // a wait half; the combined `comm/exchange` span only appears on the
     // non-overlapped path.
