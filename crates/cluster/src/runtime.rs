@@ -2,10 +2,12 @@
 //!
 //! [`Cluster::run`] spawns one OS thread per simulated worker node and runs
 //! the same closure on each (Single Program, Multiple Data — the execution
-//! model of the paper's Spark implementation).  Workers coordinate only
-//! through [`WorkerCtx`]: tagged point-to-point messages over unbounded
-//! channels, plus the collectives DisMASTD needs (barrier, broadcast,
-//! gather, all-reduce of `f64` buffers, all-to-all exchange).
+//! model of the paper's Spark implementation); a one-worker run calls the
+//! closure on the caller's thread instead, under the same panic guard.
+//! Workers coordinate only through [`WorkerCtx`]: tagged point-to-point
+//! messages over unbounded channels, plus the collectives DisMASTD needs
+//! (barrier, broadcast, gather, all-reduce of `f64` buffers, all-to-all
+//! exchange).
 //!
 //! Collectives are sequenced by an internal counter that advances
 //! identically on every worker (valid because the program is SPMD), so
@@ -252,86 +254,64 @@ impl Cluster {
             None => Arc::new(RealClock::new()),
         };
 
-        let results: Vec<ClusterResult<T>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(world);
-            for (rank, receiver) in receivers.drain(..).enumerate() {
-                let senders = senders.clone();
-                let stats = Arc::clone(&stats);
-                let plan = opts.fault_plan.clone();
-                // A rank respawned after a crash-and-rejoin owes its delay
-                // on this run only; counted here, on the calling thread, so
-                // the caller's metrics see it.
-                let rejoin = plan.as_ref().and_then(|p| p.take_rejoin(rank));
-                if rejoin.is_some() {
-                    dismastd_obs::counter_add("sim/rejoin_delays", 1);
-                }
-                let default_timeout = opts.default_timeout;
-                let sim = sim.clone();
-                let clock = Arc::clone(&clock);
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    let mut ctx = WorkerCtx {
-                        rank,
-                        world,
-                        senders,
-                        receiver,
-                        pending: VecDeque::new(),
-                        seq: 0,
-                        next_msg_id: 0,
-                        last_seen_id: vec![0; world],
-                        abort: None,
-                        plan,
-                        default_timeout,
-                        stats,
-                        clock,
-                        sim,
-                        pool: BufferPool::new(true),
-                    };
-                    // Under sim: wait until every worker registered and the
-                    // scheduler hands this task the run token.
-                    if let Some(sim) = ctx.sim.clone() {
-                        sim.worker_start(rank);
-                    }
-                    // The respawned rank starts late while its peers already
-                    // wait in the first collective (virtual time under sim).
-                    if let Some(delay) = rejoin {
-                        ctx.clock.sleep(rank, delay);
-                    }
-                    // Catch panics so one worker's death cannot poison the
-                    // join; surviving peers are woken via the abort fan-out.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-                    let result = match outcome {
-                        Ok(Ok(value)) => Ok(value),
-                        Ok(Err(err)) => Err(err),
-                        Err(panic) => Err(error_from_panic(rank, panic)),
-                    };
-                    if let Err(err) = &result {
-                        if ctx.abort.is_none() {
-                            // This worker is the origin of the failure —
-                            // tell everyone before going down.
-                            ctx.abort_peers(err.clone());
-                        }
-                    }
-                    if let Some(sim) = ctx.sim.clone() {
-                        sim.worker_done(rank);
-                    }
-                    result
-                }));
+        let mut ranks = Vec::with_capacity(world);
+        for (rank, receiver) in receivers.into_iter().enumerate() {
+            // A rank respawned after a crash-and-rejoin owes its delay on
+            // this run only; counted here, on the calling thread, so the
+            // caller's metrics see it.
+            let plan = opts.fault_plan.clone();
+            let rejoin = plan.as_ref().and_then(|p| p.take_rejoin(rank));
+            if rejoin.is_some() {
+                dismastd_obs::counter_add("sim/rejoin_delays", 1);
             }
-            handles
+            let ctx = WorkerCtx {
+                rank,
+                world,
+                senders: senders.clone(),
+                receiver,
+                pending: VecDeque::new(),
+                seq: 0,
+                next_msg_id: 0,
+                last_seen_id: vec![0; world],
+                abort: None,
+                plan,
+                default_timeout: opts.default_timeout,
+                stats: Arc::clone(&stats),
+                clock: Arc::clone(&clock),
+                sim: sim.clone(),
+                pool: BufferPool::new(true),
+            };
+            ranks.push((ctx, rejoin));
+        }
+        let results: Vec<ClusterResult<T>> = if world == 1 {
+            // One rank has no peer to run beside: a function call on this
+            // thread, under the same guard a spawned rank runs in.
+            ranks
                 .into_iter()
-                .enumerate()
-                .map(|(rank, h)| match h.join() {
-                    Ok(result) => result,
-                    // Unreachable: the closure is fully guarded by
-                    // catch_unwind; kept as a typed error for safety.
-                    Err(_) => Err(ClusterError::PeerCrashed {
-                        rank,
-                        cause: "worker thread died outside the runtime guard".into(),
-                    }),
-                })
+                .map(|(ctx, rejoin)| run_rank(ctx, rejoin, &f))
                 .collect()
-        });
+        } else {
+            std::thread::scope(|scope| {
+                let f = &f;
+                let handles: Vec<_> = ranks
+                    .into_iter()
+                    .map(|(ctx, rejoin)| scope.spawn(move || run_rank(ctx, rejoin, f)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .enumerate()
+                    .map(|(rank, h)| match h.join() {
+                        Ok(result) => result,
+                        // Unreachable: the closure is fully guarded by
+                        // catch_unwind; kept as a typed error for safety.
+                        Err(_) => Err(ClusterError::PeerCrashed {
+                            rank,
+                            cause: "worker thread died outside the runtime guard".into(),
+                        }),
+                    })
+                    .collect()
+            })
+        };
         let snapshot = stats.snapshot();
 
         let mut values = Vec::with_capacity(world);
@@ -359,6 +339,42 @@ impl Cluster {
             None => Ok((values, snapshot)),
         }
     }
+}
+
+/// One rank's run of `f`: the simulator's token (under sim), a rejoin
+/// delay, then `f` under `catch_unwind` — a failing rank wakes its peers
+/// with the abort fan-out instead of poisoning the join.
+fn run_rank<T, F>(mut ctx: WorkerCtx, rejoin: Option<Duration>, f: &F) -> ClusterResult<T>
+where
+    F: Fn(&mut WorkerCtx) -> ClusterResult<T>,
+{
+    let rank = ctx.rank;
+    // Under sim: wait until every worker registered and the scheduler hands
+    // this task the run token.
+    if let Some(sim) = ctx.sim.clone() {
+        sim.worker_start(rank);
+    }
+    // The respawned rank starts late while its peers already wait in the
+    // first collective (virtual time under sim).
+    if let Some(delay) = rejoin {
+        ctx.clock.sleep(rank, delay);
+    }
+    let result = match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
+        Ok(Ok(value)) => Ok(value),
+        Ok(Err(err)) => Err(err),
+        Err(panic) => Err(error_from_panic(rank, panic)),
+    };
+    if let Err(err) = &result {
+        if ctx.abort.is_none() {
+            // This worker is the origin of the failure — tell everyone
+            // before going down.
+            ctx.abort_peers(err.clone());
+        }
+    }
+    if let Some(sim) = ctx.sim.clone() {
+        sim.worker_done(rank);
+    }
+    result
 }
 
 /// Turns a caught panic payload into a typed error naming the rank.

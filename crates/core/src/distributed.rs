@@ -50,9 +50,13 @@
 //! only on the initial and previous factors and each rank's owned rows,
 //! all of which every rank is handed, so the driver builds them once (see
 //! [`setup_grams`]) and no all-reduce is left on the step path.
+//!
+//! World 1 is the serial solver ([`crate::dtd::dtd`]): its one grid cell
+//! is planned over the borrowed tensor, its one rank runs on the caller's
+//! thread.
 
 use crate::config::DecompConfig;
-use crate::dtd::{check_row_ids, converged, init_factors, old_norm_sq, zero_history};
+use crate::dtd::{converged, init_factors, old_norm_sq, zero_history};
 use crate::loss::{dtd_loss, mode_grams, GramState, LossParts, UntouchedRows};
 use dismastd_cluster::{
     decode_rows_and_tail, BufferPool, Cluster, ClusterError, ClusterOptions, ClusterResult,
@@ -147,8 +151,9 @@ pub struct DistOutput {
     /// Wall-clock of the ALS iteration loop alone.
     pub iter_elapsed: Duration,
     /// Solver-tier escalations of the normal-equation solves.  Every rank
-    /// takes each decision itself from the replicated Gram state; the run
-    /// fails with a `ClusterFault` unless all of them ended with this tally.
+    /// takes each decision itself from the replicated Gram state — the run
+    /// fails with a `ClusterFault` unless all of them took the same — and
+    /// every rank's post-solve re-solves are added to them.
     pub numerics: NumericsReport,
     /// Every rank's per-phase metrics merged into one snapshot, present
     /// when the *driver* thread had a metrics collection installed (see
@@ -158,9 +163,6 @@ pub struct DistOutput {
     /// Driver-side preparation spans (partitioning, plan builds, set-up's
     /// Gram state) land in the caller's own registry instead.
     pub metrics: Option<MetricsSnapshot>,
-    /// Every rank's per-phase metrics, indexed by rank (empty when
-    /// collection was off).
-    pub worker_metrics: Vec<MetricsSnapshot>,
 }
 
 impl DistOutput {
@@ -373,7 +375,14 @@ pub(crate) fn run_distributed(
             "cluster needs at least one worker".into(),
         ));
     }
-    check_row_ids(tensor.shape())?;
+    // Row ids are `u32` in the plans' and the ownership and routing tables:
+    // a mode they cannot number is refused before anything is sized by it.
+    if let Some(&dim) = tensor.shape().iter().find(|&&s| u32::try_from(s).is_err()) {
+        return Err(TensorError::PlanOverflow {
+            what: "shape dimension",
+            value: dim as u64,
+        });
+    }
     // lint:allow(determinism, clock_hygiene): elapsed-time reporting only
     let start = Instant::now();
     let order = tensor.order();
@@ -416,22 +425,16 @@ pub(crate) fn run_distributed(
         Cluster::try_run_with_opts(cluster.workers, opts, |ctx| worker_body(ctx, &inputs))
             .map_err(cluster_fault)?;
 
-    // Harvest every rank's metrics (in rank order) before consuming rank 0;
+    // Merge every rank's metrics (in rank order) before consuming rank 0;
     // a rank that failed simply contributes nothing.
-    let worker_metrics: Vec<MetricsSnapshot> = results
-        .iter()
-        .filter_map(|res| res.as_ref().ok())
-        .filter_map(|wr| wr.metrics.clone())
-        .collect();
-    let metrics = if worker_metrics.is_empty() {
-        None
-    } else {
-        let mut merged = MetricsSnapshot::default();
-        for wm in &worker_metrics {
-            merged.merge(wm);
+    let mut metrics: Option<MetricsSnapshot> = None;
+    for wr in results.iter().flatten() {
+        if let Some(wm) = &wr.metrics {
+            metrics
+                .get_or_insert_with(MetricsSnapshot::default)
+                .merge(wm);
         }
-        Some(merged)
-    };
+    }
 
     let WorkerResult {
         loss_trace,
@@ -439,6 +442,7 @@ pub(crate) fn run_distributed(
         factors,
         iter_elapsed,
         decisions,
+        post,
         metrics: _,
     } = results.remove(0)?;
     // Every rank decided for itself; a rank that decided differently has
@@ -452,6 +456,11 @@ pub(crate) fn run_distributed(
     let factors = factors.ok_or_else(|| {
         TensorError::InvalidArgument("rank 0 did not assemble the final factors".into())
     })?;
+    // The replicated decisions once, plus every rank's own re-solves.
+    let mut numerics = decisions.numerics;
+    for peer_post in std::iter::once(&post).chain(results.iter().flatten().map(|wr| &wr.post)) {
+        numerics.absorb(peer_post);
+    }
 
     Ok(DistOutput {
         kruskal: KruskalTensor::new(factors)?,
@@ -461,9 +470,8 @@ pub(crate) fn run_distributed(
         setup_bytes: setup_bytes(plans, order, rank),
         elapsed: start.elapsed(),
         iter_elapsed,
-        numerics: decisions.numerics,
+        numerics,
         metrics,
-        worker_metrics,
     })
 }
 
@@ -494,6 +502,8 @@ struct WorkerResult {
     iter_elapsed: Duration,
     /// The solver decisions this rank took.
     decisions: DecisionRecord,
+    /// This rank's post-solve escalations: rank-local, outside the digest.
+    post: NumericsReport,
     /// This rank's per-phase metrics, when collection was requested.
     metrics: Option<MetricsSnapshot>,
 }
@@ -696,6 +706,8 @@ fn worker_body(
     let mu = cfg.forgetting;
     let solver = RobustSolver::new(cfg.numerics.solver);
     let mut decisions = DecisionRecord::default();
+    // This rank's post-solve escalations (see the solve below).
+    let mut post = NumericsReport::default();
 
     // Replicated factor copies; only owned ∪ referenced rows stay fresh.
     let mut factors: Vec<Matrix> = init.to_vec();
@@ -721,8 +733,8 @@ fn worker_body(
     // Every rank forms the untouched old rows' maps from its replicated
     // decisions; rank 0 alone adds their Gram terms to its partials.
     let mut maps = untouched.clone();
-    // The two Eq. 5 factorisations of a mode, rebuilt in place.
-    let mut facts = [Factorized::default(), Factorized::default()];
+    // The Eq. 5 factorisation of the block being solved, rebuilt in place.
+    let mut fact = Factorized::default();
     let owned = owned_blocks(plan, old_rows);
     // Eq. 4's constant terms; each iteration's loss adds its inner product.
     let loss_parts = LossParts {
@@ -840,56 +852,49 @@ fn worker_body(
                 }
             }
 
-            // -- decide: both Eq. 5 factorisations, on every rank -----------
+            // -- 2. decide and solve Eq. 5, row-wise, on every rank --------
             // `prepare_mode` reads only the Gram products of modes `k ≠ n`,
             // all final from here on — the previous mode's arrived with the
             // partials just received — and bit-identical on every rank, and
             // the decision is a pure function of them: all ranks accept the
             // same tier and shift with nothing exchanged.  A block is decided
             // iff it has rows *globally* — `d0` when the mode has old rows,
-            // `d1` when it has new ones, as the serial solver does — not iff
-            // this rank owns some, so every rank walks the same ladder and a
-            // numeric failure stops all of them here, where every exchange
-            // posted so far has been completed by every rank.
+            // `d1` when it has new ones — not iff this rank owns some, so
+            // every rank walks the same ladder and a numeric failure stops
+            // all of them here, where every exchange posted so far has been
+            // completed by every rank.  The rank then solves its share — the
+            // old block (μ Ã_n[i,:] (⊛ G̃) + Â[i,:]) ·D0⁻¹ over its touched old
+            // rows with its copy of the untouched rows' map μ (⊛ G̃) ·D0⁻¹,
+            // the new block Â[i,:] ·D1⁻¹ — re-solving a non-finite share under
+            // the forced ridge ladder, tallied in `post`.  A share the ladder
+            // cannot make finite stays so, for every rank's next decision (or
+            // the gather's check) to refuse.
             {
                 let _s = dismastd_obs::span("phase/solve");
                 try_num!(state.prepare_mode(n, mu));
-                let old_n = old_rows[n];
-                let blocks = [
-                    (&state.d0, old_n > 0),
-                    (&state.d1, factors[n].rows() > old_n),
-                ];
-                for ((d, has_rows), fact) in blocks.into_iter().zip(&mut facts) {
-                    if has_rows {
-                        decisions.record(&try_num!(solver.decide(d, fact)));
-                    }
-                }
-            }
-
-            // -- 2. owners update their rows (Eq. 5, row-wise) -------------
-            // Old block: (μ Ã_n[i,:] (⊛ G̃) + Â[i,:]) ·D0⁻¹ over the touched
-            // old rows; new block: Â[i,:] ·D1⁻¹.  Owned rows of a block imply
-            // the block was decided above.  Every rank forms the map of the
-            // untouched old rows, μ (⊛ G̃) ·D0⁻¹, whenever D0 was decided.
-            {
-                let _s = dismastd_obs::span("phase/solve");
-                let history = Some((mu, &old[n], &state.cross_had));
                 let [touched, new, _] = owned[n];
-                for (fact, rows, history) in [(&facts[0], touched, history), (&facts[1], new, None)]
-                {
-                    if rows.is_empty() {
-                        continue;
-                    }
+                if old_rows[n] > 0 {
+                    let decision = try_num!(solver.decide(&state.d0, &mut fact));
+                    decisions.record(&decision);
                     let job = RowUpdate {
                         rhs: &hat[n],
-                        history,
-                        rows: RowSet::List(rows),
+                        history: Some((mu, &old[n], &state.cross_had)),
+                        rows: row_set(touched),
                     };
-                    try_num!(fact.solve_rows(&job, &mut factors[n]));
-                }
-                if old_rows[n] > 0 {
                     let (map, m) = maps.map_job(n, mu, &state.cross_had);
-                    try_num!(facts[0].solve_rows(&map, m));
+                    let jobs = &mut [(job, &mut factors[n]), (map, m)];
+                    try_num!(solver.solve_rows(&state.d0, &decision, jobs, &mut fact, &mut post));
+                }
+                if factors[n].rows() > old_rows[n] {
+                    let decision = try_num!(solver.decide(&state.d1, &mut fact));
+                    decisions.record(&decision);
+                    let job = RowUpdate {
+                        rhs: &hat[n],
+                        history: None,
+                        rows: row_set(new),
+                    };
+                    let jobs = &mut [(job, &mut factors[n])];
+                    try_num!(solver.solve_rows(&state.d1, &decision, jobs, &mut fact, &mut post));
                 }
             }
 
@@ -899,7 +904,7 @@ fn worker_body(
             {
                 let _s = dismastd_obs::span("phase/gram");
                 let [touched, new, _] = owned[n];
-                let blocks = [RowSet::List(touched), RowSet::List(new)];
+                let blocks = [row_set(touched), row_set(new)];
                 try_num!(mode_grams(&factors[n], &old[n], &blocks, ws.targets()));
                 if me == 0 {
                     maps.add_grams(n, ws.targets());
@@ -966,20 +971,18 @@ fn worker_body(
     debug_assert!(pending_refresh.is_none());
     let iter_elapsed = iter_start.elapsed();
 
-    // Every rank took the same decisions, so only rank 0 emits the tier
-    // counters — the merged snapshot then matches the serial counter
-    // surface (label 0/1/2 = cholesky/lu/ridge).
+    // Every rank took the same decisions, so only rank 0 counts them, and
+    // every rank its own re-solves — the merged snapshot then counts the
+    // run's `numerics` (label 0/1/2 = cholesky/lu/ridge).
+    let mut tiers = post;
     if me == 0 {
-        let numerics = &decisions.numerics;
-        if numerics.cholesky_solves > 0 {
-            dismastd_obs::counter_add_with("solve/tier", 0, numerics.cholesky_solves);
-        }
-        if numerics.lu_solves > 0 {
-            dismastd_obs::counter_add_with("solve/tier", 1, numerics.lu_solves);
-        }
-        if numerics.ridge_solves > 0 {
-            dismastd_obs::counter_add_with("solve/tier", 2, numerics.ridge_solves);
-        }
+        tiers.absorb(&decisions.numerics);
+    }
+    let solves = [tiers.cholesky_solves, tiers.lu_solves, tiers.ridge_solves];
+    for (label, &count) in (0u64..).zip(&solves).filter(|(_, &count)| count > 0) {
+        dismastd_obs::counter_add_with("solve/tier", label, count);
+    }
+    if me == 0 {
         for n in 0..order {
             if maps.count(n) > 0 {
                 dismastd_obs::counter_add_with(
@@ -1033,6 +1036,16 @@ fn worker_body(
         }
         gathered => gathered.map(|(out, _)| out),
     };
+    // A last-mode share the ridge ladder could not make finite has no
+    // next decision to refuse it; the assembled factors do.
+    for (mode, f) in factors_out.iter().flatten().enumerate() {
+        if let Some(&value) = f.as_slice().iter().find(|v| !v.is_finite()) {
+            return Ok(Err(TensorError::NonFiniteValue {
+                index: vec![mode],
+                value,
+            }));
+        }
+    }
 
     Ok(Ok(WorkerResult {
         loss_trace,
@@ -1040,6 +1053,7 @@ fn worker_body(
         factors: factors_out,
         iter_elapsed,
         decisions,
+        post,
         metrics: collector.map(dismastd_obs::Collector::finish),
     }))
 }
@@ -1168,6 +1182,17 @@ fn owned_blocks<'p>(plan: &'p WorkerPlan, old_rows: &[usize]) -> Vec<[&'p [u32];
         .collect()
 }
 
+/// The ascending `rows` as the kernels' [`RowSet`]: the range they span
+/// when gap-free (walked as one slice; same rows, same bits), else the list.
+fn row_set(rows: &[u32]) -> RowSet<'_> {
+    match (rows.first(), rows.last()) {
+        (Some(&first), Some(&last)) if (last - first) as usize + 1 == rows.len() => {
+            RowSet::Range(first as usize..last as usize + 1)
+        }
+        _ => RowSet::List(rows),
+    }
+}
+
 /// The prefix of the ascending `rows` below `end`: a mode's old rows.
 fn below(rows: &[u32], end: usize) -> &[u32] {
     &rows[..rows.partition_point(|&i| (i as usize) < end)]
@@ -1212,7 +1237,7 @@ fn setup_grams(
             // still hold `Ã_n`.
             let rows = &plan.owned_rows[n];
             let split = below(rows, old_rows[n]).len();
-            let blocks = [RowSet::List(&rows[..split]), RowSet::List(&rows[split..])];
+            let blocks = [row_set(&rows[..split]), row_set(&rows[split..])];
             mode_grams(&init[n], &old[n], &blocks, ws.targets())?;
             ws.stage();
         }
@@ -1322,8 +1347,9 @@ fn unpack_gathered<'d>(
 }
 
 /// Splits the tensor over workers and grid cells, builds one
-/// [`MttkrpPlan`] per non-empty cell, and derives row ownership, the
-/// partial/update routing tables and the gather lists.  `old_rows[n]` is
+/// [`MttkrpPlan`] per non-empty cell (a one-cell grid's over `tensor`
+/// itself), and derives row ownership, the partial/update routing tables
+/// and the gather lists.  `old_rows[n]` is
 /// mode `n`'s row count in the history (`Ĩ_n`).
 fn build_plans(
     tensor: &SparseTensor,
@@ -1336,24 +1362,38 @@ fn build_plans(
     let mut needed: Vec<Vec<Vec<bool>>> = (0..world)
         .map(|_| tensor.shape().iter().map(|&s| vec![false; s]).collect())
         .collect();
-    // Per-cell nonzeros: each non-empty cell becomes its own sub-tensor,
-    // in ascending cell order.  The row marking rides the routing pass.
-    let cells = tensor.partition_by(|idx| {
-        for (marks, &i) in needed[grid.worker_of(idx)].iter_mut().zip(idx) {
-            marks[i as usize] = true;
-        }
-        grid.cell_of(idx)
-    });
-
-    // Lay out every populated cell, on this thread: a fine grid's cells
-    // are far too small to pay for a pool dispatch each (`fig6`, 38³
-    // cells: 35 s with one, 26 s without).
     let mut cells_by_worker: Vec<Vec<MttkrpPlan>> = (0..world).map(|_| Vec::new()).collect();
     let mut local_nnz = vec![0usize; world];
-    for (_, sub) in cells {
-        let w = grid.worker_of(sub.index(0));
-        local_nnz[w] += sub.nnz();
-        cells_by_worker[w].push(MttkrpPlan::build(&sub)?);
+    if grid.num_cells() == 1 && !tensor.is_empty() {
+        // One cell is the whole tensor: plan it in place, no routing pass
+        // and no copy; its worker references the rows the plan touches.
+        let w = grid.worker_of(tensor.index(0));
+        let plan = MttkrpPlan::build(tensor)?;
+        for (n, marks) in needed[w].iter_mut().enumerate() {
+            for &row in plan.touched_rows(n) {
+                marks[row as usize] = true;
+            }
+        }
+        local_nnz[w] = tensor.nnz();
+        cells_by_worker[w].push(plan);
+    } else {
+        // Per-cell nonzeros: each non-empty cell becomes its own
+        // sub-tensor, in ascending cell order.  The row marking rides the
+        // routing pass.
+        let cells = tensor.partition_by(|idx| {
+            for (marks, &i) in needed[grid.worker_of(idx)].iter_mut().zip(idx) {
+                marks[i as usize] = true;
+            }
+            grid.cell_of(idx)
+        });
+        // Lay out every populated cell, on this thread: a fine grid's
+        // cells are far too small to pay for a pool dispatch each
+        // (`fig6`, 38³ cells: 35 s with one, 26 s without).
+        for (_, sub) in cells {
+            let w = grid.worker_of(sub.index(0));
+            local_nnz[w] += sub.nnz();
+            cells_by_worker[w].push(MttkrpPlan::build(&sub)?);
+        }
     }
 
     // Row ownership: every row of every mode has exactly one owner.  An
@@ -2414,6 +2454,7 @@ mod tests {
                 factors: None,
                 iter_elapsed: Duration::ZERO,
                 decisions,
+                post: NumericsReport::default(),
                 metrics: None,
             })
         };

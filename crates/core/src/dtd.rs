@@ -12,17 +12,15 @@
 //! The static CP-ALS baseline falls out as the special case of zero-row
 //! previous factors: every row is "new", the `A^(1)` rule is the classic
 //! normal equation `A_n ← Â_n (⊛_{k≠n} G_k)⁻¹`, and the loss degenerates to
-//! `‖X − ⟦A⟧‖²`.  [`crate::als`] wraps exactly that.
+//! `‖X − ⟦A⟧‖²`.  [`crate::als`] wraps exactly that.  [`dtd`] runs the
+//! one Eq. 5 loop, [`crate::distributed`]'s, at world 1.
 
 use crate::config::DecompConfig;
-use crate::loss::{dtd_loss, mode_grams, GramState, LossParts, UntouchedRows};
-use dismastd_tensor::linalg::{Factorized, RowUpdate};
-use dismastd_tensor::matrix::{Matrix, RowSet};
-use dismastd_tensor::mttkrp::inner_from_mttkrp;
+use crate::distributed::{run_distributed, ClusterConfig, PlanCache};
+use dismastd_cluster::ClusterOptions;
+use dismastd_tensor::matrix::Matrix;
 use dismastd_tensor::ops::grand_sum_hadamard;
-use dismastd_tensor::{
-    KruskalTensor, MttkrpPlan, NumericsReport, Result, RobustSolver, SparseTensor, TensorError,
-};
+use dismastd_tensor::{KruskalTensor, NumericsReport, Result, SparseTensor, TensorError};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -47,8 +45,6 @@ pub(crate) fn zero_history(order: usize, rank: usize) -> Vec<Matrix> {
 
 /// Stacks the previous factors over seeded-random new rows — Alg. 1 lines
 /// 1-2 (`A^(0) ← Ã`, `A^(1) ← rand(d_n, R)`).
-///
-/// Exposed so the serial and distributed solvers initialise identically.
 ///
 /// # Errors
 /// Returns shape errors if `old_factors` exceed `new_shape` or disagree on
@@ -94,19 +90,6 @@ pub fn init_factors(
     Ok(factors)
 }
 
-/// Row ids are `u32` in the MTTKRP plan's tables and in the distributed
-/// ownership and routing tables: refuses a mode they cannot number.  Both
-/// solvers call it before anything is sized by the shape.
-pub(crate) fn check_row_ids(shape: &[usize]) -> Result<()> {
-    match shape.iter().find(|&&s| u32::try_from(s).is_err()) {
-        Some(&dim) => Err(TensorError::PlanOverflow {
-            what: "shape dimension",
-            value: dim as u64,
-        }),
-        None => Ok(()),
-    }
-}
-
 /// `‖⟦Ã⟧‖²` — a constant of the snapshot (Sec. IV-B4 "pre-computed"
 /// terms); `0` when some mode has no old rows, i.e. there is no old box.
 pub(crate) fn old_norm_sq(old_factors: &[Matrix]) -> Result<f64> {
@@ -125,6 +108,11 @@ pub(crate) fn old_norm_sq(old_factors: &[Matrix]) -> Result<f64> {
 ///   (zero-row matrices for a cold start);
 /// * the tensor shape doubles as the new snapshot shape.
 ///
+/// This is the distributed step at world 1, on the caller's thread over
+/// the borrowed complement (default [`ClusterOptions`], a call-local plan
+/// memo); kernel lanes follow `cfg.threads`, the bits do not.  Its spans
+/// and counters land in the caller's metrics registry.
+///
 /// # Errors
 /// Validates configuration and shapes — a mode longer than `u32::MAX` is
 /// refused with [`TensorError::PlanOverflow`] before anything is sized by
@@ -134,186 +122,28 @@ pub fn dtd(
     old_factors: &[Matrix],
     cfg: &DecompConfig,
 ) -> Result<DtdOutput> {
-    cfg.validate().map_err(TensorError::InvalidArgument)?;
-    let new_shape = complement.shape();
-    check_row_ids(new_shape)?;
-    let n_modes = complement.order();
-    if old_factors.len() != n_modes {
-        return Err(TensorError::ShapeMismatch {
-            op: "dtd old_factors",
-            left: vec![n_modes],
-            right: vec![old_factors.len()],
-        });
-    }
-    let old_rows: Vec<usize> = old_factors.iter().map(Matrix::rows).collect();
     // Every complement entry must lie outside the old box.
+    let old_rows: Vec<usize> = old_factors.iter().map(Matrix::rows).collect();
     debug_assert!(complement
         .iter()
         .all(|(idx, _)| SparseTensor::block_of(idx, &old_rows) != 0));
-
-    let mut factors = init_factors(old_factors, new_shape, cfg.rank, cfg.seed)?;
-    let mut state = GramState::compute(&factors, old_factors)?;
-    let old_norm_sq = old_norm_sq(old_factors)?;
-    let complement_norm_sq = complement.norm_sq();
-
-    // The complement's sorted-run plan: built once, without copying the
-    // complement, then reused by every mode of every iteration.  Call-local
-    // — every step's complement is new data.
-    let plan = {
-        let _s = dismastd_obs::span("phase/plan_build");
-        MttkrpPlan::build(complement)?
-    };
-    // Per mode, the old rows some complement nonzero references — the
-    // prefix of the plan's touched rows below `Ĩ_n` — which the loop
-    // solves, and the ones none does (`U_n`), which leave the loop: their
-    // rows follow from one `R x R` map per mode (see [`UntouchedRows`]).
-    let touched_old: Vec<&[u32]> = (0..n_modes)
-        .map(|n| {
-            let rows = plan.touched_rows(n);
-            &rows[..rows.partition_point(|&i| (i as usize) < old_rows[n])]
-        })
-        .collect();
-    let untouched: Vec<Vec<u32>> = touched_old
-        .iter()
-        .zip(&old_rows)
-        .map(|(touched, &old)| rows_missing_from(touched, old))
-        .collect();
-    let mut maps = UntouchedRows::new(old_factors, &untouched, cfg.rank)?;
-    // One Â buffer per mode for the whole call.  The kernel writes only
-    // the touched rows, so only they are re-zeroed before each use.
-    let mut hats: Vec<Matrix> = new_shape
-        .iter()
-        .map(|&rows| Matrix::zeros(rows, cfg.rank))
-        .collect();
-
-    let mu = cfg.forgetting;
-    let solver = RobustSolver::new(cfg.numerics.solver);
-    // Scratch of the solves: after the first iteration none allocates.
-    let mut fact = Factorized::default();
-    let mut numerics = NumericsReport::default();
-    let mut loss_trace = Vec::with_capacity(cfg.max_iters);
-    let mut iterations = 0;
-    for _iter in 0..cfg.max_iters {
-        let mut final_inner = 0.0;
-        for n in 0..n_modes {
-            // MTTKRP over the complement — the bottleneck operator.
-            {
-                let _s = dismastd_obs::span("phase/mttkrp");
-                for &row in plan.touched_rows(n) {
-                    hats[n].row_mut(row as usize).fill(0.0);
-                }
-                plan.mttkrp_into(&factors, n, &mut hats[n])?;
-            }
-            let hat = &hats[n];
-
-            let old_n = old_rows[n];
-            {
-                let _s = dismastd_obs::span("phase/solve");
-                // Denominators and ⊛G̃ (Eq. 5), then both row blocks solved
-                // straight from Â into the factor:
-                // A_n^(0) = (μ Ã_n (⊛_{k≠n} G̃_k) + Â^(0)) · D0⁻¹ over the
-                // touched old rows, and M_n = μ (⊛_{k≠n} G̃_k) · D0⁻¹ for the
-                // untouched ones under the same decision;
-                // A_n^(1) = Â^(1) · D1⁻¹.
-                state.prepare_mode(n, mu)?;
-                if old_n > 0 {
-                    let job = RowUpdate {
-                        rhs: hat,
-                        history: Some((mu, &old_factors[n], &state.cross_had)),
-                        rows: RowSet::List(touched_old[n]),
-                    };
-                    let (map, m) = maps.map_job(n, mu, &state.cross_had);
-                    let jobs = &mut [(job, &mut factors[n]), (map, m)];
-                    solver.solve_rows(&state.d0, jobs, &mut fact, &mut numerics)?;
-                }
-                if hat.rows() > old_n {
-                    let job = RowUpdate {
-                        rhs: hat,
-                        history: None,
-                        rows: RowSet::Range(old_n..hat.rows()),
-                    };
-                    let jobs = &mut [(job, &mut factors[n])];
-                    solver.solve_rows(&state.d1, jobs, &mut fact, &mut numerics)?;
-                }
-            }
-
-            {
-                let _s = dismastd_obs::span("phase/gram");
-                // Refresh the cached products for mode n (Sec. IV-B3): the
-                // touched old rows and the new rows summed, the untouched
-                // rows' share added in closed form.
-                let blocks = [
-                    RowSet::List(touched_old[n]),
-                    RowSet::Range(old_n..factors[n].rows()),
-                ];
-                mode_grams(&factors[n], &old_factors[n], &blocks, state.targets(n))?;
-                maps.add_grams(n, state.targets(n));
-                state.retotal(n);
-            }
-
-            if n == n_modes - 1 {
-                // Reuse Â for ⟨X\X̃, ⟦A⟧⟩ (Eq. 7): all other factors are at
-                // their final values for this iteration, and mode n was just
-                // updated from this very Â.
-                let _s = dismastd_obs::span("phase/loss");
-                final_inner = inner_from_mttkrp(hat, &factors[n])?;
-            }
-        }
-        iterations += 1;
-        let loss = {
-            let _s = dismastd_obs::span("phase/loss");
-            dtd_loss(
-                &state,
-                &LossParts {
-                    mu,
-                    old_norm_sq,
-                    complement_norm_sq,
-                    inner: final_inner,
-                },
-            )?
-        };
-        loss_trace.push(loss);
-        if converged(&loss_trace, cfg.tolerance) {
-            break;
-        }
+    let out = run_distributed(
+        complement,
+        old_factors,
+        cfg,
+        &ClusterConfig::new(1),
+        &ClusterOptions::default(),
+        &mut PlanCache::default(),
+    )?;
+    if let Some(metrics) = &out.metrics {
+        dismastd_obs::absorb(metrics);
     }
-
-    // The untouched rows, once, from each mode's last map; label = mode.
-    for (n, rows) in untouched.iter().enumerate() {
-        maps.write_rows(n, &mut factors[n], &old_factors[n], rows);
-        if !rows.is_empty() {
-            dismastd_obs::counter_add_with("solve/untouched_rows", n as u64, rows.len() as u64);
-        }
-    }
-
-    // Label 0/1/2 = cholesky/lu/ridge: which tiers the solves escalated
-    // through, visible per step without digging into NumericsReport.
-    if numerics.cholesky_solves > 0 {
-        dismastd_obs::counter_add_with("solve/tier", 0, numerics.cholesky_solves);
-    }
-    if numerics.lu_solves > 0 {
-        dismastd_obs::counter_add_with("solve/tier", 1, numerics.lu_solves);
-    }
-    if numerics.ridge_solves > 0 {
-        dismastd_obs::counter_add_with("solve/tier", 2, numerics.ridge_solves);
-    }
-
     Ok(DtdOutput {
-        kruskal: KruskalTensor::new(factors)?,
-        iterations,
-        loss_trace,
-        numerics,
+        kruskal: out.kruskal,
+        iterations: out.iterations,
+        loss_trace: out.loss_trace,
+        numerics: out.numerics,
     })
-}
-
-/// The rows of `0..end` missing from the strictly increasing `present`.
-fn rows_missing_from(present: &[u32], end: usize) -> Vec<u32> {
-    let mut present = present.iter().peekable();
-    (0..end)
-        // lint:allow(narrowing_cast): `end` is a mode length, which `check_row_ids` bounded by u32
-        .map(|i| i as u32)
-        .filter(|i| present.next_if_eq(&i).is_none())
-        .collect()
 }
 
 /// "Fit ceases to improve" test (Alg. 1 line 7): relative improvement of the
@@ -331,8 +161,10 @@ pub(crate) fn converged(trace: &[f64], tol: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::naive_dtd_loss;
-    use dismastd_tensor::SparseTensorBuilder;
+    use crate::loss::{dtd_loss, mode_grams, naive_dtd_loss, GramState, LossParts, UntouchedRows};
+    use dismastd_tensor::linalg::{Factorized, RowUpdate};
+    use dismastd_tensor::matrix::{dot, RowSet};
+    use dismastd_tensor::{RobustSolver, SparseTensorBuilder};
     use rand::Rng;
 
     fn cfg(rank: usize) -> DecompConfig {
@@ -549,24 +381,29 @@ mod tests {
         assert!(!out.numerics.escalated());
     }
 
-    #[test]
-    fn post_solve_escalation_resolves_from_the_untouched_mttkrp() {
-        // Mode 1 does not grow and its old factor is ~1e-120, so mode 0's
-        // new-row denominator D1 = G¹ is ~1e-240: perfectly conditioned,
-        // accepted by Cholesky — and Â/D1 ~ 1e190·1e-120/1e-240 overflows.
-        // The solve must notice, keep Â, and redo the block under a ridge.
-        let rank = 2;
+    /// Mode 1 does not grow and its old factor is ~1e-120, so mode 0's
+    /// new-row denominator D1 = G¹ is ~1e-240: perfectly conditioned,
+    /// accepted by Cholesky — and Â/D1 ~ 1e190·1e-120/1e-240 overflows.
+    fn overflowing_step() -> (SparseTensor, Vec<Matrix>) {
         let mut rng = ChaCha8Rng::seed_from_u64(31);
-        let mut tiny = Matrix::random(4, rank, &mut rng);
+        let mut tiny = Matrix::random(4, 2, &mut rng);
         tiny.scale_assign(1e-120);
-        let old = vec![Matrix::random(3, rank, &mut rng), tiny];
+        let old = vec![Matrix::random(3, 2, &mut rng), tiny];
         let mut b = SparseTensorBuilder::new(vec![6, 4]);
         for i in 3..6 {
             for j in 0..4 {
                 b.push(&[i, j], 1e190 * rng.gen_range(0.5..1.5)).unwrap();
             }
         }
-        let x = b.build().unwrap();
+        (b.build().unwrap(), old)
+    }
+
+    #[test]
+    fn post_solve_escalation_resolves_from_the_untouched_mttkrp() {
+        // The solve must notice the overflow, keep Â, and redo the block
+        // under a ridge.
+        let rank = 2;
+        let (x, old) = overflowing_step();
         let cfg = cfg(rank).with_max_iters(1);
         let out = dtd(&x, &old, &cfg).unwrap();
         assert_eq!(out.numerics.post_escalations, 1, "{:?}", out.numerics);
@@ -587,6 +424,27 @@ mod tests {
         }
     }
 
+    #[test]
+    fn every_world_recovers_the_overflowing_step_in_the_step() {
+        // The rank owning an overflowing row re-solves its share under the
+        // ridge ladder, as world 1 does for every row.
+        let (x, old) = overflowing_step();
+        let cfg = cfg(2).with_max_iters(1);
+        for world in 1..=3 {
+            let cluster = crate::distributed::ClusterConfig::new(world);
+            let out = crate::distributed::dismastd(&x, &old, &cfg, &cluster).unwrap();
+            let numerics = out.numerics;
+            assert!(
+                numerics.post_escalations >= 1,
+                "world {world}: {numerics:?}"
+            );
+            assert_eq!(numerics.max_lambda, 1e-10, "world {world}");
+            for f in out.kruskal.factors() {
+                assert!(f.as_slice().iter().all(|v| v.is_finite()), "world {world}");
+            }
+        }
+    }
+
     /// Everything a caller can observe of a run, as bits.
     fn observable(out: &DtdOutput) -> (Vec<Vec<u64>>, Vec<u64>, usize, NumericsReport) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -600,6 +458,29 @@ mod tests {
             out.iterations,
             out.numerics,
         )
+    }
+
+    /// `⟨X \ X̃, ⟦A⟧⟩` from the last mode's `Â` (Eq. 7) as the step sums
+    /// it: one `dot` per solved row, `rows` in ascending order.
+    fn inner_over(hat: &Matrix, factor: &Matrix, rows: impl Iterator<Item = usize>) -> f64 {
+        rows.map(|row| dot(hat.row(row), factor.row(row))).sum()
+    }
+
+    /// One Eq. 5 block through the escalation ladder: decide, record, solve
+    /// every batch under the decision.
+    fn solve_block(
+        cfg: &DecompConfig,
+        d: &Matrix,
+        jobs: &mut [(RowUpdate<'_>, &mut Matrix)],
+        fact: &mut Factorized,
+        numerics: &mut NumericsReport,
+    ) {
+        let solver = RobustSolver::new(cfg.numerics.solver);
+        let decision = solver.decide(d, fact).unwrap();
+        numerics.record(&decision);
+        assert!(solver
+            .solve_rows(d, &decision, jobs, fact, numerics)
+            .unwrap());
     }
 
     /// Alg. 1 as [`dtd`] runs it, with the one difference under test: every
@@ -618,7 +499,6 @@ mod tests {
             })
             .unzip();
         let mut maps = UntouchedRows::new(old, &untouched, cfg.rank).unwrap();
-        let solver = RobustSolver::new(cfg.numerics.solver);
         let mut fact = Factorized::default();
         let mut numerics = NumericsReport::default();
         let old_norm_sq = old_norm_sq(old).unwrap();
@@ -637,9 +517,7 @@ mod tests {
                     };
                     let (map, m) = maps.map_job(n, mu, &state.cross_had);
                     let jobs = &mut [(job, &mut factors[n]), (map, m)];
-                    solver
-                        .solve_rows(&state.d0, jobs, &mut fact, &mut numerics)
-                        .unwrap();
+                    solve_block(cfg, &state.d0, jobs, &mut fact, &mut numerics);
                 }
                 if hat.rows() > old_n {
                     let job = RowUpdate {
@@ -647,21 +525,16 @@ mod tests {
                         history: None,
                         rows: RowSet::Range(old_n..hat.rows()),
                     };
-                    solver
-                        .solve_rows(
-                            &state.d1,
-                            &mut [(job, &mut factors[n])],
-                            &mut fact,
-                            &mut numerics,
-                        )
-                        .unwrap();
+                    let jobs = &mut [(job, &mut factors[n])];
+                    solve_block(cfg, &state.d1, jobs, &mut fact, &mut numerics);
                 }
                 let blocks = [RowSet::List(&touched[n]), RowSet::Range(old_n..hat.rows())];
                 mode_grams(&factors[n], &old[n], &blocks, state.targets(n)).unwrap();
                 maps.add_grams(n, state.targets(n));
                 state.retotal(n);
                 if n == x.order() - 1 {
-                    inner = inner_from_mttkrp(&hat, &factors[n]).unwrap();
+                    let solved = touched[n].iter().map(|&i| i as usize);
+                    inner = inner_over(&hat, &factors[n], solved.chain(old_n..hat.rows()));
                 }
             }
             let parts = LossParts {
@@ -694,7 +567,6 @@ mod tests {
         let mu = cfg.forgetting;
         let mut factors = init_factors(old, x.shape(), cfg.rank, cfg.seed).unwrap();
         let mut state = GramState::compute(&factors, old).unwrap();
-        let solver = RobustSolver::new(cfg.numerics.solver);
         let mut fact = Factorized::default();
         let mut numerics = NumericsReport::default();
         let old_norm_sq = old_norm_sq(old).unwrap();
@@ -718,13 +590,12 @@ mod tests {
                         history,
                         rows: RowSet::Range(rows),
                     };
-                    solver
-                        .solve_rows(d, &mut [(job, &mut factors[n])], &mut fact, &mut numerics)
-                        .unwrap();
+                    let jobs = &mut [(job, &mut factors[n])];
+                    solve_block(cfg, d, jobs, &mut fact, &mut numerics);
                 }
                 state.refresh(n, &factors[n], &old[n]).unwrap();
                 if n == x.order() - 1 {
-                    inner = inner_from_mttkrp(&hat, &factors[n]).unwrap();
+                    inner = inner_over(&hat, &factors[n], 0..hat.rows());
                 }
             }
             let parts = LossParts {

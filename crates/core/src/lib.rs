@@ -11,10 +11,12 @@
 //!   CP factors back; cold-starts with [`als::cp_als`] and warm-updates with
 //!   [`dtd::dtd`] (serial) or [`distributed::dismastd`] (simulated cluster);
 //! * [`dtd()`](crate::dtd::dtd) — the Dynamic Tensor Decomposition of Alg. 1 with the
-//!   Eq. 5 block update rules, for arbitrary tensor order;
+//!   Eq. 5 block update rules, for arbitrary tensor order: the distributed
+//!   step at world 1, on the caller's thread;
 //! * [`distributed`] — the distributed engine of Sec. IV-B (per-mode MTTKRP
-//!   partials, row routing, cached `R x R` products, all-reduce, loss reuse)
-//!   plus the DMS-MG static baseline;
+//!   partials, row routing, cached `R x R` products, Gram reductions riding
+//!   the row exchanges, loss reuse) — the one ALS loop — plus the DMS-MG
+//!   static baseline;
 //! * [`loss`] — the Eq. 4 objective assembled from maintained intermediates
 //!   (Sec. IV-B4) and its brute-force oracle.
 //!

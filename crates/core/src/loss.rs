@@ -40,9 +40,8 @@ pub struct GramState {
 }
 
 impl GramState {
-    /// All-zero state for `order` modes of rank `rank`: what reduced
-    /// partials are unpacked into — by [`GramState::compute`], and by the
-    /// distributed driver's set-up fold.
+    /// All-zero state for `order` modes of rank `rank`: what the step's
+    /// set-up fold unpacks its reduced partials into.
     pub(crate) fn zeros(order: usize, rank: usize) -> Self {
         let square = Matrix::zeros(rank, rank);
         GramState {
@@ -54,35 +53,6 @@ impl GramState {
             d1: square.clone(),
             cross_had: square,
         }
-    }
-
-    /// Initialises the state from the stacked factors and the previous
-    /// snapshot's factors, whose row counts split each mode into its
-    /// old-row and new-row blocks.
-    pub fn compute(factors: &[Matrix], old_factors: &[Matrix]) -> Result<Self> {
-        let rank = factors.first().map_or(0, Matrix::cols);
-        let mut state = GramState::zeros(factors.len(), rank);
-        for (n, (f, old)) in factors.iter().zip(old_factors).enumerate() {
-            state.refresh(n, f, old)?;
-        }
-        Ok(state)
-    }
-
-    /// Rebuilds mode `n`'s products from its just-updated factor
-    /// (Sec. IV-B3): [`mode_grams`] over the old-row and new-row blocks.
-    pub(crate) fn refresh(&mut self, n: usize, factor: &Matrix, old: &Matrix) -> Result<()> {
-        let blocks = [
-            RowSet::Range(0..old.rows()),
-            RowSet::Range(old.rows()..factor.rows()),
-        ];
-        mode_grams(factor, old, &blocks, self.targets(n))?;
-        self.retotal(n);
-        Ok(())
-    }
-
-    /// Mode `n`'s `(G⁰, G¹, G̃)`, in [`mode_grams`]' order.
-    pub(crate) fn targets(&mut self, n: usize) -> [&mut Matrix; 3] {
-        [&mut self.gram0[n], &mut self.gram1[n], &mut self.cross[n]]
     }
 
     /// Re-sums `G_n^0 + G_n^1` after either changed.
@@ -110,8 +80,8 @@ impl GramState {
 }
 
 /// One mode's `(G⁰, G¹, G̃)` summed over its old-row and new-row `blocks`
-/// — all of them in the serial solver, a rank's owned share before its
-/// reduction — each product in its own pass over the rows it covers.
+/// — a rank's owned share before its reduction — each product in its own
+/// pass over the rows it covers.
 pub(crate) fn mode_grams(
     factor: &Matrix,
     old: &Matrix,
@@ -338,6 +308,40 @@ pub fn naive_dtd_loss(
         l0 += d * d;
     }
     Ok(l_old + l0)
+}
+
+/// The textbook Gram products, every row of every mode summed at once:
+/// the reference the tests' oracles build the state from.
+#[cfg(test)]
+impl GramState {
+    /// Mode `n`'s `(G⁰, G¹, G̃)`, in [`mode_grams`]' order.
+    pub(crate) fn targets(&mut self, n: usize) -> [&mut Matrix; 3] {
+        [&mut self.gram0[n], &mut self.gram1[n], &mut self.cross[n]]
+    }
+
+    /// Initialises the state from the stacked factors and the previous
+    /// snapshot's factors, whose row counts split each mode into its
+    /// old-row and new-row blocks.
+    pub(crate) fn compute(factors: &[Matrix], old_factors: &[Matrix]) -> Result<Self> {
+        let rank = factors.first().map_or(0, Matrix::cols);
+        let mut state = GramState::zeros(factors.len(), rank);
+        for (n, (f, old)) in factors.iter().zip(old_factors).enumerate() {
+            state.refresh(n, f, old)?;
+        }
+        Ok(state)
+    }
+
+    /// Rebuilds mode `n`'s products from its just-updated factor
+    /// (Sec. IV-B3): [`mode_grams`] over the old-row and new-row blocks.
+    pub(crate) fn refresh(&mut self, n: usize, factor: &Matrix, old: &Matrix) -> Result<()> {
+        let blocks = [
+            RowSet::Range(0..old.rows()),
+            RowSet::Range(old.rows()..factor.rows()),
+        ];
+        mode_grams(factor, old, &blocks, self.targets(n))?;
+        self.retotal(n);
+        Ok(())
+    }
 }
 
 #[cfg(test)]

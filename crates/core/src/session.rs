@@ -42,7 +42,9 @@ use std::time::{Duration, Instant};
 /// Where the per-snapshot decomposition executes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ExecutionMode {
-    /// Single-threaded in-process solver.
+    /// In-process: [`crate::dtd::dtd`], the distributed step at world 1 on
+    /// the caller's thread.  Kernel lanes follow `cfg.threads`; the factor
+    /// bits do not.
     Serial,
     /// Simulated cluster with the given configuration.
     Distributed(ClusterConfig),

@@ -177,10 +177,15 @@ impl GridPartition {
             )));
         }
         // Per-mode slice partitions (Algorithms 2-3 applied mode by mode).
+        // Either heuristic puts every slice of a one-part mode in part 0,
+        // so such a mode needs no slice histogram.
         let mut mode_partitions = Vec::with_capacity(tensor.order());
         for (mode, &p) in parts_per_mode.iter().enumerate() {
-            let hist = tensor.slice_nnz(mode)?;
-            mode_partitions.push(partitioner.partition(&hist, p));
+            mode_partitions.push(if p <= 1 {
+                ModePartition::trivial(tensor.shape()[mode])
+            } else {
+                partitioner.partition(&tensor.slice_nnz(mode)?, p)
+            });
         }
         Self::from_mode_partitions(tensor, mode_partitions, num_workers, assignment)
     }
@@ -235,15 +240,18 @@ impl GridPartition {
 
         // Factor-row ownership, from one scan of the nonzeros:
         // `held[mode][row · M + w]` counts the row's nonzeros on worker `w`.
+        // A lone worker owns every row, so it skips the scan.
         let mut held: Vec<Vec<u64>> = tensor
             .shape()
             .iter()
             .map(|&rows| vec![0u64; rows * num_workers])
             .collect();
-        for (idx, _) in tensor.iter() {
-            let w = cell_workers[cell_id(idx, &mode_partitions, &strides)] as usize;
-            for (counts, &i) in held.iter_mut().zip(idx) {
-                counts[i as usize * num_workers + w] += 1;
+        if num_workers > 1 {
+            for (idx, _) in tensor.iter() {
+                let w = cell_workers[cell_id(idx, &mode_partitions, &strides)] as usize;
+                for (counts, &i) in held.iter_mut().zip(idx) {
+                    counts[i as usize * num_workers + w] += 1;
+                }
             }
         }
         let row_owners = held

@@ -221,28 +221,37 @@ impl MttkrpPlan {
         let km = order - 1;
         let mp = &self.modes[mode];
         let n_chunks = (pool.threads() * CHUNKS_PER_THREAD).min(n_runs);
-        let bounds = chunk_runs(mp, n_chunks);
         let stride = out.cols();
         let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
+        // The dynamic body's scratch for every chunk, in the two allocations
+        // a single-lane call makes: chunk `c` owns the `c`-th `R` lanes of
+        // each.  A fixed body needs none.
+        let dynamic = !has_fixed_body(r, km);
+        let lanes = if dynamic { r * n_chunks } else { 0 };
+        // lint:allow(alloc_hygiene): one bounded scratch pair per kernel call, shared by its chunks
+        let (mut accs, mut prods) = (vec![0.0; lanes], vec![0.0; lanes]);
+        let (accs, prods) = (SendPtr(accs.as_mut_ptr()), SendPtr(prods.as_mut_ptr()));
         pool.run(n_chunks, &|c| {
-            let ptr = out_ptr;
-            accumulate_runs(
-                mp,
-                factors,
-                mode,
-                km,
-                r,
-                bounds[c]..bounds[c + 1],
-                |row, acc| {
-                    // Safety: runs are row-disjoint and chunks partition the
-                    // run list, so no two chunks touch the same output row;
-                    // `row < out.rows()` is guaranteed by `check_factors`.
-                    let dst = unsafe { std::slice::from_raw_parts_mut(ptr.0.add(row * stride), r) };
-                    for (d, &a) in dst.iter_mut().zip(acc) {
-                        *d += a;
-                    }
-                },
-            );
+            let (out_ptr, accs, prods) = (out_ptr, accs, prods);
+            let runs = chunk_bound(mp, n_chunks, c)..chunk_bound(mp, n_chunks, c + 1);
+            let write = |row: usize, acc: &[f64]| {
+                // Safety: runs are row-disjoint and chunks partition the
+                // run list, so no two chunks touch the same output row;
+                // `row < out.rows()` is guaranteed by `check_factors`.
+                let dst = unsafe { std::slice::from_raw_parts_mut(out_ptr.0.add(row * stride), r) };
+                for (d, &a) in dst.iter_mut().zip(acc) {
+                    *d += a;
+                }
+            };
+            if dynamic {
+                // Safety: both buffers hold `r · n_chunks` lanes and outlive
+                // `pool.run`; `c < n_chunks`, and chunk `c` alone touches
+                // lanes `c·r .. (c+1)·r` of each.
+                let own = |p: SendPtr| unsafe { std::slice::from_raw_parts_mut(p.0.add(c * r), r) };
+                accumulate_runs_dyn(mp, factors, mode, runs, own(accs), own(prods), write);
+            } else {
+                accumulate_runs(mp, factors, mode, km, r, runs, write);
+            }
         });
         Ok(())
     }
@@ -288,9 +297,10 @@ impl MttkrpPlan {
 /// work stealing, few enough that chunk overhead stays negligible.
 const CHUNKS_PER_THREAD: usize = 4;
 
-/// Raw output pointer for the pooled kernel.  Chunks write disjoint rows
-/// (runs are row-disjoint and chunks partition the run list), so sharing
-/// the pointer across pool threads is race-free.
+/// Raw pointer into a buffer the pooled kernel's chunks share: the output
+/// (chunks write disjoint rows — runs are row-disjoint and chunks
+/// partition the run list) or the dynamic body's per-chunk scratch, so
+/// sharing it across pool threads is race-free.
 #[derive(Clone, Copy)]
 struct SendPtr(*mut f64);
 
@@ -344,8 +354,32 @@ fn accumulate_runs(
         r,
         km,
         accumulate_runs_fixed(mp, factors, mode, runs, &mut write),
-        else accumulate_runs_dyn(mp, factors, mode, km, r, runs, &mut write)
+        else dyn_with_own_scratch(mp, factors, mode, r, runs, &mut write)
     );
+}
+
+/// Whether [`for_fixed_lanes!`] dispatches rank `r` over `km` off-mode
+/// factors to a fixed-width body.
+fn has_fixed_body(r: usize, km: usize) -> bool {
+    fn fixed<const R: usize, const K: usize>() -> bool {
+        true
+    }
+    for_fixed_lanes!(r, km, fixed(), else false)
+}
+
+/// [`accumulate_runs_dyn`] with its bounded scratch pair allocated for
+/// this call and reused across every run.
+fn dyn_with_own_scratch(
+    mp: &ModePlan,
+    factors: &[Matrix],
+    mode: usize,
+    r: usize,
+    runs: Range<usize>,
+    write: impl FnMut(usize, &[f64]),
+) {
+    // lint:allow(alloc_hygiene): one bounded scratch pair per kernel call, amortised over all runs
+    let (mut acc, mut prod) = (vec![0.0f64; r], vec![0.0f64; r]);
+    accumulate_runs_dyn(mp, factors, mode, runs, &mut acc, &mut prod, write);
 }
 
 /// Off-mode factor `j` in ascending mode order, skipping `mode` — indexed
@@ -373,7 +407,7 @@ fn accumulate_runs_fixed<const R: usize, const K: usize>(
             // A factor row that is not `R` wide.  `check_factors` rules it
             // out; the dynamic body handles any width, so hand it the run
             // rather than carry a panic path.
-            None => accumulate_runs_dyn(mp, factors, mode, K, R, run..run + 1, write),
+            None => dyn_with_own_scratch(mp, factors, mode, R, run..run + 1, &mut *write),
         }
     }
 }
@@ -400,23 +434,19 @@ fn run_total<const R: usize, const K: usize>(
 }
 
 /// Dynamic body: the fallback for every rank and order outside the
-/// dispatch set.
+/// dispatch set, summing a run's `R` lanes in `acc` and, past three
+/// off-mode factors, an entry's lane products in `prod`.
 fn accumulate_runs_dyn(
     mp: &ModePlan,
     factors: &[Matrix],
     mode: usize,
-    km: usize,
-    r: usize,
     runs: Range<usize>,
-    write: &mut impl FnMut(usize, &[f64]),
+    acc: &mut [f64],
+    prod: &mut [f64],
+    mut write: impl FnMut(usize, &[f64]),
 ) {
     let off = |j: usize| off_mode(factors, mode, j);
-    // Bounded per-call scratch (R lanes + N-1 row borrows), reused across
-    // every run this call handles.
-    // lint:allow(alloc_hygiene): one bounded scratch pair per kernel call, amortised over all runs
-    let mut acc = vec![0.0f64; r];
-    // lint:allow(alloc_hygiene): one bounded scratch pair per kernel call, amortised over all runs
-    let mut rows_scratch: Vec<&[f64]> = Vec::with_capacity(km);
+    let km = factors.len() - 1;
     for run in runs {
         let lo = mp.run_ptr[run] as usize;
         let hi = mp.run_ptr[run + 1] as usize;
@@ -457,44 +487,36 @@ fn accumulate_runs_dyn(
             }
             _ => {
                 for e in lo..hi {
-                    let v = mp.vals[e];
-                    rows_scratch.clear();
+                    prod.fill(mp.vals[e]);
                     for (j, &col) in mp.cols[e * km..e * km + km].iter().enumerate() {
-                        rows_scratch.push(off(j).row(col as usize));
-                    }
-                    for (c, s) in acc.iter_mut().enumerate() {
-                        let mut p = v;
-                        for row in &rows_scratch {
-                            p *= row[c];
+                        for (p, &a) in prod.iter_mut().zip(off(j).row(col as usize)) {
+                            *p *= a;
                         }
+                    }
+                    for (s, &p) in acc.iter_mut().zip(&*prod) {
                         *s += p;
                     }
                 }
             }
         }
-        write(mp.rows[run] as usize, &acc);
+        write(mp.rows[run] as usize, acc);
     }
 }
 
-/// Entry-balanced chunk boundaries over the run list: boundary `c` lands
-/// at the first run whose end passes entry `c·nnz/n_chunks`, so a few
-/// heavy runs do not pile into one chunk.  Purely a function of the
-/// layout — the same boundaries for every pool size and execution order.
-fn chunk_runs(mp: &ModePlan, n_chunks: usize) -> Vec<usize> {
+/// Entry-balanced chunk boundary `c` of `n_chunks` over the run list: the
+/// first run whose end passes entry `c·nnz/n_chunks`, so a few heavy runs
+/// do not pile into one chunk (boundary `0` is run 0, boundary `n_chunks`
+/// the end).  Purely a function of the layout — the same boundaries for
+/// every pool size and execution order — and non-decreasing in `c`.
+fn chunk_bound(mp: &ModePlan, n_chunks: usize, c: usize) -> usize {
     let n_runs = mp.rows.len();
-    let total = u64::from(mp.run_ptr[n_runs]);
-    // lint:allow(alloc_hygiene): O(chunks) boundary table, one per pooled call
-    let mut bounds = Vec::with_capacity(n_chunks + 1);
-    bounds.push(0usize);
-    for c in 1..n_chunks {
-        // lint:allow(narrowing_cast): `c < n_chunks`, so the quotient is below `total`, itself a u32
-        let target = (total * c as u64 / n_chunks as u64) as u32;
-        let pos = mp.run_ptr[1..=n_runs].partition_point(|&p| p <= target);
-        let prev = bounds[c - 1];
-        bounds.push(pos.max(prev).min(n_runs));
+    if c == 0 || c >= n_chunks {
+        return if c == 0 { 0 } else { n_runs };
     }
-    bounds.push(n_runs);
-    bounds
+    let total = u64::from(mp.run_ptr[n_runs]);
+    // lint:allow(narrowing_cast): `c < n_chunks`, so the quotient is below `total`, itself a u32
+    let target = (total * c as u64 / n_chunks as u64) as u32;
+    mp.run_ptr[1..=n_runs].partition_point(|&p| p <= target)
 }
 
 /// Rows per entry above which a mode is ordered by comparison sort: the
@@ -929,14 +951,13 @@ mod proptests {
 
                 let mp = &plan.modes[mode];
                 let mut dynamic = Matrix::zeros(factors[mode].rows(), rank);
-                accumulate_runs_dyn(
+                dyn_with_own_scratch(
                     mp,
                     &factors,
                     mode,
-                    p.shape.len() - 1,
                     rank,
                     0..mp.rows.len(),
-                    &mut |row, acc| dynamic.row_mut(row).copy_from_slice(acc),
+                    |row, acc| dynamic.row_mut(row).copy_from_slice(acc),
                 );
                 prop_assert_eq!(&bits(&dynamic), &naive, "dynamic body, rank={}", rank);
 

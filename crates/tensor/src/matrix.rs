@@ -411,9 +411,9 @@ impl Matrix {
 /// The rows of a factor matrix a batched kernel visits, in visiting order.
 #[derive(Debug, Clone)]
 pub enum RowSet<'a> {
-    /// A contiguous block — the serial solver's old-row / new-row blocks.
+    /// A contiguous block, walked as one slice.
     Range(Range<usize>),
-    /// An explicit list — the rows a distributed worker owns.
+    /// An explicit list, ascending in the step's use: rows a rank owns.
     List(&'a [u32]),
 }
 

@@ -246,13 +246,12 @@ impl RobustSolver {
         Ok(())
     }
 
-    /// Solves `X · M = B` row-wise through the escalation ladder, recording
-    /// the fired tier in `report`: [`RobustSolver::solve_rows`] over all of
-    /// `b` into a fresh matrix.
+    /// Solves `X · M = B` row-wise through the escalation ladder into a
+    /// fresh matrix, recording the fired tiers in `report`.
     ///
     /// # Errors
     /// Shape mismatch between `B` and `M`, a non-finite entry inside `M`,
-    /// or total factorisation failure.
+    /// or a ridge ladder that runs out.
     pub fn solve_right(
         &self,
         b: &Matrix,
@@ -261,35 +260,45 @@ impl RobustSolver {
     ) -> Result<Matrix> {
         let mut out = Matrix::zeros(b.rows(), b.cols());
         let mut fact = Factorized::default();
-        self.solve_rows(m, &mut [(all_rows(b), &mut out)], &mut fact, report)?;
-        Ok(out)
+        let decision = self.decide(m, &mut fact)?;
+        report.record(&decision);
+        if self.solve_rows(
+            m,
+            &decision,
+            &mut [(all_rows(b), &mut out)],
+            &mut fact,
+            report,
+        )? {
+            return Ok(out);
+        }
+        Err(TensorError::Singular {
+            solver: "robust-post-escalation",
+        })
     }
 
     /// Runs batches of row updates against `m` (see [`RowUpdate`]), each
-    /// into its own output, through the escalation ladder under one
-    /// decision, recording the fired tier in `report` once.  `fact` is
-    /// scratch: the factorisations are built in its buffers, so a caller
-    /// that keeps it allocates nothing here.
+    /// into its own output, under `decision` — the caller's recorded
+    /// [`RobustSolver::decide`] over `m`, whose factorisation `fact` holds
+    /// (kept scratch: a caller that keeps it allocates nothing here).
     ///
-    /// If the chosen tier writes any non-finite value in any batch, every
-    /// batch is solved again — from its `rhs`, which no solve modifies —
-    /// with a forced ridge escalation (recorded as a `post_escalation`).
+    /// If any batch comes back non-finite, every batch is solved again —
+    /// from its `rhs`, which no solve modifies — under a forced ridge
+    /// escalation, recorded in `report`.  Returns whether every value
+    /// written is finite: `false` once the ladder runs out, which only a
+    /// non-finite right-hand side makes it do.
     ///
     /// # Errors
-    /// Those of [`Factorized::solve_rows`], a non-finite entry inside `m`,
-    /// or total factorisation failure.
+    /// Those of [`Factorized::solve_rows`].
     pub fn solve_rows(
         &self,
         m: &Matrix,
+        decision: &SolveDecision,
         jobs: &mut [(RowUpdate<'_>, &mut Matrix)],
         fact: &mut Factorized,
         report: &mut NumericsReport,
-    ) -> Result<()> {
-        let decision = self.decide(m, fact)?;
-        let finite = solve_all(fact, jobs)?;
-        report.record(&decision);
-        if finite {
-            return Ok(());
+    ) -> Result<bool> {
+        if solve_all(fact, jobs)? {
+            return Ok(true);
         }
         // Post-solve escalation: the accepted tier still produced NaN/Inf
         // (catastrophic cancellation past what the estimate saw).  Force the
@@ -308,13 +317,11 @@ impl RobustSolver {
             };
             if self.factorize(m, &decision, fact).is_ok() && solve_all(fact, jobs)? {
                 report.record(&decision);
-                return Ok(());
+                return Ok(true);
             }
             lambda *= self.policy.ridge_growth;
         }
-        Err(TensorError::Singular {
-            solver: "robust-post-escalation",
-        })
+        Ok(false)
     }
 }
 
@@ -351,6 +358,18 @@ mod tests {
 
     fn solver() -> RobustSolver {
         RobustSolver::new(SolvePolicy::default())
+    }
+
+    /// The whole ladder over `jobs`: decide, record, solve.
+    fn ladder(
+        m: &Matrix,
+        jobs: &mut [(RowUpdate<'_>, &mut Matrix)],
+        fact: &mut Factorized,
+        report: &mut NumericsReport,
+    ) -> Result<bool> {
+        let decision = solver().decide(m, fact)?;
+        report.record(&decision);
+        solver().solve_rows(m, &decision, jobs, fact, report)
     }
 
     fn spd3() -> Matrix {
@@ -478,9 +497,7 @@ mod tests {
         let mut out = Matrix::from_fn(3, 2, |_, _| 7.0);
         let mut fact = Factorized::default();
         let mut report = NumericsReport::default();
-        solver()
-            .solve_rows(&m, &mut [(job, &mut out)], &mut fact, &mut report)
-            .unwrap();
+        assert!(ladder(&m, &mut [(job, &mut out)], &mut fact, &mut report).unwrap());
         assert_eq!(rhs, before);
         assert_eq!(
             (
@@ -513,14 +530,8 @@ mod tests {
         );
         let (mut a, mut b) = (Matrix::zeros(1, 2), Matrix::zeros(1, 2));
         let mut report = NumericsReport::default();
-        solver()
-            .solve_rows(
-                &m,
-                &mut [(all_rows(&calm), &mut a), (all_rows(&wild), &mut b)],
-                &mut Factorized::default(),
-                &mut report,
-            )
-            .unwrap();
+        let jobs = &mut [(all_rows(&calm), &mut a), (all_rows(&wild), &mut b)];
+        assert!(ladder(&m, jobs, &mut Factorized::default(), &mut report).unwrap());
         assert_eq!(
             (report.ridge_solves, report.post_escalations),
             (1, 1),

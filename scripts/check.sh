@@ -19,9 +19,11 @@ echo "==> retired communication-policy, membership and fault names stay gone"
 # size-picking allreduce algorithm whose owner maps the Gram reductions
 # once imitated, one per buffer length.  The fifth: crashes are armed only
 # in FaultPlan; aborts carry the error value (and the unused gauge
-# instrument and index payload went with them).  Test fixtures that must
-# spell an old checkpoint's fields live in .json files, outside this search.
-if grep -rnE '\b(CommPolicy|downcast_f32|maybe_compress|WireMeta|Framed|compressed_bytes|with_corruption|allreduce_grams)\b|MembershipChange|request_join|request_leave|pending_membership|_with_world\b|ownership_delta|membership/|AllreduceAlgo::Auto\b|AUTO_RING_MIN_TOTAL_BYTES|last_owners|CrashAndRejoin|with_crash_and_rejoin|crash_rejoins|ABORT_TAG|decode_abort|gauge_set|Payload::U64' \
+# instrument and index payload went with them).  The sixth belonged to the
+# serial solver's own ALS loop: serial `dtd` is the distributed step at
+# world 1.  Test fixtures that must spell an old checkpoint's fields live
+# in .json files, outside this search.
+if grep -rnE '\b(CommPolicy|downcast_f32|maybe_compress|WireMeta|Framed|compressed_bytes|with_corruption|allreduce_grams)\b|MembershipChange|request_join|request_leave|pending_membership|_with_world\b|ownership_delta|membership/|AllreduceAlgo::Auto\b|AUTO_RING_MIN_TOTAL_BYTES|last_owners|CrashAndRejoin|with_crash_and_rejoin|crash_rejoins|ABORT_TAG|decode_abort|gauge_set|Payload::U64|rows_missing_from' \
   crates tests examples --include='*.rs'; then
   echo "a retired name reappeared (above)" >&2
   exit 1
@@ -52,15 +54,25 @@ echo "==> pooled kernels at DISMASTD_THREADS=4 (factor bits must not move)"
 DISMASTD_THREADS=4 cargo test -q -p dismastd-tensor
 DISMASTD_THREADS=4 cargo test -q -p dismastd-integration-tests --test observability
 
-echo "==> factor-hash harness (factor and loss_trace bits equal at DISMASTD_THREADS 1 and 4)"
+echo "==> factor-hash harness (factor and loss_trace bits equal at DISMASTD_THREADS 1 and 4; serial = world 1)"
 # One line per dataset x rank x {serial, worlds 1-4} over a 4-step stream.
 # Diff the output of a parent build against a change's to see which
 # configurations a PR moves; the serial and world-1 lines are also pinned
-# as goldens by the dismastd-bench unit tests.
+# as goldens by the dismastd-bench unit tests.  Serial and world 1 are one
+# path — `dtd` runs the distributed step at world 1 — so every serial line
+# must equal the world-1 line after it, at both thread counts.
 hash_dir=$(mktemp -d)
 DISMASTD_THREADS=1 cargo run -q --release -p dismastd-bench --bin factor_hash > "$hash_dir/threads1"
 DISMASTD_THREADS=4 cargo run -q --release -p dismastd-bench --bin factor_hash > "$hash_dir/threads4"
 diff "$hash_dir/threads1" "$hash_dir/threads4"
+for threads in 1 4; do
+  if ! awk '$3 == "serial" { want = $0; sub(/ serial /, " world1 ", want); pairs++; next }
+            $3 == "world1" { if ($0 != want) bad++; want = "" }
+            END { exit (bad > 0 || pairs == 0) }' "$hash_dir/threads$threads"; then
+    echo "a serial identity line differs from its world-1 line (DISMASTD_THREADS=$threads)" >&2
+    exit 1
+  fi
+done
 # The untouched-row path (old rows no complement nonzero references, which
 # leave the ALS loop) must stay exercised: its line counts those rows from
 # the nonzeros, and Clothing's total must not be 0.

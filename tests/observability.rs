@@ -5,7 +5,8 @@
 //!
 //! 1. collection is opt-in — the default path reports no metrics;
 //! 2. serial phase spans are non-overlapping on one thread, so their sum
-//!    is bounded by the step's wall-clock;
+//!    is bounded by the step's wall-clock, and a serial step records the
+//!    spans a world-1 step does — it is one;
 //! 3. a distributed run's merged snapshot (driver + every rank) covers at
 //!    least 90% of the step's wall-clock — the instrumentation does not
 //!    lose whole phases;
@@ -25,6 +26,7 @@ use dismastd_tensor::{SparseTensor, SparseTensorBuilder};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -120,6 +122,32 @@ fn serial_phase_spans_sum_within_step_elapsed() {
     let solves =
         report.numerics.cholesky_solves + report.numerics.lu_solves + report.numerics.ridge_solves;
     assert_eq!(m.counter_value("solve/tier"), solves);
+}
+
+#[test]
+fn a_serial_step_and_a_world1_step_record_the_same_spans() {
+    let _serial = serial();
+    // Serial `dtd` is the distributed step at world 1, run on the session's
+    // thread: its driver and rank spans land in the step's collection, so
+    // the two modes report one span surface.
+    let names = |mode| -> BTreeSet<String> {
+        let report = collected_step(mode);
+        let m = report.metrics.expect("metrics were collected");
+        m.spans.into_iter().map(|s| s.name).collect()
+    };
+    let serial = names(ExecutionMode::Serial);
+    for phase in [
+        "phase/partition",
+        "phase/setup",
+        "phase/mttkrp",
+        "phase/gather",
+    ] {
+        assert!(serial.contains(phase), "{phase} missing: {serial:?}");
+    }
+    assert_eq!(
+        serial,
+        names(ExecutionMode::Distributed(ClusterConfig::new(1)))
+    );
 }
 
 #[test]
