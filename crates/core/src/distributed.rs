@@ -8,48 +8,14 @@
 //!   as the zero-history special case (re-decompose the *full* tensor from
 //!   scratch; every row is a "new" row).
 //!
-//! Execution per iteration and mode follows the paper exactly:
-//!
-//! 1. **Distributed MTTKRP** (Sec. IV-B1): each worker computes partial
-//!    MTTKRP rows from its grid cells, then routes the partials of rows it
-//!    does not own to the row owners (one all-to-all exchange).
-//! 2. **Distributed factor update** (Sec. IV-B2): row owners apply the
-//!    Eq. 5 row-wise rules using the cached `R x R` products — which every
-//!    worker conditions and factorises for itself, the products being
-//!    replicated bit for bit — then ship the refreshed rows back to every
-//!    worker whose nonzeros reference them (second exchange).
-//! 3. **Distributed matrix-product update** (Sec. IV-B3): owners compute
-//!    partial Grams over their rows, and a reduction rebuilds
-//!    `G_n^0, G_n^1, G̃_n` on every worker.  Nothing reads mode `n`'s
-//!    products before mode `n + 1` decides, so the reduction rides the two
-//!    exchanges already due before then: each rank's partials travel to
-//!    their slice owners with the refreshed rows (the reduce half), and the
-//!    owners' sums travel back with mode `n + 1`'s partials (the gather
-//!    half) — see [`gram_slice`].
-//! 4. **Distributed loss** (Sec. IV-B4): the `R x R` terms are evaluated
-//!    locally from the replicated products; the data-dependent inner product
-//!    reuses the final mode's MTTKRP partial rows.  Its per-rank partial
-//!    rides as one extra slot of the final mode's Gram reduction, which
-//!    rides the exchanges like every other mode's: the loss of iteration
-//!    `t` is evaluated one mode late, right after iteration `t + 1`'s mode-0
-//!    partials exchange brings the reduced slot back, and a tolerance stop
-//!    breaks there, before mode 0 decides.  The last scheduled iteration
-//!    sends no final refresh, so its last-mode partials and loss slot ride
-//!    the gather instead and rank 0 evaluates the final loss.
-//!
-//! The gather ships to rank 0 only the owned rows it cannot already form:
-//! rank 0 writes every untouched old row from its mode's last map itself,
-//! and keeps its own refreshed copy of every row it reads in a mode below
-//! the last (see `WorkerPlan::gather_rows`).
-//!
-//! That is two collectives per mode-iteration (partials exchange, refresh
-//! exchange) and the gather — less the last mode's refresh of the last
-//! scheduled iteration, which nothing would read.  A tolerance stop after
-//! `k` iterations sends that refresh and one mode-0 partials exchange more,
-//! whose MTTKRP it then discards.  Set-up takes none: its products depend
-//! only on the initial and previous factors and each rank's owned rows,
-//! all of which every rank is handed, so the driver builds them once (see
-//! [`setup_grams`]) and no all-reduce is left on the step path.
+//! A step's communication is data: [`build_plans`] compiles one
+//! [`Schedule`] per placement — per mode a partials round and a refresh
+//! round, then the gather — and one [`Executor`] packs and unpacks every
+//! round of it, while [`worker_body`] runs the kernels, the decide/solve,
+//! the Gram staging and the loss between them.  DESIGN.md, "Distributed
+//! execution per iteration", defines the rounds, their row lists and
+//! tails, the two rules that edit them, and why every world computes the
+//! same bits.
 //!
 //! World 1 is the serial solver ([`crate::dtd::dtd`]): its one grid cell
 //! is planned over the borrowed tensor, its one rank runs on the caller's
@@ -176,10 +142,10 @@ impl DistOutput {
     }
 }
 
-/// Step-local memo of the distributed placement: the per-worker plans
-/// (one [`MttkrpPlan`] per grid cell, row ownership, routing tables)
-/// of the step a [`crate::StreamingSession`] is currently ingesting, keyed
-/// by the world size they were built for.
+/// Step-local memo of the distributed placement of the step a
+/// [`crate::StreamingSession`] is currently ingesting: the per-worker plans
+/// (one [`MttkrpPlan`] per grid cell, row ownership) and the step's
+/// [`Schedule`], keyed by the world size and rank they were built for.
 ///
 /// A step's cells repeat only *within* that step — when the divergence
 /// watchdog re-runs the decomposition with a damped `μ`, or when the heal
@@ -198,11 +164,13 @@ pub struct PlanCache {
     misses: u64,
 }
 
-/// The memoised placement of the current step.
+/// The memoised placement and schedule of the current step.
 #[derive(Debug)]
 struct StepPlans {
     world: usize,
+    rank: usize,
     plans: Vec<WorkerPlan>,
+    schedule: Schedule,
 }
 
 impl PlanCache {
@@ -222,19 +190,22 @@ impl PlanCache {
         self.step = None;
     }
 
-    /// The per-worker plans for decomposing `tensor` on `cluster`: the
-    /// memoised ones when they were built for this world size, otherwise
-    /// partitioned and compiled now (Sec. IV-A) and memoised.
+    /// The per-worker plans and the schedule for decomposing `tensor` at
+    /// rank `rank` on `cluster`: the memoised ones when they were built for
+    /// this world size and rank, otherwise partitioned and compiled now
+    /// (Sec. IV-A) and memoised.
     fn plans_for(
         &mut self,
         tensor: &SparseTensor,
         cluster: &ClusterConfig,
         old_rows: &[usize],
-    ) -> Result<&[WorkerPlan]> {
+        rank: usize,
+    ) -> Result<&StepPlans> {
         let world = cluster.workers;
         let cell_count =
             |plans: &[WorkerPlan]| plans.iter().map(|p| p.cells.len() as u64).sum::<u64>();
-        let step = match self.step.take().filter(|step| step.world == world) {
+        let reusable = |step: &StepPlans| step.world == world && step.rank == rank;
+        let step = match self.step.take().filter(reusable) {
             // A watchdog retry or a same-world heal replay.
             Some(step) => {
                 let cells = cell_count(&step.plans);
@@ -256,19 +227,24 @@ impl PlanCache {
                         cluster.cell_assignment,
                     )?
                 };
-                let plans = {
+                let (plans, schedule) = {
                     let _s = dismastd_obs::span("phase/plan_build");
-                    build_plans(tensor, &grid, world, old_rows)?
+                    build_plans(tensor, &grid, world, old_rows, rank)?
                 };
                 let cells = cell_count(&plans);
                 self.misses += cells;
                 if cells > 0 {
                     dismastd_obs::counter_add("plan/rebuild", cells);
                 }
-                StepPlans { world, plans }
+                StepPlans {
+                    world,
+                    rank,
+                    plans,
+                    schedule,
+                }
             }
         };
-        Ok(&self.step.insert(step).plans)
+        Ok(self.step.insert(step))
     }
 }
 
@@ -288,20 +264,191 @@ struct WorkerPlan {
     /// mode's map (see [`UntouchedRows`]).
     touched_rows: Vec<Vec<u32>>,
     untouched_rows: Vec<Vec<u32>>,
-    /// `partial_routes[n][d]`: mode-`n` rows this worker's nonzeros
-    /// reference that worker `d` owns (partials flow here → `d`, updates
-    /// flow back `d` → here).
-    partial_routes: Vec<Vec<Vec<u32>>>,
-    /// `serve_routes[n][d]`: mode-`n` rows worker `d` references that this
-    /// worker owns (mirror of `d`'s `partial_routes[n][me]`).
-    serve_routes: Vec<Vec<Vec<u32>>>,
-    /// The owned rows of each mode this worker ships in the gather: none
-    /// on rank 0, which holds its own; elsewhere every owned row rank 0
-    /// cannot form itself — not an untouched old row (rank 0 writes those
-    /// from the maps) and not a row rank 0 reads in a mode below the last
-    /// (the last iteration's refreshes delivered those).  Both ends read
-    /// this list, so the payload carries no indices.
-    gather_rows: Vec<Vec<u32>>,
+}
+
+/// A step's communication as data (DESIGN.md, "Distributed execution per
+/// iteration"), compiled once per placement by [`build_plans`] and run by
+/// the [`Executor`].  Two rules edit the rounds a run walks: the run's first
+/// partials round carries no tail ([`Self::riding`]), and the last
+/// scheduled refresh is not posted — its tail rides the gather
+/// ([`Self::posts_refresh`], [`Self::gather_tail`]).
+#[derive(Debug)]
+struct Schedule {
+    /// The rank `R`: the values of a row, and the size of the Gram buffers.
+    r: usize,
+    /// Per mode, the MTTKRP partials to their owners (added); the tails
+    /// carry the previous mode's reduced Gram slices (copied).
+    partials: Vec<Round>,
+    /// Per mode, the solved rows to their readers (written); the tails
+    /// carry each owner's slice of the staged Gram partials (folded).
+    refresh: Vec<Round>,
+    /// To rank 0, every mode's owned rows it can neither form nor holds
+    /// (written); the tails carry the whole last-mode buffer (folded).
+    gather: Round,
+}
+
+/// One row collective: what each rank packs for each peer, and what the
+/// receiver does with it.
+#[derive(Debug)]
+struct Round {
+    /// The modes the rows belong to: one, or all of them for the gather.
+    modes: Range<usize>,
+    /// `lanes[src][dst]`.
+    lanes: Vec<Vec<Lane>>,
+    recv: Recv,
+}
+
+/// What one rank packs for one peer: rows of the round's modes, then a
+/// tail.  Both ends read the same lane, so a payload carries no indices.
+#[derive(Debug)]
+struct Lane {
+    /// The rows, mode after mode, each mode's ascending.
+    rows: Vec<u32>,
+    /// Where each mode's rows end in `rows`.
+    ends: Vec<usize>,
+    /// The values of the riding Gram buffer: a [`gram_slice`], or all.
+    tail: Range<usize>,
+}
+
+/// What a receiver does with a payload.
+#[derive(Debug, Clone, Copy)]
+enum Recv {
+    /// Adds the rows into its MTTKRP partials; copies the tail, packed from
+    /// the sender's reduced buffer, into its own.
+    AddCopy,
+    /// Writes the rows over its factor copy; folds the tail, packed from the
+    /// sender's staged buffer, into its reduced one, its own staged share
+    /// at its turn (see [`gram_fold`]).
+    WriteFold,
+}
+
+impl Lane {
+    fn new<'a>(per_mode: impl IntoIterator<Item = &'a [u32]>, tail: Range<usize>) -> Self {
+        let mut lane = Lane {
+            rows: Vec::new(),
+            ends: Vec::new(),
+            tail,
+        };
+        for rows in per_mode {
+            lane.rows.extend_from_slice(rows);
+            lane.ends.push(lane.rows.len());
+        }
+        lane
+    }
+
+    /// The lane's rows of each of its round's modes, in order.
+    fn per_mode(&self) -> impl Iterator<Item = &[u32]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.rows[start..end])
+    }
+}
+
+impl Schedule {
+    /// Compiles the rounds from `routes[n][w][d]`, the mode-`n` rows `w`
+    /// references and `d` owns, and `gathered[w][n]`, `w`'s mode-`n` rows
+    /// for rank 0.  Mode `n` stages `2R² + R` Gram values, the last mode
+    /// one more (the loss slot); a round's tails slice the buffer riding it.
+    fn compile(routes: &[Vec<Vec<Vec<u32>>>], gathered: &[Vec<Vec<u32>>], r: usize) -> Self {
+        let (order, world) = (routes.len(), gathered.len());
+        let staged = |n: usize| packed_len(r) + usize::from(n + 1 == order);
+        let round = |modes: Range<usize>, recv, lane: &dyn Fn(usize, usize) -> Lane| Round {
+            modes,
+            lanes: (0..world)
+                .map(|src| (0..world).map(|dst| lane(src, dst)).collect())
+                .collect(),
+            recv,
+        };
+        let partials = (0..order).map(|n| {
+            let len = staged((n + order - 1) % order);
+            round(n..n + 1, Recv::AddCopy, &|src, dst| {
+                Lane::new([&routes[n][src][dst][..]], gram_slice(src, world, len))
+            })
+        });
+        let refresh = (0..order).map(|n| {
+            round(n..n + 1, Recv::WriteFold, &|src, dst| {
+                Lane::new(
+                    [&routes[n][dst][src][..]],
+                    gram_slice(dst, world, staged(n)),
+                )
+            })
+        });
+        let gather = round(0..order, Recv::WriteFold, &|src, dst| match dst {
+            0 => Lane::new(
+                gathered[src].iter().map(Vec::as_slice),
+                0..staged(order - 1),
+            ),
+            _ => Lane::new((0..order).map(|_| &[][..]), 0..0),
+        });
+        Schedule {
+            r,
+            partials: partials.collect(),
+            refresh: refresh.collect(),
+            gather,
+        }
+    }
+
+    /// The mode whose Gram reduction rides iteration `iter`'s mode-`n`
+    /// partials round: the mode before — for mode 0 the last mode of the
+    /// iteration before — and none on the run's first.
+    fn riding(&self, iter: usize, n: usize) -> Option<usize> {
+        let order = self.partials.len();
+        (iter > 0 || n > 0).then(|| (n + order - 1) % order)
+    }
+
+    /// Whether iteration `iter`'s mode-`n` refresh is posted in a run
+    /// scheduled for `iters` iterations: every one but the last, whose
+    /// rows nothing would read.
+    fn posts_refresh(&self, iter: usize, n: usize, iters: usize) -> bool {
+        iter + 1 < iters || n + 1 < self.refresh.len()
+    }
+
+    /// Whether the gather carries a tail after `iterations` of `iters`
+    /// scheduled: the last refresh's, which was not posted — so not after a
+    /// tolerance stop, which posted its last refresh.
+    fn gather_tail(&self, iterations: usize, iters: usize) -> bool {
+        iterations == iters
+    }
+
+    /// The rounds a run of `iterations` iterations posts, in order, each with
+    /// whether it carries its tail; a run that `stopped` early adds the
+    /// partials round it broke after.
+    fn walk(&self, iterations: usize, stopped: bool) -> impl Iterator<Item = (&Round, bool)> {
+        // A stopped run was scheduled for more iterations than it ran.
+        let iters = iterations + usize::from(stopped);
+        let order = self.partials.len();
+        let modes = (0..iterations).flat_map(move |iter| (0..order).map(move |n| (iter, n)));
+        let rounds = modes.flat_map(move |(iter, n)| {
+            let refresh = self.posts_refresh(iter, n, iters);
+            let partials = (&self.partials[n], self.riding(iter, n).is_some());
+            std::iter::once(partials).chain(refresh.then_some((&self.refresh[n], true)))
+        });
+        let stop = stopped.then_some((&self.partials[0], true));
+        let gather = (&self.gather, self.gather_tail(iterations, iters));
+        rounds.chain(stop).chain(std::iter::once(gather))
+    }
+
+    /// Bytes each rank sends in such a run: `CommStats::bytes_by_sender`.
+    fn bytes_by_sender(&self, iterations: usize, stopped: bool) -> Vec<u64> {
+        let mut bytes = vec![0; self.gather.lanes.len()];
+        for (round, tail) in self.walk(iterations, stopped) {
+            for (src, lanes) in round.lanes.iter().enumerate() {
+                for (dst, lane) in lanes.iter().enumerate() {
+                    let tail = if tail { lane.tail.len() } else { 0 };
+                    if dst != src {
+                        bytes[src] += ((lane.rows.len() * self.r + tail) * 8) as u64;
+                    }
+                }
+            }
+        }
+        bytes
+    }
+
+    /// Collectives such a run enters: one per round.
+    fn collectives(&self, iterations: usize, stopped: bool) -> u64 {
+        self.walk(iterations, stopped).count() as u64
+    }
 }
 
 /// Runs distributed DisMASTD: DTD over the complement tensor given the
@@ -385,7 +532,6 @@ pub(crate) fn run_distributed(
     }
     // lint:allow(determinism, clock_hygiene): elapsed-time reporting only
     let start = Instant::now();
-    let order = tensor.order();
     let rank = cfg.rank;
     let old_rows: Vec<usize> = old_factors.iter().map(Matrix::rows).collect();
 
@@ -394,9 +540,10 @@ pub(crate) fn run_distributed(
     let init = init_factors(old_factors, tensor.shape(), rank, cfg.seed)?;
 
     // ---- Data partitioning (Sec. IV-A) ----------------------------------
-    let plans = memo.plans_for(tensor, cluster, &old_rows)?;
+    let StepPlans {
+        plans, schedule, ..
+    } = memo.plans_for(tensor, cluster, &old_rows, rank)?;
 
-    let old_norm_sq = old_norm_sq(old_factors)?;
     let (setup, untouched) = {
         let _s = dismastd_obs::span("phase/setup");
         (
@@ -408,14 +555,19 @@ pub(crate) fn run_distributed(
     // ---- Distributed tensor decomposition (Sec. IV-B) -------------------
     let inputs = WorkerInputs {
         plans,
+        schedule,
         init: &init,
         old: old_factors,
         old_rows: &old_rows,
         setup: &setup,
         untouched: &untouched,
         cfg,
-        old_norm_sq,
-        tensor_norm_sq: tensor.norm_sq(),
+        loss_parts: LossParts {
+            mu: cfg.forgetting,
+            old_norm_sq: old_norm_sq(old_factors)?,
+            complement_norm_sq: tensor.norm_sq(),
+            inner: 0.0,
+        },
         // Worker threads have their own thread-local metric registries, so
         // each rank decides up front — from the driver's state — whether to
         // collect.
@@ -461,13 +613,23 @@ pub(crate) fn run_distributed(
     for peer_post in std::iter::once(&post).chain(results.iter().flatten().map(|wr| &wr.post)) {
         numerics.absorb(peer_post);
     }
+    // What the schedule says the run sent is what the cluster counted,
+    // unless a fault plan injected traffic of its own.
+    if opts.fault_plan.is_none() {
+        let stopped = iterations < cfg.max_iters;
+        debug_assert_eq!(
+            comm.bytes_by_sender,
+            schedule.bytes_by_sender(iterations, stopped)
+        );
+        debug_assert_eq!(comm.collectives, schedule.collectives(iterations, stopped));
+    }
 
     Ok(DistOutput {
         kruskal: KruskalTensor::new(factors)?,
         iterations,
         loss_trace,
         comm,
-        setup_bytes: setup_bytes(plans, order, rank),
+        setup_bytes: setup_bytes(plans, schedule),
         elapsed: start.elapsed(),
         iter_elapsed,
         numerics,
@@ -475,20 +637,21 @@ pub(crate) fn run_distributed(
     })
 }
 
-/// Everything a rank reads but never writes: the step's placement, the
-/// initial and previous factors, set-up's Gram state, the untouched old
-/// rows' `P_n`, and the run's configuration.  Borrowed from the driver's
+/// Everything a rank reads but never writes: the step's placement and
+/// schedule, the initial and previous factors, set-up's Gram state, the
+/// untouched old rows' `P_n`, the run's configuration and Eq. 4's constant
+/// terms (each loss adds its inner product).  Borrowed from the driver's
 /// stack — the cluster runs on scoped threads.
 struct WorkerInputs<'a> {
     plans: &'a [WorkerPlan],
+    schedule: &'a Schedule,
     init: &'a [Matrix],
     old: &'a [Matrix],
     old_rows: &'a [usize],
     setup: &'a GramState,
     untouched: &'a UntouchedRows,
     cfg: &'a DecompConfig,
-    old_norm_sq: f64,
-    tensor_norm_sq: f64,
+    loss_parts: LossParts,
     collect: bool,
 }
 
@@ -555,11 +718,10 @@ fn first_dissenter(lead: &DecisionRecord, peers: &[Result<WorkerResult>]) -> Opt
 }
 
 /// Per-worker scratch space for the Gram rebuild: the three `R×R`
-/// partial-product matrices, the staging buffer of a rank's packed partials
-/// (one mode's, which the reduce half of a fused reduction slices; every
-/// mode's when the driver stages a rank's set-up partials), and the one
-/// mode's reduced products (and loss slot) a fused reduction assembles.  Allocated once per worker and
-/// overwritten each mode, so the steady-state Gram path performs no
+/// partial-product matrices, the staging buffer of one mode's packed
+/// partials, which the refresh tails slice, and the one mode's reduced
+/// products (and loss slot) the tails assemble.  Allocated once per worker
+/// and overwritten each mode, so the steady-state Gram path performs no
 /// allocation at all.
 struct GramWorkspace {
     g0: Matrix,
@@ -596,12 +758,13 @@ impl GramWorkspace {
         [&mut self.g0, &mut self.g1, &mut self.cr]
     }
 
-    /// Appends the three partials, packed (see [`packed_len`]), to the
-    /// staging buffer.  `gram_rows` returns `G⁰` and `G¹` partials that are
+    /// Stages the three partials, packed (see [`packed_len`]), in place of
+    /// the last mode's.  `gram_rows` returns `G⁰` and `G¹` partials that are
     /// symmetric bit for bit, so their lower triangles carry nothing the
     /// upper ones do not.
     fn stage(&mut self) {
         let r = self.g0.rows();
+        self.buf.clear();
         for m in [&self.g0, &self.g1] {
             for p in 0..r {
                 self.buf.extend_from_slice(&m.row(p)[p..]);
@@ -636,7 +799,7 @@ fn unpack_grams(packed: &[f64], state: &mut GramState, n: usize) {
 /// The values `rank` owns of a Gram reduction of `len` values across
 /// `world` ranks: the `rank`-th of `world` near-equal contiguous slices,
 /// larger ones first — the reduce-scatter's equal blocks.  The reduction
-/// rides the two row exchanges around it instead of running as an
+/// rides the two row rounds around it instead of running as an
 /// all-reduce: every rank appends to its refresh payload to an owner the
 /// owner's slice of its packed partials (the reduce half); at the next
 /// mode's fence the owner folds the slices over ranks `0..w` (see
@@ -667,212 +830,228 @@ fn gram_fold(sum: &mut [f64], src: usize, part: &[f64]) {
     }
 }
 
-/// A posted-but-uncompleted refresh exchange: mode `n`'s updated factor
-/// rows are in flight while the next mode's MTTKRP runs.  The fence at the
-/// top of the next mode (or the post-loop drain) completes it and writes
-/// the rows before anything reads `factors[mode]` remotely-owned entries.
-/// The payloads also carry the reduce half of the mode's Gram reduction
-/// (see [`gram_slice`]).
-struct PendingRefresh {
-    mode: usize,
-    pending: PendingExchange,
+/// The one round executor: packs a rank's lanes of a [`Schedule`] round
+/// from its payload pool and unpacks what arrives.  A round's tails ride
+/// when it is handed the Gram workspace, and not otherwise.  Its tables are
+/// refilled in place, so a steady-state round allocates nothing.
+struct Executor {
+    pool: BufferPool,
+    outgoing: Vec<Payload>,
+    incoming: Vec<Payload>,
+}
+
+impl Executor {
+    fn new(world: usize) -> Self {
+        Executor {
+            pool: BufferPool::new(true),
+            outgoing: Vec::with_capacity(world),
+            incoming: Vec::with_capacity(world),
+        }
+    }
+
+    /// Posts this rank's lanes of `round`, rows of `mats`, to every peer.
+    fn post_round(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        round: &Round,
+        mats: &[Matrix],
+        tails: Option<&GramWorkspace>,
+    ) -> ClusterResult<PendingExchange> {
+        let me = ctx.rank();
+        self.outgoing.clear();
+        for (dst, lane) in round.lanes[me].iter().enumerate() {
+            self.outgoing.push(if dst == me {
+                Payload::Empty
+            } else {
+                pack(round, lane, mats, tails, &mut self.pool)
+            });
+        }
+        ctx.post_exchange(&mut self.outgoing)
+    }
+
+    /// Completes a posted `round` and unpacks it into `mats` and `tails`.
+    fn complete_round(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        round: &Round,
+        pending: PendingExchange,
+        mats: &mut [Matrix],
+        tails: Option<&mut GramWorkspace>,
+    ) -> ClusterResult<()> {
+        ctx.complete_exchange(pending, &mut self.incoming)?;
+        let payloads = self.incoming.drain(..);
+        unpack(round, ctx.rank(), payloads, mats, tails, &mut self.pool)
+    }
+
+    /// Runs the gather `round` on `try_gather`: every rank ships its lane to
+    /// rank 0, which unpacks them.  Whether this is rank 0.
+    fn gather_round(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        round: &Round,
+        mats: &mut [Matrix],
+        tails: Option<&mut GramWorkspace>,
+    ) -> ClusterResult<bool> {
+        let me = ctx.rank();
+        let payload = match me {
+            0 => Payload::Empty,
+            _ => pack(
+                round,
+                &round.lanes[me][0],
+                mats,
+                tails.as_deref(),
+                &mut self.pool,
+            ),
+        };
+        let Some(gathered) = ctx.try_gather(0, payload)? else {
+            return Ok(false);
+        };
+        unpack(round, me, gathered, mats, tails, &mut self.pool)?;
+        Ok(true)
+    }
+}
+
+/// Packs one lane of `round` into a payload drawn from `pool` (an empty
+/// `Vec` when the pool is dry): its rows of `mats`, mode after mode, then
+/// — when `tails` is given — its tail range of the buffer the round packs
+/// tails from (see [`Recv`]).
+fn pack(
+    round: &Round,
+    lane: &Lane,
+    mats: &[Matrix],
+    tails: Option<&GramWorkspace>,
+    pool: &mut BufferPool,
+) -> Payload {
+    let (lo, hi) = (lane.tail.start, lane.tail.end);
+    let tail = tails.map_or(&[][..], |ws| match round.recv {
+        Recv::AddCopy => &ws.reduced[lo..hi],
+        Recv::WriteFold => &ws.buf[lo..hi],
+    });
+    let mut out = pool.take();
+    out.reserve(lane.rows.len() * mats[round.modes.start].cols() + tail.len());
+    for (n, rows) in (round.modes.start..).zip(lane.per_mode()) {
+        for &row in rows {
+            out.extend_from_slice(mats[n].row(row as usize));
+        }
+    }
+    out.extend_from_slice(tail);
+    Payload::F64(out)
+}
+
+/// Unpacks every rank's payload of `round` on rank `me`, in rank order, as
+/// the round's [`Recv`] says: rows into `mats`, then — when `tails` is
+/// given — the tail into the reduced buffer.  `me`'s own payload is never
+/// read; a folding round folds `me`'s staged share at its turn instead.
+///
+/// # Errors
+/// [`ClusterError::SizeMismatch`] naming the sender of a payload that is
+/// not its lane's rows × `R` plus the tail.
+fn unpack(
+    round: &Round,
+    me: usize,
+    payloads: impl IntoIterator<Item = Payload>,
+    mats: &mut [Matrix],
+    mut tails: Option<&mut GramWorkspace>,
+    pool: &mut BufferPool,
+) -> ClusterResult<()> {
+    let r = mats[round.modes.start].cols();
+    for (src, payload) in payloads.into_iter().enumerate() {
+        let lane = &round.lanes[src][me];
+        let (lo, hi) = (lane.tail.start, lane.tail.end);
+        if src == me {
+            if let (Recv::WriteFold, Some(ws)) = (round.recv, tails.as_deref_mut()) {
+                gram_fold(&mut ws.reduced[lo..hi], src, &ws.buf[lo..hi]);
+            }
+            continue;
+        }
+        let tail_len = if tails.is_some() { hi - lo } else { 0 };
+        let data = decode_rows_and_tail(payload, src, &lane.rows, r, tail_len)?;
+        let mut at = 0;
+        for (n, list) in (round.modes.start..).zip(lane.per_mode()) {
+            let mode = &data[at..at + list.len() * r];
+            match round.recv {
+                Recv::AddCopy => add_rows(&mut mats[n], list, mode),
+                Recv::WriteFold => write_rows(&mut mats[n], list, mode),
+            }
+            at += mode.len();
+        }
+        if let Some(ws) = tails.as_deref_mut() {
+            let (sum, part) = (&mut ws.reduced[lo..hi], &data[at..]);
+            match round.recv {
+                Recv::AddCopy => sum.copy_from_slice(part),
+                Recv::WriteFold => gram_fold(sum, src, part),
+            }
+        }
+        pool.put(data);
+    }
+    Ok(())
 }
 
 fn worker_body(
     ctx: &mut WorkerCtx,
     inputs: &WorkerInputs<'_>,
 ) -> ClusterResult<std::result::Result<WorkerResult, TensorError>> {
-    let &WorkerInputs {
-        plans,
-        init,
-        old,
-        old_rows,
-        setup,
-        untouched,
-        cfg,
-        old_norm_sq,
-        tensor_norm_sq,
-        collect,
-    } = inputs;
-    // Per-thread collector: on any early-return path (cluster fault or a
-    // `try_num!` payload error) the guard's Drop discards the partial
-    // registry, so a failed rank never reports half-measured phases.
-    let collector = collect.then(dismastd_obs::begin);
-    let me = ctx.rank();
-    let world = ctx.world();
+    let (plans, schedule, cfg) = (inputs.plans, inputs.schedule, inputs.cfg);
+    let (old, old_rows) = (inputs.old, inputs.old_rows);
+    // A failed rank's guard discards its half-measured registry.
+    let collector = inputs.collect.then(dismastd_obs::begin);
+    let (me, world) = (ctx.rank(), ctx.world());
     let plan = &plans[me];
-    let order = init.len();
-    let r = cfg.rank;
-    let mu = cfg.forgetting;
+    let (order, r, mu) = (old.len(), cfg.rank, cfg.forgetting);
     let solver = RobustSolver::new(cfg.numerics.solver);
-    let mut decisions = DecisionRecord::default();
-    // This rank's post-solve escalations (see the solve below).
-    let mut post = NumericsReport::default();
-
-    // Replicated factor copies; only owned ∪ referenced rows stay fresh.
-    let mut factors: Vec<Matrix> = init.to_vec();
-
-    // Reusable scratch: Gram partials + reduction staging, and the
-    // message-payload pool for the two row exchanges.
-    let mut ws = GramWorkspace::new(r);
-    let mut pool = BufferPool::new(true);
-    // Persistent exchange tables: refilled in place every post/complete,
-    // so the steady-state loop never reallocates them.
-    let mut outgoing: Vec<Payload> = Vec::with_capacity(world);
-    let mut incoming_payloads: Vec<Payload> = Vec::with_capacity(world);
-    // Intra-worker kernel pool: the machine budget split across the
-    // co-resident ranks.  Thread count never changes factor bits (the
-    // pooled kernels are bitwise identical to serial), so the replicated
-    // state stays in sync whatever each rank resolves to.
-    let kernel_pool = ThreadPool::new(cfg.threads.resolve_for_world(world));
-
-    // Replicated RxR state: set-up's, built by the driver, then rebuilt
-    // from owned-row partials by the reductions riding the row exchanges,
-    // so every worker agrees bit-for-bit.
-    let mut state = setup.clone();
-    // Every rank forms the untouched old rows' maps from its replicated
-    // decisions; rank 0 alone adds their Gram terms to its partials.
-    let mut maps = untouched.clone();
-    // The Eq. 5 factorisation of the block being solved, rebuilt in place.
     let mut fact = Factorized::default();
+    // The decisions this rank takes, and its own post-solve escalations.
+    let (mut decisions, mut post) = (DecisionRecord::default(), NumericsReport::default());
+    // Replicated factor copies; only owned ∪ referenced rows stay fresh.
+    let mut factors: Vec<Matrix> = inputs.init.to_vec();
+    let mut hat: Vec<Matrix> = factors.iter().map(|f| Matrix::zeros(f.rows(), r)).collect();
+    let (mut ws, mut exec) = (GramWorkspace::new(r), Executor::new(world));
+    // The machine's kernel budget split across the co-resident ranks.
+    let pool = ThreadPool::new(cfg.threads.resolve_for_world(world));
+    // Replicated `R×R` state, set-up's until the reductions rebuild it; every
+    // rank forms the untouched old rows' maps, rank 0 adds their Grams.
+    let (mut state, mut maps) = (inputs.setup.clone(), inputs.untouched.clone());
     let owned = owned_blocks(plan, old_rows);
-    // Eq. 4's constant terms; each iteration's loss adds its inner product.
-    let loss_parts = LossParts {
-        mu,
-        old_norm_sq,
-        complement_norm_sq: tensor_norm_sq,
-        inner: 0.0,
-    };
-    let packed = packed_len(r);
-
-    let mut loss_trace: Vec<f64> = Vec::with_capacity(cfg.max_iters);
-    let mut iterations = 0;
+    let (mut loss_trace, mut iterations) = (Vec::with_capacity(cfg.max_iters), 0);
     // lint:allow(determinism, clock_hygiene): elapsed-time reporting only
     let iter_start = Instant::now();
-    let mut hat = vec![Matrix::zeros(0, 0); order];
-    for n in 0..order {
-        hat[n] = Matrix::zeros(factors[n].rows(), r);
-    }
-
-    // The refresh exchange posted by the previous mode, completed lazily at
-    // the top of the next mode (mode-pipelined overlap: the send is on the
-    // wire while this mode's MTTKRP runs).
-    let mut pending_refresh: Option<PendingRefresh> = None;
-    // Every mode reduces its Gram partials over the two row exchanges
-    // around it.  This is the mode whose slices were folded at the fence
-    // and ride this mode's partials exchange to every rank.
-    let mut gram_in_flight: Option<usize> = None;
+    // The previous mode's refresh, on the wire during this mode's MTTKRP.
+    let mut in_flight: Option<(usize, PendingExchange)> = None;
 
     'iterations: for iter in 0..cfg.max_iters {
         for n in 0..order {
-            // -- fence: land the previous mode's refreshed rows ------------
-            // MTTKRP below reads every factor, so the in-flight rows of the
-            // previously updated mode must be written before the kernels run.
-            // Owners fold the Gram slices that rode them.
-            if let Some(pr) = pending_refresh.take() {
-                gram_in_flight = Some(pr.mode);
-                complete_refresh(
-                    ctx,
-                    pr,
-                    plan,
-                    &mut factors,
-                    &mut ws,
-                    &mut pool,
-                    &mut incoming_payloads,
-                )?;
+            // -- fence: the MTTKRP reads every factor ----------------------
+            if let Some((m, pending)) = in_flight.take() {
+                let _s = dismastd_obs::span("phase/exchange");
+                let round = &schedule.refresh[m];
+                exec.complete_round(ctx, round, pending, &mut factors, Some(&mut ws))?;
             }
-
-            // -- 1. local MTTKRP partials over this worker's nonzeros -----
+            let (partials, riding) = (&schedule.partials[n], schedule.riding(iter, n));
             {
                 let _s = dismastd_obs::span("phase/mttkrp");
-                try_num!(local_partials(plan, &factors, n, &mut hat[n], &kernel_pool));
+                let mttkrp = local_partials(plan, partials, me, &factors, &mut hat[n], &pool);
+                try_num!(mttkrp);
             }
-
-            // -- route partials to row owners ------------------------------
-            // An owner's reduced Gram slice rides to every rank (the
-            // gather half); the row routes of a pair may be empty, the
-            // slice still goes.
             {
                 let _s = dismastd_obs::span("phase/exchange");
-                let len = ws.buf.len();
-                let riding = |rank| gram_in_flight.map_or(0..0, |_| gram_slice(rank, world, len));
-                outgoing.clear();
-                for d in 0..world {
-                    outgoing.push(if d == me {
-                        Payload::Empty
-                    } else {
-                        pack_rows(
-                            &hat[n],
-                            &plan.partial_routes[n][d],
-                            &ws.reduced[riding(me)],
-                            &mut pool,
-                        )
-                    });
-                }
-                let pending_partials = ctx.post_exchange(&mut outgoing)?;
-                ctx.complete_exchange(pending_partials, &mut incoming_payloads)?;
-                for (d, payload) in incoming_payloads.drain(..).enumerate() {
-                    if d == me {
-                        continue;
-                    }
-                    let (routes, slice) = (&plan.serve_routes[n][d], riding(d));
-                    let data = decode_rows_and_tail(payload, d, routes, r, slice.len())?;
-                    let rows = routes.len() * r;
-                    add_rows(&mut hat[n], routes, &data[..rows]);
-                    ws.reduced[slice].copy_from_slice(&data[rows..]);
-                    pool.put(data);
-                }
+                let pending = exec.post_round(ctx, partials, &hat, riding.map(|_| &ws))?;
+                exec.complete_round(ctx, partials, pending, &mut hat, riding.map(|_| &mut ws))?;
             }
-            if let Some(m) = gram_in_flight.take() {
-                {
-                    let _s = dismastd_obs::span("phase/gram");
-                    unpack_grams(&ws.reduced[..packed], &mut state, m);
-                }
-                // -- the previous iteration's loss, one mode late ----------
-                // Every product it reads is final, and nothing of this
-                // iteration has been written yet: it is the loss evaluated
-                // right after the last mode, bit for bit.  A stop breaks
-                // before this mode decides, with no exchange in flight.
-                if m == order - 1 {
-                    let loss = {
-                        let _s = dismastd_obs::span("phase/loss");
-                        let inner = ws.reduced[packed];
-                        try_num!(dtd_loss(
-                            &state,
-                            &LossParts {
-                                inner,
-                                ..loss_parts
-                            }
-                        ))
-                    };
-                    loss_trace.push(loss);
-                    if converged(&loss_trace, cfg.tolerance) {
-                        break 'iterations;
-                    }
-                }
+            // The previous mode's products land, after a last mode with its
+            // iteration's loss; a stop breaks before this mode decides.
+            let landed = riding.map(|m| land_reduction(&ws, &mut state, m, &inputs.loss_parts));
+            loss_trace.extend(try_num!(landed.transpose()).flatten());
+            if riding == Some(order - 1) && converged(&loss_trace, cfg.tolerance) {
+                break 'iterations;
             }
-
-            // -- 2. decide and solve Eq. 5, row-wise, on every rank --------
-            // `prepare_mode` reads only the Gram products of modes `k ≠ n`,
-            // all final from here on — the previous mode's arrived with the
-            // partials just received — and bit-identical on every rank, and
-            // the decision is a pure function of them: all ranks accept the
-            // same tier and shift with nothing exchanged.  A block is decided
-            // iff it has rows *globally* — `d0` when the mode has old rows,
-            // `d1` when it has new ones — not iff this rank owns some, so
-            // every rank walks the same ladder and a numeric failure stops
-            // all of them here, where every exchange posted so far has been
-            // completed by every rank.  The rank then solves its share — the
-            // old block (μ Ã_n[i,:] (⊛ G̃) + Â[i,:]) ·D0⁻¹ over its touched old
-            // rows with its copy of the untouched rows' map μ (⊛ G̃) ·D0⁻¹,
-            // the new block Â[i,:] ·D1⁻¹ — re-solving a non-finite share under
-            // the forced ridge ladder, tallied in `post`.  A share the ladder
-            // cannot make finite stays so, for every rank's next decision (or
-            // the gather's check) to refuse.
+            // -- decide and solve Eq. 5, row-wise, on every rank -----------
+            // A block is decided iff it has rows *globally*, from replicated
+            // products: every rank walks the same ladder.  A non-finite share
+            // is re-solved under the forced ridge, tallied in `post`.
+            let [touched, new, _] = owned[n];
             {
                 let _s = dismastd_obs::span("phase/solve");
                 try_num!(state.prepare_mode(n, mu));
-                let [touched, new, _] = owned[n];
                 if old_rows[n] > 0 {
                     let decision = try_num!(solver.decide(&state.d0, &mut fact));
                     decisions.record(&decision);
@@ -897,160 +1076,61 @@ fn worker_body(
                     try_num!(solver.solve_rows(&state.d1, &decision, jobs, &mut fact, &mut post));
                 }
             }
-
-            // -- 3. this rank's Gram partials over its owned rows -----------
-            // They read owned rows only, fresh the moment the solves finish.
-            let last = n == order - 1;
+            // -- Gram partials over its owned rows; on the last mode, its
+            // share of `⟨X \ X̃, Y⟩` (Eq. 7) over its solved rows as one slot.
             {
                 let _s = dismastd_obs::span("phase/gram");
-                let [touched, new, _] = owned[n];
                 let blocks = [row_set(touched), row_set(new)];
                 try_num!(mode_grams(&factors[n], &old[n], &blocks, ws.targets()));
                 if me == 0 {
                     maps.add_grams(n, ws.targets());
                 }
-                ws.buf.clear();
                 ws.stage();
             }
-            // On the last mode, this rank's share of `⟨X \ X̃, Y⟩` — its
-            // owned rows of the mode's MTTKRP against their fresh factor
-            // rows (Eq. 7) — rides as one slot after the packed partials.
-            // An untouched row's MTTKRP row is zero, so only the solved
-            // rows are summed, in ascending order.
-            if last {
+            if n == order - 1 {
                 let _s = dismastd_obs::span("phase/loss");
-                let [touched, new, _] = owned[n];
-                let inner_partial: f64 = touched
-                    .iter()
-                    .chain(new)
-                    .map(|&row| {
-                        let row = row as usize;
-                        dot(hat[n].row(row), factors[n].row(row))
-                    })
-                    .sum();
-                ws.buf.push(inner_partial);
+                let rows = touched.iter().chain(new).map(|&row| row as usize);
+                let inner: f64 = rows.map(|i| dot(hat[n].row(i), factors[n].row(i))).sum();
+                ws.buf.push(inner);
             }
-
-            // -- ship refreshed rows back to referencing workers ------------
-            // Each payload also hands its owner that owner's slice of this
-            // rank's Gram partials (the reduce half).  Post only: the Gram
-            // partials and the loss inner product read exclusively owned
-            // rows, so the exchange stays in flight until the next mode's
-            // fence.  The last mode of the last *scheduled* iteration has no
-            // next mode: nothing would read its rows, so nothing is sent,
-            // and its partials and loss slot ride the gather instead.
-            debug_assert!(pending_refresh.is_none());
-            let unread = last && iter + 1 == cfg.max_iters;
-            pending_refresh = if unread {
-                None
-            } else {
+            if schedule.posts_refresh(iter, n, cfg.max_iters) {
                 let _s = dismastd_obs::span("phase/exchange");
-                outgoing.clear();
-                for d in 0..world {
-                    outgoing.push(if d == me {
-                        Payload::Empty
-                    } else {
-                        pack_rows(
-                            &factors[n],
-                            &plan.serve_routes[n][d],
-                            &ws.buf[gram_slice(d, world, ws.buf.len())],
-                            &mut pool,
-                        )
-                    });
-                }
-                Some(PendingRefresh {
-                    mode: n,
-                    pending: ctx.post_exchange(&mut outgoing)?,
-                })
-            };
+                let pending = exec.post_round(ctx, &schedule.refresh[n], &factors, Some(&ws))?;
+                in_flight = Some((n, pending));
+            }
         }
         iterations += 1;
     }
-    // A stop breaks after its fence and partials exchange, and the
-    // scheduled end posts no final refresh: nothing is in flight.
-    debug_assert!(pending_refresh.is_none());
+    // A stop breaks after a completed round; the scheduled end posts none.
+    debug_assert!(in_flight.is_none());
     let iter_elapsed = iter_start.elapsed();
+    count_solves(me, order, &decisions, &post, &maps);
 
-    // Every rank took the same decisions, so only rank 0 counts them, and
-    // every rank its own re-solves — the merged snapshot then counts the
-    // run's `numerics` (label 0/1/2 = cholesky/lu/ridge).
-    let mut tiers = post;
-    if me == 0 {
-        tiers.absorb(&decisions.numerics);
-    }
-    let solves = [tiers.cholesky_solves, tiers.lu_solves, tiers.ridge_solves];
-    for (label, &count) in (0u64..).zip(&solves).filter(|(_, &count)| count > 0) {
-        dismastd_obs::counter_add_with("solve/tier", label, count);
-    }
-    if me == 0 {
-        for n in 0..order {
-            if maps.count(n) > 0 {
-                dismastd_obs::counter_add_with(
-                    "solve/untouched_rows",
-                    n as u64,
-                    maps.count(n) as u64,
-                );
+    // ---- gather: what a rank ships must hold its final bytes, so each rank
+    // writes its untouched old rows from the last maps, rank 0 everyone's.
+    let tail = schedule.gather_tail(iterations, cfg.max_iters);
+    let root = {
+        let _s = dismastd_obs::span("phase/gather");
+        for plan in if me == 0 { plans } else { &plans[me..=me] } {
+            for (n, rows) in plan.untouched_rows.iter().enumerate() {
+                maps.write_rows(n, &mut factors[n], &old[n], below(rows, old_rows[n]));
             }
         }
-    }
-
-    // What a rank ships must hold its final bytes, so an owner writes the
-    // untouched old rows its gather list names, once, from each mode's
-    // last map.  `build_plans` names none: rank 0 writes every untouched
-    // row itself, from the same map and the same `Ã_n` (the tests'
-    // every-owned-row reference gather names them all).
-    for (n, [_, _, untouched]) in owned.iter().enumerate() {
-        let shipped: Vec<u32> = untouched
-            .iter()
-            .copied()
-            .filter(|row| plan.gather_rows[n].binary_search(row).is_ok())
-            .collect();
-        maps.write_rows(n, &mut factors[n], &old[n], &shipped);
-    }
-
-    // ---- gather to rank 0 the rows it cannot form itself ----------------
-    // At the scheduled end the staging buffer still holds the last mode's
-    // partials and loss slot, which no refresh carried: they ride here.
-    let tail: &[f64] = if iterations == cfg.max_iters {
-        &ws.buf
-    } else {
-        &[]
+        exec.gather_round(ctx, &schedule.gather, &mut factors, tail.then_some(&mut ws))?
     };
-    let gathered = {
-        let _s = dismastd_obs::span("phase/gather");
-        gather_factors(ctx, plans, factors, &maps, old, old_rows, tail)?
-    };
-    let factors_out = match gathered {
-        Some((out, reduced)) if !reduced.is_empty() => {
-            let _s = dismastd_obs::span("phase/loss");
-            unpack_grams(&reduced[..packed], &mut state, order - 1);
-            let inner = reduced[packed];
-            loss_trace.push(try_num!(dtd_loss(
-                &state,
-                &LossParts {
-                    inner,
-                    ..loss_parts
-                }
-            )));
-            Some(out)
-        }
-        gathered => gathered.map(|(out, _)| out),
-    };
-    // A last-mode share the ridge ladder could not make finite has no
-    // next decision to refuse it; the assembled factors do.
-    for (mode, f) in factors_out.iter().flatten().enumerate() {
-        if let Some(&value) = f.as_slice().iter().find(|v| !v.is_finite()) {
-            return Ok(Err(TensorError::NonFiniteValue {
-                index: vec![mode],
-                value,
-            }));
-        }
+    // The last mode's partials and loss slot rode the gather's tail.
+    if root && tail {
+        let landed = land_reduction(&ws, &mut state, order - 1, &inputs.loss_parts);
+        loss_trace.extend(try_num!(landed));
     }
+    // No decision follows the last mode to refuse a non-finite share.
+    let factors = root.then_some(factors);
+    try_num!(factors.as_deref().map_or(Ok(()), all_finite));
 
     Ok(Ok(WorkerResult {
         loss_trace,
         iterations,
-        factors: factors_out,
+        factors,
         iter_elapsed,
         decisions,
         post,
@@ -1058,27 +1138,87 @@ fn worker_body(
     }))
 }
 
-/// A worker's mode-`n` MTTKRP partials (Sec. IV-B1): the rows of `hat` a
-/// mode-iteration writes are zeroed, then every cell adds one run total
-/// per row it touches, cells in ascending cell order and a cell's entries
-/// in stored order within the total — `hat[i] = ((0 + T₁) + T₂) + …`.
-/// That order is part of the numerics: it is what "bit-identical per
-/// (grid, world)" holds a run to.  So is the grid's row ownership: a row's
-/// owner starts from its own partial and adds its peers' in ascending rank
-/// order, and a Gram partial covers the rows a rank owns.
+/// Writes mode `m`'s reduced products into the replicated state and, after
+/// the last mode, evaluates the loss whose inner product rode in the slot
+/// after them.
+fn land_reduction(
+    ws: &GramWorkspace,
+    state: &mut GramState,
+    m: usize,
+    parts: &LossParts,
+) -> Result<Option<f64>> {
+    let packed = ws.reduced.len() - 1;
+    {
+        let _s = dismastd_obs::span("phase/gram");
+        unpack_grams(&ws.reduced[..packed], state, m);
+    }
+    if m + 1 < state.cross.len() {
+        return Ok(None);
+    }
+    let _s = dismastd_obs::span("phase/loss");
+    let inner = ws.reduced[packed];
+    dtd_loss(state, &LossParts { inner, ..*parts }).map(Some)
+}
+
+/// Refuses assembled `factors` with a non-finite entry, naming its mode.
+fn all_finite(factors: &[Matrix]) -> Result<()> {
+    for (mode, f) in factors.iter().enumerate() {
+        if let Some(&value) = f.as_slice().iter().find(|v| !v.is_finite()) {
+            let index = vec![mode];
+            return Err(TensorError::NonFiniteValue { index, value });
+        }
+    }
+    Ok(())
+}
+
+/// Counts this rank's solves per tier — its own re-solves, and on rank 0
+/// the replicated decisions too, so the merged snapshot counts the run's
+/// `numerics` (label 0/1/2 = cholesky/lu/ridge) — and, on rank 0, each
+/// mode's untouched old rows.
+fn count_solves(
+    me: usize,
+    order: usize,
+    decisions: &DecisionRecord,
+    post: &NumericsReport,
+    maps: &UntouchedRows,
+) {
+    let mut tiers = *post;
+    if me == 0 {
+        tiers.absorb(&decisions.numerics);
+        for n in (0..order).filter(|&n| maps.count(n) > 0) {
+            dismastd_obs::counter_add_with("solve/untouched_rows", n as u64, maps.count(n) as u64);
+        }
+    }
+    let solves = [tiers.cholesky_solves, tiers.lu_solves, tiers.ridge_solves];
+    for (label, &count) in (0u64..).zip(&solves).filter(|(_, &count)| count > 0) {
+        dismastd_obs::counter_add_with("solve/tier", label, count);
+    }
+}
+
+/// A worker's mode-`n` MTTKRP partials (Sec. IV-B1), `n` the mode of its
+/// partials `round`: the rows of `hat` a mode-iteration writes are zeroed,
+/// then every cell adds one run total per row it touches, cells in
+/// ascending cell order and a cell's entries in stored order within the
+/// total — `hat[i] = ((0 + T₁) + T₂) + …`.  That order is part of the
+/// numerics: it is what "bit-identical per (grid, world)" holds a run to.
+/// So is the grid's row ownership: a row's owner starts from its own
+/// partial and adds its peers' in ascending rank order, and a Gram partial
+/// covers the rows a rank owns.
 ///
 /// Those rows are the owned rows some nonzero references (the cells' and
-/// the peers' partials land there) and the rows routed to their owners,
-/// each once: the lists are disjoint.  Every other row of `hat` is never
-/// written, so it still holds the zero it was allocated with.
+/// the peers' partials land there) and the rows the round routes to their
+/// owners, each once: the lists are disjoint.  Every other row of `hat` is
+/// never written, so it still holds the zero it was allocated with.
 fn local_partials(
     plan: &WorkerPlan,
+    round: &Round,
+    me: usize,
     factors: &[Matrix],
-    n: usize,
     hat: &mut Matrix,
     pool: &ThreadPool,
 ) -> Result<()> {
-    let routed = plan.partial_routes[n].iter().map(Vec::as_slice);
+    let n = round.modes.start;
+    let routed = round.lanes[me].iter().map(|lane| lane.rows.as_slice());
     for rows in std::iter::once(plan.touched_rows[n].as_slice()).chain(routed) {
         for &row in rows {
             hat.row_mut(row as usize).fill(0.0);
@@ -1088,57 +1228,6 @@ fn local_partials(
         cell.mttkrp_into_pooled(factors, n, hat, pool)?;
     }
     Ok(())
-}
-
-/// Completes a posted refresh exchange: receives every peer's refreshed
-/// mode-`pr.mode` rows and writes them into the replicated factor copy.
-/// The exchange carried the reduce half of the mode's Gram reduction of
-/// the still-staged `ws.buf`: this rank's slice is folded over ranks
-/// `0..w` in order — its own partial at its own turn — into `ws.reduced`.
-fn complete_refresh(
-    ctx: &mut WorkerCtx,
-    pr: PendingRefresh,
-    plan: &WorkerPlan,
-    factors: &mut [Matrix],
-    ws: &mut GramWorkspace,
-    pool: &mut BufferPool,
-    incoming: &mut Vec<Payload>,
-) -> ClusterResult<()> {
-    let _s = dismastd_obs::span("phase/exchange");
-    let me = ctx.rank();
-    let n = pr.mode;
-    let r = factors[n].cols();
-    let mine = gram_slice(me, ctx.world(), ws.buf.len());
-    let (lo, hi) = (mine.start, mine.end);
-    ctx.complete_exchange(pr.pending, incoming)?;
-    for (d, payload) in incoming.drain(..).enumerate() {
-        let sum = &mut ws.reduced[lo..hi];
-        if d == me {
-            gram_fold(sum, d, &ws.buf[lo..hi]);
-            continue;
-        }
-        let routes = &plan.partial_routes[n][d];
-        let data = decode_rows_and_tail(payload, d, routes, r, hi - lo)?;
-        let rows = routes.len() * r;
-        write_rows(&mut factors[n], routes, &data[..rows]);
-        gram_fold(sum, d, &data[rows..]);
-        pool.put(data);
-    }
-    Ok(())
-}
-
-/// Packs the listed rows of `m`, then `tail`, into one flat exchange
-/// payload drawn from the worker's pool (an empty `Vec` when the pool is
-/// dry).
-fn pack_rows(m: &Matrix, rows: &[u32], tail: &[f64], pool: &mut BufferPool) -> Payload {
-    let r = m.cols();
-    let mut out = pool.take();
-    out.reserve(rows.len() * r + tail.len());
-    for &row in rows {
-        out.extend_from_slice(m.row(row as usize));
-    }
-    out.extend_from_slice(tail);
-    Payload::F64(out)
 }
 
 /// Adds packed rows into `m` at the listed positions.
@@ -1231,7 +1320,7 @@ fn setup_grams(
     let mut ws = GramWorkspace::new(r);
     let mut partials = Vec::with_capacity(plans.len());
     for plan in plans {
-        ws.buf.clear();
+        let mut part = Vec::with_capacity(packed_len(r) * init.len());
         for n in 0..init.len() {
             // Every owned old row, untouched ones included: at set-up they
             // still hold `Ã_n`.
@@ -1240,8 +1329,9 @@ fn setup_grams(
             let blocks = [row_set(&rows[..split]), row_set(&rows[split..])];
             mode_grams(&init[n], &old[n], &blocks, ws.targets())?;
             ws.stage();
+            part.extend_from_slice(&ws.buf);
         }
-        partials.push(ws.buf.clone());
+        partials.push(part);
     }
     Ok(fold_setup(&partials, init.len(), r))
 }
@@ -1263,100 +1353,17 @@ fn fold_setup(partials: &[Vec<f64>], order: usize, r: usize) -> GramState {
     state
 }
 
-/// Gathers to rank 0 the rows it cannot form itself and assembles the
-/// final factor matrices there.  Each rank ships its gather list (see
-/// [`WorkerPlan::gather_rows`]) from its copy `factors`; rank 0 starts
-/// from its own copy — its owned rows, and in modes below the last every
-/// row it reads, final since the last iteration's refreshes — writes every
-/// rank's untouched old rows from each mode's last map, then the shipped
-/// rows.  Every payload ends with `tail` — the last scheduled iteration's
-/// last-mode partials and loss slot, or nothing after a tolerance stop —
-/// and rank 0 folds the tails over ranks `0..w` (see [`gram_fold`]),
-/// returning the factors and that sum.
-fn gather_factors(
-    ctx: &mut WorkerCtx,
-    plans: &[WorkerPlan],
-    factors: Vec<Matrix>,
-    maps: &UntouchedRows,
-    old: &[Matrix],
-    old_rows: &[usize],
-    tail: &[f64],
-) -> ClusterResult<Option<(Vec<Matrix>, Vec<f64>)>> {
-    let me = ctx.rank();
-    // One payload: the listed rows of all modes, concatenated, then the
-    // tail.  One-shot per decomposition, so no pooling here.
-    let mut packed = Vec::new();
-    for (f, rows) in factors.iter().zip(&plans[me].gather_rows) {
-        for &row in rows {
-            packed.extend_from_slice(f.row(row as usize));
-        }
-    }
-    packed.extend_from_slice(tail);
-    let gathered = match ctx.try_gather(0, Payload::F64(packed))? {
-        Some(g) => g,
-        None => return Ok(None), // non-root ranks
-    };
-    let mut out = factors;
-    for plan in plans {
-        for (n, rows) in plan.untouched_rows.iter().enumerate() {
-            maps.write_rows(n, &mut out[n], &old[n], below(rows, old_rows[n]));
-        }
-    }
-    let mut sum = vec![0.0; tail.len()];
-    for (src, payload) in gathered.into_iter().enumerate() {
-        let data = payload.try_into_f64()?;
-        let part = unpack_gathered(&mut out, &plans[src].gather_rows, src, &data, tail.len())?;
-        gram_fold(&mut sum, src, part);
-    }
-    Ok(Some((out, sum)))
-}
-
-/// Writes sender `src`'s gathered payload — its gather list's rows of
-/// every mode (`gather_rows`), then `tail` more values — into `out` and
-/// returns those values.
-///
-/// # Errors
-/// [`ClusterError::SizeMismatch`] naming `src` when the payload is not
-/// exactly that long.
-fn unpack_gathered<'d>(
-    out: &mut [Matrix],
-    gather_rows: &[Vec<u32>],
-    src: usize,
-    data: &'d [f64],
-    tail: usize,
-) -> ClusterResult<&'d [f64]> {
-    let rows: usize = out
-        .iter()
-        .zip(gather_rows)
-        .map(|(f, rows)| rows.len() * f.cols())
-        .sum();
-    if data.len() != rows + tail {
-        return Err(ClusterError::SizeMismatch {
-            rank: src,
-            expected: rows + tail,
-            found: data.len(),
-        });
-    }
-    let mut rest = data;
-    for (f, rows) in out.iter_mut().zip(gather_rows) {
-        let (mode, next) = rest.split_at(rows.len() * f.cols());
-        write_rows(f, rows, mode);
-        rest = next;
-    }
-    Ok(rest)
-}
-
 /// Splits the tensor over workers and grid cells, builds one
 /// [`MttkrpPlan`] per non-empty cell (a one-cell grid's over `tensor`
-/// itself), and derives row ownership, the partial/update routing tables
-/// and the gather lists.  `old_rows[n]` is
-/// mode `n`'s row count in the history (`Ĩ_n`).
+/// itself), derives row ownership and compiles the step's [`Schedule`] at
+/// rank `r`.  `old_rows[n]` is mode `n`'s row count in the history (`Ĩ_n`).
 fn build_plans(
     tensor: &SparseTensor,
     grid: &GridPartition,
     world: usize,
     old_rows: &[usize],
-) -> Result<Vec<WorkerPlan>> {
+    r: usize,
+) -> Result<(Vec<WorkerPlan>, Schedule)> {
     let order = tensor.order();
     // Per-worker, per-mode referenced-row sets.
     let mut needed: Vec<Vec<Vec<bool>>> = (0..world)
@@ -1403,14 +1410,12 @@ fn build_plans(
     let mut owned_rows: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); order]; world];
     let mut touched_rows = owned_rows.clone();
     let mut untouched_rows = owned_rows.clone();
-    let mut gather_rows = owned_rows.clone();
-    let mut owner_of: Vec<Vec<u32>> = Vec::with_capacity(order);
+    let mut gathered = owned_rows.clone();
+    // `routes[n][w][d]`: mode-`n` rows worker `w` references and `d` owns.
+    let mut routes: Vec<Vec<Vec<Vec<u32>>>> = vec![vec![vec![Vec::new(); world]; world]; order];
     for n in 0..order {
-        let mut owners = Vec::with_capacity(tensor.shape()[n]);
         for row in 0..tensor.shape()[n] {
             let w = grid.row_owner(n, row);
-            // lint:allow(narrowing_cast): a worker id — `w < world`, one OS thread each
-            owners.push(w as u32);
             // lint:allow(narrowing_cast): `row < shape[n]`, which `run_distributed` bounded by u32
             let row_id = row as u32;
             owned_rows[w][n].push(row_id);
@@ -1424,63 +1429,32 @@ fn build_plans(
             let formed = !touched && row < old_rows[n];
             let held = n + 1 < order && needed[0][n][row];
             if w != 0 && !formed && !held {
-                gather_rows[w][n].push(row_id);
+                gathered[w][n].push(row_id);
+            }
+            for (reader, marks) in needed.iter().enumerate() {
+                if reader != w && marks[n][row] {
+                    routes[n][reader][w].push(row_id);
+                }
             }
         }
-        owner_of.push(owners);
     }
 
-    // Routing tables.
-    let mut plans = Vec::with_capacity(world);
-    let mut partial_routes_all: Vec<Vec<Vec<Vec<u32>>>> =
-        vec![vec![vec![Vec::new(); world]; order]; world];
-    for (w, worker_needed) in needed.iter().enumerate() {
-        for n in 0..order {
-            for (row, &is_needed) in worker_needed[n].iter().enumerate() {
-                if !is_needed {
-                    continue;
-                }
-                let owner = owner_of[n][row] as usize;
-                if owner != w {
-                    // lint:allow(narrowing_cast): `row < shape[n]`, which `run_distributed` bounded by u32
-                    partial_routes_all[w][n][owner].push(row as u32);
-                }
-            }
-        }
-    }
-    // Materialise all serve routes before consuming the partial routes —
-    // worker w serves exactly what each peer d routes to w.
-    let serve_routes_all: Vec<Vec<Vec<Vec<u32>>>> = (0..world)
-        .map(|w| {
-            (0..order)
-                .map(|n| {
-                    (0..world)
-                        .map(|d| partial_routes_all[d][n][w].clone())
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
-    let mut serve_routes_all = serve_routes_all;
-    for (w, cells) in cells_by_worker.into_iter().enumerate() {
-        let serve_routes = std::mem::take(&mut serve_routes_all[w]);
-        plans.push(WorkerPlan {
+    let plans = (0..world)
+        .zip(cells_by_worker)
+        .map(|(w, cells)| WorkerPlan {
             cells,
             local_nnz: local_nnz[w],
             owned_rows: std::mem::take(&mut owned_rows[w]),
             touched_rows: std::mem::take(&mut touched_rows[w]),
             untouched_rows: std::mem::take(&mut untouched_rows[w]),
-            partial_routes: std::mem::take(&mut partial_routes_all[w]),
-            serve_routes,
-            gather_rows: std::mem::take(&mut gather_rows[w]),
-        });
-    }
-    Ok(plans)
+        })
+        .collect();
+    Ok((plans, Schedule::compile(&routes, &gathered, r)))
 }
 
 /// Per sender, the owned rows the gather does not ship for a step over
-/// `tensor` with `old_rows` rows of history: those rank 0 forms or holds
-/// (see [`WorkerPlan::gather_rows`]).  Rank 0's are all of its own.
+/// `tensor` with `old_rows` rows of history: those rank 0 forms or holds.
+/// Rank 0's are all of its own.
 #[cfg(test)]
 pub(crate) fn gather_skipped_rows(
     tensor: &SparseTensor,
@@ -1488,29 +1462,28 @@ pub(crate) fn gather_skipped_rows(
     cluster: &ClusterConfig,
 ) -> Vec<u64> {
     let mut memo = PlanCache::default();
-    let plans = memo.plans_for(tensor, cluster, old_rows).unwrap();
-    let count = |rows: &[Vec<u32>]| rows.iter().map(Vec::len).sum::<usize>() as u64;
-    plans
-        .iter()
-        .map(|plan| count(&plan.owned_rows) - count(&plan.gather_rows))
+    let step = memo.plans_for(tensor, cluster, old_rows, 1).unwrap();
+    let owned = |plan: &WorkerPlan| plan.owned_rows.iter().map(Vec::len).sum::<usize>();
+    let lanes = &step.schedule.gather.lanes;
+    let shipped = |k: usize| lanes[k][0].rows.len();
+    (0..step.plans.len())
+        .map(|k| (owned(&step.plans[k]) - shipped(k)) as u64)
         .collect()
 }
 
 /// Bytes needed to stage the computation (Theorem 4's data-distribution
 /// terms): each worker's tensor partition in coordinate format plus every
-/// factor row it references or owns.
-fn setup_bytes(plans: &[WorkerPlan], order: usize, rank: usize) -> u64 {
+/// factor row it owns or references — the latter are the rows its
+/// partials rounds route to their owners.
+fn setup_bytes(plans: &[WorkerPlan], schedule: &Schedule) -> u64 {
     let mut total = 0u64;
-    for plan in plans {
+    for (w, plan) in plans.iter().enumerate() {
         // Coordinate format: N 4-byte indices + one 8-byte value per nonzero.
-        total += plan.local_nnz as u64 * (4 * order as u64 + 8);
-        for n in 0..order {
-            let mut rows = plan.owned_rows[n].len() as u64;
-            for d in 0..plans.len() {
-                rows += plan.partial_routes[n][d].len() as u64;
-            }
-            total += rows * rank as u64 * 8;
-        }
+        total += plan.local_nnz as u64 * (4 * plan.owned_rows.len() as u64 + 8);
+        let owned: usize = plan.owned_rows.iter().map(Vec::len).sum();
+        let lanes = schedule.partials.iter().flat_map(|round| &round.lanes[w]);
+        let routed: usize = lanes.map(|lane| lane.rows.len()).sum();
+        total += (owned + routed) as u64 * schedule.r as u64 * 8;
     }
     total
 }
@@ -1758,6 +1731,40 @@ mod tests {
     }
 
     #[test]
+    fn the_schedule_predicts_every_senders_bytes_and_the_collectives() {
+        // The schedule's own prediction against what the cluster counted:
+        // worlds 1 (nothing crosses a rank boundary) to 5, R 3 and 10, a
+        // warm step run to its scheduled end and one stopped by tolerance.
+        // `run_distributed` asserts the same in debug builds only.
+        let old_shape = [10usize, 9, 8];
+        let x = random_complement(&old_shape, &[12, 11, 9], 120, 91);
+        for world in 1usize..=5 {
+            for r in [3usize, 10] {
+                let mut rng = ChaCha8Rng::seed_from_u64(92);
+                let old: Vec<Matrix> = old_shape
+                    .iter()
+                    .map(|&s| Matrix::random(s, r, &mut rng))
+                    .collect();
+                for tolerance in [0.0, 1.0] {
+                    let tag = format!("world {world} R {r} tolerance {tolerance}");
+                    let cfg = cfg().with_rank(r).with_tolerance(tolerance);
+                    let (cluster, opts) = (ClusterConfig::new(world), ClusterOptions::default());
+                    let mut memo = PlanCache::default();
+                    let out = run_distributed(&x, &old, &cfg, &cluster, &opts, &mut memo).unwrap();
+                    let stopped = out.iterations < cfg.max_iters;
+                    assert_eq!(stopped, tolerance > 0.0, "{tag}");
+                    let schedule = &memo.step.as_ref().unwrap().schedule;
+                    let predicted = schedule.bytes_by_sender(out.iterations, stopped);
+                    assert_eq!(out.comm.bytes_by_sender, predicted, "{tag}");
+                    assert_eq!(out.comm.bytes, predicted.iter().sum::<u64>(), "{tag}");
+                    let collectives = schedule.collectives(out.iterations, stopped);
+                    assert_eq!(out.comm.collectives, collectives, "{tag}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn fused_slices_reduce_to_the_allreduce_bit_for_bit() {
         // The oracle is the all-reduce the fused path replaces, flat and
         // ring alike: random partials, with signed zeros (a column of
@@ -1916,7 +1923,14 @@ mod tests {
                 cluster.cell_assignment,
             )
             .unwrap();
-            let plans = build_plans(&x, &grid, world, &[0; 3]).unwrap();
+            // The row lists do not depend on R.
+            let (plans, schedule) = build_plans(&x, &grid, world, &[0; 3], 3).unwrap();
+            // Rows rank `k` sends in one of the mode's rounds, and rows
+            // rank `k` reads of mode `n` that `d` owns.
+            let sent = |rounds: &[Round], n: usize, k: usize| -> usize {
+                rounds[n].lanes[k].iter().map(|lane| lane.rows.len()).sum()
+            };
+            let reads = |k: usize, n: usize, d: usize| schedule.partials[n].lanes[k][d].rows.len();
             for r in [3u64, 10] {
                 let cfg = cfg().with_rank(r as usize).with_tolerance(0.0);
                 let packed = 2 * r * r + r;
@@ -1931,12 +1945,10 @@ mod tests {
                     .iter()
                     .enumerate()
                     .map(|(k, plan)| {
-                        let count =
-                            |routes: &[Vec<u32>]| routes.iter().map(Vec::len).sum::<usize>();
                         let per_iter: usize = (0..3)
-                            .map(|n| count(&plan.partial_routes[n]) + count(&plan.serve_routes[n]))
+                            .map(|n| sent(&schedule.partials, n, k) + sent(&schedule.refresh, n, k))
                             .sum();
-                        let unread = count(&plan.serve_routes[2]) as u64;
+                        let unread = sent(&schedule.refresh, 2, k) as u64;
                         // Every owned row but those rank 0 forms or holds:
                         // with no history no row is an untouched old one,
                         // and rank 0 holds the rows it reads of modes 0
@@ -1944,10 +1956,8 @@ mod tests {
                         let gathered: usize = if k == 0 {
                             0
                         } else {
-                            count(&plan.owned_rows)
-                                - (0..2)
-                                    .map(|n| plans[0].partial_routes[n][k].len())
-                                    .sum::<usize>()
+                            plan.owned_rows.iter().map(Vec::len).sum::<usize>()
+                                - (0..2).map(|n| reads(0, n, k)).sum::<usize>()
                         };
                         let rows = iters * per_iter as u64 - unread + gathered as u64;
                         let k = k as u64;
@@ -1973,9 +1983,11 @@ mod tests {
         cluster: &ClusterConfig,
     ) -> PlanCache {
         let mut memo = PlanCache::default();
-        memo.plans_for(x, cluster, old_rows).unwrap();
-        for plan in &mut memo.step.as_mut().unwrap().plans {
-            plan.gather_rows = plan.owned_rows.clone();
+        memo.plans_for(x, cluster, old_rows, cfg().rank).unwrap();
+        let step = memo.step.as_mut().unwrap();
+        for (k, plan) in step.plans.iter().enumerate() {
+            let lane = &mut step.schedule.gather.lanes[k][0];
+            *lane = Lane::new(plan.owned_rows.iter().map(Vec::as_slice), lane.tail.clone());
         }
         memo
     }
@@ -2040,7 +2052,9 @@ mod tests {
                     // Per sender, the reference shipped every owned row;
                     // the gather skips the untouched old ones and those
                     // rank 0 reads in modes 0 and 1, R values each.
-                    let plans = &memo.step.as_ref().unwrap().plans;
+                    let StepPlans {
+                        plans, schedule, ..
+                    } = memo.step.as_ref().unwrap();
                     assert_eq!(
                         out.comm.bytes_by_sender[0], reference.comm.bytes_by_sender[0],
                         "{tag}"
@@ -2049,7 +2063,9 @@ mod tests {
                         let untouched: usize = (0..3)
                             .map(|n| below(&plans[k].untouched_rows[n], old_rows[n]).len())
                             .sum();
-                        let held: usize = (0..2).map(|n| plans[0].partial_routes[n][k].len()).sum();
+                        let held: usize = (0..2)
+                            .map(|n| schedule.partials[n].lanes[0][k].rows.len())
+                            .sum();
                         untouched_total += untouched;
                         held_total += held;
                         assert_eq!(
@@ -2067,20 +2083,37 @@ mod tests {
 
     #[test]
     fn a_gathered_payload_of_the_wrong_length_is_a_typed_error() {
-        // Sender 2 owns rows {0, 2} of a 3 × 2 mode and row {1} of a 4 × 2
-        // one, and appends a 3-value tail: 2·2 + 1·2 + 3 = 9 values.
-        let owned = vec![vec![0u32, 2], vec![1]];
+        // A gather over a 3 × 2 mode and a 4 × 2 one at world 3: sender 2
+        // ships rows {0, 2} of the first and row {1} of the second, then a
+        // 3-value tail: 2·2 + 1·2 + 3 = 9 values.
+        let lane = |src: usize, dst: usize| match (src, dst) {
+            (2, 0) => Lane::new([&[0u32, 2][..], &[1]], 0..3),
+            _ => Lane::new([&[][..], &[]], 0..0),
+        };
+        let gather = Round {
+            modes: 0..2,
+            lanes: (0..3)
+                .map(|s| (0..3).map(|d| lane(s, d)).collect())
+                .collect(),
+            recv: Recv::WriteFold,
+        };
         let fresh = || vec![Matrix::zeros(3, 2), Matrix::zeros(4, 2)];
+        let mut ws = GramWorkspace::new(1);
+        let mut pool = BufferPool::new(true);
+        let mut receive = |out: &mut [Matrix], data: Vec<f64>| {
+            let payloads = [Payload::Empty, Payload::Empty, Payload::F64(data)];
+            unpack(&gather, 0, payloads, out, Some(&mut ws), &mut pool)
+        };
         let data: Vec<f64> = (1..=9).map(f64::from).collect();
         let mut out = fresh();
-        let tail = unpack_gathered(&mut out, &owned, 2, &data, 3).unwrap();
-        assert_eq!(tail, [7.0, 8.0, 9.0]);
+        receive(&mut out, data.clone()).unwrap();
+        assert_eq!(out[0].row(0), [1.0, 2.0]);
         assert_eq!(out[0].row(2), [3.0, 4.0]);
         assert_eq!(out[1].row(1), [5.0, 6.0]);
         // Truncated (a missing tail value, or a missing row) and over-long
         // payloads name their sender instead of panicking or truncating.
         for len in [8, 4, 10] {
-            match unpack_gathered(&mut fresh(), &owned, 2, &vec![1.0; len], 3) {
+            match receive(&mut fresh(), vec![1.0; len]) {
                 Err(ClusterError::SizeMismatch {
                     rank: 2,
                     expected: 9,
@@ -2090,11 +2123,14 @@ mod tests {
             }
         }
         // And the driver charges the fault to that rank.
-        let err = unpack_gathered(&mut fresh(), &owned, 2, &data[..8], 3).unwrap_err();
+        let err = receive(&mut fresh(), data[..8].to_vec()).unwrap_err();
         assert!(matches!(
             cluster_fault(err),
             TensorError::ClusterFault { rank: Some(2), .. }
         ));
+        // The one well-formed tail was folded onto the reduced buffer's
+        // zeros.
+        assert_eq!(ws.reduced[..3], [7.0, 8.0, 9.0]);
     }
 
     #[test]
@@ -2132,7 +2168,7 @@ mod tests {
                     cluster.cell_assignment,
                 )
                 .unwrap();
-                let plans = build_plans(&x, &grid, world, &[0; 3]).unwrap();
+                let (plans, schedule) = build_plans(&x, &grid, world, &[0; 3], rank).unwrap();
                 // The oracle's cells: the same routing, none of the layout.
                 let cells = x.partition_by(|idx| grid.cell_of(idx));
                 let mut shared_rows = 0;
@@ -2174,7 +2210,8 @@ mod tests {
                             assert!(expected.row(row).iter().all(|&v| v == 0.0));
                             expected.row_mut(row).copy_from_slice(hat.row(row));
                         }
-                        local_partials(plan, &factors, n, &mut hat, &pool).unwrap();
+                        let round = &schedule.partials[n];
+                        local_partials(plan, round, w, &factors, &mut hat, &pool).unwrap();
                         assert_eq!(
                             bits(&hat),
                             bits(&expected),
@@ -2209,7 +2246,7 @@ mod tests {
                     // A history of half of every mode, so some old rows go
                     // unreferenced.
                     let old_rows: Vec<usize> = shape.iter().map(|&s| s / 2).collect();
-                    let plans = build_plans(&x, &grid, world, &old_rows).unwrap();
+                    let (_, schedule) = build_plans(&x, &grid, world, &old_rows, 3).unwrap();
                     // references[(mode, row)] = the workers holding a nonzero of it.
                     let mut references = std::collections::BTreeMap::new();
                     for (idx, _) in x.iter() {
@@ -2224,13 +2261,14 @@ mod tests {
                     // Every referenced row is owned by a worker that reads
                     // it, so a mode-iteration routes Σ_rows (refs − 1) rows.
                     let bound: usize = references.values().map(|refs| refs.len() - 1).sum();
-                    let routed: usize = plans
+                    let routed: usize = schedule
+                        .partials
                         .iter()
-                        .flat_map(|p| p.partial_routes.iter().flatten())
-                        .map(Vec::len)
+                        .flat_map(|round| round.lanes.iter().flatten())
+                        .map(|lane| lane.rows.len())
                         .sum();
                     assert_eq!(routed, bound, "{tag}");
-                    for (w, plan) in plans.iter().enumerate() {
+                    for w in 0..world {
                         for n in 0..x.order() {
                             for d in 0..world {
                                 // Exactly the rows `w` reads and `d` owns.
@@ -2244,8 +2282,10 @@ mod tests {
                                     })
                                     .map(|((_, row), _)| *row)
                                     .collect();
-                                assert_eq!(plan.partial_routes[n][d], expected, "{tag} {w}->{d}");
-                                assert_eq!(plans[d].serve_routes[n][w], expected, "{tag} {d}<-{w}");
+                                let partials = &schedule.partials[n].lanes[w][d].rows;
+                                assert_eq!(*partials, expected, "{tag} {w}->{d}");
+                                let refresh = &schedule.refresh[n].lanes[d][w].rows;
+                                assert_eq!(*refresh, expected, "{tag} {d}<-{w}");
                             }
                             // The gather ships the owned rows rank 0 can
                             // neither form (old rows no nonzero references)
@@ -2262,7 +2302,9 @@ mod tests {
                                 })
                                 .map(|row| row as u32)
                                 .collect();
-                            assert_eq!(plan.gather_rows[n], gathered, "{tag} {w} gathers");
+                            let lane = &schedule.gather.lanes[w][0];
+                            let shipped = lane.per_mode().nth(n).unwrap();
+                            assert_eq!(shipped, gathered, "{tag} {w} gathers");
                         }
                     }
                 }

@@ -94,8 +94,8 @@ impl AnalyzeConfig {
                 "mttkrp_into_pooled",
                 "solve_rows",
                 "gram_rows",
-                "pack_rows",
-                "complete_refresh",
+                "Executor::post_round",
+                "Executor::complete_round",
                 "post_exchange",
                 "complete_exchange",
                 "try_allreduce_sum_with",

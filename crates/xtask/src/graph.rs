@@ -418,6 +418,11 @@ fn extract_fns(path: &Path, file: &LexedFile, out: &mut Vec<FnDef>) {
             // Calls inside the condition still belong to the *enclosing*
             // branch context, so fall through to the call scan below.
         }
+        // A group opened before the keyword just closed: the `if` was a
+        // pattern guard inside it (`matches!(x, P if c)`), with no block.
+        if pending_branch.as_ref().is_some_and(|pb| pb.depth < 0) {
+            pending_branch = None;
+        }
 
         match t.kind {
             TokenKind::Punct('{') => {
@@ -729,6 +734,22 @@ impl Display for Widget { fn fmt(&self) { write!(f, \"w\") } }
         // `Self::new()` resolves through the caller's own qualifier.
         let targets = g.resolve(3, &spin.calls[1]);
         assert_eq!(targets, vec![2]);
+    }
+
+    #[test]
+    fn a_pattern_guard_inside_a_macro_opens_no_branch() {
+        // The guard's `if` has no block of its own, so the impl after the
+        // function still qualifies its methods.
+        let g = graph_of(
+            "\
+fn pick(peers: &[Peer], me: usize) -> bool {
+    matches!(peers[0], Peer { rank } if rank == me)
+}
+impl Widget { fn spin(&self) {} }
+",
+        );
+        let names: Vec<String> = g.fns.iter().map(FnDef::display_name).collect();
+        assert_eq!(names, vec!["pick", "Widget::spin"]);
     }
 
     #[test]

@@ -21,9 +21,12 @@ echo "==> retired communication-policy, membership and fault names stay gone"
 # in FaultPlan; aborts carry the error value (and the unused gauge
 # instrument and index payload went with them).  The sixth belonged to the
 # serial solver's own ALS loop: serial `dtd` is the distributed step at
-# world 1.  Test fixtures that must spell an old checkpoint's fields live
-# in .json files, outside this search.
-if grep -rnE '\b(CommPolicy|downcast_f32|maybe_compress|WireMeta|Framed|compressed_bytes|with_corruption|allreduce_grams)\b|MembershipChange|request_join|request_leave|pending_membership|_with_world\b|ownership_delta|membership/|AllreduceAlgo::Auto\b|AUTO_RING_MIN_TOTAL_BYTES|last_owners|CrashAndRejoin|with_crash_and_rejoin|crash_rejoins|ABORT_TAG|decode_abort|gauge_set|Payload::U64|rows_missing_from' \
+# world 1.  The seventh were the step's hand-written row collectives and
+# their routing tables: the step's protocol lives in `Schedule`, compiled
+# by `build_plans`, and one executor packs and unpacks every round of it.
+# Test fixtures that must spell an old checkpoint's fields live in .json
+# files, outside this search.
+if grep -rnE '\b(CommPolicy|downcast_f32|maybe_compress|WireMeta|Framed|compressed_bytes|with_corruption|allreduce_grams)\b|MembershipChange|request_join|request_leave|pending_membership|_with_world\b|ownership_delta|membership/|AllreduceAlgo::Auto\b|AUTO_RING_MIN_TOTAL_BYTES|last_owners|CrashAndRejoin|with_crash_and_rejoin|crash_rejoins|ABORT_TAG|decode_abort|gauge_set|Payload::U64|rows_missing_from|\b(PendingRefresh|complete_refresh|unpack_gathered|gather_factors|pack_rows|partial_routes|serve_routes)\b' \
   crates tests examples --include='*.rs'; then
   echo "a retired name reappeared (above)" >&2
   exit 1

@@ -32,6 +32,7 @@ use dismastd_obs::alloc::{
 };
 use dismastd_tensor::Matrix;
 use std::sync::{PoisonError, RwLock};
+use std::time::Duration;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -46,6 +47,23 @@ const ROWS: usize = 12;
 const RANK: usize = 5;
 const WARMUP_ROUNDS: usize = 4;
 const MEASURED_ROUNDS: usize = 8;
+
+/// Makes the calling rank block once on its inbound channel, as the first
+/// step of a warm-up.  std's channel allocates on a thread's first blocking
+/// receive (its waiter context and waker entry), and a rank that happens
+/// never to block during the warm-up rounds pays that inside the measured
+/// ones.  No peer sends the tag waited for, so the receive waits on the
+/// channel until its deadline and must end in a timeout.
+fn block_once(ctx: &mut dismastd_cluster::WorkerCtx) {
+    const NEVER_SENT: u64 = 0;
+    let peer = (ctx.rank() + 1) % ctx.world();
+    let waited = ctx.recv_timeout(peer, NEVER_SENT, Duration::from_millis(20));
+    assert!(
+        matches!(waited, Err(ClusterError::Timeout { .. })),
+        "rank {}: {waited:?}",
+        ctx.rank()
+    );
+}
 
 /// One steady-state round: local gram into `gram_buf`, flat all-reduce,
 /// then an all-to-all row exchange with pooled payload staging.
@@ -116,8 +134,10 @@ fn gram_allreduce_exchange_round_is_allocation_free_after_warmup() {
         let mut outgoing: Vec<Payload> = Vec::with_capacity(WORLD);
         let mut incoming: Vec<Payload> = Vec::with_capacity(WORLD);
 
-        // Warm-up: fills this rank's payload pool, the collectives'
-        // internal staging pool, and the out-of-order receive buffer.
+        // Warm-up: the channel's first blocking receive, then this rank's
+        // payload pool, the collectives' internal staging pool, and the
+        // out-of-order receive buffer.
+        block_once(ctx);
         let mut warm = 0.0;
         for _ in 0..WARMUP_ROUNDS {
             warm = round(
@@ -272,6 +292,8 @@ fn fused_gram_round_is_allocation_free_after_warmup() {
         let mut pool = BufferPool::new(true);
         let mut outgoing: Vec<Payload> = Vec::with_capacity(WORLD);
         let mut incoming: Vec<Payload> = Vec::with_capacity(WORLD);
+        // The warm-up starts with the channel's first blocking receive.
+        block_once(ctx);
         let mut run = |rounds: usize| -> Result<f64, ClusterError> {
             let mut checksum = 0.0;
             for _ in 0..rounds {
