@@ -72,7 +72,7 @@ impl Clock for RealClock {
 ///
 /// Unlike the simulator's clock (which parks exactly one worker task on a
 /// scheduler queue), this clock has no scheduler: it serves the *driver*
-/// thread, which sleeps between whole cluster runs, outside any `SimNet`.
+/// thread, which sleeps between whole cluster runs, outside any simulation.
 #[derive(Debug, Default)]
 pub struct VirtualClock {
     now_ns: std::sync::atomic::AtomicU64,
@@ -97,7 +97,7 @@ impl Clock for VirtualClock {
     }
 }
 
-/// Shared handle type the runtime threads carry.
+/// Shared handle for a caller-installed clock (the supervisor's backoff).
 pub type SharedClock = Arc<dyn Clock>;
 
 #[cfg(test)]

@@ -51,12 +51,12 @@ pub enum ClusterError {
     },
     /// Collective buffers disagreed in length across ranks.
     SizeMismatch {
-        /// Rank that contributed the odd buffer (best-effort attribution:
-        /// lengths are compared against the root's buffer).
+        /// Rank that contributed the odd buffer, judged against rank 0's
+        /// (the ring names the first rank whose chunk disagrees).
         rank: usize,
-        /// Element count the collective expected.
+        /// Element count the collective expected (ring: that chunk's).
         expected: usize,
-        /// Element count actually contributed.
+        /// Element count actually contributed (ring: that chunk's).
         found: usize,
     },
 }

@@ -18,14 +18,19 @@
 //! duplicate is suppressed by the receiver's per-sender sequence check.
 //! Logical traffic totals in [`CommStats`](crate::CommStats) are therefore
 //! unchanged; the wire overhead lands in the separate `retransmits` /
-//! `retransmit_bytes` / `duplicates_suppressed` counters.
+//! `retransmit_bytes` / `duplicates_suppressed` counters.  The fate of a
+//! message is drawn and applied here (`FaultPlan::send`); the runtime
+//! only hands over its remote sends.
 
+use crate::comm::{CommStats, Payload};
+use crate::error::ClusterResult;
+use crate::transport::{Msg, Transport};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 /// What the simulated network does with one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum MessageFate {
+enum MessageFate {
     /// Deliver normally.
     Deliver,
     /// Hold the message for the given duration, then deliver.
@@ -222,7 +227,7 @@ impl FaultPlan {
 
     /// The fate of message `id` from `src` to `dst` — a pure function of
     /// the plan's seed and the message coordinates.
-    pub(crate) fn fate(&self, src: usize, dst: usize, id: u64) -> MessageFate {
+    fn fate(&self, src: usize, dst: usize, id: u64) -> MessageFate {
         if self.drop_permille == 0 && self.duplicate_permille == 0 && self.delay_permille == 0 {
             return MessageFate::Deliver;
         }
@@ -240,9 +245,50 @@ impl FaultPlan {
         }
     }
 
-    /// Simulated retransmission timeout (see [`Self::with_retransmit_delay`]).
-    pub(crate) fn retransmit_delay(&self) -> Duration {
-        self.retransmit_delay
+    /// Sends remote message `msg` to `dst` over `transport` under the fate
+    /// this plan draws for it.  A delay or a retransmission timeout is
+    /// spent by the sender on the run's clock — the synchronous send
+    /// models the network holding the message, in virtual time under sim
+    /// — and an extra wire copy is tallied in `stats` apart from the
+    /// logical bytes.
+    pub(crate) fn send(
+        &self,
+        transport: &Transport,
+        dst: usize,
+        msg: Msg,
+        stats: &CommStats,
+    ) -> ClusterResult<()> {
+        let src = msg.src;
+        let bytes = msg.body.as_ref().map_or(0, Payload::size_bytes);
+        match self.fate(src, dst, msg.id) {
+            MessageFate::Deliver => transport.post(dst, msg),
+            MessageFate::Delay(d) => {
+                transport.clock().sleep(src, d);
+                transport.post(dst, msg)
+            }
+            MessageFate::DropThenRetransmit => {
+                // First copy lost in flight: never enqueued.  The sender
+                // notices (simulated RTO) and retransmits the same id.
+                stats.record_retransmit(bytes);
+                transport.clock().sleep(src, self.retransmit_delay);
+                transport.post(dst, msg)
+            }
+            MessageFate::Duplicate => {
+                // Spurious retransmit: both copies hit the wire; the
+                // receiver's sequence check discards the second.
+                stats.record_retransmit(bytes);
+                // lint:allow(alloc_hygiene): fault-injection duplicate delivery, test-plan only
+                let first = transport.post(dst, msg.clone());
+                if first.is_ok() {
+                    // The receiver owes a recv only for the logical copy,
+                    // so it may consume that and exit before the spurious
+                    // one lands — a dead-letter on the simulated wire, not
+                    // a peer failure.
+                    let _ = transport.post(dst, msg);
+                }
+                first
+            }
+        }
     }
 }
 

@@ -25,6 +25,7 @@
 //! real threads and under the [`SimOptions`] scheduler alike.
 
 pub mod clock;
+mod collectives;
 pub mod comm;
 pub mod cost;
 pub mod error;
@@ -32,6 +33,7 @@ pub mod fault;
 pub mod runtime;
 pub mod sim;
 pub mod supervisor;
+mod transport;
 pub mod wire;
 
 pub use clock::{Clock, RealClock, SharedClock, VirtualClock};

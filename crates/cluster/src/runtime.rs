@@ -1,53 +1,30 @@
 //! The SPMD worker runtime.
 //!
-//! [`Cluster::run`] spawns one OS thread per simulated worker node and runs
-//! the same closure on each (Single Program, Multiple Data — the execution
-//! model of the paper's Spark implementation); a one-worker run calls the
-//! closure on the caller's thread instead, under the same panic guard.
-//! Workers coordinate only through [`WorkerCtx`]: tagged point-to-point
-//! messages over unbounded channels, plus the collectives DisMASTD needs
-//! (barrier, broadcast, gather, all-reduce of `f64` buffers, all-to-all
-//! exchange).
+//! [`Cluster::run`] runs the same closure on every rank (Single Program,
+//! Multiple Data — the execution model of the paper's Spark
+//! implementation): one OS thread per rank, or the caller's thread for a
+//! one-rank run, under the same panic guard.  A rank's [`WorkerCtx`]
+//! holds its identity, its tagged point-to-point messaging and its fault
+//! state: a failing rank fans its [`ClusterError`] out to every peer, and
+//! a context that has observed one fails fast thereafter.
 //!
-//! Collectives are sequenced by an internal counter that advances
-//! identically on every worker (valid because the program is SPMD), so
-//! messages from different phases can never be confused even though the
-//! channels are shared.  All remote traffic is tallied in [`CommStats`].
-//!
-//! ## Fault model
-//!
-//! The runtime is fault-tolerant: every communication primitive is
-//! fallible and returns [`ClusterResult`].  When a worker fails — its
-//! closure panics, returns an error, or a fault plan crashes it — the
-//! runtime fans an **abort message** carrying the [`ClusterError`] value
-//! itself out to every peer.  Peers blocked in any receive wake
-//! up with the originating error instead of deadlocking, and
-//! [`Cluster::run`] returns `Err` naming the failing rank and cause.
-//! A context that has observed an abort is poisoned: all further
-//! communication on it fails fast with the same error.
-//!
-//! Deterministic chaos is injected via [`FaultPlan`] (see
-//! [`ClusterOptions`]): seeded per-message delays, drops with
-//! retransmission, duplicate deliveries (suppressed by a per-sender
-//! sequence check), crash-at-collective-k worker failures, and
-//! crash-and-rejoin points whose respawned rank starts the next run late
-//! by a delay spent on the run's [`Clock`].  `FaultPlan` is the only place
-//! a fault is armed; the simulator ([`SimOptions`]) only schedules.
-//! Control traffic — barrier tokens and abort fan-outs — bypasses both
-//! fault injection and [`CommStats`], so logical traffic totals under
-//! chaos stay bit-identical to a fault-free run.
+//! The rest sits behind one seam each: the collectives in
+//! `collectives.rs`, the channels-or-simulator transport and the run's
+//! [`Clock`](crate::Clock) in `transport.rs`, and message fates in
+//! [`FaultPlan`].  DESIGN.md ("Wire format & collective algorithms",
+//! "Fault model & recovery") names the module that owns each decision.
 
-use crate::clock::{Clock, RealClock};
 use crate::comm::{BufferPool, CommStats, CommStatsSnapshot, Payload};
 use crate::error::{ClusterError, ClusterResult};
-use crate::fault::{FaultPlan, MessageFate};
-use crate::sim::{SimNet, SimOptions, WaitOutcome};
-use crate::wire::AllreduceAlgo;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crate::fault::FaultPlan;
+use crate::sim::SimOptions;
+use crate::transport::{Msg, Transport};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
+
+pub use crate::collectives::PendingExchange;
 
 /// Tags below this are reserved for internally sequenced collectives;
 /// user point-to-point tags are offset into the upper half.
@@ -78,17 +55,6 @@ fn loom_pause(_point: u32) {
     loom::explore::pause(_point);
 }
 
-pub(crate) struct Msg {
-    src: usize,
-    tag: u64,
-    /// Per-sender sequence number (1-based, monotone per channel); lets
-    /// receivers suppress duplicate deliveries under fault injection.
-    id: u64,
-    /// The data, or — for an abort notice — the failing worker's error
-    /// itself (workers share a process, so it needs no wire format).
-    body: Result<Payload, ClusterError>,
-}
-
 /// Runtime knobs for a cluster run: the receive-deadline backstop and an
 /// optional fault-injection plan.
 ///
@@ -114,13 +80,10 @@ pub struct ClusterOptions {
 /// the 30s default).  Test suites set a short value so failing chaos runs
 /// surface in milliseconds instead of hanging for half a minute.
 fn default_timeout_from_env() -> Option<Duration> {
-    match std::env::var("DISMASTD_TEST_TIMEOUT_MS") {
-        Ok(ms) => match ms.trim().parse::<u64>() {
-            Ok(0) => None,
-            Ok(ms) => Some(Duration::from_millis(ms)),
-            Err(_) => Some(Duration::from_secs(30)),
-        },
-        Err(_) => Some(Duration::from_secs(30)),
+    match std::env::var("DISMASTD_TEST_TIMEOUT_MS").map(|ms| ms.trim().parse::<u64>()) {
+        Ok(Ok(0)) => None,
+        Ok(Ok(ms)) => Some(Duration::from_millis(ms)),
+        _ => Some(Duration::from_secs(30)),
     }
 }
 
@@ -139,8 +102,7 @@ impl ClusterOptions {
     pub fn no_timeout() -> Self {
         ClusterOptions {
             default_timeout: None,
-            fault_plan: None,
-            sim: None,
+            ..Self::default()
         }
     }
 
@@ -231,31 +193,8 @@ impl Cluster {
     {
         assert!(world > 0, "cluster needs at least one worker");
         let stats = Arc::new(CommStats::with_world(world));
-
-        // One inbound channel per worker; every worker holds all senders
-        // (including its own, so its receiver can never disconnect).
-        let mut senders: Vec<Sender<Msg>> = Vec::with_capacity(world);
-        let mut receivers: Vec<Receiver<Msg>> = Vec::with_capacity(world);
-        for _ in 0..world {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-
-        // Under simulation, one SimNet serialises every worker onto a
-        // virtual clock; it doubles as the run's Clock.  Otherwise the
-        // workers share a RealClock and run genuinely concurrent.
-        let sim = opts
-            .sim
-            .as_ref()
-            .map(|s| Arc::new(SimNet::new(world, senders.clone(), s)));
-        let clock: Arc<dyn Clock> = match &sim {
-            Some(s) => Arc::clone(s) as Arc<dyn Clock>,
-            None => Arc::new(RealClock::new()),
-        };
-
         let mut ranks = Vec::with_capacity(world);
-        for (rank, receiver) in receivers.into_iter().enumerate() {
+        for (rank, transport) in Transport::connect(world, opts).into_iter().enumerate() {
             // A rank respawned after a crash-and-rejoin owes its delay on
             // this run only; counted here, on the calling thread, so the
             // caller's metrics see it.
@@ -267,8 +206,7 @@ impl Cluster {
             let ctx = WorkerCtx {
                 rank,
                 world,
-                senders: senders.clone(),
-                receiver,
+                transport,
                 pending: VecDeque::new(),
                 seq: 0,
                 next_msg_id: 0,
@@ -277,8 +215,6 @@ impl Cluster {
                 plan,
                 default_timeout: opts.default_timeout,
                 stats: Arc::clone(&stats),
-                clock: Arc::clone(&clock),
-                sim: sim.clone(),
                 pool: BufferPool::new(true),
             };
             ranks.push((ctx, rejoin));
@@ -341,23 +277,20 @@ impl Cluster {
     }
 }
 
-/// One rank's run of `f`: the simulator's token (under sim), a rejoin
-/// delay, then `f` under `catch_unwind` — a failing rank wakes its peers
-/// with the abort fan-out instead of poisoning the join.
+/// One rank's run of `f`: admission to the transport (the simulator's
+/// token, under sim), a rejoin delay, then `f` under `catch_unwind` — a
+/// failing rank wakes its peers with the abort fan-out instead of
+/// poisoning the join.
 fn run_rank<T, F>(mut ctx: WorkerCtx, rejoin: Option<Duration>, f: &F) -> ClusterResult<T>
 where
     F: Fn(&mut WorkerCtx) -> ClusterResult<T>,
 {
     let rank = ctx.rank;
-    // Under sim: wait until every worker registered and the scheduler hands
-    // this task the run token.
-    if let Some(sim) = ctx.sim.clone() {
-        sim.worker_start(rank);
-    }
+    ctx.transport.start();
     // The respawned rank starts late while its peers already wait in the
     // first collective (virtual time under sim).
     if let Some(delay) = rejoin {
-        ctx.clock.sleep(rank, delay);
+        ctx.transport.clock().sleep(rank, delay);
     }
     let result = match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
         Ok(Ok(value)) => Ok(value),
@@ -371,9 +304,7 @@ where
             ctx.abort_peers(err.clone());
         }
     }
-    if let Some(sim) = ctx.sim.clone() {
-        sim.worker_done(rank);
-    }
+    ctx.transport.done();
     result
 }
 
@@ -389,29 +320,17 @@ fn error_from_panic(rank: usize, panic: Box<dyn std::any::Any + Send>) -> Cluste
     ClusterError::PeerCrashed { rank, cause }
 }
 
-/// Handle to an all-to-all exchange whose sends have been posted but whose
-/// receives have not yet run — the overlap window.  Must be completed with
-/// [`WorkerCtx::complete_exchange`] before the next collective that needs
-/// the data; dropping it without completing leaves the peers' messages to
-/// be drained by tag matching, but never corrupts later collectives (tags
-/// are unique per collective).
-#[must_use = "posted exchanges must be completed to receive the peers' payloads"]
-pub struct PendingExchange {
-    tag: u64,
-    mine: Payload,
-}
-
 /// A worker's handle to the simulated cluster: identity, messaging, and
 /// collectives.
 pub struct WorkerCtx {
-    rank: usize,
-    world: usize,
-    senders: Vec<Sender<Msg>>,
-    receiver: Receiver<Msg>,
+    pub(crate) rank: usize,
+    pub(crate) world: usize,
+    /// This rank's mailbox on the run's wire, and the run's clock.
+    transport: Transport,
     /// Out-of-order messages awaiting a matching `recv`.
     pending: VecDeque<Msg>,
     /// Collective sequence number; advances in lock-step on all workers.
-    seq: u64,
+    pub(crate) seq: u64,
     /// Last message id handed to this worker's sends (1-based).
     next_msg_id: u64,
     /// Highest message id delivered per source rank; anything at or below
@@ -420,17 +339,12 @@ pub struct WorkerCtx {
     /// Set once a failure is observed; poisons all further communication.
     abort: Option<ClusterError>,
     plan: Option<Arc<FaultPlan>>,
-    default_timeout: Option<Duration>,
-    stats: Arc<CommStats>,
-    /// Time source: real wall-clock in production, virtual under sim.
-    clock: Arc<dyn Clock>,
-    /// Set when running under the deterministic simulator; routes message
-    /// hand-off and blocking through the virtual scheduler.
-    sim: Option<Arc<SimNet>>,
+    pub(crate) default_timeout: Option<Duration>,
+    pub(crate) stats: Arc<CommStats>,
     /// Recycles `f64` payload capacity across this worker's collectives:
     /// staging copies for sends and received contributions both cycle
     /// through here, so steady-state allreduces run allocation-free.
-    pool: BufferPool,
+    pub(crate) pool: BufferPool,
 }
 
 impl WorkerCtx {
@@ -490,74 +404,45 @@ impl WorkerCtx {
 
     // ---- internal message plumbing --------------------------------------
 
-    fn fresh_msg_id(&mut self) -> u64 {
-        self.next_msg_id += 1;
-        self.next_msg_id
-    }
-
-    /// Copies `src` into a pool-recycled buffer — the allocation-free
-    /// replacement for `src.to_vec()` on the collective staging paths.
-    fn pooled_copy(&mut self, src: &[f64]) -> Vec<f64> {
-        let mut v = self.pool.take();
-        v.extend_from_slice(src);
-        v
-    }
-
-    /// Sends on the data plane: counted in [`CommStats`] and subject to
-    /// fault injection (remote messages only).
-    fn try_send_raw(&mut self, dst: usize, tag: u64, payload: Payload) -> ClusterResult<()> {
-        if let Some(err) = &self.abort {
+    /// Fails fast once this context is poisoned.
+    fn check_live(&self) -> ClusterResult<()> {
+        match &self.abort {
             // lint:allow(alloc_hygiene): poisoned-context fail-fast — the run is already over
-            return Err(err.clone());
+            Some(err) => Err(err.clone()),
+            None => Ok(()),
         }
+    }
+
+    /// The next message from this rank, under a fresh per-sender id.
+    fn stamp(&mut self, tag: u64, body: Result<Payload, ClusterError>) -> Msg {
+        self.next_msg_id += 1;
+        Msg {
+            src: self.rank,
+            tag,
+            id: self.next_msg_id,
+            body,
+        }
+    }
+
+    /// Sends on the data plane: counted in [`CommStats`] and, when remote,
+    /// subject to the fault plan's message fates.
+    pub(crate) fn try_send_raw(
+        &mut self,
+        dst: usize,
+        tag: u64,
+        payload: Payload,
+    ) -> ClusterResult<()> {
+        self.check_live()?;
         let remote = dst != self.rank;
         if remote {
             self.stats
                 .record_message_from(self.rank, payload.size_bytes());
             dismastd_obs::histogram_record("comm/msg_bytes", payload.size_bytes());
         }
-        let id = self.fresh_msg_id();
-        let fate = match (&self.plan, remote) {
-            (Some(plan), true) => plan.fate(self.rank, dst, id),
-            _ => MessageFate::Deliver,
-        };
-        let sent = match fate {
-            MessageFate::Deliver => self.deliver(dst, tag, id, payload),
-            MessageFate::Delay(d) => {
-                // The simulated network holds the message; the synchronous
-                // sender models that by sleeping before handing it over.
-                // Virtual time under sim — the delay costs zero wall-clock.
-                self.clock.sleep(self.rank, d);
-                self.deliver(dst, tag, id, payload)
-            }
-            MessageFate::DropThenRetransmit => {
-                // First copy lost in flight: never enqueued.  The sender
-                // notices (simulated RTO) and retransmits the same id; the
-                // extra wire copy is tallied separately from logical bytes.
-                self.stats.record_retransmit(payload.size_bytes());
-                let rto = self
-                    .plan
-                    .as_ref()
-                    .map(|p| p.retransmit_delay())
-                    .unwrap_or_default();
-                self.clock.sleep(self.rank, rto);
-                self.deliver(dst, tag, id, payload)
-            }
-            MessageFate::Duplicate => {
-                // Spurious retransmit: both copies hit the wire; the
-                // receiver's sequence check discards the second.
-                self.stats.record_retransmit(payload.size_bytes());
-                // lint:allow(alloc_hygiene): fault-injection duplicate delivery, test-plan only
-                let first = self.deliver(dst, tag, id, payload.clone());
-                if first.is_ok() {
-                    // The receiver owes a recv only for the logical copy,
-                    // so it may consume that and exit before the spurious
-                    // one lands — a dead-letter on the simulated wire, not
-                    // a peer failure.
-                    let _ = self.deliver(dst, tag, id, payload);
-                }
-                first
-            }
+        let msg = self.stamp(tag, Ok(payload));
+        let sent = match &self.plan {
+            Some(plan) if remote => plan.send(&self.transport, dst, msg, &self.stats),
+            _ => self.transport.post(dst, msg),
         };
         sent.map_err(|e| self.root_cause_for_send_failure(e))
     }
@@ -569,7 +454,7 @@ impl WorkerCtx {
     /// in our inbox.  Surface it instead of the secondary channel-closed
     /// symptom (which names the wrong rank).
     fn root_cause_for_send_failure(&mut self, err: ClusterError) -> ClusterError {
-        while let Ok(msg) = self.receiver.try_recv() {
+        while let Some(msg) = self.transport.try_take() {
             match msg.body {
                 Err(root) => return self.poisoned_by(root),
                 Ok(_) => self.pending.push_back(msg),
@@ -586,151 +471,43 @@ impl WorkerCtx {
         err
     }
 
-    fn deliver(&self, dst: usize, tag: u64, id: u64, payload: Payload) -> ClusterResult<()> {
-        let msg = Msg {
-            src: self.rank,
-            tag,
-            id,
-            body: Ok(payload),
-        };
-        if let Some(sim) = &self.sim {
-            // The virtual wire: delivery happens at a seeded future
-            // instant (later across a partition), FIFO per link.  Posts
-            // never fail — a receiver that exits before the flush turns
-            // the message into a dead letter, matched by the real wire's
-            // "send to exited worker" dead-letter semantics.
-            dismastd_obs::alloc_exempt(|| sim.post(self.rank, dst, msg));
-            return Ok(());
-        }
-        // The channel's internal node allocation is transport
-        // infrastructure, outside the payload-path allocation audit.
-        dismastd_obs::alloc_exempt(|| self.senders[dst].send(msg)).map_err(|_| {
-            ClusterError::PeerCrashed {
-                rank: dst,
-                cause: "inbound channel closed (worker exited)".into(),
-            }
-        })
-    }
-
     /// Sends on the control plane (barrier tokens): no stats, no fault
     /// injection, failures ignored — a dead peer is discovered via its
     /// abort message, not via our send.
-    fn send_control(&mut self, dst: usize, tag: u64) {
+    pub(crate) fn send_control(&mut self, dst: usize, tag: u64) {
         loom_pause(pause_point::CONTROL_SEND);
-        let id = self.fresh_msg_id();
-        let msg = Msg {
-            src: self.rank,
-            tag,
-            id,
-            body: Ok(Payload::Empty),
-        };
-        if let Some(sim) = &self.sim {
-            dismastd_obs::alloc_exempt(|| sim.post(self.rank, dst, msg));
-            return;
-        }
-        let _ = dismastd_obs::alloc_exempt(|| self.senders[dst].send(msg));
+        let msg = self.stamp(tag, Ok(Payload::Empty));
+        let _ = self.transport.post(dst, msg);
     }
 
     /// Fans the failure out to every peer and poisons this context.
     /// Idempotent by construction: callers check `abort` first.
-    fn abort_peers(&mut self, err: ClusterError) {
+    pub(crate) fn abort_peers(&mut self, err: ClusterError) {
         loom_pause(pause_point::ABORT_FANOUT);
         for dst in 0..self.world {
             if dst == self.rank {
                 continue;
             }
-            let id = self.fresh_msg_id();
-            let msg = Msg {
-                src: self.rank,
-                // Unmatched: receivers recognise the notice by its `Err` body.
-                tag: 0,
-                id,
-                // lint:allow(alloc_hygiene): abort fan-out — teardown path, the run is over
-                body: Err(err.clone()),
-            };
-            if let Some(sim) = &self.sim {
-                sim.post(self.rank, dst, msg);
-            } else {
-                let _ = self.senders[dst].send(msg);
-            }
+            // Tag 0 is never matched: receivers recognise the notice by
+            // its `Err` body.
+            // lint:allow(alloc_hygiene): abort fan-out — teardown path, the run is over
+            let msg = self.stamp(0, Err(err.clone()));
+            let _ = self.transport.post(dst, msg);
         }
         self.abort = Some(err);
-    }
-
-    /// Blocks until the next message lands in this worker's channel or the
-    /// deadline (nanoseconds on the run's [`Clock`]) passes.  Under sim the
-    /// block parks the task on the virtual scheduler — a 30s backstop costs
-    /// zero wall-clock — and a genuine deadlock (nothing in flight, no
-    /// future event) also surfaces as the typed timeout.
-    fn recv_next(
-        &mut self,
-        src: usize,
-        tag: u64,
-        started_ns: u64,
-        deadline_ns: Option<u64>,
-    ) -> ClusterResult<Msg> {
-        // lint:allow(alloc_hygiene): Arc refcount bump, not a heap allocation
-        if let Some(sim) = self.sim.clone() {
-            loop {
-                if let Ok(m) = self.receiver.try_recv() {
-                    return Ok(m);
-                }
-                match sim.wait_for_delivery(self.rank, deadline_ns) {
-                    WaitOutcome::Delivered => continue,
-                    WaitOutcome::TimedOut { .. } => {
-                        return Err(ClusterError::Timeout {
-                            rank: self.rank,
-                            src,
-                            tag,
-                            waited_ms: self.clock.now_ns().saturating_sub(started_ns) / 1_000_000,
-                        })
-                    }
-                }
-            }
-        }
-        match deadline_ns {
-            None => match self.receiver.recv() {
-                Ok(m) => Ok(m),
-                // Unreachable (we hold a sender to ourselves), but
-                // mapped to a typed error rather than a panic.
-                Err(_) => Err(ClusterError::PeerCrashed {
-                    rank: self.rank,
-                    cause: "own inbound channel closed".into(),
-                }),
-            },
-            Some(d) => {
-                let remaining = Duration::from_nanos(d.saturating_sub(self.clock.now_ns()));
-                match self.receiver.recv_timeout(remaining) {
-                    Ok(m) => Ok(m),
-                    Err(RecvTimeoutError::Timeout) => Err(ClusterError::Timeout {
-                        rank: self.rank,
-                        src,
-                        tag,
-                        waited_ms: self.clock.now_ns().saturating_sub(started_ns) / 1_000_000,
-                    }),
-                    Err(RecvTimeoutError::Disconnected) => Err(ClusterError::PeerCrashed {
-                        rank: self.rank,
-                        cause: "own inbound channel closed".into(),
-                    }),
-                }
-            }
-        }
     }
 
     /// Core receive: matches `(src, tag)`, buffers everything else,
     /// converts aborts into typed errors, suppresses duplicate deliveries,
     /// and enforces the deadline.
-    fn try_recv_raw(
+    pub(crate) fn try_recv_raw(
         &mut self,
         src: usize,
         tag: u64,
         timeout: Option<Duration>,
     ) -> ClusterResult<Payload> {
         loom_pause(pause_point::RECV);
-        if let Some(err) = &self.abort {
-            // lint:allow(alloc_hygiene): poisoned-context fail-fast — the run is already over
-            return Err(err.clone());
-        }
+        self.check_live()?;
         // Check buffered messages first.
         if let Some(pos) = self
             .pending
@@ -741,13 +518,22 @@ impl WorkerCtx {
                 return msg.body;
             }
         }
-        let started_ns = self.clock.now_ns();
+        let started_ns = self.transport.clock().now_ns();
         let deadline_ns = timeout
             .map(|t| started_ns.saturating_add(u64::try_from(t.as_nanos()).unwrap_or(u64::MAX)));
         loop {
-            let msg = match self.recv_next(src, tag, started_ns, deadline_ns)? {
-                Msg { body: Err(err), .. } => return Err(self.poisoned_by(err)),
-                msg => msg,
+            let msg = match self.transport.wait(deadline_ns)? {
+                Some(Msg { body: Err(err), .. }) => return Err(self.poisoned_by(err)),
+                Some(msg) => msg,
+                None => {
+                    let waited_ns = self.transport.clock().now_ns().saturating_sub(started_ns);
+                    return Err(ClusterError::Timeout {
+                        rank: self.rank,
+                        src,
+                        tag,
+                        waited_ms: waited_ns / 1_000_000,
+                    });
+                }
             };
             // Duplicate suppression: per-sender ids are monotone and each
             // channel is FIFO, so a non-increasing id is a replayed copy.
@@ -763,20 +549,11 @@ impl WorkerCtx {
         }
     }
 
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
-    }
-
     /// Injected-crash checkpoint at every collective entry: if the fault
     /// plan has an armed crash for `(rank, seq)`, this worker fails here.
     /// (A crash-and-rejoin point's delay is spent at the next run's start.)
-    fn maybe_crash(&mut self) -> ClusterResult<()> {
-        if let Some(err) = &self.abort {
-            // lint:allow(alloc_hygiene): poisoned-context fail-fast — the run is already over
-            return Err(err.clone());
-        }
+    pub(crate) fn maybe_crash(&mut self) -> ClusterResult<()> {
+        self.check_live()?;
         if let Some(kind) = self
             .plan
             .as_ref()
@@ -791,438 +568,13 @@ impl WorkerCtx {
         }
         Ok(())
     }
-
-    // ---- collectives -----------------------------------------------------
-
-    /// Blocks until every worker reaches the barrier.  Implemented over the
-    /// message channels (gather-to-0 of empty tokens, then release) rather
-    /// than a blocking `std::sync::Barrier`, so a crashed worker aborts the
-    /// barrier instead of deadlocking it.  Token traffic is control-plane:
-    /// it appears in no byte or message counter.
-    ///
-    /// # Errors
-    /// Returns the peer's [`ClusterError`] when the cluster aborts.
-    pub fn try_barrier(&mut self) -> ClusterResult<()> {
-        let _span = dismastd_obs::span("comm/barrier");
-        self.maybe_crash()?;
-        let tag = self.next_seq();
-        if self.rank == 0 {
-            self.stats.record_collective();
-        }
-        if self.world == 1 {
-            return Ok(());
-        }
-        if self.rank == 0 {
-            for src in 1..self.world {
-                self.try_recv_raw(src, tag, self.default_timeout)?;
-            }
-            for dst in 1..self.world {
-                self.send_control(dst, tag);
-            }
-        } else {
-            self.send_control(0, tag);
-            self.try_recv_raw(0, tag, self.default_timeout)?;
-        }
-        Ok(())
-    }
-
-    /// All-to-all exchange: `outgoing[d]` is delivered to worker `d`; the
-    /// return value holds, at position `s`, the payload worker `s` sent
-    /// here.  Self-delivery is a local move (no traffic counted).
-    ///
-    /// This is the blocking convenience over [`WorkerCtx::post_exchange`] +
-    /// [`WorkerCtx::complete_exchange`], the primitive behind the
-    /// factor-row shuffles of Sec. IV-B1/B2; steady-state loops call the
-    /// two halves directly so they can reuse their buffers and overlap
-    /// compute with the in-flight messages.
-    ///
-    /// # Errors
-    /// Returns the poisoning [`ClusterError`] when any peer fails or a
-    /// receive times out.
-    ///
-    /// # Panics
-    /// Panics unless `outgoing.len() == world` (a caller bug).
-    pub fn try_exchange(&mut self, mut outgoing: Vec<Payload>) -> ClusterResult<Vec<Payload>> {
-        let _span = dismastd_obs::span("comm/exchange");
-        let pending = self.post_exchange(&mut outgoing)?;
-        let mut incoming = Vec::with_capacity(self.world);
-        self.complete_exchange(pending, &mut incoming)?;
-        Ok(incoming)
-    }
-
-    /// Posts the send half of an all-to-all exchange and returns without
-    /// waiting for the peers' payloads — the receive half runs in
-    /// [`WorkerCtx::complete_exchange`], letting callers overlap local
-    /// compute with the in-flight messages.  Collective sequencing,
-    /// crash-point and stats bookkeeping all happen here.  The payloads are
-    /// drained out but `outgoing` keeps its capacity, so a caller refilling
-    /// the same `Vec` every iteration posts the whole exchange without
-    /// allocating.
-    ///
-    /// # Errors
-    /// As for [`WorkerCtx::try_exchange`].
-    ///
-    /// # Panics
-    /// Panics unless `outgoing.len() == world` (a caller bug).
-    pub fn post_exchange(&mut self, outgoing: &mut Vec<Payload>) -> ClusterResult<PendingExchange> {
-        assert_eq!(outgoing.len(), self.world, "one payload per destination");
-        let _span = dismastd_obs::span("comm/exchange_post");
-        self.maybe_crash()?;
-        let tag = self.next_seq();
-        if self.rank == 0 {
-            self.stats.record_collective();
-        }
-        // Keep the self-payload aside, send the rest.
-        let mine = std::mem::replace(&mut outgoing[self.rank], Payload::Empty);
-        for (dst, payload) in outgoing.drain(..).enumerate() {
-            if dst == self.rank {
-                continue;
-            }
-            self.try_send_raw(dst, tag, payload)?;
-        }
-        Ok(PendingExchange { tag, mine })
-    }
-
-    /// Receive half of a posted exchange: blocks for every peer's payload.
-    /// `incoming` is cleared and refilled rank-ordered with the own payload
-    /// at `rank` (same contract as [`WorkerCtx::try_exchange`]), keeping its
-    /// capacity so the receive half of a steady-state exchange loop never
-    /// allocates.
-    ///
-    /// # Errors
-    /// As for [`WorkerCtx::try_exchange`].
-    pub fn complete_exchange(
-        &mut self,
-        pending: PendingExchange,
-        incoming: &mut Vec<Payload>,
-    ) -> ClusterResult<()> {
-        let _span = dismastd_obs::span("comm/exchange_wait");
-        let PendingExchange { tag, mine } = pending;
-        incoming.clear();
-        for src in 0..self.world {
-            if src == self.rank {
-                incoming.push(Payload::Empty); // placeholder, replaced below
-            } else {
-                incoming.push(self.try_recv_raw(src, tag, self.default_timeout)?);
-            }
-        }
-        incoming[self.rank] = mine;
-        Ok(())
-    }
-
-    /// Broadcast from `root`: the root passes `Some(payload)`, everyone else
-    /// passes `None`; all workers (including the root) return the payload.
-    ///
-    /// # Errors
-    /// Returns the poisoning [`ClusterError`] when any peer fails or the
-    /// receive times out.
-    ///
-    /// # Panics
-    /// Panics if the root passes `None` or a non-root passes `Some` (a
-    /// caller bug).
-    pub fn try_broadcast(
-        &mut self,
-        root: usize,
-        payload: Option<Payload>,
-    ) -> ClusterResult<Payload> {
-        let _span = dismastd_obs::span("comm/broadcast");
-        self.maybe_crash()?;
-        let tag = self.next_seq();
-        if self.rank == 0 {
-            self.stats.record_collective();
-        }
-        if self.rank == root {
-            // lint:allow(panic_path): documented contract — root/payload misuse is a caller bug
-            let payload = payload.expect("root must supply the broadcast payload");
-            for dst in 0..self.world {
-                if dst != root {
-                    // lint:allow(alloc_hygiene): each send consumes one copy of the caller-owned payload; the gram path uses the pooled flat allreduce
-                    self.try_send_raw(dst, tag, payload.clone())?;
-                }
-            }
-            Ok(payload)
-        } else {
-            assert!(payload.is_none(), "only the root supplies a payload");
-            self.try_recv_raw(root, tag, self.default_timeout)
-        }
-    }
-
-    /// Gather to `root`: returns `Some(payloads_by_rank)` on the root,
-    /// `None` elsewhere.
-    ///
-    /// # Errors
-    /// Returns the poisoning [`ClusterError`] when any peer fails or a
-    /// receive times out.
-    pub fn try_gather(
-        &mut self,
-        root: usize,
-        payload: Payload,
-    ) -> ClusterResult<Option<Vec<Payload>>> {
-        let _span = dismastd_obs::span("comm/gather");
-        self.maybe_crash()?;
-        let tag = self.next_seq();
-        if self.rank == 0 {
-            self.stats.record_collective();
-        }
-        if self.rank == root {
-            // lint:allow(alloc_hygiene): O(world) result table owned by the caller — the gram path uses the pooled flat allreduce, not gather
-            let mut all: Vec<Payload> = Vec::with_capacity(self.world);
-            for src in 0..self.world {
-                if src == root {
-                    all.push(Payload::Empty); // placeholder, replaced below
-                } else {
-                    all.push(self.try_recv_raw(src, tag, self.default_timeout)?);
-                }
-            }
-            all[root] = payload;
-            Ok(Some(all))
-        } else {
-            self.try_send_raw(root, tag, payload)?;
-            Ok(None)
-        }
-    }
-
-    /// All-reduce (sum) of an `f64` buffer: after the call every worker's
-    /// `buf` holds the element-wise sum over all workers.
-    ///
-    /// Implemented gather-to-0 + broadcast, the "All-to-All reduction …
-    /// aggregate … and distribute among all partitions" of Sec. IV-B3.
-    ///
-    /// Buffer lengths are validated against the root's buffer; a mismatch
-    /// aborts the run, so **every** rank observes the same
-    /// [`ClusterError::SizeMismatch`] naming the offending rank (the seed
-    /// runtime instead `assert_eq!`-ed on rank 0 and hung the rest).
-    ///
-    /// # Errors
-    /// `SizeMismatch` on disagreeing lengths, `TypeMismatch` on protocol
-    /// corruption, or the poisoning error when a peer fails.
-    pub fn try_allreduce_sum(&mut self, buf: &mut [f64]) -> ClusterResult<()> {
-        self.try_allreduce_sum_with(buf, AllreduceAlgo::Flat)
-    }
-
-    /// [`WorkerCtx::try_allreduce_sum`] with an explicit algorithm choice.
-    ///
-    /// `Ring` reproduces the flat path's per-element summation order and
-    /// operands exactly — rank-ordered chain reduction, each rank's value
-    /// added on the left — so the two are bit-identical.
-    ///
-    /// # Errors
-    /// As for [`WorkerCtx::try_allreduce_sum`].
-    pub fn try_allreduce_sum_with(
-        &mut self,
-        buf: &mut [f64],
-        algo: AllreduceAlgo,
-    ) -> ClusterResult<()> {
-        // The inner primitives record their own comm/* spans, which nest
-        // inside this one; comm/* totals are therefore per-primitive, not
-        // additive across the family.
-        let _span = dismastd_obs::span("comm/allreduce");
-        if self.world == 1 {
-            self.maybe_crash()?;
-            return Ok(());
-        }
-        match algo {
-            AllreduceAlgo::Flat => self.allreduce_flat(buf),
-            AllreduceAlgo::Ring => self.allreduce_ring(buf),
-        }
-    }
-
-    /// Seed algorithm: gather-to-0 + broadcast.  Two collectives' worth of
-    /// sequencing and `2(w−1)·b` bytes through the root.
-    ///
-    /// The gather and broadcast halves are inlined (same spans, crash
-    /// points, and sequence numbers as `try_gather` + `try_broadcast`) so
-    /// contributions fold straight into `buf` as they arrive and every
-    /// staging vector cycles through the worker's [`BufferPool`] — the
-    /// steady-state reduction allocates nothing.  The root's sum starts
-    /// from its own value and adds each peer's on the left, in ascending
-    /// rank order: the chain's order and operands (see
-    /// [`WorkerCtx::allreduce_ring`]).
-    #[allow(clippy::assign_op_pattern)] // `*b += *x` would swap the operands
-    fn allreduce_flat(&mut self, buf: &mut [f64]) -> ClusterResult<()> {
-        let root = 0usize;
-        // Gather half.
-        {
-            let _span = dismastd_obs::span("comm/gather");
-            self.maybe_crash()?;
-            let tag = self.next_seq();
-            if self.rank == 0 {
-                self.stats.record_collective();
-            }
-            if self.rank == root {
-                // Own contribution first (rank 0 == root), then peers in
-                // ascending rank order.
-                for src in 1..self.world {
-                    let p = self.try_recv_raw(src, tag, self.default_timeout)?;
-                    let v = match p.try_into_f64() {
-                        Ok(v) => v,
-                        Err(e) => {
-                            // lint:allow(alloc_hygiene): mismatch fan-out — abort path, the run is over
-                            self.abort_peers(e.clone());
-                            return Err(e);
-                        }
-                    };
-                    if v.len() != buf.len() {
-                        let e = ClusterError::SizeMismatch {
-                            rank: src,
-                            expected: buf.len(),
-                            found: v.len(),
-                        };
-                        // lint:allow(alloc_hygiene): mismatch fan-out — abort path, the run is over
-                        self.abort_peers(e.clone());
-                        return Err(e);
-                    }
-                    for (b, x) in buf.iter_mut().zip(&v) {
-                        *b = *x + *b;
-                    }
-                    self.pool.put(v);
-                }
-            } else {
-                let own = self.pooled_copy(buf);
-                self.try_send_raw(root, tag, Payload::F64(own))?;
-            }
-        }
-        // Broadcast half.
-        {
-            let _span = dismastd_obs::span("comm/broadcast");
-            self.maybe_crash()?;
-            let tag = self.next_seq();
-            if self.rank == 0 {
-                self.stats.record_collective();
-            }
-            if self.rank == root {
-                for dst in 0..self.world {
-                    if dst != root {
-                        let copy = self.pooled_copy(buf);
-                        self.try_send_raw(dst, tag, Payload::F64(copy))?;
-                    }
-                }
-            } else {
-                let reduced = self
-                    .try_recv_raw(root, tag, self.default_timeout)?
-                    .try_into_f64()?;
-                if reduced.len() != buf.len() {
-                    // Can only happen on protocol corruption; still typed.
-                    return Err(ClusterError::SizeMismatch {
-                        rank: self.rank,
-                        expected: buf.len(),
-                        found: reduced.len(),
-                    });
-                }
-                buf.copy_from_slice(&reduced);
-                self.pool.put(reduced);
-            }
-        }
-        Ok(())
-    }
-
-    /// Splits `0..len` into at most `world` contiguous, near-equal chunks
-    /// (at least one, so zero-length reductions still flow through the
-    /// chain and keep the message pattern uniform across ranks).
-    fn ring_chunks(len: usize, world: usize) -> Vec<std::ops::Range<usize>> {
-        let parts = world.min(len.max(1));
-        let base = len / parts;
-        let rem = len % parts;
-        // lint:allow(alloc_hygiene): O(world) range table per call, independent of payload size
-        let mut ranges = Vec::with_capacity(parts);
-        let mut start = 0usize;
-        for i in 0..parts {
-            let extra = usize::from(i < rem);
-            let end = start + base + extra;
-            ranges.push(start..end);
-            start = end;
-        }
-        ranges
-    }
-
-    /// Pipelined chain allreduce: chunks flow rank 0 → 1 → … → w−1
-    /// accumulating contributions in rank order, then back down carrying
-    /// the totals.  Per-rank traffic is ≈`2·b` bytes regardless of `w`
-    /// (vs `2(w−1)·b` through the flat root), and because partial sums
-    /// accumulate in exactly the flat path's rank order, results are
-    /// bit-identical to [`WorkerCtx::allreduce_flat`].
-    fn allreduce_ring(&mut self, buf: &mut [f64]) -> ClusterResult<()> {
-        let _span = dismastd_obs::span("comm/allreduce_ring");
-        self.maybe_crash()?;
-        let tag = self.next_seq();
-        if self.rank == 0 {
-            self.stats.record_collective();
-        }
-        let w = self.world;
-        let me = self.rank;
-        let chunks = Self::ring_chunks(buf.len(), w);
-        // Upstream: receive the running sum from the left neighbour, fold
-        // in the local contribution, forward right.  The last rank holds
-        // each chunk's total the moment it arrives and starts it on its
-        // way back down immediately, so the two waves pipeline.
-        for range in &chunks {
-            if me > 0 {
-                let part = self
-                    .try_recv_raw(me - 1, tag, self.default_timeout)?
-                    .try_into_f64()?;
-                if part.len() != range.len() {
-                    let e = ClusterError::SizeMismatch {
-                        rank: me - 1,
-                        expected: range.len(),
-                        found: part.len(),
-                    };
-                    // lint:allow(alloc_hygiene): mismatch fan-out — abort path, the run is over
-                    self.abort_peers(e.clone());
-                    return Err(e);
-                }
-                // lint:allow(alloc_hygiene): Range<usize> clone — a stack copy, no heap allocation
-                for (b, x) in buf[range.clone()].iter_mut().zip(&part) {
-                    *b += *x;
-                }
-                self.pool.put(part);
-            }
-            if me < w - 1 {
-                // lint:allow(alloc_hygiene): Range<usize> clone — a stack copy, no heap allocation
-                let copy = self.pooled_copy(&buf[range.clone()]);
-                self.try_send_raw(me + 1, tag, Payload::F64(copy))?;
-            } else if me > 0 {
-                // Chunk total ready: start the downstream wave.
-                // lint:allow(alloc_hygiene): Range<usize> clone — a stack copy, no heap allocation
-                let copy = self.pooled_copy(&buf[range.clone()]);
-                self.try_send_raw(me - 1, tag, Payload::F64(copy))?;
-            }
-        }
-        // Downstream: totals flow w−1 → 0; everyone below the top copies
-        // and forwards.  Channel FIFO per (src, tag) keeps the upstream
-        // and downstream chunk streams from the right neighbour ordered.
-        if me < w - 1 {
-            for range in &chunks {
-                let total = self
-                    .try_recv_raw(me + 1, tag, self.default_timeout)?
-                    .try_into_f64()?;
-                if total.len() != range.len() {
-                    let e = ClusterError::SizeMismatch {
-                        rank: me + 1,
-                        expected: range.len(),
-                        found: total.len(),
-                    };
-                    // lint:allow(alloc_hygiene): mismatch fan-out — abort path, the run is over
-                    self.abort_peers(e.clone());
-                    return Err(e);
-                }
-                // lint:allow(alloc_hygiene): Range<usize> clone — a stack copy, no heap allocation
-                buf[range.clone()].copy_from_slice(&total);
-                if me > 0 {
-                    // Forwarding moves the received buffer — no copy.
-                    self.try_send_raw(me - 1, tag, Payload::F64(total))?;
-                } else {
-                    self.pool.put(total);
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sim::{PartitionWindow, SimProbe};
+    use crate::wire::AllreduceAlgo;
     use std::time::Instant;
 
     /// A default-options run that also returns the traffic counters.
@@ -1574,8 +926,8 @@ mod tests {
         })
         .unwrap_err();
         assert!(
-            matches!(err, ClusterError::SizeMismatch { .. }),
-            "the ring must surface a typed mismatch, got {err:?}"
+            matches!(err, ClusterError::SizeMismatch { rank: 2, .. }),
+            "the ring must surface a typed mismatch naming rank 2, got {err:?}"
         );
     }
 
@@ -1834,8 +1186,10 @@ mod tests {
 
     // ---- deterministic-simulation tests ----------------------------------
 
-    /// A workload exercising every collective the runtime offers, so the
-    /// scheduler has real interleaving decisions to make.
+    /// A workload exercising every collective the runtime offers — the
+    /// posted exchange halves and a ring all-reduce with an empty chunk
+    /// included — so the scheduler has real interleaving decisions to
+    /// make, and threads and the simulator are compared over the whole surface.
     fn sim_workload(ctx: &mut WorkerCtx) -> ClusterResult<Vec<f64>> {
         let me = ctx.rank() as f64;
         let world = ctx.world();
@@ -1845,12 +1199,26 @@ mod tests {
         let root = ctx.try_broadcast(0, bcast)?.try_into_f64()?;
         let mut buf = vec![me; 8];
         ctx.try_allreduce_sum(&mut buf)?;
+        let mut ring: Vec<f64> = (0..world - 1).map(|i| me * 0.5 + i as f64).collect();
+        ctx.try_allreduce_sum_with(&mut ring, AllreduceAlgo::Ring)?;
         let parts: Vec<Payload> = (0..world)
             .map(|d| Payload::F64(vec![me, d as f64]))
             .collect();
         let swapped = ctx.try_exchange(parts)?;
+        let mut outgoing: Vec<Payload> = (0..world)
+            .map(|d| Payload::F64(vec![me * 10.0 + d as f64]))
+            .collect();
+        let pending = ctx.post_exchange(&mut outgoing)?;
+        let mut posted = Vec::new();
+        ctx.complete_exchange(pending, &mut posted)?;
+        let gathered = ctx.try_gather(world - 1, Payload::F64(vec![me * me]))?;
         let mut out = vec![sum, root[0], buf[0]];
-        for p in swapped {
+        out.extend(ring);
+        for p in swapped
+            .into_iter()
+            .chain(posted)
+            .chain(gathered.into_iter().flatten())
+        {
             out.extend(p.try_into_f64()?);
         }
         Ok(out)

@@ -34,7 +34,7 @@
 
 use crate::clock::Clock;
 use crate::fault::splitmix64;
-use crate::runtime::Msg;
+use crate::transport::Msg;
 use crossbeam::channel::Sender;
 // The vendored parking_lot shim's guard is a std MutexGuard, so the std
 // Condvar composes with it; waits re-assign the guard (consume-and-return

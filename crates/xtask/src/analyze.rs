@@ -87,7 +87,7 @@ impl AnalyzeConfig {
         let own = |v: &[&str]| v.iter().map(|s| s.to_string()).collect();
         AnalyzeConfig {
             l6_entries: own(&["worker_body"]),
-            l6_exempt_files: own(&["runtime.rs"]),
+            l6_exempt_files: own(&["collectives.rs"]),
             l7_pub_prefixes: own(&["crates/tensor/src", "crates/core/src", "crates/cluster/src"]),
             l8_entries: own(&[
                 "MttkrpPlan::mttkrp_into",

@@ -8,7 +8,7 @@
 //! 2. the same crash without recovery surfaces a typed error promptly —
 //!    no deadlock, no timeout-backstop wait.
 
-use dismastd_cluster::{Cluster, ClusterError, ClusterOptions, FaultPlan, Payload};
+use dismastd_cluster::{AllreduceAlgo, Cluster, ClusterError, ClusterOptions, FaultPlan, Payload};
 use dismastd_core::{ClusterConfig, DecompConfig, ExecutionMode, HealPolicy, StreamingSession};
 use dismastd_tensor::{SparseTensor, SparseTensorBuilder, TensorError};
 use rand::Rng;
@@ -101,6 +101,50 @@ fn size_mismatch_is_observed_on_every_rank() {
             }
             other => panic!("rank {rank}: expected SizeMismatch, got {other:?}"),
         }
+    }
+}
+
+/// The ring twin of `size_mismatch_is_observed_on_every_rank`: every rank
+/// cuts `world` chunks whatever its length, so a rank whose length
+/// disagrees runs the same message pattern, and the first receiver whose
+/// chunk disagrees with the one it gets (rank 2 here; every rank before
+/// it matched rank 0) names itself, on every rank, well inside the
+/// receive backstop.  `expected` / `found` are that chunk's lengths,
+/// received and own.
+#[test]
+fn ring_size_mismatch_is_observed_on_every_rank() {
+    const BACKSTOP: Duration = Duration::from_secs(2);
+    let opts = ClusterOptions::default().with_timeout(BACKSTOP);
+    // (rank 2's length, everyone else's, the first disagreeing chunk's
+    // lengths as rank 2 receives and holds it).  With 2 values against 3
+    // on 4 ranks the lengths fall below the world: chunks of 1, 1, 1, 0
+    // against 1, 1, 0, 0.
+    for (odd, len, expected, found) in [(2usize, 3usize, 1usize, 0usize), (8, 10, 3, 2)] {
+        let started = Instant::now();
+        let (out, _) = Cluster::try_run_with_opts(4, &opts, |ctx| {
+            let n = if ctx.rank() == 2 { odd } else { len };
+            let mut buf = vec![1.0; n];
+            Ok(ctx
+                .try_allreduce_sum_with(&mut buf, AllreduceAlgo::Ring)
+                .err())
+        })
+        .unwrap();
+        let elapsed = started.elapsed();
+        for (rank, err) in out.into_iter().enumerate() {
+            assert_eq!(
+                err,
+                Some(ClusterError::SizeMismatch {
+                    rank: 2,
+                    expected,
+                    found,
+                }),
+                "rank {rank} with rank 2 holding {odd} values against {len}"
+            );
+        }
+        assert!(
+            elapsed < BACKSTOP / 4,
+            "the mismatch must abort the ring, not wait out the backstop: {elapsed:?}"
+        );
     }
 }
 
