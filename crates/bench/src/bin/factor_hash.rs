@@ -11,7 +11,8 @@
 //! change to see which configurations a PR moves.  One more line per
 //! dataset totals the stream's untouched old rows (`scripts/check.sh`
 //! fails when Clothing's is 0).  The routing audit runs
-//! the three benchmark workloads at full size at worlds 2 and 4, prints the
+//! the three benchmark workloads at full size at worlds 2 and 4 (first
+//! fingerprinting each generated tensor: `generated … tensor=`), prints the
 //! routed rows of every candidate worker grid beside the chosen one and
 //! the rows the gather ships and skips (`gather_rows=` / `gather_skipped=`;
 //! `scripts/check.sh` fails when Clothing's stream skips none), and exits

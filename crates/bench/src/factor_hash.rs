@@ -27,7 +27,10 @@
 //! and the owned rows they skip because rank 0 forms them (old rows no
 //! nonzero references) or holds them (rows it reads, in a mode below the
 //! last).  A per-(workload, world) line totals each candidate's routed
-//! rows and the skipped rows over the stream.
+//! rows and the skipped rows over the stream.  Ahead of a workload's lines
+//! a `generated` line pins the generator at full scale: an FNV-1a fold of
+//! the generated tensor's coordinates and value bits, and each snapshot's
+//! nnz.
 
 use dismastd_core::{dismastd, dtd, ClusterConfig, DecompConfig};
 use dismastd_data::{DatasetSpec, StreamSequence};
@@ -419,8 +422,9 @@ fn benchmark_workloads() -> [(&'static str, DatasetSpec, Vec<f64>); 3] {
 }
 
 /// The routing audit over the benchmark workloads generated from `seed`:
-/// one line per (workload, world, step), then one per (workload, world)
-/// with the stream's routed rows under every candidate grid.  Also returns
+/// per workload one `generated` line (see [`fingerprint`]), one line per
+/// (world, step), then one per world with the stream's routed rows under
+/// every candidate grid.  Also returns
 /// how many step lines failed — bytes (in all or of one sender) or
 /// collectives `CommStats` counted that the schedule does not predict, or a
 /// placement no candidate grid reproduces.
@@ -433,7 +437,15 @@ pub fn routing_lines(seed: u64) -> Result<(Vec<String>, usize)> {
     let mut failed = 0;
     for (name, mut spec, fractions) in benchmark_workloads() {
         spec.seed = seed;
-        let stream = StreamSequence::cut(&spec.generate()?, &fractions)?;
+        let full = spec.generate()?;
+        let stream = StreamSequence::cut(&full, &fractions)?;
+        let snapshot_nnz: Vec<usize> = stream.iter().map(SparseTensor::nnz).collect();
+        lines.push(format!(
+            "{name} seed={seed} generated nnz={} tensor={:016x} snapshot_nnz={snapshot_nnz:?}",
+            full.nnz(),
+            fingerprint(&full)
+        ));
+        drop(full);
         let order = stream.snapshot(0).order();
         for world in [2usize, 4] {
             let cluster = ClusterConfig::new(world);
@@ -515,6 +527,18 @@ pub fn routing_lines(seed: u64) -> Result<(Vec<String>, usize)> {
         }
     }
     Ok((lines, failed))
+}
+
+/// FNV-1a over a tensor's shape, every stored coordinate and every value's
+/// bits, in stored order: the generator's output at the benchmark's scale,
+/// where Zipf heads collide three and more times and the order a build
+/// sums them in shows in the low bits.
+fn fingerprint(t: &SparseTensor) -> u64 {
+    let mut h = Fnv::new();
+    t.shape().iter().for_each(|&s| h.word(s as u64));
+    t.indices_flat().iter().for_each(|&i| h.word(u64::from(i)));
+    h.floats(t.values());
+    h.0
 }
 
 /// `4x1x1:12801 2x2x1:41535 …`

@@ -62,10 +62,20 @@ pub fn uniform_tensor(shape: &[usize], nnz: usize, rng: &mut impl Rng) -> Result
 /// Real-world mode indices (users, products) are heavily head-skewed; this
 /// sampler produces the "skewed non-zero element distribution" the paper
 /// attributes to its real datasets (Sec. V-B2).
+///
+/// A draw is one uniform `u` in `[0, total)` and a lookup through a guide
+/// table: `n` equal-width buckets of `[0, total)`, each holding the first
+/// item whose cumulative weight falls in or after it, from which a short
+/// walk right reaches `u`'s item — the index a binary search of the
+/// cumulative weights returns, for every `u`, at a fraction of its cost.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     /// Cumulative (unnormalised) weights; `cdf[i]` = sum of w_0..w_i.
     cdf: Vec<f64>,
+    /// `guide[b]`: the first `i` with `bucket(cdf[i]) >= b`.
+    guide: Vec<usize>,
+    /// Buckets per unit of cumulative weight: `bucket(u) = ⌊u · scale⌋`.
+    scale: f64,
 }
 
 impl ZipfSampler {
@@ -81,7 +91,16 @@ impl ZipfSampler {
             acc += ((i + 1) as f64).powf(-exponent);
             cdf.push(acc);
         }
-        ZipfSampler { cdf }
+        let scale = n as f64 / acc;
+        // `bucket` is monotone, so each item opens the buckets up to its
+        // own; no `u` below the total lies past the last item's bucket.
+        let mut guide = Vec::with_capacity(n);
+        for (i, &c) in cdf.iter().enumerate() {
+            while guide.len() <= bucket(c, scale, n) {
+                guide.push(i);
+            }
+        }
+        ZipfSampler { cdf, guide, scale }
     }
 
     /// Number of items.
@@ -99,17 +118,34 @@ impl ZipfSampler {
         // Non-empty by construction; fall back to weight 1 to stay
         // panic-free under the crate-wide no-unwrap audit.
         let total = self.cdf.last().copied().unwrap_or(1.0);
-        let u = rng.gen_range(0.0..total);
-        // First index whose cumulative weight exceeds u.  Weights are finite
-        // by construction, so the ordering fallback is unreachable.
-        match self
-            .cdf
-            .binary_search_by(|c| c.partial_cmp(&u).unwrap_or(std::cmp::Ordering::Less))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
+        self.index_of(rng.gen_range(0.0..total))
     }
+
+    /// The item `u` falls on: what `binary_search_by` over `cdf` gave —
+    /// the last `i` with `cdf[i] == u` when there is one, else the first
+    /// `i` with `cdf[i] > u` — clamped to the last item.
+    fn index_of(&self, u: f64) -> usize {
+        let last = self.cdf.len() - 1;
+        let start = self.guide.get(bucket(u, self.scale, self.cdf.len()));
+        // Every item before the guide entry lies in an earlier bucket than
+        // `u`, so below it (`bucket` is monotone): walk right to the first
+        // `i` with `cdf[i] > u`.
+        let mut i = start.copied().unwrap_or(last);
+        while i <= last && self.cdf[i] <= u {
+            i += 1;
+        }
+        // An exact hit names the item whose cumulative weight ends at `u`.
+        if i > 0 && self.cdf[i - 1] == u {
+            i -= 1;
+        }
+        i.min(last)
+    }
+}
+
+/// The guide bucket of cumulative weight `c`: `⌊c · scale⌋`, at most the
+/// last of `n` buckets.  Monotone in `c`.
+fn bucket(c: f64, scale: f64, n: usize) -> usize {
+    ((c * scale) as usize).min(n - 1)
 }
 
 /// Zipf-skewed sparse tensor: mode-`k` indices follow a Zipf distribution
@@ -220,6 +256,90 @@ mod tests {
         // Every draw in range (no panic) and head gets a large share.
         let head: usize = counts[..5].iter().sum();
         assert!(head > 3000, "head share {head}");
+    }
+
+    /// The lookup the guide table replaced: a binary search of the
+    /// cumulative weights, clamped to the last item.
+    fn bisect(cdf: &[f64], u: f64) -> usize {
+        match cdf.binary_search_by(|c| c.partial_cmp(&u).unwrap_or(std::cmp::Ordering::Less)) {
+            Ok(i) => i,
+            Err(i) => i.min(cdf.len() - 1),
+        }
+    }
+
+    /// `u = 0`, each of the first and last 16 cumulative weights, the
+    /// midpoints beside them, and the largest `f64` below the total.
+    fn edge_draws(cdf: &[f64]) -> Vec<f64> {
+        let n = cdf.len();
+        let mut us = vec![0.0, f64::from_bits(cdf[n - 1].to_bits() - 1)];
+        for j in (0..n.min(16)).chain(n.saturating_sub(16)..n) {
+            us.push(cdf[j]);
+            if j > 0 {
+                us.push(0.5 * (cdf[j - 1] + cdf[j]));
+            }
+        }
+        us
+    }
+
+    #[test]
+    fn guide_table_returns_the_binary_search_index_on_every_dataset_profile() {
+        use crate::datasets::{DatasetSpec, Skew};
+        let mut specs = DatasetSpec::all(1.0);
+        // The benchmark's Netflix runs at scale 0.7.
+        specs.push(DatasetSpec::netflix(0.7));
+        const DRAWS: usize = 1_000_000;
+        for spec in specs {
+            let Skew::Zipf(exponents) = &spec.skew else {
+                continue;
+            };
+            for (mode, (&n, &e)) in spec.shape.iter().zip(exponents).enumerate() {
+                let z = ZipfSampler::new(n, e);
+                for u in edge_draws(&z.cdf) {
+                    assert_eq!(
+                        z.index_of(u),
+                        bisect(&z.cdf, u),
+                        "{} mode {mode} u={u:e}",
+                        spec.name
+                    );
+                }
+                // Two copies of one stream: `sample` on one, the old draw
+                // (one `gen_range`, then the search) on the other.
+                let mut rng = ChaCha8Rng::seed_from_u64(spec.seed + mode as u64);
+                let mut replay = rng.clone();
+                let total = z.cdf[n - 1];
+                for draw in 0..DRAWS {
+                    let want = bisect(&z.cdf, replay.gen_range(0.0..total));
+                    assert_eq!(
+                        z.sample(&mut rng),
+                        want,
+                        "{} mode {mode} draw {draw}",
+                        spec.name
+                    );
+                }
+                // …which consumed the generator alike.
+                assert_eq!(rng.gen::<u64>(), replay.gen::<u64>());
+            }
+        }
+    }
+
+    #[test]
+    fn guide_table_matches_the_binary_search_on_flat_cumulative_weights() {
+        // From about item 22 on the weights of exponent 12 vanish against the
+        // head's, so the cumulative weights repeat: runs of equal values a
+        // binary search resolves to one particular index.
+        for (n, e) in [(1, 1.0), (2, 0.0), (7, 3.0), (200, 12.0), (1000, 30.0)] {
+            let z = ZipfSampler::new(n, e);
+            let mut us = edge_draws(&z.cdf);
+            us.extend(z.cdf.iter().copied());
+            us.extend(z.cdf.windows(2).map(|w| 0.5 * (w[0] + w[1])));
+            for u in us {
+                assert_eq!(z.index_of(u), bisect(&z.cdf, u), "n={n} e={e} u={u:e}");
+            }
+        }
+        assert!(ZipfSampler::new(200, 12.0)
+            .cdf
+            .windows(2)
+            .any(|w| w[0] == w[1]));
     }
 
     #[test]

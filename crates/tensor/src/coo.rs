@@ -491,6 +491,11 @@ fn binary_search_tuples(
 /// Accepts entries in any order; `build` sorts, merges duplicates (by
 /// summation, the usual COO semantics) and drops entries that cancel to zero.
 ///
+/// Entries are staged flat — `order` `u32` coordinates and one `f64` per
+/// entry, 20 B for order 3 — and `build` sorts one 16-byte [`SortKey`] per
+/// entry: the coordinate packed in mixed radix of the shape, beside the
+/// entry's staging position.
+///
 /// ```
 /// use dismastd_tensor::SparseTensorBuilder;
 /// let mut b = SparseTensorBuilder::new(vec![4, 4, 4]);
@@ -504,27 +509,40 @@ fn binary_search_tuples(
 #[derive(Debug, Clone)]
 pub struct SparseTensorBuilder {
     shape: Vec<usize>,
-    entries: Vec<(Vec<usize>, f64)>,
+    /// Queued coordinates, `len() * order` long, narrowed at `push`.
+    indices: Vec<u32>,
+    /// Queued values, in push order.
+    values: Vec<f64>,
     mode: ValidationMode,
     counts: QuarantineCounts,
 }
 
+/// The element `build` sorts: the packed coordinate prefix, then the
+/// entry's staging position (read only to break ties past the prefix).
+///
+/// `sort_unstable_by` leaves *equal* coordinates in an order that depends
+/// on the element's size as well as on the comparisons: the standard
+/// library's small-sort takes a swap network for elements of 8 bytes or
+/// less and its general path above, where the `(Vec<usize>, f64)` entries
+/// of the builder's first form went.  That order decides how ≥ 3-fold
+/// duplicates are summed, so the element stays wider than 8 bytes;
+/// `tests::flat_builder_matches_the_vec_builder_bit_for_bit` fails on a
+/// narrower one (or on a stable sort).
+type SortKey = (u64, usize);
+const _: () = assert!(std::mem::size_of::<SortKey>() > 8);
+
 impl SparseTensorBuilder {
     /// Starts a builder for the given shape.
     pub fn new(shape: Vec<usize>) -> Self {
-        SparseTensorBuilder {
-            shape,
-            entries: Vec::new(),
-            mode: ValidationMode::Off,
-            counts: QuarantineCounts::default(),
-        }
+        Self::with_capacity(shape, 0)
     }
 
     /// Pre-allocates space for `n` entries.
     pub fn with_capacity(shape: Vec<usize>, n: usize) -> Self {
         SparseTensorBuilder {
+            indices: Vec::with_capacity(n.saturating_mul(shape.len())),
+            values: Vec::with_capacity(n),
             shape,
-            entries: Vec::with_capacity(n),
             mode: ValidationMode::Off,
             counts: QuarantineCounts::default(),
         }
@@ -581,18 +599,20 @@ impl SparseTensorBuilder {
         for &i in idx {
             narrow_index(i as u64)?;
         }
-        self.entries.push((idx.to_vec(), value));
+        // lint:allow(narrowing_cast): every coordinate passed `narrow_index` above
+        self.indices.extend(idx.iter().map(|&i| i as u32));
+        self.values.push(value);
         Ok(self)
     }
 
     /// Number of queued (pre-merge) entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.values.len()
     }
 
     /// `true` when no entries are queued.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.values.is_empty()
     }
 
     /// Finalises the tensor: sorts, resolves duplicates per the validation
@@ -609,57 +629,90 @@ impl SparseTensorBuilder {
     /// Like [`SparseTensorBuilder::build`], additionally returning the tally
     /// of entries quarantined during `push` and duplicate resolution.
     ///
+    /// One sort of one [`SortKey`] per entry, then one pass over the sorted
+    /// keys that resolves every run of equal coordinates — summed (`Off`,
+    /// in sorted order), first-wins (`Quarantine`) or refused (`Strict`) —
+    /// and drops it when its value is exactly zero, leaving the run's sum in
+    /// its first entry's staging slot.  The output is gathered from the
+    /// staging buffers at its exact size.
+    ///
     /// # Errors
     /// Same conditions as [`SparseTensorBuilder::build`].
     pub fn build_with_report(mut self) -> Result<(SparseTensor, QuarantineCounts)> {
         if self.shape.is_empty() {
             return Err(TensorError::EmptyShape);
         }
-        self.entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let order = self.shape.len();
+        // The longest prefix of modes whose cell count fits a `u64` is
+        // packed in mixed radix — all of them for every shape that is not
+        // astronomically large; the modes after it break ties.
+        let mut cells = 1u64;
+        let packed = self
+            .shape
+            .iter()
+            .take_while(|&&s| match cells.checked_mul(s as u64) {
+                Some(c) => {
+                    cells = c;
+                    true
+                }
+                None => false,
+            })
+            .count();
+        let tuple = |e: usize| &self.indices[e * order..(e + 1) * order];
+        let mut keys: Vec<SortKey> = (0..self.values.len())
+            .map(|e| {
+                let key = tuple(e)[..packed]
+                    .iter()
+                    .zip(&self.shape)
+                    .fold(0u64, |key, (&i, &s)| key * s as u64 + u64::from(i));
+                (key, e)
+            })
+            .collect();
+        let rest = |e: usize| &tuple(e)[packed..];
+        keys.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| rest(a.1).cmp(rest(b.1))));
+
         let mode = self.mode;
         let mut counts = self.counts;
-        let mut indices = Vec::with_capacity(self.entries.len() * order);
-        let mut values: Vec<f64> = Vec::with_capacity(self.entries.len());
-        let mut last: Option<&[usize]> = None;
-        for (idx, v) in &self.entries {
-            if last == Some(idx.as_slice()) {
+        let mut kept = 0;
+        let mut run = 0;
+        while run < keys.len() {
+            let (key, first) = keys[run];
+            let mut acc = self.values[first];
+            let mut next = run + 1;
+            while next < keys.len() && keys[next].0 == key && rest(keys[next].1) == rest(first) {
                 match mode {
                     ValidationMode::Strict => {
-                        return Err(TensorError::DuplicateIndex { index: idx.clone() });
+                        return Err(TensorError::DuplicateIndex {
+                            index: tuple(first).iter().map(|&i| i as usize).collect(),
+                        });
                     }
-                    ValidationMode::Quarantine => {
-                        // First write wins; later duplicates are quarantined.
-                        counts.duplicates += 1;
-                    }
-                    ValidationMode::Off => {
-                        // Legacy COO semantics: merge by summation.
-                        if let Some(acc) = values.last_mut() {
-                            *acc += v;
-                        }
-                    }
+                    // First write (in sorted order) wins.
+                    ValidationMode::Quarantine => counts.duplicates += 1,
+                    ValidationMode::Off => acc += self.values[keys[next].1],
                 }
-            } else {
-                // lint:allow(narrowing_cast): `push` refused every coordinate >= 2^32
-                indices.extend(idx.iter().map(|&i| i as u32));
-                values.push(*v);
-                last = Some(idx.as_slice());
+                next += 1;
             }
+            // Exact zeros (cancellation or explicit zero pushes) are dropped.
+            if acc != 0.0 {
+                self.values[first] = acc;
+                keys[kept] = (key, first);
+                kept += 1;
+            }
+            run = next;
         }
-        // Compact out exact zeros (cancellation or explicit zero pushes).
-        let mut out_indices = Vec::with_capacity(indices.len());
-        let mut out_values = Vec::with_capacity(values.len());
-        for (e, &v) in values.iter().enumerate() {
-            if v != 0.0 {
-                out_indices.extend_from_slice(&indices[e * order..(e + 1) * order]);
-                out_values.push(v);
-            }
+        keys.truncate(kept);
+
+        let mut indices = Vec::with_capacity(kept * order);
+        let mut values = Vec::with_capacity(kept);
+        for &(_, e) in &keys {
+            indices.extend_from_slice(tuple(e));
+            values.push(self.values[e]);
         }
         Ok((
             SparseTensor {
                 shape: self.shape,
-                indices: out_indices,
-                values: out_values,
+                indices,
+                values,
             },
             counts,
         ))
@@ -1034,6 +1087,250 @@ mod tests {
         assert_eq!(t.slice_nnz(0).unwrap(), vec![0, 0, 0]);
         let (a, b) = t.split_at(&[2, 2]).unwrap();
         assert!(a.is_empty() && b.is_empty());
+    }
+
+    /// The `(Vec<usize>, f64)` builder the flat one replaced, kept as its
+    /// oracle: one heap tuple per entry, `sort_unstable_by` over the tuples
+    /// (or `sort_by`, the stable sort, with `stable`), then a merge and a
+    /// separate zero-compaction pass.
+    struct VecBuilder {
+        shape: Vec<usize>,
+        entries: Vec<(Vec<usize>, f64)>,
+        mode: ValidationMode,
+        counts: QuarantineCounts,
+    }
+
+    impl VecBuilder {
+        fn new(shape: Vec<usize>, mode: ValidationMode) -> Self {
+            VecBuilder {
+                shape,
+                entries: Vec::new(),
+                mode,
+                counts: QuarantineCounts::default(),
+            }
+        }
+
+        fn push(&mut self, idx: &[usize], value: f64) -> Result<()> {
+            if idx.len() != self.shape.len() {
+                return Err(TensorError::IndexOutOfBounds {
+                    index: idx.to_vec(),
+                    shape: self.shape.clone(),
+                });
+            }
+            if idx.iter().zip(&self.shape).any(|(i, s)| i >= s) {
+                if self.mode == ValidationMode::Quarantine {
+                    self.counts.out_of_bounds += 1;
+                    return Ok(());
+                }
+                return Err(TensorError::IndexOutOfBounds {
+                    index: idx.to_vec(),
+                    shape: self.shape.clone(),
+                });
+            }
+            if !value.is_finite() {
+                match self.mode {
+                    ValidationMode::Strict => {
+                        return Err(TensorError::NonFiniteValue {
+                            index: idx.to_vec(),
+                            value,
+                        });
+                    }
+                    ValidationMode::Quarantine => {
+                        self.counts.non_finite += 1;
+                        return Ok(());
+                    }
+                    ValidationMode::Off => {}
+                }
+            }
+            for &i in idx {
+                narrow_index(i as u64)?;
+            }
+            self.entries.push((idx.to_vec(), value));
+            Ok(())
+        }
+
+        fn build_with_report(mut self, stable: bool) -> Result<(SparseTensor, QuarantineCounts)> {
+            if self.shape.is_empty() {
+                return Err(TensorError::EmptyShape);
+            }
+            if stable {
+                self.entries.sort_by(|a, b| a.0.cmp(&b.0));
+            } else {
+                self.entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            }
+            let order = self.shape.len();
+            let mut counts = self.counts;
+            let mut indices = Vec::with_capacity(self.entries.len() * order);
+            let mut values: Vec<f64> = Vec::with_capacity(self.entries.len());
+            let mut last: Option<&[usize]> = None;
+            for (idx, v) in &self.entries {
+                if last == Some(idx.as_slice()) {
+                    match self.mode {
+                        ValidationMode::Strict => {
+                            return Err(TensorError::DuplicateIndex { index: idx.clone() });
+                        }
+                        ValidationMode::Quarantine => counts.duplicates += 1,
+                        ValidationMode::Off => {
+                            if let Some(acc) = values.last_mut() {
+                                *acc += v;
+                            }
+                        }
+                    }
+                } else {
+                    indices.extend(idx.iter().map(|&i| i as u32));
+                    values.push(*v);
+                    last = Some(idx.as_slice());
+                }
+            }
+            let mut out_indices = Vec::with_capacity(indices.len());
+            let mut out_values = Vec::with_capacity(values.len());
+            for (e, &v) in values.iter().enumerate() {
+                if v != 0.0 {
+                    out_indices.extend_from_slice(&indices[e * order..(e + 1) * order]);
+                    out_values.push(v);
+                }
+            }
+            Ok((
+                SparseTensor {
+                    shape: self.shape,
+                    indices: out_indices,
+                    values: out_values,
+                },
+                counts,
+            ))
+        }
+    }
+
+    /// Bitwise equality of two build results: shape, coordinates, value
+    /// bits (NaN and the sign of zero included), tallies, errors.
+    fn same_bits(
+        a: &Result<(SparseTensor, QuarantineCounts)>,
+        b: &Result<(SparseTensor, QuarantineCounts)>,
+    ) -> bool {
+        match (a, b) {
+            (Ok((x, cx)), Ok((y, cy))) => {
+                x.shape == y.shape
+                    && x.indices == y.indices
+                    && cx == cy
+                    && x.values.len() == y.values.len()
+                    && x.values
+                        .iter()
+                        .zip(&y.values)
+                        .all(|(p, q)| p.to_bits() == q.to_bits())
+            }
+            (Err(e), Err(f)) => e == f,
+            _ => false,
+        }
+    }
+
+    /// One random input for `shape`: coordinates drawn from three values
+    /// per mode, so most coordinates repeat three times or more; values
+    /// of mixed magnitude (their sums depend on the order they are added
+    /// in), explicit zeros of both signs, cancelling pairs, and a few
+    /// non-finite values and out-of-bounds coordinates.
+    fn random_pushes(
+        shape: &[usize],
+        n: usize,
+        rng: &mut impl rand::Rng,
+    ) -> Vec<(Vec<usize>, f64)> {
+        let palettes: Vec<Vec<usize>> = shape
+            .iter()
+            .map(|&s| {
+                let top = s.min(1 << 32);
+                (0..3).map(|_| rng.gen_range(0..top)).collect()
+            })
+            .collect();
+        let mut pushes = Vec::with_capacity(n);
+        while pushes.len() < n {
+            let idx: Vec<usize> = palettes
+                .iter()
+                .map(|p| p[rng.gen_range(0..p.len())])
+                .collect();
+            let roll = rng.gen_range(0..100);
+            let value = rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-4..5));
+            match roll {
+                0..=3 => pushes.push((idx, if roll % 2 == 0 { 0.0 } else { -0.0 })),
+                4..=9 => {
+                    pushes.push((idx.clone(), value));
+                    pushes.push((idx, -value));
+                }
+                10 => pushes.push((idx, [f64::NAN, f64::INFINITY][rng.gen_range(0..2usize)])),
+                11 => {
+                    let mut oob = idx;
+                    oob[rng.gen_range(0..shape.len())] = usize::MAX;
+                    pushes.push((oob, value));
+                }
+                _ => pushes.push((idx, value)),
+            }
+        }
+        pushes
+    }
+
+    #[test]
+    fn flat_builder_matches_the_vec_builder_bit_for_bit() {
+        use rand::SeedableRng;
+        let shapes: [Vec<usize>; 8] = [
+            vec![40],
+            vec![7, 9],
+            vec![24_000, 5_400, 1_400],
+            vec![3, 5, 4, 6],
+            vec![4, 3, 5, 2, 3],
+            // The cell count fits a `u64` with no room to spare…
+            vec![1 << 32, (1 << 32) - 1],
+            // …and does not: 2⁶⁴ cells exactly, and far more.
+            vec![1 << 32, 1 << 32],
+            vec![1 << 40, 1 << 30, 7, 1 << 33, 5],
+        ];
+        assert!(shapes[7]
+            .iter()
+            .try_fold(1u64, |c, &s| c.checked_mul(s as u64))
+            .is_none());
+        let modes = [
+            ValidationMode::Off,
+            ValidationMode::Strict,
+            ValidationMode::Quarantine,
+        ];
+        let mut order_sensitive = 0;
+        for (case, shape) in shapes.iter().enumerate() {
+            for mode in modes {
+                for seed in 0..6u64 {
+                    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed * 31 + case as u64);
+                    let pushes = random_pushes(shape, 400, &mut rng);
+                    let mut flat = SparseTensorBuilder::new(shape.clone()).with_validation(mode);
+                    let mut unstable = VecBuilder::new(shape.clone(), mode);
+                    let mut stable = VecBuilder::new(shape.clone(), mode);
+                    let mut groups = BTreeMap::<Vec<usize>, usize>::new();
+                    for (idx, v) in &pushes {
+                        // Debug forms: a refused NaN is not `==` itself.
+                        let want = unstable.push(idx, *v);
+                        let got = flat.push(idx, *v).map(|_| ());
+                        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                        stable.push(idx, *v).ok();
+                        if want.is_ok() {
+                            *groups.entry(idx.clone()).or_default() += 1;
+                        }
+                    }
+                    assert_eq!(flat.len(), unstable.entries.len());
+                    assert!(
+                        groups.values().any(|&g| g >= 3),
+                        "shape {shape:?} seed {seed}: no duplicate group of three"
+                    );
+                    let want = unstable.build_with_report(false);
+                    let got = flat.build_with_report();
+                    assert!(
+                        same_bits(&got, &want),
+                        "shape {shape:?} {mode:?} seed {seed}:\n{got:?}\n{want:?}"
+                    );
+                    if !same_bits(&stable.build_with_report(true), &want) {
+                        order_sensitive += 1;
+                    }
+                }
+            }
+        }
+        // The inputs have teeth: a merge that adds duplicates in another
+        // order than the unstable sort leaves them in moves bits — so a
+        // narrower sort element or a stable sort fails the assertion above.
+        assert!(order_sensitive > 0, "no input depends on the merge order");
     }
 
     #[test]

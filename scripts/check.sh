@@ -85,7 +85,7 @@ if ! grep -qE '^Clothing +untouched_rows=[1-9]' "$hash_dir/threads1"; then
 fi
 rm -r "$hash_dir"
 
-echo "==> routing audit (benchmark workloads at worlds 2 and 4: bytes counted = bytes the row routing predicts)"
+echo "==> routing audit (benchmark workloads at worlds 2 and 4: bytes counted = bytes the row routing predicts; generator fingerprints)"
 # Also prints, per step, the routed rows of every candidate worker grid and
 # where the chosen one ranks; exits non-zero on any step whose wire bytes
 # the routing does not predict, or whose placement no candidate grid
@@ -95,6 +95,14 @@ routes=$(mktemp)
 cargo run -q --release -p dismastd-bench --bin factor_hash -- --routes 1 > "$routes"
 if ! grep -qE '^clothing_rows .* stream .* gather_skipped=[1-9]' "$routes"; then
   echo "the Clothing routing audit gathers every owned row" >&2
+  exit 1
+fi
+# The generator at the benchmark's scale: one fingerprint line per workload
+# (FNV-1a of the generated tensor's coordinates and value bits, and each
+# snapshot's nnz).  Diff them against a parent build's to show a builder or
+# sampler change leaves the generated bits alone.
+if [ "$(grep -cE '^(clothing_rows|netflix_nnz|synthetic_fine) seed=1 generated nnz=[0-9]+ tensor=[0-9a-f]{16} snapshot_nnz=\[' "$routes")" -ne 3 ]; then
+  echo "the routing audit fingerprints fewer than the three generated workloads" >&2
   exit 1
 fi
 rm "$routes"

@@ -549,6 +549,42 @@ fn a_plan_over_long_modes_is_built_from_its_entries() {
     assert!(bytes < 64 * 1024, "50 entries cost {bytes} B to lay out");
 }
 
+/// What a builder holds at its peak, per order-3 entry: its flat staging
+/// (`3·4 + 8 = 20` B), one 16-byte sort key, and the built tensor's 20 B —
+/// 56 B.  The `(Vec<usize>, f64)` builder it replaced held 96 B (a 32-byte
+/// tuple, a 24-byte heap coordinate, the merged buffers and their
+/// zero-compacted copy), so the bound tells the two apart.
+#[test]
+fn a_builder_holds_its_flat_staging_a_sort_key_and_the_tensor() {
+    use dismastd_tensor::SparseTensorBuilder;
+
+    let _alone = GAUGE.write().unwrap_or_else(PoisonError::into_inner);
+    const PER_ENTRY_BOUND: usize = 60;
+    let n = 200_000usize;
+    let shape = [24_000usize, 5_400, 1_400];
+    reset_peak_live_bytes();
+    let before = live_bytes();
+    let mut b = SparseTensorBuilder::with_capacity(shape.to_vec(), n);
+    for e in 0..n {
+        // Distinct coordinates, pushed out of order.
+        let cell = e.wrapping_mul(2_654_435_761) % (shape[0] * shape[1] * shape[2]);
+        let idx = [
+            cell / (shape[1] * shape[2]),
+            cell / shape[2] % shape[1],
+            cell % shape[2],
+        ];
+        b.push(&idx, 0.5 + (e % 7) as f64).unwrap();
+    }
+    let t = b.build().unwrap();
+    let peak = peak_live_bytes() - before;
+    assert_eq!(t.nnz(), n);
+    assert!(
+        peak <= PER_ENTRY_BOUND * n,
+        "building {n} entries peaked at {peak} B, {:.1} B per entry",
+        peak as f64 / n as f64
+    );
+}
+
 /// The memory model, in bytes held (order 3: `3·4 + 8 = 20` B per nonzero):
 ///
 /// * a [`StreamSequence::cut`] holds its snapshots' nonzeros and nothing
