@@ -3,8 +3,7 @@
 //! behind Fig. 5's headline contrast.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dismastd_core::distributed::{dismastd, dms_mg};
-use dismastd_core::{ClusterConfig, DecompConfig};
+use dismastd_core::{decompose, ClusterConfig, DecompConfig};
 use dismastd_data::{uniform_tensor, StreamSequence};
 use dismastd_tensor::{Matrix, SparseTensor};
 use rand::SeedableRng;
@@ -58,7 +57,7 @@ fn bench_distributed_iteration(c: &mut Criterion) {
             &workers,
             |b, &workers| {
                 b.iter(|| {
-                    dismastd(
+                    decompose(
                         &w.complement,
                         &w.old_factors,
                         &cfg,
@@ -69,10 +68,12 @@ fn bench_distributed_iteration(c: &mut Criterion) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("dms_mg", workers),
+            BenchmarkId::new("dms-mg", workers),
             &workers,
             |b, &workers| {
-                b.iter(|| dms_mg(&w.full, &cfg, &ClusterConfig::new(workers)).expect("runs"))
+                b.iter(|| {
+                    decompose(&w.full, &[], &cfg, &ClusterConfig::new(workers)).expect("runs")
+                })
             },
         );
     }

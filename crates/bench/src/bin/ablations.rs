@@ -16,8 +16,7 @@
 //! ```
 
 use dismastd_bench::{print_table, save_records, ExperimentContext, ResultRecord};
-use dismastd_core::distributed::dismastd;
-use dismastd_core::{ClusterConfig, DecompConfig, ExecutionMode, StreamingSession};
+use dismastd_core::{decompose, ClusterConfig, DecompConfig, ExecutionMode, StreamingSession};
 use dismastd_data::{DatasetSpec, StreamSequence};
 use dismastd_partition::{BalanceStats, CellAssignment, GridPartition, Partitioner};
 use dismastd_tensor::mttkrp::{inner_from_mttkrp, mttkrp};
@@ -306,7 +305,7 @@ fn ablation_placement(
         ("Scatter", CellAssignment::Scatter),
     ] {
         let cluster = ClusterConfig::new(workers).with_cell_assignment(assignment);
-        let out = dismastd(&complement, prev.kruskal.factors(), &cfg, &cluster)?;
+        let out = decompose(&complement, prev.kruskal.factors(), &cfg, &cluster)?;
         let grid = GridPartition::build_with(
             &complement,
             Partitioner::Mtp,

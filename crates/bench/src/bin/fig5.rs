@@ -18,11 +18,9 @@ use dismastd_bench::{
     measure_serial_iter, modeled_iter_time, placement_profile, print_table, profile_from_run,
     save_records, secs, ExperimentContext, ResultRecord,
 };
-use dismastd_core::distributed::{dismastd, dms_mg};
-use dismastd_core::{ClusterConfig, DecompConfig};
+use dismastd_core::{decompose, ClusterConfig, DecompConfig};
 use dismastd_data::{DatasetSpec, StreamSequence};
 use dismastd_partition::Partitioner;
-use dismastd_tensor::Matrix;
 use std::collections::BTreeMap;
 
 const WORKERS: usize = 15; // the paper's cluster size
@@ -60,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let complement = snap.complement(&prev_shape)?;
                 let (serial_iter, serial_out) =
                     measure_serial_iter(&complement, prev.factors(), &cfg)?;
-                let dist = dismastd(&complement, prev.factors(), &cfg, &cluster)?;
+                let dist = decompose(&complement, prev.factors(), &cfg, &cluster)?;
                 let (max_load, _) = placement_profile(&complement, partitioner, PARTS, WORKERS)?;
                 let profile = profile_from_run(&complement, &dist, max_load, WORKERS, PARTS);
                 let modeled = modeled_iter_time(serial_iter, &profile, &ctx.cost);
@@ -92,11 +90,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let method = format!("DMS-MG-{}", partitioner.name());
             for t in 1..stream.len() {
                 let snap = stream.snapshot(t);
-                let zero_old: Vec<Matrix> = (0..snap.order())
-                    .map(|_| Matrix::zeros(0, cfg.rank))
-                    .collect();
-                let (serial_iter, _) = measure_serial_iter(snap, &zero_old, &cfg)?;
-                let dist = dms_mg(snap, &cfg, &cluster)?;
+                let (serial_iter, _) = measure_serial_iter(snap, &[], &cfg)?;
+                let dist = decompose(snap, &[], &cfg, &cluster)?;
                 let (max_load, _) = placement_profile(snap, partitioner, PARTS, WORKERS)?;
                 let profile = profile_from_run(snap, &dist, max_load, WORKERS, PARTS);
                 let modeled = modeled_iter_time(serial_iter, &profile, &ctx.cost);

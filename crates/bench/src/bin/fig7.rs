@@ -14,8 +14,7 @@ use dismastd_bench::{
     measure_serial_iter, modeled_iter_time, placement_profile, print_table, profile_from_run,
     save_records, secs, ExperimentContext, ResultRecord,
 };
-use dismastd_core::distributed::dismastd;
-use dismastd_core::{ClusterConfig, DecompConfig};
+use dismastd_core::{decompose, ClusterConfig, DecompConfig};
 use dismastd_data::{DatasetSpec, StreamSequence};
 use dismastd_partition::Partitioner;
 use std::collections::BTreeMap;
@@ -46,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let cluster = ClusterConfig::new(nodes)
                     .with_partitioner(partitioner)
                     .with_parts_per_mode(vec![nodes; full.order()]);
-                let dist = dismastd(&complement, prev.kruskal.factors(), &cfg, &cluster)?;
+                let dist = decompose(&complement, prev.kruskal.factors(), &cfg, &cluster)?;
                 let (max_load, _) = placement_profile(&complement, partitioner, nodes, nodes)?;
                 let profile = profile_from_run(&complement, &dist, max_load, nodes, nodes);
                 let modeled = modeled_iter_time(serial_iter, &profile, &ctx.cost);

@@ -32,7 +32,7 @@
 //! the generated tensor's coordinates and value bits, and each snapshot's
 //! nnz.
 
-use dismastd_core::{dismastd, dtd, ClusterConfig, DecompConfig};
+use dismastd_core::{decompose, dtd, ClusterConfig, DecompConfig};
 use dismastd_data::{DatasetSpec, StreamSequence};
 use dismastd_partition::GridPartition;
 use dismastd_tensor::{Matrix, Result, SparseTensor};
@@ -95,16 +95,11 @@ pub fn identity_lines(worlds: &[Option<usize>]) -> Result<Vec<String>> {
             for &world in worlds {
                 let (mut factors, mut losses) = (Fnv::new(), Fnv::new());
                 drive(&stream, rank, |work, old| {
-                    let (kruskal, loss_trace) = match world {
-                        None => {
-                            let out = dtd(work, old, &cfg)?;
-                            (out.kruskal, out.loss_trace)
-                        }
-                        Some(world) => {
-                            let out = dismastd(work, old, &cfg, &ClusterConfig::new(world))?;
-                            (out.kruskal, out.loss_trace)
-                        }
+                    let out = match world {
+                        None => dtd(work, old, &cfg)?,
+                        Some(world) => decompose(work, old, &cfg, &ClusterConfig::new(world))?,
                     };
+                    let (kruskal, loss_trace) = (out.kruskal, out.loss_trace);
                     kruskal
                         .factors()
                         .iter()
@@ -463,7 +458,7 @@ pub fn routing_lines(seed: u64) -> Result<(Vec<String>, usize)> {
                 let old_rows: Vec<usize> = old.iter().map(Matrix::rows).collect();
                 let routing = routing(work, &grid, &old_rows);
                 let grids = candidates(work, &grid);
-                let out = dismastd(work, old, &cfg, &cluster)?;
+                let out = decompose(work, old, &cfg, &cluster)?;
                 let rows: u64 = routing.owned.iter().sum();
                 let largest = routing.owned.iter().copied().max().unwrap_or(0);
                 // Ranks 1…: rank 0 gathers nothing from itself.

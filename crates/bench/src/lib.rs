@@ -29,8 +29,7 @@
 pub mod factor_hash;
 
 use dismastd_cluster::CostModel;
-use dismastd_core::distributed::DistOutput;
-use dismastd_core::{DecompConfig, DtdOutput};
+use dismastd_core::{ClusterConfig, DecompConfig, Decomposition};
 use dismastd_partition::{GridPartition, Partitioner};
 use dismastd_tensor::{Matrix, Result, SparseTensor};
 use serde::{Deserialize, Serialize};
@@ -123,9 +122,9 @@ pub fn measure_serial_iter(
     complement: &SparseTensor,
     old_factors: &[Matrix],
     cfg: &DecompConfig,
-) -> Result<(Duration, DtdOutput)> {
+) -> Result<(Duration, Decomposition)> {
     let start = std::time::Instant::now();
-    let out = dismastd_core::dtd(complement, old_factors, cfg)?;
+    let out = dismastd_core::decompose(complement, old_factors, cfg, &ClusterConfig::new(1))?;
     let elapsed = start.elapsed();
     let iters = out.iterations.max(1) as u32;
     Ok((elapsed / iters, out))
@@ -154,7 +153,7 @@ pub fn placement_profile(
 /// Assembles the [`PhaseProfile`] of a finished distributed run.
 pub fn profile_from_run(
     tensor: &SparseTensor,
-    out: &DistOutput,
+    out: &Decomposition,
     max_worker_load: u64,
     workers: usize,
     parts_per_mode: usize,
@@ -329,9 +328,8 @@ mod tests {
     #[test]
     fn serial_measurement_runs() {
         let t = tiny_tensor();
-        let old: Vec<Matrix> = (0..3).map(|_| Matrix::zeros(0, 2)).collect();
         let cfg = DecompConfig::default().with_rank(2).with_max_iters(2);
-        let (iter_time, out) = measure_serial_iter(&t, &old, &cfg).unwrap();
+        let (iter_time, out) = measure_serial_iter(&t, &[], &cfg).unwrap();
         assert_eq!(out.iterations, 2);
         assert!(iter_time > Duration::ZERO);
     }

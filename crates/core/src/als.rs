@@ -1,27 +1,26 @@
 //! Static CP-ALS — the classic alternating-least-squares CP decomposition.
 //!
-//! Used for the cold start of a streaming session (the first snapshot has no
-//! previous factors) and as the computational core of the DMS-MG baseline,
-//! which re-decomposes the full tensor from scratch at every snapshot.
+//! The cold start of a streaming session (the first snapshot has no
+//! previous factors) and, at world ≥ 2, the DMS-MG baseline, which
+//! re-decomposes the full tensor from scratch at every snapshot.
 //!
-//! Implemented as the zero-history special case of [`crate::dtd::dtd`]: with
-//! zero-row previous factors every row is a "new" row and the Eq. 5 `A^(1)`
-//! rule collapses to the textbook normal equation
-//! `A_n ← Â_n (⊛_{k≠n} A_kᵀA_k)⁻¹`.
+//! Both are [`decompose`] with an empty history: with zero-row previous
+//! factors every row is a "new" row and the Eq. 5 `A^(1)` rule collapses
+//! to the textbook normal equation `A_n ← Â_n (⊛_{k≠n} A_kᵀA_k)⁻¹`.
 
 use crate::config::DecompConfig;
-use crate::dtd::{dtd, zero_history, DtdOutput};
+use crate::distributed::{decompose, ClusterConfig, Decomposition};
 use dismastd_tensor::{Result, SparseTensor};
 
-/// Runs static CP-ALS on `x`.
+/// Runs static CP-ALS on `x`: [`decompose`] at world 1 with no history.
 ///
-/// Factors are initialised uniformly at random from `cfg.seed`; the loss
-/// trace records `‖X − ⟦A⟧‖²` after each iteration.
+/// Kept only because the repository benchmark names it; new code calls
+/// [`decompose`] with `&[]` and `ClusterConfig::new(1)`.
 ///
 /// # Errors
-/// Propagates configuration and numerical errors from the DTD core.
-pub fn cp_als(x: &SparseTensor, cfg: &DecompConfig) -> Result<DtdOutput> {
-    dtd(x, &zero_history(x.order(), cfg.rank), cfg)
+/// As [`decompose`].
+pub fn cp_als(x: &SparseTensor, cfg: &DecompConfig) -> Result<Decomposition> {
+    decompose(x, &[], cfg, &ClusterConfig::new(1))
 }
 
 #[cfg(test)]

@@ -1,12 +1,14 @@
-//! Distributed DisMASTD (Sec. IV-B) on the simulated cluster.
+//! Distributed DisMASTD (Sec. IV-B) on the simulated cluster — the one
+//! ALS loop every decomposition runs.
 //!
-//! One engine drives both of the paper's distributed methods:
+//! [`decompose`] is the one entry.  Its history argument picks the paper's
+//! method:
 //!
-//! * **DisMASTD** ([`dismastd`]) — DTD over the complement `X \ X̃` with the
-//!   previous snapshot's factors;
-//! * **DMS-MG** ([`dms_mg`]) — the static medium-grained baseline, obtained
-//!   as the zero-history special case (re-decompose the *full* tensor from
-//!   scratch; every row is a "new" row).
+//! * **DisMASTD** — DTD over the complement `X \ X̃` with the previous
+//!   snapshot's factors as the history;
+//! * **DMS-MG** — the static medium-grained baseline: an empty history
+//!   re-decomposes the *full* tensor from scratch (every row is a "new"
+//!   row).
 //!
 //! A step's communication is data: [`build_plans`] compiles one
 //! [`Schedule`] per placement — per mode a partials round and a refresh
@@ -17,9 +19,8 @@
 //! tails, the two rules that edit them, and why every world computes the
 //! same bits.
 //!
-//! World 1 is the serial solver ([`crate::dtd::dtd`]): its one grid cell
-//! is planned over the borrowed tensor, its one rank runs on the caller's
-//! thread.
+//! World 1 is the serial solver: its one grid cell is planned over the
+//! borrowed tensor, its one rank runs on the caller's thread.
 
 use crate::config::DecompConfig;
 use crate::dtd::{converged, init_factors, old_norm_sq, zero_history};
@@ -98,16 +99,17 @@ impl ClusterConfig {
     }
 }
 
-/// Result of a distributed decomposition.
+/// Result of a decomposition at any world size, with or without history.
 #[derive(Debug, Clone)]
-pub struct DistOutput {
+pub struct Decomposition {
     /// The CP decomposition of the current snapshot.
     pub kruskal: KruskalTensor,
     /// ALS iterations executed.
     pub iterations: usize,
     /// Eq. 4 loss after each iteration.
     pub loss_trace: Vec<f64>,
-    /// Network traffic of the iteration phase (bytes/messages/collectives).
+    /// Network traffic of the iteration phase (bytes/messages/collectives);
+    /// world 1 sends nothing and counts its collectives.
     pub comm: CommStatsSnapshot,
     /// Bytes required to stage the data: tensor partitions plus the factor
     /// rows each worker caches (the `O(nnz + NIR + NdR)` of Theorem 4).
@@ -121,17 +123,9 @@ pub struct DistOutput {
     /// fails with a `ClusterFault` unless all of them took the same — and
     /// every rank's post-solve re-solves are added to them.
     pub numerics: NumericsReport,
-    /// Every rank's per-phase metrics merged into one snapshot, present
-    /// when the *driver* thread had a metrics collection installed (see
-    /// `dismastd_obs::begin`) when the call started.  Span totals therefore
-    /// sum concurrent per-rank time and can exceed wall-clock; the
-    /// `comm/msg_bytes` histogram reconciles exactly with [`Self::comm`].
-    /// Driver-side preparation spans (partitioning, plan builds, set-up's
-    /// Gram state) land in the caller's own registry instead.
-    pub metrics: Option<MetricsSnapshot>,
 }
 
-impl DistOutput {
+impl Decomposition {
     /// Average time per ALS iteration — the paper's reported metric.
     pub fn time_per_iter(&self) -> Duration {
         if self.iterations == 0 {
@@ -150,10 +144,11 @@ impl DistOutput {
 /// A step's cells repeat only *within* that step — when the divergence
 /// watchdog re-runs the decomposition with a damped `μ`, or when the heal
 /// ladder replays it in the same world — so that is all the memo covers:
-/// the session resets it at the top of every `ingest`, and a replay in a
-/// shrunk world rebuilds it.  Across steps nothing can be reused: every
-/// DTD step decomposes a *new* complement `X \ X̃`, so no cell of one
-/// step has the content of a cell of another.
+/// the session releases it as soon as the step's last attempt returns (on
+/// error too), and a replay in a shrunk world rebuilds it.  Across steps
+/// nothing can be reused: every DTD step decomposes a *new* complement
+/// `X \ X̃`, so no cell of one step has the content of a cell of another.
+/// So the memo never outlives the step that built it, at any world.
 ///
 /// `hits()` / `misses()` count cells reused / built over the session's
 /// lifetime.
@@ -451,38 +446,44 @@ impl Schedule {
     }
 }
 
-/// Runs distributed DisMASTD: DTD over the complement tensor given the
-/// previous snapshot's factors.
+/// Decomposes `x` on `cluster` — the one solver entry.
+///
+/// * `history` — `{Ã_n}`, the previous snapshot's CP factors, with `x` the
+///   relative complement `X \ X̃` in the **new snapshot's coordinate
+///   space** (no entry inside the old box): DisMASTD's DTD step (Alg. 1).
+/// * `&[]` — no history: static CP-ALS over the full tensor (DMS-MG at
+///   world ≥ 2).
+///
+/// World 1 runs on the caller's thread over the borrowed tensor; kernel
+/// lanes follow `cfg.threads`, the bits do not.  Default
+/// [`ClusterOptions`] and a call-local plan memo; spans and counters land
+/// in the caller's metrics registry.
 ///
 /// # Errors
-/// Propagates configuration, partitioning, and numerical errors.
-pub fn dismastd(
-    complement: &SparseTensor,
-    old_factors: &[Matrix],
+/// Validates configuration and shapes — a mode longer than `u32::MAX` is
+/// refused with [`TensorError::PlanOverflow`] before anything is sized by
+/// it; propagates partitioning and solver errors.
+pub fn decompose(
+    x: &SparseTensor,
+    history: &[Matrix],
     cfg: &DecompConfig,
     cluster: &ClusterConfig,
-) -> Result<DistOutput> {
+) -> Result<Decomposition> {
+    // Every entry must lie outside the old box.
+    let old_rows: Vec<usize> = history.iter().map(Matrix::rows).collect();
+    debug_assert!(
+        history.is_empty()
+            || x.iter()
+                .all(|(idx, _)| SparseTensor::block_of(idx, &old_rows) != 0)
+    );
     run_distributed(
-        complement,
-        old_factors,
+        x,
+        history,
         cfg,
         cluster,
         &ClusterOptions::default(),
         &mut PlanCache::default(),
     )
-}
-
-/// Runs the DMS-MG baseline: distributed static CP-ALS over the full
-/// tensor, re-computing from scratch (no history reuse).
-///
-/// # Errors
-/// Propagates configuration, partitioning, and numerical errors.
-pub fn dms_mg(
-    full: &SparseTensor,
-    cfg: &DecompConfig,
-    cluster: &ClusterConfig,
-) -> Result<DistOutput> {
-    dismastd(full, &zero_history(full.order(), cfg.rank), cfg, cluster)
 }
 
 /// Maps a [`ClusterError`] onto [`TensorError::ClusterFault`], attributing
@@ -503,10 +504,11 @@ fn cluster_fault(e: ClusterError) -> TensorError {
     }
 }
 
-/// The one distributed driver behind [`dismastd`], [`dms_mg`] and the
-/// streaming session: explicit [`ClusterOptions`] (receive deadlines and,
-/// for chaos testing, a deterministic fault plan) and the caller's
-/// step-local plan memo.  A worker crash or timeout surfaces as
+/// The one driver behind [`decompose`] and the streaming session:
+/// explicit [`ClusterOptions`] (receive deadlines and, for chaos testing,
+/// a deterministic fault plan) and the caller's step-local plan memo.  An
+/// empty history is the zero-row one.  Every rank's metrics are folded
+/// into the caller's registry.  A worker crash or timeout surfaces as
 /// [`TensorError::ClusterFault`] rather than a hang.
 pub(crate) fn run_distributed(
     tensor: &SparseTensor,
@@ -515,7 +517,7 @@ pub(crate) fn run_distributed(
     cluster: &ClusterConfig,
     opts: &ClusterOptions,
     memo: &mut PlanCache,
-) -> Result<DistOutput> {
+) -> Result<Decomposition> {
     cfg.validate().map_err(TensorError::InvalidArgument)?;
     if cluster.workers == 0 {
         return Err(TensorError::InvalidArgument(
@@ -533,6 +535,13 @@ pub(crate) fn run_distributed(
     // lint:allow(determinism, clock_hygiene): elapsed-time reporting only
     let start = Instant::now();
     let rank = cfg.rank;
+    let zero_old;
+    let old_factors = if old_factors.is_empty() {
+        zero_old = zero_history(tensor.order(), rank);
+        &zero_old
+    } else {
+        old_factors
+    };
     let old_rows: Vec<usize> = old_factors.iter().map(Matrix::rows).collect();
 
     // Shared read-only inputs; `init_factors` also checks the history's
@@ -577,15 +586,14 @@ pub(crate) fn run_distributed(
         Cluster::try_run_with_opts(cluster.workers, opts, |ctx| worker_body(ctx, &inputs))
             .map_err(cluster_fault)?;
 
-    // Merge every rank's metrics (in rank order) before consuming rank 0;
-    // a rank that failed simply contributes nothing.
-    let mut metrics: Option<MetricsSnapshot> = None;
-    for wr in results.iter().flatten() {
-        if let Some(wm) = &wr.metrics {
-            metrics
-                .get_or_insert_with(MetricsSnapshot::default)
-                .merge(wm);
-        }
+    // Every rank's metrics join the caller's registry, in rank order, before
+    // rank 0 is consumed; a rank that failed simply contributes nothing.
+    for wm in results
+        .iter()
+        .flatten()
+        .filter_map(|wr| wr.metrics.as_ref())
+    {
+        dismastd_obs::absorb(wm);
     }
 
     let WorkerResult {
@@ -624,7 +632,7 @@ pub(crate) fn run_distributed(
         debug_assert_eq!(comm.collectives, schedule.collectives(iterations, stopped));
     }
 
-    Ok(DistOutput {
+    Ok(Decomposition {
         kruskal: KruskalTensor::new(factors)?,
         iterations,
         loss_trace,
@@ -633,7 +641,6 @@ pub(crate) fn run_distributed(
         elapsed: start.elapsed(),
         iter_elapsed,
         numerics,
-        metrics,
     })
 }
 
@@ -1548,7 +1555,7 @@ mod tests {
         };
         let x = random_complement(&old_shape, &[6, 6, 5], 50, 2);
         let serial = dtd(&x, &old, &cfg()).unwrap();
-        let dist = dismastd(&x, &old, &cfg(), &ClusterConfig::new(1)).unwrap();
+        let dist = decompose(&x, &old, &cfg(), &ClusterConfig::new(1)).unwrap();
         assert_eq!(serial.loss_trace.len(), dist.loss_trace.len());
         for (a, b) in serial.loss_trace.iter().zip(&dist.loss_trace) {
             assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()), "{a} vs {b}");
@@ -1571,7 +1578,7 @@ mod tests {
         let serial = dtd(&x, &old, &cfg()).unwrap();
         for workers in [2usize, 3, 4] {
             for p in [Partitioner::Gtp, Partitioner::Mtp] {
-                let dist = dismastd(
+                let dist = decompose(
                     &x,
                     &old,
                     &cfg(),
@@ -1596,7 +1603,7 @@ mod tests {
     fn dms_mg_matches_serial_als() {
         let x = random_tensor(&[7, 6, 5], 80, 6);
         let serial = cp_als(&x, &cfg()).unwrap();
-        let dist = dms_mg(&x, &cfg(), &ClusterConfig::new(3)).unwrap();
+        let dist = decompose(&x, &[], &cfg(), &ClusterConfig::new(3)).unwrap();
         for (a, b) in serial.loss_trace.iter().zip(&dist.loss_trace) {
             assert!((a - b).abs() < 1e-6 * (1.0 + a.abs()), "{a} vs {b}");
         }
@@ -1605,8 +1612,8 @@ mod tests {
     #[test]
     fn multi_worker_communicates_single_does_not() {
         let x = random_tensor(&[8, 8, 8], 100, 7);
-        let one = dms_mg(&x, &cfg(), &ClusterConfig::new(1)).unwrap();
-        let four = dms_mg(&x, &cfg(), &ClusterConfig::new(4)).unwrap();
+        let one = decompose(&x, &[], &cfg(), &ClusterConfig::new(1)).unwrap();
+        let four = decompose(&x, &[], &cfg(), &ClusterConfig::new(4)).unwrap();
         assert_eq!(one.comm.bytes, 0);
         assert!(four.comm.bytes > 0);
         assert!(four.comm.collectives > 0);
@@ -1627,7 +1634,7 @@ mod tests {
         // guard (`build_plans` alone would want 4 Gi row marks per worker).
         let huge = u32::MAX as usize + 1;
         let t = SparseTensor::empty(vec![2, huge, 2]).unwrap();
-        match dms_mg(&t, &cfg(), &ClusterConfig::new(2)) {
+        match decompose(&t, &[], &cfg(), &ClusterConfig::new(2)) {
             Err(TensorError::PlanOverflow { what, value }) => {
                 assert_eq!(what, "shape dimension");
                 assert_eq!(value, huge as u64);
@@ -1650,7 +1657,7 @@ mod tests {
                 .collect()
         };
         let x = random_complement(&old_shape, &[6, 6, 6], 70, 9);
-        let out = dismastd(
+        let out = decompose(
             &x,
             &old,
             &DecompConfig::default().with_rank(2).with_max_iters(10),
@@ -1669,8 +1676,9 @@ mod tests {
     #[test]
     fn parts_per_mode_override_works() {
         let x = random_tensor(&[10, 10, 10], 150, 10);
-        let out = dms_mg(
+        let out = decompose(
             &x,
+            &[],
             &cfg(),
             &ClusterConfig::new(2).with_parts_per_mode(vec![5, 5, 5]),
         )
@@ -1682,8 +1690,9 @@ mod tests {
     #[test]
     fn rejects_zero_workers() {
         let x = random_tensor(&[4, 4], 10, 11);
-        assert!(dms_mg(
+        assert!(decompose(
             &x,
+            &[],
             &cfg(),
             &ClusterConfig {
                 workers: 0,
@@ -1713,7 +1722,7 @@ mod tests {
                     let tag = format!("order {order} world {world} R {rank}");
                     let cfg = cfg().with_rank(rank);
                     // Tolerance 0 runs to its scheduled end.
-                    let out = dms_mg(&x, &cfg, &cluster).unwrap();
+                    let out = decompose(&x, &[], &cfg, &cluster).unwrap();
                     assert_eq!(out.iterations, cfg.max_iters);
                     let iters = out.iterations as u64;
                     assert_eq!(out.comm.collectives, 2 * order * iters - 1 + 1, "{tag}");
@@ -1721,7 +1730,7 @@ mod tests {
                     // which the third iteration's mode-0 partials exchange
                     // brings: that refresh is sent, that exchange too, and
                     // the gather carries no tail.
-                    let out = dms_mg(&x, &cfg.with_tolerance(1.0), &cluster).unwrap();
+                    let out = decompose(&x, &[], &cfg.with_tolerance(1.0), &cluster).unwrap();
                     let k = out.iterations as u64;
                     assert_eq!(k, 2, "{tag}");
                     assert_eq!(out.comm.collectives, 2 * order * k + 2, "{tag}");
@@ -1934,7 +1943,7 @@ mod tests {
             for r in [3u64, 10] {
                 let cfg = cfg().with_rank(r as usize).with_tolerance(0.0);
                 let packed = 2 * r * r + r;
-                let out = dms_mg(&x, &cfg, &cluster).unwrap();
+                let out = decompose(&x, &[], &cfg, &cluster).unwrap();
                 let iters = out.iterations as u64;
                 assert_eq!(iters, cfg.max_iters as u64);
                 let fused = |k: u64, b: u64| {
@@ -2330,7 +2339,7 @@ mod tests {
                 .collect()
         };
         let x = stream.snapshot(1).complement(&old_shape).unwrap();
-        let out = dismastd(&x, &old, &cfg(), &ClusterConfig::new(4)).unwrap();
+        let out = decompose(&x, &old, &cfg(), &ClusterConfig::new(4)).unwrap();
         assert!(out.comm.reconciles());
         // Measured at the parent commit (per-group ownership), same fixture.
         const GROUP_OWNERSHIP_WIRE_BYTES: u64 = 252_120;
@@ -2342,7 +2351,7 @@ mod tests {
     }
 
     /// FNV-1a over the bits of every factor entry.
-    fn factor_bits(out: &DistOutput) -> u64 {
+    fn factor_bits(out: &Decomposition) -> u64 {
         let words = out.kruskal.factors().iter().flat_map(|f| f.as_slice());
         words.fold(0xcbf2_9ce4_8422_2325, |h, v| {
             (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01B3)
@@ -2355,7 +2364,7 @@ mod tests {
         // mode on two ranks and routes ~I_0 + I_1 + 3·I_2 rows per
         // mode-iteration, 4x1x1 routes ~3·(I_1 + I_2).
         let x = random_tensor(&[400, 12, 10], 3000, 61);
-        let out = dms_mg(&x, &cfg(), &ClusterConfig::new(4)).unwrap();
+        let out = decompose(&x, &[], &cfg(), &ClusterConfig::new(4)).unwrap();
         assert!(out.comm.reconciles());
         // Measured with the 2x2x1 grid at the commit before the grid
         // became shape-aware (which already skips the unread final
@@ -2373,7 +2382,7 @@ mod tests {
         // A cube's best grid at world 4 is the 2x2x1 it always had: the
         // shape-aware choice must not move a byte or a bit of it.
         let x = random_tensor(&[12, 12, 12], 400, 62);
-        let out = dms_mg(&x, &cfg(), &ClusterConfig::new(4)).unwrap();
+        let out = decompose(&x, &[], &cfg(), &ClusterConfig::new(4)).unwrap();
         // Measured at the commit before the grid became shape-aware (which
         // already skips the unread final refresh), less what reducing only
         // the upper triangles of `G⁰` and `G¹` saves: R(R − 1) = 6 values
@@ -2408,7 +2417,7 @@ mod tests {
         old: &[Matrix],
         cc: &ClusterConfig,
         memo: &mut PlanCache,
-    ) -> DistOutput {
+    ) -> Decomposition {
         run_distributed(x, old, &cfg(), cc, &ClusterOptions::default(), memo).unwrap()
     }
 
@@ -2441,7 +2450,7 @@ mod tests {
         assert_eq!(first.setup_bytes, second.setup_bytes);
 
         // The memo-less public entry point agrees exactly.
-        let fresh = dismastd(&x, &old, &cfg(), &cc).unwrap();
+        let fresh = decompose(&x, &old, &cfg(), &cc).unwrap();
         assert_eq!(first.loss_trace, fresh.loss_trace);
     }
 
@@ -2459,7 +2468,7 @@ mod tests {
         assert_eq!(memo.hits(), 0);
         let cells2 = memo.misses() - cells3;
         assert!(cells2 > 0);
-        let fresh = dms_mg(&x, &cfg(), &ClusterConfig::new(2)).unwrap();
+        let fresh = decompose(&x, &[], &cfg(), &ClusterConfig::new(2)).unwrap();
         assert_eq!(degraded.loss_trace, fresh.loss_trace);
 
         // A reset (the top of the next ingest) forgets the step; the
@@ -2518,7 +2527,7 @@ mod tests {
     #[test]
     fn time_per_iter_accounting() {
         let x = random_tensor(&[6, 6, 6], 60, 12);
-        let out = dms_mg(&x, &cfg(), &ClusterConfig::new(2)).unwrap();
+        let out = decompose(&x, &[], &cfg(), &ClusterConfig::new(2)).unwrap();
         assert_eq!(out.iterations, 6);
         assert!(out.time_per_iter() <= out.iter_elapsed);
         assert!(out.elapsed >= out.iter_elapsed);
@@ -2534,7 +2543,7 @@ mod tests {
                 .collect()
         };
         let x = SparseTensor::empty(vec![5, 5]).unwrap();
-        let out = dismastd(
+        let out = decompose(
             &x,
             &old,
             &DecompConfig::default().with_rank(2).with_max_iters(3),

@@ -12,30 +12,18 @@
 //! The static CP-ALS baseline falls out as the special case of zero-row
 //! previous factors: every row is "new", the `A^(1)` rule is the classic
 //! normal equation `A_n ← Â_n (⊛_{k≠n} G_k)⁻¹`, and the loss degenerates to
-//! `‖X − ⟦A⟧‖²`.  [`crate::als`] wraps exactly that.  [`dtd`] runs the
-//! one Eq. 5 loop, [`crate::distributed`]'s, at world 1.
+//! `‖X − ⟦A⟧‖²`.  The one loop is [`crate::distributed`]'s, entered through
+//! [`crate::distributed::decompose`]; this module holds the pieces it
+//! shares — the factor initialisation, the old box's constant norm, the
+//! stopping test — and [`dtd`], its world-1 call.
 
 use crate::config::DecompConfig;
-use crate::distributed::{run_distributed, ClusterConfig, PlanCache};
-use dismastd_cluster::ClusterOptions;
+use crate::distributed::{decompose, ClusterConfig, Decomposition};
 use dismastd_tensor::matrix::Matrix;
 use dismastd_tensor::ops::grand_sum_hadamard;
-use dismastd_tensor::{KruskalTensor, NumericsReport, Result, SparseTensor, TensorError};
+use dismastd_tensor::{Result, SparseTensor, TensorError};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-/// Result of a DTD (or static ALS) run.
-#[derive(Debug, Clone)]
-pub struct DtdOutput {
-    /// The CP decomposition of the current snapshot.
-    pub kruskal: KruskalTensor,
-    /// Number of ALS iterations executed.
-    pub iterations: usize,
-    /// Eq. 4 loss after every iteration.
-    pub loss_trace: Vec<f64>,
-    /// Which solver tiers the normal-equation solves escalated through.
-    pub numerics: NumericsReport,
-}
 
 /// The zero-history "previous factors": with zero-row matrices every row of
 /// every mode is a new row, which turns DTD into static CP-ALS.
@@ -100,50 +88,19 @@ pub(crate) fn old_norm_sq(old_factors: &[Matrix]) -> Result<f64> {
     grand_sum_hadamard(&grams)
 }
 
-/// Runs DTD (Alg. 1) on the complement tensor.
+/// Runs DTD (Alg. 1) on the complement tensor: [`decompose`] at world 1.
 ///
-/// * `complement` — `X \ X̃` in the **new snapshot's coordinate space**
-///   (shape = new shape; no entry fully inside the old box);
-/// * `old_factors` — `{Ã_n}`, the CP factors of the previous snapshot
-///   (zero-row matrices for a cold start);
-/// * the tensor shape doubles as the new snapshot shape.
-///
-/// This is the distributed step at world 1, on the caller's thread over
-/// the borrowed complement (default [`ClusterOptions`], a call-local plan
-/// memo); kernel lanes follow `cfg.threads`, the bits do not.  Its spans
-/// and counters land in the caller's metrics registry.
+/// Kept only because the repository benchmark names it; new code calls
+/// [`decompose`] with `ClusterConfig::new(1)`.
 ///
 /// # Errors
-/// Validates configuration and shapes — a mode longer than `u32::MAX` is
-/// refused with [`TensorError::PlanOverflow`] before anything is sized by
-/// it; propagates solver errors.
+/// As [`decompose`].
 pub fn dtd(
     complement: &SparseTensor,
     old_factors: &[Matrix],
     cfg: &DecompConfig,
-) -> Result<DtdOutput> {
-    // Every complement entry must lie outside the old box.
-    let old_rows: Vec<usize> = old_factors.iter().map(Matrix::rows).collect();
-    debug_assert!(complement
-        .iter()
-        .all(|(idx, _)| SparseTensor::block_of(idx, &old_rows) != 0));
-    let out = run_distributed(
-        complement,
-        old_factors,
-        cfg,
-        &ClusterConfig::new(1),
-        &ClusterOptions::default(),
-        &mut PlanCache::default(),
-    )?;
-    if let Some(metrics) = &out.metrics {
-        dismastd_obs::absorb(metrics);
-    }
-    Ok(DtdOutput {
-        kruskal: out.kruskal,
-        iterations: out.iterations,
-        loss_trace: out.loss_trace,
-        numerics: out.numerics,
-    })
+) -> Result<Decomposition> {
+    decompose(complement, old_factors, cfg, &ClusterConfig::new(1))
 }
 
 /// "Fit ceases to improve" test (Alg. 1 line 7): relative improvement of the
@@ -164,7 +121,7 @@ mod tests {
     use crate::loss::{dtd_loss, mode_grams, naive_dtd_loss, GramState, LossParts, UntouchedRows};
     use dismastd_tensor::linalg::{Factorized, RowUpdate};
     use dismastd_tensor::matrix::{dot, RowSet};
-    use dismastd_tensor::{RobustSolver, SparseTensorBuilder};
+    use dismastd_tensor::{KruskalTensor, NumericsReport, RobustSolver, SparseTensorBuilder};
     use rand::Rng;
 
     fn cfg(rank: usize) -> DecompConfig {
@@ -432,7 +389,7 @@ mod tests {
         let cfg = cfg(2).with_max_iters(1);
         for world in 1..=3 {
             let cluster = crate::distributed::ClusterConfig::new(world);
-            let out = crate::distributed::dismastd(&x, &old, &cfg, &cluster).unwrap();
+            let out = crate::distributed::decompose(&x, &old, &cfg, &cluster).unwrap();
             let numerics = out.numerics;
             assert!(
                 numerics.post_escalations >= 1,
@@ -445,8 +402,26 @@ mod tests {
         }
     }
 
+    /// An oracle's result in the solver's output type; nothing is sent.
+    fn oracle_run(
+        factors: Vec<Matrix>,
+        loss_trace: Vec<f64>,
+        numerics: NumericsReport,
+    ) -> Decomposition {
+        Decomposition {
+            kruskal: KruskalTensor::new(factors).unwrap(),
+            iterations: loss_trace.len(),
+            loss_trace,
+            comm: Default::default(),
+            setup_bytes: 0,
+            elapsed: Default::default(),
+            iter_elapsed: Default::default(),
+            numerics,
+        }
+    }
+
     /// Everything a caller can observe of a run, as bits.
-    fn observable(out: &DtdOutput) -> (Vec<Vec<u64>>, Vec<u64>, usize, NumericsReport) {
+    fn observable(out: &Decomposition) -> (Vec<Vec<u64>>, Vec<u64>, usize, NumericsReport) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         (
             out.kruskal
@@ -486,7 +461,7 @@ mod tests {
     /// Alg. 1 as [`dtd`] runs it, with the one difference under test: every
     /// `Â` is the COO kernel's, accumulated into a fresh zeroed matrix, and
     /// the touched rows are read off the COO entries.
-    fn dtd_over_coo(x: &SparseTensor, old: &[Matrix], cfg: &DecompConfig) -> DtdOutput {
+    fn dtd_over_coo(x: &SparseTensor, old: &[Matrix], cfg: &DecompConfig) -> Decomposition {
         use dismastd_tensor::mttkrp::mttkrp;
         let mu = cfg.forgetting;
         let mut factors = init_factors(old, x.shape(), cfg.rank, cfg.seed).unwrap();
@@ -551,18 +526,13 @@ mod tests {
         for (n, rows) in untouched.iter().enumerate() {
             maps.write_rows(n, &mut factors[n], &old[n], rows);
         }
-        DtdOutput {
-            kruskal: KruskalTensor::new(factors).unwrap(),
-            iterations: loss_trace.len(),
-            loss_trace,
-            numerics,
-        }
+        oracle_run(factors, loss_trace, numerics)
     }
 
     /// The textbook reference for the untouched-row split: Eq. 5 over
     /// every row of every mode each iteration, every Gram summed over every
     /// row (set-up's [`GramState::refresh`]), the COO kernel's `Â`.
-    fn dtd_all_rows(x: &SparseTensor, old: &[Matrix], cfg: &DecompConfig) -> DtdOutput {
+    fn dtd_all_rows(x: &SparseTensor, old: &[Matrix], cfg: &DecompConfig) -> Decomposition {
         use dismastd_tensor::mttkrp::mttkrp;
         let mu = cfg.forgetting;
         let mut factors = init_factors(old, x.shape(), cfg.rank, cfg.seed).unwrap();
@@ -609,12 +579,7 @@ mod tests {
                 break;
             }
         }
-        DtdOutput {
-            kruskal: KruskalTensor::new(factors).unwrap(),
-            iterations: loss_trace.len(),
-            loss_trace,
-            numerics,
-        }
+        oracle_run(factors, loss_trace, numerics)
     }
 
     /// How a generated complement covers one mode's old rows.
@@ -863,8 +828,8 @@ mod tests {
         refused(crate::als::cp_als(&x, &cfg).map(|o| o.iterations), "cp_als");
         let cluster = crate::distributed::ClusterConfig::new(2);
         refused(
-            crate::distributed::dismastd(&x, &old, &cfg, &cluster).map(|o| o.iterations),
-            "dismastd",
+            crate::distributed::decompose(&x, &old, &cfg, &cluster).map(|o| o.iterations),
+            "decompose",
         );
     }
 

@@ -8,15 +8,18 @@
 //! (Yang et al., ICDE 2021).
 //!
 //! * [`StreamingSession`] — the high-level API: feed nested snapshots, get
-//!   CP factors back; cold-starts with [`als::cp_als`] and warm-updates with
-//!   [`dtd::dtd`] (serial) or [`distributed::dismastd`] (simulated cluster);
-//! * [`dtd()`](crate::dtd::dtd) — the Dynamic Tensor Decomposition of Alg. 1 with the
-//!   Eq. 5 block update rules, for arbitrary tensor order: the distributed
-//!   step at world 1, on the caller's thread;
-//! * [`distributed`] — the distributed engine of Sec. IV-B (per-mode MTTKRP
+//!   CP factors back.  Every step — the cold start with no history, each
+//!   warm step over the complement — is one [`decompose`] call on the
+//!   session's world (`ExecutionMode::Serial` is world 1);
+//! * [`decompose`] — the one solver entry: the Dynamic Tensor
+//!   Decomposition of Alg. 1 with the Eq. 5 block update rules, for
+//!   arbitrary tensor order, on any world size.  An empty history is
+//!   static CP-ALS (the DMS-MG baseline at world ≥ 2);
+//! * [`distributed`] — the engine of Sec. IV-B behind it (per-mode MTTKRP
 //!   partials, row routing, cached `R x R` products, Gram reductions riding
-//!   the row exchanges, loss reuse) — the one ALS loop — plus the DMS-MG
-//!   static baseline;
+//!   the row exchanges, loss reuse) — the one ALS loop; world 1 runs on the
+//!   caller's thread.  [`dtd()`](crate::dtd::dtd) and
+//!   [`als::cp_als`] are its world-1 calls;
 //! * [`loss`] — the Eq. 4 objective assembled from maintained intermediates
 //!   (Sec. IV-B4) and its brute-force oracle.
 //!
@@ -50,8 +53,8 @@ pub use dismastd_obs::MetricsSnapshot;
 pub use dismastd_tensor::{
     NumericsReport, QuarantineCounts, SolvePolicy, SolveTier, ThreadPolicy, ValidationMode,
 };
-pub use distributed::{dismastd, dms_mg, ClusterConfig, DistOutput, PlanCache};
-pub use dtd::{dtd, DtdOutput};
+pub use distributed::{decompose, ClusterConfig, Decomposition, PlanCache};
+pub use dtd::dtd;
 pub use onlinecp::OnlineCp;
 pub use rank::{select_rank, RankSearch};
 pub use session::{
@@ -62,7 +65,7 @@ pub use shadow::ShadowOracle;
 #[cfg(test)]
 mod proptests {
     use crate::config::DecompConfig;
-    use crate::distributed::{dismastd, ClusterConfig};
+    use crate::distributed::{decompose, ClusterConfig};
     use crate::dtd::dtd;
     use crate::loss::naive_dtd_loss;
     use dismastd_tensor::{Matrix, SparseTensor, SparseTensorBuilder};
@@ -144,7 +147,7 @@ mod proptests {
         fn distributed_matches_serial(p in problem_strategy(), workers in 1usize..5) {
             let cfg = DecompConfig::default().with_rank(2).with_max_iters(4);
             let serial = dtd(&p.complement, &p.old_factors, &cfg).unwrap();
-            let dist = dismastd(
+            let dist = decompose(
                 &p.complement,
                 &p.old_factors,
                 &cfg,

@@ -10,8 +10,12 @@
 //! Sessions are **fault-tolerant**: the entire durable state serialises to
 //! a [`SessionCheckpoint`] ([`StreamingSession::checkpoint`] /
 //! [`StreamingSession::restore`]), and a step commits its results only
-//! once it has succeeded, so a distributed-mode cluster fault leaves the
-//! session at its pre-step state.
+//! once it has succeeded, so a cluster fault leaves the session at its
+//! pre-step state.
+//!
+//! Every step is one run of the one solver on the session's world:
+//! [`ExecutionMode::Serial`] is world 1, the same step as
+//! `Distributed(ClusterConfig::new(1))`.
 //!
 //! Sessions are also **self-healing**: with a [`HealPolicy`] installed
 //! ([`StreamingSession::set_heal_policy`]), [`StreamingSession::ingest`]
@@ -25,8 +29,7 @@
 //! step reproduces the fault-free factors bit for bit.
 
 use crate::config::{DecompConfig, WatchdogPolicy};
-use crate::distributed::{run_distributed, ClusterConfig, PlanCache};
-use crate::dtd::{dtd, zero_history};
+use crate::distributed::{run_distributed, ClusterConfig, Decomposition, PlanCache};
 use dismastd_cluster::{ClusterOptions, CommStatsSnapshot, HealAction, HealPolicy, Supervisor};
 use dismastd_obs::MetricsSnapshot;
 use dismastd_tensor::matrix::Matrix;
@@ -39,15 +42,28 @@ use std::borrow::Cow;
 // lint:allow(determinism): Instant feeds StepReport wall-clock fields only, never factor math
 use std::time::{Duration, Instant};
 
-/// Where the per-snapshot decomposition executes.
+/// The world the per-snapshot decomposition runs on.  A session has a
+/// world size, not a mode: both variants name a [`ClusterConfig`], and the
+/// enum stays only because checkpoints and the repository benchmark spell
+/// it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ExecutionMode {
-    /// In-process: [`crate::dtd::dtd`], the distributed step at world 1 on
-    /// the caller's thread.  Kernel lanes follow `cfg.threads`; the factor
-    /// bits do not.
+    /// World 1 — `ClusterConfig::new(1)`: one rank on the caller's thread.
+    /// Kernel lanes follow `cfg.threads`; the factor bits do not.
     Serial,
-    /// Simulated cluster with the given configuration.
+    /// The given cluster.
     Distributed(ClusterConfig),
+}
+
+impl ExecutionMode {
+    /// The cluster this mode runs on — the one place `Serial` is told
+    /// apart from `Distributed`.
+    pub(crate) fn cluster(&self) -> Cow<'_, ClusterConfig> {
+        match self {
+            ExecutionMode::Serial => Cow::Owned(ClusterConfig::new(1)),
+            ExecutionMode::Distributed(cc) => Cow::Borrowed(cc),
+        }
+    }
 }
 
 /// A structural transition the heal ladder performed while completing a
@@ -101,9 +117,13 @@ pub struct StepReport {
     pub fit: f64,
     /// Wall-clock of the decomposition.
     pub elapsed: Duration,
-    /// Average time per ALS iteration.
+    /// Average time per ALS iteration of the successful attempt: the loop
+    /// alone, at every world (partitioning and plan builds are outside it).
     pub time_per_iter: Duration,
-    /// Network traffic (distributed mode only).
+    /// Network traffic of the successful attempt.  `Some` on every step —
+    /// world 1 reports a zero-byte ledger with its collectives; the
+    /// `Option` stays because callers (the repository benchmark among them)
+    /// match on it.
     pub comm: Option<CommStatsSnapshot>,
     /// Snapshot entries dropped by
     /// [`ValidationMode::Quarantine`] ingest validation (always 0 under
@@ -119,9 +139,10 @@ pub struct StepReport {
     pub numerics: NumericsReport,
     /// Per-phase timings, counters, and histograms for this step, present
     /// when [`StreamingSession::set_collect_metrics`] enabled collection.
-    /// In distributed mode this merges the driver's preparation spans with
-    /// every rank's worker metrics, so span totals sum concurrent per-rank
-    /// time and can exceed [`StepReport::elapsed`].
+    /// It merges the driver's preparation spans with every rank's worker
+    /// metrics of every attempt (watchdog-discarded ones included), so at
+    /// world ≥ 2 span totals sum concurrent per-rank time and can exceed
+    /// [`StepReport::elapsed`].
     pub metrics: Option<MetricsSnapshot>,
     /// What the heal ladder did this step; `None` when no [`HealPolicy`] is
     /// installed.
@@ -136,7 +157,7 @@ pub struct StepReport {
 pub struct SessionCheckpoint {
     /// Decomposition hyper-parameters.
     pub cfg: DecompConfig,
-    /// Serial or distributed execution.
+    /// The world the session runs on.
     pub mode: ExecutionMode,
     /// Decomposition of the latest snapshot (`None` before the first).
     pub factors: Option<KruskalTensor>,
@@ -144,7 +165,7 @@ pub struct SessionCheckpoint {
     pub shape: Vec<usize>,
     /// Snapshots ingested so far.
     pub step: usize,
-    /// Accumulated network traffic across all distributed steps.
+    /// Accumulated network traffic across all steps.
     pub comm_totals: CommStatsSnapshot,
 }
 
@@ -180,14 +201,14 @@ pub struct StreamingSession {
     factors: Option<KruskalTensor>,
     shape: Vec<usize>,
     step: usize,
-    /// Step-local memo of the distributed placement (reset at the top of
-    /// every ingest) plus its lifetime hit/miss counters.
+    /// Step-local memo of the placement (released when the step's last
+    /// attempt returns) plus its lifetime hit/miss counters.
     plan_cache: PlanCache,
-    /// Runtime options (timeouts, fault injection) for distributed steps.
+    /// Runtime options (timeouts, fault injection) for every step.
     /// Deliberately not checkpointed: a restored session should run with
     /// the restoring process's options, not a dead process's fault plan.
     cluster_opts: ClusterOptions,
-    /// Network traffic accumulated over every distributed step so far.
+    /// Network traffic accumulated over every step so far.
     comm_totals: CommStatsSnapshot,
     /// When `true`, every ingest collects per-phase metrics into
     /// [`StepReport::metrics`].  Runtime-only, never checkpointed.
@@ -222,33 +243,22 @@ impl StreamingSession {
     /// relative to `factors`' shape.
     ///
     /// # Errors
-    /// Returns [`TensorError::InvalidArgument`] when the factors' rank
-    /// disagrees with `cfg.rank`.
+    /// As [`StreamingSession::from_checkpoint`] for a step-1 checkpoint of
+    /// `factors`: [`TensorError::InvalidArgument`] when the factors' rank
+    /// disagrees with `cfg.rank`, or `mode` has zero workers.
     pub fn resume(cfg: DecompConfig, mode: ExecutionMode, factors: KruskalTensor) -> Result<Self> {
-        if factors.rank() != cfg.rank {
-            return Err(TensorError::InvalidArgument(format!(
-                "checkpoint rank {} does not match configured rank {}",
-                factors.rank(),
-                cfg.rank
-            )));
-        }
-        let shape = factors.shape();
-        Ok(StreamingSession {
+        Self::from_checkpoint(SessionCheckpoint {
             cfg,
             mode,
+            shape: factors.shape(),
             factors: Some(factors),
-            shape,
             step: 1,
-            plan_cache: PlanCache::default(),
-            cluster_opts: ClusterOptions::default(),
             comm_totals: CommStatsSnapshot::default(),
-            collect_metrics: false,
-            supervisor: None,
         })
     }
 
     /// Sets the cluster runtime options (receive deadlines, fault
-    /// injection) used by every subsequent distributed step.
+    /// injection) used by every subsequent step.
     pub fn set_cluster_options(&mut self, opts: ClusterOptions) {
         self.cluster_opts = opts;
     }
@@ -267,19 +277,20 @@ impl StreamingSession {
     }
 
     /// Installs the heal ladder [`StreamingSession::ingest`] walks when a
-    /// distributed step hits a cluster fault.  Replaces any previous
+    /// step hits a cluster fault.  Replaces any previous
     /// supervisor, resetting its per-rank respawn budgets.
     pub fn set_heal_policy(&mut self, policy: HealPolicy) {
         self.supervisor = Some(Supervisor::new(policy));
     }
 
-    /// Network traffic accumulated over every distributed step so far.
+    /// Network traffic accumulated over every step so far.
     pub fn comm_totals(&self) -> &CommStatsSnapshot {
         &self.comm_totals
     }
 
-    /// Sets the number of workers every later distributed step runs on —
-    /// the one way to grow or shrink the cluster.  It takes effect at once,
+    /// Sets the number of workers every later step runs on — the one way
+    /// to grow or shrink the cluster.  A `Serial` session is world 1 and
+    /// becomes `Distributed` with the new world.  It takes effect at once,
     /// which is the same as at the next ingest boundary: [`Self::ingest`]
     /// borrows the session mutably, so no step is in flight while this
     /// runs, and every step derives its placement afresh.  The world is
@@ -287,17 +298,13 @@ impl StreamingSession {
     /// resume on another world, restore and then call this.
     ///
     /// # Errors
-    /// Returns [`TensorError::InvalidArgument`] for a serial session (it
-    /// has no cluster to resize) and for `workers == 0`, leaving the
-    /// session as it was.
+    /// Returns [`TensorError::InvalidArgument`] for `workers == 0`, leaving
+    /// the session as it was.
     pub fn set_workers(&mut self, workers: usize) -> Result<()> {
-        let ExecutionMode::Distributed(cc) = &mut self.mode else {
-            return Err(TensorError::InvalidArgument(
-                "a serial session has no workers to set".into(),
-            ));
-        };
         check_workers(workers)?;
-        cc.workers = workers;
+        let mut cluster = self.mode.cluster().into_owned();
+        cluster.workers = workers;
+        self.mode = ExecutionMode::Distributed(cluster);
         Ok(())
     }
 
@@ -323,12 +330,10 @@ impl StreamingSession {
     /// internally inconsistent: factor rank vs. configured rank, `shape`
     /// vs. the factors' row counts (the next ingest takes its complement
     /// against the one and runs DTD against the other), a stream position
-    /// with no factors to go with it, or a distributed mode with zero
-    /// workers (the error [`StreamingSession::set_workers`] gives for 0).
+    /// with no factors to go with it, or a mode with zero workers (the
+    /// error [`StreamingSession::set_workers`] gives for 0).
     pub fn from_checkpoint(ckpt: SessionCheckpoint) -> Result<Self> {
-        if let ExecutionMode::Distributed(cc) = &ckpt.mode {
-            check_workers(cc.workers)?;
-        }
+        check_workers(ckpt.mode.cluster().workers)?;
         match &ckpt.factors {
             Some(f) => {
                 if f.rank() != ckpt.cfg.rank {
@@ -420,9 +425,10 @@ impl StreamingSession {
         Self::from_checkpoint(ckpt)
     }
 
-    /// The distributed placement memo (untouched in serial mode).  Exposed
-    /// for inspection: `misses()` counts grid cells compiled, `hits()` cells
-    /// reused by watchdog retries and same-world heal replays.
+    /// The placement memo, at every world.  Exposed for inspection:
+    /// `misses()` counts grid cells compiled, `hits()` cells reused by
+    /// watchdog retries and same-world heal replays.  Between steps it
+    /// holds no plan.
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plan_cache
     }
@@ -448,7 +454,7 @@ impl StreamingSession {
         self.step
     }
 
-    /// The execution mode the session decomposes with.
+    /// The world the session decomposes on.
     pub fn mode(&self) -> &ExecutionMode {
         &self.mode
     }
@@ -507,7 +513,7 @@ impl StreamingSession {
     /// re-runs a diverging attempt with a damped forgetting factor up to
     /// `watchdog.max_restarts` times before giving up.
     ///
-    /// A distributed step that hits a cluster fault is healed under the
+    /// A step that hits a cluster fault is healed under the
     /// installed [`HealPolicy`] ([`StreamingSession::set_heal_policy`])
     /// instead of surfacing the fault:
     ///
@@ -547,14 +553,13 @@ impl StreamingSession {
     /// errors.  On error the decomposition is untouched and the session
     /// stays usable (a degradation that already happened stays applied).
     pub fn ingest(&mut self, snapshot: &SparseTensor) -> Result<StepReport> {
-        // The placement memo never outlives the step that built it.
-        self.plan_cache.reset();
         // lint:allow(determinism, clock_hygiene): elapsed-time reporting only
         let started = Instant::now();
-        // Installing the registry here makes every span/counter below — and
-        // in the serial solver, which runs on this thread — land in this
-        // step's collection.  On error paths the Collector's Drop discards
-        // the partial data and restores any displaced registry.
+        // Installing the registry here makes every span/counter below — the
+        // solver's driver side on this thread, and every rank's metrics it
+        // folds in — land in this step's collection.  On error paths the
+        // Collector's Drop discards the partial data and restores any
+        // displaced registry.
         let collector = self.collect_metrics.then(dismastd_obs::begin);
         let cold_start = self.factors.is_none();
 
@@ -607,12 +612,9 @@ impl StreamingSession {
         let mut step_cfg = self.cfg;
         let mut restarts = 0usize;
         let mut numerics = NumericsReport::default();
-        // Worker metrics of attempts the watchdog discarded: their compute
-        // happened, so the step's accounting keeps them.
-        let mut discarded_metrics = MetricsSnapshot::default();
         let mut heal = HealReport::default();
         let backoff_before = self.supervisor.as_ref().map_or(0, Supervisor::backoff_ns);
-        let outcome = loop {
+        let mut watched = || loop {
             let attempt = match self.decompose_healing(&work, &step_cfg, &mut heal) {
                 Ok(a) => a,
                 Err(e) if wd.enabled && is_numeric_failure(&e) => {
@@ -639,16 +641,12 @@ impl StreamingSession {
                 None
             };
             match verdict {
-                None => break attempt,
+                None => break Ok(attempt),
                 Some(reason) => {
                     // The attempt's traffic happened whether or not its
-                    // numbers were usable.
-                    if let Some(c) = &attempt.comm {
-                        self.comm_totals.merge(c);
-                    }
-                    if let Some(m) = &attempt.metrics {
-                        discarded_metrics.merge(m);
-                    }
+                    // numbers were usable (its metrics are already in the
+                    // step's collection).
+                    self.comm_totals.merge(&attempt.comm);
                     if restarts >= wd.max_restarts {
                         return Err(TensorError::Diverged {
                             restarts,
@@ -661,6 +659,11 @@ impl StreamingSession {
                 }
             }
         };
+        let outcome = watched();
+        // The placement memo never outlives the step that built it: the
+        // step's last attempt is in, whatever it returned.
+        self.plan_cache.reset();
+        let outcome = outcome?;
 
         let loss = outcome.loss_trace.last().copied().unwrap_or(0.0);
         // The step's last read of the resident snapshot: `⟨X, Y⟩` needs
@@ -674,18 +677,9 @@ impl StreamingSession {
                 fit_given_norm(&outcome.kruskal, snapshot, snapshot_norm_sq)?
             }
         };
-        // Driver-side spans (validate, complement, serial solver) plus the
-        // rank-0 worker's metrics in distributed mode.
-        let metrics = collector.map(|c| {
-            let mut m = c.finish();
-            if let Some(wm) = &outcome.metrics {
-                m.merge(wm);
-            }
-            if !discarded_metrics.is_empty() {
-                m.merge(&discarded_metrics);
-            }
-            m
-        });
+        // Driver-side spans (validate, complement, partition, fit) plus
+        // every rank's worker metrics, which the solver folded in.
+        let metrics = collector.map(dismastd_obs::Collector::finish);
         let report = StepReport {
             step: self.step,
             cold_start,
@@ -696,12 +690,8 @@ impl StreamingSession {
             loss,
             fit,
             elapsed: started.elapsed(),
-            time_per_iter: if outcome.iterations == 0 {
-                Duration::ZERO
-            } else {
-                outcome.iter_elapsed / u32::try_from(outcome.iterations).unwrap_or(u32::MAX)
-            },
-            comm: outcome.comm,
+            time_per_iter: outcome.time_per_iter(),
+            comm: Some(outcome.comm),
             quarantined,
             watchdog_restarts: restarts,
             effective_forgetting: step_cfg.forgetting,
@@ -732,7 +722,7 @@ impl StreamingSession {
         work: &SparseTensor,
         cfg: &DecompConfig,
         heal: &mut HealReport,
-    ) -> Result<AttemptOutcome> {
+    ) -> Result<Decomposition> {
         let mut result = self.decompose_once(work, cfg);
         loop {
             let world = self.world();
@@ -775,62 +765,31 @@ impl StreamingSession {
         }
     }
 
-    /// Workers the next decomposition runs on (1 in serial mode).
+    /// Workers the next decomposition runs on.
     fn world(&self) -> usize {
-        match &self.mode {
-            ExecutionMode::Distributed(cc) => cc.workers,
-            ExecutionMode::Serial => 1,
-        }
+        self.mode.cluster().workers
     }
 
     /// One decomposition attempt over `work` (the full snapshot on a cold
-    /// start, the complement otherwise).  Pure with respect to the durable
-    /// session state — only the step's placement memo fills — so the
-    /// watchdog and the heal ladder can discard an attempt and retry.
-    fn decompose_once(
-        &mut self,
-        work: &SparseTensor,
-        cfg: &DecompConfig,
-    ) -> Result<AttemptOutcome> {
-        // lint:allow(determinism, clock_hygiene): elapsed-time reporting only
-        let attempt_start = Instant::now();
-        // A cold start is the zero-history case: every row is new, so DTD
-        // is static CP-ALS (serial) / the DMS-MG baseline (distributed).
-        let zero_old;
-        let old = match &self.factors {
-            Some(k) => k.factors(),
-            None => {
-                zero_old = zero_history(work.order(), cfg.rank);
-                &zero_old
-            }
-        };
-        match &self.mode {
-            ExecutionMode::Serial => {
-                let out = dtd(work, old, cfg)?;
-                Ok(AttemptOutcome {
-                    kruskal: out.kruskal,
-                    iterations: out.iterations,
-                    loss_trace: out.loss_trace,
-                    comm: None,
-                    iter_elapsed: attempt_start.elapsed(),
-                    numerics: out.numerics,
-                    metrics: None,
-                })
-            }
-            ExecutionMode::Distributed(cc) => {
-                let out =
-                    run_distributed(work, old, cfg, cc, &self.cluster_opts, &mut self.plan_cache)?;
-                Ok(AttemptOutcome {
-                    kruskal: out.kruskal,
-                    iterations: out.iterations,
-                    loss_trace: out.loss_trace,
-                    comm: Some(out.comm),
-                    iter_elapsed: out.iter_elapsed,
-                    numerics: out.numerics,
-                    metrics: out.metrics,
-                })
-            }
-        }
+    /// start, the complement otherwise) on the session's world.  Pure with
+    /// respect to the durable session state — only the step's placement
+    /// memo fills — so the watchdog and the heal ladder can discard an
+    /// attempt and retry.
+    fn decompose_once(&mut self, work: &SparseTensor, cfg: &DecompConfig) -> Result<Decomposition> {
+        // A cold start has no history: static CP-ALS over the snapshot.
+        let old = self
+            .factors
+            .as_ref()
+            .map_or(&[][..], KruskalTensor::factors);
+        let cluster = self.mode.cluster();
+        run_distributed(
+            work,
+            old,
+            cfg,
+            &cluster,
+            &self.cluster_opts,
+            &mut self.plan_cache,
+        )
     }
 }
 
@@ -869,20 +828,6 @@ fn sync_parent_dir(path: &std::path::Path) -> std::io::Result<()> {
     #[cfg(not(unix))]
     let _ = path;
     Ok(())
-}
-
-/// What one watchdog-supervised decomposition attempt produced.
-struct AttemptOutcome {
-    kruskal: KruskalTensor,
-    iterations: usize,
-    loss_trace: Vec<f64>,
-    comm: Option<CommStatsSnapshot>,
-    iter_elapsed: Duration,
-    numerics: NumericsReport,
-    /// All ranks' worker metrics, merged (distributed mode with collection
-    /// on); serial attempts record straight into the driver thread's
-    /// registry instead.
-    metrics: Option<MetricsSnapshot>,
 }
 
 /// Applies the configured ingest validation and measures the snapshot in
@@ -993,10 +938,15 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     fn snapshot_pair() -> (SparseTensor, SparseTensor) {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        seeded_pair(1, 250)
+    }
+
+    /// `(leading block, full tensor)` of `nnz` random entries over 10×9×8.
+    fn seeded_pair(seed: u64, nnz: usize) -> (SparseTensor, SparseTensor) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let full_shape = [10usize, 9, 8];
         let mut full = SparseTensorBuilder::new(full_shape.to_vec());
-        for _ in 0..250 {
+        for _ in 0..nnz {
             let idx: Vec<usize> = full_shape.iter().map(|&s| rng.gen_range(0..s)).collect();
             full.push(&idx, rng.gen_range(0.5..1.5)).unwrap();
         }
@@ -1019,7 +969,8 @@ mod tests {
         assert!(r0.cold_start);
         assert_eq!(r0.step, 0);
         assert_eq!(r0.processed_nnz, s0.nnz());
-        assert!(r0.comm.is_none());
+        // World 1: a ledger with no bytes.
+        assert_eq!(r0.comm.expect("every step reports its ledger").bytes, 0);
 
         let r1 = sess.ingest(&s1).unwrap();
         assert!(!r1.cold_start);
@@ -1047,16 +998,49 @@ mod tests {
     }
 
     #[test]
-    fn serial_session_never_touches_plan_cache() {
-        let (s0, s1) = snapshot_pair();
-        let mut sess = StreamingSession::new(cfg(), ExecutionMode::Serial);
-        // An installed heal policy changes nothing for a serial session:
-        // there is no cluster to fault, so the ladder is never consulted.
-        sess.set_heal_policy(HealPolicy::default());
-        sess.ingest(&s0).unwrap();
-        let r1 = sess.ingest(&s1).unwrap();
-        assert_eq!(sess.plan_cache().hits() + sess.plan_cache().misses(), 0);
-        assert_eq!(r1.heal, Some(HealReport::default()));
+    fn a_serial_session_is_a_world_1_session() {
+        // Near its fixed point an exact ALS trace can still rise by
+        // rounding.  With a zero-tolerance, patience-1 watchdog that happens
+        // on this stream's warm step at world 1 (seed 53): the first
+        // attempt is discarded and the retry at μ/2 passes.
+        let strict = cfg().with_max_iters(30).with_tolerance(0.0).with_numerics(
+            crate::NumericsPolicy::default().with_watchdog(WatchdogPolicy {
+                max_restarts: 4,
+                patience: 1,
+                increase_tolerance: 0.0,
+                ..WatchdogPolicy::default()
+            }),
+        );
+        let (s0, s1) = seeded_pair(53, 300);
+        let run = |mode: ExecutionMode| {
+            let mut sess = StreamingSession::new(strict, mode);
+            sess.set_heal_policy(HealPolicy::default());
+            let reports = [sess.ingest(&s0).unwrap(), sess.ingest(&s1).unwrap()];
+            (sess, reports)
+        };
+        let (serial, serial_reports) = run(ExecutionMode::Serial);
+        let (world1, world1_reports) = run(ExecutionMode::Distributed(ClusterConfig::new(1)));
+        assert_eq!(serial_reports[1].watchdog_restarts, 1, "the restart");
+        for (a, b) in serial_reports.iter().zip(&world1_reports) {
+            assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "step {}", a.step);
+            assert_eq!(a.fit.to_bits(), b.fit.to_bits(), "step {}", a.step);
+            assert_eq!(a.iterations, b.iterations, "step {}", a.step);
+            assert_eq!(a.numerics, b.numerics, "step {}", a.step);
+            assert_eq!(a.comm, b.comm, "step {}", a.step);
+            assert_eq!(a.heal, Some(HealReport::default()), "step {}", a.step);
+            assert_eq!(a.heal, b.heal, "step {}", a.step);
+            // World 1 sends nothing and counts its collectives.
+            let comm = a.comm.as_ref().expect("every step reports its ledger");
+            assert_eq!(comm.bytes, 0);
+            assert!(comm.collectives > 0);
+        }
+        assert_eq!(serial.factors(), world1.factors());
+        assert_eq!(serial.comm_totals(), world1.comm_totals());
+        // Both compiled each step's one cell once and served the retry.
+        assert_eq!(serial.plan_cache().misses(), 2);
+        assert_eq!(serial.plan_cache().hits(), 1);
+        assert_eq!(serial.plan_cache().hits(), world1.plan_cache().hits());
+        assert_eq!(serial.plan_cache().misses(), world1.plan_cache().misses());
     }
 
     #[test]

@@ -80,9 +80,8 @@ impl ShadowOracle {
         // Mirror the world: the observed session's mode carries the world
         // its step ran on (a heal degradation included), and the replica
         // follows through the same setter a caller uses.
-        if let ExecutionMode::Distributed(cc) = observed.mode() {
-            self.replica.set_workers(cc.workers)?;
-        }
+        self.replica
+            .set_workers(observed.mode().cluster().workers)?;
         self.replica.ingest(snapshot)?;
         self.serial.ingest(snapshot)?;
 

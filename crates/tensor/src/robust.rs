@@ -78,7 +78,7 @@ impl Default for SolvePolicy {
 }
 
 /// Per-run tally of which tiers fired, kept by the drivers and surfaced in
-/// `StepReport`/`DtdOutput`.
+/// `StepReport`/`Decomposition`.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct NumericsReport {
     /// Solves served by plain Cholesky.

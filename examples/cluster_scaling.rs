@@ -12,8 +12,7 @@
 //! coordination dominates; partitions ≈ workers is the sweet spot; MTP
 //! balances skewed tensors better than GTP.
 
-use dismastd_core::distributed::dismastd;
-use dismastd_core::{ClusterConfig, DecompConfig};
+use dismastd_core::{decompose, ClusterConfig, DecompConfig};
 use dismastd_data::zipf_tensor;
 use dismastd_partition::{BalanceStats, GridPartition, Partitioner};
 use dismastd_tensor::Matrix;
@@ -49,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &workers in &[1usize, 2, 4, 8] {
         for p in [Partitioner::Gtp, Partitioner::Mtp] {
             let cluster = ClusterConfig::new(workers).with_partitioner(p);
-            let out = dismastd(&complement, &old_factors, &cfg, &cluster)?;
+            let out = decompose(&complement, &old_factors, &cfg, &cluster)?;
             println!(
                 "{:>7}  {:>6}  {:>9.2?}  {:>10.1}  {:>11}",
                 workers,
@@ -68,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let cluster = ClusterConfig::new(4)
                 .with_partitioner(p)
                 .with_parts_per_mode(vec![parts; 3]);
-            let out = dismastd(&complement, &old_factors, &cfg, &cluster)?;
+            let out = decompose(&complement, &old_factors, &cfg, &cluster)?;
             // Re-derive the placement to report the load balance it gave.
             let grid = GridPartition::build(&complement, p, &[parts; 3], 4)?;
             let balance = BalanceStats::from_loads(&grid.worker_loads(&complement));

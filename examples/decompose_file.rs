@@ -15,7 +15,7 @@
 //! Run without arguments to see it demonstrated on a bundled synthetic
 //! tensor written to a temporary directory.
 
-use dismastd_core::{ClusterConfig, DecompConfig};
+use dismastd_core::{decompose, ClusterConfig, DecompConfig};
 use dismastd_data::io::{read_coo_text, write_coo_text};
 use dismastd_data::uniform_tensor;
 use rand::SeedableRng;
@@ -55,20 +55,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_max_iters(20)
         .with_tolerance(1e-6);
     let start = std::time::Instant::now();
-    let (kruskal, iterations, comm) = match workers {
-        Some(n) => {
-            let out = dismastd_core::dms_mg(&tensor, &cfg, &ClusterConfig::new(n))?;
-            (out.kruskal, out.iterations, Some(out.comm))
-        }
-        None => {
-            let out = dismastd_core::als::cp_als(&tensor, &cfg)?;
-            (out.kruskal, out.iterations, None)
-        }
-    };
+    // No history: a static decomposition, on one worker unless asked.
+    let out = decompose(
+        &tensor,
+        &[],
+        &cfg,
+        &ClusterConfig::new(workers.unwrap_or(1)),
+    )?;
+    let (kruskal, iterations, c) = (out.kruskal, out.iterations, out.comm);
     let elapsed = start.elapsed();
     let fit = kruskal.fit(&tensor)?;
     println!("rank-{rank} CP decomposition: {iterations} iterations, fit {fit:.4}, {elapsed:.2?}");
-    if let Some(c) = comm {
+    if workers.is_some() {
         println!(
             "cluster traffic: {:.1} KB in {} messages, {} collectives",
             c.bytes as f64 / 1024.0,

@@ -12,7 +12,7 @@
 //! every loss, wherever the engine's decisions stay on the Cholesky tier.
 
 use dismastd_core::dtd::{dtd, init_factors};
-use dismastd_core::{dismastd, ClusterConfig, DecompConfig, NumericsReport};
+use dismastd_core::{decompose, ClusterConfig, DecompConfig, NumericsReport};
 use dismastd_tensor::{DenseTensor, Matrix, SparseTensor, SparseTensorBuilder};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -369,7 +369,7 @@ fn agree(tag: &str, s: &Step, factors: &[Matrix], losses: &[f64]) {
 /// outside this oracle's family.
 fn check(s: &Step) -> bool {
     let serial = dtd(&s.complement, &s.old, &s.cfg).unwrap();
-    let world3 = dismastd(&s.complement, &s.old, &s.cfg, &ClusterConfig::new(3)).unwrap();
+    let world3 = decompose(&s.complement, &s.old, &s.cfg, &ClusterConfig::new(3)).unwrap();
     if !cholesky_only(&serial.numerics) || !cholesky_only(&world3.numerics) {
         return false;
     }

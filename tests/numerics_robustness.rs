@@ -16,7 +16,7 @@
 //!    typed error on every rank rather than a cluster fault.
 
 use dismastd_core::{
-    dismastd, dtd, ClusterConfig, DecompConfig, ExecutionMode, NumericsPolicy, SolvePolicy,
+    decompose, dtd, ClusterConfig, DecompConfig, ExecutionMode, NumericsPolicy, SolvePolicy,
     StreamingSession, ValidationMode, WatchdogPolicy,
 };
 use dismastd_tensor::{Matrix, SparseTensor, SparseTensorBuilder, TensorError};
@@ -399,7 +399,7 @@ fn forced_ridge_single_worker_matches_serial_bitwise() {
     assert_eq!(serial.numerics.cholesky_solves, 0);
     assert_eq!(serial.numerics.lu_solves, 0);
 
-    let dist = dismastd(&x, &old, &cfg, &ClusterConfig::new(1)).unwrap();
+    let dist = decompose(&x, &old, &cfg, &ClusterConfig::new(1)).unwrap();
     // The rank's own decisions mirror the serial solver's exactly.
     assert_eq!(dist.numerics, serial.numerics);
     assert_eq!(dist.loss_trace, serial.loss_trace);
@@ -425,7 +425,7 @@ fn forced_ridge_multi_worker_applies_identical_decisions() {
     assert!(serial.numerics.ridge_solves > 0);
 
     for workers in [2usize, 3, 4] {
-        let dist = dismastd(&x, &old, &cfg, &ClusterConfig::new(workers)).unwrap();
+        let dist = decompose(&x, &old, &cfg, &ClusterConfig::new(workers)).unwrap();
         // Identical decision stream: same solves, same tiers, same λ/cond
         // extremes on every rank — regularization is deterministic.
         assert_eq!(dist.numerics, serial.numerics, "workers={workers}");
@@ -453,8 +453,8 @@ fn forced_ridge_distributed_runs_are_reproducible() {
     let cfg = cfg().with_numerics(forced_ridge());
     let cc = ClusterConfig::new(3);
 
-    let a = dismastd(&x, &old, &cfg, &cc).unwrap();
-    let b = dismastd(&x, &old, &cfg, &cc).unwrap();
+    let a = decompose(&x, &old, &cfg, &cc).unwrap();
+    let b = decompose(&x, &old, &cfg, &cc).unwrap();
     assert!(a.numerics.ridge_solves > 0);
     assert_eq!(a.numerics, b.numerics);
     assert_eq!(a.loss_trace, b.loss_trace);

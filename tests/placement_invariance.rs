@@ -3,8 +3,7 @@
 //! that invariant across placement strategies, partitioners, and worker
 //! counts, plus higher-order and stress configurations.
 
-use dismastd_core::distributed::dismastd;
-use dismastd_core::{dtd, ClusterConfig, DecompConfig, ExecutionMode, StreamingSession};
+use dismastd_core::{decompose, dtd, ClusterConfig, DecompConfig, ExecutionMode, StreamingSession};
 use dismastd_integration_tests::{random_complement, random_factors, random_tensor};
 use dismastd_partition::{CellAssignment, Partitioner};
 
@@ -16,7 +15,7 @@ fn block_grid_and_scatter_agree_numerically() {
     let cfg = DecompConfig::default().with_rank(3).with_max_iters(5);
     let serial = dtd(&x, &old, &cfg).expect("serial runs");
     for assignment in [CellAssignment::BlockGrid, CellAssignment::Scatter] {
-        let out = dismastd(
+        let out = decompose(
             &x,
             &old,
             &cfg,
@@ -39,8 +38,9 @@ fn block_grid_moves_fewer_bytes_than_scatter() {
     let x = random_tensor(&[40, 40, 40], 5000, 23);
     let cfg = DecompConfig::default().with_rank(4).with_max_iters(3);
     let bytes_of = |assignment| {
-        dismastd_core::dms_mg(
+        dismastd_core::decompose(
             &x,
+            &[],
             &cfg,
             &ClusterConfig::new(8).with_cell_assignment(assignment),
         )
@@ -60,7 +60,7 @@ fn block_grid_moves_fewer_bytes_than_scatter() {
 fn per_sender_traffic_is_reported_and_bounded() {
     let x = random_tensor(&[30, 30, 30], 3000, 24);
     let cfg = DecompConfig::default().with_rank(3).with_max_iters(3);
-    let out = dismastd_core::dms_mg(&x, &cfg, &ClusterConfig::new(4)).expect("runs");
+    let out = decompose(&x, &[], &cfg, &ClusterConfig::new(4)).expect("runs");
     assert_eq!(out.comm.bytes_by_sender.len(), 4);
     assert_eq!(
         out.comm.bytes_by_sender.iter().sum::<u64>(),
@@ -84,7 +84,7 @@ fn fifth_order_stream_serial_vs_distributed() {
     let x = random_complement(&old_shape, &new_shape, 120, 26);
     let cfg = DecompConfig::default().with_rank(2).with_max_iters(4);
     let serial = dtd(&x, &old, &cfg).expect("serial runs");
-    let dist = dismastd(&x, &old, &cfg, &ClusterConfig::new(3)).expect("distributed runs");
+    let dist = decompose(&x, &old, &cfg, &ClusterConfig::new(3)).expect("distributed runs");
     for (a, b) in serial.loss_trace.iter().zip(&dist.loss_trace) {
         assert!((a - b).abs() < 1e-6 * (1.0 + a.abs()), "{a} vs {b}");
     }

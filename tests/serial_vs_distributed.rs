@@ -3,8 +3,7 @@
 //! same optimisation trajectory as the serial DTD solver (up to
 //! floating-point summation order).
 
-use dismastd_core::distributed::{dismastd, dms_mg};
-use dismastd_core::{dtd, ClusterConfig, DecompConfig, ThreadPolicy};
+use dismastd_core::{decompose, dtd, ClusterConfig, DecompConfig, ThreadPolicy};
 use dismastd_data::{DatasetSpec, StreamSequence};
 use dismastd_integration_tests::{
     random_complement, random_factors, random_tensor, untouched_old_rows,
@@ -33,7 +32,7 @@ fn dismastd_equivalence_across_worker_counts() {
     let serial = dtd(&x, &old, &cfg).expect("serial runs");
     for workers in [1usize, 2, 3, 5, 8] {
         for p in [Partitioner::Gtp, Partitioner::Mtp] {
-            let out = dismastd(
+            let out = decompose(
                 &x,
                 &old,
                 &cfg,
@@ -93,7 +92,7 @@ fn identities_hold_where_old_rows_leave_the_loop() {
     assert_eq!(serial.loss_trace, serial4.loss_trace);
     for workers in 1usize..=4 {
         let run = |threads| {
-            dismastd(&x, &old, &cfg(threads), &ClusterConfig::new(workers))
+            decompose(&x, &old, &cfg(threads), &ClusterConfig::new(workers))
                 .expect("distributed runs")
         };
         let (one, four) = (run(1), run(4));
@@ -127,7 +126,7 @@ fn dmsmg_equivalence_with_static_als() {
     let cfg = DecompConfig::default().with_rank(4).with_max_iters(6);
     let serial = dismastd_core::als::cp_als(&x, &cfg).expect("als runs");
     for workers in [2usize, 4, 6] {
-        let out = dms_mg(&x, &cfg, &ClusterConfig::new(workers)).expect("runs");
+        let out = decompose(&x, &[], &cfg, &ClusterConfig::new(workers)).expect("runs");
         assert_traces_close(
             &serial.loss_trace,
             &out.loss_trace,
@@ -145,7 +144,7 @@ fn fourth_order_distributed_equivalence() {
     let x = random_complement(&old_shape, &new_shape, 150, 6);
     let cfg = DecompConfig::default().with_rank(3).with_max_iters(5);
     let serial = dtd(&x, &old, &cfg).expect("serial runs");
-    let out = dismastd(&x, &old, &cfg, &ClusterConfig::new(3)).expect("runs");
+    let out = decompose(&x, &old, &cfg, &ClusterConfig::new(3)).expect("runs");
     assert_traces_close(&serial.loss_trace, &out.loss_trace, 1e-6, "order-4");
 }
 
@@ -155,7 +154,7 @@ fn communication_scales_with_workers_not_iterations_blowup() {
     let cfg = DecompConfig::default().with_rank(4).with_max_iters(4);
     let mut last_bytes = 0u64;
     for workers in [2usize, 4, 8] {
-        let out = dms_mg(&x, &cfg, &ClusterConfig::new(workers)).expect("runs");
+        let out = decompose(&x, &[], &cfg, &ClusterConfig::new(workers)).expect("runs");
         // More workers → more cross-worker row traffic (monotone here
         // because the tensor is fixed and partitions only get finer).
         assert!(
@@ -194,7 +193,7 @@ fn convergence_decision_is_consistent_distributed() {
         "tolerance should trigger early stop"
     );
     for workers in 1usize..=4 {
-        let dist = dismastd(&x, &old, &cfg, &ClusterConfig::new(workers)).expect("dist");
+        let dist = decompose(&x, &old, &cfg, &ClusterConfig::new(workers)).expect("dist");
         assert_eq!(serial.iterations, dist.iterations, "workers={workers}");
         assert_traces_close(
             &serial.loss_trace,
@@ -212,8 +211,8 @@ fn setup_bytes_match_theorem4_shape() {
     let cfg = DecompConfig::default().with_rank(4).with_max_iters(2);
     let small = random_tensor(&[30, 30, 30], 1000, 10);
     let large = random_tensor(&[30, 30, 30], 2000, 11);
-    let a = dms_mg(&small, &cfg, &ClusterConfig::new(4)).expect("runs");
-    let b = dms_mg(&large, &cfg, &ClusterConfig::new(4)).expect("runs");
+    let a = decompose(&small, &[], &cfg, &ClusterConfig::new(4)).expect("runs");
+    let b = decompose(&large, &[], &cfg, &ClusterConfig::new(4)).expect("runs");
     let ratio = b.setup_bytes as f64 / a.setup_bytes as f64;
     assert!(
         (1.2..3.0).contains(&ratio),

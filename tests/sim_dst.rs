@@ -368,13 +368,22 @@ fn restore_with_world_rejects_zero_and_serial_mismatch() {
         .expect("ingest");
     let mut restored =
         StreamingSession::from_checkpoint(serial.to_checkpoint()).expect("serial restore");
-    match restored.set_workers(3) {
+    // A serial session is world 1: zero workers is refused as anywhere,
+    // and any other world turns it into that cluster.
+    match restored.set_workers(0) {
         Err(TensorError::InvalidArgument(msg)) => {
-            assert!(msg.contains("serial"), "unexpected message: {msg}")
+            assert!(msg.contains("workers"), "unexpected message: {msg}")
         }
-        other => panic!("serial checkpoint into a 3-worker cluster must fail typed, got {other:?}"),
+        other => panic!("workers=0 must fail typed, got {other:?}"),
     }
     assert_eq!(restored.mode(), &ExecutionMode::Serial);
+    restored
+        .set_workers(3)
+        .expect("a serial checkpoint moves to world 3");
+    assert_eq!(
+        restored.mode(),
+        &ExecutionMode::Distributed(ClusterConfig::new(3))
+    );
 
     let mut dist = StreamingSession::new(cfg, ExecutionMode::Distributed(ClusterConfig::new(2)));
     dist.ingest(seq.iter().next().expect("one snapshot"))
@@ -717,8 +726,9 @@ fn restore_with_world_file_error_paths_are_typed() {
     }
     let _ = std::fs::remove_file(&corrupt);
 
-    // A real checkpoint file: the restore succeeds, and resizing the
-    // restored serial session is refused.
+    // A real checkpoint file: the restore succeeds, and the restored serial
+    // session resizes like any other — zero workers refused, any other
+    // world taken.
     let cfg = dst_cfg();
     let full = random_tensor(&[10, 9, 8], 200, 3);
     let seq = StreamSequence::cut(&full, &[1.0]).expect("cuts");
@@ -731,13 +741,21 @@ fn restore_with_world_file_error_paths_are_typed() {
 
     let mut restored = StreamingSession::restore(&valid).expect("serial restore");
     let _ = std::fs::remove_file(&valid);
-    for workers in [0, 1, 3] {
-        match restored.set_workers(workers) {
-            Err(TensorError::InvalidArgument(msg)) => {
-                assert!(msg.contains("serial"), "unexpected message: {msg}")
-            }
-            other => panic!("serial -> {workers} from file must fail typed, got {other:?}"),
+    match restored.set_workers(0) {
+        Err(TensorError::InvalidArgument(msg)) => {
+            assert!(msg.contains("workers"), "unexpected message: {msg}")
         }
+        other => panic!("serial -> 0 from file must fail typed, got {other:?}"),
+    }
+    assert_eq!(restored.mode(), &ExecutionMode::Serial);
+    for workers in [1, 3] {
+        restored
+            .set_workers(workers)
+            .expect("serial -> world from file");
+        assert_eq!(
+            restored.mode(),
+            &ExecutionMode::Distributed(ClusterConfig::new(workers))
+        );
     }
 }
 
@@ -748,8 +766,16 @@ fn membership_requests_validate_eagerly() {
 
     let mut serial = StreamingSession::new(cfg, ExecutionMode::Serial);
     assert!(
-        matches!(serial.set_workers(2), Err(TensorError::InvalidArgument(_))),
-        "serial sessions have no cluster to grow"
+        matches!(serial.set_workers(0), Err(TensorError::InvalidArgument(_))),
+        "a serial session is world 1 and can no more drop to zero"
+    );
+    assert_eq!(serial.mode(), &ExecutionMode::Serial);
+    serial
+        .set_workers(2)
+        .expect("a serial session grows like any other");
+    assert_eq!(
+        serial.mode(),
+        &ExecutionMode::Distributed(ClusterConfig::new(2))
     );
 
     let mut dist = StreamingSession::new(cfg, ExecutionMode::Distributed(ClusterConfig::new(2)));

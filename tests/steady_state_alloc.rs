@@ -330,11 +330,11 @@ fn fused_gram_round_is_allocation_free_after_warmup() {
     }
 }
 
-/// A heal policy on a serial session is free: there is no cluster to
-/// fault, and a step commits only on success, so nothing — in particular
-/// no rollback snapshot of the factors — is taken on the policy's account.
-/// Two identical sessions, one with a policy installed, allocate exactly
-/// the same number of times on a warm step.
+/// A heal policy on a serial session is free: a step commits only on
+/// success, so nothing — in particular no rollback snapshot of the factors
+/// — is taken on the policy's account.  Two identical sessions, one with a
+/// policy installed, allocate exactly the same number of times on a warm
+/// step.
 #[test]
 fn heal_policy_on_a_serial_session_allocates_nothing_extra() {
     let _shared = GAUGE.read().unwrap_or_else(PoisonError::into_inner);
@@ -364,7 +364,12 @@ fn heal_policy_on_a_serial_session_allocates_nothing_extra() {
         let before = allocation_count();
         let report = sess.ingest(&full).unwrap();
         let delta = allocation_count() - before;
-        assert_eq!(sess.plan_cache().hits() + sess.plan_cache().misses(), 0);
+        // World 1 plans its one cell per step, like any world; no retry
+        // asked for it twice.
+        assert_eq!(
+            (sess.plan_cache().hits(), sess.plan_cache().misses()),
+            (0, 2)
+        );
         (delta, report.loss.to_bits())
     };
     let (plain, plain_loss) = warm_step_allocations(None);
@@ -372,6 +377,62 @@ fn heal_policy_on_a_serial_session_allocates_nothing_extra() {
     assert!(plain > 0, "the step itself allocates");
     assert_eq!(healing, plain, "an unused heal policy must not allocate");
     assert_eq!(healing_loss, plain_loss);
+}
+
+/// The placement memo lives one step: once a world-2 session's cold
+/// `ingest` returns, what the session holds has grown by its factors, not
+/// by the step's plans.  The bound is one plan's layout over the snapshot,
+/// which the step's cells add up to at least (each cell's plan holds its
+/// own entries and its own runs).
+#[test]
+fn a_step_releases_its_plans_when_it_returns() {
+    use dismastd_core::{
+        ClusterConfig, DecompConfig, ExecutionMode, StreamingSession, ThreadPolicy,
+    };
+    use dismastd_tensor::{MttkrpPlan, SparseTensorBuilder};
+
+    let _alone = GAUGE.write().unwrap_or_else(PoisonError::into_inner);
+    let shape = [30usize, 28, 26];
+    let mut b = SparseTensorBuilder::new(shape.to_vec());
+    for i in 0..shape[0] {
+        for j in 0..shape[1] {
+            for k in 0..shape[2] {
+                if (i * 7 + j * 3 + k) % 12 != 0 {
+                    b.push(&[i, j, k], 0.5 + ((i + j + k) % 13) as f64 * 0.125)
+                        .unwrap();
+                }
+            }
+        }
+    }
+    let snapshot = b.build().unwrap();
+    let rank = 3;
+    let cfg = DecompConfig::default()
+        .with_rank(rank)
+        .with_max_iters(2)
+        .with_threads(ThreadPolicy::Fixed(1));
+    let plan_bytes = MttkrpPlan::build(&snapshot).unwrap().layout_bytes();
+    let factor_bytes = shape.iter().sum::<usize>() * rank * 8;
+    assert!(
+        plan_bytes > 100 * factor_bytes,
+        "the plans must dwarf what the session keeps"
+    );
+    let world2 = || StreamingSession::new(cfg, ExecutionMode::Distributed(ClusterConfig::new(2)));
+    // A throwaway step first: state the process sets up once (the
+    // transport's first channels, thread-locals) is not the memo's.
+    world2().ingest(&snapshot).unwrap();
+
+    let mut sess = world2();
+    let before = live_bytes();
+    sess.ingest(&snapshot).unwrap();
+    let held = live_bytes().saturating_sub(before);
+    assert!(
+        sess.plan_cache().misses() > 0,
+        "the step compiled its cells"
+    );
+    assert!(
+        held < plan_bytes,
+        "a cold world-2 step left {held} B behind; one plan over its snapshot is {plan_bytes} B"
+    );
 }
 
 /// DTD's promise (Alg. 1, Theorem 2) by bytes: a warm step's memory is a
