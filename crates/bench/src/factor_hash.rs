@@ -569,18 +569,18 @@ mod tests {
     }
 
     const GOLDEN: [&str; 18] = [
-        "Clothing  R=3  serial factors=7028d76b9a62b8ee loss_trace=088c0168192f112c",
-        "Clothing  R=3  world1 factors=7028d76b9a62b8ee loss_trace=088c0168192f112c",
-        "Clothing  R=5  serial factors=3c08873c84f2e0fc loss_trace=3d579e749d697abb",
-        "Clothing  R=5  world1 factors=3c08873c84f2e0fc loss_trace=3d579e749d697abb",
-        "Clothing  R=10 serial factors=070c35895c2bd263 loss_trace=850c2f9ca359b015",
-        "Clothing  R=10 world1 factors=070c35895c2bd263 loss_trace=850c2f9ca359b015",
-        "Netflix   R=3  serial factors=0e5cf7f0cb265339 loss_trace=83ded683ec9b938e",
-        "Netflix   R=3  world1 factors=0e5cf7f0cb265339 loss_trace=83ded683ec9b938e",
-        "Netflix   R=5  serial factors=f5053b1afb1146b1 loss_trace=d47548cb1d7a59bb",
-        "Netflix   R=5  world1 factors=f5053b1afb1146b1 loss_trace=d47548cb1d7a59bb",
-        "Netflix   R=10 serial factors=ddbf5afd5972c0d6 loss_trace=fc0145aca24b00f7",
-        "Netflix   R=10 world1 factors=ddbf5afd5972c0d6 loss_trace=fc0145aca24b00f7",
+        "Clothing  R=3  serial factors=23af6be6b1cb0800 loss_trace=19859bc08a1ffa96",
+        "Clothing  R=3  world1 factors=23af6be6b1cb0800 loss_trace=19859bc08a1ffa96",
+        "Clothing  R=5  serial factors=6fcbde481f045d00 loss_trace=aed5da1aa63cec0d",
+        "Clothing  R=5  world1 factors=6fcbde481f045d00 loss_trace=aed5da1aa63cec0d",
+        "Clothing  R=10 serial factors=d2d3044f4cc500cb loss_trace=61014302eb73adc9",
+        "Clothing  R=10 world1 factors=d2d3044f4cc500cb loss_trace=61014302eb73adc9",
+        "Netflix   R=3  serial factors=e6c0863ad826dfc5 loss_trace=34453574efa014ac",
+        "Netflix   R=3  world1 factors=e6c0863ad826dfc5 loss_trace=34453574efa014ac",
+        "Netflix   R=5  serial factors=4967f61f46ab6539 loss_trace=01385e8588752c53",
+        "Netflix   R=5  world1 factors=4967f61f46ab6539 loss_trace=01385e8588752c53",
+        "Netflix   R=10 serial factors=94666ce42b041f8e loss_trace=4d8ec6c380762f70",
+        "Netflix   R=10 world1 factors=94666ce42b041f8e loss_trace=4d8ec6c380762f70",
         "Synthetic R=3  serial factors=2cf0c8ec54fbb977 loss_trace=fe0a4331acb5a023",
         "Synthetic R=3  world1 factors=2cf0c8ec54fbb977 loss_trace=fe0a4331acb5a023",
         "Synthetic R=5  serial factors=71b70bbe4adf3036 loss_trace=2e7053611f48654c",

@@ -9,49 +9,54 @@ use rand::Rng;
 ///
 /// Duplicate index draws are merged by the builder, so the resulting tensor
 /// can hold slightly fewer than `nnz` entries when density is high; the
-/// generator retries a few rounds to close the gap.
+/// generator retries up to 8 rounds to close the gap.
 ///
 /// # Errors
 /// Returns [`TensorError::InvalidArgument`] if `nnz` exceeds the number of
 /// cells in the tensor.
-pub fn uniform_tensor(shape: &[usize], nnz: usize, rng: &mut impl Rng) -> Result<SparseTensor> {
+pub fn uniform_tensor<R: Rng>(shape: &[usize], nnz: usize, rng: &mut R) -> Result<SparseTensor> {
     let cells: f64 = shape.iter().map(|&s| s as f64).product();
     if (nnz as f64) > cells {
         return Err(TensorError::InvalidArgument(format!(
             "requested {nnz} nonzeros in a tensor of {cells} cells"
         )));
     }
-    let mut builder = SparseTensorBuilder::with_capacity(shape.to_vec(), nnz);
-    let mut idx = vec![0usize; shape.len()];
-    let mut tensor = {
-        for _ in 0..nnz {
-            for (i, &s) in idx.iter_mut().zip(shape) {
-                *i = rng.gen_range(0..s);
-            }
-            builder.push(&idx, rng.gen_range(0.5..1.5))?;
+    let mut retries = 0..8;
+    let draw = |idx: &mut [usize], rng: &mut R| {
+        for (i, &s) in idx.iter_mut().zip(shape) {
+            *i = rng.gen_range(0..s);
         }
-        builder.build()?
     };
-    // Top up after duplicate merging (bounded retries keep this total).
-    for _ in 0..8 {
-        if tensor.nnz() >= nnz {
-            break;
-        }
-        let missing = nnz - tensor.nnz();
-        let mut b = SparseTensorBuilder::with_capacity(shape.to_vec(), tensor.nnz() + missing);
-        for (stored, v) in tensor.iter() {
-            for (i, &s) in idx.iter_mut().zip(stored) {
-                *i = s as usize;
-            }
-            b.push(&idx, v)?;
-        }
+    top_up(shape, nnz, rng, draw, |_| retries.next().is_some())
+}
+
+/// Draws rounds of `nnz − stored` entries — a coordinate from `draw`, then
+/// a value uniform in `[0.5, 1.5)` — until `nnz` coordinates are stored or
+/// `again(grew)` says stop after a round.  Each round's draws merge into
+/// the previous round's tensor, so the result holds every draw, summed in
+/// draw order, whatever the round boundaries.
+fn top_up<R: Rng>(
+    shape: &[usize],
+    nnz: usize,
+    rng: &mut R,
+    mut draw: impl FnMut(&mut [usize], &mut R),
+    mut again: impl FnMut(bool) -> bool,
+) -> Result<SparseTensor> {
+    let mut idx = vec![0usize; shape.len()];
+    let mut tensor = SparseTensor::empty(shape.to_vec())?;
+    while tensor.nnz() < nnz {
+        let before = tensor.nnz();
+        let missing = nnz - before;
+        let mut b = SparseTensorBuilder::on(tensor)?;
+        b.reserve(missing);
         for _ in 0..missing {
-            for (i, &s) in idx.iter_mut().zip(shape) {
-                *i = rng.gen_range(0..s);
-            }
+            draw(&mut idx, rng);
             b.push(&idx, rng.gen_range(0.5..1.5))?;
         }
         tensor = b.build()?;
+        if !again(tensor.nnz() > before) {
+            break;
+        }
     }
     Ok(tensor)
 }
@@ -154,11 +159,11 @@ fn bucket(c: f64, scale: f64, n: usize) -> usize {
 /// # Errors
 /// Returns [`TensorError::InvalidArgument`] if `exponents.len()` differs
 /// from the order, or the density is infeasible.
-pub fn zipf_tensor(
+pub fn zipf_tensor<R: Rng>(
     shape: &[usize],
     nnz: usize,
     exponents: &[f64],
-    rng: &mut impl Rng,
+    rng: &mut R,
 ) -> Result<SparseTensor> {
     if exponents.len() != shape.len() {
         return Err(TensorError::InvalidArgument(
@@ -176,35 +181,18 @@ pub fn zipf_tensor(
         .zip(exponents)
         .map(|(&s, &e)| ZipfSampler::new(s, e))
         .collect();
-    let mut idx = vec![0usize; shape.len()];
     // Zipf draws collide often in the head; over-draw by small rounds until
     // the merged count reaches the target or progress stalls.
-    let mut tensor = SparseTensor::empty(shape.to_vec())?;
+    let draw = |idx: &mut [usize], rng: &mut R| {
+        for (i, s) in idx.iter_mut().zip(&samplers) {
+            *i = s.sample(rng);
+        }
+    };
     let mut stalled = 0;
-    while tensor.nnz() < nnz && stalled < 16 {
-        let before = tensor.nnz();
-        let missing = nnz - before;
-        let mut b = SparseTensorBuilder::with_capacity(shape.to_vec(), before + missing);
-        for (stored, v) in tensor.iter() {
-            for (i, &s) in idx.iter_mut().zip(stored) {
-                *i = s as usize;
-            }
-            b.push(&idx, v)?;
-        }
-        for _ in 0..missing {
-            for (i, s) in idx.iter_mut().zip(&samplers) {
-                *i = s.sample(rng);
-            }
-            b.push(&idx, rng.gen_range(0.5..1.5))?;
-        }
-        tensor = b.build()?;
-        if tensor.nnz() == before {
-            stalled += 1;
-        } else {
-            stalled = 0;
-        }
-    }
-    Ok(tensor)
+    top_up(shape, nnz, rng, draw, |grew| {
+        stalled = if grew { 0 } else { stalled + 1 };
+        stalled < 16
+    })
 }
 
 #[cfg(test)]
@@ -372,6 +360,52 @@ mod tests {
     fn zipf_tensor_validates_exponents() {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         assert!(zipf_tensor(&[10, 10], 5, &[1.0f64], &mut rng).is_err());
+    }
+
+    #[test]
+    fn a_generated_tensor_is_every_draw_summed_in_draw_order() {
+        // 120 cells and a steep head: draws collide three times and more,
+        // and the target takes several top-up rounds.
+        let shape = [6, 5, 4];
+        let samplers: Vec<ZipfSampler> = shape.iter().map(|&s| ZipfSampler::new(s, 1.5)).collect();
+        let draw = |idx: &mut [usize], rng: &mut ChaCha8Rng| {
+            for (i, s) in idx.iter_mut().zip(&samplers) {
+                *i = s.sample(rng);
+            }
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut replay = rng.clone();
+        let (mut draws, mut rounds) = (0, 0);
+        let t = top_up(
+            &shape,
+            60,
+            &mut rng,
+            |idx, rng| {
+                draws += 1;
+                draw(idx, rng);
+            },
+            |_| {
+                rounds += 1;
+                true
+            },
+        )
+        .unwrap();
+        assert_eq!(t.nnz(), 60);
+        assert!(rounds >= 3, "{rounds} rounds");
+        // One builder fed every draw in order, no rounds.
+        let mut b = SparseTensorBuilder::new(shape.to_vec());
+        let mut counts = std::collections::BTreeMap::<Vec<usize>, usize>::new();
+        let mut idx = [0; 3];
+        for _ in 0..draws {
+            draw(&mut idx, &mut replay);
+            b.push(&idx, replay.gen_range(0.5..1.5)).unwrap();
+            *counts.entry(idx.to_vec()).or_default() += 1;
+        }
+        assert!(counts.values().any(|&c| c >= 3));
+        let want = b.build().unwrap();
+        assert_eq!(t.indices_flat(), want.indices_flat());
+        let bits = |x: &SparseTensor| x.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&t), bits(&want));
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use crate::error::{Result, TensorError};
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// An `N`-th order sparse tensor in coordinate format.
@@ -145,7 +144,8 @@ impl SparseTensor {
         self.values[e]
     }
 
-    /// Iterates `(index_tuple, value)` pairs in sorted order.
+    /// Iterates `(index_tuple, value)` pairs in stored order (sorted, for a
+    /// built tensor).
     pub fn iter(&self) -> impl Iterator<Item = (&[u32], f64)> + '_ {
         let n = self.order();
         self.indices
@@ -165,18 +165,23 @@ impl SparseTensor {
         &self.values
     }
 
-    /// Looks up the value at `idx`, returning `0.0` for structural zeros.
+    /// The value at `idx`: the sum, in stored order, of every entry at that
+    /// coordinate — what the kernels see — or `0.0` for a structural zero.
+    /// One pass over the entries, so any stored order is read right (a
+    /// deserialised tensor may leave coordinates unsorted or repeated).
     ///
     /// # Errors
     /// Returns [`TensorError::IndexOutOfBounds`] if `idx` exceeds the shape.
     pub fn get(&self, idx: &[usize]) -> Result<f64> {
         self.check_index(idx)?;
-        let n = self.order();
-        let found = binary_search_tuples(&self.indices, n, idx);
-        Ok(match found {
-            Ok(e) => self.values[e],
-            Err(_) => 0.0,
-        })
+        let at = |tuple: &[u32]| tuple.iter().zip(idx).all(|(&i, &j)| i as usize == j);
+        let sum = self
+            .iter()
+            .filter(|(tuple, _)| at(tuple))
+            .fold(None, |acc: Option<f64>, (_, v)| {
+                Some(acc.map_or(v, |a| a + v))
+            });
+        Ok(sum.unwrap_or(0.0))
     }
 
     /// Squared Frobenius norm — sum of squares of the stored values.
@@ -428,17 +433,20 @@ impl SparseTensor {
 }
 
 /// How [`SparseTensorBuilder`] treats suspect entries (non-finite values,
-/// out-of-bounds indices, duplicate coordinates).
+/// out-of-bounds indices, duplicate coordinates).  Duplicates are resolved
+/// in push order, so a build is a function of the push sequence alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ValidationMode {
-    /// Reject with a typed error naming the offending coordinate.
+    /// Reject with a typed error naming the offending coordinate (for
+    /// duplicates, the least duplicated coordinate).
     Strict,
-    /// Silently drop the offending entry and count it (first write wins for
-    /// duplicates).
+    /// Silently drop the offending entry and count it; of a duplicated
+    /// coordinate's entries the first pushed is kept.
     Quarantine,
     /// Legacy semantics: non-finite values are stored as-is and duplicates
-    /// are merged by summation.  Out-of-bounds indices still error — they
-    /// violate the shape contract, not just data hygiene.
+    /// are merged by summation, left to right in push order.  Out-of-bounds
+    /// indices still error — they violate the shape contract, not just data
+    /// hygiene.
     #[default]
     Off,
 }
@@ -450,7 +458,7 @@ pub struct QuarantineCounts {
     pub non_finite: u64,
     /// Out-of-bounds indices dropped.
     pub out_of_bounds: u64,
-    /// Duplicate coordinates dropped (first write wins).
+    /// Duplicate coordinates dropped (the first pushed is kept).
     pub duplicates: u64,
 }
 
@@ -461,40 +469,22 @@ impl QuarantineCounts {
     }
 }
 
-/// Binary search over flattened index tuples, comparing lexicographically.
-fn binary_search_tuples(
-    flat: &[u32],
-    stride: usize,
-    needle: &[usize],
-) -> std::result::Result<usize, usize> {
-    let len = flat.len() / stride.max(1);
-    let mut lo = 0usize;
-    let mut hi = len;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        let tuple = &flat[mid * stride..(mid + 1) * stride];
-        match tuple
-            .iter()
-            .map(|&i| i as usize)
-            .cmp(needle.iter().copied())
-        {
-            Ordering::Less => lo = mid + 1,
-            Ordering::Greater => hi = mid,
-            Ordering::Equal => return Ok(mid),
-        }
-    }
-    Err(lo)
-}
-
 /// Incremental constructor for [`SparseTensor`].
 ///
-/// Accepts entries in any order; `build` sorts, merges duplicates (by
-/// summation, the usual COO semantics) and drops entries that cancel to zero.
+/// Accepts entries in any order; `build` sorts them, resolves each
+/// coordinate's entries in push order — summed left to right (the usual
+/// COO semantics), the first kept, or refused, per [`ValidationMode`] —
+/// and drops entries whose value is exactly zero.
+///
+/// A builder [`on`](Self::on) a built tensor merges its pushes into it, as
+/// if the tensor's entries had been pushed first: `build` sorts the pushes
+/// only and copies the base between them.  [`new`](Self::new) starts a
+/// builder on an empty tensor.
 ///
 /// Entries are staged flat — `order` `u32` coordinates and one `f64` per
-/// entry, 20 B for order 3 — and `build` sorts one 16-byte [`SortKey`] per
-/// entry: the coordinate packed in mixed radix of the shape, beside the
-/// entry's staging position.
+/// entry, 20 B for order 3 — and `build` sorts one key per push beside its
+/// value: the coordinate packed in mixed radix of the shape, above the
+/// entry's push position.
 ///
 /// ```
 /// use dismastd_tensor::SparseTensorBuilder;
@@ -505,10 +495,17 @@ fn binary_search_tuples(
 /// let t = b.build().unwrap();
 /// assert_eq!(t.nnz(), 2);
 /// assert_eq!(t.get(&[3, 0, 1]).unwrap(), 3.0);
+///
+/// // A second round merges into the first: 3.0 + 1.0, in that order.
+/// let mut b = SparseTensorBuilder::on(t).unwrap();
+/// b.push(&[3, 0, 1], 1.0).unwrap();
+/// assert_eq!(b.build().unwrap().get(&[3, 0, 1]).unwrap(), 4.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SparseTensorBuilder {
-    shape: Vec<usize>,
+    /// The tensor the pushes merge into, strictly sorted; each of its
+    /// values is the first term of its coordinate.
+    base: SparseTensor,
     /// Queued coordinates, `len() * order` long, narrowed at `push`.
     indices: Vec<u32>,
     /// Queued values, in push order.
@@ -516,20 +513,6 @@ pub struct SparseTensorBuilder {
     mode: ValidationMode,
     counts: QuarantineCounts,
 }
-
-/// The element `build` sorts: the packed coordinate prefix, then the
-/// entry's staging position (read only to break ties past the prefix).
-///
-/// `sort_unstable_by` leaves *equal* coordinates in an order that depends
-/// on the element's size as well as on the comparisons: the standard
-/// library's small-sort takes a swap network for elements of 8 bytes or
-/// less and its general path above, where the `(Vec<usize>, f64)` entries
-/// of the builder's first form went.  That order decides how ≥ 3-fold
-/// duplicates are summed, so the element stays wider than 8 bytes;
-/// `tests::flat_builder_matches_the_vec_builder_bit_for_bit` fails on a
-/// narrower one (or on a stable sort).
-type SortKey = (u64, usize);
-const _: () = assert!(std::mem::size_of::<SortKey>() > 8);
 
 impl SparseTensorBuilder {
     /// Starts a builder for the given shape.
@@ -542,10 +525,41 @@ impl SparseTensorBuilder {
         SparseTensorBuilder {
             indices: Vec::with_capacity(n.saturating_mul(shape.len())),
             values: Vec::with_capacity(n),
-            shape,
+            // Unchecked: `build` refuses a zero-order shape.
+            base: SparseTensor {
+                shape,
+                indices: Vec::new(),
+                values: Vec::new(),
+            },
             mode: ValidationMode::Off,
             counts: QuarantineCounts::default(),
         }
+    }
+
+    /// Starts a builder whose pushes merge into `base`, in `base`'s shape.
+    /// Its build equals that of a builder fed `base`'s entries first and
+    /// then the same pushes, bit for bit, for any `base` a build under its
+    /// validation mode could have returned: `base`'s values enter as they
+    /// are, no mode judges them.
+    ///
+    /// # Errors
+    /// Returns [`TensorError::UnsortedBase`] naming the first entry whose
+    /// coordinate does not strictly follow the one before it.
+    pub fn on(base: SparseTensor) -> Result<Self> {
+        let tuples = base.indices.chunks_exact(base.order().max(1));
+        if let Some(e) = tuples.clone().zip(tuples.skip(1)).position(|(a, b)| a >= b) {
+            return Err(TensorError::UnsortedBase { entry: e + 1 });
+        }
+        Ok(SparseTensorBuilder {
+            base,
+            ..Self::new(Vec::new())
+        })
+    }
+
+    /// Reserves staging for `n` more pushes.
+    pub fn reserve(&mut self, n: usize) {
+        self.indices.reserve(n.saturating_mul(self.base.order()));
+        self.values.reserve(n);
     }
 
     /// Selects how suspect entries are treated (default:
@@ -564,20 +578,21 @@ impl SparseTensorBuilder {
     /// [`TensorError::NonFiniteValue`] for a NaN/Inf value under
     /// [`ValidationMode::Strict`].
     pub fn push(&mut self, idx: &[usize], value: f64) -> Result<&mut Self> {
-        if idx.len() != self.shape.len() {
+        let shape = &self.base.shape;
+        if idx.len() != shape.len() {
             return Err(TensorError::IndexOutOfBounds {
                 index: idx.to_vec(),
-                shape: self.shape.clone(),
+                shape: shape.clone(),
             });
         }
-        if idx.iter().zip(&self.shape).any(|(i, s)| i >= s) {
+        if idx.iter().zip(shape).any(|(i, s)| i >= s) {
             if self.mode == ValidationMode::Quarantine {
                 self.counts.out_of_bounds += 1;
                 return Ok(self);
             }
             return Err(TensorError::IndexOutOfBounds {
                 index: idx.to_vec(),
-                shape: self.shape.clone(),
+                shape: shape.clone(),
             });
         }
         if !value.is_finite() {
@@ -605,7 +620,7 @@ impl SparseTensorBuilder {
         Ok(self)
     }
 
-    /// Number of queued (pre-merge) entries.
+    /// Number of queued (pre-merge) entries; a base's are not counted.
     pub fn len(&self) -> usize {
         self.values.len()
     }
@@ -613,6 +628,73 @@ impl SparseTensorBuilder {
     /// `true` when no entries are queued.
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
+    }
+
+    /// Reorders the staged pushes by `(coordinate, push position)`: one
+    /// sort of one key per push, each key unique, so the unstable sort
+    /// leaves every coordinate's entries in push order.
+    ///
+    /// Where cells × pushes fit in 2⁶⁴ — every dataset generated here — the
+    /// key is the coordinate packed in mixed radix of the shape above
+    /// the push position, sorted beside its value (16 bytes) and unpacked
+    /// back into the staging buffers: every pass reads memory in order.
+    /// Otherwise the longest prefix of modes whose cell count fits a `u64`
+    /// is packed beside the position, the modes after it compared between
+    /// them, and the staging is gathered anew in the sorted order.
+    fn sort_staging(&mut self) {
+        let shape = &self.base.shape;
+        let order = shape.len();
+        let mut cells = 1u64;
+        let packed = shape
+            .iter()
+            .take_while(|&&s| match cells.checked_mul(s as u64) {
+                Some(c) => {
+                    cells = c;
+                    true
+                }
+                None => false,
+            })
+            .count();
+        let pack = |tuple: &[u32]| {
+            tuple[..packed]
+                .iter()
+                .zip(shape)
+                .fold(0u64, |key, (&i, &s)| key * s as u64 + u64::from(i))
+        };
+        let n = self.values.len();
+        let position_bits = usize::BITS - n.saturating_sub(1).leading_zeros();
+        if packed == order && u128::from(cells) << position_bits <= 1 << 64 {
+            let mut keys: Vec<(u64, f64)> = self
+                .indices
+                .chunks_exact(order)
+                .zip(&self.values)
+                .enumerate()
+                .map(|(e, (tuple, &v))| (pack(tuple) << position_bits | e as u64, v))
+                .collect();
+            keys.sort_unstable_by_key(|&(key, _)| key);
+            let staged = self.indices.chunks_exact_mut(order).zip(&mut self.values);
+            for ((tuple, value), (key, v)) in staged.zip(keys) {
+                let mut cell = key >> position_bits;
+                for (i, &s) in tuple.iter_mut().zip(shape).rev() {
+                    // lint:allow(narrowing_cast): each digit is a pushed coordinate, below 2³² since `push`
+                    *i = (cell % s as u64) as u32;
+                    cell /= s as u64;
+                }
+                *value = v;
+            }
+        } else {
+            let tuple = |e: usize| &self.indices[e * order..(e + 1) * order];
+            let rest = |e: usize| &tuple(e)[packed..];
+            let mut keys: Vec<(u64, usize)> = (0..n).map(|e| (pack(tuple(e)), e)).collect();
+            keys.sort_unstable_by(|a, b| {
+                a.0.cmp(&b.0)
+                    .then_with(|| rest(a.1).cmp(rest(b.1)))
+                    .then(a.1.cmp(&b.1))
+            });
+            let indices = keys.iter().flat_map(|&(_, e)| tuple(e)).copied().collect();
+            self.values = keys.iter().map(|&(_, e)| self.values[e]).collect();
+            self.indices = indices;
+        }
     }
 
     /// Finalises the tensor: sorts, resolves duplicates per the validation
@@ -629,99 +711,141 @@ impl SparseTensorBuilder {
     /// Like [`SparseTensorBuilder::build`], additionally returning the tally
     /// of entries quarantined during `push` and duplicate resolution.
     ///
-    /// One sort of one [`SortKey`] per entry, then one pass over the sorted
-    /// keys that resolves every run of equal coordinates — summed (`Off`,
-    /// in sorted order), first-wins (`Quarantine`) or refused (`Strict`) —
-    /// and drops it when its value is exactly zero, leaving the run's sum in
-    /// its first entry's staging slot.  The output is gathered from the
-    /// staging buffers at its exact size.
+    /// One sort of the pushes ([`Self::sort_staging`]), then two passes
+    /// over them in order.  The first resolves each run of equal
+    /// coordinates against the base — summed left to right from the base's
+    /// value (`Off`), the first entry kept (`Quarantine`) or refused
+    /// (`Strict`) — compacting the runs in place and counting the output,
+    /// exact zeros dropped; the second gathers the output at its exact
+    /// size, copying the base between runs.  Base entries are found by a
+    /// galloping search, so a round of `k` pushes into `n` entries costs
+    /// `O(k log k)` to sort, `O(k log(n/k))` comparisons to place and one
+    /// copy of the base.
     ///
     /// # Errors
     /// Same conditions as [`SparseTensorBuilder::build`].
     pub fn build_with_report(mut self) -> Result<(SparseTensor, QuarantineCounts)> {
-        if self.shape.is_empty() {
+        if self.base.shape.is_empty() {
             return Err(TensorError::EmptyShape);
         }
-        let order = self.shape.len();
-        // The longest prefix of modes whose cell count fits a `u64` is
-        // packed in mixed radix — all of them for every shape that is not
-        // astronomically large; the modes after it break ties.
-        let mut cells = 1u64;
-        let packed = self
-            .shape
-            .iter()
-            .take_while(|&&s| match cells.checked_mul(s as u64) {
-                Some(c) => {
-                    cells = c;
-                    true
-                }
-                None => false,
-            })
-            .count();
-        let tuple = |e: usize| &self.indices[e * order..(e + 1) * order];
-        let mut keys: Vec<SortKey> = (0..self.values.len())
-            .map(|e| {
-                let key = tuple(e)[..packed]
-                    .iter()
-                    .zip(&self.shape)
-                    .fold(0u64, |key, (&i, &s)| key * s as u64 + u64::from(i));
-                (key, e)
-            })
-            .collect();
-        let rest = |e: usize| &tuple(e)[packed..];
-        keys.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| rest(a.1).cmp(rest(b.1))));
+        self.sort_staging();
+        let base = &self.base;
+        let order = base.order();
+        let n = self.values.len();
 
-        let mode = self.mode;
+        // Each run resolves into slot `resolved`, from the base's value when
+        // the base holds its coordinate (whose entry it then replaces); a
+        // run that neither writes nor removes an entry leaves no slot.
         let mut counts = self.counts;
-        let mut kept = 0;
-        let mut run = 0;
-        while run < keys.len() {
-            let (key, first) = keys[run];
-            let mut acc = self.values[first];
-            let mut next = run + 1;
-            while next < keys.len() && keys[next].0 == key && rest(keys[next].1) == rest(first) {
-                match mode {
+        let (mut resolved, mut kept, mut hit, mut run) = (0, base.nnz(), 0, 0);
+        while run < n {
+            let at = run * order..(run + 1) * order;
+            hit = base.seek(hit, &self.indices[at.clone()]);
+            let on_base = base.holds(hit, &self.indices[at.clone()]);
+            let (mut acc, mut next) = if on_base {
+                (base.values[hit], run)
+            } else {
+                (self.values[run], run + 1)
+            };
+            while next < n
+                && self.indices[next * order..(next + 1) * order] == self.indices[at.clone()]
+            {
+                match self.mode {
                     ValidationMode::Strict => {
                         return Err(TensorError::DuplicateIndex {
-                            index: tuple(first).iter().map(|&i| i as usize).collect(),
+                            index: self.indices[at].iter().map(|&i| i as usize).collect(),
                         });
                     }
-                    // First write (in sorted order) wins.
                     ValidationMode::Quarantine => counts.duplicates += 1,
-                    ValidationMode::Off => acc += self.values[keys[next].1],
+                    ValidationMode::Off => acc += self.values[next],
                 }
                 next += 1;
             }
             // Exact zeros (cancellation or explicit zero pushes) are dropped.
-            if acc != 0.0 {
-                self.values[first] = acc;
-                keys[kept] = (key, first);
-                kept += 1;
+            match (on_base, acc != 0.0) {
+                (false, true) => kept += 1,
+                (true, false) => kept -= 1,
+                _ => {}
+            }
+            if on_base || acc != 0.0 {
+                self.indices.copy_within(at, resolved * order);
+                self.values[resolved] = acc;
+                resolved += 1;
             }
             run = next;
         }
-        keys.truncate(kept);
 
-        let mut indices = Vec::with_capacity(kept * order);
-        let mut values = Vec::with_capacity(kept);
-        for &(_, e) in &keys {
-            indices.extend_from_slice(tuple(e));
-            values.push(self.values[e]);
+        // Gather: the base between resolved runs, each run's value in its
+        // place.  The output is exact for a base without stored zeros.
+        let mut out = SparseTensor {
+            shape: base.shape.clone(),
+            indices: Vec::with_capacity(kept * order),
+            values: Vec::with_capacity(kept),
+        };
+        let runs = self.indices[..resolved * order].chunks_exact(order);
+        let mut copied = 0;
+        for (at, &v) in runs.zip(&self.values[..resolved]) {
+            let hit = base.seek(copied, at);
+            out.extend_from(base, copied..hit);
+            copied = hit + usize::from(base.holds(hit, at));
+            if v != 0.0 {
+                out.indices.extend_from_slice(at);
+                out.values.push(v);
+            }
         }
-        Ok((
-            SparseTensor {
-                shape: self.shape,
-                indices,
-                values,
-            },
-            counts,
-        ))
+        out.extend_from(base, copied..base.nnz());
+        Ok((out, counts))
+    }
+}
+
+impl SparseTensor {
+    /// The first entry at or after `from` whose coordinate is not below
+    /// `at`, in a strictly sorted tensor: a galloping search from `from`.
+    fn seek(&self, from: usize, at: &[u32]) -> usize {
+        let below = |e: usize| self.index(e) < at;
+        // Entries in `from..lo` are below `at`; `hi` is past the end or not.
+        let (mut lo, mut hi, mut step) = (from, from, 1);
+        while hi < self.nnz() && below(hi) {
+            lo = hi + 1;
+            hi += step;
+            step *= 2;
+        }
+        let mut hi = hi.min(self.nnz());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if below(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// `true` iff entry `e` exists and sits at `at`.
+    fn holds(&self, e: usize, at: &[u32]) -> bool {
+        e < self.nnz() && self.index(e) == at
+    }
+
+    /// Appends `src`'s entries in `range`, dropping exact zeros: each run
+    /// of nonzero values is copied whole (a built tensor's range is one).
+    fn extend_from(&mut self, src: &SparseTensor, range: std::ops::Range<usize>) {
+        let n = src.order();
+        let mut from = range.start;
+        for run in src.values[range].split(|&v| v == 0.0) {
+            let to = from + run.len();
+            self.indices
+                .extend_from_slice(&src.indices[from * n..to * n]);
+            self.values.extend_from_slice(run);
+            from = to + 1;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small() -> SparseTensor {
         let mut b = SparseTensorBuilder::new(vec![2, 3, 4]);
@@ -788,7 +912,7 @@ mod tests {
         b.push(&[0, 0], 1.0).unwrap();
         b.push(&[0, 1], f64::NAN).unwrap(); // dropped
         b.push(&[5, 0], 3.0).unwrap(); // out of bounds, dropped
-        b.push(&[0, 0], 9.0).unwrap(); // duplicate, first write wins
+        b.push(&[0, 0], 9.0).unwrap(); // duplicate, the first pushed is kept
         b.push(&[1, 1], 4.0).unwrap();
         let (t, counts) = b.build_with_report().unwrap();
         assert_eq!(t.nnz(), 2);
@@ -1090,9 +1214,10 @@ mod tests {
     }
 
     /// The `(Vec<usize>, f64)` builder the flat one replaced, kept as its
-    /// oracle: one heap tuple per entry, `sort_unstable_by` over the tuples
-    /// (or `sort_by`, the stable sort, with `stable`), then a merge and a
-    /// separate zero-compaction pass.
+    /// oracle: one heap tuple per entry, `sort_by` over the tuples (the
+    /// stable sort, which leaves each coordinate's entries in push order;
+    /// `sort_unstable_by`, the first flat builder's order, without
+    /// `stable`), then a merge and a separate zero-compaction pass.
     struct VecBuilder {
         shape: Vec<usize>,
         entries: Vec<(Vec<usize>, f64)>,
@@ -1297,40 +1422,242 @@ mod tests {
                     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed * 31 + case as u64);
                     let pushes = random_pushes(shape, 400, &mut rng);
                     let mut flat = SparseTensorBuilder::new(shape.clone()).with_validation(mode);
-                    let mut unstable = VecBuilder::new(shape.clone(), mode);
                     let mut stable = VecBuilder::new(shape.clone(), mode);
+                    let mut unstable = VecBuilder::new(shape.clone(), mode);
                     let mut groups = BTreeMap::<Vec<usize>, usize>::new();
                     for (idx, v) in &pushes {
                         // Debug forms: a refused NaN is not `==` itself.
-                        let want = unstable.push(idx, *v);
+                        let want = stable.push(idx, *v);
                         let got = flat.push(idx, *v).map(|_| ());
                         assert_eq!(format!("{got:?}"), format!("{want:?}"));
-                        stable.push(idx, *v).ok();
+                        unstable.push(idx, *v).ok();
                         if want.is_ok() {
                             *groups.entry(idx.clone()).or_default() += 1;
                         }
                     }
-                    assert_eq!(flat.len(), unstable.entries.len());
+                    assert_eq!(flat.len(), stable.entries.len());
                     assert!(
                         groups.values().any(|&g| g >= 3),
                         "shape {shape:?} seed {seed}: no duplicate group of three"
                     );
-                    let want = unstable.build_with_report(false);
+                    let want = stable.build_with_report(true);
                     let got = flat.build_with_report();
                     assert!(
                         same_bits(&got, &want),
                         "shape {shape:?} {mode:?} seed {seed}:\n{got:?}\n{want:?}"
                     );
-                    if !same_bits(&stable.build_with_report(true), &want) {
+                    if !same_bits(&unstable.build_with_report(false), &want) {
                         order_sensitive += 1;
                     }
                 }
             }
         }
         // The inputs have teeth: a merge that adds duplicates in another
-        // order than the unstable sort leaves them in moves bits — so a
-        // narrower sort element or a stable sort fails the assertion above.
+        // order than push order (the unstable sort's, say) moves bits or
+        // keeps another entry, so it fails the assertion above.
         assert!(order_sensitive > 0, "no input depends on the merge order");
+    }
+
+    #[test]
+    fn duplicates_sum_in_push_order() {
+        // 1.0 is below half an ulp of 1e16: added to it first, it is lost.
+        let build = |values: [f64; 3]| {
+            let mut b = SparseTensorBuilder::new(vec![2, 2]);
+            for v in values {
+                b.push(&[1, 0], v).unwrap();
+            }
+            b.build().unwrap()
+        };
+        let cancelled = build([1e16, 1.0, -1e16]);
+        assert_eq!(cancelled.nnz(), 0, "(1e16 + 1) - 1e16 is exactly zero");
+        let kept = build([1e16, -1e16, 1.0]);
+        assert_eq!(kept.values(), &[1.0]);
+    }
+
+    #[test]
+    fn quarantine_keeps_each_coordinates_first_push() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(42);
+        let shape = vec![6, 5, 4];
+        let mut b =
+            SparseTensorBuilder::new(shape.clone()).with_validation(ValidationMode::Quarantine);
+        let mut first = BTreeMap::<Vec<u32>, f64>::new();
+        let pushes = 2_000;
+        for p in 0..pushes {
+            let idx: Vec<usize> = shape.iter().map(|&s| rng.gen_range(0..s)).collect();
+            // Every push carries its own value, so a survivor names its push.
+            let value = 1.0 + p as f64;
+            b.push(&idx, value).unwrap();
+            first
+                .entry(idx.iter().map(|&i| i as u32).collect())
+                .or_insert(value);
+        }
+        let (t, counts) = b.build_with_report().unwrap();
+        assert_eq!(t.nnz(), first.len());
+        assert_eq!(counts.duplicates, (pushes - first.len()) as u64);
+        assert!(counts.duplicates > 1_000, "too few duplicates to test");
+        let survivors: BTreeMap<Vec<u32>, f64> =
+            t.iter().map(|(idx, v)| (idx.to_vec(), v)).collect();
+        assert_eq!(survivors, first);
+    }
+
+    #[test]
+    fn get_sums_every_entry_at_the_coordinate_in_any_stored_order() {
+        let t = parse(r#"{"shape":[2,2],"indices":[1,1,0,0,0,1],"values":[1.0,2.0,3.0]}"#).unwrap();
+        assert_eq!(t.get(&[1, 1]).unwrap(), 1.0);
+        assert_eq!(t.get(&[0, 0]).unwrap(), 2.0);
+        assert_eq!(t.get(&[0, 1]).unwrap(), 3.0);
+        assert_eq!(t.get(&[1, 0]).unwrap(), 0.0);
+        // A repeated coordinate reads as the kernels see it: summed.
+        let t = parse(r#"{"shape":[2,2],"indices":[1,1,0,0,1,1],"values":[1.0,2.0,4.0]}"#).unwrap();
+        assert_eq!(t.get(&[1, 1]).unwrap(), 5.0);
+        // The lookup does not normalise what it reads.
+        assert_eq!(t.indices_flat(), &[1, 1, 0, 0, 1, 1]);
+    }
+
+    #[test]
+    fn a_merge_puts_the_base_value_first() {
+        let mut b = SparseTensorBuilder::new(vec![2, 3]);
+        b.push(&[0, 0], 1e16).unwrap();
+        b.push(&[1, 1], 2.0).unwrap();
+        b.push(&[1, 2], 5.0).unwrap();
+        let base = b.build().unwrap();
+        let round = |mode| {
+            let mut b = SparseTensorBuilder::on(base.clone())
+                .unwrap()
+                .with_validation(mode);
+            b.push(&[1, 1], -2.0).unwrap();
+            b.push(&[0, 0], 1.0).unwrap();
+            b.push(&[0, 2], 7.0).unwrap();
+            b.push(&[0, 0], -1e16).unwrap();
+            b.build_with_report()
+        };
+        // (1e16 + 1) - 1e16 and 2 - 2 cancel; pushed first, 1.0 would stay.
+        let (t, counts) = round(ValidationMode::Off).unwrap();
+        assert_eq!(t.indices_flat(), &[0, 2, 1, 2]);
+        assert_eq!(t.values(), &[7.0, 5.0]);
+        assert_eq!(counts.total(), 0);
+        // The base's entry is each coordinate's first push.
+        let (t, counts) = round(ValidationMode::Quarantine).unwrap();
+        assert_eq!(t.indices_flat(), &[0, 0, 0, 2, 1, 1, 1, 2]);
+        assert_eq!(t.values(), &[1e16, 7.0, 2.0, 5.0]);
+        assert_eq!(counts.duplicates, 3);
+        assert_eq!(
+            round(ValidationMode::Strict).unwrap_err(),
+            TensorError::DuplicateIndex { index: vec![0, 0] }
+        );
+        // No pushes: the base comes back as it was.
+        assert_eq!(
+            SparseTensorBuilder::on(base.clone())
+                .unwrap()
+                .build()
+                .unwrap(),
+            base
+        );
+    }
+
+    #[test]
+    fn a_base_must_be_strictly_sorted() {
+        let unsorted =
+            parse(r#"{"shape":[2,2],"indices":[0,0,1,1,0,1],"values":[1.0,2.0,3.0]}"#).unwrap();
+        assert_eq!(
+            SparseTensorBuilder::on(unsorted).unwrap_err(),
+            TensorError::UnsortedBase { entry: 2 }
+        );
+        let repeated = parse(r#"{"shape":[2,2],"indices":[0,1,0,1],"values":[1.0,2.0]}"#).unwrap();
+        assert_eq!(
+            SparseTensorBuilder::on(repeated).unwrap_err(),
+            TensorError::UnsortedBase { entry: 1 }
+        );
+        // Sorted but holding an explicit zero: accepted, and the zero is
+        // dropped as a build drops one.
+        let zero = parse(r#"{"shape":[2,2],"indices":[0,1,1,0],"values":[0.0,2.0]}"#).unwrap();
+        let t = SparseTensorBuilder::on(zero).unwrap().build().unwrap();
+        assert_eq!((t.indices_flat(), t.values()), (&[1u32, 0][..], &[2.0][..]));
+    }
+
+    /// Values whose sums depend on the order they are added in, exact
+    /// cancellations, zeros of both signs and non-finite values.
+    const PALETTE: [f64; 10] = [
+        1e16,
+        -1e16,
+        1.0,
+        -1.0,
+        0.5,
+        3.0,
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+    ];
+
+    /// Pushes of order `order` as raw draws: a coordinate draw per mode
+    /// (255 lands out of bounds, anything else modulo the dimension) and
+    /// a [`PALETTE`] slot.
+    fn raw_pushes(order: usize) -> impl Strategy<Value = Vec<(Vec<usize>, usize)>> {
+        prop::collection::vec(
+            (prop::collection::vec(0..256usize, order), 0..PALETTE.len()),
+            0..40,
+        )
+    }
+
+    fn cook(shape: &[usize], raw: &(Vec<usize>, usize)) -> (Vec<usize>, f64) {
+        let idx = raw
+            .0
+            .iter()
+            .zip(shape)
+            .map(|(&r, &s)| if r == 255 { s } else { r % s })
+            .collect();
+        (idx, PALETTE[raw.1])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn a_builder_on_a_base_equals_pushing_the_base_first(
+            (shape, base_raw, raw) in (1usize..5).prop_flat_map(|order| {
+                // Three cells or fewer per mode: most coordinates repeat.
+                (prop::collection::vec(1usize..4, order), raw_pushes(order), raw_pushes(order))
+            }),
+            mode in (0usize..3).prop_map(|m| {
+                [ValidationMode::Off, ValidationMode::Strict, ValidationMode::Quarantine][m]
+            }),
+        ) {
+            // A base a build under `mode` could return: Strict's is a
+            // Quarantine build (no duplicate, nothing non-finite).
+            let base_mode = match mode {
+                ValidationMode::Strict => ValidationMode::Quarantine,
+                other => other,
+            };
+            let mut b = SparseTensorBuilder::new(shape.clone()).with_validation(base_mode);
+            for r in &base_raw {
+                let (idx, v) = cook(&shape, r);
+                b.push(&idx, v).ok();
+            }
+            let base = b.build().unwrap();
+
+            let mut merged = SparseTensorBuilder::on(base.clone()).unwrap().with_validation(mode);
+            let mut plain = SparseTensorBuilder::new(shape.clone()).with_validation(mode);
+            for (idx, v) in base.iter() {
+                let idx: Vec<usize> = idx.iter().map(|&i| i as usize).collect();
+                plain.push(&idx, v).unwrap();
+            }
+            for r in &raw {
+                let (idx, v) = cook(&shape, r);
+                let got = merged.push(&idx, v).map(|_| ());
+                let want = plain.push(&idx, v).map(|_| ());
+                // Debug forms: a refused NaN is not `==` itself.
+                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            }
+            let got = merged.build_with_report();
+            let want = plain.build_with_report();
+            prop_assert!(same_bits(&got, &want), "{:?}\n{:?}", got, want);
+            // Gathered at its exact size.
+            if let Ok((t, _)) = got {
+                prop_assert_eq!(t.values.capacity(), t.nnz());
+                prop_assert_eq!(t.indices.capacity(), t.indices.len());
+            }
+        }
     }
 
     #[test]

@@ -68,6 +68,13 @@ pub enum TensorError {
         /// The duplicated coordinate.
         index: Vec<usize>,
     },
+    /// A builder's base ([`crate::SparseTensorBuilder::on`]) was not in the
+    /// order `build` leaves a tensor in: entry `entry`'s coordinate does
+    /// not come strictly after the one before it.
+    UnsortedBase {
+        /// Position of the first stored entry out of order.
+        entry: usize,
+    },
     /// A streaming step kept diverging (non-finite or rising loss) and the
     /// watchdog's restart budget ran out.
     Diverged {
@@ -153,6 +160,9 @@ impl fmt::Display for TensorError {
             TensorError::DuplicateIndex { index } => {
                 write!(f, "duplicate entry at index {index:?}")
             }
+            TensorError::UnsortedBase { entry } => {
+                write!(f, "builder base is not strictly sorted at entry {entry}")
+            }
             TensorError::Diverged { restarts, detail } => {
                 write!(
                     f,
@@ -203,6 +213,7 @@ mod tests {
                 value: f64::NAN,
             },
             TensorError::DuplicateIndex { index: vec![0, 0] },
+            TensorError::UnsortedBase { entry: 1 },
             TensorError::Diverged {
                 restarts: 2,
                 detail: "loss became NaN at iteration 3".into(),
