@@ -568,6 +568,92 @@ mod tests {
         }
     }
 
+    /// What one store per stream moves, pinned against the per-fraction
+    /// `restrict` cut it replaced.  A session scores each step against the
+    /// whole snapshot — `‖X‖²` and `⟨X, Y⟩`, summed in stored order — and a
+    /// stream snapshot after the first is stored in (arrival step, tuple)
+    /// order, so warm-step fits move by rounding; every other bit a step
+    /// reports stays, because its complement is the same.  A static
+    /// decomposition of a later snapshot plans its MTTKRP over that order
+    /// too, so its factors move by rounding.  The lines pin both sides'
+    /// bits: per dataset the fold of every step's fit and the hash of a
+    /// static `cp_als` of the last-but-one snapshot.
+    #[test]
+    fn what_an_arrival_ordered_stream_moves_is_pinned() {
+        use dismastd_core::{als::cp_als, ExecutionMode, StreamingSession};
+        let cfg = DecompConfig::default().with_rank(3);
+        let mut lines = Vec::new();
+        for (spec, stream) in identity_streams().unwrap() {
+            let full = spec.generate().unwrap();
+            let restricted: Vec<SparseTensor> = stream
+                .iter()
+                .map(|s| full.restrict(s.shape()).unwrap())
+                .collect();
+            let run = |snapshots: &mut dyn Iterator<Item = &SparseTensor>| {
+                let mut sess = StreamingSession::new(cfg, ExecutionMode::Serial);
+                let reports: Vec<_> = snapshots.map(|s| sess.ingest(s).unwrap()).collect();
+                let mut factors = Fnv::new();
+                for f in sess.factors().unwrap().factors() {
+                    factors.floats(f.as_slice());
+                }
+                (reports, factors.0)
+            };
+            let (got, got_factors) = run(&mut stream.iter());
+            let (want, want_factors) = run(&mut restricted.iter());
+            assert_eq!(got_factors, want_factors, "{}", spec.name);
+            let (mut fits, mut restrict_fits) = (Fnv::new(), Fnv::new());
+            for (t, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.processed_nnz, w.processed_nnz);
+                assert_eq!(g.loss.to_bits(), w.loss.to_bits(), "{} step {t}", spec.name);
+                let rel = (g.fit - w.fit).abs() / w.fit.abs();
+                assert!(
+                    rel <= 1e-12,
+                    "{} step {t}: fit {} vs {}",
+                    spec.name,
+                    g.fit,
+                    w.fit
+                );
+                if t == 0 {
+                    assert_eq!(
+                        g.fit.to_bits(),
+                        w.fit.to_bits(),
+                        "snapshot 0 is lexicographic"
+                    );
+                }
+                fits.word(g.fit.to_bits());
+                restrict_fits.word(w.fit.to_bits());
+            }
+            let last = stream.len() - 1;
+            let static_fit = |x: &SparseTensor| {
+                let out = cp_als(x, &cfg).unwrap();
+                let mut factors = Fnv::new();
+                for f in out.kruskal.factors() {
+                    factors.floats(f.as_slice());
+                }
+                (out.kruskal.fit(&restricted[last - 1]).unwrap(), factors.0)
+            };
+            let (got_fit, got_static) = static_fit(stream.snapshot(last - 1));
+            let (want_fit, want_static) = static_fit(&restricted[last - 1]);
+            let rel = (got_fit - want_fit).abs() / want_fit.abs();
+            assert!(
+                rel <= 1e-9,
+                "{}: static fit {got_fit} vs {want_fit}",
+                spec.name
+            );
+            lines.push(format!(
+                "{:<9} fits={:016x} (restrict cut {:016x}) static={got_static:016x} (restrict cut {want_static:016x})",
+                spec.name, fits.0, restrict_fits.0
+            ));
+        }
+        assert_eq!(lines, STREAM_GOLDEN, "\n{}", lines.join("\n"));
+    }
+
+    const STREAM_GOLDEN: [&str; 3] = [
+        "Clothing  fits=6212ad248d599a75 (restrict cut e5776d255867adb5) static=c45b9cc415f76352 (restrict cut b1b05a73f7c4b0d3)",
+        "Netflix   fits=65cc9818d741cf39 (restrict cut 96cdf81899fa09b1) static=e011bac4f3084685 (restrict cut 7ba76b54511c9cb2)",
+        "Synthetic fits=aecd7c2250dde1f5 (restrict cut 045d7baf424db7f5) static=a5d10b6212a4d1c7 (restrict cut d4d53a5cf40aa2e8)",
+    ];
+
     const GOLDEN: [&str; 18] = [
         "Clothing  R=3  serial factors=23af6be6b1cb0800 loss_trace=19859bc08a1ffa96",
         "Clothing  R=3  world1 factors=23af6be6b1cb0800 loss_trace=19859bc08a1ffa96",

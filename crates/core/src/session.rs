@@ -955,8 +955,63 @@ mod tests {
         (small, full)
     }
 
+    /// [`snapshot_pair`] cut as a stream: the same two snapshots as prefix
+    /// views of one arrival-ordered store, so the second is not in
+    /// lexicographic order.
+    fn stream_pair() -> (SparseTensor, SparseTensor) {
+        let (s0, full) = snapshot_pair();
+        let boxes = [s0.shape().to_vec(), full.shape().to_vec()];
+        let cut = full.nested_prefixes(&boxes).unwrap();
+        (cut[0].clone(), cut[1].clone())
+    }
+
     fn cfg() -> DecompConfig {
         DecompConfig::default().with_rank(3).with_max_iters(8)
+    }
+
+    /// A warm step on a stream snapshot (arrival order) and on the same
+    /// entries in lexicographic order: the solver sees one complement, so
+    /// processed entries, factors and loss keep their bits; only the fit,
+    /// a sum over the whole snapshot, is added in another order.
+    #[test]
+    fn a_warm_step_on_an_arrival_ordered_snapshot_keeps_the_solvers_bits() {
+        let (lex0, lex1) = snapshot_pair();
+        let (arr0, arr1) = stream_pair();
+        assert_eq!(arr0, lex0, "snapshot 0 is one arrival group");
+        assert_ne!(arr1, lex1, "a later snapshot is in arrival order");
+        let mut sorted: Vec<(Vec<u32>, u64)> = arr1
+            .iter()
+            .map(|(i, v)| (i.to_vec(), v.to_bits()))
+            .collect();
+        sorted.sort();
+        let lex: Vec<(Vec<u32>, u64)> = lex1
+            .iter()
+            .map(|(i, v)| (i.to_vec(), v.to_bits()))
+            .collect();
+        assert_eq!(sorted, lex, "the same entries");
+        for mode in [
+            ExecutionMode::Serial,
+            ExecutionMode::Distributed(ClusterConfig::new(2)),
+        ] {
+            let run = |s0: &SparseTensor, s1: &SparseTensor| {
+                let mut sess = StreamingSession::new(cfg(), mode.clone());
+                sess.ingest(s0).unwrap();
+                let report = sess.ingest(s1).unwrap();
+                (report, sess.factors().unwrap().clone())
+            };
+            let (lex, lex_factors) = run(&lex0, &lex1);
+            let (arr, arr_factors) = run(&arr0, &arr1);
+            assert_eq!(arr.processed_nnz, lex.processed_nnz);
+            assert_eq!(arr.snapshot_nnz, lex.snapshot_nnz);
+            assert_eq!(arr.loss.to_bits(), lex.loss.to_bits(), "{mode:?}");
+            for (a, l) in arr_factors.factors().iter().zip(lex_factors.factors()) {
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(l), "{mode:?}");
+            }
+            let rel = (arr.fit - lex.fit).abs() / lex.fit.abs();
+            assert!(rel <= 1e-12, "{mode:?}: fit {} vs {}", arr.fit, lex.fit);
+        }
     }
 
     #[test]
@@ -1420,7 +1475,20 @@ mod tests {
 
     #[test]
     fn reported_fit_has_the_bits_of_the_public_fit_in_every_validation_mode() {
-        let (s0, s1) = snapshot_pair();
+        // Built snapshots, and the same entries cut as a stream.
+        let (_, full) = snapshot_pair();
+        for (s0, s1) in [snapshot_pair(), stream_pair()] {
+            reported_fit_has_the_bits_of_the_public_fit(&s0, &s1, &full);
+        }
+    }
+
+    /// The body of the test above: `s1` holds `full`'s entries (in any
+    /// stored order), `s0` a leading block of them.
+    fn reported_fit_has_the_bits_of_the_public_fit(
+        s0: &SparseTensor,
+        s1: &SparseTensor,
+        full: &SparseTensor,
+    ) {
         // `s1` plus an Inf and, at a coordinate that sorts just before it, a
         // NaN — pushed in the opposite order, so "first" means stored order.
         let poisoned = {
@@ -1453,21 +1521,22 @@ mod tests {
                 let mut cfg = cfg();
                 cfg.numerics.validation = validation;
                 let mut sess = StreamingSession::new(cfg, mode.clone());
-                let cold = sess.ingest(&s0).unwrap();
+                let cold = sess.ingest(s0).unwrap();
                 assert_eq!(
                     cold.fit.to_bits(),
-                    sess.factors().unwrap().fit(&s0).unwrap().to_bits(),
+                    sess.factors().unwrap().fit(s0).unwrap().to_bits(),
                     "cold fit under {validation:?}"
                 );
-                let warm_input = match validation {
-                    ValidationMode::Quarantine => &poisoned,
-                    _ => &s1,
+                let (warm_input, scored) = match validation {
+                    ValidationMode::Quarantine => (&poisoned, full),
+                    _ => (s1, s1),
                 };
                 let warm = sess.ingest(warm_input).unwrap();
-                // Quarantine decomposed — and is scored against — `s1`.
+                // Quarantine decomposed — and is scored against — `s1`'s
+                // entries, rebuilt from `poisoned` in lexicographic order.
                 assert_eq!(
                     warm.fit.to_bits(),
-                    sess.factors().unwrap().fit(&s1).unwrap().to_bits(),
+                    sess.factors().unwrap().fit(scored).unwrap().to_bits(),
                     "warm fit under {validation:?}"
                 );
                 assert_eq!(warm.snapshot_nnz, s1.nnz());
@@ -1485,7 +1554,7 @@ mod tests {
         let mut strict = cfg();
         strict.numerics.validation = ValidationMode::Strict;
         let mut sess = StreamingSession::new(strict, ExecutionMode::Serial);
-        sess.ingest(&s0).unwrap();
+        sess.ingest(s0).unwrap();
         match sess.ingest(&poisoned) {
             Err(TensorError::NonFiniteValue { index, value }) => {
                 assert_eq!(index, vec![9, 8, 6]);

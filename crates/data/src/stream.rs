@@ -5,12 +5,23 @@
 //! (Fig. 1, right).  The paper's Fig. 5 experiment builds the sequence by
 //! growing a full dataset "from 75% to 100% of the whole dataset by 5% at
 //! each time step"; [`StreamSequence`] reproduces exactly that protocol:
-//! snapshot `t` is the restriction of the full tensor to the box
+//! snapshot `t` holds the entries of the full tensor inside the box
 //! `⌈frac_t · I_n⌉` per mode.
+//!
+//! The sequence stores each nonzero once.  Its entries are sorted by
+//! (arrival step, index tuple) — an entry arrives at the first snapshot
+//! whose box holds it — and snapshot `t` is the prefix of steps `0..=t`
+//! of that one buffer ([`SparseTensor::nested_prefixes`]).  Snapshot `0`
+//! and every complement `snapshot(t).complement(snapshot(t − 1).shape())`
+//! are therefore, entry for entry and in order, what a `restrict` of the
+//! full tensor per fraction gives (lexicographic, for a built tensor); a
+//! whole snapshot `t > 0` holds the same entries in arrival order, so a
+//! sum over it (`‖X‖²`, `⟨X, Y⟩`) adds them in that order.
 
 use dismastd_tensor::{Result, SparseTensor, TensorError};
 
-/// A materialised multi-aspect streaming snapshot sequence.
+/// A materialised multi-aspect streaming snapshot sequence: one
+/// arrival-ordered store, one prefix view per snapshot.
 #[derive(Debug, Clone)]
 pub struct StreamSequence {
     snapshots: Vec<SparseTensor>,
@@ -51,17 +62,9 @@ impl StreamSequence {
                 "fractions must lie in (0, 1]".into(),
             ));
         }
-        let mut snapshots = Vec::with_capacity(fractions.len());
-        for &f in fractions {
-            let bounds: Vec<usize> = full
-                .shape()
-                .iter()
-                .map(|&s| ((s as f64 * f).ceil() as usize).clamp(1, s))
-                .collect();
-            snapshots.push(full.restrict(&bounds)?);
-        }
+        let boxes: Vec<Vec<usize>> = fractions.iter().map(|&f| bounds(full, f)).collect();
         Ok(StreamSequence {
-            snapshots,
+            snapshots: full.nested_prefixes(&boxes)?,
             fractions: fractions.to_vec(),
         })
     }
@@ -93,12 +96,93 @@ impl StreamSequence {
     }
 }
 
+/// The box of the snapshot at fraction `f`: `⌈f · I_n⌉` per mode, at
+/// least 1.
+fn bounds(full: &SparseTensor, f: f64) -> Vec<usize> {
+    full.shape()
+        .iter()
+        .map(|&s| ((s as f64 * f).ceil() as usize).clamp(1, s))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synth::uniform_tensor;
+    use dismastd_tensor::SparseTensorBuilder;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// The cut a stream made before it shared one store: one `restrict`
+    /// copy of the full tensor per fraction.
+    fn restrict_cut(full: &SparseTensor, fractions: &[f64]) -> Vec<SparseTensor> {
+        fractions
+            .iter()
+            .map(|&f| full.restrict(&bounds(full, f)).unwrap())
+            .collect()
+    }
+
+    /// `(index tuple, value bits)` of every entry, sorted.
+    fn entry_set(t: &SparseTensor) -> Vec<(Vec<u32>, u64)> {
+        let mut set: Vec<_> = t.iter().map(|(i, v)| (i.to_vec(), v.to_bits())).collect();
+        set.sort_unstable();
+        set
+    }
+
+    /// Entries in stored order, values as bits.
+    fn entry_list(t: &SparseTensor) -> Vec<(Vec<u32>, u64)> {
+        t.iter().map(|(i, v)| (i.to_vec(), v.to_bits())).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn the_shared_cut_holds_what_a_restrict_per_fraction_holds(
+            (shape, raw) in (1usize..5).prop_flat_map(|order| (
+                prop::collection::vec(1usize..9, order),
+                prop::collection::vec(
+                    (prop::collection::vec(0usize..64, order), -4.0f64..4.0),
+                    0..80,
+                ),
+            )),
+            // Thousandths: below 1/8 every mode of at most 8 clamps to 1,
+            // and the last fraction is often below 1.
+            thousandths in prop::collection::btree_set(1u32..1001, 1..7),
+        ) {
+            let mut b = SparseTensorBuilder::new(shape.clone());
+            for (idx, v) in &raw {
+                let idx: Vec<usize> = idx.iter().zip(&shape).map(|(&i, &s)| i % s).collect();
+                b.push(&idx, *v).unwrap();
+            }
+            let full = b.build().unwrap();
+            let fractions: Vec<f64> = thousandths.iter().map(|&k| f64::from(k) / 1000.0).collect();
+            let seq = StreamSequence::cut(&full, &fractions).unwrap();
+            let oracle = restrict_cut(&full, &fractions);
+            prop_assert_eq!(seq.len(), oracle.len());
+            let boxes: Vec<&[usize]> = oracle.iter().map(|o| o.shape()).collect();
+            for (t, (snap, want)) in seq.iter().zip(&oracle).enumerate() {
+                prop_assert_eq!(snap.shape(), want.shape());
+                prop_assert_eq!(entry_set(snap), entry_set(want));
+                if t == 0 {
+                    prop_assert_eq!(entry_list(snap), entry_list(want));
+                } else {
+                    let old = seq.snapshot(t - 1).shape();
+                    prop_assert_eq!(
+                        entry_list(&snap.complement(old).unwrap()),
+                        entry_list(&want.complement(old).unwrap())
+                    );
+                }
+                // (arrival step, tuple) order: strictly increasing.
+                let arrival = |idx: &[u32]| {
+                    boxes.iter().position(|b| idx.iter().zip(*b).all(|(&i, &s)| (i as usize) < s))
+                };
+                let keys: Vec<_> = snap.iter().map(|(idx, _)| (arrival(idx), idx.to_vec())).collect();
+                prop_assert!(keys.iter().all(|(step, _)| step.is_some_and(|s| s <= t)));
+                prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "{:?}", keys);
+            }
+        }
+    }
 
     fn full_tensor() -> SparseTensor {
         let mut rng = ChaCha8Rng::seed_from_u64(17);

@@ -32,6 +32,9 @@
 //! `dealloc` and both directions of `realloc`, ignores [`exempt`] (an
 //! exempted block is still memory), and is shared by all threads, so a
 //! test that reads it must be the only thing allocating while it does.
+//! [`thread_held_bytes`] is the same balance kept per thread — bytes this
+//! thread allocated minus bytes it freed — for single-threaded work that
+//! must hand back exactly what it took while other threads allocate.
 //!
 //! [`exempt`] suspends counting for one closure on the current thread.
 //! It scopes out infrastructure the audit deliberately ignores — the
@@ -59,6 +62,8 @@ thread_local! {
     static COUNT: Cell<u64> = const { Cell::new(0) };
     /// Bytes those allocations asked for.
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread, exempt or not.
+    static HELD: Cell<isize> = const { Cell::new(0) };
     /// Nesting depth of [`exempt`] scopes; counting is off above zero.
     static EXEMPT_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
@@ -76,10 +81,13 @@ fn record(bytes: usize) {
     });
 }
 
-/// Moves the live gauge from a block of `old` bytes to one of `new`
-/// (`0` for "no block"), raising the high-water mark when it grows.
+/// Moves the live gauge and this thread's held balance from a block of
+/// `old` bytes to one of `new` (`0` for "no block"), raising the
+/// high-water mark when it grows.
 #[inline]
 fn resize_live(old: usize, new: usize) {
+    // `Layout` keeps every block size at or below `isize::MAX`.
+    HELD.with(|h| h.set(h.get() + new as isize - old as isize));
     if new >= old {
         let live = LIVE.fetch_add(new - old, Ordering::Relaxed) + (new - old);
         PEAK.fetch_max(live, Ordering::Relaxed);
@@ -147,6 +155,14 @@ pub fn reset_allocation_count() {
 /// included).
 pub fn live_bytes() -> usize {
     LIVE.load(Ordering::Relaxed)
+}
+
+/// Bytes allocated and not yet freed by the current thread: its
+/// allocations minus its frees (exempt scopes included).  A block freed
+/// on another thread than the one that allocated it moves both threads'
+/// balances.
+pub fn thread_held_bytes() -> isize {
+    HELD.with(Cell::get)
 }
 
 /// The highest [`live_bytes`] has stood since the process started or

@@ -7,27 +7,104 @@
 //! at `4·order + 8` bytes per nonzero.  Shapes, bounds and caller-supplied
 //! coordinates are `usize`; a coordinate `≥ 2³²` is refused where it enters
 //! ([`SparseTensorBuilder::push`], `Deserialize`) with `PlanOverflow`.
+//!
+//! The two buffers are one shared, immutable store, and a tensor views a
+//! prefix of it: the nested snapshots of a stream
+//! ([`SparseTensor::nested_prefixes`]) are prefixes of one arrival-ordered
+//! store, so a stream holds each nonzero once.
 
 use crate::error::{Result, TensorError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::Arc;
 
 /// An `N`-th order sparse tensor in coordinate format.
 ///
+/// Its entries are the first `nnz` of a shared, immutable store; cloning a
+/// tensor shares the store, and every operation below reads the viewed
+/// entries only.
+///
 /// Invariants (enforced by [`SparseTensorBuilder::build`]):
 /// * every index tuple is within `shape`;
-/// * entries are sorted lexicographically by index tuple;
 /// * index tuples are unique (duplicates are summed at build time);
-/// * no stored value is exactly `0.0`.
+/// * no stored value is exactly `0.0`;
+/// * the stored order is lexicographic by index tuple for a built tensor
+///   (and for every `restrict`, `complement` and `partition_by` part of
+///   one), and (arrival step, index tuple) for a snapshot of
+///   [`Self::nested_prefixes`] cut from one: step `t`'s entries follow
+///   step `t − 1`'s, so only snapshot `0` and each step's complement are
+///   lexicographic.
 ///
 /// A deserialised tensor keeps the first invariant only (it is checked);
 /// its entries stay in the order and multiplicity the document gave them.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Clone)]
 pub struct SparseTensor {
     shape: Vec<usize>,
-    /// Flattened index tuples, `nnz * order` long.
+    /// The store's flattened index tuples (stride = `order`); this tensor
+    /// views the first `nnz * order`.
+    indices: Arc<Vec<u32>>,
+    /// The store's values; this tensor views the first `nnz`.
+    values: Arc<Vec<f64>>,
+    nnz: usize,
+}
+
+/// Equality of shape and viewed entries, in stored order; where the store
+/// ends beyond the view does not matter.
+impl PartialEq for SparseTensor {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape
+            && self.indices_flat() == other.indices_flat()
+            && self.values() == other.values()
+    }
+}
+
+/// Prints the viewed entries, as the derived form of a tensor owning them.
+impl fmt::Debug for SparseTensor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SparseTensor")
+            .field("shape", &self.shape)
+            .field("indices", &self.indices_flat())
+            .field("values", &self.values())
+            .finish()
+    }
+}
+
+/// `{"shape", "indices", "values"}` of the viewed entries: a prefix view
+/// writes the document of a tensor owning the same entries.
+impl Serialize for SparseTensor {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("shape".to_string(), self.shape.to_value()),
+            ("indices".to_string(), self.indices_flat().to_value()),
+            ("values".to_string(), self.values().to_value()),
+        ])
+    }
+}
+
+/// Owned entry buffers, filled in place and wrapped into a store once.
+#[derive(Debug, Clone, Default)]
+struct Entries {
+    /// Flattened index tuples, `values.len() * order` long.
     indices: Vec<u32>,
     values: Vec<f64>,
+}
+
+impl Entries {
+    fn push(&mut self, tuple: &[u32], value: f64) {
+        self.indices.extend_from_slice(tuple);
+        self.values.push(value);
+    }
+
+    /// The tensor owning these entries as its store.
+    fn into_tensor(self, shape: Vec<usize>) -> SparseTensor {
+        SparseTensor {
+            nnz: self.values.len(),
+            shape,
+            indices: Arc::new(self.indices),
+            values: Arc::new(self.values),
+        }
+    }
 }
 
 /// Narrows a caller-supplied coordinate to the stored index width.
@@ -76,11 +153,7 @@ impl TryFrom<&serde::Value> for SparseTensor {
                 });
             }
         }
-        Ok(SparseTensor {
-            shape,
-            indices,
-            values,
-        })
+        Ok(Entries { indices, values }.into_tensor(shape))
     }
 }
 
@@ -99,11 +172,7 @@ impl SparseTensor {
         if shape.is_empty() {
             return Err(TensorError::EmptyShape);
         }
-        Ok(SparseTensor {
-            shape,
-            indices: Vec::new(),
-            values: Vec::new(),
-        })
+        Ok(Entries::default().into_tensor(shape))
     }
 
     /// Tensor order `N` (number of modes).
@@ -121,13 +190,13 @@ impl SparseTensor {
     /// Number of stored non-zero elements.
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.values.len()
+        self.nnz
     }
 
     /// `true` when the tensor stores no nonzeros.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.nnz == 0
     }
 
     /// The index tuple of the `e`-th stored entry.
@@ -135,34 +204,35 @@ impl SparseTensor {
     #[inline]
     pub fn index(&self, e: usize) -> &[u32] {
         let n = self.order();
-        &self.indices[e * n..(e + 1) * n]
+        &self.indices_flat()[e * n..(e + 1) * n]
     }
 
     /// The value of the `e`-th stored entry.
     #[inline]
     pub fn value(&self, e: usize) -> f64 {
-        self.values[e]
+        self.values()[e]
     }
 
-    /// Iterates `(index_tuple, value)` pairs in stored order (sorted, for a
-    /// built tensor).
+    /// Iterates `(index_tuple, value)` pairs in stored order: lexicographic
+    /// for a built tensor, (arrival step, index tuple) for a stream
+    /// snapshot (see the type's invariants).
     pub fn iter(&self) -> impl Iterator<Item = (&[u32], f64)> + '_ {
         let n = self.order();
-        self.indices
+        self.indices_flat()
             .chunks_exact(n)
-            .zip(self.values.iter().copied())
+            .zip(self.values().iter().copied())
     }
 
-    /// Raw flattened index buffer (stride = `order`).
+    /// Raw flattened index buffer of the viewed entries (stride = `order`).
     #[inline]
     pub fn indices_flat(&self) -> &[u32] {
-        &self.indices
+        &self.indices[..self.nnz * self.order()]
     }
 
-    /// Raw value buffer.
+    /// Raw value buffer of the viewed entries.
     #[inline]
     pub fn values(&self) -> &[f64] {
-        &self.values
+        &self.values[..self.nnz]
     }
 
     /// The value at `idx`: the sum, in stored order, of every entry at that
@@ -186,7 +256,7 @@ impl SparseTensor {
 
     /// Squared Frobenius norm — sum of squares of the stored values.
     pub fn norm_sq(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum()
+        self.values().iter().map(|v| v * v).sum()
     }
 
     /// Histogram of nonzeros per slice along `mode`
@@ -203,7 +273,7 @@ impl SparseTensor {
         }
         let mut hist = vec![0u64; self.shape[mode]];
         let n = self.order();
-        for tuple in self.indices.chunks_exact(n) {
+        for tuple in self.indices_flat().chunks_exact(n) {
             hist[tuple[mode] as usize] += 1;
         }
         Ok(hist)
@@ -239,14 +309,15 @@ impl SparseTensor {
     /// current shape in any mode.
     pub fn split_at(&self, old_shape: &[usize]) -> Result<(SparseTensor, SparseTensor)> {
         self.check_old_shape("split_at", old_shape)?;
-        let mut inside = SparseTensor::empty(old_shape.to_vec())?;
-        let mut outside = SparseTensor::empty(self.shape.clone())?;
+        let (mut inside, mut outside) = (Entries::default(), Entries::default());
         self.scan_box(old_shape, |in_box, tuple, v| {
             let half = if in_box { &mut inside } else { &mut outside };
-            half.indices.extend_from_slice(tuple);
-            half.values.push(*v);
+            half.push(tuple, *v);
         });
-        Ok((inside, outside))
+        Ok((
+            inside.into_tensor(old_shape.to_vec()),
+            outside.into_tensor(self.shape.clone()),
+        ))
     }
 
     /// Returns the sub-tensor of entries whose every index is `< bounds[k]`,
@@ -263,13 +334,13 @@ impl SparseTensor {
         self.check_old_shape("restrict", bounds)?;
         // Most callers keep nearly everything (a stream cut keeps 75–100 %):
         // reserve for all of it once, then hand back what was not used.
-        let mut kept = SparseTensor::empty(bounds.to_vec())?;
-        kept.indices.reserve_exact(self.indices.len());
-        kept.values.reserve_exact(self.values.len());
+        let mut kept = Entries::default();
+        kept.indices.reserve_exact(self.indices_flat().len());
+        kept.values.reserve_exact(self.nnz);
         self.copy_side::<true>(bounds, &mut kept);
         kept.indices.shrink_to_fit();
         kept.values.shrink_to_fit();
-        Ok(kept)
+        Ok(kept.into_tensor(bounds.to_vec()))
     }
 
     /// Relative complement `X \ X̃` for a previous snapshot shape: the
@@ -286,19 +357,18 @@ impl SparseTensor {
     /// Same conditions as [`Self::split_at`].
     pub fn complement(&self, old_shape: &[usize]) -> Result<SparseTensor> {
         self.check_old_shape("complement", old_shape)?;
-        let mut outside = SparseTensor::empty(self.shape.clone())?;
+        let mut outside = Entries::default();
         self.copy_side::<false>(old_shape, &mut outside);
-        Ok(outside)
+        Ok(outside.into_tensor(self.shape.clone()))
     }
 
     /// Appends to `out` the entries inside `old_shape`'s box (`INSIDE`) or
     /// outside it, in stored order: every index tuple is read once, values
     /// of copied entries only.  Each side gets its own compiled scan.
-    fn copy_side<const INSIDE: bool>(&self, old_shape: &[usize], out: &mut SparseTensor) {
+    fn copy_side<const INSIDE: bool>(&self, old_shape: &[usize], out: &mut Entries) {
         self.scan_box(old_shape, |in_box, tuple, v| {
             if in_box == INSIDE {
-                out.indices.extend_from_slice(tuple);
-                out.values.push(*v);
+                out.push(tuple, *v);
             }
         });
     }
@@ -322,8 +392,8 @@ impl SparseTensor {
         old_shape: &[usize],
         mut visit: impl FnMut(bool, &[u32], &f64),
     ) {
-        let tuples = self.indices.chunks_exact(self.order());
-        for (tuple, v) in tuples.zip(&self.values) {
+        let tuples = self.indices_flat().chunks_exact(self.order());
+        for (tuple, v) in tuples.zip(self.values()) {
             let in_box = tuple
                 .iter()
                 .zip(old_shape)
@@ -343,7 +413,7 @@ impl SparseTensor {
         let Ok(old) = <&[usize; K]>::try_from(old_shape) else {
             return self.scan_box_dyn(old_shape, visit);
         };
-        for (tuple, v) in self.indices.chunks_exact(K).zip(&self.values) {
+        for (tuple, v) in self.indices_flat().chunks_exact(K).zip(self.values()) {
             let mut in_box = true;
             for (&i, &old) in tuple.iter().zip(old) {
                 in_box &= (i as usize) < old;
@@ -403,22 +473,110 @@ impl SparseTensor {
     /// deserialised one keep its order and duplicates.  Allocates per part
     /// (push growth), not per entry.
     pub fn partition_by(&self, mut key: impl FnMut(&[u32]) -> usize) -> Vec<(usize, SparseTensor)> {
-        let mut parts: BTreeMap<usize, SparseTensor> = BTreeMap::new();
+        let mut parts: BTreeMap<usize, Entries> = BTreeMap::new();
         for (tuple, v) in self.iter() {
-            let part = parts.entry(key(tuple)).or_insert_with(|| SparseTensor {
-                shape: self.shape.clone(),
-                indices: Vec::new(),
-                values: Vec::new(),
-            });
-            part.indices.extend_from_slice(tuple);
-            part.values.push(v);
+            parts.entry(key(tuple)).or_default().push(tuple, v);
         }
-        parts.into_iter().collect()
+        parts
+            .into_iter()
+            .map(|(k, part)| (k, part.into_tensor(self.shape.clone())))
+            .collect()
+    }
+
+    /// Cuts this tensor into nested snapshots that share one store: the
+    /// snapshot for `boxes[t]` holds every entry inside that box, in the
+    /// box's shape.  Boxes must be nested (each no larger than the next
+    /// in any mode); entries outside the last box are dropped.
+    ///
+    /// An entry's *arrival step* is the first box that holds it.  One pass
+    /// counts the entries per step from per-mode `index → first step`
+    /// tables; a second scatters them, stably, into one store sorted by
+    /// (arrival step, stored order), so snapshot `t` is the store's prefix
+    /// of steps `0..=t`.  Snapshot `0`, and each `complement` of snapshot
+    /// `t` against snapshot `t − 1`'s shape (which keeps group `t`, in
+    /// stored order), hold what a `restrict` cut gives, entry for entry
+    /// and in order — lexicographic, from a built tensor; a whole snapshot
+    /// `t > 0` holds the same entries in another order.
+    /// The snapshots hold the last one's entries once — `nnz · (4·order +
+    /// 8)` bytes — where per-box `restrict` copies would hold each box's.
+    ///
+    /// # Errors
+    /// Returns [`TensorError::ShapeMismatch`] for a box of another order,
+    /// and [`TensorError::InvalidArgument`] for a box exceeding the shape
+    /// or boxes that are not nested.
+    pub fn nested_prefixes(&self, boxes: &[Vec<usize>]) -> Result<Vec<SparseTensor>> {
+        for bounds in boxes {
+            self.check_old_shape("nested_prefixes", bounds)?;
+        }
+        if let Some(w) = boxes
+            .windows(2)
+            .find(|w| w[0].iter().zip(&w[1]).any(|(a, b)| a > b))
+        {
+            return Err(TensorError::InvalidArgument(format!(
+                "nested_prefixes: box {:?} is not inside the next box {:?}",
+                w[0], w[1]
+            )));
+        }
+        let steps = boxes.len();
+        // Per mode, `first[i]` is the first step whose box holds index `i`
+        // (`steps` when none does); an entry arrives at its modes' latest.
+        let first: Vec<Vec<usize>> = (0..self.order())
+            .map(|k| {
+                let mut first = vec![steps; self.shape[k]];
+                let mut from = 0;
+                for (t, bounds) in boxes.iter().enumerate() {
+                    first[from..bounds[k]].fill(t);
+                    from = bounds[k];
+                }
+                first
+            })
+            .collect();
+        let arrival = |tuple: &[u32]| {
+            tuple
+                .iter()
+                .zip(&first)
+                .fold(0, |at, (&i, first)| at.max(first[i as usize]))
+        };
+
+        // `next[t]`: the first free slot of step `t`'s group, which ends
+        // where the scatter leaves it.
+        let order = self.order();
+        let mut next = vec![0usize; steps + 1];
+        for tuple in self.indices_flat().chunks_exact(order) {
+            next[arrival(tuple)] += 1;
+        }
+        let mut kept = 0;
+        for slot in &mut next[..steps] {
+            (*slot, kept) = (kept, kept + *slot);
+        }
+        let mut store = Entries {
+            indices: vec![0; kept * order],
+            values: vec![0.0; kept],
+        };
+        for (tuple, &v) in self.indices_flat().chunks_exact(order).zip(self.values()) {
+            let t = arrival(tuple);
+            if t < steps {
+                let e = next[t];
+                store.indices[e * order..(e + 1) * order].copy_from_slice(tuple);
+                store.values[e] = v;
+                next[t] += 1;
+            }
+        }
+        let whole = store.into_tensor(self.shape.clone());
+        Ok(boxes
+            .iter()
+            .zip(next)
+            .map(|(bounds, nnz)| SparseTensor {
+                shape: bounds.clone(),
+                nnz,
+                ..whole.clone()
+            })
+            .collect())
     }
 
     /// Sum of all values (useful for sanity checks and tests).
     pub fn sum(&self) -> f64 {
-        self.values.iter().sum()
+        self.values().iter().sum()
     }
 
     fn check_index(&self, idx: &[usize]) -> Result<()> {
@@ -478,8 +636,9 @@ impl QuarantineCounts {
 ///
 /// A builder [`on`](Self::on) a built tensor merges its pushes into it, as
 /// if the tensor's entries had been pushed first: `build` sorts the pushes
-/// only and copies the base between them.  [`new`](Self::new) starts a
-/// builder on an empty tensor.
+/// only and copies the base between them into a new store, whether or not
+/// other tensors share the base's.  [`new`](Self::new) starts a builder on
+/// an empty tensor, whose build keeps the sorted pushes as the tensor.
 ///
 /// Entries are staged flat — `order` `u32` coordinates and one `f64` per
 /// entry, 20 B for order 3 — and `build` sorts one key per push beside its
@@ -526,11 +685,7 @@ impl SparseTensorBuilder {
             indices: Vec::with_capacity(n.saturating_mul(shape.len())),
             values: Vec::with_capacity(n),
             // Unchecked: `build` refuses a zero-order shape.
-            base: SparseTensor {
-                shape,
-                indices: Vec::new(),
-                values: Vec::new(),
-            },
+            base: Entries::default().into_tensor(shape),
             mode: ValidationMode::Off,
             counts: QuarantineCounts::default(),
         }
@@ -540,13 +695,14 @@ impl SparseTensorBuilder {
     /// Its build equals that of a builder fed `base`'s entries first and
     /// then the same pushes, bit for bit, for any `base` a build under its
     /// validation mode could have returned: `base`'s values enter as they
-    /// are, no mode judges them.
+    /// are, no mode judges them.  `base` may share its store (a clone, a
+    /// stream snapshot): the builder only reads it.
     ///
     /// # Errors
     /// Returns [`TensorError::UnsortedBase`] naming the first entry whose
     /// coordinate does not strictly follow the one before it.
     pub fn on(base: SparseTensor) -> Result<Self> {
-        let tuples = base.indices.chunks_exact(base.order().max(1));
+        let tuples = base.indices_flat().chunks_exact(base.order().max(1));
         if let Some(e) = tuples.clone().zip(tuples.skip(1)).position(|(a, b)| a >= b) {
             return Err(TensorError::UnsortedBase { entry: e + 1 });
         }
@@ -716,11 +872,14 @@ impl SparseTensorBuilder {
     /// coordinates against the base — summed left to right from the base's
     /// value (`Off`), the first entry kept (`Quarantine`) or refused
     /// (`Strict`) — compacting the runs in place and counting the output,
-    /// exact zeros dropped; the second gathers the output at its exact
+    /// exact zeros dropped.  On an empty base the compacted runs are the
+    /// tensor; otherwise the second pass gathers the output at its exact
     /// size, copying the base between runs.  Base entries are found by a
     /// galloping search, so a round of `k` pushes into `n` entries costs
     /// `O(k log k)` to sort, `O(k log(n/k))` comparisons to place and one
-    /// copy of the base.
+    /// copy of the base.  (Merging inside the base's own buffers instead
+    /// saves nothing: a round's first insertion lands near `n / (k + 1)`,
+    /// so nearly every entry moves either way.)
     ///
     /// # Errors
     /// Same conditions as [`SparseTensorBuilder::build`].
@@ -729,35 +888,38 @@ impl SparseTensorBuilder {
             return Err(TensorError::EmptyShape);
         }
         self.sort_staging();
-        let base = &self.base;
+        let SparseTensorBuilder {
+            base,
+            mut indices,
+            mut values,
+            mode,
+            mut counts,
+        } = self;
         let order = base.order();
-        let n = self.values.len();
+        let n = values.len();
 
         // Each run resolves into slot `resolved`, from the base's value when
         // the base holds its coordinate (whose entry it then replaces); a
         // run that neither writes nor removes an entry leaves no slot.
-        let mut counts = self.counts;
         let (mut resolved, mut kept, mut hit, mut run) = (0, base.nnz(), 0, 0);
         while run < n {
             let at = run * order..(run + 1) * order;
-            hit = base.seek(hit, &self.indices[at.clone()]);
-            let on_base = base.holds(hit, &self.indices[at.clone()]);
+            hit = base.seek(hit, &indices[at.clone()]);
+            let on_base = base.holds(hit, &indices[at.clone()]);
             let (mut acc, mut next) = if on_base {
-                (base.values[hit], run)
+                (base.value(hit), run)
             } else {
-                (self.values[run], run + 1)
+                (values[run], run + 1)
             };
-            while next < n
-                && self.indices[next * order..(next + 1) * order] == self.indices[at.clone()]
-            {
-                match self.mode {
+            while next < n && indices[next * order..(next + 1) * order] == indices[at.clone()] {
+                match mode {
                     ValidationMode::Strict => {
                         return Err(TensorError::DuplicateIndex {
-                            index: self.indices[at].iter().map(|&i| i as usize).collect(),
+                            index: indices[at].iter().map(|&i| i as usize).collect(),
                         });
                     }
                     ValidationMode::Quarantine => counts.duplicates += 1,
-                    ValidationMode::Off => acc += self.values[next],
+                    ValidationMode::Off => acc += values[next],
                 }
                 next += 1;
             }
@@ -768,33 +930,38 @@ impl SparseTensorBuilder {
                 _ => {}
             }
             if on_base || acc != 0.0 {
-                self.indices.copy_within(at, resolved * order);
-                self.values[resolved] = acc;
+                indices.copy_within(at, resolved * order);
+                values[resolved] = acc;
                 resolved += 1;
             }
             run = next;
         }
+        indices.truncate(resolved * order);
+        values.truncate(resolved);
 
+        if base.is_empty() {
+            // Every slot is a nonzero run: the staging is the tensor.
+            indices.shrink_to_fit();
+            values.shrink_to_fit();
+            return Ok((Entries { indices, values }.into_tensor(base.shape), counts));
+        }
         // Gather: the base between resolved runs, each run's value in its
         // place.  The output is exact for a base without stored zeros.
-        let mut out = SparseTensor {
-            shape: base.shape.clone(),
+        let mut out = Entries {
             indices: Vec::with_capacity(kept * order),
             values: Vec::with_capacity(kept),
         };
-        let runs = self.indices[..resolved * order].chunks_exact(order);
         let mut copied = 0;
-        for (at, &v) in runs.zip(&self.values[..resolved]) {
+        for (at, &v) in indices.chunks_exact(order).zip(&values) {
             let hit = base.seek(copied, at);
-            out.extend_from(base, copied..hit);
+            out.extend_from(&base, copied..hit);
             copied = hit + usize::from(base.holds(hit, at));
             if v != 0.0 {
-                out.indices.extend_from_slice(at);
-                out.values.push(v);
+                out.push(at, v);
             }
         }
-        out.extend_from(base, copied..base.nnz());
-        Ok((out, counts))
+        out.extend_from(&base, copied..base.nnz());
+        Ok((out.into_tensor(base.shape), counts))
     }
 }
 
@@ -826,16 +993,18 @@ impl SparseTensor {
     fn holds(&self, e: usize, at: &[u32]) -> bool {
         e < self.nnz() && self.index(e) == at
     }
+}
 
+impl Entries {
     /// Appends `src`'s entries in `range`, dropping exact zeros: each run
     /// of nonzero values is copied whole (a built tensor's range is one).
     fn extend_from(&mut self, src: &SparseTensor, range: std::ops::Range<usize>) {
         let n = src.order();
         let mut from = range.start;
-        for run in src.values[range].split(|&v| v == 0.0) {
+        for run in src.values()[range].split(|&v| v == 0.0) {
             let to = from + run.len();
             self.indices
-                .extend_from_slice(&src.indices[from * n..to * n]);
+                .extend_from_slice(&src.indices_flat()[from * n..to * n]);
             self.values.extend_from_slice(run);
             from = to + 1;
         }
@@ -1315,14 +1484,11 @@ mod tests {
                     out_values.push(v);
                 }
             }
-            Ok((
-                SparseTensor {
-                    shape: self.shape,
-                    indices: out_indices,
-                    values: out_values,
-                },
-                counts,
-            ))
+            let out = Entries {
+                indices: out_indices,
+                values: out_values,
+            };
+            Ok((out.into_tensor(self.shape), counts))
         }
     }
 
@@ -1335,12 +1501,12 @@ mod tests {
         match (a, b) {
             (Ok((x, cx)), Ok((y, cy))) => {
                 x.shape == y.shape
-                    && x.indices == y.indices
+                    && x.indices_flat() == y.indices_flat()
                     && cx == cy
-                    && x.values.len() == y.values.len()
-                    && x.values
+                    && x.nnz() == y.nnz()
+                    && x.values()
                         .iter()
-                        .zip(&y.values)
+                        .zip(y.values())
                         .all(|(p, q)| p.to_bits() == q.to_bits())
             }
             (Err(e), Err(f)) => e == f,
@@ -1658,6 +1824,96 @@ mod tests {
                 prop_assert_eq!(t.indices.capacity(), t.indices.len());
             }
         }
+    }
+
+    #[test]
+    fn nested_prefixes_refuses_boxes_that_are_not_a_nested_chain() {
+        let t = small(); // shape [2,3,4]
+        let op_of = |e: TensorError| match e {
+            TensorError::ShapeMismatch { op, .. } => op,
+            other => panic!("expected ShapeMismatch, got {other:?}"),
+        };
+        assert_eq!(
+            op_of(t.nested_prefixes(&[vec![1, 2]]).unwrap_err()),
+            "nested_prefixes"
+        );
+        assert!(matches!(
+            t.nested_prefixes(&[vec![3, 3, 4]]),
+            Err(TensorError::InvalidArgument(_))
+        ));
+        assert!(matches!(
+            t.nested_prefixes(&[vec![1, 3, 4], vec![2, 2, 4]]),
+            Err(TensorError::InvalidArgument(_))
+        ));
+        assert!(t.nested_prefixes(&[]).unwrap().is_empty());
+        // Equal boxes are legal: the later step's group is empty.
+        let cut = t
+            .nested_prefixes(&[vec![1, 2, 3], vec![1, 2, 3], vec![2, 3, 4]])
+            .unwrap();
+        assert_eq!(cut[0], cut[1]);
+        assert_eq!(cut[0].nnz(), 2);
+        // Step 2's entry [1,2,3] follows step 0's, whatever its tuple.
+        assert_eq!(cut[2].indices_flat(), &[0, 0, 0, 0, 1, 2, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_prefix_view_serialises_and_compares_as_the_entries_it_views() {
+        let mut b = SparseTensorBuilder::new(vec![4, 3, 3]);
+        for (e, idx) in [[3, 0, 0], [0, 2, 2], [1, 1, 0], [0, 0, 1], [2, 2, 2]]
+            .iter()
+            .enumerate()
+        {
+            b.push(idx, 0.25 + e as f64).unwrap();
+        }
+        let full = b.build().unwrap();
+        let cut = full
+            .nested_prefixes(&[vec![2, 3, 2], vec![3, 3, 3], vec![4, 3, 3]])
+            .unwrap();
+        let view = &cut[1];
+        // The view ends before its store does.
+        assert!(view.values.len() > view.nnz());
+        let owned = Entries {
+            indices: view.indices_flat().to_vec(),
+            values: view.values().to_vec(),
+        }
+        .into_tensor(view.shape().to_vec());
+        assert_eq!(view, &owned);
+        assert_eq!(format!("{view:?}"), format!("{owned:?}"));
+        let json = serde_json::to_string(view).unwrap();
+        assert_eq!(json, serde_json::to_string(&owned).unwrap());
+        assert_eq!(
+            json,
+            r#"{"shape":[3,3,3],"indices":[0,0,1,1,1,0,0,2,2,2,2,2],"values":[3.25,2.25,1.25,4.25]}"#
+        );
+        assert_eq!(serde_json::from_str::<SparseTensor>(&json).unwrap(), owned);
+    }
+
+    #[test]
+    fn a_builder_reads_a_shared_prefix_view_as_the_entries_it_views() {
+        let cut = small()
+            .nested_prefixes(&[vec![1, 2, 3], vec![2, 3, 4]])
+            .unwrap();
+        let view = &cut[0];
+        let owned = Entries {
+            indices: view.indices_flat().to_vec(),
+            values: view.values().to_vec(),
+        }
+        .into_tensor(view.shape().to_vec());
+        let round = |base: &SparseTensor| {
+            let mut b = SparseTensorBuilder::on(base.clone()).unwrap();
+            // Shares the store; the entries past the view are not read.
+            assert!(Arc::ptr_eq(&b.base.values, &base.values));
+            b.push(&[0, 1, 2], 0.5).unwrap();
+            b.push(&[0, 0, 1], 4.0).unwrap();
+            b.push(&[0, 0, 0], -1.0).unwrap();
+            b.build().unwrap()
+        };
+        let t = round(view);
+        assert_eq!(t, round(&owned));
+        assert_eq!(t.indices_flat(), &[0, 0, 1, 0, 1, 2]);
+        assert_eq!(t.values(), &[4.0, -2.5]);
+        // Gathered into a store of its own, at its exact size.
+        assert_eq!((t.values.len(), t.values.capacity()), (2, 2));
     }
 
     #[test]

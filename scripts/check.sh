@@ -101,12 +101,15 @@ if ! grep -qE '^clothing_rows .* stream .* gather_skipped=[1-9]' "$routes"; then
   echo "the Clothing routing audit gathers every owned row" >&2
   exit 1
 fi
-# The generator at the benchmark's scale: one fingerprint line per workload
-# (FNV-1a of the generated tensor's coordinates and value bits, and each
-# snapshot's nnz).  Diff them against a parent build's to show a builder or
-# sampler change leaves the generated bits alone.
-if [ "$(grep -cE '^(clothing_rows|netflix_nnz|synthetic_fine) seed=1 generated nnz=[0-9]+ tensor=[0-9a-f]{16} snapshot_nnz=\[' "$routes")" -ne 3 ]; then
-  echo "the routing audit fingerprints fewer than the three generated workloads" >&2
+# The generator and the stream cut at the benchmark's scale: one
+# fingerprint line per workload (FNV-1a of the generated tensor's
+# coordinates and value bits, and each snapshot's nnz), equal to the
+# checked-in text.  A builder or sampler change that moves a generated bit,
+# or a cut that drops or duplicates an entry, fails here; a change meant to
+# move them rewrites scripts/generated_seed1.txt and says why.
+if ! grep -E '^(clothing_rows|netflix_nnz|synthetic_fine) seed=1 generated ' "$routes" |
+  diff - scripts/generated_seed1.txt; then
+  echo "the generated workloads or their snapshots differ from scripts/generated_seed1.txt" >&2
   exit 1
 fi
 rm "$routes"
@@ -155,7 +158,7 @@ echo "==> interprocedural audits (dismastd-xtask: collective-order, panic-budget
 # gram / exchange kernels (L8).
 cargo run -q -p dismastd-xtask -- analyze
 
-echo "==> allocation audits (count-alloc feature: zero allocations after warm-up; warm-ingest bytes independent of the resident block; serial dtd iterations allocation-free; resident bytes per nonzero; a plan over long modes built from its entries)"
+echo "==> allocation audits (count-alloc feature: zero allocations after warm-up; warm-ingest bytes independent of the resident block; serial dtd iterations allocation-free; a stream cut holds nnz_T x 20 B + T x TENSOR_SLACK; a plan over long modes built from its entries)"
 # The dynamic twin of L8: a counting global allocator measures a full
 # gram -> all-reduce -> row-exchange round, and a refresh-carrying-Gram-
 # slices -> fence -> partials-carrying-reduced-slices round, on every rank
@@ -165,7 +168,8 @@ echo "==> allocation audits (count-alloc feature: zero allocations after warm-up
 # arrivals, and a serial dtd of six iterations makes the allocator calls
 # of one of two (solve + Gram work in kept buffers).  Its process-wide
 # live-bytes gauge pins the memory model: a stream cut holds 20 B per
-# order-3 nonzero and nothing else that scales, and a warm ingest peaks at
+# order-3 nonzero of its last snapshot, once (every snapshot is a prefix
+# of one store), and returns every byte when dropped; a warm ingest peaks at
 # complement + plan + O(rows x R) above its inputs.  And a plan's build is
 # sized by its entries, not by its modes' lengths, so one plan per grid
 # cell does not cost cells x sum(shape).

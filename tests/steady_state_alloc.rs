@@ -28,7 +28,7 @@
 use dismastd_cluster::{decode_rows_and_tail, BufferPool, Cluster, ClusterError, Payload};
 use dismastd_obs::alloc::{
     allocated_bytes, allocation_count, live_bytes, peak_live_bytes, reset_peak_live_bytes,
-    CountingAlloc,
+    thread_held_bytes, CountingAlloc,
 };
 use dismastd_tensor::Matrix;
 use std::sync::{PoisonError, RwLock};
@@ -612,17 +612,18 @@ fn a_plan_over_long_modes_is_built_from_its_entries() {
 
 /// What a builder holds at its peak, per order-3 entry: its flat staging
 /// (`3·4 + 8 = 20` B) and, while it sorts, one 16-byte key beside its
-/// value, or, while it gathers, the built tensor's 20 B — 40 B.  A builder
-/// that held the key and the tensor together held 56 B; the
-/// `(Vec<usize>, f64)` builder before it held 96 B (a 32-byte tuple, a
-/// 24-byte heap coordinate, the merged buffers and their zero-compacted
-/// copy), so the bound tells all three apart.
+/// value — 36 B; the resolved staging is the built tensor.  A builder that
+/// gathered its output into a second buffer held 40 B, one that held the
+/// key and the tensor together 56 B, and the `(Vec<usize>, f64)` builder
+/// before them 96 B (a 32-byte tuple, a 24-byte heap coordinate, the
+/// merged buffers and their zero-compacted copy), so the bound tells all
+/// four apart.
 #[test]
 fn a_builder_holds_its_flat_staging_a_sort_key_and_the_tensor() {
     use dismastd_tensor::SparseTensorBuilder;
 
     let _alone = GAUGE.write().unwrap_or_else(PoisonError::into_inner);
-    const PER_ENTRY_BOUND: usize = 48;
+    const PER_ENTRY_BOUND: usize = 38;
     let n = 200_000usize;
     let shape = [24_000usize, 5_400, 1_400];
     reset_peak_live_bytes();
@@ -650,9 +651,9 @@ fn a_builder_holds_its_flat_staging_a_sort_key_and_the_tensor() {
 
 /// The memory model, in bytes held (order 3: `3·4 + 8 = 20` B per nonzero):
 ///
-/// * a [`StreamSequence::cut`] holds its snapshots' nonzeros and nothing
-///   that scales with them — `restrict` hands back the capacity it did not
-///   use;
+/// * a [`StreamSequence::cut`] holds its last snapshot's nonzeros once —
+///   every snapshot is a prefix of one store — plus a shape per snapshot,
+///   and dropping it returns every byte;
 /// * `complement` grows its output by push, so it holds between one and
 ///   two times the entries it kept;
 /// * a warm serial `ingest` peaks at the complement, its MTTKRP plan and
@@ -692,21 +693,34 @@ fn resident_bytes_follow_the_memory_model() {
     let sparse_full = stream(8);
     let dense_full = stream(2);
 
-    // A cut holds its payload.
+    // A cut holds `nnz_T · 20 B`, not `Σₜ nnzₜ · 20 B`.
     let fractions = [0.5, 0.75, 0.9, 1.0];
-    let before = live_bytes();
+    let slack = fractions.len() * TENSOR_SLACK;
+    // Counted on this thread alone: the cut runs here, while the
+    // harness's threads may allocate beside it.
+    let before = thread_held_bytes();
     let seq = StreamSequence::cut(&dense_full, &fractions).unwrap();
-    let held = live_bytes() - before;
-    let payload: usize = seq.iter().map(|s| s.nnz() * NNZ_BYTES).sum();
+    let held = usize::try_from(thread_held_bytes() - before).unwrap();
+    let payload = seq.snapshot(fractions.len() - 1).nnz() * NNZ_BYTES;
+    let nested: usize = seq.iter().map(|s| s.nnz() * NNZ_BYTES).sum();
     assert!(
         payload > 1_000_000,
         "large enough that slack cannot hide a leak"
     );
     assert!(
-        (payload..=payload + fractions.len() * TENSOR_SLACK).contains(&held),
+        nested > payload + slack,
+        "the bound must be able to tell one store from a copy per snapshot"
+    );
+    assert!(
+        (payload..=payload + slack).contains(&held),
         "cut holds {held} B for {payload} B of nonzeros"
     );
     drop(seq);
+    assert_eq!(
+        thread_held_bytes(),
+        before,
+        "a dropped cut hands back every byte"
+    );
 
     // A complement holds one to two times what it kept.
     reset_peak_live_bytes();
@@ -758,11 +772,12 @@ fn resident_bytes_follow_the_memory_model() {
 }
 
 /// Generating a Zipf dataset requests, per final nonzero, one build of the
-/// first round's draws — flat staging, a sort key and the output, 56 B per
-/// order-3 draw — plus, per top-up round, one merged copy of the stored
-/// tensor (20 B) and that round's few draws: 157.4 B on this spec.  A
-/// generator that re-stages every stored entry each round pays the 56 B
-/// again per round: 334.6 B.
+/// first round's draws — flat staging and a sort key, 36 B per order-3
+/// draw — plus, per top-up round, the stored tensor grown in place (the
+/// allocator is asked for the grown size, 20 B) and that round's few
+/// draws: 158.6 B on this spec (157.4 when each round gathered into a
+/// fresh buffer).  A generator that re-stages every stored entry each
+/// round pays a whole build again per round: 334.6 B.
 #[test]
 fn generating_a_zipf_dataset_stages_each_draw_once() {
     let _shared = GAUGE.read().unwrap_or_else(PoisonError::into_inner);
