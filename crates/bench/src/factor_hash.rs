@@ -30,9 +30,11 @@
 //! rows and the skipped rows over the stream.  Ahead of a workload's lines
 //! a `generated` line pins the generator at full scale: an FNV-1a fold of
 //! the generated tensor's coordinates and value bits, and each snapshot's
-//! nnz.
+//! nnz.  After them a `resident_read` line counts, per step of one serial
+//! session over the stream, the snapshot entries `ingest` read before and
+//! after the solve.
 
-use dismastd_core::{decompose, dtd, ClusterConfig, DecompConfig};
+use dismastd_core::{decompose, dtd, ClusterConfig, DecompConfig, ExecutionMode, StreamingSession};
 use dismastd_data::{DatasetSpec, StreamSequence};
 use dismastd_partition::GridPartition;
 use dismastd_tensor::{Matrix, Result, SparseTensor};
@@ -520,8 +522,35 @@ pub fn routing_lines(seed: u64) -> Result<(Vec<String>, usize)> {
                 grid_list(totals.into_iter())
             ));
         }
+        lines.push(resident_reads(name, seed, &stream)?);
     }
     Ok((lines, failed))
+}
+
+/// The `resident_read` line: one serial session over `stream`, collecting
+/// metrics, and per step the entries its `ingest` read to validate, to
+/// take the complement and to score the fit (`ingest/resident_read`
+/// labels 0 / 1 / 2, as `validate/complement/fit`), beside the
+/// complement's nnz.  On a stream's snapshots a warm step validates and
+/// takes the complement from what arrived alone, so its first two equal
+/// its complement nnz.  One iteration per step: the reads do not depend on
+/// the solve.
+fn resident_reads(name: &str, seed: u64, stream: &StreamSequence) -> Result<String> {
+    let cfg = DecompConfig::default().with_max_iters(1);
+    let mut session = StreamingSession::new(cfg, ExecutionMode::Serial);
+    session.set_collect_metrics(true);
+    let (mut reads, mut complement_nnz) = (Vec::new(), Vec::new());
+    for snapshot in stream.iter() {
+        let report = session.ingest(snapshot)?;
+        let metrics = report.metrics.unwrap_or_default();
+        let read = |label| metrics.counter_at("ingest/resident_read", label);
+        reads.push(format!("{}/{}/{}", read(0), read(1), read(2)));
+        complement_nnz.push(report.processed_nnz);
+    }
+    Ok(format!(
+        "{name} seed={seed} resident_read=[{}] complement_nnz={complement_nnz:?}",
+        reads.join(" ")
+    ))
 }
 
 /// FNV-1a over a tensor's shape, every stored coordinate and every value's
@@ -577,7 +606,8 @@ mod tests {
     /// decomposition of a later snapshot plans its MTTKRP over that order
     /// too, so its factors move by rounding.  The lines pin both sides'
     /// bits: per dataset the fold of every step's fit and the hash of a
-    /// static `cp_als` of the last-but-one snapshot.
+    /// static `cp_als` of the last-but-one snapshot.  The fits agree within
+    /// [`STREAM_FIT_BOUND`] of the residual ratio.
     #[test]
     fn what_an_arrival_ordered_stream_moves_is_pinned() {
         use dismastd_core::{als::cp_als, ExecutionMode, StreamingSession};
@@ -605,14 +635,17 @@ mod tests {
             for (t, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(g.processed_nnz, w.processed_nnz);
                 assert_eq!(g.loss.to_bits(), w.loss.to_bits(), "{} step {t}", spec.name);
-                let rel = (g.fit - w.fit).abs() / w.fit.abs();
                 assert!(
-                    rel <= 1e-12,
+                    (g.fit - w.fit).abs() <= STREAM_FIT_BOUND * (1.0 - w.fit),
                     "{} step {t}: fit {} vs {}",
                     spec.name,
                     g.fit,
                     w.fit
                 );
+                // These streams' fits read the model, so the fit-relative
+                // form holds here too (it does not on `synthetic_fine`).
+                let rel = (g.fit - w.fit).abs() / w.fit.abs();
+                assert!(rel <= 1e-12, "{} step {t}: fit relative {rel}", spec.name);
                 if t == 0 {
                     assert_eq!(
                         g.fit.to_bits(),
@@ -647,6 +680,14 @@ mod tests {
         }
         assert_eq!(lines, STREAM_GOLDEN, "\n{}", lines.join("\n"));
     }
+
+    /// The bound a stream's warm-step fit holds against the `restrict`
+    /// cut's, relative to `1 − fit`: the two add `‖X‖²` and `⟨X, Y⟩` in
+    /// other orders, which moves the residual ratio `‖X − Y‖ / ‖X‖ = 1 −
+    /// fit` by rounding, whatever the fit.  Relative to the fit itself no
+    /// such bound holds where the model explains almost nothing: a fit of
+    /// 1.5e-4 (`synthetic_fine`) makes one ulp of the ratio 1.4e-12 of it.
+    const STREAM_FIT_BOUND: f64 = 1e-12;
 
     const STREAM_GOLDEN: [&str; 3] = [
         "Clothing  fits=6212ad248d599a75 (restrict cut e5776d255867adb5) static=c45b9cc415f76352 (restrict cut b1b05a73f7c4b0d3)",

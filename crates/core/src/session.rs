@@ -34,8 +34,8 @@ use dismastd_cluster::{ClusterOptions, CommStatsSnapshot, HealAction, HealPolicy
 use dismastd_obs::MetricsSnapshot;
 use dismastd_tensor::matrix::Matrix;
 use dismastd_tensor::{
-    KruskalTensor, NumericsReport, Result, SparseTensor, SparseTensorBuilder, TensorError,
-    ValidationMode,
+    KruskalTensor, NumericsReport, PrefixMark, Result, SparseTensor, SparseTensorBuilder,
+    TensorError, ValidationMode,
 };
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -218,6 +218,11 @@ pub struct StreamingSession {
     /// surface from [`StreamingSession::ingest`].  Runtime-only: per-rank
     /// budgets belong to this process's cluster, not to a checkpoint.
     supervisor: Option<Supervisor>,
+    /// Where the committed snapshot ends in its store, and its `‖X‖²` —
+    /// kept when its validation borrowed it (nothing was quarantined), so
+    /// a snapshot extending it is read from the mark on.  Runtime-only,
+    /// never checkpointed: a restored session's first step scans.
+    last: Option<(PrefixMark, f64)>,
 }
 
 impl StreamingSession {
@@ -234,6 +239,7 @@ impl StreamingSession {
             comm_totals: CommStatsSnapshot::default(),
             collect_metrics: false,
             supervisor: None,
+            last: None,
         }
     }
 
@@ -371,6 +377,7 @@ impl StreamingSession {
             comm_totals: ckpt.comm_totals,
             collect_metrics: false,
             supervisor: None,
+            last: None,
         })
     }
 
@@ -494,12 +501,21 @@ impl StreamingSession {
     /// snapshot triggers a full decomposition, later ones run DTD over the
     /// complement only.
     ///
-    /// A warm step reads the resident snapshot three times, read-only, and
-    /// otherwise costs `O(nnz(X \ X̃))` in time and allocation: the value
-    /// buffer once (validation and `‖X‖²` together), the index buffer once
-    /// ([`SparseTensor::complement`]), and one `⟨X, Y⟩` pass after the solve
-    /// — the price of [`StepReport::fit`] being the exact fit against the
-    /// full snapshot, with the bits of [`KruskalTensor::fit`].  Inside the
+    /// A warm step on a snapshot that extends the committed one in its
+    /// store — the next snapshot of a `StreamSequence` — reads the
+    /// resident snapshot once, read-only, and otherwise costs
+    /// `O(nnz(X \ X̃))` in time and allocation: the complement is the
+    /// store's entries past the committed prefix
+    /// ([`SparseTensor::since`]), validation reads only them, and `‖X‖²`
+    /// is the committed snapshot's, folded on over them in stored order
+    /// (the additions a whole-snapshot pass makes, so the same bits).  The
+    /// one read is the `⟨X, Y⟩` pass after the solve — the price of
+    /// [`StepReport::fit`] being the exact fit against the full snapshot,
+    /// with the bits of [`KruskalTensor::fit`].  Any other snapshot (the
+    /// first, one after a restore or a quarantine, or a tensor with a
+    /// store of its own) is read twice more before the solve: its value
+    /// buffer for validation and `‖X‖²`, its index buffer for
+    /// [`SparseTensor::complement`].  Both ways give the same bits.  Inside the
     /// solve, an ALS iteration pays `O(T_n·R² + R³)` per mode for the row
     /// updates and Grams, `T_n` the rows the loop solves — every new row
     /// and each old row some complement nonzero references.  An old row
@@ -580,10 +596,17 @@ impl StreamingSession {
             }
         }
 
-        // ---- validated ingest: the one pass over the value buffer --------
-        let (snapshot, quarantined, snapshot_norm_sq) = {
-            let _s = dismastd_obs::span("phase/validate");
-            validate_snapshot(snapshot, self.cfg.numerics.validation)?
+        // ---- validated ingest: what arrived, or one pass over the values --
+        let input = snapshot;
+        let (arrived, (snapshot, quarantined, snapshot_norm_sq)) = match self.arrivals(input)? {
+            Some((delta, norm_sq)) => (Some(delta), (Cow::Borrowed(input), 0, norm_sq)),
+            None => {
+                let _s = dismastd_obs::span("phase/validate");
+                (
+                    None,
+                    validate_snapshot(input, self.cfg.numerics.validation)?,
+                )
+            }
         };
         if quarantined > 0 {
             dismastd_obs::counter_add("ingest/quarantined", quarantined);
@@ -597,13 +620,16 @@ impl StreamingSession {
         }
 
         // The tensor the solver actually sees: the full snapshot on a cold
-        // start, the relative complement `X \ X̃` afterwards — one pass over
-        // the index buffer that copies only what arrived.
-        let work: Cow<'_, SparseTensor> = if cold_start {
-            Cow::Borrowed(snapshot)
-        } else {
-            let _s = dismastd_obs::span("phase/complement");
-            Cow::Owned(snapshot.complement(&self.shape)?)
+        // start, the relative complement `X \ X̃` afterwards — what arrived,
+        // or one pass over the index buffer that copies only that.
+        let work: Cow<'_, SparseTensor> = match arrived {
+            Some(delta) => Cow::Owned(delta),
+            None if cold_start => Cow::Borrowed(snapshot),
+            None => {
+                let _s = dismastd_obs::span("phase/complement");
+                resident_read(READ_COMPLEMENT, snapshot);
+                Cow::Owned(snapshot.complement(&self.shape)?)
+            }
         };
         let processed_nnz = work.nnz();
 
@@ -674,6 +700,7 @@ impl StreamingSession {
             if snapshot.is_empty() {
                 1.0
             } else {
+                resident_read(READ_FIT, snapshot);
                 fit_given_norm(&outcome.kruskal, snapshot, snapshot_norm_sq)?
             }
         };
@@ -708,6 +735,9 @@ impl StreamingSession {
         self.factors = Some(outcome.kruskal);
         self.shape = snapshot.shape().to_vec();
         self.step += 1;
+        // A quarantined step decomposed a rebuilt copy, not `input`'s
+        // prefix: its successor scans.
+        self.last = (quarantined == 0).then(|| (input.mark(), snapshot_norm_sq));
         Ok(report)
     }
 
@@ -763,6 +793,45 @@ impl StreamingSession {
             let _replay = dismastd_obs::span("heal/replay");
             result = self.decompose_once(work, cfg);
         }
+    }
+
+    /// What arrived since the committed snapshot, when `snapshot` extends
+    /// it in its store: the entries past its mark, validated, and `‖X‖²`
+    /// folded on over them from the committed snapshot's.  `None` sends
+    /// the step down the scan of the whole snapshot: no mark (a first,
+    /// restored or resumed session, or a step after a quarantine), another
+    /// store, or a non-finite arrival under `Quarantine`, which the scan
+    /// rebuilds away.  Errors as the scan's validation does under `Strict`.
+    fn arrivals(&self, snapshot: &SparseTensor) -> Result<Option<(SparseTensor, f64)>> {
+        let Some((mark, committed_norm_sq)) = &self.last else {
+            return Ok(None);
+        };
+        let delta = {
+            let span = dismastd_obs::span("phase/complement");
+            let Some(delta) = snapshot.since(mark) else {
+                // Another store: the scan's own span times its complement,
+                // and the step records one.
+                std::mem::forget(span);
+                return Ok(None);
+            };
+            resident_read(READ_COMPLEMENT, &delta);
+            delta
+        };
+        debug_assert!(
+            snapshot.complement(&self.shape).is_ok_and(|c| {
+                // Bit for bit: a NaN arrival is equal to itself here.
+                let bits = |t: &SparseTensor| -> Vec<u64> {
+                    t.values().iter().map(|v| v.to_bits()).collect()
+                };
+                c.shape() == delta.shape()
+                    && c.indices_flat() == delta.indices_flat()
+                    && bits(&c) == bits(&delta)
+            }),
+            "the entries past the committed prefix are the complement"
+        );
+        let _s = dismastd_obs::span("phase/validate");
+        let norm_sq = fold_norm_sq(&delta, self.cfg.numerics.validation, *committed_norm_sq)?;
+        Ok(norm_sq.map(|norm_sq| (delta, norm_sq)))
     }
 
     /// Workers the next decomposition runs on.
@@ -844,8 +913,22 @@ fn validate_snapshot(
     snapshot: &SparseTensor,
     mode: ValidationMode,
 ) -> Result<(Cow<'_, SparseTensor>, u64, f64)> {
-    let mut norm_sq = 0.0;
-    for (idx, v) in snapshot.iter() {
+    match fold_norm_sq(snapshot, mode, 0.0)? {
+        Some(norm_sq) => Ok((Cow::Borrowed(snapshot), 0, norm_sq)),
+        None => quarantine_snapshot(snapshot),
+    }
+}
+
+/// `from` plus the square of each of `x`'s values, added in stored order,
+/// with each value checked under `mode` on the way: `Strict` errors at the
+/// first non-finite one, naming its coordinate, `Quarantine` stops there
+/// with `None` (the caller rebuilds), `Off` adds everything.  Folding a
+/// snapshot's prefix and then, from that sum, the rest makes the additions
+/// folding the whole snapshot makes, so it gives the same bits.
+fn fold_norm_sq(x: &SparseTensor, mode: ValidationMode, from: f64) -> Result<Option<f64>> {
+    resident_read(READ_VALIDATE, x);
+    let mut norm_sq = from;
+    for (idx, v) in x.iter() {
         if mode != ValidationMode::Off && !v.is_finite() {
             if mode == ValidationMode::Strict {
                 return Err(TensorError::NonFiniteValue {
@@ -853,16 +936,29 @@ fn validate_snapshot(
                     value: v,
                 });
             }
-            return quarantine_snapshot(snapshot);
+            return Ok(None);
         }
         norm_sq += v * v;
     }
-    Ok((Cow::Borrowed(snapshot), 0, norm_sq))
+    Ok(Some(norm_sq))
+}
+
+/// `ingest/resident_read` labels: the passes a step makes over entries of
+/// the snapshot it was handed, or of what arrived in it — validation (and
+/// `‖X‖²`), the complement, and the fit's `⟨X, Y⟩`.
+const READ_VALIDATE: u64 = 0;
+const READ_COMPLEMENT: u64 = 1;
+const READ_FIT: u64 = 2;
+
+/// Counts one pass over `x`'s entries under `label`.
+fn resident_read(label: u64, x: &SparseTensor) {
+    dismastd_obs::counter_add_with("ingest/resident_read", label, x.nnz() as u64);
 }
 
 /// The `Quarantine` slow path, taken once a non-finite value has been seen:
 /// rebuilds the snapshot without such entries and measures the clean copy.
 fn quarantine_snapshot(snapshot: &SparseTensor) -> Result<(Cow<'_, SparseTensor>, u64, f64)> {
+    resident_read(READ_VALIDATE, snapshot);
     let mut b = SparseTensorBuilder::with_capacity(snapshot.shape().to_vec(), snapshot.nnz())
         .with_validation(ValidationMode::Quarantine);
     let mut wide = vec![0usize; snapshot.order()];
@@ -1700,6 +1796,149 @@ mod tests {
             assert!(matches!(t, Cow::Borrowed(_)));
             assert_eq!(norm_sq.to_bits(), clean_in.norm_sq().to_bits());
         }
+    }
+
+    /// [`snapshot_pair`]'s full tensor, plus `bad` at `[9, 8, 6]` when
+    /// given, cut by `nested_prefixes` into four steps; `[9, 8, 6]` arrives
+    /// at step 2.  Returns the shared views and an owned copy of each —
+    /// the same entries in the same order, in a store of its own.
+    fn four_steps(bad: Option<f64>) -> (Vec<SparseTensor>, Vec<SparseTensor>) {
+        let (_, full) = snapshot_pair();
+        let mut b = SparseTensorBuilder::on(full.clone()).unwrap();
+        if let Some(bad) = bad {
+            assert_eq!(full.get(&[9, 8, 6]).unwrap(), 0.0, "a free coordinate");
+            b.push(&[9, 8, 6], bad).unwrap();
+        }
+        let boxes = [vec![7, 7, 6], vec![8, 8, 7], vec![10, 9, 7], vec![10, 9, 8]];
+        let shared = b.build().unwrap().nested_prefixes(&boxes).unwrap();
+        let owned = shared
+            .iter()
+            .map(|s| SparseTensor::try_from(&s.to_value()).unwrap())
+            .collect();
+        (shared, owned)
+    }
+
+    /// `ingest/resident_read` of a step, labels 0 / 1 / 2.
+    fn resident_reads(report: &StepReport) -> [u64; 3] {
+        let m = report.metrics.as_ref().expect("collected");
+        [0, 1, 2].map(|label| m.counter_at("ingest/resident_read", label))
+    }
+
+    /// Every bit a step reports and the factors it leaves.
+    fn step_bits(report: &StepReport, sess: &StreamingSession) -> Vec<u64> {
+        let mut bits = vec![
+            report.fit.to_bits(),
+            report.loss.to_bits(),
+            report.processed_nnz as u64,
+            report.snapshot_nnz as u64,
+            report.quarantined,
+        ];
+        for f in sess.factors().unwrap().factors() {
+            bits.extend(f.as_slice().iter().map(|v| v.to_bits()));
+        }
+        bits
+    }
+
+    fn validating(validation: ValidationMode, mode: &ExecutionMode) -> StreamingSession {
+        let mut cfg = cfg();
+        cfg.numerics.validation = validation;
+        let mut sess = StreamingSession::new(cfg, mode.clone());
+        sess.set_collect_metrics(true);
+        sess
+    }
+
+    #[test]
+    fn strict_names_a_non_finite_arrival_and_the_session_goes_on() {
+        let (shared, _) = four_steps(Some(f64::NAN));
+        let (clean, _) = four_steps(None);
+        let mut sess = validating(ValidationMode::Strict, &ExecutionMode::Serial);
+        sess.ingest(&shared[0]).unwrap();
+        let warm = sess.ingest(&shared[1]).unwrap();
+        let arrived = warm.processed_nnz as u64;
+        assert_eq!(
+            resident_reads(&warm)[..2],
+            [arrived, arrived],
+            "read the arrivals"
+        );
+        match sess.ingest(&shared[2]) {
+            Err(TensorError::NonFiniteValue { index, value }) => {
+                assert_eq!(index, vec![9, 8, 6]);
+                assert!(value.is_nan());
+            }
+            other => panic!("expected NonFiniteValue, got {other:?}"),
+        }
+        assert_eq!(sess.steps(), 2, "the refused step committed nothing");
+        // The next valid ingest — another store, so a scan — lands where a
+        // session that never saw the NaN lands.
+        let mut reference = validating(ValidationMode::Strict, &ExecutionMode::Serial);
+        let mut want = None;
+        for t in [0, 1, 3] {
+            want = Some(reference.ingest(&clean[t]).unwrap());
+        }
+        let got = sess.ingest(&clean[3]).unwrap();
+        assert_eq!(
+            step_bits(&got, &sess),
+            step_bits(&want.unwrap(), &reference)
+        );
+    }
+
+    #[test]
+    fn quarantine_drops_a_non_finite_arrival_as_the_scan_does_then_scans() {
+        let (shared, owned) = four_steps(Some(f64::NAN));
+        for mode in [
+            ExecutionMode::Serial,
+            ExecutionMode::Distributed(ClusterConfig::new(2)),
+        ] {
+            let mut on_store = validating(ValidationMode::Quarantine, &mode);
+            let mut on_copies = validating(ValidationMode::Quarantine, &mode);
+            for (t, (s, o)) in shared.iter().zip(&owned).enumerate() {
+                let got = on_store.ingest(s).unwrap();
+                let want = on_copies.ingest(o).unwrap();
+                assert_eq!(
+                    step_bits(&got, &on_store),
+                    step_bits(&want, &on_copies),
+                    "{mode:?} step {t}"
+                );
+                assert_eq!(got.quarantined, u64::from(t >= 2), "step {t}");
+                // Step 1 reads what arrived; step 2 falls back to the scan
+                // after reading it, and step 3, after a quarantine, scans.
+                let arrived = got.processed_nnz as u64;
+                let snapshot = s.nnz() as u64;
+                let reads = resident_reads(&got);
+                match t {
+                    1 => assert_eq!(reads[..2], [arrived, arrived]),
+                    2 => assert_eq!(reads[0], (arrived + 1) + 2 * snapshot),
+                    3 => assert_eq!(reads[0], 2 * snapshot, "a rebuild after the scan"),
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn off_folds_a_nan_arrival_into_the_norm_as_the_whole_fold_does() {
+        let (shared, owned) = four_steps(Some(f64::NAN));
+        let mut on_store = validating(ValidationMode::Off, &ExecutionMode::Serial);
+        let mut on_copies = validating(ValidationMode::Off, &ExecutionMode::Serial);
+        for t in 0..2 {
+            on_store.ingest(&shared[t]).unwrap();
+            on_copies.ingest(&owned[t]).unwrap();
+        }
+        // The suffix passes unjudged, and `‖X‖²` folded on over it from the
+        // committed snapshot's is the whole snapshot's fold, NaN bits and
+        // all.
+        let (delta, norm_sq) = on_store.arrivals(&shared[2]).unwrap().unwrap();
+        let complement = shared[2].complement(shared[1].shape()).unwrap();
+        assert_eq!(delta.indices_flat(), complement.indices_flat());
+        let whole = fold_norm_sq(&owned[2], ValidationMode::Off, 0.0).unwrap();
+        assert!(norm_sq.is_nan());
+        assert_eq!(Some(norm_sq.to_bits()), whole.map(f64::to_bits));
+        // The solver cannot decompose the NaN: both ways refuse the step
+        // alike and stay where they were.
+        let got = on_store.ingest(&shared[2]).unwrap_err();
+        let want = on_copies.ingest(&owned[2]).unwrap_err();
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        assert_eq!((on_store.steps(), on_copies.steps()), (2, 2));
     }
 
     #[test]

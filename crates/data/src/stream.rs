@@ -17,6 +17,13 @@
 //! full tensor per fraction gives (lexicographic, for a built tensor); a
 //! whole snapshot `t > 0` holds the same entries in arrival order, so a
 //! sum over it (`‖X‖²`, `⟨X, Y⟩`) adds them in that order.
+//!
+//! That complement is also the store's entries between snapshot `t − 1`'s
+//! prefix and snapshot `t`'s ([`SparseTensor::since`]).  A
+//! `StreamingSession` fed these snapshots in order reads each warm step's
+//! arrivals from there, without scanning the prefix: validation and the
+//! complement cost what arrived, and `‖X‖²` is carried forward and folded
+//! on over the arrivals, in the stored order a whole-snapshot sum takes.
 
 use dismastd_tensor::{Result, SparseTensor, TensorError};
 

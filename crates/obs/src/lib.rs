@@ -452,6 +452,14 @@ impl MetricsSnapshot {
             .sum()
     }
 
+    /// The named counter's value under one label (`0` when not recorded).
+    pub fn counter_at(&self, name: &str, label: u64) -> u64 {
+        self.counters
+            .iter()
+            .find(|c| c.name == name && c.label == label)
+            .map_or(0, |c| c.value)
+    }
+
     /// The named histogram, if recorded.
     pub fn histogram(&self, name: &str) -> Option<&HistogramStat> {
         self.histograms.iter().find(|h| h.name == name)

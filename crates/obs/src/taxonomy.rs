@@ -73,7 +73,11 @@ pub const COUNTERS: &[&str] = &[
     "heal/degraded",
     "heal/giveup",
     "heal/respawn",
+    // ingest family: entries dropped by validation, and the entries of
+    // the snapshot (or of what arrived in it) a step read, per pass
+    // (label 0/1/2 = validate/complement/fit).
     "ingest/quarantined",
+    "ingest/resident_read",
     // plan family: the step-local placement memo's traffic (cells reused
     // by a retry / cells compiled).
     "plan/cache_hit",

@@ -11,13 +11,15 @@
 //! The two buffers are one shared, immutable store, and a tensor views a
 //! prefix of it: the nested snapshots of a stream
 //! ([`SparseTensor::nested_prefixes`]) are prefixes of one arrival-ordered
-//! store, so a stream holds each nonzero once.
+//! store, so a stream holds each nonzero once.  A [`PrefixMark`] remembers
+//! where one view ends, and [`SparseTensor::since`] hands a later view's
+//! entries past it — on a stream, what arrived in between.
 
 use crate::error::{Result, TensorError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// An `N`-th order sparse tensor in coordinate format.
 ///
@@ -46,6 +48,16 @@ pub struct SparseTensor {
     indices: Arc<Vec<u32>>,
     /// The store's values; this tensor views the first `nnz`.
     values: Arc<Vec<f64>>,
+    nnz: usize,
+}
+
+/// Where a tensor's view of its store ends ([`SparseTensor::mark`]): the
+/// store, held weakly — a mark does not keep a dropped store's buffers
+/// alive — and the number of entries viewed.
+#[derive(Debug, Clone)]
+pub struct PrefixMark {
+    indices: Weak<Vec<u32>>,
+    values: Weak<Vec<f64>>,
     nnz: usize,
 }
 
@@ -572,6 +584,43 @@ impl SparseTensor {
                 ..whole.clone()
             })
             .collect())
+    }
+
+    /// Where this tensor's view of its store ends, for a later
+    /// [`Self::since`].
+    pub fn mark(&self) -> PrefixMark {
+        PrefixMark {
+            indices: Arc::downgrade(&self.indices),
+            values: Arc::downgrade(&self.values),
+            nnz: self.nnz,
+        }
+    }
+
+    /// The entries this tensor views past `mark` — `[mark's nnz, nnz)`, in
+    /// stored order and this tensor's shape — copied in `O(entries)`
+    /// without reading the prefix; `None` unless `mark` was taken on this
+    /// tensor's store and viewed no more entries than this tensor does.
+    ///
+    /// Views share a store only through [`Self::nested_prefixes`] (and
+    /// `Clone`), where every entry past a snapshot's view arrived at a
+    /// later step and so lies outside that snapshot's box: past an earlier
+    /// snapshot's mark, a later one holds exactly its
+    /// [`Self::complement`] against the earlier shape, entry for entry and
+    /// in order.
+    pub fn since(&self, mark: &PrefixMark) -> Option<SparseTensor> {
+        // The mark's `Weak`s keep the store's allocations (not its buffers)
+        // reserved, so no later store can sit at an address it names.
+        let same_store = std::ptr::eq(mark.indices.as_ptr(), Arc::as_ptr(&self.indices))
+            && std::ptr::eq(mark.values.as_ptr(), Arc::as_ptr(&self.values));
+        if !same_store || mark.nnz > self.nnz {
+            return None;
+        }
+        let n = self.order();
+        let suffix = Entries {
+            indices: self.indices_flat()[mark.nnz * n..].to_vec(),
+            values: self.values()[mark.nnz..].to_vec(),
+        };
+        Some(suffix.into_tensor(self.shape.clone()))
     }
 
     /// Sum of all values (useful for sanity checks and tests).
@@ -1914,6 +1963,50 @@ mod tests {
         assert_eq!(t.values(), &[4.0, -2.5]);
         // Gathered into a store of its own, at its exact size.
         assert_eq!((t.values.len(), t.values.capacity()), (2, 2));
+    }
+
+    #[test]
+    fn the_entries_since_a_mark_are_the_complement_against_its_view() {
+        let mut b = SparseTensorBuilder::new(vec![4, 4, 3]);
+        for (e, idx) in [
+            [3, 0, 0],
+            [0, 2, 2],
+            [1, 1, 0],
+            [0, 0, 1],
+            [2, 3, 2],
+            [3, 3, 1],
+        ]
+        .iter()
+        .enumerate()
+        {
+            b.push(idx, 0.5 + e as f64).unwrap();
+        }
+        let full = b.build().unwrap();
+        let boxes = [vec![2, 3, 2], vec![2, 3, 2], vec![3, 4, 3], vec![4, 4, 3]];
+        let cut = full.nested_prefixes(&boxes).unwrap();
+        for (t, earlier) in cut.iter().enumerate() {
+            // Every later view, a skipped step and the view itself included.
+            for later in &cut[t..] {
+                let since = later.since(&earlier.mark()).unwrap();
+                assert_eq!(since, later.complement(earlier.shape()).unwrap());
+                assert_eq!(since.nnz(), later.nnz() - earlier.nnz());
+            }
+            for shorter in cut[..t].iter().filter(|s| s.nnz() < earlier.nnz()) {
+                assert!(shorter.since(&earlier.mark()).is_none(), "a longer mark");
+            }
+        }
+        // Equal entries in another store are another store.
+        let owned = Entries {
+            indices: cut[2].indices_flat().to_vec(),
+            values: cut[2].values().to_vec(),
+        }
+        .into_tensor(cut[2].shape().to_vec());
+        assert!(owned.since(&cut[1].mark()).is_none());
+        assert!(cut[3].since(&owned.mark()).is_none());
+        // A mark does not keep the store it names alive.
+        let mark = cut[1].mark();
+        drop(cut);
+        assert!(mark.values.upgrade().is_none() && mark.indices.upgrade().is_none());
     }
 
     #[test]

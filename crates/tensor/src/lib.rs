@@ -34,7 +34,7 @@ pub mod ops;
 pub mod pool;
 pub mod robust;
 
-pub use coo::{QuarantineCounts, SparseTensor, SparseTensorBuilder, ValidationMode};
+pub use coo::{PrefixMark, QuarantineCounts, SparseTensor, SparseTensorBuilder, ValidationMode};
 pub use dense::DenseTensor;
 pub use error::{Result, TensorError};
 pub use kruskal::KruskalTensor;

@@ -89,7 +89,7 @@ if ! grep -qE '^Clothing +untouched_rows=[1-9]' "$hash_dir/threads1"; then
 fi
 rm -r "$hash_dir"
 
-echo "==> routing audit (benchmark workloads at worlds 2 and 4: bytes counted = bytes the row routing predicts; generator fingerprints)"
+echo "==> routing audit (benchmark workloads at worlds 2 and 4: bytes counted = bytes the row routing predicts; generator fingerprints; warm steps read what arrived)"
 # Also prints, per step, the routed rows of every candidate worker grid and
 # where the chosen one ranks; exits non-zero on any step whose wire bytes
 # the routing does not predict, or whose placement no candidate grid
@@ -110,6 +110,27 @@ fi
 if ! grep -E '^(clothing_rows|netflix_nnz|synthetic_fine) seed=1 generated ' "$routes" |
   diff - scripts/generated_seed1.txt; then
   echo "the generated workloads or their snapshots differ from scripts/generated_seed1.txt" >&2
+  exit 1
+fi
+# A warm step reads only what arrived: on a stream's snapshots its
+# validation and its complement each read exactly its complement's entries
+# (`resident_read=[validate/complement/fit …]` beside `complement_nnz=[…]`,
+# one serial session over the stream).  A change to the cut, the store or
+# the session that silently sends warm steps back to scanning the whole
+# snapshot fails here, whatever the timings show.
+if ! awk '/^synthetic_fine seed=1 resident_read=/ {
+      seen++
+      r = $0; sub(/.*resident_read=\[/, "", r); sub(/\].*/, "", r)
+      c = $0; sub(/.*complement_nnz=\[/, "", c); sub(/\].*/, "", c); gsub(/,/, "", c)
+      steps = split(r, reads, " ")
+      if (split(c, nnz, " ") != steps || steps < 2) bad++
+      for (t = 2; t <= steps; t++) {
+        split(reads[t], x, "/")
+        if (x[1] != nnz[t] || x[2] != nnz[t]) bad++
+      }
+    }
+    END { exit (bad > 0 || seen != 1) }' "$routes"; then
+  echo "a synthetic_fine warm step read more than its complement to validate or to take it" >&2
   exit 1
 fi
 rm "$routes"

@@ -195,6 +195,106 @@ fn untouched_old_rows_are_counted_where_a_step_has_them() {
     }
 }
 
+/// Counters a warm step on a stream's snapshot may grow with the resident
+/// block — `(name, label, the roadmap item that removes it)`.  Every other
+/// counter must follow what arrived alone.
+const GROWS_WITH_THE_RESIDENT_BLOCK: &[(&str, u64, &str)] = &[(
+    "ingest/resident_read",
+    2,
+    "item 10 c: the exact fit reads the whole snapshot",
+)];
+
+/// Theorem 2 as counts, without a clock: keep the complement fixed, make
+/// the old block 2× and 4× denser, and see which counters of the warm step
+/// move.  On a stream's snapshots (prefix views of one store) validation
+/// and the complement read the arrivals alone, and nothing grows but the
+/// listed exceptions; on owned copies (a store per snapshot) both scan the
+/// snapshot.
+#[test]
+fn a_warm_steps_counters_follow_the_complement_not_the_resident_block() {
+    let _serial = serial();
+    let old_shape = [12usize, 10, 9];
+    let new_shape = [14usize, 12, 10];
+    // Every `stride`-th cell of the old box, every 5th cell outside it.
+    let full = |stride: usize| {
+        let mut b = SparseTensorBuilder::new(new_shape.to_vec());
+        let mut cell = 0usize;
+        for i in 0..new_shape[0] {
+            for j in 0..new_shape[1] {
+                for k in 0..new_shape[2] {
+                    cell += 1;
+                    let inside = i < old_shape[0] && j < old_shape[1] && k < old_shape[2];
+                    if cell.is_multiple_of(if inside { stride } else { 5 }) {
+                        b.push(&[i, j, k], 0.5 + (cell % 13) as f64 * 0.125)
+                            .unwrap();
+                    }
+                }
+            }
+        }
+        b.build().unwrap()
+    };
+    let cfg = cfg()
+        .with_tolerance(0.0)
+        .with_threads(ThreadPolicy::Fixed(1));
+    let warm = |old: &SparseTensor, new: &SparseTensor| {
+        let mut sess = StreamingSession::new(cfg, ExecutionMode::Serial);
+        sess.set_collect_metrics(true);
+        sess.ingest(old).unwrap();
+        let report = sess.ingest(new).unwrap();
+        let m = report.metrics.expect("metrics were collected");
+        let reads = [0, 1, 2].map(|label| m.counter_at("ingest/resident_read", label));
+        (
+            report.processed_nnz as u64,
+            report.snapshot_nnz as u64,
+            reads,
+            m,
+        )
+    };
+
+    let mut resident = Vec::new();
+    let mut metrics = Vec::new();
+    for stride in [8, 4, 2] {
+        let full = full(stride);
+        let boxes = [old_shape.to_vec(), new_shape.to_vec()];
+        let stream = full.nested_prefixes(&boxes).unwrap();
+        let (arrived, snapshot, reads, m) = warm(&stream[0], &stream[1]);
+        assert_eq!(
+            reads,
+            [arrived, arrived, snapshot],
+            "stride {stride}, a stream"
+        );
+        let owned = (full.restrict(&old_shape).unwrap(), full);
+        let (same, _, owned_reads, _) = warm(&owned.0, &owned.1);
+        assert_eq!(same, arrived);
+        assert_eq!(owned_reads, [snapshot; 3], "stride {stride}, owned copies");
+        resident.push(snapshot - arrived);
+        metrics.push(m);
+    }
+    assert_eq!(resident[1], 2 * resident[0]);
+    assert_eq!(resident[2], 4 * resident[0]);
+
+    let listed = |c: &dismastd_obs::CounterStat| {
+        GROWS_WITH_THE_RESIDENT_BLOCK
+            .iter()
+            .any(|&(name, label, _)| c.name == name && c.label == label)
+    };
+    let follows: Vec<Vec<_>> = metrics
+        .iter()
+        .map(|m| m.counters.iter().filter(|c| !listed(c)).cloned().collect())
+        .collect();
+    assert!(follows[0].iter().any(|c| c.name == "ingest/resident_read"));
+    assert_eq!(follows[1], follows[0], "2x the resident block");
+    assert_eq!(follows[2], follows[0], "4x the resident block");
+    // Every exception still grows, or it leaves the list.
+    for &(name, label, item) in GROWS_WITH_THE_RESIDENT_BLOCK {
+        let values: Vec<u64> = metrics.iter().map(|m| m.counter_at(name, label)).collect();
+        assert!(
+            values[0] < values[1] && values[1] < values[2],
+            "{name}[{label}] ({item}): {values:?}"
+        );
+    }
+}
+
 #[test]
 fn distributed_metrics_cover_the_wall_clock() {
     let _serial = serial();

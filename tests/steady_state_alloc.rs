@@ -440,7 +440,8 @@ fn a_step_releases_its_plans_when_it_returns() {
 /// shapes and the complement `X \ X̃` entry for entry; one's old block holds
 /// 4× the nonzeros of the other's.  The warm serial step must request
 /// exactly the same bytes from the allocator in both — copying, or even
-/// reserving for, the old block would show up as a difference.
+/// reserving for, the old block would show up as a difference — whether
+/// its snapshots own their entries or are prefix views of one store.
 #[test]
 fn a_warm_serial_step_allocates_by_the_complement_not_by_the_resident_block() {
     let _shared = GAUGE.read().unwrap_or_else(PoisonError::into_inner);
@@ -508,6 +509,20 @@ fn a_warm_serial_step_allocates_by_the_complement_not_by_the_resident_block() {
         sparse_old.nnz()
     );
     assert_eq!(dense_calls, sparse_calls);
+
+    // The same on a stream's snapshots (prefix views of one store), whose
+    // warm step takes what arrived from the store instead of scanning.
+    let cut = |full: &SparseTensor| {
+        full.nested_prefixes(&[old_shape.to_vec(), new_shape.to_vec()])
+            .unwrap()
+    };
+    let (sparse_cut, dense_cut) = (cut(&sparse_full), cut(&dense_full));
+    let sparse_stream = warm_step(&sparse_cut[0], &sparse_cut[1]);
+    let dense_stream = warm_step(&dense_cut[0], &dense_cut[1]);
+    assert_eq!(
+        dense_stream, sparse_stream,
+        "(calls, bytes, nnz) on a stream"
+    );
 }
 
 /// The serial solver's iteration body is allocation-free: the `Â` buffers,

@@ -101,3 +101,194 @@ fn empty_growth_step_is_harmless() {
     assert_eq!(r.processed_nnz, 0);
     assert!(r.loss.is_finite());
 }
+
+/// One step of a [`CrossPathCase`] schedule.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// Ingest snapshot `t`.
+    Ingest(usize),
+    /// Checkpoint the session through its JSON form and restore it.
+    Restore,
+}
+
+struct CrossPathCase {
+    name: &'static str,
+    /// The stream's full tensor and its snapshot fractions.
+    stream: fn() -> (dismastd_tensor::SparseTensor, Vec<f64>),
+    cfg: DecompConfig,
+    ops: &'static [Op],
+    /// Watchdog restarts the schedule must see, summed over its steps.
+    restarts: usize,
+}
+
+fn paper_stream() -> (dismastd_tensor::SparseTensor, Vec<f64>) {
+    (
+        random_tensor(&[25, 20, 15], 1200, 1),
+        StreamSequence::paper_fractions(),
+    )
+}
+
+/// A stream whose warm step makes a zero-tolerance, patience-1 watchdog
+/// restart once (seed 53, the one `numerics_robustness` uses).
+fn restarting_stream() -> (dismastd_tensor::SparseTensor, Vec<f64>) {
+    (random_tensor(&[10, 9, 8], 300, 53), vec![0.7, 1.0])
+}
+
+/// The same bits, whichever way a snapshot reaches the session: one
+/// session is fed a stream's snapshots, prefix views of one store, so its
+/// warm steps read only what arrived; the other is fed a fresh owned copy
+/// per ingest (a JSON round trip: the same entries in the same order, in a
+/// store of its own), so every step scans.  At world 1 and world 2 every
+/// step's fit, loss, nonzero counts, quarantine count and factors are
+/// bit-equal, across a skipped snapshot, a repeated view, a restore (whose
+/// first step scans: the mark is not checkpointed) and a watchdog restart
+/// (the carried `‖X‖²` serves every attempt).
+#[test]
+fn a_stream_and_owned_copies_of_its_snapshots_give_the_same_bits() {
+    use dismastd_core::{NumericsPolicy, StepReport, WatchdogPolicy};
+    use dismastd_tensor::SparseTensor;
+    use Op::{Ingest, Restore};
+
+    let restarting = cfg()
+        .with_rank(3)
+        .with_max_iters(30)
+        .with_tolerance(0.0)
+        .with_numerics(NumericsPolicy::default().with_watchdog(WatchdogPolicy {
+            max_restarts: 4,
+            patience: 1,
+            increase_tolerance: 0.0,
+            ..WatchdogPolicy::default()
+        }));
+    let cases = [
+        CrossPathCase {
+            name: "every step",
+            stream: paper_stream,
+            cfg: cfg(),
+            ops: &[
+                Ingest(0),
+                Ingest(1),
+                Ingest(2),
+                Ingest(3),
+                Ingest(4),
+                Ingest(5),
+            ],
+            restarts: 0,
+        },
+        CrossPathCase {
+            name: "a skipped snapshot",
+            stream: paper_stream,
+            cfg: cfg(),
+            ops: &[Ingest(0), Ingest(1), Ingest(3), Ingest(5)],
+            restarts: 0,
+        },
+        CrossPathCase {
+            name: "the same view twice",
+            stream: paper_stream,
+            cfg: cfg(),
+            ops: &[Ingest(0), Ingest(1), Ingest(1), Ingest(2)],
+            restarts: 0,
+        },
+        CrossPathCase {
+            name: "a restore mid-stream",
+            stream: paper_stream,
+            cfg: cfg(),
+            ops: &[
+                Ingest(0),
+                Ingest(1),
+                Ingest(2),
+                Restore,
+                Ingest(3),
+                Ingest(4),
+            ],
+            restarts: 0,
+        },
+        CrossPathCase {
+            name: "a watchdog restart on a warm step",
+            stream: restarting_stream,
+            cfg: restarting,
+            ops: &[Ingest(0), Ingest(1)],
+            restarts: 1,
+        },
+    ];
+
+    let owned_copy = |s: &SparseTensor| -> SparseTensor {
+        serde_json::from_str(&serde_json::to_string(s).unwrap()).unwrap()
+    };
+    let step_bits = |r: &StepReport, sess: &StreamingSession| {
+        let mut bits = vec![
+            r.fit.to_bits(),
+            r.loss.to_bits(),
+            r.processed_nnz as u64,
+            r.snapshot_nnz as u64,
+            r.quarantined,
+        ];
+        for f in sess.factors().unwrap().factors() {
+            bits.extend(f.as_slice().iter().map(|v| v.to_bits()));
+        }
+        bits
+    };
+    let reads = |r: &StepReport| {
+        let m = r.metrics.as_ref().unwrap();
+        [0, 1].map(|label| m.counter_at("ingest/resident_read", label))
+    };
+    let restored = |sess: &StreamingSession| {
+        let json = serde_json::to_string(&sess.to_checkpoint()).unwrap();
+        let mut sess = StreamingSession::from_checkpoint(serde_json::from_str(&json).unwrap())
+            .expect("restores");
+        sess.set_collect_metrics(true);
+        sess
+    };
+
+    for case in &cases {
+        let (full, fractions) = (case.stream)();
+        let seq = StreamSequence::cut(&full, &fractions).unwrap();
+        for mode in [
+            ExecutionMode::Serial,
+            ExecutionMode::Distributed(ClusterConfig::new(2)),
+        ] {
+            let what = format!("{} on {mode:?}", case.name);
+            let mut on_store = StreamingSession::new(case.cfg, mode.clone());
+            let mut on_copies = StreamingSession::new(case.cfg, mode.clone());
+            on_store.set_collect_metrics(true);
+            on_copies.set_collect_metrics(true);
+            let (mut restarts, mut after_restore) = (0, false);
+            for (k, op) in case.ops.iter().enumerate() {
+                let t = match *op {
+                    Restore => {
+                        on_store = restored(&on_store);
+                        on_copies = restored(&on_copies);
+                        after_restore = true;
+                        continue;
+                    }
+                    Ingest(t) => t,
+                };
+                let got = on_store.ingest(seq.snapshot(t)).unwrap();
+                // A fresh copy per ingest: a repeated copy would share a store.
+                let want = on_copies.ingest(&owned_copy(seq.snapshot(t))).unwrap();
+                assert_eq!(
+                    step_bits(&got, &on_store),
+                    step_bits(&want, &on_copies),
+                    "{what}: op {k} ({op:?})"
+                );
+                assert_eq!(got.watchdog_restarts, want.watchdog_restarts);
+                restarts += got.watchdog_restarts;
+                // The stream's warm steps read what arrived; the first step
+                // and the first after a restore scan, as every copy does.
+                let snapshot = got.snapshot_nnz as u64;
+                let scanned = [snapshot, snapshot];
+                let expected = match (k, after_restore) {
+                    // A cold start takes no complement.
+                    (0, _) => [snapshot, 0],
+                    (_, true) => scanned,
+                    _ => [got.processed_nnz as u64; 2],
+                };
+                assert_eq!(reads(&got), expected, "{what}: op {k} ({op:?})");
+                if k > 0 {
+                    assert_eq!(reads(&want), scanned, "{what}: op {k} ({op:?})");
+                }
+                after_restore = false;
+            }
+            assert_eq!(restarts, case.restarts, "{what}");
+        }
+    }
+}
