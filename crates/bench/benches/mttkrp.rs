@@ -115,8 +115,8 @@ fn bench_naive_vs_layout(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread-scaling axis: the pooled layout kernel and the pooled build on
-/// the same 80k-nnz Zipf case, at 1/2/4 pool lanes.  Results depend on
+/// Thread-scaling axis: the pooled layout kernel on the same 80k-nnz Zipf
+/// case, at 1/2/4 pool lanes.  Results depend on
 /// the machine's core count — rows recorded in `bench_results` carry the
 /// thread count and the cores available so numbers from different boxes
 /// stay comparable (a 1-core container shows no scaling by construction).
@@ -143,9 +143,6 @@ fn bench_threads(c: &mut Criterion) {
                     .expect("runs");
                 out.get(0, 0)
             })
-        });
-        group.bench_function(BenchmarkId::new("build", threads), |b| {
-            b.iter(|| MttkrpPlan::build_with(&t, &pool).expect("fits").nnz())
         });
     }
     group.finish();

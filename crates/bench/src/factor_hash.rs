@@ -30,14 +30,16 @@
 //! rows and the skipped rows over the stream.  Ahead of a workload's lines
 //! a `generated` line pins the generator at full scale: an FNV-1a fold of
 //! the generated tensor's coordinates and value bits, and each snapshot's
-//! nnz.  After them a `resident_read` line counts, per step of one serial
-//! session over the stream, the snapshot entries `ingest` read before and
-//! after the solve.
+//! nnz, then a `plan_bytes` line: per nonzero, what a cold step's MTTKRP
+//! plans hold at worlds 1, 2 and 4, against an exact model of them and a
+//! mode-agnostic layout's size (see [`plan_bytes`]).  After them a
+//! `resident_read` line counts, per step of one serial session over the
+//! stream, the snapshot entries `ingest` read before and after the solve.
 
 use dismastd_core::{decompose, dtd, ClusterConfig, DecompConfig, ExecutionMode, StreamingSession};
 use dismastd_data::{DatasetSpec, StreamSequence};
 use dismastd_partition::GridPartition;
-use dismastd_tensor::{Matrix, Result, SparseTensor};
+use dismastd_tensor::{Matrix, MttkrpPlan, Result, SparseTensor};
 
 /// Dataset scale of the identity stream: small enough for a debug-build
 /// test, large enough that every world has populated cells in every mode.
@@ -419,12 +421,12 @@ fn benchmark_workloads() -> [(&'static str, DatasetSpec, Vec<f64>); 3] {
 }
 
 /// The routing audit over the benchmark workloads generated from `seed`:
-/// per workload one `generated` line (see [`fingerprint`]), one line per
-/// (world, step), then one per world with the stream's routed rows under
-/// every candidate grid.  Also returns
-/// how many step lines failed — bytes (in all or of one sender) or
-/// collectives `CommStats` counted that the schedule does not predict, or a
-/// placement no candidate grid reproduces.
+/// per workload one `generated` line (see [`fingerprint`]), one
+/// `plan_bytes` line, one line per (world, step), then one per world with
+/// the stream's routed rows under every candidate grid.  Also returns how
+/// many lines failed — bytes (in all or of one sender) or collectives
+/// `CommStats` counted that the schedule does not predict, a placement no
+/// candidate grid reproduces, or plans that hold more than their model.
 ///
 /// # Errors
 /// Propagates generator, partitioner and solver errors.
@@ -443,6 +445,9 @@ pub fn routing_lines(seed: u64) -> Result<(Vec<String>, usize)> {
             fingerprint(&full)
         ));
         drop(full);
+        let (line, over) = plan_bytes(name, seed, stream.snapshot(0))?;
+        lines.push(line);
+        failed += usize::from(over);
         let order = stream.snapshot(0).order();
         for world in [2usize, 4] {
             let cluster = ClusterConfig::new(world);
@@ -525,6 +530,119 @@ pub fn routing_lines(seed: u64) -> Result<(Vec<String>, usize)> {
         lines.push(resident_reads(name, seed, &stream)?);
     }
     Ok((lines, failed))
+}
+
+/// The `plan_bytes` line: what the MTTKRP plans of a cold step over `cold`
+/// hold at worlds 1, 2 and 4, in bytes per nonzero (`plan=`), beside an
+/// exact model of them counted by this module alone (`model=`), their
+/// stretches per nonzero, and what one mode-agnostic layout (Dynasor,
+/// arXiv:2309.09131) would hold (`agnostic=`).  Each world's plans are the
+/// ones the step builds: the step's grid, one plan per non-empty cell over
+/// `cold` itself, so a cell costs its plan and nothing else.  Also returns
+/// whether a world's plans hold more than the model: a third copied mode
+/// or any table beyond it.
+///
+/// The model, per cell of the grid (cell coordinates by this module's own
+/// `part_of` map): every mode but 0 copies its entries, `8 + 4(N − 1)` B
+/// each; mode 0 keeps one 8-byte stretch per maximal range of stored
+/// entries sharing the cell and the mode-0 index, and 4 B per run for its
+/// entry count; every mode keeps 8 B per run (a distinct row), and
+/// `4(N + 1)` B of table ends.  The mode-agnostic layout holds every entry
+/// once with all `N` indices (`8 + 4N` B) plus the same run tables; it is a
+/// number only, nothing builds it.
+fn plan_bytes(name: &str, seed: u64, cold: &SparseTensor) -> Result<(String, bool)> {
+    let order = cold.order();
+    let nnz = cold.nnz();
+    let per_nnz = |count: usize| format!("{:.3}", count as f64 / nnz.max(1) as f64);
+    let (mut plan, mut model, mut stretches, mut agnostic) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let mut over = false;
+    for world in [1usize, 2, 4] {
+        let cluster = ClusterConfig::new(world);
+        let grid = GridPartition::build_with(
+            cold,
+            cluster.partitioner,
+            &vec![world; order],
+            world,
+            cluster.cell_assignment,
+        )?;
+        let held: usize = MttkrpPlan::cells(cold, grid.num_cells(), |idx| grid.cell_of(idx))?
+            .iter()
+            .map(|(_, plan)| plan.layout_bytes())
+            .sum();
+        let counts = cell_counts(cold, &grid);
+        let copied = (order - 1) * (8 + 4 * (order - 1)) * nnz;
+        let runs = 8 * counts.runs.iter().sum::<usize>();
+        let bound = copied
+            + runs
+            + 4 * counts.runs[0]
+            + 8 * counts.stretches
+            + 4 * (order + 1) * counts.cells;
+        over |= held > bound;
+        plan.push(per_nnz(held));
+        model.push(per_nnz(bound));
+        stretches.push(per_nnz(counts.stretches));
+        agnostic.push(per_nnz((8 + 4 * order) * nnz + runs));
+    }
+    let line = format!(
+        "{name} seed={seed} plan_bytes nnz={nnz} worlds=[1 2 4] plan=[{}] model=[{}] \
+         stretches=[{}] agnostic=[{}]",
+        plan.join(" "),
+        model.join(" "),
+        stretches.join(" "),
+        agnostic.join(" ")
+    );
+    Ok((line, over))
+}
+
+/// What [`plan_bytes`]' model counts over a grid's cells.
+struct CellCounts {
+    /// Non-empty cells.
+    cells: usize,
+    /// Maximal ranges of stored entries sharing the cell and the mode-0
+    /// index.
+    stretches: usize,
+    /// Per mode, distinct `(cell, row)` pairs: the runs of every cell's
+    /// layout of that mode.
+    runs: Vec<usize>,
+}
+
+/// One pass over `t`'s stored order, cells numbered row-major over the
+/// per-mode parts `mode_partition(n).part_of(i_n)`, not by `cell_of`.
+fn cell_counts(t: &SparseTensor, grid: &GridPartition) -> CellCounts {
+    let parts: Vec<_> = (0..t.order()).map(|n| grid.mode_partition(n)).collect();
+    let n_cells: usize = parts.iter().map(|p| p.num_parts()).product();
+    let cell_of = |idx: &[u32]| {
+        idx.iter()
+            .zip(&parts)
+            .fold(0, |c, (&i, p)| c * p.num_parts() + p.part_of(i as usize))
+    };
+    let mut seen: Vec<Vec<bool>> = t
+        .shape()
+        .iter()
+        .map(|&rows| vec![false; n_cells * rows])
+        .collect();
+    let mut populated = vec![false; n_cells];
+    let mut counts = CellCounts {
+        cells: 0,
+        stretches: 0,
+        runs: vec![0; t.order()],
+    };
+    let mut open = None;
+    for (idx, _) in t.iter() {
+        let cell = cell_of(idx);
+        if open != Some((cell, idx[0])) {
+            counts.stretches += 1;
+            open = Some((cell, idx[0]));
+        }
+        counts.cells += usize::from(!std::mem::replace(&mut populated[cell], true));
+        let modes = seen.iter_mut().zip(&mut counts.runs).zip(t.shape());
+        for (((seen, runs), &rows), &i) in modes.zip(idx) {
+            let row = &mut seen[cell * rows + i as usize];
+            *runs += usize::from(!std::mem::replace(row, true));
+        }
+    }
+    counts
 }
 
 /// The `resident_read` line: one serial session over `stream`, collecting

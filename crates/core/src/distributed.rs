@@ -1361,9 +1361,10 @@ fn fold_setup(partials: &[Vec<f64>], order: usize, r: usize) -> GramState {
 }
 
 /// Splits the tensor over workers and grid cells, builds one
-/// [`MttkrpPlan`] per non-empty cell (a one-cell grid's over `tensor`
-/// itself), derives row ownership and compiles the step's [`Schedule`] at
-/// rank `r`.  `old_rows[n]` is mode `n`'s row count in the history (`Ĩ_n`).
+/// [`MttkrpPlan`] per non-empty cell (each reads `tensor` where it is; no
+/// cell is copied), derives row ownership and compiles the step's
+/// [`Schedule`] at rank `r`.  `old_rows[n]` is mode `n`'s row count in the
+/// history (`Ĩ_n`).
 fn build_plans(
     tensor: &SparseTensor,
     grid: &GridPartition,
@@ -1378,36 +1379,29 @@ fn build_plans(
         .collect();
     let mut cells_by_worker: Vec<Vec<MttkrpPlan>> = (0..world).map(|_| Vec::new()).collect();
     let mut local_nnz = vec![0usize; world];
-    if grid.num_cells() == 1 && !tensor.is_empty() {
-        // One cell is the whole tensor: plan it in place, no routing pass
-        // and no copy; its worker references the rows the plan touches.
-        let w = grid.worker_of(tensor.index(0));
-        let plan = MttkrpPlan::build(tensor)?;
+    // One plan per non-empty cell, each over `tensor` itself, in
+    // ascending cell order, laid out on this thread: a fine grid's cells
+    // are far too small to pay for a pool dispatch each (`fig6`, 38³
+    // cells: 35 s with one, 26 s without).  A worker references the rows
+    // its cells' plans touch.  A one-cell grid (world 1) keys every entry
+    // to cell 0 without the per-mode part lookups of `cell_of`.
+    let one_cell = grid.num_cells() == 1;
+    let cells = MttkrpPlan::cells(tensor, grid.num_cells(), |idx| {
+        if one_cell {
+            0
+        } else {
+            grid.cell_of(idx)
+        }
+    })?;
+    for (cell, plan) in cells {
+        let w = grid.worker_of_cell(cell);
         for (n, marks) in needed[w].iter_mut().enumerate() {
             for &row in plan.touched_rows(n) {
                 marks[row as usize] = true;
             }
         }
-        local_nnz[w] = tensor.nnz();
+        local_nnz[w] += plan.nnz();
         cells_by_worker[w].push(plan);
-    } else {
-        // Per-cell nonzeros: each non-empty cell becomes its own
-        // sub-tensor, in ascending cell order.  The row marking rides the
-        // routing pass.
-        let cells = tensor.partition_by(|idx| {
-            for (marks, &i) in needed[grid.worker_of(idx)].iter_mut().zip(idx) {
-                marks[i as usize] = true;
-            }
-            grid.cell_of(idx)
-        });
-        // Lay out every populated cell, on this thread: a fine grid's
-        // cells are far too small to pay for a pool dispatch each
-        // (`fig6`, 38³ cells: 35 s with one, 26 s without).
-        for (_, sub) in cells {
-            let w = grid.worker_of(sub.index(0));
-            local_nnz[w] += sub.nnz();
-            cells_by_worker[w].push(MttkrpPlan::build(&sub)?);
-        }
     }
 
     // Row ownership: every row of every mode has exactly one owner.  An

@@ -308,7 +308,16 @@ impl GridPartition {
     /// Worker that owns the nonzero at `idx`.
     #[inline]
     pub fn worker_of(&self, idx: &[u32]) -> usize {
-        self.cell_workers[self.cell_of(idx)] as usize
+        self.worker_of_cell(self.cell_of(idx))
+    }
+
+    /// Worker that owns grid cell `cell` (a [`Self::cell_of`] id).
+    ///
+    /// # Panics
+    /// When `cell` is not below [`Self::num_cells`].
+    #[inline]
+    pub fn worker_of_cell(&self, cell: usize) -> usize {
+        self.cell_workers[cell] as usize
     }
 
     /// Dense grid-cell id of the nonzero at `idx` (row-major over the
@@ -737,8 +746,12 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use dismastd_tensor::SparseTensorBuilder;
+    use dismastd_tensor::mttkrp::mttkrp_into;
+    use dismastd_tensor::{Matrix, MttkrpPlan, SparseTensorBuilder, ThreadPool};
     use proptest::prelude::*;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    use serde::Serialize;
     use std::collections::BTreeMap;
 
     /// Orders 2–4 with modes of 1–6 rows and 0–39 nonzeros: empty tensors,
@@ -822,7 +835,141 @@ mod proptests {
             .sum()
     }
 
+    /// The three stored orders a step's tensor comes in.
+    #[derive(Debug, Clone, Copy)]
+    enum Kind {
+        /// Built: lexicographic and unique (a cold snapshot, a one-group
+        /// complement).
+        Lexicographic,
+        /// What a session reads past a skipped step: two arrival groups of
+        /// a stream's store, each lexicographic, one after the other.
+        TwoGroups,
+        /// Deserialised as drawn: unsorted, coordinates repeated.
+        AsGiven,
+    }
+
+    /// Orders 2–5, modes of 1–5 rows, 0–29 entries drawn, in one of the
+    /// three kinds of stored order.
+    fn stored_tensor_strategy() -> impl Strategy<Value = (SparseTensor, Kind)> {
+        (
+            prop::collection::vec(1usize..6, 2..6),
+            prop::collection::vec((prop::collection::vec(0usize..5, 5), -2.0f64..2.0), 0..30),
+            0usize..3,
+        )
+            .prop_map(|(shape, draws, kind)| {
+                let entries: Vec<(Vec<usize>, f64)> = draws
+                    .into_iter()
+                    .map(|(seed, v)| (shape.iter().zip(&seed).map(|(&s, &i)| i % s).collect(), v))
+                    .filter(|(_, v)| *v != 0.0)
+                    .collect();
+                let built = || {
+                    let mut b = SparseTensorBuilder::new(shape.clone());
+                    for (idx, v) in &entries {
+                        b.push(idx, *v).unwrap();
+                    }
+                    b.build().unwrap()
+                };
+                match kind {
+                    0 => (built(), Kind::Lexicographic),
+                    1 => {
+                        // Three nested boxes; a session that skipped the
+                        // middle snapshot reads groups 1 and 2 past the first.
+                        let third: Vec<usize> = shape.iter().map(|&s| s.div_ceil(3)).collect();
+                        let two: Vec<usize> = shape.iter().map(|&s| (2 * s).div_ceil(3)).collect();
+                        let snaps = built()
+                            .nested_prefixes(&[third, two, shape.clone()])
+                            .unwrap();
+                        (snaps[2].since(&snaps[0].mark()).unwrap(), Kind::TwoGroups)
+                    }
+                    _ => {
+                        let flat: Vec<usize> =
+                            entries.iter().flat_map(|(idx, _)| idx.clone()).collect();
+                        let values: Vec<f64> = entries.iter().map(|&(_, v)| v).collect();
+                        let doc = serde::Value::Object(vec![
+                            ("shape".to_string(), shape.to_value()),
+                            ("indices".to_string(), flat.to_value()),
+                            ("values".to_string(), values.to_value()),
+                        ]);
+                        (SparseTensor::try_from(&doc).unwrap(), Kind::AsGiven)
+                    }
+                }
+            })
+    }
+
+    /// Every cell grid a step at worlds 1–4 can run on: the default `w`
+    /// parts per mode at world `w`, and every override of at most four
+    /// parts in all at the world it names — a single split mode, the last
+    /// one included (where a lexicographic cell's stretches are per fiber),
+    /// and two modes split in two.
+    fn step_grids(order: usize) -> Vec<(Vec<usize>, usize)> {
+        let mut grids: Vec<(Vec<usize>, usize)> = (1..=4).map(|w| (vec![w; order], w)).collect();
+        for parts in all_tuples(&vec![4; order]) {
+            let world: usize = parts.iter().product();
+            if world <= 4 {
+                grids.push((parts, world));
+            }
+        }
+        grids
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// A cell's plan reads its stretches of the step's tensor in place,
+        /// and that is bit for bit the COO kernel over a `partition_by`
+        /// copy of the cell: same cells, same nonzeros, and every mode's
+        /// MTTKRP equal at pool sizes 1 and 3, on every grid, for every
+        /// kind of stored order, at a fixed-body rank (5) and a dynamic
+        /// one (2).
+        #[test]
+        fn a_cells_stretch_plan_is_the_coo_kernel_over_its_copy(
+            (t, kind) in stored_tensor_strategy(),
+            seed in 0u64..10_000,
+            fixed_body in 0usize..2,
+        ) {
+            let rank = if fixed_body == 1 { 5 } else { 2 };
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let factors: Vec<Matrix> =
+                t.shape().iter().map(|&s| Matrix::random(s + 1, rank, &mut rng)).collect();
+            let pools = [ThreadPool::new(1), ThreadPool::new(3)];
+            for (parts, world) in step_grids(t.order()) {
+                let grid = GridPartition::build_with(
+                    &t,
+                    Partitioner::Mtp,
+                    &parts,
+                    world,
+                    CellAssignment::BlockGrid,
+                )
+                .unwrap();
+                let plans = MttkrpPlan::cells(&t, grid.num_cells(), |idx| grid.cell_of(idx)).unwrap();
+                let copies = t.partition_by(|idx| grid.cell_of(idx));
+                let cells: Vec<usize> = plans.iter().map(|(c, _)| *c).collect();
+                let copied: Vec<usize> = copies.iter().map(|(c, _)| *c).collect();
+                prop_assert_eq!(cells, copied, "{:?} parts {:?}", kind, parts);
+                for ((cell, plan), (_, copy)) in plans.iter().zip(&copies) {
+                    prop_assert_eq!(plan.nnz(), copy.nnz());
+                    for mode in 0..t.order() {
+                        let mut want = Matrix::zeros(factors[mode].rows(), rank);
+                        mttkrp_into(copy, &factors, mode, &mut want).unwrap();
+                        for pool in &pools {
+                            let mut got = Matrix::zeros(factors[mode].rows(), rank);
+                            plan.mttkrp_into_pooled(&factors, mode, &mut got, pool).unwrap();
+                            prop_assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "{:?} parts {:?} cell {} mode {} threads {}",
+                                kind, parts, cell, mode, pool.threads()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
         #[test]
         fn the_worker_grid_is_the_brute_force_optimum(
             // Lengths from a handful of values half the time, so that ties

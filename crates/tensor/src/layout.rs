@@ -1,28 +1,43 @@
 //! Cached mode-ordered MTTKRP execution plans (CSF-lite).
 //!
-//! The COO kernel in [`crate::mttkrp`] walks the nonzeros in lexicographic
-//! order and scatters an `R`-vector into `out[idx[mode], :]` per entry —
-//! for every mode except the first that is a random-access write stream
-//! over the output. [`MttkrpPlan`] trades one preprocessing pass for a
-//! compressed per-mode layout:
+//! The COO kernel in [`crate::mttkrp`] walks the nonzeros in stored order
+//! and scatters an `R`-vector into `out[idx[mode], :]` per entry — for
+//! every mode but the first a random-access write stream over the output.
+//! [`MttkrpPlan`] trades one preprocessing pass for a per-mode layout in
+//! **output-row order**: consecutive entries sharing an output row form a
+//! **run**, and the kernel accumulates a register-resident `R`-vector
+//! across the run and writes each output row exactly once.  Same-row
+//! entries keep their stored order, so the per-row accumulation order, and
+//! with it every bit, is the COO kernel's.
 //!
-//! * entries are permuted into **output-row order** for every mode
-//!   (stably, so same-row entries keep their stored order — accumulation
-//!   order per row is unchanged; a counting sort, or a comparison sort
-//!   when the mode has far more rows than the tensor has entries);
-//! * consecutive entries sharing an output row form a **run**; the kernel
-//!   accumulates a register-resident `R`-vector across the run and writes
-//!   each output row exactly once;
-//! * the `order−1` factor-row indices of every entry are flattened into a
-//!   contiguous `u32` column table, so the inner loop streams `vals`/`cols`
-//!   linearly instead of re-deriving coordinates.
+//! A plan covers one grid cell of a tensor (the whole tensor is the
+//! one-cell grid) and reads the tensor where it is:
 //!
-//! The plan depends only on the sparsity pattern — not on factor values or
-//! row counts — so one plan serves every iteration, mode, and factor
-//! snapshot (including grown factor matrices with extra rows). The
-//! distributed driver builds one plan per grid cell at partitioning time
-//! and reuses it across a whole stream step.  The serial solver builds
-//! one plan for the whole complement at the top of each call.
+//! * the cell is a list of **stretches**: maximal ranges of the tensor's
+//!   stored order whose entries share the cell and the mode-0 index — one
+//!   per row and cell on a lexicographic tensor (one per fiber when the
+//!   grid splits the last mode), more on an unsorted one;
+//! * mode 0's layout is those stretches grouped by row, read in place from
+//!   the tensor's index buffer at stride `order` (skipping index 0) and
+//!   from its value buffer: 8 B per stretch and 12 B per row, no entry
+//!   copied;
+//! * every other mode copies its entries once, stably sorted by output row
+//!   (a counting sort, or a comparison sort when the mode has far more rows
+//!   than the cell has entries): the value and the `order − 1` other
+//!   indices, `8 + 4·(order − 1)` B per entry, read at stride `order − 1`.
+//!
+//! So an order-3 plan holds 32 B per entry beside the tensor's own 20 B,
+//! plus its run and stretch tables.  A stretch read in place costs its
+//! cache lines whatever it holds, so mode 0 reads fastest where stretches
+//! are long (a row per cell) and slowest where a grid's parts interleave a
+//! later mode's indices (as MTP's parts do) and stretches shrink to an
+//! entry or two.  A plan keeps the tensor's store alive through the
+//! store's `Arc`s, not through a borrow.  It depends only on the sparsity
+//! pattern — not on factor values or row counts — so one plan serves every
+//! iteration, mode and factor snapshot of a step (including grown factor
+//! matrices with extra rows).  The distributed driver builds one plan per
+//! grid cell of a step's tensor ([`MttkrpPlan::cells`]) at every world;
+//! world 1, the serial solver, is its one-cell grid.
 
 use crate::coo::SparseTensor;
 use crate::error::{Result, TensorError};
@@ -30,82 +45,177 @@ use crate::lanes::{for_fixed_lanes, lane_products};
 use crate::matrix::Matrix;
 use crate::pool::ThreadPool;
 use std::ops::Range;
-use std::sync::{Mutex, PoisonError};
 
-/// Compressed execution layout for one mode: entries sorted by output row
-/// with run boundaries.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// A maximal range `[start, end)` of a tensor's stored order whose entries
+/// share one grid cell and one mode-0 index.
+type Stretch = [u32; 2];
+
+/// Where a mode's entries are read from.
+#[derive(Debug, Clone, PartialEq)]
+enum Entries {
+    /// Mode 0, in the plan's tensor: stretch `j` is its stored entries
+    /// `stretches[j][0]..stretches[j][1]`, and run `i` follows
+    /// `entry_ptr[i]` entries of earlier runs.
+    InPlace {
+        stretches: Vec<Stretch>,
+        entry_ptr: Vec<u32>,
+    },
+    /// Any other mode, copied in output-row order: the values, and per entry
+    /// the other modes' indices in ascending mode order.
+    Copied { vals: Vec<f64>, cols: Vec<u32> },
+}
+
+/// Execution layout for one mode: its runs, and where their entries are.
+#[derive(Debug, Clone, PartialEq)]
 struct ModePlan {
     /// Output row of each run (strictly increasing).
     rows: Vec<u32>,
-    /// `run_ptr[i]..run_ptr[i+1]` is run `i`'s entry range in `vals`/`cols`.
+    /// Run `i` is `run_ptr[i]..run_ptr[i + 1]`: stretches of an in-place
+    /// mode, in stored order; entries of a copied one.
     run_ptr: Vec<u32>,
-    /// Entry values, permuted into output-row order.
-    vals: Vec<f64>,
-    /// Per entry, the `order−1` factor-row indices of the other modes in
-    /// ascending mode order.
-    cols: Vec<u32>,
+    entries: Entries,
 }
 
-/// Reusable all-modes MTTKRP plan for one sparse tensor.
+/// A mode's entry buffers as the kernels read them: entry `e` has value
+/// `vals[e]` and, past `skip` indices, its `order − 1` off-mode indices in
+/// ascending mode order at `cols[e·(order − 1 + skip) + skip..]`.
+#[derive(Clone, Copy)]
+struct Columns<'a> {
+    vals: &'a [f64],
+    cols: &'a [u32],
+    skip: usize,
+}
+
+impl ModePlan {
+    /// Run `run`'s entries as `[start, end)` ranges of the mode's
+    /// [`Columns`], in stored order: its stretches in place, or the one
+    /// range of a copied mode's own buffers, written to `one`.
+    fn run_ranges<'a>(&'a self, run: usize, one: &'a mut [Stretch; 1]) -> &'a [Stretch] {
+        let (lo, hi) = (self.run_ptr[run], self.run_ptr[run + 1]);
+        match &self.entries {
+            Entries::Copied { .. } => {
+                *one = [[lo, hi]];
+                one
+            }
+            Entries::InPlace { stretches, .. } => &stretches[lo as usize..hi as usize],
+        }
+    }
+
+    /// Entries before each run, and before the end: the run table of a
+    /// copied mode.
+    fn entry_ptr(&self) -> &[u32] {
+        match &self.entries {
+            Entries::Copied { .. } => &self.run_ptr,
+            Entries::InPlace { entry_ptr, .. } => entry_ptr,
+        }
+    }
+
+    /// The buffers the mode's entries are read from: `source`'s own, past
+    /// index 0 of each stored tuple, for the in-place mode 0.
+    fn columns<'a>(&'a self, source: &'a SparseTensor) -> Columns<'a> {
+        match &self.entries {
+            Entries::InPlace { .. } => Columns {
+                vals: source.values(),
+                cols: source.indices_flat(),
+                skip: 1,
+            },
+            Entries::Copied { vals, cols } => Columns {
+                vals,
+                cols,
+                skip: 0,
+            },
+        }
+    }
+
+    /// Heap bytes of the mode's tables (capacity accounting).
+    fn bytes(&self) -> usize {
+        let entries = match &self.entries {
+            Entries::InPlace {
+                stretches,
+                entry_ptr,
+            } => stretches.capacity() * 8 + entry_ptr.capacity() * 4,
+            Entries::Copied { vals, cols } => vals.capacity() * 8 + cols.capacity() * 4,
+        };
+        (self.rows.capacity() + self.run_ptr.capacity()) * 4 + entries
+    }
+}
+
+/// Reusable all-modes MTTKRP plan for one grid cell of a sparse tensor.
 #[derive(Debug, Clone)]
 pub struct MttkrpPlan {
-    shape: Vec<usize>,
+    /// The tensor the cell is part of; mode 0 reads its buffers in place.
+    source: SparseTensor,
     nnz: usize,
     modes: Vec<ModePlan>,
 }
 
 impl MttkrpPlan {
-    /// Builds the per-mode layouts with one stable sort per mode.
+    /// Builds the plan of the whole tensor: its one-cell grid.
     ///
     /// # Errors
     /// Returns [`TensorError::PlanOverflow`] when the tensor's nnz or any
     /// shape dimension exceeds the layout's `u32` index space — entry
     /// positions and row ids would silently truncate.
     pub fn build(tensor: &SparseTensor) -> Result<Self> {
-        check_plan_bounds(tensor)?;
-        let _span = dismastd_obs::span("kernel/plan_build");
-        let order = tensor.order();
-        let modes = (0..order).map(|m| build_mode(tensor, m)).collect();
-        Ok(MttkrpPlan {
-            shape: tensor.shape().to_vec(),
-            nnz: tensor.nnz(),
-            modes,
+        let mut cells = Self::cells(tensor, 1, |_| 0)?;
+        Ok(match cells.pop() {
+            Some((_, plan)) => plan,
+            None => Self::from_stretches(tensor, Vec::new()),
         })
     }
 
-    /// Like [`build`](MttkrpPlan::build), with the per-mode sorts
-    /// executed on `pool` (one chunk per mode).  Each mode's layout is a
-    /// pure function of the tensor and lands in its own slot, so the
-    /// result is identical to the serial build for every pool size.
+    /// One plan per non-empty cell of `tensor`, where `key(tuple)` names an
+    /// entry's cell, below `n_cells`: `(cell, plan)` pairs in ascending cell
+    /// order.  Two passes over the stored order find each cell's stretches —
+    /// one counts them, one lists them, so every list is allocated at its
+    /// length — and each cell's layout is then built from its list, which
+    /// becomes mode 0's table.  No cell's entries are copied out of
+    /// `tensor` first.  `key` is read twice per entry, so it must depend on
+    /// the tuple alone.
     ///
     /// # Errors
     /// Same as [`build`](MttkrpPlan::build).
-    pub fn build_with(tensor: &SparseTensor, pool: &ThreadPool) -> Result<Self> {
+    ///
+    /// # Panics
+    /// When `key` names a cell that is not below `n_cells`.
+    pub fn cells(
+        tensor: &SparseTensor,
+        n_cells: usize,
+        mut key: impl FnMut(&[u32]) -> usize,
+    ) -> Result<Vec<(usize, MttkrpPlan)>> {
         check_plan_bounds(tensor)?;
         let _span = dismastd_obs::span("kernel/plan_build");
-        let order = tensor.order();
-        let slots: Vec<Mutex<ModePlan>> = (0..order)
-            .map(|_| Mutex::new(ModePlan::default()))
-            .collect();
-        pool.run(order, &|m| {
-            let built = build_mode(tensor, m);
-            *slots[m].lock().unwrap_or_else(PoisonError::into_inner) = built;
-        });
-        let modes = slots
+        let mut counts = vec![0usize; n_cells];
+        for_each_stretch(tensor, &mut key, |cell, _| counts[cell] += 1);
+        let mut lists: Vec<Vec<Stretch>> = counts.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for_each_stretch(tensor, &mut key, |cell, stretch| lists[cell].push(stretch));
+        Ok(lists
             .into_iter()
-            .map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .enumerate()
+            .filter(|(_, list)| !list.is_empty())
+            .map(|(cell, list)| (cell, Self::from_stretches(tensor, list)))
+            .collect())
+    }
+
+    /// The plan of the cell of `source` whose stretches, in stored order,
+    /// are `stretches`: the copied modes are built by walking them, then
+    /// the list becomes mode 0's table.
+    fn from_stretches(source: &SparseTensor, stretches: Vec<Stretch>) -> Self {
+        let nnz = stretches.iter().map(|&[a, b]| (b - a) as usize).sum();
+        let copied = build_copied(source, &stretches, nnz);
+        let modes = std::iter::once(mode_in_place(source, stretches))
+            .chain(copied)
             .collect();
-        Ok(MttkrpPlan {
-            shape: tensor.shape().to_vec(),
-            nnz: tensor.nnz(),
+        MttkrpPlan {
+            source: source.clone(),
+            nnz,
             modes,
-        })
+        }
     }
 
     /// Shape of the tensor the plan was built from.
     pub fn shape(&self) -> &[usize] {
-        &self.shape
+        self.source.shape()
     }
 
     /// Nonzeros covered by the plan.
@@ -115,7 +225,7 @@ impl MttkrpPlan {
 
     /// Tensor order.
     pub fn order(&self) -> usize {
-        self.shape.len()
+        self.source.order()
     }
 
     /// The mode-`mode` rows some nonzero references, strictly increasing:
@@ -127,17 +237,10 @@ impl MttkrpPlan {
         &self.modes[mode].rows
     }
 
-    /// Heap bytes held by the layout tables (capacity accounting).
+    /// Heap bytes held by the plan's own tables (capacity accounting): the
+    /// tensor it reads in place is not counted.
     pub fn layout_bytes(&self) -> usize {
-        self.modes
-            .iter()
-            .map(|m| {
-                m.rows.capacity() * 4
-                    + m.run_ptr.capacity() * 4
-                    + m.vals.capacity() * 8
-                    + m.cols.capacity() * 4
-            })
-            .sum()
+        self.modes.iter().map(ModePlan::bytes).sum()
     }
 
     /// Computes the mode-`mode` MTTKRP into a fresh zeroed matrix of
@@ -156,9 +259,9 @@ impl MttkrpPlan {
     /// run total per touched output row.
     ///
     /// On a zeroed `out` the result is bitwise identical to
-    /// [`crate::mttkrp::mttkrp_into`]: the stable permutation preserves the
-    /// per-row accumulation order and the factor product is formed in the
-    /// same ascending mode order.  Onto a non-zero `out` a row becomes
+    /// [`crate::mttkrp::mttkrp_into`] over the cell's entries: each row
+    /// sums its entries in stored order and the factor product is formed in
+    /// the same ascending mode order.  Onto a non-zero `out` a row becomes
     /// `out[row] + total`, the total summed from zero in stored order —
     /// not the COO kernel's `((out[row] + e₁) + e₂) + …`.
     ///
@@ -174,15 +277,24 @@ impl MttkrpPlan {
             ));
         }
         let _span = dismastd_obs::span_with("kernel/mttkrp_plan", mode as u64);
-        let order = self.order();
-        let km = order - 1;
+        let km = self.order() - 1;
         let mp = &self.modes[mode];
-        accumulate_runs(mp, factors, mode, km, r, 0..mp.rows.len(), |row, acc| {
-            let dst = out.row_mut(row);
-            for (d, &a) in dst.iter_mut().zip(acc) {
-                *d += a;
-            }
-        });
+        let src = mp.columns(&self.source);
+        accumulate_runs(
+            mp,
+            src,
+            factors,
+            mode,
+            km,
+            r,
+            0..mp.rows.len(),
+            |row, acc| {
+                let dst = out.row_mut(row);
+                for (d, &a) in dst.iter_mut().zip(acc) {
+                    *d += a;
+                }
+            },
+        );
         Ok(())
     }
 
@@ -217,9 +329,9 @@ impl MttkrpPlan {
             ));
         }
         let _span = dismastd_obs::span_with("kernel/mttkrp_plan", mode as u64);
-        let order = self.order();
-        let km = order - 1;
+        let km = self.order() - 1;
         let mp = &self.modes[mode];
+        let src = mp.columns(&self.source);
         let n_chunks = (pool.threads() * CHUNKS_PER_THREAD).min(n_runs);
         let stride = out.cols();
         let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
@@ -248,9 +360,9 @@ impl MttkrpPlan {
                 // `pool.run`; `c < n_chunks`, and chunk `c` alone touches
                 // lanes `c·r .. (c+1)·r` of each.
                 let own = |p: SendPtr| unsafe { std::slice::from_raw_parts_mut(p.0.add(c * r), r) };
-                accumulate_runs_dyn(mp, factors, mode, runs, own(accs), own(prods), write);
+                accumulate_runs_dyn(mp, src, factors, mode, runs, own(accs), own(prods), write);
             } else {
-                accumulate_runs(mp, factors, mode, km, r, runs, write);
+                accumulate_runs(mp, src, factors, mode, km, r, runs, write);
             }
         });
         Ok(())
@@ -280,10 +392,10 @@ impl MttkrpPlan {
                     &[f.cols()],
                 ));
             }
-            if f.rows() < self.shape[k] {
+            if f.rows() < self.shape()[k] {
                 return Err(TensorError::shape_mismatch(
                     "MttkrpPlan factor rows",
-                    &[self.shape[k]],
+                    &[self.shape()[k]],
                     &[f.rows()],
                 ));
             }
@@ -308,7 +420,7 @@ unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
 /// Rejects tensors whose layout tables would truncate through the `u32`
-/// casts in [`build_mode`].  Must run before any per-mode allocation: an
+/// casts of the build.  Must run before any per-mode allocation: an
 /// oversized dimension would otherwise attempt a multi-gigabyte counting
 /// buffer before the first cast even executes.
 fn check_plan_bounds(tensor: &SparseTensor) -> Result<()> {
@@ -329,20 +441,51 @@ fn check_plan_bounds(tensor: &SparseTensor) -> Result<()> {
     Ok(())
 }
 
+/// Calls `visit(cell, stretch)` for every stretch of `tensor`, in stored
+/// order, where `key(tuple)` names an entry's cell.
+fn for_each_stretch(
+    tensor: &SparseTensor,
+    key: &mut impl FnMut(&[u32]) -> usize,
+    mut visit: impl FnMut(usize, Stretch),
+) {
+    // The stretch being extended: its cell, mode-0 index and start.
+    let mut open: Option<(usize, u32, u32)> = None;
+    let tuples = tensor.indices_flat().chunks_exact(tensor.order());
+    for (e, tuple) in (0u32..).zip(tuples) {
+        let cell = key(tuple);
+        match open {
+            Some((c, row, _)) if c == cell && row == tuple[0] => {}
+            _ => {
+                if let Some((c, _, start)) = open {
+                    visit(c, [start, e]);
+                }
+                open = Some((cell, tuple[0], e));
+            }
+        }
+    }
+    if let Some((c, _, start)) = open {
+        // lint:allow(narrowing_cast): `check_plan_bounds` bounded nnz by u32
+        visit(c, [start, tensor.nnz() as u32]);
+    }
+}
+
 /// Runs the per-run accumulation loop over `runs`, handing each finished
 /// `R`-vector to `write` with its output row.
 ///
 /// This is the single entry shared by the serial, pooled and per-cell
-/// distributed call sites.  A rank and order in the dispatch set of
-/// [`for_fixed_lanes!`] take the register-resident
+/// distributed call sites, for a copied mode and the in-place mode 0
+/// alike (they differ in `src` only).  A rank and order in the dispatch
+/// set of [`for_fixed_lanes!`] take the register-resident
 /// [`accumulate_runs_fixed`] body, everything else the dynamic
 /// [`accumulate_runs_dyn`] loop.  Both form the factor product
 /// left-to-right in ascending mode order and add entries to their row's
-/// accumulator in stored (stable) order, so every partial is bit-identical
-/// to the COO kernel's multi-pass version no matter which body, execution
-/// path or chunk drives the loop.
+/// accumulator in stored order, so every partial is bit-identical to the
+/// COO kernel's multi-pass version no matter which body, execution path or
+/// chunk drives the loop.
+#[allow(clippy::too_many_arguments)] // the loop's inputs, passed once per call
 fn accumulate_runs(
     mp: &ModePlan,
+    src: Columns<'_>,
     factors: &[Matrix],
     mode: usize,
     km: usize,
@@ -353,8 +496,8 @@ fn accumulate_runs(
     for_fixed_lanes!(
         r,
         km,
-        accumulate_runs_fixed(mp, factors, mode, runs, &mut write),
-        else dyn_with_own_scratch(mp, factors, mode, r, runs, &mut write)
+        accumulate_runs_fixed(mp, src, factors, mode, runs, &mut write),
+        else dyn_with_own_scratch(mp, src, factors, mode, r, runs, &mut write)
     );
 }
 
@@ -371,6 +514,7 @@ fn has_fixed_body(r: usize, km: usize) -> bool {
 /// this call and reused across every run.
 fn dyn_with_own_scratch(
     mp: &ModePlan,
+    src: Columns<'_>,
     factors: &[Matrix],
     mode: usize,
     r: usize,
@@ -379,7 +523,7 @@ fn dyn_with_own_scratch(
 ) {
     // lint:allow(alloc_hygiene): one bounded scratch pair per kernel call, amortised over all runs
     let (mut acc, mut prod) = (vec![0.0f64; r], vec![0.0f64; r]);
-    accumulate_runs_dyn(mp, factors, mode, runs, &mut acc, &mut prod, write);
+    accumulate_runs_dyn(mp, src, factors, mode, runs, &mut acc, &mut prod, write);
 }
 
 /// Off-mode factor `j` in ascending mode order, skipping `mode` — indexed
@@ -394,6 +538,7 @@ fn off_mode(factors: &[Matrix], mode: usize, j: usize) -> &Matrix {
 /// is written.
 fn accumulate_runs_fixed<const R: usize, const K: usize>(
     mp: &ModePlan,
+    src: Columns<'_>,
     factors: &[Matrix],
     mode: usize,
     runs: Range<usize>,
@@ -401,33 +546,47 @@ fn accumulate_runs_fixed<const R: usize, const K: usize>(
 ) {
     let offs: [&Matrix; K] = std::array::from_fn(|j| off_mode(factors, mode, j));
     for run in runs {
-        let entries = mp.run_ptr[run] as usize..mp.run_ptr[run + 1] as usize;
-        match run_total::<R, K>(mp, &offs, entries) {
+        // The skip, and with it the stride, as compile-time constants: the
+        // in-place mode 0 skips index 0 of each stored tuple, a copied mode
+        // none.
+        let total = match src.skip {
+            0 => run_total::<R, K, 0>(mp, src, &offs, run),
+            _ => run_total::<R, K, 1>(mp, src, &offs, run),
+        };
+        match total {
             Some(acc) => write(mp.rows[run] as usize, &acc),
             // A factor row that is not `R` wide.  `check_factors` rules it
             // out; the dynamic body handles any width, so hand it the run
             // rather than carry a panic path.
-            None => dyn_with_own_scratch(mp, factors, mode, R, run..run + 1, &mut *write),
+            None => dyn_with_own_scratch(mp, src, factors, mode, R, run..run + 1, &mut *write),
         }
     }
 }
 
-/// Sum over one run's entries of `v · ⊛_{k≠mode} A_k[i_k, :]`, entries in
-/// stored order; `None` when a factor row is not `R` wide.
+/// Sum over run `run`'s entries of `v · ⊛_{k≠mode} A_k[i_k, :]`, entries
+/// in stored order, reading `src` at stride `K + SKIP` past `SKIP` indices
+/// (`src.skip` is `SKIP`); `None` when a factor row is not `R` wide.
 #[inline(always)]
-fn run_total<const R: usize, const K: usize>(
+fn run_total<const R: usize, const K: usize, const SKIP: usize>(
     mp: &ModePlan,
+    src: Columns<'_>,
     offs: &[&Matrix; K],
-    entries: Range<usize>,
+    run: usize,
 ) -> Option<[f64; R]> {
-    let vals = &mp.vals[entries.clone()];
-    let cols = &mp.cols[K * entries.start..K * entries.end];
+    let stride = K + SKIP;
+    debug_assert_eq!(src.skip, SKIP);
     let mut acc = [0.0f64; R];
-    for (&v, cols) in vals.iter().zip(cols.chunks_exact(K)) {
-        let rows = std::array::from_fn(|j| offs[j].row(cols[j] as usize));
-        let lanes = lane_products::<R, K>(v, rows)?;
-        for (s, &p) in acc.iter_mut().zip(&lanes) {
-            *s += p;
+    let mut one = [[0; 2]];
+    for &[start, end] in mp.run_ranges(run, &mut one) {
+        let (start, end) = (start as usize, end as usize);
+        let vals = &src.vals[start..end];
+        let cols = &src.cols[stride * start..stride * end];
+        for (&v, cols) in vals.iter().zip(cols.chunks_exact(stride)) {
+            let rows = std::array::from_fn(|j| offs[j].row(cols[SKIP + j] as usize));
+            let lanes = lane_products::<R, K>(v, rows)?;
+            for (s, &p) in acc.iter_mut().zip(&lanes) {
+                *s += p;
+            }
         }
     }
     Some(acc)
@@ -436,8 +595,10 @@ fn run_total<const R: usize, const K: usize>(
 /// Dynamic body: the fallback for every rank and order outside the
 /// dispatch set, summing a run's `R` lanes in `acc` and, past three
 /// off-mode factors, an entry's lane products in `prod`.
+#[allow(clippy::too_many_arguments)] // the loop's inputs and its two scratch lanes
 fn accumulate_runs_dyn(
     mp: &ModePlan,
+    src: Columns<'_>,
     factors: &[Matrix],
     mode: usize,
     runs: Range<usize>,
@@ -447,54 +608,56 @@ fn accumulate_runs_dyn(
 ) {
     let off = |j: usize| off_mode(factors, mode, j);
     let km = factors.len() - 1;
+    // Entry `e`'s `j`-th off-mode index.
+    let stride = km + src.skip;
+    let col = |e: usize, j: usize| src.cols[stride * e + src.skip + j] as usize;
+    let mut one = [[0; 2]];
     for run in runs {
-        let lo = mp.run_ptr[run] as usize;
-        let hi = mp.run_ptr[run + 1] as usize;
         acc.fill(0.0);
-        match km {
-            1 => {
-                let f0 = off(0);
-                for e in lo..hi {
-                    let v = mp.vals[e];
-                    let a = f0.row(mp.cols[e] as usize);
-                    for (s, &av) in acc.iter_mut().zip(a) {
-                        *s += v * av;
-                    }
-                }
-            }
-            2 => {
-                let (f0, f1) = (off(0), off(1));
-                for e in lo..hi {
-                    let v = mp.vals[e];
-                    let a = f0.row(mp.cols[2 * e] as usize);
-                    let b = f1.row(mp.cols[2 * e + 1] as usize);
-                    for ((s, &av), &bv) in acc.iter_mut().zip(a).zip(b) {
-                        *s += v * av * bv;
-                    }
-                }
-            }
-            3 => {
-                let (f0, f1, f2) = (off(0), off(1), off(2));
-                for e in lo..hi {
-                    let v = mp.vals[e];
-                    let a = f0.row(mp.cols[3 * e] as usize);
-                    let b = f1.row(mp.cols[3 * e + 1] as usize);
-                    let c = f2.row(mp.cols[3 * e + 2] as usize);
-                    for (((s, &av), &bv), &cv) in acc.iter_mut().zip(a).zip(b).zip(c) {
-                        *s += v * av * bv * cv;
-                    }
-                }
-            }
-            _ => {
-                for e in lo..hi {
-                    prod.fill(mp.vals[e]);
-                    for (j, &col) in mp.cols[e * km..e * km + km].iter().enumerate() {
-                        for (p, &a) in prod.iter_mut().zip(off(j).row(col as usize)) {
-                            *p *= a;
+        for &[start, end] in mp.run_ranges(run, &mut one) {
+            let entries = start as usize..end as usize;
+            match km {
+                1 => {
+                    let f0 = off(0);
+                    for e in entries {
+                        let v = src.vals[e];
+                        for (s, &av) in acc.iter_mut().zip(f0.row(col(e, 0))) {
+                            *s += v * av;
                         }
                     }
-                    for (s, &p) in acc.iter_mut().zip(&*prod) {
-                        *s += p;
+                }
+                2 => {
+                    let (f0, f1) = (off(0), off(1));
+                    for e in entries {
+                        let v = src.vals[e];
+                        let (a, b) = (f0.row(col(e, 0)), f1.row(col(e, 1)));
+                        for ((s, &av), &bv) in acc.iter_mut().zip(a).zip(b) {
+                            *s += v * av * bv;
+                        }
+                    }
+                }
+                3 => {
+                    let (f0, f1, f2) = (off(0), off(1), off(2));
+                    for e in entries {
+                        let v = src.vals[e];
+                        let (a, b) = (f0.row(col(e, 0)), f1.row(col(e, 1)));
+                        let c = f2.row(col(e, 2));
+                        for (((s, &av), &bv), &cv) in acc.iter_mut().zip(a).zip(b).zip(c) {
+                            *s += v * av * bv * cv;
+                        }
+                    }
+                }
+                _ => {
+                    for e in entries {
+                        prod.fill(src.vals[e]);
+                        for j in 0..km {
+                            for (p, &a) in prod.iter_mut().zip(off(j).row(col(e, j))) {
+                                *p *= a;
+                            }
+                        }
+                        for (s, &p) in acc.iter_mut().zip(&*prod) {
+                            *s += p;
+                        }
                     }
                 }
             }
@@ -513,114 +676,215 @@ fn chunk_bound(mp: &ModePlan, n_chunks: usize, c: usize) -> usize {
     if c == 0 || c >= n_chunks {
         return if c == 0 { 0 } else { n_runs };
     }
-    let total = u64::from(mp.run_ptr[n_runs]);
+    let entry_ptr = mp.entry_ptr();
+    let total = u64::from(entry_ptr[n_runs]);
     // lint:allow(narrowing_cast): `c < n_chunks`, so the quotient is below `total`, itself a u32
     let target = (total * c as u64 / n_chunks as u64) as u32;
-    mp.run_ptr[1..=n_runs].partition_point(|&p| p <= target)
+    entry_ptr[1..=n_runs].partition_point(|&p| p <= target)
 }
 
 /// Rows per entry above which a mode is ordered by comparison sort: the
-/// counting sort's tables are `shape[mode]` long whatever the tensor holds,
+/// counting sort's tables are `shape[mode]` long whatever the cell holds,
 /// so a grid of many thin cells over long modes would pay
 /// O(cells × Σ shape) for them (`fig6`'s 38³ cells).
 const SPARSE_ROWS_PER_ENTRY: usize = 2;
 
-/// One mode's layout: the entries in stable output-row order, flattened
-/// into the run/column tables.  Both orderings produce the same
-/// [`ModePlan`]; which one runs is a cost decision read off the input.
-fn build_mode(tensor: &SparseTensor, mode: usize) -> ModePlan {
-    if tensor.shape()[mode] > SPARSE_ROWS_PER_ENTRY.saturating_mul(tensor.nnz()) {
-        build_mode_sorting(tensor, mode)
-    } else {
-        build_mode_counting(tensor, mode)
+/// Calls `visit(e)` for each of a cell's entries in stored order, `e` its
+/// position in the tensor.  A loop per stretch: a flattening iterator
+/// costs the builds a third more.
+fn for_each_entry(stretches: &[Stretch], mut visit: impl FnMut(usize)) {
+    for &[start, end] in stretches {
+        for e in start as usize..end as usize {
+            visit(e);
+        }
     }
 }
 
-/// [`build_mode`] by stable counting sort over all `shape[mode]` rows:
-/// O(nnz + shape[mode]) time and scratch.
-fn build_mode_counting(tensor: &SparseTensor, mode: usize) -> ModePlan {
-    let order = tensor.order();
-    let km = order - 1;
-    let nnz = tensor.nnz();
-    let n_rows = tensor.shape()[mode];
+/// Distinct rows of `(row, position)` pairs sorted by row.
+fn distinct_rows(sorted: &[(u32, u32)]) -> usize {
+    let breaks = sorted.windows(2).filter(|w| w[0].0 != w[1].0).count();
+    usize::from(!sorted.is_empty()) + breaks
+}
 
-    let mut counts = vec![0u32; n_rows];
-    for e in 0..nnz {
-        counts[tensor.index(e)[mode] as usize] += 1;
+/// Mode 0's layout: the stretches grouped by row, each row's in stored
+/// order, read in place.  The stretch list becomes the layout's table; a
+/// lexicographic cell's is in row order already, and any other is sorted
+/// where it is.
+fn mode_in_place(source: &SparseTensor, mut stretches: Vec<Stretch>) -> ModePlan {
+    let row = |s: &Stretch| source.index(s[0] as usize)[0];
+    // Starts are unique, so the `(row, start)` order keeps each row's
+    // stretches in stored order.
+    if stretches.windows(2).any(|w| row(&w[0]) > row(&w[1])) {
+        stretches.sort_unstable_by_key(|s| (row(s), s[0]));
     }
-    // Exclusive prefix sum → scatter offsets.
-    let mut offsets = vec![0u32; n_rows + 1];
-    for i in 0..n_rows {
-        offsets[i + 1] = offsets[i] + counts[i];
-    }
-    let mut cursor = offsets[..n_rows].to_vec();
-    let mut vals = vec![0.0f64; nnz];
-    let mut cols = vec![0u32; nnz * km];
-    for e in 0..nnz {
-        let idx = tensor.index(e);
-        let row = idx[mode] as usize;
-        let pos = cursor[row] as usize;
-        cursor[row] += 1;
-        vals[pos] = tensor.value(e);
-        let mut c = pos * km;
-        for (k, &i) in idx.iter().enumerate() {
-            if k == mode {
-                continue;
-            }
-            cols[c] = i;
-            c += 1;
+    let runs = usize::from(!stretches.is_empty())
+        + stretches
+            .windows(2)
+            .filter(|w| row(&w[0]) != row(&w[1]))
+            .count();
+    let mut rows = Vec::with_capacity(runs);
+    let mut run_ptr = Vec::with_capacity(runs + 1);
+    let mut entry_ptr = Vec::with_capacity(runs + 1);
+    let mut entries = 0;
+    for (j, s) in (0u32..).zip(&stretches) {
+        if rows.last() != Some(&row(s)) {
+            rows.push(row(s));
+            run_ptr.push(j);
+            entry_ptr.push(entries);
         }
+        entries += s[1] - s[0];
     }
-    // Compress non-empty rows into runs.
-    let populated = counts.iter().filter(|&&c| c > 0).count();
-    let mut rows = Vec::with_capacity(populated);
-    let mut run_ptr = Vec::with_capacity(populated + 1);
-    run_ptr.push(0);
-    for (row, &c) in counts.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        // lint:allow(narrowing_cast): `row < shape[mode]`, which `check_plan_bounds` bounded by u32
-        rows.push(row as u32);
-        run_ptr.push(offsets[row + 1]);
-    }
+    // lint:allow(narrowing_cast): a stretch holds an entry, and `check_plan_bounds` bounded nnz by u32
+    run_ptr.push(stretches.len() as u32);
+    entry_ptr.push(entries);
     ModePlan {
         rows,
         run_ptr,
-        vals,
-        cols,
+        entries: Entries::InPlace {
+            stretches,
+            entry_ptr,
+        },
     }
 }
 
-/// [`build_mode`] by sorting `(coordinate, position)` pairs: O(nnz log nnz)
-/// time and O(nnz) scratch, whatever `shape[mode]` is.  Positions are
-/// unique, so the unstable sort yields the stable order.
-fn build_mode_sorting(tensor: &SparseTensor, mode: usize) -> ModePlan {
-    let nnz = tensor.nnz();
-    let mut by_row: Vec<(u32, u32)> = (0..nnz)
-        // lint:allow(narrowing_cast): `e < nnz`, which `check_plan_bounds` bounded by u32
-        .map(|e| (tensor.index(e)[mode], e as u32))
+/// Every copied mode's layout (modes `1..order`): the cell's entries in
+/// stable output-row order, flattened into the run/column tables.  A mode
+/// with far more rows than the cell has entries is ordered by comparison
+/// sort; the others by counting sort, all together in one counting and
+/// one scatter walk over the cell's entries — on a grid that splits later
+/// modes those lie scattered through the tensor, so walks cost more than
+/// the arithmetic.  Both orderings produce the same [`ModePlan`]; which
+/// one runs is a cost decision read off the input.
+fn build_copied(source: &SparseTensor, stretches: &[Stretch], nnz: usize) -> Vec<ModePlan> {
+    let sparse = |m: usize| source.shape()[m] > SPARSE_ROWS_PER_ENTRY.saturating_mul(nnz);
+    let counted: Vec<usize> = (1..source.order()).filter(|&m| !sparse(m)).collect();
+    let mut by_counting = build_counting(source, stretches, nnz, &counted).into_iter();
+    (1..source.order())
+        .filter_map(|m| {
+            if sparse(m) {
+                Some(build_mode_sorting(source, stretches, nnz, m))
+            } else {
+                by_counting.next()
+            }
+        })
+        .collect()
+}
+
+/// Writes the index tuple's indices other than `mode`'s into `cols`.
+fn copy_others(cols: &mut [u32], tuple: &[u32], mode: usize) {
+    let others = tuple.iter().enumerate().filter(|&(k, _)| k != mode);
+    for (c, (_, &i)) in cols.iter_mut().zip(others) {
+        *c = i;
+    }
+}
+
+/// The layouts of `modes` by stable counting sort over all their rows:
+/// O(nnz + Σ shape[mode]) time and scratch, two walks over the entries
+/// whatever the number of modes.
+fn build_counting(
+    source: &SparseTensor,
+    stretches: &[Stretch],
+    nnz: usize,
+    modes: &[usize],
+) -> Vec<ModePlan> {
+    let km = source.order() - 1;
+    // Per mode, `ends[row + 1]` counts the row's entries, then (prefix
+    // sums) `ends[row]..ends[row + 1]` is its range.
+    let mut ends: Vec<Vec<u32>> = modes
+        .iter()
+        .map(|&m| vec![0u32; source.shape()[m] + 1])
         .collect();
-    by_row.sort_unstable();
-    let mut mp = ModePlan {
-        vals: Vec::with_capacity(nnz),
-        cols: Vec::with_capacity(nnz * (tensor.order() - 1)),
-        ..ModePlan::default()
-    };
-    for (pos, &(row, e)) in by_row.iter().enumerate() {
-        if mp.rows.last() != Some(&row) {
-            mp.rows.push(row);
-            // lint:allow(narrowing_cast): `pos < nnz`, which `check_plan_bounds` bounded by u32
-            mp.run_ptr.push(pos as u32);
+    for_each_entry(stretches, |e| {
+        let tuple = source.index(e);
+        for (ends, &m) in ends.iter_mut().zip(modes) {
+            ends[tuple[m] as usize + 1] += 1;
         }
-        mp.vals.push(tensor.value(e as usize));
-        let others = tensor.index(e as usize).iter().enumerate();
-        mp.cols
-            .extend(others.filter(|&(k, _)| k != mode).map(|(_, &i)| i));
+    });
+    for ends in &mut ends {
+        for row in 1..ends.len() {
+            ends[row] += ends[row - 1];
+        }
+    }
+    let mut cursors: Vec<Vec<u32>> = ends.iter().map(|e| e[..e.len() - 1].to_vec()).collect();
+    let mut tables: Vec<(Vec<f64>, Vec<u32>)> = modes
+        .iter()
+        .map(|_| (vec![0.0f64; nnz], vec![0u32; nnz * km]))
+        .collect();
+    for_each_entry(stretches, |e| {
+        let (tuple, v) = (source.index(e), source.value(e));
+        let per_mode = cursors.iter_mut().zip(&mut tables).zip(modes);
+        for ((cursor, (vals, cols)), &m) in per_mode {
+            let row = tuple[m] as usize;
+            let pos = cursor[row] as usize;
+            cursor[row] += 1;
+            vals[pos] = v;
+            copy_others(&mut cols[pos * km..(pos + 1) * km], tuple, m);
+        }
+    });
+    // Compress non-empty rows into runs.
+    ends.iter()
+        .zip(tables)
+        .map(|(ends, (vals, cols))| {
+            let populated = ends.windows(2).filter(|w| w[1] > w[0]).count();
+            let mut rows = Vec::with_capacity(populated);
+            let mut run_ptr = Vec::with_capacity(populated + 1);
+            run_ptr.push(0);
+            for (row, w) in (0u32..).zip(ends.windows(2)) {
+                if w[1] > w[0] {
+                    rows.push(row);
+                    run_ptr.push(w[1]);
+                }
+            }
+            ModePlan {
+                rows,
+                run_ptr,
+                entries: Entries::Copied { vals, cols },
+            }
+        })
+        .collect()
+}
+
+/// One copied mode's layout by sorting `(coordinate, position)` pairs: O(nnz log nnz)
+/// time and O(nnz) scratch, whatever `shape[mode]` is.  Positions are
+/// unique and ascend in stored order, so the unstable sort yields the
+/// stable order.
+fn build_mode_sorting(
+    source: &SparseTensor,
+    stretches: &[Stretch],
+    nnz: usize,
+    mode: usize,
+) -> ModePlan {
+    let km = source.order() - 1;
+    let mut by_row: Vec<(u32, u32)> = Vec::with_capacity(nnz);
+    for_each_entry(stretches, |e| {
+        // lint:allow(narrowing_cast): `e < nnz`, which `check_plan_bounds` bounded by u32
+        by_row.push((source.index(e)[mode], e as u32));
+    });
+    by_row.sort_unstable();
+    let runs = distinct_rows(&by_row);
+    let (mut rows, mut run_ptr) = (Vec::with_capacity(runs), Vec::with_capacity(runs + 1));
+    let mut vals = vec![0.0f64; nnz];
+    let mut cols = vec![0u32; nnz * km];
+    for (pos, &(row, e)) in (0u32..).zip(&by_row) {
+        if rows.last() != Some(&row) {
+            rows.push(row);
+            run_ptr.push(pos);
+        }
+        let at = pos as usize;
+        vals[at] = source.value(e as usize);
+        copy_others(
+            &mut cols[at * km..(at + 1) * km],
+            source.index(e as usize),
+            mode,
+        );
     }
     // lint:allow(narrowing_cast): `check_plan_bounds` bounded nnz by u32
-    mp.run_ptr.push(nnz as u32);
-    mp
+    run_ptr.push(nnz as u32);
+    ModePlan {
+        rows,
+        run_ptr,
+        entries: Entries::Copied { vals, cols },
+    }
 }
 
 #[cfg(test)]
@@ -728,7 +992,7 @@ mod tests {
     fn plan_build_rejects_u32_overflow_shapes() {
         // Shape-only mock: `empty` allocates nothing per dimension, so the
         // guard is exercised without materialising 4B real entries.  The
-        // check must fire before any per-mode work — `build_mode` would
+        // check must fire before any per-mode work — `build_counting` would
         // otherwise attempt a 16 GiB counting buffer for this dimension.
         let huge = u32::MAX as usize + 1;
         let t = SparseTensor::empty(vec![huge, 2, 2]).unwrap();
@@ -739,10 +1003,9 @@ mod tests {
             }
             other => panic!("expected PlanOverflow, got {other:?}"),
         }
-        // The pooled build takes the same guard.
-        let pool = ThreadPool::new(2);
+        // The per-cell build takes the same guard, before any key is read.
         assert!(matches!(
-            MttkrpPlan::build_with(&t, &pool),
+            MttkrpPlan::cells(&t, 1, |_| unreachable!("no entry to key")),
             Err(TensorError::PlanOverflow { .. })
         ));
     }
@@ -779,8 +1042,39 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(10);
         let t = random_tensor(&[6, 6, 6], 50, &mut rng);
         let plan = MttkrpPlan::build(&t).unwrap();
-        // 3 modes × (vals 8B + cols 2×4B) per entry is the floor.
-        assert!(plan.layout_bytes() >= t.nnz() * 3 * 16);
+        // Modes 1 and 2 copy (vals 8 B + cols 2×4 B) per entry: the floor.
+        // Mode 0 reads the tensor in place, so a third copy is not there:
+        // on a lexicographic tensor its table is one stretch per row.
+        assert!(plan.layout_bytes() >= t.nnz() * 2 * 16);
+        assert!(plan.layout_bytes() < t.nnz() * 3 * 16);
+        let rows = plan.touched_rows(0).len();
+        let tables = |m: usize| plan.touched_rows(m).len() * 8 + 4;
+        assert_eq!(
+            plan.layout_bytes(),
+            t.nnz() * 2 * 16 + tables(1) + tables(2) + tables(0) + rows * 12 + 4,
+            "copies, run tables, and per row one 8-byte stretch and its entry count"
+        );
+    }
+
+    #[test]
+    fn a_plan_keeps_its_tensor_alive_and_reads_it_in_place() {
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let t = random_tensor(&[7, 5, 4], 60, &mut rng);
+        let factors: Vec<Matrix> = t
+            .shape()
+            .iter()
+            .map(|&s| Matrix::random(s, 3, &mut rng))
+            .collect();
+        let want = mttkrp(&t, &factors, 0).unwrap();
+        let plan = MttkrpPlan::build(&t).unwrap();
+        drop(t);
+        assert_eq!(
+            plan.mttkrp(&factors, 0)
+                .unwrap()
+                .max_abs_diff(&want)
+                .unwrap(),
+            0.0
+        );
     }
 }
 
@@ -813,7 +1107,7 @@ mod proptests {
 
     /// One mode in three is 40–160 rows long against at most 29 entries
     /// (`shape[mode] ≫ nnz`, runs of one entry), and no entries at all is
-    /// a drawn case: both orderings of `build_mode` run, each also on
+    /// a drawn case: both orderings of `build_copied` run, each also on
     /// inputs the size test would have sent to the other.
     fn problem_strategy() -> impl Strategy<Value = Problem> {
         let dim = (1usize..5, 0usize..3).prop_map(|(d, kind)| if kind == 0 { 40 * d } else { d });
@@ -890,16 +1184,29 @@ mod proptests {
             prop_assert_eq!(bits(&fast), bits(&naive));
         }
 
-        /// The two orderings of `build_mode` produce the same tables
-        /// whichever side of the size test the input falls on, and
+        /// The two orderings of `build_copied` produce the same tables
+        /// whichever side of the size test the input falls on (the
+        /// counting sort of every copied mode together, or of one), and
         /// `mttkrp_into` adds to each touched row of a non-zero `out` the
         /// total it writes to a zeroed one — the association the
         /// distributed cell loop is defined by.
         #[test]
         fn build_orders_agree_and_runs_are_added_as_totals(p in problem_strategy()) {
             let (t, factors) = build_problem(&p, 2);
-            for m in 0..t.order() {
-                prop_assert_eq!(build_mode_counting(&t, m), build_mode_sorting(&t, m), "mode {}", m);
+            // lint:allow(narrowing_cast): a drawn tensor holds at most 29 entries
+            let singles: Vec<Stretch> = (0..t.nnz() as u32).map(|e| [e, e + 1]).collect();
+            let copied: Vec<usize> = (1..t.order()).collect();
+            let sorted: Vec<ModePlan> = copied
+                .iter()
+                .map(|&m| build_mode_sorting(&t, &singles, t.nnz(), m))
+                .collect();
+            prop_assert_eq!(&build_counting(&t, &singles, t.nnz(), &copied), &sorted);
+            for (k, &m) in copied.iter().enumerate() {
+                prop_assert_eq!(
+                    &build_counting(&t, &singles, t.nnz(), &[m])[0],
+                    &sorted[k],
+                    "mode {}", m
+                );
             }
             let fresh = mttkrp(&t, &factors, p.mode).unwrap();
             let mut rng = ChaCha8Rng::seed_from_u64(p.seed ^ 0xacc);
@@ -914,9 +1221,9 @@ mod proptests {
             prop_assert_eq!(bits(&out), expected);
         }
 
-        /// Pooled execution and the pooled build are bitwise identical to
-        /// the serial kernel for every tested pool size, over random
-        /// order-2..5 tensors, any mode, and oversized factors.
+        /// Pooled execution is bitwise identical to the serial kernel for
+        /// every tested pool size, over random order-2..5 tensors, any
+        /// mode, and oversized factors.
         #[test]
         fn pooled_matches_serial_for_every_thread_count(p in problem_strategy()) {
             let (t, factors) = build_problem(&p, 2);
@@ -926,9 +1233,8 @@ mod proptests {
             plan.mttkrp_into(&factors, mode, &mut serial).unwrap();
             for threads in [1usize, 2, 3, 8] {
                 let pool = crate::pool::ThreadPool::new(threads);
-                let par = MttkrpPlan::build_with(&t, &pool).unwrap();
                 let mut out = Matrix::zeros(factors[mode].rows(), 2);
-                par.mttkrp_into_pooled(&factors, mode, &mut out, &pool).unwrap();
+                plan.mttkrp_into_pooled(&factors, mode, &mut out, &pool).unwrap();
                 prop_assert_eq!(bits(&out), bits(&serial), "threads={}", threads);
             }
         }
@@ -953,6 +1259,7 @@ mod proptests {
                 let mut dynamic = Matrix::zeros(factors[mode].rows(), rank);
                 dyn_with_own_scratch(
                     mp,
+                    mp.columns(&plan.source),
                     &factors,
                     mode,
                     rank,

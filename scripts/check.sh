@@ -89,7 +89,7 @@ if ! grep -qE '^Clothing +untouched_rows=[1-9]' "$hash_dir/threads1"; then
 fi
 rm -r "$hash_dir"
 
-echo "==> routing audit (benchmark workloads at worlds 2 and 4: bytes counted = bytes the row routing predicts; generator fingerprints; warm steps read what arrived)"
+echo "==> routing audit (benchmark workloads at worlds 2 and 4: bytes counted = bytes the row routing predicts; generator fingerprints; plan bytes within their model; warm steps read what arrived)"
 # Also prints, per step, the routed rows of every candidate worker grid and
 # where the chosen one ranks; exits non-zero on any step whose wire bytes
 # the routing does not predict, or whose placement no candidate grid
@@ -110,6 +110,25 @@ fi
 if ! grep -E '^(clothing_rows|netflix_nnz|synthetic_fine) seed=1 generated ' "$routes" |
   diff - scripts/generated_seed1.txt; then
   echo "the generated workloads or their snapshots differ from scripts/generated_seed1.txt" >&2
+  exit 1
+fi
+# A cold step's MTTKRP plans read each grid cell where it is: per workload
+# and world (1, 2, 4) the plans a cold step over the first snapshot builds
+# may hold what the exact model beside them counts and no more — at order
+# 3, 32 B per nonzero for the two copied modes plus the run and stretch
+# tables (`plan_bytes … plan=[…] model=[…]`; the bin itself also fails on
+# it).  That the step copies no cell before planning it is the count-alloc
+# audit's `a_cold_world2_step_holds_its_plans_and_no_cell_copy` below.
+if ! awk '/ plan_bytes / {
+      seen++
+      p = $0; sub(/.* plan=\[/, "", p); sub(/\].*/, "", p)
+      m = $0; sub(/.* model=\[/, "", m); sub(/\].*/, "", m)
+      worlds = split(p, plan, " ")
+      if (split(m, model, " ") != worlds || worlds != 3) bad++
+      for (w = 1; w <= worlds; w++) if (plan[w] + 0 > model[w] + 0) bad++
+    }
+    END { exit (bad > 0 || seen != 3) }' "$routes"; then
+  echo "a cold step's plans hold more than their model (plan_bytes lines above the model, or missing)" >&2
   exit 1
 fi
 # A warm step reads only what arrived: on a stream's snapshots its
@@ -179,7 +198,7 @@ echo "==> interprocedural audits (dismastd-xtask: collective-order, panic-budget
 # gram / exchange kernels (L8).
 cargo run -q -p dismastd-xtask -- analyze
 
-echo "==> allocation audits (count-alloc feature: zero allocations after warm-up; warm-ingest bytes independent of the resident block; serial dtd iterations allocation-free; a stream cut holds nnz_T x 20 B + T x TENSOR_SLACK; a plan over long modes built from its entries)"
+echo "==> allocation audits (count-alloc feature: zero allocations after warm-up; warm-ingest bytes independent of the resident block; serial dtd iterations allocation-free; a stream cut holds nnz_T x 20 B + T x TENSOR_SLACK; a plan over long modes built from its entries; a cold world-2 step copies no cell)"
 # The dynamic twin of L8: a counting global allocator measures a full
 # gram -> all-reduce -> row-exchange round, and a refresh-carrying-Gram-
 # slices -> fence -> partials-carrying-reduced-slices round, on every rank
@@ -191,9 +210,10 @@ echo "==> allocation audits (count-alloc feature: zero allocations after warm-up
 # live-bytes gauge pins the memory model: a stream cut holds 20 B per
 # order-3 nonzero of its last snapshot, once (every snapshot is a prefix
 # of one store), and returns every byte when dropped; a warm ingest peaks at
-# complement + plan + O(rows x R) above its inputs.  And a plan's build is
-# sized by its entries, not by its modes' lengths, so one plan per grid
-# cell does not cost cells x sum(shape).
+# complement + plan + O(rows x R) above its inputs, and a cold world-2 step
+# at its plans' copied modes + O(rows x R + stretches), no cell copied.
+# And a plan's build is sized by its entries, not by its modes' lengths, so
+# one plan per grid cell does not cost cells x sum(shape).
 cargo test -q -p dismastd-integration-tests --features count-alloc --test steady_state_alloc
 
 echo "All checks passed."

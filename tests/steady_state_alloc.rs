@@ -15,8 +15,9 @@
 //! the same bytes whether the resident old block is sparse or 4× denser.
 //!
 //! Its process-wide live-bytes gauge pins the memory model itself — what a
-//! stream's snapshots, a complement and a warm step *hold*, in bytes per
-//! nonzero — so a resident-set size can be explained rather than observed.
+//! stream's snapshots, a complement, a warm step and a cold world-2 step
+//! *hold*, in bytes per nonzero — so a resident-set size can be explained
+//! rather than observed.
 //!
 //! Runs only under `--features count-alloc`, which swaps in
 //! [`dismastd_obs::alloc::CountingAlloc`]; the ordinary suite stays on
@@ -435,6 +436,85 @@ fn a_step_releases_its_plans_when_it_returns() {
     );
 }
 
+/// A cold world-2 step plans its grid cells where they are: no cell is
+/// copied out of the snapshot.  So what the step holds at its peak above
+/// its inputs is its plans' copied modes — `(N − 1)·(8 + 4(N − 1))` B per
+/// entry, 32 at order 3 — plus `O(rows · R + stretches)`: the stretch and
+/// run tables, row routing, factors and payloads.  Copying each cell first
+/// (20 B per entry, and its push growth) or copying mode 0 as well (16 B)
+/// would be over the bound.  GTP's parts are index ranges, so a cell's
+/// stretches here are one per fiber and part; MTP's parts interleave, and
+/// there a cell's stretches approach its entries.
+#[test]
+fn a_cold_world2_step_holds_its_plans_and_no_cell_copy() {
+    use dismastd_core::{
+        ClusterConfig, DecompConfig, ExecutionMode, StreamingSession, ThreadPolicy,
+    };
+    use dismastd_partition::{CellAssignment, GridPartition, Partitioner};
+    use dismastd_tensor::SparseTensorBuilder;
+
+    let _alone = GAUGE.write().unwrap_or_else(PoisonError::into_inner);
+    const ORDER: usize = 3;
+    const COPIED_PER_ENTRY: usize = (ORDER - 1) * (8 + 4 * (ORDER - 1));
+    // Long last-mode fibers, so stretches are few against the entries.
+    let shape = [16usize, 16, 400];
+    let mut b = SparseTensorBuilder::new(shape.to_vec());
+    for i in 0..shape[0] {
+        for j in 0..shape[1] {
+            for k in 0..shape[2] {
+                if (i * 7 + j * 3 + k) % 3 != 0 {
+                    b.push(&[i, j, k], 0.5 + ((i + j + k) % 13) as f64 * 0.125)
+                        .unwrap();
+                }
+            }
+        }
+    }
+    let snapshot = b.build().unwrap();
+    let nnz = snapshot.nnz();
+    let rank = 3;
+    let cfg = DecompConfig::default()
+        .with_rank(rank)
+        .with_max_iters(2)
+        .with_threads(ThreadPolicy::Fixed(1));
+    let cluster = ClusterConfig::new(2).with_partitioner(Partitioner::Gtp);
+    let world2 = || StreamingSession::new(cfg, ExecutionMode::Distributed(cluster.clone()));
+    // The step's grid (two parts per mode at world 2), and its stretches:
+    // maximal runs of stored entries sharing the cell and the mode-0 index.
+    let grid = GridPartition::build_with(
+        &snapshot,
+        Partitioner::Gtp,
+        &[2; ORDER],
+        2,
+        CellAssignment::BlockGrid,
+    )
+    .unwrap();
+    let key = |idx: &[u32]| (grid.cell_of(idx), idx[0]);
+    let tuples: Vec<&[u32]> = snapshot.iter().map(|(idx, _)| idx).collect();
+    let stretches = 1 + tuples.windows(2).filter(|w| key(w[0]) != key(w[1])).count();
+    // A throwaway step first: state the process sets up once (the
+    // transport's first channels, thread-locals) is not the step's.
+    world2().ingest(&snapshot).unwrap();
+
+    let mut sess = world2();
+    reset_peak_live_bytes();
+    let before = live_bytes();
+    sess.ingest(&snapshot).unwrap();
+    let peak = peak_live_bytes() - before;
+    let rows_r = shape.iter().sum::<usize>() * rank * 8;
+    let bound = COPIED_PER_ENTRY * nnz + 16 * stretches + 64 * rows_r;
+    assert!(
+        16 * nnz > 16 * stretches + 64 * rows_r,
+        "the bound must be able to tell a copied mode or a copied cell: \
+         {nnz} entries, {stretches} stretches, {rows_r} B of rows"
+    );
+    assert!(
+        peak <= bound,
+        "a cold world-2 step over {nnz} entries ({stretches} stretches) peaked at {peak} B, \
+         {:.1} B per entry; bound {bound} B",
+        peak as f64 / nnz as f64
+    );
+}
+
 /// DTD's promise (Alg. 1, Theorem 2) by bytes: a warm step's memory is a
 /// function of what arrived, not of what is resident.  Two streams share
 /// shapes and the complement `X \ X̃` entry for entry; one's old block holds
@@ -673,7 +753,10 @@ fn a_builder_holds_its_flat_staging_a_sort_key_and_the_tensor() {
 ///   two times the entries it kept;
 /// * a warm serial `ingest` peaks at the complement, its MTTKRP plan and
 ///   `O(rows · R)` of factor-shaped state above its inputs — whatever the
-///   resident block weighs.
+///   resident block weighs.  The plan reads mode 0 in the complement and
+///   copies the other two modes: `2·(8 + 2·4) = 32` B per entry, and
+///   per-row tables (8 B per run in every mode; mode 0's entry count and
+///   one 8-byte stretch per row, the complement being lexicographic).
 #[test]
 fn resident_bytes_follow_the_memory_model() {
     use dismastd_core::{DecompConfig, ExecutionMode, StreamingSession, ThreadPolicy};
@@ -757,8 +840,15 @@ fn resident_bytes_follow_the_memory_model() {
         .with_max_iters(4)
         .with_tolerance(0.0)
         .with_threads(ThreadPolicy::Fixed(1));
-    let plan_bytes = MttkrpPlan::build(&complement).unwrap().layout_bytes();
-    let factor_bytes = new_shape.iter().sum::<usize>() * rank * 8;
+    const PLAN_PER_ENTRY: usize = 2 * (8 + 2 * 4);
+    let rows: usize = new_shape.iter().sum();
+    let plan_bytes = PLAN_PER_ENTRY * complement.nnz() + 24 * rows;
+    let built = MttkrpPlan::build(&complement).unwrap().layout_bytes();
+    assert!(
+        (PLAN_PER_ENTRY * complement.nnz()..=plan_bytes).contains(&built),
+        "the plan holds {built} B, the model {plan_bytes} B"
+    );
+    let factor_bytes = rows * rank * 8;
     let warm_peak = |full: &SparseTensor| {
         let old = full.restrict(&old_shape).unwrap();
         let mut sess = StreamingSession::new(cfg, ExecutionMode::Serial);
