@@ -1,6 +1,6 @@
 //! The collectives of [`WorkerCtx`]: barrier, all-to-all exchange (whole
-//! or posted in halves), broadcast, gather, and the `f64` sum all-reduce
-//! (flat or ring).
+//! or posted in halves), gather, and the `f64` sum all-reduce (flat or
+//! ring).
 //!
 //! Every collective enters through one helper (`enter`): the crash point,
 //! then the collective's sequence tag, which advances in lock-step on
@@ -220,39 +220,6 @@ impl WorkerCtx {
         self.recv_all(tag, mine, incoming)
     }
 
-    /// Broadcast from `root`: the root passes `Some(payload)`, everyone else
-    /// passes `None`; all workers (including the root) return the payload.
-    ///
-    /// # Errors
-    /// Returns the poisoning [`ClusterError`] when any peer fails or the
-    /// receive times out.
-    ///
-    /// # Panics
-    /// Panics if the root passes `None` or a non-root passes `Some` (a
-    /// caller bug).
-    pub fn try_broadcast(
-        &mut self,
-        root: usize,
-        payload: Option<Payload>,
-    ) -> ClusterResult<Payload> {
-        let _span = dismastd_obs::span("comm/broadcast");
-        let tag = self.enter()?;
-        if self.rank == root {
-            // lint:allow(panic_path): documented contract — root/payload misuse is a caller bug
-            let payload = payload.expect("root must supply the broadcast payload");
-            for dst in 0..self.world {
-                if dst != root {
-                    // lint:allow(alloc_hygiene): each send consumes one copy of the caller-owned payload; the gram path uses the pooled flat allreduce
-                    self.try_send_raw(dst, tag, payload.clone())?;
-                }
-            }
-            Ok(payload)
-        } else {
-            assert!(payload.is_none(), "only the root supplies a payload");
-            self.try_recv_raw(root, tag, self.default_timeout)
-        }
-    }
-
     /// Gather to `root`: returns `Some(payloads_by_rank)` on the root,
     /// `None` elsewhere.
     ///
@@ -329,8 +296,8 @@ impl WorkerCtx {
     /// Seed algorithm: gather-to-0 + broadcast.  Two collectives' worth of
     /// sequencing and `2(w−1)·b` bytes through the root.
     ///
-    /// The gather and broadcast halves are inlined (same spans, crash
-    /// points, and sequence numbers as `try_gather` + `try_broadcast`) so
+    /// The gather and broadcast halves are inlined (the gather's span,
+    /// crash point and sequence number are those of `try_gather`) so
     /// contributions fold straight into `buf` as they arrive and every
     /// staging vector cycles through the worker's
     /// [`BufferPool`](crate::BufferPool) — the steady-state reduction

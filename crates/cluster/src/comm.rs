@@ -80,16 +80,11 @@ pub struct CommStats {
     /// Bytes whose sender rank fell outside the per-sender breakdown (a
     /// caller bug — see [`CommStats::record_message_from`]).
     unattributed_bytes: AtomicU64,
-    /// Bytes sent per worker rank (empty when built via `new`).
+    /// Bytes sent per worker rank (empty when built via `default`).
     bytes_by_sender: Vec<AtomicU64>,
 }
 
 impl CommStats {
-    /// Fresh zeroed stats without per-sender breakdown.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Fresh zeroed stats with one per-sender counter per worker.
     pub fn with_world(world: usize) -> Self {
         CommStats {
@@ -112,7 +107,7 @@ impl CommStats {
     /// `unattributed_bytes` so snapshots still reconcile exactly.
     pub fn record_message_from(&self, sender: usize, bytes: u64) {
         if self.bytes_by_sender.is_empty() {
-            // Totals-only stats (`CommStats::new`): no breakdown to keep
+            // Totals-only stats (`CommStats::default`): no breakdown to keep
             // consistent, any rank is acceptable.
             self.record_message(bytes);
             return;
@@ -356,20 +351,6 @@ impl CommStatsSnapshot {
             *a += b;
         }
     }
-
-    /// Ratio of the busiest sender's bytes to the mean (1.0 = perfectly
-    /// even; 0.0 when nothing was sent or no breakdown was recorded).
-    pub fn sender_imbalance(&self) -> f64 {
-        if self.bytes_by_sender.is_empty() {
-            return 0.0;
-        }
-        let mean =
-            self.bytes_by_sender.iter().sum::<u64>() as f64 / self.bytes_by_sender.len() as f64;
-        if mean == 0.0 {
-            return 0.0;
-        }
-        self.bytes_by_sender.iter().max().copied().unwrap_or(0) as f64 / mean
-    }
 }
 
 #[cfg(test)]
@@ -388,7 +369,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate_and_snapshot() {
-        let s = CommStats::new();
+        let s = CommStats::default();
         s.record_message(100);
         s.record_message(50);
         s.record_collective();
@@ -401,7 +382,7 @@ mod tests {
     // Historical name: snapshots no longer subtract; this pins `reset`.
     #[test]
     fn stats_reset_and_delta() {
-        let s = CommStats::new();
+        let s = CommStats::default();
         s.record_message(10);
         s.record_message(30);
         let snap = s.snapshot();
@@ -449,21 +430,20 @@ mod tests {
 
     #[test]
     fn new_stats_have_no_per_sender_breakdown() {
-        // `CommStats::new()` tracks totals only: attributing a message to
+        // `CommStats::default()` tracks totals only: attributing a message to
         // any sender rank still counts globally but records no breakdown.
-        let s = CommStats::new();
+        let s = CommStats::default();
         s.record_message_from(0, 64);
         s.record_message_from(7, 16);
         let snap = s.snapshot();
         assert_eq!(snap.bytes, 80);
         assert_eq!(snap.messages, 2);
         assert!(snap.bytes_by_sender.is_empty());
-        assert_eq!(snap.sender_imbalance(), 0.0);
     }
 
     #[test]
     fn retransmit_and_duplicate_counters_are_separate() {
-        let s = CommStats::new();
+        let s = CommStats::default();
         s.record_message(100);
         s.record_retransmit(100); // the dropped copy's resend
         s.record_duplicate_suppressed();
@@ -494,7 +474,7 @@ mod tests {
         assert_eq!(total.retransmits, 1);
         assert_eq!(total.bytes_by_sender, vec![10, 30]);
         // Merging into a breakdown-free snapshot grows the breakdown.
-        let mut plain = CommStats::new().snapshot();
+        let mut plain = CommStats::default().snapshot();
         plain.merge(&b.snapshot());
         assert_eq!(plain.bytes_by_sender, vec![0, 30]);
     }
@@ -571,14 +551,14 @@ mod per_sender_tests {
 
     #[test]
     fn sender_imbalance_metric() {
+        // The busiest sender's share is read off the per-sender breakdown.
         let s = CommStats::with_world(2);
-        assert_eq!(s.snapshot().sender_imbalance(), 0.0); // nothing sent
+        assert_eq!(s.snapshot().bytes_by_sender, vec![0, 0]); // nothing sent
         s.record_message_from(0, 300);
         s.record_message_from(1, 100);
-        let snap = s.snapshot();
-        assert!((snap.sender_imbalance() - 1.5).abs() < 1e-12);
-        // Breakdown-free stats report 0.
-        assert_eq!(CommStats::new().snapshot().sender_imbalance(), 0.0);
+        assert_eq!(s.snapshot().bytes_by_sender, vec![300, 100]);
+        // Breakdown-free stats record none.
+        assert!(CommStats::default().snapshot().bytes_by_sender.is_empty());
     }
 
     // Historical name: snapshots no longer subtract; this pins how
@@ -649,7 +629,7 @@ mod per_sender_tests {
         assert!(snap.reconciles());
         assert_eq!(snap.unattributed_bytes, 0);
         // Totals-only stats reconcile trivially.
-        let plain = CommStats::new();
+        let plain = CommStats::default();
         plain.record_message_from(9, 10);
         assert!(plain.snapshot().reconciles());
         // A hand-built drifting snapshot is caught.

@@ -7,28 +7,8 @@
 //! experiment harness converts *measured compute time + counted bytes* into
 //! a modeled cluster time with this cost model.
 
-use crate::wire::AllreduceAlgo;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
-
-/// Bytes the busiest rank moves (sent + received) for one allreduce of a
-/// `bytes`-sized buffer under the given algorithm.
-///
-/// * **Flat** centralises at the root: it receives `world - 1` payloads and
-///   broadcasts `world - 1` copies, `2(world-1)·bytes` at rank 0 while every
-///   other rank moves only `2·bytes`.
-/// * **Ring** pipelines chunks around a chain; every rank sends and receives
-///   the full buffer once per wave, `2·bytes` regardless of `world`.
-pub fn allreduce_bytes_per_rank(world: usize, bytes: u64, algo: AllreduceAlgo) -> u64 {
-    if world <= 1 {
-        return 0;
-    }
-    let w = world as u64;
-    match algo {
-        AllreduceAlgo::Flat => 2 * (w - 1) * bytes,
-        AllreduceAlgo::Ring => 2 * bytes,
-    }
-}
 
 /// Parameters of the modeled cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -88,24 +68,6 @@ impl CostModel {
         Duration::from_secs_f64(bytes as f64 / self.bandwidth_bytes_per_sec)
     }
 
-    /// Modeled wall-clock of one allreduce of a `bytes`-sized buffer:
-    /// latency per sequential hop on the critical path plus the transfer
-    /// time of the busiest rank's traffic.  Flat pays 2 hops (gather +
-    /// broadcast) but moves `2(world-1)·bytes` through the root; ring pays
-    /// `2(world-1)` pipelined hops moving only `2·bytes` per rank: flat
-    /// wins tiny buffers, the ring large ones.
-    pub fn allreduce_time(&self, bytes: u64, world: usize, algo: AllreduceAlgo) -> Duration {
-        if world <= 1 {
-            return Duration::ZERO;
-        }
-        let hops = match algo {
-            AllreduceAlgo::Flat => 2,
-            AllreduceAlgo::Ring => 2 * (world as u32 - 1),
-        };
-        self.collective_latency * hops
-            + self.transfer_time(allreduce_bytes_per_rank(world, bytes, algo))
-    }
-
     /// Modeled wall-clock of a distributed phase: measured compute plus
     /// `stages` stage startups, `collectives` latencies, and the transfer
     /// time of `bytes`.
@@ -159,39 +121,6 @@ mod tests {
         let m = CostModel::spark_like();
         let t = m.phase_time(Duration::from_millis(1), 4, 0, 0);
         assert!(t >= Duration::from_millis(200));
-    }
-
-    #[test]
-    fn ring_beats_flat_on_large_payloads() {
-        // Big buffer, several ranks: flat funnels 2(w-1)·b through the
-        // root while ring spreads the load, so modeled ring time wins
-        // despite its longer hop chain.
-        let m = CostModel::spark_like();
-        let (world, bytes) = (8, 64 << 20);
-        let flat = m.allreduce_time(bytes, world, AllreduceAlgo::Flat);
-        let ring = m.allreduce_time(bytes, world, AllreduceAlgo::Ring);
-        assert!(ring < flat, "ring {ring:?} vs flat {flat:?}");
-    }
-
-    // Historical name: the size-picking `Auto` algorithm it also checked
-    // is gone; the tier-1 floor list knows the test by this name.
-    #[test]
-    fn flat_wins_tiny_payloads_and_auto_selects_it() {
-        // Tiny buffer: latency dominates, and flat's 2 hops beat ring's
-        // 2(w-1).
-        let m = CostModel::spark_like();
-        let (world, bytes) = (8, 16);
-        let flat = m.allreduce_time(bytes, world, AllreduceAlgo::Flat);
-        let ring = m.allreduce_time(bytes, world, AllreduceAlgo::Ring);
-        assert!(flat < ring, "flat {flat:?} vs ring {ring:?}");
-    }
-
-    #[test]
-    fn allreduce_bytes_per_rank_by_algorithm() {
-        assert_eq!(allreduce_bytes_per_rank(1, 1000, AllreduceAlgo::Flat), 0);
-        assert_eq!(allreduce_bytes_per_rank(4, 1000, AllreduceAlgo::Flat), 6000);
-        assert_eq!(allreduce_bytes_per_rank(4, 1000, AllreduceAlgo::Ring), 2000);
-        assert_eq!(allreduce_bytes_per_rank(3, 1000, AllreduceAlgo::Ring), 2000);
     }
 
     #[test]

@@ -674,20 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_delivers_to_everyone() {
-        let out = Cluster::try_run(3, |ctx| {
-            let payload = if ctx.rank() == 1 {
-                Some(Payload::F64(vec![3.5]))
-            } else {
-                None
-            };
-            ctx.try_broadcast(1, payload)?.try_into_f64()
-        })
-        .unwrap();
-        assert!(out.iter().all(|v| v == &vec![3.5]));
-    }
-
-    #[test]
     fn gather_collects_in_rank_order() {
         let out = Cluster::try_run(3, |ctx| {
             ctx.try_gather(2, Payload::F64(vec![ctx.rank() as f64 * 10.0]))
@@ -880,7 +866,8 @@ mod tests {
         // Total volume matches (2(w−1)·b both ways) but the ring spreads
         // it: the busiest sender carries far less than the flat root.
         assert_eq!(flat.bytes, ring.bytes);
-        assert!(ring.sender_imbalance() < flat.sender_imbalance());
+        let busiest = |s: &CommStatsSnapshot| s.bytes_by_sender.iter().max().copied();
+        assert!(busiest(&ring) < busiest(&flat));
         assert!(ring.reconciles() && flat.reconciles());
     }
 
@@ -1195,8 +1182,6 @@ mod tests {
         let world = ctx.world();
         let sum = allreduce_scalar(ctx, me + 1.0)?;
         ctx.try_barrier()?;
-        let bcast = (ctx.rank() == 0).then(|| Payload::F64(vec![sum * 2.0]));
-        let root = ctx.try_broadcast(0, bcast)?.try_into_f64()?;
         let mut buf = vec![me; 8];
         ctx.try_allreduce_sum(&mut buf)?;
         let mut ring: Vec<f64> = (0..world - 1).map(|i| me * 0.5 + i as f64).collect();
@@ -1212,7 +1197,7 @@ mod tests {
         let mut posted = Vec::new();
         ctx.complete_exchange(pending, &mut posted)?;
         let gathered = ctx.try_gather(world - 1, Payload::F64(vec![me * me]))?;
-        let mut out = vec![sum, root[0], buf[0]];
+        let mut out = vec![sum, buf[0]];
         out.extend(ring);
         for p in swapped
             .into_iter()

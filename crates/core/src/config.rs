@@ -114,12 +114,6 @@ impl DecompConfig {
         self
     }
 
-    /// Returns the config with a different ingest validation mode.
-    pub fn with_validation(mut self, mode: ValidationMode) -> Self {
-        self.numerics.validation = mode;
-        self
-    }
-
     /// Returns the config with a different intra-worker thread policy.
     pub fn with_threads(mut self, threads: ThreadPolicy) -> Self {
         self.threads = threads;

@@ -344,7 +344,7 @@ mod tests {
     fn overflowing_step() -> (SparseTensor, Vec<Matrix>) {
         let mut rng = ChaCha8Rng::seed_from_u64(31);
         let mut tiny = Matrix::random(4, 2, &mut rng);
-        tiny.scale_assign(1e-120);
+        tiny.as_mut_slice().iter_mut().for_each(|x| *x *= 1e-120);
         let old = vec![Matrix::random(3, 2, &mut rng), tiny];
         let mut b = SparseTensorBuilder::new(vec![6, 4]);
         for i in 3..6 {

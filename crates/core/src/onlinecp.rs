@@ -87,11 +87,6 @@ impl OnlineCp {
         })
     }
 
-    /// Decomposition rank.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
     /// Current shape (temporal mode last).
     pub fn shape(&self) -> Vec<usize> {
         let mut s: Vec<usize> = self.factors.iter().map(Matrix::rows).collect();

@@ -277,11 +277,6 @@ impl StreamingSession {
         self.collect_metrics = on;
     }
 
-    /// Whether per-step metrics collection is enabled.
-    pub fn collect_metrics(&self) -> bool {
-        self.collect_metrics
-    }
-
     /// Installs the heal ladder [`StreamingSession::ingest`] walks when a
     /// step hits a cluster fault.  Replaces any previous
     /// supervisor, resetting its per-rank respawn budgets.

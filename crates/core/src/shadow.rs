@@ -50,17 +50,6 @@ impl ShadowOracle {
         }
     }
 
-    /// Overrides the serial-comparison tolerance.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// Steps verified so far.
-    pub fn steps_checked(&self) -> usize {
-        self.steps_checked
-    }
-
     /// Verifies `observed` after it ingested `snapshot`: mirrors the
     /// observed session's current world size onto the replica, ingests
     /// `snapshot` into both references, and runs the bitwise (replica) and

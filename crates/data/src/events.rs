@@ -82,11 +82,6 @@ impl EventLog {
         self.events.is_empty()
     }
 
-    /// Tensor order.
-    pub fn order(&self) -> usize {
-        self.order
-    }
-
     /// The smallest shape containing the first `n` events (all-zero for an
     /// empty prefix).
     pub fn shape_after(&self, n: usize) -> Vec<usize> {
@@ -111,24 +106,6 @@ impl EventLog {
             b.push(&e.idx, e.value)?;
         }
         b.build()
-    }
-
-    /// Materialises snapshots at the given event-count cuts.
-    ///
-    /// Cuts must be non-decreasing; the resulting snapshots are nested
-    /// (Def. 4) because each is a prefix of the next.
-    ///
-    /// # Errors
-    /// Returns [`TensorError::InvalidArgument`] on decreasing cuts.
-    pub fn snapshots(&self, cuts: &[usize]) -> Result<Vec<SparseTensor>> {
-        for w in cuts.windows(2) {
-            if w[0] > w[1] {
-                return Err(TensorError::InvalidArgument(
-                    "cuts must be non-decreasing".into(),
-                ));
-            }
-        }
-        cuts.iter().map(|&c| self.snapshot_after(c)).collect()
     }
 
     /// Counts events in `prefix..n` that fall inside the box spanned by the
@@ -234,7 +211,10 @@ mod tests {
     #[test]
     fn snapshots_shapes_nest_and_entries_persist() {
         let log = sample_log(); // no duplicate indices → exact Def. 4 nesting
-        let snaps = log.snapshots(&[1, 2, 4]).unwrap();
+        let snaps: Vec<SparseTensor> = [1, 2, 4]
+            .iter()
+            .map(|&c| log.snapshot_after(c).unwrap())
+            .collect();
         assert_eq!(snaps.len(), 3);
         for w in snaps.windows(2) {
             // Shapes grow monotonically…
@@ -262,9 +242,12 @@ mod tests {
 
     #[test]
     fn snapshots_validate_cuts() {
+        // A cut past the end of the log is the whole log.
         let log = sample_log();
-        assert!(log.snapshots(&[3, 1]).is_err());
-        assert!(log.snapshots(&[1, 1, 4]).is_ok());
+        assert_eq!(
+            log.snapshot_after(99).unwrap(),
+            log.snapshot_after(4).unwrap()
+        );
     }
 
     #[test]
@@ -312,7 +295,10 @@ mod tests {
         let log = EventLog::synthetic_growth(&[30, 25, 20], 1500, &[0.7, 0.7, 0.3], 1.0, &mut rng)
             .unwrap();
         let cuts = [500usize, 1000, 1500];
-        let snaps = log.snapshots(&cuts).unwrap();
+        let snaps: Vec<SparseTensor> = cuts
+            .iter()
+            .map(|&c| log.snapshot_after(c).unwrap())
+            .collect();
         for (t, w) in snaps.windows(2).enumerate() {
             let old_shape = w[0].shape().to_vec();
             let complement = w[1].complement(&old_shape).unwrap();

@@ -1,4 +1,5 @@
-//! Sparse-tensor I/O: a plain COO text format plus JSON via serde.
+//! Sparse-tensor I/O: a plain COO text format (JSON goes through
+//! `SparseTensor`'s serde implementations).
 //!
 //! The text format matches the de-facto standard used by FROSTT/SPLATT-style
 //! tools: a header `%shape I1 I2 … IN`, then one `i1 i2 … iN value` line per
@@ -103,31 +104,23 @@ pub fn read_coo_text(r: impl Read) -> Result<SparseTensor> {
         .build()
 }
 
-/// Serialises a tensor to a JSON string (exact `f64` round trip via serde).
-///
-/// # Errors
-/// Returns [`TensorError::InvalidArgument`] on serialisation failure.
-pub fn to_json(tensor: &SparseTensor) -> Result<String> {
-    serde_json::to_string(tensor).map_err(|e| TensorError::InvalidArgument(format!("json: {e}")))
-}
-
-/// Deserialises a tensor from [`to_json`] output — checked, not trusted
-/// (entries may be unsorted or repeated; they are kept as written).
-///
-/// # Errors
-/// Returns [`TensorError::InvalidArgument`] for malformed JSON or a missing
-/// field, and `SparseTensor::try_from`'s typed refusals for a document that
-/// is not a tensor (empty shape, buffers that disagree, an index out of
-/// bounds, a coordinate `≥ 2³²`).
-pub fn from_json(s: &str) -> Result<SparseTensor> {
-    let doc: serde::Value =
-        serde_json::from_str(s).map_err(|e| TensorError::InvalidArgument(format!("json: {e}")))?;
-    SparseTensor::try_from(&doc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn to_json(tensor: &SparseTensor) -> String {
+        serde_json::to_string(tensor).unwrap()
+    }
+
+    /// A tensor read from JSON — checked, not trusted (entries may be
+    /// unsorted or repeated; they are kept as written): malformed JSON is
+    /// `InvalidArgument`, a document that is not a tensor keeps
+    /// `SparseTensor::try_from`'s typed refusal.
+    fn from_json(s: &str) -> Result<SparseTensor> {
+        let doc: serde::Value = serde_json::from_str(s)
+            .map_err(|e| TensorError::InvalidArgument(format!("json: {e}")))?;
+        SparseTensor::try_from(&doc)
+    }
 
     fn sample() -> SparseTensor {
         let mut b = SparseTensorBuilder::new(vec![3, 4, 2]);
@@ -243,7 +236,7 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let t = sample();
-        let s = to_json(&t).unwrap();
+        let s = to_json(&t);
         // The bytes the `Vec<usize>` representation wrote (PR 19): the
         // narrower in-memory index does not show in the document.
         assert_eq!(

@@ -32,7 +32,6 @@ use dismastd_tensor::{Result, SparseTensor, TensorError};
 #[derive(Debug, Clone)]
 pub struct StreamSequence {
     snapshots: Vec<SparseTensor>,
-    fractions: Vec<f64>,
 }
 
 impl StreamSequence {
@@ -72,7 +71,6 @@ impl StreamSequence {
         let boxes: Vec<Vec<usize>> = fractions.iter().map(|&f| bounds(full, f)).collect();
         Ok(StreamSequence {
             snapshots: full.nested_prefixes(&boxes)?,
-            fractions: fractions.to_vec(),
         })
     }
 
@@ -90,11 +88,6 @@ impl StreamSequence {
     /// The snapshot at step `t`.
     pub fn snapshot(&self, t: usize) -> &SparseTensor {
         &self.snapshots[t]
-    }
-
-    /// The fraction that produced snapshot `t`.
-    pub fn fraction(&self, t: usize) -> f64 {
-        self.fractions[t]
     }
 
     /// Iterates snapshots in stream order.
@@ -259,8 +252,9 @@ mod tests {
     fn fraction_accessor_round_trips() {
         let full = full_tensor();
         let seq = StreamSequence::cut(&full, &[0.6, 0.8, 1.0]).unwrap();
-        assert_eq!(seq.fraction(0), 0.6);
-        assert_eq!(seq.fraction(2), 1.0);
+        // Fraction 1.0 cuts the whole tensor.
+        assert_eq!(seq.snapshot(2).shape(), full.shape());
+        assert_eq!(seq.snapshot(2).nnz(), full.nnz());
         assert_eq!(seq.iter().count(), 3);
     }
 

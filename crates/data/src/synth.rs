@@ -108,16 +108,6 @@ impl ZipfSampler {
         ZipfSampler { cdf, guide, scale }
     }
 
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// `true` iff the sampler covers no items (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Draws one index.
     pub fn sample(&self, rng: &mut impl Rng) -> usize {
         // Non-empty by construction; fall back to weight 1 to stay
@@ -234,7 +224,6 @@ mod tests {
     fn zipf_sampler_is_head_heavy() {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let z = ZipfSampler::new(100, 1.2);
-        assert_eq!(z.len(), 100);
         let mut counts = vec![0usize; 100];
         for _ in 0..10_000 {
             counts[z.sample(&mut rng)] += 1;

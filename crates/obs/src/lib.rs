@@ -432,17 +432,6 @@ impl MetricsSnapshot {
             .sum()
     }
 
-    /// Total nanoseconds of all `phase/`-prefixed spans.  Phase spans are
-    /// non-overlapping by convention (see DESIGN.md), so on a single
-    /// thread this sum is bounded by the enclosing wall-clock interval.
-    pub fn phase_total_ns(&self) -> u64 {
-        self.spans
-            .iter()
-            .filter(|s| s.name.starts_with("phase/"))
-            .map(|s| s.total_ns)
-            .sum()
-    }
-
     /// Sum across every label of the named counter.
     pub fn counter_value(&self, name: &str) -> u64 {
         self.counters
@@ -458,11 +447,6 @@ impl MetricsSnapshot {
             .iter()
             .find(|c| c.name == name && c.label == label)
             .map_or(0, |c| c.value)
-    }
-
-    /// The named histogram, if recorded.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramStat> {
-        self.histograms.iter().find(|h| h.name == name)
     }
 
     /// Folds `other` into `self`: span counts/totals add (max of maxes),
@@ -572,14 +556,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// JSON export of the full snapshot.
-    ///
-    /// # Errors
-    /// Propagates the serializer's error (not reachable for this data).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
 }
 
 #[cfg(test)]
@@ -621,7 +597,11 @@ mod tests {
         assert!(snap.span_total_ns("kernel/beta") >= 1_000_000);
         assert_eq!(snap.counter_value("plan/rebuild"), 2);
         assert_eq!(snap.counter_value("solve/tier"), 3);
-        let h = snap.histogram("comm/msg_bytes").expect("recorded");
+        let h = snap
+            .histograms
+            .iter()
+            .find(|h| h.name == "comm/msg_bytes")
+            .expect("recorded");
         assert_eq!(h.count, 3);
         assert_eq!(h.total, 801);
         assert_eq!(h.buckets[0], 1); // value 0
@@ -638,10 +618,14 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         let snap = c.finish();
-        assert_eq!(snap.phase_total_ns(), snap.span_total_ns("phase/a"));
-        assert!(
-            snap.phase_total_ns() < snap.span_total_ns("phase/a") + snap.span_total_ns("kernel/b")
-        );
+        let phase_total_ns: u64 = snap
+            .spans
+            .iter()
+            .filter(|s| s.name.starts_with("phase/"))
+            .map(|s| s.total_ns)
+            .sum();
+        assert_eq!(phase_total_ns, snap.span_total_ns("phase/a"));
+        assert!(phase_total_ns < snap.span_total_ns("phase/a") + snap.span_total_ns("kernel/b"));
     }
 
     #[test]
@@ -713,7 +697,7 @@ mod tests {
             m.span_total_ns("phase/x"),
             a.span_total_ns("phase/x") + b.span_total_ns("phase/x")
         );
-        let h = m.histogram("h").expect("merged");
+        let h = m.histograms.iter().find(|h| h.name == "h").expect("merged");
         assert_eq!(h.count, 2);
         assert_eq!(h.total, 8);
         assert_eq!(h.buckets[3], 2);
@@ -731,7 +715,7 @@ mod tests {
         counter_add("events", 9);
         histogram_record("sizes", 100);
         let snap = c.finish();
-        let json = snap.to_json().expect("serializable");
+        let json = serde_json::to_string(&snap).expect("serializable");
         let back: MetricsSnapshot = serde_json::from_str(&json).expect("parses");
         assert_eq!(back, snap);
         let text = snap.to_text();

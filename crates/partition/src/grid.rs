@@ -295,11 +295,6 @@ impl GridPartition {
         self.num_workers
     }
 
-    /// Tensor order.
-    pub fn order(&self) -> usize {
-        self.mode_partitions.len()
-    }
-
     /// The mode-`n` slice partition.
     pub fn mode_partition(&self, mode: usize) -> &ModePartition {
         &self.mode_partitions[mode]

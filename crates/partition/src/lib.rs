@@ -122,15 +122,6 @@ impl ModePartition {
         loads
     }
 
-    /// Groups slices by partition (`P_p^(n)` in the algorithms' output form).
-    pub fn groups(&self) -> Vec<Vec<usize>> {
-        let mut groups = vec![Vec::new(); self.num_parts];
-        for (slice, &part) in self.assignment.iter().enumerate() {
-            groups[part as usize].push(slice);
-        }
-        groups
-    }
-
     /// `true` when every partition occupies a contiguous slice range (always
     /// true for GTP output, generally false for MTP output).
     pub fn is_contiguous(&self) -> bool {
@@ -177,7 +168,7 @@ mod tests {
     fn loads_and_groups() {
         let p = ModePartition::from_assignment(2, vec![0, 1, 0, 1]);
         assert_eq!(p.loads(&[5, 1, 2, 3]), vec![7, 4]);
-        assert_eq!(p.groups(), vec![vec![0, 2], vec![1, 3]]);
+        assert_eq!(p.assignment(), &[0, 1, 0, 1]);
     }
 
     #[test]

@@ -161,34 +161,6 @@ pub fn optimal_arbitrary(slice_nnz: &[u64], num_parts: usize) -> ModePartition {
     ModePartition::from_assignment(p, best_assignment)
 }
 
-/// Decides the classic two-way PARTITION problem exactly (the NP-complete
-/// problem of Theorem 1): can `values` be split into two subsets of equal
-/// sum?  Pseudo-polynomial subset-sum DP, `O(n · total/2)`.
-///
-/// Exposed so tests can tie the optimal-partitioning machinery back to the
-/// decision problem in the paper's proof.
-pub fn two_way_partition_exists(values: &[u64]) -> bool {
-    let total: u64 = values.iter().sum();
-    if !total.is_multiple_of(2) {
-        return false;
-    }
-    let half = (total / 2) as usize;
-    let mut reachable = vec![false; half + 1];
-    reachable[0] = true;
-    for &v in values {
-        let v = v as usize;
-        if v > half {
-            continue;
-        }
-        for s in (v..=half).rev() {
-            if reachable[s - v] {
-                reachable[s] = true;
-            }
-        }
-    }
-    reachable[half]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,19 +221,29 @@ mod tests {
         assert_eq!(mp.loads(&hist).into_iter().max().unwrap(), 14);
     }
 
+    /// Whether the optimal 2-way partition of `values` splits its total
+    /// evenly: the PARTITION decision answered by [`optimal_arbitrary`].
+    fn splits_evenly(values: &[u64]) -> bool {
+        let total: u64 = values.iter().sum();
+        let opt = optimal_arbitrary(values, 2);
+        let max = opt.loads(values).into_iter().max().unwrap_or(0);
+        total.is_multiple_of(2) && max == total / 2
+    }
+
     #[test]
     fn two_way_partition_decision() {
-        assert!(two_way_partition_exists(&[1, 5, 11, 5])); // {11} vs {1,5,5}
-        assert!(!two_way_partition_exists(&[1, 2, 3, 5])); // total 11, odd
-        assert!(!two_way_partition_exists(&[2, 2, 5])); // total 9
-        assert!(two_way_partition_exists(&[])); // empty splits trivially
-        assert!(two_way_partition_exists(&[3, 3]));
+        assert!(splits_evenly(&[1, 5, 11, 5])); // {11} vs {1,5,5}
+        assert!(!splits_evenly(&[1, 2, 3, 5])); // total 11, odd
+        assert!(!splits_evenly(&[2, 2, 5])); // total 9
+        assert!(splits_evenly(&[])); // empty splits trivially
+        assert!(splits_evenly(&[3, 3]));
     }
 
     #[test]
     fn theorem1_reduction_consistency() {
         // If PARTITION says "yes", the optimal 2-way max load must equal
         // total/2, and vice versa — the equivalence in the proof of Thm 1.
+        // PARTITION is decided here by enumerating every subset.
         let instances: Vec<Vec<u64>> = vec![
             vec![1, 5, 11, 5],
             vec![3, 1, 1, 2, 2, 1],
@@ -270,14 +252,14 @@ mod tests {
         ];
         for inst in instances {
             let total: u64 = inst.iter().sum();
-            let opt = optimal_arbitrary(&inst, 2);
-            let max = opt.loads(&inst).into_iter().max().unwrap();
-            let perfectly_split = total.is_multiple_of(2) && max == total / 2;
-            assert_eq!(
-                perfectly_split,
-                two_way_partition_exists(&inst),
-                "instance {inst:?}"
-            );
+            let exists = (0u32..1 << inst.len()).any(|mask| {
+                let side: u64 = (0..inst.len())
+                    .filter(|&i| mask & (1 << i) != 0)
+                    .map(|i| inst[i])
+                    .sum();
+                2 * side == total
+            });
+            assert_eq!(splits_evenly(&inst), exists, "instance {inst:?}");
         }
     }
 }

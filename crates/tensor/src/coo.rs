@@ -307,31 +307,6 @@ impl SparseTensor {
             })
     }
 
-    /// Splits this tensor into `(inside, complement)` relative to an old
-    /// snapshot's shape: `inside = X^{0…0}` (all indices within `old_shape`,
-    /// reshaped to it) and `complement = X \ X̃` (everything else, in this
-    /// tensor's shape).  The two-sided form of [`Self::restrict`] and
-    /// [`Self::complement`]: one pass that copies every entry to one side or
-    /// the other — `O(nnz)` reads and `O(nnz)` writes — keeping the stored
-    /// order within each half.  A caller that wants one half only should
-    /// ask for it by name and skip the writes of the other.
-    ///
-    /// # Errors
-    /// Returns an error if `old_shape` has a different order or exceeds the
-    /// current shape in any mode.
-    pub fn split_at(&self, old_shape: &[usize]) -> Result<(SparseTensor, SparseTensor)> {
-        self.check_old_shape("split_at", old_shape)?;
-        let (mut inside, mut outside) = (Entries::default(), Entries::default());
-        self.scan_box(old_shape, |in_box, tuple, v| {
-            let half = if in_box { &mut inside } else { &mut outside };
-            half.push(tuple, *v);
-        });
-        Ok((
-            inside.into_tensor(old_shape.to_vec()),
-            outside.into_tensor(self.shape.clone()),
-        ))
-    }
-
     /// Returns the sub-tensor of entries whose every index is `< bounds[k]`,
     /// reshaped to `bounds` — i.e. the old snapshot `X̃ = X^{0,…,0}`.
     ///
@@ -341,7 +316,8 @@ impl SparseTensor {
     /// entries kept, so a long-lived restriction holds no spare capacity.
     ///
     /// # Errors
-    /// Same conditions as [`Self::split_at`].
+    /// Returns an error if `bounds` has a different order or exceeds the
+    /// current shape in any mode.
     pub fn restrict(&self, bounds: &[usize]) -> Result<SparseTensor> {
         self.check_old_shape("restrict", bounds)?;
         // Most callers keep nearly everything (a stream cut keeps 75–100 %):
@@ -366,7 +342,7 @@ impl SparseTensor {
     /// index scan is proportional to what arrived.
     ///
     /// # Errors
-    /// Same conditions as [`Self::split_at`].
+    /// Same conditions as [`Self::restrict`].
     pub fn complement(&self, old_shape: &[usize]) -> Result<SparseTensor> {
         self.check_old_shape("complement", old_shape)?;
         let mut outside = Entries::default();
@@ -452,29 +428,6 @@ impl SparseTensor {
             )));
         }
         Ok(())
-    }
-
-    /// Decomposes the tensor into the `2^N` sub-tensors of the paper's
-    /// Fig. 2: each entry is classified by its block signature
-    /// `(s_1,…,s_N)` (bit `k` set iff `idx[k] >= old_shape[k]`), packed as
-    /// a bitmask.  Returns one `(signature, sub-tensor)` pair per
-    /// **non-empty** block, in ascending signature order; every sub-tensor
-    /// keeps this tensor's shape and global coordinates.
-    ///
-    /// Block `0` is the old snapshot `X^{0…0}`; the rest union to the
-    /// relative complement `X \ X̃`.
-    ///
-    /// # Errors
-    /// Returns an error if `old_shape` has the wrong order, exceeds the
-    /// current shape, or the order exceeds the bitmask width.
-    pub fn split_blocks(&self, old_shape: &[usize]) -> Result<Vec<(usize, SparseTensor)>> {
-        self.check_old_shape("split_blocks", old_shape)?;
-        if self.order() >= usize::BITS as usize {
-            return Err(TensorError::InvalidArgument(
-                "tensor order exceeds block-signature width".into(),
-            ));
-        }
-        Ok(self.partition_by(|tuple| Self::block_of(tuple, old_shape)))
     }
 
     /// Routes every entry to the part `key(tuple)` names, in one pass: one
@@ -621,11 +574,6 @@ impl SparseTensor {
             values: self.values()[mark.nnz..].to_vec(),
         };
         Some(suffix.into_tensor(self.shape.clone()))
-    }
-
-    /// Sum of all values (useful for sanity checks and tests).
-    pub fn sum(&self) -> f64 {
-        self.values().iter().sum()
     }
 
     fn check_index(&self, idx: &[usize]) -> Result<()> {
@@ -823,16 +771,6 @@ impl SparseTensorBuilder {
         self.indices.extend(idx.iter().map(|&i| i as u32));
         self.values.push(value);
         Ok(self)
-    }
-
-    /// Number of queued (pre-merge) entries; a base's are not counted.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `true` when no entries are queued.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     /// Reorders the staged pushes by `(coordinate, push position)`: one
@@ -1188,7 +1126,7 @@ mod tests {
     fn norm_and_sums() {
         let t = small();
         assert_eq!(t.norm_sq(), 1.0 + 4.0 + 9.0);
-        assert_eq!(t.sum(), 0.0);
+        assert_eq!(t.values().iter().sum::<f64>(), 0.0);
     }
 
     #[test]
@@ -1203,7 +1141,8 @@ mod tests {
     #[test]
     fn split_at_partitions_entries() {
         let t = small(); // shape [2,3,4]
-        let (inside, outside) = t.split_at(&[1, 2, 3]).unwrap();
+        let old = [1, 2, 3];
+        let (inside, outside) = (t.restrict(&old).unwrap(), t.complement(&old).unwrap());
         // [0,0,0] is inside; [0,1,2] inside; [1,2,3] outside.
         assert_eq!(inside.nnz(), 2);
         assert_eq!(inside.shape(), &[1, 2, 3]);
@@ -1217,8 +1156,10 @@ mod tests {
     #[test]
     fn split_at_validates_shapes() {
         let t = small();
-        assert!(t.split_at(&[1, 2]).is_err());
-        assert!(t.split_at(&[3, 3, 4]).is_err());
+        for old in [&[1, 2][..], &[3, 3, 4]] {
+            assert!(t.restrict(old).is_err());
+            assert!(t.complement(old).is_err());
+        }
     }
 
     #[test]
@@ -1229,18 +1170,12 @@ mod tests {
             TensorError::ShapeMismatch { op, .. } => op,
             other => panic!("expected ShapeMismatch, got {other:?}"),
         };
-        assert_eq!(op_of(t.split_at(&wrong_order).unwrap_err()), "split_at");
         assert_eq!(op_of(t.restrict(&wrong_order).unwrap_err()), "restrict");
         assert_eq!(op_of(t.complement(&wrong_order).unwrap_err()), "complement");
-        assert_eq!(
-            op_of(t.split_blocks(&wrong_order).unwrap_err()),
-            "split_blocks"
-        );
-        // An old shape that outgrew the tensor is refused by all four alike.
+        // An old shape that outgrew the tensor is refused by both alike.
         let too_big = [3usize, 3, 4];
         assert!(t.restrict(&too_big).is_err());
         assert!(t.complement(&too_big).is_err());
-        assert!(t.split_blocks(&too_big).is_err());
     }
 
     #[test]
@@ -1262,7 +1197,7 @@ mod tests {
     fn split_blocks_partitions_by_signature() {
         let t = small(); // shape [2,3,4]; entries [0,0,0], [0,1,2], [1,2,3]
         let old = [1usize, 2, 3];
-        let blocks = t.split_blocks(&old).unwrap();
+        let blocks = t.partition_by(|idx| SparseTensor::block_of(idx, &old));
         // [0,0,0] → 0b000; [0,1,2] → 0b000; [1,2,3] → 0b111.
         assert_eq!(blocks.len(), 2);
         assert_eq!(blocks[0].0, 0);
@@ -1288,7 +1223,7 @@ mod tests {
     fn split_blocks_signatures_match_block_of() {
         let t = small();
         let old = [2usize, 2, 2];
-        for (sig, block) in t.split_blocks(&old).unwrap() {
+        for (sig, block) in t.partition_by(|idx| SparseTensor::block_of(idx, &old)) {
             for (idx, _) in block.iter() {
                 assert_eq!(SparseTensor::block_of(idx, &old), sig);
             }
@@ -1297,12 +1232,14 @@ mod tests {
 
     #[test]
     fn split_blocks_validates() {
-        let t = small();
-        assert!(t.split_blocks(&[1, 2]).is_err());
-        assert!(t.split_blocks(&[9, 2, 2]).is_err());
-        // Empty tensor: no blocks at all.
+        // Only non-empty blocks come back: an empty tensor has none, and
+        // every block of a non-empty one holds an entry.
         let e = SparseTensor::empty(vec![2, 2]).unwrap();
-        assert!(e.split_blocks(&[1, 1]).unwrap().is_empty());
+        assert!(e
+            .partition_by(|idx| SparseTensor::block_of(idx, &[1, 1]))
+            .is_empty());
+        let blocks = small().partition_by(|idx| SparseTensor::block_of(idx, &[1, 2, 2]));
+        assert!(blocks.iter().all(|(_, b)| !b.is_empty()));
     }
 
     /// `SparseTensor::try_from` on a JSON document.
@@ -1427,8 +1364,8 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.norm_sq(), 0.0);
         assert_eq!(t.slice_nnz(0).unwrap(), vec![0, 0, 0]);
-        let (a, b) = t.split_at(&[2, 2]).unwrap();
-        assert!(a.is_empty() && b.is_empty());
+        assert!(t.restrict(&[2, 2]).unwrap().is_empty());
+        assert!(t.complement(&[2, 2]).unwrap().is_empty());
     }
 
     /// The `(Vec<usize>, f64)` builder the flat one replaced, kept as its
@@ -1650,7 +1587,7 @@ mod tests {
                             *groups.entry(idx.clone()).or_default() += 1;
                         }
                     }
-                    assert_eq!(flat.len(), stable.entries.len());
+                    assert_eq!(flat.values.len(), stable.entries.len());
                     assert!(
                         groups.values().any(|&g| g >= 3),
                         "shape {shape:?} seed {seed}: no duplicate group of three"
@@ -1982,19 +1919,58 @@ mod tests {
             b.push(idx, 0.5 + e as f64).unwrap();
         }
         let full = b.build().unwrap();
+        // The same kind of stream read from JSON: stored unsorted, with two
+        // coordinates written twice ([1,1,0] and [0,0,1]); deserialising
+        // keeps every entry as written.
+        let written = parse(
+            r#"{"shape":[4,4,3],
+                "indices":[3,3,1, 0,2,2, 1,1,0, 0,0,1, 1,1,0, 2,3,2, 0,0,1, 3,0,0],
+                "values":[1.5, 2.5, 3.5, 4.5, -0.75, 5.5, 6.5, 7.5]}"#,
+        )
+        .unwrap();
+        let bits = |t: &SparseTensor| {
+            let values: Vec<u64> = t.values().iter().map(|v| v.to_bits()).collect();
+            (t.shape().to_vec(), t.indices_flat().to_vec(), values)
+        };
         let boxes = [vec![2, 3, 2], vec![2, 3, 2], vec![3, 4, 3], vec![4, 4, 3]];
-        let cut = full.nested_prefixes(&boxes).unwrap();
-        for (t, earlier) in cut.iter().enumerate() {
-            // Every later view, a skipped step and the view itself included.
-            for later in &cut[t..] {
-                let since = later.since(&earlier.mark()).unwrap();
-                assert_eq!(since, later.complement(earlier.shape()).unwrap());
-                assert_eq!(since.nnz(), later.nnz() - earlier.nnz());
+        for x in [&full, &written] {
+            let cut = x.nested_prefixes(&boxes).unwrap();
+            // Snapshot 0 is the `restrict` cut, entry for entry.
+            assert_eq!(bits(&cut[0]), bits(&x.restrict(&boxes[0]).unwrap()));
+            for (t, earlier) in cut.iter().enumerate() {
+                // Every later view, a skipped step and the view itself included.
+                for later in &cut[t..] {
+                    let since = later.since(&earlier.mark()).unwrap();
+                    assert_eq!(
+                        bits(&since),
+                        bits(&later.complement(earlier.shape()).unwrap())
+                    );
+                    assert_eq!(since.nnz(), later.nnz() - earlier.nnz());
+                }
+                for shorter in cut[..t].iter().filter(|s| s.nnz() < earlier.nnz()) {
+                    assert!(shorter.since(&earlier.mark()).is_none(), "a longer mark");
+                }
             }
-            for shorter in cut[..t].iter().filter(|s| s.nnz() < earlier.nnz()) {
-                assert!(shorter.since(&earlier.mark()).is_none(), "a longer mark");
+            // The last box is the whole shape: every entry stays, and a
+            // repeated coordinate keeps both values in the order written.
+            let last = &cut[boxes.len() - 1];
+            assert_eq!(last.nnz(), x.nnz());
+            let values_at = |t: &SparseTensor, idx: &[u32]| -> Vec<u64> {
+                t.iter()
+                    .filter(|(i, _)| *i == idx)
+                    .map(|(_, v)| v.to_bits())
+                    .collect()
+            };
+            for idx in [[1, 1, 0], [0, 0, 1]] {
+                assert_eq!(values_at(last, &idx), values_at(x, &idx));
             }
         }
+        assert_eq!(
+            written.iter().filter(|(i, _)| *i == [1, 1, 0]).count(),
+            2,
+            "the repeated coordinate is kept twice"
+        );
+        let cut = full.nested_prefixes(&boxes).unwrap();
         // Equal entries in another store are another store.
         let owned = Entries {
             indices: cut[2].indices_flat().to_vec(),

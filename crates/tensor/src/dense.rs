@@ -247,7 +247,17 @@ mod tests {
         t.set(&[2, 1, 0], 2.0);
         t.set(&[0, 0, 1], -1.5);
         for mode in 0..3 {
-            assert!((t.unfold(mode).unwrap().frob_norm_sq() - t.norm_sq()).abs() < 1e-12);
+            assert!(
+                (t.unfold(mode)
+                    .unwrap()
+                    .as_slice()
+                    .iter()
+                    .map(|a| a * a)
+                    .sum::<f64>()
+                    - t.norm_sq())
+                .abs()
+                    < 1e-12
+            );
         }
     }
 

@@ -45,7 +45,7 @@ pub use robust::{NumericsReport, RobustSolver, SolveDecision, SolvePolicy, Solve
 
 #[cfg(test)]
 mod proptests {
-    use crate::coo::SparseTensorBuilder;
+    use crate::coo::{SparseTensor, SparseTensorBuilder};
     use crate::dense::DenseTensor;
     use crate::matrix::Matrix;
     use crate::mttkrp::mttkrp;
@@ -179,13 +179,9 @@ mod proptests {
                 prop_assert!(restricted.is_empty());
             }
 
-            // The two-sided form agrees half for half …
-            let (inside, outside) = t.split_at(&old).unwrap();
-            prop_assert_eq!(&restricted, &inside);
-            prop_assert_eq!(&complement, &outside);
-            // … and so does the 2^N-way one: block 0 is the restriction,
-            // the other signatures union to the complement.
-            let blocks = t.split_blocks(&old).unwrap();
+            // The 2^N-way split agrees: block 0 is the restriction, the
+            // other signatures union to the complement.
+            let blocks = t.partition_by(|idx| SparseTensor::block_of(idx, &old));
             let block0 = blocks.iter().filter(|(sig, _)| *sig == 0).map(|(_, b)| b);
             let rest = blocks.iter().filter(|(sig, _)| *sig != 0).map(|(_, b)| b);
             prop_assert_eq!(sorted_entries(block0), sorted_entries([&restricted]));
@@ -218,7 +214,7 @@ mod proptests {
             let t = b.build().unwrap();
             // Split at roughly half the box.
             let old: Vec<usize> = shape.iter().map(|&s| s / 2).collect();
-            let (inside, outside) = t.split_at(&old).unwrap();
+            let (inside, outside) = (t.restrict(&old).unwrap(), t.complement(&old).unwrap());
             prop_assert_eq!(inside.nnz() + outside.nnz(), t.nnz());
             let total: f64 = inside.norm_sq() + outside.norm_sq();
             prop_assert!((total - t.norm_sq()).abs() < 1e-9);
@@ -280,7 +276,8 @@ mod proptests {
             let a = Matrix::from_vec(4, 3, data).unwrap();
             let g = a.gram();
             let lazy = grand_sum_hadamard(&[&g, &g]).unwrap();
-            prop_assert!((lazy - g.frob_norm_sq()).abs() < 1e-9);
+            let frob: f64 = g.as_slice().iter().map(|a| a * a).sum();
+            prop_assert!((lazy - frob).abs() < 1e-9);
         }
 
         #[test]

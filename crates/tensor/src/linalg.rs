@@ -264,14 +264,6 @@ impl Factorized {
         );
         Ok(fixed.unwrap_or_else(|| solve_rows_dyn(m, perm, job, out)))
     }
-
-    /// Dimension of the factorised system.
-    pub fn dim(&self) -> usize {
-        match self {
-            Factorized::Cholesky(l) => l.rows(),
-            Factorized::Lu(lu, _) => lu.rows(),
-        }
-    }
 }
 
 /// [`Factorized::solve_rows`] for any dimension, row by row in `out`'s
@@ -480,16 +472,6 @@ pub fn solve_right(b: &Matrix, m: &Matrix) -> Result<Matrix> {
     Ok(out)
 }
 
-/// Explicit inverse of a small square matrix (used only where the paper's
-/// analysis literally inverts the denominator; prefer [`solve_right`]).
-pub fn invert(m: &Matrix) -> Result<Matrix> {
-    let n = require_square(m)?;
-    // Row `j` of the solve is `M x = e_j`: column `j` of the inverse.
-    let mut columns = Matrix::zeros(n, n);
-    Factorized::new(m)?.solve_rows(&all_rows(&Matrix::identity(n)), &mut columns)?;
-    Ok(columns.transpose())
-}
-
 pub(crate) fn require_square(m: &Matrix) -> Result<usize> {
     if m.rows() != m.cols() {
         return Err(TensorError::NotSquare {
@@ -511,7 +493,7 @@ mod tests {
     /// (forward / backward substitution on one right-hand side, LU through
     /// a permuted copy), kept verbatim as the batched kernel's oracle.
     fn per_row_oracle(f: &Factorized, b: &mut [f64]) {
-        let n = f.dim();
+        let n = dim(f);
         match f {
             Factorized::Cholesky(l) => {
                 for i in 0..n {
@@ -553,9 +535,22 @@ mod tests {
     /// One right-hand side through the batched entry point.
     fn solve_one(f: &Factorized, b: &[f64]) -> Result<Vec<f64>> {
         let rhs = Matrix::from_rows(&[b]);
-        let mut out = Matrix::zeros(1, f.dim());
+        let mut out = Matrix::zeros(1, dim(f));
         f.solve_rows(&all_rows(&rhs), &mut out)?;
-        Ok(out.into_vec())
+        Ok(out.as_slice().to_vec())
+    }
+
+    /// The order of a factorised system.
+    fn dim(f: &Factorized) -> usize {
+        match f {
+            Factorized::Cholesky(l) => l.rows(),
+            Factorized::Lu(lu, _) => lu.rows(),
+        }
+    }
+
+    /// `M⁻¹` as `I · M⁻¹`, one batched solve.
+    fn inverse(m: &Matrix) -> Matrix {
+        solve_right(&Matrix::identity(m.rows()), m).unwrap()
     }
 
     fn spd3() -> Matrix {
@@ -624,7 +619,7 @@ mod tests {
         // ridge succeeds and gives a usable (approximate) solve.
         let m = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
         let f = Factorized::new(&m).unwrap();
-        assert_eq!(f.dim(), 2);
+        assert_eq!(dim(&f), 2);
         let x = solve_one(&f, &[2.0, 2.0]).unwrap();
         // Solution of the regularised system stays finite.
         assert!(x.iter().all(|x| x.is_finite()));
@@ -744,7 +739,7 @@ mod tests {
         let m = spd3();
         let b = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[0.0, 1.0, 0.0]]);
         let x = solve_right(&b, &m).unwrap();
-        let x_ref = b.matmul(&invert(&m).unwrap()).unwrap();
+        let x_ref = b.matmul(&inverse(&m)).unwrap();
         assert!(x.max_abs_diff(&x_ref).unwrap() < 1e-10);
         // And X * M == B.
         let back = x.matmul(&m).unwrap();
@@ -761,7 +756,7 @@ mod tests {
     #[test]
     fn invert_times_original_is_identity() {
         let m = spd3();
-        let inv = invert(&m).unwrap();
+        let inv = inverse(&m);
         let prod = m.matmul(&inv).unwrap();
         assert!(prod.max_abs_diff(&Matrix::identity(3)).unwrap() < 1e-10);
     }
@@ -769,7 +764,7 @@ mod tests {
     #[test]
     fn invert_1x1() {
         let m = Matrix::from_rows(&[&[4.0]]);
-        let inv = invert(&m).unwrap();
+        let inv = inverse(&m);
         assert!((inv.get(0, 0) - 0.25).abs() < 1e-15);
     }
 
@@ -837,7 +832,7 @@ mod tests {
                 };
                 let serial_num = {
                     let mut num = prev.matmul(&had).unwrap();
-                    num.scale_assign(mu);
+                    num.as_mut_slice().iter_mut().for_each(|x| *x *= mu);
                     crate::matrix::axpy(1.0, rhs.as_slice(), num.as_mut_slice());
                     num
                 };

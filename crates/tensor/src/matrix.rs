@@ -157,11 +157,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its backing buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Iterates over rows as slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.cols.max(1))
@@ -278,31 +273,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Element-wise (Hadamard) product `self * other`.
-    ///
-    /// # Errors
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn hadamard(&self, other: &Matrix) -> Result<Matrix> {
-        if self.shape() != other.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "hadamard",
-                left: vec![self.rows, self.cols],
-                right: vec![other.rows, other.cols],
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
     /// In-place Hadamard product `self *= other`.
     pub fn hadamard_assign(&mut self, other: &Matrix) -> Result<()> {
         if self.shape() != other.shape() {
@@ -331,22 +301,6 @@ impl Matrix {
             *a += b;
         }
         Ok(())
-    }
-
-    /// In-place scalar multiplication.
-    pub fn scale_assign(&mut self, s: f64) {
-        self.data.iter_mut().for_each(|a| *a *= s);
-    }
-
-    /// Squared Frobenius norm `‖self‖_F²`.
-    pub fn frob_norm_sq(&self) -> f64 {
-        self.data.iter().map(|a| a * a).sum()
-    }
-
-    /// Sum of all entries (the "grand sum" used by the Kruskal inner-product
-    /// identity `⟨⟦A⟧,⟦B⟧⟩ = 1ᵀ(⊛ A_kᵀB_k)1`).
-    pub fn grand_sum(&self) -> f64 {
-        self.data.iter().sum()
     }
 
     /// Vertically stacks `self` on top of `other`.
@@ -610,7 +564,7 @@ mod tests {
         let i = Matrix::identity(3);
         assert_eq!(i.get(0, 0), 1.0);
         assert_eq!(i.get(0, 1), 0.0);
-        assert_eq!(i.grand_sum(), 3.0);
+        assert_eq!(i.as_slice().iter().sum::<f64>(), 3.0);
     }
 
     #[test]
@@ -692,11 +646,10 @@ mod tests {
     fn hadamard_and_assign() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[2.0, 0.5], &[1.0, -1.0]]);
-        let h = a.hadamard(&b).unwrap();
-        assert_eq!(h, Matrix::from_rows(&[&[2.0, 1.0], &[3.0, -4.0]]));
         let mut c = a.clone();
         c.hadamard_assign(&b).unwrap();
-        assert_eq!(c, h);
+        assert_eq!(c, Matrix::from_rows(&[&[2.0, 1.0], &[3.0, -4.0]]));
+        assert!(c.hadamard_assign(&Matrix::zeros(1, 2)).is_err());
     }
 
     #[test]
@@ -706,16 +659,16 @@ mod tests {
         let mut c = a.clone();
         c.add_assign(&b).unwrap();
         assert_eq!(c, Matrix::from_rows(&[&[4.0, 7.0]]));
-        c.scale_assign(0.5);
-        assert_eq!(c, Matrix::from_rows(&[&[2.0, 3.5]]));
         assert!(c.add_assign(&Matrix::zeros(2, 2)).is_err());
     }
 
     #[test]
     fn norms_and_grand_sum() {
+        // `‖M‖_F² = 1ᵀ(M ⊛ M)1` and the grand sum `1ᵀM1`, through the one
+        // Hadamard grand-sum kernel.
         let m = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(m.frob_norm_sq(), 25.0);
-        assert_eq!(m.grand_sum(), 7.0);
+        assert_eq!(crate::ops::grand_sum_hadamard(&[&m, &m]).unwrap(), 25.0);
+        assert_eq!(crate::ops::grand_sum_hadamard(&[&m]).unwrap(), 7.0);
     }
 
     #[test]

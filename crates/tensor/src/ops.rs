@@ -211,7 +211,12 @@ mod tests {
     fn grand_sum_hadamard_matches_materialised() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let direct = a.hadamard(&b).unwrap().grand_sum();
+        let direct: f64 = a
+            .as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .map(|(x, y)| x * y)
+            .sum();
         let lazy = grand_sum_hadamard(&[&a, &b]).unwrap();
         assert!((direct - lazy).abs() < 1e-12);
     }

@@ -140,11 +140,6 @@ impl RobustSolver {
         RobustSolver { policy }
     }
 
-    /// The policy this solver escalates under.
-    pub fn policy(&self) -> &SolvePolicy {
-        &self.policy
-    }
-
     /// Assesses conditioning of `m`, picks the cheapest acceptable tier and
     /// leaves the factorisation it accepted in `fact`, whose buffers it
     /// reuses.

@@ -26,7 +26,6 @@ pub const COLLECTIVES: &[&str] = &[
     "try_exchange",
     "post_exchange",
     "complete_exchange",
-    "try_broadcast",
     "try_gather",
     "try_allreduce_sum",
     "try_allreduce_sum_with",
@@ -77,6 +76,9 @@ pub struct AnalyzeConfig {
     /// sections of the workspace manifests; keep in sync when crates
     /// gain or lose dependencies.
     pub crate_deps: Vec<(String, Vec<String>)>,
+    /// Path prefixes of the program files whose every function roots the
+    /// reachability audit (L10).
+    pub l10_root_prefixes: Vec<String>,
 }
 
 impl AnalyzeConfig {
@@ -136,7 +138,19 @@ impl AnalyzeConfig {
                         "obs".to_string(),
                     ],
                 ),
+                // The bench library sits between the bins and the library
+                // crates; only L10 indexes it.
+                (
+                    "bench".to_string(),
+                    own(&["obs", "tensor", "partition", "cluster", "data", "core"]),
+                ),
             ],
+            l10_root_prefixes: own(&[
+                "crates/bench/src/bin",
+                "crates/bench/benches",
+                "examples",
+                "benchmark/src",
+            ]),
         }
     }
 }
@@ -166,6 +180,9 @@ pub struct Analysis {
     pub budget: Vec<BudgetEntry>,
     pub stale_tables: Vec<Diagnostic>,
     pub fn_count: usize,
+    /// The L10 surface; filled by `workspace::analyze_workspace`, which
+    /// also reads the program files (see [`crate::unreached`]).
+    pub unreached: Vec<crate::unreached::UnreachedFn>,
 }
 
 /// Where the audit tables live, for anchoring stale-entry findings.
@@ -198,6 +215,7 @@ pub fn analyze_files(files: &[(PathBuf, String)], cfg: &AnalyzeConfig) -> Analys
         budget: l7_panic_surface(&graph, cfg),
         stale_tables: stale_table_entries(&graph, cfg),
         fn_count: graph.fns.len(),
+        unreached: Vec::new(),
     }
 }
 
@@ -582,6 +600,7 @@ mod tests {
             l8_skip_prefixes: vec!["src/obs".into()],
             l8_stop_fns: vec![],
             crate_deps: vec![],
+            l10_root_prefixes: vec![],
         }
     }
 
@@ -599,7 +618,7 @@ fn worker_body(ctx: &mut Ctx, me: usize) {
     }
     ctx.try_barrier();
 }
-fn helper(ctx: &mut Ctx) { ctx.try_broadcast(0, None); }
+fn helper(ctx: &mut Ctx) { ctx.try_gather(0, None); }
 ");
         let lines: Vec<(LintId, u32)> = a.diags.iter().map(|d| (d.lint, d.line)).collect();
         assert_eq!(

@@ -38,6 +38,7 @@ pub mod analyze;
 pub mod graph;
 pub mod lexer;
 pub mod lints;
+pub mod unreached;
 pub mod workspace;
 
 pub use analyze::{analyze_files, Analysis, AnalyzeConfig, BudgetEntry};

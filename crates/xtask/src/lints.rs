@@ -57,6 +57,10 @@ pub enum LintId {
     /// row ids as `u32` — a narrowing either sits behind a named range
     /// check (and says which) or goes through `try_from`.
     NarrowingCast,
+    /// L10: every public function of the library crates is reached from a
+    /// program or an api root, or listed in the test-only budget
+    /// (interprocedural; see [`crate::unreached`]).
+    Unreached,
 }
 
 impl LintId {
@@ -71,6 +75,7 @@ impl LintId {
             LintId::PanicReachability => "L7",
             LintId::AllocHygiene => "L8",
             LintId::NarrowingCast => "L9",
+            LintId::Unreached => "L10",
         }
     }
 
@@ -85,6 +90,7 @@ impl LintId {
             LintId::PanicReachability => "panic_reachability",
             LintId::AllocHygiene => "alloc_hygiene",
             LintId::NarrowingCast => "narrowing_cast",
+            LintId::Unreached => "unreached",
         }
     }
 

@@ -1,6 +1,6 @@
 //! CLI for the workspace lint & audit driver; see the crate docs.
 
-use dismastd_xtask::{analyze, workspace, Diagnostic};
+use dismastd_xtask::{workspace, Diagnostic};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
@@ -16,7 +16,7 @@ fn main() -> ExitCode {
                 "  lint    [--files <f.rs>…] [--json|--github]   L1-L5, L9 invariant lints (workspace by default)"
             );
             eprintln!(
-                "  analyze [--write-budget] [--json|--github]    L6-L8 interprocedural audits (call graph)"
+                "  analyze [--write-budget] [--json|--github]    L6-L8, L10 interprocedural audits (call graph)"
             );
             eprintln!("  audit   [--loom-only|--tsan-only]             loom barrier model + TSan chaos run");
             ExitCode::from(2)
@@ -125,25 +125,20 @@ fn run_analyze(args: &[String]) -> ExitCode {
     let root = workspace_root();
     let (out, args) = Output::extract(args);
     if args.first().map(String::as_str) == Some("--write-budget") {
-        let files = match workspace::analyzed_files(&root) {
-            Ok(f) => f,
+        return match workspace::write_budgets(&root) {
+            Ok((panics, test_only)) => {
+                println!(
+                    "xtask analyze: wrote {panics} entries to {} and {test_only} to {}",
+                    workspace::BUDGET_PATH,
+                    workspace::TEST_ONLY_PATH
+                );
+                ExitCode::SUCCESS
+            }
             Err(e) => {
-                eprintln!("error: workspace walk failed: {e}");
-                return ExitCode::from(2);
+                eprintln!("error: cannot rewrite the budgets: {e}");
+                ExitCode::from(2)
             }
         };
-        let analysis = workspace::analyze_files(&files);
-        let path = root.join(workspace::BUDGET_PATH);
-        if let Err(e) = std::fs::write(&path, analyze::render_budget(&analysis.budget)) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "xtask analyze: wrote {} budget entries to {}",
-            analysis.budget.len(),
-            workspace::BUDGET_PATH
-        );
-        return ExitCode::SUCCESS;
     }
     let (analysis, files) = match workspace::analyze_workspace(&root) {
         Ok(r) => r,
@@ -159,16 +154,18 @@ fn run_analyze(args: &[String]) -> ExitCode {
         if out == Output::Human {
             println!(
                 "xtask analyze: {} fns across {files} files clean (L6 collective-order, \
-                 L7 panic-budget: {} entries matched, L8 alloc-hygiene)",
+                 L7 panic-budget: {} entries matched, L8 alloc-hygiene, \
+                 L10 unreached: {} test-only entries matched)",
                 analysis.fn_count,
-                analysis.budget.len()
+                analysis.budget.len(),
+                analysis.unreached.len()
             );
         }
         ExitCode::SUCCESS
     } else {
         eprintln!(
             "xtask analyze: {} violation(s) across {files} files; hoist/fix the code, add \
-             `// lint:allow(<name>): <reason>`, or (L7 only, after review) run \
+             `// lint:allow(<name>): <reason>`, or (L7 and L10, after review) run \
              `cargo run -p dismastd-xtask -- analyze --write-budget`",
             analysis.diags.len()
         );

@@ -28,6 +28,7 @@
 
 use crate::analyze::{self, Analysis, AnalyzeConfig};
 use crate::lints::{lint_source, Diagnostic, LintScope};
+use crate::unreached::{self, Reachability};
 use std::path::{Path, PathBuf};
 
 /// One lint target: a directory tree and the lints that apply to it.
@@ -155,13 +156,33 @@ pub fn analyzed_dirs() -> Vec<&'static str> {
     ]
 }
 
+/// Directories indexed into the reachability audit (L10) beside the
+/// library crates: the programs whose calls count.  Their functions root
+/// the audit where `AnalyzeConfig::l10_root_prefixes` says so (every bin,
+/// bench harness, example and the benchmark; not the bench library, which
+/// is reached through its bins).  The benchmark is read, never edited.
+pub fn program_dirs() -> Vec<&'static str> {
+    vec![
+        "crates/bench/src",
+        "crates/bench/benches",
+        "examples",
+        "benchmark/src",
+    ]
+}
+
 /// Workspace-root-relative location of the L7 panic budget.
 pub const BUDGET_PATH: &str = "crates/xtask/panic_budget.txt";
 
-/// Reads every analyzed source file as `(root-relative path, source)`.
-pub fn analyzed_files(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
+/// Workspace-root-relative location of the L10 kept-API roots.
+pub const API_ROOTS_PATH: &str = "crates/xtask/api_roots.txt";
+
+/// Workspace-root-relative location of the L10 test-only budget.
+pub const TEST_ONLY_PATH: &str = "crates/xtask/test_only.txt";
+
+/// Reads every `.rs` file under `dirs` as `(root-relative path, source)`.
+fn read_dirs(root: &Path, dirs: &[&str]) -> std::io::Result<Vec<(PathBuf, String)>> {
     let mut files = Vec::new();
-    for dir in analyzed_dirs() {
+    for dir in dirs {
         let dir = root.join(dir);
         if !dir.exists() {
             continue;
@@ -175,11 +196,31 @@ pub fn analyzed_files(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
     Ok(files)
 }
 
+/// Reads every analyzed source file as `(root-relative path, source)`.
+pub fn analyzed_files(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
+    read_dirs(root, &analyzed_dirs())
+}
+
+/// Runs L10 over the workspace against the on-disk `api_roots.txt` (a
+/// missing file reads as empty).
+pub fn reachability(root: &Path, library: &[(PathBuf, String)]) -> std::io::Result<Reachability> {
+    let programs = read_dirs(root, &program_dirs())?;
+    let api_roots = std::fs::read_to_string(root.join(API_ROOTS_PATH)).unwrap_or_default();
+    Ok(unreached::audit(
+        library,
+        &programs,
+        &AnalyzeConfig::workspace(),
+        &api_roots,
+        Path::new(API_ROOTS_PATH),
+    ))
+}
+
 /// Runs the interprocedural audits (L6/L8 findings + the L7 surface
 /// checked against the on-disk budget + the audit tables checked against
-/// the index).  Stale table entries and budget mismatches are appended to
-/// `Analysis::diags`; a missing budget file reads as empty, so every
-/// entry reports as unbudgeted until `--write-budget` creates it.
+/// the index + the L10 surface checked against the api roots and the
+/// test-only budget).  Stale table entries and budget mismatches are
+/// appended to `Analysis::diags`; a missing budget file reads as empty, so
+/// every entry reports as unbudgeted until `--write-budget` creates it.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<(Analysis, usize)> {
     let files = analyzed_files(root)?;
     let count = files.len();
@@ -190,7 +231,35 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<(Analysis, usize)> {
     let mut budget_diags =
         analyze::compare_budget(&analysis.budget, &on_disk, Path::new(BUDGET_PATH));
     analysis.diags.append(&mut budget_diags);
+    let mut reach = reachability(root, &files)?;
+    analysis.diags.append(&mut reach.diags);
+    let test_only = std::fs::read_to_string(root.join(TEST_ONLY_PATH)).unwrap_or_default();
+    analysis.diags.extend(unreached::compare_test_only(
+        &reach.unreached,
+        &test_only,
+        Path::new(TEST_ONLY_PATH),
+    ));
+    analysis.unreached = reach.unreached;
     Ok((analysis, count))
+}
+
+/// Rewrites both budgets from a fresh analysis: the L7 panic budget and
+/// the L10 test-only list (reasons of entries it already lists are kept).
+/// Returns the entry counts written.
+pub fn write_budgets(root: &Path) -> std::io::Result<(usize, usize)> {
+    let files = analyzed_files(root)?;
+    let analysis = analyze_files(&files);
+    std::fs::write(
+        root.join(BUDGET_PATH),
+        analyze::render_budget(&analysis.budget),
+    )?;
+    let reach = reachability(root, &files)?;
+    let previous = std::fs::read_to_string(root.join(TEST_ONLY_PATH)).unwrap_or_default();
+    std::fs::write(
+        root.join(TEST_ONLY_PATH),
+        unreached::render_test_only(&reach.unreached, &previous),
+    )?;
+    Ok((analysis.budget.len(), reach.unreached.len()))
 }
 
 /// The pure-file entry used by both [`analyze_workspace`] and the

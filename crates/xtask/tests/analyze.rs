@@ -7,6 +7,7 @@
 //! the dogfood gate — and pin the CLI's `--json`/`--github` renderings
 //! that CI consumes.
 
+use dismastd_xtask::unreached::{self, Reachability};
 use dismastd_xtask::{analyze, analyze_files, Analysis, AnalyzeConfig, LintId};
 use std::path::{Path, PathBuf};
 
@@ -22,6 +23,7 @@ fn fixture_cfg() -> AnalyzeConfig {
         l8_skip_prefixes: vec![],
         l8_stop_fns: vec![],
         crate_deps: vec![],
+        l10_root_prefixes: vec!["fixtures/bin".into()],
     }
 }
 
@@ -66,7 +68,7 @@ fn l6_flags_branched_collectives_with_chains_and_ignores_a_lint_allow() {
         ],
     );
     // Line 8 is the direct collective; line 9 is the transitive helper.
-    // Line 13's broadcast carries a `lint:allow(collective_order)`: a
+    // Line 13's gather carries a `lint:allow(collective_order)`: a
     // rank-conditioned collective under `worker_body` is a finding all the
     // same.
     assert!(
@@ -228,6 +230,150 @@ fn a_table_name_that_matches_no_function_is_a_stale_entry_finding() {
     }
 }
 
+/// L10 over the two-file fixture: `l10_library.rs` is the audited library,
+/// `l10_bin.rs` the program whose functions root the audit.
+fn l10_fixture(api_roots: &str) -> Reachability {
+    let read = |name: &str| {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures")
+            .join(name);
+        let src = std::fs::read_to_string(path).expect("fixture readable");
+        (PathBuf::from("fixtures").join(name), src)
+    };
+    let cfg = AnalyzeConfig {
+        l10_root_prefixes: vec!["fixtures/l10_bin.rs".into()],
+        ..fixture_cfg()
+    };
+    unreached::audit(
+        &[read("l10_library.rs")],
+        &[read("l10_bin.rs")],
+        &cfg,
+        api_roots,
+        Path::new("api_roots.txt"),
+    )
+}
+
+fn unreached_names(r: &Reachability) -> Vec<&str> {
+    r.unreached.iter().map(|f| f.name.as_str()).collect()
+}
+
+const KEPT: &str = "fixtures/l10_library.rs kept # the public API keeps it\n";
+const LISTED: &str = "fixtures/l10_library.rs listed # its unit test needs it\n";
+
+#[test]
+fn l10_an_unreached_pub_fn_fails_at_its_definition() {
+    let r = l10_fixture(KEPT);
+    assert!(r.diags.is_empty(), "{:#?}", r.diags);
+    assert_eq!(unreached_names(&r), ["listed", "orphan"]);
+    let diags = unreached::compare_test_only(&r.unreached, LISTED, Path::new("test_only.txt"));
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    let d = &diags[0];
+    assert_eq!(
+        (d.file.as_path(), d.line, d.col, d.lint),
+        (
+            Path::new("fixtures/l10_library.rs"),
+            24,
+            8,
+            LintId::Unreached
+        )
+    );
+    assert!(d.message.contains("`orphan`"), "{}", d.message);
+    assert!(
+        d.to_string().starts_with("fixtures/l10_library.rs:24:8"),
+        "{d}"
+    );
+}
+
+#[test]
+fn l10_a_fn_a_bin_main_reaches_through_private_helpers_passes() {
+    // main -> run (bin, private) -> entry -> step (library, private) ->
+    // reached: none of the chain is reported, calls from tests are not
+    // counted.
+    let r = l10_fixture(KEPT);
+    for name in ["entry", "reached"] {
+        assert!(!unreached_names(&r).contains(&name), "{name}");
+    }
+    let listed = format!("{LISTED}fixtures/l10_library.rs orphan # a test needs it\n");
+    let diags = unreached::compare_test_only(&r.unreached, &listed, Path::new("test_only.txt"));
+    assert!(diags.is_empty(), "{diags:#?}");
+}
+
+#[test]
+fn l10_an_api_roots_line_keeps_a_fn_and_its_callees_alive() {
+    let without = l10_fixture("");
+    assert_eq!(
+        unreached_names(&without),
+        ["kept", "kept_callee", "listed", "orphan"]
+    );
+    let with = l10_fixture(KEPT);
+    assert_eq!(unreached_names(&with), ["listed", "orphan"]);
+}
+
+#[test]
+fn l10_stale_and_unreasoned_lines_fail() {
+    let test_only = Path::new("test_only.txt");
+    let r = l10_fixture(KEPT);
+    // A test-only line for a function a root reaches, and one for a
+    // function that is gone, are stale; so is a line without a reason.
+    let on_disk = format!(
+        "{LISTED}fixtures/l10_library.rs orphan\n\
+         fixtures/l10_library.rs reached # was test-only\n\
+         fixtures/l10_library.rs gone # deleted\n"
+    );
+    let diags = unreached::compare_test_only(&r.unreached, &on_disk, test_only);
+    let found: Vec<(u32, bool, bool)> = diags
+        .iter()
+        .map(|d| {
+            assert_eq!(d.file, test_only);
+            (
+                d.line,
+                d.message.contains("stale"),
+                d.message.contains("no reason"),
+            )
+        })
+        .collect();
+    assert_eq!(
+        found,
+        [(2, false, true), (3, true, false), (4, true, false)],
+        "{diags:#?}"
+    );
+
+    // An api-roots line for a function a program reaches anyway, one for a
+    // function that is gone, and one without a reason.
+    let api_roots = format!(
+        "{KEPT}fixtures/l10_library.rs reached # the bin reaches it\n\
+         fixtures/l10_library.rs gone # deleted\n\
+         fixtures/l10_library.rs listed\n"
+    );
+    let r = l10_fixture(&api_roots);
+    let found: Vec<(u32, bool)> = r
+        .diags
+        .iter()
+        .map(|d| {
+            assert_eq!(d.file, Path::new("api_roots.txt"));
+            (d.line, d.message.contains("stale"))
+        })
+        .collect();
+    assert_eq!(found, [(2, true), (3, true), (4, false)], "{:#?}", r.diags);
+}
+
+#[test]
+fn l10_a_rewritten_test_only_list_keeps_reasons_and_leaves_new_lines_bare() {
+    let r = l10_fixture(KEPT);
+    let rendered = unreached::render_test_only(&r.unreached, LISTED);
+    assert!(rendered.contains("fixtures/l10_library.rs listed # its unit test needs it\n"));
+    assert!(
+        rendered.ends_with("fixtures/l10_library.rs orphan\n"),
+        "{rendered}"
+    );
+    let diags = unreached::compare_test_only(&r.unreached, &rendered, Path::new("test_only.txt"));
+    assert_eq!(
+        diags.len(),
+        1,
+        "only the new line lacks a reason: {diags:#?}"
+    );
+}
+
 #[test]
 fn the_workspace_itself_analyzes_clean_against_the_checked_in_budget() {
     let root = dismastd_xtask::workspace::find_root(Path::new(env!("CARGO_MANIFEST_DIR")))
@@ -247,9 +393,21 @@ fn the_workspace_itself_analyzes_clean_against_the_checked_in_budget() {
         !analysis.budget.is_empty(),
         "the workspace has a non-empty panic surface by construction"
     );
+    // Both checked-in budgets match: every L10 finding is a reasoned
+    // test-only line (the clean `diags` below includes the comparison).
+    let test_only = std::fs::read_to_string(root.join(dismastd_xtask::workspace::TEST_ONLY_PATH))
+        .expect("test_only.txt is checked in");
+    let listed = unreached::parse_list(&test_only);
+    assert_eq!(listed.len(), analysis.unreached.len());
+    assert!(listed.iter().all(|l| !l.reason.is_empty()));
+    let api_roots = std::fs::read_to_string(root.join(dismastd_xtask::workspace::API_ROOTS_PATH))
+        .expect("api_roots.txt is checked in");
+    assert!(unreached::parse_list(&api_roots)
+        .iter()
+        .all(|l| !l.reason.is_empty()));
     assert!(
         analysis.diags.is_empty(),
-        "the workspace must analyze clean (budget included):\n{}",
+        "the workspace must analyze clean (both budgets included):\n{}",
         analysis
             .diags
             .iter()

@@ -7,7 +7,6 @@ impl Ctx {
     fn try_exchange(&mut self) {}
     fn post_exchange(&mut self) {}
     fn complete_exchange(&mut self) {}
-    fn try_broadcast(&mut self) {}
     fn try_gather(&mut self) {}
     fn try_allreduce_sum(&mut self) {}
     fn try_allreduce_sum_with(&mut self) {}

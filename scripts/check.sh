@@ -187,16 +187,33 @@ echo "==> invariant lints (dismastd-xtask: panic-path, determinism, span-taxonom
 # Deliberate panics carry a `// lint:allow(<name>): <reason>` directive.
 cargo run -q -p dismastd-xtask -- lint
 
-echo "==> interprocedural audits (dismastd-xtask: collective-order, panic-budget, alloc-hygiene)"
+echo "==> interprocedural audits (dismastd-xtask: collective-order, panic-budget, alloc-hygiene, unreached)"
 # Whole-workspace call graph on the same lexer: no collective reachable
 # from worker_body under a rank-conditioned branch (L6 — no lint:allow
 # form: every rank takes the solver decisions itself, so nothing is
 # sanctioned to branch on the rank around a collective), the transitive
 # panic surface of public APIs pinned against crates/xtask/panic_budget.txt
 # (L7 — growth fails; refresh with `analyze --write-budget` after review),
-# and no allocating call reachable from the steady-state MTTKRP / row-solve /
-# gram / exchange kernels (L8).
+# no allocating call reachable from the steady-state MTTKRP / row-solve /
+# gram / exchange kernels (L8), and every public function of the library
+# crates reached from a bin, bench, example or the benchmark, kept in
+# crates/xtask/api_roots.txt, or listed with a reason in
+# crates/xtask/test_only.txt (L10 — a ratchet like the panic budget).
 cargo run -q -p dismastd-xtask -- analyze
+
+echo "==> budget counts (copy this line into CHANGES.md and ROADMAP anchors)"
+# Non-test lines: the lines above each file's first `#[cfg(test)]`, over
+# crates/*/src/*.rs and crates/*/src/bin/*.rs.  `pub fn`: the lines naming
+# one, per library crate.  Then the entries of both checked-in budgets.
+non_test=$(for f in crates/*/src/*.rs crates/*/src/bin/*.rs; do
+  awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f"
+done | awk '{ s += $1 } END { print s }')
+pub_fns=$(for c in tensor core cluster partition data obs; do
+  grep -rh 'pub fn' "crates/$c/src" | wc -l
+done | paste -sd/)
+entries() { grep -cvE '^[[:space:]]*(#|$)' "$1" || true; }
+echo "budget: non_test_lines=$non_test pub_fn(tensor/core/cluster/partition/data/obs)=$pub_fns" \
+  "panic_budget=$(entries crates/xtask/panic_budget.txt) test_only=$(entries crates/xtask/test_only.txt)"
 
 echo "==> allocation audits (count-alloc feature: zero allocations after warm-up; warm-ingest bytes independent of the resident block; serial dtd iterations allocation-free; a stream cut holds nnz_T x 20 B + T x TENSOR_SLACK; a plan over long modes built from its entries; a cold world-2 step copies no cell)"
 # The dynamic twin of L8: a counting global allocator measures a full

@@ -165,7 +165,8 @@ fn quarantine_validation_drops_counts_and_converges() {
     b.push(&[1, 2, 3], f64::INFINITY).unwrap();
     let dirty = b.build().unwrap();
 
-    let cfg = cfg().with_validation(ValidationMode::Quarantine);
+    let cfg =
+        cfg().with_numerics(NumericsPolicy::default().with_validation(ValidationMode::Quarantine));
     let mut sess = StreamingSession::new(cfg, ExecutionMode::Serial);
     let r = sess.ingest(&dirty).unwrap();
     assert_eq!(r.quarantined, 2);
@@ -202,7 +203,8 @@ fn quarantine_works_distributed_too() {
     b.push(&[5, 5, 4], f64::NAN).unwrap();
     let dirty = b.build().unwrap();
 
-    let cfg = cfg().with_validation(ValidationMode::Quarantine);
+    let cfg =
+        cfg().with_numerics(NumericsPolicy::default().with_validation(ValidationMode::Quarantine));
     let mut sess = StreamingSession::new(cfg, ExecutionMode::Distributed(ClusterConfig::new(3)));
     let r = sess.ingest(&dirty).unwrap();
     assert_eq!(r.quarantined, 1);
@@ -225,7 +227,7 @@ fn watchdog_reports_divergence_and_leaves_session_usable() {
     let dirty = b.build().unwrap();
 
     let wd = WatchdogPolicy::default();
-    let cfg = cfg().with_validation(ValidationMode::Off);
+    let cfg = cfg().with_numerics(NumericsPolicy::default().with_validation(ValidationMode::Off));
     let mut sess = StreamingSession::new(cfg, ExecutionMode::Serial);
     match sess.ingest(&dirty) {
         Err(TensorError::Diverged { restarts, detail }) => {
