@@ -169,20 +169,6 @@ impl CommStats {
             bytes_by_sender,
         }
     }
-
-    /// Resets all counters to zero (between experiment phases).
-    pub fn reset(&self) {
-        self.bytes.store(0, Ordering::Relaxed);
-        self.messages.store(0, Ordering::Relaxed);
-        self.collectives.store(0, Ordering::Relaxed);
-        self.retransmits.store(0, Ordering::Relaxed);
-        self.retransmit_bytes.store(0, Ordering::Relaxed);
-        self.duplicates_suppressed.store(0, Ordering::Relaxed);
-        self.unattributed_bytes.store(0, Ordering::Relaxed);
-        for c in &self.bytes_by_sender {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Recycles `Vec<f64>` payload capacity across messages on one worker.
@@ -336,19 +322,22 @@ impl CommStatsSnapshot {
 
     /// Accumulates another snapshot into this one (the streaming session
     /// uses this to keep lifetime totals across steps for checkpoints).
+    /// Saturating: a restored checkpoint may carry any count, and a total
+    /// that would pass `u64::MAX` stays there.
     pub fn merge(&mut self, other: &CommStatsSnapshot) {
-        self.bytes += other.bytes;
-        self.messages += other.messages;
-        self.collectives += other.collectives;
-        self.retransmits += other.retransmits;
-        self.retransmit_bytes += other.retransmit_bytes;
-        self.duplicates_suppressed += other.duplicates_suppressed;
-        self.unattributed_bytes += other.unattributed_bytes;
+        let add = |a: &mut u64, b: u64| *a = a.saturating_add(b);
+        add(&mut self.bytes, other.bytes);
+        add(&mut self.messages, other.messages);
+        add(&mut self.collectives, other.collectives);
+        add(&mut self.retransmits, other.retransmits);
+        add(&mut self.retransmit_bytes, other.retransmit_bytes);
+        add(&mut self.duplicates_suppressed, other.duplicates_suppressed);
+        add(&mut self.unattributed_bytes, other.unattributed_bytes);
         if self.bytes_by_sender.len() < other.bytes_by_sender.len() {
             self.bytes_by_sender.resize(other.bytes_by_sender.len(), 0);
         }
-        for (a, b) in self.bytes_by_sender.iter_mut().zip(&other.bytes_by_sender) {
-            *a += b;
+        for (a, &b) in self.bytes_by_sender.iter_mut().zip(&other.bytes_by_sender) {
+            add(a, b);
         }
     }
 }
@@ -388,8 +377,6 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.bytes, 40);
         assert_eq!(snap.messages, 2);
-        s.reset();
-        assert_eq!(s.snapshot(), CommStatsSnapshot::default());
     }
 
     #[test]
@@ -454,8 +441,25 @@ mod tests {
         assert_eq!(snap.retransmits, 1);
         assert_eq!(snap.retransmit_bytes, 100);
         assert_eq!(snap.duplicates_suppressed, 1);
-        s.reset();
-        assert_eq!(s.snapshot(), CommStatsSnapshot::default());
+    }
+
+    #[test]
+    fn snapshot_merge_saturates() {
+        let mut total = CommStatsSnapshot {
+            collectives: u64::MAX,
+            bytes_by_sender: vec![u64::MAX - 1, 5],
+            ..CommStatsSnapshot::default()
+        };
+        let step = CommStatsSnapshot {
+            collectives: 3,
+            bytes: 7,
+            bytes_by_sender: vec![2, 2],
+            ..CommStatsSnapshot::default()
+        };
+        total.merge(&step);
+        assert_eq!(total.collectives, u64::MAX);
+        assert_eq!(total.bytes, 7);
+        assert_eq!(total.bytes_by_sender, vec![u64::MAX, 7]);
     }
 
     #[test]

@@ -136,111 +136,101 @@ impl Decomposition {
     }
 }
 
-/// Step-local memo of the distributed placement of the step a
-/// [`crate::StreamingSession`] is currently ingesting: the per-worker plans
-/// (one [`MttkrpPlan`] per grid cell, row ownership) and the step's
-/// [`Schedule`], keyed by the world size and rank they were built for.
-///
-/// A step's cells repeat only *within* that step — when the divergence
-/// watchdog re-runs the decomposition with a damped `μ`, or when the heal
-/// ladder replays it in the same world — so that is all the memo covers:
-/// the session releases it as soon as the step's last attempt returns (on
-/// error too), and a replay in a shrunk world rebuilds it.  Across steps
-/// nothing can be reused: every DTD step decomposes a *new* complement
-/// `X \ X̃`, so no cell of one step has the content of a cell of another.
-/// So the memo never outlives the step that built it, at any world.
-///
-/// `hits()` / `misses()` count cells reused / built over the session's
-/// lifetime.
+/// The grid cells a [`crate::StreamingSession`]'s attempts laid out.  No
+/// placement outlives the attempt that laid it out — a watchdog retry and
+/// a heal replay each lay out their own (see [`place`]) — so nothing is
+/// ever served twice: `hits()` is 0 and `misses()` counts every cell of
+/// every attempt over the session's lifetime.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    step: Option<StepPlans>,
-    hits: u64,
-    misses: u64,
-}
-
-/// The memoised placement and schedule of the current step.
-#[derive(Debug)]
-struct StepPlans {
-    world: usize,
-    rank: usize,
-    plans: Vec<WorkerPlan>,
-    schedule: Schedule,
+    pub(crate) misses: u64,
 }
 
 impl PlanCache {
-    /// Cells served from the memo (watchdog retries and same-world heal
-    /// replays) across the session's lifetime.
+    /// Cells served without a layout: always 0.
     pub fn hits(&self) -> u64 {
-        self.hits
+        0
     }
 
-    /// Cells that required a fresh layout build.
+    /// Cells laid out, one per non-empty grid cell per attempt.
     pub fn misses(&self) -> u64 {
         self.misses
     }
+}
 
-    /// Forgets the memoised step; the counters keep running.
-    pub(crate) fn reset(&mut self) {
-        self.step = None;
-    }
+/// An attempt's placement (Sec. IV-A): the per-worker plans and the
+/// [`Schedule`] they run, laid out by [`place`] and interpreted by
+/// [`run_distributed`].  A pure function of the tensor, the grid and the
+/// world, so an attempt that lays it out again gets the same bits.
+#[derive(Debug)]
+pub(crate) struct Placement {
+    plans: Vec<WorkerPlan>,
+    schedule: Schedule,
+    /// When the attempt started: [`Decomposition::elapsed`] counts the
+    /// layout too.
+    // lint:allow(determinism): feeds Decomposition::elapsed only, never factor math
+    started: Instant,
+}
 
-    /// The per-worker plans and the schedule for decomposing `tensor` at
-    /// rank `rank` on `cluster`: the memoised ones when they were built for
-    /// this world size and rank, otherwise partitioned and compiled now
-    /// (Sec. IV-A) and memoised.
-    fn plans_for(
-        &mut self,
-        tensor: &SparseTensor,
-        cluster: &ClusterConfig,
-        old_rows: &[usize],
-        rank: usize,
-    ) -> Result<&StepPlans> {
-        let world = cluster.workers;
-        let cell_count =
-            |plans: &[WorkerPlan]| plans.iter().map(|p| p.cells.len() as u64).sum::<u64>();
-        let reusable = |step: &StepPlans| step.world == world && step.rank == rank;
-        let step = match self.step.take().filter(reusable) {
-            // A watchdog retry or a same-world heal replay.
-            Some(step) => {
-                let cells = cell_count(&step.plans);
-                self.hits += cells;
-                if cells > 0 {
-                    dismastd_obs::counter_add("plan/cache_hit", cells);
-                }
-                step
-            }
-            // The step's first attempt, or a replay in a degraded world.
-            None => {
-                let grid = {
-                    let _s = dismastd_obs::span("phase/partition");
-                    GridPartition::build_with(
-                        tensor,
-                        cluster.partitioner,
-                        &cluster.resolved_parts(tensor.order()),
-                        world,
-                        cluster.cell_assignment,
-                    )?
-                };
-                let (plans, schedule) = {
-                    let _s = dismastd_obs::span("phase/plan_build");
-                    build_plans(tensor, &grid, world, old_rows, rank)?
-                };
-                let cells = cell_count(&plans);
-                self.misses += cells;
-                if cells > 0 {
-                    dismastd_obs::counter_add("plan/rebuild", cells);
-                }
-                StepPlans {
-                    world,
-                    rank,
-                    plans,
-                    schedule,
-                }
-            }
-        };
-        Ok(self.step.insert(step))
+impl Placement {
+    /// Non-empty grid cells, one plan each.
+    pub(crate) fn cells(&self) -> u64 {
+        self.plans.iter().map(|p| p.cells.len() as u64).sum()
     }
+}
+
+/// Partitions `tensor` over `cluster` and compiles its plans and schedule
+/// at rank `r` (Sec. IV-A).  `old_rows[n]` is mode `n`'s row count in the
+/// history (`Ĩ_n`); an empty or short list reads as zero rows, and
+/// [`run_distributed`] checks the history itself.
+///
+/// # Errors
+/// A mode longer than `u32::MAX` is refused with
+/// [`TensorError::PlanOverflow`] before anything is sized by it;
+/// propagates partitioning errors (zero workers among them).
+pub(crate) fn place(
+    tensor: &SparseTensor,
+    cluster: &ClusterConfig,
+    old_rows: &[usize],
+    r: usize,
+) -> Result<Placement> {
+    // lint:allow(determinism, clock_hygiene): elapsed-time reporting only
+    let started = Instant::now();
+    // Row ids are `u32` in the plans' and the ownership and routing tables:
+    // a mode they cannot number is refused before anything is sized by it.
+    if let Some(&dim) = tensor.shape().iter().find(|&&s| u32::try_from(s).is_err()) {
+        return Err(TensorError::PlanOverflow {
+            what: "shape dimension",
+            value: dim as u64,
+        });
+    }
+    let grid = {
+        let _s = dismastd_obs::span("phase/partition");
+        GridPartition::build_with(
+            tensor,
+            cluster.partitioner,
+            &cluster.resolved_parts(tensor.order()),
+            cluster.workers,
+            cluster.cell_assignment,
+        )?
+    };
+    let old_rows: Vec<usize> = (0..tensor.order())
+        .map(|n| old_rows.get(n).copied().unwrap_or(0))
+        .collect();
+    let (plans, schedule) = {
+        let _s = dismastd_obs::span("phase/plan_build");
+        build_plans(tensor, &grid, cluster.workers, &old_rows, r)?
+    };
+    let placement = Placement {
+        plans,
+        schedule,
+        started,
+    };
+    let cells = placement.cells();
+    if cells > 0 {
+        dismastd_obs::counter_add("plan/rebuild", cells);
+    }
+    Ok(placement)
 }
 
 /// Per-worker placement plan, precomputed once per snapshot.
@@ -456,8 +446,8 @@ impl Schedule {
 ///
 /// World 1 runs on the caller's thread over the borrowed tensor; kernel
 /// lanes follow `cfg.threads`, the bits do not.  Default
-/// [`ClusterOptions`] and a call-local plan memo; spans and counters land
-/// in the caller's metrics registry.
+/// [`ClusterOptions`]; spans and counters land in the caller's metrics
+/// registry.
 ///
 /// # Errors
 /// Validates configuration and shapes — a mode longer than `u32::MAX` is
@@ -476,14 +466,8 @@ pub fn decompose(
             || x.iter()
                 .all(|(idx, _)| SparseTensor::block_of(idx, &old_rows) != 0)
     );
-    run_distributed(
-        x,
-        history,
-        cfg,
-        cluster,
-        &ClusterOptions::default(),
-        &mut PlanCache::default(),
-    )
+    let placement = place(x, cluster, &old_rows, cfg.rank)?;
+    run_distributed(x, history, cfg, &ClusterOptions::default(), &placement)
 }
 
 /// Maps a [`ClusterError`] onto [`TensorError::ClusterFault`], attributing
@@ -504,36 +488,21 @@ fn cluster_fault(e: ClusterError) -> TensorError {
     }
 }
 
-/// The one driver behind [`decompose`] and the streaming session:
-/// explicit [`ClusterOptions`] (receive deadlines and, for chaos testing,
-/// a deterministic fault plan) and the caller's step-local plan memo.  An
-/// empty history is the zero-row one.  Every rank's metrics are folded
-/// into the caller's registry.  A worker crash or timeout surfaces as
+/// The one driver behind [`decompose`] and the streaming session: runs
+/// `placement`, laid out for `tensor` by [`place`] against the history's
+/// row counts, under explicit [`ClusterOptions`] (receive deadlines and,
+/// for chaos testing, a deterministic fault plan).  An empty history is
+/// the zero-row one.  Every rank's metrics are folded into the caller's
+/// registry.  A worker crash or timeout surfaces as
 /// [`TensorError::ClusterFault`] rather than a hang.
 pub(crate) fn run_distributed(
     tensor: &SparseTensor,
     old_factors: &[Matrix],
     cfg: &DecompConfig,
-    cluster: &ClusterConfig,
     opts: &ClusterOptions,
-    memo: &mut PlanCache,
+    placement: &Placement,
 ) -> Result<Decomposition> {
     cfg.validate().map_err(TensorError::InvalidArgument)?;
-    if cluster.workers == 0 {
-        return Err(TensorError::InvalidArgument(
-            "cluster needs at least one worker".into(),
-        ));
-    }
-    // Row ids are `u32` in the plans' and the ownership and routing tables:
-    // a mode they cannot number is refused before anything is sized by it.
-    if let Some(&dim) = tensor.shape().iter().find(|&&s| u32::try_from(s).is_err()) {
-        return Err(TensorError::PlanOverflow {
-            what: "shape dimension",
-            value: dim as u64,
-        });
-    }
-    // lint:allow(determinism, clock_hygiene): elapsed-time reporting only
-    let start = Instant::now();
     let rank = cfg.rank;
     let zero_old;
     let old_factors = if old_factors.is_empty() {
@@ -547,11 +516,9 @@ pub(crate) fn run_distributed(
     // Shared read-only inputs; `init_factors` also checks the history's
     // order and row counts, which the placement's gather lists read.
     let init = init_factors(old_factors, tensor.shape(), rank, cfg.seed)?;
-
-    // ---- Data partitioning (Sec. IV-A) ----------------------------------
-    let StepPlans {
+    let Placement {
         plans, schedule, ..
-    } = memo.plans_for(tensor, cluster, &old_rows, rank)?;
+    } = placement;
 
     let (setup, untouched) = {
         let _s = dismastd_obs::span("phase/setup");
@@ -583,7 +550,7 @@ pub(crate) fn run_distributed(
         collect: dismastd_obs::installed(),
     };
     let (mut results, comm) =
-        Cluster::try_run_with_opts(cluster.workers, opts, |ctx| worker_body(ctx, &inputs))
+        Cluster::try_run_with_opts(plans.len(), opts, |ctx| worker_body(ctx, &inputs))
             .map_err(cluster_fault)?;
 
     // Every rank's metrics join the caller's registry, in rank order, before
@@ -638,7 +605,7 @@ pub(crate) fn run_distributed(
         loss_trace,
         comm,
         setup_bytes: setup_bytes(plans, schedule),
-        elapsed: start.elapsed(),
+        elapsed: placement.started.elapsed(),
         iter_elapsed,
         numerics,
     })
@@ -1168,7 +1135,7 @@ fn land_reduction(
 }
 
 /// Refuses assembled `factors` with a non-finite entry, naming its mode.
-fn all_finite(factors: &[Matrix]) -> Result<()> {
+pub(crate) fn all_finite(factors: &[Matrix]) -> Result<()> {
     for (mode, f) in factors.iter().enumerate() {
         if let Some(&value) = f.as_slice().iter().find(|v| !v.is_finite()) {
             let index = vec![mode];
@@ -1462,13 +1429,13 @@ pub(crate) fn gather_skipped_rows(
     old_rows: &[usize],
     cluster: &ClusterConfig,
 ) -> Vec<u64> {
-    let mut memo = PlanCache::default();
-    let step = memo.plans_for(tensor, cluster, old_rows, 1).unwrap();
+    let Placement {
+        plans, schedule, ..
+    } = place(tensor, cluster, old_rows, 1).unwrap();
     let owned = |plan: &WorkerPlan| plan.owned_rows.iter().map(Vec::len).sum::<usize>();
-    let lanes = &step.schedule.gather.lanes;
-    let shipped = |k: usize| lanes[k][0].rows.len();
-    (0..step.plans.len())
-        .map(|k| (owned(&step.plans[k]) - shipped(k)) as u64)
+    let shipped = |k: usize| schedule.gather.lanes[k][0].rows.len();
+    (0..plans.len())
+        .map(|k| (owned(&plans[k]) - shipped(k)) as u64)
         .collect()
 }
 
@@ -1752,11 +1719,11 @@ mod tests {
                     let tag = format!("world {world} R {r} tolerance {tolerance}");
                     let cfg = cfg().with_rank(r).with_tolerance(tolerance);
                     let (cluster, opts) = (ClusterConfig::new(world), ClusterOptions::default());
-                    let mut memo = PlanCache::default();
-                    let out = run_distributed(&x, &old, &cfg, &cluster, &opts, &mut memo).unwrap();
+                    let placement = place(&x, &cluster, &old_shape, r).unwrap();
+                    let out = run_distributed(&x, &old, &cfg, &opts, &placement).unwrap();
                     let stopped = out.iterations < cfg.max_iters;
                     assert_eq!(stopped, tolerance > 0.0, "{tag}");
-                    let schedule = &memo.step.as_ref().unwrap().schedule;
+                    let schedule = &placement.schedule;
                     let predicted = schedule.bytes_by_sender(out.iterations, stopped);
                     assert_eq!(out.comm.bytes_by_sender, predicted, "{tag}");
                     assert_eq!(out.comm.bytes, predicted.iter().sum::<u64>(), "{tag}");
@@ -1976,23 +1943,21 @@ mod tests {
         }
     }
 
-    /// A memo holding `x`'s placement for `cluster` under the gather this
-    /// one replaced: every rank ships every owned row, so whatever rank 0
-    /// forms or holds is overwritten by what the owner sent.  The
-    /// test-only reference for the gather lists.
+    /// `x`'s placement for `cluster` under the gather this one replaced:
+    /// every rank ships every owned row, so whatever rank 0 forms or holds
+    /// is overwritten by what the owner sent.  The test-only reference for
+    /// the gather lists.
     fn every_owned_row_gather(
         x: &SparseTensor,
         old_rows: &[usize],
         cluster: &ClusterConfig,
-    ) -> PlanCache {
-        let mut memo = PlanCache::default();
-        memo.plans_for(x, cluster, old_rows, cfg().rank).unwrap();
-        let step = memo.step.as_mut().unwrap();
-        for (k, plan) in step.plans.iter().enumerate() {
-            let lane = &mut step.schedule.gather.lanes[k][0];
+    ) -> Placement {
+        let mut placement = place(x, cluster, old_rows, cfg().rank).unwrap();
+        for (k, plan) in placement.plans.iter().enumerate() {
+            let lane = &mut placement.schedule.gather.lanes[k][0];
             *lane = Lane::new(plan.owned_rows.iter().map(Vec::as_slice), lane.tail.clone());
         }
-        memo
+        placement
     }
 
     #[test]
@@ -2029,13 +1994,13 @@ mod tests {
                 for tolerance in [0.0, 1.0] {
                     let tag = format!("{name} world {world} tolerance {tolerance}");
                     let cfg = cfg().with_tolerance(tolerance);
-                    let run = |memo: &mut PlanCache| {
+                    let run = |placement: &Placement| {
                         let opts = ClusterOptions::default();
-                        run_distributed(x, old, &cfg, &cluster, &opts, memo).unwrap()
+                        run_distributed(x, old, &cfg, &opts, placement).unwrap()
                     };
-                    let mut memo = PlanCache::default();
-                    let out = run(&mut memo);
-                    let reference = run(&mut every_owned_row_gather(x, &old_rows, &cluster));
+                    let placement = place(x, &cluster, &old_rows, r).unwrap();
+                    let out = run(&placement);
+                    let reference = run(&every_owned_row_gather(x, &old_rows, &cluster));
                     assert_eq!(
                         out.iterations < cfg.max_iters,
                         tolerance > 0.0,
@@ -2055,9 +2020,9 @@ mod tests {
                     // Per sender, the reference shipped every owned row;
                     // the gather skips the untouched old ones and those
                     // rank 0 reads in modes 0 and 1, R values each.
-                    let StepPlans {
+                    let Placement {
                         plans, schedule, ..
-                    } = memo.step.as_ref().unwrap();
+                    } = &placement;
                     assert_eq!(
                         out.comm.bytes_by_sender[0], reference.comm.bytes_by_sender[0],
                         "{tag}"
@@ -2403,74 +2368,6 @@ mod tests {
             out.comm.wire_bytes(),
             factor_bits(&out)
         );
-    }
-
-    /// `run_distributed` with default options and the given memo.
-    fn run_memo(
-        x: &SparseTensor,
-        old: &[Matrix],
-        cc: &ClusterConfig,
-        memo: &mut PlanCache,
-    ) -> Decomposition {
-        run_distributed(x, old, &cfg(), cc, &ClusterOptions::default(), memo).unwrap()
-    }
-
-    #[test]
-    fn memo_serves_a_repeat_of_the_same_step_and_never_changes_results() {
-        let old_shape = [4usize, 4, 3];
-        let old: Vec<Matrix> = {
-            let mut rng = ChaCha8Rng::seed_from_u64(15);
-            old_shape
-                .iter()
-                .map(|&s| Matrix::random(s, 3, &mut rng))
-                .collect()
-        };
-        let x = random_complement(&old_shape, &[7, 7, 5], 80, 16);
-        let cc = ClusterConfig::new(2);
-        let mut memo = PlanCache::default();
-
-        let first = run_memo(&x, &old, &cc, &mut memo);
-        let cells = memo.misses();
-        assert!(cells > 0);
-        assert_eq!(memo.hits(), 0);
-
-        // The same step again in the same world (what a watchdog retry or a
-        // heal replay does): every cell is reused, nothing is rebuilt, and
-        // the result is bitwise unchanged.
-        let second = run_memo(&x, &old, &cc, &mut memo);
-        assert_eq!(memo.hits(), cells);
-        assert_eq!(memo.misses(), cells);
-        assert_eq!(first.loss_trace, second.loss_trace);
-        assert_eq!(first.setup_bytes, second.setup_bytes);
-
-        // The memo-less public entry point agrees exactly.
-        let fresh = decompose(&x, &old, &cfg(), &cc).unwrap();
-        assert_eq!(first.loss_trace, fresh.loss_trace);
-    }
-
-    #[test]
-    fn memo_rebuilds_for_another_world_and_after_a_reset() {
-        let x = random_tensor(&[6, 6, 6], 70, 17);
-        let old = zero_history(3, cfg().rank);
-        let mut memo = PlanCache::default();
-        run_memo(&x, &old, &ClusterConfig::new(3), &mut memo);
-        let cells3 = memo.misses();
-
-        // A shrunk world (the degrade rung) re-partitions: nothing built
-        // for world 3 is served to world 2.
-        let degraded = run_memo(&x, &old, &ClusterConfig::new(2), &mut memo);
-        assert_eq!(memo.hits(), 0);
-        let cells2 = memo.misses() - cells3;
-        assert!(cells2 > 0);
-        let fresh = decompose(&x, &[], &cfg(), &ClusterConfig::new(2)).unwrap();
-        assert_eq!(degraded.loss_trace, fresh.loss_trace);
-
-        // A reset (the top of the next ingest) forgets the step; the
-        // counters keep running.
-        memo.reset();
-        run_memo(&x, &old, &ClusterConfig::new(2), &mut memo);
-        assert_eq!(memo.hits(), 0);
-        assert_eq!(memo.misses(), cells3 + 2 * cells2);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! step reproduces the fault-free factors bit for bit.
 
 use crate::config::{DecompConfig, WatchdogPolicy};
-use crate::distributed::{run_distributed, ClusterConfig, Decomposition, PlanCache};
+use crate::distributed::{all_finite, place, run_distributed, ClusterConfig, PlanCache};
 use dismastd_cluster::{ClusterOptions, CommStatsSnapshot, HealAction, HealPolicy, Supervisor};
 use dismastd_obs::MetricsSnapshot;
 use dismastd_tensor::matrix::Matrix;
@@ -201,8 +201,7 @@ pub struct StreamingSession {
     factors: Option<KruskalTensor>,
     shape: Vec<usize>,
     step: usize,
-    /// Step-local memo of the placement (released when the step's last
-    /// attempt returns) plus its lifetime hit/miss counters.
+    /// The grid cells every attempt laid out, over the session's lifetime.
     plan_cache: PlanCache,
     /// Runtime options (timeouts, fault injection) for every step.
     /// Deliberately not checkpointed: a restored session should run with
@@ -332,7 +331,10 @@ impl StreamingSession {
     /// vs. the factors' row counts (the next ingest takes its complement
     /// against the one and runs DTD against the other), a stream position
     /// with no factors to go with it, or a mode with zero workers (the
-    /// error [`StreamingSession::set_workers`] gives for 0).
+    /// error [`StreamingSession::set_workers`] gives for 0), and
+    /// [`TensorError::NonFiniteValue`] for a non-finite factor entry.  The
+    /// factors themselves decode through [`Matrix::from_vec`] and
+    /// [`KruskalTensor::new`], so a short or ragged one fails to decode.
     pub fn from_checkpoint(ckpt: SessionCheckpoint) -> Result<Self> {
         check_workers(ckpt.mode.cluster().workers)?;
         match &ckpt.factors {
@@ -351,6 +353,9 @@ impl StreamingSession {
                         f.shape()
                     )));
                 }
+                // A step never commits such an entry, and the next one
+                // would spend the watchdog's restarts on it.
+                all_finite(f.factors())?;
             }
             None => {
                 if !ckpt.shape.is_empty() || ckpt.step != 0 {
@@ -427,10 +432,9 @@ impl StreamingSession {
         Self::from_checkpoint(ckpt)
     }
 
-    /// The placement memo, at every world.  Exposed for inspection:
-    /// `misses()` counts grid cells compiled, `hits()` cells reused by
-    /// watchdog retries and same-world heal replays.  Between steps it
-    /// holds no plan.
+    /// The placement counts, at every world: `misses()` counts the grid
+    /// cells every attempt laid out, retries included; `hits()` is 0, as
+    /// no placement outlives its attempt.
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plan_cache
     }
@@ -628,63 +632,99 @@ impl StreamingSession {
         };
         let processed_nnz = work.nnz();
 
-        // ---- decomposition under the divergence watchdog ----------------
+        // ---- one loop over attempts: each outcome picks the next rung ----
+        // Every attempt lays out its own placement, so a retry is a fresh
+        // attempt with a damped μ or on a healed world, and nothing needs
+        // rolling back between attempts: only a degradation changes the
+        // session (its world), which is exactly what that rung means.
         let wd = self.cfg.numerics.watchdog;
         let mut step_cfg = self.cfg;
         let mut restarts = 0usize;
         let mut numerics = NumericsReport::default();
         let mut heal = HealReport::default();
         let backoff_before = self.supervisor.as_ref().map_or(0, Supervisor::backoff_ns);
-        let mut watched = || loop {
-            let attempt = match self.decompose_healing(&work, &step_cfg, &mut heal) {
-                Ok(a) => a,
-                Err(e) if wd.enabled && is_numeric_failure(&e) => {
-                    // The solver gave up (singular system, non-finite
-                    // pivot/value): same treatment as an observed
-                    // divergence — damp μ and retry within budget.
-                    if restarts >= wd.max_restarts {
-                        return Err(TensorError::Diverged {
-                            restarts,
-                            detail: e.to_string(),
-                        });
-                    }
-                    restarts += 1;
-                    dismastd_obs::counter_add("watchdog/restart", 1);
-                    step_cfg.forgetting *= wd.mu_damping;
-                    continue;
-                }
-                Err(e) => return Err(e),
+        let mut replay = false;
+        let outcome = loop {
+            let attempt = {
+                let _replay = replay.then(|| dismastd_obs::span("heal/replay"));
+                // A cold start has no history: static CP-ALS over the snapshot.
+                let old = self
+                    .factors
+                    .as_ref()
+                    .map_or(&[][..], KruskalTensor::factors);
+                place(&work, &self.mode.cluster(), &self.shape, step_cfg.rank).and_then(
+                    |placement| {
+                        self.plan_cache.misses += placement.cells();
+                        run_distributed(&work, old, &step_cfg, &self.cluster_opts, &placement)
+                    },
+                )
             };
-            numerics.absorb(&attempt.numerics);
-            let verdict = if wd.enabled {
-                divergence_verdict(&attempt.loss_trace, attempt.kruskal.factors(), &wd)
-            } else {
-                None
-            };
-            match verdict {
-                None => break Ok(attempt),
-                Some(reason) => {
+            replay = false;
+            let diverged = match attempt {
+                Ok(attempt) => {
+                    numerics.absorb(&attempt.numerics);
+                    let verdict = wd.enabled.then(|| {
+                        divergence_verdict(&attempt.loss_trace, attempt.kruskal.factors(), &wd)
+                    });
+                    let Some(reason) = verdict.flatten() else {
+                        break attempt;
+                    };
                     // The attempt's traffic happened whether or not its
                     // numbers were usable (its metrics are already in the
                     // step's collection).
                     self.comm_totals.merge(&attempt.comm);
-                    if restarts >= wd.max_restarts {
-                        return Err(TensorError::Diverged {
-                            restarts,
-                            detail: reason,
-                        });
-                    }
-                    restarts += 1;
-                    dismastd_obs::counter_add("watchdog/restart", 1);
-                    step_cfg.forgetting *= wd.mu_damping;
+                    reason
                 }
+                // The solver gave up (singular system, non-finite
+                // pivot/value): same treatment as an observed divergence.
+                Err(e) if wd.enabled && is_numeric_failure(&e) => e.to_string(),
+                // The heal ladder's next rung, and a replay of the attempt.
+                Err(TensorError::ClusterFault { rank, detail }) => {
+                    let world = self.mode.cluster().workers;
+                    let Some(sup) = self.supervisor.as_mut() else {
+                        return Err(TensorError::ClusterFault { rank, detail });
+                    };
+                    match sup.on_fault(rank, world) {
+                        HealAction::Respawn { backoff, .. } => {
+                            sup.back_off(backoff);
+                            heal.respawns += 1;
+                        }
+                        HealAction::Degrade { .. } => {
+                            // The same call a caller shrinking the cluster makes.
+                            self.set_workers(world - 1)?;
+                            heal.transitions.push(HealTransition::Degraded {
+                                from_world: world,
+                                to_world: world - 1,
+                            });
+                        }
+                        HealAction::GiveUp { .. } => {
+                            return Err(TensorError::ClusterFault {
+                                rank,
+                                detail: format!(
+                                    "{detail} (heal ladder exhausted after {} respawn(s) and \
+                                     {} degradation(s))",
+                                    heal.respawns,
+                                    heal.transitions.len()
+                                ),
+                            });
+                        }
+                    }
+                    replay = true;
+                    continue;
+                }
+                Err(e) => return Err(e),
+            };
+            // Damp μ and retry within budget.
+            if restarts >= wd.max_restarts {
+                return Err(TensorError::Diverged {
+                    restarts,
+                    detail: diverged,
+                });
             }
+            restarts += 1;
+            dismastd_obs::counter_add("watchdog/restart", 1);
+            step_cfg.forgetting *= wd.mu_damping;
         };
-        let outcome = watched();
-        // The placement memo never outlives the step that built it: the
-        // step's last attempt is in, whatever it returned.
-        self.plan_cache.reset();
-        let outcome = outcome?;
 
         let loss = outcome.loss_trace.last().copied().unwrap_or(0.0);
         // The step's last read of the resident snapshot: `⟨X, Y⟩` needs
@@ -729,65 +769,11 @@ impl StreamingSession {
         }
         self.factors = Some(outcome.kruskal);
         self.shape = snapshot.shape().to_vec();
-        self.step += 1;
+        self.step = self.step.saturating_add(1);
         // A quarantined step decomposed a rebuilt copy, not `input`'s
         // prefix: its successor scans.
         self.last = (quarantined == 0).then(|| (input.mark(), snapshot_norm_sq));
         Ok(report)
-    }
-
-    /// [`Self::decompose_once`] under the heal ladder: with a supervisor
-    /// installed a cluster fault is answered by the ladder's next rung and
-    /// the attempt replayed, until it succeeds or the ladder gives up.
-    /// Nothing needs rolling back between replays — an attempt is pure with
-    /// respect to the durable state — and only a degradation changes the
-    /// session (its world), which is exactly what the rung means.
-    fn decompose_healing(
-        &mut self,
-        work: &SparseTensor,
-        cfg: &DecompConfig,
-        heal: &mut HealReport,
-    ) -> Result<Decomposition> {
-        let mut result = self.decompose_once(work, cfg);
-        loop {
-            let world = self.world();
-            let (rank, detail, action) = match (result, self.supervisor.as_mut()) {
-                (Err(TensorError::ClusterFault { rank, detail }), Some(sup)) => {
-                    let action = sup.on_fault(rank, world);
-                    if let HealAction::Respawn { backoff, .. } = action {
-                        sup.back_off(backoff);
-                    }
-                    (rank, detail, action)
-                }
-                (other, _) => return other,
-            };
-            match action {
-                HealAction::Respawn { .. } => heal.respawns += 1,
-                HealAction::Degrade { .. } => {
-                    // The same call a caller shrinking the cluster makes;
-                    // the placement memo is keyed by world size, so the
-                    // replay re-partitions.
-                    self.set_workers(world - 1)?;
-                    heal.transitions.push(HealTransition::Degraded {
-                        from_world: world,
-                        to_world: world - 1,
-                    });
-                }
-                HealAction::GiveUp { .. } => {
-                    return Err(TensorError::ClusterFault {
-                        rank,
-                        detail: format!(
-                            "{detail} (heal ladder exhausted after {} respawn(s) and {} \
-                             degradation(s))",
-                            heal.respawns,
-                            heal.transitions.len()
-                        ),
-                    });
-                }
-            }
-            let _replay = dismastd_obs::span("heal/replay");
-            result = self.decompose_once(work, cfg);
-        }
     }
 
     /// What arrived since the committed snapshot, when `snapshot` extends
@@ -827,33 +813,6 @@ impl StreamingSession {
         let _s = dismastd_obs::span("phase/validate");
         let norm_sq = fold_norm_sq(&delta, self.cfg.numerics.validation, *committed_norm_sq)?;
         Ok(norm_sq.map(|norm_sq| (delta, norm_sq)))
-    }
-
-    /// Workers the next decomposition runs on.
-    fn world(&self) -> usize {
-        self.mode.cluster().workers
-    }
-
-    /// One decomposition attempt over `work` (the full snapshot on a cold
-    /// start, the complement otherwise) on the session's world.  Pure with
-    /// respect to the durable session state — only the step's placement
-    /// memo fills — so the watchdog and the heal ladder can discard an
-    /// attempt and retry.
-    fn decompose_once(&mut self, work: &SparseTensor, cfg: &DecompConfig) -> Result<Decomposition> {
-        // A cold start has no history: static CP-ALS over the snapshot.
-        let old = self
-            .factors
-            .as_ref()
-            .map_or(&[][..], KruskalTensor::factors);
-        let cluster = self.mode.cluster();
-        run_distributed(
-            work,
-            old,
-            cfg,
-            &cluster,
-            &self.cluster_opts,
-            &mut self.plan_cache,
-        )
     }
 }
 
@@ -1182,9 +1141,10 @@ mod tests {
         }
         assert_eq!(serial.factors(), world1.factors());
         assert_eq!(serial.comm_totals(), world1.comm_totals());
-        // Both compiled each step's one cell once and served the retry.
-        assert_eq!(serial.plan_cache().misses(), 2);
-        assert_eq!(serial.plan_cache().hits(), 1);
+        // Both laid out each attempt's one cell: the cold step's, and the
+        // warm step's twice, once more for the retry.
+        assert_eq!(serial.plan_cache().misses(), 3);
+        assert_eq!(serial.plan_cache().hits(), 0);
         assert_eq!(serial.plan_cache().hits(), world1.plan_cache().hits());
         assert_eq!(serial.plan_cache().misses(), world1.plan_cache().misses());
     }
@@ -1460,6 +1420,61 @@ mod tests {
         let fresh = StreamingSession::new(cfg(), ExecutionMode::Serial).to_checkpoint();
         assert!(StreamingSession::from_checkpoint(fresh).is_ok());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A step-1 checkpoint of a 3×3×3 serial session at rank 2, as JSON.
+    fn small_checkpoint_json() -> String {
+        let mut b = SparseTensorBuilder::new(vec![3, 3, 3]);
+        for e in 0..14usize {
+            b.push(&[e % 3, (e / 3) % 3, (e / 9) % 3], 1.0 + e as f64 / 8.0)
+                .unwrap();
+        }
+        let mut sess = StreamingSession::new(cfg().with_rank(2), ExecutionMode::Serial);
+        sess.ingest(&b.build().unwrap()).unwrap();
+        serde_json::to_string(&sess.to_checkpoint()).unwrap()
+    }
+
+    #[test]
+    fn a_short_or_non_finite_factor_is_refused_at_restore() {
+        let json = small_checkpoint_json();
+        let restore = |json: &str| {
+            serde_json::from_str::<SessionCheckpoint>(json)
+                .map_err(|e| TensorError::InvalidArgument(e.to_string()))
+                .and_then(StreamingSession::from_checkpoint)
+        };
+        assert!(restore(&json).is_ok());
+        // The first factor's first value, and the comma after it.
+        let first = json.find("\"data\":[").unwrap() + "\"data\":[".len();
+        let comma = first + json[first..].find(',').unwrap();
+        let short = format!("{}{}", &json[..first], &json[comma + 1..]);
+        match restore(&short) {
+            Err(TensorError::InvalidArgument(msg)) => assert!(msg.contains("from_vec"), "{msg}"),
+            other => panic!("a short factor must not restore: {other:?}"),
+        }
+        let infinite = format!("{}1e999{}", &json[..first], &json[comma..]);
+        match restore(&infinite) {
+            Err(TensorError::NonFiniteValue { index, value }) => {
+                assert_eq!((index, value), (vec![0], f64::INFINITY));
+            }
+            other => panic!("a non-finite factor must not restore: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restored_comm_totals_at_their_limit_saturate() {
+        let json = small_checkpoint_json();
+        let mut ckpt: SessionCheckpoint = serde_json::from_str(&json).unwrap();
+        ckpt.comm_totals.collectives = u64::MAX;
+        ckpt.comm_totals.bytes_by_sender = vec![u64::MAX];
+        ckpt.step = usize::MAX;
+        let mut sess = StreamingSession::from_checkpoint(ckpt).unwrap();
+        let mut b = SparseTensorBuilder::new(vec![4, 4, 4]);
+        b.push(&[3, 3, 3], 1.0).unwrap();
+        b.push(&[0, 0, 0], 2.0).unwrap();
+        sess.ingest(&b.build().unwrap()).unwrap();
+        assert_eq!(sess.comm_totals().collectives, u64::MAX);
+        assert_eq!(sess.comm_totals().bytes_by_sender, vec![u64::MAX]);
+        assert_eq!(sess.steps(), usize::MAX);
     }
 
     #[test]

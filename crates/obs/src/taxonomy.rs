@@ -78,9 +78,7 @@ pub const COUNTERS: &[&str] = &[
     // (label 0/1/2 = validate/complement/fit).
     "ingest/quarantined",
     "ingest/resident_read",
-    // plan family: the step-local placement memo's traffic (cells reused
-    // by a retry / cells compiled).
-    "plan/cache_hit",
+    // plan family: the grid cells each attempt's placement laid out.
     "plan/rebuild",
     // pool family: intra-worker thread-pool work items.
     "pool/chunks",

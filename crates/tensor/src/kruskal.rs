@@ -15,9 +15,21 @@ use serde::{Deserialize, Serialize};
 
 /// A CP / Kruskal tensor: the sum of `R` rank-one outer products encoded as
 /// `N` factor matrices with a common column count `R`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct KruskalTensor {
     factors: Vec<Matrix>,
+}
+
+// Hand-written so a decoded tensor is checked as a built one is: through
+// `new`, so it has a factor and one rank.
+impl Deserialize for KruskalTensor {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::DeError::new("expected object for `KruskalTensor`"))?;
+        KruskalTensor::new(Deserialize::from_value(serde::field(obj, "factors")?)?)
+            .map_err(|e| serde::DeError::new(e.to_string()))
+    }
 }
 
 impl KruskalTensor {

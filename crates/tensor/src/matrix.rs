@@ -16,11 +16,27 @@ use std::ops::Range;
 ///
 /// The workhorse type for CP factor matrices and all `R x R` intermediates
 /// (Gram matrices, Hadamard products, normal-equation systems).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+// Hand-written so a decoded matrix is checked as a built one is: through
+// `from_vec`, so `data` holds exactly `rows x cols` values.
+impl Deserialize for Matrix {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::DeError::new("expected object for `Matrix`"))?;
+        Matrix::from_vec(
+            Deserialize::from_value(serde::field(obj, "rows")?)?,
+            Deserialize::from_value(serde::field(obj, "cols")?)?,
+            Deserialize::from_value(serde::field(obj, "data")?)?,
+        )
+        .map_err(|e| serde::DeError::new(e.to_string()))
+    }
 }
 
 impl Matrix {
@@ -47,7 +63,7 @@ impl Matrix {
     /// # Errors
     /// Returns [`TensorError::ShapeMismatch`] if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(TensorError::ShapeMismatch {
                 op: "Matrix::from_vec",
                 left: vec![rows, cols],
@@ -571,6 +587,20 @@ mod tests {
     fn from_vec_validates_length() {
         assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
         assert!(Matrix::from_vec(2, 2, vec![1.0; 5]).is_err());
+        assert!(Matrix::from_vec(usize::MAX, 2, Vec::new()).is_err());
+    }
+
+    #[test]
+    fn a_decoded_matrix_is_checked_as_a_built_one() {
+        let decode = |json: &str| serde_json::from_str::<Matrix>(json);
+        let m = decode(r#"{"rows":2,"cols":2,"data":[1.0,2.0,3.0,4.0]}"#).unwrap();
+        assert_eq!(m.row(1), &[3.0, 4.0]);
+        assert!(decode(r#"{"rows":2,"cols":2,"data":[1.0,2.0,3.0]}"#).is_err());
+        assert!(decode(r#"{"rows":18446744073709551615,"cols":2,"data":[]}"#).is_err());
+        let kruskal = |json: &str| serde_json::from_str::<crate::KruskalTensor>(json);
+        assert!(kruskal(r#"{"factors":[]}"#).is_err());
+        let ragged = r#"{"factors":[{"rows":1,"cols":1,"data":[1.0]},{"rows":1,"cols":2,"data":[1.0,2.0]}]}"#;
+        assert!(kruskal(ragged).is_err());
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //!
 //! Reachability is [`CallGraph::reach`] with its name-based resolution, so
 //! L10 *under*-reports: a method call reaches every method of that name,
-//! whatever the receiver (`memo.reset()` on the step's plan memo reaches
-//! `CommStats::reset`, which only tests call).  A function L10 calls
-//! reached may still be dead; grep the programs for its name before
-//! trusting the verdict.
+//! whatever the receiver (the session's `comm_totals.merge(…)` reaches
+//! `MetricsSnapshot::merge` as well as `CommStatsSnapshot::merge`).  A
+//! function L10 calls reached may still be dead; grep the programs for its
+//! name before trusting the verdict.
 
 use crate::analyze::AnalyzeConfig;
 use crate::graph::CallGraph;

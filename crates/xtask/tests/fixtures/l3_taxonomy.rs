@@ -9,5 +9,5 @@ pub fn misspelled_span() {
 }
 
 pub fn misspelled_counter() {
-    dismastd_obs::counter_add("plan/cache_hits", 1);
+    dismastd_obs::counter_add("plan/rebuilds", 1);
 }

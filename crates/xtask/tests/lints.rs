@@ -129,7 +129,7 @@ fn l3_flags_unregistered_labels_with_a_suggestion() {
         diags[0].message
     );
     assert!(
-        diags[1].message.contains("plan/cache_hit"),
+        diags[1].message.contains("plan/rebuild"),
         "near-miss should suggest the registered label: {}",
         diags[1].message
     );

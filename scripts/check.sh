@@ -27,10 +27,13 @@ echo "==> retired communication-policy, membership and fault names stay gone"
 # The eighth were the solver's per-method entries and outputs: the one
 # entry is `decompose(x, history, cfg, &ClusterConfig)` (an empty history
 # is the static baseline), it returns one `Decomposition`, and it folds
-# every rank's metrics into the caller's registry itself.
+# every rank's metrics into the caller's registry itself.  The ninth were
+# the step's placement memo and the retry paths split around it: every
+# attempt lays out its own placement, and `ingest` holds the one loop
+# over attempts.
 # Test fixtures that must spell an old checkpoint's fields live in .json
 # files, outside this search.
-if grep -rnE '\b(CommPolicy|downcast_f32|maybe_compress|WireMeta|Framed|compressed_bytes|with_corruption|allreduce_grams)\b|MembershipChange|request_join|request_leave|pending_membership|_with_world\b|ownership_delta|membership/|AllreduceAlgo::Auto\b|AUTO_RING_MIN_TOTAL_BYTES|last_owners|CrashAndRejoin|with_crash_and_rejoin|crash_rejoins|ABORT_TAG|decode_abort|gauge_set|Payload::U64|rows_missing_from|\b(PendingRefresh|complete_refresh|unpack_gathered|gather_factors|pack_rows|partial_routes|serve_routes)\b|\bdms_mg\b|\bdismastd\(|\bDtdOutput\b|\bDistOutput\b|discarded_metrics' \
+if grep -rnE '\b(CommPolicy|downcast_f32|maybe_compress|WireMeta|Framed|compressed_bytes|with_corruption|allreduce_grams)\b|MembershipChange|request_join|request_leave|pending_membership|_with_world\b|ownership_delta|membership/|AllreduceAlgo::Auto\b|AUTO_RING_MIN_TOTAL_BYTES|last_owners|CrashAndRejoin|with_crash_and_rejoin|crash_rejoins|ABORT_TAG|decode_abort|gauge_set|Payload::U64|rows_missing_from|\b(PendingRefresh|complete_refresh|unpack_gathered|gather_factors|pack_rows|partial_routes|serve_routes)\b|\bdms_mg\b|\bdismastd\(|\bDtdOutput\b|\bDistOutput\b|discarded_metrics|\b(StepPlans|plans_for|decompose_healing|decompose_once)\b|plan/cache_hit' \
   crates tests examples --include='*.rs'; then
   echo "a retired name reappeared (above)" >&2
   exit 1

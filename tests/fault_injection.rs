@@ -14,6 +14,7 @@ use dismastd_tensor::{SparseTensor, SparseTensorBuilder, TensorError};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -411,6 +412,7 @@ fn a_healed_step_validates_and_complements_once_and_shows_the_replay() {
     let (s0, s1) = snapshot_pair();
     let mut sess = StreamingSession::new(cfg(), ExecutionMode::Distributed(ClusterConfig::new(3)));
     sess.ingest(&s0).unwrap();
+    let cold_cells = sess.plan_cache().misses();
     sess.set_collect_metrics(true);
     sess.set_cluster_options(ClusterOptions::default().with_fault_plan(mid_step_crash(1)));
     sess.set_heal_policy(replay_only(2));
@@ -430,14 +432,19 @@ fn a_healed_step_validates_and_complements_once_and_shows_the_replay() {
     assert_eq!(span_count("phase/validate"), 1);
     assert_eq!(span_count("phase/complement"), 1);
     assert_eq!(span_count("heal/replay"), 1);
-    // ...nor the placement: the cells compiled for the first attempt serve
-    // the same-world replay.
-    assert_eq!(span_count("phase/plan_build"), 1);
-    assert_eq!(
-        metrics.counter_value("plan/cache_hit"),
-        metrics.counter_value("plan/rebuild")
-    );
-    assert!(metrics.counter_value("plan/rebuild") > 0);
+    // ...and lays out its own placement: one per attempt, each the cells
+    // of a fault-free step in the same world.
+    let mut clean = StreamingSession::new(cfg(), ExecutionMode::Distributed(ClusterConfig::new(3)));
+    clean.ingest(&s0).unwrap();
+    clean.ingest(&s1).unwrap();
+    let cells = clean.plan_cache().misses() - cold_cells;
+    assert!(cells > 0);
+    let attempts = 2;
+    assert_eq!(span_count("phase/partition"), attempts);
+    assert_eq!(span_count("phase/plan_build"), attempts);
+    assert_eq!(metrics.counter_value("plan/rebuild"), attempts * cells);
+    assert_eq!(sess.plan_cache().misses(), cold_cells + attempts * cells);
+    assert_eq!(sess.plan_cache().hits(), 0);
 }
 
 // ---- collective-layer chaos ----------------------------------------------
@@ -585,4 +592,185 @@ fn on_disk_checkpoint_survives_a_simulated_process_death() {
     {
         assert_eq!(a.max_abs_diff(b).unwrap(), 0.0);
     }
+}
+
+// ---- the checkpoint trust boundary ---------------------------------------
+
+/// A checkpoint after one step, as JSON: a 3×3×3 session at rank 2.
+fn one_step_checkpoint(mode: ExecutionMode) -> String {
+    let mut b = SparseTensorBuilder::new(vec![3, 3, 3]);
+    for e in 0..14usize {
+        b.push(&[e % 3, (e / 3) % 3, (e / 9) % 3], 1.0 + e as f64 / 8.0)
+            .unwrap();
+    }
+    let mut sess = StreamingSession::new(cfg().with_rank(2).with_max_iters(3), mode);
+    sess.ingest(&b.build().unwrap()).unwrap();
+    serde_json::to_string(&sess.to_checkpoint()).unwrap()
+}
+
+/// The byte ranges of `json`'s numbers and of its arrays' last elements
+/// (an array's last element with the comma before it, or its one element),
+/// outside strings.
+fn numbers_and_last_elements(json: &[u8]) -> (Vec<Range<usize>>, Vec<Range<usize>>) {
+    let (mut numbers, mut lasts) = (Vec::new(), Vec::new());
+    // Per open array: its first byte after `[`, and where its last
+    // element starts (after the last comma at its depth).
+    let mut open: Vec<Option<(usize, usize)>> = Vec::new();
+    let (mut i, mut in_string) = (0, false);
+    while i < json.len() {
+        let c = json[i];
+        match c {
+            b'"' if !in_string || json[i - 1] != b'\\' => in_string = !in_string,
+            _ if in_string => {}
+            b'[' => open.push(Some((i + 1, i + 1))),
+            b'{' => open.push(None),
+            b',' => {
+                if let Some(Some((_, last))) = open.last_mut() {
+                    *last = i;
+                }
+            }
+            b']' | b'}' => {
+                if let Some(Some((first, last))) = open.pop() {
+                    if first < i {
+                        lasts.push(last..i);
+                    }
+                }
+            }
+            b'-' | b'0'..=b'9' => {
+                let end = (i..json.len())
+                    .find(|&k| !matches!(json[k], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
+                    .unwrap_or(json.len());
+                numbers.push(i..end);
+                i = end;
+                continue;
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    (numbers, lasts)
+}
+
+/// Restores `json` and, when that succeeds, asks the session for two
+/// predictions and one ingest of a snapshot grown by a row in every mode.
+/// Errors are fine; only a panic fails.  Returns whether the session was
+/// restored and whether it ingested.  The ingest is skipped when the
+/// restored configuration asks for more than this test will run: a world
+/// above 8 (each worker is an OS thread), or iteration, restart or ridge
+/// budgets above 64 (restore does not bound them).
+fn restore_predict_ingest(json: &[u8], path: &std::path::Path) -> (bool, bool) {
+    std::fs::write(path, json).unwrap();
+    let Ok(mut sess) = StreamingSession::restore(path) else {
+        return (false, false);
+    };
+    let shape = sess.shape().to_vec();
+    let _ = sess.predict(&vec![0; shape.len()]);
+    let _ = sess.predict(
+        &shape
+            .iter()
+            .map(|&s| s.saturating_sub(1))
+            .collect::<Vec<_>>(),
+    );
+    let cfg = sess.to_checkpoint().cfg;
+    let workers = match sess.mode() {
+        ExecutionMode::Serial => 1,
+        ExecutionMode::Distributed(cc) => cc.workers,
+    };
+    let budgets = [
+        cfg.max_iters,
+        cfg.numerics.watchdog.max_restarts,
+        cfg.numerics.solver.max_ridge_steps as usize,
+    ];
+    if workers > 8 || budgets.iter().any(|&b| b > 64) {
+        return (true, false);
+    }
+    let grown: Vec<usize> = if shape.is_empty() {
+        vec![3, 3, 3]
+    } else {
+        shape.iter().map(|&s| s + 1).collect()
+    };
+    if grown.iter().product::<usize>() > 4096 {
+        return (true, false);
+    }
+    let mut b = SparseTensorBuilder::new(grown.clone());
+    let mut idx = vec![0usize; grown.len()];
+    for e in 0..grown.iter().product::<usize>() {
+        let mut rest = e;
+        for (i, &s) in idx.iter_mut().zip(&grown) {
+            *i = rest % s;
+            rest /= s;
+        }
+        if e % 3 != 1 {
+            b.push(&idx, 1.0 + (e % 5) as f64 / 4.0).unwrap();
+        }
+    }
+    let _ = sess.ingest(&b.build().unwrap());
+    (true, true)
+}
+
+#[test]
+fn restore_survives_hostile_checkpoint_json() {
+    // From two valid checkpoints (serial and world 2, one step each): every
+    // truncation point, seeded single-byte mutations, every number replaced
+    // by 0, u64::MAX, −1 and 1e999, and every array one element shorter.
+    let path =
+        std::env::temp_dir().join(format!("dismastd_hostile_ckpt_{}.json", std::process::id()));
+    let mut panicked = Vec::new();
+    let (mut cases, mut restored, mut ingested) = (0usize, 0usize, 0usize);
+    for (name, mode) in [
+        ("serial", ExecutionMode::Serial),
+        ("world 2", ExecutionMode::Distributed(ClusterConfig::new(2))),
+    ] {
+        let json = one_step_checkpoint(mode).into_bytes();
+        let mut variants: Vec<(String, Vec<u8>)> = (0..json.len())
+            .map(|cut| (format!("cut at {cut}"), json[..cut].to_vec()))
+            .collect();
+        let mut rng = ChaCha8Rng::seed_from_u64(77);
+        for _ in 0..400 {
+            let at = rng.gen_range(0..json.len());
+            let byte = match rng.gen_range(0..2) {
+                0 => b"0123456789-+.eE,:[]{}\" n"[rng.gen_range(0..24usize)],
+                _ => rng.gen_range(0..=255u8),
+            };
+            let mut v = json.clone();
+            v[at] = byte;
+            variants.push((format!("byte {at} = {byte:#04x}"), v));
+        }
+        let (numbers, lasts) = numbers_and_last_elements(&json);
+        assert!(
+            numbers.len() > 40 && lasts.len() >= 6,
+            "{name}: the scan found the fields"
+        );
+        for range in &numbers {
+            for sub in ["0", "18446744073709551615", "-1", "1e999"] {
+                let v = [&json[..range.start], sub.as_bytes(), &json[range.end..]].concat();
+                variants.push((format!("{range:?} = {sub}"), v));
+            }
+        }
+        for range in &lasts {
+            let v = [&json[..range.start], &json[range.end..]].concat();
+            variants.push((format!("{range:?} dropped"), v));
+        }
+        for (case, v) in &variants {
+            let run = std::panic::AssertUnwindSafe(|| restore_predict_ingest(v, &path));
+            match std::panic::catch_unwind(run) {
+                Ok((r, i)) => {
+                    (restored, ingested) = (restored + usize::from(r), ingested + usize::from(i))
+                }
+                Err(_) => panicked.push(format!("{name}: {case}")),
+            }
+        }
+        cases += variants.len();
+    }
+    std::fs::remove_file(&path).ok();
+    // Most mutations land in a factor's digits and still restore.
+    assert!(
+        cases > 3000 && ingested > 250,
+        "{cases} cases, {restored} restored, {ingested} ingested"
+    );
+    assert!(
+        panicked.is_empty(),
+        "{} of {cases} cases panicked: {panicked:#?}",
+        panicked.len()
+    );
 }

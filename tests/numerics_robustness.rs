@@ -274,7 +274,7 @@ fn watchdog_disabled_propagates_solver_errors_without_retrying() {
 }
 
 #[test]
-fn watchdog_retry_reuses_the_steps_plans_and_matches_the_damped_run() {
+fn watchdog_retry_lays_out_the_steps_plans_again_and_matches_the_damped_run() {
     // Near its fixed point an exact ALS trace can still rise by rounding.
     // With a zero-tolerance, patience-1 watchdog that happens on this
     // stream's warm step (seed 53, found by search): the first attempt is
@@ -313,11 +313,12 @@ fn watchdog_retry_reuses_the_steps_plans_and_matches_the_damped_run() {
     assert_eq!(retried.factors(), damped.factors());
     assert_eq!(r.loss.to_bits(), d.loss.to_bits());
 
-    // The step's cells were compiled once and served to the retry.
+    // The retry laid out the step's cells again: a placement is a pure
+    // function of the complement and the world, so the bits above held.
     let warm_cells = damped.plan_cache().misses() - cold_cells;
     assert!(warm_cells > 0);
-    assert_eq!(retried.plan_cache().misses(), cold_cells + warm_cells);
-    assert_eq!(retried.plan_cache().hits(), warm_cells);
+    assert_eq!(retried.plan_cache().misses(), cold_cells + 2 * warm_cells);
+    assert_eq!(retried.plan_cache().hits(), 0);
     assert_eq!(damped.plan_cache().hits(), 0);
 }
 

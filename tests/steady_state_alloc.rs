@@ -380,7 +380,7 @@ fn heal_policy_on_a_serial_session_allocates_nothing_extra() {
     assert_eq!(healing_loss, plain_loss);
 }
 
-/// The placement memo lives one step: once a world-2 session's cold
+/// A placement lives one attempt: once a world-2 session's cold
 /// `ingest` returns, what the session holds has grown by its factors, not
 /// by the step's plans.  The bound is one plan's layout over the snapshot,
 /// which the step's cells add up to at least (each cell's plan holds its
@@ -419,7 +419,7 @@ fn a_step_releases_its_plans_when_it_returns() {
     );
     let world2 = || StreamingSession::new(cfg, ExecutionMode::Distributed(ClusterConfig::new(2)));
     // A throwaway step first: state the process sets up once (the
-    // transport's first channels, thread-locals) is not the memo's.
+    // transport's first channels, thread-locals) is not the placement's.
     world2().ingest(&snapshot).unwrap();
 
     let mut sess = world2();
