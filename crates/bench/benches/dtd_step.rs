@@ -11,6 +11,9 @@ use rand_chacha::ChaCha8Rng;
 
 struct Workload {
     full: SparseTensor,
+    /// The second snapshot, in the stream's arrival order: what a warm
+    /// step's fit reads.
+    snapshot: SparseTensor,
     complement: SparseTensor,
     old_factors: Vec<Matrix>,
 }
@@ -26,6 +29,7 @@ fn workload() -> Workload {
         .complement(stream.snapshot(0).shape())
         .expect("nested");
     Workload {
+        snapshot: stream.snapshot(1).clone(),
         full,
         complement,
         old_factors: prev.kruskal.into_factors(),
@@ -100,6 +104,10 @@ fn bench_loss_reuse(c: &mut Criterion) {
     });
     group.bench_function("fresh_inner_pass", |b| {
         b.iter(|| kruskal.inner_sparse(&w.complement).expect("ok"))
+    });
+    // The pass a warm step's fit makes: the whole resident snapshot.
+    group.bench_function("fit_inner_resident", |b| {
+        b.iter(|| kruskal.inner_sparse(&w.snapshot).expect("ok"))
     });
     group.finish();
 }

@@ -20,9 +20,10 @@
 //! (`scripts/check.sh` runs it).  Each workload's block ends with a
 //! `resident_read` line: per step of one serial session over the stream,
 //! the entries `ingest` read to validate, to take the complement and to
-//! score the fit, beside the complement's nnz (`scripts/check.sh` fails
-//! when a `synthetic_fine` warm step validates or takes its complement
-//! from more than what arrived).
+//! score the fit, beside the complement's nnz and a hash of every step's
+//! fit bits (`fits=`; `scripts/check.sh` fails when a `synthetic_fine`
+//! warm step validates or takes its complement from more than what
+//! arrived).
 
 use dismastd_bench::factor_hash::{all_modes, identity_lines, routing_lines, untouched_lines};
 

@@ -134,12 +134,27 @@ impl DecompConfig {
         if self.max_iters == 0 {
             return Err("max_iters must be >= 1".into());
         }
+        if self.max_iters > MAX_ITERS {
+            return Err(format!("max_iters must be <= {MAX_ITERS}"));
+        }
         if self.tolerance < 0.0 {
             return Err("tolerance must be non-negative".into());
         }
         self.numerics.validate()
     }
 }
+
+/// Largest `max_iters` [`DecompConfig::validate`] accepts: every ALS run in
+/// this repository asks for at most 100, and a checkpoint that asks for
+/// more than this would hold a step until the tolerance stops it.
+pub const MAX_ITERS: usize = 10_000;
+/// Largest `watchdog.max_restarts` [`NumericsPolicy::validate`] accepts:
+/// each restart reruns the whole step.
+pub const MAX_RESTARTS: usize = 64;
+/// Largest `solver.max_ridge_steps` [`NumericsPolicy::validate`] accepts:
+/// the ridge grows geometrically per step, so 64 steps already span any
+/// conditioning an `f64` solve can see.
+pub const MAX_RIDGE_STEPS: u32 = 64;
 
 /// Bundle of the numerical-robustness knobs: solve escalation, divergence
 /// watchdog, and ingest validation.
@@ -199,6 +214,14 @@ impl NumericsPolicy {
         }
         if self.solver.max_ridge_steps == 0 {
             return Err("solver.max_ridge_steps must be >= 1".into());
+        }
+        if self.solver.max_ridge_steps > MAX_RIDGE_STEPS {
+            return Err(format!(
+                "solver.max_ridge_steps must be <= {MAX_RIDGE_STEPS}"
+            ));
+        }
+        if self.watchdog.max_restarts > MAX_RESTARTS {
+            return Err(format!("watchdog.max_restarts must be <= {MAX_RESTARTS}"));
         }
         if !(0.0..=1.0).contains(&self.watchdog.mu_damping) || self.watchdog.mu_damping == 0.0 {
             return Err("watchdog.mu_damping must lie in (0, 1]".into());

@@ -44,7 +44,9 @@ pub mod rank;
 pub mod session;
 pub mod shadow;
 
-pub use config::{DecompConfig, NumericsPolicy, WatchdogPolicy};
+pub use config::{
+    DecompConfig, NumericsPolicy, WatchdogPolicy, MAX_ITERS, MAX_RESTARTS, MAX_RIDGE_STEPS,
+};
 pub use dismastd_cluster::{
     ClusterError, ClusterOptions, FaultPlan, HealAction, HealPolicy, PartitionWindow, SimOptions,
     SimProbe, Supervisor, VirtualClock,
@@ -59,6 +61,7 @@ pub use onlinecp::OnlineCp;
 pub use rank::{select_rank, RankSearch};
 pub use session::{
     ExecutionMode, HealReport, HealTransition, SessionCheckpoint, StepReport, StreamingSession,
+    MAX_WORKERS,
 };
 pub use shadow::ShadowOracle;
 

@@ -298,8 +298,8 @@ impl StreamingSession {
     /// resume on another world, restore and then call this.
     ///
     /// # Errors
-    /// Returns [`TensorError::InvalidArgument`] for `workers == 0`, leaving
-    /// the session as it was.
+    /// Returns [`TensorError::InvalidArgument`] for `workers == 0` or
+    /// `workers > `[`MAX_WORKERS`], leaving the session as it was.
     pub fn set_workers(&mut self, workers: usize) -> Result<()> {
         check_workers(workers)?;
         let mut cluster = self.mode.cluster().into_owned();
@@ -330,13 +330,17 @@ impl StreamingSession {
     /// internally inconsistent: factor rank vs. configured rank, `shape`
     /// vs. the factors' row counts (the next ingest takes its complement
     /// against the one and runs DTD against the other), a stream position
-    /// with no factors to go with it, or a mode with zero workers (the
-    /// error [`StreamingSession::set_workers`] gives for 0), and
+    /// with no factors to go with it, a mode with zero workers or more
+    /// than [`MAX_WORKERS`] (the error [`StreamingSession::set_workers`]
+    /// gives), a configuration [`DecompConfig::validate`] refuses (a
+    /// budget above [`crate::MAX_ITERS`], [`crate::MAX_RESTARTS`] or
+    /// [`crate::MAX_RIDGE_STEPS`] among them), and
     /// [`TensorError::NonFiniteValue`] for a non-finite factor entry.  The
     /// factors themselves decode through [`Matrix::from_vec`] and
     /// [`KruskalTensor::new`], so a short or ragged one fails to decode.
     pub fn from_checkpoint(ckpt: SessionCheckpoint) -> Result<Self> {
         check_workers(ckpt.mode.cluster().workers)?;
+        ckpt.cfg.validate().map_err(TensorError::InvalidArgument)?;
         match &ckpt.factors {
             Some(f) => {
                 if f.rank() != ckpt.cfg.rank {
@@ -558,9 +562,10 @@ impl StreamingSession {
     /// cluster fault surfaces as [`TensorError::ClusterFault`].
     ///
     /// # Errors
-    /// Returns [`TensorError::InvalidArgument`] for non-monotone snapshots
-    /// and for a non-empty snapshot of zero norm (its fit is undefined;
-    /// refused before the solve),
+    /// Returns [`TensorError::InvalidArgument`] for non-monotone snapshots,
+    /// for a non-empty snapshot of zero norm (its fit is undefined;
+    /// refused before the solve) and for a configuration or world that
+    /// restore would refuse (see [`Self::from_checkpoint`]),
     /// [`TensorError::NonFiniteValue`] for invalid data under `Strict`
     /// validation, [`TensorError::Diverged`] when the watchdog's restart
     /// budget is exhausted, and [`TensorError::ClusterFault`] when no heal
@@ -577,6 +582,10 @@ impl StreamingSession {
         // displaced registry.
         let collector = self.collect_metrics.then(dismastd_obs::begin);
         let cold_start = self.factors.is_none();
+        // `new` takes any configuration; the first step refuses what
+        // `set_workers` and restore refuse.
+        check_workers(self.mode.cluster().workers)?;
+        self.cfg.validate().map_err(TensorError::InvalidArgument)?;
 
         if !cold_start {
             if snapshot.order() != self.shape.len() {
@@ -824,8 +833,17 @@ fn check_workers(workers: usize) -> Result<()> {
             "a cluster needs at least one worker, not workers = 0".into(),
         ));
     }
+    if workers > MAX_WORKERS {
+        return Err(TensorError::InvalidArgument(format!(
+            "workers must be <= {MAX_WORKERS}, not workers = {workers}"
+        )));
+    }
     Ok(())
 }
+
+/// Largest world a session runs on: each worker is an OS thread of this
+/// process, and the paper's cluster is 15 machines.
+pub const MAX_WORKERS: usize = 256;
 
 /// Writes `bytes` to a new file at `path` and syncs it to stable storage.
 fn write_synced(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
@@ -1458,6 +1476,52 @@ mod tests {
             }
             other => panic!("a non-finite factor must not restore: {other:?}"),
         }
+    }
+
+    /// Restore, `set_workers` and the first ingest of a session built by
+    /// `new` refuse the same values: a world above [`MAX_WORKERS`] and
+    /// budgets above the named caps, each with an `InvalidArgument` that
+    /// names the field.  A value at its cap restores.
+    #[test]
+    fn restore_new_and_set_workers_refuse_the_same_bounds() {
+        use crate::{MAX_ITERS, MAX_RESTARTS, MAX_RIDGE_STEPS};
+        let json = small_checkpoint_json();
+        let base: SessionCheckpoint = serde_json::from_str(&json).unwrap();
+        let refused = |r: Result<()>, field: &str| match r {
+            Err(TensorError::InvalidArgument(msg)) => assert!(msg.contains(field), "{msg}"),
+            other => panic!("{field} out of bounds must be refused: {other:?}"),
+        };
+        let mut x = SparseTensorBuilder::new(vec![4, 4, 4]);
+        x.push(&[0, 0, 0], 1.0).unwrap();
+        let x = x.build().unwrap();
+        type Over = fn(&mut SessionCheckpoint, usize);
+        let mutations: [(&str, Over); 4] = [
+            ("workers", |c, d| {
+                c.mode = ExecutionMode::Distributed(ClusterConfig::new(MAX_WORKERS + d));
+            }),
+            ("max_iters", |c, d| c.cfg.max_iters = MAX_ITERS + d),
+            ("watchdog.max_restarts", |c, d| {
+                c.cfg.numerics.watchdog.max_restarts = MAX_RESTARTS + d;
+            }),
+            ("solver.max_ridge_steps", |c, d| {
+                c.cfg.numerics.solver.max_ridge_steps = MAX_RIDGE_STEPS + d as u32;
+            }),
+        ];
+        for (field, set) in mutations {
+            let mut at_cap = base.clone();
+            set(&mut at_cap, 0);
+            assert!(StreamingSession::from_checkpoint(at_cap).is_ok(), "{field}");
+            let mut over = base.clone();
+            set(&mut over, 1);
+            let restored = StreamingSession::from_checkpoint(over.clone());
+            refused(restored.map(|_| ()), field);
+            let mut fresh = StreamingSession::new(over.cfg, over.mode.clone());
+            refused(fresh.ingest(&x).map(|_| ()), field);
+            assert!(fresh.factors().is_none(), "nothing was committed");
+        }
+        let mut sess = StreamingSession::from_checkpoint(base).unwrap();
+        refused(sess.set_workers(MAX_WORKERS + 1), "workers");
+        assert!(sess.set_workers(MAX_WORKERS).is_ok());
     }
 
     #[test]

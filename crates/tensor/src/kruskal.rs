@@ -8,7 +8,7 @@
 use crate::coo::SparseTensor;
 use crate::dense::DenseTensor;
 use crate::error::{Result, TensorError};
-use crate::lanes::{for_fixed_lanes, lane_products};
+use crate::lanes::for_fixed_lanes;
 use crate::matrix::Matrix;
 use crate::ops::grand_sum_hadamard;
 use serde::{Deserialize, Serialize};
@@ -117,7 +117,19 @@ impl KruskalTensor {
     }
 
     /// Inner product with a sparse tensor:
-    /// `⟨X, ⟦A⟧⟩ = Σ_nnz x · Σ_f Π_k A_k[i_k, f]` — `O(nnz·N·R)`.
+    /// `⟨X, ⟦A⟧⟩ = Σ_nnz x · Σ_f Π_k A_k[i_k, f]` — `O(nnz·(N−1)·R)`.
+    ///
+    /// Summed in one fixed order, the paper's loss-reuse identity
+    /// `⟨X, Y⟩ = Σᵢ A₀[i, :]·Â₀[i, :]` applied to the stored order.  The
+    /// stored entries are cut into blocks of 2¹⁶; inside a block each
+    /// *stretch* (a maximal range of one mode-0 index `i₀`) adds
+    /// `v · A₁[i₁, :] ⊛ … ⊛ A_{N−1}[i_{N−1}, :]` into two `R`-lane sets,
+    /// even and odd entries of the stretch alternating, then adds the two
+    /// sets lane by lane and dots them once with `A₀[i₀, :]`.  Stretch sums
+    /// add into their block's sum in order, block sums into the total in
+    /// block order.  The bits therefore depend on the stored order and the
+    /// block size alone; the fixed-rank and the dynamic bodies both follow
+    /// this order and agree bit for bit.
     ///
     /// # Errors
     /// Returns an error when the tensor shape exceeds the factor rows.
@@ -243,39 +255,131 @@ impl KruskalTensor {
     }
 }
 
-/// Body of [`KruskalTensor::inner_sparse`] for any rank and order: per
-/// entry, the lanes `x · Π_k A_k[i_k, :]` multiplied in mode order, then
-/// summed in lane order.
-fn inner_sparse_dyn(factors: &[Matrix], x: &SparseTensor) -> f64 {
-    let r = factors.first().map_or(0, Matrix::cols);
-    let mut prod = vec![0.0f64; r];
+/// Entries per block of [`KruskalTensor::inner_sparse`]'s summation order:
+/// a stretch ends at a block's end, and block sums fold in block order.
+const FIT_BLOCK: usize = 1 << 16;
+
+/// The summation order of [`KruskalTensor::inner_sparse`] over `x`'s
+/// stored entries: the stored order cut into blocks of [`FIT_BLOCK`]
+/// entries, each block into stretches (maximal ranges of one mode-0
+/// index).  `stretch(lo, hi)` sums entries `lo..hi`; stretch sums add
+/// into their block's sum in order, block sums into the total in block
+/// order.
+fn fold_stretches(x: &SparseTensor, mut stretch: impl FnMut(usize, usize) -> f64) -> f64 {
+    let (n, idx) = (x.order(), x.indices_flat());
     let mut total = 0.0;
-    for (idx, v) in x.iter() {
-        prod.iter_mut().for_each(|p| *p = v);
-        for (f, &i) in factors.iter().zip(idx) {
-            for (p, &a) in prod.iter_mut().zip(f.row(i as usize)) {
-                *p *= a;
-            }
+    for start in (0..x.nnz()).step_by(FIT_BLOCK) {
+        let end = (start + FIT_BLOCK).min(x.nnz());
+        let mut block = 0.0;
+        let mut lo = start;
+        while lo < end {
+            let i0 = idx[lo * n];
+            let hi = (lo + 1..end).find(|&e| idx[e * n] != i0).unwrap_or(end);
+            block += stretch(lo, hi);
+            lo = hi;
         }
-        total += prod.iter().sum::<f64>();
+        total += block;
     }
     total
 }
 
+/// Body of [`KruskalTensor::inner_sparse`] for any rank and order: per
+/// stretch, each entry's lanes `v · A₁[i₁, :] ⊛ … ⊛ A_{N−1}[i_{N−1}, :]`
+/// (multiplied in mode order) added into the even or the odd lane set by
+/// the entry's parity in the stretch, then the two sets added lane by
+/// lane and dotted, in lane order, with `A₀[i₀, :]`.
+fn inner_sparse_dyn(factors: &[Matrix], x: &SparseTensor) -> f64 {
+    let r = factors.first().map_or(0, Matrix::cols);
+    let (n, idx, values) = (x.order(), x.indices_flat(), x.values());
+    let mut prod = vec![0.0f64; r];
+    let mut sets = [vec![0.0f64; r], vec![0.0f64; r]];
+    fold_stretches(x, |lo, hi| {
+        sets.iter_mut().for_each(|set| set.fill(0.0));
+        for e in lo..hi {
+            prod.fill(values[e]);
+            for (f, &i) in factors.iter().zip(&idx[e * n..(e + 1) * n]).skip(1) {
+                for (p, &a) in prod.iter_mut().zip(f.row(i as usize)) {
+                    *p *= a;
+                }
+            }
+            for (s, &p) in sets[(e - lo) % 2].iter_mut().zip(&prod) {
+                *s += p;
+            }
+        }
+        let [even, odd] = &sets;
+        let a0 = factors[0].row(idx[lo * n] as usize);
+        (0..r)
+            .map(|f| (even[f] + odd[f]) * a0[f])
+            .fold(0.0, |dot, t| dot + t)
+    })
+}
+
 /// The same body for rank `R` and order `K` known at compile time: the
-/// same products and sums in the same order, on stack lanes.  `None`
-/// (nothing accumulated is kept) when the factors are not `K` matrices of
-/// `R` columns, so the caller recomputes with [`inner_sparse_dyn`].
+/// same products and sums in the same order, with rows read as `[f64; R]`
+/// values and the two lane sets held in locals, a stretch's entries taken
+/// in pairs and its end found on the way.  `None` (nothing accumulated is
+/// kept) when the factors are not `K` matrices of `R` columns, so the
+/// caller recomputes with [`inner_sparse_dyn`].
 fn inner_sparse_fixed<const R: usize, const K: usize>(
     factors: &[Matrix],
     x: &SparseTensor,
 ) -> Option<f64> {
     let factors = <&[Matrix; K]>::try_from(factors).ok()?;
+    if factors.iter().any(|f| f.cols() != R) {
+        return None;
+    }
+    let data: [&[f64]; K] = std::array::from_fn(|k| factors[k].as_slice());
+    let row = |k: usize, i: u32| -> Option<[f64; R]> {
+        let at = i as usize * R;
+        data[k].get(at..at + R)?.try_into().ok()
+    };
+    // `v · A₁[i₁, :] ⊛ … ⊛ A_{K−1}[i_{K−1}, :]`, in mode order.
+    let lanes = |tuple: &[u32], v: f64| -> Option<[f64; R]> {
+        let mut out = [v; R];
+        for k in 1..K {
+            let a = row(k, tuple[k])?;
+            for f in 0..R {
+                out[f] *= a[f];
+            }
+        }
+        Some(out)
+    };
+    let (idx, values, nnz) = (x.indices_flat(), x.values(), x.nnz());
     let mut total = 0.0;
-    for (idx, v) in x.iter() {
-        let idx = <&[u32; K]>::try_from(idx).ok()?;
-        let rows = std::array::from_fn(|k| factors[k].row(idx[k] as usize));
-        total += lane_products::<R, K>(v, rows)?.iter().sum::<f64>();
+    for start in (0..nnz).step_by(FIT_BLOCK) {
+        let end = (start + FIT_BLOCK).min(nnz);
+        let mut block = 0.0;
+        let mut e = start;
+        while e < end {
+            let i0 = idx[e * K];
+            let in_stretch = |e: usize| e < end && idx[e * K] == i0;
+            let (mut even, mut odd) = ([0.0f64; R], [0.0f64; R]);
+            loop {
+                let a = lanes(&idx[e * K..(e + 1) * K], values[e])?;
+                for f in 0..R {
+                    even[f] += a[f];
+                }
+                e += 1;
+                if !in_stretch(e) {
+                    break;
+                }
+                let b = lanes(&idx[e * K..(e + 1) * K], values[e])?;
+                for f in 0..R {
+                    odd[f] += b[f];
+                }
+                e += 1;
+                if !in_stretch(e) {
+                    break;
+                }
+            }
+            let a0 = row(0, i0)?;
+            let mut dot = 0.0;
+            for f in 0..R {
+                dot += (even[f] + odd[f]) * a0[f];
+            }
+            block += dot;
+        }
+        total += block;
     }
     Some(total)
 }
@@ -387,6 +491,198 @@ mod tests {
                     "order {order} rank {rank}"
                 );
             }
+        }
+    }
+
+    /// The per-entry order `inner_sparse` summed in before the stretch
+    /// order: each entry's lanes `v · Π_k A_k[i_k, :]` summed in lane
+    /// order, entries added in stored order.  Kept as the oracle the
+    /// stretch order is bounded against.
+    fn per_entry_oracle(factors: &[Matrix], x: &SparseTensor) -> f64 {
+        let r = factors[0].cols();
+        let mut prod = vec![0.0f64; r];
+        let mut total = 0.0;
+        for (idx, v) in x.iter() {
+            prod.iter_mut().for_each(|p| *p = v);
+            for (f, &i) in factors.iter().zip(idx) {
+                for (p, &a) in prod.iter_mut().zip(f.row(i as usize)) {
+                    *p *= a;
+                }
+            }
+            total += prod.iter().sum::<f64>();
+        }
+        total
+    }
+
+    /// Every term `v · Π_k A_k[i_k, f]` summed with Neumaier's compensated
+    /// sum, beside the sum of the terms' magnitudes.
+    fn compensated(factors: &[Matrix], x: &SparseTensor) -> (f64, f64) {
+        let (mut sum, mut comp, mut abs) = (0.0f64, 0.0f64, 0.0f64);
+        for (idx, v) in x.iter() {
+            for f in 0..factors[0].cols() {
+                let term = factors
+                    .iter()
+                    .zip(idx)
+                    .fold(v, |p, (a, &i)| p * a.get(i as usize, f));
+                let t = sum + term;
+                comp += if sum.abs() >= term.abs() {
+                    (sum - t) + term
+                } else {
+                    (term - t) + sum
+                };
+                sum = t;
+                abs += term.abs();
+            }
+        }
+        (sum + comp, abs)
+    }
+
+    /// A tensor holding `entries` in exactly this stored order, as a
+    /// deserialised one does (unsorted and repeated coordinates included).
+    fn stored(shape: &[usize], entries: &[(Vec<usize>, f64)]) -> SparseTensor {
+        let indices: Vec<String> = entries
+            .iter()
+            .flat_map(|(idx, _)| idx.iter().map(|i| i.to_string()))
+            .collect();
+        let values: Vec<String> = entries.iter().map(|(_, v)| format!("{v:?}")).collect();
+        let shape: Vec<String> = shape.iter().map(|s| s.to_string()).collect();
+        let json = format!(
+            r#"{{"shape":[{}],"indices":[{}],"values":[{}]}}"#,
+            shape.join(","),
+            indices.join(","),
+            values.join(",")
+        );
+        serde_json::from_str(&json).unwrap()
+    }
+
+    /// The stretch order's error against the compensated sum: a term passes
+    /// through at most `N` products and then fewer additions than there
+    /// are entries plus lanes plus two (its stretch's lane set, the lane
+    /// add, the dot, the block and the total), each off by at most one
+    /// unit in the last place (`f64::EPSILON / 2`) of the running sums'
+    /// magnitudes, which the terms' magnitudes bound.
+    fn stretch_order_bound(x: &SparseTensor, rank: usize, abs: f64) -> f64 {
+        (x.nnz() + rank + x.order() + 4) as f64 * f64::EPSILON * abs
+    }
+
+    fn random_entries(shape: &[usize], n: usize, rng: &mut ChaCha8Rng) -> Vec<(Vec<usize>, f64)> {
+        use rand::Rng;
+        (0..n)
+            .map(|_| {
+                let idx = shape.iter().map(|&s| rng.gen_range(0..s)).collect();
+                (idx, rng.gen_range(-2.0..2.0))
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Orders 1–5 at ranks 3 and 7 (dynamic body) and 5 and 10 (fixed
+        /// body at orders 1–4): a lexicographic tensor, two arrival groups
+        /// each lexicographic, and a deserialised tensor with unsorted and
+        /// repeated coordinates.  Both bodies give the same bits, within
+        /// the stated bound of the compensated per-entry sum.
+        #[test]
+        fn the_stretch_order_agrees_with_a_compensated_sum(seed in 0u64..1 << 32) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            for order in 1..=5usize {
+                let shape: Vec<usize> = (0..order).map(|k| 2 + (k + seed as usize) % 4).collect();
+                let mut first = random_entries(&shape, 30, &mut rng);
+                let mut second = random_entries(&shape, 20, &mut rng);
+                let mut repeated = random_entries(&shape, 40, &mut rng);
+                repeated.extend(repeated[..10].to_vec());
+                let mut b = SparseTensorBuilder::new(shape.clone());
+                for (idx, v) in &first {
+                    b.push(idx, *v).unwrap();
+                }
+                let lexicographic = b.build().unwrap();
+                first.sort_by(|a, b| a.0.cmp(&b.0));
+                second.sort_by(|a, b| a.0.cmp(&b.0));
+                let groups = stored(&shape, &[first, second].concat());
+                let unsorted = stored(&shape, &repeated);
+                for rank in [3, 5, 7, 10] {
+                    let factors: Vec<Matrix> = shape
+                        .iter()
+                        .map(|&s| Matrix::random(s + 1, rank, &mut rng))
+                        .collect();
+                    let k = KruskalTensor::new(factors.clone()).unwrap();
+                    for (what, x) in [("lexicographic", &lexicographic), ("two groups", &groups), ("unsorted", &unsorted)] {
+                        let got = k.inner_sparse(x).unwrap();
+                        proptest::prop_assert_eq!(
+                            got.to_bits(),
+                            inner_sparse_dyn(&factors, x).to_bits(),
+                            "order {} rank {} {}", order, rank, what
+                        );
+                        let (want, abs) = compensated(&factors, x);
+                        let bound = stretch_order_bound(x, rank, abs);
+                        proptest::prop_assert!(
+                            (got - want).abs() <= bound,
+                            "order {} rank {} {}: {} vs {} (bound {})", order, rank, what, got, want, bound
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_empty_tensor_sums_to_zero() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        for order in 1..=5usize {
+            for rank in [3, 5, 7, 10] {
+                let factors: Vec<Matrix> = (0..order)
+                    .map(|_| Matrix::random(3, rank, &mut rng))
+                    .collect();
+                let k = KruskalTensor::new(factors).unwrap();
+                let x = SparseTensor::empty(vec![3; order]).unwrap();
+                assert_eq!(k.inner_sparse(&x).unwrap().to_bits(), 0.0f64.to_bits());
+            }
+        }
+    }
+
+    /// The blocking contract: the total is the in-order fold of the sums of
+    /// the tensor's 2¹⁶-entry pieces, each summed on its own — so a stretch
+    /// ends at a block's end.  Mode-0 index 1 holds a stretch of
+    /// 257 · 256 entries that straddles the first boundary.
+    #[test]
+    fn the_total_folds_the_sums_of_its_2_16_entry_pieces_in_order() {
+        // The contract's number, not the constant: a change to the block
+        // size is a bit move and fails here.
+        const PIECE: usize = 1 << 16;
+        let shape = vec![3usize, 257, 256];
+        let mut entries = Vec::new();
+        for i0 in 0..3usize {
+            let (lo, hi) = if i0 == 1 { (0, 257) } else { (0, 40) };
+            for i1 in lo..hi {
+                for i2 in 0..256usize {
+                    let v = ((i0 * 7 + i1 * 3 + i2) % 17) as f64 / 8.0 - 1.0;
+                    entries.push((vec![i0, i1, i2], v));
+                }
+            }
+        }
+        let first = entries.iter().position(|(idx, _)| idx[0] == 1).unwrap();
+        let last = entries.iter().rposition(|(idx, _)| idx[0] == 1).unwrap();
+        assert!(first < PIECE && last >= PIECE, "the stretch straddles");
+        let x = stored(&shape, &entries);
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        for rank in [3, 5, 7, 10] {
+            let factors: Vec<Matrix> = shape
+                .iter()
+                .map(|&s| Matrix::random(s, rank, &mut rng))
+                .collect();
+            let k = KruskalTensor::new(factors.clone()).unwrap();
+            let pieces = entries
+                .chunks(PIECE)
+                .map(|piece| k.inner_sparse(&stored(&shape, piece)).unwrap())
+                .fold(0.0, |total, block| total + block);
+            let got = k.inner_sparse(&x).unwrap();
+            assert_eq!(got.to_bits(), pieces.to_bits(), "rank {rank}");
+            assert_eq!(got.to_bits(), inner_sparse_dyn(&factors, &x).to_bits());
+            let (want, abs) = compensated(&factors, &x);
+            assert!((got - want).abs() <= stretch_order_bound(&x, rank, abs));
+            let old = per_entry_oracle(&factors, &x);
+            assert!((got - old).abs() <= stretch_order_bound(&x, rank, abs));
         }
     }
 

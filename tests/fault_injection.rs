@@ -9,7 +9,10 @@
 //!    no deadlock, no timeout-backstop wait.
 
 use dismastd_cluster::{AllreduceAlgo, Cluster, ClusterError, ClusterOptions, FaultPlan, Payload};
-use dismastd_core::{ClusterConfig, DecompConfig, ExecutionMode, HealPolicy, StreamingSession};
+use dismastd_core::{
+    ClusterConfig, DecompConfig, ExecutionMode, HealPolicy, StreamingSession, MAX_ITERS,
+    MAX_RESTARTS, MAX_RIDGE_STEPS, MAX_WORKERS,
+};
 use dismastd_tensor::{SparseTensor, SparseTensorBuilder, TensorError};
 use rand::Rng;
 use rand::SeedableRng;
@@ -654,10 +657,9 @@ fn numbers_and_last_elements(json: &[u8]) -> (Vec<Range<usize>>, Vec<Range<usize
 /// Restores `json` and, when that succeeds, asks the session for two
 /// predictions and one ingest of a snapshot grown by a row in every mode.
 /// Errors are fine; only a panic fails.  Returns whether the session was
-/// restored and whether it ingested.  The ingest is skipped when the
-/// restored configuration asks for more than this test will run: a world
-/// above 8 (each worker is an OS thread), or iteration, restart or ridge
-/// budgets above 64 (restore does not bound them).
+/// restored and whether it ingested.  A restored session holds a world and
+/// iteration, restart and ridge budgets within their named caps (restore
+/// refuses the rest), so every restored session can be asked to ingest.
 fn restore_predict_ingest(json: &[u8], path: &std::path::Path) -> (bool, bool) {
     std::fs::write(path, json).unwrap();
     let Ok(mut sess) = StreamingSession::restore(path) else {
@@ -681,9 +683,16 @@ fn restore_predict_ingest(json: &[u8], path: &std::path::Path) -> (bool, bool) {
         cfg.numerics.watchdog.max_restarts,
         cfg.numerics.solver.max_ridge_steps as usize,
     ];
-    if workers > 8 || budgets.iter().any(|&b| b > 64) {
-        return (true, false);
-    }
+    assert!(
+        workers <= MAX_WORKERS,
+        "restore refuses workers = {workers}"
+    );
+    assert!(
+        budgets[0] <= MAX_ITERS
+            && budgets[1] <= MAX_RESTARTS
+            && budgets[2] <= MAX_RIDGE_STEPS as usize,
+        "restore refuses budgets {budgets:?}"
+    );
     let grown: Vec<usize> = if shape.is_empty() {
         vec![3, 3, 3]
     } else {
