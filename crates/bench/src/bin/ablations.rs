@@ -7,9 +7,7 @@
 //! 3. loss reuse (Sec. IV-B4) — reused `Σ_i Â[i,:]·A[i,:]` inner product
 //!    vs a fresh `O(nnz·N·R)` pass;
 //! 4. cell placement — medium-grain block grid (locality) vs max-min
-//!    scatter (balance): bytes moved and load imbalance;
-//! 5. OnlineCP (Table I's one-mode streaming family) vs DTD on a one-mode
-//!    stream.
+//!    scatter (balance): bytes moved and load imbalance.
 //!
 //! ```text
 //! cargo run -p dismastd-bench --release --bin ablations
@@ -34,119 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ablation_rank(&stream, &mut records)?;
     ablation_loss_reuse(&full, &mut records)?;
     ablation_placement(&stream, &mut records)?;
-    baseline_onlinecp(&full, &mut records)?;
 
     save_records("ablations", &records)?;
-    Ok(())
-}
-
-/// 5\. OnlineCP (one-mode streaming baseline, Table I) vs DTD on a stream
-/// that grows only in the last mode — the one setting where both apply.
-fn baseline_onlinecp(
-    full: &SparseTensor,
-    records: &mut Vec<ResultRecord>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    use dismastd_core::OnlineCp;
-    println!("== Baseline: OnlineCP vs DTD on a one-mode stream ==\n");
-    let shape = full.shape().to_vec();
-    let order = shape.len();
-    let t_total = shape[order - 1];
-    let t0 = (t_total * 7) / 10;
-    let mut first_bounds = shape.clone();
-    first_bounds[order - 1] = t0;
-    let x0 = full.restrict(&first_bounds)?;
-
-    let cfg = DecompConfig::default().with_rank(8).with_max_iters(8);
-    // OnlineCP path.
-    let start = Instant::now();
-    let mut online = OnlineCp::init(&x0, &cfg)?;
-    let init_time = start.elapsed();
-    let mut steps = Vec::new();
-    let step = ((t_total - t0) / 3).max(1);
-    let mut lo = t0;
-    while lo < t_total {
-        let hi = (lo + step).min(t_total);
-        steps.push((lo, hi));
-        lo = hi;
-    }
-    let mut online_update = std::time::Duration::ZERO;
-    for &(lo, hi) in &steps {
-        // Batch with local temporal indices.
-        let mut b = dismastd_tensor::SparseTensorBuilder::new({
-            let mut s = shape.clone();
-            s[order - 1] = hi - lo;
-            s
-        });
-        for (idx, v) in full.iter() {
-            let t = idx[order - 1] as usize;
-            if t < lo || t >= hi {
-                continue;
-            }
-            let mut local: Vec<usize> = idx.iter().map(|&i| i as usize).collect();
-            local[order - 1] = t - lo;
-            b.push(&local, v)?;
-        }
-        let delta = b.build()?;
-        let s = Instant::now();
-        online.ingest_slices(&delta)?;
-        online_update += s.elapsed();
-    }
-    let online_fit = online.kruskal()?.fit(full)?;
-
-    // DTD path on the same one-mode stream.
-    let start = Instant::now();
-    let prime = dismastd_core::als::cp_als(&x0, &cfg)?;
-    let dtd_init = start.elapsed();
-    let mut prev = prime.kruskal;
-    let mut prev_shape = first_bounds.clone();
-    let mut dtd_update = std::time::Duration::ZERO;
-    for &(_, hi) in &steps {
-        let mut bounds = shape.clone();
-        bounds[order - 1] = hi;
-        let snap = full.restrict(&bounds)?;
-        let complement = snap.complement(&prev_shape)?;
-        let s = Instant::now();
-        let out = dismastd_core::dtd(&complement, prev.factors(), &cfg)?;
-        dtd_update += s.elapsed();
-        prev = out.kruskal;
-        prev_shape = bounds;
-    }
-    let dtd_fit = prev.fit(full)?;
-
-    print_table(
-        &["method", "init s", "total update s", "final fit"],
-        &[
-            vec![
-                "OnlineCP".into(),
-                format!("{:.3}", init_time.as_secs_f64()),
-                format!("{:.3}", online_update.as_secs_f64()),
-                format!("{online_fit:.4}"),
-            ],
-            vec![
-                "DTD".into(),
-                format!("{:.3}", dtd_init.as_secs_f64()),
-                format!("{:.3}", dtd_update.as_secs_f64()),
-                format!("{dtd_fit:.4}"),
-            ],
-        ],
-    );
-    println!("(comparable fits on one-mode growth; only DTD also handles multi-aspect growth)\n");
-    records.push(ResultRecord {
-        experiment: "baseline_onlinecp".into(),
-        dataset: "Netflix".into(),
-        method: "OnlineCP".into(),
-        x: 0.0,
-        value: online_fit,
-        extra: BTreeMap::from([("update_s".into(), online_update.as_secs_f64())]),
-    });
-    records.push(ResultRecord {
-        experiment: "baseline_onlinecp".into(),
-        dataset: "Netflix".into(),
-        method: "DTD".into(),
-        x: 0.0,
-        value: dtd_fit,
-        extra: BTreeMap::from([("update_s".into(), dtd_update.as_secs_f64())]),
-    });
     Ok(())
 }
 

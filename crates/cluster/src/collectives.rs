@@ -74,10 +74,7 @@ impl WorkerCtx {
         len: usize,
         blame: Blame,
     ) -> ClusterResult<Vec<f64>> {
-        let e = match self
-            .try_recv_raw(src, tag, self.default_timeout)?
-            .try_into_f64()
-        {
+        let e = match self.try_recv_raw(src, tag)?.try_into_f64() {
             Ok(v) if v.len() == len => return Ok(v),
             Ok(v) => match blame {
                 Blame::Sender => ClusterError::SizeMismatch {
@@ -106,7 +103,7 @@ impl WorkerCtx {
             if src == self.rank {
                 into.push(Payload::Empty); // placeholder, replaced below
             } else {
-                into.push(self.try_recv_raw(src, tag, self.default_timeout)?);
+                into.push(self.try_recv_raw(src, tag)?);
             }
         }
         into[self.rank] = mine;
@@ -137,14 +134,14 @@ impl WorkerCtx {
         }
         if self.rank == 0 {
             for src in 1..self.world {
-                self.try_recv_raw(src, tag, self.default_timeout)?;
+                self.try_recv_raw(src, tag)?;
             }
             for dst in 1..self.world {
                 self.send_control(dst, tag);
             }
         } else {
             self.send_control(0, tag);
-            self.try_recv_raw(0, tag, self.default_timeout)?;
+            self.try_recv_raw(0, tag)?;
         }
         Ok(())
     }

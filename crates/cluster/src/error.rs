@@ -29,8 +29,8 @@ pub enum ClusterError {
         /// Panic message or injected-fault description.
         cause: String,
     },
-    /// A receive exceeded its deadline (either an explicit
-    /// `recv_timeout` or the run's default timeout backstop).
+    /// A receive exceeded the run's deadline
+    /// (`ClusterOptions::default_timeout`).
     Timeout {
         /// Rank that was waiting.
         rank: usize,

@@ -5,9 +5,9 @@
 //!
 //! The paper evaluates on a 15-node Spark cluster.  Here each "worker node"
 //! is an OS thread executing the same SPMD closure; workers communicate
-//! exclusively through the [`WorkerCtx`] message-passing API (point-to-point
-//! sends, barriers, broadcasts, all-reduce, all-to-all exchange), and every
-//! byte crossing a worker boundary is tallied in [`CommStats`].  That keeps
+//! exclusively through the [`WorkerCtx`] collectives (barrier, gather,
+//! all-reduce, all-to-all exchange), and every byte crossing a worker
+//! boundary is tallied in [`CommStats`].  That keeps
 //! the quantities the paper reasons about — per-worker compute, collective
 //! counts, bytes on the network, load balance — faithful, while the actual
 //! data movement is a channel send.
@@ -65,44 +65,52 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Arbitrary tagged point-to-point patterns neither deadlock nor
-        /// misdeliver: every worker receives exactly what was addressed to
-        /// it, matched by (src, tag), regardless of send/receive order.
+        /// Arbitrary message patterns neither deadlock nor misdeliver:
+        /// eight exchanges are posted (exchange `t` carries the plan's
+        /// messages of tag `t`) and completed in reverse order, so every
+        /// payload but the last exchange's waits in the tag-matching
+        /// buffer, and every worker receives exactly what was addressed
+        /// to it.
         #[test]
         fn random_message_patterns_deliver_exactly(
             world in 1usize..5,
             plan in (1usize..5).prop_flat_map(plan_strategy),
         ) {
+            const TAGS: u64 = 8;
             let plan: Vec<(usize, usize, u64, f64)> = plan
                 .into_iter()
                 .filter(|&(s, d, _, _)| s < world && d < world)
                 .collect();
             let plan_ref = &plan;
-            let results = Cluster::try_run(world, move |ctx| {
+            let addressed = |s: usize, d: usize, t: u64| -> Vec<f64> {
+                plan_ref
+                    .iter()
+                    .filter(|&&(ps, pd, pt, _)| (ps, pd, pt) == (s, d, t))
+                    .map(|p| p.3)
+                    .collect()
+            };
+            let results = Cluster::try_run(world, |ctx| {
                 let me = ctx.rank();
-                // Phase 1: send everything this rank originates.
-                for &(s, d, t, v) in plan_ref {
-                    if s == me {
-                        ctx.try_send(d, t, Payload::F64(vec![v]))?;
-                    }
+                let mut posted = Vec::new();
+                for t in 0..TAGS {
+                    let mut outgoing: Vec<Payload> =
+                        (0..world).map(|d| Payload::F64(addressed(me, d, t))).collect();
+                    posted.push(ctx.post_exchange(&mut outgoing)?);
                 }
-                // Phase 2: receive everything addressed here (any order).
                 let mut got = Vec::new();
-                for &(s, d, t, _) in plan_ref {
-                    if d == me {
-                        got.push((s, t, ctx.try_recv(s, t)?.try_into_f64()?[0]));
+                for (t, pending) in posted.into_iter().enumerate().rev() {
+                    let mut incoming = Vec::new();
+                    ctx.complete_exchange(pending, &mut incoming)?;
+                    for (s, payload) in incoming.into_iter().enumerate() {
+                        got.push((s, t as u64, payload.try_into_f64()?));
                     }
                 }
                 Ok(got)
             }).unwrap();
             for (me, got) in results.into_iter().enumerate() {
+                prop_assert_eq!(got.len(), world * TAGS as usize);
                 for (s, t, v) in got {
-                    let expected = plan
-                        .iter()
-                        .find(|&&(ps, pd, pt, _)| ps == s && pd == me && pt == t)
-                        .expect("message was planned")
-                        .3;
-                    prop_assert_eq!(v, expected);
+                    prop_assert_eq!(v, addressed(s, me, t));
                 }
             }
         }

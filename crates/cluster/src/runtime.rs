@@ -4,8 +4,8 @@
 //! Multiple Data — the execution model of the paper's Spark
 //! implementation): one OS thread per rank, or the caller's thread for a
 //! one-rank run, under the same panic guard.  A rank's [`WorkerCtx`]
-//! holds its identity, its tagged point-to-point messaging and its fault
-//! state: a failing rank fans its [`ClusterError`] out to every peer, and
+//! holds its identity, the tag-matched receive under every collective and
+//! its fault state: a failing rank fans its [`ClusterError`] out to every peer, and
 //! a context that has observed one fails fast thereafter.
 //!
 //! The rest sits behind one seam each: the collectives in
@@ -25,10 +25,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub use crate::collectives::PendingExchange;
-
-/// Tags below this are reserved for internally sequenced collectives;
-/// user point-to-point tags are offset into the upper half.
-const USER_TAG_BASE: u64 = 1 << 63;
 
 /// Perturbation point ids for [`loom_pause`], one per coordination edge
 /// whose ordering the barrier-abort protocol must tolerate.
@@ -365,43 +361,6 @@ impl WorkerCtx {
         self.stats.snapshot()
     }
 
-    // ---- point-to-point --------------------------------------------------
-
-    /// Sends `payload` to worker `dst` under a user tag.
-    ///
-    /// Only remote sends (`dst != rank`) count as network traffic.
-    ///
-    /// # Errors
-    /// Fails fast with the poisoning error after an abort, or with
-    /// [`ClusterError::PeerCrashed`] when `dst`'s inbound channel is gone.
-    pub fn try_send(&mut self, dst: usize, tag: u64, payload: Payload) -> ClusterResult<()> {
-        self.try_send_raw(dst, USER_TAG_BASE + tag, payload)
-    }
-
-    /// Receives the payload sent by `src` under a user tag, blocking until
-    /// it arrives (bounded by the run's default timeout).  Messages with
-    /// other tags are buffered, not lost.
-    ///
-    /// # Errors
-    /// Returns [`ClusterError::Timeout`] past the deadline, the peer's
-    /// error when the cluster aborts, or the poisoning error thereafter.
-    pub fn try_recv(&mut self, src: usize, tag: u64) -> ClusterResult<Payload> {
-        self.try_recv_raw(src, USER_TAG_BASE + tag, self.default_timeout)
-    }
-
-    /// Like [`WorkerCtx::try_recv`] with an explicit deadline.
-    ///
-    /// # Errors
-    /// As for [`WorkerCtx::try_recv`].
-    pub fn recv_timeout(
-        &mut self,
-        src: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> ClusterResult<Payload> {
-        self.try_recv_raw(src, USER_TAG_BASE + tag, Some(timeout))
-    }
-
     // ---- internal message plumbing --------------------------------------
 
     /// Fails fast once this context is poisoned.
@@ -499,13 +458,8 @@ impl WorkerCtx {
 
     /// Core receive: matches `(src, tag)`, buffers everything else,
     /// converts aborts into typed errors, suppresses duplicate deliveries,
-    /// and enforces the deadline.
-    pub(crate) fn try_recv_raw(
-        &mut self,
-        src: usize,
-        tag: u64,
-        timeout: Option<Duration>,
-    ) -> ClusterResult<Payload> {
+    /// and enforces the run's deadline.
+    pub(crate) fn try_recv_raw(&mut self, src: usize, tag: u64) -> ClusterResult<Payload> {
         loom_pause(pause_point::RECV);
         self.check_live()?;
         // Check buffered messages first.
@@ -519,7 +473,8 @@ impl WorkerCtx {
             }
         }
         let started_ns = self.transport.clock().now_ns();
-        let deadline_ns = timeout
+        let deadline_ns = self
+            .default_timeout
             .map(|t| started_ns.saturating_add(u64::try_from(t.as_nanos()).unwrap_or(u64::MAX)));
         loop {
             let msg = match self.transport.wait(deadline_ns)? {
@@ -616,38 +571,60 @@ mod tests {
 
     #[test]
     fn point_to_point_round_trip() {
+        // Rank 0's values cross to rank 1 in one exchange, and come back
+        // doubled in the next.
         let out = Cluster::try_run(2, |ctx| {
-            if ctx.rank() == 0 {
-                ctx.try_send(1, 7, Payload::F64(vec![1.0, 2.0]))?;
-                ctx.try_recv(1, 8)?.try_into_f64()
+            let there = if ctx.rank() == 0 {
+                vec![Payload::Empty, Payload::F64(vec![1.0, 2.0])]
             } else {
-                let got = ctx.try_recv(0, 7)?.try_into_f64()?;
-                let doubled: Vec<f64> = got.iter().map(|x| x * 2.0).collect();
-                ctx.try_send(0, 8, Payload::F64(doubled.clone()))?;
-                Ok(doubled)
+                vec![Payload::Empty, Payload::Empty]
+            };
+            let got = ctx.try_exchange(there)?;
+            let back = if ctx.rank() == 1 {
+                let doubled: Vec<f64> = got[0]
+                    .clone()
+                    .try_into_f64()?
+                    .iter()
+                    .map(|x| x * 2.0)
+                    .collect();
+                vec![Payload::F64(doubled), Payload::Empty]
+            } else {
+                vec![Payload::Empty, Payload::Empty]
+            };
+            let returned = ctx.try_exchange(back)?;
+            if ctx.rank() == 0 {
+                returned[1].clone().try_into_f64()
+            } else {
+                got[0].clone().try_into_f64()
             }
         })
         .unwrap();
         assert_eq!(out[0], vec![2.0, 4.0]);
-        assert_eq!(out[1], vec![2.0, 4.0]);
+        assert_eq!(out[1], vec![1.0, 2.0]);
     }
 
     #[test]
     fn tag_matching_buffers_out_of_order() {
-        // Worker 0 sends two tags; worker 1 receives them in reverse order.
+        // Two exchanges posted, completed in reverse order: the first
+        // one's payloads arrive first and wait in the buffer.
         let out = Cluster::try_run(2, |ctx| {
-            if ctx.rank() == 0 {
-                ctx.try_send(1, 1, Payload::F64(vec![11.0]))?;
-                ctx.try_send(1, 2, Payload::F64(vec![22.0]))?;
-                Ok(vec![])
-            } else {
-                let second = ctx.try_recv(0, 2)?.try_into_f64()?;
-                let first = ctx.try_recv(0, 1)?.try_into_f64()?;
-                Ok(vec![first[0], second[0]])
-            }
+            let me = ctx.rank() as f64;
+            let mut one = vec![Payload::F64(vec![10.0 + me]); 2];
+            let first = ctx.post_exchange(&mut one)?;
+            let mut two = vec![Payload::F64(vec![20.0 + me]); 2];
+            let second = ctx.post_exchange(&mut two)?;
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            ctx.complete_exchange(second, &mut b)?;
+            ctx.complete_exchange(first, &mut a)?;
+            let peer = 1 - ctx.rank();
+            Ok(vec![
+                a[peer].clone().try_into_f64()?[0],
+                b[peer].clone().try_into_f64()?[0],
+            ])
         })
         .unwrap();
-        assert_eq!(out[1], vec![11.0, 22.0]);
+        assert_eq!(out[0], vec![11.0, 21.0]);
+        assert_eq!(out[1], vec![10.0, 20.0]);
     }
 
     #[test]
@@ -726,17 +703,21 @@ mod tests {
 
     #[test]
     fn remote_traffic_is_counted() {
+        // Rank 0 ships 80 bytes to rank 1; rank 1's empty reply is a
+        // message of no bytes.
         let (_, stats) = run_counted(2, |ctx| {
-            if ctx.rank() == 0 {
-                ctx.try_send(1, 0, Payload::F64(vec![0.0; 10]))?; // 80 bytes
+            let outgoing = if ctx.rank() == 0 {
+                vec![Payload::Empty, Payload::F64(vec![0.0; 10])]
             } else {
-                ctx.try_recv(0, 0)?;
-            }
+                vec![Payload::Empty, Payload::Empty]
+            };
+            ctx.try_exchange(outgoing)?;
             Ok(())
         })
         .unwrap();
         assert_eq!(stats.bytes, 80);
-        assert_eq!(stats.messages, 1);
+        assert_eq!(stats.messages, 2);
+        assert_eq!(stats.bytes_by_sender, vec![80, 0]);
     }
 
     #[test]
@@ -744,12 +725,17 @@ mod tests {
         // Opaque blobs count their length; Empty crosses as a zero-byte
         // message (still one logical message).
         let (_, stats) = run_counted(2, |ctx| {
-            if ctx.rank() == 0 {
-                ctx.try_send(1, 0, Payload::Bytes(bytes::Bytes::from(vec![7u8; 123])))?;
-                ctx.try_send(1, 1, Payload::Empty)?;
+            let blob = Payload::Bytes(bytes::Bytes::from(vec![7u8; 123]));
+            let outgoing = if ctx.rank() == 0 {
+                vec![Payload::Empty, blob]
             } else {
-                assert_eq!(ctx.try_recv(0, 0)?.size_bytes(), 123);
-                assert_eq!(ctx.try_recv(0, 1)?, Payload::Empty);
+                vec![Payload::Empty, Payload::Empty]
+            };
+            let incoming = ctx.try_exchange(outgoing)?;
+            if ctx.rank() == 1 {
+                assert_eq!(incoming[0].size_bytes(), 123);
+            } else {
+                assert_eq!(incoming[1], Payload::Empty);
             }
             Ok(())
         })
@@ -1058,7 +1044,7 @@ mod tests {
                     if ctx.rank() == 0 {
                         return Err(origin.clone());
                     }
-                    let err = ctx.try_recv(0, 1).expect_err("rank 0 never sends");
+                    let err = ctx.try_barrier().expect_err("rank 0 never arrives");
                     seen.lock().unwrap().push((ctx.rank(), err.clone()));
                     Err::<(), _>(err)
                 })
@@ -1127,13 +1113,14 @@ mod tests {
     fn recv_timeout_surfaces_typed_error() {
         // The closure handles the error itself, so the run succeeds and the
         // typed Timeout is the worker's plain return value.
-        let out = Cluster::run(2, |ctx| {
-            if ctx.rank() == 1 {
-                // Nobody ever sends tag 5.
-                ctx.recv_timeout(0, 5, Duration::from_millis(20))
+        let opts = ClusterOptions::default().with_timeout(Duration::from_millis(20));
+        let (out, _) = Cluster::try_run_with_opts(2, &opts, |ctx| {
+            Ok(if ctx.rank() == 1 {
+                // Rank 0 never arrives, so its release never comes.
+                ctx.try_barrier()
             } else {
-                Ok(Payload::Empty)
-            }
+                Ok(())
+            })
         })
         .unwrap();
         match &out[1] {
@@ -1156,11 +1143,13 @@ mod tests {
                     cause: "origin".into(),
                 })
             } else {
-                // This receive wakes up with rank 0's abort...
-                let first = ctx.try_recv(0, 1).unwrap_err();
+                // This barrier wakes up with rank 0's abort...
+                let first = ctx.try_barrier().unwrap_err();
                 assert!(matches!(first, ClusterError::PeerCrashed { rank: 0, .. }));
                 // ...and the context is now poisoned: no blocking, same error.
-                let second = ctx.try_send(0, 2, Payload::Empty).unwrap_err();
+                let second = ctx
+                    .try_exchange(vec![Payload::Empty, Payload::Empty])
+                    .unwrap_err();
                 assert_eq!(first, second);
                 let third = ctx.try_barrier().unwrap_err();
                 assert_eq!(first, third);
@@ -1283,14 +1272,14 @@ mod tests {
 
     #[test]
     fn sim_deadlock_surfaces_typed_timeout_instead_of_hanging() {
-        // Rank 1 waits for a message nobody will ever send, with NO
+        // Rank 1 waits at a barrier rank 0 never enters, with NO
         // deadline: under the simulator that is a detected deadlock (no
         // runnable task, nothing in flight) and wakes as a typed Timeout
         // in zero wall-clock.
         let opts = ClusterOptions::no_timeout().with_sim(SimOptions::from_seed(3));
         let (results, _) = Cluster::try_run_with_opts(2, &opts, |ctx| {
             if ctx.rank() == 1 {
-                Ok(ctx.try_recv(0, 77).unwrap_err())
+                Ok(ctx.try_barrier().unwrap_err())
             } else {
                 Err(ClusterError::PeerCrashed {
                     rank: 0,
@@ -1325,12 +1314,9 @@ mod tests {
             .with_sim(SimOptions::from_seed(9).with_probe(Arc::clone(&probe)));
         let started = Instant::now();
         let (results, _) = Cluster::try_run_with_opts(2, &opts, |ctx| {
-            if ctx.rank() == 0 {
-                ctx.try_send(1, 1, Payload::F64(vec![4.25]))?;
-                Ok(0.0)
-            } else {
-                Ok(ctx.try_recv(0, 1)?.try_into_f64()?[0])
-            }
+            let sent = Payload::F64(vec![4.25 * (1 - ctx.rank()) as f64]);
+            let got = ctx.try_exchange(vec![sent.clone(), sent])?;
+            Ok(got[0].clone().try_into_f64()?[0])
         })
         .unwrap();
         assert_eq!(results[1], 4.25);

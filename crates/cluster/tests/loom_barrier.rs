@@ -11,7 +11,7 @@
 //! the originating `PeerCrashed` error.
 #![cfg(loom)]
 
-use dismastd_cluster::{Cluster, ClusterError, ClusterOptions, FaultPlan};
+use dismastd_cluster::{Cluster, ClusterError, ClusterOptions, FaultPlan, Payload};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -101,9 +101,9 @@ fn duplicate_abort_is_idempotent() {
     });
 }
 
-/// The crash can also race **user point-to-point traffic** inside the
-/// same schedule: the survivor blocked on a receive that will never be
-/// served must get the peer's error, not its own timeout.
+/// The crash can also race **point-to-point data traffic** inside the
+/// same schedule: the survivor blocked in an exchange's receive from the
+/// crashed rank must get the peer's error, not its own timeout.
 #[test]
 fn crash_wakes_a_blocked_point_to_point_receive() {
     loom::model(|| {
@@ -118,8 +118,10 @@ fn crash_wakes_a_blocked_point_to_point_receive() {
                 ctx.try_barrier()?; // crashes here
                 Ok(())
             } else {
-                // Blocked on a message rank 0 will never send.
-                ctx.try_recv(0, 9).map(|_| ())
+                // Blocked in an exchange's receive from rank 0, which
+                // never sends.
+                ctx.try_exchange(vec![Payload::Empty, Payload::Empty])
+                    .map(|_| ())
             }
         })
         .expect_err("the armed crash must fail the run");

@@ -15,7 +15,9 @@
 //! exactly once, the retry run re-admits the crashed rank after a virtual
 //! recovery delay, and the healed run is bit-identical to a fault-free one.
 
-use dismastd_cluster::{Cluster, ClusterError, ClusterOptions, FaultPlan, SimOptions, SimProbe};
+use dismastd_cluster::{
+    Cluster, ClusterError, ClusterOptions, FaultPlan, Payload, SimOptions, SimProbe,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -102,8 +104,9 @@ fn duplicate_abort_is_idempotent_on_every_seed() {
     }
 }
 
-/// The crash racing **user point-to-point traffic**: the survivor is
-/// blocked on a receive that will never be served.  The abort fan-out —
+/// The crash racing **point-to-point data traffic**: the survivor is
+/// blocked in an exchange's receive from the crashed rank, which will
+/// never be served.  The abort fan-out —
 /// not the simulator's deadlock detector, which would surface `Timeout`
 /// — must wake it with the peer's error.
 #[test]
@@ -120,8 +123,10 @@ fn crash_wakes_a_blocked_point_to_point_receive_on_every_seed() {
                 ctx.try_barrier()?; // crashes here
                 Ok(())
             } else {
-                // Blocked on a message rank 0 will never send.
-                ctx.try_recv(0, 9).map(|_| ())
+                // Blocked in an exchange's receive from rank 0, which
+                // never sends.
+                ctx.try_exchange(vec![Payload::Empty, Payload::Empty])
+                    .map(|_| ())
             }
         })
         .expect_err("the armed crash must fail the run");

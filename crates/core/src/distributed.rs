@@ -2159,7 +2159,9 @@ mod tests {
                         for cell in &mine {
                             // COO kernel, into a fresh zeroed matrix.
                             let total = mttkrp(cell, &factors, n).unwrap();
-                            expected.add_assign(&total).unwrap();
+                            for (e, t) in expected.as_mut_slice().iter_mut().zip(total.as_slice()) {
+                                *e += t;
+                            }
                         }
                         // The rows a mode-iteration writes: those this
                         // worker's nonzeros reference, and the owned rows

@@ -39,8 +39,6 @@ pub mod config;
 pub mod distributed;
 pub mod dtd;
 pub mod loss;
-pub mod onlinecp;
-pub mod rank;
 pub mod session;
 pub mod shadow;
 
@@ -57,8 +55,6 @@ pub use dismastd_tensor::{
 };
 pub use distributed::{decompose, ClusterConfig, Decomposition, PlanCache};
 pub use dtd::dtd;
-pub use onlinecp::OnlineCp;
-pub use rank::{select_rank, RankSearch};
 pub use session::{
     ExecutionMode, HealReport, HealTransition, SessionCheckpoint, StepReport, StreamingSession,
     MAX_WORKERS,

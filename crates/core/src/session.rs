@@ -443,25 +443,9 @@ impl StreamingSession {
         &self.plan_cache
     }
 
-    /// Consumes the session, yielding the latest decomposition (checkpoint
-    /// counterpart of [`StreamingSession::resume`]).
-    pub fn into_factors(self) -> Option<KruskalTensor> {
-        self.factors
-    }
-
     /// The decomposition of the most recent snapshot, if any was ingested.
     pub fn factors(&self) -> Option<&KruskalTensor> {
         self.factors.as_ref()
-    }
-
-    /// Shape of the most recent snapshot.
-    pub fn shape(&self) -> &[usize] {
-        &self.shape
-    }
-
-    /// Number of snapshots ingested so far.
-    pub fn steps(&self) -> usize {
-        self.step
     }
 
     /// The world the session decomposes on.
@@ -1101,8 +1085,8 @@ mod tests {
         // Only the complement was processed.
         assert!(r1.processed_nnz < s1.nnz());
         assert_eq!(r1.processed_nnz, s1.nnz() - s0.nnz());
-        assert_eq!(sess.shape(), s1.shape());
-        assert_eq!(sess.steps(), 2);
+        assert_eq!(sess.shape, s1.shape());
+        assert_eq!(sess.step, 2);
         assert!(r1.fit.is_finite());
     }
 
@@ -1219,7 +1203,7 @@ mod tests {
         // Checkpointed session: stop after s0, resume, ingest s1.
         let mut first = StreamingSession::new(cfg(), ExecutionMode::Serial);
         first.ingest(&s0).unwrap();
-        let checkpoint = first.into_factors().unwrap();
+        let checkpoint = first.factors.unwrap();
         let mut resumed =
             StreamingSession::resume(cfg(), ExecutionMode::Serial, checkpoint).unwrap();
         let r_res = resumed.ingest(&s1).unwrap();
@@ -1234,7 +1218,7 @@ mod tests {
         let (s0, _) = snapshot_pair();
         let mut sess = StreamingSession::new(cfg(), ExecutionMode::Serial);
         sess.ingest(&s0).unwrap();
-        let checkpoint = sess.into_factors().unwrap();
+        let checkpoint = sess.factors.unwrap();
         let wrong_rank = cfg().with_rank(7);
         assert!(StreamingSession::resume(wrong_rank, ExecutionMode::Serial, checkpoint).is_err());
     }
@@ -1251,8 +1235,8 @@ mod tests {
         let mut restored = StreamingSession::restore(&path).unwrap();
         std::fs::remove_file(&path).ok();
 
-        assert_eq!(restored.steps(), sess.steps());
-        assert_eq!(restored.shape(), sess.shape());
+        assert_eq!(restored.step, sess.step);
+        assert_eq!(restored.shape, sess.shape);
         assert_eq!(restored.comm_totals(), sess.comm_totals());
         assert_eq!(restored.factors(), sess.factors());
 
@@ -1288,7 +1272,7 @@ mod tests {
         let ckpt: SessionCheckpoint = serde_json::from_str(json).unwrap();
         let restored = StreamingSession::from_checkpoint(ckpt).unwrap();
         assert_eq!(restored.mode(), sess.mode());
-        assert_eq!(restored.steps(), sess.steps());
+        assert_eq!(restored.step, sess.step);
         assert_eq!(restored.factors(), sess.factors());
         // The checkpoint's traffic is what that release shipped: it
         // all-reduced every iteration's last-mode Grams and loss slot (flat
@@ -1538,7 +1522,7 @@ mod tests {
         sess.ingest(&b.build().unwrap()).unwrap();
         assert_eq!(sess.comm_totals().collectives, u64::MAX);
         assert_eq!(sess.comm_totals().bytes_by_sender, vec![u64::MAX]);
-        assert_eq!(sess.steps(), usize::MAX);
+        assert_eq!(sess.step, usize::MAX);
     }
 
     #[test]
@@ -1624,14 +1608,14 @@ mod tests {
             "old checkpoint intact"
         );
         let restored = StreamingSession::restore(&path).unwrap();
-        assert_eq!(restored.steps(), 1);
-        assert_eq!(restored.shape(), s0.shape());
+        assert_eq!(restored.step, 1);
+        assert_eq!(restored.shape, s0.shape());
 
         // With the obstacle gone the same call goes through and overwrites.
         std::fs::remove_dir(&squatter).unwrap();
         sess.checkpoint(&path).unwrap();
         assert_eq!(names(&dir), ["ckpt.json"]);
-        assert_eq!(StreamingSession::restore(&path).unwrap().steps(), 2);
+        assert_eq!(StreamingSession::restore(&path).unwrap().step, 2);
 
         // A missing parent directory is a typed error that creates nothing.
         let orphan = dir.join("no_such_dir").join("ckpt.json");
@@ -1732,7 +1716,7 @@ mod tests {
             }
             other => panic!("expected NonFiniteValue, got {other:?}"),
         }
-        assert_eq!(sess.steps(), 1);
+        assert_eq!(sess.step, 1);
     }
 
     #[test]
@@ -1753,7 +1737,7 @@ mod tests {
         }
         // No grid cell was compiled: the step stopped ahead of the solve.
         assert_eq!(sess.plan_cache().misses(), 0);
-        assert_eq!(sess.steps(), 0);
+        assert_eq!(sess.step, 0);
         // An *empty* snapshot is still a legal step with a perfect fit.
         let empty = SparseTensor::empty(vec![4, 4, 4]).unwrap();
         assert_eq!(sess.ingest(&empty).unwrap().fit, 1.0);
@@ -1805,7 +1789,7 @@ mod tests {
         // not be retried, and the session must stay usable.
         let err = sess.ingest(&s0).unwrap_err();
         assert!(!matches!(err, TensorError::ClusterFault { .. }));
-        assert_eq!(sess.steps(), 1);
+        assert_eq!(sess.step, 1);
     }
 
     #[test]
@@ -1941,7 +1925,7 @@ mod tests {
             }
             other => panic!("expected NonFiniteValue, got {other:?}"),
         }
-        assert_eq!(sess.steps(), 2, "the refused step committed nothing");
+        assert_eq!(sess.step, 2, "the refused step committed nothing");
         // The next valid ingest — another store, so a scan — lands where a
         // session that never saw the NaN lands.
         let mut reference = validating(ValidationMode::Strict, &ExecutionMode::Serial);
@@ -2012,7 +1996,7 @@ mod tests {
         let got = on_store.ingest(&shared[2]).unwrap_err();
         let want = on_copies.ingest(&owned[2]).unwrap_err();
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
-        assert_eq!((on_store.steps(), on_copies.steps()), (2, 2));
+        assert_eq!((on_store.step, on_copies.step), (2, 2));
     }
 
     #[test]

@@ -17,12 +17,10 @@
 //! sizes and are adjustable.
 
 pub mod datasets;
-pub mod events;
 pub mod io;
 pub mod stream;
 pub mod synth;
 
 pub use datasets::DatasetSpec;
-pub use events::{Event, EventLog};
 pub use stream::StreamSequence;
 pub use synth::{uniform_tensor, zipf_tensor, ZipfSampler};

@@ -562,7 +562,8 @@ mod tests {
     fn cholesky_reconstructs() {
         let m = spd3();
         let l = cholesky(&m).unwrap();
-        let rec = l.matmul(&l.transpose()).unwrap();
+        let lt = Matrix::from_fn(3, 3, |i, j| l.get(j, i));
+        let rec = l.matmul(&lt).unwrap();
         assert!(m.max_abs_diff(&rec).unwrap() < 1e-12);
     }
 

@@ -183,17 +183,6 @@ impl Matrix {
         self.data.iter_mut().for_each(|x| *x = 0.0);
     }
 
-    /// Returns the transpose as a new matrix.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[j * self.rows + i] = self.data[i * self.cols + j];
-            }
-        }
-        out
-    }
-
     /// Matrix product `self * other`.
     ///
     /// # Errors
@@ -300,21 +289,6 @@ impl Matrix {
         }
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a *= b;
-        }
-        Ok(())
-    }
-
-    /// In-place element-wise sum `self += other`.
-    pub fn add_assign(&mut self, other: &Matrix) -> Result<()> {
-        if self.shape() != other.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "add_assign",
-                left: vec![self.rows, self.cols],
-                right: vec![other.rows, other.cols],
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
         }
         Ok(())
     }
@@ -614,15 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_round_trip() {
-        let m = sample();
-        let t = m.transpose();
-        assert_eq!(t.shape(), (2, 3));
-        assert_eq!(t.get(0, 2), 5.0);
-        assert_eq!(t.transpose(), m);
-    }
-
-    #[test]
     fn matmul_against_hand_computed() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
@@ -651,7 +616,8 @@ mod tests {
     fn gram_matches_explicit_transpose_product() {
         let m = sample();
         let g = m.gram();
-        let expected = m.transpose().matmul(&m).unwrap();
+        let mt = Matrix::from_fn(2, 3, |i, j| m.get(j, i));
+        let expected = mt.matmul(&m).unwrap();
         assert_eq!(g, expected);
         // Gram must be symmetric.
         assert_eq!(g.get(0, 1), g.get(1, 0));
@@ -662,7 +628,8 @@ mod tests {
         let a = sample();
         let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
         let g = a.cross_gram(&b).unwrap();
-        assert_eq!(g, a.transpose().matmul(&b).unwrap());
+        let at = Matrix::from_fn(2, 3, |i, j| a.get(j, i));
+        assert_eq!(g, at.matmul(&b).unwrap());
     }
 
     #[test]
@@ -680,16 +647,6 @@ mod tests {
         c.hadamard_assign(&b).unwrap();
         assert_eq!(c, Matrix::from_rows(&[&[2.0, 1.0], &[3.0, -4.0]]));
         assert!(c.hadamard_assign(&Matrix::zeros(1, 2)).is_err());
-    }
-
-    #[test]
-    fn add_assign_and_scale_assign() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let b = Matrix::from_rows(&[&[3.0, 5.0]]);
-        let mut c = a.clone();
-        c.add_assign(&b).unwrap();
-        assert_eq!(c, Matrix::from_rows(&[&[4.0, 7.0]]));
-        assert!(c.add_assign(&Matrix::zeros(2, 2)).is_err());
     }
 
     #[test]
@@ -737,7 +694,9 @@ mod tests {
         m.gram_rows(None, &RowSet::Range(0..1), &mut top).unwrap();
         m.gram_rows(None, &RowSet::List(&[1, 2]), &mut bottom)
             .unwrap();
-        top.add_assign(&bottom).unwrap();
+        for (t, b) in top.data.iter_mut().zip(&bottom.data) {
+            *t += b;
+        }
         assert_eq!(top, m.gram());
     }
 

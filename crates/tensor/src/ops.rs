@@ -236,8 +236,10 @@ mod tests {
         let c = Matrix::from_rows(&[&[0.3, 1.0], &[2.0, 0.1]]);
         let d = Matrix::from_rows(&[&[1.0, 0.0], &[0.5, 0.5], &[2.0, 1.0]]);
         // Explicit: X = A Bᵀ? No — Kruskal ⟦A,B⟧ = A Bᵀ for order 2.
-        let x = a.matmul(&b.transpose()).unwrap();
-        let y = c.matmul(&d.transpose()).unwrap();
+        let bt = Matrix::from_fn(2, 3, |i, j| b.get(j, i));
+        let dt = Matrix::from_fn(2, 3, |i, j| d.get(j, i));
+        let x = a.matmul(&bt).unwrap();
+        let y = c.matmul(&dt).unwrap();
         let direct: f64 = x
             .as_slice()
             .iter()

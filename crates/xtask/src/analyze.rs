@@ -1,10 +1,9 @@
-//! The interprocedural lints (L6–L8) over [`crate::graph::CallGraph`],
-//! plus the panic-budget workflow.
+//! The interprocedural lints (L6–L8) over [`crate::graph::CallGraph`].
 //!
 //! | lint | name                | invariant |
 //! |------|---------------------|-----------|
 //! | L6   | `collective_order`  | no collective call reachable from `worker_body` sits under a rank-conditioned branch |
-//! | L7   | `panic_reachability`| the transitive panic surface of every public API matches the checked-in budget |
+//! | L7   | `panic_reachability`| no public function reaches a panic site, however many calls deep |
 //! | L8   | `alloc_hygiene`     | nothing reachable from the steady-state entry points calls an allocating constructor/method |
 //!
 //! Every diagnostic carries one full call chain (`file:line:col` per
@@ -44,9 +43,10 @@ const ALLOC_QUAL_TYPES: &[&str] = &[
 ];
 const ALLOC_QUAL_FNS: &[&str] = &["new", "with_capacity", "from", "from_elem"];
 
-/// What to analyze: entry points, sanctioned boundaries, and the public
-/// surface under budget.  [`AnalyzeConfig::workspace`] is the real
-/// configuration; fixtures construct their own.
+/// What to analyze: entry points and sanctioned boundaries.  L7 needs no
+/// entry: every `pub fn` of the analyzed files is one.
+/// [`AnalyzeConfig::workspace`] is the real configuration; fixtures
+/// construct their own.
 #[derive(Debug, Clone)]
 pub struct AnalyzeConfig {
     /// Function names rooting the collective-order audit (L6).
@@ -55,8 +55,6 @@ pub struct AnalyzeConfig {
     /// internals legitimately branch on `self.rank` (root vs leaf roles)
     /// and are not re-audited (L6).
     pub l6_exempt_files: Vec<String>,
-    /// Path prefixes whose `pub fn`s carry panic-budget entries (L7).
-    pub l7_pub_prefixes: Vec<String>,
     /// Function names rooting the steady-state allocation audit (L8);
     /// `Qual::name` restricts to one impl.
     pub l8_entries: Vec<String>,
@@ -83,14 +81,13 @@ pub struct AnalyzeConfig {
 
 impl AnalyzeConfig {
     /// The workspace configuration: `worker_body` roots the collective
-    /// audit, the steady-state MTTKRP/gram/exchange kernels root the
-    /// allocation audit, and the typed-error crates carry the budget.
+    /// audit, and the steady-state MTTKRP/gram/exchange kernels root the
+    /// allocation audit.
     pub fn workspace() -> Self {
         let own = |v: &[&str]| v.iter().map(|s| s.to_string()).collect();
         AnalyzeConfig {
             l6_entries: own(&["worker_body"]),
             l6_exempt_files: own(&["collectives.rs"]),
-            l7_pub_prefixes: own(&["crates/tensor/src", "crates/core/src", "crates/cluster/src"]),
             l8_entries: own(&[
                 "MttkrpPlan::mttkrp_into",
                 "mttkrp_into_pooled",
@@ -155,29 +152,13 @@ impl AnalyzeConfig {
     }
 }
 
-/// One `pub fn` whose transitive panic surface is non-empty.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BudgetEntry {
-    pub file: PathBuf,
-    /// `Qual::name` display form.
-    pub name: String,
-    /// Distinct reachable panic sites (own body included).
-    pub count: usize,
-    /// Definition site, for anchoring mismatch diagnostics.
-    pub line: u32,
-    pub col: u32,
-}
-
-/// Result of one analysis pass: L6 findings, L8 findings (allow-filtered),
-/// the freshly computed L7 surface, to be compared against the on-disk
-/// budget by [`compare_budget`], and the audit-table names that match no
-/// function ([`stale_table_entries`]).  Like the budget comparison, the
-/// stale findings are folded into `diags` only by the workspace driver:
-/// fixtures deliberately define a fraction of the tables' names.
+/// Result of one analysis pass: L6–L8 findings (L8 allow-filtered), and
+/// the audit-table names that match no function ([`stale_table_entries`]).
+/// The stale findings are folded into `diags` only by the workspace
+/// driver: fixtures deliberately define a fraction of the tables' names.
 #[derive(Debug, Default)]
 pub struct Analysis {
     pub diags: Vec<Diagnostic>,
-    pub budget: Vec<BudgetEntry>,
     pub stale_tables: Vec<Diagnostic>,
     pub fn_count: usize,
     /// The L10 surface; filled by `workspace::analyze_workspace`, which
@@ -208,11 +189,11 @@ pub fn analyze_files(files: &[(PathBuf, String)], cfg: &AnalyzeConfig) -> Analys
 
     let mut diags = Vec::new();
     l6_collective_order(&graph, cfg, &mut diags);
+    l7_panic_reachability(&graph, &mut diags);
     l8_alloc_hygiene(&graph, cfg, &allowed, &mut diags);
     diags.sort_by(|a, b| (&a.file, a.line, a.col, a.lint).cmp(&(&b.file, b.line, b.col, b.lint)));
     Analysis {
         diags,
-        budget: l7_panic_surface(&graph, cfg),
         stale_tables: stale_table_entries(&graph, cfg),
         fn_count: graph.fns.len(),
         unreached: Vec::new(),
@@ -295,34 +276,7 @@ fn path_has_prefix(def: &FnDef, prefixes: &[String]) -> bool {
 /// Unlike L8, L6 honours no `lint:allow`: no rank takes a decision on
 /// behalf of the others, so a rank-conditioned collective is always a bug.
 fn l6_collective_order(graph: &CallGraph, cfg: &AnalyzeConfig, out: &mut Vec<Diagnostic>) {
-    // Fixpoint: a function performs collectives when it contains a
-    // collective-named call site or calls something that does.
-    let n = graph.fns.len();
-    let mut performs = vec![false; n];
-    for (i, f) in graph.fns.iter().enumerate() {
-        if f.calls.iter().any(is_collective_site) {
-            performs[i] = true;
-        }
-    }
-    loop {
-        let mut changed = false;
-        for i in 0..n {
-            if performs[i] {
-                continue;
-            }
-            let transitively = graph.fns[i]
-                .calls
-                .iter()
-                .any(|c| graph.resolve(i, c).iter().any(|&t| performs[t]));
-            if transitively {
-                performs[i] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    let performs = transitively(graph, is_collective_site);
 
     let roots: Vec<usize> = cfg
         .l6_entries
@@ -366,6 +320,34 @@ fn l6_collective_order(graph: &CallGraph, cfg: &AnalyzeConfig, out: &mut Vec<Dia
     }
 }
 
+/// Fixpoint over the graph: per function, whether it contains a call site
+/// `site` accepts or calls something that does.
+fn transitively(graph: &CallGraph, site: impl Fn(&CallSite) -> bool) -> Vec<bool> {
+    let n = graph.fns.len();
+    let mut hit: Vec<bool> = graph
+        .fns
+        .iter()
+        .map(|f| f.calls.iter().any(&site))
+        .collect();
+    loop {
+        let mut changed = false;
+        for i in 0..n {
+            if !hit[i]
+                && graph.fns[i]
+                    .calls
+                    .iter()
+                    .any(|c| graph.resolve(i, c).iter().any(|&t| hit[t]))
+            {
+                hit[i] = true;
+                changed = true;
+            }
+        }
+        if !changed {
+            return hit;
+        }
+    }
+}
+
 fn is_collective_site(call: &CallSite) -> bool {
     !matches!(call.kind, CallKind::Macro) && COLLECTIVES.contains(&call.name.as_str())
 }
@@ -388,35 +370,61 @@ fn matches_spec(def: &FnDef, spec: &str) -> bool {
 
 // ---- L7: panic reachability ----------------------------------------------
 
-fn l7_panic_surface(graph: &CallGraph, cfg: &AnalyzeConfig) -> Vec<BudgetEntry> {
-    let mut entries = Vec::new();
+/// One finding per `pub fn` that transitively reaches a panic site: the
+/// L1 token set, `lint:allow`ed sites included, because a public function
+/// of a library crate answers every input with a value or a typed error.
+/// The finding sits at the function's definition and gives the chain to
+/// the nearest site, and how many distinct sites it reaches.
+fn l7_panic_reachability(graph: &CallGraph, out: &mut Vec<Diagnostic>) {
+    let panics = transitively(graph, is_panic_site);
     for (i, f) in graph.fns.iter().enumerate() {
-        if !f.is_pub || !path_has_prefix(f, &cfg.l7_pub_prefixes) {
+        if !f.is_pub || !panics[i] {
             continue;
         }
         let parents = graph.reach(&[i], |_| true);
-        let mut sites: BTreeSet<(PathBuf, u32, u32)> = BTreeSet::new();
+        let depth = |mut j: usize| {
+            let mut d = 0;
+            while let Some(Some((p, _, _))) = parents.get(&j) {
+                j = *p;
+                d += 1;
+            }
+            d
+        };
+        let mut sites: BTreeSet<(&Path, u32, u32)> = BTreeSet::new();
+        let mut nearest: Option<(usize, usize, &CallSite)> = None;
         for &j in parents.keys() {
             let def = &graph.fns[j];
-            for call in &def.calls {
-                if is_panic_site(call) {
-                    sites.insert((def.file.clone(), call.line, call.col));
+            for call in def.calls.iter().filter(|c| is_panic_site(c)) {
+                sites.insert((&def.file, call.line, call.col));
+                if nearest.map_or(true, |(d, _, _)| depth(j) < d) {
+                    nearest = Some((depth(j), j, call));
                 }
             }
         }
-        if !sites.is_empty() {
-            entries.push(BudgetEntry {
-                file: f.file.clone(),
-                name: f.display_name(),
-                count: sites.len(),
-                line: f.line,
-                col: f.col,
-            });
-        }
+        let Some((_, j, call)) = nearest else {
+            continue;
+        };
+        let site = match call.kind {
+            CallKind::Macro => format!("`{}!`", call.name),
+            _ => format!("`.{}()`", call.name),
+        };
+        out.push(Diagnostic {
+            file: f.file.clone(),
+            line: f.line,
+            col: f.col,
+            lint: LintId::PanicReachability,
+            message: format!(
+                "public `{}` reaches {} panic site(s), the nearest {site} at {}:{}:{}; \
+                 return a typed error instead [chain: {}]",
+                f.display_name(),
+                sites.len(),
+                graph.fns[j].file.display(),
+                call.line,
+                call.col,
+                graph.chain(&parents, j)
+            ),
+        });
     }
-    entries.sort_by(|a, b| (&a.file, &a.name, a.line).cmp(&(&b.file, &b.name, b.line)));
-    entries.dedup_by(|a, b| a.file == b.file && a.name == b.name && a.count == b.count);
-    entries
 }
 
 fn is_panic_site(call: &CallSite) -> bool {
@@ -425,104 +433,6 @@ fn is_panic_site(call: &CallSite) -> bool {
         CallKind::Macro => lints::L1_MACROS.contains(&call.name.as_str()),
         _ => false,
     }
-}
-
-/// Renders the budget file for the given surface.
-pub fn render_budget(entries: &[BudgetEntry]) -> String {
-    let mut out = String::from(
-        "# L7 panic-reachability budget: one line per public API whose transitive\n\
-         # call graph reaches a panic site (`unwrap`/`expect`/panic macros — the L1\n\
-         # token set, `lint:allow`ed sites included).  A PR that grows a count, or\n\
-         # adds an unbudgeted public API that reaches a panic, fails `xtask\n\
-         # analyze`.  After review, refresh with:\n\
-         #   cargo run -p dismastd-xtask -- analyze --write-budget\n\
-         # format: <count> <file> <Qual::fn>\n",
-    );
-    for e in entries {
-        out.push_str(&format!("{} {} {}\n", e.count, e.file.display(), e.name));
-    }
-    out
-}
-
-/// Compares the computed surface against the on-disk budget text,
-/// emitting one diagnostic per mismatch.  `budget_path` anchors
-/// stale-entry findings.
-pub fn compare_budget(
-    entries: &[BudgetEntry],
-    on_disk: &str,
-    budget_path: &Path,
-) -> Vec<Diagnostic> {
-    let refresh =
-        "review, then refresh with `cargo run -p dismastd-xtask -- analyze --write-budget`";
-    let mut budgeted: BTreeMap<(String, String), (usize, u32)> = BTreeMap::new();
-    for (lineno, line) in on_disk.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.splitn(3, ' ');
-        let (Some(count), Some(file), Some(name)) = (parts.next(), parts.next(), parts.next())
-        else {
-            continue;
-        };
-        if let Ok(count) = count.parse::<usize>() {
-            budgeted.insert(
-                (file.to_string(), name.to_string()),
-                (count, lineno as u32 + 1),
-            );
-        }
-    }
-    let mut diags = Vec::new();
-    let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
-    for e in entries {
-        let key = (e.file.display().to_string(), e.name.clone());
-        seen.insert(key.clone());
-        match budgeted.get(&key) {
-            Some(&(count, _)) if count == e.count => {}
-            Some(&(count, _)) => {
-                let how = if e.count > count { "grew" } else { "shrank" };
-                diags.push(Diagnostic {
-                    file: e.file.clone(),
-                    line: e.line,
-                    col: e.col,
-                    lint: LintId::PanicReachability,
-                    message: format!(
-                        "panic surface of `{}` {how}: {count} budgeted, {} reachable panic \
-                         site(s); {refresh}",
-                        e.name, e.count
-                    ),
-                });
-            }
-            None => {
-                diags.push(Diagnostic {
-                    file: e.file.clone(),
-                    line: e.line,
-                    col: e.col,
-                    lint: LintId::PanicReachability,
-                    message: format!(
-                        "public `{}` reaches {} panic site(s) but has no budget entry; {refresh}",
-                        e.name, e.count
-                    ),
-                });
-            }
-        }
-    }
-    for ((file, name), &(_, lineno)) in &budgeted {
-        if !seen.contains(&(file.clone(), name.clone())) {
-            diags.push(Diagnostic {
-                file: budget_path.to_path_buf(),
-                line: lineno,
-                col: 1,
-                lint: LintId::PanicReachability,
-                message: format!(
-                    "stale budget entry `{name}` ({file}): no matching public function \
-                     reaches a panic site any more; {refresh}"
-                ),
-            });
-        }
-    }
-    diags.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    diags
 }
 
 // ---- L8: hot-path allocation hygiene -------------------------------------
@@ -595,7 +505,6 @@ mod tests {
         AnalyzeConfig {
             l6_entries: vec!["worker_body".into()],
             l6_exempt_files: vec!["runtime.rs".into()],
-            l7_pub_prefixes: vec!["src".into()],
             l8_entries: vec!["hot".into()],
             l8_skip_prefixes: vec!["src/obs".into()],
             l8_stop_fns: vec![],
@@ -641,19 +550,22 @@ pub fn api(x: Option<u32>) -> u32 {
     x.unwrap()
 }
 fn inner(x: Option<u32>) { x.expect(\"set\"); }
+pub fn quiet(x: u32) -> u32 { x }
 ");
-        assert_eq!(a.budget.len(), 1);
-        assert_eq!(a.budget[0].name, "api");
-        assert_eq!(a.budget[0].count, 2);
-        let clean = compare_budget(
-            &a.budget,
-            &render_budget(&a.budget),
-            Path::new("budget.txt"),
+        let found: Vec<(LintId, u32, u32)> =
+            a.diags.iter().map(|d| (d.lint, d.line, d.col)).collect();
+        assert_eq!(
+            found,
+            vec![(LintId::PanicReachability, 1, 8)],
+            "{:#?}",
+            a.diags
         );
-        assert!(clean.is_empty(), "{clean:#?}");
-        let grown = compare_budget(&a.budget, "1 src/a.rs api\n", Path::new("budget.txt"));
-        assert_eq!(grown.len(), 1);
-        assert!(grown[0].message.contains("grew"), "{}", grown[0].message);
+        let message = &a.diags[0].message;
+        assert!(
+            message.contains("reaches 2 panic site(s), the nearest `.unwrap()` at src/a.rs:3:7"),
+            "{message}"
+        );
+        assert!(message.contains("[chain: api (src/a.rs:1:8)]"), "{message}");
     }
 
     #[test]

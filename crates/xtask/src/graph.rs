@@ -89,7 +89,7 @@ pub struct FnDef {
 
 impl FnDef {
     /// `Qual::name` or bare `name` — the display form used in
-    /// diagnostics and the panic-budget file.
+    /// diagnostics and the test-only list.
     pub fn display_name(&self) -> String {
         match &self.qual {
             Some(q) => format!("{q}::{}", self.name),
@@ -117,7 +117,7 @@ fn crate_of(path: &Path) -> Option<&str> {
 
 impl CallGraph {
     /// Builds the graph from `(path, source)` pairs.  Paths should be
-    /// workspace-relative so diagnostics and budget entries are stable
+    /// workspace-relative so diagnostics and list entries are stable
     /// across machines.
     pub fn build<P: AsRef<Path>, S: AsRef<str>>(files: &[(P, S)]) -> CallGraph {
         let mut graph = CallGraph::default();

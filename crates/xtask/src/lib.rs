@@ -19,7 +19,7 @@
 //! | L4   | `error_hygiene`     | public fallible APIs return typed errors, not `Box<dyn Error>` |
 //! | L5   | `clock_hygiene`     | raw OS-clock calls only inside the `Clock` abstraction |
 //! | L6   | `collective_order`  | no collective reachable from `worker_body` under a rank-conditioned branch |
-//! | L7   | `panic_reachability`| transitive panic surface of public APIs matches the checked-in budget |
+//! | L7   | `panic_reachability`| no public fn of a library crate transitively reaches a panic site |
 //! | L8   | `alloc_hygiene`     | the steady-state MTTKRP/exchange/gram graph is allocation-free |
 //! | L9   | `narrowing_cast`    | no unchecked `as u32` where coordinates and row ids are stored as `u32` |
 //!
@@ -28,8 +28,9 @@
 //! `file:line:col` call chain to every finding.
 //!
 //! Escape hatch: `// lint:allow(<name>): <reason>` on the violating
-//! line, or standalone on the line above (attribute style).  L7 has no
-//! allows — its escape hatch is the reviewed budget file.
+//! line, or standalone on the line above (attribute style).  L6 and L7
+//! honour no allows: a public function that can reach a panic returns a
+//! typed error instead.
 //!
 //! Both `lint` and `analyze` take `--json` (one JSON object per
 //! diagnostic line) and `--github` (workflow annotations).
@@ -41,6 +42,6 @@ pub mod lints;
 pub mod unreached;
 pub mod workspace;
 
-pub use analyze::{analyze_files, Analysis, AnalyzeConfig, BudgetEntry};
+pub use analyze::{analyze_files, Analysis, AnalyzeConfig};
 pub use graph::CallGraph;
 pub use lints::{lint_source, Diagnostic, LintId, LintScope};

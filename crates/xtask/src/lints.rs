@@ -46,8 +46,8 @@ pub enum LintId {
     /// under a branch conditioned on rank-local state (interprocedural;
     /// see [`crate::analyze`]).
     CollectiveOrder,
-    /// L7: the transitive panic surface of every public API matches the
-    /// checked-in budget file (interprocedural).
+    /// L7: no public function of a library crate transitively reaches a
+    /// panic site (interprocedural; see [`crate::analyze`]).
     PanicReachability,
     /// L8: nothing reachable from the steady-state MTTKRP/exchange/gram
     /// entry points calls an allocating constructor or method

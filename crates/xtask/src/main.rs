@@ -16,7 +16,7 @@ fn main() -> ExitCode {
                 "  lint    [--files <f.rs>…] [--json|--github]   L1-L5, L9 invariant lints (workspace by default)"
             );
             eprintln!(
-                "  analyze [--write-budget] [--json|--github]    L6-L8, L10 interprocedural audits (call graph)"
+                "  analyze [--write-budget] [--json|--github]    L6-L8, L10 interprocedural audits (call graph); --write-budget rewrites test_only.txt"
             );
             eprintln!("  audit   [--loom-only|--tsan-only]             loom barrier model + TSan chaos run");
             ExitCode::from(2)
@@ -125,17 +125,16 @@ fn run_analyze(args: &[String]) -> ExitCode {
     let root = workspace_root();
     let (out, args) = Output::extract(args);
     if args.first().map(String::as_str) == Some("--write-budget") {
-        return match workspace::write_budgets(&root) {
-            Ok((panics, test_only)) => {
+        return match workspace::write_budget(&root) {
+            Ok(test_only) => {
                 println!(
-                    "xtask analyze: wrote {panics} entries to {} and {test_only} to {}",
-                    workspace::BUDGET_PATH,
+                    "xtask analyze: wrote {test_only} entries to {}",
                     workspace::TEST_ONLY_PATH
                 );
                 ExitCode::SUCCESS
             }
             Err(e) => {
-                eprintln!("error: cannot rewrite the budgets: {e}");
+                eprintln!("error: cannot rewrite the test-only budget: {e}");
                 ExitCode::from(2)
             }
         };
@@ -154,10 +153,9 @@ fn run_analyze(args: &[String]) -> ExitCode {
         if out == Output::Human {
             println!(
                 "xtask analyze: {} fns across {files} files clean (L6 collective-order, \
-                 L7 panic-budget: {} entries matched, L8 alloc-hygiene, \
+                 L7 panic-reachability: no public fn reaches a panic, L8 alloc-hygiene, \
                  L10 unreached: {} test-only entries matched)",
                 analysis.fn_count,
-                analysis.budget.len(),
                 analysis.unreached.len()
             );
         }
@@ -165,7 +163,7 @@ fn run_analyze(args: &[String]) -> ExitCode {
     } else {
         eprintln!(
             "xtask analyze: {} violation(s) across {files} files; hoist/fix the code, add \
-             `// lint:allow(<name>): <reason>`, or (L7 and L10, after review) run \
+             `// lint:allow(<name>): <reason>` (L8), or (L10, after review) run \
              `cargo run -p dismastd-xtask -- analyze --write-budget`",
             analysis.diags.len()
         );

@@ -5,7 +5,7 @@
 //! bins and criterion harnesses, the examples, the benchmark package) plus
 //! the lines of `api_roots.txt`, the public API kept on purpose, each with a
 //! reason.  A library `pub fn` no root reaches must be deleted or listed in
-//! `test_only.txt`, a ratchet like the panic budget: an unlisted unreached
+//! `test_only.txt`, a ratchet: an unlisted unreached
 //! function fails, and so does a listed one that a root now reaches or that
 //! is gone.
 //!

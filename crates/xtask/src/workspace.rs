@@ -142,9 +142,10 @@ pub fn rust_files(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// Directories indexed into the interprocedural call graph (L6–L8).
-/// Everything the distributed solve path can reach is here; bench,
-/// examples, and the xtask itself are not part of that graph.
+/// Directories indexed into the interprocedural call graph (L6–L8): the
+/// library crates.  Everything the distributed solve path can reach is
+/// here, and every `pub fn` here is under L7's rule; bench, examples, and
+/// the xtask itself are not part of that graph.
 pub fn analyzed_dirs() -> Vec<&'static str> {
     vec![
         "crates/tensor/src",
@@ -169,9 +170,6 @@ pub fn program_dirs() -> Vec<&'static str> {
         "benchmark/src",
     ]
 }
-
-/// Workspace-root-relative location of the L7 panic budget.
-pub const BUDGET_PATH: &str = "crates/xtask/panic_budget.txt";
 
 /// Workspace-root-relative location of the L10 kept-API roots.
 pub const API_ROOTS_PATH: &str = "crates/xtask/api_roots.txt";
@@ -215,22 +213,18 @@ pub fn reachability(root: &Path, library: &[(PathBuf, String)]) -> std::io::Resu
     ))
 }
 
-/// Runs the interprocedural audits (L6/L8 findings + the L7 surface
-/// checked against the on-disk budget + the audit tables checked against
-/// the index + the L10 surface checked against the api roots and the
-/// test-only budget).  Stale table entries and budget mismatches are
-/// appended to `Analysis::diags`; a missing budget file reads as empty, so
-/// every entry reports as unbudgeted until `--write-budget` creates it.
+/// Runs the interprocedural audits (L6–L8 findings + the audit tables
+/// checked against the index + the L10 surface checked against the api
+/// roots and the test-only budget).  Stale table entries and L10
+/// mismatches are appended to `Analysis::diags`; a missing test-only file
+/// reads as empty, so every unreached function reports until
+/// `--write-budget` creates it.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<(Analysis, usize)> {
     let files = analyzed_files(root)?;
     let count = files.len();
     let mut analysis = analyze_files(&files);
     let mut stale = std::mem::take(&mut analysis.stale_tables);
     analysis.diags.append(&mut stale);
-    let on_disk = std::fs::read_to_string(root.join(BUDGET_PATH)).unwrap_or_default();
-    let mut budget_diags =
-        analyze::compare_budget(&analysis.budget, &on_disk, Path::new(BUDGET_PATH));
-    analysis.diags.append(&mut budget_diags);
     let mut reach = reachability(root, &files)?;
     analysis.diags.append(&mut reach.diags);
     let test_only = std::fs::read_to_string(root.join(TEST_ONLY_PATH)).unwrap_or_default();
@@ -243,27 +237,21 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<(Analysis, usize)> {
     Ok((analysis, count))
 }
 
-/// Rewrites both budgets from a fresh analysis: the L7 panic budget and
-/// the L10 test-only list (reasons of entries it already lists are kept).
-/// Returns the entry counts written.
-pub fn write_budgets(root: &Path) -> std::io::Result<(usize, usize)> {
+/// Rewrites the L10 test-only list from a fresh analysis (reasons of
+/// entries it already lists are kept).  Returns the entry count written.
+pub fn write_budget(root: &Path) -> std::io::Result<usize> {
     let files = analyzed_files(root)?;
-    let analysis = analyze_files(&files);
-    std::fs::write(
-        root.join(BUDGET_PATH),
-        analyze::render_budget(&analysis.budget),
-    )?;
     let reach = reachability(root, &files)?;
     let previous = std::fs::read_to_string(root.join(TEST_ONLY_PATH)).unwrap_or_default();
     std::fs::write(
         root.join(TEST_ONLY_PATH),
         unreached::render_test_only(&reach.unreached, &previous),
     )?;
-    Ok((analysis.budget.len(), reach.unreached.len()))
+    Ok(reach.unreached.len())
 }
 
 /// The pure-file entry used by both [`analyze_workspace`] and the
-/// fixture tests: workspace configuration, no budget comparison.
+/// fixture tests: workspace configuration, no L10.
 pub fn analyze_files(files: &[(PathBuf, String)]) -> Analysis {
     analyze::analyze_files(files, &AnalyzeConfig::workspace())
 }

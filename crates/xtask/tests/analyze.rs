@@ -8,17 +8,15 @@
 //! that CI consumes.
 
 use dismastd_xtask::unreached::{self, Reachability};
-use dismastd_xtask::{analyze, analyze_files, Analysis, AnalyzeConfig, LintId};
+use dismastd_xtask::{analyze_files, Analysis, AnalyzeConfig, LintId};
 use std::path::{Path, PathBuf};
 
-/// Fixture analogue of [`AnalyzeConfig::workspace`]: same entry names,
-/// no workspace-specific exemptions, and the fixture dir as the L7
-/// public surface.
+/// Fixture analogue of [`AnalyzeConfig::workspace`]: same entry names
+/// and no workspace-specific exemptions.
 fn fixture_cfg() -> AnalyzeConfig {
     AnalyzeConfig {
         l6_entries: vec!["worker_body".into()],
         l6_exempt_files: vec![],
-        l7_pub_prefixes: vec!["fixtures".into()],
         l8_entries: vec!["hot".into()],
         l8_skip_prefixes: vec![],
         l8_stop_fns: vec![],
@@ -94,53 +92,27 @@ fn l6_flags_branched_collectives_with_chains_and_ignores_a_lint_allow() {
 
 #[test]
 fn l7_budgets_the_transitive_panic_surface_of_public_fns() {
+    // The budget is zero: `risky` reaches the helper's `expect` and is the
+    // one finding, at its definition, with the chain to the site; `safe`
+    // and the private helper carry none.
     let a = analyze_fixture("l7_panic_surface.rs");
-    assert_sites(&a, "l7_panic_surface.rs", &[]);
-    // `risky` reaches its own unwrap plus the helper's expect; `safe`
-    // and the private helper carry no entry.
-    assert_eq!(a.budget.len(), 1, "{:#?}", a.budget);
-    let e = &a.budget[0];
-    assert_eq!(
-        (e.name.as_str(), e.count, e.line, e.col),
-        ("risky", 2, 4, 8),
-        "{e:#?}"
+    assert_sites(
+        &a,
+        "l7_panic_surface.rs",
+        &[(LintId::PanicReachability, 4, 8)],
     );
-    assert_eq!(e.file, PathBuf::from("fixtures/l7_panic_surface.rs"));
-
-    // A fresh budget rendering round-trips clean…
-    let budget_file = Path::new("budget.txt");
-    let rendered = analyze::render_budget(&a.budget);
-    assert!(analyze::compare_budget(&a.budget, &rendered, budget_file).is_empty());
-
-    // …growth beyond the recorded count fails…
-    let grown = analyze::compare_budget(
-        &a.budget,
-        "1 fixtures/l7_panic_surface.rs risky\n",
-        budget_file,
-    );
-    assert_eq!(grown.len(), 1);
-    assert_eq!(grown[0].lint, LintId::PanicReachability);
-    assert!(grown[0].message.contains("grew"), "{}", grown[0].message);
-
-    // …an empty budget reports the API as unbudgeted…
-    let unbudgeted = analyze::compare_budget(&a.budget, "", budget_file);
-    assert_eq!(unbudgeted.len(), 1);
+    let message = &a.diags[0].message;
     assert!(
-        unbudgeted[0].message.contains("no budget entry"),
-        "{}",
-        unbudgeted[0].message
+        message.contains("public `risky` reaches 1 panic site(s), the nearest `.expect()` at fixtures/l7_panic_surface.rs:13:7"),
+        "{message}"
     );
-
-    // …and an entry whose API went panic-free reports as stale, anchored
-    // to its budget-file line.
-    let stale = analyze::compare_budget(
-        &a.budget,
-        &format!("{rendered}3 fixtures/l7_panic_surface.rs gone\n"),
-        budget_file,
+    assert!(
+        message.contains(
+            "[chain: risky (fixtures/l7_panic_surface.rs:4:8) -> \
+             helper (called at fixtures/l7_panic_surface.rs:5:5)]"
+        ),
+        "finding must carry the chain to the site: {message}"
     );
-    assert_eq!(stale.len(), 1);
-    assert_eq!(stale[0].file, budget_file);
-    assert!(stale[0].message.contains("stale"), "{}", stale[0].message);
 }
 
 #[test]
@@ -178,8 +150,8 @@ fn l8_flags_allocations_with_chains_and_honours_both_allow_placements() {
 #[test]
 fn clean_fixture_produces_no_findings_and_an_empty_budget() {
     let a = analyze_fixture("analyze_clean.rs");
+    // Its public `scale` reaches no panic site, so L7 is silent too.
     assert_sites(&a, "analyze_clean.rs", &[]);
-    assert!(a.budget.is_empty(), "{:#?}", a.budget);
     assert_eq!(a.fn_count, 3, "all three fns must enter the graph");
 }
 
@@ -389,11 +361,16 @@ fn the_workspace_itself_analyzes_clean_against_the_checked_in_budget() {
         "expected the full call graph, saw {} fns",
         analysis.fn_count
     );
-    assert!(
-        !analysis.budget.is_empty(),
-        "the workspace has a non-empty panic surface by construction"
-    );
-    // Both checked-in budgets match: every L10 finding is a reasoned
+    // L7 admits no entry: no public function of a library crate reaches a
+    // panic site.
+    let panics: Vec<String> = analysis
+        .diags
+        .iter()
+        .filter(|d| d.lint == LintId::PanicReachability)
+        .map(ToString::to_string)
+        .collect();
+    assert!(panics.is_empty(), "{}", panics.join("\n"));
+    // The test-only budget matches: every L10 finding is a reasoned
     // test-only line (the clean `diags` below includes the comparison).
     let test_only = std::fs::read_to_string(root.join(dismastd_xtask::workspace::TEST_ONLY_PATH))
         .expect("test_only.txt is checked in");
@@ -407,7 +384,7 @@ fn the_workspace_itself_analyzes_clean_against_the_checked_in_budget() {
         .all(|l| !l.reason.is_empty()));
     assert!(
         analysis.diags.is_empty(),
-        "the workspace must analyze clean (both budgets included):\n{}",
+        "the workspace must analyze clean (the test-only budget included):\n{}",
         analysis
             .diags
             .iter()
@@ -432,8 +409,9 @@ fn cli_analyze_exits_zero_on_the_workspace() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("entries matched"),
-        "summary must confirm the budget matched, got:\n{stdout}"
+        stdout.contains("L7 panic-reachability: no public fn reaches a panic")
+            && stdout.contains("test-only entries matched"),
+        "summary must confirm L7 found nothing and the test-only budget matched, got:\n{stdout}"
     );
 }
 

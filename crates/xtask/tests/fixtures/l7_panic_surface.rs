@@ -1,15 +1,14 @@
-//! L7 fixture: one public API with a two-site transitive panic surface
-//! (own `unwrap` plus the helper's `expect`) and one panic-free API.
+//! L7 fixture: one public API that reaches a panic site through a private
+//! helper, and one panic-free API.
 
 pub fn risky(x: Option<u32>) -> u32 {
-    helper(x);
-    x.unwrap()
+    helper(x)
 }
 
 pub fn safe(x: u32) -> u32 {
     x + 1
 }
 
-fn helper(x: Option<u32>) {
-    x.expect("set");
+fn helper(x: Option<u32>) -> u32 {
+    x.expect("set")
 }

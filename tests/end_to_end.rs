@@ -31,8 +31,8 @@ fn paper_pipeline_on_scaled_netflix() {
         }
         prev_nnz = snap.nnz();
     }
-    assert_eq!(session.steps(), 6);
-    assert_eq!(session.shape(), full.shape());
+    assert_eq!(session.to_checkpoint().step, 6);
+    assert_eq!(session.to_checkpoint().shape, full.shape());
 }
 
 #[test]

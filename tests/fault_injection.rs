@@ -331,7 +331,7 @@ fn crash_without_recovery_fails_promptly_with_typed_error() {
     let (s0, s1) = snapshot_pair();
     let mut sess = StreamingSession::new(cfg(), ExecutionMode::Distributed(ClusterConfig::new(3)));
     sess.ingest(&s0).unwrap();
-    let steps_before = sess.steps();
+    let steps_before = sess.to_checkpoint().step;
     sess.set_cluster_options(ClusterOptions::default().with_fault_plan(mid_step_crash(1)));
 
     let started = Instant::now();
@@ -350,8 +350,8 @@ fn crash_without_recovery_fails_promptly_with_typed_error() {
         started.elapsed()
     );
     // The failed step committed nothing.
-    assert_eq!(sess.steps(), steps_before);
-    assert_eq!(sess.shape(), s0.shape());
+    assert_eq!(sess.to_checkpoint().step, steps_before);
+    assert_eq!(sess.to_checkpoint().shape, s0.shape());
 }
 
 #[test]
@@ -584,7 +584,7 @@ fn on_disk_checkpoint_survives_a_simulated_process_death() {
     // A fresh process restores the pre-step checkpoint and replays.
     let mut revived = StreamingSession::restore(&path).unwrap();
     std::fs::remove_file(&path).ok();
-    assert_eq!(revived.steps(), 1);
+    assert_eq!(revived.to_checkpoint().step, 1);
     revived.ingest(&s1).unwrap();
     for (a, b) in clean
         .factors()
@@ -665,7 +665,7 @@ fn restore_predict_ingest(json: &[u8], path: &std::path::Path) -> (bool, bool) {
     let Ok(mut sess) = StreamingSession::restore(path) else {
         return (false, false);
     };
-    let shape = sess.shape().to_vec();
+    let shape = sess.to_checkpoint().shape;
     let _ = sess.predict(&vec![0; shape.len()]);
     let _ = sess.predict(
         &shape

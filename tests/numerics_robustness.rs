@@ -147,7 +147,7 @@ fn strict_validation_names_the_offending_coordinate() {
         other => panic!("expected NonFiniteValue, got {other:?}"),
     }
     // The failed ingest left the session untouched and usable.
-    assert_eq!(sess.steps(), 0);
+    assert_eq!(sess.to_checkpoint().step, 0);
     let clean = random_snapshot(&[4, 4, 4], 30, 4);
     assert!(sess.ingest(&clean).is_ok());
 }
@@ -237,7 +237,7 @@ fn watchdog_reports_divergence_and_leaves_session_usable() {
         other => panic!("expected Diverged, got {other:?}"),
     }
     // Durable state untouched; a clean snapshot then ingests normally.
-    assert_eq!(sess.steps(), 0);
+    assert_eq!(sess.to_checkpoint().step, 0);
     assert!(sess.factors().is_none());
     let clean = random_snapshot(&[4, 4, 4], 25, 7);
     let r = sess.ingest(&clean).unwrap();
@@ -270,7 +270,7 @@ fn watchdog_disabled_propagates_solver_errors_without_retrying() {
         !matches!(err, TensorError::Diverged { .. }),
         "watchdog off must not wrap the error: {err:?}"
     );
-    assert_eq!(sess.steps(), 0);
+    assert_eq!(sess.to_checkpoint().step, 0);
 }
 
 #[test]
@@ -365,7 +365,7 @@ fn a_nan_on_a_distributed_step_is_a_numeric_failure_not_a_cluster_fault() {
                     ),
                 }
                 // Durable state untouched; a clean snapshot then ingests.
-                assert_eq!(sess.steps(), 0);
+                assert_eq!(sess.to_checkpoint().step, 0);
                 assert!(sess.factors().is_none());
                 assert!(sess.ingest(&clean).unwrap().loss.is_finite());
             }

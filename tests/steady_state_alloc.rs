@@ -53,17 +53,17 @@ const MEASURED_ROUNDS: usize = 8;
 /// step of a warm-up.  std's channel allocates on a thread's first blocking
 /// receive (its waiter context and waker entry), and a rank that happens
 /// never to block during the warm-up rounds pays that inside the measured
-/// ones.  No peer sends the tag waited for, so the receive waits on the
-/// channel until its deadline and must end in a timeout.
+/// ones.  Two barriers, each entered late by one side: in the first rank 0
+/// waits for the late ranks' arrivals, in the second every other rank
+/// waits for the late rank 0's release.
 fn block_once(ctx: &mut dismastd_cluster::WorkerCtx) {
-    const NEVER_SENT: u64 = 0;
-    let peer = (ctx.rank() + 1) % ctx.world();
-    let waited = ctx.recv_timeout(peer, NEVER_SENT, Duration::from_millis(20));
-    assert!(
-        matches!(waited, Err(ClusterError::Timeout { .. })),
-        "rank {}: {waited:?}",
-        ctx.rank()
-    );
+    for late_is_root in [false, true] {
+        if (ctx.rank() == 0) == late_is_root {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let entered = ctx.try_barrier();
+        assert!(entered.is_ok(), "rank {}: {entered:?}", ctx.rank());
+    }
 }
 
 /// One steady-state round: local gram into `gram_buf`, flat all-reduce,

@@ -48,7 +48,7 @@ fn long_streaming_horizon_stays_stable() {
             );
         }
     }
-    assert_eq!(session.steps(), 10);
+    assert_eq!(session.to_checkpoint().step, 10);
 }
 
 #[test]
